@@ -1,8 +1,8 @@
 //! # diablo-bench — the paper-regeneration harness
 //!
 //! One binary per table and figure of the paper's evaluation (see
-//! `src/bin/`), plus Criterion microbenchmarks covering the §5 simulator
-//! performance claims (`benches/`). This library holds the shared
+//! `src/bin/`); simulator speed itself is measured by the repo benchmark
+//! (`benchmark/run.sh`), not here. This library holds the shared
 //! plumbing: a tiny argument parser and result-file conventions.
 //!
 //! Every binary prints the series the corresponding figure plots and
@@ -242,22 +242,6 @@ pub fn write_metrics_artifacts(
     std::fs::write(&json_path, metrics.to_json())?;
     std::fs::write(json_path.with_extension("csv"), metrics.to_csv())?;
     Ok(json_path)
-}
-
-/// Runs `f` `n.max(1)` times and keeps the iteration with the smallest
-/// wall-clock cost as reported by `wall`. Deterministic simulations make
-/// every iteration produce identical *results*, so best-of-N only filters
-/// host-side noise (scheduler hiccups, cold caches) out of the timing —
-/// the standard discipline for one-shot macro-benchmarks.
-pub fn best_of<R>(n: usize, mut f: impl FnMut() -> R, wall: impl Fn(&R) -> f64) -> R {
-    let mut best = f();
-    for _ in 1..n.max(1) {
-        let candidate = f();
-        if wall(&candidate) < wall(&best) {
-            best = candidate;
-        }
-    }
-    best
 }
 
 /// Prints the standard experiment header.

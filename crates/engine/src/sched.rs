@@ -20,22 +20,26 @@
 //! Two tiers:
 //!
 //! * a **bucketed wheel** of `2^BUCKET_BITS` slots, each
-//!   `2^BUCKET_SHIFT_PS` picoseconds wide (≈0.5 ns by default, so the
-//!   events of one slot are nearly always a handful at the same instant —
-//!   link serialization and switch hops resolve at nanosecond scale).
-//!   Pushing an event whose delivery bucket lies within one wheel
-//!   revolution (≈4.2 µs) of the cursor is an O(1) append. A per-slot
-//!   occupancy bitmap lets the cursor skip runs of empty slots a 64-slot
-//!   word at a time, which is what makes narrow buckets affordable;
+//!   `2^BUCKET_SHIFT_PS` picoseconds wide (256 slots of ≈65.5 ns by
+//!   default). Pushing an event whose delivery bucket lies within one wheel
+//!   revolution (≈16.8 µs) of the cursor is an O(1) append. The wheel is
+//!   few and wide so that its working set stays in cache: the events of a
+//!   bucket sit next to each other in one buffer, and the cursor advances
+//!   once per bucket, not once per event (DESIGN.md §4 has the measurement
+//!   grid behind the two constants). A per-slot occupancy bitmap lets the
+//!   cursor skip empty slots;
 //! * an **overflow min-heap** for far-future events (e.g. 200 ms TCP
 //!   retransmission timers). Overflow events migrate into the wheel lazily
 //!   as the cursor advances, so each pays O(log overflow) once instead of
 //!   keeping the hot path's comparisons.
 //!
-//! The bucket currently being drained is sorted *descending* by
-//! [`EventKey`] so serving the next event is a `Vec::pop`. Events scheduled
+//! The bucket the cursor arrives at is sorted once, *descending* by
+//! [`EventKey`], so serving its next event is a `Vec::pop`. Events scheduled
 //! into the active bucket while it drains (a component emitting a same- or
-//! near-instant follow-up) are placed by binary search, preserving order.
+//! near-instant follow-up) go to a small side heap, and the next event is
+//! the earlier of the two heads. A sorted insert instead would be O(bucket)
+//! per push, which a dense schedule (thousands of timers a few ns apart,
+//! all inside one wide bucket) turns quadratic.
 //!
 //! # Determinism
 //!
@@ -43,12 +47,13 @@
 //! `(time, target, source, source_seq)` order of [`EventKey`] — the same
 //! order [`HeapQueue`] (the original `BinaryHeap` scheduler) produces —
 //! for *any* interleaving of pushes and pops. Bucketing partitions events
-//! by time, the active bucket is kept key-sorted, and equal-time events
-//! always share a bucket, so the global minimum is always the active
-//! bucket's head. `tests/prop_sched.rs` checks byte-identical agreement
-//! against [`HeapQueue`] under random interleavings, and the executor
-//! cross-tests (`tests/determinism.rs`) confirm serial/parallel runs stay
-//! bit-identical end to end.
+//! by time, the active bucket's two parts are each key-ordered, and
+//! equal-time events always share a bucket, so the global minimum is always
+//! the earlier of the active bucket's two heads. `tests/prop_sched.rs`
+//! checks byte-identical agreement against [`HeapQueue`] under random
+//! interleavings at several wheel geometries, and the executor cross-tests
+//! (`tests/determinism.rs`) confirm serial/parallel runs stay bit-identical
+//! end to end.
 
 use crate::event::{Event, EventKey, HeapEntry};
 use std::collections::BinaryHeap;
@@ -84,8 +89,7 @@ pub trait EventQueue<M> {
 }
 
 /// The original `BinaryHeap` scheduler, kept as the reference
-/// implementation for differential tests and as a fallback for workloads
-/// with pathological far-future scheduling.
+/// implementation the differential tests compare [`CalendarQueue`] against.
 #[derive(Debug)]
 pub struct HeapQueue<M> {
     heap: BinaryHeap<HeapEntry<M>>,
@@ -119,14 +123,15 @@ impl<M> EventQueue<M> for HeapQueue<M> {
     }
 }
 
-/// Default bucket width: `2^9` ps ≈ 0.5 ns. Narrow buckets keep the active
-/// bucket small so the per-bucket sort stays short even with thousands of
-/// pending timers; the occupancy bitmap makes skipping the resulting empty
-/// slots free.
-const BUCKET_SHIFT_PS: u32 = 9;
-/// Default wheel size: `2^13` buckets → one revolution ≈ 4.2 µs, comfortably
-/// past the quantum/window scale; longer timers ride the overflow heap.
-const BUCKET_BITS: u32 = 13;
+/// Default bucket width: `2^16` ps ≈ 65.5 ns. Events are stored by value, so
+/// wide buckets keep a bucket's events contiguous and amortize the cursor
+/// advance over all of them; narrower buckets (2^14 ps and below) measure
+/// 20–25% slower end to end, see the grid in DESIGN.md §4.
+const BUCKET_SHIFT_PS: u32 = 16;
+/// Default wheel size: `2^8` buckets → one revolution ≈ 16.8 µs, which must
+/// stay past a full-size frame's serialization at 1 Gbps (12.3 µs) or every
+/// such delivery detours through the overflow heap; longer timers do.
+const BUCKET_BITS: u32 = 8;
 
 /// Two-tier calendar-queue scheduler; see the module docs.
 #[derive(Debug)]
@@ -145,8 +150,12 @@ pub struct CalendarQueue<M> {
     wheel_len: usize,
     /// Absolute index of the bucket currently draining into `current`.
     cursor: u64,
-    /// The active bucket, sorted descending by key; next event is `last()`.
+    /// The active bucket as it was when the cursor arrived, sorted
+    /// descending by key; its next event is `last()`.
     current: Vec<Event<M>>,
+    /// Events pushed into the active bucket while it drains (see the
+    /// module docs for why this is a heap and not a sorted insert).
+    late: BinaryHeap<HeapEntry<M>>,
     /// Far-future events (absolute bucket ≥ `cursor + buckets.len()`).
     overflow: BinaryHeap<HeapEntry<M>>,
     /// Total queued events.
@@ -170,10 +179,12 @@ impl<M> CalendarQueue<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero-size wheel) or if the
-    /// combined shift would overflow bucket arithmetic.
+    /// Panics if the wheel would exceed 2^20 slots or if the bucket width
+    /// would overflow bucket arithmetic. `bucket_bits = 0` is a one-slot
+    /// wheel: every event outside the draining bucket rides the overflow
+    /// heap.
     pub fn with_params(bucket_shift_ps: u32, bucket_bits: u32) -> Self {
-        assert!((1..=20).contains(&bucket_bits), "unreasonable wheel size");
+        assert!(bucket_bits <= 20, "unreasonable wheel size");
         assert!(bucket_shift_ps < 64, "bucket width overflows u64");
         let n = 1usize << bucket_bits;
         CalendarQueue {
@@ -184,6 +195,7 @@ impl<M> CalendarQueue<M> {
             wheel_len: 0,
             cursor: 0,
             current: Vec::new(),
+            late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
         }
@@ -205,10 +217,34 @@ impl<M> CalendarQueue<M> {
         self.cursor.saturating_add(self.wheel_slots())
     }
 
-    /// Inserts into `current`, keeping it sorted descending by key.
-    fn insert_current(&mut self, ev: Event<M>) {
-        let at = self.current.partition_point(|e| e.key > ev.key);
-        self.current.insert(at, ev);
+    /// Key of the earliest queued event and whether it sits in `late`
+    /// (else it is `current.last()`), rotating the wheel first if the
+    /// active bucket is drained.
+    #[inline]
+    fn head(&mut self) -> Option<(EventKey, bool)> {
+        if self.len == 0 {
+            return None;
+        }
+        if self.current.is_empty() && self.late.is_empty() {
+            self.advance();
+        }
+        Some(match (self.current.last(), self.late.peek()) {
+            (Some(c), Some(l)) if l.0.key < c.key => (l.0.key, true),
+            (Some(c), _) => (c.key, false),
+            (None, Some(l)) => (l.0.key, true),
+            (None, None) => unreachable!("advance left the active bucket empty"),
+        })
+    }
+
+    /// Removes the event [`Self::head`] just described.
+    #[inline]
+    fn take_head(&mut self, from_late: bool) -> Option<Event<M>> {
+        self.len -= 1;
+        if from_late {
+            self.late.pop().map(|e| e.0)
+        } else {
+            self.current.pop()
+        }
     }
 
     #[inline]
@@ -241,11 +277,10 @@ impl<M> CalendarQueue<M> {
     }
 
     /// Rotates the wheel to the next non-empty bucket and loads it into
-    /// `current`. Caller guarantees `current` is drained and at least one
-    /// event remains in the wheel or overflow.
-    #[cold]
+    /// `current`. Caller guarantees the active bucket (`current` and `late`)
+    /// is drained and at least one event remains in the wheel or overflow.
     fn advance(&mut self) {
-        debug_assert!(self.current.is_empty());
+        debug_assert!(self.current.is_empty() && self.late.is_empty());
         debug_assert!(self.wheel_len + self.overflow.len() == self.len);
         if self.wheel_len > 0 {
             // All wheel events live strictly within one revolution ahead of
@@ -294,8 +329,7 @@ impl<M> CalendarQueue<M> {
         }
         // Descending sort: serving is then a plain Vec::pop. Keys are
         // unique (per-source sequence numbers), so unstable sorting cannot
-        // perturb the order. Single-event buckets (the common case with
-        // sub-ns buckets) skip the sort entirely.
+        // perturb the order.
         if self.current.len() > 1 {
             self.current.sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
         }
@@ -308,10 +342,10 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
         let b = self.bucket_of(&ev.key);
         self.len += 1;
         if b <= self.cursor {
-            // Active (or past — tolerated for robustness) bucket: keep the
-            // drain order exact. Executors only schedule at or after "now",
-            // so such an event is always still undelivered.
-            self.insert_current(ev);
+            // Active (or past — tolerated for robustness) bucket. Executors
+            // only schedule at or after "now", so such an event is always
+            // still undelivered.
+            self.late.push(HeapEntry(ev));
         } else if b < self.horizon() {
             let s = (b & self.mask) as usize;
             self.buckets[s].push(ev);
@@ -323,41 +357,20 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
     }
 
     fn peek_key(&mut self) -> Option<EventKey> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.current.is_empty() {
-            self.advance();
-        }
-        self.current.last().map(|e| e.key)
+        self.head().map(|(key, _)| key)
     }
 
     fn pop(&mut self) -> Option<Event<M>> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.current.is_empty() {
-            self.advance();
-        }
-        let ev = self.current.pop();
-        debug_assert!(ev.is_some());
-        self.len -= 1;
-        ev
+        let (_, from_late) = self.head()?;
+        self.take_head(from_late)
     }
 
     fn pop_before(&mut self, bound_ps: u64) -> Option<Event<M>> {
-        if self.len == 0 {
+        let (key, from_late) = self.head()?;
+        if key.time.as_picos() >= bound_ps {
             return None;
         }
-        if self.current.is_empty() {
-            self.advance();
-        }
-        let head = self.current.last().expect("advance left current empty");
-        if head.key.time.as_picos() >= bound_ps {
-            return None;
-        }
-        self.len -= 1;
-        self.current.pop()
+        self.take_head(from_late)
     }
 
     fn len(&self) -> usize {

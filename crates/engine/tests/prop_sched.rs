@@ -1,16 +1,41 @@
 //! Property-based equivalence test: the calendar queue must pop events in
 //! byte-identical order to the reference binary-heap scheduler for any
-//! interleaving of pushes and pops, including same-instant re-pushes into
-//! the active bucket and far-future times that ride the overflow heap.
+//! interleaving of pushes and pops and at *any* wheel geometry, including
+//! same-instant re-pushes into the draining bucket (the path wide buckets
+//! hit constantly), times exactly on a bucket edge or exactly at the
+//! wheel's reach, and far-future times that ride the overflow heap.
 
 use diablo_engine::event::{ComponentId, Event, EventKey, EventKind};
 use diablo_engine::sched::{CalendarQueue, EventQueue, HeapQueue};
 use diablo_engine::time::SimTime;
 use proptest::prelude::*;
 
-/// Far enough past the default wheel horizon (~67 us) to always land in the
-/// overflow heap: 200 ms, a TCP retransmission timeout.
+/// Far enough past the default wheel's reach (one revolution, ~16.8 us) to
+/// always land in the overflow heap: 200 ms, a TCP retransmission timeout.
 const FAR_PS: u64 = 200_000_000_000;
+
+/// `(bucket_shift_ps, bucket_bits)` of `CalendarQueue::new()`. Only the
+/// sharpness of the edge cases below depends on this staying in step with
+/// `sched.rs`; the equivalence itself holds at any value.
+const DEFAULT_GEOMETRY: (u32, u32) = (16, 8);
+
+/// Geometries the order must not depend on.
+const GEOMETRIES: [(u32, u32); 5] = [
+    // One slot: the wheel proper can hold nothing, every event that is not
+    // in the draining bucket rides the overflow heap.
+    (16, 0),
+    // 64 ps revolution: nearly every event migrates through the overflow.
+    (4, 2),
+    // Narrow buckets, many slots (the geometry before the wheel was sized
+    // to fit in cache).
+    (9, 13),
+    // One revolution (2^40 ps) is wider than the whole time range,
+    // `FAR_PS` included: the overflow heap is never used.
+    (30, 10),
+    // One bucket spans the whole time range: every push lands in the
+    // draining bucket.
+    (44, 1),
+];
 
 fn ev(time_ps: u64, target: u32, seq: u64) -> Event<u32> {
     Event {
@@ -24,24 +49,46 @@ fn ev(time_ps: u64, target: u32, seq: u64) -> Event<u32> {
     }
 }
 
-/// Replays one op sequence against both queues and asserts every pop (and
-/// every peeked key) matches exactly.
-fn check_equivalence(ops: &[(u64, u32, u8)]) -> Result<(), TestCaseError> {
-    let mut cal = CalendarQueue::<u32>::new();
+/// Replays one op sequence against `cal` and the heap reference and asserts
+/// every pop (and every peeked key) matches exactly.
+///
+/// Each op is `(raw_time, target, action)`. `action & 3` pops follow the
+/// push; `action >> 5` picks how `raw_time` becomes the delivery time,
+/// relative to the `(shift, bits)` geometry `cal` was built with.
+fn check_equivalence(
+    mut cal: CalendarQueue<u32>,
+    (shift, bits): (u32, u32),
+    ops: &[(u64, u32, u8)],
+) -> Result<(), TestCaseError> {
     let mut heap = HeapQueue::<u32>::new();
+    // Delivery time of the last popped event: the executor's "now", whose
+    // bucket is the one the calendar queue is draining.
+    let mut now_ps = 0u64;
     for (seq, &(raw_time, target, action)) in ops.iter().enumerate() {
-        // Map a slice of raw times into the far future so the overflow
-        // tier is exercised in the same run as the wheel.
-        let time_ps = if action & 0x80 != 0 { raw_time + FAR_PS } else { raw_time };
+        let reach_ps = ((now_ps >> shift) + (1u64 << bits)) << shift;
+        let time_ps = match action >> 5 {
+            // Far future: the overflow tier in the same run as the wheel.
+            3 => raw_time + FAR_PS,
+            // Exactly on a bucket's lower edge.
+            4 => (raw_time >> shift) << shift,
+            // Same instant as the event just served.
+            5 => now_ps,
+            // First instant beyond the wheel's reach, and the last within.
+            6 => reach_ps,
+            7 => reach_ps - 1,
+            _ => raw_time,
+        };
         let e = ev(time_ps, target, seq as u64);
         cal.push(e.clone());
         heap.push(e);
-        // Interleave 0..=2 pops after each push.
         for _ in 0..(action & 0x03) {
             prop_assert_eq!(cal.peek_key(), heap.peek_key());
             let a = cal.pop().map(|e| e.key);
             let b = heap.pop().map(|e| e.key);
             prop_assert_eq!(a, b);
+            if let Some(k) = a {
+                now_ps = k.time.as_picos();
+            }
         }
         prop_assert_eq!(cal.len(), heap.len());
     }
@@ -53,6 +100,17 @@ fn check_equivalence(ops: &[(u64, u32, u8)]) -> Result<(), TestCaseError> {
         prop_assert_eq!(a, b);
     }
     prop_assert!(cal.is_empty());
+    Ok(())
+}
+
+/// Runs `ops` at the production geometry and at every entry of
+/// [`GEOMETRIES`].
+fn check_all_geometries(ops: &[(u64, u32, u8)]) -> Result<(), TestCaseError> {
+    check_equivalence(CalendarQueue::new(), DEFAULT_GEOMETRY, ops)?;
+    for g in GEOMETRIES {
+        check_equivalence(CalendarQueue::with_params(g.0, g.1), g, ops)
+            .map_err(|e| TestCaseError::fail(format!("geometry {g:?}: {e}")))?;
+    }
     Ok(())
 }
 
@@ -68,7 +126,7 @@ proptest! {
             1..300,
         )
     ) {
-        check_equivalence(&ops)?;
+        check_all_geometries(&ops)?;
     }
 
     /// Dense same-bucket traffic: times confined to a few buckets so the
@@ -81,6 +139,18 @@ proptest! {
             1..300,
         )
     ) {
-        check_equivalence(&ops)?;
+        check_all_geometries(&ops)?;
+    }
+
+    /// Edge times only: every push lands on a bucket edge, on the instant
+    /// being served, or on either side of the wheel's reach.
+    #[test]
+    fn calendar_matches_heap_on_bucket_edges(
+        ops in proptest::collection::vec(
+            (0u64..100_000_000, 0u32..4, 128u8..=255),
+            1..300,
+        )
+    ) {
+        check_all_geometries(&ops)?;
     }
 }

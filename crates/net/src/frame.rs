@@ -9,39 +9,70 @@ use crate::payload::IpPacket;
 /// enough that lookups take constant time, and several WSC switch proposals
 /// use source routing natively. Routes are computed once per (src, dst) pair
 /// by the [topology](crate::topology) and stamped on each frame.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Route(Vec<u16>);
+///
+/// The ports live inline (no heap allocation per frame), so a route is
+/// `Copy` and at most [`Route::MAX_HOPS`] switches long. Slots past `len`
+/// stay zero, which keeps the derived equality exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Route {
+    ports: [u16; Route::MAX_HOPS],
+    len: u8,
+}
 
 impl Route {
+    /// Longest representable route. The longest path either fabric emits is
+    /// five switches (rack → array → datacenter → array → rack on the tree,
+    /// edge → aggregation → core → aggregation → edge on the fat-tree).
+    pub const MAX_HOPS: usize = 6;
+
     /// An empty route (same-node delivery; never traverses a switch).
     pub const fn empty() -> Self {
-        Route(Vec::new())
+        Route { ports: [0; Route::MAX_HOPS], len: 0 }
     }
 
     /// Creates a route from the output ports at each hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`Route::MAX_HOPS`] ports.
     pub fn new(ports: Vec<u16>) -> Self {
-        Route(ports)
+        Self::from_ports(&ports)
+    }
+
+    /// [`Route::new`] over a borrowed port list, for the topology's
+    /// per-frame route computation.
+    pub(crate) fn from_ports(ports: &[u16]) -> Self {
+        assert!(
+            ports.len() <= Self::MAX_HOPS,
+            "route of {} hops exceeds the {}-hop inline limit (Route::MAX_HOPS)",
+            ports.len(),
+            Self::MAX_HOPS
+        );
+        let mut r = Route::empty();
+        r.ports[..ports.len()].copy_from_slice(ports);
+        r.len = ports.len() as u8;
+        r
     }
 
     /// Output port at switch hop `hop`, if within the route.
     pub fn port_at(&self, hop: u8) -> Option<u16> {
-        self.0.get(hop as usize).copied()
+        self.ports().get(hop as usize).copied()
     }
 
     /// Number of switch hops.
     pub fn hops(&self) -> usize {
-        self.0.len()
+        self.len as usize
     }
 
     /// Raw port list.
     pub fn ports(&self) -> &[u16] {
-        &self.0
+        &self.ports[..self.len as usize]
     }
 }
 
 impl From<Vec<u16>> for Route {
     fn from(v: Vec<u16>) -> Self {
-        Route(v)
+        Route::new(v)
     }
 }
 
@@ -87,12 +118,29 @@ impl Frame {
 
 use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
+// Encoded exactly as the `Vec<u16>` it used to be (length-prefixed port
+// list), so snapshot bytes are unchanged.
 impl Snap for Route {
     fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
+        w.put_len(self.hops());
+        for p in self.ports() {
+            p.save(w);
+        }
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Route(Snap::load(r)?))
+        let n = r.take_len()?;
+        if n > Route::MAX_HOPS {
+            return Err(SnapError::Malformed(format!(
+                "route of {n} hops exceeds the {}-hop limit",
+                Route::MAX_HOPS
+            )));
+        }
+        let mut route = Route::empty();
+        for p in &mut route.ports[..n] {
+            *p = Snap::load(r)?;
+        }
+        route.len = n as u8;
+        Ok(route)
     }
 }
 
@@ -114,6 +162,70 @@ mod tests {
         assert_eq!(r.port_at(3), None);
         assert_eq!(Route::empty().hops(), 0);
         assert_eq!(Route::from(vec![1u16]).ports(), &[1]);
+    }
+
+    /// Every property a `Vec<u16>`-backed route had, on the inline one.
+    fn assert_round_trips(route: Route) {
+        let ports = route.ports().to_vec();
+        assert!(ports.len() <= Route::MAX_HOPS);
+        assert_eq!(route.hops(), ports.len());
+        for (hop, &port) in ports.iter().enumerate() {
+            assert_eq!(route.port_at(hop as u8), Some(port));
+        }
+        assert_eq!(route.port_at(ports.len() as u8), None);
+        assert_eq!(Route::new(ports.clone()), route);
+        assert_eq!(Route::from(ports.clone()), route);
+
+        // Snapshot bytes are those of the port list as a `Vec<u16>`.
+        let mut as_route = SnapWriter::new();
+        route.save(&mut as_route);
+        let mut as_vec = SnapWriter::new();
+        ports.save(&mut as_vec);
+        let bytes = as_route.into_bytes();
+        assert_eq!(bytes, as_vec.into_bytes());
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(Route::load(&mut r).unwrap(), route);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn every_topology_route_round_trips() {
+        use crate::topology::{FatTreeConfig, Topology, TopologyConfig};
+        let fabrics = [
+            // The paper's 1,984-server tree: 1-, 3- and 5-hop routes.
+            Topology::new(TopologyConfig::memcached_paper(64)).unwrap(),
+            Topology::fat_tree(FatTreeConfig::new(4)).unwrap(),
+            Topology::fat_tree(FatTreeConfig::new(8)).unwrap(),
+        ];
+        for t in &fabrics {
+            let n = t.nodes() as u32;
+            let mut longest = 0;
+            // Every destination, from one source per rack position and
+            // array (stride 37 is coprime to the 31-server racks).
+            for s in (0..n).step_by(if n > 200 { 37 } else { 1 }) {
+                for d in 0..n {
+                    let route = t.route(NodeAddr(s), NodeAddr(d));
+                    longest = longest.max(route.hops());
+                    assert_round_trips(route);
+                }
+            }
+            assert_eq!(longest, 5, "cross-array routes are the longest either fabric emits");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 6-hop inline limit")]
+    fn over_long_route_is_rejected() {
+        let _ = Route::new(vec![1; Route::MAX_HOPS + 1]);
+    }
+
+    #[test]
+    fn over_long_route_in_a_snapshot_is_an_error() {
+        let mut w = SnapWriter::new();
+        vec![1u16; Route::MAX_HOPS + 1].save(&mut w);
+        let bytes = w.into_bytes();
+        let err = Route::load(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapError::Malformed(_)), "{err:?}");
     }
 
     #[test]

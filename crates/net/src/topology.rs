@@ -572,7 +572,7 @@ impl Topology {
         let dr = self.rack_of(dst);
         let dst_port = self.slot_of(dst) as u16;
         if sr == dr {
-            return Route::new(vec![dst_port]);
+            return Route::from_ports(&[dst_port]);
         }
         let sa = self.array_of_rack(sr);
         let da = self.array_of_rack(dr);
@@ -585,9 +585,9 @@ impl Topology {
         // ignore the frame's route, so this path exists for wiring
         // validation and source-routed debugging only.
         if sa == da {
-            return Route::new(vec![up, dst_rack_port, dst_port]);
+            return Route::from_ports(&[up, dst_rack_port, dst_port]);
         }
-        Route::new(vec![up, self.array_uplink_port(), da as u16, dst_rack_port, dst_port])
+        Route::from_ports(&[up, self.array_uplink_port(), da as u16, dst_rack_port, dst_port])
     }
 
     /// Hop classification of a `src`→`dst` request (Figure 10's categories).

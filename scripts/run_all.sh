@@ -20,7 +20,6 @@ BINS=(
   fig13_tcp_vs_udp
   fig14_kernel
   fig15_memcached_version
-  perf_scaling
   ablation_quantum
   ablation_buffers
 )
