@@ -1180,26 +1180,7 @@ impl Process for ControlAgent {
 // Snapshot layer
 // ====================================================================
 
-use diablo_engine::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
-
-impl Snap for Health {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            Health::Alive => 0,
-            Health::Suspect => 1,
-            Health::Dead => 2,
-        });
-    }
-
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => Health::Alive,
-            1 => Health::Suspect,
-            2 => Health::Dead,
-            tag => return Err(SnapError::Tag { what: "control Health", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(Health as "control Health" { 0 => Alive, 1 => Suspect, 2 => Dead });
 
 diablo_engine::impl_snap_struct!(NodeHealth { last_hb, dead_at, state });
 
@@ -1213,214 +1194,97 @@ diablo_engine::impl_snap_struct!(PendingCmd {
     failover_from
 });
 
-impl Snap for CpState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            CpState::Start => 0,
-            CpState::Socketed => 1,
-            CpState::NbSet => 2,
-            CpState::Bound => 3,
-            CpState::EpollCreated => 4,
-            CpState::Registered => 5,
-            CpState::Pump => 6,
-            CpState::SendDone => 7,
-            CpState::Waiting => 8,
-            CpState::Drain => 9,
-        });
-    }
+diablo_engine::impl_snap_enum!(CpState as "control CpState" {
+    0 => Start,
+    1 => Socketed,
+    2 => NbSet,
+    3 => Bound,
+    4 => EpollCreated,
+    5 => Registered,
+    6 => Pump,
+    7 => SendDone,
+    8 => Waiting,
+    9 => Drain,
+});
 
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => CpState::Start,
-            1 => CpState::Socketed,
-            2 => CpState::NbSet,
-            3 => CpState::Bound,
-            4 => CpState::EpollCreated,
-            5 => CpState::Registered,
-            6 => CpState::Pump,
-            7 => CpState::SendDone,
-            8 => CpState::Waiting,
-            9 => CpState::Drain,
-            tag => return Err(SnapError::Tag { what: "control CpState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(AgState as "control AgState" {
+    0 => Start,
+    1 => Socketed,
+    2 => NbSet,
+    3 => Bound,
+    4 => EpollCreated,
+    5 => Registered,
+    6 => Pump,
+    7 => SendDone,
+    8 => WakeDone,
+    9 => Waiting,
+    10 => Drain,
+});
 
-impl Snap for AgState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            AgState::Start => 0,
-            AgState::Socketed => 1,
-            AgState::NbSet => 2,
-            AgState::Bound => 3,
-            AgState::EpollCreated => 4,
-            AgState::Registered => 5,
-            AgState::Pump => 6,
-            AgState::SendDone => 7,
-            AgState::WakeDone => 8,
-            AgState::Waiting => 9,
-            AgState::Drain => 10,
-        });
-    }
+// Each service's `spec` is config, so the per-service table carries only
+// the evolving fields and the load validates the service count against
+// the rebuilt registry.
+diablo_engine::impl_persist_fields!(ServiceState {
+    desired,
+    assigned,
+    ready,
+    window,
+    last_scale,
+    owed_failovers,
+    spec: config,
+});
 
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => AgState::Start,
-            1 => AgState::Socketed,
-            2 => AgState::NbSet,
-            3 => AgState::Bound,
-            4 => AgState::EpollCreated,
-            5 => AgState::Registered,
-            6 => AgState::Pump,
-            7 => AgState::SendDone,
-            8 => AgState::WakeDone,
-            9 => AgState::Waiting,
-            10 => AgState::Drain,
-            tag => return Err(SnapError::Tag { what: "control AgState", tag }),
-        })
-    }
-}
+diablo_engine::impl_persist_fields!(ControlPlane {
+    services: nested,
+    health,
+    pending,
+    next_seq,
+    sendq,
+    state,
+    fd,
+    epfd,
+    next_tick,
+    started,
+    heartbeats,
+    lookups,
+    suspicions,
+    false_positive_suspicions,
+    detections,
+    rejoins,
+    failovers,
+    scale_ups,
+    scale_downs,
+    commands_sent,
+    commands_retried,
+    commands_acked,
+    commands_dropped,
+    placement_stalls,
+    replacement_latency,
+    cfg: config,
+    port: config,
+});
 
-impl Persist for ControlPlane {
-    // `cfg` and `port` are rebuilt; each ServiceState's `spec` is config
-    // too, so the per-service table carries only the evolving fields and
-    // the load validates the service count against the rebuilt registry.
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put_len(self.services.len());
-        for svc in &self.services {
-            svc.desired.save(w);
-            svc.assigned.save(w);
-            svc.ready.save(w);
-            svc.window.save(w);
-            svc.last_scale.save(w);
-            svc.owed_failovers.save(w);
-        }
-        self.health.save(w);
-        self.pending.save(w);
-        self.next_seq.save(w);
-        self.sendq.save(w);
-        self.state.save(w);
-        self.fd.save(w);
-        self.epfd.save(w);
-        self.next_tick.save(w);
-        self.started.save(w);
-        self.heartbeats.save(w);
-        self.lookups.save(w);
-        self.suspicions.save(w);
-        self.false_positive_suspicions.save(w);
-        self.detections.save(w);
-        self.rejoins.save(w);
-        self.failovers.save(w);
-        self.scale_ups.save(w);
-        self.scale_downs.save(w);
-        self.commands_sent.save(w);
-        self.commands_retried.save(w);
-        self.commands_acked.save(w);
-        self.commands_dropped.save(w);
-        self.placement_stalls.save(w);
-        self.replacement_latency.save(w);
-    }
+diablo_engine::impl_persist_fields!(GateState { active, generation });
 
-    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.take_len()?;
-        if n != self.services.len() {
-            return Err(SnapError::Malformed(format!(
-                "control-plane snapshot has {n} services, rebuilt registry has {}",
-                self.services.len()
-            )));
-        }
-        for svc in &mut self.services {
-            svc.desired = Snap::load(r)?;
-            svc.assigned = Snap::load(r)?;
-            svc.ready = Snap::load(r)?;
-            svc.window = Snap::load(r)?;
-            svc.last_scale = Snap::load(r)?;
-            svc.owed_failovers = Snap::load(r)?;
-        }
-        self.health = Snap::load(r)?;
-        self.pending = Snap::load(r)?;
-        self.next_seq = Snap::load(r)?;
-        self.sendq = Snap::load(r)?;
-        self.state = Snap::load(r)?;
-        self.fd = Snap::load(r)?;
-        self.epfd = Snap::load(r)?;
-        self.next_tick = Snap::load(r)?;
-        self.started = Snap::load(r)?;
-        self.heartbeats = Snap::load(r)?;
-        self.lookups = Snap::load(r)?;
-        self.suspicions = Snap::load(r)?;
-        self.false_positive_suspicions = Snap::load(r)?;
-        self.detections = Snap::load(r)?;
-        self.rejoins = Snap::load(r)?;
-        self.failovers = Snap::load(r)?;
-        self.scale_ups = Snap::load(r)?;
-        self.scale_downs = Snap::load(r)?;
-        self.commands_sent = Snap::load(r)?;
-        self.commands_retried = Snap::load(r)?;
-        self.commands_acked = Snap::load(r)?;
-        self.commands_dropped = Snap::load(r)?;
-        self.placement_stalls = Snap::load(r)?;
-        self.replacement_latency = Snap::load(r)?;
-        Ok(())
-    }
-}
-
-impl Persist for ControlAgent {
-    // The agent is the single owner of the node's service gates: the
-    // gated servers share the `Arc` but never persist its contents (the
-    // dispatcher's Persist documents the same contract from its side).
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.state.save(w);
-        self.fd.save(w);
-        self.epfd.save(w);
-        self.sendq.save(w);
-        self.wakeq.save(w);
-        self.next_hb.save(w);
-        self.hb_init.save(w);
-        self.heartbeats_sent.save(w);
-        self.activations.save(w);
-        self.deactivations.save(w);
-        w.put_len(self.gates.len());
-        for (service, gate) in &self.gates {
-            service.save(w);
-            let g = gate.lock().expect("gate poisoned");
-            g.active.save(w);
-            g.generation.save(w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.state = Snap::load(r)?;
-        self.fd = Snap::load(r)?;
-        self.epfd = Snap::load(r)?;
-        self.sendq = Snap::load(r)?;
-        self.wakeq = Snap::load(r)?;
-        self.next_hb = Snap::load(r)?;
-        self.hb_init = Snap::load(r)?;
-        self.heartbeats_sent = Snap::load(r)?;
-        self.activations = Snap::load(r)?;
-        self.deactivations = Snap::load(r)?;
-        let n = r.take_len()?;
-        if n != self.gates.len() {
-            return Err(SnapError::Malformed(format!(
-                "control-agent snapshot has {n} gates, rebuilt node has {}",
-                self.gates.len()
-            )));
-        }
-        for (service, gate) in &self.gates {
-            let id: u32 = Snap::load(r)?;
-            if id != *service {
-                return Err(SnapError::Malformed(format!(
-                    "control-agent snapshot gate for service {id}, rebuilt node expects {service}"
-                )));
-            }
-            let mut g = gate.lock().expect("gate poisoned");
-            g.active = Snap::load(r)?;
-            g.generation = Snap::load(r)?;
-        }
-        Ok(())
-    }
-}
+// The agent is the single owner of the node's service gates: the
+// gated servers share the `Arc` but never persist its contents (the
+// dispatcher's Persist documents the same contract from its side).
+diablo_engine::impl_persist_fields!(ControlAgent {
+    state,
+    fd,
+    epfd,
+    sendq,
+    wakeq,
+    next_hb,
+    hb_init,
+    heartbeats_sent,
+    activations,
+    deactivations,
+    gates: nested,
+    control: config,
+    heartbeat_every: config,
+    stagger: config,
+});
 
 #[cfg(test)]
 mod tests {

@@ -540,136 +540,81 @@ impl Process for Spinner {
     }
 }
 
-use diablo_engine::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
+use diablo_engine::snap::Persist;
 
-impl Snap for SrvState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            SrvState::Start => w.put_u64(0),
-            SrvState::Socketed => w.put_u64(1),
-            SrvState::Bound => w.put_u64(2),
-            SrvState::Listening => w.put_u64(3),
-            SrvState::Accepting => w.put_u64(4),
-            SrvState::Recv(fd) => {
-                w.put_u64(5);
-                fd.save(w);
-            }
-            SrvState::Work(fd) => {
-                w.put_u64(6);
-                fd.save(w);
-            }
-            SrvState::Send(fd) => {
-                w.put_u64(7);
-                fd.save(w);
-            }
-            SrvState::Closing(fd) => {
-                w.put_u64(8);
-                fd.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => SrvState::Start,
-            1 => SrvState::Socketed,
-            2 => SrvState::Bound,
-            3 => SrvState::Listening,
-            4 => SrvState::Accepting,
-            5 => SrvState::Recv(Snap::load(r)?),
-            6 => SrvState::Work(Snap::load(r)?),
-            7 => SrvState::Send(Snap::load(r)?),
-            8 => SrvState::Closing(Snap::load(r)?),
-            tag => return Err(SnapError::Tag { what: "SrvState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(SrvState {
+    0 => Start,
+    1 => Socketed,
+    2 => Bound,
+    3 => Listening,
+    4 => Accepting,
+    5 => Recv(fd),
+    6 => Work(fd),
+    7 => Send(fd),
+    8 => Closing(fd),
+});
 
-impl Snap for CliState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            CliState::Start => 0,
-            CliState::Socketed => 1,
-            CliState::Connecting => 2,
-            CliState::Think => 3,
-            CliState::SendReq => 4,
-            CliState::AwaitEcho => 5,
-            CliState::Close => 6,
-            CliState::Done => 7,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => CliState::Start,
-            1 => CliState::Socketed,
-            2 => CliState::Connecting,
-            3 => CliState::Think,
-            4 => CliState::SendReq,
-            5 => CliState::AwaitEcho,
-            6 => CliState::Close,
-            7 => CliState::Done,
-            tag => return Err(SnapError::Tag { what: "CliState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(CliState {
+    0 => Start,
+    1 => Socketed,
+    2 => Connecting,
+    3 => Think,
+    4 => SendReq,
+    5 => AwaitEcho,
+    6 => Close,
+    7 => Done,
+});
 
-impl Snap for UdpSrvState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            UdpSrvState::Start => w.put_u64(0),
-            UdpSrvState::Socketed => w.put_u64(1),
-            UdpSrvState::Bound => w.put_u64(2),
-            UdpSrvState::Recv => w.put_u64(3),
-            UdpSrvState::Reply(from) => {
-                w.put_u64(4);
-                from.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => UdpSrvState::Start,
-            1 => UdpSrvState::Socketed,
-            2 => UdpSrvState::Bound,
-            3 => UdpSrvState::Recv,
-            4 => UdpSrvState::Reply(Snap::load(r)?),
-            tag => return Err(SnapError::Tag { what: "UdpSrvState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(UdpSrvState {
+    0 => Start,
+    1 => Socketed,
+    2 => Bound,
+    3 => Recv,
+    4 => Reply(from),
+});
 
-impl Snap for UdpCliState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            UdpCliState::Start => 0,
-            UdpCliState::Socketed => 1,
-            UdpCliState::Send => 2,
-            UdpCliState::Await => 3,
-            UdpCliState::Done => 4,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => UdpCliState::Start,
-            1 => UdpCliState::Socketed,
-            2 => UdpCliState::Send,
-            3 => UdpCliState::Await,
-            4 => UdpCliState::Done,
-            tag => return Err(SnapError::Tag { what: "UdpCliState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(UdpCliState {
+    0 => Start,
+    1 => Socketed,
+    2 => Send,
+    3 => Await,
+    4 => Done,
+});
 
 diablo_engine::impl_persist_fields!(TcpEchoServer {
     echoed,
     clients_served,
     state,
     pending,
-    listen_fd
+    listen_fd,
+    port: config,
+    work_per_msg: config,
 });
-diablo_engine::impl_persist_fields!(TcpEchoClient { rtts, done, state, fd, sent_at, next_id });
-diablo_engine::impl_persist_fields!(UdpEchoServer { echoed, state, fd });
-diablo_engine::impl_persist_fields!(UdpPingClient { rtts, done, state, fd, sent_at, next_id });
-diablo_engine::impl_persist_fields!(Spinner { remaining, completed });
+diablo_engine::impl_persist_fields!(TcpEchoClient {
+    rtts,
+    done,
+    state,
+    fd,
+    sent_at,
+    next_id,
+    server: config,
+    count: config,
+    len: config,
+    think: config,
+});
+diablo_engine::impl_persist_fields!(UdpEchoServer { echoed, state, fd, port: config });
+diablo_engine::impl_persist_fields!(UdpPingClient {
+    rtts,
+    done,
+    state,
+    fd,
+    sent_at,
+    next_id,
+    server: config,
+    count: config,
+    len: config,
+});
+diablo_engine::impl_persist_fields!(Spinner { remaining, completed, burst: config });
 
 #[cfg(test)]
 mod tests {

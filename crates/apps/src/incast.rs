@@ -1222,176 +1222,76 @@ impl Process for IncastEpollClient {
 // Snapshot layer
 // ====================================================================
 
-use diablo_engine::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
+use diablo_engine::snap::Persist;
 
-impl Snap for SrvState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            SrvState::Start => w.put_u64(0),
-            SrvState::Socketed => w.put_u64(1),
-            SrvState::Bound => w.put_u64(2),
-            SrvState::Listening => w.put_u64(3),
-            SrvState::Accepting => w.put_u64(4),
-            SrvState::Recv(fd) => {
-                w.put_u64(5);
-                fd.save(w);
-            }
-            SrvState::Respond(fd) => {
-                w.put_u64(6);
-                fd.save(w);
-            }
-            SrvState::Closing(fd) => {
-                w.put_u64(7);
-                fd.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => SrvState::Start,
-            1 => SrvState::Socketed,
-            2 => SrvState::Bound,
-            3 => SrvState::Listening,
-            4 => SrvState::Accepting,
-            5 => SrvState::Recv(Snap::load(r)?),
-            6 => SrvState::Respond(Snap::load(r)?),
-            7 => SrvState::Closing(Snap::load(r)?),
-            tag => return Err(SnapError::Tag { what: "incast SrvState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(SrvState as "incast SrvState" {
+    0 => Start,
+    1 => Socketed,
+    2 => Bound,
+    3 => Listening,
+    4 => Accepting,
+    5 => Recv(fd),
+    6 => Respond(fd),
+    7 => Closing(fd),
+});
 
-impl Snap for WrkState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            WrkState::Start => 0,
-            WrkState::Socketed => 1,
-            WrkState::Connected => 2,
-            WrkState::WaitStart => 3,
-            WrkState::SendReq => 4,
-            WrkState::RecvResp => 5,
-            WrkState::ConnFailed => 6,
-            WrkState::Backoff => 7,
-            WrkState::Closing => 8,
-            WrkState::Done => 9,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => WrkState::Start,
-            1 => WrkState::Socketed,
-            2 => WrkState::Connected,
-            3 => WrkState::WaitStart,
-            4 => WrkState::SendReq,
-            5 => WrkState::RecvResp,
-            6 => WrkState::ConnFailed,
-            7 => WrkState::Backoff,
-            8 => WrkState::Closing,
-            9 => WrkState::Done,
-            tag => return Err(SnapError::Tag { what: "WrkState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(WrkState {
+    0 => Start,
+    1 => Socketed,
+    2 => Connected,
+    3 => WaitStart,
+    4 => SendReq,
+    5 => RecvResp,
+    6 => ConnFailed,
+    7 => Backoff,
+    8 => Closing,
+    9 => Done,
+});
 
-impl Snap for MstState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            MstState::AwaitConnects => 0,
-            MstState::StartIter => 1,
-            MstState::AwaitDone => 2,
-            MstState::Finish => 3,
-            MstState::Exit => 4,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => MstState::AwaitConnects,
-            1 => MstState::StartIter,
-            2 => MstState::AwaitDone,
-            3 => MstState::Finish,
-            4 => MstState::Exit,
-            tag => return Err(SnapError::Tag { what: "MstState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(MstState {
+    0 => AwaitConnects,
+    1 => StartIter,
+    2 => AwaitDone,
+    3 => Finish,
+    4 => Exit,
+});
 
-impl Snap for ReconnStage {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            ReconnStage::Close => 0,
-            ReconnStage::Backoff => 1,
-            ReconnStage::Socket => 2,
-            ReconnStage::Connect => 3,
-            ReconnStage::Nonblock => 4,
-            ReconnStage::Ctl => 5,
-            ReconnStage::Resend => 6,
-            ReconnStage::AfterResend => 7,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => ReconnStage::Close,
-            1 => ReconnStage::Backoff,
-            2 => ReconnStage::Socket,
-            3 => ReconnStage::Connect,
-            4 => ReconnStage::Nonblock,
-            5 => ReconnStage::Ctl,
-            6 => ReconnStage::Resend,
-            7 => ReconnStage::AfterResend,
-            tag => return Err(SnapError::Tag { what: "ReconnStage", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(ReconnStage {
+    0 => Close,
+    1 => Backoff,
+    2 => Socket,
+    3 => Connect,
+    4 => Nonblock,
+    5 => Ctl,
+    6 => Resend,
+    7 => AfterResend,
+});
 
-impl Snap for EpState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            EpState::Start => w.put_u64(0),
-            EpState::Socketed => w.put_u64(1),
-            EpState::Connected => w.put_u64(2),
-            EpState::NonblockSet => w.put_u64(3),
-            EpState::EpollCreated => w.put_u64(4),
-            EpState::CtlAdded => w.put_u64(5),
-            EpState::SendNext => w.put_u64(6),
-            EpState::Wait => w.put_u64(7),
-            EpState::Drain => w.put_u64(8),
-            EpState::InitRetry => w.put_u64(9),
-            EpState::Reconn(stage) => {
-                w.put_u64(10);
-                stage.save(w);
-            }
-            EpState::Pace => w.put_u64(11),
-            EpState::Paced => w.put_u64(12),
-            EpState::Closing(i) => {
-                w.put_u64(13);
-                i.save(w);
-            }
-            EpState::Done => w.put_u64(14),
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => EpState::Start,
-            1 => EpState::Socketed,
-            2 => EpState::Connected,
-            3 => EpState::NonblockSet,
-            4 => EpState::EpollCreated,
-            5 => EpState::CtlAdded,
-            6 => EpState::SendNext,
-            7 => EpState::Wait,
-            8 => EpState::Drain,
-            9 => EpState::InitRetry,
-            10 => EpState::Reconn(Snap::load(r)?),
-            11 => EpState::Pace,
-            12 => EpState::Paced,
-            13 => EpState::Closing(Snap::load(r)?),
-            14 => EpState::Done,
-            tag => return Err(SnapError::Tag { what: "EpState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(EpState {
+    0 => Start,
+    1 => Socketed,
+    2 => Connected,
+    3 => NonblockSet,
+    4 => EpollCreated,
+    5 => CtlAdded,
+    6 => SendNext,
+    7 => Wait,
+    8 => Drain,
+    9 => InitRetry,
+    10 => Reconn(stage),
+    11 => Pace,
+    12 => Paced,
+    13 => Closing(i),
+    14 => Done,
+});
 
-diablo_engine::impl_persist_fields!(IncastServer { served, state, listen_fd, to_send });
+diablo_engine::impl_persist_fields!(IncastServer {
+    served,
+    state,
+    listen_fd,
+    to_send,
+    port: config,
+});
 diablo_engine::impl_persist_fields!(IncastWorker {
     failure,
     state,
@@ -1401,39 +1301,27 @@ diablo_engine::impl_persist_fields!(IncastWorker {
     got_bytes,
     attempts,
     resend,
-    backoff_rng
+    backoff_rng,
+    server: config,
+    fragment: config,
+    shared: config,
 });
 
-impl Persist for IncastMaster {
-    // Single owner of the node's `IncastShared` barrier block in
-    // snapshots; the workers share it through the same `Arc` on restore.
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.iteration_times.save(w);
-        self.done.save(w);
-        self.state.save(w);
-        self.done_seen.save(w);
-        self.iter_started.save(w);
-        self.iter.save(w);
-        let s = self.shared.lock().expect("poisoned");
-        s.remaining.save(w);
-        s.finished.save(w);
-    }
+diablo_engine::impl_persist_fields!(IncastShared { remaining, finished });
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.iteration_times = Snap::load(r)?;
-        self.done = Snap::load(r)?;
-        self.state = Snap::load(r)?;
-        self.done_seen = Snap::load(r)?;
-        self.iter_started = Snap::load(r)?;
-        self.iter = Snap::load(r)?;
-        let remaining = Snap::load(r)?;
-        let finished = Snap::load(r)?;
-        let mut s = self.shared.lock().expect("poisoned");
-        s.remaining = remaining;
-        s.finished = finished;
-        Ok(())
-    }
-}
+// Single owner of the node's `IncastShared` barrier block in
+// snapshots; the workers share it through the same `Arc` on restore.
+diablo_engine::impl_persist_fields!(IncastMaster {
+    iteration_times,
+    done,
+    state,
+    done_seen,
+    iter_started,
+    iter,
+    shared: nested,
+    n: config,
+    iterations: config,
+});
 
 diablo_engine::impl_persist_fields!(IncastEpollClient {
     iteration_times,
@@ -1455,7 +1343,11 @@ diablo_engine::impl_persist_fields!(IncastEpollClient {
     next_arrival,
     offered,
     slo,
-    backoff_rng
+    backoff_rng,
+    servers: config,
+    fragment: config,
+    iterations: config,
+    request_deadline: config,
 });
 
 #[cfg(test)]

@@ -1638,245 +1638,100 @@ impl Process for McOpenLoopClient {
 // Snapshot layer
 // ====================================================================
 
-use diablo_engine::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
+use diablo_engine::snap::Persist;
 
-impl Snap for DispState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            DispState::Start => 0,
-            DispState::Standby => 1,
-            DispState::TcpSocketed => 2,
-            DispState::TcpBound => 3,
-            DispState::TcpListening => 4,
-            DispState::UdpSocketed => 5,
-            DispState::UdpBound => 6,
-            DispState::RegisterUdp => 7,
-            DispState::WaitWorkers => 8,
-            DispState::Accepting => 9,
-            DispState::SetNb => 10,
-            DispState::Assign => 11,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => DispState::Start,
-            1 => DispState::Standby,
-            2 => DispState::TcpSocketed,
-            3 => DispState::TcpBound,
-            4 => DispState::TcpListening,
-            5 => DispState::UdpSocketed,
-            6 => DispState::UdpBound,
-            7 => DispState::RegisterUdp,
-            8 => DispState::WaitWorkers,
-            9 => DispState::Accepting,
-            10 => DispState::SetNb,
-            11 => DispState::Assign,
-            tag => return Err(SnapError::Tag { what: "DispState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(DispState {
+    0 => Start,
+    1 => Standby,
+    2 => TcpSocketed,
+    3 => TcpBound,
+    4 => TcpListening,
+    5 => UdpSocketed,
+    6 => UdpBound,
+    7 => RegisterUdp,
+    8 => WaitWorkers,
+    9 => Accepting,
+    10 => SetNb,
+    11 => Assign,
+});
 
-impl Snap for WkState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            WkState::Start => 0,
-            WkState::Publish => 1,
-            WkState::Wait => 2,
-            WkState::Run => 3,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => WkState::Start,
-            1 => WkState::Publish,
-            2 => WkState::Wait,
-            3 => WkState::Run,
-            tag => return Err(SnapError::Tag { what: "WkState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(WkState {
+    0 => Start,
+    1 => Publish,
+    2 => Wait,
+    3 => Run,
+});
 
-impl Snap for Act {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Act::RecvTcp(fd) => {
-                w.put_u64(0);
-                fd.save(w);
-            }
-            Act::RecvUdp(fd) => {
-                w.put_u64(1);
-                fd.save(w);
-            }
-            Act::Flush(fd) => {
-                w.put_u64(2);
-                fd.save(w);
-            }
-            Act::Ctl(fd, mask) => {
-                w.put_u64(3);
-                fd.save(w);
-                mask.save(w);
-            }
-            Act::SendUdp(fd, to, msg) => {
-                w.put_u64(4);
-                fd.save(w);
-                to.save(w);
-                msg.save(w);
-            }
-            Act::CloseConn(fd) => {
-                w.put_u64(5);
-                fd.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => Act::RecvTcp(Snap::load(r)?),
-            1 => Act::RecvUdp(Snap::load(r)?),
-            2 => Act::Flush(Snap::load(r)?),
-            3 => Act::Ctl(Snap::load(r)?, Snap::load(r)?),
-            4 => Act::SendUdp(Snap::load(r)?, Snap::load(r)?, Snap::load(r)?),
-            5 => Act::CloseConn(Snap::load(r)?),
-            tag => return Err(SnapError::Tag { what: "Act", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(Act {
+    0 => RecvTcp(fd),
+    1 => RecvUdp(fd),
+    2 => Flush(fd),
+    3 => Ctl(fd, mask),
+    4 => SendUdp(fd, to, msg),
+    5 => CloseConn(fd),
+});
 
 diablo_engine::impl_snap_struct!(ConnOut { outbox, write_registered });
 
-impl Snap for CliState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            CliState::Start => w.put_u64(0),
-            CliState::UdpSocketed => w.put_u64(1),
-            CliState::UdpEpoll => w.put_u64(2),
-            CliState::UdpCtl => w.put_u64(3),
-            CliState::TcpEpoll => w.put_u64(4),
-            CliState::Think => w.put_u64(5),
-            CliState::PickAndConnect => w.put_u64(6),
-            CliState::CloseStale(i) => {
-                w.put_u64(7);
-                i.save(w);
-            }
-            CliState::TcpSocketed => w.put_u64(8),
-            CliState::Connected => w.put_u64(9),
-            CliState::TcpCtl => w.put_u64(10),
-            CliState::SendReq => w.put_u64(11),
-            CliState::AwaitTcp => w.put_u64(12),
-            CliState::AwaitTcpReady => w.put_u64(13),
-            CliState::TcpFailed => w.put_u64(14),
-            CliState::TcpBackoff => w.put_u64(15),
-            CliState::UdpAwait => w.put_u64(16),
-            CliState::UdpRecv => w.put_u64(17),
-            CliState::Done => w.put_u64(18),
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => CliState::Start,
-            1 => CliState::UdpSocketed,
-            2 => CliState::UdpEpoll,
-            3 => CliState::UdpCtl,
-            4 => CliState::TcpEpoll,
-            5 => CliState::Think,
-            6 => CliState::PickAndConnect,
-            7 => CliState::CloseStale(Snap::load(r)?),
-            8 => CliState::TcpSocketed,
-            9 => CliState::Connected,
-            10 => CliState::TcpCtl,
-            11 => CliState::SendReq,
-            12 => CliState::AwaitTcp,
-            13 => CliState::AwaitTcpReady,
-            14 => CliState::TcpFailed,
-            15 => CliState::TcpBackoff,
-            16 => CliState::UdpAwait,
-            17 => CliState::UdpRecv,
-            18 => CliState::Done,
-            tag => return Err(SnapError::Tag { what: "CliState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(CliState {
+    0 => Start,
+    1 => UdpSocketed,
+    2 => UdpEpoll,
+    3 => UdpCtl,
+    4 => TcpEpoll,
+    5 => Think,
+    6 => PickAndConnect,
+    7 => CloseStale(i),
+    8 => TcpSocketed,
+    9 => Connected,
+    10 => TcpCtl,
+    11 => SendReq,
+    12 => AwaitTcp,
+    13 => AwaitTcpReady,
+    14 => TcpFailed,
+    15 => TcpBackoff,
+    16 => UdpAwait,
+    17 => UdpRecv,
+    18 => Done,
+});
 
-impl Snap for OlState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            OlState::Start => 0,
-            OlState::Socketed => 1,
-            OlState::EpollMade => 2,
-            OlState::Ctled => 3,
-            OlState::NonBlocked => 4,
-            OlState::Pump => 5,
-            OlState::SendDone => 6,
-            OlState::Waiting => 7,
-            OlState::Recv => 8,
-            OlState::Done => 9,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => OlState::Start,
-            1 => OlState::Socketed,
-            2 => OlState::EpollMade,
-            3 => OlState::Ctled,
-            4 => OlState::NonBlocked,
-            5 => OlState::Pump,
-            6 => OlState::SendDone,
-            7 => OlState::Waiting,
-            8 => OlState::Recv,
-            9 => OlState::Done,
-            tag => return Err(SnapError::Tag { what: "OlState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(OlState {
+    0 => Start,
+    1 => Socketed,
+    2 => EpollMade,
+    3 => Ctled,
+    4 => NonBlocked,
+    5 => Pump,
+    6 => SendDone,
+    7 => Waiting,
+    8 => Recv,
+    9 => Done,
+});
 
 diablo_engine::impl_snap_struct!(OlInflight { sent_at, expires });
 
-impl Persist for McDispatcher {
-    // The dispatcher is the single owner of the node's `McShared` block in
-    // snapshots: workers read it back through the same `Arc` on restore,
-    // so only one process may serialize it or the blob would be applied
-    // twice. The activation gate is owned (and persisted) by the node's
-    // `ControlAgent`.
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.state.save(w);
-        self.listen_fd.save(w);
-        self.udp_fd.save(w);
-        self.next_worker.save(w);
-        self.udp_reg_idx.save(w);
-        self.pending_conn.save(w);
-        self.last_futex.save(w);
-        self.accepted.save(w);
-        let s = self.shared.lock().expect("poisoned");
-        s.worker_epfds.save(w);
-        s.udp_fd.save(w);
-        s.served.save(w);
-    }
+// One slot per configured worker thread; a snapshot of another shape is
+// rejected.
+diablo_engine::impl_persist_fields!(McShared { worker_epfds: fixed_len, udp_fd, served });
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.state = Snap::load(r)?;
-        self.listen_fd = Snap::load(r)?;
-        self.udp_fd = Snap::load(r)?;
-        self.next_worker = Snap::load(r)?;
-        self.udp_reg_idx = Snap::load(r)?;
-        self.pending_conn = Snap::load(r)?;
-        self.last_futex = Snap::load(r)?;
-        self.accepted = Snap::load(r)?;
-        let worker_epfds: Vec<Option<Fd>> = Snap::load(r)?;
-        let udp_fd = Snap::load(r)?;
-        let served = Snap::load(r)?;
-        let mut s = self.shared.lock().expect("poisoned");
-        if worker_epfds.len() != s.worker_epfds.len() {
-            return Err(SnapError::Malformed(format!(
-                "memcached shared block has {} workers, rebuilt server has {}",
-                worker_epfds.len(),
-                s.worker_epfds.len()
-            )));
-        }
-        s.worker_epfds = worker_epfds;
-        s.udp_fd = udp_fd;
-        s.served = served;
-        Ok(())
-    }
-}
+// The dispatcher is the single owner of the node's `McShared` block in
+// snapshots: workers read it back through the same `Arc` on restore,
+// so only one process may serialize it or the blob would be applied
+// twice. The activation gate is owned (and persisted) by the node's
+// `ControlAgent`.
+diablo_engine::impl_persist_fields!(McDispatcher {
+    state,
+    listen_fd,
+    udp_fd,
+    next_worker,
+    udp_reg_idx,
+    pending_conn,
+    last_futex,
+    accepted,
+    shared: nested,
+    cfg: config,
+    gate: config,
+});
 
 diablo_engine::impl_persist_fields!(McWorker {
     state,
@@ -1885,118 +1740,66 @@ diablo_engine::impl_persist_fields!(McWorker {
     queue,
     inflight,
     store,
-    served
+    served,
+    index: config,
+    cfg: config,
+    shared: config,
 });
 
-impl Persist for McClient {
-    // `cfg` is rebuilt from the experiment spec; the ETC workload persists
-    // only its RNG (its Zipf table is derived from the keyspace).
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.rng.save(w);
-        self.backoff_rng.save(w);
-        self.workload.save_state(w);
-        self.state.save(w);
-        self.conns.save(w);
-        self.udp_fd.save(w);
-        self.epfd.save(w);
-        self.current_server.save(w);
-        self.current_op.save(w);
-        self.issued.save(w);
-        self.sent_at.save(w);
-        self.retries_left.save(w);
-        self.latency.save(w);
-        self.latency_by_class.save(w);
-        self.completed.save(w);
-        self.udp_retries.save(w);
-        self.failures.save(w);
-        self.failure.save(w);
-        self.attempts.save(w);
-        self.done.save(w);
-        self.finished_at.save(w);
-    }
+// `cfg` is rebuilt from the experiment spec; the ETC workload persists
+// only its RNG (its Zipf table is derived from the keyspace).
+diablo_engine::impl_persist_fields!(McClient {
+    rng,
+    backoff_rng,
+    workload: nested,
+    state,
+    conns,
+    udp_fd,
+    epfd,
+    current_server,
+    current_op,
+    issued,
+    sent_at,
+    retries_left,
+    latency,
+    latency_by_class,
+    completed,
+    udp_retries,
+    failures,
+    failure,
+    attempts,
+    done,
+    finished_at,
+    cfg: config,
+});
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng = Snap::load(r)?;
-        self.backoff_rng = Snap::load(r)?;
-        self.workload.load_state(r)?;
-        self.state = Snap::load(r)?;
-        self.conns = Snap::load(r)?;
-        self.udp_fd = Snap::load(r)?;
-        self.epfd = Snap::load(r)?;
-        self.current_server = Snap::load(r)?;
-        self.current_op = Snap::load(r)?;
-        self.issued = Snap::load(r)?;
-        self.sent_at = Snap::load(r)?;
-        self.retries_left = Snap::load(r)?;
-        self.latency = Snap::load(r)?;
-        self.latency_by_class = Snap::load(r)?;
-        self.completed = Snap::load(r)?;
-        self.udp_retries = Snap::load(r)?;
-        self.failures = Snap::load(r)?;
-        self.failure = Snap::load(r)?;
-        self.attempts = Snap::load(r)?;
-        self.done = Snap::load(r)?;
-        self.finished_at = Snap::load(r)?;
-        Ok(())
-    }
-}
-
-impl Persist for McOpenLoopClient {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.rng.save(w);
-        self.workload.save_state(w);
-        self.arrivals.save(w);
-        self.state.save(w);
-        self.udp_fd.save(w);
-        self.epfd.save(w);
-        self.next_arrival.save(w);
-        self.inflight.save(w);
-        self.sendq.save(w);
-        self.offered.save(w);
-        self.issued.save(w);
-        self.completed.save(w);
-        self.timed_out.save(w);
-        self.latency.save(w);
-        self.slo.save(w);
-        self.failure.save(w);
-        self.live_mask.save(w);
-        self.next_refresh.save(w);
-        self.reported_completed.save(w);
-        self.reported_violations.save(w);
-        self.lookups_sent.save(w);
-        self.endpoint_updates.save(w);
-        self.done.save(w);
-        self.finished_at.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng = Snap::load(r)?;
-        self.workload.load_state(r)?;
-        self.arrivals = Snap::load(r)?;
-        self.state = Snap::load(r)?;
-        self.udp_fd = Snap::load(r)?;
-        self.epfd = Snap::load(r)?;
-        self.next_arrival = Snap::load(r)?;
-        self.inflight = Snap::load(r)?;
-        self.sendq = Snap::load(r)?;
-        self.offered = Snap::load(r)?;
-        self.issued = Snap::load(r)?;
-        self.completed = Snap::load(r)?;
-        self.timed_out = Snap::load(r)?;
-        self.latency = Snap::load(r)?;
-        self.slo = Snap::load(r)?;
-        self.failure = Snap::load(r)?;
-        self.live_mask = Snap::load(r)?;
-        self.next_refresh = Snap::load(r)?;
-        self.reported_completed = Snap::load(r)?;
-        self.reported_violations = Snap::load(r)?;
-        self.lookups_sent = Snap::load(r)?;
-        self.endpoint_updates = Snap::load(r)?;
-        self.done = Snap::load(r)?;
-        self.finished_at = Snap::load(r)?;
-        Ok(())
-    }
-}
+diablo_engine::impl_persist_fields!(McOpenLoopClient {
+    rng,
+    workload: nested,
+    arrivals,
+    state,
+    udp_fd,
+    epfd,
+    next_arrival,
+    inflight,
+    sendq,
+    offered,
+    issued,
+    completed,
+    timed_out,
+    latency,
+    slo,
+    failure,
+    live_mask,
+    next_refresh,
+    reported_completed,
+    reported_violations,
+    lookups_sent,
+    endpoint_updates,
+    done,
+    finished_at,
+    cfg: config,
+});
 
 #[cfg(test)]
 mod tests {

@@ -754,81 +754,37 @@ impl Process for PaFrontend {
 // Snapshot layer
 // ====================================================================
 
-use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
+diablo_engine::impl_snap_enum!(LeafState as "pa LeafState" {
+    0 => Start,
+    1 => Socketed,
+    2 => NbSet,
+    3 => Bound,
+    4 => EpollCreated,
+    5 => Registered,
+    6 => Wait,
+    7 => Drain,
+    8 => SendReply,
+    9 => AfterReply,
+});
 
-impl Snap for LeafState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            LeafState::Start => 0,
-            LeafState::Socketed => 1,
-            LeafState::NbSet => 2,
-            LeafState::Bound => 3,
-            LeafState::EpollCreated => 4,
-            LeafState::Registered => 5,
-            LeafState::Wait => 6,
-            LeafState::Drain => 7,
-            LeafState::SendReply => 8,
-            LeafState::AfterReply => 9,
-        });
-    }
-
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => LeafState::Start,
-            1 => LeafState::Socketed,
-            2 => LeafState::NbSet,
-            3 => LeafState::Bound,
-            4 => LeafState::EpollCreated,
-            5 => LeafState::Registered,
-            6 => LeafState::Wait,
-            7 => LeafState::Drain,
-            8 => LeafState::SendReply,
-            9 => LeafState::AfterReply,
-            tag => return Err(SnapError::Tag { what: "pa LeafState", tag }),
-        })
-    }
-}
-
-impl Snap for FeState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            FeState::Start => 0,
-            FeState::Socketed => 1,
-            FeState::NbSet => 2,
-            FeState::EpollCreated => 3,
-            FeState::Registered => 4,
-            FeState::Think => 5,
-            FeState::Paced => 6,
-            FeState::LookupSent => 7,
-            FeState::Fanout => 8,
-            FeState::Collect => 9,
-            FeState::Drain => 10,
-            FeState::Done => 11,
-        });
-    }
-
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => FeState::Start,
-            1 => FeState::Socketed,
-            2 => FeState::NbSet,
-            3 => FeState::EpollCreated,
-            4 => FeState::Registered,
-            5 => FeState::Think,
-            6 => FeState::Paced,
-            7 => FeState::LookupSent,
-            8 => FeState::Fanout,
-            9 => FeState::Collect,
-            10 => FeState::Drain,
-            11 => FeState::Done,
-            tag => return Err(SnapError::Tag { what: "pa FeState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(FeState as "pa FeState" {
+    0 => Start,
+    1 => Socketed,
+    2 => NbSet,
+    3 => EpollCreated,
+    4 => Registered,
+    5 => Think,
+    6 => Paced,
+    7 => LookupSent,
+    8 => Fanout,
+    9 => Collect,
+    10 => Drain,
+    11 => Done,
+});
 
 // The config (port, service work, jitter bounds) is rebuilt; only the
 // jitter stream and the serving loop's position evolve.
-diablo_engine::impl_persist_fields!(PaLeaf { rng, state, fd, epfd, reply, served });
+diablo_engine::impl_persist_fields!(PaLeaf { rng, state, fd, epfd, reply, served, cfg: config });
 
 // `cfg` (leaf pool, deadline, arrival spec) is rebuilt from the scenario;
 // everything the run accumulated — including the arrival process, whose
@@ -858,7 +814,8 @@ diablo_engine::impl_persist_fields!(PaFrontend {
     lookups_sent,
     endpoint_updates,
     done,
-    finished_at
+    finished_at,
+    cfg: config,
 });
 
 #[cfg(test)]

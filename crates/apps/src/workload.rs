@@ -364,41 +364,20 @@ impl EtcWorkload {
     }
 }
 
-use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-impl Snap for KvOp {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            KvOp::Get { key, key_size } => {
-                w.put_u64(0);
-                key.save(w);
-                key_size.save(w);
-            }
-            KvOp::Set { key, key_size, value_size } => {
-                w.put_u64(1);
-                key.save(w);
-                key_size.save(w);
-                value_size.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => KvOp::Get { key: Snap::load(r)?, key_size: Snap::load(r)? },
-            1 => KvOp::Set {
-                key: Snap::load(r)?,
-                key_size: Snap::load(r)?,
-                value_size: Snap::load(r)?,
-            },
-            tag => return Err(SnapError::Tag { what: "KvOp", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(KvOp {
+    0 => Get { key, key_size },
+    1 => Set { key, key_size, value_size },
+});
 
 // Only the RNG evolves; the Zipf table and size fits are derived from the
 // keyspace at construction (and the table can run to hundreds of
 // kilobytes, so it must not ride every client's snapshot).
-diablo_engine::impl_persist_fields!(EtcWorkload { rng });
+diablo_engine::impl_persist_fields!(EtcWorkload {
+    rng,
+    keys: config,
+    key_sizes: config,
+    get_fraction: config,
+});
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,6 @@
 use diablo_apps::memcached::McVersion;
 use diablo_bench::{banner, cc, fabric, parallel_mode, results_dir, write_metrics_artifacts, Args};
 use diablo_core::report::percentiles_us;
-use diablo_core::sweep::parse_duration;
 use diablo_core::{
     try_run_incast_with, try_run_memcached_with, try_run_partition_aggregate_with, warm_incast,
     warm_memcached, warm_partition_aggregate, ArrivalSpec, CheckpointPolicy, ControlConfig,
@@ -297,7 +296,7 @@ fn checkpoint_policy(args: &Args) -> CheckpointPolicy {
     }
     let save = (!save_path.is_empty()).then(|| {
         let tok: String = args.get("--checkpoint-at", String::new());
-        let at = parse_duration(&tok).unwrap_or_else(|e| {
+        let at = tok.parse::<SimDuration>().unwrap_or_else(|e| {
             eprintln!("error: --checkpoint-at: {e}");
             std::process::exit(2);
         });

@@ -1716,6 +1716,54 @@ mod tests {
         assert!(gb < gs / 3.0, "expected collapse: g(2)={gs:.1} g(12)={gb:.1}");
     }
 
+    /// A snapshot is input from outside the program: whatever happens to
+    /// the file, restoring it is an `Err` or a complete decode, never a
+    /// panic. Every strict prefix must fail (the decoder consumes the
+    /// stream exactly), and no single damaged byte may bring it down.
+    #[test]
+    fn damaged_snapshots_are_errors_never_panics() {
+        // One memcached server and two TCP clients, connected and with
+        // their first requests in flight (before the latency histograms
+        // fill: the prefix sweep below is quadratic in snapshot size).
+        let mut cfg = McExperimentConfig::mini(1, 10);
+        cfg.servers_per_rack = 3;
+        cfg.proto = Proto::Tcp;
+        let dir = std::env::temp_dir().join("diablo_snapshot_damage");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("mc.snap");
+        warm_memcached(&cfg, &path, SimTime::from_micros(120)).expect("warm");
+        let bytes = std::fs::read(&path).expect("snapshot written");
+
+        let harness = ExperimentHarness::new(cfg.base());
+        let restore = |bytes: &[u8]| {
+            let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
+            let mut workload =
+                McWorkload { cfg: &cfg, shareds: Vec::new(), client_addrs: Vec::new(), cp: None };
+            workload.build(&mut host, &cluster);
+            crate::snapshot::decode_snapshot(bytes, &mut host, harness.fingerprint("memcached"))
+                .map(|_| cluster.scrape(&host).sum_counters("*.kernel.tcp.segs_out"))
+        };
+        let segs_out = restore(&bytes).expect("the undamaged snapshot restores");
+        assert!(
+            segs_out >= 6,
+            "checkpoint too early to hold live connections: {segs_out} segments"
+        );
+        for len in 0..bytes.len() {
+            assert!(restore(&bytes[..len]).is_err(), "a {len}-byte prefix restored");
+        }
+        // Every byte of the header and the first components, then a
+        // stride through the rest; the mask varies so tag, length and
+        // flag bytes see both small and large damage.
+        let mut damaged = bytes.clone();
+        let mut rejected = 0;
+        for at in (0..bytes.len()).filter(|at| *at < 2_048 || at % 7 == 0) {
+            damaged[at] ^= [0x01, 0x80, 0xff][at % 3];
+            rejected += usize::from(restore(&damaged).is_err());
+            damaged[at] = bytes[at];
+        }
+        assert!(rejected > 0, "no damage was detected at all");
+    }
+
     #[test]
     fn memcached_mini_experiment_completes() {
         let cfg = McExperimentConfig::mini(2, 20);

@@ -132,32 +132,6 @@ pub struct SweepPoint {
     pub cells: Vec<(String, String)>,
 }
 
-/// Parses `250ms`-style durations (suffixes `ns`, `us`, `ms`, `s`) —
-/// the duration token format shared by the sweep grammar and the
-/// `--checkpoint-at` CLI flag.
-///
-/// # Errors
-///
-/// A human-readable description of the malformed token.
-pub fn parse_duration(tok: &str) -> Result<SimDuration, String> {
-    let (num, scale_ns) = if let Some(n) = tok.strip_suffix("ns") {
-        (n, 1.0)
-    } else if let Some(n) = tok.strip_suffix("us") {
-        (n, 1e3)
-    } else if let Some(n) = tok.strip_suffix("ms") {
-        (n, 1e6)
-    } else if let Some(n) = tok.strip_suffix('s') {
-        (n, 1e9)
-    } else {
-        return Err(format!("duration `{tok}` needs a ns/us/ms/s suffix"));
-    };
-    let v: f64 = num.parse().map_err(|_| format!("bad duration value `{num}`"))?;
-    if v < 0.0 || !v.is_finite() {
-        return Err(format!("duration `{tok}` must be finite and non-negative"));
-    }
-    Ok(SimDuration::from_nanos((v * scale_ns).round() as u64))
-}
-
 impl SweepSpec {
     /// Parses the text format described in the module docs.
     ///
@@ -197,7 +171,7 @@ impl SweepSpec {
                     if warm.is_some() {
                         return Err(err("duplicate `warm` directive".into()));
                     }
-                    warm = Some(parse_duration(rest).map_err(err)?);
+                    warm = Some(rest.parse().map_err(err)?);
                 }
                 "jobs" => {
                     if jobs.is_some() {

@@ -1,0 +1,93 @@
+//! Pins the snapshot byte format itself.
+//!
+//! The save-vs-restore golden tests (`determinism.rs`) prove a snapshot
+//! restores to the same future; they cannot see a format change that the
+//! writer and the reader make together. These digests can: each is the
+//! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded when
+//! the codec was hand-written (`SNAP_VERSION` 1). A digest that moves
+//! means snapshots written by earlier builds no longer restore — bump
+//! `SNAP_VERSION` and re-record, or fix the encoding.
+
+use diablo_core::{
+    warm_incast, warm_memcached, warm_partition_aggregate, ArrivalSpec, ControlConfig,
+    IncastClientKind, IncastConfig, McExperimentConfig, PaExperimentConfig, SwitchTemplate,
+};
+use diablo_engine::prelude::SimDuration;
+use diablo_engine::time::SimTime;
+use diablo_net::switch::BufferConfig;
+use diablo_net::topology::FatTreeConfig;
+use diablo_stack::process::Proto;
+use diablo_stack::profile::CongestionControl;
+use std::path::Path;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Warms one scenario to its checkpoint instant and returns the
+/// snapshot's length and digest.
+fn snapshot_digest(name: &str, warm: impl FnOnce(&Path)) -> (usize, String) {
+    let dir = std::env::temp_dir().join("diablo_snapshot_golden");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join(format!("{name}.snap"));
+    warm(&path);
+    let bytes = std::fs::read(&path).expect("snapshot written");
+    (bytes.len(), format!("{:016x}", fnv1a(&bytes)))
+}
+
+#[test]
+fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
+    // TCP connections mid-request, and a sampled series in the drive state.
+    let mut cfg = McExperimentConfig::mini(2, 40);
+    cfg.proto = Proto::Tcp;
+    cfg.sample_every = Some(SimDuration::from_micros(500));
+    let got = snapshot_digest("mc_closed", |p| {
+        warm_memcached(&cfg, p, SimTime::from_micros(2_500)).expect("warm")
+    });
+    assert_eq!(got, (472_229, "5df346de705cae38".to_string()));
+}
+
+#[test]
+fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
+    // Poisson arrivals over UDP; heartbeats, lookups and service gates live.
+    let mut cfg = McExperimentConfig::mini(2, 0);
+    cfg.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(40)).unwrap());
+    cfg.slo = Some(SimDuration::from_millis(1));
+    cfg.control = Some(ControlConfig::default());
+    let got = snapshot_digest("mc_open_control", |p| {
+        warm_memcached(&cfg, p, SimTime::from_millis(20)).expect("warm")
+    });
+    assert_eq!(got, (96_521, "91b18600c9fc09c4".to_string()));
+}
+
+#[test]
+fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
+    // Fan-out queries in flight across ECMP paths, deadline timers armed.
+    let mut cfg = PaExperimentConfig::new(2, 30).on_fat_tree(FatTreeConfig::new(4));
+    cfg.cross_rack = true;
+    let got = snapshot_digest("pa_fat_tree", |p| {
+        warm_partition_aggregate(&cfg, p, SimTime::from_millis(2)).expect("warm")
+    });
+    assert_eq!(got, (140_530, "747aab7636138b08".to_string()));
+}
+
+#[test]
+fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
+    // A 12-to-1 burst across a fat-tree: queued frames, ECN marks and
+    // DCTCP window state, mid-way through the second iteration.
+    let mut cfg = IncastConfig::fig6a(12).on_fat_tree(FatTreeConfig::new(4));
+    cfg.client = IncastClientKind::Epoll;
+    cfg.cc = CongestionControl::Dctcp;
+    cfg.iterations = 4;
+    // Deep enough that ECN marking engages well before tail drop.
+    cfg.switch = Some(SwitchTemplate {
+        buffer: BufferConfig::PerPort { bytes_per_port: 96 * 1024 },
+        ..SwitchTemplate::gbe_shallow()
+    });
+    let got = snapshot_digest("incast_epoll_dctcp", |p| {
+        warm_incast(&cfg, p, SimTime::from_millis(3)).expect("warm")
+    });
+    assert_eq!(got, (47_899, "4481e432166df97f".to_string()));
+}

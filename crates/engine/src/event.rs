@@ -104,45 +104,14 @@ impl<M> Event<M> {
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for EventKey {
-    fn save(&self, w: &mut SnapWriter) {
-        self.time.save(w);
-        self.target.save(w);
-        self.source.save(w);
-        self.source_seq.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(EventKey {
-            time: Snap::load(r)?,
-            target: Snap::load(r)?,
-            source: Snap::load(r)?,
-            source_seq: Snap::load(r)?,
-        })
-    }
-}
+crate::impl_snap_struct!(ComponentId { 0 });
+crate::impl_snap_struct!(PortNo { 0 });
+crate::impl_snap_struct!(EventKey { time, target, source, source_seq });
 
-impl<M: Snap> Snap for EventKind<M> {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            EventKind::Timer(key) => {
-                w.put_u64(0);
-                key.save(w);
-            }
-            EventKind::Message(port, msg) => {
-                w.put_u64(1);
-                port.save(w);
-                msg.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u64()? {
-            0 => Ok(EventKind::Timer(Snap::load(r)?)),
-            1 => Ok(EventKind::Message(Snap::load(r)?, Snap::load(r)?)),
-            tag => Err(SnapError::Tag { what: "EventKind", tag }),
-        }
-    }
-}
+crate::impl_snap_enum!(EventKind<M> {
+    0 => Timer(key),
+    1 => Message(port, msg),
+});
 
 impl<M: Snap> Snap for Event<M> {
     fn save(&self, w: &mut SnapWriter) {

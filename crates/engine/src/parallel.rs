@@ -109,7 +109,10 @@ use crate::error::EngineError;
 use crate::event::{ComponentId, Event, EventKey, EventKind, PortNo, TimerKey};
 use crate::sched::{CalendarQueue, EventQueue};
 use crate::sim::{RunStats, Simulation};
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap::{
+    load_exec_stream, save_exec_stream, ExecHead, ExecStream, Persist, Snap, SnapError, SnapReader,
+    SnapWriter,
+};
 use crate::stats::{ExecReport, PartitionExec, WorkerExec};
 use crate::time::{SimDuration, SimTime};
 use std::cell::UnsafeCell;
@@ -1318,52 +1321,34 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
     /// (barrier waits, lane occupancy, batching) are deliberately not
     /// saved — they describe the host, not the model.
     pub fn save_state(&mut self, w: &mut SnapWriter) {
-        self.now.save(w);
-        // `started` / `stop` slots of the common format: a restored run
-        // never re-fires `on_start`, and parallel stop flags are
-        // re-derived per run.
-        true.save(w);
-        false.save(w);
-        self.external_seq.save(w);
-        self.events_processed().save(w);
-        let directory: Vec<(u32, u32)> = self.directory().to_vec();
-        let mut seqs = Vec::with_capacity(directory.len());
-        for &(p, f) in &directory {
-            let wk = self.part_worker[p as usize] as usize;
-            seqs.push(self.workers[wk].seqs[f as usize]);
-        }
-        seqs.save(w);
-        w.put_len(directory.len());
-        for &(p, f) in &directory {
-            let wk = self.part_worker[p as usize] as usize;
-            match self.workers[wk].comps[f as usize].persist() {
-                Some(pers) => {
-                    true.save(w);
-                    let mut cw = SnapWriter::new();
-                    pers.save_state(&mut cw);
-                    w.put_blob(&cw.into_bytes());
-                }
-                None => false.save(w),
-            }
-        }
+        // Parallel stop flags are re-derived per run.
+        let head = ExecHead {
+            now: self.now,
+            started: true,
+            stop: false,
+            external_seq: self.external_seq,
+            events_processed: self.events_processed(),
+        };
         let mut events = Vec::new();
         for ws in &mut self.workers {
             while let Some(ev) = ws.queue.pop() {
                 events.push(ev);
             }
         }
-        events.sort_by_key(|e| e.key);
-        w.put_len(events.len());
-        for ev in &events {
-            ev.save(w);
+        // Gather the per-worker columns into global component-id order.
+        let ncomp = self.directory().len();
+        let mut seqs = vec![0; ncomp];
+        let mut comps: Vec<Option<&dyn Persist>> = vec![None; ncomp];
+        for ws in &self.workers {
+            for (flat, id) in ws.ids.iter().enumerate() {
+                seqs[id.index()] = ws.seqs[flat];
+                comps[id.index()] = ws.comps[flat].persist();
+            }
         }
+        save_exec_stream(w, &head, &seqs, comps.into_iter(), &mut events);
         // Re-push in sorted order: each worker receives its own events in
         // ascending key order, which rebuilds its queue exactly.
-        for ev in events {
-            let (p, _) = directory[ev.key.target.index()];
-            let wk = self.part_worker[p as usize] as usize;
-            self.workers[wk].queue.push(ev);
-        }
+        self.push_restored(events);
     }
 
     /// Overwrites this executor's state from a stream written by either
@@ -1376,88 +1361,43 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
     /// Any [`SnapError`] on truncation, corruption, or a component-count /
     /// persist-surface mismatch.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.now = Snap::load(r)?;
-        self.started = bool::load(r)?;
-        let _serial_stop = bool::load(r)?;
-        self.external_seq = Snap::load(r)?;
-        let events_total = u64::load(r)?;
-        let directory: Vec<(u32, u32)> = self.directory().to_vec();
-        let seqs: Vec<u64> = Snap::load(r)?;
-        if seqs.len() != directory.len() {
-            return Err(SnapError::Malformed(format!(
-                "snapshot has {} components, model has {}",
-                seqs.len(),
-                directory.len()
-            )));
-        }
-        for (i, &s) in seqs.iter().enumerate() {
-            let (p, f) = directory[i];
-            let wk = self.part_worker[p as usize] as usize;
-            self.workers[wk].seqs[f as usize] = s;
-        }
-        let ncomp = r.take_len()?;
-        if ncomp != directory.len() {
-            return Err(SnapError::Malformed(format!(
-                "snapshot component table has {ncomp} entries, model has {}",
-                directory.len()
-            )));
-        }
-        for (i, &(p, f)) in directory.iter().enumerate() {
-            let wk = self.part_worker[p as usize] as usize;
-            let has = bool::load(r)?;
-            match (has, self.workers[wk].comps[f as usize].persist_mut()) {
-                (true, Some(pers)) => {
-                    let blob = r.take_blob()?;
-                    let mut cr = SnapReader::new(blob);
-                    pers.load_state(&mut cr)?;
-                    if cr.remaining() != 0 {
-                        return Err(SnapError::Malformed(format!(
-                            "component {i} left {} trailing bytes",
-                            cr.remaining()
-                        )));
-                    }
-                }
-                (false, None) => {}
-                (true, None) => {
-                    return Err(SnapError::Malformed(format!(
-                        "snapshot has state for component {i}, which is not persistable"
-                    )));
-                }
-                (false, Some(_)) => {
-                    return Err(SnapError::Malformed(format!(
-                        "snapshot lacks state for persistable component {i}"
-                    )));
-                }
+        let ncomp = self.directory().len();
+        let mut comps: Vec<Option<&mut dyn Persist>> = (0..ncomp).map(|_| None).collect();
+        for ws in &mut self.workers {
+            for (id, c) in ws.ids.iter().zip(&mut ws.comps) {
+                comps[id.index()] = c.persist_mut();
             }
         }
-        // The global dispatched-event total is representation-independent;
-        // park it on the first partition's counter so `events_processed()`
-        // continues from the saved value regardless of layout.
+        let ExecStream { head, seqs, events } = load_exec_stream(r, comps.into_iter())?;
+        self.now = head.now;
+        self.started = head.started;
+        self.external_seq = head.external_seq;
         for ws in &mut self.workers {
+            for (flat, id) in ws.ids.iter().enumerate() {
+                ws.seqs[flat] = seqs[id.index()];
+            }
             for c in &mut ws.counters {
                 *c = PartCounters::default();
             }
             ws.last_time = self.now;
-        }
-        self.workers[0].counters[0].events_processed = events_total;
-        for ws in &mut self.workers {
             while ws.queue.pop().is_some() {}
         }
-        let n = r.take_len()?;
-        for _ in 0..n {
-            let ev = Event::<M>::load(r)?;
-            let idx = ev.key.target.index();
-            if idx >= directory.len() {
-                return Err(SnapError::Malformed(format!(
-                    "snapshot event targets unknown component {}",
-                    ev.key.target
-                )));
-            }
-            let (p, _) = directory[idx];
+        // The global dispatched-event total is representation-independent;
+        // park it on the first partition's counter so `events_processed()`
+        // continues from the saved value regardless of layout.
+        self.workers[0].counters[0].events_processed = head.events_processed;
+        self.push_restored(events);
+        Ok(())
+    }
+
+    /// Hands each event to the worker that owns its target component.
+    fn push_restored(&mut self, events: Vec<Event<M>>) {
+        let directory: Vec<(u32, u32)> = self.directory().to_vec();
+        for ev in events {
+            let (p, _) = directory[ev.key.target.index()];
             let wk = self.part_worker[p as usize] as usize;
             self.workers[wk].queue.push(ev);
         }
-        Ok(())
     }
 }
 
@@ -1550,9 +1490,7 @@ mod tests {
         }
     }
 
-    // `peer` and `latency` are configuration; `remaining`/`received` are
-    // the checkpointable state.
-    crate::impl_persist_fields!(Chatter { remaining, received });
+    crate::impl_persist_fields!(Chatter { remaining, received, peer: config, latency: config });
 
     fn chatter(latency_ns: u64, count: u64) -> Chatter {
         Chatter {

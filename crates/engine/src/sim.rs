@@ -4,7 +4,10 @@ use crate::component::{Component, Ctx};
 use crate::error::EngineError;
 use crate::event::{ComponentId, Event, EventKey, EventKind, TimerKey};
 use crate::sched::{CalendarQueue, EventQueue};
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap::{
+    load_exec_stream, save_exec_stream, ExecHead, ExecStream, Snap, SnapError, SnapReader,
+    SnapWriter,
+};
 use crate::time::SimTime;
 
 /// Statistics returned by a completed run.
@@ -247,34 +250,19 @@ impl<M: Snap + 'static, Q: EventQueue<M>> Simulation<M, Q> {
     /// re-pushed) to enumerate events in order; the simulation is
     /// unchanged when this returns.
     pub fn save_state(&mut self, w: &mut SnapWriter) {
-        self.now.save(w);
-        // A restored run must never re-fire `on_start`: the snapshotted
-        // queue already contains everything start produced.
-        true.save(w);
-        self.stop.save(w);
-        self.external_seq.save(w);
-        self.events_processed.save(w);
-        self.seqs.save(w);
-        w.put_len(self.components.len());
-        for c in &self.components {
-            match c.persist() {
-                Some(p) => {
-                    true.save(w);
-                    let mut cw = SnapWriter::new();
-                    p.save_state(&mut cw);
-                    w.put_blob(&cw.into_bytes());
-                }
-                None => false.save(w),
-            }
-        }
+        let head = ExecHead {
+            now: self.now,
+            started: true,
+            stop: self.stop,
+            external_seq: self.external_seq,
+            events_processed: self.events_processed,
+        };
         let mut events = Vec::new();
         while let Some(ev) = self.queue.pop() {
             events.push(ev);
         }
-        w.put_len(events.len());
-        for ev in &events {
-            ev.save(w);
-        }
+        let comps = self.components.iter().map(|c| c.persist());
+        save_exec_stream(w, &head, &self.seqs, comps, &mut events);
         // Re-pushing in ascending key order restores the exact queue.
         for ev in events {
             self.queue.push(ev);
@@ -291,61 +279,20 @@ impl<M: Snap + 'static, Q: EventQueue<M>> Simulation<M, Q> {
     /// Any [`SnapError`] on truncation, corruption, or a component-count /
     /// persist-surface mismatch.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.now = Snap::load(r)?;
-        self.started = bool::load(r)?;
-        self.stop = bool::load(r)?;
-        self.external_seq = Snap::load(r)?;
-        self.events_processed = Snap::load(r)?;
-        let seqs: Vec<u64> = Snap::load(r)?;
-        if seqs.len() != self.components.len() {
-            return Err(SnapError::Malformed(format!(
-                "snapshot has {} components, model has {}",
-                seqs.len(),
-                self.components.len()
-            )));
-        }
+        let comps = self.components.iter_mut().map(|c| c.persist_mut());
+        let ExecStream { head, seqs, events } = load_exec_stream(r, comps)?;
+        self.now = head.now;
+        self.started = head.started;
+        self.stop = head.stop;
+        self.external_seq = head.external_seq;
+        self.events_processed = head.events_processed;
         self.seqs = seqs;
-        let ncomp = r.take_len()?;
-        if ncomp != self.components.len() {
-            return Err(SnapError::Malformed(format!(
-                "snapshot component table has {ncomp} entries, model has {}",
-                self.components.len()
-            )));
-        }
-        for (i, c) in self.components.iter_mut().enumerate() {
-            let has = bool::load(r)?;
-            match (has, c.persist_mut()) {
-                (true, Some(p)) => {
-                    let blob = r.take_blob()?;
-                    let mut cr = SnapReader::new(blob);
-                    p.load_state(&mut cr)?;
-                    if cr.remaining() != 0 {
-                        return Err(SnapError::Malformed(format!(
-                            "component {i} left {} trailing bytes",
-                            cr.remaining()
-                        )));
-                    }
-                }
-                (false, None) => {}
-                (true, None) => {
-                    return Err(SnapError::Malformed(format!(
-                        "snapshot has state for component {i}, which is not persistable"
-                    )));
-                }
-                (false, Some(_)) => {
-                    return Err(SnapError::Malformed(format!(
-                        "snapshot lacks state for persistable component {i}"
-                    )));
-                }
-            }
-        }
         // Discard whatever the freshly-built model scheduled (on_start has
         // not run, but external injections may have happened): the
         // snapshotted queue is the complete authoritative event set.
         while self.queue.pop().is_some() {}
-        let n = r.take_len()?;
-        for _ in 0..n {
-            self.queue.push(Event::load(r)?);
+        for ev in events {
+            self.queue.push(ev);
         }
         Ok(())
     }
@@ -488,7 +435,7 @@ mod tests {
         fired: u64,
         log: Vec<SimTime>,
     }
-    crate::impl_persist_fields!(Ticker { fired, log });
+    crate::impl_persist_fields!(Ticker { fired, log, limit: config });
 
     impl Component<u64> for Ticker {
         fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {

@@ -19,6 +19,19 @@
 //!   what lets a sweep restore one warmed checkpoint under many
 //!   parameter variations.
 //!
+//! # One place decides the format
+//!
+//! Every persisted type states its encoding once, through a macro of
+//! this module that generates both directions from one list:
+//! [`impl_snap_struct!`](crate::impl_snap_struct) (a plain struct),
+//! [`impl_snap_enum!`](crate::impl_snap_enum) (an enum: tag, then
+//! fields) and [`impl_persist_fields!`](crate::impl_persist_fields) (an
+//! object restored in place, every field classified as state, nested
+//! state, or configuration). In each, leaving out a field or a variant
+//! is a compile error. Optional trait objects go through
+//! [`save_dyn`]/[`load_dyn`], and the executor-level stream both
+//! executors share through [`save_exec_stream`]/[`load_exec_stream`].
+//!
 //! # What is deliberately not serialized
 //!
 //! * Configuration (topology shape, profiles, rate plans) — rebuilt from
@@ -35,6 +48,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
+use std::sync::{Arc, Mutex};
 
 /// Snapshot format errors: truncated input, unknown enum tags, or header
 /// mismatches (magic, version, configuration fingerprint).
@@ -182,19 +196,21 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Reads a collection length, bounded by the remaining byte count so a
-    /// corrupt length cannot trigger an enormous allocation.
+    /// Reads a collection length, bounded by the bytes that remain after
+    /// it: every element occupies at least one byte, so a larger count is
+    /// corrupt, and rejecting it here keeps a bad length late in a large
+    /// snapshot from pre-allocating for elements that cannot exist.
     ///
     /// # Errors
     ///
     /// [`SnapError::Eof`] on truncation, [`SnapError::Malformed`] when the
-    /// length exceeds what the stream could possibly hold.
+    /// length exceeds what the rest of the stream could possibly hold.
     pub fn take_len(&mut self) -> Result<usize, SnapError> {
         let n = self.take_u64()?;
-        if n > self.buf.len() as u64 {
+        if n > self.remaining() as u64 {
             return Err(SnapError::Malformed(format!(
-                "length {n} exceeds snapshot size {}",
-                self.buf.len()
+                "length {n} exceeds the {} bytes that remain",
+                self.remaining()
             )));
         }
         Ok(n as usize)
@@ -328,12 +344,18 @@ impl<T: Snap> Snap for Box<T> {
     }
 }
 
+/// Writes a length-prefixed sequence, the layout of every ordered
+/// collection.
+fn save_seq<'a, T: Snap + 'a>(w: &mut SnapWriter, items: impl ExactSizeIterator<Item = &'a T>) {
+    w.put_len(items.len());
+    for v in items {
+        v.save(w);
+    }
+}
+
 impl<T: Snap> Snap for Vec<T> {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_len(self.len());
-        for v in self {
-            v.save(w);
-        }
+        save_seq(w, self.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.take_len()?;
@@ -347,10 +369,7 @@ impl<T: Snap> Snap for Vec<T> {
 
 impl<T: Snap> Snap for VecDeque<T> {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_len(self.len());
-        for v in self {
-            v.save(w);
-        }
+        save_seq(w, self.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Vec::<T>::load(r)?.into())
@@ -415,10 +434,7 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
 
 impl<K: Snap + Ord> Snap for BTreeSet<K> {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_len(self.len());
-        for k in self {
-            k.save(w);
-        }
+        save_seq(w, self.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.take_len()?;
@@ -458,10 +474,7 @@ impl<K: Snap + Ord + Hash + Eq> Snap for HashSet<K> {
     fn save(&self, w: &mut SnapWriter) {
         let mut keys: Vec<&K> = self.iter().collect();
         keys.sort_unstable();
-        w.put_len(keys.len());
-        for k in keys {
-            k.save(w);
-        }
+        save_seq(w, keys.into_iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.take_len()?;
@@ -512,24 +525,6 @@ impl Snap for crate::time::Bandwidth {
     }
 }
 
-impl Snap for crate::event::ComponentId {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::event::ComponentId(u32::load(r)?))
-    }
-}
-
-impl Snap for crate::event::PortNo {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::event::PortNo(u16::load(r)?))
-    }
-}
-
 impl Snap for crate::rng::DetRng {
     fn save(&self, w: &mut SnapWriter) {
         self.state().save(w);
@@ -550,17 +545,20 @@ impl Snap for crate::stats::Counter {
     }
 }
 
-/// Implements [`Snap`] for a struct by listing *every* field.
+/// Implements [`Snap`] for a struct by listing *every* field (a tuple
+/// struct lists its positions).
 ///
 /// ```
 /// use diablo_engine::impl_snap_struct;
 /// #[derive(Debug, PartialEq)]
 /// struct P { x: u64, y: Option<u32> }
 /// impl_snap_struct!(P { x, y });
+/// struct Id(u32);
+/// impl_snap_struct!(Id { 0 });
 /// ```
 #[macro_export]
 macro_rules! impl_snap_struct {
-    ($ty:ty { $($field:ident),* $(,)? }) => {
+    ($ty:ty { $($field:tt),* $(,)? }) => {
         impl $crate::snap::Snap for $ty {
             fn save(&self, w: &mut $crate::snap::SnapWriter) {
                 $($crate::snap::Snap::save(&self.$field, w);)*
@@ -574,25 +572,399 @@ macro_rules! impl_snap_struct {
     };
 }
 
-/// Implements [`Persist`] for a type by listing its *state* fields (the
-/// ones a snapshot overwrites in place); configuration fields are simply
-/// omitted and keep the values the restore path rebuilt them with.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_load {
+    ($r:ident $_field:ident) => {
+        $crate::snap::Snap::load($r)?
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_what {
+    ($name:ident) => {
+        stringify!($name)
+    };
+    ($name:ident $what:literal) => {
+        $what
+    };
+}
+
+/// Implements [`Snap`] for an enum from one `tag => Variant` list: a
+/// `u64` tag, then the variant's fields in the order written. Both
+/// directions come from the same list, and the generated `save` is an
+/// exhaustive `match`, so a variant (or a variant's field) that is not
+/// listed does not compile. An unknown tag decodes to
+/// [`SnapError::Tag`] naming the enum (or the `as "label"` override).
+///
+/// ```
+/// use diablo_engine::impl_snap_enum;
+/// enum Shape { Dot, Circle(u32), Rect { w: u32, h: u32 } }
+/// impl_snap_enum!(Shape {
+///     0 => Dot,
+///     1 => Circle(radius),
+///     2 => Rect { w, h },
+/// });
+/// ```
+///
+/// Leaving a variant out is a compile error, not a silently
+/// unrestorable state:
+///
+/// ```compile_fail,E0004
+/// use diablo_engine::impl_snap_enum;
+/// enum Shape { Dot, Circle(u32), Rect { w: u32, h: u32 } }
+/// impl_snap_enum!(Shape {
+///     0 => Dot,
+///     1 => Circle(radius),
+/// });
+/// ```
+#[macro_export]
+macro_rules! impl_snap_enum {
+    (
+        $name:ident $(<$($g:ident),+>)? $(as $what:literal)? {
+            $(
+                $tag:literal => $variant:ident
+                    $( ( $($tf:ident),* $(,)? ) )?
+                    $( { $($sf:ident),* $(,)? } )?
+            ),* $(,)?
+        }
+    ) => {
+        impl$(<$($g: $crate::snap::Snap),+>)? $crate::snap::Snap for $name$(<$($g),+>)? {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(
+                        Self::$variant $( ( $($tf),* ) )? $( { $($sf),* } )? => {
+                            w.put_u64($tag);
+                            $($( $crate::snap::Snap::save($tf, w); )*)?
+                            $($( $crate::snap::Snap::save($sf, w); )*)?
+                        }
+                    )*
+                }
+            }
+            #[deny(unreachable_patterns)] // a tag listed twice
+            fn load(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                Ok(match r.take_u64()? {
+                    $(
+                        $tag => Self::$variant
+                            $( ( $( $crate::__snap_load!(r $tf) ),* ) )?
+                            $( { $( $sf: $crate::snap::Snap::load(r)? ),* } )?,
+                    )*
+                    tag => {
+                        return Err($crate::snap::SnapError::Tag {
+                            what: $crate::__snap_what!($name $($what)?),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __persist_field {
+    (save $w:ident $f:ident) => {
+        $crate::snap::Snap::save($f, $w)
+    };
+    (save $w:ident $f:ident nested) => {
+        $crate::snap::Persist::save_state($f, $w)
+    };
+    (save $w:ident $f:ident fixed_len) => {
+        $crate::snap::Snap::save($f, $w)
+    };
+    (save $w:ident $f:ident config) => {
+        let _ = $f;
+    };
+    (load $r:ident $f:ident) => {
+        *$f = $crate::snap::Snap::load($r)?
+    };
+    (load $r:ident $f:ident nested) => {
+        $crate::snap::Persist::load_state($f, $r)?
+    };
+    (load $r:ident $f:ident fixed_len) => {
+        $crate::snap::load_fixed_len($f, $r)?
+    };
+    (load $r:ident $f:ident config) => {
+        let _ = $f;
+    };
+}
+
+/// Implements [`Persist`] for a struct by classifying *every* field, in
+/// stream order:
+///
+/// * `field` — state: a [`Snap`] value the snapshot replaces wholesale;
+/// * `field: nested` — state that is itself [`Persist`] and is restored
+///   in place (a nested object, a `Vec` of them, a shared
+///   `Arc<Mutex<_>>` block);
+/// * `field: fixed_len` — a state `Vec` whose length the configuration
+///   fixes; a snapshot with a different length is rejected;
+/// * `field: config` — rebuilt from the experiment spec by the restore
+///   path; never written, never overwritten.
+///
+/// The list expands through a `let Self { .. } = self` destructure
+/// without a rest pattern, so a field that is not classified does not
+/// compile.
+///
+/// ```
+/// use diablo_engine::impl_persist_fields;
+/// struct Widget { tunable: u64, count: u64, log: Vec<u64> }
+/// impl_persist_fields!(Widget { count, log, tunable: config });
+/// ```
+///
+/// Adding a field without deciding how it is persisted is a compile
+/// error:
+///
+/// ```compile_fail
+/// use diablo_engine::impl_persist_fields;
+/// struct Widget { tunable: u64, count: u64, log: Vec<u64> }
+/// impl_persist_fields!(Widget { count, tunable: config });
+/// ```
 #[macro_export]
 macro_rules! impl_persist_fields {
-    ($ty:ty { $($field:ident),* $(,)? }) => {
+    ($ty:ty { $($field:ident $(: $class:ident)?),* $(,)? }) => {
         impl $crate::snap::Persist for $ty {
             fn save_state(&self, w: &mut $crate::snap::SnapWriter) {
-                $($crate::snap::Snap::save(&self.$field, w);)*
+                let Self { $($field),* } = self;
+                $( $crate::__persist_field!(save w $field $($class)?); )*
             }
             fn load_state(
                 &mut self,
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> Result<(), $crate::snap::SnapError> {
-                $(self.$field = $crate::snap::Snap::load(r)?;)*
+                let Self { $($field),* } = self;
+                $( $crate::__persist_field!(load r $field $($class)?); )*
                 Ok(())
             }
         }
     };
+}
+
+/// Restores a `fixed_len` field (see [`impl_persist_fields!`]).
+///
+/// # Errors
+///
+/// [`SnapError::Malformed`] when the snapshot's vector is not the length
+/// the rebuilt model has.
+pub fn load_fixed_len<T: Snap>(slot: &mut Vec<T>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    let v = Vec::<T>::load(r)?;
+    if v.len() != slot.len() {
+        return Err(SnapError::Malformed(format!(
+            "snapshot vector has {} entries, rebuilt model has {}",
+            v.len(),
+            slot.len()
+        )));
+    }
+    *slot = v;
+    Ok(())
+}
+
+// In-place containers: the restore path rebuilds their shape (how many
+// processes, which services, who shares a block) from configuration, so
+// the snapshot overwrites element state and rejects a shape mismatch.
+
+impl<T: Persist> Persist for Vec<T> {
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put_len(self.len());
+        for v in self {
+            v.save_state(w);
+        }
+    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.take_len()?;
+        if n != self.len() {
+            return Err(SnapError::Malformed(format!(
+                "snapshot table has {n} entries, rebuilt model has {}",
+                self.len()
+            )));
+        }
+        self.iter_mut().try_for_each(|v| v.load_state(r))
+    }
+}
+
+impl<K: Snap + PartialEq + std::fmt::Debug, V: Persist> Persist for BTreeMap<K, V> {
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put_len(self.len());
+        for (k, v) in self {
+            k.save(w);
+            v.save_state(w);
+        }
+    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.take_len()?;
+        if n != self.len() {
+            return Err(SnapError::Malformed(format!(
+                "snapshot map has {n} entries, rebuilt model has {}",
+                self.len()
+            )));
+        }
+        for (k, v) in self.iter_mut() {
+            let found = K::load(r)?;
+            if found != *k {
+                return Err(SnapError::Malformed(format!(
+                    "snapshot map entry {found:?}, rebuilt model expects {k:?}"
+                )));
+            }
+            v.load_state(r)?;
+        }
+        Ok(())
+    }
+}
+
+/// A block several objects share on one simulated node. Exactly one of
+/// the sharers lists it as `nested`; the others list their handle as
+/// `config`, or the block would be applied twice.
+impl<T: Persist> Persist for Arc<Mutex<T>> {
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.lock().expect("shared block poisoned").save_state(w);
+    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.lock().expect("shared block poisoned").load_state(r)
+    }
+}
+
+/// Writes an optional `dyn Persist` object (a component under an
+/// executor, a guest process under a kernel): a presence flag, then its
+/// state as a length-prefixed blob so the reader can check the object
+/// consumed exactly what was written.
+pub fn save_dyn(obj: Option<&dyn Persist>, w: &mut SnapWriter) {
+    obj.is_some().save(w);
+    if let Some(p) = obj {
+        let mut blob = SnapWriter::new();
+        p.save_state(&mut blob);
+        w.put_blob(&blob.into_bytes());
+    }
+}
+
+/// Restores an object written by [`save_dyn`] into its rebuilt
+/// counterpart; `what` names it in errors.
+///
+/// # Errors
+///
+/// [`SnapError::Malformed`] when the snapshot and the rebuilt object
+/// disagree on whether it is persistable, or the object leaves part of
+/// its blob unread; any decode error from the object itself.
+pub fn load_dyn(
+    obj: Option<&mut dyn Persist>,
+    what: std::fmt::Arguments<'_>,
+    r: &mut SnapReader<'_>,
+) -> Result<(), SnapError> {
+    match (bool::load(r)?, obj) {
+        (true, Some(p)) => {
+            let mut blob = SnapReader::new(r.take_blob()?);
+            p.load_state(&mut blob)?;
+            match blob.remaining() {
+                0 => Ok(()),
+                n => Err(SnapError::Malformed(format!("{what} left {n} trailing bytes"))),
+            }
+        }
+        (false, None) => Ok(()),
+        (true, None) => Err(SnapError::Malformed(format!(
+            "snapshot has state for {what}, which is not persistable"
+        ))),
+        (false, Some(_)) => {
+            Err(SnapError::Malformed(format!("snapshot lacks state for persistable {what}")))
+        }
+    }
+}
+
+/// The executor-level scalars that open the executor stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecHead {
+    /// Simulation clock.
+    pub now: crate::time::SimTime,
+    /// `on_start` has run. Always saved `true`: the snapshotted queue
+    /// already holds everything start produced, so a restored run must
+    /// never re-fire it.
+    pub started: bool,
+    /// A component requested a stop (serial executor; the parallel one
+    /// re-derives its stop flags per run and saves `false`).
+    pub stop: bool,
+    /// Sequence counter for externally injected events.
+    pub external_seq: u64,
+    /// Events dispatched so far.
+    pub events_processed: u64,
+}
+
+crate::impl_snap_struct!(ExecHead { now, started, stop, external_seq, events_processed });
+
+/// Writes the executor stream both executors share, which is what lets a
+/// snapshot saved by one restore into the other: [`ExecHead`], the
+/// per-component sequence counters and [`save_dyn`] state blobs in
+/// component-id order, then every pending event in [`EventKey`] order
+/// (`events` is sorted here).
+///
+/// [`EventKey`]: crate::event::EventKey
+pub fn save_exec_stream<'a, M: Snap>(
+    w: &mut SnapWriter,
+    head: &ExecHead,
+    seqs: &[u64],
+    comps: impl ExactSizeIterator<Item = Option<&'a dyn Persist>>,
+    events: &mut [crate::event::Event<M>],
+) {
+    head.save(w);
+    save_seq(w, seqs.iter());
+    w.put_len(comps.len());
+    for c in comps {
+        save_dyn(c, w);
+    }
+    events.sort_by_key(|e| e.key);
+    save_seq(w, events.iter());
+}
+
+/// What [`load_exec_stream`] hands back for the executor to install.
+#[derive(Debug)]
+pub struct ExecStream<M> {
+    /// The executor-level scalars.
+    pub head: ExecHead,
+    /// Per-component sequence counters, in component-id order.
+    pub seqs: Vec<u64>,
+    /// Every pending event; each targets a component the model has.
+    pub events: Vec<crate::event::Event<M>>,
+}
+
+/// Reads a [`save_exec_stream`] stream. Component state is restored in
+/// place through `comps` (the rebuilt model's components in id order);
+/// the rest is returned.
+///
+/// # Errors
+///
+/// Any [`SnapError`] on truncation, corruption, or a component-count /
+/// persist-surface mismatch with the rebuilt model.
+pub fn load_exec_stream<'a, M: Snap>(
+    r: &mut SnapReader<'_>,
+    comps: impl ExactSizeIterator<Item = Option<&'a mut dyn Persist>>,
+) -> Result<ExecStream<M>, SnapError> {
+    let head = ExecHead::load(r)?;
+    let seqs = Vec::<u64>::load(r)?;
+    if seqs.len() != comps.len() {
+        return Err(SnapError::Malformed(format!(
+            "snapshot has {} components, model has {}",
+            seqs.len(),
+            comps.len()
+        )));
+    }
+    let ncomp = r.take_len()?;
+    if ncomp != comps.len() {
+        return Err(SnapError::Malformed(format!(
+            "snapshot component table has {ncomp} entries, model has {}",
+            comps.len()
+        )));
+    }
+    for (i, c) in comps.enumerate() {
+        load_dyn(c, format_args!("component {i}"), r)?;
+    }
+    let events = Vec::<crate::event::Event<M>>::load(r)?;
+    if let Some(ev) = events.iter().find(|ev| ev.key.target.index() >= ncomp) {
+        return Err(SnapError::Malformed(format!(
+            "snapshot event targets unknown component {}",
+            ev.key.target
+        )));
+    }
+    Ok(ExecStream { head, seqs, events })
 }
 
 #[cfg(test)]
@@ -685,23 +1057,178 @@ mod tests {
         assert_eq!(bool::load(&mut r), Err(SnapError::Tag { what: "bool", tag: 7 }));
     }
 
+    #[test]
+    fn corrupt_length_late_in_a_large_stream_is_rejected() {
+        // The length is plausible against the whole buffer but not
+        // against what is left after it.
+        let mut w = SnapWriter::new();
+        w.put_bytes(&[0; 4096]);
+        w.put_u64(4000);
+        w.put_bytes(&[0; 16]);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        r.take_bytes(4096).unwrap();
+        assert!(matches!(r.take_len(), Err(SnapError::Malformed(_))));
+        // A length the remainder can hold still reads.
+        let mut r = SnapReader::new(&bytes);
+        r.take_bytes(4096 - 8).unwrap();
+        assert_eq!(r.take_len(), Ok(0));
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Circle(u32),
+        Pair(u8, String),
+        Rect { w: u32, h: u32 },
+    }
+    impl_snap_enum!(Shape {
+        0 => Dot,
+        1 => Circle(radius),
+        2 => Pair(a, b),
+        7 => Rect { w, h },
+    });
+
+    #[derive(Debug, PartialEq)]
+    enum Boxed<T> {
+        Empty,
+        Full(T),
+    }
+    impl_snap_enum!(Boxed<T> as "test Boxed" { 0 => Empty, 1 => Full(v) });
+
+    #[test]
+    fn enum_macro_round_trips_every_variant_shape() {
+        round_trip(Shape::Dot);
+        round_trip(Shape::Circle(9));
+        round_trip(Shape::Pair(3, "x".to_string()));
+        round_trip(Shape::Rect { w: 4, h: 5 });
+        round_trip(Boxed::<u64>::Empty);
+        round_trip(Boxed::Full(Shape::Circle(1)));
+        // A u64 tag, then the fields in the order listed.
+        let mut w = SnapWriter::new();
+        Shape::Rect { w: 4, h: 5 }.save(&mut w);
+        let mut expect = 7u64.to_le_bytes().to_vec();
+        expect.extend(4u32.to_le_bytes());
+        expect.extend(5u32.to_le_bytes());
+        assert_eq!(w.into_bytes(), expect);
+    }
+
+    #[test]
+    fn unknown_enum_tag_reports_the_type_name() {
+        let bytes = 3u64.to_le_bytes();
+        assert_eq!(
+            Shape::load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Tag { what: "Shape", tag: 3 })
+        );
+        assert_eq!(
+            Boxed::<u8>::load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Tag { what: "test Boxed", tag: 3 })
+        );
+    }
+
+    struct Inner {
+        seed: u64,
+        hits: u64,
+    }
+    impl_persist_fields!(Inner { hits, seed: config });
+
     struct Widget {
         tunable: u64,
         count: u64,
+        inner: Inner,
+        parts: Vec<Inner>,
+        shared: Arc<Mutex<Inner>>,
+        by_id: BTreeMap<u32, Inner>,
+        lanes: Vec<u64>,
         log: Vec<u64>,
     }
-    impl_persist_fields!(Widget { count, log });
+    impl_persist_fields!(Widget {
+        count,
+        inner: nested,
+        parts: nested,
+        shared: nested,
+        by_id: nested,
+        lanes: fixed_len,
+        log,
+        tunable: config,
+    });
+
+    fn widget(tunable: u64, count: u64, hits: u64, log: Vec<u64>) -> Widget {
+        let inner = |seed| Inner { seed, hits };
+        Widget {
+            tunable,
+            count,
+            inner: inner(tunable),
+            parts: vec![inner(tunable), inner(tunable)],
+            shared: Arc::new(Mutex::new(inner(tunable))),
+            by_id: BTreeMap::from([(5, inner(tunable))]),
+            lanes: vec![hits; 2],
+            log,
+        }
+    }
+
+    fn saved(w: &Widget) -> Vec<u8> {
+        let mut out = SnapWriter::new();
+        w.save_state(&mut out);
+        out.into_bytes()
+    }
 
     #[test]
     fn persist_overwrites_state_and_keeps_config() {
-        let old = Widget { tunable: 1, count: 41, log: vec![4, 5] };
-        let mut w = SnapWriter::new();
-        old.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = Widget { tunable: 2, count: 0, log: Vec::new() };
-        fresh.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        let bytes = saved(&widget(1, 41, 7, vec![4, 5]));
+        let mut fresh = widget(2, 0, 0, Vec::new());
+        let mut r = SnapReader::new(&bytes);
+        fresh.load_state(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
         assert_eq!(fresh.tunable, 2, "config fields stay rebuilt");
-        assert_eq!(fresh.count, 41);
-        assert_eq!(fresh.log, vec![4, 5]);
+        assert_eq!((fresh.count, &fresh.log, &fresh.lanes), (41, &vec![4, 5], &vec![7, 7]));
+        let shared = fresh.shared.lock().unwrap();
+        for inner in [&fresh.inner, &fresh.parts[1], &*shared, &fresh.by_id[&5]] {
+            assert_eq!((inner.seed, inner.hits), (2, 7), "nested state restored in place");
+        }
+    }
+
+    #[test]
+    fn persist_rejects_a_shape_the_rebuilt_model_does_not_have() {
+        let bytes = saved(&widget(1, 41, 7, Vec::new()));
+        let malformed = |mutate: fn(&mut Widget)| {
+            let mut fresh = widget(2, 0, 0, Vec::new());
+            mutate(&mut fresh);
+            matches!(fresh.load_state(&mut SnapReader::new(&bytes)), Err(SnapError::Malformed(_)))
+        };
+        assert!(malformed(|w| w.parts.truncate(1)), "in-place Vec length");
+        assert!(malformed(|w| w.lanes.push(0)), "fixed_len Vec length");
+        assert!(malformed(|w| w.by_id = BTreeMap::new()), "in-place map length");
+        assert!(malformed(|w| w.by_id = BTreeMap::from([(6, Inner { seed: 0, hits: 0 })])), "key");
+    }
+
+    #[test]
+    fn dyn_blob_checks_presence_and_length() {
+        let mut w = SnapWriter::new();
+        save_dyn(Some(&Inner { seed: 1, hits: 9 }), &mut w);
+        save_dyn(None, &mut w);
+        let bytes = w.into_bytes();
+
+        let mut r = SnapReader::new(&bytes);
+        let mut inner = Inner { seed: 2, hits: 0 };
+        load_dyn(Some(&mut inner), format_args!("inner"), &mut r).unwrap();
+        load_dyn(None, format_args!("nothing"), &mut r).unwrap();
+        assert_eq!((inner.seed, inner.hits, r.remaining()), (2, 9, 0));
+
+        let err = |obj: Option<&mut dyn Persist>, bytes: &[u8]| match load_dyn(
+            obj,
+            format_args!("thing 3"),
+            &mut SnapReader::new(bytes),
+        ) {
+            Err(SnapError::Malformed(msg)) => msg,
+            other => panic!("expected Malformed, got {other:?}"),
+        };
+        assert!(err(None, &bytes).contains("thing 3, which is not persistable"));
+        assert!(err(Some(&mut inner), &bytes[bytes.len() - 1..]).contains("lacks state"));
+        // An object that reads less than its blob holds is reported.
+        let mut w = SnapWriter::new();
+        true.save(&mut w);
+        w.put_blob(&[0; 9]);
+        assert!(err(Some(&mut inner), &w.into_bytes()).contains("left 1 trailing bytes"));
     }
 }

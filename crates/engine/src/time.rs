@@ -282,6 +282,30 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Parses `250ms`-style durations — the one token format of the fault
+/// plan, arrival profile and sweep grammars and the `--checkpoint-at`
+/// flag: a finite, non-negative decimal number with an `ns`, `us`, `ms`
+/// or `s` suffix, rounded to the nearest nanosecond. The error is a
+/// human-readable description of the malformed token.
+impl std::str::FromStr for SimDuration {
+    type Err = String;
+
+    fn from_str(tok: &str) -> Result<Self, String> {
+        // Longest suffixes first: `s` terminates all of them.
+        let (num, scale_ns) = [("ns", 1.0), ("us", 1e3), ("ms", 1e6), ("s", 1e9)]
+            .into_iter()
+            .find_map(|(suffix, scale)| Some((tok.strip_suffix(suffix)?, scale)))
+            .ok_or_else(|| format!("duration `{tok}` needs a ns/us/ms/s suffix"))?;
+        let v: f64 = num.parse().map_err(|_| format!("bad duration value `{num}`"))?;
+        // "NaN" and "inf" are valid `f64` literals; rounded into a
+        // nanosecond count they would become an arbitrary instant.
+        if v < 0.0 || !v.is_finite() {
+            return Err(format!("duration `{tok}` must be finite and non-negative"));
+        }
+        Ok(SimDuration::from_nanos((v * scale_ns).round() as u64))
+    }
+}
+
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ps = self.0;
@@ -444,6 +468,43 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimTime::from_nanos(7).as_picos(), 7_000);
+    }
+
+    #[test]
+    fn duration_parses_from_suffixed_tokens() {
+        for (tok, nanos) in [
+            ("800ns", 800),
+            ("250us", 250_000),
+            ("10ms", 10_000_000),
+            ("1.5s", 1_500_000_000),
+            ("0.5us", 500),
+            ("0.4ns", 0),
+            ("1e3ns", 1_000),
+            ("0s", 0),
+        ] {
+            assert_eq!(tok.parse(), Ok(SimDuration::from_nanos(nanos)), "{tok:?}");
+        }
+        for (tok, needle) in [
+            // A bare number is ambiguous (ns? ms?).
+            ("5", "needs a ns/us/ms/s suffix"),
+            ("", "needs a ns/us/ms/s suffix"),
+            ("fast", "needs a ns/us/ms/s suffix"),
+            ("xyz", "needs a ns/us/ms/s suffix"),
+            ("10m", "needs a ns/us/ms/s suffix"),
+            ("abcms", "bad duration value `abc`"),
+            ("ms", "bad duration value ``"),
+            ("1u s", "bad duration value `1u `"),
+            // Valid float literals that are not durations.
+            ("NaNms", "finite and non-negative"),
+            ("nanms", "finite and non-negative"),
+            ("infs", "finite and non-negative"),
+            ("-infms", "finite and non-negative"),
+            ("-5ms", "finite and non-negative"),
+            ("-0.5us", "finite and non-negative"),
+        ] {
+            let err = tok.parse::<SimDuration>().expect_err(tok);
+            assert!(err.contains(needle), "{tok:?} -> {err:?} (wanted {needle:?})");
+        }
     }
 
     #[test]

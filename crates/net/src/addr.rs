@@ -60,16 +60,7 @@ impl fmt::Display for SockAddr {
     }
 }
 
-impl diablo_engine::snap::Snap for NodeAddr {
-    fn save(&self, w: &mut diablo_engine::snap::SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(
-        r: &mut diablo_engine::snap::SnapReader<'_>,
-    ) -> Result<Self, diablo_engine::snap::SnapError> {
-        Ok(NodeAddr(diablo_engine::snap::Snap::load(r)?))
-    }
-}
+diablo_engine::impl_snap_struct!(NodeAddr { 0 });
 
 diablo_engine::impl_snap_struct!(SockAddr { node, port });
 

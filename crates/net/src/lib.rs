@@ -14,8 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod circuit;
-pub mod dleft;
 pub mod frame;
 pub mod link;
 pub mod payload;
@@ -23,8 +21,6 @@ pub mod switch;
 pub mod topology;
 
 pub use addr::{NodeAddr, SockAddr};
-pub use circuit::{CircuitSwitch, CircuitSwitchConfig};
-pub use dleft::DLeftTable;
 pub use frame::{Frame, Route};
 pub use link::{LinkParams, PortPeer, TxPort};
 pub use payload::{AppMessage, IpPacket, TcpFlags, TcpSegment, Transport, UdpDatagram};

@@ -301,30 +301,11 @@ impl Snap for LinkParams {
     }
 }
 
-impl Snap for LinkState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            LinkState::Up => w.put_u64(0),
-            LinkState::Down => w.put_u64(1),
-            LinkState::Degraded { bandwidth_factor_fp20, loss_rate_fp20 } => {
-                w.put_u64(2);
-                bandwidth_factor_fp20.save(w);
-                loss_rate_fp20.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u64()? {
-            0 => Ok(LinkState::Up),
-            1 => Ok(LinkState::Down),
-            2 => Ok(LinkState::Degraded {
-                bandwidth_factor_fp20: Snap::load(r)?,
-                loss_rate_fp20: Snap::load(r)?,
-            }),
-            tag => Err(SnapError::Tag { what: "LinkState", tag }),
-        }
-    }
-}
+diablo_engine::impl_snap_enum!(LinkState {
+    0 => Up,
+    1 => Down,
+    2 => Degraded { bandwidth_factor_fp20, loss_rate_fp20 },
+});
 
 diablo_engine::impl_snap_struct!(PortPeer { component, port, params });
 

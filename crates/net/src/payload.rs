@@ -245,8 +245,6 @@ impl IpPacket {
     }
 }
 
-use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
 diablo_engine::impl_snap_struct!(AppMessage { kind, id, arg0, arg1, len, created_at });
 diablo_engine::impl_snap_struct!(TcpFlags { syn, ack, fin, rst, ece });
 diablo_engine::impl_snap_struct!(StreamMarker { end_offset, msg });
@@ -263,27 +261,10 @@ diablo_engine::impl_snap_struct!(TcpSegment {
 diablo_engine::impl_snap_struct!(UdpDatagram { src_port, dst_port, msg });
 diablo_engine::impl_snap_struct!(IpPacket { src, dst, ce, transport });
 
-impl Snap for Transport {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Transport::Tcp(seg) => {
-                w.put_u64(0);
-                seg.save(w);
-            }
-            Transport::Udp(d) => {
-                w.put_u64(1);
-                d.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u64()? {
-            0 => Ok(Transport::Tcp(Snap::load(r)?)),
-            1 => Ok(Transport::Udp(Snap::load(r)?)),
-            tag => Err(SnapError::Tag { what: "Transport", tag }),
-        }
-    }
-}
+diablo_engine::impl_snap_enum!(Transport {
+    0 => Tcp(seg),
+    1 => Udp(datagram),
+});
 
 #[cfg(test)]
 mod tests {

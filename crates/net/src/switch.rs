@@ -896,7 +896,11 @@ diablo_engine::impl_persist_fields!(PacketSwitch {
     link_state,
     switch_down,
     rng,
-    stats
+    stats,
+    cfg: config,
+    base_params: config,
+    ecmp_seed: config,
+    trace: config,
 });
 
 impl Instrumented for PacketSwitch {

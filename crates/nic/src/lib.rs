@@ -482,7 +482,10 @@ diablo_engine::impl_persist_fields!(Nic {
     last_intr,
     link_state,
     rng,
-    stats
+    stats,
+    cfg: config,
+    base_params: config,
+    trace: config,
 });
 
 #[cfg(test)]

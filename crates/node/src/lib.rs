@@ -113,19 +113,8 @@ impl Component<Frame> for ServerNode {
     }
 }
 
-impl diablo_engine::snap::Persist for ServerNode {
-    // `uplink` is config-derived wiring; only the kernel evolves.
-    fn save_state(&self, w: &mut diablo_engine::snap::SnapWriter) {
-        self.kernel.save_state(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut diablo_engine::snap::SnapReader<'_>,
-    ) -> Result<(), diablo_engine::snap::SnapError> {
-        self.kernel.load_state(r)
-    }
-}
+// `uplink` is config-derived wiring; only the kernel evolves.
+diablo_engine::impl_persist_fields!(ServerNode { kernel: nested, uplink: config });
 
 impl Instrumented for ServerNode {
     fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {

@@ -419,78 +419,15 @@ impl Instrumented for Kernel {
     }
 }
 
-use diablo_engine::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
+diablo_engine::impl_snap_enum!(Resume { 0 => Step, 1 => Retry(call) });
 
-impl Snap for Resume {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Resume::Step => w.put_u64(0),
-            Resume::Retry(call) => {
-                w.put_u64(1);
-                call.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u64()? {
-            0 => Ok(Resume::Step),
-            1 => Ok(Resume::Retry(Snap::load(r)?)),
-            tag => Err(SnapError::Tag { what: "Resume", tag }),
-        }
-    }
-}
+diablo_engine::impl_snap_enum!(ProcState { 0 => Runnable, 1 => Blocked, 2 => Exited });
 
-impl Snap for ProcState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            ProcState::Runnable => 0,
-            ProcState::Blocked => 1,
-            ProcState::Exited => 2,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => ProcState::Runnable,
-            1 => ProcState::Blocked,
-            2 => ProcState::Exited,
-            tag => return Err(SnapError::Tag { what: "ProcState", tag }),
-        })
-    }
-}
-
-impl Snap for CpuWork {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            CpuWork::Softirq { frames } => {
-                w.put_u64(0);
-                frames.save(w);
-            }
-            CpuWork::ProcBurst { tid, dur } => {
-                w.put_u64(1);
-                tid.save(w);
-                dur.save(w);
-            }
-            CpuWork::ProcSyscall { tid, call, dur } => {
-                w.put_u64(2);
-                tid.save(w);
-                call.save(w);
-                dur.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => CpuWork::Softirq { frames: Snap::load(r)? },
-            1 => CpuWork::ProcBurst { tid: Snap::load(r)?, dur: Snap::load(r)? },
-            2 => CpuWork::ProcSyscall {
-                tid: Snap::load(r)?,
-                call: Snap::load(r)?,
-                dur: Snap::load(r)?,
-            },
-            tag => return Err(SnapError::Tag { what: "CpuWork", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(CpuWork {
+    0 => Softirq { frames },
+    1 => ProcBurst { tid, dur },
+    2 => ProcSyscall { tid, call, dur },
+});
 
 diablo_engine::impl_snap_struct!(KernelStats {
     syscalls,
@@ -506,126 +443,50 @@ diablo_engine::impl_snap_struct!(KernelStats {
     cpu_busy
 });
 
-impl Persist for Kernel {
-    // Everything that evolves during a run, in struct order. Rebuilt from
-    // configuration and NOT serialized: `cfg`, `router`. `trace` (a ring of
-    // `&'static str` records) is excluded — checkpoint scenarios must not
-    // enable kernel tracing. Process *objects* are rebuilt by the workload
-    // builder; their state rides per-slot blobs via `Process::persist`,
-    // exactly like components under the executor snapshot.
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.nic.save_state(w);
-        w.put_len(self.procs.len());
-        for slot in &self.procs {
-            slot.state.save(w);
-            slot.resume.save(w);
-            slot.result.save(w);
-            slot.extra_cost.save(w);
-            slot.slice_used.save(w);
-            slot.wait_gen.save(w);
-            slot.timed_out.save(w);
-            match slot.process.persist() {
-                Some(p) => {
-                    true.save(w);
-                    let mut pw = SnapWriter::new();
-                    p.save_state(&mut pw);
-                    w.put_blob(&pw.into_bytes());
-                }
-                None => false.save(w),
-            }
-        }
-        self.run_queue.save(w);
-        self.current.save(w);
-        self.last_ran.save(w);
-        self.cpu_work.save(w);
-        self.softirq_pending.save(w);
-        self.sockets.save(w);
-        self.free_socks.save(w);
-        self.conns.save(w);
-        self.listeners.save(w);
-        self.udp_ports.save(w);
-        self.used_tcp_ports.save(w);
-        self.next_ephemeral.save(w);
-        self.loopback.save(w);
-        self.futexes.save(w);
-        self.notify_rr.save(w);
-        self.now_cache.save(w);
-        self.epoch.save(w);
-        self.crashed.save(w);
-        self.tcp_agg.save(w);
-        self.stats.save(w);
-    }
+// Process *objects* are rebuilt by the workload builder; their state
+// rides per-slot blobs via `Process::persist`, exactly like components
+// under the executor snapshot.
+diablo_engine::impl_persist_fields!(ProcSlot {
+    state,
+    resume,
+    result,
+    extra_cost,
+    slice_used,
+    wait_gen,
+    timed_out,
+    process: nested,
+});
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.nic.load_state(r)?;
-        let nprocs = r.take_len()?;
-        if nprocs != self.procs.len() {
-            return Err(SnapError::Malformed(format!(
-                "kernel {} snapshot has {nprocs} processes, rebuilt node has {}",
-                self.cfg.addr,
-                self.procs.len()
-            )));
-        }
-        for slot in &mut self.procs {
-            slot.state = Snap::load(r)?;
-            slot.resume = Snap::load(r)?;
-            slot.result = Snap::load(r)?;
-            slot.extra_cost = Snap::load(r)?;
-            slot.slice_used = Snap::load(r)?;
-            slot.wait_gen = Snap::load(r)?;
-            slot.timed_out = Snap::load(r)?;
-            let has_blob = bool::load(r)?;
-            match (has_blob, slot.process.persist_mut()) {
-                (true, Some(p)) => {
-                    let blob = r.take_blob()?;
-                    let mut pr = SnapReader::new(blob);
-                    p.load_state(&mut pr)?;
-                    if pr.remaining() != 0 {
-                        return Err(SnapError::Malformed(format!(
-                            "process '{}' left {} snapshot bytes unread",
-                            slot.process.label(),
-                            pr.remaining()
-                        )));
-                    }
-                }
-                (false, None) => {}
-                (true, None) => {
-                    return Err(SnapError::Malformed(format!(
-                        "snapshot has state for process '{}', which is not persistable",
-                        slot.process.label()
-                    )));
-                }
-                (false, Some(_)) => {
-                    return Err(SnapError::Malformed(format!(
-                        "persistable process '{}' has no state in the snapshot",
-                        slot.process.label()
-                    )));
-                }
-            }
-        }
-        self.run_queue = Snap::load(r)?;
-        self.current = Snap::load(r)?;
-        self.last_ran = Snap::load(r)?;
-        self.cpu_work = Snap::load(r)?;
-        self.softirq_pending = Snap::load(r)?;
-        self.sockets = Snap::load(r)?;
-        self.free_socks = Snap::load(r)?;
-        self.conns = Snap::load(r)?;
-        self.listeners = Snap::load(r)?;
-        self.udp_ports = Snap::load(r)?;
-        self.used_tcp_ports = Snap::load(r)?;
-        self.next_ephemeral = Snap::load(r)?;
-        self.loopback = Snap::load(r)?;
-        self.futexes = Snap::load(r)?;
-        self.notify_rr = Snap::load(r)?;
-        self.now_cache = Snap::load(r)?;
-        self.epoch = Snap::load(r)?;
-        self.crashed = Snap::load(r)?;
-        self.tcp_agg = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
-    }
-}
+// Everything that evolves during a run. `trace` (a ring of `&'static str`
+// records) is excluded — checkpoint scenarios must not enable kernel
+// tracing.
+diablo_engine::impl_persist_fields!(Kernel {
+    nic: nested,
+    procs: nested,
+    run_queue,
+    current,
+    last_ran,
+    cpu_work,
+    softirq_pending,
+    sockets,
+    free_socks,
+    conns,
+    listeners,
+    udp_ports,
+    used_tcp_ports,
+    next_ephemeral,
+    loopback,
+    futexes,
+    notify_rr,
+    now_cache,
+    epoch,
+    crashed,
+    tcp_agg,
+    stats,
+    cfg: config,
+    router: config,
+    trace: config,
+});
 
 impl Kernel {
     /// Creates a kernel for a node wired to `uplink` (its ToR port).

@@ -348,243 +348,68 @@ pub trait Process: Send + 'static {
     }
 }
 
-use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use diablo_engine::snap::{load_dyn, save_dyn, Persist, SnapError, SnapReader, SnapWriter};
 
-impl Snap for Fd {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Fd(Snap::load(r)?))
-    }
-}
+diablo_engine::impl_snap_struct!(Fd { 0 });
+diablo_engine::impl_snap_struct!(Tid { 0 });
 
-impl Snap for Tid {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Tid(Snap::load(r)?))
-    }
-}
+diablo_engine::impl_snap_enum!(Proto { 0 => Tcp, 1 => Udp });
 
-impl Snap for Proto {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            Proto::Tcp => 0,
-            Proto::Udp => 1,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u64()? {
-            0 => Ok(Proto::Tcp),
-            1 => Ok(Proto::Udp),
-            tag => Err(SnapError::Tag { what: "Proto", tag }),
-        }
-    }
-}
+diablo_engine::impl_snap_enum!(Errno {
+    0 => WouldBlock,
+    1 => BadFd,
+    2 => AddrInUse,
+    3 => ConnRefused,
+    4 => ConnReset,
+    5 => NotConnected,
+    6 => MessageTooBig,
+    7 => Invalid,
+    8 => TimedOut,
+});
 
-impl Snap for Errno {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            Errno::WouldBlock => 0,
-            Errno::BadFd => 1,
-            Errno::AddrInUse => 2,
-            Errno::ConnRefused => 3,
-            Errno::ConnReset => 4,
-            Errno::NotConnected => 5,
-            Errno::MessageTooBig => 6,
-            Errno::Invalid => 7,
-            Errno::TimedOut => 8,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => Errno::WouldBlock,
-            1 => Errno::BadFd,
-            2 => Errno::AddrInUse,
-            3 => Errno::ConnRefused,
-            4 => Errno::ConnReset,
-            5 => Errno::NotConnected,
-            6 => Errno::MessageTooBig,
-            7 => Errno::Invalid,
-            8 => Errno::TimedOut,
-            tag => return Err(SnapError::Tag { what: "Errno", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(Syscall {
+    0 => Socket(proto),
+    1 => Bind { fd, port },
+    2 => Listen { fd, backlog },
+    3 => Accept { fd, accept4 },
+    4 => Connect { fd, to },
+    5 => Send { fd, msg },
+    6 => Recv { fd, max_msgs },
+    7 => SendTo { fd, to, msg },
+    8 => RecvFrom { fd },
+    9 => SetNonblocking { fd, on },
+    10 => EpollCreate,
+    11 => EpollCtl { epfd, fd, interest },
+    12 => EpollWait { epfd, max_events, timeout },
+    13 => Close { fd },
+    14 => FutexWait { key, seen },
+    15 => FutexWake { key },
+    16 => Nanosleep(dur),
+    17 => Yield,
+});
 
-impl Snap for Syscall {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Syscall::Socket(p) => {
-                w.put_u64(0);
-                p.save(w);
-            }
-            Syscall::Bind { fd, port } => {
-                w.put_u64(1);
-                fd.save(w);
-                port.save(w);
-            }
-            Syscall::Listen { fd, backlog } => {
-                w.put_u64(2);
-                fd.save(w);
-                backlog.save(w);
-            }
-            Syscall::Accept { fd, accept4 } => {
-                w.put_u64(3);
-                fd.save(w);
-                accept4.save(w);
-            }
-            Syscall::Connect { fd, to } => {
-                w.put_u64(4);
-                fd.save(w);
-                to.save(w);
-            }
-            Syscall::Send { fd, msg } => {
-                w.put_u64(5);
-                fd.save(w);
-                msg.save(w);
-            }
-            Syscall::Recv { fd, max_msgs } => {
-                w.put_u64(6);
-                fd.save(w);
-                max_msgs.save(w);
-            }
-            Syscall::SendTo { fd, to, msg } => {
-                w.put_u64(7);
-                fd.save(w);
-                to.save(w);
-                msg.save(w);
-            }
-            Syscall::RecvFrom { fd } => {
-                w.put_u64(8);
-                fd.save(w);
-            }
-            Syscall::SetNonblocking { fd, on } => {
-                w.put_u64(9);
-                fd.save(w);
-                on.save(w);
-            }
-            Syscall::EpollCreate => w.put_u64(10),
-            Syscall::EpollCtl { epfd, fd, interest } => {
-                w.put_u64(11);
-                epfd.save(w);
-                fd.save(w);
-                interest.save(w);
-            }
-            Syscall::EpollWait { epfd, max_events, timeout } => {
-                w.put_u64(12);
-                epfd.save(w);
-                max_events.save(w);
-                timeout.save(w);
-            }
-            Syscall::Close { fd } => {
-                w.put_u64(13);
-                fd.save(w);
-            }
-            Syscall::FutexWait { key, seen } => {
-                w.put_u64(14);
-                key.save(w);
-                seen.save(w);
-            }
-            Syscall::FutexWake { key } => {
-                w.put_u64(15);
-                key.save(w);
-            }
-            Syscall::Nanosleep(d) => {
-                w.put_u64(16);
-                d.save(w);
-            }
-            Syscall::Yield => w.put_u64(17),
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => Syscall::Socket(Snap::load(r)?),
-            1 => Syscall::Bind { fd: Snap::load(r)?, port: Snap::load(r)? },
-            2 => Syscall::Listen { fd: Snap::load(r)?, backlog: Snap::load(r)? },
-            3 => Syscall::Accept { fd: Snap::load(r)?, accept4: Snap::load(r)? },
-            4 => Syscall::Connect { fd: Snap::load(r)?, to: Snap::load(r)? },
-            5 => Syscall::Send { fd: Snap::load(r)?, msg: Snap::load(r)? },
-            6 => Syscall::Recv { fd: Snap::load(r)?, max_msgs: Snap::load(r)? },
-            7 => Syscall::SendTo { fd: Snap::load(r)?, to: Snap::load(r)?, msg: Snap::load(r)? },
-            8 => Syscall::RecvFrom { fd: Snap::load(r)? },
-            9 => Syscall::SetNonblocking { fd: Snap::load(r)?, on: Snap::load(r)? },
-            10 => Syscall::EpollCreate,
-            11 => Syscall::EpollCtl {
-                epfd: Snap::load(r)?,
-                fd: Snap::load(r)?,
-                interest: Snap::load(r)?,
-            },
-            12 => Syscall::EpollWait {
-                epfd: Snap::load(r)?,
-                max_events: Snap::load(r)?,
-                timeout: Snap::load(r)?,
-            },
-            13 => Syscall::Close { fd: Snap::load(r)? },
-            14 => Syscall::FutexWait { key: Snap::load(r)?, seen: Snap::load(r)? },
-            15 => Syscall::FutexWake { key: Snap::load(r)? },
-            16 => Syscall::Nanosleep(Snap::load(r)?),
-            17 => Syscall::Yield,
-            tag => return Err(SnapError::Tag { what: "Syscall", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(SysResult {
+    0 => Started,
+    1 => Computed,
+    2 => Done,
+    3 => NewFd(fd),
+    4 => Accepted { fd, peer },
+    5 => Messages { msgs, eof },
+    6 => Datagram { from, msg },
+    7 => Events(events),
+    8 => FutexVal(val),
+    9 => Err(errno),
+});
 
-impl Snap for SysResult {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            SysResult::Started => w.put_u64(0),
-            SysResult::Computed => w.put_u64(1),
-            SysResult::Done => w.put_u64(2),
-            SysResult::NewFd(fd) => {
-                w.put_u64(3);
-                fd.save(w);
-            }
-            SysResult::Accepted { fd, peer } => {
-                w.put_u64(4);
-                fd.save(w);
-                peer.save(w);
-            }
-            SysResult::Messages { msgs, eof } => {
-                w.put_u64(5);
-                msgs.save(w);
-                eof.save(w);
-            }
-            SysResult::Datagram { from, msg } => {
-                w.put_u64(6);
-                from.save(w);
-                msg.save(w);
-            }
-            SysResult::Events(evs) => {
-                w.put_u64(7);
-                evs.save(w);
-            }
-            SysResult::FutexVal(v) => {
-                w.put_u64(8);
-                v.save(w);
-            }
-            SysResult::Err(e) => {
-                w.put_u64(9);
-                e.save(w);
-            }
-        }
+// A guest process rides its kernel slot as an optional blob, exactly
+// like a component under the executor stream.
+impl Persist for Box<dyn Process> {
+    fn save_state(&self, w: &mut SnapWriter) {
+        save_dyn(self.persist(), w);
     }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => SysResult::Started,
-            1 => SysResult::Computed,
-            2 => SysResult::Done,
-            3 => SysResult::NewFd(Snap::load(r)?),
-            4 => SysResult::Accepted { fd: Snap::load(r)?, peer: Snap::load(r)? },
-            5 => SysResult::Messages { msgs: Snap::load(r)?, eof: Snap::load(r)? },
-            6 => SysResult::Datagram { from: Snap::load(r)?, msg: Snap::load(r)? },
-            7 => SysResult::Events(Snap::load(r)?),
-            8 => SysResult::FutexVal(Snap::load(r)?),
-            9 => SysResult::Err(Snap::load(r)?),
-            tag => return Err(SnapError::Tag { what: "SysResult", tag }),
-        })
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let label = self.label().to_string();
+        load_dyn(self.persist_mut(), format_args!("process '{label}'"), r)
     }
 }
 

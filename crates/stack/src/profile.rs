@@ -209,23 +209,7 @@ impl KernelProfile {
     }
 }
 
-use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-impl Snap for CongestionControl {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            CongestionControl::Reno => 0,
-            CongestionControl::Dctcp => 1,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u64()? {
-            0 => Ok(CongestionControl::Reno),
-            1 => Ok(CongestionControl::Dctcp),
-            tag => Err(SnapError::Tag { what: "CongestionControl", tag }),
-        }
-    }
-}
+diablo_engine::impl_snap_enum!(CongestionControl { 0 => Reno, 1 => Dctcp });
 
 #[cfg(test)]
 mod tests {

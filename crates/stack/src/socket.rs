@@ -118,70 +118,16 @@ impl Socket {
     }
 }
 
-use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
 diablo_engine::impl_snap_struct!(EventMask { readable, writable });
 
-impl Snap for SocketKind {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            SocketKind::RawTcp { port } => {
-                w.put_u64(0);
-                port.save(w);
-            }
-            SocketKind::TcpListen { port, backlog, queue, embryos } => {
-                w.put_u64(1);
-                port.save(w);
-                backlog.save(w);
-                queue.save(w);
-                embryos.save(w);
-            }
-            SocketKind::Tcp { conn, embryo, listener, app_closed } => {
-                w.put_u64(2);
-                conn.save(w);
-                embryo.save(w);
-                listener.save(w);
-                app_closed.save(w);
-            }
-            SocketKind::Udp { port, rx, rx_bytes } => {
-                w.put_u64(3);
-                port.save(w);
-                rx.save(w);
-                rx_bytes.save(w);
-            }
-            SocketKind::Epoll { watched } => {
-                w.put_u64(4);
-                watched.save(w);
-            }
-            SocketKind::Free => w.put_u64(5),
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => SocketKind::RawTcp { port: Snap::load(r)? },
-            1 => SocketKind::TcpListen {
-                port: Snap::load(r)?,
-                backlog: Snap::load(r)?,
-                queue: Snap::load(r)?,
-                embryos: Snap::load(r)?,
-            },
-            2 => SocketKind::Tcp {
-                conn: Snap::load(r)?,
-                embryo: Snap::load(r)?,
-                listener: Snap::load(r)?,
-                app_closed: Snap::load(r)?,
-            },
-            3 => SocketKind::Udp {
-                port: Snap::load(r)?,
-                rx: Snap::load(r)?,
-                rx_bytes: Snap::load(r)?,
-            },
-            4 => SocketKind::Epoll { watched: Snap::load(r)? },
-            5 => SocketKind::Free,
-            tag => return Err(SnapError::Tag { what: "SocketKind", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(SocketKind {
+    0 => RawTcp { port },
+    1 => TcpListen { port, backlog, queue, embryos },
+    2 => Tcp { conn, embryo, listener, app_closed },
+    3 => Udp { port, rx, rx_bytes },
+    4 => Epoll { watched },
+    5 => Free,
+});
 
 diablo_engine::impl_snap_struct!(Socket {
     kind,

@@ -1087,27 +1087,12 @@ diablo_engine::impl_snap_struct!(TcpParams {
     cc
 });
 
-impl diablo_engine::snap::Snap for TcpState {
-    fn save(&self, w: &mut diablo_engine::snap::SnapWriter) {
-        w.put_u64(match self {
-            TcpState::SynSent => 0,
-            TcpState::SynRcvd => 1,
-            TcpState::Established => 2,
-            TcpState::Closed => 3,
-        });
-    }
-    fn load(
-        r: &mut diablo_engine::snap::SnapReader<'_>,
-    ) -> Result<Self, diablo_engine::snap::SnapError> {
-        Ok(match r.take_u64()? {
-            0 => TcpState::SynSent,
-            1 => TcpState::SynRcvd,
-            2 => TcpState::Established,
-            3 => TcpState::Closed,
-            tag => return Err(diablo_engine::snap::SnapError::Tag { what: "TcpState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(TcpState {
+    0 => SynSent,
+    1 => SynRcvd,
+    2 => Established,
+    3 => Closed,
+});
 
 diablo_engine::impl_snap_struct!(TcpStats {
     segs_in,
