@@ -44,10 +44,11 @@
 //! traffic dies in both directions the way a yanked cable kills both pairs.
 
 use crate::cluster::{Cluster, SimHost};
+use diablo_engine::event::ComponentId;
 use diablo_engine::parallel::ComponentHost;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::link::fp20_encode;
-use diablo_net::switch::SwitchFault;
+use diablo_net::switch::{PacketSwitch, SwitchFault};
 use diablo_net::topology::SwitchLevel;
 use diablo_net::NodeAddr;
 use diablo_stack::kernel::NodeFault;
@@ -352,19 +353,16 @@ impl FaultPlan {
                         match kind {
                             FaultKind::LinkDown => {
                                 host.inject_timer(at, node_id, NodeFault::LinkDown.timer_key());
-                                host.inject_timer(
-                                    at,
+                                inject_switch_fault(
+                                    host,
                                     tor_id,
-                                    SwitchFault::PortDown { port }.timer_key(),
+                                    at,
+                                    SwitchFault::PortDown { port },
                                 );
                             }
                             FaultKind::LinkUp => {
                                 host.inject_timer(at, node_id, NodeFault::LinkUp.timer_key());
-                                host.inject_timer(
-                                    at,
-                                    tor_id,
-                                    SwitchFault::PortUp { port }.timer_key(),
-                                );
+                                inject_switch_fault(host, tor_id, at, SwitchFault::PortUp { port });
                             }
                             FaultKind::LinkDegraded { bandwidth_factor, loss_rate } => {
                                 let bw = fp20_encode(bandwidth_factor).max(1);
@@ -378,15 +376,15 @@ impl FaultPlan {
                                     }
                                     .timer_key(),
                                 );
-                                host.inject_timer(
-                                    at,
+                                inject_switch_fault(
+                                    host,
                                     tor_id,
+                                    at,
                                     SwitchFault::PortDegraded {
                                         port,
                                         bandwidth_factor_fp20: bw,
                                         loss_rate_fp20: loss,
-                                    }
-                                    .timer_key(),
+                                    },
                                 );
                             }
                             FaultKind::NodeCrash { reboot_after } => {
@@ -424,12 +422,26 @@ impl FaultPlan {
                                 )));
                             }
                         };
-                        host.inject_timer(at, sw_id, fault.timer_key());
+                        inject_switch_fault(host, sw_id, at, fault);
                     }
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// Injects one switch directive with its fence: the switch must hear of it
+/// one of its own pipeline latencies ahead
+/// ([`SwitchFault::fenced_timers`]).
+fn inject_switch_fault(host: &mut SimHost, switch: ComponentId, at: SimTime, fault: SwitchFault) {
+    let latency = host
+        .component::<PacketSwitch>(switch)
+        .expect("cluster switch ids name PacketSwitch components")
+        .config()
+        .latency;
+    for (when, key) in fault.fenced_timers(at, latency) {
+        host.inject_timer(when, switch, key);
     }
 }
 

@@ -40,7 +40,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 
 /// Format version this build writes and reads. Bump on any layout
 /// change; restore rejects other versions with [`SnapError::Version`].
-pub const SNAP_VERSION: u32 = 1;
+/// Version 2: a switch persists its pipeline as a FIFO plus the frames it
+/// committed to the wire at admission and the fault fences it was told
+/// of, and recomputes its per-output totals on load instead of storing
+/// them.
+pub const SNAP_VERSION: u32 = 2;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards
@@ -227,11 +231,15 @@ mod tests {
         let mut h = tiny_host();
         assert!(matches!(decode_snapshot(&bad, &mut h, 7), Err(SnapError::Malformed(_))));
 
-        // Bad version (little-endian u32 follows the 8-byte magic).
+        // Bad version (little-endian u32 follows the 8-byte magic); a
+        // file written before the switch's snapshot layout changed is one.
         let mut bad = good.clone();
-        bad[8] = 0xee;
+        bad[8] = 1;
         let mut h = tiny_host();
-        assert!(matches!(decode_snapshot(&bad, &mut h, 7), Err(SnapError::Version { .. })));
+        assert_eq!(
+            decode_snapshot(&bad, &mut h, 7),
+            Err(SnapError::Version { found: 1, expected: 2 })
+        );
 
         // Bad fingerprint.
         let mut h = tiny_host();

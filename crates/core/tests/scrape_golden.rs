@@ -1,0 +1,143 @@
+//! Pins end-of-run scrapes to the bytes an earlier commit wrote.
+//!
+//! The serial-vs-partitioned and save-vs-restore tests compare a build
+//! with itself, so a model change that moves every executor together
+//! passes them. These digests cannot move that way: each is the FNV-1a of
+//! the whole end-of-run metrics JSON of one mini scenario, recorded at the
+//! commit *before* the switch began committing uncontended hops at
+//! admission (DESIGN.md §9.1), and every scenario must reproduce it under
+//! the serial executor and under two partitions. Between them the
+//! scenarios cover both forwarding disciplines, both buffer organisations,
+//! ECN marking, tail drops, both fabrics, and fault directives landing on
+//! switches mid-traffic.
+
+use diablo_core::{
+    run_incast, run_memcached, ArrivalSpec, ControlConfig, FaultPlan, IncastClientKind,
+    IncastConfig, McExperimentConfig, RunMode, SwitchTemplate,
+};
+use diablo_engine::prelude::SimDuration;
+use diablo_net::switch::BufferConfig;
+use diablo_net::topology::FatTreeConfig;
+use diablo_stack::profile::CongestionControl;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Runs one scenario serially and on two partitions; both scrapes must
+/// hash to `pinned`. `exercised` names a counter the scenario exists to
+/// move, checked non-zero so a pinned digest cannot outlive its point.
+fn assert_pinned(name: &str, pinned: &str, exercised: &str, run: impl Fn(RunMode) -> String) {
+    for mode in [RunMode::Serial, RunMode::parallel(2)] {
+        let json = run(mode);
+        let (_, after) = json
+            .split_once(&format!("\"{exercised}\": "))
+            .unwrap_or_else(|| panic!("{name}: no `{exercised}` counter in the scrape"));
+        assert!(!after.starts_with('0'), "{name}: `{exercised}` stayed zero");
+        assert_eq!(
+            format!("{:016x}", fnv1a(json.as_bytes())),
+            pinned,
+            "{name} ({mode:?}): end-of-run scrape differs from the recorded one"
+        );
+    }
+}
+
+fn incast(cfg: &IncastConfig, mode: RunMode) -> String {
+    let mut cfg = cfg.clone();
+    cfg.mode = mode;
+    run_incast(&cfg).metrics.to_json()
+}
+
+fn memcached(cfg: &McExperimentConfig, mode: RunMode) -> String {
+    let mut cfg = cfg.clone();
+    cfg.mode = mode;
+    run_memcached(&cfg).metrics.to_json()
+}
+
+fn epoll_incast(servers: usize) -> IncastConfig {
+    let mut cfg = IncastConfig::fig6a(servers);
+    cfg.client = IncastClientKind::Epoll;
+    cfg.iterations = 3;
+    cfg
+}
+
+#[test]
+fn tree_memcached_udp() {
+    let cfg = McExperimentConfig::mini(2, 40);
+    assert_pinned("tree memcached", "7ce8766424d48085", "rack0.tor.tx_frames", |m| {
+        memcached(&cfg, m)
+    });
+}
+
+#[test]
+fn fat_tree_incast_reno_tail_drops() {
+    let cfg = epoll_incast(12).on_fat_tree(FatTreeConfig::new(4));
+    assert_pinned("fat-tree incast, Reno", "f3b71ca6fff9b1ee", "rack0.tor.drops_buffer", |m| {
+        incast(&cfg, m)
+    });
+}
+
+#[test]
+fn fat_tree_incast_dctcp_marks() {
+    let mut cfg = epoll_incast(12).on_fat_tree(FatTreeConfig::new(4));
+    cfg.cc = CongestionControl::Dctcp;
+    // Deep enough that marking engages well before tail drop.
+    cfg.switch = Some(SwitchTemplate {
+        buffer: BufferConfig::PerPort { bytes_per_port: 96 * 1024 },
+        ..SwitchTemplate::gbe_shallow()
+    });
+    assert_pinned("fat-tree incast, DCTCP", "bab3764358ba5e51", "agg0.ecn_marked", |m| {
+        incast(&cfg, m)
+    });
+}
+
+#[test]
+fn ten_gig_cut_through_incast() {
+    let mut cfg = IncastConfig::fig6b(8, 4, IncastClientKind::Epoll);
+    cfg.iterations = 3;
+    assert_pinned("10G cut-through incast", "d60e667a7adc0344", "rack0.tor.drops_buffer", |m| {
+        incast(&cfg, m)
+    });
+}
+
+#[test]
+fn shared_buffer_tor_incast() {
+    let mut cfg = epoll_incast(8);
+    cfg.switch = Some(SwitchTemplate {
+        buffer: BufferConfig::Shared { total_bytes: 32 * 1024 },
+        ..SwitchTemplate::gbe_shallow()
+    });
+    assert_pinned("shared-buffer ToR", "fa0e358cd1a9f37b", "rack0.tor.drops_buffer", |m| {
+        incast(&cfg, m)
+    });
+}
+
+#[test]
+fn link_flap_plan_through_incast() {
+    let mut cfg = epoll_incast(8);
+    cfg.racks = 4;
+    cfg.faults = Some(
+        FaultPlan::parse(include_str!("../../../scenarios/link_flap.fplan")).expect("bundled plan"),
+    );
+    assert_pinned("link flap", "c6f07b29c8cec38e", "rack0.tor.drops_fault", |m| incast(&cfg, m));
+}
+
+#[test]
+fn rolling_crash_plan_with_control_plane() {
+    let mut cfg = McExperimentConfig::mini(2, 0);
+    cfg.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(40)).unwrap());
+    cfg.slo = Some(SimDuration::from_millis(1));
+    cfg.control = Some(ControlConfig::default());
+    cfg.faults = Some(
+        FaultPlan::parse(include_str!("../../../scenarios/rolling_crash.fplan"))
+            .expect("bundled plan"),
+    );
+    assert_pinned(
+        "rolling crash",
+        "3a5220d2f0163706",
+        "rack1.server5.proc0.control.failovers",
+        |m| memcached(&cfg, m),
+    );
+}

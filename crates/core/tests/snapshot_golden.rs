@@ -3,10 +3,12 @@
 //! The save-vs-restore golden tests (`determinism.rs`) prove a snapshot
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
-//! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded when
-//! the codec was hand-written (`SNAP_VERSION` 1). A digest that moves
-//! means snapshots written by earlier builds no longer restore — bump
-//! `SNAP_VERSION` and re-record, or fix the encoding.
+//! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
+//! `SNAP_VERSION` 2 (the switch's pipeline became a FIFO beside a list of
+//! frames committed at admission, and its per-output totals stopped being
+//! stored; version 1's digests dated from the hand-written codec). A
+//! digest that moves means snapshots written by earlier builds no longer
+//! restore — bump `SNAP_VERSION` and re-record, or fix the encoding.
 
 use diablo_core::{
     warm_incast, warm_memcached, warm_partition_aggregate, ArrivalSpec, ControlConfig,
@@ -46,7 +48,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_closed", |p| {
         warm_memcached(&cfg, p, SimTime::from_micros(2_500)).expect("warm")
     });
-    assert_eq!(got, (472_229, "5df346de705cae38".to_string()));
+    assert_eq!(got, (472_029, "9ca42fd54cf49497".to_string()));
 }
 
 #[test]
@@ -59,7 +61,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm_memcached(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_521, "91b18600c9fc09c4".to_string()));
+    assert_eq!(got, (96_335, "141b76c8968b7c76".to_string()));
 }
 
 #[test]
@@ -70,7 +72,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("pa_fat_tree", |p| {
         warm_partition_aggregate(&cfg, p, SimTime::from_millis(2)).expect("warm")
     });
-    assert_eq!(got, (140_530, "747aab7636138b08".to_string()));
+    assert_eq!(got, (139_594, "6e48d5b8daa46f4d".to_string()));
 }
 
 #[test]
@@ -89,5 +91,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm_incast(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (47_899, "4481e432166df97f".to_string()));
+    assert_eq!(got, (46_829, "31349379dbc082dc".to_string()));
 }

@@ -93,6 +93,7 @@ pub trait Component<M>: Send + 'static {
 pub struct Ctx<'a, M> {
     now: SimTime,
     self_id: ComponentId,
+    source: ComponentId,
     seq: &'a mut u64,
     pending: &'a mut Vec<Event<M>>,
     stop: &'a mut bool,
@@ -102,11 +103,12 @@ impl<'a, M> Ctx<'a, M> {
     pub(crate) fn new(
         now: SimTime,
         self_id: ComponentId,
+        source: ComponentId,
         seq: &'a mut u64,
         pending: &'a mut Vec<Event<M>>,
         stop: &'a mut bool,
     ) -> Self {
-        Ctx { now, self_id, seq, pending, stop }
+        Ctx { now, self_id, source, seq, pending, stop }
     }
 
     /// Current simulated time.
@@ -117,6 +119,17 @@ impl<'a, M> Ctx<'a, M> {
     /// The id of the component whose handler is running.
     pub fn self_id(&self) -> ComponentId {
         self.self_id
+    }
+
+    /// Who scheduled the event being delivered: the component itself for
+    /// its own timers (and in `on_start`), the sender for a message,
+    /// [`ComponentId::EXTERNAL`] for a harness injection. Events for one
+    /// component at one instant are delivered in ascending source order
+    /// (see [`crate::event`]), so a model that folds one of its own timers
+    /// into a stored timestamp can still tell on which side of the current
+    /// event that timer would have fired.
+    pub fn source(&self) -> ComponentId {
+        self.source
     }
 
     fn push(&mut self, time: SimTime, target: ComponentId, kind: EventKind<M>) {
@@ -175,8 +188,15 @@ mod tests {
         let mut seq = 0u64;
         let mut pending = Vec::new();
         let mut stop = false;
-        let mut ctx: Ctx<'_, u32> =
-            Ctx::new(SimTime::from_nanos(100), ComponentId(7), &mut seq, &mut pending, &mut stop);
+        let mut ctx: Ctx<'_, u32> = Ctx::new(
+            SimTime::from_nanos(100),
+            ComponentId(7),
+            ComponentId(3),
+            &mut seq,
+            &mut pending,
+            &mut stop,
+        );
+        assert_eq!(ctx.source(), ComponentId(3));
         ctx.set_timer(SimDuration::from_nanos(10), 42);
         ctx.send_after(ComponentId(9), PortNo(1), SimDuration::from_nanos(5), 1234);
         assert_eq!(pending.len(), 2);
@@ -194,8 +214,14 @@ mod tests {
         let mut seq = 0u64;
         let mut pending: Vec<Event<u32>> = Vec::new();
         let mut stop = false;
-        let mut ctx =
-            Ctx::new(SimTime::from_nanos(100), ComponentId(0), &mut seq, &mut pending, &mut stop);
+        let mut ctx = Ctx::new(
+            SimTime::from_nanos(100),
+            ComponentId(0),
+            ComponentId(0),
+            &mut seq,
+            &mut pending,
+            &mut stop,
+        );
         ctx.send_at(ComponentId(1), PortNo(0), SimTime::from_nanos(99), 0);
     }
 }

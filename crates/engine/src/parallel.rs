@@ -694,7 +694,8 @@ fn run_worker<M: Send + 'static>(
             let part_id = ws.part_of[i];
             let id = ws.ids[i];
             let mut stop = false;
-            let mut ctx = Ctx::new(spec.start_now, id, &mut ws.seqs[i], &mut ws.pending, &mut stop);
+            let mut ctx =
+                Ctx::new(spec.start_now, id, id, &mut ws.seqs[i], &mut ws.pending, &mut stop);
             ws.comps[i].on_start(&mut ctx);
             pending_stop |= stop;
             let mut cross = 0u64;
@@ -841,8 +842,14 @@ fn run_worker<M: Send + 'static>(
                 let comp = &mut ws.comps[fidx];
                 loop {
                     local_now = ev.key.time;
-                    let mut ctx =
-                        Ctx::new(local_now, target, &mut ws.seqs[fidx], &mut ws.pending, &mut stop);
+                    let mut ctx = Ctx::new(
+                        local_now,
+                        target,
+                        ev.key.source,
+                        &mut ws.seqs[fidx],
+                        &mut ws.pending,
+                        &mut stop,
+                    );
                     match ev.kind {
                         EventKind::Timer(key) => comp.on_timer(key, &mut ctx),
                         EventKind::Message(port, msg) => comp.on_message(port, msg, &mut ctx),

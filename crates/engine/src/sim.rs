@@ -170,7 +170,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
         for i in 0..self.components.len() {
             let id = ComponentId(i as u32);
             let mut ctx =
-                Ctx::new(self.now, id, &mut self.seqs[i], &mut self.pending, &mut self.stop);
+                Ctx::new(self.now, id, id, &mut self.seqs[i], &mut self.pending, &mut self.stop);
             self.components[i].on_start(&mut ctx);
         }
         for ev in self.pending.drain(..) {
@@ -216,6 +216,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
                 let mut ctx = Ctx::new(
                     self.now,
                     target,
+                    ev.key.source,
                     &mut self.seqs[idx],
                     &mut self.pending,
                     &mut self.stop,

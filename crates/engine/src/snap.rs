@@ -27,10 +27,11 @@
 //! [`impl_snap_enum!`](crate::impl_snap_enum) (an enum: tag, then
 //! fields) and [`impl_persist_fields!`](crate::impl_persist_fields) (an
 //! object restored in place, every field classified as state, nested
-//! state, or configuration). In each, leaving out a field or a variant
-//! is a compile error. Optional trait objects go through
-//! [`save_dyn`]/[`load_dyn`], and the executor-level stream both
-//! executors share through [`save_exec_stream`]/[`load_exec_stream`].
+//! state, configuration, or a total derived from state on load). In
+//! each, leaving out a field or a variant is a compile error. Optional
+//! trait objects go through [`save_dyn`]/[`load_dyn`], and the
+//! executor-level stream both executors share through
+//! [`save_exec_stream`]/[`load_exec_stream`].
 //!
 //! # What is deliberately not serialized
 //!
@@ -679,6 +680,9 @@ macro_rules! __persist_field {
     (save $w:ident $f:ident config) => {
         let _ = $f;
     };
+    (save $w:ident $f:ident derived) => {
+        let _ = $f;
+    };
     (load $r:ident $f:ident) => {
         *$f = $crate::snap::Snap::load($r)?
     };
@@ -689,6 +693,9 @@ macro_rules! __persist_field {
         $crate::snap::load_fixed_len($f, $r)?
     };
     (load $r:ident $f:ident config) => {
+        let _ = $f;
+    };
+    (load $r:ident $f:ident derived) => {
         let _ = $f;
     };
 }
@@ -703,11 +710,17 @@ macro_rules! __persist_field {
 /// * `field: fixed_len` — a state `Vec` whose length the configuration
 ///   fixes; a snapshot with a different length is rejected;
 /// * `field: config` — rebuilt from the experiment spec by the restore
-///   path; never written, never overwritten.
+///   path; never written, never overwritten;
+/// * `field: derived` — a total or cache the `after_load` hook recomputes
+///   from the restored state; never written, so a damaged snapshot cannot
+///   make it disagree with what it summarises.
 ///
 /// The list expands through a `let Self { .. } = self` destructure
 /// without a rest pattern, so a field that is not classified does not
-/// compile.
+/// compile. A trailing `after_load = method` names a
+/// `fn(&mut self) -> Result<(), SnapError>` that runs once every field is
+/// restored: the place to recompute `derived` fields and to reject a
+/// restored value the model would index by configuration.
 ///
 /// ```
 /// use diablo_engine::impl_persist_fields;
@@ -725,7 +738,7 @@ macro_rules! __persist_field {
 /// ```
 #[macro_export]
 macro_rules! impl_persist_fields {
-    ($ty:ty { $($field:ident $(: $class:ident)?),* $(,)? }) => {
+    ($ty:ty { $($field:ident $(: $class:ident)?),* $(,)? } $(after_load = $hook:ident)?) => {
         impl $crate::snap::Persist for $ty {
             fn save_state(&self, w: &mut $crate::snap::SnapWriter) {
                 let Self { $($field),* } = self;
@@ -735,8 +748,9 @@ macro_rules! impl_persist_fields {
                 &mut self,
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> Result<(), $crate::snap::SnapError> {
-                let Self { $($field),* } = self;
+                let Self { $($field),* } = &mut *self;
                 $( $crate::__persist_field!(load r $field $($class)?); )*
+                $( self.$hook()?; )?
                 Ok(())
             }
         }
@@ -1200,6 +1214,41 @@ mod tests {
         assert!(malformed(|w| w.lanes.push(0)), "fixed_len Vec length");
         assert!(malformed(|w| w.by_id = BTreeMap::new()), "in-place map length");
         assert!(malformed(|w| w.by_id = BTreeMap::from([(6, Inner { seed: 0, hits: 0 })])), "key");
+    }
+
+    /// `total` summarises `items`; `limit` is configuration the items must
+    /// respect.
+    struct Ledger {
+        limit: u64,
+        items: Vec<u64>,
+        total: u64,
+    }
+    impl_persist_fields!(Ledger { items, total: derived, limit: config } after_load = retotal);
+
+    impl Ledger {
+        fn retotal(&mut self) -> Result<(), SnapError> {
+            if let Some(bad) = self.items.iter().find(|&&v| v >= self.limit) {
+                return Err(SnapError::Malformed(format!("item {bad} >= limit {}", self.limit)));
+            }
+            self.total = self.items.iter().sum();
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn derived_fields_are_recomputed_and_the_hook_can_reject() {
+        let mut w = SnapWriter::new();
+        Ledger { limit: 10, items: vec![3, 4], total: 999 }.save_state(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 2 * 8, "a derived field is not written");
+
+        let mut fresh = Ledger { limit: 10, items: Vec::new(), total: 0 };
+        fresh.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!((fresh.total, fresh.limit), (7, 10));
+
+        let mut strict = Ledger { limit: 4, items: Vec::new(), total: 0 };
+        let err = strict.load_state(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert_eq!(err, SnapError::Malformed("item 4 >= limit 4".into()));
     }
 
     #[test]

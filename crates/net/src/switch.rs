@@ -18,6 +18,21 @@
 //! Buffer occupancy is counted in IP bytes from admission until the frame
 //! begins transmission, and frames that do not fit are tail-dropped — the
 //! mechanism behind TCP Incast collapse (§4.1).
+//!
+//! # One event per uncontended hop
+//!
+//! The port-to-port latency is a constant, so on DIABLO's FPGAs it costs
+//! the host nothing: it is a number added to a token's target-clock
+//! arrival time (§3.2). Here too. A frame admitted at `t` whose output is
+//! provably idle at `t + latency` — nothing for that output queued, in
+//! the pipeline or awaiting departure, the wire free by then, every port
+//! lossless and no fault directive due first — is put on the wire *now*
+//! with start time `t + latency`, and the switch schedules nothing for
+//! it. Its buffer bytes stay counted until `t + latency` in a small FIFO
+//! of commitments that is retired before every admission decision, so
+//! tail drops, ECN marks and the buffer high-water mark are exactly those
+//! of a switch that ran a timer through the event queue. Every other
+//! frame takes that timer. DESIGN.md §9.1 has the argument.
 
 use crate::frame::Frame;
 use crate::link::{LinkParams, LinkState, PortPeer, TxPort, FP20_ONE};
@@ -27,7 +42,7 @@ use diablo_engine::metrics::{FlightRecord, FlightRing, Instrumented, MetricsVisi
 use diablo_engine::prelude::{Counter, DetRng};
 use diablo_engine::time::{SimDuration, SimTime};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Packet buffer organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +243,27 @@ struct QueuedFrame {
     arrival: SimTime,
 }
 
+/// A frame crossing the processing pipeline behind a `KIND_FORWARD` timer.
+#[derive(Debug, Clone)]
+struct PipelineEntry {
+    /// The sequence number its timer key carries.
+    seq: u64,
+    out: u16,
+    qf: QueuedFrame,
+}
+
+/// A frame already on `out`'s wire whose buffer bytes stay counted until
+/// the instant it would have left the pipeline.
+#[derive(Debug, Clone, Copy)]
+struct Commitment {
+    release_at: SimTime,
+    out: u16,
+    bytes: u32,
+}
+
 diablo_engine::impl_snap_struct!(QueuedFrame { frame, in_port, rx_start, arrival });
+diablo_engine::impl_snap_struct!(PipelineEntry { seq, out, qf });
+diablo_engine::impl_snap_struct!(Commitment { release_at, out, bytes });
 diablo_engine::impl_snap_struct!(SwitchStats {
     rx_frames,
     tx_frames,
@@ -248,6 +283,7 @@ diablo_engine::impl_snap_struct!(SwitchStats {
 const KIND_FORWARD: u64 = 0;
 const KIND_DEPART: u64 = 1;
 const KIND_FAULT: u64 = 2;
+const KIND_FENCE: u64 = 3;
 
 const FAULT_OP_PORT_DOWN: u64 = 0;
 const FAULT_OP_PORT_UP: u64 = 1;
@@ -263,7 +299,9 @@ pub const FAULT_MAX_PORT: u16 = (1 << 12) - 1;
 /// Directives are delivered as ordinary timer events — the whole directive
 /// is packed into the integer [`TimerKey`] — so a scripted fault schedule
 /// injects them through the engine's normal external-event path and serial
-/// and partition-parallel runs stay bit-identical.
+/// and partition-parallel runs stay bit-identical. A directive must be
+/// announced one pipeline latency ahead: build its timers with
+/// [`SwitchFault::fenced_timers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchFault {
     /// Take one output port's link down: buffered frames for that output
@@ -318,6 +356,18 @@ impl SwitchFault {
         payload << 4 | KIND_FAULT
     }
 
+    /// The two external timers that deliver this directive at `at` to a
+    /// switch whose port-to-port latency is `latency`, in injection order:
+    /// a fence one latency ahead (clamped at time zero), then the
+    /// directive. From the fence on the switch stops committing frames
+    /// whose pipeline exit would fall after `at`, so the directive meets
+    /// exactly the frames a timer-per-frame pipeline would hold. A
+    /// directive whose fence the switch never saw panics on arrival.
+    pub fn fenced_timers(self, at: SimTime, latency: SimDuration) -> [(SimTime, TimerKey); 2] {
+        let lead = latency.min(at.saturating_duration_since(SimTime::ZERO));
+        [(at - lead, lead.as_picos() << 4 | KIND_FENCE), (at, self.timer_key())]
+    }
+
     fn decode(payload: u64) -> SwitchFault {
         let port = (payload & 0xFFF) as u16;
         let bandwidth_factor_fp20 = (payload >> 16) & 0x1F_FFFF;
@@ -361,11 +411,31 @@ pub struct PacketSwitch {
     /// Round-robin arbitration pointer per output (the paper's "simple
     /// round-robin scheduler").
     rr_next: Vec<u16>,
+    /// IP bytes admitted per output and not yet released: frames in the
+    /// pipeline, in VOQs, and committed to the wire ahead of their pipeline
+    /// exit. This — not [`PacketSwitch::buffered_bytes`] — is what
+    /// admission and ECN marking see.
     queued_bytes: Vec<u64>,
     total_buffered: u64,
     depart_pending: Vec<bool>,
-    in_flight: HashMap<u64, (u16, QueuedFrame)>,
+    /// Frames behind a `KIND_FORWARD` timer. The latency is fixed, so the
+    /// pipeline is a FIFO: timers fire in the order entries were pushed.
+    in_flight: VecDeque<PipelineEntry>,
+    /// `in_flight` entries per output.
+    in_pipeline: Vec<u32>,
     forward_seq: u64,
+    /// Frames committed to the wire at admission, oldest first.
+    committed: VecDeque<Commitment>,
+    /// Instants at which an announced fault directive is due (see
+    /// [`SwitchFault::fenced_timers`]); nothing is committed past one.
+    fences: Vec<SimTime>,
+    /// No wired port drops frames at random. Committing early draws the
+    /// per-frame loss sample early, which is only unobservable while every
+    /// draw on this switch's RNG comes out the same way.
+    lossless: bool,
+    /// Always `true` outside this module's tests, which build the
+    /// timer-per-frame switch as their reference.
+    early_commit: bool,
     /// Healthy link parameters per wired port, captured at connect time so
     /// `PortUp` can undo a degradation.
     base_params: Vec<Option<LinkParams>>,
@@ -401,8 +471,13 @@ impl PacketSwitch {
             queued_bytes: vec![0; n],
             total_buffered: 0,
             depart_pending: vec![false; n],
-            in_flight: HashMap::new(),
+            in_flight: VecDeque::new(),
+            in_pipeline: vec![0; n],
             forward_seq: 0,
+            committed: VecDeque::new(),
+            fences: Vec::new(),
+            lossless: true,
+            early_commit: true,
             base_params: vec![None; n],
             link_state: vec![LinkState::Up; n],
             switch_down: false,
@@ -411,6 +486,15 @@ impl PacketSwitch {
             trace: None,
             cfg,
         }
+    }
+
+    /// The timer-per-frame switch: every admitted frame crosses the
+    /// pipeline behind its own `KIND_FORWARD` timer. Tests compare the
+    /// shipped switch against it; nothing else can build one.
+    #[cfg(test)]
+    fn without_early_commit(mut self) -> Self {
+        self.early_commit = false;
+        self
     }
 
     /// This switch's fixed ECMP hash seed.
@@ -463,6 +547,11 @@ impl PacketSwitch {
             self.ports.get_mut(port as usize).unwrap_or_else(|| panic!("port {port} out of range"));
         *slot = Some(TxPort::new(peer));
         self.base_params[port as usize] = Some(peer.params);
+        self.refresh_lossless();
+    }
+
+    fn refresh_lossless(&mut self) {
+        self.lossless = self.ports.iter().flatten().all(|tx| tx.peer.params.loss_rate() == 0.0);
     }
 
     /// Starts recording enqueue/drop trace events into a bounded ring of
@@ -503,9 +592,95 @@ impl PacketSwitch {
         &self.stats
     }
 
-    /// Total IP bytes currently buffered.
+    /// Total IP bytes currently buffered: frames in the pipeline and in
+    /// VOQs. A frame committed to the wire at admission has left the
+    /// buffer as far as this accessor (and the `buffered_bytes` gauge) can
+    /// tell, up to one pipeline latency before admission stops counting it.
     pub fn buffered_bytes(&self) -> u64 {
-        self.total_buffered
+        self.total_buffered - self.committed.iter().map(|c| u64::from(c.bytes)).sum::<u64>()
+    }
+
+    /// Stops counting committed frames whose pipeline exit a
+    /// timer-per-frame switch would already have processed when it handles
+    /// the event being delivered: every exit before `now`, and an exit at
+    /// exactly `now` iff the switch's own timer sorts ahead of the event,
+    /// i.e. its id is below the event's source (see [`Ctx::source`]).
+    fn retire_commitments(&mut self, ctx: &Ctx<'_, Frame>) {
+        let now = ctx.now();
+        let own_timers_first = ctx.self_id() < ctx.source();
+        while let Some(&Commitment { release_at, out, bytes }) = self.committed.front() {
+            if release_at > now || (release_at == now && !own_timers_first) {
+                break;
+            }
+            self.committed.pop_front();
+            self.release(out, bytes);
+        }
+    }
+
+    /// `true` when a `KIND_FORWARD` timer at `exit` for a frame admitted
+    /// now to `out` could do nothing but transmit that frame at once.
+    fn can_commit(&self, out: u16, exit: SimTime) -> bool {
+        let oi = out as usize;
+        self.early_commit
+            && self.lossless
+            && self.in_pipeline[oi] == 0
+            && self.queued_frames[oi] == 0
+            && !self.depart_pending[oi]
+            && self.ports[oi].as_ref().is_some_and(|tx| tx.next_free() <= exit)
+            && self.fences.iter().all(|&due| due >= exit)
+    }
+
+    /// Puts `qf` on `out`'s wire no earlier than `at` and delivers it to
+    /// the peer, or counts the link's soft-error drop. Returns when the
+    /// last bit leaves.
+    fn transmit(
+        &mut self,
+        out: u16,
+        qf: QueuedFrame,
+        at: SimTime,
+        ctx: &mut Ctx<'_, Frame>,
+    ) -> SimTime {
+        let oi = out as usize;
+        let wire = qf.frame.wire_bytes();
+        let ip_bytes = qf.frame.packet.ip_bytes();
+        let tx = self.ports[oi].as_mut().expect("queued frame on unwired port");
+        let timing = match self.cfg.forwarding {
+            ForwardingMode::StoreAndForward => tx.transmit(at, wire),
+            ForwardingMode::CutThrough => {
+                // The first bit may start leaving as soon as the header
+                // cleared processing (possibly before `at` on an idle
+                // wire — TxPort resolves against its busy time), but the
+                // last bit cannot leave before it finished arriving plus
+                // the processing latency, which keeps delivery causal.
+                let earliest = qf.rx_start + self.cfg.latency;
+                let min_end = qf.arrival + self.cfg.latency;
+                tx.transmit_constrained(earliest, min_end, wire)
+            }
+        };
+        let peer = tx.peer;
+        debug_assert!(
+            peer.params.loss_rate_is_valid(),
+            "port {out} loss_rate {} is not a probability",
+            peer.params.loss_rate()
+        );
+        if self.rng.chance(peer.params.loss_rate()) {
+            self.stats.drops_error.incr();
+            if let Some(tr) = &mut self.trace {
+                tr.push(FlightRecord {
+                    at: timing.end,
+                    kind: "sw_drop",
+                    detail: "error",
+                    a: out as u64,
+                    b: ip_bytes as u64,
+                });
+            }
+        } else {
+            self.stats.tx_frames.incr();
+            self.stats.tx_bytes.add(ip_bytes as u64);
+            self.stats.tx_per_port[oi] += 1;
+            ctx.send_at(peer.component, peer.port, timing.arrival, qf.frame);
+        }
+        timing.end
     }
 
     fn admit(&mut self, out: u16, bytes: u32) -> bool {
@@ -562,49 +737,11 @@ impl PacketSwitch {
         self.rr_next[oi] = ((in_q + 1) % n) as u16;
         let qf = self.voqs[oi][in_q].pop_front().expect("front frame vanished");
         self.queued_frames[oi] -= 1;
-        let wire = qf.frame.wire_bytes();
-        let ip_bytes = qf.frame.packet.ip_bytes();
-        let tx = self.ports[oi].as_mut().expect("queued frame on unwired port");
-        let timing = match self.cfg.forwarding {
-            ForwardingMode::StoreAndForward => tx.transmit(now, wire),
-            ForwardingMode::CutThrough => {
-                // The first bit may start leaving as soon as the header
-                // cleared processing (possibly before `now` on an idle
-                // wire — TxPort resolves against its busy time), but the
-                // last bit cannot leave before it finished arriving plus
-                // the processing latency, which keeps delivery causal.
-                let earliest = qf.rx_start + self.cfg.latency;
-                let min_end = qf.arrival + self.cfg.latency;
-                tx.transmit_constrained(earliest, min_end, wire)
-            }
-        };
-        let peer = tx.peer;
-        self.release(out, ip_bytes);
-        debug_assert!(
-            peer.params.loss_rate_is_valid(),
-            "port {out} loss_rate {} is not a probability",
-            peer.params.loss_rate()
-        );
-        if self.rng.chance(peer.params.loss_rate()) {
-            self.stats.drops_error.incr();
-            if let Some(tr) = &mut self.trace {
-                tr.push(FlightRecord {
-                    at: timing.end,
-                    kind: "sw_drop",
-                    detail: "error",
-                    a: out as u64,
-                    b: ip_bytes as u64,
-                });
-            }
-        } else {
-            self.stats.tx_frames.incr();
-            self.stats.tx_bytes.add(ip_bytes as u64);
-            self.stats.tx_per_port[oi] += 1;
-            ctx.send_at(peer.component, peer.port, timing.arrival, qf.frame);
-        }
+        self.release(out, qf.frame.packet.ip_bytes());
+        let end = self.transmit(out, qf, now, ctx);
         if self.queued_frames[oi] > 0 {
             self.depart_pending[oi] = true;
-            ctx.set_timer_at(timing.end, (out as u64) << 4 | KIND_DEPART);
+            ctx.set_timer_at(end, (out as u64) << 4 | KIND_DEPART);
         }
     }
 
@@ -663,29 +800,43 @@ impl PacketSwitch {
     }
 
     /// Flushes every frame crossing the processing pipeline to the fault
-    /// drop counter (in ascending sequence order, so the trace — not just
-    /// the counters — is deterministic).
+    /// drop counter, oldest first. Their timers still fire and find
+    /// nothing.
     fn flush_in_flight(&mut self, now: SimTime) {
-        let mut seqs: Vec<u64> = self.in_flight.keys().copied().collect();
-        seqs.sort_unstable();
-        for seq in seqs {
-            let (out, qf) = self.in_flight.remove(&seq).expect("sequence vanished");
+        while let Some(PipelineEntry { out, qf, .. }) = self.in_flight.pop_front() {
             let ip_bytes = qf.frame.packet.ip_bytes();
+            self.in_pipeline[out as usize] -= 1;
             self.release(out, ip_bytes);
             self.drop_for_fault(Some(out), now, ip_bytes);
         }
     }
 
-    /// Applies a fault directive. Normally reached through the `KIND_FAULT`
-    /// timer a fault schedule injected; public so tests and harnesses can
-    /// drive faults directly.
+    /// Applies the fault directive a `KIND_FAULT` timer delivered.
     ///
     /// Frames whose transmission already began keep their delivery: the
     /// last bit was committed to the wire before the fault. Everything
     /// still buffered or in the processing pipeline is flushed to
     /// [`SwitchStats::drops_fault`].
-    pub fn apply_fault(&mut self, fault: SwitchFault, ctx: &mut Ctx<'_, Frame>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directive was not announced by the fence timer of
+    /// [`SwitchFault::fenced_timers`], or if a frame committed to the wire
+    /// would still have been in the pipeline now (a directive within one
+    /// latency of time zero): either way the switch can no longer flush
+    /// what a timer-per-frame pipeline would have held.
+    fn apply_fault(&mut self, fault: SwitchFault, ctx: &mut Ctx<'_, Frame>) {
         let now = ctx.now();
+        self.retire_commitments(ctx);
+        let fenced = self.fences.iter().position(|&due| due == now);
+        let Some(fenced) = fenced.filter(|_| self.committed.is_empty()) else {
+            panic!(
+                "switch {}: {fault:?} at {now} was not announced one pipeline latency ahead; \
+                 inject switch faults with SwitchFault::fenced_timers",
+                self.cfg.name
+            );
+        };
+        self.fences.remove(fenced);
         if let Some(tr) = &mut self.trace {
             let port = match fault {
                 SwitchFault::PortDown { port }
@@ -713,6 +864,7 @@ impl PacketSwitch {
                 {
                     tx.peer.params = base;
                 }
+                self.refresh_lossless();
                 self.kick(port, ctx);
             }
             SwitchFault::PortDegraded { port, bandwidth_factor_fp20, loss_rate_fp20 }
@@ -725,6 +877,7 @@ impl PacketSwitch {
                 {
                     tx.peer.params = base.degraded_fp20(bandwidth_factor_fp20, loss_rate_fp20);
                 }
+                self.refresh_lossless();
                 // A degraded link still carries frames: resume if the port
                 // was previously down.
                 self.kick(port, ctx);
@@ -759,9 +912,12 @@ impl Component<Frame> for PacketSwitch {
             KIND_FORWARD => {
                 // A SwitchDown fault may have flushed the frame while it
                 // crossed the pipeline; its timer still fires.
-                let Some((out, qf)) = self.in_flight.remove(&payload) else {
+                if self.in_flight.front().is_none_or(|e| e.seq != payload) {
                     return;
-                };
+                }
+                let PipelineEntry { out, qf, .. } =
+                    self.in_flight.pop_front().expect("front entry just seen");
+                self.in_pipeline[out as usize] -= 1;
                 if self.switch_down || !self.link_state[out as usize].has_carrier() {
                     let ip_bytes = qf.frame.packet.ip_bytes();
                     self.release(out, ip_bytes);
@@ -778,11 +934,13 @@ impl Component<Frame> for PacketSwitch {
                 self.kick(out, ctx);
             }
             KIND_FAULT => self.apply_fault(SwitchFault::decode(payload), ctx),
+            KIND_FENCE => self.fences.push(ctx.now() + SimDuration::from_picos(payload)),
             other => panic!("unknown switch timer kind {other}"),
         }
     }
 
     fn on_message(&mut self, in_port: PortNo, mut frame: Frame, ctx: &mut Ctx<'_, Frame>) {
+        self.retire_commitments(ctx);
         let ip_bytes = frame.packet.ip_bytes();
         self.stats.rx_frames.incr();
         self.stats.rx_bytes.add(ip_bytes as u64);
@@ -807,7 +965,12 @@ impl Component<Frame> for PacketSwitch {
             self.drop_for_route(ctx.now(), ip_bytes);
             return;
         };
-        if out >= self.cfg.ports || self.ports[out as usize].is_none() {
+        // An ingress port this switch does not have selects no virtual
+        // output queue: such a frame has no route through the switch.
+        if out >= self.cfg.ports
+            || self.ports[out as usize].is_none()
+            || in_port.0 >= self.cfg.ports
+        {
             self.drop_for_route(ctx.now(), ip_bytes);
             return;
         }
@@ -849,9 +1012,19 @@ impl Component<Frame> for PacketSwitch {
         let rx_start = now - rx_ser.min(elapsed);
         let qf = QueuedFrame { frame, in_port: in_port.0, rx_start, arrival: now };
 
+        let exit = now + self.cfg.latency;
+        if self.can_commit(out, exit) {
+            // What `kick` would do at `exit` with this frame alone in the
+            // output's VOQs.
+            self.rr_next[out as usize] = (in_port.0 + 1) % self.cfg.ports;
+            self.committed.push_back(Commitment { release_at: exit, out, bytes: ip_bytes });
+            self.transmit(out, qf, exit, ctx);
+            return;
+        }
         let seq = self.forward_seq;
         self.forward_seq += 1;
-        self.in_flight.insert(seq, (out, qf));
+        self.in_pipeline[out as usize] += 1;
+        self.in_flight.push_back(PipelineEntry { seq, out, qf });
         ctx.set_timer(self.cfg.latency, seq << 4 | KIND_FORWARD);
     }
 
@@ -882,26 +1055,96 @@ impl Component<Frame> for PacketSwitch {
 // `Snap` impl). Rebuilt from config and deliberately NOT serialized:
 // `cfg`, `base_params`, `ecmp_seed` (a pure function of the identity RNG
 // seed). `trace` holds `&'static str` records and is excluded — checkpoint
-// scenarios must not enable flight recording.
+// scenarios must not enable flight recording. The per-output totals are
+// recomputed from the frames and commitments they summarise, so no damage
+// to a snapshot can make a later release underflow.
 diablo_engine::impl_persist_fields!(PacketSwitch {
-    ports,
+    ports: fixed_len,
     voqs,
-    queued_frames,
-    rr_next,
-    queued_bytes,
-    total_buffered,
-    depart_pending,
+    rr_next: fixed_len,
+    depart_pending: fixed_len,
     in_flight,
     forward_seq,
-    link_state,
+    committed,
+    fences,
+    link_state: fixed_len,
     switch_down,
     rng,
     stats,
+    queued_frames: derived,
+    queued_bytes: derived,
+    total_buffered: derived,
+    in_pipeline: derived,
+    lossless: derived,
     cfg: config,
     base_params: config,
     ecmp_seed: config,
     trace: config,
-});
+    early_commit: config,
+} after_load = rebuild_derived);
+
+impl PacketSwitch {
+    /// Checks every restored value the model indexes by configuration,
+    /// then recomputes the `derived` fields.
+    fn rebuild_derived(&mut self) -> Result<(), diablo_engine::snap::SnapError> {
+        let n = self.cfg.ports as usize;
+        let wired = |out: usize| self.ports.get(out).is_some_and(Option::is_some);
+        let mut frames =
+            self.voqs.iter().flatten().flatten().chain(self.in_flight.iter().map(|e| &e.qf));
+        let mut bound_outs =
+            self.in_flight.iter().map(|e| e.out).chain(self.committed.iter().map(|c| c.out));
+        let checks = [
+            (
+                "VOQ table",
+                self.voqs.len() == n
+                    && self.voqs.iter().enumerate().all(|(out, per_in)| {
+                        per_in.len() == n && (wired(out) || per_in.iter().all(VecDeque::is_empty))
+                    }),
+            ),
+            (
+                "per-port statistics",
+                [&self.stats.port_drops, &self.stats.rx_per_port, &self.stats.tx_per_port]
+                    .iter()
+                    .all(|v| v.len() == n),
+            ),
+            (
+                "port wiring",
+                self.ports
+                    .iter()
+                    .map(Option::is_some)
+                    .eq(self.base_params.iter().map(Option::is_some)),
+            ),
+            ("frame's ingress port", frames.all(|qf| (qf.in_port as usize) < n)),
+            ("frame's output port", bound_outs.all(|out| wired(out as usize))),
+        ];
+        if let Some((what, _)) = checks.iter().find(|(_, ok)| !ok) {
+            return Err(diablo_engine::snap::SnapError::Malformed(format!(
+                "switch {}: restored {what} does not fit its {n} ports",
+                self.cfg.name
+            )));
+        }
+
+        self.queued_frames = vec![0; n];
+        self.queued_bytes = vec![0; n];
+        self.in_pipeline = vec![0; n];
+        for (o, per_in) in self.voqs.iter().enumerate() {
+            for qf in per_in.iter().flatten() {
+                self.queued_frames[o] += 1;
+                self.queued_bytes[o] += u64::from(qf.frame.packet.ip_bytes());
+            }
+        }
+        for e in &self.in_flight {
+            self.in_pipeline[e.out as usize] += 1;
+            self.queued_bytes[e.out as usize] += u64::from(e.qf.frame.packet.ip_bytes());
+        }
+        for c in &self.committed {
+            self.queued_bytes[c.out as usize] += u64::from(c.bytes);
+        }
+        self.total_buffered = self.queued_bytes.iter().sum();
+        self.refresh_lossless();
+        Ok(())
+    }
+}
 
 impl Instrumented for PacketSwitch {
     fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
@@ -916,7 +1159,7 @@ impl Instrumented for PacketSwitch {
         v.counter("ecn_marked", self.stats.ecn_marked.get());
         v.counter("max_buffered_bytes", self.stats.max_buffered_bytes);
         v.counter("frames_in_transit", self.frames_in_transit());
-        v.gauge("buffered_bytes", self.total_buffered as f64);
+        v.gauge("buffered_bytes", self.buffered_bytes() as f64);
         for p in 0..self.cfg.ports as usize {
             if self.ports[p].is_none() {
                 continue;
@@ -944,8 +1187,8 @@ mod tests {
 
     /// Records every frame it receives with its arrival time.
     #[derive(Default)]
-    struct Sink {
-        got: Vec<(SimTime, Frame)>,
+    pub(super) struct Sink {
+        pub(super) got: Vec<(SimTime, Frame)>,
     }
 
     impl Component<Frame> for Sink {
@@ -976,6 +1219,14 @@ mod tests {
             msg: AppMessage::new(0, 0, payload, SimTime::ZERO),
         };
         Frame::new(IpPacket::udp(NodeAddr(0), NodeAddr(1), d), Route::new(vec![out_port]))
+    }
+
+    /// Injects `fault` at `at`, announced the way every injector must.
+    fn inject_fault(sim: &mut Simulation<Frame>, at: SimTime, sw: ComponentId, fault: SwitchFault) {
+        let latency = sim.component::<PacketSwitch>(sw).unwrap().config().latency;
+        for (when, key) in fault.fenced_timers(at, latency) {
+            sim.schedule_external_timer(when, sw, key);
+        }
     }
 
     /// Builds sim with one switch (port 1 -> sink) and returns ids.
@@ -1016,12 +1267,8 @@ mod tests {
         };
         let setup = |cfg: SwitchConfig| {
             let (mut sim, sw, sink) = build(cfg);
-            sim.inject_timer(SimTime::from_micros(5), sw, degrade.timer_key());
-            sim.inject_timer(
-                SimTime::from_micros(40),
-                sw,
-                SwitchFault::PortUp { port: 1 }.timer_key(),
-            );
+            inject_fault(&mut sim, SimTime::from_micros(5), sw, degrade);
+            inject_fault(&mut sim, SimTime::from_micros(40), sw, SwitchFault::PortUp { port: 1 });
             for i in 0..12u64 {
                 sim.inject_message(
                     SimTime::from_micros(2 + 4 * i),
@@ -1168,20 +1415,12 @@ mod tests {
         }
         // Link drops at 3 us: the in-progress frame completes (its bits are
         // committed), the two buffered frames flush to drops_fault.
-        sim.schedule_external_timer(
-            SimTime::from_micros(3),
-            sw,
-            SwitchFault::PortDown { port: 1 }.timer_key(),
-        );
+        inject_fault(&mut sim, SimTime::from_micros(3), sw, SwitchFault::PortDown { port: 1 });
         // Frames routed to the dead port while it is down drop on arrival.
         for _ in 0..2 {
             sim.inject_message(SimTime::from_micros(5), sw, PortNo(0), udp_frame(1000, 1));
         }
-        sim.schedule_external_timer(
-            SimTime::from_micros(20),
-            sw,
-            SwitchFault::PortUp { port: 1 }.timer_key(),
-        );
+        inject_fault(&mut sim, SimTime::from_micros(20), sw, SwitchFault::PortUp { port: 1 });
         sim.inject_message(SimTime::from_micros(21), sw, PortNo(0), udp_frame(1000, 1));
         sim.run().unwrap();
 
@@ -1214,15 +1453,16 @@ mod tests {
         for _ in 0..3 {
             sim.inject_message(SimTime::from_micros(1), sw, PortNo(0), udp_frame(1000, 1));
         }
-        sim.schedule_external_timer(
+        inject_fault(
+            &mut sim,
             SimTime::from_micros(1) + SimDuration::from_nanos(500),
             sw,
-            SwitchFault::SwitchDown.timer_key(),
+            SwitchFault::SwitchDown,
         );
         // Arrivals while powered off are received (the sender committed
         // them) but dropped.
         sim.inject_message(SimTime::from_micros(3), sw, PortNo(0), udp_frame(1000, 1));
-        sim.schedule_external_timer(SimTime::from_micros(5), sw, SwitchFault::SwitchUp.timer_key());
+        inject_fault(&mut sim, SimTime::from_micros(5), sw, SwitchFault::SwitchUp);
         sim.inject_message(SimTime::from_micros(6), sw, PortNo(0), udp_frame(1000, 1));
         sim.run().unwrap();
 
@@ -1250,23 +1490,19 @@ mod tests {
         use crate::link::fp20_encode;
         let cfg = SwitchConfig::shallow_gbe("t", 4);
         let (mut sim, sw, sink) = build(cfg);
-        sim.schedule_external_timer(
+        inject_fault(
+            &mut sim,
             SimTime::ZERO,
             sw,
             SwitchFault::PortDegraded {
                 port: 1,
                 bandwidth_factor_fp20: fp20_encode(0.5),
                 loss_rate_fp20: 0,
-            }
-            .timer_key(),
+            },
         );
         // 1066 B wire at the degraded 500 Mbps: 17.056 us serialization.
         sim.inject_message(SimTime::from_micros(10), sw, PortNo(0), udp_frame(1000, 1));
-        sim.schedule_external_timer(
-            SimTime::from_micros(40),
-            sw,
-            SwitchFault::PortUp { port: 1 }.timer_key(),
-        );
+        inject_fault(&mut sim, SimTime::from_micros(40), sw, SwitchFault::PortUp { port: 1 });
         // Back at 1 Gbps: 8.528 us.
         sim.inject_message(SimTime::from_micros(50), sw, PortNo(0), udp_frame(1000, 1));
         sim.run().unwrap();
@@ -1318,6 +1554,80 @@ mod tests {
         sim.run().unwrap();
         let stats = sim.component::<PacketSwitch>(sw).unwrap().stats();
         assert_eq!(stats.drops_route.get(), 3);
+    }
+
+    #[test]
+    fn frame_on_an_ingress_port_the_switch_lacks_is_a_route_drop() {
+        let cfg = SwitchConfig::shallow_gbe("t", 4);
+        let (mut sim, sw, sink) = build(cfg);
+        sim.inject_message(SimTime::from_micros(1), sw, PortNo(4), udp_frame(100, 1));
+        sim.inject_message(SimTime::from_micros(1), sw, PortNo(u16::MAX), udp_frame(100, 1));
+        sim.run().unwrap();
+        let sw_ref = sim.component::<PacketSwitch>(sw).unwrap();
+        let stats = sw_ref.stats();
+        assert_eq!(stats.rx_frames.get(), 2, "received, as the rx_per_port doc promises");
+        assert_eq!(stats.rx_per_port.iter().sum::<u64>(), 0);
+        assert_eq!(stats.drops_route.get(), 2);
+        assert_eq!(sw_ref.buffered_bytes(), 0);
+        assert!(sim.component::<Sink>(sink).unwrap().got.is_empty());
+    }
+
+    /// A snapshot is outside input: a frame or commitment naming a port
+    /// the rebuilt switch does not have is refused at load, not indexed
+    /// with at the next event.
+    #[test]
+    fn restored_indices_beyond_the_port_count_are_malformed() {
+        use diablo_engine::snap::{Persist, SnapError, SnapReader, SnapWriter};
+
+        let wired = || {
+            let (mut sim, sw, _) = build(SwitchConfig::shallow_gbe("t", 4));
+            std::mem::replace(
+                sim.component_mut::<PacketSwitch>(sw).unwrap(),
+                PacketSwitch::new(SwitchConfig::shallow_gbe("spare", 1), DetRng::new(0)),
+            )
+        };
+        fn queued(in_port: u16) -> QueuedFrame {
+            QueuedFrame {
+                frame: udp_frame(100, 1),
+                in_port,
+                rx_start: SimTime::ZERO,
+                arrival: SimTime::ZERO,
+            }
+        }
+        fn committed(out: u16) -> Commitment {
+            Commitment { release_at: SimTime::from_micros(1), out, bytes: 128 }
+        }
+        let restore = |damage: fn(&mut PacketSwitch)| {
+            let mut saved = wired();
+            damage(&mut saved);
+            let mut w = SnapWriter::new();
+            saved.save_state(&mut w);
+            wired().load_state(&mut SnapReader::new(&w.into_bytes()))
+        };
+        assert_eq!(restore(|_| ()), Ok(()), "the undamaged switch restores");
+        let cases: [fn(&mut PacketSwitch); 5] = [
+            |sw| sw.voqs[1][0].push_back(queued(4)),
+            |sw| sw.in_flight.push_back(PipelineEntry { seq: 0, out: 1, qf: queued(9) }),
+            |sw| sw.in_flight.push_back(PipelineEntry { seq: 0, out: 4, qf: queued(0) }),
+            |sw| sw.committed.push_back(committed(4)),
+            // Port 3 exists but is unwired: nothing can be bound for it.
+            |sw| sw.committed.push_back(committed(3)),
+        ];
+        for (i, damage) in cases.into_iter().enumerate() {
+            assert!(matches!(restore(damage), Err(SnapError::Malformed(_))), "case {i} restored");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SwitchFault::fenced_timers")]
+    fn unfenced_fault_timer_panics_naming_the_helper() {
+        let (mut sim, sw, _) = build(SwitchConfig::shallow_gbe("t", 4));
+        sim.schedule_external_timer(
+            SimTime::from_micros(3),
+            sw,
+            SwitchFault::PortDown { port: 1 }.timer_key(),
+        );
+        sim.run().unwrap();
     }
 
     #[test]
@@ -1554,5 +1864,338 @@ mod voq_tests {
         // the congested backlog: no HOL blocking.
         let pos_idle = srcs.iter().position(|&s| s == 101).unwrap();
         assert!(pos_idle <= 3, "frame to idle output was HOL-blocked: {srcs:?}");
+    }
+}
+
+/// Committing an uncontended hop at admission must be unobservable: every
+/// test here runs one scenario on a switch that commits early and on the
+/// timer-per-frame switch (`without_early_commit`) and compares what the
+/// sinks saw and everything the switch carries to the next event.
+#[cfg(test)]
+mod early_commit_tests {
+    use super::tests::Sink;
+    use super::*;
+    use crate::addr::NodeAddr;
+    use crate::frame::Route;
+    use crate::link::{fp20_encode, LinkParams};
+    use crate::payload::{AppMessage, IpPacket, UdpDatagram};
+    use diablo_engine::event::ComponentId;
+    use diablo_engine::prelude::*;
+    use proptest::prelude::*;
+
+    /// Arrival and directive times sit on this grid, and latencies are
+    /// whole multiples of it, so arrivals tie with each other, with a
+    /// pipeline exit (`t + latency`) and with fault directives.
+    const GRID: SimDuration = SimDuration::from_nanos(250);
+    const T0: SimTime = SimTime::from_micros(2);
+
+    /// Sends a scripted list of frames to the switch. One instance is
+    /// registered before the switch and one after, so the switch sees
+    /// sources on both sides of its own id (the commitment tie rule).
+    struct Source {
+        switch: ComponentId,
+        script: Vec<(SimTime, PortNo, Frame)>,
+    }
+
+    impl Component<Frame> for Source {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Frame>) {
+            for (at, port, frame) in self.script.drain(..) {
+                ctx.send_at(self.switch, port, at, frame);
+            }
+        }
+        fn on_timer(&mut self, _k: TimerKey, _c: &mut Ctx<'_, Frame>) {}
+        fn on_message(&mut self, _p: PortNo, _f: Frame, _c: &mut Ctx<'_, Frame>) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// One frame offered to the switch.
+    #[derive(Debug, Clone, Copy)]
+    struct Arrival {
+        tick: u64,
+        in_port: u16,
+        out: u16,
+        payload: u32,
+        from_high_id: bool,
+    }
+
+    #[derive(Debug, Clone)]
+    struct Scenario {
+        cfg: SwitchConfig,
+        link: LinkParams,
+        /// Port 1's loss rate, when the scenario has a lossy port.
+        lossy: Option<f64>,
+        arrivals: Vec<Arrival>,
+        faults: Vec<(u64, SwitchFault)>,
+    }
+
+    /// Everything that can tell the two switches apart.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        delivered: Vec<Vec<(SimTime, Frame)>>,
+        stats: String,
+        buffered_bytes: u64,
+        frames_in_transit: u64,
+        rr_next: Vec<u16>,
+        rng: [u64; 4],
+        link_state: Vec<LinkState>,
+        down: bool,
+    }
+
+    fn run(sc: &Scenario, early_commit: bool) -> (Outcome, u64) {
+        let ports = sc.cfg.ports;
+        let (low, switch, high) = (ComponentId(0), ComponentId(1), ComponentId(2));
+        let mut scripts = [Vec::new(), Vec::new()];
+        for (id, a) in sc.arrivals.iter().enumerate() {
+            let d = UdpDatagram {
+                src_port: 1,
+                dst_port: 2,
+                msg: AppMessage::new(0, id as u64, a.payload, SimTime::ZERO),
+            };
+            let frame =
+                Frame::new(IpPacket::udp(NodeAddr(0), NodeAddr(1), d), Route::new(vec![a.out]));
+            scripts[usize::from(a.from_high_id)].push((
+                T0 + GRID * a.tick,
+                PortNo(a.in_port),
+                frame,
+            ));
+        }
+        let [low_script, high_script] = scripts;
+
+        let mut sw = PacketSwitch::new(sc.cfg.clone(), DetRng::new(9));
+        if !early_commit {
+            sw = sw.without_early_commit();
+        }
+        for p in 0..ports {
+            let params = match sc.lossy {
+                Some(rate) if p == 1 => sc.link.with_loss_rate(rate),
+                _ => sc.link,
+            };
+            // One sink per port: a switch has one link to each neighbour.
+            sw.connect_port(
+                p,
+                PortPeer { component: ComponentId(3 + u32::from(p)), port: PortNo(0), params },
+            );
+        }
+
+        let mut sim = Simulation::<Frame>::new();
+        assert_eq!(sim.add_component(Box::new(Source { switch, script: low_script })), low);
+        assert_eq!(sim.add_component(Box::new(sw)), switch);
+        assert_eq!(sim.add_component(Box::new(Source { switch, script: high_script })), high);
+        let sinks: Vec<ComponentId> =
+            (0..ports).map(|_| sim.add_component(Box::new(Sink::default()))).collect();
+        for &(half_tick, fault) in &sc.faults {
+            let at = T0 + GRID * half_tick / 2;
+            for (when, key) in fault.fenced_timers(at, sc.cfg.latency) {
+                sim.schedule_external_timer(when, switch, key);
+            }
+        }
+        let events = sim.run().unwrap().events;
+
+        let sw = sim.component::<PacketSwitch>(switch).unwrap();
+        let outcome = Outcome {
+            delivered: sinks
+                .iter()
+                .map(|&s| sim.component::<Sink>(s).unwrap().got.clone())
+                .collect(),
+            stats: format!("{:?}", sw.stats()),
+            buffered_bytes: sw.buffered_bytes(),
+            frames_in_transit: sw.frames_in_transit(),
+            rr_next: sw.rr_next.clone(),
+            rng: sw.rng.state(),
+            link_state: sw.link_state.clone(),
+            down: sw.is_down(),
+        };
+        (outcome, events)
+    }
+
+    /// Raw draws for one scenario; `scenario` folds them into range.
+    type Draws = (
+        (u16, bool, bool, u32, u32),
+        (u64, bool, u64),
+        Vec<(u64, u16, u16, u32, bool)>,
+        Vec<(u64, u64, u16, u64)>,
+    );
+
+    fn draws(max_faults: usize) -> impl Strategy<Value = Draws> {
+        (
+            // ports, cut-through, shared buffer, buffer bytes, ECN threshold (0 = off)
+            (2u16..7, any::<bool>(), any::<bool>(), 1_200u32..6_000, 0u32..3_000),
+            // latency in grid steps, 10G links, propagation ns
+            (1u64..5, any::<bool>(), 0u64..300),
+            proptest::collection::vec(
+                (0u64..48, 0u16..6, 0u16..6, 18u32..1_200, any::<bool>()),
+                1..60,
+            ),
+            proptest::collection::vec((0u64..120, 0u64..5, 0u16..6, 0u64..3), 0..max_faults),
+        )
+    }
+
+    fn scenario(d: Draws, lossy: Option<f64>) -> Scenario {
+        let ((ports, cut_through, shared, bytes, ecn), (lat_steps, ten_gig, prop_ns), arr, flt) = d;
+        let mut cfg = SwitchConfig::shallow_gbe("prop", ports);
+        cfg.latency = GRID * lat_steps;
+        cfg.forwarding =
+            if cut_through { ForwardingMode::CutThrough } else { ForwardingMode::StoreAndForward };
+        // Small enough to tail-drop under the bursts the grid produces.
+        cfg.buffer = if shared {
+            BufferConfig::Shared { total_bytes: bytes * 2 }
+        } else {
+            BufferConfig::PerPort { bytes_per_port: bytes }
+        };
+        cfg.ecn_threshold = (ecn >= 600).then_some(ecn);
+        let link = if ten_gig { LinkParams::ten_gbe(prop_ns) } else { LinkParams::gbe(prop_ns) };
+        let arrivals = arr
+            .into_iter()
+            .map(|(tick, in_port, out, payload, from_high_id)| Arrival {
+                tick,
+                in_port: in_port % ports,
+                out: out % ports,
+                payload,
+                from_high_id,
+            })
+            .collect();
+        let faults = flt
+            .into_iter()
+            .map(|(half_tick, kind, port, severity)| {
+                let port = port % ports;
+                let fault = match kind {
+                    0 => SwitchFault::PortDown { port },
+                    1 => SwitchFault::PortUp { port },
+                    2 => SwitchFault::PortDegraded {
+                        port,
+                        bandwidth_factor_fp20: fp20_encode([1.0, 0.5, 0.25][severity as usize]),
+                        loss_rate_fp20: fp20_encode([0.0, 0.3, 1.0][severity as usize]),
+                    },
+                    3 => SwitchFault::SwitchDown,
+                    _ => SwitchFault::SwitchUp,
+                };
+                (half_tick, fault)
+            })
+            .collect();
+        Scenario { cfg, link, lossy, arrivals, faults }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Lossless ports, no faults: the fast path's home ground.
+        #[test]
+        fn early_commit_is_unobservable(d in draws(1)) {
+            let mut sc = scenario(d, None);
+            sc.faults.clear();
+            let (early, early_events) = run(&sc, true);
+            let (timer, timer_events) = run(&sc, false);
+            prop_assert_eq!(early, timer);
+            prop_assert!(early_events <= timer_events);
+        }
+
+        /// Fault directives landing at the start of, inside and exactly at
+        /// the end of pipeline windows (directives sit on the half grid),
+        /// including loss turned on and off mid-run.
+        #[test]
+        fn early_commit_is_unobservable_under_faults(d in draws(8)) {
+            let sc = scenario(d, None);
+            let (early, early_events) = run(&sc, true);
+            let (timer, timer_events) = run(&sc, false);
+            prop_assert_eq!(early, timer);
+            prop_assert!(early_events <= timer_events);
+        }
+
+        /// One lossy port pins the whole switch to the timer path — the
+        /// RNG is per switch — until a `PortUp` heals it.
+        #[test]
+        fn a_lossy_port_keeps_every_frame_on_the_timer_path(d in draws(8)) {
+            let sc = scenario(d, Some(0.25));
+            let (early, early_events) = run(&sc, true);
+            let (timer, timer_events) = run(&sc, false);
+            prop_assert_eq!(early, timer);
+            // Either directive replaces port 1's loss rate.
+            let healed = sc.faults.iter().any(|(_, f)| {
+                matches!(f, SwitchFault::PortUp { port: 1 } | SwitchFault::PortDegraded { port: 1, .. })
+            });
+            if !healed {
+                prop_assert_eq!(early_events, timer_events, "committed early on a lossy switch");
+            }
+        }
+    }
+
+    /// The properties above are vacuous if nothing ever commits early or
+    /// if nothing is ever contended: one fixed scenario shows both paths
+    /// are taken and that the drops, marks and ties it exists to cover do
+    /// occur.
+    #[test]
+    fn the_fixed_scenario_takes_both_paths() {
+        let mut cfg = SwitchConfig::shallow_gbe("fixed", 4);
+        cfg.latency = GRID * 2;
+        cfg.ecn_threshold = Some(1_500);
+        let arrival = |tick, in_port, out, payload, from_high_id| Arrival {
+            tick,
+            in_port,
+            out,
+            payload,
+            from_high_id,
+        };
+        let sc = Scenario {
+            cfg,
+            link: LinkParams::ten_gbe(100),
+            lossy: None,
+            // A burst into port 3 (one early commit, then queueing, marks
+            // and tail drops), and lone frames to ports 1 and 2, the
+            // second of each pair arriving exactly when the first leaves
+            // the pipeline, from both sides of the switch's id.
+            arrivals: (0..8)
+                .map(|i| arrival(0, i % 3, 3, 1_000, i % 2 == 0))
+                .chain([
+                    arrival(4, 0, 1, 100, false),
+                    arrival(6, 2, 1, 100, true),
+                    arrival(6, 3, 2, 100, false),
+                    arrival(8, 0, 2, 100, true),
+                ])
+                .collect(),
+            faults: Vec::new(),
+        };
+        let (early, early_events) = run(&sc, true);
+        let (timer, timer_events) = run(&sc, false);
+        assert_eq!(early, timer);
+        assert!(early.stats.contains("drops_buffer: Counter(5)"), "{}", early.stats);
+        assert!(early.stats.contains("ecn_marked: Counter(2)"), "{}", early.stats);
+        // The burst's first frame and the four lone frames: one event each
+        // instead of two.
+        assert_eq!(timer_events - early_events, 5);
+    }
+
+    /// A burst of same-instant frames into one output: only the first
+    /// finds the wire free at its pipeline exit. The eleven behind it keep
+    /// their forwarding and departure timers — the contended path is not
+    /// supposed to change.
+    #[test]
+    fn a_same_instant_burst_saves_exactly_one_event() {
+        let mut cfg = SwitchConfig::shallow_gbe("burst", 4);
+        cfg.buffer = BufferConfig::PerPort { bytes_per_port: 1 << 20 };
+        let sc = Scenario {
+            cfg,
+            link: LinkParams::gbe(0),
+            lossy: None,
+            arrivals: (0..12)
+                .map(|i| Arrival {
+                    tick: 0,
+                    in_port: i % 3,
+                    out: 3,
+                    payload: 1_000,
+                    from_high_id: false,
+                })
+                .collect(),
+            faults: Vec::new(),
+        };
+        let (early, early_events) = run(&sc, true);
+        let (timer, timer_events) = run(&sc, false);
+        assert_eq!(early, timer);
+        assert_eq!(early.delivered[3].len(), 12);
+        assert_eq!(timer_events - early_events, 1);
     }
 }

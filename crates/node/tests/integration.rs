@@ -244,3 +244,26 @@ fn bulk_transfer_saturates_pipeline() {
     assert!(client.done);
     assert_eq!(client.rtts.len(), 100);
 }
+
+/// The event budget of one request: a 512-byte UDP ping and its echo
+/// between two servers under one idle ToR cost 14 engine events, of which
+/// each direction's switch hop is exactly one (the frame's arrival; the
+/// port-to-port latency is a timestamp, not a timer). It was 16 while
+/// each hop also ran a forwarding timer. The benchmark reports
+/// the same number as `node.pingpong_events`; this keeps it from eroding
+/// between benchmark runs.
+#[test]
+fn udp_round_trip_costs_fourteen_events() {
+    let events_for = |round_trips: u64| {
+        let mut rack = build_rack(2, default_cfg);
+        spawn(&mut rack, 0, UdpPingClient::new(SockAddr::new(NodeAddr(1), 9), round_trips, 512));
+        spawn(&mut rack, 1, UdpEchoServer::new(9));
+        rack.sim.run().unwrap();
+        let k = rack.sim.component::<ServerNode>(rack.nodes[0]).unwrap().kernel();
+        let c = k.process::<UdpPingClient>(diablo_stack::process::Tid(0)).unwrap();
+        assert_eq!(c.rtts.len() as u64, round_trips);
+        rack.sim.events_processed()
+    };
+    // Differencing two run lengths cancels socket set-up and teardown.
+    assert_eq!(events_for(1_100) - events_for(100), 14 * 1_000);
+}

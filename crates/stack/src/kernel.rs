@@ -338,6 +338,9 @@ pub struct Kernel {
     futexes: HashMap<u64, (u64, Vec<Tid>)>,
     /// Round-robin cursor for wake-one notification fairness.
     notify_rr: u64,
+    /// Scratch for the actions one NIC call returns; empty between calls,
+    /// kept for its capacity.
+    nic_actions: Vec<NicAction>,
     trace: Option<TraceRing>,
     /// Time of the entry point currently executing (for trace stamps on
     /// paths without an env handle).
@@ -486,6 +489,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     cfg: config,
     router: config,
     trace: config,
+    nic_actions: config,
 });
 
 impl Kernel {
@@ -517,6 +521,7 @@ impl Kernel {
             loopback: VecDeque::new(),
             futexes: HashMap::new(),
             notify_rr: 0,
+            nic_actions: Vec::new(),
             trace: None,
             now_cache: SimTime::ZERO,
             epoch: 0,
@@ -643,9 +648,7 @@ impl Kernel {
         match class {
             K_CPU_DONE => self.on_cpu_done(env),
             K_NIC_TX => {
-                let mut actions = Vec::new();
-                self.nic.on_tx_done(env.now(), &mut actions);
-                self.apply_nic_actions(actions, env);
+                self.with_nic(env, |nic, now, actions| nic.on_tx_done(now, actions));
             }
             K_NIC_RX_INTR => {
                 if self.nic.on_rx_interrupt() {
@@ -698,9 +701,7 @@ impl Kernel {
     /// Handles a frame arriving from the wire.
     pub fn on_frame(&mut self, frame: Frame, env: &mut dyn KernelEnv) {
         self.now_cache = env.now();
-        let mut actions = Vec::new();
-        self.nic.rx_frame(frame, env.now(), &mut actions);
-        self.apply_nic_actions(actions, env);
+        self.with_nic(env, |nic, now, actions| nic.rx_frame(frame, now, actions));
         self.maybe_dispatch(env);
     }
 
@@ -812,8 +813,16 @@ impl Kernel {
         }
     }
 
-    fn apply_nic_actions(&mut self, actions: Vec<NicAction>, env: &mut dyn KernelEnv) {
-        for a in actions {
+    /// Calls into the NIC with the kernel's reusable action buffer (empty
+    /// between calls) and then carries out what the NIC asked for.
+    fn with_nic<R>(
+        &mut self,
+        env: &mut dyn KernelEnv,
+        f: impl FnOnce(&mut Nic, SimTime, &mut Vec<NicAction>) -> R,
+    ) -> R {
+        let mut actions = std::mem::take(&mut self.nic_actions);
+        let r = f(&mut self.nic, env.now(), &mut actions);
+        for a in actions.drain(..) {
             match a {
                 NicAction::SetTimer(at, sub) => {
                     let class = match sub {
@@ -826,6 +835,8 @@ impl Kernel {
                 NicAction::SendFrame(at, frame) => env.send_frame(at, frame),
             }
         }
+        self.nic_actions = actions;
+        r
     }
 
     // ---------------------------------------------------------- CPU core
@@ -978,9 +989,7 @@ impl Kernel {
                 if self.nic.rx_queue_len() > 0 || self.loopback_ready(env.now()) {
                     self.softirq_pending = true;
                 } else {
-                    let mut actions = Vec::new();
-                    self.nic.unmask_interrupts(env.now(), &mut actions);
-                    self.apply_nic_actions(actions, env);
+                    self.with_nic(env, |nic, now, actions| nic.unmask_interrupts(now, actions));
                 }
             }
             CpuWork::ProcBurst { tid, dur } => {
@@ -1122,38 +1131,29 @@ impl Kernel {
         let wake_one = matches!(self.sockets[sid as usize].kind, SocketKind::Udp { .. })
             && what.readable
             && !what.writable;
-        let (readers, writers, watchers) = {
-            let s = &mut self.sockets[sid as usize];
-            let readers = if what.readable {
-                if wake_one && !s.wait_readers.is_empty() {
-                    vec![s.wait_readers.remove(0)]
-                } else {
-                    std::mem::take(&mut s.wait_readers)
-                }
-            } else {
-                Vec::new()
-            };
-            (
-                readers,
-                if what.writable { std::mem::take(&mut s.wait_writers) } else { Vec::new() },
-                s.watchers.clone(),
-            )
-        };
-        let direct_woken = !readers.is_empty();
-        for t in readers {
+        let s = &mut self.sockets[sid as usize];
+        if wake_one && !s.wait_readers.is_empty() {
+            let t = s.wait_readers.remove(0);
             self.wake(t);
-        }
-        for t in writers {
-            self.wake(t);
-        }
-        if wake_one && direct_woken {
             return;
         }
+        if what.readable {
+            for t in std::mem::take(&mut self.sockets[sid as usize].wait_readers) {
+                self.wake(t);
+            }
+        }
+        if what.writable {
+            for t in std::mem::take(&mut self.sockets[sid as usize].wait_writers) {
+                self.wake(t);
+            }
+        }
         // Rotate the starting watcher so wake-one load-balances workers.
-        let start = (self.notify_rr as usize) % watchers.len().max(1);
+        // (Nothing below edits `sid`'s watcher list, so it is read in place.)
+        let watchers = self.sockets[sid as usize].watchers.len();
+        let start = (self.notify_rr as usize) % watchers.max(1);
         self.notify_rr = self.notify_rr.wrapping_add(1);
-        for i in 0..watchers.len() {
-            let ep = watchers[(start + i) % watchers.len()];
+        for i in 0..watchers {
+            let ep = self.sockets[sid as usize].watchers[(start + i) % watchers];
             let interest = match &self.sockets[ep as usize].kind {
                 SocketKind::Epoll { watched } => {
                     watched.iter().find(|(s, _)| *s == sid).map(|(_, m)| *m).unwrap_or_default()
@@ -1203,12 +1203,10 @@ impl Kernel {
         }
         let route = self.router.route(self.cfg.addr, pkt.dst);
         let frame = Frame::new(pkt, route);
-        let mut actions = Vec::new();
-        let ok = self.nic.tx_enqueue(frame, env.now(), &mut actions);
+        let ok = self.with_nic(env, |nic, now, actions| nic.tx_enqueue(frame, now, actions));
         if !ok {
             self.stats.tx_drops.incr();
         }
-        self.apply_nic_actions(actions, env);
         ok
     }
 
