@@ -142,6 +142,8 @@ impl ArrivalSpec {
     /// lines remain after stripping comments and blanks.
     pub fn parse(text: &str) -> Result<Self, ArrivalError> {
         let mut phases = Vec::new();
+        // Phases run back to back from time zero: where the last one ends.
+        let mut end = SimTime::ZERO;
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let err = |msg: String| ArrivalError::Parse { line, msg };
@@ -160,6 +162,9 @@ impl ArrivalSpec {
             if duration == SimDuration::ZERO {
                 return Err(err("phase duration must be positive".to_string()));
             }
+            end = end
+                .checked_add(duration)
+                .ok_or_else(|| err(format!("the phase must end before {}", SimTime::MAX)))?;
             let kind = match *kind_tok {
                 "const" => ArrivalKind::Constant,
                 "poisson" => ArrivalKind::Poisson,
@@ -433,6 +438,8 @@ mod tests {
             ("10ms const nan\n", "rate must be positive"),
             ("10ms const abc\n", "invalid rate"),
             ("10ms const 100\n10ms const inf\n", "line 2"),
+            ("20000000s const 100\n", "is longer than"),
+            ("10000000s const 100\n10000000s const 100\n", "line 2: the phase must end before"),
         ] {
             let err = ArrivalSpec::parse(text).expect_err(text).to_string();
             assert!(err.contains(needle), "{text:?} -> {err:?} (wanted {needle:?})");

@@ -27,6 +27,7 @@
 //! * [`workload`] — statistical samplers (GEV, generalized Pareto, Zipf)
 //!   and the Facebook-ETC-style key-value workload generator (§4.2).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;

@@ -9,6 +9,7 @@
 //! * [`analytic`] — closed-form queueing estimates (fluid incast model,
 //!   Erlang-C server latency).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agent;

@@ -10,6 +10,7 @@
 //! the paper's (documented per-figure in `EXPERIMENTS.md`); pass
 //! `--requests`/`--racks`/`--iterations` to scale up.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::PathBuf;

@@ -37,9 +37,9 @@ pub enum RunMode {
         /// the cut's lookahead.
         quantum: Option<SimDuration>,
         /// Worker threads the partitions are multiplexed onto. `None`
-        /// lets the executor decide (`DIABLO_WORKERS` or the host's
-        /// available parallelism, clamped to the partition count). Worker
-        /// count affects scheduling only, never results.
+        /// lets the executor decide (the host's available parallelism,
+        /// clamped to the partition count). Worker count affects
+        /// scheduling only, never results.
         workers: Option<usize>,
     },
 }
@@ -87,11 +87,11 @@ impl SimHost {
     pub fn new(mode: RunMode) -> Self {
         match mode {
             RunMode::Serial => SimHost::Serial(Simulation::new()),
-            RunMode::Parallel { partitions, quantum: Some(quantum), workers } => {
-                SimHost::Parallel(match workers {
-                    Some(w) => ParallelSimulation::with_workers(partitions, w, quantum),
-                    None => ParallelSimulation::new(partitions, quantum),
-                })
+            RunMode::Parallel { partitions, quantum: Some(quantum), workers: Some(w) } => {
+                SimHost::Parallel(ParallelSimulation::with_workers(partitions, w, quantum))
+            }
+            RunMode::Parallel { partitions, quantum: Some(quantum), workers: None } => {
+                SimHost::Parallel(ParallelSimulation::new(partitions, quantum))
             }
             RunMode::Parallel { quantum: None, .. } => panic!(
                 "a derived quantum needs the topology: build the cluster with \
@@ -585,10 +585,10 @@ impl Cluster {
         let plan = spec.partition_plan(host.partition_count());
         if let SimHost::Parallel(p) = host {
             assert!(
-                p.quantum() <= plan.lookahead,
+                p.lookahead() <= plan.lookahead,
                 "quantum {} exceeds the partition cut's lookahead {}: use RunMode::parallel / \
                  Cluster::instantiate to derive the quantum from the cut",
-                p.quantum(),
+                p.lookahead(),
                 plan.lookahead
             );
         }

@@ -136,6 +136,21 @@ impl FaultEventSpec {
         };
         (0..count).map(move |k| self.at + period * u64::from(k))
     }
+
+    /// The last instant this event schedules anything at — its final
+    /// occurrence plus, for `node-crash reboot=<d>`, the reboot delay — or
+    /// `None` when that is past the end of simulated time.
+    fn last_instant(&self) -> Option<SimTime> {
+        let span = match self.repeat {
+            Some(r) => r.period.checked_mul(u64::from(r.count.saturating_sub(1)))?,
+            None => SimDuration::ZERO,
+        };
+        let tail = match self.kind {
+            FaultKind::NodeCrash { reboot_after: Some(d) } => d,
+            _ => SimDuration::ZERO,
+        };
+        self.at.checked_add(span)?.checked_add(tail)
+    }
 }
 
 /// Why a plan failed to parse or apply.
@@ -297,7 +312,14 @@ impl FaultPlan {
                 }
             }
 
-            events.push(FaultEventSpec { at, target, kind, repeat });
+            let event = FaultEventSpec { at, target, kind, repeat };
+            if event.last_instant().is_none() {
+                return Err(err(format!(
+                    "the last occurrence (and its reboot) must come before {}",
+                    SimTime::MAX
+                )));
+            }
+            events.push(event);
         }
         Ok(FaultPlan { events })
     }
@@ -308,13 +330,7 @@ impl FaultPlan {
     pub fn horizon(&self) -> SimTime {
         self.events
             .iter()
-            .flat_map(|e| {
-                let tail = match e.kind {
-                    FaultKind::NodeCrash { reboot_after: Some(d) } => d,
-                    _ => SimDuration::ZERO,
-                };
-                e.occurrences().map(move |at| at + tail)
-            })
+            .map(|e| e.last_instant().expect("a plan's instants fit the simulated clock"))
             .max()
             .unwrap_or(SimTime::ZERO)
     }
@@ -524,6 +540,12 @@ mod tests {
             ("500ms link-degraded node0 loss=1.5", "outside [0, 1]"),
             ("500ms link-degraded node0 bandwidth=0", "must be > 0"),
             ("500ms node-crash node0 bogus=1", "unexpected argument"),
+            // Each duration fits the clock; what the line schedules last
+            // does not.
+            ("20000000s link-down node0", "is longer than"),
+            ("1s link-down node0 repeat 100000s x4000000000", "last occurrence"),
+            ("18000000s link-down node0 repeat 100000s x6", "last occurrence"),
+            ("18000000s node-crash node0 reboot=1000000s", "last occurrence"),
         ] {
             let e = FaultPlan::parse(text).expect_err(text);
             let msg = e.to_string();

@@ -9,6 +9,7 @@
 //! ([`experiments`]), and render results ([`report`]). The [`survey`]
 //! module carries the paper's motivation data (Figure 2 / Table 1).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

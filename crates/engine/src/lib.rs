@@ -46,6 +46,7 @@
 //! # Ok::<(), diablo_engine::error::EngineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod component;

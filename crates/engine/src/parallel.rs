@@ -5,8 +5,8 @@
 //! fine granularity" (§3.2) — and, crucially, *multiplexes* many simulated
 //! racks onto each physical FPGA. The software analogue implemented here
 //! assigns components to *partitions* (the unit of placement, the analogue
-//! of one simulated rack) and multiplexes partitions onto a small pool of
-//! *worker threads* (the analogue of physical FPGAs). Cross-partition
+//! of one simulated rack) and multiplexes partitions onto a few *worker
+//! threads* (the analogue of physical FPGAs). Cross-partition
 //! messages must arrive at least one *lookahead* after they are sent —
 //! exactly the conservative-lookahead condition the FPGA prototype
 //! satisfies physically, because inter-FPGA links have ≥1.6 µs round-trip
@@ -38,33 +38,40 @@
 //!
 //! # Execution machinery
 //!
-//! * **Worker multiplexing.** The pool runs `min(partitions,
-//!   available_parallelism)` threads by default (`DIABLO_WORKERS`
-//!   overrides; [`ParallelSimulation::with_workers`] pins it per instance).
+//! * **Worker multiplexing.** A run uses `min(partitions,
+//!   available_parallelism)` workers by default
+//!   ([`ParallelSimulation::with_workers`] pins the count per instance).
 //!   Each worker owns a contiguous block of partitions and merges their
 //!   events through one [`CalendarQueue`], dispatching in the global
 //!   [`crate::event::EventKey`] order. Worker count affects scheduling
 //!   only — results are bit-identical for every worker count (see the
 //!   conformance tests).
-//! * **Persistent worker pool.** Threads are spawned once, on the first
-//!   [`ParallelSimulation::run_until`] call, and parked on a condvar
-//!   between runs. Repeated `run_until` calls reuse the same OS threads.
-//! * **Lock-free cross-worker lanes.** Each ordered worker pair owns a
-//!   cache-line-aligned, *parity double-buffered* SPSC lane. During a
-//!   round, worker `s` appends outbound events to a local outbox and then
-//!   *swaps* it into lane `(s, d)` of the current parity — no mutex, no
-//!   per-event synchronization. The receiver drains the lane one barrier
-//!   later; alternating parity guarantees a writer's round-`r` swap and
-//!   the reader's round-`r+1` drain are always separated by an intervening
-//!   barrier (see `Lane`). Events between partitions that share a worker
+//! * **Scoped threads, one run at a time.** Each
+//!   [`ParallelSimulation::run_until`] call runs worker 0 on the calling
+//!   thread and workers `1..n` on [`std::thread::scope`] threads that
+//!   borrow their [`WorkerState`] for the duration of the call and hand
+//!   their result back through `join`. Nothing outlives the call: there is
+//!   no pool to park, wake or shut down, and a single-worker executor
+//!   spawns nothing at all. A spawn per extra worker per call costs tens
+//!   of microseconds, which is noise for callers that make a handful of
+//!   calls per simulation.
+//! * **Parity double-buffered cross-worker lanes.** Each ordered worker
+//!   pair owns two cache-line-aligned lanes, one per round parity. During
+//!   a round, worker `s` appends outbound events to a local outbox and then
+//!   *swaps* it into lane `(s, d)` of the current parity — no per-event
+//!   synchronization. The receiver drains the lane one barrier later;
+//!   alternating parity guarantees a writer's round-`r` swap and the
+//!   reader's round-`r+1` drain are always separated by an intervening
+//!   barrier, so the mutex that makes a lane safe to share is never
+//!   contended (see `Lane`). Events between partitions that share a worker
 //!   skip the lanes entirely and go straight into the worker's queue.
 //! * **One sense-reversing barrier per round.** The published minimum of a
 //!   worker already includes the events it just wrote into its outgoing
 //!   lanes (`sent_min`), so the exchange needs no second rendezvous. The
 //!   barrier itself is sense-reversing with bounded backoff — a short spin,
 //!   then `yield_now`, then a timed condvar wait — so oversubscribed or
-//!   idle workers don't burn the bus (the old ticket barrier's worst
-//!   path). Min/flag slots are parity double-buffered like the lanes.
+//!   idle workers don't burn the bus. Min/flag slots are parity
+//!   double-buffered like the lanes.
 //! * **Batched dispatch.** Inside a round, consecutive events for the same
 //!   component are dispatched as one *batch*: one directory lookup, one
 //!   component borrow, and one routing epilogue (cross-partition checks,
@@ -75,17 +82,13 @@
 //! * **Per-worker arenas.** Every scratch buffer on the steady-state path —
 //!   the emitted-event buffer, the per-destination outboxes, the calendar
 //!   queue's buckets, the exchange lanes — lives in [`WorkerState`] or the
-//!   pool and is reused across rounds *and* across `run_until` calls, so
-//!   the hot path performs no per-event heap allocation once capacities
+//!   executor and is reused across rounds *and* across `run_until` calls,
+//!   so the hot path performs no per-event heap allocation once capacities
 //!   have warmed up.
-//! * **Lock-free round boundary *and* run boundary.** Rounds never take a
-//!   lock: a round is barrier → concurrent lane drain → barrier, with the
-//!   exchange running over the parity lanes and the decision over the
-//!   atomic min/flag arrays. The per-run handoff of worker states and
-//!   results uses the same single-owner pattern ([`HandoffCell`]): plain
-//!   `UnsafeCell`s whose ownership alternates between the coordinator and
-//!   one worker, with the job-control rendezvous providing the
-//!   happens-before edges — no per-slot mutexes.
+//! * **Checked by the compiler.** Worker states are `&mut` borrows, lanes
+//!   are mutexes, minima and flags are atomics, and the crate root's
+//!   `forbid` keeps it that way: a data race in the executor is a compile
+//!   error, not a review item.
 //!
 //! The barrier is *poisonable*: if a component handler panics on a worker,
 //! the barrier wakes every other worker with an error instead of
@@ -115,11 +118,9 @@ use crate::snap::{
 };
 use crate::stats::{ExecReport, PartitionExec, WorkerExec};
 use crate::time::{SimDuration, SimTime};
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex};
 
 /// Abstracts over the serial and parallel executors so cluster builders can
 /// target either.
@@ -167,20 +168,6 @@ impl<M: 'static, Q: EventQueue<M> + Default> ComponentHost<M> for Simulation<M, 
     }
 }
 
-/// Resolves the *requested* worker count: the `DIABLO_WORKERS` environment
-/// variable if set, else the host's available parallelism (at least 1).
-///
-/// The request is deliberately not clamped to the partition count here:
-/// [`ParallelSimulation::with_workers`] performs that clamp and records
-/// both the requested and the effective value, so a silently reduced
-/// worker count stays diagnosable from the executor's
-/// [`ExecReport`] (`workers_requested` vs. the per-worker entries).
-fn requested_workers() -> usize {
-    let from_env = std::env::var("DIABLO_WORKERS").ok().and_then(|s| s.parse::<usize>().ok());
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    from_env.unwrap_or(hw).max(1)
-}
-
 /// Per-partition execution counters. Components themselves live in the
 /// owning [`WorkerState`]'s flat arrays (partition membership is a tag,
 /// not a storage boundary) so single-worker dispatch has exactly the
@@ -194,7 +181,7 @@ struct PartCounters {
     recv_cross: u64,
 }
 
-/// One worker thread's state: the components of the partitions it owns (a
+/// One worker's state: the components of the partitions it owns (a
 /// contiguous block starting at `lo`), their merged event queue, and
 /// per-worker sync counters.
 struct WorkerState<M> {
@@ -261,12 +248,6 @@ impl<M> WorkerState<M> {
             lane_peak: 0,
             batches: 0,
         }
-    }
-
-    /// A cheap placeholder left behind while the real state is loaned to a
-    /// worker thread.
-    fn hollow() -> Self {
-        WorkerState { queue: CalendarQueue::with_params(16, 1), ..WorkerState::new(0) }
     }
 }
 
@@ -413,28 +394,28 @@ impl SenseBarrier {
     }
 }
 
-/// One direction of a cross-worker exchange: a buffer written only by its
+/// One direction of a cross-worker exchange: a buffer filled only by its
 /// source worker and drained only by its destination worker.
-///
-/// # Safety protocol
 ///
 /// Lanes are allocated per `(parity, source, destination)` triple. During
 /// round `r` a writer only swaps into parity `r % 2` lanes and a reader
 /// only drains parity `(r - 1) % 2` lanes (written the previous round), so
-/// accesses to one buffer from the two threads are always separated by at
-/// least one intervening pool barrier, which provides the happens-before
-/// edge. The alignment keeps neighboring lanes off each other's cache
-/// lines.
+/// the two threads' accesses to one buffer are always separated by a
+/// barrier and the lock is never contended: the mutex is what lets the
+/// compiler, rather than a reviewer, check the exchange. The alignment
+/// keeps neighboring lanes off each other's cache lines.
 #[repr(align(128))]
-struct Lane<M>(UnsafeCell<Vec<Event<M>>>);
-
-// SAFETY: the parity protocol above guarantees exclusive access between
-// barriers; `Event<M>` moves between threads, requiring `M: Send`.
-unsafe impl<M: Send> Sync for Lane<M> {}
+struct Lane<M>(Mutex<Vec<Event<M>>>);
 
 impl<M> Lane<M> {
     fn new() -> Self {
-        Lane(UnsafeCell::new(Vec::new()))
+        Lane(Mutex::new(Vec::new()))
+    }
+
+    /// A panic while the lock is held is a panic of this run (see
+    /// `ParallelSimulation::run_until`), so poisoning needs no handling.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Event<M>>> {
+        self.0.lock().expect("lane mutex")
     }
 }
 
@@ -443,235 +424,57 @@ fn lane_idx(n: usize, parity: usize, src: usize, dst: usize) -> usize {
     (parity * n + src) * n + dst
 }
 
-/// A single-owner handoff cell: the lock-free analogue of the old
-/// per-slot `Mutex` used for loaning worker states and collecting results
-/// across a run boundary.
-///
-/// # Safety protocol
-///
-/// Ownership of the contents alternates strictly between the coordinating
-/// thread and exactly one worker thread, with the job-control rendezvous
-/// providing the happens-before edges — the same discipline the parity
-/// [`Lane`]s use, applied to the run boundary:
-///
-/// * coordinator → worker: the coordinator writes every cell *before*
-///   bumping `JobCtl::epoch` under the job mutex; worker `w` reads its
-///   cells only *after* observing the new epoch under the same mutex.
-/// * worker → coordinator: worker `w` writes its cells *before* bumping
-///   `JobCtl::done` under the job mutex; the coordinator reads them only
-///   *after* observing `done == nworkers` under the same mutex.
-///
-/// Between those two edges, cell `w` is touched by worker `w` alone; at
-/// every other instant, by the coordinator alone. The single-worker inline
-/// path runs entirely on the coordinating thread and needs no edge at all.
-struct HandoffCell<T>(UnsafeCell<T>);
-
-// SAFETY: the rendezvous protocol above guarantees exclusive, alternating
-// access; `T: Send` because the contents move between threads.
-unsafe impl<T: Send> Sync for HandoffCell<T> {}
-
-impl<T> HandoffCell<T> {
-    fn new(v: T) -> Self {
-        HandoffCell(UnsafeCell::new(v))
-    }
-
-    /// # Safety
-    ///
-    /// The caller must hold the cell's logical ownership per the protocol
-    /// above (be the coordinator outside a job, or worker `w` inside one).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self) -> &mut T {
-        &mut *self.0.get()
-    }
-}
-
-/// Parameters of one `run_until` call, published to the workers.
-#[derive(Clone, Copy, Default)]
-struct JobSpec {
-    start_now: SimTime,
-    exclusive_end: u64,
-    first_run: bool,
-}
-
-struct JobCtl {
-    epoch: u64,
-    done: usize,
-    shutdown: bool,
-    spec: JobSpec,
-}
-
-/// State shared between the coordinating thread and the workers.
-struct PoolShared<M> {
+/// What the workers of one `run_until` call share: the call's parameters,
+/// the executor's placement tables and lanes, and the round
+/// synchronization state, which starts fresh every call.
+struct RunShared<'a, M> {
     /// Worker (thread) count, not partition count.
     nworkers: usize,
     /// Conservative lookahead: cross-partition events arrive at least this
     /// long after they are sent, in picoseconds.
     lookahead_ps: u64,
+    start_now: SimTime,
+    exclusive_end: u64,
+    first_run: bool,
     /// Global component id -> (partition, flat index within the owning
-    /// worker); frozen at pool creation (components cannot be added after
-    /// the first run).
-    directory: Vec<(u32, u32)>,
+    /// worker).
+    directory: &'a [(u32, u32)],
     /// Partition -> owning worker.
-    part_worker: Vec<u32>,
+    part_worker: &'a [u32],
+    /// Exchange lanes, `2 * nworkers * nworkers` of them (see [`Lane`]).
+    lanes: &'a [Lane<M>],
     barrier: SenseBarrier,
     /// Published per-worker queue minima, parity double-buffered:
     /// `mins[parity * nworkers + worker]`.
     mins: Vec<AtomicU64>,
     /// Published stop/error flags, same layout as `mins`.
     flags: Vec<AtomicU64>,
-    /// SPSC exchange lanes, `2 * nworkers * nworkers` of them (see
-    /// [`Lane`]).
-    lanes: Vec<Lane<M>>,
-    /// Handoff cells loaning each worker's state to its thread (see
-    /// [`HandoffCell`] for the lock-free ownership protocol).
-    slots: Vec<HandoffCell<Option<WorkerState<M>>>>,
-    /// Per-worker `(last event time, stopped)` results.
-    results: Vec<HandoffCell<(SimTime, bool)>>,
-    /// First error raised by each worker.
-    errors: Vec<HandoffCell<Option<EngineError>>>,
-    job: Mutex<JobCtl>,
-    job_cv: Condvar,
-    done_cv: Condvar,
-    panicked: AtomicBool,
 }
 
-/// The persistent worker pool: spawned on the first run and parked on a
-/// condvar between runs.
-struct WorkerPool<M> {
-    shared: Arc<PoolShared<M>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<M: Send + 'static> WorkerPool<M> {
-    /// Builds the shared state and, when `spawn_threads` is set, one thread
-    /// per worker. A single-worker executor keeps the shared state (the
-    /// directory, barrier, and error slots all live there) but runs its
-    /// jobs inline on the coordinating thread instead — see `run_until`.
-    fn spawn(
-        nworkers: usize,
-        lookahead_ps: u64,
-        directory: Vec<(u32, u32)>,
-        part_worker: Vec<u32>,
-        spawn_threads: bool,
-    ) -> Self {
-        let shared = Arc::new(PoolShared {
-            nworkers,
-            lookahead_ps,
-            directory,
-            part_worker,
-            barrier: SenseBarrier::new(nworkers),
-            mins: (0..2 * nworkers).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            flags: (0..2 * nworkers).map(|_| AtomicU64::new(0)).collect(),
-            lanes: (0..2 * nworkers * nworkers).map(|_| Lane::new()).collect(),
-            slots: (0..nworkers).map(|_| HandoffCell::new(None)).collect(),
-            results: (0..nworkers).map(|_| HandoffCell::new((SimTime::ZERO, false))).collect(),
-            errors: (0..nworkers).map(|_| HandoffCell::new(None)).collect(),
-            job: Mutex::new(JobCtl {
-                epoch: 0,
-                done: 0,
-                shutdown: false,
-                spec: JobSpec::default(),
-            }),
-            job_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        });
-        let handles = if spawn_threads {
-            (0..nworkers)
-                .map(|me| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name(format!("diablo-wkr-{me}"))
-                        .spawn(move || worker_main(shared, me))
-                        .expect("spawn pool worker")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        WorkerPool { shared, handles }
-    }
-}
-
-impl<M> Drop for WorkerPool<M> {
-    fn drop(&mut self) {
-        {
-            let mut job = self.shared.job.lock().expect("pool job mutex");
-            job.shutdown = true;
-        }
-        self.shared.job_cv.notify_all();
-        for h in self.handles.drain(..) {
-            // A worker stuck in a poisoned barrier has already been woken
-            // with an error; joining is safe. Ignore panicked workers.
-            let _ = h.join();
-        }
-    }
-}
-
-/// Body of each pool thread: wait for a job epoch, run the owned
-/// partitions, hand the state back, report completion.
-fn worker_main<M: Send + 'static>(shared: Arc<PoolShared<M>>, me: usize) {
-    let mut seen_epoch = 0u64;
-    // Sense-barrier thread-local flag; all workers cross the same number
-    // of barriers per job, keeping it consistent across epochs.
-    let mut sense = true;
-    loop {
-        let spec = {
-            let mut job = shared.job.lock().expect("pool job mutex");
-            loop {
-                if job.shutdown {
-                    return;
-                }
-                if job.epoch != seen_epoch {
-                    break;
-                }
-                job = shared.job_cv.wait(job).expect("pool job condvar");
-            }
-            seen_epoch = job.epoch;
-            job.spec
-        };
-        // SAFETY (all three cells below): we observed the new epoch under
-        // the job mutex, so per the HandoffCell protocol this worker holds
-        // the cells' logical ownership until it bumps `done`.
-        let mut ws = unsafe { shared.slots[me].get() }.take().expect("worker state was not loaned");
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| run_worker(&shared, me, &mut ws, &spec, &mut sense)));
-        match outcome {
-            Ok(result) => unsafe { *shared.results[me].get() = result },
-            Err(_) => {
-                shared.panicked.store(true, Ordering::SeqCst);
-                shared.barrier.poison();
-            }
-        }
-        unsafe { *shared.slots[me].get() = Some(ws) };
-        let mut job = shared.job.lock().expect("pool job mutex");
-        job.done += 1;
-        if job.done == shared.nworkers {
-            shared.done_cv.notify_all();
-        }
-    }
-}
+/// What one worker reports at the end of a run: its last event time,
+/// whether a component stopped the run, and the first error it raised.
+type WorkerOutcome = (SimTime, bool, Option<EngineError>);
 
 const FLAG_STOP: u64 = 1;
 const FLAG_ERR: u64 = 2;
 
-/// Per-thread body of one parallel run. Each round is: publish `(min incl.
+/// One worker's body of one parallel run. Each round is: publish `(min incl.
 /// sent, flags)` at the current parity → **single barrier** → drain
 /// incoming lanes of that parity → decide (stop / error / done) → flip
 /// parity → process every owned event up to this round's lookahead horizon
 /// → swap outboxes into outgoing lanes of the new parity.
 fn run_worker<M: Send + 'static>(
-    shared: &PoolShared<M>,
+    shared: &RunShared<'_, M>,
     me: usize,
     ws: &mut WorkerState<M>,
-    spec: &JobSpec,
-    sense: &mut bool,
-) -> (SimTime, bool) {
+) -> WorkerOutcome {
     let nw = shared.nworkers;
-    let directory: &[(u32, u32)] = &shared.directory;
-    let part_worker: &[u32] = &shared.part_worker;
+    let directory = shared.directory;
+    let part_worker = shared.part_worker;
     let lookahead = shared.lookahead_ps;
-    let mut local_now = spec.start_now;
+    let mut local_now = shared.start_now;
+    // The barrier's per-thread sense flag (see `SenseBarrier::wait`).
+    let mut sense = true;
     let mut stopped = false;
     let mut pending_stop = false;
     let mut pending_err: Option<EngineError> = None;
@@ -684,18 +487,18 @@ fn run_worker<M: Send + 'static>(
 
     ws.outboxes.resize_with(nw, Vec::new);
 
-    if spec.first_run {
+    if shared.first_run {
         // Phase 0: component starts. The resulting events are exchanged
         // through the lanes before anything is processed, so
         // cross-partition deliveries have no lookahead bound here
         // (`earliest_ok = start_now` admits everything).
-        let start_ps = spec.start_now.as_picos();
+        let start_ps = shared.start_now.as_picos();
         for i in 0..ws.comps.len() {
             let part_id = ws.part_of[i];
             let id = ws.ids[i];
             let mut stop = false;
             let mut ctx =
-                Ctx::new(spec.start_now, id, id, &mut ws.seqs[i], &mut ws.pending, &mut stop);
+                Ctx::new(shared.start_now, id, id, &mut ws.seqs[i], &mut ws.pending, &mut stop);
             ws.comps[i].on_start(&mut ctx);
             pending_stop |= stop;
             let mut cross = 0u64;
@@ -739,16 +542,15 @@ fn run_worker<M: Send + 'static>(
         if pending_stop {
             f |= FLAG_STOP;
         }
-        if let Some(e) = pending_err.take() {
+        if pending_err.is_some() {
+            // Every worker leaves at this round's decision, this one
+            // included, and the error goes back with its outcome.
             f |= FLAG_ERR;
-            // SAFETY: called from within a job; worker `me` owns its error
-            // cell until it reports completion (see HandoffCell).
-            unsafe { shared.errors[me].get() }.get_or_insert(e);
         }
         shared.flags[parity * nw + me].store(f, Ordering::Release);
 
         let wait_start = std::time::Instant::now();
-        if shared.barrier.wait(sense).is_err() {
+        if shared.barrier.wait(&mut sense).is_err() {
             // A sibling panicked; bail out with whatever state we have.
             break;
         }
@@ -761,11 +563,7 @@ fn run_worker<M: Send + 'static>(
             if src == me {
                 continue;
             }
-            // SAFETY: per the Lane protocol, the writer's last access to
-            // this parity's buffer happened before the barrier we just
-            // crossed, and its next access is after the barrier we cross
-            // next round.
-            let buf = unsafe { &mut *shared.lanes[lane_idx(nw, parity, src, me)].0.get() };
+            let mut buf = shared.lanes[lane_idx(nw, parity, src, me)].lock();
             drained += buf.len() as u64;
             for ev in buf.drain(..) {
                 let (p, _) = directory[ev.key.target.index()];
@@ -795,7 +593,7 @@ fn run_worker<M: Send + 'static>(
             stopped = true;
             break;
         }
-        if global_min >= spec.exclusive_end {
+        if global_min >= shared.exclusive_end {
             break;
         }
         parity = 1 - parity;
@@ -807,7 +605,7 @@ fn run_worker<M: Send + 'static>(
         // that is safe to process now. With one worker the bound
         // degenerates to the run limit — the whole run in a single round.
         let mut horizon =
-            others_min.min(inflight_min).saturating_add(lookahead).min(spec.exclusive_end);
+            others_min.min(inflight_min).saturating_add(lookahead).min(shared.exclusive_end);
 
         // Process every owned event inside the horizon in EventKey order.
         // The horizon is clamped *during* the round: once this worker hands
@@ -904,13 +702,13 @@ fn run_worker<M: Send + 'static>(
         // parity (drained by the receiver after the next barrier).
         flush_outboxes(shared, me, parity, &mut ws.outboxes, &mut sent_min);
     }
-    (ws.last_time, stopped)
+    (ws.last_time, stopped, pending_err)
 }
 
 /// Swaps non-empty outboxes into this worker's outgoing lanes of the given
 /// parity, folding sent delivery times into `sent_min`.
 fn flush_outboxes<M: Send>(
-    shared: &PoolShared<M>,
+    shared: &RunShared<'_, M>,
     me: usize,
     parity: usize,
     outboxes: &mut [Vec<Event<M>>],
@@ -924,17 +722,14 @@ fn flush_outboxes<M: Send>(
         for ev in out.iter() {
             *sent_min = (*sent_min).min(ev.key.time.as_picos());
         }
-        // SAFETY: we are the only writer of (me, dst) lanes, and the
-        // receiver drained this parity's buffer before the previous
-        // barrier; see the Lane protocol.
-        let lane = unsafe { &mut *shared.lanes[lane_idx(nw, parity, me, dst)].0.get() };
+        let mut lane = shared.lanes[lane_idx(nw, parity, me, dst)].lock();
         debug_assert!(lane.is_empty(), "lane reused before the receiver drained it");
-        std::mem::swap(lane, out);
+        std::mem::swap(&mut *lane, out);
     }
 }
 
 /// The multi-threaded executor: components grouped into partitions,
-/// partitions multiplexed onto a persistent pool of worker threads, one
+/// partitions multiplexed onto a few worker threads scoped to each run, one
 /// sense-reversing barrier per synchronization round.
 ///
 /// # Examples
@@ -958,7 +753,8 @@ fn flush_outboxes<M: Send>(
 /// assert_eq!(stats.events, 0);
 /// ```
 pub struct ParallelSimulation<M> {
-    /// Per-worker states, loaned to the pool during a run.
+    /// Per-worker states, each borrowed by its worker's thread during a
+    /// run.
     workers: Vec<WorkerState<M>>,
     /// Partition -> owning worker.
     part_worker: Vec<u32>,
@@ -970,11 +766,13 @@ pub struct ParallelSimulation<M> {
     now: SimTime,
     started: bool,
     external_seq: u64,
-    pool: Option<WorkerPool<M>>,
-    /// Barrier sense flag for the single-worker inline path, persisted
-    /// across `run_until` calls like each pool thread's local flag is.
-    inline_sense: bool,
-    /// The worker count asked for (env/default/explicit), before the clamp
+    /// Cross-worker exchange lanes (see [`Lane`]): empty between runs,
+    /// kept so their buffers' capacity survives from one run to the next.
+    lanes: Vec<Lane<M>>,
+    /// A component handler panicked during a run: component state is
+    /// unknown, so further runs refuse to start.
+    panicked: bool,
+    /// The worker count asked for (default or explicit), before the clamp
     /// to `partitions`; reported so a silently reduced effective count is
     /// diagnosable from the [`ExecReport`] artifact.
     workers_requested: usize,
@@ -988,7 +786,6 @@ impl<M> std::fmt::Debug for ParallelSimulation<M> {
             .field("components", &self.directory.len())
             .field("lookahead", &self.lookahead)
             .field("now", &self.now)
-            .field("pool_running", &self.pool.is_some())
             .finish()
     }
 }
@@ -998,16 +795,16 @@ impl<M: Send + 'static> ParallelSimulation<M> {
     /// given cross-partition `lookahead` (the synchronization quantum:
     /// cross-partition messages must arrive at least this long after they
     /// are sent). Partitions are multiplexed onto
-    /// `min(partitions, available parallelism)` worker threads — override
-    /// with the `DIABLO_WORKERS` environment variable or
-    /// [`ParallelSimulation::with_workers`]. Threads are spawned lazily on
-    /// the first run and persist until the executor is dropped.
+    /// `min(partitions, available parallelism)` worker threads — pin another
+    /// count with [`ParallelSimulation::with_workers`]. Threads live only
+    /// for the duration of a run.
     ///
     /// # Panics
     ///
     /// Panics if `partitions` is zero or `lookahead` is zero.
     pub fn new(partitions: usize, lookahead: SimDuration) -> Self {
-        Self::with_workers(partitions, requested_workers(), lookahead)
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::with_workers(partitions, hw.min(partitions), lookahead)
     }
 
     /// Like [`ParallelSimulation::new`] but with an explicit worker-thread
@@ -1045,18 +842,13 @@ impl<M: Send + 'static> ParallelSimulation<M> {
             now: SimTime::ZERO,
             started: false,
             external_seq: 0,
-            pool: None,
-            inline_sense: true,
+            lanes: (0..2 * nworkers * nworkers).map(|_| Lane::new()).collect(),
+            panicked: false,
         }
     }
 
-    /// The synchronization quantum (cross-partition lookahead).
-    pub fn quantum(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// The conservative cross-partition lookahead (alias of
-    /// [`ParallelSimulation::quantum`]).
+    /// The conservative cross-partition lookahead (the synchronization
+    /// quantum).
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
     }
@@ -1072,9 +864,9 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         self.workers.len()
     }
 
-    /// The worker count that was *requested* (explicitly, via
-    /// `DIABLO_WORKERS`, or from the host's available parallelism) before
-    /// the clamp to the partition count. When this exceeds
+    /// The worker count that was *requested* through
+    /// [`ParallelSimulation::with_workers`] before the clamp to the
+    /// partition count. When this exceeds
     /// [`ParallelSimulation::worker_count`], the executor silently reduced
     /// concurrency — the [`ExecReport`] carries both so the reduction shows
     /// up in metrics artifacts.
@@ -1082,30 +874,21 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         self.workers_requested
     }
 
-    /// Total worker threads spawned so far. Zero before the first run, and
-    /// exactly [`ParallelSimulation::worker_count`] afterwards no matter
-    /// how many runs have executed — the pool is persistent. Exception: a
-    /// single-worker executor runs inline on the calling thread and never
-    /// spawns, so this stays zero.
-    pub fn workers_spawned(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.handles.len())
-    }
-
     /// Number of registered components.
     pub fn component_count(&self) -> usize {
-        self.directory().len()
+        self.directory.len()
     }
 
     /// Downcasts a component to its concrete type for inspection.
     pub fn component<T: 'static>(&self, id: ComponentId) -> Option<&T> {
-        let &(p, f) = self.directory().get(id.index())?;
+        let &(p, f) = self.directory.get(id.index())?;
         let w = self.part_worker[p as usize] as usize;
         self.workers[w].comps[f as usize].as_any().downcast_ref::<T>()
     }
 
     /// Mutable variant of [`ParallelSimulation::component`].
     pub fn component_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
-        let &(p, f) = self.directory().get(id.index())?;
+        let &(p, f) = self.directory.get(id.index())?;
         let w = self.part_worker[p as usize] as usize;
         self.workers[w].comps[f as usize].as_any_mut().downcast_mut::<T>()
     }
@@ -1119,7 +902,7 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         &self,
         mut f: impl FnMut(ComponentId, &dyn crate::metrics::Instrumented),
     ) {
-        for (i, &(p, fl)) in self.directory().iter().enumerate() {
+        for (i, &(p, fl)) in self.directory.iter().enumerate() {
             let w = self.part_worker[p as usize] as usize;
             if let Some(ins) = self.workers[w].comps[fl as usize].instrumented() {
                 f(ComponentId(i as u32), ins);
@@ -1187,7 +970,8 @@ impl<M: Send + 'static> ParallelSimulation<M> {
 
     /// Runs until simulated time exceeds `limit` (events at exactly `limit`
     /// are processed), the queues drain, or a component stops the run.
-    /// Repeated calls reuse the same worker threads.
+    /// Worker 0 runs on the calling thread; every other worker gets a
+    /// thread for the duration of the call.
     ///
     /// # Errors
     ///
@@ -1195,122 +979,82 @@ impl<M: Send + 'static> ParallelSimulation<M> {
     /// cross-partition message with less than one lookahead of latency,
     /// [`EngineError::UnknownComponent`] for events targeting unregistered
     /// components, and [`EngineError::WorkerPanicked`] if a component
-    /// handler panicked on a worker thread (further runs refuse to start).
+    /// handler panicked on any worker (further runs refuse to start).
     pub fn run_until(&mut self, limit: SimTime) -> Result<RunStats, EngineError> {
+        if self.panicked {
+            return Err(EngineError::WorkerPanicked);
+        }
         let nw = self.workers.len();
-        let first_run = !self.started;
-        self.started = true;
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(
-                nw,
-                self.lookahead.as_picos(),
-                std::mem::take(&mut self.directory),
-                self.part_worker.clone(),
-                nw > 1,
-            ));
-        }
-        let shared = Arc::clone(&self.pool.as_ref().expect("pool running").shared);
-        if shared.panicked.load(Ordering::SeqCst) {
-            return Err(EngineError::WorkerPanicked);
-        }
-
         let start_now = self.now;
-        let exclusive_end =
-            if limit == SimTime::MAX { u64::MAX } else { limit.as_picos().saturating_add(1) };
-
-        if nw == 1 {
-            // Single worker: run the job inline on the calling thread.
-            // With nobody to synchronize against, the pool handoff (two
-            // condvar round trips per run) is pure overhead, and on a
-            // loaded host each futex wakeup can cost far more than the
-            // barrier rounds themselves.
-            let spec = JobSpec { start_now, exclusive_end, first_run };
-            let mut sense = self.inline_sense;
-            let ws = &mut self.workers[0];
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| run_worker(&shared, 0, ws, &spec, &mut sense)));
-            self.inline_sense = sense;
-            let (event_max, stopped) = match outcome {
-                Ok(r) => r,
-                Err(_) => {
-                    // Same contract as the threaded path: the run fails
-                    // with WorkerPanicked and the executor stays poisoned.
-                    shared.panicked.store(true, Ordering::SeqCst);
-                    return Err(EngineError::WorkerPanicked);
-                }
-            };
-            // SAFETY: the inline path runs on this thread only; no worker
-            // thread ever touches the cells of a single-worker pool.
-            if let Some(e) = unsafe { shared.errors[0].get() }.take() {
-                return Err(e);
-            }
-            if !stopped && limit < SimTime::MAX {
-                self.now = limit.max(event_max);
+        let shared = RunShared {
+            nworkers: nw,
+            lookahead_ps: self.lookahead.as_picos(),
+            start_now,
+            exclusive_end: if limit == SimTime::MAX {
+                u64::MAX
             } else {
-                self.now = event_max.max(start_now);
+                limit.as_picos().saturating_add(1)
+            },
+            first_run: !std::mem::replace(&mut self.started, true),
+            directory: &self.directory,
+            part_worker: &self.part_worker,
+            lanes: &self.lanes,
+            barrier: SenseBarrier::new(nw),
+            mins: (0..2 * nw).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            flags: (0..2 * nw).map(|_| AtomicU64::new(0)).collect(),
+        };
+        // A handler's panic is caught on the worker it happened on, which
+        // poisons the barrier so the others return instead of waiting for
+        // it; `None` is that worker's outcome.
+        let work = |me: usize, ws: &mut WorkerState<M>| -> Option<WorkerOutcome> {
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_worker(&shared, me, ws))).ok();
+            if outcome.is_none() {
+                shared.barrier.poison();
             }
-            return Ok(RunStats { events: self.events_processed(), final_time: self.now, stopped });
-        }
+            outcome
+        };
+        let (first, rest) = self.workers.split_first_mut().expect("at least one worker");
+        let outcomes: Vec<Option<WorkerOutcome>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = rest
+                .iter_mut()
+                .zip(1..)
+                .map(|(ws, me)| {
+                    std::thread::Builder::new()
+                        .name(format!("diablo-wkr-{me}"))
+                        .spawn_scoped(scope, move || work(me, ws))
+                        .unwrap_or_else(|e| {
+                            // The workers already running would wait at
+                            // the barrier for this one forever.
+                            shared.barrier.poison();
+                            panic!("spawn worker thread {me}: {e}")
+                        })
+                })
+                .collect();
+            let mine = work(0, first);
+            std::iter::once(mine)
+                .chain(spawned.into_iter().map(|h| h.join().ok().flatten()))
+                .collect()
+        });
 
-        // Loan the worker states to the pool and publish the job.
-        // SAFETY: no job is in flight (the previous one completed with
-        // `done == nworkers` observed under the job mutex), so the
-        // coordinator owns every handoff cell until the epoch bump below.
-        for (i, ws) in self.workers.iter_mut().enumerate() {
-            let state = std::mem::replace(ws, WorkerState::hollow());
-            unsafe { *shared.slots[i].get() = Some(state) };
-        }
-        {
-            let mut job = shared.job.lock().expect("pool job mutex");
-            job.spec = JobSpec { start_now, exclusive_end, first_run };
-            job.done = 0;
-            job.epoch += 1;
-        }
-        shared.job_cv.notify_all();
-
-        // Wait for every worker to hand its state back.
-        {
-            let mut job = shared.job.lock().expect("pool job mutex");
-            while job.done < nw {
-                job = shared.done_cv.wait(job).expect("pool done condvar");
-            }
-        }
-        // SAFETY (the three loops below): `done == nworkers` was observed
-        // under the job mutex, so every worker's writes to its cells
-        // happen-before these reads and ownership is back with the
-        // coordinator.
-        for (i, ws) in self.workers.iter_mut().enumerate() {
-            *ws = unsafe { shared.slots[i].get() }.take().expect("worker returned its state");
-        }
-
-        if shared.panicked.load(Ordering::SeqCst) {
+        if outcomes.iter().any(Option::is_none) {
+            self.panicked = true;
             return Err(EngineError::WorkerPanicked);
         }
-        for err_slot in shared.errors.iter() {
-            if let Some(e) = unsafe { err_slot.get() }.take() {
+        let mut stopped = false;
+        let mut event_max = SimTime::ZERO;
+        for (last_time, worker_stopped, err) in outcomes.into_iter().flatten() {
+            if let Some(e) = err {
                 return Err(e);
             }
+            stopped |= worker_stopped;
+            event_max = event_max.max(last_time);
         }
-
-        let results: Vec<(SimTime, bool)> =
-            shared.results.iter().map(|r| unsafe { *r.get() }).collect();
-        let stopped = results.iter().any(|&(_, s)| s);
-        let event_max = results.iter().map(|&(t, _)| t).max().unwrap_or(start_now);
         if !stopped && limit < SimTime::MAX {
             self.now = limit.max(event_max);
         } else {
             self.now = event_max.max(start_now);
         }
         Ok(RunStats { events: self.events_processed(), final_time: self.now, stopped })
-    }
-
-    /// Component directory lookup that works both before the pool exists
-    /// (directory owned locally) and after (directory owned by the pool).
-    fn directory(&self) -> &[(u32, u32)] {
-        match &self.pool {
-            Some(pool) => &pool.shared.directory,
-            None => &self.directory,
-        }
     }
 }
 
@@ -1343,7 +1087,7 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
             }
         }
         // Gather the per-worker columns into global component-id order.
-        let ncomp = self.directory().len();
+        let ncomp = self.directory.len();
         let mut seqs = vec![0; ncomp];
         let mut comps: Vec<Option<&dyn Persist>> = vec![None; ncomp];
         for ws in &self.workers {
@@ -1368,7 +1112,7 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
     /// Any [`SnapError`] on truncation, corruption, or a component-count /
     /// persist-surface mismatch.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let ncomp = self.directory().len();
+        let ncomp = self.directory.len();
         let mut comps: Vec<Option<&mut dyn Persist>> = (0..ncomp).map(|_| None).collect();
         for ws in &mut self.workers {
             for (id, c) in ws.ids.iter().zip(&mut ws.comps) {
@@ -1399,9 +1143,8 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
 
     /// Hands each event to the worker that owns its target component.
     fn push_restored(&mut self, events: Vec<Event<M>>) {
-        let directory: Vec<(u32, u32)> = self.directory().to_vec();
         for ev in events {
-            let (p, _) = directory[ev.key.target.index()];
+            let (p, _) = self.directory[ev.key.target.index()];
             let wk = self.part_worker[p as usize] as usize;
             self.workers[wk].queue.push(ev);
         }
@@ -1431,11 +1174,8 @@ impl<M: Send + 'static> ComponentHost<M> for ParallelSimulation<M> {
 
     fn inject(&mut self, at: SimTime, target: ComponentId, kind: EventKind<M>) {
         assert!(at >= self.now, "external event scheduled in the past");
-        let (p, _) = {
-            let directory = self.directory();
-            assert!(target.index() < directory.len(), "unknown component {target}");
-            directory[target.index()]
-        };
+        assert!(target.index() < self.directory.len(), "unknown component {target}");
+        let (p, _) = self.directory[target.index()];
         let key = EventKey {
             time: at,
             target,
@@ -1771,18 +1511,28 @@ mod tests {
     }
 
     #[test]
-    fn component_panic_poisons_the_pool_instead_of_deadlocking() {
+    fn component_panic_fails_the_run_instead_of_deadlocking() {
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        // Two workers so the surviving worker really waits on the barrier.
-        let mut sim = ParallelSimulation::<u64>::with_workers(2, 2, SimDuration::from_micros(1));
-        sim.add_in_partition(0, Box::new(Bomb { fuse: 3 }));
-        sim.add_in_partition(1, Box::new(chatter(2_000, 100)));
-        let err = sim.run().unwrap_err();
+        // Two workers so the surviving worker really waits on the barrier;
+        // worker 0 is the calling thread, worker 1 a spawned one.
+        let errs: Vec<_> = [0usize, 1]
+            .into_iter()
+            .map(|bomb_part| {
+                let mut sim =
+                    ParallelSimulation::<u64>::with_workers(2, 2, SimDuration::from_micros(1));
+                sim.add_in_partition(bomb_part, Box::new(Bomb { fuse: 3 }));
+                sim.add_in_partition(1 - bomb_part, Box::new(chatter(2_000, 100)));
+                let err = sim.run().unwrap_err();
+                // Later runs fail fast rather than hang.
+                let err2 = sim.run_until(SimTime::from_millis(1)).unwrap_err();
+                (bomb_part, err, err2)
+            })
+            .collect();
         std::panic::set_hook(prev_hook);
-        assert!(matches!(err, EngineError::WorkerPanicked), "got {err:?}");
-        // The pool stays poisoned: later runs fail fast rather than hang.
-        let err2 = sim.run_until(SimTime::from_millis(1)).unwrap_err();
-        assert!(matches!(err2, EngineError::WorkerPanicked), "got {err2:?}");
+        for (bomb_part, err, err2) in errs {
+            assert!(matches!(err, EngineError::WorkerPanicked), "worker {bomb_part}: {err:?}");
+            assert!(matches!(err2, EngineError::WorkerPanicked), "worker {bomb_part}: {err2:?}");
+        }
     }
 }

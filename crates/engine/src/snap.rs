@@ -40,7 +40,7 @@
 //!   so a mismatched spec is rejected instead of silently diverging.
 //! * Flight-recorder rings — they hold `&'static str` trace labels and
 //!   are diagnostic-only; checkpointed runs must not enable tracing.
-//! * Executor scheduling state (worker pools, lanes, barriers) — results
+//! * Executor scheduling state (lanes, barriers, round counters) — results
 //!   are executor-independent, so a serial snapshot restores into a
 //!   partition-parallel host and vice versa.
 //!

@@ -457,7 +457,7 @@ pub struct WorkerExec {
 pub struct ExecReport {
     /// Cross-partition lookahead (the synchronization quantum), picoseconds.
     pub lookahead_ps: u64,
-    /// Worker threads *requested* (explicitly or from the environment)
+    /// Worker threads *requested* (explicitly, through `with_workers`)
     /// before the clamp to the partition count; compare with
     /// `workers.len()` to spot a silently reduced effective count.
     pub workers_requested: usize,

@@ -285,8 +285,9 @@ impl fmt::Display for SimTime {
 /// Parses `250ms`-style durations — the one token format of the fault
 /// plan, arrival profile and sweep grammars and the `--checkpoint-at`
 /// flag: a finite, non-negative decimal number with an `ns`, `us`, `ms`
-/// or `s` suffix, rounded to the nearest nanosecond. The error is a
-/// human-readable description of the malformed token.
+/// or `s` suffix, rounded to the nearest nanosecond, that fits the
+/// picosecond clock (about 213 days). The error is a human-readable
+/// description of the malformed token.
 impl std::str::FromStr for SimDuration {
     type Err = String;
 
@@ -302,7 +303,12 @@ impl std::str::FromStr for SimDuration {
         if v < 0.0 || !v.is_finite() {
             return Err(format!("duration `{tok}` must be finite and non-negative"));
         }
-        Ok(SimDuration::from_nanos((v * scale_ns).round() as u64))
+        // The cast saturates, so a value past `u64` nanoseconds fails the
+        // same check as one whose picosecond count does not fit.
+        ((v * scale_ns).round() as u64)
+            .checked_mul(PS_PER_NS)
+            .map(SimDuration)
+            .ok_or_else(|| format!("duration `{tok}` is longer than {}", SimDuration::MAX))
     }
 }
 
@@ -481,6 +487,8 @@ mod tests {
             ("0.4ns", 0),
             ("1e3ns", 1_000),
             ("0s", 0),
+            // The longest whole second the picosecond clock holds.
+            ("18446744s", 18_446_744_000_000_000),
         ] {
             assert_eq!(tok.parse(), Ok(SimDuration::from_nanos(nanos)), "{tok:?}");
         }
@@ -501,6 +509,10 @@ mod tests {
             ("-infms", "finite and non-negative"),
             ("-5ms", "finite and non-negative"),
             ("-0.5us", "finite and non-negative"),
+            // Finite, but past `u64::MAX` picoseconds (about 213 days).
+            ("18446745s", "is longer than 18446744.074s"),
+            ("20000000s", "is longer than"),
+            ("1e30s", "is longer than"),
         ] {
             let err = tok.parse::<SimDuration>().expect_err(tok);
             assert!(err.contains(needle), "{tok:?} -> {err:?} (wanted {needle:?})");

@@ -1,6 +1,7 @@
-//! The parallel executor's worker pool is persistent: repeated `run_until`
-//! calls must reuse the same threads and produce exactly the state a single
-//! long run — or the serial executor — would.
+//! Every `run_until` call of the parallel executor starts its own scoped
+//! worker threads and joins them before it returns: however a simulation
+//! is cut into calls, it must reach exactly the state a single long run —
+//! or the serial executor — would.
 
 use diablo_engine::parallel::{ComponentHost, ParallelSimulation};
 use diablo_engine::prelude::*;
@@ -58,10 +59,15 @@ impl Component<u64> for Gossip {
     }
 }
 
-fn build<H: ComponentHost<u64>>(host: &mut H, parts: usize, n: usize) -> Vec<ComponentId> {
-    let ids: Vec<ComponentId> =
-        (0..n).map(|i| host.add_in_partition(i % parts, Box::new(Gossip::new(50)))).collect();
-    ids
+/// `n` nodes dealt round-robin over `parts` partitions, each sending
+/// `limit` rounds of gossip.
+fn build<H: ComponentHost<u64>>(
+    host: &mut H,
+    parts: usize,
+    n: usize,
+    limit: u64,
+) -> Vec<ComponentId> {
+    (0..n).map(|i| host.add_in_partition(i % parts, Box::new(Gossip::new(limit)))).collect()
 }
 
 fn wire(set_peer: &mut dyn FnMut(usize, Vec<ComponentId>), ids: &[ComponentId]) {
@@ -90,25 +96,22 @@ fn split_runs_match_one_long_run_and_serial() {
     let mid = SimTime::from_micros(7);
 
     // (a) Parallel (4 partitions multiplexed onto 2 pinned workers), two
-    // consecutive run_until calls over the same pool.
+    // consecutive run_until calls.
     let mut split = ParallelSimulation::<u64>::with_workers(4, 2, quantum);
-    let ids = build(&mut split, 4, 8);
+    let ids = build(&mut split, 4, 8, 50);
     wire(&mut |i, peers| split.component_mut::<Gossip>(ids[i]).unwrap().peers = peers, &ids);
-    assert_eq!(split.workers_spawned(), 0, "pool must be lazy");
     split.run_until(mid).unwrap();
-    assert_eq!(split.workers_spawned(), 2, "one thread per worker, not per partition");
     let stats_split = split.run_until(end).unwrap();
-    assert_eq!(split.workers_spawned(), 2, "second run must reuse the pool");
 
     // (b) Parallel, one long run, different worker count.
     let mut long = ParallelSimulation::<u64>::with_workers(4, 4, quantum);
-    let ids_l = build(&mut long, 4, 8);
+    let ids_l = build(&mut long, 4, 8, 50);
     wire(&mut |i, peers| long.component_mut::<Gossip>(ids_l[i]).unwrap().peers = peers, &ids_l);
     let stats_long = long.run_until(end).unwrap();
 
     // (c) Serial reference.
     let mut serial = Simulation::<u64>::new();
-    let ids_s = build(&mut serial, 1, 8);
+    let ids_s = build(&mut serial, 1, 8, 50);
     wire(&mut |i, peers| serial.component_mut::<Gossip>(ids_s[i]).unwrap().peers = peers, &ids_s);
     let stats_serial = serial.run_until(end).unwrap();
 
@@ -149,7 +152,7 @@ fn worker_count_change_rescrapes_identically() {
     let mut scrapes: Vec<(String, String)> = Vec::new();
     for workers in [1usize, 2, 3] {
         let mut sim = ParallelSimulation::<u64>::with_workers(4, workers, quantum);
-        let ids = build(&mut sim, 4, 8);
+        let ids = build(&mut sim, 4, 8, 50);
         wire(&mut |i, peers| sim.component_mut::<Gossip>(ids[i]).unwrap().peers = peers, &ids);
         sim.run_until(mid).unwrap();
         let at_mid = scrape(&sim);
@@ -163,16 +166,44 @@ fn worker_count_change_rescrapes_identically() {
     }
 }
 
+/// The run boundary at its finest grain: one `run_until` call — one set of
+/// thread spawns and joins, one fresh barrier — per lookahead, on workers
+/// that own 1, 1 and 2 partitions.
 #[test]
-fn many_short_runs_spawn_no_extra_workers() {
-    let mut sim = ParallelSimulation::<u64>::with_workers(3, 3, SimDuration::from_micros(1));
-    let ids = build(&mut sim, 3, 6);
-    wire(&mut |i, peers| sim.component_mut::<Gossip>(ids[i]).unwrap().peers = peers, &ids);
-    for step in 1..=20u64 {
-        sim.run_until(SimTime::from_micros(step * 2)).unwrap();
-        assert_eq!(sim.workers_spawned(), 3, "run {step} spawned extra workers");
-    }
-    // Finish and sanity-check the mesh actually communicated.
-    sim.run().unwrap();
-    assert!(sim.component::<Gossip>(ids[0]).unwrap().log.len() >= 50);
+fn one_lookahead_runs_match_one_long_run_and_serial() {
+    // A node gossips every 100 ns: 2,500 rounds keep the mesh busy for 250
+    // of the 300 steps, the rest run on drained queues.
+    const GOSSIP_ROUNDS: u64 = 2_500;
+    let quantum = SimDuration::from_micros(1);
+    let steps = 300u64;
+    let end = SimTime::ZERO + quantum * steps;
+    let parallel = || {
+        let mut sim = ParallelSimulation::<u64>::with_workers(4, 3, quantum);
+        let ids = build(&mut sim, 4, 8, GOSSIP_ROUNDS);
+        wire(&mut |i, peers| sim.component_mut::<Gossip>(ids[i]).unwrap().peers = peers, &ids);
+        sim
+    };
+
+    let mut stepped = parallel();
+    let stats_stepped = (1..=steps)
+        .map(|step| stepped.run_until(SimTime::ZERO + quantum * step).unwrap())
+        .last()
+        .expect("at least one step");
+
+    let mut long = parallel();
+    let stats_long = long.run_until(end).unwrap();
+
+    let mut serial = Simulation::<u64>::new();
+    let ids_s = build(&mut serial, 1, 8, GOSSIP_ROUNDS);
+    wire(&mut |i, peers| serial.component_mut::<Gossip>(ids_s[i]).unwrap().peers = peers, &ids_s);
+    let stats_serial = serial.run_until(end).unwrap();
+    let mut reg = MetricsRegistry::new();
+    serial.visit_instrumented(|id, ins| reg.record(&format!("gossip{}", id.index()), ins));
+
+    assert_eq!(stats_long.events, 8 * GOSSIP_ROUNDS * 3, "a timer and two messages a round");
+    assert_eq!(stats_stepped.events, stats_long.events);
+    assert_eq!(stats_stepped.events, stats_serial.events);
+    assert_eq!(stats_stepped.final_time, stats_long.final_time);
+    assert_eq!(scrape(&stepped), scrape(&long), "stepped runs diverged from one long run");
+    assert_eq!(scrape(&stepped), reg.to_json(), "parallel diverged from serial");
 }

@@ -7,6 +7,7 @@
 //! planning — boards, DRAM, power, dollars — including the paper's
 //! comparison against the CAPEX/OPEX of the real warehouse-scale array.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod models;

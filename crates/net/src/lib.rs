@@ -11,6 +11,7 @@
 //! every parameter is runtime-configurable — no "re-synthesis" needed to
 //! explore the design space.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;

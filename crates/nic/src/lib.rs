@@ -19,6 +19,7 @@
 //!   Under NAPI the driver masks interrupts and polls with a budget,
 //!   re-enabling them only once the ring drains.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use diablo_engine::metrics::{FlightRecord, FlightRing, Instrumented, MetricsVisitor};

@@ -6,6 +6,7 @@
 //! prototype). A [`ServerNode`] owns a [`Kernel`] and adapts engine timers
 //! and port messages onto the kernel's entry points.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use diablo_engine::component::{Component, Ctx};

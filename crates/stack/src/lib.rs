@@ -8,6 +8,7 @@
 //! parameterized by [`profile::KernelProfile`]s capturing the differences
 //! between the Linux versions the paper measures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kernel;

@@ -1,8 +1,8 @@
 //! Partition-parallel execution: the software analogue of DIABLO's
 //! multi-FPGA scaling. Racks map to partitions the way the prototype maps
-//! them to Rack FPGAs, synchronized once per quantum over a persistent
-//! worker pool (threads are spawned on the first `run_until` and reused by
-//! every later one) — and the results are bit-identical to a serial run.
+//! them to Rack FPGAs, synchronized once per quantum by worker threads
+//! scoped to each `run_until` call (the calling thread is worker 0) — and
+//! the results are bit-identical to a serial run.
 //!
 //! Run with: `cargo run --release --example parallel_run`
 

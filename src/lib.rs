@@ -53,6 +53,8 @@
 //! # Ok::<(), diablo::engine::error::EngineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use diablo_apps as apps;
 pub use diablo_baseline as baseline;
 pub use diablo_core as core;
