@@ -64,6 +64,18 @@ impl McVersion {
     }
 }
 
+/// The string [`McVersion::as_str`] prints: `1.4.15` or `1.4.17`.
+impl std::str::FromStr for McVersion {
+    type Err = String;
+
+    fn from_str(tok: &str) -> Result<Self, String> {
+        [McVersion::V1_4_15, McVersion::V1_4_17]
+            .into_iter()
+            .find(|v| v.as_str() == tok)
+            .ok_or_else(|| format!("unknown memcached version `{tok}` (expected 1.4.15|1.4.17)"))
+    }
+}
+
 /// State shared between the dispatcher and workers of one server.
 #[derive(Debug, Default)]
 pub struct McShared {

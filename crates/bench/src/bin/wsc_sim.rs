@@ -10,376 +10,753 @@
 //! $ wsc_sim memcached --restore warm.snap # resume bit-identically
 //! $ wsc_sim sweep --spec grid.sweep       # parallel grid, one merged table
 //! ```
+//!
+//! Every flag is one row of [`FLAGS`]: the usage text is generated from
+//! the table, a flag a subcommand's rows do not list is an error, and a
+//! run — alone or as one point of a sweep — is the table applied to a
+//! [`Scenario`], the scenario's own `validate`, and one run path.
 
-use diablo_apps::memcached::McVersion;
-use diablo_bench::{banner, cc, fabric, parallel_mode, results_dir, write_metrics_artifacts, Args};
+use diablo_apps::failure::FailureStats;
+use diablo_bench::{banner, results_dir, write_metrics_artifacts};
 use diablo_core::report::percentiles_us;
 use diablo_core::{
     try_run_incast_with, try_run_memcached_with, try_run_partition_aggregate_with, warm_incast,
     warm_memcached, warm_partition_aggregate, ArrivalSpec, CheckpointPolicy, ControlConfig,
-    ControlReport, DropAccounting, ExperimentError, FabricKind, FaultPlan, IncastClientKind,
-    IncastConfig, McExperimentConfig, PaExperimentConfig, SloStats, SweepEngine, SweepError,
-    SweepPoint, SweepRunner, SweepSpec, SwitchTemplate,
+    ControlReport, DropAccounting, ExperimentError, FabricKind, FaultPlan, IncastConfig,
+    IncastResult, McExperimentConfig, McExperimentResult, PaExperimentConfig, PaExperimentResult,
+    RunMode, SloStats, SweepEngine, SweepError, SweepPoint, SweepRunner, SweepSpec, SwitchTemplate,
 };
 use diablo_engine::prelude::{ExecReport, Histogram, MetricsRegistry, SimDuration, SimTime};
 use diablo_engine::time::Frequency;
-use diablo_stack::process::Proto;
-use diablo_stack::profile::KernelProfile;
+use diablo_net::switch::BufferConfig;
+use std::fmt::{Display, Write as _};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: wsc_sim <memcached|incast|partition-aggregate|sweep> [options]\n\
-         \n\
-         memcached options:\n\
-           --racks N (16)  --spr N (6)  --mc-per-rack N (1)  --requests N (150)\n\
-           --proto tcp|udp (udp)  --kernel 2.6|3.5 (2.6)  --version 1.4.15|1.4.17\n\
-           --workers N (4)  --10g  --parallel N  --seed N\n\
-         \n\
-         incast options:\n\
-           --servers N (8)  --iterations N (10)  --block BYTES (262144)\n\
-           --client pthread|epoll (pthread)  --ghz 2|4 (4)  --10g  --racks N (1)\n\
-           --buffer BYTES      per-port switch buffer override (every tier\n\
-                               on a fat-tree, ToR only on the tree)\n\
-           --parallel N  --seed N\n\
-         \n\
-         partition-aggregate options:\n\
-           --racks N (4)  --spr N (6)  --queries N (100)  --deadline-us N (1000)\n\
-           --query-bytes N (64)  --answer-bytes N (2048)  --cross-rack  --10g\n\
-           --parallel N  --seed N\n\
-         \n\
-         sweep options:\n\
-           --spec PATH         sweep grid spec: scenario/warm/jobs/set/axis\n\
-                               directives (see DESIGN.md §15); the cartesian\n\
-                               product of the axes fans out over worker\n\
-                               threads, optionally seeded from one shared\n\
-                               warmed checkpoint, into a single merged table\n\
-           --jobs N            worker threads (overrides the spec's jobs)\n\
-           --out PATH          merged results table (default under results/)\n\
-           --progress PATH     resumable progress ledger (default results/;\n\
-                               delete it to re-run from scratch)\n\
-           --warm-checkpoint PATH  shared warm snapshot location (default\n\
-                               results/, keyed by the spec digest)\n\
-         \n\
-         fabric (all workloads):\n\
-           --topology tree|fat-tree:k=K[,hosts=N]  (tree)\n\
-                               fat-tree is a 3-tier folded Clos with K pods\n\
-                               and flow-consistent ECMP; its shape replaces\n\
-                               --racks/--spr\n\
-           --cc reno|dctcp (reno)  congestion control; dctcp enables ECN\n\
-                               marking at the switches\n\
-         \n\
-         observability (all workloads):\n\
-           --metrics PATH      write the metrics JSON here instead of results/\n\
-           --check-invariants  exit 1 if frame conservation does not balance\n\
-         \n\
-         checkpoint/restore (all workloads):\n\
-           --checkpoint PATH   snapshot the full simulation state to PATH\n\
-                               mid-run (requires --checkpoint-at)\n\
-           --checkpoint-at DUR simulated instant to snapshot at, with a\n\
-                               ns/us/ms/s suffix (e.g. 2ms)\n\
-           --restore PATH      seed the run from a snapshot instead of time\n\
-                               zero; the restored run finishes bit-identical\n\
-                               to an uninterrupted one\n\
-         \n\
-         fault injection (all workloads):\n\
-           --fault-plan PATH   scripted fault schedule (link flaps, switch and\n\
-                               node failures); see DESIGN.md for the grammar\n\
-           --deadline MS       per-request TCP deadline in milliseconds\n\
-         \n\
-         open-loop load (all workloads):\n\
-           --arrival PATH      rate-driven admission profile (one\n\
-                               '<duration> <const|poisson> <rate>' phase per\n\
-                               line); memcached requires --proto udp, incast\n\
-                               requires --client epoll\n\
-           --slo NS            per-request SLO target in nanoseconds\n\
-           --window N          memcached in-flight window per client (64)\n\
-         \n\
-         cluster control plane (all workloads):\n\
-           --control-plane     run a scheduler process inside the simulation:\n\
-                               per-node heartbeat health checking, failover\n\
-                               placement onto spares, registry-based endpoint\n\
-                               discovery (memcached needs --arrival; the\n\
-                               search tier needs --cross-rack; incast gets\n\
-                               monitoring only)\n\
-           --spares N          standby replicas per rack (1, memcached only)\n\
-           --heartbeat-us N    agent heartbeat period (2000)\n\
-           --suspect-us N      silence before a node is suspect (5000)\n\
-           --dead-us N         silence before a node is dead (11000)\n\
-           --scale-up F        p99-violation fraction that adds a replica (0.25)\n\
-           --scale-down F      violation fraction that removes one (0.05)\n\
-           --autoscale         scale replicas against the SLO signal"
-    );
-    std::process::exit(2);
+// ====================================================================
+// Subcommands and the scenario they describe
+// ====================================================================
+
+const MC: u8 = 1;
+const IN: u8 = 2;
+const PA: u8 = 4;
+const SW: u8 = 8;
+/// The three subcommands that run one scenario.
+const RUN: u8 = MC | IN | PA;
+
+/// The subcommands: name, bit in a flag row's `subs` mask, banner title.
+const SUBS: [(&str, u8, &str); 4] = [
+    ("memcached", MC, "memcached at scale"),
+    ("incast", IN, "TCP incast"),
+    ("partition-aggregate", PA, "partition-aggregate search tier"),
+    ("sweep", SW, "parameter sweep"),
+];
+
+/// What a command line configures: one of the three workload configs.
+#[derive(Clone)]
+enum Scenario {
+    Memcached(McExperimentConfig),
+    Incast(IncastConfig),
+    PartitionAggregate(PaExperimentConfig),
 }
 
-/// Rejects contradictory zero values for flags that must be at least 1.
-fn positive<T: Default + PartialEq + std::fmt::Display>(name: &str, v: T) -> T {
-    if v == T::default() {
-        eprintln!("error: {name} must be at least 1 (got {v})");
-        std::process::exit(2);
-    }
-    v
-}
-
-/// Parses `--topology`, rejecting shape flags that a fat-tree derives
-/// itself: under `fat-tree:k=K` the rack count and servers-per-rack come
-/// from the Clos arithmetic, so an explicit `--racks`/`--spr` would be
-/// silently ignored — an error instead.
-fn fabric_for(args: &Args, shape_flags: &[&str]) -> FabricKind {
-    let f = fabric(args);
-    if matches!(f, FabricKind::FatTree(_)) {
-        for flag in shape_flags {
-            if args.flag(flag) {
-                eprintln!(
-                    "error: {flag} conflicts with --topology fat-tree \
-                     (the Clos shape is derived from k and hosts)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    f
-}
-
-/// Human-readable fabric description for the run banner.
-fn fabric_desc(f: &FabricKind) -> String {
-    match f {
-        FabricKind::Tree => "tree".to_string(),
-        FabricKind::FatTree(ft) => {
-            format!("fat-tree(k={}, hosts/edge={})", ft.k, ft.hosts_per_edge)
-        }
-    }
-}
-
-/// Short fabric token for namespacing `results/` artifacts
-/// (`memcached_fattree_metrics.json` and friends).
-fn fabric_short(f: &FabricKind) -> &'static str {
-    match f {
-        FabricKind::Tree => "tree",
-        FabricKind::FatTree(_) => "fattree",
-    }
-}
-
-/// Loads and parses `--fault-plan`, exiting non-zero on a missing file or
-/// a malformed schedule. `verbose` gates the loader chatter so parallel
-/// sweep workers stay quiet.
-fn fault_plan(args: &Args, verbose: bool) -> Option<FaultPlan> {
-    let path = args.get("--fault-plan", String::new());
-    if path.is_empty() {
-        return None;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read fault plan {path}: {e}");
-        std::process::exit(2);
-    });
-    let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
-    if verbose {
-        println!(
-            "fault plan: {} events from {path} (horizon {})",
-            plan.events.len(),
-            plan.horizon()
-        );
-    }
-    Some(plan)
-}
-
-/// Loads and parses `--arrival`, exiting non-zero on a missing file or a
-/// malformed profile.
-fn arrival_spec(args: &Args, verbose: bool) -> Option<ArrivalSpec> {
-    let path = args.get("--arrival", String::new());
-    if path.is_empty() {
-        return None;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read arrival spec {path}: {e}");
-        std::process::exit(2);
-    });
-    let spec = ArrivalSpec::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
-    if verbose {
-        println!(
-            "arrival profile: {} phases from {path} (horizon {}, ~{:.0} arrivals per client)",
-            spec.phases().len(),
-            spec.horizon(),
-            spec.expected_arrivals()
-        );
-    }
-    Some(spec)
-}
-
-/// Parses `--slo NS` into an SLO target. An explicit `--slo 0` is
-/// contradictory — a zero-nanosecond target is violated by construction —
-/// and is an error rather than a silent "no target".
-fn slo_target(args: &Args) -> Option<SimDuration> {
-    if !args.flag("--slo") {
-        return None;
-    }
-    let ns: u64 = args.get("--slo", 0);
-    if ns == 0 {
-        eprintln!("error: --slo must be at least 1 nanosecond (got 0)");
-        std::process::exit(2);
-    }
-    Some(SimDuration::from_nanos(ns))
-}
-
-/// Parses the `--control-plane` flag family into a scheduler config.
-///
-/// Exits non-zero on contradictions: a tuning flag without
-/// `--control-plane` itself, or thresholds [`ControlConfig::validate`]
-/// rejects (zero periods, suspect/dead out of order, inverted scaling
-/// hysteresis).
-fn control_config(args: &Args) -> Option<ControlConfig> {
-    const TUNING: [&str; 7] = [
-        "--spares",
-        "--heartbeat-us",
-        "--suspect-us",
-        "--dead-us",
-        "--scale-up",
-        "--scale-down",
-        "--autoscale",
-    ];
-    if !args.flag("--control-plane") {
-        for f in TUNING {
-            if args.flag(f) {
-                eprintln!("error: {f} requires --control-plane");
-                std::process::exit(2);
-            }
-        }
-        return None;
-    }
-    let d = ControlConfig::default();
-    let mut ctl = ControlConfig {
-        spares_per_rack: args.get("--spares", d.spares_per_rack),
-        scale_up_frac: args.get("--scale-up", d.scale_up_frac),
-        scale_down_frac: args.get("--scale-down", d.scale_down_frac),
-        autoscale: args.flag("--autoscale"),
-        ..d
+/// Evaluates `$body` with `$cfg` bound to the scenario's config. The
+/// configs are distinct types that name their shared knobs alike (`seed`,
+/// `cc`, `faults`, ...), so one body serves `all` of them or the listed
+/// variants; the table never applies a flag to a variant its row's
+/// `subs` leaves out.
+macro_rules! on {
+    ($scenario:expr, all, $cfg:ident => $body:expr) => {
+        on!($scenario, Memcached | Incast | PartitionAggregate, $cfg => $body)
     };
-    if args.flag("--heartbeat-us") {
-        ctl.heartbeat_every = SimDuration::from_micros(args.get("--heartbeat-us", 0));
-    }
-    if args.flag("--suspect-us") {
-        ctl.suspect_after = SimDuration::from_micros(args.get("--suspect-us", 0));
-    }
-    if args.flag("--dead-us") {
-        ctl.dead_after = SimDuration::from_micros(args.get("--dead-us", 0));
-    }
-    if let Err(e) = ctl.validate() {
-        eprintln!("error: --control-plane: {e}");
-        std::process::exit(2);
-    }
-    Some(ctl)
+    ($scenario:expr, $($variant:ident)|+, $cfg:ident => $body:expr) => {
+        match $scenario {
+            $(Scenario::$variant($cfg) => $body,)+
+            #[allow(unreachable_patterns)]
+            _ => unreachable!("a flag applied to a scenario its row excludes"),
+        }
+    };
 }
 
-/// Parses the `--checkpoint`/`--checkpoint-at`/`--restore` flag family.
-///
-/// Exits 2 on contradictions: a snapshot path without an instant (or the
-/// reverse), a malformed duration token, a restore file that does not
-/// exist, or a checkpoint that would clobber the snapshot it restores
-/// from.
-fn checkpoint_policy(args: &Args) -> CheckpointPolicy {
-    let save_path = args.get("--checkpoint", String::new());
-    let has_at = args.flag("--checkpoint-at");
-    if save_path.is_empty() && has_at {
-        eprintln!("error: --checkpoint-at requires --checkpoint <path>");
-        std::process::exit(2);
-    }
-    if !save_path.is_empty() && !has_at {
-        eprintln!("error: --checkpoint requires --checkpoint-at <duration>");
-        std::process::exit(2);
-    }
-    let save = (!save_path.is_empty()).then(|| {
-        let tok: String = args.get("--checkpoint-at", String::new());
-        let at = tok.parse::<SimDuration>().unwrap_or_else(|e| {
-            eprintln!("error: --checkpoint-at: {e}");
-            std::process::exit(2);
-        });
-        (PathBuf::from(&save_path), SimTime::ZERO + at)
-    });
-    let restore_path = args.get("--restore", String::new());
-    let restore_from = (!restore_path.is_empty()).then(|| {
-        let p = PathBuf::from(&restore_path);
-        if !p.is_file() {
-            eprintln!("error: --restore: cannot read snapshot {restore_path}: no such file");
-            std::process::exit(2);
-        }
-        p
-    });
-    if let (Some((s, _)), Some(r)) = (&save, &restore_from) {
-        if s == r {
-            eprintln!("error: --checkpoint and --restore must not share a path");
-            std::process::exit(2);
+impl Scenario {
+    /// The subcommand's scenario at its defaults. A sweep runs the
+    /// scenario its spec names; until `--spec` names it, it is memcached.
+    fn new(sub: &str) -> Scenario {
+        match sub {
+            "incast" => Scenario::Incast(IncastConfig::fig6a(8)),
+            "partition-aggregate" => Scenario::PartitionAggregate(PaExperimentConfig::new(4, 100)),
+            _ => Scenario::Memcached(McExperimentConfig::mini(16, 150)),
         }
     }
-    CheckpointPolicy { save, restore_from }
+
+    /// The two lines a run prints under its banner: the workload's shape,
+    /// then the fabric.
+    fn summary(&self) -> String {
+        let gbps = |ten_gig| if ten_gig { "10 Gbps" } else { "1 Gbps" };
+        let shape = match self {
+            Scenario::Memcached(c) => format!(
+                "{} nodes ({} racks x {}), {} memcached servers, {:?}, kernel {}, memcached {}, {}",
+                c.nodes(),
+                c.racks,
+                c.servers_per_rack,
+                c.racks * c.mc_per_rack,
+                c.proto,
+                c.kernel.name,
+                c.version.as_str(),
+                gbps(c.ten_gig),
+            ),
+            Scenario::Incast(c) => format!(
+                "{} servers, {} iterations, {} B blocks, {:?} client, {} CPU, {}",
+                c.servers,
+                c.iterations,
+                c.block_bytes,
+                c.client,
+                c.cpu,
+                gbps(c.ten_gig),
+            ),
+            Scenario::PartitionAggregate(c) => format!(
+                "{} racks x {} servers: {} front-ends fanning {} over {} leaves each, \
+                 {} queries under a {} deadline, {}",
+                c.racks,
+                c.servers_per_rack,
+                c.racks,
+                if c.cross_rack { "cluster-wide" } else { "rack-local" },
+                c.fanout(),
+                c.queries,
+                c.deadline,
+                gbps(c.ten_gig),
+            ),
+        };
+        let fabric = match on!(self, all, c => c.fabric) {
+            FabricKind::Tree => "tree".to_string(),
+            FabricKind::FatTree(ft) => {
+                format!("fat-tree(k={}, hosts/edge={})", ft.k, ft.hosts_per_edge)
+            }
+        };
+        let cc = on!(self, all, c => c.cc.name());
+        format!("{shape}\nfabric: {fabric}, congestion control: {cc}")
+    }
+
+    fn run(&self, ckpt: &CheckpointPolicy) -> Result<Report, ExperimentError> {
+        match self {
+            Scenario::Memcached(c) => try_run_memcached_with(c, ckpt).map(Report::memcached),
+            Scenario::Incast(c) => try_run_incast_with(c, ckpt).map(Report::incast),
+            Scenario::PartitionAggregate(c) => {
+                try_run_partition_aggregate_with(c, ckpt).map(Report::partition_aggregate)
+            }
+        }
+    }
+
+    fn warm(&self, path: &Path, at: SimTime) -> Result<(), ExperimentError> {
+        match self {
+            Scenario::Memcached(c) => warm_memcached(c, path, at),
+            Scenario::Incast(c) => warm_incast(c, path, at),
+            Scenario::PartitionAggregate(c) => warm_partition_aggregate(c, path, at),
+        }
+    }
 }
 
-/// Announces what the checkpoint policy will do to this run.
-fn print_checkpoint(ckpt: &CheckpointPolicy) {
+// ====================================================================
+// The flag table
+// ====================================================================
+
+/// What the flags set besides the scenario: how to run and report it,
+/// and what a sweep runs.
+#[derive(Default)]
+struct Options {
+    /// Announce loaded fault plans and arrival profiles (the points of a
+    /// sweep, which run in parallel, stay quiet).
+    verbose: bool,
+    metrics: Option<PathBuf>,
+    check_invariants: bool,
+    save: Option<PathBuf>,
+    save_at: Option<SimTime>,
+    restore: Option<PathBuf>,
+    /// The sweep grid and the path it was read from.
+    spec: Option<(String, SweepSpec)>,
+    jobs: Option<usize>,
+    out: Option<PathBuf>,
+    progress: Option<PathBuf>,
+    warm_checkpoint: Option<PathBuf>,
+}
+
+/// Applies a flag's value (`""` for a switch). An error completes the
+/// sentence that starts with the flag's name.
+type Apply = fn(&mut Scenario, &mut Options, &str) -> Result<(), String>;
+
+/// One row of the flag table: the only place the flag is named.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the usage text; empty for a switch.
+    value: &'static str,
+    /// Mask of the subcommands that accept it.
+    subs: u8,
+    help: &'static str,
+    apply: Apply,
+}
+
+/// A row's name, value placeholder, subcommand mask and help, waiting for
+/// [`Row::set`] to make it a [`Flag`].
+struct Row(&'static str, &'static str, u8, &'static str);
+
+const fn flag(name: &'static str, value: &'static str, subs: u8, help: &'static str) -> Row {
+    Row(name, value, subs, help)
+}
+
+impl Row {
+    const fn set(self, apply: Apply) -> Flag {
+        Flag { name: self.0, value: self.1, subs: self.2, help: self.3, apply }
+    }
+}
+
+fn num<T: FromStr<Err: Display>>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|e| format!("has invalid value {v:?}: {e}"))
+}
+
+/// A count or a size, which must be at least 1.
+fn pos<T: FromStr<Err: Display> + Default + PartialEq>(v: &str) -> Result<T, String> {
+    match num(v)? {
+        n if n == T::default() => Err(format!("must be at least 1 (got {v})")),
+        n => Ok(n),
+    }
+}
+
+fn set<T>(field: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *field = value?;
+    Ok(())
+}
+
+/// Sets a dimension of the tree. A fat-tree derives the rack count and
+/// the servers per rack from `k` and `hosts`, and would silently override
+/// the flag.
+fn set_shape(fabric: FabricKind, field: &mut usize, v: &str) -> Result<(), String> {
+    if fabric != FabricKind::Tree {
+        return Err("conflicts with --topology fat-tree (the Clos shape is derived from k and \
+                    hosts)"
+            .into());
+    }
+    set(field, pos(v))
+}
+
+/// The scheduler config the tuning flags adjust.
+fn control(s: &mut Scenario) -> Result<&mut ControlConfig, String> {
+    on!(s, all, c => c.control.as_mut()).ok_or_else(|| "requires --control-plane".to_string())
+}
+
+fn read(what: &str, path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {what} {path}: {e}"))
+}
+
+/// Every flag, in the order they are applied: a row may rely on the rows
+/// above it (the shape flags on `--topology`, the tuning flags on
+/// `--control-plane`, `--restore` on `--checkpoint`), never on the order
+/// of the command line.
+const FLAGS: &[Flag] = &[
+    flag(
+        "--topology",
+        "tree|fat-tree:k=K[,hosts=N]",
+        RUN,
+        "fabric (tree); fat-tree is a 3-tier folded Clos with K pods and\n\
+         flow-consistent ECMP, and its shape replaces --racks/--spr",
+    )
+    .set(|s, _, v| {
+        if let FabricKind::FatTree(ft) = num(v)? {
+            on!(s, all, c => *c = c.clone().on_fat_tree(ft));
+        }
+        Ok(())
+    }),
+    flag("--racks", "N", RUN, "racks (memcached 16, incast 1, partition-aggregate 4)")
+        .set(|s, _, v| on!(s, all, c => set_shape(c.fabric, &mut c.racks, v))),
+    flag("--spr", "N", MC | PA, "servers per rack (6)").set(|s, _, v| {
+        on!(s, Memcached | PartitionAggregate, c => set_shape(c.fabric, &mut c.servers_per_rack, v))
+    }),
+    flag("--servers", "N", IN, "storage servers fanning in (8)")
+        .set(|s, _, v| on!(s, Incast, c => set(&mut c.servers, pos(v)))),
+    flag("--mc-per-rack", "N", MC, "memcached servers per rack (1)")
+        .set(|s, _, v| on!(s, Memcached, c => set(&mut c.mc_per_rack, pos(v)))),
+    flag("--requests", "N", MC, "requests per client (150)")
+        .set(|s, _, v| on!(s, Memcached, c => set(&mut c.requests_per_client, pos(v)))),
+    flag("--workers", "N", MC, "worker threads per memcached server (4)")
+        .set(|s, _, v| on!(s, Memcached, c => set(&mut c.workers, pos(v)))),
+    flag("--proto", "tcp|udp", MC, "transport (udp)")
+        .set(|s, _, v| on!(s, Memcached, c => set(&mut c.proto, num(v)))),
+    flag("--kernel", "2.6|3.5", MC, "guest kernel profile (2.6)")
+        .set(|s, _, v| on!(s, Memcached, c => set(&mut c.kernel, num(v)))),
+    flag("--version", "1.4.15|1.4.17", MC, "memcached release (1.4.17)")
+        .set(|s, _, v| on!(s, Memcached, c => set(&mut c.version, num(v)))),
+    flag("--iterations", "N", IN, "synchronized-read iterations (10)")
+        .set(|s, _, v| on!(s, Incast, c => set(&mut c.iterations, pos(v)))),
+    flag("--block", "BYTES", IN, "block striped over the servers per iteration (262144)")
+        .set(|s, _, v| on!(s, Incast, c => set(&mut c.block_bytes, pos(v)))),
+    flag("--client", "pthread|epoll", IN, "client structure (pthread)")
+        .set(|s, _, v| on!(s, Incast, c => set(&mut c.client, num(v)))),
+    flag("--ghz", "N", IN, "server CPU clock (4)")
+        .set(|s, _, v| on!(s, Incast, c => set(&mut c.cpu, pos(v).map(Frequency::ghz)))),
+    flag(
+        "--buffer",
+        "BYTES",
+        IN,
+        "per-port switch buffer, the axis the incast literature sweeps (every\n\
+         tier on a fat-tree, ToR only on the tree); 0 keeps the shallow default",
+    )
+    .set(|s, _, v| {
+        let bytes_per_port: u32 = num(v)?;
+        let buffer = BufferConfig::PerPort { bytes_per_port };
+        let deep = SwitchTemplate { buffer, ..SwitchTemplate::gbe_shallow() };
+        on!(s, Incast, c => c.switch = (bytes_per_port > 0).then_some(deep));
+        Ok(())
+    }),
+    flag("--queries", "N", PA, "queries per front-end (100)")
+        .set(|s, _, v| on!(s, PartitionAggregate, c => set(&mut c.queries, pos(v)))),
+    flag("--deadline-us", "N", PA, "per-query aggregation deadline (1000)").set(|s, _, v| {
+        on!(s, PartitionAggregate, c => set(&mut c.deadline, pos(v).map(SimDuration::from_micros)))
+    }),
+    flag("--query-bytes", "N", PA, "query payload (64)")
+        .set(|s, _, v| on!(s, PartitionAggregate, c => set(&mut c.query_bytes, pos(v)))),
+    flag("--answer-bytes", "N", PA, "answer payload (2048)")
+        .set(|s, _, v| on!(s, PartitionAggregate, c => set(&mut c.answer_bytes, pos(v)))),
+    flag("--cross-rack", "", PA, "fan each query over every leaf in the cluster")
+        .set(|s, _, _| on!(s, PartitionAggregate, c => set(&mut c.cross_rack, Ok(true)))),
+    flag("--10g", "", RUN, "10 Gbps fabric instead of 1 Gbps")
+        .set(|s, _, _| on!(s, all, c => set(&mut c.ten_gig, Ok(true)))),
+    flag("--cc", "reno|dctcp", RUN, "congestion control (reno); dctcp makes the switches mark ECN")
+        .set(|s, _, v| on!(s, all, c => set(&mut c.cc, num(v)))),
+    flag("--seed", "N", RUN, "master seed of every derived random stream")
+        .set(|s, _, v| on!(s, all, c => set(&mut c.seed, num(v)))),
+    flag("--parallel", "N", RUN, "run partition-parallel over N partitions; results are identical")
+        .set(|s, _, v| {
+            let mode = pos(v).map(|n| if n == 1 { RunMode::Serial } else { RunMode::parallel(n) });
+            on!(s, all, c => set(&mut c.mode, mode))
+        }),
+    flag(
+        "--sim-workers",
+        "N",
+        RUN,
+        "executor worker threads (default: the host's cores, at most one per\n\
+         partition); needs --parallel 2 or more",
+    )
+    .set(|s, _, v| {
+        let mode = on!(s, all, c => &mut c.mode);
+        let RunMode::Parallel { partitions, .. } = *mode else {
+            return Err("requires --parallel >= 2".into());
+        };
+        set(mode, pos(v).map(|workers| RunMode::parallel_with_workers(partitions, workers)))
+    }),
+    flag(
+        "--fault-plan",
+        "PATH",
+        RUN,
+        "scripted fault schedule: link flaps, switch and node failures (the\n\
+         grammar is in DESIGN.md §10)",
+    )
+    .set(|s, o, path| {
+        let text = read("fault plan", path)?;
+        let plan = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        if o.verbose {
+            let (n, horizon) = (plan.events.len(), plan.horizon());
+            println!("fault plan: {n} events from {path} (horizon {horizon})");
+        }
+        on!(s, all, c => set(&mut c.faults, Ok(Some(plan))))
+    }),
+    flag("--deadline", "MS", MC | IN, "per-request TCP deadline in milliseconds (0: none)").set(
+        |s, _, v| {
+            let ms: u64 = num(v)?;
+            let deadline = (ms > 0).then(|| SimDuration::from_millis(ms));
+            on!(s, Memcached | Incast, c => set(&mut c.request_deadline, Ok(deadline)))
+        },
+    ),
+    flag(
+        "--arrival",
+        "PATH",
+        RUN,
+        "open-loop admission profile, one '<duration> <const|poisson> <rate>'\n\
+         phase per line; memcached needs --proto udp, incast --client epoll",
+    )
+    .set(|s, o, path| {
+        let text = read("arrival spec", path)?;
+        let spec = ArrivalSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        if o.verbose {
+            println!(
+                "arrival profile: {} phases from {path} (horizon {}, ~{:.0} arrivals per client)",
+                spec.phases().len(),
+                spec.horizon(),
+                spec.expected_arrivals()
+            );
+        }
+        on!(s, all, c => set(&mut c.arrival, Ok(Some(spec))))
+    }),
+    flag("--slo", "NS", RUN, "per-request SLO target in nanoseconds").set(|s, _, v| {
+        // A zero target is violated by construction, not "no target".
+        let ns: u64 = num(v)?;
+        if ns == 0 {
+            return Err("must be at least 1 nanosecond (got 0)".into());
+        }
+        on!(s, all, c => set(&mut c.slo, Ok(Some(SimDuration::from_nanos(ns)))))
+    }),
+    flag("--window", "N", MC, "open-loop in-flight window per client (64)")
+        .set(|s, _, v| on!(s, Memcached, c => set(&mut c.window, pos(v)))),
+    flag(
+        "--control-plane",
+        "",
+        RUN,
+        "run a scheduler inside the simulation: heartbeat health checks,\n\
+         failover onto spares, registry endpoint discovery (memcached needs\n\
+         --arrival, the search tier --cross-rack; incast is only monitored)",
+    )
+    .set(|s, _, _| on!(s, all, c => set(&mut c.control, Ok(Some(ControlConfig::default()))))),
+    flag("--spares", "N", RUN, "standby replicas per rack (1; memcached only)")
+        .set(|s, _, v| set(&mut control(s)?.spares_per_rack, num(v))),
+    flag("--heartbeat-us", "N", RUN, "agent heartbeat period (2000)")
+        .set(|s, _, v| set(&mut control(s)?.heartbeat_every, num(v).map(SimDuration::from_micros))),
+    flag("--suspect-us", "N", RUN, "silence before a node is suspect (5000)")
+        .set(|s, _, v| set(&mut control(s)?.suspect_after, num(v).map(SimDuration::from_micros))),
+    flag("--dead-us", "N", RUN, "silence before a node is dead (11000)")
+        .set(|s, _, v| set(&mut control(s)?.dead_after, num(v).map(SimDuration::from_micros))),
+    flag("--scale-up", "F", RUN, "p99-violation fraction that adds a replica (0.25)")
+        .set(|s, _, v| set(&mut control(s)?.scale_up_frac, num(v))),
+    flag("--scale-down", "F", RUN, "violation fraction that removes one (0.05)")
+        .set(|s, _, v| set(&mut control(s)?.scale_down_frac, num(v))),
+    flag("--autoscale", "", RUN, "scale replicas against the SLO signal")
+        .set(|s, _, _| set(&mut control(s)?.autoscale, Ok(true))),
+    flag("--metrics", "PATH", RUN, "write the metrics JSON here instead of results/")
+        .set(|_, o, v| set(&mut o.metrics, Ok(Some(v.into())))),
+    flag("--check-invariants", "", RUN, "exit 1 if frame conservation does not balance")
+        .set(|_, o, _| set(&mut o.check_invariants, Ok(true))),
+    flag("--checkpoint", "PATH", RUN, "snapshot the full simulation state to PATH mid-run")
+        .set(|_, o, v| set(&mut o.save, Ok(Some(v.into())))),
+    flag("--checkpoint-at", "DUR", RUN, "simulated instant of the snapshot, e.g. 2ms").set(
+        |_, o, v| {
+            if o.save.is_none() {
+                return Err("requires --checkpoint <path>".into());
+            }
+            set(&mut o.save_at, num::<SimDuration>(v).map(|at| Some(SimTime::ZERO + at)))
+        },
+    ),
+    flag(
+        "--restore",
+        "PATH",
+        RUN,
+        "start from a snapshot instead of time zero; the run finishes\n\
+         bit-identical to an uninterrupted one",
+    )
+    .set(|_, o, v| {
+        if !Path::new(v).is_file() {
+            return Err(format!("cannot read snapshot {v}: no such file"));
+        }
+        if o.save.as_deref() == Some(Path::new(v)) {
+            return Err("and --checkpoint must not share a path".into());
+        }
+        set(&mut o.restore, Ok(Some(v.into())))
+    }),
+    flag(
+        "--spec",
+        "PATH",
+        SW,
+        "the grid: scenario/warm/jobs/set/axis directives (DESIGN.md §15). The\n\
+         product of the axes fans out over worker threads, optionally from one\n\
+         shared warmed checkpoint, into a single merged table",
+    )
+    .set(|s, o, path| {
+        let text = read("sweep spec", path)?;
+        let spec = SweepSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        if !SUBS.iter().any(|(name, mask, _)| *name == spec.scenario && mask & RUN != 0) {
+            return Err(format!(
+                "{path}: unknown sweep scenario `{}` (expected \
+                 memcached|incast|partition-aggregate)",
+                spec.scenario
+            ));
+        }
+        *s = Scenario::new(&spec.scenario);
+        set(&mut o.spec, Ok(Some((path.to_string(), spec))))
+    }),
+    flag("--jobs", "N", SW, "worker threads (overrides the spec's jobs)")
+        .set(|_, o, v| set(&mut o.jobs, pos(v).map(Some))),
+    flag("--out", "PATH", SW, "merged results table (default under results/)")
+        .set(|_, o, v| set(&mut o.out, Ok(Some(v.into())))),
+    flag("--progress", "PATH", SW, "resumable progress ledger; delete it to start over")
+        .set(|_, o, v| set(&mut o.progress, Ok(Some(v.into())))),
+    flag("--warm-checkpoint", "PATH", SW, "shared warm snapshot (default: keyed by the spec)")
+        .set(|_, o, v| set(&mut o.warm_checkpoint, Ok(Some(v.into())))),
+];
+
+/// Applies `argv` to `scenario` through the rows subcommand `sub` accepts.
+fn parse(
+    sub: &str,
+    mut scenario: Scenario,
+    verbose: bool,
+    argv: &[String],
+) -> Result<(Scenario, Options), String> {
+    let mask = SUBS.iter().find(|(name, ..)| *name == sub).map_or(0, |(_, mask, _)| *mask);
+    // Every token is a flag this subcommand lists, then its value.
+    let mut given: Vec<Option<&str>> = vec![None; FLAGS.len()];
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        let i = FLAGS
+            .iter()
+            .position(|f| f.name == arg && f.subs & mask != 0)
+            .ok_or_else(|| format!("unknown flag {arg} for {sub}"))?;
+        let value = match FLAGS[i].value {
+            "" => "",
+            placeholder => {
+                args.next().ok_or_else(|| format!("{arg} needs a value ({placeholder})"))?
+            }
+        };
+        if given[i].replace(value).is_some() {
+            return Err(format!("{arg} is given more than once"));
+        }
+    }
+    let mut options = Options { verbose, ..Options::default() };
+    for (flag, value) in FLAGS.iter().zip(given) {
+        if let Some(value) = value {
+            (flag.apply)(&mut scenario, &mut options, value)
+                .map_err(|e| format!("{} {e}", flag.name))?;
+        }
+    }
+    if options.save.is_some() && options.save_at.is_none() {
+        return Err("--checkpoint requires --checkpoint-at <duration>".into());
+    }
+    Ok((scenario, options))
+}
+
+/// The usage text: per subcommand, the rows of the table it accepts.
+fn usage() -> String {
+    let mut out =
+        "usage: wsc_sim <memcached|incast|partition-aggregate|sweep> [options]\n".to_string();
+    for (sub, mask, _) in SUBS {
+        let _ = writeln!(out, "\n{sub} options:");
+        for flag in FLAGS.iter().filter(|f| f.subs & mask != 0) {
+            let mut head = format!("{} {}", flag.name, flag.value);
+            for line in flag.help.lines() {
+                let _ = writeln!(out, "  {head:<22} {line}");
+                head.clear();
+            }
+        }
+    }
+    out
+}
+
+/// Reports `msg` and exits with `code`: 2 for a command line or a config
+/// that cannot run, 1 for a run that failed. Called from the main thread
+/// only, never under [`SweepRunner`].
+fn fail(code: i32, msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(code);
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let sub = argv.first().and_then(|arg| SUBS.iter().find(|(name, ..)| name == arg));
+    let Some(&(sub, mask, title)) = sub else {
+        eprint!("{}", usage());
+        std::process::exit(2);
+    };
+    banner("wsc_sim", title);
+    let (scenario, options) =
+        parse(sub, Scenario::new(sub), true, &argv[1..]).unwrap_or_else(|e| fail(2, e));
+    if mask == SW {
+        sweep(&scenario, &options);
+    } else {
+        run(sub, &scenario, &options);
+    }
+}
+
+// ====================================================================
+// One run
+// ====================================================================
+
+/// What a finished run reports, whatever the workload: the summary lines
+/// printed before (`head`) and after (`body`) the control-plane and
+/// open-loop lines, the cells of its sweep row, and the run envelope.
+struct Report {
+    head: String,
+    body: String,
+    columns: Vec<(&'static str, String)>,
+    control: Option<ControlReport>,
+    offered: u64,
+    slo: SloStats,
+    metrics: MetricsRegistry,
+    conservation: DropAccounting,
+    exec: Option<ExecReport>,
+}
+
+/// Builds a [`Report`] around the envelope fields that the three result
+/// structs name alike.
+macro_rules! report {
+    ($r:ident, $head:expr, $body:expr, $columns:expr) => {
+        Report {
+            head: $head,
+            body: $body,
+            columns: $columns.into(),
+            control: $r.control,
+            offered: $r.offered,
+            slo: $r.slo,
+            metrics: $r.metrics,
+            conservation: $r.conservation,
+            exec: $r.exec,
+        }
+    };
+}
+
+/// A latency quantile in microseconds (`-` when the histogram is empty).
+fn q_us(h: &Histogram, q: f64) -> String {
+    if h.is_empty() {
+        "-".to_string()
+    } else {
+        format!("{:.1}", h.quantile(q) as f64 / 1e3)
+    }
+}
+
+fn percentile_lines(h: &Histogram) -> String {
+    percentiles_us(h).iter().map(|(name, v)| format!("  {name:>6}: {v:>12.1} us\n")).collect()
+}
+
+/// The client failure/recovery line (nothing in a fault-free run).
+fn failure_line(f: &FailureStats) -> String {
+    if f.failed == 0 {
+        return String::new();
+    }
+    format!(
+        "client failures: failed={} retried={} reconnects={} recovered={} gave_up={} \
+         crash_lost={} recovery_time={}ns\n",
+        f.failed,
+        f.retried,
+        f.reconnects,
+        f.recovered,
+        f.gave_up,
+        f.crash_lost,
+        f.recovery_time.as_nanos()
+    )
+}
+
+impl Report {
+    fn memcached(r: McExperimentResult) -> Report {
+        let head = format!(
+            "\n{} requests in {} simulated ({} events, {:.2}s wall)\n\
+             served={} udp_retries={} failures={}\n",
+            r.latency.count(),
+            r.completed_at,
+            r.events,
+            r.wall.as_secs_f64(),
+            r.served,
+            r.udp_retries,
+            r.failures
+        );
+        let mut body = String::new();
+        if r.timed_out > 0 {
+            let n = r.timed_out;
+            let _ = writeln!(body, "timed_out={n} (expired unanswered; window slots reclaimed)");
+        }
+        body += &failure_line(&r.failure);
+        body += &percentile_lines(&r.latency);
+        for (label, h) in ["local", "1-hop", "2-hop"].iter().zip(&r.by_class) {
+            if !h.is_empty() {
+                let (n, p50, p99) = (h.count(), q_us(h, 0.5), q_us(h, 0.99));
+                let _ = writeln!(body, "  {label:>6}: n={n:<8} p50={p50}us p99={p99}us");
+            }
+        }
+        let columns = [
+            ("served", r.served.to_string()),
+            ("p50_us", q_us(&r.latency, 0.5)),
+            ("p99_us", q_us(&r.latency, 0.99)),
+            ("sim_time", r.completed_at.to_string()),
+            ("events", r.events.to_string()),
+        ];
+        report!(r, head, body, columns)
+    }
+
+    fn incast(r: IncastResult) -> Report {
+        let head = format!(
+            "\ngoodput {:.1} Mbps over {} iterations ({} switch drops, {} events)\n",
+            r.goodput_mbps,
+            r.iteration_times.len(),
+            r.switch_drops,
+            r.events
+        );
+        let mut body = String::new();
+        for (i, d) in r.iteration_times.iter().enumerate() {
+            let _ = writeln!(body, "  iteration {:>2}: {d}", i + 1);
+        }
+        body += &failure_line(&r.failure);
+        let columns = [
+            ("goodput_mbps", format!("{:.1}", r.goodput_mbps)),
+            ("switch_drops", r.switch_drops.to_string()),
+            ("events", r.events.to_string()),
+        ];
+        report!(r, head, body, columns)
+    }
+
+    fn partition_aggregate(r: PaExperimentResult) -> Report {
+        let head = format!(
+            "\n{} queries in {} simulated ({} events, {:.2}s wall)\n\
+             full_aggregates={} deadline_misses={} missing_answers={} leaf_served={}\n",
+            r.queries,
+            r.completed_at,
+            r.events,
+            r.wall.as_secs_f64(),
+            r.full_aggregates,
+            r.deadline_misses,
+            r.missing_answers,
+            r.served
+        );
+        let mut body = String::new();
+        if !r.latency.is_empty() {
+            body = format!("full-aggregate latency:\n{}", percentile_lines(&r.latency));
+        }
+        let columns = [
+            ("full_aggregates", r.full_aggregates.to_string()),
+            ("deadline_misses", r.deadline_misses.to_string()),
+            ("p99_us", q_us(&r.latency, 0.99)),
+            ("events", r.events.to_string()),
+        ];
+        report!(r, head, body, columns)
+    }
+}
+
+/// The one run path: validate, announce, run under the checkpoint
+/// policy, print the report, write the artifacts.
+fn run(sub: &str, scenario: &Scenario, options: &Options) {
+    on!(scenario, all, c => c.validate()).unwrap_or_else(|e| fail(2, e));
+    println!("{}", scenario.summary());
+    let ckpt = CheckpointPolicy {
+        save: options.save.clone().zip(options.save_at),
+        restore_from: options.restore.clone(),
+    };
     if let Some(p) = &ckpt.restore_from {
         println!("restore: seeding simulation state from {}", p.display());
     }
     if let Some((p, at)) = &ckpt.save {
         println!("checkpoint: will snapshot to {} at {at}", p.display());
     }
-}
-
-/// Unwraps an experiment result, turning structured failures (snapshot
-/// validation, unreachable checkpoint instants) into `exit 1`.
-fn run_or_die<T>(r: Result<T, ExperimentError>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    })
-}
-
-fn main() {
-    let mode = std::env::args().nth(1).unwrap_or_default();
-    let args = Args::parse();
-    match mode.as_str() {
-        "memcached" => memcached(&args),
-        "incast" => incast(&args),
-        "partition-aggregate" => partition_aggregate(&args),
-        "sweep" => sweep(&args),
-        _ => usage(),
-    }
+    // A snapshot that fails validation or a checkpoint instant the run
+    // never reaches is a failed run, not a bad command line.
+    let r = scenario.run(&ckpt).unwrap_or_else(|e| fail(1, e));
+    print!("{}", r.head);
+    print_control(r.control.as_ref());
+    print_slo(r.offered, &r.slo);
+    print!("{}", r.body);
+    // Default artifacts are namespaced by subcommand and fabric
+    // (`memcached_fattree_metrics.json`), so variants never clobber each
+    // other's.
+    let fabric = on!(scenario, all, c => c.fabric.name()).replace('-', "");
+    let tag = format!("{}_{fabric}", sub.replace('-', "_"));
+    emit_observability(&tag, options, &r);
 }
 
 /// Writes the run's metrics artifacts, prints the conservation audit, and
 /// (under `--check-invariants`) exits non-zero on an unbalanced book.
-///
-/// `tag` is namespaced by subcommand and fabric (e.g.
-/// `memcached_fattree`), so scenario variants never clobber each other's
-/// default artifacts under `results/`.
-fn emit_observability(
-    tag: &str,
-    args: &Args,
-    metrics: &MetricsRegistry,
-    conservation: &DropAccounting,
-    exec: Option<&ExecReport>,
-) {
-    let json_override = {
-        let p = args.get("--metrics", String::new());
-        (!p.is_empty()).then(|| PathBuf::from(p))
-    };
+fn emit_observability(tag: &str, options: &Options, r: &Report) {
     // A redirected run keeps every artifact (CSV twin, exec stats) next
     // to the redirected JSON instead of clobbering the defaults under
     // results/.
-    let exec_override = json_override.as_ref().map(|p| {
+    let exec_override = options.metrics.as_ref().map(|p| {
         let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("metrics");
         p.with_file_name(format!("{stem}_exec.json"))
     });
-    match write_metrics_artifacts(tag, metrics, json_override) {
-        Ok(path) => println!("\nmetrics: {} ({} metrics)", path.display(), metrics.len()),
+    match write_metrics_artifacts(tag, &r.metrics, options.metrics.clone()) {
+        Ok(path) => println!("\nmetrics: {} ({} metrics)", path.display(), r.metrics.len()),
         Err(e) => eprintln!("warning: failed to write metrics artifacts: {e}"),
     }
-    if let Some(exec) = exec {
+    if let Some(exec) = &r.exec {
         // Executor statistics differ between serial and parallel runs by
         // construction; keep them out of the comparable model scrape.
         let mut reg = MetricsRegistry::new();
@@ -388,6 +765,7 @@ fn emit_observability(
             eprintln!("warning: failed to write executor metrics: {e}");
         }
     }
+    let conservation = &r.conservation;
     if conservation.is_balanced() {
         println!(
             "frame conservation: balanced (nodes tx {} + lost {}, switches tx-to-nodes {}, \
@@ -403,7 +781,7 @@ fn emit_observability(
         for v in &conservation.violations {
             eprintln!("  {v}");
         }
-        if args.flag("--check-invariants") {
+        if options.check_invariants {
             std::process::exit(1);
         }
     }
@@ -463,337 +841,29 @@ fn print_slo(offered: u64, slo: &SloStats) {
     );
 }
 
-/// Builds the memcached configuration from CLI flags. Shared between the
-/// `memcached` subcommand and sweep warm/point runs (which pass
-/// `verbose: false` to keep parallel workers quiet).
-fn memcached_cfg(args: &Args, verbose: bool) -> McExperimentConfig {
-    let mut cfg = McExperimentConfig::mini(
-        positive("--racks", args.get("--racks", 16)),
-        positive("--requests", args.get("--requests", 150)),
-    );
-    cfg.servers_per_rack = positive("--spr", args.get("--spr", cfg.servers_per_rack));
-    cfg.mc_per_rack = positive("--mc-per-rack", args.get("--mc-per-rack", cfg.mc_per_rack));
-    cfg.workers = positive("--workers", args.get("--workers", cfg.workers));
-    cfg.seed = args.get("--seed", cfg.seed);
-    cfg.ten_gig = args.flag("--10g");
-    if let FabricKind::FatTree(ft) = fabric_for(args, &["--racks", "--spr"]) {
-        cfg = cfg.on_fat_tree(ft);
-    }
-    cfg.cc = cc(args);
-    cfg.faults = fault_plan(args, verbose);
-    let deadline_ms: u64 = args.get("--deadline", 0);
-    if deadline_ms > 0 {
-        cfg.request_deadline = Some(diablo_engine::time::SimDuration::from_millis(deadline_ms));
-    }
-    cfg.proto = match args.get("--proto", "udp".to_string()).as_str() {
-        "tcp" => Proto::Tcp,
-        "udp" => Proto::Udp,
-        _ => usage(),
-    };
-    cfg.kernel = match args.get("--kernel", "2.6".to_string()).as_str() {
-        "2.6" => KernelProfile::linux_2_6_39(),
-        "3.5" => KernelProfile::linux_3_5_7(),
-        _ => usage(),
-    };
-    cfg.version = match args.get("--version", "1.4.17".to_string()).as_str() {
-        "1.4.15" => McVersion::V1_4_15,
-        "1.4.17" => McVersion::V1_4_17,
-        _ => usage(),
-    };
-    cfg.arrival = arrival_spec(args, verbose);
-    cfg.slo = slo_target(args);
-    cfg.window = positive("--window", args.get("--window", cfg.window));
-    if cfg.arrival.is_some() && cfg.proto != Proto::Udp {
-        eprintln!("error: --arrival requires --proto udp (open-loop memcached is UDP-only)");
-        std::process::exit(2);
-    }
-    cfg.control = control_config(args);
-    if let Some(ctl) = &cfg.control {
-        if cfg.arrival.is_none() {
-            eprintln!(
-                "error: --control-plane memcached requires --arrival (clients discover \
-                 endpoints through the registry, which the open-loop client implements)"
-            );
-            std::process::exit(2);
-        }
-        if cfg.mc_per_rack + ctl.spares_per_rack >= cfg.servers_per_rack {
-            eprintln!(
-                "error: --mc-per-rack {} + --spares {} leaves no client slots at --spr {}",
-                cfg.mc_per_rack, ctl.spares_per_rack, cfg.servers_per_rack
-            );
-            std::process::exit(2);
-        }
-    }
-    // Quantum derived from the rack-cut partition plan.
-    cfg.mode = parallel_mode(args);
-    cfg
-}
-
-fn memcached(args: &Args) {
-    banner("wsc_sim", "memcached at scale");
-    let cfg = memcached_cfg(args, true);
-    let ckpt = checkpoint_policy(args);
-    println!(
-        "{} nodes ({} racks x {}), {} memcached servers, {:?}, kernel {}, memcached {}, {}",
-        cfg.nodes(),
-        cfg.racks,
-        cfg.servers_per_rack,
-        cfg.racks * cfg.mc_per_rack,
-        cfg.proto,
-        cfg.kernel.name,
-        cfg.version.as_str(),
-        if cfg.ten_gig { "10 Gbps" } else { "1 Gbps" },
-    );
-    println!("fabric: {}, congestion control: {}", fabric_desc(&cfg.fabric), cfg.cc.name());
-    print_checkpoint(&ckpt);
-    let r = run_or_die(try_run_memcached_with(&cfg, &ckpt));
-    println!(
-        "\n{} requests in {} simulated ({} events, {:.2}s wall)",
-        r.latency.count(),
-        r.completed_at,
-        r.events,
-        r.wall.as_secs_f64()
-    );
-    println!("served={} udp_retries={} failures={}", r.served, r.udp_retries, r.failures);
-    print_control(r.control.as_ref());
-    print_slo(r.offered, &r.slo);
-    if r.timed_out > 0 {
-        println!("timed_out={} (expired unanswered; window slots reclaimed)", r.timed_out);
-    }
-    if r.failure.failed > 0 {
-        println!(
-            "client failures: failed={} retried={} reconnects={} recovered={} gave_up={} \
-             crash_lost={} recovery_time={}ns",
-            r.failure.failed,
-            r.failure.retried,
-            r.failure.reconnects,
-            r.failure.recovered,
-            r.failure.gave_up,
-            r.failure.crash_lost,
-            r.failure.recovery_time.as_nanos()
-        );
-    }
-    for (name, v) in percentiles_us(&r.latency) {
-        println!("  {name:>6}: {v:>12.1} us");
-    }
-    let labels = ["local", "1-hop", "2-hop"];
-    for (label, h) in labels.iter().zip(&r.by_class) {
-        if !h.is_empty() {
-            println!(
-                "  {label:>6}: n={:<8} p50={:.1}us p99={:.1}us",
-                h.count(),
-                h.quantile(0.5) as f64 / 1e3,
-                h.quantile(0.99) as f64 / 1e3
-            );
-        }
-    }
-    let tag = format!("memcached_{}", fabric_short(&cfg.fabric));
-    emit_observability(&tag, args, &r.metrics, &r.conservation, r.exec.as_ref());
-}
-
-/// Builds the incast configuration from CLI flags. Shared between the
-/// `incast` subcommand and sweep warm/point runs.
-fn incast_cfg(args: &Args, verbose: bool) -> IncastConfig {
-    let client = match args.get("--client", "pthread".to_string()).as_str() {
-        "pthread" => IncastClientKind::Pthread,
-        "epoll" => IncastClientKind::Epoll,
-        _ => usage(),
-    };
-    let mut cfg = IncastConfig::fig6a(positive("--servers", args.get("--servers", 8)));
-    cfg.iterations = positive("--iterations", args.get("--iterations", 10));
-    cfg.block_bytes = positive("--block", args.get("--block", 256 * 1024));
-    cfg.client = client;
-    cfg.cpu = Frequency::ghz(positive("--ghz", args.get("--ghz", 4)));
-    cfg.ten_gig = args.flag("--10g");
-    cfg.seed = args.get("--seed", cfg.seed);
-    cfg.faults = fault_plan(args, verbose);
-    let deadline_ms: u64 = args.get("--deadline", 0);
-    if deadline_ms > 0 {
-        cfg.request_deadline = Some(diablo_engine::time::SimDuration::from_millis(deadline_ms));
-    }
-    cfg.arrival = arrival_spec(args, verbose);
-    cfg.slo = slo_target(args);
-    cfg.control = control_config(args);
-    if cfg.arrival.is_some() && cfg.client != IncastClientKind::Epoll {
-        eprintln!("error: --arrival requires --client epoll (the pthread client is closed-loop)");
-        std::process::exit(2);
-    }
-    // Same --racks under serial and --parallel N is the same model, so
-    // the two runs' metric scrapes must compare byte-identical.
-    cfg.racks = positive("--racks", args.get("--racks", cfg.racks));
-    if let FabricKind::FatTree(ft) = fabric_for(args, &["--racks"]) {
-        cfg = cfg.on_fat_tree(ft);
-    }
-    cfg.cc = cc(args);
-    // Buffer depth is the axis the incast literature sweeps, so it gets a
-    // first-class knob; 0 keeps the workload's shallow default.
-    let buffer_bytes: u32 = args.get("--buffer", 0);
-    if buffer_bytes > 0 {
-        cfg.switch = Some(SwitchTemplate {
-            buffer: diablo_net::switch::BufferConfig::PerPort { bytes_per_port: buffer_bytes },
-            ..SwitchTemplate::gbe_shallow()
-        });
-    }
-    cfg.mode = parallel_mode(args);
-    cfg
-}
-
-fn incast(args: &Args) {
-    banner("wsc_sim", "TCP incast");
-    let cfg = incast_cfg(args, true);
-    let ckpt = checkpoint_policy(args);
-    println!(
-        "{} servers, {} iterations, {} B blocks, {:?} client, {} CPU, {}",
-        cfg.servers,
-        cfg.iterations,
-        cfg.block_bytes,
-        cfg.client,
-        cfg.cpu,
-        if cfg.ten_gig { "10 Gbps" } else { "1 Gbps" },
-    );
-    println!("fabric: {}, congestion control: {}", fabric_desc(&cfg.fabric), cfg.cc.name());
-    print_checkpoint(&ckpt);
-    let r = run_or_die(try_run_incast_with(&cfg, &ckpt));
-    println!(
-        "\ngoodput {:.1} Mbps over {} iterations ({} switch drops, {} events)",
-        r.goodput_mbps,
-        r.iteration_times.len(),
-        r.switch_drops,
-        r.events
-    );
-    print_control(r.control.as_ref());
-    print_slo(r.offered, &r.slo);
-    for (i, d) in r.iteration_times.iter().enumerate() {
-        println!("  iteration {:>2}: {d}", i + 1);
-    }
-    if r.failure.failed > 0 {
-        println!(
-            "client failures: failed={} retried={} reconnects={} recovered={} gave_up={} \
-             crash_lost={} recovery_time={}ns",
-            r.failure.failed,
-            r.failure.retried,
-            r.failure.reconnects,
-            r.failure.recovered,
-            r.failure.gave_up,
-            r.failure.crash_lost,
-            r.failure.recovery_time.as_nanos()
-        );
-    }
-    let tag = format!("incast_{}", fabric_short(&cfg.fabric));
-    emit_observability(&tag, args, &r.metrics, &r.conservation, r.exec.as_ref());
-}
-
-/// Builds the partition-aggregate configuration from CLI flags. Shared
-/// between the `partition-aggregate` subcommand and sweep warm/point
-/// runs.
-fn pa_cfg(args: &Args, verbose: bool) -> PaExperimentConfig {
-    let mut cfg = PaExperimentConfig::new(
-        positive("--racks", args.get("--racks", 4)),
-        positive("--queries", args.get("--queries", 100)),
-    );
-    cfg.servers_per_rack = positive("--spr", args.get("--spr", cfg.servers_per_rack));
-    cfg.deadline = diablo_engine::time::SimDuration::from_micros(positive(
-        "--deadline-us",
-        args.get("--deadline-us", 1_000),
-    ));
-    cfg.query_bytes = positive("--query-bytes", args.get("--query-bytes", cfg.query_bytes));
-    cfg.answer_bytes = positive("--answer-bytes", args.get("--answer-bytes", cfg.answer_bytes));
-    cfg.cross_rack = args.flag("--cross-rack");
-    cfg.ten_gig = args.flag("--10g");
-    cfg.seed = args.get("--seed", cfg.seed);
-    if let FabricKind::FatTree(ft) = fabric_for(args, &["--racks", "--spr"]) {
-        cfg = cfg.on_fat_tree(ft);
-    }
-    cfg.cc = cc(args);
-    cfg.faults = fault_plan(args, verbose);
-    cfg.arrival = arrival_spec(args, verbose);
-    cfg.slo = slo_target(args);
-    cfg.control = control_config(args);
-    if cfg.control.is_some() && !cfg.cross_rack {
-        eprintln!(
-            "error: --control-plane partition-aggregate requires --cross-rack \
-             (one shared leaf pool for the registry to index)"
-        );
-        std::process::exit(2);
-    }
-    cfg.mode = parallel_mode(args);
-    cfg
-}
-
-fn partition_aggregate(args: &Args) {
-    banner("wsc_sim", "partition-aggregate search tier");
-    let cfg = pa_cfg(args, true);
-    let ckpt = checkpoint_policy(args);
-    println!(
-        "{} racks x {} servers: {} front-ends fanning {} over {} leaves each, \
-         {} queries under a {} deadline, {}",
-        cfg.racks,
-        cfg.servers_per_rack,
-        cfg.racks,
-        if cfg.cross_rack { "cluster-wide" } else { "rack-local" },
-        cfg.fanout(),
-        cfg.queries,
-        cfg.deadline,
-        if cfg.ten_gig { "10 Gbps" } else { "1 Gbps" },
-    );
-    println!("fabric: {}, congestion control: {}", fabric_desc(&cfg.fabric), cfg.cc.name());
-    print_checkpoint(&ckpt);
-    let r = run_or_die(try_run_partition_aggregate_with(&cfg, &ckpt));
-    println!(
-        "\n{} queries in {} simulated ({} events, {:.2}s wall)",
-        r.queries,
-        r.completed_at,
-        r.events,
-        r.wall.as_secs_f64()
-    );
-    println!(
-        "full_aggregates={} deadline_misses={} missing_answers={} leaf_served={}",
-        r.full_aggregates, r.deadline_misses, r.missing_answers, r.served
-    );
-    print_control(r.control.as_ref());
-    print_slo(r.offered, &r.slo);
-    if !r.latency.is_empty() {
-        println!("full-aggregate latency:");
-        for (name, v) in percentiles_us(&r.latency) {
-            println!("  {name:>6}: {v:>12.1} us");
-        }
-    }
-    let tag = format!("partition_aggregate_{}", fabric_short(&cfg.fabric));
-    emit_observability(&tag, args, &r.metrics, &r.conservation, r.exec.as_ref());
-}
-
 // ====================================================================
 // The sweep subcommand
 // ====================================================================
 
-/// Formats a latency quantile in microseconds for a sweep cell (`-` when
-/// the histogram is empty).
-fn q_us(h: &Histogram, q: f64) -> String {
-    if h.is_empty() {
-        "-".to_string()
-    } else {
-        format!("{:.1}", h.quantile(q) as f64 / 1e3)
-    }
-}
-
-/// The sweep engine's bridge into the three scenario runners: the warm
-/// prefix runs with the spec's fixed flags only, and each point adds its
+/// The sweep engine's bridge into the run path: the warm prefix is the
+/// spec's scenario with its fixed flags applied, and each point adds its
 /// axis cells and restores the shared checkpoint.
 struct WscRunner<'a> {
     spec: &'a SweepSpec,
+    base: &'a Scenario,
+}
+
+impl WscRunner<'_> {
+    /// The spec's scenario with one flag vector applied.
+    fn scenario(&self, args: &[String]) -> Result<Scenario, String> {
+        Ok(parse(&self.spec.scenario, self.base.clone(), false, args)?.0)
+    }
 }
 
 impl SweepRunner for WscRunner<'_> {
     fn warm(&self, at: SimDuration, path: &Path) -> Result<(), String> {
-        let args = Args::from_vec(self.spec.warm_args());
-        let at = SimTime::ZERO + at;
-        match self.spec.scenario.as_str() {
-            "memcached" => warm_memcached(&memcached_cfg(&args, false), path, at),
-            "incast" => warm_incast(&incast_cfg(&args, false), path, at),
-            "partition-aggregate" => warm_partition_aggregate(&pa_cfg(&args, false), path, at),
-            other => unreachable!("scenario `{other}` is validated before the sweep starts"),
-        }
-        .map_err(|e| e.to_string())
+        let scenario = self.scenario(&self.spec.warm_args())?;
+        scenario.warm(path, SimTime::ZERO + at).map_err(|e| e.to_string())
     }
 
     fn run_point(
@@ -801,67 +871,15 @@ impl SweepRunner for WscRunner<'_> {
         point: &SweepPoint,
         warm: Option<&Path>,
     ) -> Result<Vec<(String, String)>, String> {
-        let args = Args::from_vec(self.spec.point_args(point));
         let ckpt = CheckpointPolicy { save: None, restore_from: warm.map(Path::to_path_buf) };
-        match self.spec.scenario.as_str() {
-            "memcached" => {
-                let r = try_run_memcached_with(&memcached_cfg(&args, false), &ckpt)
-                    .map_err(|e| e.to_string())?;
-                Ok(vec![
-                    ("served".into(), r.served.to_string()),
-                    ("p50_us".into(), q_us(&r.latency, 0.5)),
-                    ("p99_us".into(), q_us(&r.latency, 0.99)),
-                    ("sim_time".into(), r.completed_at.to_string()),
-                    ("events".into(), r.events.to_string()),
-                ])
-            }
-            "incast" => {
-                let r = try_run_incast_with(&incast_cfg(&args, false), &ckpt)
-                    .map_err(|e| e.to_string())?;
-                Ok(vec![
-                    ("goodput_mbps".into(), format!("{:.1}", r.goodput_mbps)),
-                    ("switch_drops".into(), r.switch_drops.to_string()),
-                    ("events".into(), r.events.to_string()),
-                ])
-            }
-            "partition-aggregate" => {
-                let r = try_run_partition_aggregate_with(&pa_cfg(&args, false), &ckpt)
-                    .map_err(|e| e.to_string())?;
-                Ok(vec![
-                    ("full_aggregates".into(), r.full_aggregates.to_string()),
-                    ("deadline_misses".into(), r.deadline_misses.to_string()),
-                    ("p99_us".into(), q_us(&r.latency, 0.99)),
-                    ("events".into(), r.events.to_string()),
-                ])
-            }
-            other => unreachable!("scenario `{other}` is validated before the sweep starts"),
-        }
+        let report = self.scenario(&self.spec.point_args(point))?.run(&ckpt);
+        let columns = report.map_err(|e| e.to_string())?.columns;
+        Ok(columns.into_iter().map(|(name, cell)| (name.to_string(), cell)).collect())
     }
 }
 
-fn sweep(args: &Args) {
-    banner("wsc_sim", "parameter sweep");
-    let spec_path = args.get("--spec", String::new());
-    if spec_path.is_empty() {
-        eprintln!("error: sweep requires --spec <file>");
-        std::process::exit(2);
-    }
-    let text = std::fs::read_to_string(&spec_path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read sweep spec {spec_path}: {e}");
-        std::process::exit(2);
-    });
-    let spec = SweepSpec::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {spec_path}: {e}");
-        std::process::exit(2);
-    });
-    if !matches!(spec.scenario.as_str(), "memcached" | "incast" | "partition-aggregate") {
-        eprintln!(
-            "error: {spec_path}: unknown sweep scenario `{}` \
-             (expected memcached|incast|partition-aggregate)",
-            spec.scenario
-        );
-        std::process::exit(2);
-    }
+fn sweep(base: &Scenario, options: &Options) {
+    let Some((spec_path, spec)) = &options.spec else { fail(2, "sweep requires --spec <file>") };
     let points = spec.points();
     println!(
         "{} scenario, {} axes, {} points{}",
@@ -871,42 +889,52 @@ fn sweep(args: &Args) {
         spec.warm.map_or(String::new(), |w| format!(", shared warm checkpoint at {w}"))
     );
 
+    // A flag or a cell that cannot run fails the sweep here, on the main
+    // thread and before the first point, not a worker thread mid-grid.
+    let runner = WscRunner { spec, base };
+    let check = |what: String, args: Vec<String>| {
+        let checked = runner
+            .scenario(&args)
+            .and_then(|scenario| on!(&scenario, all, c => c.validate()).map_err(|e| e.to_string()));
+        checked.unwrap_or_else(|e| fail(2, format_args!("{spec_path}: {what}: {e}")));
+    };
+    check("set".to_string(), spec.warm_args());
+    for point in &points {
+        let cells: Vec<String> = point.cells.iter().map(|(k, v)| format!("{k} = {v}")).collect();
+        check(format!("axis {}", cells.join(", ")), spec.point_args(point));
+    }
+
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        std::process::exit(1);
+        fail(1, format_args!("cannot create {}: {e}", dir.display()));
     }
     let scenario_file = spec.scenario.replace('-', "_");
+    let default = |file: String| dir.join(file);
+    let progress = options
+        .progress
+        .clone()
+        .unwrap_or_else(|| default(format!("sweep_{scenario_file}.progress")));
+    let out_path =
+        options.out.clone().unwrap_or_else(|| default(format!("sweep_{scenario_file}.tsv")));
     // The warm snapshot default is keyed by the spec digest: editing the
     // spec (different fixed flags, different warm instant) must re-warm,
     // not silently reuse a checkpoint of a different prefix.
-    let warm_default = dir.join(format!("sweep_{scenario_file}_{:016x}_warm.snap", spec.digest()));
-    let pick = |flag: &str, default: PathBuf| -> PathBuf {
-        let p = args.get(flag, String::new());
-        if p.is_empty() {
-            default
-        } else {
-            PathBuf::from(p)
-        }
-    };
-    let progress = pick("--progress", dir.join(format!("sweep_{scenario_file}.progress")));
-    let warm_path = pick("--warm-checkpoint", warm_default);
-    let out_path = pick("--out", dir.join(format!("sweep_{scenario_file}.tsv")));
+    let warm_path = options.warm_checkpoint.clone().unwrap_or_else(|| {
+        default(format!("sweep_{scenario_file}_{:016x}_warm.snap", spec.digest()))
+    });
 
-    let runner = WscRunner { spec: &spec };
     let mut engine =
-        SweepEngine::new(&spec, &runner).progress_file(progress.clone()).warm_checkpoint(warm_path);
-    if args.flag("--jobs") {
-        engine = engine.jobs(positive("--jobs", args.get("--jobs", 0)));
+        SweepEngine::new(spec, &runner).progress_file(progress.clone()).warm_checkpoint(warm_path);
+    if let Some(jobs) = options.jobs {
+        engine = engine.jobs(jobs);
     }
     let started = std::time::Instant::now();
     let outcome = engine.run().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
         let code = match e {
             SweepError::Parse { .. } | SweepError::Invalid(_) => 2,
             _ => 1,
         };
-        std::process::exit(code);
+        fail(code, e)
     });
 
     println!();

@@ -61,119 +61,6 @@ impl Args {
     }
 }
 
-/// Parses `--parallel N` into an execution mode: absent or `1` is serial,
-/// `N > 1` is partition-parallel. An explicit `--parallel 0` is
-/// contradictory — partitioned execution with zero partitions — and is an
-/// error rather than a silent fall-back to serial.
-pub fn try_parallel_mode(args: &Args) -> Result<diablo_core::RunMode, String> {
-    let n: usize = args.try_get("--parallel", 1).map_err(|e| e.to_string())?;
-    // `--sim-workers` pins the engine's worker-thread count (`--workers` is
-    // taken by the memcached app's server-thread knob).
-    let workers: Option<usize> = if args.flag("--sim-workers") {
-        Some(args.try_get("--sim-workers", 0).map_err(|e| e.to_string())?)
-    } else {
-        None
-    };
-    match (n, workers) {
-        (0, _) => Err("--parallel must be at least 1 (got 0)".to_string()),
-        (_, Some(0)) => Err("--sim-workers must be at least 1 (got 0)".to_string()),
-        (1, None) => Ok(diablo_core::RunMode::Serial),
-        (1, Some(_)) => Err("--sim-workers requires --parallel >= 2".to_string()),
-        (n, None) => Ok(diablo_core::RunMode::parallel(n)),
-        (n, Some(w)) => Ok(diablo_core::RunMode::parallel_with_workers(n, w)),
-    }
-}
-
-/// Like [`try_parallel_mode`], but reports the error on stderr and exits
-/// non-zero (for binary entry points).
-pub fn parallel_mode(args: &Args) -> diablo_core::RunMode {
-    try_parallel_mode(args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Parses a `--topology` value into a fabric kind: `tree` (the classic
-/// three-level tree) or `fat-tree:k=K[,hosts=N]` — a 3-tier folded Clos
-/// with `K` pods. `hosts=N` attaches `N` hosts per edge switch (default
-/// `K/2`, full bisection; more oversubscribes the edge tier). `K` must be
-/// even and at least 2.
-pub fn try_fabric(value: &str) -> Result<diablo_core::FabricKind, String> {
-    use diablo_core::FabricKind;
-    use diablo_net::topology::{FatTreeConfig, Topology};
-    if value == "tree" {
-        return Ok(FabricKind::Tree);
-    }
-    let Some(params) = value.strip_prefix("fat-tree:") else {
-        return Err(format!(
-            "invalid value {value:?} for --topology \
-             (expected 'tree' or 'fat-tree:k=K[,hosts=N]')"
-        ));
-    };
-    let mut k: Option<usize> = None;
-    let mut hosts: Option<usize> = None;
-    for part in params.split(',') {
-        let Some((key, val)) = part.split_once('=') else {
-            return Err(format!(
-                "invalid fat-tree parameter {part:?} (expected 'k=K' or 'hosts=N')"
-            ));
-        };
-        let parsed: usize = val
-            .parse()
-            .map_err(|_| format!("invalid fat-tree parameter value {val:?} for {key:?}"))?;
-        match key {
-            "k" => k = Some(parsed),
-            "hosts" => hosts = Some(parsed),
-            _ => {
-                return Err(format!("unknown fat-tree parameter {key:?} (expected 'k' or 'hosts')"))
-            }
-        }
-    }
-    let Some(k) = k else {
-        return Err("fat-tree topology requires k (e.g. fat-tree:k=4)".to_string());
-    };
-    let mut ft = FatTreeConfig::new(k);
-    if let Some(h) = hosts {
-        ft.hosts_per_edge = h;
-    }
-    // Validate through the topology builder so the CLI rejects exactly
-    // what the model would reject (odd k, k < 2, zero hosts).
-    Topology::fat_tree(ft).map_err(|e| format!("invalid --topology {value:?}: {e}"))?;
-    Ok(FabricKind::FatTree(ft))
-}
-
-/// Parses the `--topology` flag (default `tree`), exiting non-zero on an
-/// invalid value (for binary entry points).
-pub fn fabric(args: &Args) -> diablo_core::FabricKind {
-    let raw = args.get("--topology", "tree".to_string());
-    try_fabric(&raw).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Parses a `--cc` value into a congestion-control profile: `reno`
-/// (NewReno loss recovery, the kernels' default) or `dctcp` (ECN-driven
-/// proportional backoff; pairs with a marking fabric).
-pub fn try_cc(value: &str) -> Result<diablo_stack::profile::CongestionControl, String> {
-    use diablo_stack::profile::CongestionControl;
-    match value {
-        "reno" => Ok(CongestionControl::Reno),
-        "dctcp" => Ok(CongestionControl::Dctcp),
-        _ => Err(format!("invalid value {value:?} for --cc (expected 'reno' or 'dctcp')")),
-    }
-}
-
-/// Parses the `--cc` flag (default `reno`), exiting non-zero on an
-/// invalid value (for binary entry points).
-pub fn cc(args: &Args) -> diablo_stack::profile::CongestionControl {
-    let raw = args.get("--cc", "reno".to_string());
-    try_cc(&raw).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
 /// A flag whose value was missing or failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArgError {
@@ -310,66 +197,5 @@ mod tests {
     #[test]
     fn results_dir_is_somewhere() {
         assert!(results_dir().ends_with("results"));
-    }
-
-    #[test]
-    fn fabric_parser_accepts_tree_and_fat_tree_forms() {
-        use diablo_core::FabricKind;
-        assert_eq!(try_fabric("tree").unwrap(), FabricKind::Tree);
-        match try_fabric("fat-tree:k=4").unwrap() {
-            FabricKind::FatTree(ft) => {
-                assert_eq!(ft.k, 4);
-                assert_eq!(ft.hosts_per_edge, 2);
-            }
-            other => panic!("expected fat-tree, got {other:?}"),
-        }
-        match try_fabric("fat-tree:k=4,hosts=3").unwrap() {
-            FabricKind::FatTree(ft) => {
-                assert_eq!(ft.k, 4);
-                assert_eq!(ft.hosts_per_edge, 3);
-            }
-            other => panic!("expected fat-tree, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fabric_parser_rejects_malformed_and_invalid_fabrics() {
-        for bad in [
-            "mesh",         // unknown fabric
-            "fat-tree",     // missing parameters
-            "fat-tree:k=3", // odd k
-            "fat-tree:k=0", // k < 2
-            "fat-tree:k=4,hosts=0",
-            "fat-tree:k=abc",
-            "fat-tree:k=4,ports=8", // unknown key
-            "fat-tree:k",           // no '='
-        ] {
-            assert!(try_fabric(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn cc_parser_accepts_profiles_and_rejects_unknowns() {
-        use diablo_stack::profile::CongestionControl;
-        assert_eq!(try_cc("reno").unwrap(), CongestionControl::Reno);
-        assert_eq!(try_cc("dctcp").unwrap(), CongestionControl::Dctcp);
-        assert!(try_cc("cubic").is_err());
-        assert!(try_cc("").is_err());
-    }
-
-    #[test]
-    fn sim_workers_flag_pins_engine_workers() {
-        let args = |v: &[&str]| Args::from_vec(v.iter().map(|s| s.to_string()).collect());
-        assert_eq!(
-            try_parallel_mode(&args(&["--parallel", "4", "--sim-workers", "2"])).unwrap(),
-            diablo_core::RunMode::parallel_with_workers(4, 2)
-        );
-        assert_eq!(
-            try_parallel_mode(&args(&["--parallel", "4"])).unwrap(),
-            diablo_core::RunMode::parallel(4)
-        );
-        // Contradictory combinations are errors, not silent fallbacks.
-        assert!(try_parallel_mode(&args(&["--sim-workers", "2"])).is_err());
-        assert!(try_parallel_mode(&args(&["--parallel", "4", "--sim-workers", "0"])).is_err());
     }
 }

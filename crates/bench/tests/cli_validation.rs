@@ -159,6 +159,108 @@ fn partition_aggregate_runs_identically_serial_and_parallel() {
 }
 
 // ---------------------------------------------------------------------------
+// The flag table: generated usage, unknown and misplaced flags
+// ---------------------------------------------------------------------------
+
+/// The flags the generated usage lists per subcommand, with their value
+/// placeholders (empty for a switch).
+fn usage_flags() -> Vec<(String, Vec<(String, String)>)> {
+    let out = wsc_sim().output().expect("spawn wsc_sim");
+    assert_eq!(out.status.code(), Some(2), "no subcommand prints the usage and exits 2");
+    let mut subs: Vec<(String, Vec<(String, String)>)> = Vec::new();
+    for line in stderr(&out).lines() {
+        if let Some(sub) = line.strip_suffix(" options:") {
+            subs.push((sub.to_string(), Vec::new()));
+        } else if let Some(rest) = line.strip_prefix("  --") {
+            let mut words = rest.split_whitespace();
+            let flag = format!("--{}", words.next().expect("flag name"));
+            // A placeholder is upper-case or a set of alternatives; the
+            // help that follows starts in lower case.
+            let value = words
+                .next()
+                .filter(|w| w.contains('|') || !w.chars().any(|c| c.is_ascii_lowercase()))
+                .unwrap_or("");
+            subs.last_mut().expect("flag under a subcommand").1.push((flag, value.to_string()));
+        }
+    }
+    subs
+}
+
+/// Every flag the usage lists for a subcommand is accepted there, and a
+/// subcommand that does not list it rejects it by name with exit 2 (the
+/// parent silently ignored it and ran the defaults).
+#[test]
+fn usage_lists_exactly_the_flags_each_subcommand_accepts() {
+    let subs = usage_flags();
+    let names: Vec<&str> = subs.iter().map(|(sub, _)| sub.as_str()).collect();
+    assert_eq!(names, ["memcached", "incast", "partition-aggregate", "sweep"]);
+    let mut all: Vec<&(String, String)> = subs.iter().flat_map(|(_, flags)| flags).collect();
+    all.sort();
+    all.dedup();
+    assert!(all.iter().any(|(flag, _)| flag == "--sim-workers"), "--sim-workers is listed");
+    for (sub, listed) in &subs {
+        for (flag, value) in &all {
+            let mut cmd = wsc_sim();
+            cmd.arg(sub).arg(flag);
+            if !value.is_empty() {
+                cmd.arg("1");
+            }
+            // Keeps an accepted flag from starting a run: flags are
+            // checked against the table before any of them is applied.
+            if sub != "sweep" && flag != "--restore" {
+                cmd.args(["--restore", "/nonexistent/warm.snap"]);
+            }
+            let out = cmd.output().expect("spawn wsc_sim");
+            let err = stderr(&out);
+            let unknown = err.contains(&format!("unknown flag {flag} for {sub}"));
+            assert_eq!(out.status.code(), Some(2), "{sub} {flag}: {err}");
+            let is_listed = listed.iter().any(|(l, _)| l == flag);
+            assert_eq!(unknown, !is_listed, "{sub} {flag} (listed: {is_listed}): {err}");
+        }
+    }
+}
+
+#[test]
+fn unknown_flags_and_missing_values_are_rejected() {
+    expect_reject(&["memcached", "--racks", "2", "--request", "7"], "unknown flag --request");
+    expect_reject(&["incast", "--iterations"], "--iterations needs a value");
+    expect_reject(&["incast", "stray"], "unknown flag stray");
+    expect_reject(
+        &["memcached", "--racks", "2", "--racks", "3"],
+        "--racks is given more than once",
+    );
+    expect_reject(&["memcached", "--sim-workers", "2"], "--sim-workers requires --parallel");
+    expect_reject(
+        &["memcached", "--parallel", "4", "--sim-workers", "0"],
+        "--sim-workers must be at least 1",
+    );
+}
+
+/// Settings `try_run_*` used to panic on (exit 101) are refused by the
+/// config's own `validate`: exit 2, the field and the limit on stderr.
+#[test]
+fn configs_that_used_to_panic_exit_2_naming_the_field() {
+    let diurnal = repo_root().join("scenarios/diurnal.arrv");
+    expect_reject(
+        &[
+            "memcached",
+            "--control-plane",
+            "--arrival",
+            diurnal.to_str().expect("utf-8"),
+            "--racks",
+            "64",
+            "--mc-per-rack",
+            "2",
+            "--spares",
+            "1",
+        ],
+        "holds 192 replicas; the registry indexes 1 to 128",
+    );
+    expect_reject(&["incast", "--servers", "40", "--topology", "fat-tree:k=4"], "servers: 40 + 1");
+    expect_reject(&["partition-aggregate", "--spr", "1"], "servers_per_rack must be at least 2");
+}
+
+// ---------------------------------------------------------------------------
 // Fabric flags: --topology / --cc
 // ---------------------------------------------------------------------------
 
@@ -265,7 +367,7 @@ fn open_loop_memcached_requires_udp() {
     let p = write_arrival("ok_udp.arrv", "10ms const 500\n");
     expect_reject(
         &["memcached", "--proto", "tcp", "--arrival", p.to_str().expect("utf-8")],
-        "--arrival requires --proto udp",
+        "arrival requires proto udp",
     );
 }
 
@@ -274,7 +376,7 @@ fn open_loop_incast_requires_epoll_client() {
     let p = write_arrival("ok_epoll.arrv", "10ms const 500\n");
     expect_reject(
         &["incast", "--client", "pthread", "--arrival", p.to_str().expect("utf-8")],
-        "--arrival requires --client epoll",
+        "arrival requires client epoll",
     );
 }
 
@@ -399,7 +501,7 @@ fn contradictory_control_thresholds_are_rejected() {
 #[test]
 fn controlled_memcached_requires_open_loop_and_room_for_clients() {
     // Closed-loop memcached has no registry-driven client.
-    expect_reject(&["memcached", "--control-plane"], "requires --arrival");
+    expect_reject(&["memcached", "--control-plane"], "control requires arrival");
     // Serving replicas + spares must leave client slots in each rack.
     let p = write_arrival("ctl_full.arrv", "10ms const 500\n");
     expect_reject(
@@ -421,7 +523,7 @@ fn controlled_memcached_requires_open_loop_and_room_for_clients() {
 
 #[test]
 fn controlled_partition_aggregate_requires_cross_rack() {
-    expect_reject(&["partition-aggregate", "--control-plane"], "requires --cross-rack");
+    expect_reject(&["partition-aggregate", "--control-plane"], "control requires cross_rack");
 }
 
 /// The churn headline through the CLI: the bundled rolling-crash wave
@@ -600,4 +702,45 @@ fn malformed_sweep_specs_are_rejected() {
 
     let p = write_sweep("bogus_scenario.sweep", "scenario tensorflow\naxis --requests = 10\n");
     expect_reject(&["sweep", "--spec", p.to_str().expect("utf-8")], "unknown sweep scenario");
+}
+
+/// A cell no point can run fails the sweep before its first point, on the
+/// main thread: exit 2 naming the axis and the cell, no usage text, no
+/// table. (The parent reached `process::exit` inside a worker thread,
+/// mid-grid.)
+#[test]
+fn sweep_with_a_bad_axis_cell_is_rejected_before_any_point_runs() {
+    let spec = write_sweep(
+        "bad_cell.sweep",
+        "scenario memcached\nset --racks 1\nset --requests 5\naxis --proto = udp, bogus, tcp\n",
+    );
+    let out_path = spec.with_extension("tsv");
+    let _ = std::fs::remove_file(&out_path);
+    let out = wsc_sim()
+        .args(["sweep", "--spec", spec.to_str().expect("utf-8")])
+        .args(["--out", out_path.to_str().expect("utf-8")])
+        .args(["--progress", spec.with_extension("progress").to_str().expect("utf-8")])
+        .output()
+        .expect("spawn wsc_sim");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("axis --proto = bogus"), "names the axis and the cell: {err}");
+    assert!(err.contains("expected tcp|udp"), "lists the accepted tokens: {err}");
+    assert!(!err.contains("usage:"), "no usage dump: {err}");
+    assert!(!out_path.exists(), "no partial table");
+
+    // A cell that parses but makes a scenario that cannot run is caught
+    // by the same pass, through the config's validate.
+    let spec = write_sweep(
+        "bad_combo.sweep",
+        "scenario partition-aggregate\nset --racks 2\naxis --spr = 4, 1\n",
+    );
+    expect_reject(&["sweep", "--spec", spec.to_str().expect("utf-8")], "axis --spr = 1");
+    // So is a fixed flag that belongs to another subcommand.
+    let spec =
+        write_sweep("bad_set.sweep", "scenario incast\nset --queries 5\naxis --servers = 2, 4\n");
+    expect_reject(
+        &["sweep", "--spec", spec.to_str().expect("utf-8")],
+        "unknown flag --queries for incast",
+    );
 }

@@ -297,6 +297,42 @@ impl FabricKind {
     }
 }
 
+/// `tree`, or `fat-tree:k=K[,hosts=N]`: a 3-tier folded Clos of `K` pods
+/// with `N` hosts per edge switch (default `K/2`, full bisection; more
+/// oversubscribes the edge tier). Rejects exactly the shapes
+/// [`Topology::fat_tree`] rejects (odd `K`, `K < 2`, zero hosts).
+impl std::str::FromStr for FabricKind {
+    type Err = String;
+
+    fn from_str(tok: &str) -> Result<Self, String> {
+        if tok == "tree" {
+            return Ok(FabricKind::Tree);
+        }
+        let params = tok.strip_prefix("fat-tree:").ok_or_else(|| {
+            format!("unknown fabric `{tok}` (expected tree|fat-tree:k=K[,hosts=N])")
+        })?;
+        let mut ft: Option<FatTreeConfig> = None;
+        let mut hosts = None;
+        for part in params.split(',') {
+            let (key, val) = part.split_once('=').ok_or_else(|| {
+                format!("bad fat-tree parameter `{part}` (expected k=K or hosts=N)")
+            })?;
+            let n: usize = val
+                .parse()
+                .map_err(|_| format!("bad fat-tree parameter value `{val}` for {key}"))?;
+            match key {
+                "k" => ft = Some(FatTreeConfig::new(n)),
+                "hosts" => hosts = Some(n),
+                _ => return Err(format!("unknown fat-tree parameter `{key}` (expected k|hosts)")),
+            }
+        }
+        let mut ft = ft.ok_or("a fat-tree needs k (e.g. fat-tree:k=4)")?;
+        ft.hosts_per_edge = hosts.unwrap_or(ft.hosts_per_edge);
+        Topology::fat_tree(ft).map_err(|e| e.to_string())?;
+        Ok(FabricKind::FatTree(ft))
+    }
+}
+
 /// Everything needed to instantiate one simulated WSC array.
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
@@ -736,6 +772,32 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fabric_tokens_parse_and_malformed_ones_are_rejected() {
+        assert_eq!("tree".parse::<FabricKind>().unwrap(), FabricKind::Tree);
+        assert_eq!(
+            "fat-tree:k=4".parse::<FabricKind>().unwrap(),
+            FabricKind::FatTree(FatTreeConfig { k: 4, hosts_per_edge: 2 })
+        );
+        assert_eq!(
+            "fat-tree:k=4,hosts=3".parse::<FabricKind>().unwrap(),
+            FabricKind::FatTree(FatTreeConfig { k: 4, hosts_per_edge: 3 })
+        );
+        for bad in [
+            "mesh",         // unknown fabric
+            "fat-tree",     // missing parameters
+            "fat-tree:k=3", // odd k
+            "fat-tree:k=0", // k < 2
+            "fat-tree:k=4,hosts=0",
+            "fat-tree:k=abc",
+            "fat-tree:hosts=2",     // no k
+            "fat-tree:k=4,ports=8", // unknown key
+            "fat-tree:k",           // no '='
+        ] {
+            assert!(bad.parse::<FabricKind>().is_err(), "{bad:?} must be rejected");
+        }
+    }
 
     #[test]
     fn builds_paper_memcached_topology() {

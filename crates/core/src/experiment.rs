@@ -35,7 +35,7 @@ use diablo_apps::failure::FailureStats;
 use diablo_engine::prelude::{
     EngineError, ExecReport, Frequency, MetricsRegistry, SeriesRecorder, SimDuration, SimTime,
 };
-use diablo_net::topology::TopologyConfig;
+use diablo_net::topology::{Topology, TopologyConfig};
 use diablo_stack::profile::{CongestionControl, KernelProfile};
 
 // ====================================================================
@@ -93,7 +93,41 @@ pub struct ExperimentBase {
     pub faults: Option<FaultPlan>,
 }
 
+/// One requirement of a config's `validate`: `msg` names the field and the
+/// limit.
+pub(crate) fn ensure(holds: bool, msg: impl Into<String>) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(msg.into())
+    }
+}
+
 impl ExperimentBase {
+    /// What every config's `validate` checks of the base it describes: a
+    /// shape the topology builder accepts, an executor mode the cluster
+    /// can instantiate, a sampling cadence that advances.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        match self.fabric {
+            FabricKind::Tree => Topology::new(self.topology),
+            FabricKind::FatTree(ft) => Topology::fat_tree(ft),
+        }
+        .map_err(|e| e.to_string())?;
+        if let RunMode::Parallel { partitions, quantum, workers } = self.mode {
+            ensure(partitions > 0, "mode: partitions must be at least 1")?;
+            ensure(workers != Some(0), "mode: workers must be at least 1")?;
+            // `None` derives the quantum from the cut and cannot be wrong.
+            if let Some(q) = quantum {
+                let lookahead = self.spec().partition_plan(partitions).lookahead;
+                ensure(
+                    !q.is_zero() && q <= lookahead,
+                    format!("mode: quantum {q} must be positive and at most the cut's lookahead {lookahead}"),
+                )?;
+            }
+        }
+        ensure(self.sample_every.is_none_or(|d| !d.is_zero()), "sample_every must be positive")
+    }
+
     /// A 1 Gbps serial-mode base over `topology` with the paper's default
     /// kernel and seed.
     pub fn new(topology: TopologyConfig) -> Self {
@@ -220,6 +254,10 @@ pub trait Workload {
 /// A structured experiment failure.
 #[derive(Debug)]
 pub enum ExperimentError {
+    /// The configuration does not describe a runnable scenario: a field
+    /// is out of range, or two fields contradict each other. Names the
+    /// field and the limit; nothing was built or run.
+    InvalidConfig(String),
     /// The workload did not complete within its simulated-time budget
     /// (a deadlock, a fault schedule it cannot recover from, or a budget
     /// that is simply too small).
@@ -252,6 +290,7 @@ pub enum ExperimentError {
 impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ExperimentError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             ExperimentError::BudgetExhausted { workload, budget, at } => write!(
                 f,
                 "workload '{workload}' did not complete within its simulated-time budget \

@@ -9,14 +9,14 @@
 
 use crate::cluster::{Cluster, FabricKind, RunMode, SimHost, SwitchTemplate};
 use crate::experiment::{
-    CheckpointPolicy, ExperimentBase, ExperimentError, ExperimentHarness, Workload,
+    ensure, CheckpointPolicy, ExperimentBase, ExperimentError, ExperimentHarness, Workload,
 };
 use crate::fault::FaultPlan;
 use crate::observe::DropAccounting;
 use diablo_apps::arrival::{ArrivalSpec, SloStats};
 use diablo_apps::control::{
     gate_futex_key, service_gate, ControlAgent, ControlConfig, ControlPlane, ControlReport,
-    DiscoveryConfig, ServiceSpec, AGENT_PORT, CONTROL_PORT,
+    DiscoveryConfig, ServiceGate, ServiceSpec, AGENT_PORT, CONTROL_PORT,
 };
 use diablo_apps::failure::FailureStats;
 use diablo_apps::incast::{
@@ -41,6 +41,99 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // ====================================================================
+// Shared by the three scenarios: validation and the control-plane overlay
+// ====================================================================
+
+/// Memcached and the search tier lay processes out by `racks` and
+/// `servers_per_rack`, which on a fat-tree are the fabric's own
+/// ([`FatTreeConfig::view`]; `on_fat_tree` sets them): a config that
+/// disagrees would address nodes the fabric does not have.
+fn check_fat_tree_shape(fabric: FabricKind, racks: usize, spr: usize) -> Result<(), String> {
+    let FabricKind::FatTree(ft) = fabric else { return Ok(()) };
+    let view = ft.view();
+    ensure(
+        (view.racks, view.servers_per_rack) == (racks, spr),
+        format!(
+            "racks x servers_per_rack ({racks} x {spr}) must be the fat-tree's {} edges x {} \
+             hosts: use on_fat_tree",
+            view.racks, view.servers_per_rack
+        ),
+    )
+}
+
+/// Checks a control-plane overlay: thresholds [`ControlConfig::validate`]
+/// accepts, and a service pool (of `pool_len` replicas, `pool` naming the
+/// fields that make it) that the registry's 128-bit liveness mask can
+/// index.
+fn check_control(ctl: &ControlConfig, pool_len: usize, pool: &str) -> Result<(), String> {
+    ctl.validate().map_err(|e| format!("control: {e}"))?;
+    ensure(
+        (1..=128).contains(&pool_len),
+        format!(
+            "control: the service pool ({pool}) holds {pool_len} replicas; the registry \
+                 indexes 1 to 128"
+        ),
+    )
+}
+
+/// Overlays the control plane on a service pool whose replicas are
+/// already spawned: a [`ControlAgent`] joins each pool node, heartbeats
+/// staggered evenly across one period so the scheduler never sees a
+/// synchronized burst, and the [`ControlPlane`] scheduler starts on
+/// `cp_node`. `gates` holds one service gate map per pool entry (none:
+/// the agents are pure health beacons). Returns what a client needs to
+/// discover the pool through the registry.
+fn attach_control_plane(
+    host: &mut SimHost,
+    cluster: &Cluster,
+    ctl: &ControlConfig,
+    cp_node: NodeAddr,
+    pool: &[SockAddr],
+    initial: Vec<usize>,
+    gates: Vec<BTreeMap<u32, ServiceGate>>,
+) -> DiscoveryConfig {
+    let control = SockAddr::new(cp_node, CONTROL_PORT);
+    let mut gates = gates.into_iter();
+    for (idx, replica) in pool.iter().enumerate() {
+        let stagger = SimDuration::from_picos(
+            ctl.heartbeat_every.as_picos() * idx as u64 / pool.len() as u64,
+        );
+        let agent = ControlAgent::new(
+            control,
+            ctl.heartbeat_every,
+            stagger,
+            gates.next().unwrap_or_default(),
+        );
+        cluster.spawn(host, replica.node, Box::new(agent));
+    }
+    let initial_mask = initial.iter().fold(0u128, |m, &i| m | (1u128 << i));
+    let spec = ServiceSpec {
+        id: 0,
+        pool: pool.to_vec(),
+        agents: pool.iter().map(|r| SockAddr::new(r.node, AGENT_PORT)).collect(),
+        racks: pool.iter().map(|r| cluster.topo.rack_of(r.node) as u32).collect(),
+        initial,
+    };
+    cluster.spawn(
+        host,
+        cp_node,
+        Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
+    );
+    DiscoveryConfig { control, service: 0, refresh_every: ctl.refresh_every, initial_mask }
+}
+
+/// The scheduler's end-of-run counters, when `cp_node` runs one.
+fn control_report(
+    host: &SimHost,
+    cluster: &Cluster,
+    cp_node: Option<NodeAddr>,
+) -> Option<ControlReport> {
+    cp_node.map(|cp| {
+        cluster.process::<ControlPlane>(host, cp, Tid(0)).expect("control plane missing").report()
+    })
+}
+
+// ====================================================================
 // Incast (§4.1, Figure 6)
 // ====================================================================
 
@@ -51,6 +144,19 @@ pub enum IncastClientKind {
     Pthread,
     /// Single-threaded nonblocking epoll loop.
     Epoll,
+}
+
+/// `pthread` or `epoll`.
+impl std::str::FromStr for IncastClientKind {
+    type Err = String;
+
+    fn from_str(tok: &str) -> Result<Self, String> {
+        match tok {
+            "pthread" => Ok(IncastClientKind::Pthread),
+            "epoll" => Ok(IncastClientKind::Epoll),
+            _ => Err(format!("unknown incast client `{tok}` (expected pthread|epoll)")),
+        }
+    }
 }
 
 /// One incast experiment configuration.
@@ -154,22 +260,53 @@ impl IncastConfig {
         self
     }
 
+    /// Checks that the config describes a scenario that can run: none that
+    /// would panic on a field value or spend its budget on no operation.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::InvalidConfig`] naming the field and the limit.
+    pub fn validate(&self) -> Result<(), ExperimentError> {
+        self.check().map_err(ExperimentError::InvalidConfig)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let base = self.base();
+        base.check()?;
+        ensure(self.servers > 0, "servers must be at least 1")?;
+        ensure(
+            self.block_bytes as usize >= self.servers,
+            format!(
+                "block_bytes {} must stripe at least one byte over each of {} servers",
+                self.block_bytes, self.servers
+            ),
+        )?;
+        // The client, and the scheduler of a monitored run, take a host each.
+        let hosts = base.topology.racks * base.topology.servers_per_rack;
+        let others = 1 + usize::from(self.control.is_some());
+        ensure(
+            hosts >= self.servers + others,
+            format!("servers: {} + {others} do not fit the fabric's {hosts} hosts", self.servers),
+        )?;
+        match &self.arrival {
+            None => ensure(self.iterations > 0, "iterations must be at least 1 (or set arrival)")?,
+            Some(_) => ensure(
+                self.client == IncastClientKind::Epoll,
+                "arrival requires client epoll (the pthread client is closed-loop)",
+            )?,
+        }
+        match &self.control {
+            Some(ctl) => check_control(ctl, self.servers, "servers"),
+            None => Ok(()),
+        }
+    }
+
     /// The shared experiment base this config describes.
     fn base(&self) -> ExperimentBase {
         // A monitoring control plane adds one node for the scheduler.
         let extra = usize::from(self.control.is_some());
         let topology = match self.fabric {
-            FabricKind::FatTree(ft) => {
-                let view = ft.view();
-                assert!(
-                    view.racks * view.servers_per_rack > self.servers + extra,
-                    "fat-tree k={} with {} hosts/edge has no room for {} servers + 1 client",
-                    ft.k,
-                    ft.hosts_per_edge,
-                    self.servers
-                );
-                view
-            }
+            FabricKind::FatTree(ft) => ft.view(),
             FabricKind::Tree => {
                 let racks = self.racks.max(1);
                 TopologyConfig {
@@ -287,48 +424,12 @@ impl Workload for IncastWorkload<'_> {
             cluster.spawn(host, s.node, Box::new(IncastServer::new()));
         }
         let fragment = self.cfg.block_bytes / n as u32;
-        assert!(
-            self.cfg.arrival.is_none() || self.cfg.client == IncastClientKind::Epoll,
-            "incast open-loop mode requires the epoll client"
-        );
         // Monitoring control plane: a health beacon on every server, the
         // scheduler on one extra node past the last server. It observes
         // liveness through the same congested fabric the incast burst
         // saturates but does not steer the client.
-        if let Some(ctl) = &self.cfg.control {
-            ctl.validate().expect("invalid ControlConfig");
-            assert!(n <= 128, "service pool is limited to 128 replicas");
-            let cp_node = self.cp_node().expect("control set");
-            let mut agents = Vec::new();
-            let mut racks = Vec::new();
-            for (idx, s) in servers.iter().enumerate() {
-                let stagger =
-                    SimDuration::from_picos(ctl.heartbeat_every.as_picos() * idx as u64 / n as u64);
-                cluster.spawn(
-                    host,
-                    s.node,
-                    Box::new(ControlAgent::new(
-                        SockAddr::new(cp_node, CONTROL_PORT),
-                        ctl.heartbeat_every,
-                        stagger,
-                        BTreeMap::new(),
-                    )),
-                );
-                agents.push(SockAddr::new(s.node, AGENT_PORT));
-                racks.push(cluster.topo.rack_of(s.node) as u32);
-            }
-            let spec = ServiceSpec {
-                id: 0,
-                pool: servers.clone(),
-                agents,
-                racks,
-                initial: (0..n).collect(),
-            };
-            cluster.spawn(
-                host,
-                cp_node,
-                Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
-            );
+        if let (Some(ctl), Some(cp_node)) = (&self.cfg.control, self.cp_node()) {
+            attach_control_plane(host, cluster, ctl, cp_node, &servers, (0..n).collect(), vec![]);
         }
         match self.cfg.client {
             IncastClientKind::Pthread => {
@@ -391,18 +492,12 @@ impl Workload for IncastWorkload<'_> {
                 (c.goodput_bps(), c.iteration_times.clone(), c.offered)
             }
         };
-        let control = self.cp_node().map(|cp| {
-            cluster
-                .process::<ControlPlane>(host, cp, Tid(0))
-                .expect("control plane missing")
-                .report()
-        });
         IncastSummary {
             goodput_bps,
             iteration_times,
             switch_drops: cluster.total_switch_drops(host),
             offered,
-            control,
+            control: control_report(host, cluster, self.cp_node()),
         }
     }
 
@@ -456,6 +551,7 @@ pub fn try_run_incast_with(
     cfg: &IncastConfig,
     ckpt: &CheckpointPolicy,
 ) -> Result<IncastResult, ExperimentError> {
+    cfg.validate()?;
     let (summary, env) =
         ExperimentHarness::new(cfg.base()).run_with(&mut IncastWorkload { cfg }, ckpt)?;
     Ok(IncastResult {
@@ -499,6 +595,7 @@ pub fn warm_incast(
     path: &std::path::Path,
     at: SimTime,
 ) -> Result<(), ExperimentError> {
+    cfg.validate()?;
     ExperimentHarness::new(cfg.base()).warm(&mut IncastWorkload { cfg }, path, at)
 }
 
@@ -635,23 +732,63 @@ impl McExperimentConfig {
         self
     }
 
+    /// Checks that the config describes a scenario that can run: none that
+    /// would panic on a field value or spend its budget on no operation.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::InvalidConfig`] naming the field and the limit.
+    pub fn validate(&self) -> Result<(), ExperimentError> {
+        self.check().map_err(ExperimentError::InvalidConfig)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        self.base().check()?;
+        check_fat_tree_shape(self.fabric, self.racks, self.servers_per_rack)?;
+        ensure(self.mc_per_rack > 0, "mc_per_rack must be at least 1")?;
+        ensure(self.workers > 0, "workers must be at least 1")?;
+        // Clients fill what the pool (servers, plus spares under the
+        // control plane) leaves of each rack; the scheduler takes one of
+        // their slots.
+        let spares = self.control.as_ref().map_or(0, |ctl| ctl.spares_per_rack);
+        let pool_slots = self.mc_per_rack + spares;
+        let client_slots = self.racks * self.servers_per_rack.saturating_sub(pool_slots);
+        ensure(
+            client_slots > usize::from(self.control.is_some()),
+            format!(
+                "mc_per_rack {} + control.spares_per_rack {spares} leaves no client slots at \
+                 servers_per_rack {}",
+                self.mc_per_rack, self.servers_per_rack
+            ),
+        )?;
+        match &self.arrival {
+            None => ensure(
+                self.requests_per_client > 0,
+                "requests_per_client must be at least 1 (or set arrival)",
+            )?,
+            Some(_) => {
+                let udp_only = "arrival requires proto udp (open-loop memcached is UDP-only)";
+                ensure(self.proto == Proto::Udp, udp_only)?;
+                ensure(self.window > 0, "window must be at least 1 (at 0 every arrival is shed)")?;
+            }
+        }
+        let Some(ctl) = &self.control else { return Ok(()) };
+        ensure(
+            self.arrival.is_some(),
+            "control requires arrival (clients discover endpoints through the registry, which \
+             the open-loop client implements)",
+        )?;
+        check_control(ctl, self.racks * pool_slots, "racks x (mc_per_rack + spares_per_rack)")
+    }
+
     /// The shared experiment base this config describes.
     fn base(&self) -> ExperimentBase {
-        let topology = TopologyConfig {
-            racks: self.racks,
-            servers_per_rack: self.servers_per_rack,
-            racks_per_array: 16.min(self.racks),
-        };
-        if let FabricKind::FatTree(ft) = self.fabric {
-            assert_eq!(
-                (topology.racks, topology.servers_per_rack),
-                (ft.view().racks, ft.view().servers_per_rack),
-                "racks/servers_per_rack must match the fat-tree view: \
-                 use McExperimentConfig::on_fat_tree"
-            );
-        }
         ExperimentBase {
-            topology,
+            topology: TopologyConfig {
+                racks: self.racks,
+                servers_per_rack: self.servers_per_rack,
+                racks_per_array: 16.min(self.racks),
+            },
             fabric: self.fabric,
             cc: self.cc,
             ecn_threshold: self.ecn_threshold,
@@ -738,126 +875,6 @@ struct McSummary {
     control: Option<ControlReport>,
 }
 
-impl McWorkload<'_> {
-    /// Control-plane variant of [`Workload::build`]: every rack hosts
-    /// `mc_per_rack + spares_per_rack` pool nodes (the spares parked on
-    /// an inactive service gate), each pool node runs a [`ControlAgent`]
-    /// heartbeating to the scheduler on the cluster's last node, and the
-    /// remaining nodes run open-loop clients that discover live servers
-    /// through registry lookups.
-    fn build_controlled(&mut self, host: &mut SimHost, cluster: &Cluster, ctl: &ControlConfig) {
-        let cfg = self.cfg;
-        let root_rng = DetRng::new(cfg.seed);
-        ctl.validate().expect("invalid ControlConfig");
-        assert!(
-            cfg.arrival.is_some() && cfg.proto == Proto::Udp,
-            "the control plane requires the open-loop UDP memcached workload"
-        );
-        let pool_slots = cfg.mc_per_rack + ctl.spares_per_rack;
-        assert!(
-            pool_slots < cfg.servers_per_rack,
-            "mc_per_rack + spares_per_rack must leave room for clients"
-        );
-        assert!(cfg.racks * pool_slots <= 128, "service pool is limited to 128 replicas");
-
-        // The scheduler claims the cluster's last node (a client slot).
-        let cp_node = NodeAddr((cfg.racks * cfg.servers_per_rack - 1) as u32);
-
-        // Pool nodes: gated dispatcher + workers, plus the agent that
-        // heartbeats to the scheduler and flips the gate on command.
-        let mut pool = Vec::new();
-        let mut agents = Vec::new();
-        let mut racks = Vec::new();
-        let mut initial = Vec::new();
-        let pool_len = (cfg.racks * pool_slots) as u64;
-        for rack in 0..cfg.racks {
-            for slot in 0..pool_slots {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                let idx = pool.len();
-                let active = slot < cfg.mc_per_rack;
-                if active {
-                    initial.push(idx);
-                }
-                let gate = service_gate(active);
-                let scfg = McServerConfig {
-                    port: MEMCACHED_PORT,
-                    workers: cfg.workers,
-                    version: cfg.version,
-                    udp: true,
-                    request_work: cfg.request_work,
-                };
-                let sh = mc_shared(scfg.workers);
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(
-                        McDispatcher::new(scfg.clone(), sh.clone())
-                            .with_gate(gate.clone(), gate_futex_key(0)),
-                    ),
-                );
-                for w in 0..scfg.workers {
-                    cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
-                }
-                self.shareds.push(sh);
-                // Stagger heartbeats evenly across one period so the
-                // scheduler never sees a synchronized burst.
-                let stagger =
-                    SimDuration::from_picos(ctl.heartbeat_every.as_picos() * idx as u64 / pool_len);
-                let gates = BTreeMap::from([(0u32, gate)]);
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(ControlAgent::new(
-                        SockAddr::new(cp_node, CONTROL_PORT),
-                        ctl.heartbeat_every,
-                        stagger,
-                        gates,
-                    )),
-                );
-                pool.push(SockAddr::new(addr, MEMCACHED_PORT));
-                agents.push(SockAddr::new(addr, AGENT_PORT));
-                racks.push(rack as u32);
-            }
-        }
-        let initial_mask = initial.iter().fold(0u128, |m, &i| m | (1u128 << i));
-        let spec = ServiceSpec { id: 0, pool: pool.clone(), agents, racks, initial };
-        cluster.spawn(
-            host,
-            cp_node,
-            Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
-        );
-        self.cp = Some(cp_node);
-
-        // Clients: every remaining node except the scheduler's, each
-        // restricting its per-request server draw to the registry's
-        // live-endpoint mask.
-        let pool_socks: Arc<[SockAddr]> = pool.into();
-        for rack in 0..cfg.racks {
-            for slot in pool_slots..cfg.servers_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                if addr == cp_node {
-                    continue;
-                }
-                let mut ccfg = McClientConfig::udp(pool_socks.clone(), cfg.requests_per_client);
-                ccfg.reconnect_every = cfg.reconnect_every;
-                ccfg.request_deadline = cfg.request_deadline;
-                ccfg.arrival = cfg.arrival.clone();
-                ccfg.window = cfg.window;
-                ccfg.slo = cfg.slo;
-                ccfg.discovery = Some(DiscoveryConfig {
-                    control: SockAddr::new(cp_node, CONTROL_PORT),
-                    service: 0,
-                    refresh_every: ctl.refresh_every,
-                    initial_mask,
-                });
-                let rng = root_rng.derive(addr.0 as u64);
-                cluster.spawn(host, addr, Box::new(McOpenLoopClient::new(ccfg, rng)));
-                self.client_addrs.push(addr);
-            }
-        }
-    }
-}
-
 impl Workload for McWorkload<'_> {
     type Summary = McSummary;
 
@@ -880,17 +897,21 @@ impl Workload for McWorkload<'_> {
 
     fn build(&mut self, host: &mut SimHost, cluster: &Cluster) {
         let cfg = self.cfg;
-        if let Some(ctl) = cfg.control.clone() {
-            self.build_controlled(host, cluster, &ctl);
-            return;
-        }
         let topo = cluster.topo.clone();
         let root_rng = DetRng::new(cfg.seed);
+        // Under the control plane every rack also hosts `spares_per_rack`
+        // standby servers parked on an inactive service gate, and the
+        // scheduler claims the cluster's last node (a client slot).
+        let ctl = cfg.control.as_ref();
+        let pool_slots = cfg.mc_per_rack + ctl.map_or(0, |c| c.spares_per_rack);
+        self.cp = ctl.map(|_| NodeAddr((cfg.nodes() - 1) as u32));
 
-        // memcached servers: the first `mc_per_rack` nodes of each rack.
-        let mut server_addrs = Vec::new();
+        // memcached servers: the first `pool_slots` nodes of each rack.
+        let mut pool = Vec::new();
+        let mut initial = Vec::new();
+        let mut gates = Vec::new();
         for rack in 0..cfg.racks {
-            for slot in 0..cfg.mc_per_rack {
+            for slot in 0..pool_slots {
                 let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
                 let scfg = McServerConfig {
                     port: MEMCACHED_PORT,
@@ -900,24 +921,41 @@ impl Workload for McWorkload<'_> {
                     request_work: cfg.request_work,
                 };
                 let sh = mc_shared(scfg.workers);
-                cluster.spawn(host, addr, Box::new(McDispatcher::new(scfg.clone(), sh.clone())));
+                let mut dispatcher = McDispatcher::new(scfg.clone(), sh.clone());
+                let active = slot < cfg.mc_per_rack;
+                if active {
+                    initial.push(pool.len());
+                }
+                if ctl.is_some() {
+                    // The node's agent flips this gate on the scheduler's
+                    // command.
+                    let gate = service_gate(active);
+                    dispatcher = dispatcher.with_gate(gate.clone(), gate_futex_key(0));
+                    gates.push(BTreeMap::from([(0u32, gate)]));
+                }
+                cluster.spawn(host, addr, Box::new(dispatcher));
                 for w in 0..scfg.workers {
                     cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
                 }
                 self.shareds.push(sh);
-                server_addrs.push(SockAddr::new(addr, MEMCACHED_PORT));
+                pool.push(SockAddr::new(addr, MEMCACHED_PORT));
             }
         }
+        // Controlled clients restrict their per-request server draw to
+        // the registry's live-endpoint mask.
+        let discovery = ctl
+            .zip(self.cp)
+            .map(|(ctl, cp)| attach_control_plane(host, cluster, ctl, cp, &pool, initial, gates));
         // One shared server list for every client on the cluster.
-        let server_addrs: Arc<[SockAddr]> = server_addrs.into();
+        let server_addrs: Arc<[SockAddr]> = pool.into();
 
-        // Clients: every remaining node.
-        if cfg.arrival.is_some() {
-            assert_eq!(cfg.proto, Proto::Udp, "open-loop memcached requires UDP");
-        }
+        // Clients: every remaining node except the scheduler's.
         for rack in 0..cfg.racks {
-            for slot in cfg.mc_per_rack..cfg.servers_per_rack {
+            for slot in pool_slots..cfg.servers_per_rack {
                 let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
+                if Some(addr) == self.cp {
+                    continue;
+                }
                 let mut ccfg = match cfg.proto {
                     Proto::Tcp => {
                         McClientConfig::tcp(server_addrs.clone(), cfg.requests_per_client)
@@ -928,6 +966,7 @@ impl Workload for McWorkload<'_> {
                 };
                 ccfg.reconnect_every = cfg.reconnect_every;
                 ccfg.request_deadline = cfg.request_deadline;
+                ccfg.discovery = discovery.clone();
                 let rng = root_rng.derive(addr.0 as u64);
                 if let Some(spec) = &cfg.arrival {
                     // Open loop: admissions come from the schedule (each
@@ -999,12 +1038,6 @@ impl Workload for McWorkload<'_> {
             }
         }
         let served = self.shareds.iter().map(|s| s.lock().expect("poisoned").served).sum();
-        let control = self.cp.map(|cp| {
-            cluster
-                .process::<ControlPlane>(host, cp, Tid(0))
-                .expect("control plane missing")
-                .report()
-        });
         McSummary {
             latency,
             by_class,
@@ -1014,7 +1047,7 @@ impl Workload for McWorkload<'_> {
             completed_at,
             offered,
             timed_out,
-            control,
+            control: control_report(host, cluster, self.cp),
         }
     }
 
@@ -1065,6 +1098,7 @@ pub fn try_run_memcached_with(
     cfg: &McExperimentConfig,
     ckpt: &CheckpointPolicy,
 ) -> Result<McExperimentResult, ExperimentError> {
+    cfg.validate()?;
     let mut workload = McWorkload { cfg, shareds: Vec::new(), client_addrs: Vec::new(), cp: None };
     let (summary, env) = ExperimentHarness::new(cfg.base()).run_with(&mut workload, ckpt)?;
     Ok(McExperimentResult {
@@ -1113,6 +1147,7 @@ pub fn warm_memcached(
     path: &std::path::Path,
     at: SimTime,
 ) -> Result<(), ExperimentError> {
+    cfg.validate()?;
     let mut workload = McWorkload { cfg, shareds: Vec::new(), client_addrs: Vec::new(), cp: None };
     ExperimentHarness::new(cfg.base()).warm(&mut workload, path, at)
 }
@@ -1252,23 +1287,45 @@ impl PaExperimentConfig {
         self
     }
 
+    /// Checks that the config describes a scenario that can run: none that
+    /// would panic on a field value or spend its budget on no operation.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::InvalidConfig`] naming the field and the limit.
+    pub fn validate(&self) -> Result<(), ExperimentError> {
+        self.check().map_err(ExperimentError::InvalidConfig)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        self.base().check()?;
+        check_fat_tree_shape(self.fabric, self.racks, self.servers_per_rack)?;
+        ensure(
+            self.servers_per_rack >= 2,
+            "servers_per_rack must be at least 2: a front-end and one leaf",
+        )?;
+        ensure(
+            self.arrival.is_some() || self.queries > 0,
+            "queries must be at least 1 (or set arrival)",
+        )?;
+        let Some(ctl) = &self.control else { return Ok(()) };
+        ensure(
+            self.cross_rack,
+            "control requires cross_rack (one shared leaf pool for the registry to index)",
+        )?;
+        // The scheduler takes the last leaf slot.
+        let pool = self.racks * (self.servers_per_rack - 1) - 1;
+        check_control(ctl, pool, "racks x (servers_per_rack - 1) - 1 leaves")
+    }
+
     /// The shared experiment base this config describes.
     fn base(&self) -> ExperimentBase {
-        let topology = TopologyConfig {
-            racks: self.racks,
-            servers_per_rack: self.servers_per_rack,
-            racks_per_array: 16.min(self.racks),
-        };
-        if let FabricKind::FatTree(ft) = self.fabric {
-            assert_eq!(
-                (topology.racks, topology.servers_per_rack),
-                (ft.view().racks, ft.view().servers_per_rack),
-                "racks/servers_per_rack must match the fat-tree view: \
-                 use PaExperimentConfig::on_fat_tree"
-            );
-        }
         ExperimentBase {
-            topology,
+            topology: TopologyConfig {
+                racks: self.racks,
+                servers_per_rack: self.servers_per_rack,
+                racks_per_array: 16.min(self.racks),
+            },
             fabric: self.fabric,
             cc: self.cc,
             ecn_threshold: self.ecn_threshold,
@@ -1358,117 +1415,14 @@ struct PaSummary {
 }
 
 impl PaWorkload<'_> {
-    fn leaf_addrs(&self, rack: usize) -> Vec<SockAddr> {
-        let cfg = self.cfg;
-        let leaves_of_rack = |r: usize| {
-            (1..cfg.servers_per_rack).map(move |slot| {
-                SockAddr::new(NodeAddr((r * cfg.servers_per_rack + slot) as u32), PA_PORT)
-            })
-        };
-        if cfg.cross_rack {
-            (0..cfg.racks).flat_map(leaves_of_rack).collect()
-        } else {
-            leaves_of_rack(rack).collect()
-        }
-    }
-
-    /// Control-plane variant of [`Workload::build`]: the scheduler
-    /// claims the last leaf slot, every remaining leaf runs a
-    /// health-beacon [`ControlAgent`], and front-ends fan out only to
-    /// leaves the registry's live-endpoint mask reports up — so a
-    /// crashed leaf stops costing every query its full deadline as soon
-    /// as detection lands.
-    fn build_controlled(&mut self, host: &mut SimHost, cluster: &Cluster, ctl: &ControlConfig) {
-        let cfg = self.cfg;
-        let root_rng = DetRng::new(cfg.seed);
-        ctl.validate().expect("invalid ControlConfig");
-        assert!(
-            cfg.cross_rack,
-            "the control plane requires the cross-rack search tier (one shared leaf pool)"
-        );
-        // The scheduler claims the last leaf slot of the last rack.
-        let cp_node = NodeAddr((cfg.racks * cfg.servers_per_rack - 1) as u32);
-        let pool_len = (cfg.racks * (cfg.servers_per_rack - 1) - 1) as u64;
-        assert!(pool_len >= 1, "need at least one leaf besides the scheduler");
-        assert!(pool_len <= 128, "service pool is limited to 128 replicas");
-
-        // Leaves: every non-zero slot except the scheduler's, each with
-        // a pure health-beacon agent (no gate — leaves are always
-        // willing; the registry only tracks their liveness).
-        let mut pool = Vec::new();
-        let mut agents = Vec::new();
-        let mut racks = Vec::new();
-        for rack in 0..cfg.racks {
-            for slot in 1..cfg.servers_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                if addr == cp_node {
-                    continue;
-                }
-                let lcfg = PaLeafConfig {
-                    port: PA_PORT,
-                    service_work: cfg.service_work,
-                    service_jitter: cfg.service_jitter,
-                    answer_bytes: cfg.answer_bytes,
-                };
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(PaLeaf::new(lcfg, root_rng.derive(addr.0 as u64))),
-                );
-                let idx = pool.len() as u64;
-                let stagger =
-                    SimDuration::from_picos(ctl.heartbeat_every.as_picos() * idx / pool_len);
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(ControlAgent::new(
-                        SockAddr::new(cp_node, CONTROL_PORT),
-                        ctl.heartbeat_every,
-                        stagger,
-                        BTreeMap::new(),
-                    )),
-                );
-                pool.push(SockAddr::new(addr, PA_PORT));
-                agents.push(SockAddr::new(addr, AGENT_PORT));
-                racks.push(rack as u32);
-            }
-        }
-        let initial: Vec<usize> = (0..pool.len()).collect();
-        let initial_mask = initial.iter().fold(0u128, |m, &i| m | (1u128 << i));
-        let spec = ServiceSpec { id: 0, pool: pool.clone(), agents, racks, initial };
-        cluster.spawn(
-            host,
-            cp_node,
-            Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
-        );
-        self.cp = Some(cp_node);
-
-        // Front-ends: slot 0 of each rack, fanning out over the shared
-        // pool filtered by the registry mask.
-        let leaves: Arc<[SockAddr]> = pool.into();
-        for rack in 0..cfg.racks {
-            let addr = NodeAddr((rack * cfg.servers_per_rack) as u32);
-            let mut fcfg = PaFrontendConfig::new(leaves.clone(), cfg.queries);
-            fcfg.deadline = cfg.deadline;
-            fcfg.query_bytes = cfg.query_bytes;
-            fcfg.think = cfg.think;
-            fcfg.discovery = Some(DiscoveryConfig {
-                control: SockAddr::new(cp_node, CONTROL_PORT),
-                service: 0,
-                refresh_every: ctl.refresh_every,
-                initial_mask,
-            });
-            let fe: Box<PaFrontend> = if let Some(spec) = &cfg.arrival {
-                fcfg.arrival = Some(spec.clone());
-                fcfg.slo = cfg.slo;
-                Box::new(PaFrontend::open_loop(fcfg, root_rng.derive(addr.0 as u64)))
-            } else {
-                fcfg.start_delay = SimDuration::from_micros((addr.0 as u64 * 7) % 2_000);
-                Box::new(PaFrontend::new(fcfg))
-            };
-            cluster.spawn(host, addr, fe);
-            self.frontends.push(addr);
-        }
+    /// The leaves of `racks`, in rack and slot order: every non-zero slot
+    /// except the one the scheduler claims.
+    fn leaves(&self, racks: std::ops::Range<usize>) -> impl Iterator<Item = SockAddr> + '_ {
+        let spr = self.cfg.servers_per_rack;
+        racks
+            .flat_map(move |rack| (1..spr).map(move |slot| NodeAddr((rack * spr + slot) as u32)))
+            .filter(|leaf| Some(*leaf) != self.cp)
+            .map(|leaf| SockAddr::new(leaf, PA_PORT))
     }
 }
 
@@ -1500,42 +1454,49 @@ impl Workload for PaWorkload<'_> {
 
     fn build(&mut self, host: &mut SimHost, cluster: &Cluster) {
         let cfg = self.cfg;
-        if let Some(ctl) = cfg.control.clone() {
-            self.build_controlled(host, cluster, &ctl);
-            return;
-        }
         let root_rng = DetRng::new(cfg.seed);
-        // Leaves first: every non-zero slot of each rack.
-        for rack in 0..cfg.racks {
-            for slot in 1..cfg.servers_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                let lcfg = PaLeafConfig {
-                    port: PA_PORT,
-                    service_work: cfg.service_work,
-                    service_jitter: cfg.service_jitter,
-                    answer_bytes: cfg.answer_bytes,
-                };
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(PaLeaf::new(lcfg, root_rng.derive(addr.0 as u64))),
-                );
-            }
+        // Under the control plane the scheduler claims the last leaf slot
+        // of the last rack.
+        self.cp =
+            cfg.control.as_ref().map(|_| NodeAddr((cfg.racks * cfg.servers_per_rack - 1) as u32));
+        // Leaves first.
+        for leaf in self.leaves(0..cfg.racks) {
+            let lcfg = PaLeafConfig {
+                port: PA_PORT,
+                service_work: cfg.service_work,
+                service_jitter: cfg.service_jitter,
+                answer_bytes: cfg.answer_bytes,
+            };
+            let rng = root_rng.derive(leaf.node.0 as u64);
+            cluster.spawn(host, leaf.node, Box::new(PaLeaf::new(lcfg, rng)));
         }
-        // Front-ends: slot 0 of each rack, sharing one leaf list per
-        // fan-out domain.
+        // One leaf list per fan-out domain. Under the control plane the
+        // cluster-wide one is the registry's pool: every leaf runs a pure
+        // health beacon (leaves are always willing; the registry only
+        // tracks their liveness) and front-ends fan out only to leaves
+        // its mask reports up, so a crashed leaf stops costing every
+        // query its full deadline as soon as detection lands.
         let cluster_leaves: Option<Arc<[SockAddr]>> =
-            cfg.cross_rack.then(|| self.leaf_addrs(0).into());
+            cfg.cross_rack.then(|| self.leaves(0..cfg.racks).collect());
+        let discovery = match (&cfg.control, self.cp, &cluster_leaves) {
+            (Some(ctl), Some(cp), Some(pool)) => {
+                let all = (0..pool.len()).collect();
+                Some(attach_control_plane(host, cluster, ctl, cp, pool, all, vec![]))
+            }
+            _ => None,
+        };
+        // Front-ends: slot 0 of each rack.
         for rack in 0..cfg.racks {
             let addr = NodeAddr((rack * cfg.servers_per_rack) as u32);
             let leaves: Arc<[SockAddr]> = match &cluster_leaves {
                 Some(shared) => shared.clone(),
-                None => self.leaf_addrs(rack).into(),
+                None => self.leaves(rack..rack + 1).collect(),
             };
             let mut fcfg = PaFrontendConfig::new(leaves, cfg.queries);
             fcfg.deadline = cfg.deadline;
             fcfg.query_bytes = cfg.query_bytes;
             fcfg.think = cfg.think;
+            fcfg.discovery = discovery.clone();
             let fe: Box<PaFrontend> = if let Some(spec) = &cfg.arrival {
                 // Open loop: admissions come from the schedule (each
                 // front-end draws its own stream), so no start stagger.
@@ -1578,22 +1539,10 @@ impl Workload for PaWorkload<'_> {
             offered += f.offered;
         }
         let mut served = 0;
-        for rack in 0..self.cfg.racks {
-            for slot in 1..self.cfg.servers_per_rack {
-                let addr = NodeAddr((rack * self.cfg.servers_per_rack + slot) as u32);
-                if Some(addr) == self.cp {
-                    continue;
-                }
-                let l: &PaLeaf = cluster.process(host, addr, Tid(0)).expect("leaf missing");
-                served += l.served;
-            }
+        for leaf in self.leaves(0..self.cfg.racks) {
+            let l: &PaLeaf = cluster.process(host, leaf.node, Tid(0)).expect("leaf missing");
+            served += l.served;
         }
-        let control = self.cp.map(|cp| {
-            cluster
-                .process::<ControlPlane>(host, cp, Tid(0))
-                .expect("control plane missing")
-                .report()
-        });
         PaSummary {
             latency,
             queries,
@@ -1603,7 +1552,7 @@ impl Workload for PaWorkload<'_> {
             served,
             completed_at,
             offered,
-            control,
+            control: control_report(host, cluster, self.cp),
         }
     }
 
@@ -1638,6 +1587,7 @@ pub fn try_run_partition_aggregate_with(
     cfg: &PaExperimentConfig,
     ckpt: &CheckpointPolicy,
 ) -> Result<PaExperimentResult, ExperimentError> {
+    cfg.validate()?;
     let mut workload = PaWorkload { cfg, frontends: Vec::new(), cp: None };
     let (summary, env) = ExperimentHarness::new(cfg.base()).run_with(&mut workload, ckpt)?;
     Ok(PaExperimentResult {
@@ -1687,6 +1637,7 @@ pub fn warm_partition_aggregate(
     path: &std::path::Path,
     at: SimTime,
 ) -> Result<(), ExperimentError> {
+    cfg.validate()?;
     let mut workload = PaWorkload { cfg, frontends: Vec::new(), cp: None };
     ExperimentHarness::new(cfg.base()).warm(&mut workload, path, at)
 }
@@ -1694,6 +1645,142 @@ pub fn warm_partition_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The message of a config that must not validate.
+    fn invalid(r: Result<(), ExperimentError>) -> String {
+        match r {
+            Err(ExperimentError::InvalidConfig(msg)) => msg,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    /// Every field value that used to trip an `assert!` or an `expect`
+    /// under `try_run_*` is an `InvalidConfig` naming the field, from the
+    /// run entry point itself.
+    #[test]
+    fn configs_that_used_to_panic_are_invalid_config_errors() {
+        let arrival = ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(5)).unwrap();
+
+        // 64 racks x (2 serving + 1 spare) = 192 replicas > the 128-bit mask.
+        let mut mc = McExperimentConfig::paper(64, 0);
+        mc.arrival = Some(arrival.clone());
+        mc.control = Some(ControlConfig::default());
+        let msg = invalid(try_run_memcached(&mc).map(drop));
+        assert!(msg.contains("mc_per_rack") && msg.contains("128"), "{msg}");
+        // Serving replicas and spares fill the rack.
+        let mut mc = McExperimentConfig::mini(2, 0);
+        mc.arrival = Some(arrival.clone());
+        mc.control = Some(ControlConfig::default());
+        mc.servers_per_rack = 2;
+        assert!(invalid(mc.validate()).contains("leaves no client slots"));
+        // Open loop is UDP-only, the control plane is open-loop only, and
+        // its thresholds must order.
+        let mut mc = McExperimentConfig::mini(2, 10);
+        mc.control = Some(ControlConfig::default());
+        assert!(invalid(mc.validate()).contains("control requires arrival"));
+        mc.arrival = Some(arrival.clone());
+        mc.proto = Proto::Tcp;
+        assert!(invalid(mc.validate()).contains("arrival requires proto udp"));
+        mc.proto = Proto::Udp;
+        mc.control.as_mut().unwrap().dead_after = SimDuration::ZERO;
+        assert!(invalid(mc.validate()).contains("control: dead threshold"));
+        // A shape set apart from the fat-tree's own.
+        let mut mc = McExperimentConfig::mini(2, 10).on_fat_tree(FatTreeConfig::new(4));
+        mc.racks = 3;
+        assert!(invalid(mc.validate()).contains("on_fat_tree"));
+        assert!(invalid(warm_memcached(&mc, std::path::Path::new("unused"), SimTime::ZERO))
+            .contains("on_fat_tree"));
+
+        // 40 servers + the client on a 16-host fat-tree.
+        let incast = IncastConfig::fig6a(40).on_fat_tree(FatTreeConfig::new(4));
+        let msg = invalid(try_run_incast(&incast).map(drop));
+        assert!(msg.contains("servers") && msg.contains("16 hosts"), "{msg}");
+        let mut incast = IncastConfig::fig6a(4);
+        incast.arrival = Some(arrival.clone());
+        assert!(invalid(incast.validate()).contains("arrival requires client epoll"));
+        let mut incast = IncastConfig::fig6a(200);
+        incast.control = Some(ControlConfig::default());
+        assert!(invalid(incast.validate()).contains("128"));
+        let incast = IncastConfig::fig6a(4).on_fat_tree(FatTreeConfig { k: 3, hosts_per_edge: 2 });
+        assert!(invalid(incast.validate()).contains("even"));
+        let mut incast = IncastConfig::fig6a(4);
+        incast.mode = RunMode::parallel(0);
+        assert!(invalid(incast.validate()).contains("partitions"));
+        incast.racks = 2;
+        let quantum = Some(SimDuration::from_secs(1));
+        incast.mode = RunMode::Parallel { partitions: 2, quantum, workers: None };
+        assert!(invalid(incast.validate()).contains("lookahead"));
+
+        // A front-end with no leaf.
+        let mut pa = PaExperimentConfig::new(2, 10);
+        pa.servers_per_rack = 1;
+        let msg = invalid(try_run_partition_aggregate(&pa).map(drop));
+        assert!(msg.contains("servers_per_rack"), "{msg}");
+        let mut pa = PaExperimentConfig::new(2, 10);
+        pa.control = Some(ControlConfig::default());
+        assert!(invalid(pa.validate()).contains("control requires cross_rack"));
+        // The scheduler takes the only leaf.
+        let mut pa = PaExperimentConfig::new(1, 10);
+        pa.servers_per_rack = 2;
+        pa.cross_rack = true;
+        pa.control = Some(ControlConfig::default());
+        assert!(invalid(pa.validate()).contains("holds 0 replicas"));
+    }
+
+    /// What the repo benchmark (`benchmark/src/workloads.rs`) and the
+    /// bundled `scenarios/` build stays valid.
+    #[test]
+    fn benchmark_and_bundled_scenario_configs_validate() {
+        let diurnal = ArrivalSpec::parse(include_str!("../../../scenarios/diurnal.arrv")).unwrap();
+        let crash =
+            FaultPlan::parse(include_str!("../../../scenarios/rolling_crash.fplan")).unwrap();
+        let flap = FaultPlan::parse(include_str!("../../../scenarios/link_flap.fplan")).unwrap();
+
+        // mc_udp_rack992 (serial and on two partitions), mc_udp_cold1984,
+        // and a point of sweep_ckpt_grid.
+        let mut mc = McExperimentConfig::paper(32, 150);
+        mc.validate().expect("mc_udp_rack992");
+        mc.mode = RunMode::parallel_with_workers(2, 2);
+        mc.validate().expect("mc_udp_rack992_par2");
+        McExperimentConfig::paper(64, 1).validate().expect("mc_udp_cold1984 probe");
+        let mut mc = McExperimentConfig::paper(8, 40);
+        mc.kernel = KernelProfile::linux_3_5_7();
+        mc.validate().expect("sweep_ckpt_grid point");
+        // incast_tcp_fat16.
+        let mut incast = IncastConfig::fig6a(12).on_fat_tree(FatTreeConfig::new(4));
+        incast.client = IncastClientKind::Epoll;
+        incast.iterations = 1_600;
+        incast.switch = Some(SwitchTemplate {
+            buffer: BufferConfig::PerPort { bytes_per_port: 32 * 1024 },
+            ..SwitchTemplate::gbe_shallow()
+        });
+        incast.validate().expect("incast_tcp_fat16");
+        // pa_udp_xrack_open: no racks and no queries of its own, both
+        // come from the fat-tree and the arrival schedule.
+        let mut pa = PaExperimentConfig::new(0, 0).on_fat_tree(FatTreeConfig::new(4));
+        pa.cross_rack = true;
+        pa.arrival = Some(ArrivalSpec::poisson(4_000.0, SimDuration::from_millis(50)).unwrap());
+        pa.slo = Some(pa.deadline);
+        pa.validate().expect("pa_udp_xrack_open");
+
+        // scenarios/: the diurnal trace, the rolling crash under the
+        // control plane, the link flap, and the paper grid's warm leg.
+        let mut mc = McExperimentConfig::mini(2, 0);
+        mc.arrival = Some(diurnal);
+        mc.slo = Some(SimDuration::from_micros(500));
+        mc.validate().expect("diurnal.arrv");
+        mc.control = Some(ControlConfig::default());
+        mc.faults = Some(crash);
+        mc.validate().expect("rolling_crash.fplan");
+        let mut incast = IncastConfig::fig6a(8);
+        incast.racks = 4;
+        incast.faults = Some(flap.clone());
+        incast.validate().expect("link_flap.fplan through incast");
+        let mut pa = PaExperimentConfig::new(2, 100);
+        pa.faults = Some(flap);
+        pa.validate().expect("link_flap.fplan through the search tier");
+        McExperimentConfig::mini(2, 150).validate().expect("paper_grid.sweep");
+    }
 
     #[test]
     fn incast_fig6a_point_runs() {

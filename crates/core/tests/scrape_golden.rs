@@ -12,8 +12,9 @@
 //! switches mid-traffic.
 
 use diablo_core::{
-    run_incast, run_memcached, ArrivalSpec, ControlConfig, FaultPlan, IncastClientKind,
-    IncastConfig, McExperimentConfig, RunMode, SwitchTemplate,
+    run_incast, run_memcached, run_partition_aggregate, ArrivalSpec, ControlConfig, FaultPlan,
+    IncastClientKind, IncastConfig, McExperimentConfig, PaExperimentConfig, RunMode,
+    SwitchTemplate,
 };
 use diablo_engine::prelude::SimDuration;
 use diablo_net::switch::BufferConfig;
@@ -139,5 +140,27 @@ fn rolling_crash_plan_with_control_plane() {
         "3a5220d2f0163706",
         "rack1.server5.proc0.control.failovers",
         |m| memcached(&cfg, m),
+    );
+}
+
+/// The search tier under the control plane, recorded before its build was
+/// folded into the uncontrolled one: every leaf's agent, the scheduler on
+/// the last leaf slot and the registry-filtered fan-out must keep their
+/// spawn order, or thread ids and with them this scrape would move.
+#[test]
+fn controlled_cross_rack_partition_aggregate() {
+    let mut cfg = PaExperimentConfig::new(2, 40);
+    cfg.cross_rack = true;
+    cfg.control = Some(ControlConfig::default());
+    cfg.faults = Some(FaultPlan::parse("5ms node-crash node1").expect("valid plan"));
+    assert_pinned(
+        "controlled partition-aggregate",
+        "ef84b54d67229cde",
+        "rack1.server5.proc0.control.detections",
+        |mode| {
+            let mut cfg = cfg.clone();
+            cfg.mode = mode;
+            run_partition_aggregate(&cfg).metrics.to_json()
+        },
     );
 }

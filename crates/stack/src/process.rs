@@ -46,6 +46,19 @@ pub enum Proto {
     Udp,
 }
 
+/// `tcp` or `udp`.
+impl std::str::FromStr for Proto {
+    type Err = String;
+
+    fn from_str(tok: &str) -> Result<Self, String> {
+        match tok {
+            "tcp" => Ok(Proto::Tcp),
+            "udp" => Ok(Proto::Udp),
+            _ => Err(format!("unknown protocol `{tok}` (expected tcp|udp)")),
+        }
+    }
+}
+
 /// The modeled syscall surface (a faithful subset of what memcached and the
 /// incast benchmark exercise).
 #[derive(Debug, Clone, PartialEq)]

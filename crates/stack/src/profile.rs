@@ -36,6 +36,18 @@ impl CongestionControl {
     }
 }
 
+/// The token [`CongestionControl::name`] prints: `reno` or `dctcp`.
+impl std::str::FromStr for CongestionControl {
+    type Err = String;
+
+    fn from_str(tok: &str) -> Result<Self, String> {
+        [CongestionControl::Reno, CongestionControl::Dctcp]
+            .into_iter()
+            .find(|cc| cc.name() == tok)
+            .ok_or_else(|| format!("unknown congestion control `{tok}` (expected reno|dctcp)"))
+    }
+}
+
 /// Per-operation instruction costs and policy parameters for a modeled
 /// kernel.
 ///
@@ -209,6 +221,19 @@ impl KernelProfile {
     }
 }
 
+/// The modeled kernels by short version: `2.6` or `3.5`.
+impl std::str::FromStr for KernelProfile {
+    type Err = String;
+
+    fn from_str(tok: &str) -> Result<Self, String> {
+        match tok {
+            "2.6" => Ok(KernelProfile::linux_2_6_39()),
+            "3.5" => Ok(KernelProfile::linux_3_5_7()),
+            _ => Err(format!("unknown kernel `{tok}` (expected 2.6|3.5)")),
+        }
+    }
+}
+
 diablo_engine::impl_snap_enum!(CongestionControl { 0 => Reno, 1 => Dctcp });
 
 #[cfg(test)]
@@ -233,6 +258,18 @@ mod tests {
         assert_eq!(p.copy_cost(1000), 500);
         let z = KernelProfile::zero_cost();
         assert_eq!(z.copy_cost(1_000_000), 0);
+    }
+
+    #[test]
+    fn axis_tokens_parse_and_unknown_ones_list_the_accepted_set() {
+        assert_eq!("2.6".parse::<KernelProfile>().unwrap(), KernelProfile::linux_2_6_39());
+        assert_eq!("3.5".parse::<KernelProfile>().unwrap(), KernelProfile::linux_3_5_7());
+        assert!("4.4".parse::<KernelProfile>().unwrap_err().contains("2.6|3.5"));
+        for cc in [CongestionControl::Reno, CongestionControl::Dctcp] {
+            assert_eq!(cc.name().parse::<CongestionControl>().unwrap(), cc);
+        }
+        assert!("cubic".parse::<CongestionControl>().unwrap_err().contains("reno|dctcp"));
+        assert!("".parse::<CongestionControl>().is_err());
     }
 
     #[test]
