@@ -1,7 +1,10 @@
-//! `wsc_sim` — the general-purpose simulator front end: run either paper
-//! workload on an arbitrary configuration from the command line.
+//! `wsc_sim` — the simulator's one front end: run a workload on an
+//! arbitrary configuration, a sweep, or the paper's figures from the
+//! command line.
 //!
 //! ```console
+//! $ wsc_sim figure all                    # every table and figure, into results/
+//! $ wsc_sim figure fig14_kernel --racks 8 --requests 40
 //! $ wsc_sim memcached --racks 32 --requests 200 --proto tcp --kernel 3.5 --10g
 //! $ wsc_sim incast --servers 12 --iterations 10 --client epoll --ghz 2 --10g
 //! $ wsc_sim partition-aggregate --racks 4 --queries 200 --deadline-us 800
@@ -14,9 +17,11 @@
 //! Every flag is one row of [`FLAGS`]: the usage text is generated from
 //! the table, a flag a subcommand's rows do not list is an error, and a
 //! run — alone or as one point of a sweep — is the table applied to a
-//! [`Scenario`], the scenario's own `validate`, and one run path.
+//! [`Scenario`], the scenario's own `validate`, and one run path. A figure
+//! is a row of [`FIGURES`] handed the figure flags its row declares.
 
 use diablo_apps::failure::FailureStats;
+use diablo_bench::figures::{FigOpts, Figure, FIGURES};
 use diablo_bench::{banner, results_dir, write_metrics_artifacts};
 use diablo_core::report::percentiles_us;
 use diablo_core::{
@@ -41,15 +46,17 @@ const MC: u8 = 1;
 const IN: u8 = 2;
 const PA: u8 = 4;
 const SW: u8 = 8;
+const FIG: u8 = 16;
 /// The three subcommands that run one scenario.
 const RUN: u8 = MC | IN | PA;
 
 /// The subcommands: name, bit in a flag row's `subs` mask, banner title.
-const SUBS: [(&str, u8, &str); 4] = [
+const SUBS: [(&str, u8, &str); 5] = [
     ("memcached", MC, "memcached at scale"),
     ("incast", IN, "TCP incast"),
     ("partition-aggregate", PA, "partition-aggregate search tier"),
     ("sweep", SW, "parameter sweep"),
+    ("figure", FIG, "the paper's tables and figures"),
 ];
 
 /// What a command line configures: one of the three workload configs.
@@ -178,6 +185,8 @@ struct Options {
     out: Option<PathBuf>,
     progress: Option<PathBuf>,
     warm_checkpoint: Option<PathBuf>,
+    /// What the figure flags set.
+    fig: FigOpts,
 }
 
 /// Applies a flag's value (`""` for a switch). An error completes the
@@ -477,15 +486,45 @@ const FLAGS: &[Flag] = &[
         .set(|_, o, v| set(&mut o.progress, Ok(Some(v.into())))),
     flag("--warm-checkpoint", "PATH", SW, "shared warm snapshot (default: keyed by the spec)")
         .set(|_, o, v| set(&mut o.warm_checkpoint, Ok(Some(v.into())))),
+    // A figure takes the flags its row of FIGURES declares; left out, each
+    // keeps that figure's scaled-down default.
+    flag("--racks", "N", FIG, "racks of the at-scale memcached runs")
+        .set(|_, o, v| set(&mut o.fig.racks, pos(v).map(Some))),
+    flag("--requests", "N", FIG, "requests per memcached client")
+        .set(|_, o, v| set(&mut o.fig.requests, pos(v).map(Some))),
+    flag("--full", "", FIG, "the paper's 31-server racks, 2 of them memcached, not mini ones")
+        .set(|_, o, _| set(&mut o.fig.full, Ok(true))),
+    flag("--spr", "N", FIG, "servers per mini rack")
+        .set(|_, o, v| set(&mut o.fig.spr, pos(v).map(Some))),
+    flag("--mc-per-rack", "N", FIG, "memcached servers per mini rack")
+        .set(|_, o, v| set(&mut o.fig.mc_per_rack, pos(v).map(Some))),
+    flag("--workers", "N", FIG, "worker threads per memcached server")
+        .set(|_, o, v| set(&mut o.fig.workers, pos(v).map(Some))),
+    flag("--seed", "N", FIG, "master seed of every derived random stream")
+        .set(|_, o, v| set(&mut o.fig.seed, num(v).map(Some))),
+    flag("--iterations", "N", FIG, "synchronized reads per incast point")
+        .set(|_, o, v| set(&mut o.fig.iterations, pos(v).map(Some))),
+    flag("--block", "BYTES", FIG, "block striped over the servers per iteration")
+        .set(|_, o, v| set(&mut o.fig.block, pos(v).map(Some))),
+    flag("--fine", "", FIG, "every server count instead of the coarse sweep")
+        .set(|_, o, _| set(&mut o.fig.fine, Ok(true))),
+    flag("--buffer-kb", "N", FIG, "per-port buffer of the 10 Gbps switch")
+        .set(|_, o, v| set(&mut o.fig.buffer_kb, pos(v).map(Some))),
+    flag("--clients", "N", FIG, "largest client count of the single-rack sweep")
+        .set(|_, o, v| set(&mut o.fig.clients, pos(v).map(Some))),
+    flag("--servers", "N", FIG, "storage servers fanning in")
+        .set(|_, o, v| set(&mut o.fig.servers, pos(v).map(Some))),
+    flag("--reconnect-every", "N", FIG, "requests a client sends per TCP connection")
+        .set(|_, o, v| set(&mut o.fig.reconnect_every, pos(v).map(Some))),
+    flag("--pipelines", "N", FIG, "server pipelines on the rack FPGA")
+        .set(|_, o, v| set(&mut o.fig.pipelines, pos(v).map(Some))),
+    flag("--threads", "N", FIG, "hardware threads per pipeline")
+        .set(|_, o, v| set(&mut o.fig.threads, pos(v).map(Some))),
 ];
 
-/// Applies `argv` to `scenario` through the rows subcommand `sub` accepts.
-fn parse(
-    sub: &str,
-    mut scenario: Scenario,
-    verbose: bool,
-    argv: &[String],
-) -> Result<(Scenario, Options), String> {
+/// The rows of subcommand `sub` that `argv` names, in the order of the
+/// table, each with its value.
+fn given<'a>(sub: &str, argv: &'a [String]) -> Result<Vec<(&'static Flag, &'a str)>, String> {
     let mask = SUBS.iter().find(|(name, ..)| *name == sub).map_or(0, |(_, mask, _)| *mask);
     // Every token is a flag this subcommand lists, then its value.
     let mut given: Vec<Option<&str>> = vec![None; FLAGS.len()];
@@ -505,12 +544,19 @@ fn parse(
             return Err(format!("{arg} is given more than once"));
         }
     }
+    Ok(FLAGS.iter().zip(given).filter_map(|(flag, value)| Some((flag, value?))).collect())
+}
+
+/// Applies the given rows to `scenario`.
+fn apply(
+    mut scenario: Scenario,
+    verbose: bool,
+    given: &[(&Flag, &str)],
+) -> Result<(Scenario, Options), String> {
     let mut options = Options { verbose, ..Options::default() };
-    for (flag, value) in FLAGS.iter().zip(given) {
-        if let Some(value) = value {
-            (flag.apply)(&mut scenario, &mut options, value)
-                .map_err(|e| format!("{} {e}", flag.name))?;
-        }
+    for (flag, value) in given {
+        (flag.apply)(&mut scenario, &mut options, value)
+            .map_err(|e| format!("{} {e}", flag.name))?;
     }
     if options.save.is_some() && options.save_at.is_none() {
         return Err("--checkpoint requires --checkpoint-at <duration>".into());
@@ -518,18 +564,14 @@ fn parse(
     Ok((scenario, options))
 }
 
-/// The usage text: per subcommand, the rows of the table it accepts.
-fn usage() -> String {
-    let mut out =
-        "usage: wsc_sim <memcached|incast|partition-aggregate|sweep> [options]\n".to_string();
-    for (sub, mask, _) in SUBS {
-        let _ = writeln!(out, "\n{sub} options:");
-        for flag in FLAGS.iter().filter(|f| f.subs & mask != 0) {
-            let mut head = format!("{} {}", flag.name, flag.value);
-            for line in flag.help.lines() {
-                let _ = writeln!(out, "  {head:<22} {line}");
-                head.clear();
-            }
+/// The rows of the table subcommand `sub` accepts, as its usage section.
+fn options_of(sub: &str, mask: u8) -> String {
+    let mut out = format!("\n{sub} options:\n");
+    for flag in FLAGS.iter().filter(|f| f.subs & mask != 0) {
+        let mut head = format!("{} {}", flag.name, flag.value);
+        for line in flag.help.lines() {
+            let _ = writeln!(out, "  {head:<22} {line}");
+            head.clear();
         }
     }
     out
@@ -547,16 +589,87 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let sub = argv.first().and_then(|arg| SUBS.iter().find(|(name, ..)| name == arg));
     let Some(&(sub, mask, title)) = sub else {
-        eprint!("{}", usage());
+        eprintln!("usage: wsc_sim <memcached|incast|partition-aggregate|sweep> [options]");
+        eprintln!("       wsc_sim figure <id>...|all [options]");
+        for (sub, mask, _) in SUBS.iter().filter(|(_, mask, _)| *mask != FIG) {
+            eprint!("{}", options_of(sub, *mask));
+        }
         std::process::exit(2);
     };
+    if mask == FIG {
+        return figure(&argv[1..]);
+    }
     banner("wsc_sim", title);
-    let (scenario, options) =
-        parse(sub, Scenario::new(sub), true, &argv[1..]).unwrap_or_else(|e| fail(2, e));
+    let (scenario, options) = given(sub, &argv[1..])
+        .and_then(|given| apply(Scenario::new(sub), true, &given))
+        .unwrap_or_else(|e| fail(2, e));
     if mask == SW {
         sweep(&scenario, &options);
     } else {
         run(sub, &scenario, &options);
+    }
+}
+
+// ====================================================================
+// The figure subcommand
+// ====================================================================
+
+/// `figure <id>...|all [options]`: regenerates the named rows of
+/// [`FIGURES`], each into `results/<id>.csv`; no id lists them. The command
+/// line is checked whole before the first figure runs: an unknown id, or a
+/// flag that none of the named figures declares, runs and writes nothing.
+fn figure(argv: &[String]) {
+    let ids = argv.iter().take_while(|arg| !arg.starts_with("--")).count();
+    let (ids, flags) = argv.split_at(ids);
+    if ids.is_empty() {
+        eprintln!("usage: wsc_sim figure <id>...|all [options]\n");
+        eprintln!("figures, each into results/<id>.csv:");
+        for f in FIGURES {
+            eprintln!("  {:<24} {}", f.id, f.title);
+            if !f.flags.is_empty() {
+                eprintln!("  {:<24}   reads {}", "", f.flags.join(" "));
+            }
+        }
+        eprint!("{}", options_of("figure", FIG));
+        std::process::exit(2);
+    }
+    let named = |f: &&Figure| ids.iter().any(|id| id == f.id || id == "all");
+    let selected: Vec<&Figure> = FIGURES.iter().filter(named).collect();
+    if let Some(id) = ids.iter().find(|id| *id != "all" && !selected.iter().any(|f| f.id == *id)) {
+        let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+        fail(2, format_args!("unknown figure {id} (all, or any of {})", ids.join(", ")));
+    }
+    let given = given("figure", flags).unwrap_or_else(|e| fail(2, e));
+    let reads = |f: &&Figure, flag: &Flag| f.flags.contains(&flag.name);
+    if let Some((flag, _)) = given.iter().find(|(flag, _)| !selected.iter().any(|f| reads(f, flag)))
+    {
+        let readers: Vec<&str> = FIGURES.iter().filter(|f| reads(f, flag)).map(|f| f.id).collect();
+        let name = flag.name;
+        fail(2, format_args!("{name} is read by {}, none of them named", readers.join(", ")));
+    }
+    // A figure is handed the flags its row declares and no other.
+    let opts = |f: &&Figure| {
+        let declared: Vec<_> = given.iter().filter(|(flag, _)| reads(f, flag)).copied().collect();
+        apply(Scenario::new("figure"), false, &declared).map(|(_, options)| options.fig)
+    };
+    let opts: Vec<FigOpts> =
+        selected.iter().map(opts).collect::<Result<_, _>>().unwrap_or_else(|e| fail(2, e));
+    for (f, opts) in selected.iter().zip(&opts) {
+        banner(f.id, f.title);
+        let out = (f.run)(opts).unwrap_or_else(|e| {
+            fail(if matches!(e, ExperimentError::InvalidConfig(_)) { 2 } else { 1 }, e)
+        });
+        let csv = f.csv(out.rows);
+        print!("{}", out.summary.as_ref().unwrap_or(&csv));
+        if !out.note.is_empty() {
+            println!("\n{}", out.note);
+        }
+        println!("\n{}", f.shape);
+        let path = results_dir().join(format!("{}.csv", f.id));
+        if let Err(e) = csv.write_csv(&path) {
+            fail(1, format_args!("cannot write {}: {e}", path.display()));
+        }
+        println!("csv: {}\n", path.display());
     }
 }
 
@@ -856,7 +969,7 @@ struct WscRunner<'a> {
 impl WscRunner<'_> {
     /// The spec's scenario with one flag vector applied.
     fn scenario(&self, args: &[String]) -> Result<Scenario, String> {
-        Ok(parse(&self.spec.scenario, self.base.clone(), false, args)?.0)
+        Ok(apply(self.base.clone(), false, &given(&self.spec.scenario, args)?)?.0)
     }
 }
 

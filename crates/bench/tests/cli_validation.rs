@@ -744,3 +744,103 @@ fn sweep_with_a_bad_axis_cell_is_rejected_before_any_point_runs() {
         "unknown flag --queries for incast",
     );
 }
+
+// ---------------------------------------------------------------------------
+// The figure subcommand: ids and flags checked whole before anything runs
+// ---------------------------------------------------------------------------
+
+/// `wsc_sim figure <args>` writing into a fresh directory of its own.
+fn figure(tag: &str, args: &[&str]) -> (Output, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("wsc_sim_cli_figure_{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = wsc_sim()
+        .arg("figure")
+        .args(args)
+        .env("DIABLO_RESULTS", &dir)
+        .output()
+        .expect("spawn wsc_sim");
+    (out, dir)
+}
+
+/// A command line no figure can run exits 2 and writes nothing: the typo the
+/// per-figure binaries silently ignored, a flag the named figure does not
+/// read, an unknown id (the message lists the ids), no id at all.
+#[test]
+fn figure_rejects_what_it_cannot_run_before_writing_anything() {
+    for (tag, args, needle) in [
+        ("typo", &["fig14_kernel", "--request", "5"][..], "unknown flag --request for figure"),
+        (
+            "unread",
+            &["fig14_kernel", "--iterations", "5"],
+            "--iterations is read by fig06a_incast_1g",
+        ),
+        ("unread_all", &["all", "--topology", "tree"], "unknown flag --topology for figure"),
+        (
+            "nosuch",
+            &["tab01_survey", "nosuch"],
+            "unknown figure nosuch (all, or any of tab01_survey",
+        ),
+        ("noid", &[], "fig15_memcached_version"),
+        ("noid_flag", &["--racks", "2"], "usage: wsc_sim figure <id>...|all"),
+        ("zero", &["all", "--requests", "0"], "--requests must be at least 1"),
+    ] {
+        let (out, dir) = figure(tag, args);
+        assert_eq!(out.status.code(), Some(2), "figure {args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(needle), "figure {args:?}: {}", stderr(&out));
+        assert!(!dir.exists(), "figure {args:?} wrote into {}", dir.display());
+    }
+}
+
+/// Each figure takes exactly the flags its row of `FIGURES` declares: a
+/// declared one is applied (its bad value is the error), any other figure
+/// flag is refused by name.
+#[test]
+fn each_figure_reads_exactly_the_flags_it_declares() {
+    use diablo_bench::figures::FIGURES;
+    let mut flags: Vec<&str> = FIGURES.iter().flat_map(|f| f.flags).copied().collect();
+    flags.sort_unstable();
+    flags.dedup();
+    assert_eq!(flags.len(), 16, "the figure flags: {flags:?}");
+    for f in FIGURES {
+        for flag in &flags {
+            // A switch takes no value: it rides with a value flag that every
+            // figure declaring the switch declares too.
+            let args = match *flag {
+                "--full" => vec![f.id, flag, "--requests", "x"],
+                "--fine" => vec![f.id, flag, "--iterations", "x"],
+                _ => vec![f.id, flag, "x"],
+            };
+            let (out, _) = figure("flags", &args);
+            let declared = f.flags.contains(flag);
+            let needle = if declared { "has invalid value \"x\"" } else { "none of them named" };
+            assert_eq!(out.status.code(), Some(2), "{} {flag}: {}", f.id, stderr(&out));
+            assert!(stderr(&out).contains(needle), "{} {flag}: {}", f.id, stderr(&out));
+        }
+    }
+}
+
+/// With `all`, a flag applies to the figures that declare it: accepted
+/// though most do not. A failed write is `error:` and exit 1, not a panic.
+#[test]
+fn figure_all_applies_a_flag_where_declared_and_reports_an_unwritable_directory() {
+    let file = std::env::temp_dir().join("wsc_sim_cli_figure_not_a_dir");
+    std::fs::write(&file, "").expect("write file");
+    let out = wsc_sim()
+        .args(["figure", "tab01_survey", "tab02_fpga_resources", "--threads", "16"])
+        .env("DIABLO_RESULTS", file.join("results"))
+        .output()
+        .expect("spawn wsc_sim");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("error: cannot write"), "{}", stderr(&out));
+
+    // Five requests per client keep sixteen figures to seconds in a debug build.
+    let (out, dir) = figure("all", &["all", "--requests", "5"]);
+    assert!(out.status.success(), "figure all --requests 5: {}", stderr(&out));
+    assert_eq!(std::fs::read_dir(&dir).expect("results dir").count(), 16);
+    // fig06a declares no --requests: it ran at its defaults.
+    let pinned = repo_root().join("results/fig06a_incast_1g.csv");
+    assert_eq!(
+        std::fs::read(dir.join("fig06a_incast_1g.csv")).expect("written csv"),
+        std::fs::read(pinned).expect("checked-in csv")
+    );
+}

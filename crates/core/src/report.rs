@@ -40,6 +40,15 @@ impl Table {
         self
     }
 
+    /// Appends every row of `rows`, as [`Table::row`] does.
+    #[must_use]
+    pub fn rows(mut self, rows: impl IntoIterator<Item = Vec<String>>) -> Self {
+        for cells in rows {
+            self.row(cells);
+        }
+        self
+    }
+
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -48,6 +57,23 @@ impl Table {
     /// `true` when no rows have been added.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// The table as CSV text: the header line, then one line per row.
+    pub fn to_csv(&self) -> String {
+        let esc = |s: &String| {
+            if s.contains([',', '"', '\n']) {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.clone()
+            }
+        };
+        let mut out = String::new();
+        for r in std::iter::once(&self.headers).chain(&self.rows) {
+            out.push_str(&r.iter().map(esc).collect::<Vec<_>>().join(","));
+            out.push('\n');
+        }
+        out
     }
 
     /// Writes the table as CSV.
@@ -59,21 +85,7 @@ impl Table {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(&self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        std::fs::write(path, out)
+        std::fs::write(path, self.to_csv())
     }
 }
 
@@ -114,12 +126,13 @@ pub fn tail_cdf_us(hist: &Histogram, from_q: f64) -> Vec<(f64, f64)> {
         .collect()
 }
 
+/// The quantiles [`percentiles_us`] reports, by name.
+pub const PERCENTILES: [(&str, f64); 6] =
+    [("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99), ("p99.9", 0.999), ("max", 1.0)];
+
 /// Standard percentile summary of a nanosecond histogram, in microseconds.
 pub fn percentiles_us(hist: &Histogram) -> Vec<(&'static str, f64)> {
-    [("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99), ("p99.9", 0.999), ("max", 1.0)]
-        .into_iter()
-        .map(|(name, q)| (name, hist.quantile(q) as f64 / 1_000.0))
-        .collect()
+    PERCENTILES.iter().map(|&(name, q)| (name, hist.quantile(q) as f64 / 1_000.0)).collect()
 }
 
 /// Formats a float with the given number of decimals.
