@@ -447,9 +447,8 @@ impl FaultPlan {
     }
 }
 
-/// Injects one switch directive with its fence: the switch must hear of it
-/// one of its own pipeline latencies ahead
-/// ([`SwitchFault::fenced_timers`]).
+/// Injects one switch directive with its fence, which the switch must hear
+/// a fence lead ahead ([`SwitchFault::fenced_timers`]).
 fn inject_switch_fault(host: &mut SimHost, switch: ComponentId, at: SimTime, fault: SwitchFault) {
     let latency = host
         .component::<PacketSwitch>(switch)

@@ -43,8 +43,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 /// Version 2: a switch persists its pipeline as a FIFO plus the frames it
 /// committed to the wire at admission and the fault fences it was told
 /// of, and recomputes its per-output totals on load instead of storing
-/// them.
-pub const SNAP_VERSION: u32 = 2;
+/// them. Version 3: a pipeline entry's forwarding timer is optional (a
+/// frame may ride its output's departure instead), and a NIC persists the
+/// instant its TX engine frees and whether a completion timer is armed
+/// instead of one busy flag.
+pub const SNAP_VERSION: u32 = 3;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards
@@ -238,7 +241,7 @@ mod tests {
         let mut h = tiny_host();
         assert_eq!(
             decode_snapshot(&bad, &mut h, 7),
-            Err(SnapError::Version { found: 1, expected: 2 })
+            Err(SnapError::Version { found: 1, expected: SNAP_VERSION })
         );
 
         // Bad fingerprint.

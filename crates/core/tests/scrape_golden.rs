@@ -28,11 +28,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Runs one scenario serially and on two partitions; both scrapes must
-/// hash to `pinned`. `exercised` names a counter the scenario exists to
-/// move, checked non-zero so a pinned digest cannot outlive its point.
-fn assert_pinned(name: &str, pinned: &str, exercised: &str, run: impl Fn(RunMode) -> String) {
+/// hash to `pinned`, and the serial run must take exactly `events` engine
+/// events. `exercised` names a counter the scenario exists to move,
+/// checked non-zero so a pinned digest cannot outlive its point.
+///
+/// The digest is the model's behaviour and never moves; the event count
+/// is the simulator's cost and may only fall, by a change that schedules
+/// less for the same behaviour (re-pin it with the reason).
+fn assert_pinned(
+    name: &str,
+    pinned: &str,
+    events: u64,
+    exercised: &str,
+    run: impl Fn(RunMode) -> (String, u64),
+) {
     for mode in [RunMode::Serial, RunMode::parallel(2)] {
-        let json = run(mode);
+        let (json, ran) = run(mode);
         let (_, after) = json
             .split_once(&format!("\"{exercised}\": "))
             .unwrap_or_else(|| panic!("{name}: no `{exercised}` counter in the scrape"));
@@ -42,19 +53,24 @@ fn assert_pinned(name: &str, pinned: &str, exercised: &str, run: impl Fn(RunMode
             pinned,
             "{name} ({mode:?}): end-of-run scrape differs from the recorded one"
         );
+        if matches!(mode, RunMode::Serial) {
+            assert_eq!(ran, events, "{name}: serial engine event count moved");
+        }
     }
 }
 
-fn incast(cfg: &IncastConfig, mode: RunMode) -> String {
+fn incast(cfg: &IncastConfig, mode: RunMode) -> (String, u64) {
     let mut cfg = cfg.clone();
     cfg.mode = mode;
-    run_incast(&cfg).metrics.to_json()
+    let r = run_incast(&cfg);
+    (r.metrics.to_json(), r.events)
 }
 
-fn memcached(cfg: &McExperimentConfig, mode: RunMode) -> String {
+fn memcached(cfg: &McExperimentConfig, mode: RunMode) -> (String, u64) {
     let mut cfg = cfg.clone();
     cfg.mode = mode;
-    run_memcached(&cfg).metrics.to_json()
+    let r = run_memcached(&cfg);
+    (r.metrics.to_json(), r.events)
 }
 
 fn epoll_incast(servers: usize) -> IncastConfig {
@@ -67,7 +83,7 @@ fn epoll_incast(servers: usize) -> IncastConfig {
 #[test]
 fn tree_memcached_udp() {
     let cfg = McExperimentConfig::mini(2, 40);
-    assert_pinned("tree memcached", "7ce8766424d48085", "rack0.tor.tx_frames", |m| {
+    assert_pinned("tree memcached", "7ce8766424d48085", 7011, "rack0.tor.tx_frames", |m| {
         memcached(&cfg, m)
     });
 }
@@ -75,9 +91,13 @@ fn tree_memcached_udp() {
 #[test]
 fn fat_tree_incast_reno_tail_drops() {
     let cfg = epoll_incast(12).on_fat_tree(FatTreeConfig::new(4));
-    assert_pinned("fat-tree incast, Reno", "f3b71ca6fff9b1ee", "rack0.tor.drops_buffer", |m| {
-        incast(&cfg, m)
-    });
+    assert_pinned(
+        "fat-tree incast, Reno",
+        "f3b71ca6fff9b1ee",
+        12406,
+        "rack0.tor.drops_buffer",
+        |m| incast(&cfg, m),
+    );
 }
 
 #[test]
@@ -89,7 +109,7 @@ fn fat_tree_incast_dctcp_marks() {
         buffer: BufferConfig::PerPort { bytes_per_port: 96 * 1024 },
         ..SwitchTemplate::gbe_shallow()
     });
-    assert_pinned("fat-tree incast, DCTCP", "bab3764358ba5e51", "agg0.ecn_marked", |m| {
+    assert_pinned("fat-tree incast, DCTCP", "bab3764358ba5e51", 11234, "agg0.ecn_marked", |m| {
         incast(&cfg, m)
     });
 }
@@ -98,9 +118,13 @@ fn fat_tree_incast_dctcp_marks() {
 fn ten_gig_cut_through_incast() {
     let mut cfg = IncastConfig::fig6b(8, 4, IncastClientKind::Epoll);
     cfg.iterations = 3;
-    assert_pinned("10G cut-through incast", "d60e667a7adc0344", "rack0.tor.drops_buffer", |m| {
-        incast(&cfg, m)
-    });
+    assert_pinned(
+        "10G cut-through incast",
+        "d60e667a7adc0344",
+        4868,
+        "rack0.tor.drops_buffer",
+        |m| incast(&cfg, m),
+    );
 }
 
 #[test]
@@ -110,7 +134,7 @@ fn shared_buffer_tor_incast() {
         buffer: BufferConfig::Shared { total_bytes: 32 * 1024 },
         ..SwitchTemplate::gbe_shallow()
     });
-    assert_pinned("shared-buffer ToR", "fa0e358cd1a9f37b", "rack0.tor.drops_buffer", |m| {
+    assert_pinned("shared-buffer ToR", "fa0e358cd1a9f37b", 6495, "rack0.tor.drops_buffer", |m| {
         incast(&cfg, m)
     });
 }
@@ -122,7 +146,9 @@ fn link_flap_plan_through_incast() {
     cfg.faults = Some(
         FaultPlan::parse(include_str!("../../../scenarios/link_flap.fplan")).expect("bundled plan"),
     );
-    assert_pinned("link flap", "c6f07b29c8cec38e", "rack0.tor.drops_fault", |m| incast(&cfg, m));
+    assert_pinned("link flap", "c6f07b29c8cec38e", 8886, "rack0.tor.drops_fault", |m| {
+        incast(&cfg, m)
+    });
 }
 
 #[test]
@@ -138,6 +164,7 @@ fn rolling_crash_plan_with_control_plane() {
     assert_pinned(
         "rolling crash",
         "3a5220d2f0163706",
+        27152,
         "rack1.server5.proc0.control.failovers",
         |m| memcached(&cfg, m),
     );
@@ -156,11 +183,13 @@ fn controlled_cross_rack_partition_aggregate() {
     assert_pinned(
         "controlled partition-aggregate",
         "ef84b54d67229cde",
+        20200,
         "rack1.server5.proc0.control.detections",
         |mode| {
             let mut cfg = cfg.clone();
             cfg.mode = mode;
-            run_partition_aggregate(&cfg).metrics.to_json()
+            let r = run_partition_aggregate(&cfg);
+            (r.metrics.to_json(), r.events)
         },
     );
 }

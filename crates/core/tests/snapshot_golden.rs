@@ -4,9 +4,11 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 2 (the switch's pipeline became a FIFO beside a list of
-//! frames committed at admission, and its per-output totals stopped being
-//! stored; version 1's digests dated from the hand-written codec). A
+//! `SNAP_VERSION` 3 (a switch pipeline entry's forwarding timer became
+//! optional and a NIC's TX busy flag became its free instant plus an
+//! armed flag, so each NIC grew 8 bytes and fewer timers are pending;
+//! version 2 made the pipeline a FIFO beside a list of frames committed at
+//! admission, version 1's digests dated from the hand-written codec). A
 //! digest that moves means snapshots written by earlier builds no longer
 //! restore — bump `SNAP_VERSION` and re-record, or fix the encoding.
 
@@ -48,7 +50,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_closed", |p| {
         warm_memcached(&cfg, p, SimTime::from_micros(2_500)).expect("warm")
     });
-    assert_eq!(got, (472_029, "9ca42fd54cf49497".to_string()));
+    assert_eq!(got, (472_125, "f2d216e564b54d57".to_string()));
 }
 
 #[test]
@@ -61,7 +63,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm_memcached(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_335, "141b76c8968b7c76".to_string()));
+    assert_eq!(got, (96_391, "fee418a80028f6b6".to_string()));
 }
 
 #[test]
@@ -72,7 +74,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("pa_fat_tree", |p| {
         warm_partition_aggregate(&cfg, p, SimTime::from_millis(2)).expect("warm")
     });
-    assert_eq!(got, (139_594, "6e48d5b8daa46f4d".to_string()));
+    assert_eq!(got, (139_445, "4edce271d129438f".to_string()));
 }
 
 #[test]
@@ -91,5 +93,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm_incast(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (46_829, "31349379dbc082dc".to_string()));
+    assert_eq!(got, (46_913, "bcc7e69aecbb9ab8".to_string()));
 }

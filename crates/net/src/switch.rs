@@ -19,7 +19,7 @@
 //! begins transmission, and frames that do not fit are tail-dropped — the
 //! mechanism behind TCP Incast collapse (§4.1).
 //!
-//! # One event per uncontended hop
+//! # A timer only for what admission cannot know
 //!
 //! The port-to-port latency is a constant, so on DIABLO's FPGAs it costs
 //! the host nothing: it is a number added to a token's target-clock
@@ -31,8 +31,16 @@
 //! it. Its buffer bytes stay counted until `t + latency` in a small FIFO
 //! of commitments that is retired before every admission decision, so
 //! tail drops, ECN marks and the buffer high-water mark are exactly those
-//! of a switch that ran a timer through the event queue. Every other
-//! frame takes that timer. DESIGN.md §9.1 has the argument.
+//! of a switch that ran a timer through the event queue.
+//!
+//! A frame that finds its output busy needs no timer either when the
+//! output's next departure is already decided: one is pending after the
+//! frame's exit, or the output is empty and its wire reserved well past
+//! the exit, so the departure the exit would arm is armed at admission.
+//! The frame waits in the pipeline FIFO and joins its virtual output
+//! queue when a handler next needs the queues. Only a frame whose output
+//! might be idle at its exit keeps its timer. DESIGN.md §9.1 has the
+//! argument.
 
 use crate::frame::Frame;
 use crate::link::{LinkParams, LinkState, PortPeer, TxPort, FP20_ONE};
@@ -243,13 +251,34 @@ struct QueuedFrame {
     arrival: SimTime,
 }
 
-/// A frame crossing the processing pipeline behind a `KIND_FORWARD` timer.
+/// A frame crossing the processing pipeline. Its exit is
+/// `qf.arrival + latency`.
 #[derive(Debug, Clone)]
 struct PipelineEntry {
-    /// The sequence number its timer key carries.
-    seq: u64,
+    /// The sequence number its `KIND_FORWARD` timer carries; `None` when
+    /// the frame rides its output's pending departure and joins its VOQ
+    /// when a handler next needs the VOQs after its exit
+    /// ([`PacketSwitch::settle_pipeline`]).
+    timer: Option<u64>,
     out: u16,
     qf: QueuedFrame,
+}
+
+/// How a frame admitted now crosses the pipeline to its output
+/// (DESIGN.md §9.1).
+enum Crossing {
+    /// The output is idle at the exit: on the wire now, start time `exit`.
+    Commit,
+    /// A `KIND_DEPART` is pending after the exit: it will find the frame
+    /// in its VOQ.
+    Ride,
+    /// The output is empty but its wire stays reserved past the exit: arm
+    /// the `KIND_DEPART` the exit would have armed at this instant, now,
+    /// and ride it.
+    ArmAndRide(SimTime),
+    /// The output might be idle at the exit: a `KIND_FORWARD` timer finds
+    /// out.
+    Timer,
 }
 
 /// A frame already on `out`'s wire whose buffer bytes stay counted until
@@ -262,7 +291,7 @@ struct Commitment {
 }
 
 diablo_engine::impl_snap_struct!(QueuedFrame { frame, in_port, rx_start, arrival });
-diablo_engine::impl_snap_struct!(PipelineEntry { seq, out, qf });
+diablo_engine::impl_snap_struct!(PipelineEntry { timer, out, qf });
 diablo_engine::impl_snap_struct!(Commitment { release_at, out, bytes });
 diablo_engine::impl_snap_struct!(SwitchStats {
     rx_frames,
@@ -294,14 +323,25 @@ const FAULT_OP_SWITCH_UP: u64 = 4;
 /// Highest port number addressable by a fault timer key (12 bits).
 pub const FAULT_MAX_PORT: u16 = (1 << 12) - 1;
 
+/// How far ahead of a directive its fence arrives, unless the switch's
+/// pipeline latency is longer: far enough that a departure the switch
+/// arms at admission is never overtaken by a directive it has not heard
+/// of (DESIGN.md §9.1).
+pub const FENCE_LEAD: SimDuration = SimDuration::from_millis(1);
+
+/// The fence lead for a switch whose pipeline latency is `latency`.
+fn fence_lead(latency: SimDuration) -> SimDuration {
+    latency.max(FENCE_LEAD)
+}
+
 /// A fault directive addressed to a switch.
 ///
 /// Directives are delivered as ordinary timer events — the whole directive
 /// is packed into the integer [`TimerKey`] — so a scripted fault schedule
 /// injects them through the engine's normal external-event path and serial
 /// and partition-parallel runs stay bit-identical. A directive must be
-/// announced one pipeline latency ahead: build its timers with
-/// [`SwitchFault::fenced_timers`].
+/// announced [`FENCE_LEAD`] (or one pipeline latency, if longer) ahead:
+/// build its timers with [`SwitchFault::fenced_timers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchFault {
     /// Take one output port's link down: buffered frames for that output
@@ -358,13 +398,14 @@ impl SwitchFault {
 
     /// The two external timers that deliver this directive at `at` to a
     /// switch whose port-to-port latency is `latency`, in injection order:
-    /// a fence one latency ahead (clamped at time zero), then the
-    /// directive. From the fence on the switch stops committing frames
-    /// whose pipeline exit would fall after `at`, so the directive meets
-    /// exactly the frames a timer-per-frame pipeline would hold. A
+    /// a fence [`FENCE_LEAD`] or one latency ahead, whichever is longer
+    /// (clamped at time zero), then the directive. From the fence on the
+    /// switch stops committing frames whose pipeline exit would fall after
+    /// `at` and arming departures at admission past it, so the directive
+    /// meets exactly the frames a timer-per-frame pipeline would hold. A
     /// directive whose fence the switch never saw panics on arrival.
     pub fn fenced_timers(self, at: SimTime, latency: SimDuration) -> [(SimTime, TimerKey); 2] {
-        let lead = latency.min(at.saturating_duration_since(SimTime::ZERO));
+        let lead = fence_lead(latency).min(at.saturating_duration_since(SimTime::ZERO));
         [(at - lead, lead.as_picos() << 4 | KIND_FENCE), (at, self.timer_key())]
     }
 
@@ -417,9 +458,12 @@ pub struct PacketSwitch {
     /// admission and ECN marking see.
     queued_bytes: Vec<u64>,
     total_buffered: u64,
+    /// A `KIND_DEPART` is pending for the output. Nothing transmits on an
+    /// output while one is, so it is due at the output's `next_free`.
     depart_pending: Vec<bool>,
-    /// Frames behind a `KIND_FORWARD` timer. The latency is fixed, so the
-    /// pipeline is a FIFO: timers fire in the order entries were pushed.
+    /// Frames crossing the pipeline, behind a `KIND_FORWARD` timer or
+    /// riding a departure. The latency is fixed, so the pipeline is a FIFO
+    /// in exit order: timers fire in the order entries were pushed.
     in_flight: VecDeque<PipelineEntry>,
     /// `in_flight` entries per output.
     in_pipeline: Vec<u32>,
@@ -427,11 +471,14 @@ pub struct PacketSwitch {
     /// Frames committed to the wire at admission, oldest first.
     committed: VecDeque<Commitment>,
     /// Instants at which an announced fault directive is due (see
-    /// [`SwitchFault::fenced_timers`]); nothing is committed past one.
+    /// [`SwitchFault::fenced_timers`]); nothing is committed, ridden or
+    /// armed at admission past one.
     fences: Vec<SimTime>,
     /// No wired port drops frames at random. Committing early draws the
-    /// per-frame loss sample early, which is only unobservable while every
-    /// draw on this switch's RNG comes out the same way.
+    /// per-frame loss sample early, and arming a departure at admission
+    /// can reorder two outputs' same-instant draws; either is only
+    /// unobservable while every draw on this switch's RNG comes out the
+    /// same way.
     lossless: bool,
     /// Always `true` outside this module's tests, which build the
     /// timer-per-frame switch as their reference.
@@ -617,17 +664,79 @@ impl PacketSwitch {
         }
     }
 
-    /// `true` when a `KIND_FORWARD` timer at `exit` for a frame admitted
-    /// now to `out` could do nothing but transmit that frame at once.
-    fn can_commit(&self, out: u16, exit: SimTime) -> bool {
+    /// What a `KIND_FORWARD` timer at `exit` for a frame admitted now to
+    /// the wired output `out` would find, when that is already decided.
+    fn crossing(&self, out: u16, now: SimTime, exit: SimTime) -> Crossing {
         let oi = out as usize;
-        self.early_commit
-            && self.lossless
-            && self.in_pipeline[oi] == 0
-            && self.queued_frames[oi] == 0
-            && !self.depart_pending[oi]
-            && self.ports[oi].as_ref().is_some_and(|tx| tx.next_free() <= exit)
-            && self.fences.iter().all(|&due| due >= exit)
+        let fenced_until = |t: SimTime| self.fences.iter().all(|&due| due >= t);
+        if !(self.early_commit && self.lossless && fenced_until(exit)) {
+            return Crossing::Timer;
+        }
+        let next_free = self.ports[oi].as_ref().map_or(SimTime::ZERO, TxPort::next_free);
+        if self.depart_pending[oi] {
+            // The departure is due at `next_free`; at `exit` the handler
+            // would only queue the frame behind it.
+            return if next_free > exit { Crossing::Ride } else { Crossing::Timer };
+        }
+        if self.in_pipeline[oi] > 0 || self.queued_frames[oi] > 0 {
+            return Crossing::Timer;
+        }
+        if next_free <= exit {
+            return Crossing::Commit;
+        }
+        // At `exit` the handler would arm a departure at `next_free`.
+        // Arming it now moves its issue point, which no same-instant event
+        // can observe: no admission between now and `exit` has a timer at
+        // `next_free` (the margin), and every directive due before it is
+        // already fenced (the lead), so the switch stays lossless.
+        let margin = next_free > exit + self.cfg.latency;
+        let announced = now > SimTime::ZERO && next_free <= now + fence_lead(self.cfg.latency);
+        if margin && announced && fenced_until(next_free) {
+            Crossing::ArmAndRide(next_free)
+        } else {
+            Crossing::Timer
+        }
+    }
+
+    /// Moves every pipeline entry that rides a departure and whose exit is
+    /// not after `now` into its VOQ, as its `KIND_FORWARD` timer would
+    /// have. Called first by every handler that reads or flushes VOQs. An
+    /// entry whose exit is `now` is one whose timer would already have
+    /// run: a directive is external and sorts after it, and a departure or
+    /// forwarding timer at `now` either serves another output or was armed
+    /// before the entry could ride it (DESIGN.md §9.1).
+    fn settle_pipeline(&mut self, now: SimTime) {
+        let latency = self.cfg.latency;
+        while self
+            .in_flight
+            .front()
+            .is_some_and(|e| e.timer.is_none() && e.qf.arrival + latency <= now)
+        {
+            let PipelineEntry { out, qf, .. } =
+                self.in_flight.pop_front().expect("front entry just seen");
+            let exit = qf.arrival + latency;
+            self.leave_pipeline(out, qf, exit);
+        }
+    }
+
+    /// A frame leaves the pipeline at `exit`: into its VOQ, or dropped if
+    /// its output lost carrier or the switch went down while it crossed.
+    fn leave_pipeline(&mut self, out: u16, qf: QueuedFrame, exit: SimTime) {
+        let oi = out as usize;
+        self.in_pipeline[oi] -= 1;
+        if self.switch_down || !self.link_state[oi].has_carrier() {
+            let ip_bytes = qf.frame.packet.ip_bytes();
+            self.release(out, ip_bytes);
+            self.drop_for_fault(Some(out), exit, ip_bytes);
+            return;
+        }
+        self.voqs[oi][qf.in_port as usize].push_back(qf);
+        self.queued_frames[oi] += 1;
+    }
+
+    fn arm_depart(&mut self, out: u16, at: SimTime, ctx: &mut Ctx<'_, Frame>) {
+        self.depart_pending[out as usize] = true;
+        ctx.set_timer_at(at, (out as u64) << 4 | KIND_DEPART);
     }
 
     /// Puts `qf` on `out`'s wire no earlier than `at` and delivers it to
@@ -723,8 +832,7 @@ impl PacketSwitch {
         let next_free = self.ports[oi].as_ref().expect("queued frame on unwired port").next_free();
         if next_free > now {
             // Wire busy and no departure pending: wake when it frees.
-            self.depart_pending[oi] = true;
-            ctx.set_timer_at(next_free, (out as u64) << 4 | KIND_DEPART);
+            self.arm_depart(out, next_free, ctx);
             return;
         }
         // Round-robin across the output's non-empty VOQs.
@@ -740,8 +848,7 @@ impl PacketSwitch {
         self.release(out, qf.frame.packet.ip_bytes());
         let end = self.transmit(out, qf, now, ctx);
         if self.queued_frames[oi] > 0 {
-            self.depart_pending[oi] = true;
-            ctx.set_timer_at(end, (out as u64) << 4 | KIND_DEPART);
+            self.arm_depart(out, end, ctx);
         }
     }
 
@@ -828,10 +935,11 @@ impl PacketSwitch {
     fn apply_fault(&mut self, fault: SwitchFault, ctx: &mut Ctx<'_, Frame>) {
         let now = ctx.now();
         self.retire_commitments(ctx);
+        self.settle_pipeline(now);
         let fenced = self.fences.iter().position(|&due| due == now);
         let Some(fenced) = fenced.filter(|_| self.committed.is_empty()) else {
             panic!(
-                "switch {}: {fault:?} at {now} was not announced one pipeline latency ahead; \
+                "switch {}: {fault:?} at {now} was not announced by its fence; \
                  inject switch faults with SwitchFault::fenced_timers",
                 self.cfg.name
             );
@@ -910,25 +1018,21 @@ impl Component<Frame> for PacketSwitch {
         let payload = key >> 4;
         match kind {
             KIND_FORWARD => {
+                // Entries ahead of this one that ride a departure left the
+                // pipeline first.
+                self.settle_pipeline(ctx.now());
                 // A SwitchDown fault may have flushed the frame while it
                 // crossed the pipeline; its timer still fires.
-                if self.in_flight.front().is_none_or(|e| e.seq != payload) {
+                if self.in_flight.front().is_none_or(|e| e.timer != Some(payload)) {
                     return;
                 }
                 let PipelineEntry { out, qf, .. } =
                     self.in_flight.pop_front().expect("front entry just seen");
-                self.in_pipeline[out as usize] -= 1;
-                if self.switch_down || !self.link_state[out as usize].has_carrier() {
-                    let ip_bytes = qf.frame.packet.ip_bytes();
-                    self.release(out, ip_bytes);
-                    self.drop_for_fault(Some(out), ctx.now(), ip_bytes);
-                    return;
-                }
-                self.voqs[out as usize][qf.in_port as usize].push_back(qf);
-                self.queued_frames[out as usize] += 1;
+                self.leave_pipeline(out, qf, ctx.now());
                 self.kick(out, ctx);
             }
             KIND_DEPART => {
+                self.settle_pipeline(ctx.now());
                 let out = payload as u16;
                 self.depart_pending[out as usize] = false;
                 self.kick(out, ctx);
@@ -1013,19 +1117,29 @@ impl Component<Frame> for PacketSwitch {
         let qf = QueuedFrame { frame, in_port: in_port.0, rx_start, arrival: now };
 
         let exit = now + self.cfg.latency;
-        if self.can_commit(out, exit) {
-            // What `kick` would do at `exit` with this frame alone in the
-            // output's VOQs.
-            self.rr_next[out as usize] = (in_port.0 + 1) % self.cfg.ports;
-            self.committed.push_back(Commitment { release_at: exit, out, bytes: ip_bytes });
-            self.transmit(out, qf, exit, ctx);
-            return;
-        }
-        let seq = self.forward_seq;
-        self.forward_seq += 1;
+        let timer = match self.crossing(out, now, exit) {
+            Crossing::Commit => {
+                // What `kick` would do at `exit` with this frame alone in
+                // the output's VOQs.
+                self.rr_next[out as usize] = (in_port.0 + 1) % self.cfg.ports;
+                self.committed.push_back(Commitment { release_at: exit, out, bytes: ip_bytes });
+                self.transmit(out, qf, exit, ctx);
+                return;
+            }
+            Crossing::Ride => None,
+            Crossing::ArmAndRide(at) => {
+                self.arm_depart(out, at, ctx);
+                None
+            }
+            Crossing::Timer => {
+                let seq = self.forward_seq;
+                self.forward_seq += 1;
+                ctx.set_timer(self.cfg.latency, seq << 4 | KIND_FORWARD);
+                Some(seq)
+            }
+        };
         self.in_pipeline[out as usize] += 1;
-        self.in_flight.push_back(PipelineEntry { seq, out, qf });
-        ctx.set_timer(self.cfg.latency, seq << 4 | KIND_FORWARD);
+        self.in_flight.push_back(PipelineEntry { timer, out, qf });
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1607,8 +1721,8 @@ mod tests {
         assert_eq!(restore(|_| ()), Ok(()), "the undamaged switch restores");
         let cases: [fn(&mut PacketSwitch); 5] = [
             |sw| sw.voqs[1][0].push_back(queued(4)),
-            |sw| sw.in_flight.push_back(PipelineEntry { seq: 0, out: 1, qf: queued(9) }),
-            |sw| sw.in_flight.push_back(PipelineEntry { seq: 0, out: 4, qf: queued(0) }),
+            |sw| sw.in_flight.push_back(PipelineEntry { timer: Some(0), out: 1, qf: queued(9) }),
+            |sw| sw.in_flight.push_back(PipelineEntry { timer: None, out: 4, qf: queued(0) }),
             |sw| sw.committed.push_back(committed(4)),
             // Port 3 exists but is unwired: nothing can be bound for it.
             |sw| sw.committed.push_back(committed(3)),
@@ -1867,10 +1981,11 @@ mod voq_tests {
     }
 }
 
-/// Committing an uncontended hop at admission must be unobservable: every
-/// test here runs one scenario on a switch that commits early and on the
-/// timer-per-frame switch (`without_early_commit`) and compares what the
-/// sinks saw and everything the switch carries to the next event.
+/// Committing an uncontended hop at admission, and letting a contended one
+/// ride its output's departure, must be unobservable: every test here
+/// runs one scenario on the shipped switch and on the timer-per-frame
+/// switch (`without_early_commit`) and compares what the sinks saw and
+/// everything the switch carries to the next event.
 #[cfg(test)]
 mod early_commit_tests {
     use super::tests::Sink;
@@ -2124,10 +2239,101 @@ mod early_commit_tests {
         }
     }
 
-    /// The properties above are vacuous if nothing ever commits early or
-    /// if nothing is ever contended: one fixed scenario shows both paths
-    /// are taken and that the drops, marks and ties it exists to cover do
-    /// occur.
+    /// Raw draws for a contended scenario: `bursts` of 3-6 frames into one
+    /// output from rotating inputs and both sides of the switch's id, half
+    /// of them sized so every wire time is a whole number of grid steps at
+    /// 1 Gbps — departures then tie with pipeline exits and arrivals.
+    type BurstDraws = (
+        (u16, bool, bool, u32, u32),
+        (u64, bool, u64),
+        Vec<((u64, u16, u64), (u16, u32, bool, bool))>,
+        Vec<(u64, u64, u16, u64)>,
+    );
+
+    fn burst_draws(max_faults: usize) -> impl Strategy<Value = BurstDraws> {
+        (
+            (2u16..7, any::<bool>(), any::<bool>(), 4_000u32..40_000, 0u32..3_000),
+            (1u64..5, any::<bool>(), 0u64..300),
+            proptest::collection::vec(
+                (
+                    // tick, output, burst length
+                    (0u64..40, 0u16..6, 3u64..7),
+                    // first input, size, grid-aligned size, first from high id
+                    (0u16..6, any::<u32>(), any::<bool>(), any::<bool>()),
+                ),
+                1..12,
+            ),
+            proptest::collection::vec((0u64..120, 0u64..5, 0u16..6, 0u64..3), 0..max_faults),
+        )
+    }
+
+    fn burst_scenario(d: BurstDraws, lossy: Option<f64>) -> Scenario {
+        let (sw, link, bursts, faults) = d;
+        let ports = sw.0;
+        let mut sc = scenario((sw, link, Vec::new(), faults), lossy);
+        for ((tick, out, len), (first_in, size, aligned, high)) in bursts {
+            // 66 bytes of headers: an aligned frame is k * 125 bytes on
+            // the wire, k us (four grid steps) at 1 Gbps.
+            let payload = if aligned { 125 * (1 + size % 9) - 66 } else { 18 + size % 1_400 };
+            sc.arrivals.extend((0..len).map(|j| Arrival {
+                // Pairs of frames at one instant, one grid step apart.
+                tick: tick + j / 2,
+                in_port: (first_in + j as u16) % ports,
+                out: out % ports,
+                payload,
+                from_high_id: high ^ (j % 2 == 1),
+            }));
+        }
+        sc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bursts into busy outputs: most frames ride a departure instead
+        /// of running a forwarding timer.
+        #[test]
+        fn contended_hops_ride_unobservably(d in burst_draws(1)) {
+            let mut sc = burst_scenario(d, None);
+            sc.faults.clear();
+            let (early, early_events) = run(&sc, true);
+            let (timer, timer_events) = run(&sc, false);
+            prop_assert_eq!(early, timer);
+            prop_assert!(early_events <= timer_events);
+        }
+
+        /// Directives land on frames that ride a departure: flushed from
+        /// the pipeline, dropped for lack of carrier at their exit, or
+        /// queued behind a degraded wire.
+        #[test]
+        fn contended_hops_ride_unobservably_under_faults(d in burst_draws(8)) {
+            let sc = burst_scenario(d, None);
+            let (early, early_events) = run(&sc, true);
+            let (timer, timer_events) = run(&sc, false);
+            prop_assert_eq!(early, timer);
+            prop_assert!(early_events <= timer_events);
+        }
+
+        /// A lossy port keeps every contended frame on its timer too.
+        #[test]
+        fn contended_hops_on_a_lossy_switch_keep_their_timers(d in burst_draws(8)) {
+            let sc = burst_scenario(d, Some(0.25));
+            let (early, early_events) = run(&sc, true);
+            let (timer, timer_events) = run(&sc, false);
+            prop_assert_eq!(early, timer);
+            let healed = sc.faults.iter().any(|(_, f)| {
+                matches!(f, SwitchFault::PortUp { port: 1 } | SwitchFault::PortDegraded { port: 1, .. })
+            });
+            if !healed {
+                prop_assert_eq!(early_events, timer_events, "skipped a timer on a lossy switch");
+            }
+        }
+    }
+
+    /// The properties above are vacuous unless every crossing is taken:
+    /// one fixed scenario commits frames, arms a departure at admission,
+    /// rides it, keeps a forwarding timer, and shows that the drops, marks
+    /// and ties it exists to cover do occur.
     #[test]
     fn the_fixed_scenario_takes_both_paths() {
         let mut cfg = SwitchConfig::shallow_gbe("fixed", 4);
@@ -2144,10 +2350,14 @@ mod early_commit_tests {
             cfg,
             link: LinkParams::ten_gbe(100),
             lossy: None,
-            // A burst into port 3 (one early commit, then queueing, marks
-            // and tail drops), and lone frames to ports 1 and 2, the
-            // second of each pair arriving exactly when the first leaves
-            // the pipeline, from both sides of the switch's id.
+            // A burst into port 3: the first frame commits, the second
+            // finds the wire reserved past its exit and arms the departure
+            // the third rides; marks and tail drops behind them. Lone
+            // frames to ports 1 and 2, the second of each pair arriving
+            // exactly when the first leaves the pipeline, from both sides
+            // of the switch's id, commit. Then a 1000-byte frame to port 2
+            // commits and the one behind it finds the wire busy just past
+            // its exit, by less than the margin: it keeps its timer.
             arrivals: (0..8)
                 .map(|i| arrival(0, i % 3, 3, 1_000, i % 2 == 0))
                 .chain([
@@ -2155,6 +2365,8 @@ mod early_commit_tests {
                     arrival(6, 2, 1, 100, true),
                     arrival(6, 3, 2, 100, false),
                     arrival(8, 0, 2, 100, true),
+                    arrival(10, 0, 2, 1_000, false),
+                    arrival(12, 1, 2, 100, true),
                 ])
                 .collect(),
             faults: Vec::new(),
@@ -2164,17 +2376,16 @@ mod early_commit_tests {
         assert_eq!(early, timer);
         assert!(early.stats.contains("drops_buffer: Counter(5)"), "{}", early.stats);
         assert!(early.stats.contains("ecn_marked: Counter(2)"), "{}", early.stats);
-        // The burst's first frame and the four lone frames: one event each
-        // instead of two.
-        assert_eq!(timer_events - early_events, 5);
+        // Every admitted frame but the last saves its forwarding timer:
+        // six commits and the burst's two riders.
+        assert_eq!(timer_events - early_events, 8);
     }
 
-    /// A burst of same-instant frames into one output: only the first
-    /// finds the wire free at its pipeline exit. The eleven behind it keep
-    /// their forwarding and departure timers — the contended path is not
-    /// supposed to change.
+    /// A burst of same-instant frames into one output: the first commits,
+    /// the second arms the departure its wire reservation calls for, and
+    /// the ten behind them ride departures. None runs a forwarding timer.
     #[test]
-    fn a_same_instant_burst_saves_exactly_one_event() {
+    fn a_same_instant_burst_runs_no_forwarding_timer() {
         let mut cfg = SwitchConfig::shallow_gbe("burst", 4);
         cfg.buffer = BufferConfig::PerPort { bytes_per_port: 1 << 20 };
         let sc = Scenario {
@@ -2196,6 +2407,137 @@ mod early_commit_tests {
         let (timer, timer_events) = run(&sc, false);
         assert_eq!(early, timer);
         assert_eq!(early.delivered[3].len(), 12);
-        assert_eq!(timer_events - early_events, 1);
+        assert_eq!(timer_events - early_events, 12);
+    }
+
+    /// Frames riding a departure are in their VOQs by the time a directive
+    /// lands after their exit: a `PortDown` flushes them, and the
+    /// `PortUp` before the departure finds nothing to send.
+    #[test]
+    fn a_directive_finds_the_riders_in_their_voqs() {
+        let mut cfg = SwitchConfig::shallow_gbe("riders", 4);
+        cfg.buffer = BufferConfig::PerPort { bytes_per_port: 1 << 20 };
+        let frame =
+            |tick, in_port| Arrival { tick, in_port, out: 3, payload: 1_000, from_high_id: false };
+        let sc = Scenario {
+            cfg,
+            link: LinkParams::gbe(0),
+            lossy: None,
+            // The head commits; the second frame's timer at tick 4 arms
+            // the departure due when the head leaves, past tick 34 (the
+            // directive fenced ahead keeps it from being armed earlier);
+            // the four after tick 4 ride it, leaving the pipeline by 12.
+            arrivals: [(0, 0), (0, 1), (5, 2), (6, 0), (7, 1), (8, 2)]
+                .into_iter()
+                .map(|(tick, in_port)| frame(tick, in_port))
+                .collect(),
+            faults: vec![
+                (30, SwitchFault::PortDown { port: 3 }),
+                (50, SwitchFault::PortUp { port: 3 }),
+            ],
+        };
+        let (early, early_events) = run(&sc, true);
+        let (timer, timer_events) = run(&sc, false);
+        assert_eq!(early, timer);
+        assert!(early.stats.contains("drops_fault: Counter(5)"), "{}", early.stats);
+        assert_eq!(timer_events - early_events, 5);
+    }
+
+    /// Arming a departure at admission moves its issue point ahead of a
+    /// departure another output arms before this frame's exit, for the
+    /// same instant. Harmless while the switch is lossless; here a
+    /// directive makes it lossy in between, so the frame must keep its
+    /// timer — which the fence it was told of ensures.
+    #[test]
+    fn a_departure_is_armed_early_only_before_every_announced_directive() {
+        let mut cfg = SwitchConfig::shallow_gbe("announced", 4);
+        cfg.latency = GRID;
+        cfg.buffer = BufferConfig::PerPort { bytes_per_port: 1 << 20 };
+        // 66 bytes of headers: k * 125 bytes on the wire is k us.
+        let frame = |tick, in_port, out, us: u32, from_high_id| Arrival {
+            tick,
+            in_port,
+            out,
+            payload: 125 * us - 66,
+            from_high_id,
+        };
+        let sc = Scenario {
+            cfg,
+            link: LinkParams::gbe(0),
+            lossy: None,
+            arrivals: vec![
+                // Output 2: a 1 us head on the wire from tick 1 to 5, then
+                // a 2 us frame departing at 5 and ending at 13, with a
+                // third behind it, so the departure at 5 arms one for 13.
+                frame(0, 0, 2, 1, false),
+                frame(0, 0, 2, 2, false),
+                frame(0, 0, 2, 1, false),
+                // Output 1: its wire is reserved until 13 from tick 1, and
+                // a frame admitted at 4 would arm the departure for 13
+                // before the one output 2 arms at its exit (5).
+                frame(0, 1, 1, 3, true),
+                frame(4, 1, 1, 1, true),
+            ],
+            // Output 1 turns lossy at tick 8, between that exit and 13:
+            // which of the two departures at 13 draws first now decides
+            // whether output 1's frame is lost.
+            faults: vec![(
+                16,
+                SwitchFault::PortDegraded {
+                    port: 1,
+                    bandwidth_factor_fp20: fp20_encode(1.0),
+                    loss_rate_fp20: fp20_encode(0.8),
+                },
+            )],
+        };
+        let (early, _) = run(&sc, true);
+        let (timer, _) = run(&sc, false);
+        assert_eq!(early, timer);
+    }
+
+    /// The same race a fence lead later: the frame's departure is due
+    /// further ahead than directives are announced, so a directive the
+    /// switch has not heard of yet may still land before it. Links slowed
+    /// 256-fold stretch one frame past the lead.
+    #[test]
+    fn a_departure_is_armed_early_only_within_the_fence_lead() {
+        let mut cfg = SwitchConfig::shallow_gbe("lead", 4);
+        cfg.latency = GRID;
+        cfg.buffer = BufferConfig::PerPort { bytes_per_port: 1 << 20 };
+        // At 1/256 of 1 Gbps, k * 125 bytes on the wire is k * 1024 ticks.
+        let frame = |tick, in_port, out, k: u32, from_high_id| Arrival {
+            tick,
+            in_port,
+            out,
+            payload: 125 * k - 66,
+            from_high_id,
+        };
+        let slow = |port, loss| SwitchFault::PortDegraded {
+            port,
+            bandwidth_factor_fp20: fp20_encode(1.0 / 256.0),
+            loss_rate_fp20: fp20_encode(loss),
+        };
+        let sc = Scenario {
+            cfg,
+            link: LinkParams::gbe(0),
+            lossy: None,
+            arrivals: vec![
+                // Output 2: the head leaves at 1026, a 5 * 1024-tick frame
+                // departs then and ends at 6146, a third waits behind it.
+                frame(1, 0, 2, 1, false),
+                frame(1, 0, 2, 5, false),
+                frame(1, 0, 2, 1, false),
+                // Output 1: reserved until 6146; a frame admitted at 1025
+                // exits when output 2 arms its departure for 6146.
+                frame(1, 1, 1, 6, true),
+                frame(1_025, 1, 1, 1, true),
+            ],
+            // Both links slow from the start; output 1 turns lossy at
+            // 5500, announced only at 1500, after that admission.
+            faults: vec![(0, slow(1, 0.0)), (0, slow(2, 0.0)), (11_000, slow(1, 0.8))],
+        };
+        let (early, _) = run(&sc, true);
+        let (timer, _) = run(&sc, false);
+        assert_eq!(early, timer);
     }
 }

@@ -11,7 +11,10 @@
 //!
 //! * **TX**: the driver posts frames to a bounded TX descriptor ring. The
 //!   DMA engine streams them onto the wire back-to-back; a per-packet DMA
-//!   fetch latency applies before the first bit of each frame.
+//!   fetch latency applies before the first bit of each frame. A frame
+//!   posted to an idle engine goes out at once and needs no completion
+//!   event: only a frame waiting behind the one on the wire asks for a
+//!   [`keys::TX_DONE`] timer (DESIGN.md §9.1).
 //! * **RX**: arriving frames consume RX descriptors; when the ring is full
 //!   frames are dropped (the overload behaviour behind receive livelock).
 //!   An interrupt is asserted after `intr_delay`, but no sooner than
@@ -26,11 +29,13 @@ use diablo_engine::metrics::{FlightRecord, FlightRing, Instrumented, MetricsVisi
 use diablo_engine::prelude::{Counter, DetRng, SimDuration, SimTime};
 use diablo_net::link::{LinkParams, LinkState, PortPeer, TxPort};
 use diablo_net::Frame;
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 
 /// Timer sub-keys the NIC asks its hosting component to schedule.
 pub mod keys {
-    /// TX DMA engine completion: call [`Nic::on_tx_done`](super::Nic::on_tx_done).
+    /// The frame on the wire has left and another waits in the TX ring:
+    /// call [`Nic::on_tx_done`](super::Nic::on_tx_done) to start it. Armed
+    /// only while the ring holds a frame.
     pub const TX_DONE: u64 = 1;
     /// RX interrupt assertion: call [`Nic::on_rx_interrupt`](super::Nic::on_rx_interrupt).
     pub const RX_INTR: u64 = 2;
@@ -136,7 +141,15 @@ pub struct Nic {
     cfg: NicConfig,
     tx_port: TxPort,
     tx_ring: VecDeque<Frame>,
-    tx_busy: bool,
+    /// When the DMA engine is done with the frame it last put on the wire;
+    /// until then a posted frame waits in the ring. A crash reset clears it:
+    /// the rebooted engine is idle whatever the wire still carries.
+    tx_done_at: SimTime,
+    /// A [`keys::TX_DONE`] timer is armed for `tx_done_at`.
+    tx_done_armed: bool,
+    /// Always `false` outside this crate's tests, which build the NIC that
+    /// arms a completion for every frame as their reference.
+    completion_per_frame: bool,
     rx_ring: VecDeque<Frame>,
     intr_masked: bool,
     intr_pending: bool,
@@ -175,7 +188,9 @@ impl Nic {
             cfg,
             tx_port: TxPort::new(peer),
             tx_ring: VecDeque::new(),
-            tx_busy: false,
+            tx_done_at: SimTime::ZERO,
+            tx_done_armed: false,
+            completion_per_frame: false,
             rx_ring: VecDeque::new(),
             intr_masked: false,
             intr_pending: false,
@@ -186,6 +201,15 @@ impl Nic {
             trace: None,
             stats: NicStats::default(),
         }
+    }
+
+    /// The timer-per-frame NIC: every transmission arms a completion, and
+    /// the engine stays busy until one fires on an empty ring. Tests
+    /// compare the shipped NIC against it; nothing else can build one.
+    #[cfg(test)]
+    fn with_completion_per_frame(mut self) -> Self {
+        self.completion_per_frame = true;
+        self
     }
 
     /// Starts recording DMA/loss trace events into a bounded ring of
@@ -239,7 +263,8 @@ impl Nic {
     /// Takes the uplink carrier down. Frames waiting in the TX ring cannot
     /// leave a dead link: they are drained and counted as
     /// [`NicStats::tx_carrier_drops`]. A transmission already on the wire
-    /// keeps its committed delivery and completion timer.
+    /// keeps its committed delivery, and an armed completion timer still
+    /// fires (and finds nothing to start).
     pub fn set_carrier_down(&mut self) {
         self.link_state = LinkState::Down;
         self.stats.tx_carrier_drops.add(self.tx_ring.len() as u64);
@@ -271,7 +296,8 @@ impl Nic {
     pub fn reset_after_crash(&mut self) {
         self.set_carrier_down();
         self.rx_ring.clear();
-        self.tx_busy = false;
+        self.tx_done_at = SimTime::ZERO;
+        self.tx_done_armed = false;
         self.intr_masked = false;
         self.intr_pending = false;
         self.last_intr = None;
@@ -279,11 +305,14 @@ impl Nic {
 
     // ---------------------------------------------------------------- TX --
 
-    /// Driver posts a frame for transmission.
+    /// Driver posts a frame for transmission. On an idle engine it starts
+    /// at once; behind a busy one it waits in the ring, and the first frame
+    /// to wait arms the [`keys::TX_DONE`] timer for the instant the engine
+    /// frees.
     ///
-    /// Returns `false` (and counts a reject) when the TX ring is full — the
-    /// driver must back off and retry after a TX completion, which is how
-    /// the OS queue discipline applies backpressure.
+    /// Returns `false` (and counts a reject) when the TX ring is full. The
+    /// frame is gone: nothing retries it (the modeled kernel counts it in
+    /// `kernel.tx_drops`), so reliability is the transport's business.
     pub fn tx_enqueue(&mut self, frame: Frame, now: SimTime, actions: &mut Vec<NicAction>) -> bool {
         if !self.carrier() {
             // Carrier-down semantics: the frame is accepted and silently
@@ -298,25 +327,35 @@ impl Nic {
             return false;
         }
         self.tx_ring.push_back(frame);
-        if !self.tx_busy {
-            self.start_tx(now, actions);
+        // With a completion armed, it starts the ring's head. (The
+        // reference has one armed whenever its engine is busy.)
+        if !self.tx_done_armed {
+            if self.tx_done_at > now && !self.completion_per_frame {
+                self.arm_tx_done(actions);
+            } else {
+                self.start_tx(now, actions);
+            }
         }
         true
     }
 
+    fn arm_tx_done(&mut self, actions: &mut Vec<NicAction>) {
+        self.tx_done_armed = true;
+        actions.push(NicAction::SetTimer(self.tx_done_at, keys::TX_DONE));
+    }
+
+    /// Puts the ring's head on the wire, and arms the completion timer if
+    /// another frame waits behind it.
     fn start_tx(&mut self, now: SimTime, actions: &mut Vec<NicAction>) {
         if !self.carrier() {
             // Carrier lost between completions: nothing can leave.
             self.stats.tx_carrier_drops.add(self.tx_ring.len() as u64);
             self.tx_ring.clear();
-            self.tx_busy = false;
             return;
         }
         let Some(frame) = self.tx_ring.pop_front() else {
-            self.tx_busy = false;
             return;
         };
-        self.tx_busy = true;
         let wire = frame.wire_bytes();
         let timing = self.tx_port.transmit(now + self.cfg.dma_latency, wire);
         if let Some(tr) = &mut self.trace {
@@ -327,10 +366,10 @@ impl Nic {
             self.tx_port.peer.params.loss_rate_is_valid(),
             "uplink loss_rate {loss} is not a probability"
         );
-        // Egress link loss: the frame occupies the wire either way (the TX
-        // completion timer is unconditional), but a lost frame is never
-        // delivered — the mirror image of the switch's egress loss draw,
-        // which previously made lossy links one-sided (switch->node only).
+        // Egress link loss: the frame occupies the wire (and the engine)
+        // either way, but a lost frame is never delivered — the mirror
+        // image of the switch's egress loss draw, which previously made
+        // lossy links one-sided (switch->node only).
         if self.rng.chance(loss) {
             self.stats.tx_loss_drops.incr();
             if let Some(tr) = &mut self.trace {
@@ -346,16 +385,19 @@ impl Nic {
             self.stats.tx_frames.incr();
             actions.push(NicAction::SendFrame(timing.arrival, frame));
         }
-        actions.push(NicAction::SetTimer(timing.end, keys::TX_DONE));
+        self.tx_done_at = timing.end;
+        if !self.tx_ring.is_empty() || self.completion_per_frame {
+            self.arm_tx_done(actions);
+        }
     }
 
-    /// Handles the TX completion timer: starts the next transmission if any.
-    ///
-    /// Returns `true` if TX descriptors were freed (the stack may have
-    /// backlogged output to flush).
-    pub fn on_tx_done(&mut self, now: SimTime, actions: &mut Vec<NicAction>) -> bool {
+    /// Handles the [`keys::TX_DONE`] timer: the engine is free, so the
+    /// frame at the head of the ring goes on the wire, and the timer is
+    /// re-armed only if yet another frame waits. If the carrier went down
+    /// meanwhile the ring is already empty and nothing starts.
+    pub fn on_tx_done(&mut self, now: SimTime, actions: &mut Vec<NicAction>) {
+        self.tx_done_armed = false;
         self.start_tx(now, actions);
-        true
     }
 
     // ---------------------------------------------------------------- RX --
@@ -405,10 +447,12 @@ impl Nic {
         true
     }
 
-    /// NAPI poll: removes up to `budget` frames from the RX ring.
-    pub fn rx_poll(&mut self, budget: usize) -> Vec<Frame> {
+    /// NAPI poll: removes up to `budget` frames from the RX ring, oldest
+    /// first, as the caller drains the iterator into its own buffer (the
+    /// whole range leaves the ring even if the iterator is dropped early).
+    pub fn rx_poll(&mut self, budget: usize) -> vec_deque::Drain<'_, Frame> {
         let n = budget.min(self.rx_ring.len());
-        self.rx_ring.drain(..n).collect()
+        self.rx_ring.drain(..n)
     }
 
     /// Re-enables interrupts after a NAPI poll cycle that drained the ring.
@@ -476,7 +520,8 @@ diablo_engine::impl_snap_struct!(NicStats {
 diablo_engine::impl_persist_fields!(Nic {
     tx_port,
     tx_ring,
-    tx_busy,
+    tx_done_at,
+    tx_done_armed,
     rx_ring,
     intr_masked,
     intr_pending,
@@ -487,6 +532,7 @@ diablo_engine::impl_persist_fields!(Nic {
     cfg: config,
     base_params: config,
     trace: config,
+    completion_per_frame: config,
 });
 
 #[cfg(test)]
@@ -530,6 +576,14 @@ mod tests {
             .collect()
     }
 
+    /// When the armed completion timer fires, if one was armed.
+    fn tx_done(actions: &[NicAction]) -> Option<SimTime> {
+        actions.iter().find_map(|a| match a {
+            NicAction::SetTimer(t, keys::TX_DONE) => Some(*t),
+            _ => None,
+        })
+    }
+
     #[test]
     fn tx_serializes_back_to_back_with_dma_prefix() {
         let mut n = nic(NicConfig::default());
@@ -539,18 +593,32 @@ mod tests {
         assert!(n.tx_enqueue(frame(1000), t0, &mut actions));
         // First frame: dma 1 us, then 1066B wire = 8.528 us, prop 500 ns.
         assert_eq!(send_times(&actions), vec![SimTime::from_nanos(100_000 + 1_000 + 8_528 + 500)]);
-        // Completion timer fires; second frame goes out after its own DMA.
-        let done = actions
-            .iter()
-            .find_map(|a| match a {
-                NicAction::SetTimer(t, k) if *k == keys::TX_DONE => Some(*t),
-                _ => None,
-            })
-            .unwrap();
+        // The second frame waits, so a completion is armed for the instant
+        // the first leaves; the second goes out after its own DMA.
+        let done = tx_done(&actions).expect("a frame waits behind the wire");
+        assert_eq!(done, SimTime::from_nanos(100_000 + 1_000 + 8_528));
         actions.clear();
         n.on_tx_done(done, &mut actions);
         let second = send_times(&actions)[0];
         assert_eq!(second, done + SimDuration::from_nanos(1_000 + 8_528 + 500));
+        assert_eq!(tx_done(&actions), None, "nothing waits behind the second");
+    }
+
+    #[test]
+    fn a_lone_frame_arms_no_completion() {
+        let mut n = nic(NicConfig::default());
+        let mut actions = Vec::new();
+        let t0 = SimTime::from_micros(100);
+        assert!(n.tx_enqueue(frame(1000), t0, &mut actions));
+        assert_eq!(send_times(&actions).len(), 1);
+        assert_eq!(tx_done(&actions), None);
+        // Posted exactly when the first frame's wire time ends: the engine
+        // is free, so it starts at once, after its DMA.
+        let end = t0 + SimDuration::from_nanos(1_000 + 8_528);
+        actions.clear();
+        assert!(n.tx_enqueue(frame(1000), end, &mut actions));
+        assert_eq!(send_times(&actions), vec![end + SimDuration::from_nanos(1_000 + 8_528 + 500)]);
+        assert_eq!(tx_done(&actions), None);
     }
 
     #[test]
@@ -573,10 +641,11 @@ mod tests {
         n.enable_trace(16);
         let mut actions = Vec::new();
         assert!(n.tx_enqueue(frame(1000), SimTime::ZERO, &mut actions));
-        // Every frame is lost: no SendFrame, but TX_DONE still fires
-        // because the frame occupied the wire.
+        assert!(n.tx_enqueue(frame(1000), SimTime::ZERO, &mut actions));
+        // The lost frame is never delivered, but it occupied the wire: the
+        // frame behind it waits for its 1 us DMA and 8.528 us on the wire.
         assert!(send_times(&actions).is_empty());
-        assert!(actions.iter().any(|a| matches!(a, NicAction::SetTimer(_, keys::TX_DONE))));
+        assert_eq!(tx_done(&actions), Some(SimTime::from_nanos(1_000 + 8_528)));
         assert_eq!(n.stats().tx_loss_drops.get(), 1);
         assert_eq!(n.stats().tx_frames.get(), 0);
         let trace = n.trace();
@@ -590,16 +659,10 @@ mod tests {
         let mut actions = Vec::new();
         for _ in 0..50 {
             n.tx_enqueue(frame(100), SimTime::ZERO, &mut actions);
-            let done = actions
-                .iter()
-                .find_map(|a| match a {
-                    NicAction::SetTimer(t, k) if *k == keys::TX_DONE => Some(*t),
-                    _ => None,
-                })
-                .unwrap();
+        }
+        while let Some(done) = tx_done(&actions) {
             actions.clear();
             n.on_tx_done(done, &mut actions);
-            actions.clear();
         }
         assert_eq!(n.stats().tx_loss_drops.get(), 0);
         assert_eq!(n.stats().tx_frames.get(), 50);
@@ -666,15 +729,8 @@ mod tests {
         assert_eq!(send_times(&actions), vec![SimTime::from_nanos(100_000 + 1_000 + 17_056 + 500)]);
         // Carrier-up restores the base 1 Gbps.
         n.set_carrier_up();
-        let done = actions
-            .iter()
-            .find_map(|a| match a {
-                NicAction::SetTimer(t, k) if *k == keys::TX_DONE => Some(*t),
-                _ => None,
-            })
-            .unwrap();
+        let done = t0 + SimDuration::from_nanos(1_000 + 17_056);
         actions.clear();
-        n.on_tx_done(done, &mut actions);
         assert!(n.tx_enqueue(frame(1000), done, &mut actions));
         assert_eq!(send_times(&actions), vec![done + SimDuration::from_nanos(1_000 + 8_528 + 500)]);
     }
@@ -779,5 +835,202 @@ mod tests {
         assert_eq!(n.rx_poll(4).len(), 4);
         assert_eq!(n.rx_queue_len(), 6);
         assert_eq!(n.rx_poll(100).len(), 6);
+    }
+}
+
+/// Arming a completion only behind a busy wire must be unobservable: each
+/// test drives the shipped NIC and the timer-per-frame NIC
+/// (`with_completion_per_frame`) through one script and compares every
+/// frame put on the wire, the counters and the ring.
+#[cfg(test)]
+mod completion_tests {
+    use super::*;
+    use diablo_engine::event::{ComponentId, PortNo};
+    use diablo_net::addr::NodeAddr;
+    use diablo_net::frame::Route;
+    use diablo_net::link::fp20_encode;
+    use diablo_net::payload::{AppMessage, IpPacket, UdpDatagram};
+    use proptest::prelude::*;
+
+    /// Operations sit on this grid. The DMA latency is one step and an
+    /// aligned frame's wire time a whole number of steps, at full and at
+    /// degraded bandwidth, so posts tie with completions.
+    const GRID: SimDuration = SimDuration::from_micros(1);
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Post { payload: u32 },
+        CarrierDown,
+        CarrierUp,
+        Degrade { severity: usize },
+        Crash,
+    }
+
+    /// One NIC with the engine around it reduced to a list of pending
+    /// completions.
+    struct Driven {
+        nic: Nic,
+        actions: Vec<NicAction>,
+        pending: Vec<SimTime>,
+        sent: Vec<(SimTime, Frame)>,
+        armed: u64,
+    }
+
+    impl Driven {
+        fn new(nic: Nic) -> Self {
+            Driven { nic, actions: Vec::new(), pending: Vec::new(), sent: Vec::new(), armed: 0 }
+        }
+
+        fn absorb(&mut self) {
+            for a in self.actions.drain(..) {
+                match a {
+                    NicAction::SetTimer(at, keys::TX_DONE) => {
+                        self.pending.push(at);
+                        self.armed += 1;
+                    }
+                    NicAction::SendFrame(at, frame) => self.sent.push((at, frame)),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+
+        /// Fires every completion due by `now`, earliest first: one due
+        /// exactly at `now` sorts ahead of the operation at `now`.
+        fn advance(&mut self, now: SimTime) {
+            while let Some(i) = (0..self.pending.len())
+                .filter(|&i| self.pending[i] <= now)
+                .min_by_key(|&i| self.pending[i])
+            {
+                let at = self.pending.swap_remove(i);
+                self.nic.on_tx_done(at, &mut self.actions);
+                self.absorb();
+            }
+        }
+
+        fn apply(&mut self, now: SimTime, id: u64, op: Op) {
+            self.advance(now);
+            match op {
+                Op::Post { payload } => {
+                    let d = UdpDatagram {
+                        src_port: 1,
+                        dst_port: 2,
+                        msg: AppMessage::new(0, id, payload, SimTime::ZERO),
+                    };
+                    let frame =
+                        Frame::new(IpPacket::udp(NodeAddr(0), NodeAddr(1), d), Route::new(vec![0]));
+                    self.nic.tx_enqueue(frame, now, &mut self.actions);
+                }
+                Op::CarrierDown => self.nic.set_carrier_down(),
+                Op::CarrierUp => self.nic.set_carrier_up(),
+                Op::Degrade { severity } => self.nic.degrade_link_fp20(
+                    fp20_encode([1.0, 0.5, 0.25][severity]),
+                    fp20_encode([0.0, 0.3, 1.0][severity]),
+                ),
+                Op::Crash => {
+                    self.nic.reset_after_crash();
+                    // The rebooted kernel discards timers its crashed
+                    // predecessor armed (their epoch no longer matches).
+                    self.pending.clear();
+                }
+            }
+            self.absorb();
+        }
+    }
+
+    /// Everything that can tell the two NICs apart.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        sent: Vec<(SimTime, Frame)>,
+        stats: String,
+        tx_free: usize,
+        rng: [u64; 4],
+    }
+
+    fn run(tx_ring: usize, script: &[(u64, Op)], per_frame: bool) -> (Outcome, u64) {
+        let peer = PortPeer {
+            component: ComponentId(1),
+            port: PortNo(0),
+            params: LinkParams::gbe(500).with_loss_rate(0.2),
+        };
+        let cfg = NicConfig { tx_ring, dma_latency: GRID, ..NicConfig::default() };
+        let mut nic = Nic::new(cfg, peer, DetRng::new(7));
+        if per_frame {
+            nic = nic.with_completion_per_frame();
+        }
+        let mut d = Driven::new(nic);
+        for (id, &(tick, op)) in script.iter().enumerate() {
+            d.apply(SimTime::ZERO + GRID * tick, id as u64, op);
+        }
+        d.advance(SimTime::MAX);
+        let outcome = Outcome {
+            sent: d.sent,
+            stats: format!("{:?}", d.nic.stats()),
+            tx_free: d.nic.tx_free(),
+            rng: d.nic.rng.state(),
+        };
+        (outcome, d.armed)
+    }
+
+    /// Ticks, sorted so the script runs forward in time; op selector,
+    /// frame size, whether the size sits on the grid, fault severity.
+    fn script(raw: Vec<(u64, u8, u32, bool, usize)>) -> Vec<(u64, Op)> {
+        let mut ops: Vec<(u64, Op)> = raw
+            .into_iter()
+            .map(|(tick, kind, size, aligned, severity)| {
+                // 66 bytes of headers: an aligned frame is k * 125 bytes on
+                // the wire, k us at 1 Gbps.
+                let payload = if aligned { 125 * (1 + size % 12) - 66 } else { 18 + size % 1_400 };
+                let op = match kind {
+                    0..=7 => Op::Post { payload },
+                    8 => Op::CarrierDown,
+                    9 => Op::CarrierUp,
+                    10 => Op::Degrade { severity: severity % 3 },
+                    _ => Op::Crash,
+                };
+                (tick, op)
+            })
+            .collect();
+        ops.sort_by_key(|&(tick, _)| tick);
+        ops
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arming_only_behind_a_busy_wire_is_unobservable(
+            tx_ring in 1usize..5,
+            raw in proptest::collection::vec(
+                (0u64..40, 0u8..12, any::<u32>(), any::<bool>(), 0usize..3),
+                1..60,
+            ),
+        ) {
+            let script = script(raw);
+            let (shipped, shipped_timers) = run(tx_ring, &script, false);
+            let (reference, reference_timers) = run(tx_ring, &script, true);
+            prop_assert_eq!(shipped, reference);
+            prop_assert!(shipped_timers <= reference_timers);
+        }
+    }
+
+    /// The property above is vacuous unless posts tie with completions,
+    /// frames queue behind the wire and lone frames go out untimed: one
+    /// fixed script does all three.
+    #[test]
+    fn a_fixed_script_saves_one_timer_per_lone_frame() {
+        let post = |k: u32| Op::Post { payload: 125 * k - 66 };
+        // Three lone frames, the second and third posted exactly when the
+        // one before leaves the engine (1 us DMA + k us on the wire); then
+        // a burst of three, of which two wait.
+        let script =
+            [(0, post(2)), (3, post(1)), (5, post(4)), (20, post(1)), (20, post(1)), (20, post(1))];
+        let (shipped, shipped_timers) = run(4, &script, false);
+        let (reference, reference_timers) = run(4, &script, true);
+        assert_eq!(shipped, reference);
+        let at: Vec<u64> = shipped.sent.iter().map(|(t, _)| t.as_nanos()).collect();
+        assert_eq!(at, [3_500, 5_500, 10_500, 22_500, 24_500, 26_500]);
+        // The reference arms six completions; the shipped NIC only the two
+        // for the frames that waited behind the burst's head.
+        assert_eq!((shipped_timers, reference_timers), (2, 6));
     }
 }

@@ -341,6 +341,10 @@ pub struct Kernel {
     /// Scratch for the actions one NIC call returns; empty between calls,
     /// kept for its capacity.
     nic_actions: Vec<NicAction>,
+    /// Scratch for one softirq run's frames: lent to `CpuWork::Softirq`
+    /// while the run occupies the CPU, handed back empty, kept for its
+    /// capacity.
+    rx_batch: Vec<Frame>,
     trace: Option<TraceRing>,
     /// Time of the entry point currently executing (for trace stamps on
     /// paths without an env handle).
@@ -490,6 +494,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     router: config,
     trace: config,
     nic_actions: config,
+    rx_batch: config,
 });
 
 impl Kernel {
@@ -522,6 +527,7 @@ impl Kernel {
             futexes: HashMap::new(),
             notify_rr: 0,
             nic_actions: Vec::new(),
+            rx_batch: Vec::new(),
             trace: None,
             now_cache: SimTime::ZERO,
             epoch: 0,
@@ -647,9 +653,7 @@ impl Kernel {
         }
         match class {
             K_CPU_DONE => self.on_cpu_done(env),
-            K_NIC_TX => {
-                self.with_nic(env, |nic, now, actions| nic.on_tx_done(now, actions));
-            }
+            K_NIC_TX => self.with_nic(env, |nic, now, actions| nic.on_tx_done(now, actions)),
             K_NIC_RX_INTR => {
                 if self.nic.on_rx_interrupt() {
                     self.softirq_pending = true;
@@ -870,7 +874,7 @@ impl Kernel {
             {
                 self.softirq_pending = false;
                 let budget = self.cfg.profile.napi_budget;
-                let mut frames = Vec::new();
+                let mut frames = std::mem::take(&mut self.rx_batch);
                 while frames.len() < budget {
                     if let Some(f) = self.pop_loopback(env.now()) {
                         frames.push(f);
@@ -980,10 +984,11 @@ impl Kernel {
     fn on_cpu_done(&mut self, env: &mut dyn KernelEnv) {
         let work = self.cpu_work.take().expect("CPU_DONE without work");
         match work {
-            CpuWork::Softirq { frames } => {
-                for frame in frames {
+            CpuWork::Softirq { mut frames } => {
+                for frame in frames.drain(..) {
                     self.handle_packet(frame.packet, env);
                 }
+                self.rx_batch = frames;
                 // NAPI: keep polling while backlogged, else re-enable
                 // interrupts.
                 if self.nic.rx_queue_len() > 0 || self.loopback_ready(env.now()) {
