@@ -36,7 +36,7 @@
 
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::rng::DetRng;
-use diablo_engine::time::{SimDuration, SimTime};
+use diablo_engine::time::{spec_lines, SimDuration, SimTime};
 use std::fmt;
 
 /// How admission instants are spaced within one phase.
@@ -144,13 +144,8 @@ impl ArrivalSpec {
         let mut phases = Vec::new();
         // Phases run back to back from time zero: where the last one ends.
         let mut end = SimTime::ZERO;
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
+        for (line, body) in spec_lines(text) {
             let err = |msg: String| ArrivalError::Parse { line, msg };
-            let body = raw.split('#').next().unwrap_or("").trim();
-            if body.is_empty() {
-                continue;
-            }
             let toks: Vec<&str> = body.split_whitespace().collect();
             let [dur_tok, kind_tok, rate_tok] = toks.as_slice() else {
                 return Err(err(format!(

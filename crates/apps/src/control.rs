@@ -143,6 +143,94 @@ pub struct DiscoveryConfig {
     pub initial_mask: u128,
 }
 
+/// The client side of registry discovery, one per client process that
+/// finds its service through the control plane: the liveness mask it
+/// routes by, when its next lookup is due, and the SLO totals its lookups
+/// have already reported. The client supplies the [`DiscoveryConfig`]
+/// and sends the lookups this builds.
+#[derive(Debug, Clone, Default)]
+pub struct RegistryClient {
+    /// Liveness mask over the service's pool: the config's initial mask
+    /// until a [`KIND_ENDPOINTS`] reply replaces it.
+    live_mask: u128,
+    /// When the next lookup is due (`None` until the client first asks).
+    next_refresh: Option<SimTime>,
+    /// Totals already reported (lookups carry deltas).
+    reported_completed: u64,
+    reported_violations: u64,
+    /// Registry lookups sent.
+    pub lookups_sent: u64,
+    /// Endpoint-mask updates applied.
+    pub endpoint_updates: u64,
+}
+
+impl RegistryClient {
+    /// A client that has heard nothing yet: the initial mask of `d`, if
+    /// the process discovers its service at all.
+    pub fn new(d: Option<&DiscoveryConfig>) -> Self {
+        RegistryClient { live_mask: d.map_or(0, |d| d.initial_mask), ..Self::default() }
+    }
+
+    /// The liveness mask over the service's pool.
+    pub fn live_mask(&self) -> u128 {
+        self.live_mask
+    }
+
+    /// When the next lookup is due, once the client has first asked.
+    pub fn next_refresh(&self) -> Option<SimTime> {
+        self.next_refresh
+    }
+
+    /// The lookup to send to `d.control` now, if one is due: it reports
+    /// the `completed` and `violations` the client counted since its last
+    /// lookup. The first call makes one due at once.
+    pub fn lookup_due(
+        &mut self,
+        d: &DiscoveryConfig,
+        now: SimTime,
+        completed: u64,
+        violations: u64,
+    ) -> Option<AppMessage> {
+        let due = self.next_refresh.get_or_insert(now);
+        if *due > now {
+            return None;
+        }
+        while *due <= now {
+            *due += d.refresh_every;
+        }
+        let lookup = AppMessage::new(KIND_LOOKUP, u64::from(d.service), CTRL_BYTES, now)
+            .with_arg0(completed - self.reported_completed)
+            .with_arg1(violations - self.reported_violations);
+        self.reported_completed = completed;
+        self.reported_violations = violations;
+        self.lookups_sent += 1;
+        Some(lookup)
+    }
+
+    /// Takes the mask of a [`KIND_ENDPOINTS`] reply; `false` when `msg`
+    /// is not one.
+    pub fn on_reply(&mut self, msg: &AppMessage) -> bool {
+        if msg.kind != KIND_ENDPOINTS {
+            return false;
+        }
+        self.live_mask = u128::from(msg.arg0) | (u128::from(msg.arg1) << 64);
+        self.endpoint_updates += 1;
+        true
+    }
+
+    /// The client's node crashed: the mask is client memory and survives,
+    /// the lookup cadence restarts when the client next asks.
+    pub fn reset(&mut self) {
+        self.next_refresh = None;
+    }
+
+    /// The `discovery.*` metrics.
+    pub fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+        v.counter("discovery.lookups", self.lookups_sent);
+        v.counter("discovery.endpoint_updates", self.endpoint_updates);
+    }
+}
+
 /// Control-plane tuning. Defaults are scaled to the repo's mini-shape
 /// experiments (millisecond horizons); the CLI and experiment configs
 /// override per run. [`ControlConfig::validate`] rejects contradictory
@@ -1183,6 +1271,15 @@ impl Process for ControlAgent {
 diablo_engine::impl_snap_enum!(Health as "control Health" { 0 => Alive, 1 => Suspect, 2 => Dead });
 
 diablo_engine::impl_snap_struct!(NodeHealth { last_hb, dead_at, state });
+
+diablo_engine::impl_snap_struct!(RegistryClient {
+    live_mask,
+    next_refresh,
+    reported_completed,
+    reported_violations,
+    lookups_sent,
+    endpoint_updates,
+});
 
 diablo_engine::impl_snap_struct!(PendingCmd {
     service,

@@ -17,7 +17,7 @@
 //! latency in HDR histograms — overall and per hop-class (Figure 10).
 
 use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
-use crate::control::{pick_live, DiscoveryConfig, ServiceGate, KIND_ENDPOINTS, KIND_LOOKUP};
+use crate::control::{pick_live, DiscoveryConfig, RegistryClient, ServiceGate};
 use crate::failure::{backoff_delay_jittered, FailureStats};
 use crate::workload::{etc_value_size_for_key, EtcWorkload, KvOp};
 use diablo_engine::metrics::MetricsVisitor;
@@ -1283,21 +1283,9 @@ pub struct McOpenLoopClient {
     pub slo: SloStats,
     /// Crash-loss accounting (requests wiped by a node reset).
     pub failure: FailureStats,
-    /// Liveness mask over the server pool (discovery mode; all requests
-    /// route to set bits). Starts from the discovery config's initial
-    /// mask and tracks [`KIND_ENDPOINTS`] replies thereafter.
-    live_mask: u128,
-    /// When the next registry lookup is due (`None` until the pump arms
-    /// it; discovery mode only).
-    next_refresh: Option<SimTime>,
-    /// SLO totals already reported to the registry (lookups carry
-    /// deltas).
-    reported_completed: u64,
-    reported_violations: u64,
-    /// Registry lookups sent (discovery mode).
-    pub lookups_sent: u64,
-    /// Endpoint-mask updates applied (discovery mode).
-    pub endpoint_updates: u64,
+    /// Registry discovery (discovery mode; all requests route to the
+    /// live replicas of its mask).
+    pub registry: RegistryClient,
     /// Finished: schedule exhausted and no request left in flight.
     pub done: bool,
     /// When the client finished.
@@ -1356,12 +1344,7 @@ impl McOpenLoopClient {
             latency: Histogram::new(),
             slo: SloStats::with_target(cfg.slo),
             failure: FailureStats::default(),
-            live_mask: cfg.discovery.as_ref().map_or(0, |d| d.initial_mask),
-            next_refresh: None,
-            reported_completed: 0,
-            reported_violations: 0,
-            lookups_sent: 0,
-            endpoint_updates: 0,
+            registry: RegistryClient::new(cfg.discovery.as_ref()),
             done: false,
             finished_at: SimTime::ZERO,
             cfg,
@@ -1399,9 +1382,10 @@ impl McOpenLoopClient {
                 // outage the SLO accounting should see). Either path
                 // draws exactly one value, keeping the stream replayable.
                 let server = if self.cfg.discovery.is_some() {
-                    pick_live(self.live_mask, self.cfg.servers.len(), &mut self.rng).unwrap_or_else(
-                        || self.rng.next_below(self.cfg.servers.len() as u64) as usize,
-                    )
+                    pick_live(self.registry.live_mask(), self.cfg.servers.len(), &mut self.rng)
+                        .unwrap_or_else(|| {
+                            self.rng.next_below(self.cfg.servers.len() as u64) as usize
+                        })
                 } else {
                     self.rng.next_below(self.cfg.servers.len() as u64) as usize
                 };
@@ -1481,20 +1465,10 @@ impl Process for McOpenLoopClient {
                     // request sends so a deep send queue cannot starve
                     // endpoint discovery during an outage.
                     if let Some(d) = &self.cfg.discovery {
-                        let due = self.next_refresh.get_or_insert(ctx.now);
-                        if *due <= ctx.now {
-                            while *due <= ctx.now {
-                                *due += d.refresh_every;
-                            }
-                            let dc = self.slo.completed - self.reported_completed;
-                            let dv = self.slo.violations - self.reported_violations;
-                            self.reported_completed = self.slo.completed;
-                            self.reported_violations = self.slo.violations;
-                            self.lookups_sent += 1;
-                            let lookup =
-                                AppMessage::new(KIND_LOOKUP, u64::from(d.service), 64, ctx.now)
-                                    .with_arg0(dc)
-                                    .with_arg1(dv);
+                        let slo = &self.slo;
+                        if let Some(lookup) =
+                            self.registry.lookup_due(d, ctx.now, slo.completed, slo.violations)
+                        {
                             self.state = OlState::SendDone;
                             return Step::Syscall(Syscall::SendTo {
                                 fd: self.udp_fd.expect("no udp fd"),
@@ -1524,7 +1498,7 @@ impl Process for McOpenLoopClient {
                         self.state = OlState::Done;
                         continue;
                     };
-                    if let Some(refresh) = self.next_refresh {
+                    if let Some(refresh) = self.registry.next_refresh() {
                         deadline = deadline.min(refresh);
                     }
                     // Everything due was processed above, so the deadline
@@ -1559,20 +1533,18 @@ impl Process for McOpenLoopClient {
                     match std::mem::replace(&mut ctx.result, SysResult::Computed) {
                         SysResult::Datagram { msg, .. } => {
                             // Registry replies share the socket and their
-                            // `id` is a service id, so the kind check must
-                            // precede the in-flight match.
-                            if msg.kind == KIND_ENDPOINTS {
-                                self.live_mask =
-                                    u128::from(msg.arg0) | (u128::from(msg.arg1) << 64);
-                                self.endpoint_updates += 1;
-                            } else if let Some(req) = self.inflight.remove(&msg.id) {
-                                let ns = ctx.now.saturating_duration_since(req.sent_at);
-                                self.latency.record(ns.as_nanos());
-                                self.completed += 1;
-                                self.slo.on_complete(ns);
+                            // `id` is a service id, so they are taken
+                            // before the in-flight match. A reply to an
+                            // already-expired request finds its slot
+                            // reclaimed and is dropped.
+                            if !self.registry.on_reply(&msg) {
+                                if let Some(req) = self.inflight.remove(&msg.id) {
+                                    let ns = ctx.now.saturating_duration_since(req.sent_at);
+                                    self.latency.record(ns.as_nanos());
+                                    self.completed += 1;
+                                    self.slo.on_complete(ns);
+                                }
                             }
-                            // else: reply to an already-expired request —
-                            // its slot was reclaimed, drop it.
                             return Step::Syscall(Syscall::RecvFrom {
                                 fd: self.udp_fd.expect("no udp fd"),
                             });
@@ -1616,8 +1588,7 @@ impl Process for McOpenLoopClient {
         self.slo.visit(v);
         self.failure.visit(v);
         if self.cfg.discovery.is_some() {
-            v.counter("discovery.lookups", self.lookups_sent);
-            v.counter("discovery.endpoint_updates", self.endpoint_updates);
+            self.registry.visit_metrics(v);
         }
     }
 
@@ -1634,9 +1605,7 @@ impl Process for McOpenLoopClient {
         self.state = OlState::Start;
         self.udp_fd = None;
         self.epfd = None;
-        // The cached endpoint mask survives (it is client memory, not
-        // kernel state); the refresh timer re-arms on the next pump.
-        self.next_refresh = None;
+        self.registry.reset();
         self.done = false;
         true
     }
@@ -1802,12 +1771,7 @@ diablo_engine::impl_persist_fields!(McOpenLoopClient {
     latency,
     slo,
     failure,
-    live_mask,
-    next_refresh,
-    reported_completed,
-    reported_violations,
-    lookups_sent,
-    endpoint_updates,
+    registry,
     done,
     finished_at,
     cfg: config,

@@ -14,7 +14,7 @@
 //! UDP socket, like the modern WSC software the paper's §4.2 models.
 
 use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
-use crate::control::{DiscoveryConfig, KIND_ENDPOINTS, KIND_LOOKUP};
+use crate::control::{DiscoveryConfig, RegistryClient};
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::prelude::Histogram;
 use diablo_engine::rng::DetRng;
@@ -316,17 +316,9 @@ pub struct PaFrontend {
     pub offered: u64,
     /// Open-loop mode: SLO accounting (deadline misses always violate).
     pub slo: SloStats,
-    /// Liveness mask over the leaf pool (discovery mode).
-    live_mask: u128,
-    /// When the next registry lookup is due (discovery mode).
-    next_refresh: Option<SimTime>,
-    /// Totals already reported to the registry (lookups carry deltas).
-    reported_completed: u64,
-    reported_violations: u64,
-    /// Registry lookups sent (discovery mode).
-    pub lookups_sent: u64,
-    /// Endpoint-mask updates applied (discovery mode).
-    pub endpoint_updates: u64,
+    /// Registry discovery (discovery mode; queries fan out to the live
+    /// leaves of its mask).
+    pub registry: RegistryClient,
     /// Finished cleanly.
     pub done: bool,
     /// When the last query completed.
@@ -403,12 +395,7 @@ impl PaFrontend {
             next_arrival,
             offered: 0,
             slo,
-            live_mask: cfg.discovery.as_ref().map_or(0, |d| d.initial_mask),
-            next_refresh: None,
-            reported_completed: 0,
-            reported_violations: 0,
-            lookups_sent: 0,
-            endpoint_updates: 0,
+            registry: RegistryClient::new(cfg.discovery.as_ref()),
             done: false,
             finished_at: SimTime::ZERO,
             cfg,
@@ -423,7 +410,7 @@ impl PaFrontend {
     /// Whether pool index `i` should receive queries: every index without
     /// discovery, the registry's liveness bit with it.
     fn is_live(&self, i: usize) -> bool {
-        self.cfg.discovery.is_none() || self.live_mask >> i & 1 == 1
+        self.cfg.discovery.is_none() || self.registry.live_mask() >> i & 1 == 1
     }
 
     /// Leaves the current fan-out will target.
@@ -504,25 +491,14 @@ impl Process for PaFrontend {
                     // queries the front-end reports its SLO deltas and
                     // re-reads the liveness mask.
                     if let Some(d) = &self.cfg.discovery {
-                        let due = self.next_refresh.get_or_insert(ctx.now);
-                        if *due <= ctx.now {
-                            while *due <= ctx.now {
-                                *due += d.refresh_every;
-                            }
-                            let (completed, violations) = if self.arrivals.is_some() {
-                                (self.slo.completed, self.slo.violations)
-                            } else {
-                                (self.completed, self.deadline_misses)
-                            };
-                            let dc = completed - self.reported_completed;
-                            let dv = violations - self.reported_violations;
-                            self.reported_completed = completed;
-                            self.reported_violations = violations;
-                            self.lookups_sent += 1;
-                            let lookup =
-                                AppMessage::new(KIND_LOOKUP, u64::from(d.service), 64, ctx.now)
-                                    .with_arg0(dc)
-                                    .with_arg1(dv);
+                        let (completed, violations) = if self.arrivals.is_some() {
+                            (self.slo.completed, self.slo.violations)
+                        } else {
+                            (self.completed, self.deadline_misses)
+                        };
+                        if let Some(lookup) =
+                            self.registry.lookup_due(d, ctx.now, completed, violations)
+                        {
                             self.state = FeState::LookupSent;
                             return Step::Syscall(Syscall::SendTo {
                                 fd: self.fd.expect("no fd"),
@@ -554,7 +530,7 @@ impl Process for PaFrontend {
                             self.state = FeState::Paced;
                             // Wake early for a due registry refresh so a
                             // sparse schedule cannot stall discovery.
-                            let wake = match self.next_refresh {
+                            let wake = match self.registry.next_refresh() {
                                 Some(r) => at.min(r),
                                 None => at,
                             };
@@ -645,13 +621,10 @@ impl Process for PaFrontend {
                             });
                         }
                         SysResult::Datagram { msg, .. } => {
-                            if msg.kind == KIND_ENDPOINTS {
-                                // Registry reply landing mid-collect: take
-                                // the mask for the *next* fan-out; the
-                                // in-flight aggregate keeps its span.
-                                self.live_mask =
-                                    u128::from(msg.arg0) | (u128::from(msg.arg1) << 64);
-                                self.endpoint_updates += 1;
+                            // A registry reply landing mid-collect: its
+                            // mask is for the *next* fan-out; the in-flight
+                            // aggregate keeps its span.
+                            if self.registry.on_reply(&msg) {
                                 return Step::Syscall(Syscall::RecvFrom {
                                     fd: self.fd.expect("no fd"),
                                 });
@@ -722,8 +695,7 @@ impl Process for PaFrontend {
             self.slo.visit(v);
         }
         if self.cfg.discovery.is_some() {
-            v.counter("discovery.lookups", self.lookups_sent);
-            v.counter("discovery.endpoint_updates", self.endpoint_updates);
+            self.registry.visit_metrics(v);
         }
     }
 
@@ -738,9 +710,7 @@ impl Process for PaFrontend {
         self.epfd = None;
         self.answered.iter_mut().for_each(|a| *a = false);
         self.fanout_idx = 0;
-        // The cached liveness mask is client memory and survives; the
-        // refresh timer re-arms on the next think.
-        self.next_refresh = None;
+        self.registry.reset();
         self.done = false;
         true
     }
@@ -807,12 +777,7 @@ diablo_engine::impl_persist_fields!(PaFrontend {
     next_arrival,
     offered,
     slo,
-    live_mask,
-    next_refresh,
-    reported_completed,
-    reported_violations,
-    lookups_sent,
-    endpoint_updates,
+    registry,
     done,
     finished_at,
     cfg: config,

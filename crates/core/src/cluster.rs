@@ -429,19 +429,6 @@ impl ClusterSpec {
         self
     }
 
-    /// A conservative parallel quantum that is safe for *any* partition
-    /// cut of this spec: every inter-switch link guarantees at least its
-    /// propagation delay between send and delivery.
-    ///
-    /// [`ClusterSpec::partition_plan`] derives a larger (better) quantum
-    /// from the actual cut — store-and-forward egress also guarantees the
-    /// serialization time of a minimum frame — so prefer
-    /// [`Cluster::instantiate`] with [`RunMode::parallel`] over sizing the
-    /// window by hand.
-    pub fn safe_quantum(&self) -> SimDuration {
-        self.rack_uplink.propagation.min(self.array_uplink.propagation)
-    }
-
     /// Computes the rack-cut partition plan for `partitions` partitions:
     /// which partition owns each rack (servers + NICs + ToR), each array
     /// switch, and the datacenter switch, plus the cut's *lookahead* — the
@@ -819,7 +806,6 @@ mod tests {
     fn parallel_build_places_racks_in_partitions() {
         let spec =
             ClusterSpec::gbe(TopologyConfig { racks: 4, servers_per_rack: 2, racks_per_array: 2 });
-        assert_eq!(spec.safe_quantum(), SimDuration::from_nanos(500));
         let (mut host, cluster) = Cluster::instantiate(&spec, RunMode::parallel(2));
         // Runs without quantum violations even with nothing scheduled.
         assert_eq!(cluster.nodes.len(), 8);
@@ -841,7 +827,6 @@ mod tests {
         // Only array<->DC links cross, so the lookahead is the GbE
         // store-and-forward floor: 84 B at 1 Gbps (672 ns) + 500 ns.
         assert_eq!(plan.lookahead, SimDuration::from_nanos(1172));
-        assert!(plan.lookahead > spec.safe_quantum());
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! node crash/reboot cycles injected into a running cluster.
 //!
 //! A [`FaultPlan`] is a time-ordered list of fault directives parsed from a
-//! small text format (one event per line) or built programmatically. Every
-//! directive is delivered through the engine's external-event path as an
-//! ordinary timer whose integer key encodes the whole fault
-//! ([`NodeFault::timer_key`], [`SwitchFault::timer_key`]), so a plan applied
-//! to a serial run and to a partition-parallel run of the same cluster
-//! produces bit-identical results — fault events respect the quantum
-//! protocol like any other event.
+//! small text format (one event per line) or built programmatically.
+//! Applying it hands every switch and every node kernel its own directives
+//! as a schedule it holds ([`PacketSwitch::schedule_fault`],
+//! [`Kernel::schedule_fault`](diablo_stack::kernel::Kernel::schedule_fault))
+//! and injects one payload-free external timer per directive at its
+//! instant, so a plan applied to a serial run and to a partition-parallel
+//! run of the same cluster produces bit-identical results — fault events
+//! respect the quantum protocol like any other event.
 //!
 //! # Plan format
 //!
@@ -46,11 +47,12 @@
 use crate::cluster::{Cluster, SimHost};
 use diablo_engine::event::ComponentId;
 use diablo_engine::parallel::ComponentHost;
-use diablo_engine::time::{SimDuration, SimTime};
+use diablo_engine::time::{spec_lines, SimDuration, SimTime};
 use diablo_net::link::fp20_encode;
 use diablo_net::switch::{PacketSwitch, SwitchFault};
 use diablo_net::topology::SwitchLevel;
 use diablo_net::NodeAddr;
+use diablo_node::ServerNode;
 use diablo_stack::kernel::NodeFault;
 use std::collections::HashMap;
 
@@ -216,13 +218,8 @@ impl FaultPlan {
     /// Parses the one-event-per-line plan format (see the module docs).
     pub fn parse(text: &str) -> Result<Self, FaultPlanError> {
         let mut events = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = i + 1;
+        for (line, body) in spec_lines(text) {
             let err = |msg: String| FaultPlanError::Parse { line, msg };
-            let body = raw.split('#').next().unwrap_or("").trim();
-            if body.is_empty() {
-                continue;
-            }
             let mut toks = body.split_whitespace();
             let at_tok = toks.next().expect("non-empty line has a first token");
             let at = SimTime::ZERO + at_tok.parse::<SimDuration>().map_err(err)?;
@@ -335,13 +332,14 @@ impl FaultPlan {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Injects every scheduled fault into `host` as external timer events.
+    /// Hands every directive to the kernel or switch it targets, which
+    /// holds it in its schedule, and injects the timer that applies it.
     ///
     /// Call once, after [`Cluster::instantiate`] and before running; every
     /// event time must be at or after the host's current time. Node link
     /// faults land symmetrically on the node's kernel and on the
     /// node-facing ToR port; `node-crash reboot=<d>` also schedules the
-    /// matching reboot injection.
+    /// matching reboot.
     pub fn apply(&self, host: &mut SimHost, cluster: &Cluster) -> Result<(), FaultPlanError> {
         // Schedule-name → topology switch index (`tor0`, `array1`, ...).
         let mut switch_names: HashMap<String, usize> = HashMap::new();
@@ -358,63 +356,48 @@ impl FaultPlan {
 
         for ev in &self.events {
             for at in ev.occurrences() {
-                match (&ev.target, ev.kind) {
-                    (FaultTarget::Node(addr), kind) => {
-                        let node_id = *cluster
+                match &ev.target {
+                    FaultTarget::Node(addr) => {
+                        let node = *cluster
                             .nodes
                             .get(addr.index())
                             .ok_or(FaultPlanError::NodeOutOfRange(*addr))?;
                         let (tor, port) = cluster.topo.node_attachment(*addr);
-                        let tor_id = cluster.switches[tor];
-                        match kind {
+                        let tor = cluster.switches[tor];
+                        let mut link = |node_fault, switch_fault| {
+                            schedule_node_fault(host, node, at, node_fault);
+                            schedule_switch_fault(host, tor, at, switch_fault);
+                        };
+                        match ev.kind {
                             FaultKind::LinkDown => {
-                                host.inject_timer(at, node_id, NodeFault::LinkDown.timer_key());
-                                inject_switch_fault(
-                                    host,
-                                    tor_id,
-                                    at,
-                                    SwitchFault::PortDown { port },
-                                );
+                                link(NodeFault::LinkDown, SwitchFault::PortDown { port });
                             }
                             FaultKind::LinkUp => {
-                                host.inject_timer(at, node_id, NodeFault::LinkUp.timer_key());
-                                inject_switch_fault(host, tor_id, at, SwitchFault::PortUp { port });
+                                link(NodeFault::LinkUp, SwitchFault::PortUp { port })
                             }
                             FaultKind::LinkDegraded { bandwidth_factor, loss_rate } => {
-                                let bw = fp20_encode(bandwidth_factor).max(1);
-                                let loss = fp20_encode(loss_rate);
-                                host.inject_timer(
-                                    at,
-                                    node_id,
+                                let bandwidth_factor_fp20 = fp20_encode(bandwidth_factor).max(1);
+                                let loss_rate_fp20 = fp20_encode(loss_rate);
+                                link(
                                     NodeFault::LinkDegraded {
-                                        bandwidth_factor_fp20: bw,
-                                        loss_rate_fp20: loss,
-                                    }
-                                    .timer_key(),
-                                );
-                                inject_switch_fault(
-                                    host,
-                                    tor_id,
-                                    at,
+                                        bandwidth_factor_fp20,
+                                        loss_rate_fp20,
+                                    },
                                     SwitchFault::PortDegraded {
                                         port,
-                                        bandwidth_factor_fp20: bw,
-                                        loss_rate_fp20: loss,
+                                        bandwidth_factor_fp20,
+                                        loss_rate_fp20,
                                     },
                                 );
                             }
                             FaultKind::NodeCrash { reboot_after } => {
-                                host.inject_timer(at, node_id, NodeFault::Crash.timer_key());
+                                schedule_node_fault(host, node, at, NodeFault::Crash);
                                 if let Some(d) = reboot_after {
-                                    host.inject_timer(
-                                        at + d,
-                                        node_id,
-                                        NodeFault::Reboot.timer_key(),
-                                    );
+                                    schedule_node_fault(host, node, at + d, NodeFault::Reboot);
                                 }
                             }
                             FaultKind::NodeReboot => {
-                                host.inject_timer(at, node_id, NodeFault::Reboot.timer_key());
+                                schedule_node_fault(host, node, at, NodeFault::Reboot);
                             }
                             FaultKind::SwitchDown | FaultKind::SwitchUp => {
                                 return Err(FaultPlanError::BadTarget(format!(
@@ -424,12 +407,11 @@ impl FaultPlan {
                             }
                         }
                     }
-                    (FaultTarget::Switch(name), kind) => {
+                    FaultTarget::Switch(name) => {
                         let &idx = switch_names
                             .get(name.as_str())
                             .ok_or_else(|| FaultPlanError::UnknownSwitch(name.clone()))?;
-                        let sw_id = cluster.switches[idx];
-                        let fault = match kind {
+                        let fault = match ev.kind {
                             FaultKind::SwitchDown => SwitchFault::SwitchDown,
                             FaultKind::SwitchUp => SwitchFault::SwitchUp,
                             other => {
@@ -438,7 +420,7 @@ impl FaultPlan {
                                 )));
                             }
                         };
-                        inject_switch_fault(host, sw_id, at, fault);
+                        schedule_switch_fault(host, cluster.switches[idx], at, fault);
                     }
                 }
             }
@@ -447,17 +429,23 @@ impl FaultPlan {
     }
 }
 
-/// Injects one switch directive with its fence, which the switch must hear
-/// a fence lead ahead ([`SwitchFault::fenced_timers`]).
-fn inject_switch_fault(host: &mut SimHost, switch: ComponentId, at: SimTime, fault: SwitchFault) {
-    let latency = host
-        .component::<PacketSwitch>(switch)
+/// Adds one directive to a node kernel's schedule and injects its timer.
+fn schedule_node_fault(host: &mut SimHost, node: ComponentId, at: SimTime, fault: NodeFault) {
+    let key = host
+        .component_mut::<ServerNode>(node)
+        .expect("cluster node ids name ServerNode components")
+        .kernel_mut()
+        .schedule_fault(at, fault);
+    host.inject_timer(at, node, key);
+}
+
+/// Adds one directive to a switch's schedule and injects its timer.
+fn schedule_switch_fault(host: &mut SimHost, switch: ComponentId, at: SimTime, fault: SwitchFault) {
+    let key = host
+        .component_mut::<PacketSwitch>(switch)
         .expect("cluster switch ids name PacketSwitch components")
-        .config()
-        .latency;
-    for (when, key) in fault.fenced_timers(at, latency) {
-        host.inject_timer(when, switch, key);
-    }
+        .schedule_fault(at, fault);
+    host.inject_timer(at, switch, key);
 }
 
 /// Canonical plan text: one event per line in file order, every duration

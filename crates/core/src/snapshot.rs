@@ -46,8 +46,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 /// them. Version 3: a pipeline entry's forwarding timer is optional (a
 /// frame may ride its output's departure instead), and a NIC persists the
 /// instant its TX engine frees and whether a completion timer is armed
-/// instead of one busy flag.
-pub const SNAP_VERSION: u32 = 3;
+/// instead of one busy flag. Version 4: a switch and a node kernel each
+/// persist the schedule of fault directives still to apply (the switch in
+/// place of its fences), a pending fault timer carries no directive, and
+/// a TCP connection's parameters have no `nodelay` flag.
+pub const SNAP_VERSION: u32 = 4;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

@@ -42,7 +42,7 @@
 //! axis flags onto its own configuration — see `wsc_sim sweep`.
 
 use crate::snapshot::fingerprint;
-use diablo_engine::time::SimDuration;
+use diablo_engine::time::{spec_lines, SimDuration};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -146,13 +146,8 @@ impl SweepSpec {
         let mut jobs: Option<usize> = None;
         let mut fixed: Vec<(String, Option<String>)> = Vec::new();
         let mut axes: Vec<SweepAxis> = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = i + 1;
+        for (line, body) in spec_lines(text) {
             let err = |msg: String| SweepError::Parse { line, msg };
-            let body = raw.split('#').next().unwrap_or("").trim();
-            if body.is_empty() {
-                continue;
-            }
             let (head, rest) = match body.split_once(char::is_whitespace) {
                 Some((h, r)) => (h, r.trim()),
                 None => (body, ""),

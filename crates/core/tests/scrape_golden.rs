@@ -146,7 +146,24 @@ fn link_flap_plan_through_incast() {
     cfg.faults = Some(
         FaultPlan::parse(include_str!("../../../scenarios/link_flap.fplan")).expect("bundled plan"),
     );
-    assert_pinned("link flap", "c6f07b29c8cec38e", 8886, "rack0.tor.drops_fault", |m| {
+    assert_pinned("link flap", "c6f07b29c8cec38e", 8884, "rack0.tor.drops_fault", |m| {
+        incast(&cfg, m)
+    });
+}
+
+/// Switch directives with the switch lossy: a degraded port with loss, a
+/// ToR power cycle, and two directives for one switch at one instant.
+/// Recorded while each switch directive still had a fence timer, one
+/// event more per directive (9,355 then).
+#[test]
+fn switch_outage_plan_through_incast() {
+    let mut cfg = epoll_incast(8);
+    cfg.racks = 4;
+    cfg.faults = Some(
+        FaultPlan::parse(include_str!("../../../scenarios/switch_outage.fplan"))
+            .expect("bundled plan"),
+    );
+    assert_pinned("switch outage", "f6d02b10af4c6aba", 9349, "rack0.tor.drops_error", |m| {
         incast(&cfg, m)
     });
 }

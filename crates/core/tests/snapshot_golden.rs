@@ -4,11 +4,14 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 3 (a switch pipeline entry's forwarding timer became
-//! optional and a NIC's TX busy flag became its free instant plus an
-//! armed flag, so each NIC grew 8 bytes and fewer timers are pending;
-//! version 2 made the pipeline a FIFO beside a list of frames committed at
-//! admission, version 1's digests dated from the hand-written codec). A
+//! `SNAP_VERSION` 4 (each switch and each node kernel persists its
+//! schedule of fault directives, empty here, so every one grew the 8
+//! bytes of a length, and a TCP connection's parameters lost the
+//! one-byte `nodelay` flag; version 3 made a switch pipeline entry's forwarding
+//! timer optional and a NIC's TX busy flag its free instant plus an armed
+//! flag, version 2 made the pipeline a FIFO beside a list of frames
+//! committed at admission, version 1's digests dated from the
+//! hand-written codec). A
 //! digest that moves means snapshots written by earlier builds no longer
 //! restore — bump `SNAP_VERSION` and re-record, or fix the encoding.
 
@@ -50,7 +53,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_closed", |p| {
         warm_memcached(&cfg, p, SimTime::from_micros(2_500)).expect("warm")
     });
-    assert_eq!(got, (472_125, "f2d216e564b54d57".to_string()));
+    assert_eq!(got, (472_181, "fc79c3133c9ee4f4".to_string()));
 }
 
 #[test]
@@ -63,7 +66,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm_memcached(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_391, "fee418a80028f6b6".to_string()));
+    assert_eq!(got, (96_487, "9c8c18b7cd9abc9f".to_string()));
 }
 
 #[test]
@@ -74,7 +77,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("pa_fat_tree", |p| {
         warm_partition_aggregate(&cfg, p, SimTime::from_millis(2)).expect("warm")
     });
-    assert_eq!(got, (139_445, "4edce271d129438f".to_string()));
+    assert_eq!(got, (139_573, "af708e904d3641ce".to_string()));
 }
 
 #[test]
@@ -93,5 +96,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm_incast(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (46_913, "bcc7e69aecbb9ab8".to_string()));
+    assert_eq!(got, (47_017, "b33ca963091c1a73".to_string()));
 }

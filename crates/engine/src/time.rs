@@ -282,6 +282,16 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// The line reader of the fault plan, arrival profile and sweep grammars:
+/// each line with `#` comments cut and whitespace trimmed, paired with its
+/// 1-based line number, blank lines skipped.
+pub fn spec_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, raw)| (i + 1, raw.split('#').next().unwrap_or("").trim()))
+        .filter(|(_, body)| !body.is_empty())
+}
+
 /// Parses `250ms`-style durations — the one token format of the fault
 /// plan, arrival profile and sweep grammars and the `--checkpoint-at`
 /// flag: a finite, non-negative decimal number with an `ns`, `us`, `ms`
@@ -517,6 +527,12 @@ mod tests {
             let err = tok.parse::<SimDuration>().expect_err(tok);
             assert!(err.contains(needle), "{tok:?} -> {err:?} (wanted {needle:?})");
         }
+    }
+
+    #[test]
+    fn spec_lines_cut_comments_and_keep_line_numbers() {
+        let text = "# header\n\n  10ms a  # tail\n\t#\n20ms b\n   \n";
+        assert_eq!(spec_lines(text).collect::<Vec<_>>(), [(3, "10ms a"), (5, "20ms b")]);
     }
 
     #[test]

@@ -11,13 +11,13 @@ use diablo_engine::event::{ComponentId, PortNo};
 use diablo_engine::time::{Bandwidth, SimDuration, SimTime};
 use std::fmt;
 
-/// Fixed-point scale for fractional fault parameters packed into integer
-/// timer keys: 20 fractional bits, so `FP20_ONE` encodes exactly 1.0.
+/// Fixed-point scale of a degraded link's fault parameters: 20 fractional
+/// bits, so `FP20_ONE` encodes exactly 1.0.
 ///
-/// Fault directives (degraded-link bandwidth factors and loss rates) travel
-/// through the engine as plain timer keys; encoding them as integers keeps
-/// the directive — and therefore the resulting link physics — bit-identical
-/// between serial and partition-parallel execution.
+/// The bandwidth factor is fp20 because the rounding is model behaviour:
+/// [`LinkParams::degraded_fp20`] scales the link rate with integer
+/// arithmetic, and a float factor would round degraded bandwidths — and
+/// every result of a degraded-link run — differently.
 pub const FP20_ONE: u64 = 1 << 20;
 
 /// Encodes a fraction in `[0, 1]` as 20-bit fixed point (round to nearest,

@@ -43,7 +43,7 @@
 //! argument.
 
 use crate::frame::Frame;
-use crate::link::{LinkParams, LinkState, PortPeer, TxPort, FP20_ONE};
+use crate::link::{LinkParams, LinkState, PortPeer, TxPort};
 use diablo_engine::component::{Component, Ctx};
 use diablo_engine::event::{PortNo, TimerKey};
 use diablo_engine::metrics::{FlightRecord, FlightRing, Instrumented, MetricsVisitor};
@@ -312,36 +312,13 @@ diablo_engine::impl_snap_struct!(SwitchStats {
 const KIND_FORWARD: u64 = 0;
 const KIND_DEPART: u64 = 1;
 const KIND_FAULT: u64 = 2;
-const KIND_FENCE: u64 = 3;
-
-const FAULT_OP_PORT_DOWN: u64 = 0;
-const FAULT_OP_PORT_UP: u64 = 1;
-const FAULT_OP_PORT_DEGRADED: u64 = 2;
-const FAULT_OP_SWITCH_DOWN: u64 = 3;
-const FAULT_OP_SWITCH_UP: u64 = 4;
-
-/// Highest port number addressable by a fault timer key (12 bits).
-pub const FAULT_MAX_PORT: u16 = (1 << 12) - 1;
-
-/// How far ahead of a directive its fence arrives, unless the switch's
-/// pipeline latency is longer: far enough that a departure the switch
-/// arms at admission is never overtaken by a directive it has not heard
-/// of (DESIGN.md §9.1).
-pub const FENCE_LEAD: SimDuration = SimDuration::from_millis(1);
-
-/// The fence lead for a switch whose pipeline latency is `latency`.
-fn fence_lead(latency: SimDuration) -> SimDuration {
-    latency.max(FENCE_LEAD)
-}
 
 /// A fault directive addressed to a switch.
 ///
-/// Directives are delivered as ordinary timer events — the whole directive
-/// is packed into the integer [`TimerKey`] — so a scripted fault schedule
-/// injects them through the engine's normal external-event path and serial
-/// and partition-parallel runs stay bit-identical. A directive must be
-/// announced [`FENCE_LEAD`] (or one pipeline latency, if longer) ahead:
-/// build its timers with [`SwitchFault::fenced_timers`].
+/// A switch holds its directives as a schedule
+/// ([`PacketSwitch::schedule_fault`]): it knows every one of them from
+/// the start, and the timer that applies one at its instant carries no
+/// payload, so serial and partition-parallel runs stay bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchFault {
     /// Take one output port's link down: buffered frames for that output
@@ -373,55 +350,22 @@ pub enum SwitchFault {
     SwitchUp,
 }
 
+diablo_engine::impl_snap_enum!(SwitchFault {
+    0 => PortDown { port },
+    1 => PortUp { port },
+    2 => PortDegraded { port, bandwidth_factor_fp20, loss_rate_fp20 },
+    3 => SwitchDown,
+    4 => SwitchUp,
+});
+
 impl SwitchFault {
-    /// Encodes the directive as a switch timer key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port exceeds [`FAULT_MAX_PORT`] or an fp20 field
-    /// exceeds [`FP20_ONE`] (1.0).
-    pub fn timer_key(self) -> TimerKey {
-        let (op, port, bw, loss) = match self {
-            SwitchFault::PortDown { port } => (FAULT_OP_PORT_DOWN, port, 0, 0),
-            SwitchFault::PortUp { port } => (FAULT_OP_PORT_UP, port, 0, 0),
-            SwitchFault::PortDegraded { port, bandwidth_factor_fp20, loss_rate_fp20 } => {
-                (FAULT_OP_PORT_DEGRADED, port, bandwidth_factor_fp20, loss_rate_fp20)
-            }
-            SwitchFault::SwitchDown => (FAULT_OP_SWITCH_DOWN, 0, 0, 0),
-            SwitchFault::SwitchUp => (FAULT_OP_SWITCH_UP, 0, 0, 0),
-        };
-        assert!(port <= FAULT_MAX_PORT, "fault port {port} exceeds {FAULT_MAX_PORT}");
-        assert!(bw <= FP20_ONE && loss <= FP20_ONE, "fp20 fault field exceeds 1.0");
-        let payload = port as u64 | op << 12 | bw << 16 | loss << 37;
-        payload << 4 | KIND_FAULT
-    }
-
-    /// The two external timers that deliver this directive at `at` to a
-    /// switch whose port-to-port latency is `latency`, in injection order:
-    /// a fence [`FENCE_LEAD`] or one latency ahead, whichever is longer
-    /// (clamped at time zero), then the directive. From the fence on the
-    /// switch stops committing frames whose pipeline exit would fall after
-    /// `at` and arming departures at admission past it, so the directive
-    /// meets exactly the frames a timer-per-frame pipeline would hold. A
-    /// directive whose fence the switch never saw panics on arrival.
-    pub fn fenced_timers(self, at: SimTime, latency: SimDuration) -> [(SimTime, TimerKey); 2] {
-        let lead = fence_lead(latency).min(at.saturating_duration_since(SimTime::ZERO));
-        [(at - lead, lead.as_picos() << 4 | KIND_FENCE), (at, self.timer_key())]
-    }
-
-    fn decode(payload: u64) -> SwitchFault {
-        let port = (payload & 0xFFF) as u16;
-        let bandwidth_factor_fp20 = (payload >> 16) & 0x1F_FFFF;
-        let loss_rate_fp20 = (payload >> 37) & 0x1F_FFFF;
-        match (payload >> 12) & 0xF {
-            FAULT_OP_PORT_DOWN => SwitchFault::PortDown { port },
-            FAULT_OP_PORT_UP => SwitchFault::PortUp { port },
-            FAULT_OP_PORT_DEGRADED => {
-                SwitchFault::PortDegraded { port, bandwidth_factor_fp20, loss_rate_fp20 }
-            }
-            FAULT_OP_SWITCH_DOWN => SwitchFault::SwitchDown,
-            FAULT_OP_SWITCH_UP => SwitchFault::SwitchUp,
-            other => panic!("unknown switch fault op {other}"),
+    /// The output port the directive names, if it names one.
+    fn port(self) -> Option<u16> {
+        match self {
+            SwitchFault::PortDown { port }
+            | SwitchFault::PortUp { port }
+            | SwitchFault::PortDegraded { port, .. } => Some(port),
+            SwitchFault::SwitchDown | SwitchFault::SwitchUp => None,
         }
     }
 
@@ -470,10 +414,10 @@ pub struct PacketSwitch {
     forward_seq: u64,
     /// Frames committed to the wire at admission, oldest first.
     committed: VecDeque<Commitment>,
-    /// Instants at which an announced fault directive is due (see
-    /// [`SwitchFault::fenced_timers`]); nothing is committed, ridden or
-    /// armed at admission past one.
-    fences: Vec<SimTime>,
+    /// The fault directives still to apply, in time order; directives due
+    /// at one instant keep the order they were scheduled in. Nothing is
+    /// committed, ridden or armed at admission past the first.
+    faults: VecDeque<(SimTime, SwitchFault)>,
     /// No wired port drops frames at random. Committing early draws the
     /// per-frame loss sample early, and arming a departure at admission
     /// can reorder two outputs' same-instant draws; either is only
@@ -522,7 +466,7 @@ impl PacketSwitch {
             in_pipeline: vec![0; n],
             forward_seq: 0,
             committed: VecDeque::new(),
-            fences: Vec::new(),
+            faults: VecDeque::new(),
             lossless: true,
             early_commit: true,
             base_params: vec![None; n],
@@ -597,6 +541,27 @@ impl PacketSwitch {
         self.refresh_lossless();
     }
 
+    /// Adds `fault` to this switch's schedule, due at `at` after every
+    /// directive already due then, and returns the key of the timer that
+    /// applies it: inject that timer at `at`, once per scheduled directive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directive names a port this switch does not have.
+    pub fn schedule_fault(&mut self, at: SimTime, fault: SwitchFault) -> TimerKey {
+        if let Some(port) = fault.port() {
+            assert!(port < self.cfg.ports, "switch {}: no port {port}", self.cfg.name);
+        }
+        let slot = self.faults.partition_point(|&(due, _)| due <= at);
+        self.faults.insert(slot, (at, fault));
+        KIND_FAULT
+    }
+
+    /// `true` when no scheduled directive is due before `t`.
+    fn no_fault_before(&self, t: SimTime) -> bool {
+        self.faults.front().is_none_or(|&(due, _)| due >= t)
+    }
+
     fn refresh_lossless(&mut self) {
         self.lossless = self.ports.iter().flatten().all(|tx| tx.peer.params.loss_rate() == 0.0);
     }
@@ -666,10 +631,9 @@ impl PacketSwitch {
 
     /// What a `KIND_FORWARD` timer at `exit` for a frame admitted now to
     /// the wired output `out` would find, when that is already decided.
-    fn crossing(&self, out: u16, now: SimTime, exit: SimTime) -> Crossing {
+    fn crossing(&self, out: u16, exit: SimTime) -> Crossing {
         let oi = out as usize;
-        let fenced_until = |t: SimTime| self.fences.iter().all(|&due| due >= t);
-        if !(self.early_commit && self.lossless && fenced_until(exit)) {
+        if !(self.early_commit && self.lossless && self.no_fault_before(exit)) {
             return Crossing::Timer;
         }
         let next_free = self.ports[oi].as_ref().map_or(SimTime::ZERO, TxPort::next_free);
@@ -687,11 +651,10 @@ impl PacketSwitch {
         // At `exit` the handler would arm a departure at `next_free`.
         // Arming it now moves its issue point, which no same-instant event
         // can observe: no admission between now and `exit` has a timer at
-        // `next_free` (the margin), and every directive due before it is
-        // already fenced (the lead), so the switch stays lossless.
+        // `next_free` (the margin), and no directive is due before it, so
+        // the switch stays lossless.
         let margin = next_free > exit + self.cfg.latency;
-        let announced = now > SimTime::ZERO && next_free <= now + fence_lead(self.cfg.latency);
-        if margin && announced && fenced_until(next_free) {
+        if margin && self.no_fault_before(next_free) {
             Crossing::ArmAndRide(next_free)
         } else {
             Crossing::Timer
@@ -918,54 +881,37 @@ impl PacketSwitch {
         }
     }
 
-    /// Applies the fault directive a `KIND_FAULT` timer delivered.
+    /// Applies the scheduled directive a `KIND_FAULT` timer is due for:
+    /// the first in the schedule, if it is due now. A timer that finds
+    /// none comes from a damaged or mismatched snapshot and does nothing.
     ///
     /// Frames whose transmission already began keep their delivery: the
     /// last bit was committed to the wire before the fault. Everything
     /// still buffered or in the processing pipeline is flushed to
     /// [`SwitchStats::drops_fault`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directive was not announced by the fence timer of
-    /// [`SwitchFault::fenced_timers`], or if a frame committed to the wire
-    /// would still have been in the pipeline now (a directive within one
-    /// latency of time zero): either way the switch can no longer flush
-    /// what a timer-per-frame pipeline would have held.
-    fn apply_fault(&mut self, fault: SwitchFault, ctx: &mut Ctx<'_, Frame>) {
+    fn apply_due_fault(&mut self, ctx: &mut Ctx<'_, Frame>) {
         let now = ctx.now();
+        if self.faults.front().is_none_or(|&(due, _)| due != now) {
+            return;
+        }
+        let (_, fault) = self.faults.pop_front().expect("front directive just seen");
         self.retire_commitments(ctx);
         self.settle_pipeline(now);
-        let fenced = self.fences.iter().position(|&due| due == now);
-        let Some(fenced) = fenced.filter(|_| self.committed.is_empty()) else {
-            panic!(
-                "switch {}: {fault:?} at {now} was not announced by its fence; \
-                 inject switch faults with SwitchFault::fenced_timers",
-                self.cfg.name
-            );
-        };
-        self.fences.remove(fenced);
         if let Some(tr) = &mut self.trace {
-            let port = match fault {
-                SwitchFault::PortDown { port }
-                | SwitchFault::PortUp { port }
-                | SwitchFault::PortDegraded { port, .. } => port as u64,
-                SwitchFault::SwitchDown | SwitchFault::SwitchUp => u64::MAX,
-            };
             tr.push(FlightRecord {
                 at: now,
                 kind: "fault",
                 detail: fault.trace_detail(),
-                a: port,
+                a: fault.port().map_or(u64::MAX, u64::from),
                 b: 0,
             });
         }
         match fault {
-            SwitchFault::PortDown { port } if (port as usize) < self.ports.len() => {
+            SwitchFault::PortDown { port } => {
                 self.link_state[port as usize] = LinkState::Down;
                 self.flush_output(port, now);
             }
-            SwitchFault::PortUp { port } if (port as usize) < self.ports.len() => {
+            SwitchFault::PortUp { port } => {
                 self.link_state[port as usize] = LinkState::Up;
                 if let (Some(tx), Some(base)) =
                     (self.ports[port as usize].as_mut(), self.base_params[port as usize])
@@ -975,9 +921,7 @@ impl PacketSwitch {
                 self.refresh_lossless();
                 self.kick(port, ctx);
             }
-            SwitchFault::PortDegraded { port, bandwidth_factor_fp20, loss_rate_fp20 }
-                if (port as usize) < self.ports.len() =>
-            {
+            SwitchFault::PortDegraded { port, bandwidth_factor_fp20, loss_rate_fp20 } => {
                 self.link_state[port as usize] =
                     LinkState::Degraded { bandwidth_factor_fp20, loss_rate_fp20 };
                 if let (Some(tx), Some(base)) =
@@ -1003,11 +947,6 @@ impl PacketSwitch {
                     self.kick(out, ctx);
                 }
             }
-            // Out-of-range port: the directive addresses a port this switch
-            // does not have — ignore rather than corrupt state.
-            SwitchFault::PortDown { .. }
-            | SwitchFault::PortUp { .. }
-            | SwitchFault::PortDegraded { .. } => {}
         }
     }
 }
@@ -1037,8 +976,7 @@ impl Component<Frame> for PacketSwitch {
                 self.depart_pending[out as usize] = false;
                 self.kick(out, ctx);
             }
-            KIND_FAULT => self.apply_fault(SwitchFault::decode(payload), ctx),
-            KIND_FENCE => self.fences.push(ctx.now() + SimDuration::from_picos(payload)),
+            KIND_FAULT => self.apply_due_fault(ctx),
             other => panic!("unknown switch timer kind {other}"),
         }
     }
@@ -1117,7 +1055,7 @@ impl Component<Frame> for PacketSwitch {
         let qf = QueuedFrame { frame, in_port: in_port.0, rx_start, arrival: now };
 
         let exit = now + self.cfg.latency;
-        let timer = match self.crossing(out, now, exit) {
+        let timer = match self.crossing(out, exit) {
             Crossing::Commit => {
                 // What `kick` would do at `exit` with this frame alone in
                 // the output's VOQs.
@@ -1180,7 +1118,7 @@ diablo_engine::impl_persist_fields!(PacketSwitch {
     in_flight,
     forward_seq,
     committed,
-    fences,
+    faults,
     link_state: fixed_len,
     switch_down,
     rng,
@@ -1230,6 +1168,10 @@ impl PacketSwitch {
             ),
             ("frame's ingress port", frames.all(|qf| (qf.in_port as usize) < n)),
             ("frame's output port", bound_outs.all(|out| wired(out as usize))),
+            (
+                "fault schedule",
+                self.faults.iter().all(|(_, f)| f.port().is_none_or(|p| usize::from(p) < n)),
+            ),
         ];
         if let Some((what, _)) = checks.iter().find(|(_, ok)| !ok) {
             return Err(diablo_engine::snap::SnapError::Malformed(format!(
@@ -1335,12 +1277,10 @@ mod tests {
         Frame::new(IpPacket::udp(NodeAddr(0), NodeAddr(1), d), Route::new(vec![out_port]))
     }
 
-    /// Injects `fault` at `at`, announced the way every injector must.
+    /// Schedules `fault` on the switch and injects the timer that applies it.
     fn inject_fault(sim: &mut Simulation<Frame>, at: SimTime, sw: ComponentId, fault: SwitchFault) {
-        let latency = sim.component::<PacketSwitch>(sw).unwrap().config().latency;
-        for (when, key) in fault.fenced_timers(at, latency) {
-            sim.schedule_external_timer(when, sw, key);
-        }
+        let key = sim.component_mut::<PacketSwitch>(sw).unwrap().schedule_fault(at, fault);
+        sim.schedule_external_timer(at, sw, key);
     }
 
     /// Builds sim with one switch (port 1 -> sink) and returns ids.
@@ -1496,26 +1436,6 @@ mod tests {
         assert_eq!(trace.iter().filter(|r| r.kind == "sw_drop" && r.detail == "buffer").count(), 3);
         assert_eq!(trace.iter().filter(|r| r.kind == "sw_drop" && r.detail == "route").count(), 1);
         assert!(trace.windows(2).all(|w| w[0].at <= w[1].at), "trace is time-ordered");
-    }
-
-    #[test]
-    fn fault_key_roundtrip() {
-        use crate::link::fp20_encode;
-        for fault in [
-            SwitchFault::PortDown { port: 7 },
-            SwitchFault::PortUp { port: FAULT_MAX_PORT },
-            SwitchFault::PortDegraded {
-                port: 3,
-                bandwidth_factor_fp20: fp20_encode(0.5),
-                loss_rate_fp20: fp20_encode(1.0),
-            },
-            SwitchFault::SwitchDown,
-            SwitchFault::SwitchUp,
-        ] {
-            let key = fault.timer_key();
-            assert_eq!(key & 0xF, KIND_FAULT);
-            assert_eq!(SwitchFault::decode(key >> 4), fault, "roundtrip for {fault:?}");
-        }
     }
 
     #[test]
@@ -1686,9 +1606,9 @@ mod tests {
         assert!(sim.component::<Sink>(sink).unwrap().got.is_empty());
     }
 
-    /// A snapshot is outside input: a frame or commitment naming a port
-    /// the rebuilt switch does not have is refused at load, not indexed
-    /// with at the next event.
+    /// A snapshot is outside input: a frame, commitment or scheduled
+    /// directive naming a port the rebuilt switch does not have is refused
+    /// at load, not indexed with at the next event.
     #[test]
     fn restored_indices_beyond_the_port_count_are_malformed() {
         use diablo_engine::snap::{Persist, SnapError, SnapReader, SnapWriter};
@@ -1719,29 +1639,40 @@ mod tests {
             wired().load_state(&mut SnapReader::new(&w.into_bytes()))
         };
         assert_eq!(restore(|_| ()), Ok(()), "the undamaged switch restores");
-        let cases: [fn(&mut PacketSwitch); 5] = [
+        let cases: [fn(&mut PacketSwitch); 6] = [
             |sw| sw.voqs[1][0].push_back(queued(4)),
             |sw| sw.in_flight.push_back(PipelineEntry { timer: Some(0), out: 1, qf: queued(9) }),
             |sw| sw.in_flight.push_back(PipelineEntry { timer: None, out: 4, qf: queued(0) }),
             |sw| sw.committed.push_back(committed(4)),
             // Port 3 exists but is unwired: nothing can be bound for it.
             |sw| sw.committed.push_back(committed(3)),
+            |sw| sw.faults.push_back((SimTime::ZERO, SwitchFault::PortUp { port: 4 })),
         ];
         for (i, damage) in cases.into_iter().enumerate() {
             assert!(matches!(restore(damage), Err(SnapError::Malformed(_))), "case {i} restored");
         }
     }
 
+    /// A fault timer that finds no directive due now — a damaged or
+    /// mismatched snapshot — does nothing: the scheduled directive still
+    /// applies at its own instant, once.
     #[test]
-    #[should_panic(expected = "SwitchFault::fenced_timers")]
-    fn unfenced_fault_timer_panics_naming_the_helper() {
-        let (mut sim, sw, _) = build(SwitchConfig::shallow_gbe("t", 4));
-        sim.schedule_external_timer(
-            SimTime::from_micros(3),
-            sw,
-            SwitchFault::PortDown { port: 1 }.timer_key(),
-        );
+    fn a_fault_timer_with_no_directive_due_is_ignored() {
+        let (mut sim, sw, sink) = build(SwitchConfig::shallow_gbe("t", 4));
+        let key = sim
+            .component_mut::<PacketSwitch>(sw)
+            .unwrap()
+            .schedule_fault(SimTime::from_micros(30), SwitchFault::PortDown { port: 1 });
+        for us in [3, 30, 31] {
+            sim.schedule_external_timer(SimTime::from_micros(us), sw, key);
+        }
+        sim.inject_message(SimTime::from_micros(10), sw, PortNo(0), udp_frame(1000, 1));
+        sim.inject_message(SimTime::from_micros(40), sw, PortNo(0), udp_frame(1000, 1));
         sim.run().unwrap();
+        assert_eq!(sim.component::<Sink>(sink).unwrap().got.len(), 1);
+        let sw = sim.component::<PacketSwitch>(sw).unwrap();
+        assert_eq!(sw.link_state(1), LinkState::Down);
+        assert_eq!(sw.stats().drops_fault.get(), 1);
     }
 
     #[test]
@@ -2105,9 +2036,8 @@ mod early_commit_tests {
             (0..ports).map(|_| sim.add_component(Box::new(Sink::default()))).collect();
         for &(half_tick, fault) in &sc.faults {
             let at = T0 + GRID * half_tick / 2;
-            for (when, key) in fault.fenced_timers(at, sc.cfg.latency) {
-                sim.schedule_external_timer(when, switch, key);
-            }
+            let key = sim.component_mut::<PacketSwitch>(switch).unwrap().schedule_fault(at, fault);
+            sim.schedule_external_timer(at, switch, key);
         }
         let events = sim.run().unwrap().events;
 
@@ -2425,7 +2355,7 @@ mod early_commit_tests {
             lossy: None,
             // The head commits; the second frame's timer at tick 4 arms
             // the departure due when the head leaves, past tick 34 (the
-            // directive fenced ahead keeps it from being armed earlier);
+            // directive due before that keeps it from being armed earlier);
             // the four after tick 4 ride it, leaving the pipeline by 12.
             arrivals: [(0, 0), (0, 1), (5, 2), (6, 0), (7, 1), (8, 2)]
                 .into_iter()
@@ -2447,10 +2377,10 @@ mod early_commit_tests {
     /// departure another output arms before this frame's exit, for the
     /// same instant. Harmless while the switch is lossless; here a
     /// directive makes it lossy in between, so the frame must keep its
-    /// timer — which the fence it was told of ensures.
+    /// timer — which the switch's schedule of directives ensures.
     #[test]
-    fn a_departure_is_armed_early_only_before_every_announced_directive() {
-        let mut cfg = SwitchConfig::shallow_gbe("announced", 4);
+    fn a_departure_is_armed_early_only_before_every_scheduled_directive() {
+        let mut cfg = SwitchConfig::shallow_gbe("scheduled", 4);
         cfg.latency = GRID;
         cfg.buffer = BufferConfig::PerPort { bytes_per_port: 1 << 20 };
         // 66 bytes of headers: k * 125 bytes on the wire is k us.
@@ -2489,52 +2419,6 @@ mod early_commit_tests {
                     loss_rate_fp20: fp20_encode(0.8),
                 },
             )],
-        };
-        let (early, _) = run(&sc, true);
-        let (timer, _) = run(&sc, false);
-        assert_eq!(early, timer);
-    }
-
-    /// The same race a fence lead later: the frame's departure is due
-    /// further ahead than directives are announced, so a directive the
-    /// switch has not heard of yet may still land before it. Links slowed
-    /// 256-fold stretch one frame past the lead.
-    #[test]
-    fn a_departure_is_armed_early_only_within_the_fence_lead() {
-        let mut cfg = SwitchConfig::shallow_gbe("lead", 4);
-        cfg.latency = GRID;
-        cfg.buffer = BufferConfig::PerPort { bytes_per_port: 1 << 20 };
-        // At 1/256 of 1 Gbps, k * 125 bytes on the wire is k * 1024 ticks.
-        let frame = |tick, in_port, out, k: u32, from_high_id| Arrival {
-            tick,
-            in_port,
-            out,
-            payload: 125 * k - 66,
-            from_high_id,
-        };
-        let slow = |port, loss| SwitchFault::PortDegraded {
-            port,
-            bandwidth_factor_fp20: fp20_encode(1.0 / 256.0),
-            loss_rate_fp20: fp20_encode(loss),
-        };
-        let sc = Scenario {
-            cfg,
-            link: LinkParams::gbe(0),
-            lossy: None,
-            arrivals: vec![
-                // Output 2: the head leaves at 1026, a 5 * 1024-tick frame
-                // departs then and ends at 6146, a third waits behind it.
-                frame(1, 0, 2, 1, false),
-                frame(1, 0, 2, 5, false),
-                frame(1, 0, 2, 1, false),
-                // Output 1: reserved until 6146; a frame admitted at 1025
-                // exits when output 2 arms its departure for 6146.
-                frame(1, 1, 1, 6, true),
-                frame(1_025, 1, 1, 1, true),
-            ],
-            // Both links slow from the start; output 1 turns lossy at
-            // 5500, announced only at 1500, after that admission.
-            faults: vec![(0, slow(1, 0.0)), (0, slow(2, 0.0)), (11_000, slow(1, 0.8))],
         };
         let (early, _) = run(&sc, true);
         let (timer, _) = run(&sc, false);

@@ -1,7 +1,7 @@
 //! Node-level control-plane tests: scheduler, heartbeat agents, the
 //! futex-parked standby dispatcher and registry-driven clients composed
 //! on real [`ServerNode`]s behind a modeled ToR switch — one layer below
-//! the cluster harness, with faults injected as raw kernel timers.
+//! the cluster harness, with faults scheduled on the kernels directly.
 
 use diablo_apps::arrival::ArrivalSpec;
 use diablo_apps::control::{
@@ -85,6 +85,14 @@ fn install_replica(
     sh
 }
 
+/// Schedules `fault` on node `node`'s kernel and injects its timer.
+fn inject_fault(rack: &mut Rack, node: usize, at: SimTime, fault: NodeFault) {
+    let id = rack.nodes[node];
+    let key =
+        rack.sim.component_mut::<ServerNode>(id).unwrap().kernel_mut().schedule_fault(at, fault);
+    rack.sim.schedule_external_timer(at, id, key);
+}
+
 /// CP on node 0, active replica on node 1, parked standby on node 2, one
 /// registry-driven open-loop client on node 3.
 fn build_controlled_rack(ctl: &ControlConfig) -> (Rack, McSharedHandle, McSharedHandle) {
@@ -134,12 +142,8 @@ fn build_controlled_rack(ctl: &ControlConfig) -> (Rack, McSharedHandle, McShared
 fn crash_activates_the_parked_standby_and_traffic_follows() {
     let ctl = ControlConfig::default();
     let (mut rack, sh1, sh2) = build_controlled_rack(&ctl);
-    // Crash the active replica mid-trace with a raw kernel fault timer.
-    rack.sim.schedule_external_timer(
-        SimTime::from_millis(30),
-        rack.nodes[1],
-        NodeFault::Crash.timer_key(),
-    );
+    // Crash the active replica mid-trace with a kernel fault directive.
+    inject_fault(&mut rack, 1, SimTime::from_millis(30), NodeFault::Crash);
     rack.sim.run_until(SimTime::from_millis(150)).unwrap();
 
     let cp_kernel = rack.sim.component::<ServerNode>(rack.nodes[0]).unwrap().kernel();
@@ -164,8 +168,8 @@ fn crash_activates_the_parked_standby_and_traffic_follows() {
 
     let client_kernel = rack.sim.component::<ServerNode>(rack.nodes[3]).unwrap().kernel();
     let client = client_kernel.process::<McOpenLoopClient>(Tid(0)).unwrap();
-    assert!(client.endpoint_updates >= 1, "the client never learned the new fleet");
-    assert!(client.lookups_sent >= 1);
+    assert!(client.registry.endpoint_updates >= 1, "the client never learned the new fleet");
+    assert!(client.registry.lookups_sent >= 1);
 }
 
 #[test]
@@ -175,16 +179,8 @@ fn short_link_flap_stays_a_false_positive() {
     // A silence longer than the suspect threshold (5 ms) but shorter
     // than the dead threshold (11 ms): carrier down at 30 ms, up at
     // 38 ms.
-    rack.sim.schedule_external_timer(
-        SimTime::from_millis(30),
-        rack.nodes[1],
-        NodeFault::LinkDown.timer_key(),
-    );
-    rack.sim.schedule_external_timer(
-        SimTime::from_millis(38),
-        rack.nodes[1],
-        NodeFault::LinkUp.timer_key(),
-    );
+    inject_fault(&mut rack, 1, SimTime::from_millis(30), NodeFault::LinkDown);
+    inject_fault(&mut rack, 1, SimTime::from_millis(38), NodeFault::LinkUp);
     rack.sim.run_until(SimTime::from_millis(150)).unwrap();
 
     let cp_kernel = rack.sim.component::<ServerNode>(rack.nodes[0]).unwrap().kernel();

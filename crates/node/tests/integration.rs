@@ -8,7 +8,7 @@ use diablo_net::switch::{PacketSwitch, SwitchConfig};
 use diablo_net::topology::{Topology, TopologyConfig};
 use diablo_net::{Frame, NodeAddr, SockAddr};
 use diablo_node::ServerNode;
-use diablo_stack::kernel::NodeConfig;
+use diablo_stack::kernel::{NodeConfig, NodeFault};
 use diablo_stack::profile::KernelProfile;
 use std::sync::Arc;
 
@@ -268,4 +268,30 @@ fn udp_round_trip_costs_twelve_events() {
     };
     // Differencing two run lengths cancels socket set-up and teardown.
     assert_eq!(events_for(1_100) - events_for(100), 12 * 1_000);
+}
+
+/// A kernel fault timer that finds no directive due at its instant — a
+/// damaged or mismatched snapshot — is ignored, never a panic: the crash
+/// scheduled for 30 ms applies then and only then, once.
+#[test]
+fn a_fault_timer_with_no_directive_due_is_ignored() {
+    let mut rack = build_rack(2, default_cfg);
+    let id = rack.nodes[1];
+    let key = rack
+        .sim
+        .component_mut::<ServerNode>(id)
+        .unwrap()
+        .kernel_mut()
+        .schedule_fault(SimTime::from_millis(30), NodeFault::Crash);
+    for ms in [10, 30, 40] {
+        rack.sim.schedule_external_timer(SimTime::from_millis(ms), id, key);
+    }
+    let crashes = |rack: &Rack| {
+        let k = rack.sim.component::<ServerNode>(id).unwrap().kernel();
+        (k.crashed(), k.stats().crashes.get())
+    };
+    rack.sim.run_until(SimTime::from_millis(20)).unwrap();
+    assert_eq!(crashes(&rack), (false, 0));
+    rack.sim.run().unwrap();
+    assert_eq!(crashes(&rack), (true, 1));
 }

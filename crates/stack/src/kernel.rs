@@ -32,7 +32,7 @@ use diablo_engine::metrics::{FlightRecord, Instrumented, MetricsVisitor, Prefixe
 use diablo_engine::prelude::{Counter, DetRng, Frequency, SimDuration, SimTime};
 use diablo_net::addr::{NodeAddr, SockAddr};
 use diablo_net::frame::{Frame, Route};
-use diablo_net::link::{PortPeer, FP20_ONE};
+use diablo_net::link::PortPeer;
 use diablo_net::payload::{AppMessage, IpPacket, TcpFlags, TcpSegment, Transport, UdpDatagram};
 use diablo_nic::{Nic, NicAction, NicConfig};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -168,8 +168,9 @@ pub struct KernelStats {
 // Timer key classes (low 4 bits). Packing: class | epoch<<4 | a<<8 | b<<32.
 // The epoch nibble guards against timers armed before a node crash firing
 // into the rebooted kernel (stale CPU completions, RTOs, sleeps); fault
-// directives (`K_FAULT`) are stamped with epoch 0 and bypass the check so a
-// scheduled reboot still reaches a crashed node.
+// directives (`K_FAULT`, no payload: the kernel holds its own schedule) are
+// stamped with epoch 0 and bypass the check so a scheduled reboot still
+// reaches a crashed node.
 const K_CPU_DONE: u64 = 0;
 const K_NIC_TX: u64 = 1;
 const K_NIC_RX_INTR: u64 = 2;
@@ -188,8 +189,9 @@ fn unpack(k: u64) -> (u64, u32, u32, u32) {
     (k & 0xF, ((k >> 4) & 0xF) as u32, ((k >> 8) & 0xFF_FFFF) as u32, (k >> 32) as u32)
 }
 
-/// A scripted fault directive targeting one node, encodable as an ordinary
-/// kernel timer so injections ride the deterministic event path.
+/// A scripted fault directive targeting one node, held in the kernel's
+/// schedule ([`Kernel::schedule_fault`]) and applied by a payload-free
+/// timer at its instant, so injections ride the deterministic event path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeFault {
     /// The node's uplink loses carrier: every TX is dropped and counted,
@@ -213,44 +215,15 @@ pub enum NodeFault {
     Reboot,
 }
 
-const NFAULT_LINK_DOWN: u32 = 0;
-const NFAULT_LINK_UP: u32 = 1;
-const NFAULT_LINK_DEGRADED: u32 = 2;
-const NFAULT_CRASH: u32 = 3;
-const NFAULT_REBOOT: u32 = 4;
+diablo_engine::impl_snap_enum!(NodeFault {
+    0 => LinkDown,
+    1 => LinkUp,
+    2 => LinkDegraded { bandwidth_factor_fp20, loss_rate_fp20 },
+    3 => Crash,
+    4 => Reboot,
+});
 
 impl NodeFault {
-    /// Encodes this directive as a kernel timer key; schedule it on the
-    /// owning node component to inject the fault.
-    pub fn timer_key(&self) -> u64 {
-        let (op, bw, loss) = match self {
-            NodeFault::LinkDown => (NFAULT_LINK_DOWN, FP20_ONE, 0),
-            NodeFault::LinkUp => (NFAULT_LINK_UP, FP20_ONE, 0),
-            NodeFault::LinkDegraded { bandwidth_factor_fp20, loss_rate_fp20 } => {
-                assert!(*loss_rate_fp20 <= FP20_ONE, "loss rate exceeds fp20 unity");
-                (NFAULT_LINK_DEGRADED, (*bandwidth_factor_fp20).clamp(1, FP20_ONE), *loss_rate_fp20)
-            }
-            NodeFault::Crash => (NFAULT_CRASH, FP20_ONE, 0),
-            NodeFault::Reboot => (NFAULT_REBOOT, FP20_ONE, 0),
-        };
-        // The bandwidth factor lives in (0, 1], so `bw - 1` fits the 20
-        // payload bits above the op nibble.
-        key_epoch(K_FAULT, 0, op | (((bw - 1) as u32) << 4), loss as u32)
-    }
-
-    fn decode(a: u32, b: u32) -> Self {
-        let bw = ((a >> 4) as u64) + 1;
-        match a & 0xF {
-            NFAULT_LINK_DOWN => NodeFault::LinkDown,
-            NFAULT_LINK_UP => NodeFault::LinkUp,
-            NFAULT_LINK_DEGRADED => {
-                NodeFault::LinkDegraded { bandwidth_factor_fp20: bw, loss_rate_fp20: b as u64 }
-            }
-            NFAULT_CRASH => NodeFault::Crash,
-            _ => NodeFault::Reboot,
-        }
-    }
-
     fn trace_name(&self) -> &'static str {
         match self {
             NodeFault::LinkDown => "link_down",
@@ -356,6 +329,9 @@ pub struct Kernel {
     epoch: u32,
     /// The node is down (crashed and not yet rebooted).
     crashed: bool,
+    /// The fault directives still to apply, in time order; directives due
+    /// at one instant keep the order they were scheduled in.
+    faults: VecDeque<(SimTime, NodeFault)>,
     /// TCP counters of connections that no longer exist (torn down or lost
     /// to a crash); the per-node aggregate is `tcp_agg` + live conns.
     tcp_agg: TcpStats,
@@ -488,6 +464,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     now_cache,
     epoch,
     crashed,
+    faults,
     tcp_agg,
     stats,
     cfg: config,
@@ -532,6 +509,7 @@ impl Kernel {
             now_cache: SimTime::ZERO,
             epoch: 0,
             crashed: false,
+            faults: VecDeque::new(),
             tcp_agg: TcpStats::default(),
             stats: KernelStats::default(),
         }
@@ -644,7 +622,12 @@ impl Kernel {
         self.now_cache = env.now();
         let (class, epoch, a, b) = unpack(k);
         if class == K_FAULT {
-            self.on_fault(NodeFault::decode(a, b), env);
+            // A timer with no directive due now comes from a damaged or
+            // mismatched snapshot: nothing to apply.
+            if self.faults.front().is_some_and(|&(due, _)| due == self.now_cache) {
+                let (_, fault) = self.faults.pop_front().expect("front directive just seen");
+                self.on_fault(fault, env);
+            }
             self.maybe_dispatch(env);
             return;
         }
@@ -716,8 +699,18 @@ impl Kernel {
         self.crashed
     }
 
+    /// Adds `fault` to this kernel's schedule, due at `at` after every
+    /// directive already due then, and returns the key of the timer that
+    /// applies it: inject that timer on the node at `at`, once per
+    /// scheduled directive.
+    pub fn schedule_fault(&mut self, at: SimTime, fault: NodeFault) -> u64 {
+        let slot = self.faults.partition_point(|&(due, _)| due <= at);
+        self.faults.insert(slot, (at, fault));
+        K_FAULT
+    }
+
     /// Applies one scripted fault directive.
-    pub fn on_fault(&mut self, fault: NodeFault, env: &mut dyn KernelEnv) {
+    fn on_fault(&mut self, fault: NodeFault, env: &mut dyn KernelEnv) {
         self.trace_push(env.now(), TraceKind::Fault(fault.trace_name()));
         match fault {
             NodeFault::LinkDown => self.nic.set_carrier_down(),
@@ -965,16 +958,8 @@ impl Kernel {
     fn op_cost(&self, call: &Syscall) -> u64 {
         let p = &self.cfg.profile;
         match call {
-            Syscall::Send { msg, .. } => {
-                if p.zero_copy_tx {
-                    0
-                } else {
-                    p.copy_cost(msg.len as u64)
-                }
-            }
-            Syscall::SendTo { msg, .. } => {
-                p.tx_packet_cost + if p.zero_copy_tx { 0 } else { p.copy_cost(msg.len as u64) }
-            }
+            // Transmit is zero-copy: a send is charged no per-byte copy.
+            Syscall::SendTo { .. } => p.tx_packet_cost,
             Syscall::SetNonblocking { .. } => p.fcntl_cost,
             Syscall::EpollWait { .. } => p.epoll_wait_cost,
             _ => 0,

@@ -72,8 +72,9 @@ pub struct KernelProfile {
     /// Per-packet cost of TX protocol processing (segment build + qdisc +
     /// driver handoff).
     pub tx_packet_cost: u64,
-    /// Per-byte copy cost between user and kernel space (both directions);
-    /// zeroed on the TX path when the socket uses zero-copy.
+    /// Per-byte cost of copying received data from kernel to user space.
+    /// Transmit is scatter/gather zero-copy (the NIC model supports it,
+    /// §3.3) and copies nothing.
     pub copy_cost_per_byte_num: u64,
     /// Denominator for the per-byte copy cost (cost = num/den per byte),
     /// letting profiles express sub-instruction-per-byte copies.
@@ -113,9 +114,6 @@ pub struct KernelProfile {
     pub rcvbuf: u32,
     /// Default UDP socket receive buffer (bytes).
     pub udp_rcvbuf: u32,
-    /// Whether the TX path uses scatter/gather zero-copy (skips the
-    /// per-byte TX copy; the NIC model supports it, §3.3).
-    pub zero_copy_tx: bool,
     /// Congestion-control algorithm (`net.ipv4.tcp_congestion_control`).
     pub cc: CongestionControl,
 }
@@ -147,7 +145,6 @@ impl KernelProfile {
             sndbuf: 128 * 1024,
             rcvbuf: 128 * 1024,
             udp_rcvbuf: 160 * 1024,
-            zero_copy_tx: true,
             cc: CongestionControl::Reno,
         }
     }
@@ -178,7 +175,6 @@ impl KernelProfile {
             sndbuf: 128 * 1024,
             rcvbuf: 128 * 1024,
             udp_rcvbuf: 160 * 1024,
-            zero_copy_tx: true,
             cc: CongestionControl::Reno,
         }
     }
@@ -210,7 +206,6 @@ impl KernelProfile {
             sndbuf: 128 * 1024,
             rcvbuf: 128 * 1024,
             udp_rcvbuf: 160 * 1024,
-            zero_copy_tx: true,
             cc: CongestionControl::Reno,
         }
     }

@@ -6,7 +6,9 @@
 //! exponential backoff and a configurable `RTO_min` (the 200 ms Linux
 //! default whose interaction with shallow switch buffers produces TCP
 //! Incast, §4.1), Jacobson/Karn RTT estimation, delayed ACKs, receiver
-//! flow control with window updates, and FIN/RST teardown.
+//! flow control with window updates, and FIN/RST teardown. There is no
+//! Nagle's algorithm: both modeled applications set `TCP_NODELAY`, so a
+//! segment leaves as soon as the window admits it.
 //!
 //! Payload *contents* are never stored: the stream is tracked as byte
 //! ranges plus [`StreamMarker`]s recording where application messages
@@ -48,9 +50,6 @@ pub struct TcpParams {
     pub max_rto_retries: u32,
     /// Delayed-ACK timeout.
     pub delayed_ack: SimDuration,
-    /// Disable Nagle's algorithm (`TCP_NODELAY`; both modeled applications
-    /// set it).
-    pub nodelay: bool,
     /// Congestion-control algorithm. DCTCP layers an ECN-driven
     /// proportional window cut on top of the NewReno machinery (loss
     /// handling, RTO, fast retransmit are unchanged).
@@ -70,7 +69,6 @@ impl TcpParams {
             rto_max: p.rto_max,
             max_rto_retries: p.tcp_retries,
             delayed_ack: p.delayed_ack,
-            nodelay: true,
             cc: p.cc,
         }
     }
@@ -873,9 +871,6 @@ impl TcpConn {
                 if len == 0 {
                     break;
                 }
-                if !self.params.nodelay && len < mss && self.flight() > 0 && avail < mss {
-                    break; // Nagle: wait for ack or a full segment
-                }
                 let seq = self.snd_nxt;
                 let markers = self.markers_in(seq, seq + len);
                 let fin_here = self.fin_queued && seq + len == self.buf_end && budget > len;
@@ -1083,7 +1078,6 @@ diablo_engine::impl_snap_struct!(TcpParams {
     rto_max,
     max_rto_retries,
     delayed_ack,
-    nodelay,
     cc
 });
 

@@ -188,6 +188,30 @@ fn incast_fault_schedule_conforms_across_partitionings() {
     }
 }
 
+/// Same contract for directives aimed at switches: a lossy degraded port,
+/// a ToR power cycle, and two directives for one switch at one instant.
+#[test]
+fn incast_switch_outage_conforms_across_partitionings() {
+    use diablo::core::{run_incast, FaultPlan, IncastConfig};
+    let run = |mode: RunMode| {
+        let mut cfg = IncastConfig::fig6a(8);
+        cfg.iterations = 3;
+        cfg.racks = 4;
+        cfg.mode = mode;
+        cfg.faults = Some(
+            FaultPlan::parse(include_str!("../scenarios/switch_outage.fplan"))
+                .expect("bundled plan"),
+        );
+        let r = run_incast(&cfg);
+        (r.metrics.to_json(), r.events, r.iteration_times, r.switch_drops)
+    };
+    let reference = run(RunMode::Serial);
+    for partitions in [2usize, 4] {
+        let got = run(RunMode::parallel(partitions));
+        assert_eq!(reference, got, "switch outage diverged at {partitions} partitions");
+    }
+}
+
 /// Same contract for the memcached workload with the full degradation
 /// machinery engaged: request deadlines, reconnect backoff, and a
 /// mid-run server-uplink outage.
