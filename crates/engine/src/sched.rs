@@ -20,18 +20,29 @@
 //! Two tiers:
 //!
 //! * a **bucketed wheel** of `2^BUCKET_BITS` slots, each
-//!   `2^BUCKET_SHIFT_PS` picoseconds wide (256 slots of ≈65.5 ns by
+//!   `2^BUCKET_SHIFT_PS` picoseconds wide (256 slots of ≈131 ns by
 //!   default). Pushing an event whose delivery bucket lies within one wheel
-//!   revolution (≈16.8 µs) of the cursor is an O(1) append. The wheel is
-//!   few and wide so that its working set stays in cache: the events of a
-//!   bucket sit next to each other in one buffer, and the cursor advances
-//!   once per bucket, not once per event (DESIGN.md §4 has the measurement
-//!   grid behind the two constants). A per-slot occupancy bitmap lets the
-//!   cursor skip empty slots;
-//! * an **overflow min-heap** for far-future events (e.g. 200 ms TCP
-//!   retransmission timers). Overflow events migrate into the wheel lazily
-//!   as the cursor advances, so each pays O(log overflow) once instead of
-//!   keeping the hot path's comparisons.
+//!   revolution (≈33.6 µs) of the cursor is an O(1) append. The revolution
+//!   covers the longest delivery the declared workloads schedule (a
+//!   2,114-byte partition-aggregate answer at 1 Gbps, ≈17 µs with
+//!   propagation). The wheel is few and wide so that its working set stays
+//!   in cache: the events of a bucket sit next to each other in one buffer,
+//!   and the cursor advances once per bucket, not once per event (DESIGN.md
+//!   §4 has the measurement grid behind the two constants). A per-slot
+//!   occupancy bitmap lets the cursor skip empty slots;
+//! * an **overflow min-heap** (the far tier) for events at least one
+//!   revolution out, which at the default geometry are nearly all timers
+//!   (epoll deadlines, TCP retransmission timers, UDP request timeouts).
+//!   Overflow events migrate into the wheel lazily as the cursor advances,
+//!   so each pays O(log overflow) once instead of keeping the hot path's
+//!   comparisons.
+//!
+//! A push into an empty queue re-anchors the cursor just before the
+//! event's bucket. Without it, a queue drained and refilled (a snapshot's
+//! save or restore pops every event and pushes them back) would keep its
+//! cursor at the farthest event's bucket, and every refilled event would
+//! land in the side heap of the active bucket until simulated time caught
+//! up with it.
 //!
 //! The bucket the cursor arrives at is sorted once, *descending* by
 //! [`EventKey`], so serving its next event is a `Vec::pop`. Events scheduled
@@ -123,14 +134,16 @@ impl<M> EventQueue<M> for HeapQueue<M> {
     }
 }
 
-/// Default bucket width: `2^16` ps ≈ 65.5 ns. Events are stored by value, so
+/// Default bucket width: `2^17` ps ≈ 131 ns. Events are stored by value, so
 /// wide buckets keep a bucket's events contiguous and amortize the cursor
 /// advance over all of them; narrower buckets (2^14 ps and below) measure
 /// 20–25% slower end to end, see the grid in DESIGN.md §4.
-const BUCKET_SHIFT_PS: u32 = 16;
-/// Default wheel size: `2^8` buckets → one revolution ≈ 16.8 µs, which must
-/// stay past a full-size frame's serialization at 1 Gbps (12.3 µs) or every
-/// such delivery detours through the overflow heap; longer timers do.
+const BUCKET_SHIFT_PS: u32 = 17;
+/// Default wheel size: `2^8` buckets → one revolution ≈ 33.6 µs, which must
+/// cover the longest delivery the declared workloads schedule: a 2,114-byte
+/// partition-aggregate answer takes 16.9 µs to serialize at 1 Gbps, and
+/// every such delivery past the revolution detours through the overflow
+/// heap. Timers (epoll deadlines, RTOs, request timeouts) still do.
 const BUCKET_BITS: u32 = 8;
 
 /// Two-tier calendar-queue scheduler; see the module docs.
@@ -340,6 +353,12 @@ impl<M> CalendarQueue<M> {
 impl<M> EventQueue<M> for CalendarQueue<M> {
     fn push(&mut self, ev: Event<M>) {
         let b = self.bucket_of(&ev.key);
+        if self.len == 0 {
+            // Nothing pending, so the cursor is free to move, backwards
+            // included: anchor it just before this event's bucket so the
+            // event, and whatever follows it, lands on the wheel.
+            self.cursor = b.saturating_sub(1);
+        }
         self.len += 1;
         if b <= self.cursor {
             // Active (or past — tolerated for robustness) bucket. Executors
@@ -485,6 +504,44 @@ mod tests {
         q.push(ev(100, 8, 3));
         let order: Vec<u32> = drain_keys(&mut q).iter().map(|k| k.target.0).collect();
         assert_eq!(order, vec![6, 7, 8]);
+    }
+
+    #[test]
+    fn a_two_kilobyte_answer_at_one_gbps_lands_on_the_wheel() {
+        // A 2,114-byte frame serializes in 16,912 ns at 1 Gbps (1,000 ps a
+        // bit); with 500 ns of propagation its delivery is past a 16.8 µs
+        // revolution and inside a 33.6 µs one.
+        const DELIVERY_PS: u64 = 2_114 * 8 * 1_000 + 500_000;
+        let mut q = CalendarQueue::<()>::new();
+        // Two events in the draining bucket; one stays pending so the push
+        // below is measured from the cursor, not re-anchored.
+        q.push(ev(5_000_000, 0, 0));
+        q.push(ev(5_000_000, 1, 1));
+        q.pop();
+        q.push(ev(5_000_000 + DELIVERY_PS, 0, 2));
+        assert!(q.overflow.is_empty());
+        assert_eq!(q.wheel_len, 1);
+    }
+
+    #[test]
+    fn a_drained_queue_refilled_in_key_order_leaves_late_empty() {
+        let mut q = CalendarQueue::<()>::new();
+        let times = [1_000_000, 2_000_000, 3_000_000, 250_000_000_000];
+        for (seq, &t) in times.iter().enumerate() {
+            q.push(ev(t, 0, seq as u64));
+        }
+        // A snapshot's save: pop everything, the cursor ends at the 250 ms
+        // timer's bucket; then push it all back in key order.
+        let saved = core::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        assert_eq!(saved.len(), times.len());
+        for e in saved {
+            q.push(e);
+        }
+        assert!(q.late.is_empty());
+        assert_eq!(q.wheel_len, 3);
+        assert_eq!(q.overflow.len(), 1);
+        let got = drain_keys(&mut q);
+        assert_eq!(got.iter().map(|k| k.time.as_picos()).collect::<Vec<_>>(), times);
     }
 
     #[test]

@@ -3,24 +3,29 @@
 //! interleaving of pushes and pops and at *any* wheel geometry, including
 //! same-instant re-pushes into the draining bucket (the path wide buckets
 //! hit constantly), times exactly on a bucket edge or exactly at the
-//! wheel's reach, and far-future times that ride the overflow heap.
+//! wheel's reach, far-future times that ride the overflow heap, and a
+//! queue drained to empty and refilled (a snapshot's save), which
+//! re-anchors the wheel.
 
 use diablo_engine::event::{ComponentId, Event, EventKey, EventKind};
 use diablo_engine::sched::{CalendarQueue, EventQueue, HeapQueue};
 use diablo_engine::time::SimTime;
 use proptest::prelude::*;
 
-/// Far enough past the default wheel's reach (one revolution, ~16.8 us) to
+/// Far enough past the default wheel's reach (one revolution, ~33.6 us) to
 /// always land in the overflow heap: 200 ms, a TCP retransmission timeout.
 const FAR_PS: u64 = 200_000_000_000;
 
 /// `(bucket_shift_ps, bucket_bits)` of `CalendarQueue::new()`. Only the
 /// sharpness of the edge cases below depends on this staying in step with
 /// `sched.rs`; the equivalence itself holds at any value.
-const DEFAULT_GEOMETRY: (u32, u32) = (16, 8);
+const DEFAULT_GEOMETRY: (u32, u32) = (17, 8);
 
 /// Geometries the order must not depend on.
-const GEOMETRIES: [(u32, u32); 5] = [
+const GEOMETRIES: [(u32, u32); 6] = [
+    // 256 slots of 2^16 ps (~16.8 us): a revolution shorter than a 2 KB
+    // frame's delivery at 1 Gbps, which then migrates through the overflow.
+    (16, 8),
     // One slot: the wheel proper can hold nothing, every event that is not
     // in the draining bucket rides the overflow heap.
     (16, 0),
@@ -54,7 +59,10 @@ fn ev(time_ps: u64, target: u32, seq: u64) -> Event<u32> {
 ///
 /// Each op is `(raw_time, target, action)`. `action & 3` pops follow the
 /// push; `action >> 5` picks how `raw_time` becomes the delivery time,
-/// relative to the `(shift, bits)` geometry `cal` was built with.
+/// relative to the `(shift, bits)` geometry `cal` was built with; when the
+/// three bits between are all set, both queues are then popped to empty and
+/// refilled in key order, as a snapshot's save does, leaving "now" where it
+/// was.
 fn check_equivalence(
     mut cal: CalendarQueue<u32>,
     (shift, bits): (u32, u32),
@@ -88,6 +96,18 @@ fn check_equivalence(
             prop_assert_eq!(a, b);
             if let Some(k) = a {
                 now_ps = k.time.as_picos();
+            }
+        }
+        if action & 0x1c == 0x1c {
+            let mut saved = Vec::with_capacity(heap.len());
+            while let Some(e) = heap.pop() {
+                prop_assert_eq!(cal.pop().map(|e| e.key), Some(e.key));
+                saved.push(e);
+            }
+            prop_assert!(cal.is_empty());
+            for e in saved {
+                cal.push(e.clone());
+                heap.push(e);
             }
         }
         prop_assert_eq!(cal.len(), heap.len());

@@ -1794,11 +1794,11 @@ impl Kernel {
     ) -> ExecOutcome {
         let ep = epfd.0;
         let watched = match &self.sockets[ep as usize].kind {
-            SocketKind::Epoll { watched } => watched.clone(),
+            SocketKind::Epoll { watched } => watched,
             _ => return ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
         };
         let mut events = Vec::new();
-        for (sid, interest) in watched {
+        for &(sid, interest) in watched {
             let ready = self.readiness(sid).intersect(interest);
             if !ready.is_empty() {
                 events.push((Fd(sid), ready));
