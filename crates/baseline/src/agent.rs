@@ -236,12 +236,6 @@ impl TcpSink {
         self.delivered * PKT_SIZE as u64
     }
 
-    /// Resets the delivery counter between iterations (sequence state is
-    /// kept: the sender's numbering continues).
-    pub fn take_delivered(&mut self) -> u64 {
-        std::mem::take(&mut self.delivered)
-    }
-
     /// Processes a data packet, returning the ACK to send back.
     pub fn on_data(&mut self, seg: &TcpSegment) -> TcpSegment {
         let pkt = seg.seq;

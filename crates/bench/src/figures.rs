@@ -2,18 +2,21 @@
 //! Figs. 2, 6, 8–15), the cost claims and the two ablations are the rows of
 //! [`FIGURES`], which `wsc_sim figure <id>...|all` regenerates. A row says
 //! what the figure is and which flags it reads; its function builds the
-//! configurations, runs them and returns the rows of `results/<id>.csv`.
-//! Parsing, the banner, printing, writing the CSV and reporting errors
-//! belong to the caller and exist once.
+//! configurations at the figure's own defaults, applies the run flags it
+//! was handed (the rows of [`FLAGS`](crate::flags::FLAGS) `wsc_sim
+//! memcached`/`incast` apply), runs them and returns the rows of
+//! `results/<id>.csv`. Parsing, the banner, printing, writing the CSV and
+//! reporting errors belong to the caller and exist once.
 
+use crate::flags::{Flag, Options, Scenario};
 use diablo_apps::memcached::McVersion;
 use diablo_baseline::analytic::incast_goodput_analytic;
 use diablo_baseline::run_baseline_incast;
 use diablo_core::report::{fmt_f, percentiles_us, tail_cdf_us, Table, PERCENTILES};
 use diablo_core::survey::{median_servers, median_switches, sigcomm_survey, workload_counts};
 use diablo_core::{
-    try_run_incast, try_run_memcached, ExperimentError, IncastClientKind, IncastConfig,
-    McExperimentConfig, McExperimentResult, RunMode, SwitchTemplate,
+    run, CheckpointPolicy, ExperimentError, IncastClientKind, IncastConfig, McExperimentConfig,
+    McExperimentResult, RunMode, SwitchTemplate,
 };
 use diablo_engine::stats::Histogram;
 use diablo_engine::time::SimDuration;
@@ -23,43 +26,55 @@ use diablo_net::switch::{BufferConfig, SwitchConfig};
 use diablo_stack::process::Proto;
 use diablo_stack::profile::KernelProfile;
 
-/// What the figure flags set. `None` and `false` leave a figure's own
-/// scaled-down default (EXPERIMENTS.md documents each); a figure is
-/// handed only the flags its row declares.
-#[derive(Debug, Clone, Default)]
+/// What a figure is handed of the figure flags its row declares. `None`
+/// and `false` leave a figure's own scaled-down default (EXPERIMENTS.md
+/// documents each).
+#[derive(Clone, Default)]
 pub struct FigOpts {
-    /// `--racks`.
-    pub racks: Option<usize>,
-    /// `--requests`: requests per memcached client.
-    pub requests: Option<u64>,
+    /// The run flags given (`--racks`, `--requests`, `--seed`, ...), applied
+    /// to every config the figure builds after its own defaults.
+    pub run: Vec<(&'static Flag, String)>,
     /// `--full`: the paper's 31-server, 2-memcached racks (16 and 64 of them in Figure 15).
     pub full: bool,
-    /// `--spr`: servers per rack.
-    pub spr: Option<usize>,
-    /// `--mc-per-rack`.
-    pub mc_per_rack: Option<usize>,
-    /// `--workers`: threads per memcached server.
-    pub workers: Option<usize>,
-    /// `--seed`.
-    pub seed: Option<u64>,
-    /// `--iterations`: synchronized reads per incast point.
-    pub iterations: Option<u64>,
-    /// `--block`: bytes striped over the servers per iteration.
-    pub block: Option<u32>,
     /// `--fine`: every server count instead of the coarse sweep.
     pub fine: bool,
     /// `--buffer-kb`: per-port switch buffer.
     pub buffer_kb: Option<u32>,
     /// `--clients`: the largest client count of Figure 8.
     pub clients: Option<usize>,
-    /// `--servers`: the incast fan-in of the buffer ablation.
-    pub servers: Option<usize>,
     /// `--reconnect-every`: requests per TCP connection in Figure 15.
     pub reconnect_every: Option<u64>,
     /// `--pipelines`: server pipelines on the rack FPGA.
     pub pipelines: Option<u64>,
     /// `--threads`: hardware threads per pipeline.
     pub threads: Option<u32>,
+}
+
+impl FigOpts {
+    /// `scenario` with the run flags applied.
+    fn apply(&self, mut scenario: Scenario) -> Result<Scenario, ExperimentError> {
+        for (flag, value) in &self.run {
+            (flag.apply)(&mut scenario, &mut Options::default(), value)
+                .map_err(|e| ExperimentError::InvalidConfig(format!("{} {e}", flag.name)))?;
+        }
+        Ok(scenario)
+    }
+
+    /// A memcached config the figure built, with the run flags applied.
+    fn mc(&self, cfg: McExperimentConfig) -> Result<McExperimentConfig, ExperimentError> {
+        match self.apply(Scenario::Memcached(cfg))? {
+            Scenario::Memcached(cfg) => Ok(cfg),
+            _ => unreachable!("a flag keeps the scenario's kind"),
+        }
+    }
+
+    /// An incast config the figure built, with the run flags applied.
+    fn incast(&self, cfg: IncastConfig) -> Result<IncastConfig, ExperimentError> {
+        match self.apply(Scenario::Incast(cfg))? {
+            Scenario::Incast(cfg) => Ok(cfg),
+            _ => unreachable!("a flag keeps the scenario's kind"),
+        }
+    }
 }
 
 /// The rows of a figure's CSV, under the columns its [`Figure`] declares.
@@ -169,7 +184,7 @@ pub const FIGURES: &[Figure] = &[
         columns: "version,latency_us,cum_frac",
         flags: &["--racks", "--requests", "--spr"],
         shape: "paper shape: <0.1% of requests far past the median; 1.4.17 slightly ahead of 1.4.15",
-        run: fig09,
+        run: |o| fig09(o)?.run(),
     },
     Figure {
         id: "fig10_hop_pmf",
@@ -185,7 +200,7 @@ pub const FIGURES: &[Figure] = &[
         columns: "racks,nodes,latency_us,cum_frac",
         flags: MC_FLAGS_FIXED_RACKS,
         shape: "paper shape: p99 at the largest scale an order of magnitude above the smallest",
-        run: fig11,
+        run: |o| fig11(o)?.run(),
     },
     Figure {
         id: "fig12_switch_latency",
@@ -193,7 +208,7 @@ pub const FIGURES: &[Figure] = &[
         columns: "extra_ns,latency_us,cum_frac",
         flags: MC_FLAGS,
         shape: "paper shape: tail shape unchanged; p99 rises moderately; non-tail untaxed",
-        run: fig12,
+        run: |o| fig12(o)?.run(),
     },
     Figure {
         id: "fig13_tcp_vs_udp",
@@ -202,7 +217,7 @@ pub const FIGURES: &[Figure] = &[
         flags: MC_FLAGS_FIXED_RACKS,
         shape: "paper shape: 1G small scale favours UDP, largest favours TCP (the conclusion \
                 reverses with scale); 10G shows little difference",
-        run: fig13,
+        run: |o| fig13(o)?.run(),
     },
     Figure {
         id: "fig14_kernel",
@@ -210,7 +225,7 @@ pub const FIGURES: &[Figure] = &[
         columns: "kernel,latency_us,cum_frac",
         flags: MC_FLAGS,
         shape: "paper shape: the newer kernel roughly halves average latency and thins the tail",
-        run: fig14,
+        run: |o| fig14(o)?.run(),
     },
     Figure {
         id: "fig15_memcached_version",
@@ -226,7 +241,7 @@ pub const FIGURES: &[Figure] = &[
             "--reconnect-every",
         ],
         shape: "paper shape: negligible delta at small scale; clear 1.4.17 advantage at scale",
-        run: fig15,
+        run: |o| fig15(o)?.run(),
     },
     Figure {
         id: "ablation_quantum",
@@ -298,14 +313,14 @@ fn cost_model(_: &FigOpts) -> Result<Output, ExperimentError> {
 }
 
 fn fig06a(o: &FigOpts) -> Result<Output, ExperimentError> {
-    let (iterations, block) = (o.iterations.unwrap_or(5), o.block.unwrap_or(256 * 1024));
     let servers = if o.fine { (1..=24).collect() } else { vec![1, 2, 3, 4, 6, 8, 12, 16, 20, 24] };
     let mut rows = Rows::new();
     for n in servers {
         let mut cfg = IncastConfig::fig6a(n);
-        cfg.iterations = iterations;
-        cfg.block_bytes = block;
-        let diablo = try_run_incast(&cfg)?;
+        cfg.iterations = 5;
+        let cfg = o.incast(cfg)?;
+        let (iterations, block) = (cfg.iterations, cfg.block_bytes);
+        let diablo = run(&cfg, &CheckpointPolicy::default())?;
         let sw = SwitchConfig::shallow_gbe("tor", (n + 2) as u16);
         let ns2 = run_baseline_incast(n, iterations, block as u64, sw, LinkParams::gbe(500));
         let analytic =
@@ -329,10 +344,11 @@ fn fig06b(o: &FigOpts) -> Result<Output, ExperimentError> {
         for ghz in [4, 2] {
             for kind in [IncastClientKind::Pthread, IncastClientKind::Epoll] {
                 let mut cfg = IncastConfig::fig6b(n, ghz, kind);
-                cfg.iterations = o.iterations.unwrap_or(10);
+                cfg.iterations = 10;
                 let buffer = BufferConfig::PerPort { bytes_per_port };
                 cfg.switch = Some(SwitchTemplate { buffer, ..SwitchTemplate::ten_gbe_fast() });
-                row.push(fmt_f(try_run_incast(&cfg)?.goodput_mbps, 1));
+                let r = run(&o.incast(cfg)?, &CheckpointPolicy::default())?;
+                row.push(fmt_f(r.goodput_mbps, 1));
             }
         }
         rows.push(row);
@@ -344,19 +360,20 @@ fn fig06b(o: &FigOpts) -> Result<Output, ExperimentError> {
 /// decision #5), over the size sweep behind the DIABLO-vs-hardware gap
 /// in Figure 6(a).
 fn ablation_buffers(o: &FigOpts) -> Result<Output, ExperimentError> {
-    let servers = o.servers.unwrap_or(8);
+    let mut base = IncastConfig::fig6a(8);
+    base.iterations = 4;
+    let base = o.incast(base)?;
     let mut rows = Rows::new();
     for kb in [4u32, 16, 64, 256] {
         // A shared pool the size of all ports' dedicated buffers.
-        let pool_kb = kb * (servers as u32 + 1);
+        let pool_kb = kb * (base.servers as u32 + 1);
         for (organization, kb, buffer) in [
             ("per-port", kb, BufferConfig::PerPort { bytes_per_port: kb * 1024 }),
             ("shared pool", pool_kb, BufferConfig::Shared { total_bytes: pool_kb * 1024 }),
         ] {
-            let mut cfg = IncastConfig::fig6a(servers);
-            cfg.iterations = o.iterations.unwrap_or(4);
+            let mut cfg = base.clone();
             cfg.switch = Some(SwitchTemplate { buffer, ..SwitchTemplate::gbe_shallow() });
-            let r = try_run_incast(&cfg)?;
+            let r = run(&cfg, &CheckpointPolicy::default())?;
             let mbps = fmt_f(r.goodput_mbps, 1);
             rows.push(row![organization, format!("{kb}K"), mbps, r.switch_drops]);
         }
@@ -364,7 +381,7 @@ fn ablation_buffers(o: &FigOpts) -> Result<Output, ExperimentError> {
     Ok(Output { rows, ..Output::default() })
 }
 
-/// The flags [`mc_config`] reads.
+/// The flags the [`at_scale`] memcached figures read.
 const MC_FLAGS: &[&str] =
     &["--racks", "--requests", "--full", "--spr", "--mc-per-rack", "--workers", "--seed"];
 
@@ -377,22 +394,15 @@ const MC_FLAGS_FIXED_RACKS: &[&str] = MC_FLAGS.split_at(1).1;
 /// drives the tail growth.
 const SCALES: [usize; 3] = [16, 32, 64];
 
-/// An at-scale memcached configuration: mini racks unless `--full`, the
-/// figure's default rack count and requests per client unless flags say
+/// An at-scale memcached configuration at the figure's rack count and
+/// requests per client: the paper's racks under `--full`, mini ones
 /// otherwise.
-fn mc_config(o: &FigOpts, racks: usize, requests: u64) -> McExperimentConfig {
-    let (racks, requests) = (o.racks.unwrap_or(racks), o.requests.unwrap_or(requests));
-    let mut cfg = if o.full {
+fn at_scale(o: &FigOpts, racks: usize, requests: u64) -> McExperimentConfig {
+    if o.full {
         McExperimentConfig::paper(racks, requests)
     } else {
-        let mut c = McExperimentConfig::mini(racks, requests);
-        c.servers_per_rack = o.spr.unwrap_or(c.servers_per_rack);
-        c.mc_per_rack = o.mc_per_rack.unwrap_or(c.mc_per_rack);
-        c
-    };
-    cfg.workers = o.workers.unwrap_or(cfg.workers);
-    cfg.seed = o.seed.unwrap_or(cfg.seed);
-    cfg
+        McExperimentConfig::mini(racks, requests)
+    }
 }
 
 /// Nanoseconds as microseconds, to the CSVs' one decimal.
@@ -400,38 +410,39 @@ fn us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1e3)
 }
 
-/// What the six tail-CDF figures (9, 11-15) accumulate, one memcached run
-/// per series: the CSV's CDF points from quantile `from` up, a printed row
-/// of percentiles, and the latency histogram.
+/// A tail-CDF figure (9, 11-15) before it runs: one memcached run per
+/// series, each tabulated as the CSV's CDF points from quantile `from` up
+/// and a printed row of percentiles.
 struct Tails {
+    /// The columns that tell the series apart.
+    key: &'static [&'static str],
     from: f64,
-    rows: Rows,
-    summary: Table,
-    latency: Vec<Histogram>,
+    /// Each series' key cells and config, the run flags applied.
+    series: Vec<(Vec<String>, McExperimentConfig)>,
+    /// The measured line printed under the table, from the series' latencies.
+    note: fn(&[Histogram]) -> String,
 }
 
 impl Tails {
-    /// `key` names the columns that tell the series apart.
-    fn new(key: &[&str], from: f64) -> Tails {
+    fn new(key: &'static [&'static str], from: f64) -> Tails {
+        Tails { key, from, series: Vec::new(), note: |_| String::new() }
+    }
+
+    fn run(self) -> Result<Output, ExperimentError> {
         let percentiles = PERCENTILES.iter().map(|(name, _)| format!("{name}_us"));
-        let summary = Table::new(key.iter().map(|k| k.to_string()).chain(percentiles).collect());
-        Tails { from, rows: Rows::new(), summary, latency: Vec::new() }
-    }
-
-    /// Runs `cfg` as the series `key`.
-    fn run(&mut self, key: Vec<String>, cfg: &McExperimentConfig) -> Result<(), ExperimentError> {
-        let latency = try_run_memcached(cfg)?.latency;
-        for (us, q) in tail_cdf_us(&latency, self.from) {
-            self.rows.push([&key[..], &[format!("{us:.1}"), format!("{q:.5}")]].concat());
+        let header = self.key.iter().map(|k| k.to_string()).chain(percentiles).collect();
+        let (mut rows, mut summary, mut latencies) = (Rows::new(), Table::new(header), Vec::new());
+        for (key, cfg) in self.series {
+            let latency = run(&cfg, &CheckpointPolicy::default())?.latency;
+            for (us, q) in tail_cdf_us(&latency, self.from) {
+                rows.push([&key[..], &[format!("{us:.1}"), format!("{q:.5}")]].concat());
+            }
+            let percentiles =
+                percentiles_us(&latency).into_iter().map(|(_, us)| format!("{us:.1}"));
+            summary.row(key.into_iter().chain(percentiles).collect());
+            latencies.push(latency);
         }
-        let percentiles = percentiles_us(&latency).into_iter().map(|(_, us)| format!("{us:.1}"));
-        self.summary.row(key.into_iter().chain(percentiles).collect());
-        self.latency.push(latency);
-        Ok(())
-    }
-
-    fn finish(self) -> Output {
-        Output { rows: self.rows, summary: Some(self.summary), ..Output::default() }
+        Ok(Output { rows, summary: Some(summary), note: (self.note)(&latencies) })
     }
 }
 
@@ -442,16 +453,16 @@ fn fig08(o: &FigOpts) -> Result<Output, ExperimentError> {
     for clients in (1..=max_clients).step_by(if max_clients > 8 { 2 } else { 1 }) {
         let mut row = row![clients];
         for workers in [4, 8] {
-            let mut cfg = McExperimentConfig::mini(1, o.requests.unwrap_or(150));
+            let mut cfg = McExperimentConfig::mini(1, 150);
             cfg.servers_per_rack = clients + 1;
             cfg.mc_per_rack = 1;
             cfg.workers = workers;
             cfg.proto = Proto::Tcp;
-            cfg.seed = o.seed.unwrap_or(7);
+            cfg.seed = 7;
             // Heavier per-request service cost so saturation appears within
             // the paper's 1..14-client sweep (~15 us of logic at 4 GHz).
             cfg.request_work = 60_000;
-            let r = try_run_memcached(&cfg)?;
+            let r = run(&o.mc(cfg)?, &CheckpointPolicy::default())?;
             row.push(fmt_f(r.served as f64 / r.completed_at.as_secs_f64().max(1e-9), 0));
             row.push(fmt_f(r.latency.mean() / 1e3, 1));
         }
@@ -460,18 +471,18 @@ fn fig08(o: &FigOpts) -> Result<Output, ExperimentError> {
     Ok(Output { rows, ..Output::default() })
 }
 
-fn fig09(o: &FigOpts) -> Result<Output, ExperimentError> {
+fn fig09(o: &FigOpts) -> Result<Tails, ExperimentError> {
     let mut tails = Tails::new(&["version"], 0.98);
     for version in [McVersion::V1_4_15, McVersion::V1_4_17] {
         // 8 racks x 15 nodes = 120 nodes, like the paper's validation cluster.
-        let mut cfg = McExperimentConfig::mini(o.racks.unwrap_or(8), o.requests.unwrap_or(150));
-        cfg.servers_per_rack = o.spr.unwrap_or(15);
+        let mut cfg = McExperimentConfig::mini(8, 150);
+        cfg.servers_per_rack = 15;
         cfg.mc_per_rack = 2;
         cfg.version = version;
         cfg.proto = Proto::Tcp;
-        tails.run(row![version.as_str()], &cfg)?;
+        tails.series.push((row![version.as_str()], o.mc(cfg)?));
     }
-    Ok(tails.finish())
+    Ok(tails)
 }
 
 /// Requests classified by the switch levels they cross (local / 1-hop /
@@ -481,10 +492,10 @@ fn fig10(o: &FigOpts) -> Result<Output, ExperimentError> {
     let mut summary = Table::new(vec!["link", "class", "n", "p50_us", "p99_us", "max_us"]);
     for (link, ten_gig) in [("1Gbps", false), ("10Gbps", true)] {
         // 36 mini-racks over 3 arrays, so all three hop classes exist.
-        let mut cfg = mc_config(o, 36, 120);
+        let mut cfg = at_scale(o, 36, 120);
         cfg.proto = Proto::Udp;
         cfg.ten_gig = ten_gig;
-        let r = try_run_memcached(&cfg)?;
+        let r = run(&o.mc(cfg)?, &CheckpointPolicy::default())?;
         let classes = ["local", "1-hop", "2-hop"].into_iter().zip(&r.by_class);
         for (class, hist) in classes.chain([("overall", &r.latency)]) {
             let (p50, p99) = (us(hist.quantile(0.5)), us(hist.quantile(0.99)));
@@ -502,88 +513,92 @@ fn fig10(o: &FigOpts) -> Result<Output, ExperimentError> {
     Ok(Output { rows, summary: Some(summary), ..Output::default() })
 }
 
-fn fig11(o: &FigOpts) -> Result<Output, ExperimentError> {
+fn fig11(o: &FigOpts) -> Result<Tails, ExperimentError> {
     let mut tails = Tails::new(&["racks", "nodes"], 0.95);
     for racks in SCALES {
-        let mut cfg = mc_config(o, racks, 150);
+        let mut cfg = at_scale(o, racks, 150);
         cfg.proto = Proto::Udp;
-        tails.run(row![racks, cfg.nodes()], &cfg)?;
+        let cfg = o.mc(cfg)?;
+        tails.series.push((row![racks, cfg.nodes()], cfg));
     }
-    Ok(tails.finish())
+    Ok(tails)
 }
 
 /// Extra port-to-port latency at every switch level.
-fn fig12(o: &FigOpts) -> Result<Output, ExperimentError> {
+fn fig12(o: &FigOpts) -> Result<Tails, ExperimentError> {
     let mut tails = Tails::new(&["extra_ns"], 0.96);
     for extra_ns in [0u64, 50, 100] {
-        let mut cfg = mc_config(o, 32, 400);
+        let mut cfg = at_scale(o, 32, 400);
         cfg.proto = Proto::Udp;
         cfg.ten_gig = true;
         cfg.extra_switch_latency = SimDuration::from_nanos(extra_ns);
-        tails.run(row![extra_ns], &cfg)?;
+        tails.series.push((row![extra_ns], o.mc(cfg)?));
     }
-    Ok(tails.finish())
+    Ok(tails)
 }
 
 /// Panels (a-f): three scales on both interconnects, each protocol.
-fn fig13(o: &FigOpts) -> Result<Output, ExperimentError> {
+fn fig13(o: &FigOpts) -> Result<Tails, ExperimentError> {
     let mut tails = Tails::new(&["panel", "proto"], 0.97);
     for (gbps, ten_gig) in [("1G", false), ("10G", true)] {
         for racks in SCALES {
             for (label, proto) in [("UDP", Proto::Udp), ("TCP", Proto::Tcp)] {
-                let mut cfg = mc_config(o, racks, 150);
+                let mut cfg = at_scale(o, racks, 150);
                 cfg.proto = proto;
                 cfg.ten_gig = ten_gig;
-                tails.run(row![format!("{racks}racks-{gbps}"), label], &cfg)?;
+                tails.series.push((row![format!("{racks}racks-{gbps}"), label], o.mc(cfg)?));
             }
         }
     }
-    Ok(tails.finish())
+    Ok(tails)
 }
 
-fn fig14(o: &FigOpts) -> Result<Output, ExperimentError> {
+fn fig14(o: &FigOpts) -> Result<Tails, ExperimentError> {
     let mut tails = Tails::new(&["kernel"], 0.95);
     for kernel in [KernelProfile::linux_2_6_39(), KernelProfile::linux_3_5_7()] {
-        let mut cfg = mc_config(o, 32, 120);
+        let mut cfg = at_scale(o, 32, 120);
         cfg.proto = Proto::Udp;
         cfg.ten_gig = true;
         cfg.kernel = kernel;
-        tails.run(row![cfg.kernel.name], &cfg)?;
+        tails.series.push((row![cfg.kernel.name], o.mc(cfg)?));
     }
     // The far tail is retry-dominated and identical under both kernels, so
     // the median carries the effect.
-    let (old, new) = (&tails.latency[0], &tails.latency[1]);
-    let medians = old.quantile(0.5) as f64 / new.quantile(0.5) as f64;
-    let (old, new) = (old.mean() / 1e3, new.mean() / 1e3);
-    let note = format!("median old/new = {medians:.2}; mean {old:.1} us vs {new:.1} us");
-    Ok(Output { note, ..tails.finish() })
+    tails.note = |latency| {
+        let (old, new) = (&latency[0], &latency[1]);
+        let medians = old.quantile(0.5) as f64 / new.quantile(0.5) as f64;
+        let (old, new) = (old.mean() / 1e3, new.mean() / 1e3);
+        format!("median old/new = {medians:.2}; mean {old:.1} us vs {new:.1} us")
+    };
+    Ok(tails)
 }
 
 /// `accept` + `fcntl` against `accept4`, over TCP where connection setup
 /// matters.
-fn fig15(o: &FigOpts) -> Result<Output, ExperimentError> {
+fn fig15(o: &FigOpts) -> Result<Tails, ExperimentError> {
     let mut tails = Tails::new(&["racks", "version"], 0.97);
     for racks in if o.full { [16, 64] } else { [4, 16] } {
         for version in [McVersion::V1_4_15, McVersion::V1_4_17] {
-            let mut cfg = mc_config(o, racks, 300);
+            let mut cfg = at_scale(o, racks, 300);
             cfg.proto = Proto::Tcp;
             cfg.version = version;
             // Connection churn keeps the accept path on the measurement
             // path: clients re-open a connection every few requests.
             cfg.reconnect_every = Some(o.reconnect_every.unwrap_or(5));
-            tails.run(row![racks, version.as_str()], &cfg)?;
+            tails.series.push((row![racks, version.as_str()], o.mc(cfg)?));
         }
     }
-    Ok(tails.finish())
+    Ok(tails)
 }
 
 /// Partitions and synchronization quantum against serial execution
 /// (DESIGN.md decision #4, mirroring DIABLO's multi-FPGA synchronization).
 /// Wall times are printed, not stored: the CSV is reproducible.
 fn ablation_quantum(o: &FigOpts) -> Result<Output, ExperimentError> {
-    let mut base = McExperimentConfig::mini(o.racks.unwrap_or(8), o.requests.unwrap_or(60));
+    let mut base = McExperimentConfig::mini(8, 60);
     base.proto = Proto::Udp;
-    let serial = try_run_memcached(&base)?;
+    let base = o.mc(base)?;
+    let serial = run(&base, &CheckpointPolicy::default())?;
     let mut rows = vec![row!["serial", "-", serial.events, "-"]];
     let mut walls = vec![serial.wall];
     let result = |r: &McExperimentResult| (r.events, r.served, r.latency.quantile(0.99));
@@ -594,7 +609,7 @@ fn ablation_quantum(o: &FigOpts) -> Result<Output, ExperimentError> {
             let mut cfg = base.clone();
             let quantum = Some(SimDuration::from_nanos(quantum_ns));
             cfg.mode = RunMode::Parallel { partitions, quantum, workers: None };
-            let r = try_run_memcached(&cfg)?;
+            let r = run(&cfg, &CheckpointPolicy::default())?;
             assert_eq!(result(&r), result(&serial), "x{partitions} at {quantum_ns} ns diverged");
             rows.push(row![format!("parallel x{partitions}"), quantum_ns, r.events, "yes"]);
             walls.push(r.wall);
@@ -605,4 +620,35 @@ fn ablation_quantum(o: &FigOpts) -> Result<Output, ExperimentError> {
         summary.row([&row[..], &[fmt_f(wall.as_secs_f64(), 3)]].concat());
     }
     Ok(Output { rows, summary: Some(summary), ..Output::default() })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flags::{fig_opts, given};
+
+    /// What `figure <id> <args>` hands the figure.
+    fn opts(args: &[&str]) -> FigOpts {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        fig_opts(&given("figure", &args).expect("figure flags")).expect("flag values")
+    }
+
+    /// `--full` picks the paper's racks, and the run flags a figure
+    /// declares still shape them.
+    #[test]
+    fn a_full_scale_figure_builds_the_racks_its_flags_ask_for() {
+        let shapes = |tails: Tails| {
+            tails.series.iter().map(|(_, c)| (c.racks, c.servers_per_rack, c.mc_per_rack)).collect()
+        };
+        let o = opts(&["--full", "--spr", "8", "--mc-per-rack", "3", "--workers", "2"]);
+        let tails = fig15(&o).expect("fig15");
+        assert!(tails.series.iter().all(|(_, c)| c.workers == 2));
+        let got: Vec<_> = shapes(tails);
+        assert_eq!(got, [(16, 8, 3), (16, 8, 3), (64, 8, 3), (64, 8, 3)]);
+        let got: Vec<_> = shapes(fig11(&opts(&["--full", "--spr", "12"])).expect("fig11"));
+        assert_eq!(got, [(16, 12, 2), (32, 12, 2), (64, 12, 2)]);
+        // Without flags, the paper's 31-server racks with 2 memcached servers.
+        let got: Vec<_> = shapes(fig14(&opts(&["--full"])).expect("fig14"));
+        assert_eq!(got, [(32, 31, 2), (32, 31, 2)]);
+    }
 }

@@ -5,6 +5,7 @@
 //! printed and written as a CSV under `results/` at scaled-down defaults
 //! (`EXPERIMENTS.md` documents them and the flags that scale up); its
 //! other subcommands run one workload or a sweep on any configuration.
+//! Both read the one flag table, [`flags::FLAGS`].
 //! Simulator speed is measured by the repo benchmark (`benchmark/run.sh`),
 //! not here.
 
@@ -12,6 +13,7 @@
 #![warn(missing_docs)]
 
 pub mod figures;
+pub mod flags;
 
 use std::path::PathBuf;
 

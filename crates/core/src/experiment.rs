@@ -24,7 +24,9 @@
 //! [`build`](Workload::build), poll a done flag in
 //! [`is_done`](Workload::is_done) (keep the poll cheap — it runs on every
 //! horizon doubling), and extract results once in
-//! [`summarize`](Workload::summarize) after completion.
+//! [`summarize`](Workload::summarize) after completion. Their configs
+//! implement [`Experiment`], which the two verbs take: [`run`] drives one
+//! to completion, [`warm`] to a checkpoint instant and no further.
 
 use crate::cluster::{Cluster, ClusterSpec, FabricKind, RunMode, SimHost, SwitchTemplate};
 use crate::fault::{FaultPlan, FaultPlanError};
@@ -42,10 +44,10 @@ use diablo_stack::profile::{CongestionControl, KernelProfile};
 // Shared configuration
 // ====================================================================
 
-/// Default ECN marking threshold (queued bytes per egress port) applied
-/// when a DCTCP run does not pin [`ExperimentBase::ecn_threshold`]
-/// explicitly: deep enough to absorb a line-rate burst, shallow enough
-/// that marking starts well before a 64 KB buffer tail-drops.
+/// ECN marking threshold (queued bytes per egress port) every switch of a
+/// DCTCP run marks at: deep enough to absorb a line-rate burst, shallow
+/// enough that marking starts well before a 64 KB buffer tail-drops.
+/// Reno runs never mark.
 pub const DEFAULT_DCTCP_ECN_THRESHOLD: u32 = 16 * 1024;
 
 /// The experiment knobs every workload shares: cluster shape, fabric and
@@ -61,12 +63,9 @@ pub struct ExperimentBase {
     /// Physical fabric (the baseline tree, or a 3-tier fat-tree whose
     /// switches run flow-consistent ECMP).
     pub fabric: FabricKind,
-    /// Congestion-control algorithm the guest kernels run.
+    /// Congestion-control algorithm the guest kernels run; DCTCP also
+    /// makes every switch mark ECN at [`DEFAULT_DCTCP_ECN_THRESHOLD`].
     pub cc: CongestionControl,
-    /// ECN marking threshold override (queued bytes per switch egress
-    /// port). `None` means automatic: [`DEFAULT_DCTCP_ECN_THRESHOLD`]
-    /// when `cc` is DCTCP, no marking otherwise.
-    pub ecn_threshold: Option<u32>,
     /// Guest kernel.
     pub kernel: KernelProfile,
     /// Server CPU clock override (`None` keeps the spec default).
@@ -135,7 +134,6 @@ impl ExperimentBase {
             topology,
             fabric: FabricKind::Tree,
             cc: CongestionControl::default(),
-            ecn_threshold: None,
             kernel: KernelProfile::linux_2_6_39(),
             cpu: None,
             ten_gig: false,
@@ -176,11 +174,8 @@ impl ExperimentBase {
         }
         // ECN marking rides after the template overrides so a DCTCP run
         // keeps its marking threshold under a custom ToR template.
-        let ecn = self.ecn_threshold.or_else(|| {
-            (self.cc == CongestionControl::Dctcp).then_some(DEFAULT_DCTCP_ECN_THRESHOLD)
-        });
-        if let Some(th) = ecn {
-            spec = spec.with_ecn_threshold(th);
+        if self.cc == CongestionControl::Dctcp {
+            spec = spec.with_ecn_threshold(DEFAULT_DCTCP_ECN_THRESHOLD);
         }
         spec.with_extra_switch_latency(self.extra_switch_latency)
     }
@@ -227,24 +222,15 @@ pub trait Workload {
     fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool;
 
     /// Extracts the workload's measurements after completion (called
-    /// once, before the settle phase runs trailing traffic out).
-    fn summarize(&self, host: &SimHost, cluster: &Cluster) -> Self::Summary;
-
-    /// Merges client-side failure/recovery accounting over all the
-    /// workload's processes (all zeros in a fault-free run).
-    fn failure_stats(&self, host: &SimHost, cluster: &Cluster) -> FailureStats {
-        let _ = (host, cluster);
-        FailureStats::default()
-    }
-
-    /// Merges open-loop SLO accounting (offered-load violations and
-    /// shed requests) over all the workload's processes. Empty for
-    /// closed-loop runs — the default suits workloads without an
-    /// open-loop mode.
-    fn slo_stats(&self, host: &SimHost, cluster: &Cluster) -> SloStats {
-        let _ = (host, cluster);
-        SloStats::default()
-    }
+    /// once, before the settle phase runs trailing traffic out), with the
+    /// client-side failure/recovery accounting (all zeros in a fault-free
+    /// run) and the open-loop SLO accounting (empty in a closed-loop run)
+    /// merged over all its processes in the same walk.
+    fn summarize(
+        &self,
+        host: &SimHost,
+        cluster: &Cluster,
+    ) -> (Self::Summary, FailureStats, SloStats);
 }
 
 // ====================================================================
@@ -461,7 +447,8 @@ impl ExperimentHarness {
         ])
     }
 
-    /// Runs `workload` through the full lifecycle.
+    /// Runs `workload` through the full lifecycle, optionally writing a
+    /// mid-run checkpoint and/or seeding from a restored one.
     ///
     /// # Errors
     ///
@@ -469,83 +456,28 @@ impl ExperimentHarness {
     /// complete within [`Workload::budget`];
     /// [`ExperimentError::FaultPlan`] when the configured fault plan does
     /// not fit the cluster; [`ExperimentError::Engine`] on executor
-    /// failures.
-    pub fn run<W: Workload>(
-        &self,
-        workload: &mut W,
-    ) -> Result<(W::Summary, RunEnvelope), ExperimentError> {
-        self.run_with(workload, &CheckpointPolicy::default())
-    }
-
-    /// Runs only the warm-up prefix of `workload` — build the cluster,
-    /// apply the fault schedule, drive to `at` — and snapshots there
-    /// without running to completion. The shared first leg of a
-    /// checkpoint-seeded sweep: warm once, restore many.
-    ///
-    /// The snapshotted drive horizon is exactly the one the doubling
-    /// loop of [`run_with`](ExperimentHarness::run_with) would carry at
-    /// that instant, so a run restored from a warm checkpoint is
-    /// indistinguishable from one that checkpointed mid-flight.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::CheckpointUnreached`] when `at` lies beyond
-    /// the workload's budget, plus the fault-plan/engine/snapshot
-    /// failures of a normal run.
-    pub fn warm<W: Workload>(
-        &self,
-        workload: &mut W,
-        path: &std::path::Path,
-        at: SimTime,
-    ) -> Result<(), ExperimentError> {
-        let spec = self.base.spec();
-        let (mut host, cluster) = Cluster::instantiate(&spec, self.base.mode);
-        let fingerprint = self.fingerprint(workload.name());
-        let budget = workload.budget();
-        if at > budget {
-            return Err(ExperimentError::CheckpointUnreached { at, finished_at: budget });
-        }
-        if let Some(plan) = &self.base.faults {
-            plan.apply(&mut host, &cluster)?;
-        }
-        workload.build(&mut host, &cluster);
-        // Replay the doubling schedule up to the first horizon covering
-        // `at` — the horizon run_with would hold when it snapshots.
-        let mut horizon = workload.initial_horizon().min(budget);
-        while horizon < at {
-            horizon = SimTime::from_picos(horizon.as_picos() * 2).min(budget);
-        }
-        let mut drive = DriveState {
-            horizon,
-            next_sample: self.base.sample_every.map_or(SimTime::ZERO, |d| SimTime::ZERO + d),
-            series: self.base.sample_every.map(|_| SeriesRecorder::new()),
-        };
-        advance(
-            &mut host,
-            &cluster,
-            at,
-            self.base.sample_every,
-            &mut drive.next_sample,
-            drive.series.as_mut(),
-        )?;
-        snapshot::write_snapshot_file(path, &mut host, fingerprint, &drive)?;
-        Ok(())
-    }
-
-    /// Runs `workload` through the full lifecycle, optionally writing a
-    /// mid-run checkpoint and/or seeding from a restored one.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ExperimentHarness::run`] can return, plus
-    /// [`ExperimentError::Snapshot`] on checkpoint I/O or validation
-    /// failures and [`ExperimentError::CheckpointUnreached`] when the
-    /// run completes before the requested snapshot instant.
+    /// failures; [`ExperimentError::Snapshot`] on checkpoint I/O or
+    /// validation failures and [`ExperimentError::CheckpointUnreached`]
+    /// when the run completes before the requested snapshot instant.
     pub fn run_with<W: Workload>(
         &self,
         workload: &mut W,
         ckpt: &CheckpointPolicy,
     ) -> Result<(W::Summary, RunEnvelope), ExperimentError> {
+        let done = self.drive(workload, ckpt, false)?;
+        Ok(done.expect("only a warm-up stops at its snapshot"))
+    }
+
+    /// The drive loop of [`run_with`](ExperimentHarness::run_with). With
+    /// `stop_after_save` it returns `None` right after it writes the
+    /// policy's snapshot: the warm-up leg of a sweep ([`warm`]), which is
+    /// therefore indistinguishable from a run that checkpointed mid-flight.
+    pub(crate) fn drive<W: Workload>(
+        &self,
+        workload: &mut W,
+        ckpt: &CheckpointPolicy,
+        stop_after_save: bool,
+    ) -> Result<Option<(W::Summary, RunEnvelope)>, ExperimentError> {
         let wall_start = std::time::Instant::now();
 
         // 1. Assemble the cluster.
@@ -589,6 +521,9 @@ impl ExperimentHarness {
                         drive.series.as_mut(),
                     )?;
                     snapshot::write_snapshot_file(path, &mut host, fingerprint, &drive)?;
+                    if stop_after_save {
+                        return Ok(None);
+                    }
                     pending_save = None;
                 }
             }
@@ -618,9 +553,7 @@ impl ExperimentHarness {
         let series = drive.series;
 
         // 5. Extract results, then settle trailing traffic and audit.
-        let failure = workload.failure_stats(&host, &cluster);
-        let slo = workload.slo_stats(&host, &cluster);
-        let summary = workload.summarize(&host, &cluster);
+        let (summary, failure, slo) = workload.summarize(&host, &cluster);
         let conservation = settle(&mut host, &cluster)?;
         debug_assert!(
             conservation.is_balanced(),
@@ -641,8 +574,84 @@ impl ExperimentHarness {
             sim_time: host.now(),
             wall: wall_start.elapsed(),
         };
-        Ok((summary, envelope))
+        Ok(Some((summary, envelope)))
     }
+}
+
+// ====================================================================
+// The two verbs
+// ====================================================================
+
+/// A workload configuration the two verbs [`run`] and [`warm`] drive:
+/// implemented by each workload's config, which says only what is its own
+/// — what it checks, the base it describes, the [`Workload`] it builds,
+/// and how a run's envelope folds into its result.
+pub trait Experiment {
+    /// What a finished run returns. The workload's
+    /// [`summarize`](Workload::summarize) fills the fields it measures,
+    /// [`result`](Experiment::result) those of the [`RunEnvelope`].
+    type Result;
+    /// The workload the config builds, borrowing it.
+    type Workload<'a>: Workload<Summary = Self::Result>
+    where
+        Self: 'a;
+
+    /// The first requirement the config breaks, naming the field and the
+    /// limit, as [`validate`](Experiment::validate) reports it.
+    fn check(&self) -> Result<(), String>;
+
+    /// Checks that the config describes a scenario that can run: none
+    /// that would panic on a field value or spend its budget on no
+    /// operation.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::InvalidConfig`] naming the field and the limit.
+    fn validate(&self) -> Result<(), ExperimentError> {
+        self.check().map_err(ExperimentError::InvalidConfig)
+    }
+
+    /// The shared experiment base this config describes.
+    fn base(&self) -> ExperimentBase;
+
+    /// The workload, not yet built.
+    fn workload(&self) -> Self::Workload<'_>;
+
+    /// The workload's summary with the envelope's fields filled in.
+    fn result(summary: Self::Result, envelope: RunEnvelope) -> Self::Result;
+}
+
+/// Validates `cfg` and runs it to completion under a checkpoint policy
+/// (mid-run snapshot and/or restore-from-snapshot).
+///
+/// # Errors
+///
+/// [`ExperimentError::InvalidConfig`], or what
+/// [`ExperimentHarness::run_with`] returns.
+pub fn run<C: Experiment>(cfg: &C, ckpt: &CheckpointPolicy) -> Result<C::Result, ExperimentError> {
+    cfg.validate()?;
+    let (summary, envelope) =
+        ExperimentHarness::new(cfg.base()).run_with(&mut cfg.workload(), ckpt)?;
+    Ok(C::result(summary, envelope))
+}
+
+/// Validates `cfg`, runs it to `at`, writes a restorable checkpoint there
+/// and stops: the warm-up leg of a sweep (warm once, restore many).
+///
+/// # Errors
+///
+/// [`ExperimentError::InvalidConfig`], or what
+/// [`ExperimentHarness::run_with`] returns for the same checkpoint,
+/// including [`ExperimentError::CheckpointUnreached`] when the workload
+/// completes before `at`.
+pub fn warm(
+    cfg: &impl Experiment,
+    path: &std::path::Path,
+    at: SimTime,
+) -> Result<(), ExperimentError> {
+    cfg.validate()?;
+    let save = CheckpointPolicy { save: Some((path.to_path_buf(), at)), restore_from: None };
+    ExperimentHarness::new(cfg.base()).drive(&mut cfg.workload(), &save, true).map(drop)
 }
 
 #[cfg(test)]
@@ -675,7 +684,9 @@ mod tests {
             false
         }
 
-        fn summarize(&self, _host: &SimHost, _cluster: &Cluster) -> Self::Summary {}
+        fn summarize(&self, _: &SimHost, _: &Cluster) -> ((), FailureStats, SloStats) {
+            Default::default()
+        }
     }
 
     fn tiny_base() -> ExperimentBase {
@@ -685,7 +696,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_a_structured_error_naming_the_workload() {
         let err = ExperimentHarness::new(tiny_base())
-            .run(&mut NeverDone)
+            .run_with(&mut NeverDone, &CheckpointPolicy::default())
             .expect_err("a never-done workload must exhaust its budget");
         match &err {
             ExperimentError::BudgetExhausted { workload, budget, at } => {
@@ -721,15 +732,16 @@ mod tests {
             true
         }
 
-        fn summarize(&self, _host: &SimHost, _cluster: &Cluster) -> Self::Summary {
-            42
+        fn summarize(&self, _: &SimHost, _: &Cluster) -> (u32, FailureStats, SloStats) {
+            (42, FailureStats::default(), SloStats::default())
         }
     }
 
     #[test]
     fn trivial_workload_completes_with_conserved_envelope() {
-        let (summary, env) =
-            ExperimentHarness::new(tiny_base()).run(&mut Immediate).expect("run failed");
+        let (summary, env) = ExperimentHarness::new(tiny_base())
+            .run_with(&mut Immediate, &CheckpointPolicy::default())
+            .expect("run failed");
         assert_eq!(summary, 42);
         assert!(env.conserved(), "idle cluster must balance: {:?}", env.conservation.violations);
         assert_eq!(env.failure, FailureStats::default());

@@ -9,7 +9,8 @@
 
 use crate::cluster::{Cluster, FabricKind, RunMode, SimHost, SwitchTemplate};
 use crate::experiment::{
-    ensure, CheckpointPolicy, ExperimentBase, ExperimentError, ExperimentHarness, Workload,
+    ensure, run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError, RunEnvelope,
+    Workload,
 };
 use crate::fault::FaultPlan;
 use crate::observe::DropAccounting;
@@ -188,9 +189,6 @@ pub struct IncastConfig {
     /// Congestion control the guest kernels run; DCTCP also enables
     /// switch ECN marking.
     pub cc: CongestionControl,
-    /// ECN marking threshold override in queued bytes per egress port
-    /// (`None` keeps the DCTCP default, no marking under Reno).
-    pub ecn_threshold: Option<u32>,
     /// Execution mode.
     pub mode: RunMode,
     /// Seed.
@@ -234,7 +232,6 @@ impl IncastConfig {
             racks: 1,
             fabric: FabricKind::Tree,
             cc: CongestionControl::Reno,
-            ecn_threshold: None,
             mode: RunMode::Serial,
             seed: 0x0001_ca57,
             sample_every: None,
@@ -259,16 +256,11 @@ impl IncastConfig {
         self.fabric = FabricKind::FatTree(ft);
         self
     }
+}
 
-    /// Checks that the config describes a scenario that can run: none that
-    /// would panic on a field value or spend its budget on no operation.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::InvalidConfig`] naming the field and the limit.
-    pub fn validate(&self) -> Result<(), ExperimentError> {
-        self.check().map_err(ExperimentError::InvalidConfig)
-    }
+impl Experiment for IncastConfig {
+    type Result = IncastResult;
+    type Workload<'a> = IncastWorkload<'a>;
 
     fn check(&self) -> Result<(), String> {
         let base = self.base();
@@ -301,7 +293,6 @@ impl IncastConfig {
         }
     }
 
-    /// The shared experiment base this config describes.
     fn base(&self) -> ExperimentBase {
         // A monitoring control plane adds one node for the scheduler.
         let extra = usize::from(self.control.is_some());
@@ -327,7 +318,6 @@ impl IncastConfig {
             topology,
             fabric: self.fabric,
             cc: self.cc,
-            ecn_threshold: self.ecn_threshold,
             kernel: self.kernel.clone(),
             cpu: Some(self.cpu),
             ten_gig: self.ten_gig,
@@ -340,10 +330,27 @@ impl IncastConfig {
             faults: self.faults.clone(),
         }
     }
+
+    fn workload(&self) -> IncastWorkload<'_> {
+        IncastWorkload { cfg: self }
+    }
+
+    fn result(r: IncastResult, env: RunEnvelope) -> IncastResult {
+        IncastResult {
+            events: env.events,
+            exec: env.exec,
+            metrics: env.metrics,
+            series: env.series,
+            conservation: env.conservation,
+            failure: env.failure,
+            slo: env.slo,
+            ..r
+        }
+    }
 }
 
 /// Incast measurements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IncastResult {
     /// Application goodput in Mbps.
     pub goodput_mbps: f64,
@@ -377,17 +384,8 @@ pub struct IncastResult {
 /// The incast scenario behind the [`Workload`] trait: storage servers on
 /// nodes 1..=n, the client (pthread master+workers, or one epoll loop) on
 /// node 0.
-struct IncastWorkload<'a> {
+pub struct IncastWorkload<'a> {
     cfg: &'a IncastConfig,
-}
-
-/// What [`IncastWorkload`] measures.
-struct IncastSummary {
-    goodput_bps: f64,
-    iteration_times: Vec<SimDuration>,
-    switch_drops: u64,
-    offered: u64,
-    control: Option<ControlReport>,
 }
 
 const INCAST_CLIENT: NodeAddr = NodeAddr(0);
@@ -400,7 +398,7 @@ impl IncastWorkload<'_> {
 }
 
 impl Workload for IncastWorkload<'_> {
-    type Summary = IncastSummary;
+    type Summary = IncastResult;
 
     fn name(&self) -> &str {
         "incast"
@@ -479,124 +477,48 @@ impl Workload for IncastWorkload<'_> {
         }
     }
 
-    fn summarize(&self, host: &SimHost, cluster: &Cluster) -> IncastSummary {
+    fn summarize(
+        &self,
+        host: &SimHost,
+        cluster: &Cluster,
+    ) -> (IncastResult, FailureStats, SloStats) {
+        let (mut failure, mut slo) = (FailureStats::default(), SloStats::default());
         let (goodput_bps, iteration_times, offered) = match self.cfg.client {
             IncastClientKind::Pthread => {
                 let m: &IncastMaster =
                     cluster.process(host, INCAST_CLIENT, Tid(0)).expect("master missing");
-                (m.goodput_bps(self.cfg.block_bytes as u64), m.iteration_times.clone(), 0)
-            }
-            IncastClientKind::Epoll => {
-                let c: &IncastEpollClient =
-                    cluster.process(host, INCAST_CLIENT, Tid(0)).expect("client missing");
-                (c.goodput_bps(), c.iteration_times.clone(), c.offered)
-            }
-        };
-        IncastSummary {
-            goodput_bps,
-            iteration_times,
-            switch_drops: cluster.total_switch_drops(host),
-            offered,
-            control: control_report(host, cluster, self.cp_node()),
-        }
-    }
-
-    fn failure_stats(&self, host: &SimHost, cluster: &Cluster) -> FailureStats {
-        let mut failure = FailureStats::default();
-        match self.cfg.client {
-            IncastClientKind::Pthread => {
                 for tid in 1..=self.cfg.servers {
                     let w: &IncastWorker = cluster
                         .process(host, INCAST_CLIENT, Tid(tid as u32))
                         .expect("worker missing");
                     failure.merge(&w.failure);
                 }
+                (m.goodput_bps(self.cfg.block_bytes as u64), m.iteration_times.clone(), 0)
             }
             IncastClientKind::Epoll => {
                 let c: &IncastEpollClient =
                     cluster.process(host, INCAST_CLIENT, Tid(0)).expect("client missing");
                 failure.merge(&c.failure);
+                slo.merge(&c.slo);
+                (c.goodput_bps(), c.iteration_times.clone(), c.offered)
             }
-        }
-        failure
-    }
-
-    fn slo_stats(&self, host: &SimHost, cluster: &Cluster) -> SloStats {
-        let mut slo = SloStats::default();
-        if self.cfg.client == IncastClientKind::Epoll {
-            let c: &IncastEpollClient =
-                cluster.process(host, INCAST_CLIENT, Tid(0)).expect("client missing");
-            slo.merge(&c.slo);
-        }
-        slo
+        };
+        let result = IncastResult {
+            goodput_mbps: goodput_bps / 1e6,
+            iteration_times,
+            switch_drops: cluster.total_switch_drops(host),
+            offered,
+            control: control_report(host, cluster, self.cp_node()),
+            ..IncastResult::default()
+        };
+        (result, failure, slo)
     }
 }
 
-/// Runs one incast configuration to completion.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run`].
+/// [`run`] with no checkpoint, under the name the repo benchmark imports;
+/// its errors are [`run`]'s.
 pub fn try_run_incast(cfg: &IncastConfig) -> Result<IncastResult, ExperimentError> {
-    try_run_incast_with(cfg, &CheckpointPolicy::default())
-}
-
-/// Runs one incast configuration to completion under a checkpoint
-/// policy (mid-run snapshot and/or restore-from-snapshot).
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run_with`].
-pub fn try_run_incast_with(
-    cfg: &IncastConfig,
-    ckpt: &CheckpointPolicy,
-) -> Result<IncastResult, ExperimentError> {
-    cfg.validate()?;
-    let (summary, env) =
-        ExperimentHarness::new(cfg.base()).run_with(&mut IncastWorkload { cfg }, ckpt)?;
-    Ok(IncastResult {
-        goodput_mbps: summary.goodput_bps / 1e6,
-        iteration_times: summary.iteration_times,
-        switch_drops: summary.switch_drops,
-        events: env.events,
-        exec: env.exec,
-        metrics: env.metrics,
-        series: env.series,
-        conservation: env.conservation,
-        failure: env.failure,
-        offered: summary.offered,
-        slo: env.slo,
-        control: summary.control,
-    })
-}
-
-/// Runs one incast configuration to completion.
-///
-/// # Panics
-///
-/// Panics if the scenario deadlocks (client never finishes within the
-/// generous simulated-time budget); use [`try_run_incast`] to handle
-/// that as a structured error instead.
-pub fn run_incast(cfg: &IncastConfig) -> IncastResult {
-    match try_run_incast(cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("incast experiment failed ({} servers): {e}", cfg.servers),
-    }
-}
-
-/// Runs only the incast warm-up prefix — build, drive to `at` — and
-/// writes a restorable checkpoint there.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::warm`].
-pub fn warm_incast(
-    cfg: &IncastConfig,
-    path: &std::path::Path,
-    at: SimTime,
-) -> Result<(), ExperimentError> {
-    cfg.validate()?;
-    ExperimentHarness::new(cfg.base()).warm(&mut IncastWorkload { cfg }, path, at)
+    run(cfg, &CheckpointPolicy::default())
 }
 
 // ====================================================================
@@ -631,9 +553,6 @@ pub struct McExperimentConfig {
     /// Congestion control the guest kernels run; DCTCP also enables
     /// switch ECN marking.
     pub cc: CongestionControl,
-    /// ECN marking threshold override in queued bytes per egress port
-    /// (`None` keeps the DCTCP default, no marking under Reno).
-    pub ecn_threshold: Option<u32>,
     /// Extra switch latency at every level (Figure 12).
     pub extra_switch_latency: SimDuration,
     /// Instructions of server-side application logic per request.
@@ -687,7 +606,6 @@ impl McExperimentConfig {
             ten_gig: false,
             fabric: FabricKind::Tree,
             cc: CongestionControl::Reno,
-            ecn_threshold: None,
             extra_switch_latency: SimDuration::ZERO,
             request_work: 2_500,
             reconnect_every: None,
@@ -731,16 +649,11 @@ impl McExperimentConfig {
         self.fabric = FabricKind::FatTree(ft);
         self
     }
+}
 
-    /// Checks that the config describes a scenario that can run: none that
-    /// would panic on a field value or spend its budget on no operation.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::InvalidConfig`] naming the field and the limit.
-    pub fn validate(&self) -> Result<(), ExperimentError> {
-        self.check().map_err(ExperimentError::InvalidConfig)
-    }
+impl Experiment for McExperimentConfig {
+    type Result = McExperimentResult;
+    type Workload<'a> = McWorkload<'a>;
 
     fn check(&self) -> Result<(), String> {
         self.base().check()?;
@@ -781,7 +694,6 @@ impl McExperimentConfig {
         check_control(ctl, self.racks * pool_slots, "racks x (mc_per_rack + spares_per_rack)")
     }
 
-    /// The shared experiment base this config describes.
     fn base(&self) -> ExperimentBase {
         ExperimentBase {
             topology: TopologyConfig {
@@ -791,7 +703,6 @@ impl McExperimentConfig {
             },
             fabric: self.fabric,
             cc: self.cc,
-            ecn_threshold: self.ecn_threshold,
             kernel: self.kernel.clone(),
             cpu: None,
             ten_gig: self.ten_gig,
@@ -804,10 +715,29 @@ impl McExperimentConfig {
             faults: self.faults.clone(),
         }
     }
+
+    fn workload(&self) -> McWorkload<'_> {
+        McWorkload { cfg: self, shareds: Vec::new(), client_addrs: Vec::new(), cp: None }
+    }
+
+    fn result(r: McExperimentResult, env: RunEnvelope) -> McExperimentResult {
+        McExperimentResult {
+            sim_time: env.sim_time,
+            events: env.events,
+            wall: env.wall,
+            exec: env.exec,
+            metrics: env.metrics,
+            series: env.series,
+            conservation: env.conservation,
+            failure: env.failure,
+            slo: env.slo,
+            ..r
+        }
+    }
 }
 
 /// Aggregated memcached measurements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct McExperimentResult {
     /// All client request latencies (nanoseconds).
     pub latency: Histogram,
@@ -855,28 +785,15 @@ pub struct McExperimentResult {
 
 /// The memcached-at-scale scenario: the first `mc_per_rack` nodes of each
 /// rack serve, every remaining node runs a closed-loop client.
-struct McWorkload<'a> {
+pub struct McWorkload<'a> {
     cfg: &'a McExperimentConfig,
     shareds: Vec<McSharedHandle>,
     client_addrs: Vec<NodeAddr>,
     cp: Option<NodeAddr>,
 }
 
-/// What [`McWorkload`] measures.
-struct McSummary {
-    latency: Histogram,
-    by_class: [Histogram; 3],
-    served: u64,
-    failures: u64,
-    udp_retries: u64,
-    completed_at: SimTime,
-    offered: u64,
-    timed_out: u64,
-    control: Option<ControlReport>,
-}
-
 impl Workload for McWorkload<'_> {
-    type Summary = McSummary;
+    type Summary = McExperimentResult;
 
     fn name(&self) -> &str {
         "memcached"
@@ -1010,7 +927,12 @@ impl Workload for McWorkload<'_> {
         }
     }
 
-    fn summarize(&self, host: &SimHost, cluster: &Cluster) -> McSummary {
+    fn summarize(
+        &self,
+        host: &SimHost,
+        cluster: &Cluster,
+    ) -> (McExperimentResult, FailureStats, SloStats) {
+        let (mut failure, mut slo) = (FailureStats::default(), SloStats::default());
         let mut latency = Histogram::new();
         let mut by_class = [Histogram::new(), Histogram::new(), Histogram::new()];
         let mut failures = 0;
@@ -1026,6 +948,8 @@ impl Workload for McWorkload<'_> {
                 offered += c.offered;
                 timed_out += c.timed_out;
                 completed_at = completed_at.max(c.finished_at);
+                failure.merge(&c.failure);
+                slo.merge(&c.slo);
             } else {
                 let c: &McClient = cluster.process(host, a, Tid(0)).expect("client missing");
                 latency.merge(&c.latency);
@@ -1035,10 +959,11 @@ impl Workload for McWorkload<'_> {
                 failures += c.failures;
                 udp_retries += c.udp_retries;
                 completed_at = completed_at.max(c.finished_at);
+                failure.merge(&c.failure);
             }
         }
         let served = self.shareds.iter().map(|s| s.lock().expect("poisoned").served).sum();
-        McSummary {
+        let result = McExperimentResult {
             latency,
             by_class,
             served,
@@ -1048,108 +973,35 @@ impl Workload for McWorkload<'_> {
             offered,
             timed_out,
             control: control_report(host, cluster, self.cp),
-        }
-    }
-
-    fn failure_stats(&self, host: &SimHost, cluster: &Cluster) -> FailureStats {
-        let mut failure = FailureStats::default();
-        for &a in &self.client_addrs {
-            if self.cfg.arrival.is_some() {
-                let c: &McOpenLoopClient =
-                    cluster.process(host, a, Tid(0)).expect("client missing");
-                failure.merge(&c.failure);
-            } else {
-                let c: &McClient = cluster.process(host, a, Tid(0)).expect("client missing");
-                failure.merge(&c.failure);
-            }
-        }
-        failure
-    }
-
-    fn slo_stats(&self, host: &SimHost, cluster: &Cluster) -> SloStats {
-        let mut slo = SloStats::default();
-        if self.cfg.arrival.is_some() {
-            for &a in &self.client_addrs {
-                let c: &McOpenLoopClient =
-                    cluster.process(host, a, Tid(0)).expect("client missing");
-                slo.merge(&c.slo);
-            }
-        }
-        slo
+            ..McExperimentResult::default()
+        };
+        (result, failure, slo)
     }
 }
 
-/// Runs one memcached experiment to completion.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run`].
+/// [`run`] with no checkpoint, under the name the repo benchmark imports;
+/// its errors are [`run`]'s.
 pub fn try_run_memcached(cfg: &McExperimentConfig) -> Result<McExperimentResult, ExperimentError> {
-    try_run_memcached_with(cfg, &CheckpointPolicy::default())
+    run(cfg, &CheckpointPolicy::default())
 }
 
-/// Runs one memcached experiment to completion under a checkpoint
-/// policy (mid-run snapshot and/or restore-from-snapshot).
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run_with`].
+/// [`run`] under the name the repo benchmark imports; its errors are
+/// [`run`]'s.
 pub fn try_run_memcached_with(
     cfg: &McExperimentConfig,
     ckpt: &CheckpointPolicy,
 ) -> Result<McExperimentResult, ExperimentError> {
-    cfg.validate()?;
-    let mut workload = McWorkload { cfg, shareds: Vec::new(), client_addrs: Vec::new(), cp: None };
-    let (summary, env) = ExperimentHarness::new(cfg.base()).run_with(&mut workload, ckpt)?;
-    Ok(McExperimentResult {
-        latency: summary.latency,
-        by_class: summary.by_class,
-        served: summary.served,
-        failures: summary.failures,
-        udp_retries: summary.udp_retries,
-        sim_time: env.sim_time,
-        completed_at: summary.completed_at,
-        events: env.events,
-        wall: env.wall,
-        exec: env.exec,
-        metrics: env.metrics,
-        series: env.series,
-        conservation: env.conservation,
-        failure: env.failure,
-        offered: summary.offered,
-        timed_out: summary.timed_out,
-        slo: env.slo,
-        control: summary.control,
-    })
+    run(cfg, ckpt)
 }
 
-/// Runs one memcached experiment to completion.
-///
-/// # Panics
-///
-/// Panics if clients fail to finish within the simulated-time budget; use
-/// [`try_run_memcached`] to handle that as a structured error instead.
-pub fn run_memcached(cfg: &McExperimentConfig) -> McExperimentResult {
-    match try_run_memcached(cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("memcached experiment failed ({} racks): {e}", cfg.racks),
-    }
-}
-
-/// Runs only the memcached warm-up prefix — build, drive to `at` — and
-/// writes a restorable checkpoint there.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::warm`].
+/// [`warm`] under the name the repo benchmark imports; its errors are
+/// [`warm`]'s.
 pub fn warm_memcached(
     cfg: &McExperimentConfig,
     path: &std::path::Path,
     at: SimTime,
 ) -> Result<(), ExperimentError> {
-    cfg.validate()?;
-    let mut workload = McWorkload { cfg, shareds: Vec::new(), client_addrs: Vec::new(), cp: None };
-    ExperimentHarness::new(cfg.base()).warm(&mut workload, path, at)
+    warm(cfg, path, at)
 }
 
 // ====================================================================
@@ -1175,12 +1027,6 @@ pub struct PaExperimentConfig {
     pub query_bytes: u32,
     /// Answer payload bytes.
     pub answer_bytes: u32,
-    /// Instructions of leaf service work per query.
-    pub service_work: u64,
-    /// Uniform extra instructions per query (the service-time spread).
-    pub service_jitter: u64,
-    /// Instructions of front-end think time between queries.
-    pub think: u64,
     /// Guest kernel.
     pub kernel: KernelProfile,
     /// 10 Gbps fabric instead of 1 Gbps.
@@ -1191,9 +1037,6 @@ pub struct PaExperimentConfig {
     /// Congestion control the guest kernels run; DCTCP also enables
     /// switch ECN marking.
     pub cc: CongestionControl,
-    /// ECN marking threshold override in queued bytes per egress port
-    /// (`None` keeps the DCTCP default, no marking under Reno).
-    pub ecn_threshold: Option<u32>,
     /// Execution mode.
     pub mode: RunMode,
     /// Seed.
@@ -1229,14 +1072,10 @@ impl PaExperimentConfig {
             cross_rack: false,
             query_bytes: 64,
             answer_bytes: 2_048,
-            service_work: 20_000,
-            service_jitter: 8_000,
-            think: 8_000,
             kernel: KernelProfile::linux_2_6_39(),
             ten_gig: false,
             fabric: FabricKind::Tree,
             cc: CongestionControl::Reno,
-            ecn_threshold: None,
             mode: RunMode::Serial,
             seed: 0xa99_2e6a7e,
             sample_every: None,
@@ -1286,16 +1125,11 @@ impl PaExperimentConfig {
         self.fabric = FabricKind::FatTree(ft);
         self
     }
+}
 
-    /// Checks that the config describes a scenario that can run: none that
-    /// would panic on a field value or spend its budget on no operation.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::InvalidConfig`] naming the field and the limit.
-    pub fn validate(&self) -> Result<(), ExperimentError> {
-        self.check().map_err(ExperimentError::InvalidConfig)
-    }
+impl Experiment for PaExperimentConfig {
+    type Result = PaExperimentResult;
+    type Workload<'a> = PaWorkload<'a>;
 
     fn check(&self) -> Result<(), String> {
         self.base().check()?;
@@ -1318,7 +1152,6 @@ impl PaExperimentConfig {
         check_control(ctl, pool, "racks x (servers_per_rack - 1) - 1 leaves")
     }
 
-    /// The shared experiment base this config describes.
     fn base(&self) -> ExperimentBase {
         ExperimentBase {
             topology: TopologyConfig {
@@ -1328,7 +1161,6 @@ impl PaExperimentConfig {
             },
             fabric: self.fabric,
             cc: self.cc,
-            ecn_threshold: self.ecn_threshold,
             kernel: self.kernel.clone(),
             cpu: None,
             ten_gig: self.ten_gig,
@@ -1343,10 +1175,29 @@ impl PaExperimentConfig {
             faults: self.faults.clone(),
         }
     }
+
+    fn workload(&self) -> PaWorkload<'_> {
+        PaWorkload { cfg: self, frontends: Vec::new(), cp: None }
+    }
+
+    fn result(r: PaExperimentResult, env: RunEnvelope) -> PaExperimentResult {
+        PaExperimentResult {
+            sim_time: env.sim_time,
+            events: env.events,
+            wall: env.wall,
+            exec: env.exec,
+            metrics: env.metrics,
+            series: env.series,
+            conservation: env.conservation,
+            failure: env.failure,
+            slo: env.slo,
+            ..r
+        }
+    }
 }
 
 /// Aggregated partition-aggregate measurements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PaExperimentResult {
     /// Full-aggregate latencies over all front-ends (nanoseconds).
     pub latency: Histogram,
@@ -1395,23 +1246,10 @@ pub struct PaExperimentResult {
 /// The search-tier scenario: slot 0 of each rack is a front-end, the
 /// remaining slots are leaves. Rack-local fan-out by default;
 /// [`PaExperimentConfig::cross_rack`] widens it to the whole cluster.
-struct PaWorkload<'a> {
+pub struct PaWorkload<'a> {
     cfg: &'a PaExperimentConfig,
     frontends: Vec<NodeAddr>,
     cp: Option<NodeAddr>,
-}
-
-/// What [`PaWorkload`] measures.
-struct PaSummary {
-    latency: Histogram,
-    queries: u64,
-    full_aggregates: u64,
-    deadline_misses: u64,
-    missing_answers: u64,
-    served: u64,
-    completed_at: SimTime,
-    offered: u64,
-    control: Option<ControlReport>,
 }
 
 impl PaWorkload<'_> {
@@ -1427,7 +1265,7 @@ impl PaWorkload<'_> {
 }
 
 impl Workload for PaWorkload<'_> {
-    type Summary = PaSummary;
+    type Summary = PaExperimentResult;
 
     fn name(&self) -> &str {
         "partition-aggregate"
@@ -1461,12 +1299,7 @@ impl Workload for PaWorkload<'_> {
             cfg.control.as_ref().map(|_| NodeAddr((cfg.racks * cfg.servers_per_rack - 1) as u32));
         // Leaves first.
         for leaf in self.leaves(0..cfg.racks) {
-            let lcfg = PaLeafConfig {
-                port: PA_PORT,
-                service_work: cfg.service_work,
-                service_jitter: cfg.service_jitter,
-                answer_bytes: cfg.answer_bytes,
-            };
+            let lcfg = PaLeafConfig { answer_bytes: cfg.answer_bytes, ..PaLeafConfig::default() };
             let rng = root_rng.derive(leaf.node.0 as u64);
             cluster.spawn(host, leaf.node, Box::new(PaLeaf::new(lcfg, rng)));
         }
@@ -1495,7 +1328,6 @@ impl Workload for PaWorkload<'_> {
             let mut fcfg = PaFrontendConfig::new(leaves, cfg.queries);
             fcfg.deadline = cfg.deadline;
             fcfg.query_bytes = cfg.query_bytes;
-            fcfg.think = cfg.think;
             fcfg.discovery = discovery.clone();
             let fe: Box<PaFrontend> = if let Some(spec) = &cfg.arrival {
                 // Open loop: admissions come from the schedule (each
@@ -1520,7 +1352,12 @@ impl Workload for PaWorkload<'_> {
         })
     }
 
-    fn summarize(&self, host: &SimHost, cluster: &Cluster) -> PaSummary {
+    fn summarize(
+        &self,
+        host: &SimHost,
+        cluster: &Cluster,
+    ) -> (PaExperimentResult, FailureStats, SloStats) {
+        let mut slo = SloStats::default();
         let mut latency = Histogram::new();
         let mut queries = 0;
         let mut full_aggregates = 0;
@@ -1537,13 +1374,14 @@ impl Workload for PaWorkload<'_> {
             missing_answers += f.missing_answers;
             completed_at = completed_at.max(f.finished_at);
             offered += f.offered;
+            slo.merge(&f.slo);
         }
         let mut served = 0;
         for leaf in self.leaves(0..self.cfg.racks) {
             let l: &PaLeaf = cluster.process(host, leaf.node, Tid(0)).expect("leaf missing");
             served += l.served;
         }
-        PaSummary {
+        let result = PaExperimentResult {
             latency,
             queries,
             full_aggregates,
@@ -1553,98 +1391,26 @@ impl Workload for PaWorkload<'_> {
             completed_at,
             offered,
             control: control_report(host, cluster, self.cp),
-        }
-    }
-
-    fn slo_stats(&self, host: &SimHost, cluster: &Cluster) -> SloStats {
-        let mut slo = SloStats::default();
-        for &a in &self.frontends {
-            let f: &PaFrontend = cluster.process(host, a, Tid(0)).expect("front-end missing");
-            slo.merge(&f.slo);
-        }
-        slo
+            ..PaExperimentResult::default()
+        };
+        // The deadline-bounded front-end degrades by missing answers, not
+        // by retrying: it has no failure accounting.
+        (result, FailureStats::default(), slo)
     }
 }
 
-/// Runs one partition-aggregate experiment to completion.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run`].
+/// [`run`] with no checkpoint, under the name the repo benchmark imports;
+/// its errors are [`run`]'s.
 pub fn try_run_partition_aggregate(
     cfg: &PaExperimentConfig,
 ) -> Result<PaExperimentResult, ExperimentError> {
-    try_run_partition_aggregate_with(cfg, &CheckpointPolicy::default())
-}
-
-/// Runs one partition-aggregate experiment to completion under a
-/// checkpoint policy (mid-run snapshot and/or restore-from-snapshot).
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run_with`].
-pub fn try_run_partition_aggregate_with(
-    cfg: &PaExperimentConfig,
-    ckpt: &CheckpointPolicy,
-) -> Result<PaExperimentResult, ExperimentError> {
-    cfg.validate()?;
-    let mut workload = PaWorkload { cfg, frontends: Vec::new(), cp: None };
-    let (summary, env) = ExperimentHarness::new(cfg.base()).run_with(&mut workload, ckpt)?;
-    Ok(PaExperimentResult {
-        latency: summary.latency,
-        queries: summary.queries,
-        full_aggregates: summary.full_aggregates,
-        deadline_misses: summary.deadline_misses,
-        missing_answers: summary.missing_answers,
-        served: summary.served,
-        completed_at: summary.completed_at,
-        sim_time: env.sim_time,
-        events: env.events,
-        wall: env.wall,
-        exec: env.exec,
-        metrics: env.metrics,
-        series: env.series,
-        conservation: env.conservation,
-        failure: env.failure,
-        offered: summary.offered,
-        slo: env.slo,
-        control: summary.control,
-    })
-}
-
-/// Runs one partition-aggregate experiment to completion.
-///
-/// # Panics
-///
-/// Panics if front-ends fail to finish within the simulated-time budget;
-/// use [`try_run_partition_aggregate`] to handle that as a structured
-/// error instead.
-pub fn run_partition_aggregate(cfg: &PaExperimentConfig) -> PaExperimentResult {
-    match try_run_partition_aggregate(cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("partition-aggregate experiment failed ({} racks): {e}", cfg.racks),
-    }
-}
-
-/// Runs only the partition-aggregate warm-up prefix — build, drive to
-/// `at` — and writes a restorable checkpoint there.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::warm`].
-pub fn warm_partition_aggregate(
-    cfg: &PaExperimentConfig,
-    path: &std::path::Path,
-    at: SimTime,
-) -> Result<(), ExperimentError> {
-    cfg.validate()?;
-    let mut workload = PaWorkload { cfg, frontends: Vec::new(), cp: None };
-    ExperimentHarness::new(cfg.base()).warm(&mut workload, path, at)
+    run(cfg, &CheckpointPolicy::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentHarness;
 
     /// The message of a config that must not validate.
     fn invalid(r: Result<(), ExperimentError>) -> String {
@@ -1655,7 +1421,7 @@ mod tests {
     }
 
     /// Every field value that used to trip an `assert!` or an `expect`
-    /// under `try_run_*` is an `InvalidConfig` naming the field, from the
+    /// under `run` is an `InvalidConfig` naming the field, from the
     /// run entry point itself.
     #[test]
     fn configs_that_used_to_panic_are_invalid_config_errors() {
@@ -1665,7 +1431,7 @@ mod tests {
         let mut mc = McExperimentConfig::paper(64, 0);
         mc.arrival = Some(arrival.clone());
         mc.control = Some(ControlConfig::default());
-        let msg = invalid(try_run_memcached(&mc).map(drop));
+        let msg = invalid(run(&mc, &CheckpointPolicy::default()).map(drop));
         assert!(msg.contains("mc_per_rack") && msg.contains("128"), "{msg}");
         // Serving replicas and spares fill the rack.
         let mut mc = McExperimentConfig::mini(2, 0);
@@ -1688,12 +1454,12 @@ mod tests {
         let mut mc = McExperimentConfig::mini(2, 10).on_fat_tree(FatTreeConfig::new(4));
         mc.racks = 3;
         assert!(invalid(mc.validate()).contains("on_fat_tree"));
-        assert!(invalid(warm_memcached(&mc, std::path::Path::new("unused"), SimTime::ZERO))
+        assert!(invalid(warm(&mc, std::path::Path::new("unused"), SimTime::ZERO))
             .contains("on_fat_tree"));
 
         // 40 servers + the client on a 16-host fat-tree.
         let incast = IncastConfig::fig6a(40).on_fat_tree(FatTreeConfig::new(4));
-        let msg = invalid(try_run_incast(&incast).map(drop));
+        let msg = invalid(run(&incast, &CheckpointPolicy::default()).map(drop));
         assert!(msg.contains("servers") && msg.contains("16 hosts"), "{msg}");
         let mut incast = IncastConfig::fig6a(4);
         incast.arrival = Some(arrival.clone());
@@ -1714,7 +1480,7 @@ mod tests {
         // A front-end with no leaf.
         let mut pa = PaExperimentConfig::new(2, 10);
         pa.servers_per_rack = 1;
-        let msg = invalid(try_run_partition_aggregate(&pa).map(drop));
+        let msg = invalid(run(&pa, &CheckpointPolicy::default()).map(drop));
         assert!(msg.contains("servers_per_rack"), "{msg}");
         let mut pa = PaExperimentConfig::new(2, 10);
         pa.control = Some(ControlConfig::default());
@@ -1786,7 +1552,7 @@ mod tests {
     fn incast_fig6a_point_runs() {
         let mut cfg = IncastConfig::fig6a(4);
         cfg.iterations = 3;
-        let r = run_incast(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert_eq!(r.iteration_times.len(), 3);
         assert!(r.goodput_mbps > 0.0);
         assert!(r.events > 1_000);
@@ -1798,8 +1564,8 @@ mod tests {
         small.iterations = 3;
         let mut big = IncastConfig::fig6a(12);
         big.iterations = 3;
-        let gs = run_incast(&small).goodput_mbps;
-        let gb = run_incast(&big).goodput_mbps;
+        let gs = run(&small, &CheckpointPolicy::default()).unwrap().goodput_mbps;
+        let gb = run(&big, &CheckpointPolicy::default()).unwrap().goodput_mbps;
         assert!(gb < gs / 3.0, "expected collapse: g(2)={gs:.1} g(12)={gb:.1}");
     }
 
@@ -1818,15 +1584,13 @@ mod tests {
         let dir = std::env::temp_dir().join("diablo_snapshot_damage");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("mc.snap");
-        warm_memcached(&cfg, &path, SimTime::from_micros(120)).expect("warm");
+        warm(&cfg, &path, SimTime::from_micros(120)).expect("warm");
         let bytes = std::fs::read(&path).expect("snapshot written");
 
         let harness = ExperimentHarness::new(cfg.base());
         let restore = |bytes: &[u8]| {
             let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
-            let mut workload =
-                McWorkload { cfg: &cfg, shareds: Vec::new(), client_addrs: Vec::new(), cp: None };
-            workload.build(&mut host, &cluster);
+            cfg.workload().build(&mut host, &cluster);
             crate::snapshot::decode_snapshot(bytes, &mut host, harness.fingerprint("memcached"))
                 .map(|_| cluster.scrape(&host).sum_counters("*.kernel.tcp.segs_out"))
         };
@@ -1854,7 +1618,7 @@ mod tests {
     #[test]
     fn memcached_mini_experiment_completes() {
         let cfg = McExperimentConfig::mini(2, 20);
-        let r = run_memcached(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         // 2 racks x 5 clients x 20 requests.
         assert_eq!(r.latency.count(), 200);
         assert!(r.served >= 200);
@@ -1867,7 +1631,7 @@ mod tests {
     fn memcached_tcp_mini_completes() {
         let mut cfg = McExperimentConfig::mini(2, 15);
         cfg.proto = Proto::Tcp;
-        let r = run_memcached(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert_eq!(r.latency.count(), 150);
         assert_eq!(r.failures, 0);
     }
@@ -1875,7 +1639,7 @@ mod tests {
     #[test]
     fn partition_aggregate_mini_completes_fault_free() {
         let cfg = PaExperimentConfig::new(2, 10);
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         // 2 front-ends x 10 queries, all full aggregates with no faults.
         assert_eq!(r.queries, 20);
         assert_eq!(r.full_aggregates, 20);
@@ -1891,7 +1655,7 @@ mod tests {
     fn partition_aggregate_cross_rack_fans_wider() {
         let mut cfg = PaExperimentConfig::new(2, 5);
         cfg.cross_rack = true;
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert_eq!(r.queries, 10);
         // 5 queries x 10 leaves x 2 front-ends.
         assert_eq!(r.served, 100);
@@ -1903,7 +1667,7 @@ mod tests {
         let mut cfg = McExperimentConfig::mini(1, 0);
         cfg.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(20)).unwrap());
         cfg.slo = Some(SimDuration::from_micros(500));
-        let r = run_memcached(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert!(r.offered > 0, "the schedule must admit requests");
         // Every admission resolves exactly once: completed, expired
         // unanswered, or shed at a full window.
@@ -1917,7 +1681,7 @@ mod tests {
         let mut cfg = PaExperimentConfig::new(1, 0);
         cfg.arrival = Some(ArrivalSpec::constant(2_000.0, SimDuration::from_millis(20)).unwrap());
         cfg.slo = Some(SimDuration::from_micros(800));
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert!(r.offered > 0, "the schedule must admit queries");
         assert_eq!(r.offered, r.slo.completed + r.slo.shed);
         assert_eq!(r.queries, r.slo.completed);
@@ -1930,7 +1694,7 @@ mod tests {
         cfg.block_bytes = 64 * 1024;
         cfg.arrival = Some(ArrivalSpec::constant(100.0, SimDuration::from_millis(50)).unwrap());
         cfg.slo = Some(SimDuration::from_millis(5));
-        let r = run_incast(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert!(r.offered > 0, "the schedule must admit iterations");
         assert_eq!(r.offered, r.slo.completed + r.slo.shed);
         assert_eq!(r.iteration_times.len() as u64, r.slo.completed);
@@ -1941,7 +1705,7 @@ mod tests {
         let mut cfg = IncastConfig::fig6a(4).on_fat_tree(FatTreeConfig::new(4));
         cfg.iterations = 2;
         cfg.cc = CongestionControl::Dctcp;
-        let r = run_incast(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert_eq!(r.iteration_times.len(), 2);
         assert!(r.goodput_mbps > 0.0);
         assert!(r.conservation.is_balanced());
@@ -1955,7 +1719,7 @@ mod tests {
         let cfg = McExperimentConfig::mini(1, 5).on_fat_tree(ft);
         assert_eq!(cfg.racks, 8);
         assert_eq!(cfg.servers_per_rack, 3);
-        let r = run_memcached(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         // 8 racks x 2 clients x 5 requests.
         assert_eq!(r.latency.count(), 80);
         assert!(r.conservation.is_balanced());
@@ -1966,7 +1730,7 @@ mod tests {
         let mut cfg = PaExperimentConfig::new(1, 4).on_fat_tree(FatTreeConfig::new(4));
         cfg.cross_rack = true;
         cfg.cc = CongestionControl::Dctcp;
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         // 8 front-ends (one per edge) x 4 queries.
         assert_eq!(r.queries, 32);
         assert!(r.conservation.is_balanced());
@@ -1981,7 +1745,7 @@ mod tests {
         cfg.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(30)).unwrap());
         cfg.slo = Some(SimDuration::from_millis(1));
         cfg.control = Some(ControlConfig::default());
-        let r = run_memcached(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert!(r.offered > 0, "the schedule must admit requests");
         assert_eq!(r.offered, r.slo.completed + r.slo.shed);
         let ctl = r.control.expect("control report present");
@@ -2008,7 +1772,7 @@ mod tests {
         cfg.slo = Some(SimDuration::from_millis(1));
         cfg.control = Some(ControlConfig::default());
         cfg.faults = Some(FaultPlan::parse("10ms node-crash node0").expect("valid plan"));
-        let r = run_memcached(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         let ctl = r.control.expect("control report present");
         assert!(ctl.detections >= 1, "the dead replica must be detected");
         assert_eq!(ctl.failovers, 1, "exactly one replacement activation");
@@ -2033,7 +1797,7 @@ mod tests {
         cfg.cross_rack = true;
         cfg.control = Some(ControlConfig::default());
         cfg.faults = Some(FaultPlan::parse("5ms node-crash node1").expect("valid plan"));
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         let ctl = r.control.expect("control report present");
         assert_eq!(r.queries, 80, "deadline-bounded queries always complete");
         assert!(ctl.detections >= 1, "the dead leaf must be detected");
@@ -2046,7 +1810,7 @@ mod tests {
         let mut cfg = IncastConfig::fig6a(4);
         cfg.iterations = 3;
         cfg.control = Some(ControlConfig::default());
-        let r = run_incast(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert_eq!(r.iteration_times.len(), 3);
         let ctl = r.control.expect("control report present");
         assert!(ctl.heartbeats > 0);
@@ -2063,7 +1827,7 @@ mod tests {
         let mut cfg = PaExperimentConfig::new(2, 40);
         cfg.faults =
             Some(FaultPlan::parse("1ms link-down node1\n4ms link-up node1").expect("valid plan"));
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert_eq!(r.queries, 80, "deadline-bounded queries always complete");
         assert!(r.deadline_misses > 0, "a downed leaf link must cost deadlines");
         assert!(r.missing_answers >= r.deadline_misses);

@@ -26,14 +26,13 @@ pub use cluster::{Cluster, ClusterSpec, FabricKind, RunMode, SimHost, SwitchTemp
 pub use diablo_apps::arrival::{ArrivalError, ArrivalProcess, ArrivalSpec, SloStats};
 pub use diablo_apps::control::{ControlConfig, ControlReport};
 pub use experiment::{
-    CheckpointPolicy, ExperimentBase, ExperimentError, ExperimentHarness, RunEnvelope, Workload,
+    run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError, ExperimentHarness,
+    RunEnvelope, Workload,
 };
 pub use experiments::{
-    run_incast, run_memcached, run_partition_aggregate, try_run_incast, try_run_incast_with,
-    try_run_memcached, try_run_memcached_with, try_run_partition_aggregate,
-    try_run_partition_aggregate_with, warm_incast, warm_memcached, warm_partition_aggregate,
-    IncastClientKind, IncastConfig, IncastResult, McExperimentConfig, McExperimentResult,
-    PaExperimentConfig, PaExperimentResult,
+    try_run_incast, try_run_memcached, try_run_memcached_with, try_run_partition_aggregate,
+    warm_memcached, IncastClientKind, IncastConfig, IncastResult, McExperimentConfig,
+    McExperimentResult, PaExperimentConfig, PaExperimentResult,
 };
 pub use fault::{FaultEventSpec, FaultKind, FaultPlan, FaultPlanError, FaultTarget, RepeatSpec};
 pub use observe::DropAccounting;

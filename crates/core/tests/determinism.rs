@@ -10,9 +10,8 @@
 //! to the uninterrupted one, serial and partitioned.
 
 use diablo_core::{
-    run_memcached, run_partition_aggregate, try_run_memcached, try_run_memcached_with,
-    try_run_partition_aggregate_with, warm_memcached, ArrivalSpec, CheckpointPolicy, ControlConfig,
-    FaultPlan, McExperimentConfig, PaExperimentConfig, RunMode,
+    run, warm, ArrivalSpec, CheckpointPolicy, ControlConfig, ExperimentError, FaultPlan,
+    McExperimentConfig, PaExperimentConfig, RunMode,
 };
 use diablo_engine::prelude::SimDuration;
 use diablo_engine::time::SimTime;
@@ -39,10 +38,10 @@ fn controlled_mc() -> McExperimentConfig {
 /// every scrape matches the serial one byte for byte.
 fn assert_partition_invariant(mut cfg: McExperimentConfig, partitions: &[usize]) {
     cfg.mode = RunMode::Serial;
-    let baseline = run_memcached(&cfg).metrics.to_json();
+    let baseline = run(&cfg, &CheckpointPolicy::default()).unwrap().metrics.to_json();
     for &p in partitions {
         cfg.mode = RunMode::parallel(p);
-        let scrape = run_memcached(&cfg).metrics.to_json();
+        let scrape = run(&cfg, &CheckpointPolicy::default()).unwrap().metrics.to_json();
         assert_eq!(baseline, scrape, "metrics diverged between serial and {p}-partition runs");
     }
 }
@@ -66,10 +65,10 @@ fn controlled_partition_aggregate_is_partition_invariant() {
     cfg.control = Some(ControlConfig::default());
     cfg.faults = Some(FaultPlan::parse("5ms node-crash node1 reboot=20ms").unwrap());
     cfg.mode = RunMode::Serial;
-    let baseline = run_partition_aggregate(&cfg).metrics.to_json();
+    let baseline = run(&cfg, &CheckpointPolicy::default()).unwrap().metrics.to_json();
     for p in [2, 4] {
         cfg.mode = RunMode::parallel(p);
-        let scrape = run_partition_aggregate(&cfg).metrics.to_json();
+        let scrape = run(&cfg, &CheckpointPolicy::default()).unwrap().metrics.to_json();
         assert_eq!(baseline, scrape, "metrics diverged between serial and {p}-partition runs");
     }
 }
@@ -83,8 +82,8 @@ fn control_plane_off_legacy_runs_are_unchanged_by_the_new_fields() {
     let mut cfg = McExperimentConfig::mini(2, 0);
     cfg.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(20)).unwrap());
     cfg.slo = Some(SimDuration::from_millis(1));
-    let a = run_memcached(&cfg).metrics.to_json();
-    let b = run_memcached(&cfg).metrics.to_json();
+    let a = run(&cfg, &CheckpointPolicy::default()).unwrap().metrics.to_json();
+    let b = run(&cfg, &CheckpointPolicy::default()).unwrap().metrics.to_json();
     assert_eq!(a, b);
     assert!(!a.contains("control."), "uncontrolled runs must not emit control metrics");
 }
@@ -105,22 +104,22 @@ fn ckpt_dir(name: &str) -> PathBuf {
 /// then the restore repeated under the 2-partition executor.
 fn assert_checkpoint_roundtrip<R>(
     name: &str,
-    run: impl Fn(&CheckpointPolicy, RunMode) -> (String, SimTime, R),
+    run_with: impl Fn(&CheckpointPolicy, RunMode) -> (String, SimTime, R),
 ) {
     let snap = ckpt_dir(name).join("half.snap");
-    let (baseline, completed_at, _) = run(&CheckpointPolicy::default(), RunMode::Serial);
+    let (baseline, completed_at, _) = run_with(&CheckpointPolicy::default(), RunMode::Serial);
     let half = SimTime::from_picos(completed_at.as_picos() / 2);
     assert!(half > SimTime::ZERO, "golden run too short to halve");
 
     let save = CheckpointPolicy { save: Some((snap.clone(), half)), restore_from: None };
-    let (saved, _, _) = run(&save, RunMode::Serial);
+    let (saved, _, _) = run_with(&save, RunMode::Serial);
     assert_eq!(baseline, saved, "{name}: writing a checkpoint must not perturb the run");
 
     let restore = CheckpointPolicy { save: None, restore_from: Some(snap) };
-    let (restored, _, _) = run(&restore, RunMode::Serial);
+    let (restored, _, _) = run_with(&restore, RunMode::Serial);
     assert_eq!(baseline, restored, "{name}: serial restore must finish bit-identical");
 
-    let (restored_par, _, _) = run(&restore, RunMode::parallel(2));
+    let (restored_par, _, _) = run_with(&restore, RunMode::parallel(2));
     assert_eq!(baseline, restored_par, "{name}: 2-partition restore must finish bit-identical");
 }
 
@@ -130,7 +129,7 @@ fn memcached_checkpoint_roundtrip_is_bit_identical() {
     assert_checkpoint_roundtrip("memcached", |ckpt, mode| {
         let mut cfg = cfg.clone();
         cfg.mode = mode;
-        let r = try_run_memcached_with(&cfg, ckpt).expect("golden memcached run");
+        let r = run(&cfg, ckpt).expect("golden memcached run");
         (r.metrics.to_json(), r.completed_at, ())
     });
 }
@@ -142,7 +141,7 @@ fn partition_aggregate_checkpoint_roundtrip_is_bit_identical() {
     assert_checkpoint_roundtrip("partition_aggregate", |ckpt, mode| {
         let mut cfg = base.clone();
         cfg.mode = mode;
-        let r = try_run_partition_aggregate_with(&cfg, ckpt).expect("golden pa run");
+        let r = run(&cfg, ckpt).expect("golden pa run");
         (r.metrics.to_json(), r.completed_at, ())
     });
 }
@@ -157,7 +156,7 @@ fn checkpointed_run_under_faults_restores_bit_identically() {
     assert_checkpoint_roundtrip("memcached_faults", |ckpt, mode| {
         let mut cfg = base.clone();
         cfg.mode = mode;
-        let r = try_run_memcached_with(&cfg, ckpt).expect("golden faulted run");
+        let r = run(&cfg, ckpt).expect("golden faulted run");
         (r.metrics.to_json(), r.completed_at, ())
     });
 }
@@ -166,12 +165,31 @@ fn checkpointed_run_under_faults_restores_bit_identically() {
 fn restore_rejects_a_mismatched_cluster_shape() {
     let snap = ckpt_dir("shape_mismatch").join("two_rack.snap");
     let cfg = McExperimentConfig::mini(2, 30);
-    warm_memcached(&cfg, &snap, SimTime::from_micros(200)).expect("warm");
+    warm(&cfg, &snap, SimTime::from_micros(200)).expect("warm");
     let mut other = McExperimentConfig::mini(4, 30);
     other.mode = RunMode::Serial;
     let ckpt = CheckpointPolicy { save: None, restore_from: Some(snap) };
-    let err = try_run_memcached_with(&other, &ckpt).expect_err("shape mismatch must fail");
+    let err = run(&other, &ckpt).expect_err("shape mismatch must fail");
     assert!(err.to_string().contains("fingerprint"), "unexpected error: {err}");
+}
+
+/// A warm-up is a run that stops at its snapshot, so an instant the run
+/// never reaches is the error a mid-run checkpoint gets, and no file of a
+/// finished run is left for a sweep to restore.
+#[test]
+fn warm_past_completion_writes_no_checkpoint() {
+    let snap = ckpt_dir("warm_past_completion").join("late.snap");
+    let _ = std::fs::remove_file(&snap);
+    // Completes within its first 200 ms horizon, long before 1 s.
+    let cfg = McExperimentConfig::mini(2, 20);
+    match warm(&cfg, &snap, SimTime::from_secs(1)) {
+        Err(ExperimentError::CheckpointUnreached { at, finished_at }) => {
+            assert_eq!(at, SimTime::from_secs(1));
+            assert!(finished_at < at, "finished at {finished_at}");
+        }
+        other => panic!("expected CheckpointUnreached, got {other:?}"),
+    }
+    assert!(!snap.exists(), "a finished run left a snapshot");
 }
 
 /// The sweep economics the orchestrator exists for: warming once and
@@ -196,7 +214,7 @@ fn warm_once_restore_many_beats_cold_reruns() {
     let cold: Vec<(String, SimTime)> = points
         .iter()
         .map(|&p| {
-            let r = try_run_memcached(&make(p)).expect("cold point");
+            let r = run(&make(p), &CheckpointPolicy::default()).expect("cold point");
             (r.metrics.to_json(), r.completed_at)
         })
         .collect();
@@ -207,13 +225,11 @@ fn warm_once_restore_many_beats_cold_reruns() {
     let warm_at = SimTime::from_picos(cold[0].1.as_picos() * 7 / 10);
     let snap = ckpt_dir("warm_sweep").join("warm.snap");
     let warmed_started = std::time::Instant::now();
-    warm_memcached(&base, &snap, warm_at).expect("warm prefix");
+    warm(&base, &snap, warm_at).expect("warm prefix");
     let ckpt = CheckpointPolicy { save: None, restore_from: Some(snap) };
     let warmed: Vec<String> = points
         .iter()
-        .map(|&p| {
-            try_run_memcached_with(&make(p), &ckpt).expect("restored point").metrics.to_json()
-        })
+        .map(|&p| run(&make(p), &ckpt).expect("restored point").metrics.to_json())
         .collect();
     let warmed_elapsed = warmed_started.elapsed();
 

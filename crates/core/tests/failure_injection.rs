@@ -3,7 +3,9 @@
 //! spares, drain-and-rejoin after reboot, and the latency bounds the
 //! configuration promises.
 
-use diablo_core::{run_memcached, ArrivalSpec, ControlConfig, FaultPlan, McExperimentConfig};
+use diablo_core::{
+    run, ArrivalSpec, CheckpointPolicy, ControlConfig, FaultPlan, McExperimentConfig,
+};
 use diablo_engine::prelude::SimDuration;
 
 fn controlled_mc(horizon_ms: u64) -> McExperimentConfig {
@@ -24,7 +26,7 @@ fn crashed_replica_is_replaced_within_the_configured_window() {
     // round trip, not the detection threshold.
     let mut cfg = controlled_mc(60);
     cfg.faults = Some(FaultPlan::parse("10ms node-crash node0").unwrap());
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     let ctl = r.control.expect("control report");
     assert!(ctl.detections >= 1, "silent replica never declared dead");
     assert_eq!(ctl.failovers, 1, "exactly one spare activation");
@@ -44,7 +46,7 @@ fn rebooted_replica_rejoins_as_a_drained_spare() {
     // drained (deactivated) rather than serve alongside its replacement.
     let mut cfg = controlled_mc(80);
     cfg.faults = Some(FaultPlan::parse("10ms node-crash node0 reboot=20ms").unwrap());
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     let ctl = r.control.expect("control report");
     assert!(ctl.detections >= 1);
     assert_eq!(ctl.failovers, 1);
@@ -61,7 +63,7 @@ fn slo_recovers_after_failover_instead_of_degrading_forever() {
     // window.
     let mut cfg = controlled_mc(100);
     cfg.faults = Some(FaultPlan::parse("20ms node-crash node0").unwrap());
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     let ctl = r.control.expect("control report");
     assert_eq!(ctl.failovers, 1);
     // The detection window (11 ms dead threshold + command round trip)
@@ -84,7 +86,7 @@ fn suspect_then_recovery_raises_no_failover() {
     // nothing.
     let mut cfg = controlled_mc(50);
     cfg.faults = Some(FaultPlan::parse("10ms link-down node0\n17ms link-up node0").unwrap());
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     let ctl = r.control.expect("control report");
     assert!(ctl.suspicions >= 1, "a 7 ms silence must raise suspicion");
     assert_eq!(ctl.detections, 0, "flap shorter than the dead threshold");

@@ -5,7 +5,9 @@
 //! degrades the run without bound (the static server list keeps
 //! steering admissions at dead endpoints forever).
 
-use diablo_core::{run_memcached, ArrivalSpec, ControlConfig, FaultPlan, McExperimentConfig};
+use diablo_core::{
+    run, ArrivalSpec, CheckpointPolicy, ControlConfig, FaultPlan, McExperimentConfig,
+};
 use diablo_engine::prelude::SimDuration;
 
 /// Three racks of the mini shape under a steady open-loop trace.
@@ -32,7 +34,7 @@ fn control_plane_bounds_slo_damage_from_a_rolling_crash() {
     // Baseline: control plane on, no faults.
     let mut baseline = base_cfg();
     baseline.control = Some(ControlConfig::default());
-    let rb = run_memcached(&baseline);
+    let rb = run(&baseline, &CheckpointPolicy::default()).unwrap();
     let frac_baseline = rb.slo.violation_fraction();
 
     // Same trace and crash wave, control plane on: every serving
@@ -40,7 +42,7 @@ fn control_plane_bounds_slo_damage_from_a_rolling_crash() {
     let mut on = base_cfg();
     on.control = Some(ControlConfig::default());
     on.faults = Some(rolling_crash_all_servers());
-    let ron = run_memcached(&on);
+    let ron = run(&on, &CheckpointPolicy::default()).unwrap();
     let ctl = ron.control.expect("control report");
     assert_eq!(ctl.failovers, 3, "each crashed replica must fail over to a spare");
     assert!(ctl.detections >= 3);
@@ -52,7 +54,7 @@ fn control_plane_bounds_slo_damage_from_a_rolling_crash() {
     // the rest of the run.
     let mut off = base_cfg();
     off.faults = Some(rolling_crash_all_servers());
-    let roff = run_memcached(&off);
+    let roff = run(&off, &CheckpointPolicy::default()).unwrap();
     assert!(roff.control.is_none());
     let frac_off = roff.slo.violation_fraction();
 

@@ -12,9 +12,8 @@
 //! switches mid-traffic.
 
 use diablo_core::{
-    run_incast, run_memcached, run_partition_aggregate, ArrivalSpec, ControlConfig, FaultPlan,
-    IncastClientKind, IncastConfig, McExperimentConfig, PaExperimentConfig, RunMode,
-    SwitchTemplate,
+    run, ArrivalSpec, CheckpointPolicy, ControlConfig, FaultPlan, IncastClientKind, IncastConfig,
+    McExperimentConfig, PaExperimentConfig, RunMode, SwitchTemplate,
 };
 use diablo_engine::prelude::SimDuration;
 use diablo_net::switch::BufferConfig;
@@ -62,14 +61,14 @@ fn assert_pinned(
 fn incast(cfg: &IncastConfig, mode: RunMode) -> (String, u64) {
     let mut cfg = cfg.clone();
     cfg.mode = mode;
-    let r = run_incast(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     (r.metrics.to_json(), r.events)
 }
 
 fn memcached(cfg: &McExperimentConfig, mode: RunMode) -> (String, u64) {
     let mut cfg = cfg.clone();
     cfg.mode = mode;
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     (r.metrics.to_json(), r.events)
 }
 
@@ -205,7 +204,7 @@ fn controlled_cross_rack_partition_aggregate() {
         |mode| {
             let mut cfg = cfg.clone();
             cfg.mode = mode;
-            let r = run_partition_aggregate(&cfg);
+            let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
             (r.metrics.to_json(), r.events)
         },
     );

@@ -16,8 +16,8 @@
 //! restore — bump `SNAP_VERSION` and re-record, or fix the encoding.
 
 use diablo_core::{
-    warm_incast, warm_memcached, warm_partition_aggregate, ArrivalSpec, ControlConfig,
-    IncastClientKind, IncastConfig, McExperimentConfig, PaExperimentConfig, SwitchTemplate,
+    warm, ArrivalSpec, ControlConfig, IncastClientKind, IncastConfig, McExperimentConfig,
+    PaExperimentConfig, SwitchTemplate,
 };
 use diablo_engine::prelude::SimDuration;
 use diablo_engine::time::SimTime;
@@ -50,9 +50,8 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     let mut cfg = McExperimentConfig::mini(2, 40);
     cfg.proto = Proto::Tcp;
     cfg.sample_every = Some(SimDuration::from_micros(500));
-    let got = snapshot_digest("mc_closed", |p| {
-        warm_memcached(&cfg, p, SimTime::from_micros(2_500)).expect("warm")
-    });
+    let got =
+        snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
     assert_eq!(got, (472_181, "fc79c3133c9ee4f4".to_string()));
 }
 
@@ -64,7 +63,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     cfg.slo = Some(SimDuration::from_millis(1));
     cfg.control = Some(ControlConfig::default());
     let got = snapshot_digest("mc_open_control", |p| {
-        warm_memcached(&cfg, p, SimTime::from_millis(20)).expect("warm")
+        warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
     assert_eq!(got, (96_487, "9c8c18b7cd9abc9f".to_string()));
 }
@@ -74,9 +73,8 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     // Fan-out queries in flight across ECMP paths, deadline timers armed.
     let mut cfg = PaExperimentConfig::new(2, 30).on_fat_tree(FatTreeConfig::new(4));
     cfg.cross_rack = true;
-    let got = snapshot_digest("pa_fat_tree", |p| {
-        warm_partition_aggregate(&cfg, p, SimTime::from_millis(2)).expect("warm")
-    });
+    let got =
+        snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
     assert_eq!(got, (139_573, "af708e904d3641ce".to_string()));
 }
 
@@ -94,7 +92,7 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
         ..SwitchTemplate::gbe_shallow()
     });
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
-        warm_incast(&cfg, p, SimTime::from_millis(3)).expect("warm")
+        warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
     assert_eq!(got, (47_017, "b33ca963091c1a73".to_string()));
 }

@@ -81,11 +81,6 @@ impl DetRng {
         result
     }
 
-    /// Next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits.

@@ -157,11 +157,6 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
         self.events_processed
     }
 
-    /// `true` once no events remain.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     fn start_if_needed(&mut self) {
         if self.started {
             return;

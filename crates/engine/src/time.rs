@@ -152,12 +152,6 @@ impl SimDuration {
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * PS_PER_SEC)
     }
-    /// Creates a span from fractional seconds, rounding to the nearest
-    /// picosecond. Intended for configuration parsing, not model math.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s >= 0.0 && s.is_finite(), "invalid duration seconds: {s}");
-        SimDuration((s * PS_PER_SEC as f64).round() as u64)
-    }
 
     /// Raw picosecond count.
     pub const fn as_picos(self) -> u64 {

@@ -117,13 +117,6 @@ impl TcpFlags {
     /// Abort.
     pub const RST: TcpFlags =
         TcpFlags { syn: false, ack: false, fin: false, rst: true, ece: false };
-
-    /// Builder-style setter for the ECN-Echo bit.
-    #[must_use]
-    pub const fn with_ece(mut self, ece: bool) -> Self {
-        self.ece = ece;
-        self
-    }
 }
 
 /// Marks the completion of an application message within a TCP byte stream:

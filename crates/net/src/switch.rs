@@ -187,20 +187,6 @@ impl SwitchConfig {
             ecn_threshold: None,
         }
     }
-
-    /// A low-latency 10 GbE cut-through switch: 100 ns port-to-port latency,
-    /// per-port buffers (§4.2's upgraded interconnect).
-    pub fn low_latency_10g(name: impl Into<String>, ports: u16, bytes_per_port: u32) -> Self {
-        SwitchConfig {
-            name: name.into(),
-            ports,
-            latency: SimDuration::from_nanos(100),
-            buffer: BufferConfig::PerPort { bytes_per_port },
-            forwarding: ForwardingMode::CutThrough,
-            routing: RoutingMode::Source,
-            ecn_threshold: None,
-        }
-    }
 }
 
 /// Aggregate and per-port switch statistics.

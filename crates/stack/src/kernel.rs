@@ -28,7 +28,9 @@ use crate::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Sys
 use crate::profile::KernelProfile;
 use crate::socket::{EventMask, SockId, Socket, SocketKind};
 use crate::tcp::{TcpConn, TcpOutput, TcpParams, TcpState, TcpStats};
-use diablo_engine::metrics::{FlightRecord, Instrumented, MetricsVisitor, PrefixedVisitor};
+use diablo_engine::metrics::{
+    FlightRecord, FlightRing, Instrumented, MetricsVisitor, PrefixedVisitor,
+};
 use diablo_engine::prelude::{Counter, DetRng, Frequency, SimDuration, SimTime};
 use diablo_net::addr::{NodeAddr, SockAddr};
 use diablo_net::frame::{Frame, Route};
@@ -91,50 +93,6 @@ impl NodeConfig {
             nic: NicConfig::default(),
             loopback_delay: SimDuration::from_micros(5),
         }
-    }
-}
-
-/// One record in the kernel's execution trace (the software analogue of
-/// DIABLO's hardware performance counters and event logs: the simulator is
-/// "fully instrumented", §1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// When the event happened.
-    pub at: SimTime,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Kinds of traced kernel events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Thread `tid` executed the named syscall.
-    Syscall(Tid, &'static str),
-    /// A softirq run processed this many packets.
-    Softirq(u32),
-    /// Thread woken.
-    Wakeup(Tid),
-    /// Scheduler switched to this thread.
-    Switch(Tid),
-    /// A fault directive was applied (named like the [`NodeFault`] op).
-    Fault(&'static str),
-}
-
-/// Bounded kernel trace ring.
-#[derive(Debug, Default)]
-struct TraceRing {
-    cap: usize,
-    records: VecDeque<TraceRecord>,
-    dropped: u64,
-}
-
-impl TraceRing {
-    fn push(&mut self, r: TraceRecord) {
-        if self.records.len() == self.cap {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(r);
     }
 }
 
@@ -318,7 +276,10 @@ pub struct Kernel {
     /// while the run occupies the CPU, handed back empty, kept for its
     /// capacity.
     rx_batch: Vec<Frame>,
-    trace: Option<TraceRing>,
+    /// The execution trace (the software analogue of DIABLO's hardware
+    /// performance counters and event logs: the simulator is "fully
+    /// instrumented", §1).
+    trace: Option<FlightRing>,
     /// Time of the entry point currently executing (for trace stamps on
     /// paths without an env handle).
     now_cache: SimTime,
@@ -382,21 +343,7 @@ impl Instrumented for Kernel {
     }
 
     fn flight_records(&self) -> Vec<FlightRecord> {
-        let mut out: Vec<FlightRecord> = self
-            .trace()
-            .into_iter()
-            .map(|r| match r.kind {
-                TraceKind::Syscall(tid, name) => {
-                    FlightRecord { at: r.at, kind: "syscall", detail: name, a: tid.0 as u64, b: 0 }
-                }
-                TraceKind::Softirq(pkts) => FlightRecord::new(r.at, "softirq", pkts as u64, 0),
-                TraceKind::Wakeup(tid) => FlightRecord::new(r.at, "wakeup", tid.0 as u64, 0),
-                TraceKind::Switch(tid) => FlightRecord::new(r.at, "ctx_switch", tid.0 as u64, 0),
-                TraceKind::Fault(name) => {
-                    FlightRecord { at: r.at, kind: "fault", detail: name, a: 0, b: 0 }
-                }
-            })
-            .collect();
+        let mut out = self.trace();
         out.extend(self.nic.flight_records());
         out
     }
@@ -553,28 +500,29 @@ impl Kernel {
     }
 
     /// Enables the bounded execution trace, keeping the most recent
-    /// `capacity` records (syscalls, softirq runs, wakeups, context
-    /// switches). Also enables the NIC's DMA/loss trace with the same
-    /// capacity, so one call arms the whole node for the cross-layer
-    /// flight recorder.
+    /// `capacity` records: `syscall` (thread in `a`, the call in
+    /// `detail`), `softirq` (packets in `a`), `wakeup` and `ctx_switch`
+    /// (thread in `a`) and `fault` (the [`NodeFault`] op in `detail`).
+    /// Also enables the NIC's DMA/loss trace with the same capacity, so
+    /// one call arms the whole node for the cross-layer flight recorder.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceRing { cap: capacity.max(1), ..TraceRing::default() });
+        self.trace = Some(FlightRing::new(capacity));
         self.nic.enable_trace(capacity);
     }
 
     /// The recorded trace, oldest first (empty unless enabled).
-    pub fn trace(&self) -> Vec<TraceRecord> {
-        self.trace.as_ref().map(|t| t.records.iter().copied().collect()).unwrap_or_default()
+    pub fn trace(&self) -> Vec<FlightRecord> {
+        self.trace.as_ref().map(FlightRing::records).unwrap_or_default()
     }
 
     /// Trace records evicted due to the capacity bound.
     pub fn trace_dropped(&self) -> u64 {
-        self.trace.as_ref().map(|t| t.dropped).unwrap_or(0)
+        self.trace.as_ref().map_or(0, FlightRing::dropped)
     }
 
-    fn trace_push(&mut self, at: SimTime, kind: TraceKind) {
+    fn trace_push(&mut self, record: FlightRecord) {
         if let Some(t) = &mut self.trace {
-            t.push(TraceRecord { at, kind });
+            t.push(record);
         }
     }
 
@@ -598,11 +546,6 @@ impl Kernel {
     /// Inspects a guest thread's concrete state after a run.
     pub fn process<T: 'static>(&self, tid: Tid) -> Option<&T> {
         self.procs.get(tid.0 as usize)?.process.as_any().downcast_ref::<T>()
-    }
-
-    /// Number of spawned guest threads.
-    pub fn process_count(&self) -> usize {
-        self.procs.len()
     }
 
     /// `true` once every guest thread has exited.
@@ -711,7 +654,8 @@ impl Kernel {
 
     /// Applies one scripted fault directive.
     fn on_fault(&mut self, fault: NodeFault, env: &mut dyn KernelEnv) {
-        self.trace_push(env.now(), TraceKind::Fault(fault.trace_name()));
+        let at = env.now();
+        self.trace_push(FlightRecord { at, kind: "fault", detail: fault.trace_name(), a: 0, b: 0 });
         match fault {
             NodeFault::LinkDown => self.nic.set_carrier_down(),
             NodeFault::LinkUp => {
@@ -882,7 +826,7 @@ impl Kernel {
                     + self.cfg.profile.rx_packet_cost * frames.len() as u64;
                 self.stats.softirq_runs.incr();
                 self.stats.softirq_packets.add(frames.len() as u64);
-                self.trace_push(env.now(), TraceKind::Softirq(frames.len() as u32));
+                self.trace_push(FlightRecord::new(env.now(), "softirq", frames.len() as u64, 0));
                 self.start_cpu(cost, CpuWork::Softirq { frames }, env);
                 return;
             }
@@ -895,7 +839,7 @@ impl Kernel {
                     let Some(t) = self.run_queue.pop_front() else { return };
                     if self.last_ran != Some(t) {
                         self.stats.context_switches.incr();
-                        self.trace_push(env.now(), TraceKind::Switch(t));
+                        self.trace_push(FlightRecord::new(env.now(), "ctx_switch", t.0 as u64, 0));
                         self.procs[t.0 as usize].extra_cost += self.cfg.profile.context_switch_cost;
                     }
                     self.current = Some(t);
@@ -939,7 +883,14 @@ impl Kernel {
                 }
                 Step::Syscall(call) => {
                     self.stats.syscalls.incr();
-                    self.trace_push(env.now(), TraceKind::Syscall(tid, call.name()));
+                    let (at, detail) = (env.now(), call.name());
+                    self.trace_push(FlightRecord {
+                        at,
+                        kind: "syscall",
+                        detail,
+                        a: tid.0 as u64,
+                        b: 0,
+                    });
                     let cost = prefix + self.cfg.profile.syscall_cost + self.op_cost(&call);
                     let work = CpuWork::ProcSyscall { tid, call, dur: SimDuration::ZERO };
                     self.start_cpu(cost, work, env);
@@ -1092,7 +1043,7 @@ impl Kernel {
             slot.extra_cost += self.cfg.profile.wakeup_cost;
             self.stats.wakeups.incr();
             self.run_queue.push_back(tid);
-            self.trace_push(self.now_cache, TraceKind::Wakeup(tid));
+            self.trace_push(FlightRecord::new(self.now_cache, "wakeup", tid.0 as u64, 0));
         }
     }
 

@@ -382,7 +382,6 @@ fn rng_streams_do_not_affect_kernel() {
 
 #[test]
 fn trace_records_syscalls_in_order_with_bounded_capacity() {
-    use diablo_stack::kernel::TraceKind;
     let mut w = World::new();
     w.kernel.enable_trace(3);
     w.kernel.spawn(Box::new(Script::new(vec![
@@ -397,13 +396,7 @@ fn trace_records_syscalls_in_order_with_bounded_capacity() {
     assert_eq!(trace.len(), 3, "trace bounded to capacity");
     // 5 syscalls + 1 initial context switch = 6 records, 3 kept.
     assert_eq!(w.kernel.trace_dropped(), 3);
-    let names: Vec<&str> = trace
-        .iter()
-        .filter_map(|r| match r.kind {
-            TraceKind::Syscall(_, name) => Some(name),
-            _ => None,
-        })
-        .collect();
+    let names: Vec<&str> = trace.iter().filter(|r| r.kind == "syscall").map(|r| r.detail).collect();
     assert_eq!(names, vec!["fcntl", "recvfrom", "close"], "most recent records kept");
     assert!(trace.windows(2).all(|w| w[0].at <= w[1].at), "timestamps monotone");
 }

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example custom_switch`
 
-use diablo::core::{run_incast, IncastConfig, SwitchTemplate};
+use diablo::core::{run, CheckpointPolicy, IncastConfig, SwitchTemplate};
 use diablo::engine::time::SimDuration;
 use diablo::net::switch::{BufferConfig, ForwardingMode};
 
@@ -45,7 +45,7 @@ fn main() {
         let mut cfg = IncastConfig::fig6a(servers);
         cfg.iterations = 5;
         cfg.switch = Some(template);
-        let r = run_incast(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).expect("incast run");
         println!("{name:<44}  {:>14.1}", r.goodput_mbps);
     }
     println!(

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example incast`
 
-use diablo::core::{run_incast, IncastConfig};
+use diablo::core::{run, CheckpointPolicy, IncastConfig};
 
 fn main() {
     println!("fan-in sweep, 256 KB synchronized reads, 1 Gbps, 4 KB/port buffers\n");
@@ -11,7 +11,7 @@ fn main() {
     for servers in [1usize, 2, 4, 8, 16] {
         let mut cfg = IncastConfig::fig6a(servers);
         cfg.iterations = 5;
-        let r = run_incast(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).expect("incast run");
         println!("{:>8}  {:>14.1}  {:>12}", servers, r.goodput_mbps, r.switch_drops);
     }
     println!(

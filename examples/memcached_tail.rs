@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example memcached_tail`
 
-use diablo::core::{run_memcached, McExperimentConfig};
+use diablo::core::{run, CheckpointPolicy, McExperimentConfig};
 use diablo::stack::process::Proto;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         cfg.racks * cfg.mc_per_rack,
         cfg.servers_per_rack - cfg.mc_per_rack
     );
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).expect("memcached run");
 
     println!(
         "{} requests served; {} UDP retries; {} failures\n",

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example parallel_run`
 
-use diablo::core::{run_memcached, McExperimentConfig, RunMode};
+use diablo::core::{run, CheckpointPolicy, McExperimentConfig, RunMode};
 use diablo::stack::process::Proto;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
 
     let mut serial = base.clone();
     serial.mode = RunMode::Serial;
-    let s = run_memcached(&serial);
+    let s = run(&serial, &CheckpointPolicy::default()).expect("serial run");
     println!(
         "serial:     {:>9} events, {:>7} requests, p99 {:>8.1} us, wall {:.3}s",
         s.events,
@@ -29,7 +29,7 @@ fn main() {
     // (store-and-forward GbE: min-frame serialization + propagation).
     let mut parallel = base;
     parallel.mode = RunMode::parallel(4);
-    let p = run_memcached(&parallel);
+    let p = run(&parallel, &CheckpointPolicy::default()).expect("parallel run");
     println!(
         "parallel x4:{:>9} events, {:>7} requests, p99 {:>8.1} us, wall {:.3}s",
         p.events,

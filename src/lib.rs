@@ -78,11 +78,11 @@ pub mod prelude {
         Cluster, ClusterSpec, FabricKind, RunMode, SimHost, SwitchTemplate,
     };
     pub use diablo_core::experiment::{
-        ExperimentBase, ExperimentError, ExperimentHarness, RunEnvelope, Workload,
+        run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError,
+        ExperimentHarness, RunEnvelope, Workload,
     };
     pub use diablo_core::experiments::{
-        run_incast, run_memcached, run_partition_aggregate, IncastClientKind, IncastConfig,
-        McExperimentConfig, PaExperimentConfig,
+        IncastClientKind, IncastConfig, McExperimentConfig, PaExperimentConfig,
     };
     pub use diablo_core::observe::DropAccounting;
     pub use diablo_engine::prelude::*;

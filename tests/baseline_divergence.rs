@@ -4,7 +4,7 @@
 
 use diablo::baseline::analytic::{incast_goodput_analytic, mmk_sojourn_time};
 use diablo::baseline::run_baseline_incast;
-use diablo::core::{run_incast, IncastConfig};
+use diablo::core::{run, CheckpointPolicy, IncastConfig};
 use diablo::net::link::LinkParams;
 use diablo::net::switch::SwitchConfig;
 
@@ -14,10 +14,10 @@ fn both_simulators_collapse_on_shallow_buffers() {
     // both collapse relative to their own uncongested throughput.
     let mut full_small = IncastConfig::fig6a(2);
     full_small.iterations = 3;
-    let f2 = run_incast(&full_small).goodput_mbps;
+    let f2 = run(&full_small, &CheckpointPolicy::default()).unwrap().goodput_mbps;
     let mut full_big = IncastConfig::fig6a(12);
     full_big.iterations = 3;
-    let f12 = run_incast(&full_big).goodput_mbps;
+    let f12 = run(&full_big, &CheckpointPolicy::default()).unwrap().goodput_mbps;
 
     let b2 = run_baseline_incast(
         2,
@@ -48,7 +48,7 @@ fn only_the_full_stack_sees_cpu_speed() {
             buffer: diablo::net::switch::BufferConfig::PerPort { bytes_per_port: 256 * 1024 },
             ..diablo::core::SwitchTemplate::ten_gbe_fast()
         });
-        run_incast(&cfg).goodput_mbps
+        run(&cfg, &CheckpointPolicy::default()).unwrap().goodput_mbps
     };
     let f4 = mk(4);
     let f2 = mk(2);

@@ -114,13 +114,13 @@ fn large_cluster_parallel_multiworker_matches_serial() {
 
 #[test]
 fn incast_conforms_across_partitionings() {
-    use diablo::core::{run_incast, IncastConfig};
+    use diablo::core::IncastConfig;
     let run = |mode: RunMode| {
         let mut cfg = IncastConfig::fig6a(8);
         cfg.iterations = 3;
         cfg.racks = 4;
         cfg.mode = mode;
-        let r = run_incast(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         (r.goodput_mbps.to_bits(), r.iteration_times, r.switch_drops, r.events)
     };
     let reference = run(RunMode::Serial);
@@ -132,11 +132,11 @@ fn incast_conforms_across_partitionings() {
 
 #[test]
 fn memcached_conforms_across_partitionings() {
-    use diablo::core::{run_memcached, McExperimentConfig};
+    use diablo::core::McExperimentConfig;
     let run = |mode: RunMode| {
         let mut cfg = McExperimentConfig::mini(4, 15);
         cfg.mode = mode;
-        let r = run_memcached(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         // Note: `final_time` is not compared — the parallel executor's
         // run_until reports the cap even when the queue drains early, which
         // is a clock-reporting difference, not a simulation one. Everything
@@ -165,7 +165,7 @@ fn memcached_conforms_across_partitionings() {
 /// compared as serialized JSON bytes.
 #[test]
 fn incast_fault_schedule_conforms_across_partitionings() {
-    use diablo::core::{run_incast, FaultPlan, IncastConfig};
+    use diablo::core::{FaultPlan, IncastConfig};
     let run = |mode: RunMode| {
         let mut cfg = IncastConfig::fig6a(8);
         cfg.iterations = 3;
@@ -174,7 +174,7 @@ fn incast_fault_schedule_conforms_across_partitionings() {
         cfg.faults = Some(
             FaultPlan::parse("10ms link-down node1\n510ms link-up node1").expect("valid plan"),
         );
-        let r = run_incast(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         (r.metrics.to_json(), r.events, r.iteration_times, r.switch_drops)
     };
     let reference = run(RunMode::Serial);
@@ -192,7 +192,7 @@ fn incast_fault_schedule_conforms_across_partitionings() {
 /// a ToR power cycle, and two directives for one switch at one instant.
 #[test]
 fn incast_switch_outage_conforms_across_partitionings() {
-    use diablo::core::{run_incast, FaultPlan, IncastConfig};
+    use diablo::core::{FaultPlan, IncastConfig};
     let run = |mode: RunMode| {
         let mut cfg = IncastConfig::fig6a(8);
         cfg.iterations = 3;
@@ -202,7 +202,7 @@ fn incast_switch_outage_conforms_across_partitionings() {
             FaultPlan::parse(include_str!("../scenarios/switch_outage.fplan"))
                 .expect("bundled plan"),
         );
-        let r = run_incast(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         (r.metrics.to_json(), r.events, r.iteration_times, r.switch_drops)
     };
     let reference = run(RunMode::Serial);
@@ -217,7 +217,7 @@ fn incast_switch_outage_conforms_across_partitionings() {
 /// mid-run server-uplink outage.
 #[test]
 fn memcached_fault_schedule_conforms_across_partitionings() {
-    use diablo::core::{run_memcached, FaultPlan, McExperimentConfig};
+    use diablo::core::{FaultPlan, McExperimentConfig};
     let run = |mode: RunMode| {
         let mut cfg = McExperimentConfig::mini(4, 30);
         cfg.proto = diablo::stack::process::Proto::Tcp;
@@ -225,7 +225,7 @@ fn memcached_fault_schedule_conforms_across_partitionings() {
         cfg.faults =
             Some(FaultPlan::parse("1ms link-down node0\n51ms link-up node0").expect("valid plan"));
         cfg.mode = mode;
-        let r = run_memcached(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         (r.metrics.to_json(), r.completed_at, r.events, r.failure)
     };
     let reference = run(RunMode::Serial);
@@ -241,12 +241,12 @@ fn memcached_fault_schedule_conforms_across_partitionings() {
 /// cross-partition delivery shows up as a different metric scrape.
 #[test]
 fn partition_aggregate_conforms_across_partitionings() {
-    use diablo::core::{run_partition_aggregate, PaExperimentConfig};
+    use diablo::core::PaExperimentConfig;
     let run = |mode: RunMode| {
         let mut cfg = PaExperimentConfig::new(4, 10);
         cfg.cross_rack = true;
         cfg.mode = mode;
-        let r = run_partition_aggregate(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         (
             r.metrics.to_json(),
             r.events,
@@ -271,13 +271,13 @@ fn partition_aggregate_conforms_across_partitionings() {
 /// land on exactly the same queries in serial and parallel runs.
 #[test]
 fn partition_aggregate_fault_schedule_conforms_across_partitionings() {
-    use diablo::core::{run_partition_aggregate, FaultPlan, PaExperimentConfig};
+    use diablo::core::{FaultPlan, PaExperimentConfig};
     let run = |mode: RunMode| {
         let mut cfg = PaExperimentConfig::new(2, 40);
         cfg.faults =
             Some(FaultPlan::parse("1ms link-down node1\n4ms link-up node1").expect("valid plan"));
         cfg.mode = mode;
-        let r = run_partition_aggregate(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         (r.metrics.to_json(), r.events, r.deadline_misses, r.missing_answers, r.completed_at)
     };
     let reference = run(RunMode::Serial);
@@ -293,10 +293,10 @@ fn partition_aggregate_fault_schedule_conforms_across_partitionings() {
 
 #[test]
 fn memcached_experiment_is_deterministic() {
-    use diablo::core::{run_memcached, McExperimentConfig};
+    use diablo::core::McExperimentConfig;
     let run = || {
         let cfg = McExperimentConfig::mini(2, 25);
-        let r = run_memcached(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         (r.latency.count(), r.latency.quantile(0.5), r.latency.quantile(0.99), r.served, r.events)
     };
     assert_eq!(run(), run());
@@ -304,11 +304,11 @@ fn memcached_experiment_is_deterministic() {
 
 #[test]
 fn seeds_change_results() {
-    use diablo::core::{run_memcached, McExperimentConfig};
+    use diablo::core::McExperimentConfig;
     let run = |seed: u64| {
         let mut cfg = McExperimentConfig::mini(2, 25);
         cfg.seed = seed;
-        run_memcached(&cfg).events
+        diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap().events
     };
     assert_ne!(run(1), run(2), "different seeds must explore different schedules");
 }
@@ -320,7 +320,7 @@ fn seeds_change_results() {
 /// 2/4-partition execution, and every SLO/shed/offered count must match.
 #[test]
 fn open_loop_memcached_conforms_across_partitionings() {
-    use diablo::core::{run_memcached, ArrivalSpec, FaultPlan, McExperimentConfig};
+    use diablo::core::{ArrivalSpec, FaultPlan, McExperimentConfig};
     let text =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/diurnal.arrv"))
             .expect("bundled diurnal scenario");
@@ -337,7 +337,7 @@ fn open_loop_memcached_conforms_across_partitionings() {
                         .expect("valid plan"),
                 );
             }
-            let r = run_memcached(&cfg);
+            let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
             assert!(r.offered > 0, "diurnal profile must admit load");
             assert_eq!(r.offered, r.slo.completed + r.slo.shed, "admission accounting");
             (r.metrics.to_json(), r.offered, r.timed_out, r.slo, r.failure, r.events)
@@ -358,7 +358,7 @@ fn open_loop_memcached_conforms_across_partitionings() {
 /// serial and partitioned executors must agree byte for byte.
 #[test]
 fn open_loop_partition_aggregate_conforms_across_partitionings() {
-    use diablo::core::{run_partition_aggregate, ArrivalSpec, FaultPlan, PaExperimentConfig};
+    use diablo::core::{ArrivalSpec, FaultPlan, PaExperimentConfig};
     let text =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/diurnal.arrv"))
             .expect("bundled diurnal scenario");
@@ -375,7 +375,7 @@ fn open_loop_partition_aggregate_conforms_across_partitionings() {
                         .expect("valid plan"),
                 );
             }
-            let r = run_partition_aggregate(&cfg);
+            let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
             assert!(r.offered > 0, "diurnal profile must admit load");
             (r.metrics.to_json(), r.offered, r.queries, r.slo, r.failure, r.events)
         };
@@ -477,7 +477,7 @@ fn ecmp_path_choice_is_a_pure_function_of_flow_and_seed() {
 /// hashing means path choice cannot depend on partition scheduling.
 #[test]
 fn fat_tree_incast_conforms_across_partitionings() {
-    use diablo::core::{run_incast, IncastConfig};
+    use diablo::core::IncastConfig;
     use diablo::stack::profile::CongestionControl;
     for cc in [CongestionControl::Reno, CongestionControl::Dctcp] {
         let run = |mode: RunMode| {
@@ -485,7 +485,7 @@ fn fat_tree_incast_conforms_across_partitionings() {
             cfg.cc = cc;
             cfg.iterations = 2;
             cfg.mode = mode;
-            let r = run_incast(&cfg);
+            let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
             (r.metrics.to_json(), r.goodput_mbps.to_bits(), r.iteration_times, r.events)
         };
         let reference = run(RunMode::Serial);

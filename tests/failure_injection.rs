@@ -190,13 +190,13 @@ fn tcp_survives_lossy_uplinks() {
 /// fault-drop columns populated.
 #[test]
 fn incast_recovers_from_scripted_link_flap() {
-    use diablo::core::{run_incast, FaultPlan, IncastConfig};
+    use diablo::core::{FaultPlan, IncastConfig};
     let plan =
         FaultPlan::parse("10ms  link-down node1\n510ms link-up   node1\n").expect("valid plan");
     let mut cfg = IncastConfig::fig6a(4);
     cfg.iterations = 5;
     cfg.faults = Some(plan);
-    let r = run_incast(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     assert_eq!(r.iteration_times.len(), 5, "all iterations must complete despite the flap");
     let rtos: u64 = (0..5)
         .map(|s| r.metrics.counter(&format!("rack0.server{s}.kernel.tcp.rtos")).unwrap_or(0))
@@ -219,14 +219,14 @@ fn incast_recovers_from_scripted_link_flap() {
 /// recovered count in the aggregated [`FailureStats`] report.
 #[test]
 fn memcached_tcp_clients_reconnect_through_server_outage() {
-    use diablo::core::{run_memcached, FaultPlan, McExperimentConfig};
+    use diablo::core::{FaultPlan, McExperimentConfig};
     let plan =
         FaultPlan::parse("2ms  link-down node0\n52ms link-up   node0\n").expect("valid plan");
     let mut cfg = McExperimentConfig::mini(2, 40);
     cfg.proto = diablo::stack::process::Proto::Tcp;
     cfg.request_deadline = Some(SimDuration::from_millis(10));
     cfg.faults = Some(plan);
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     // 2 racks x 5 clients x 40 requests, every one accounted (completed
     // or given up).
     assert_eq!(r.latency.count(), 400);
@@ -242,7 +242,7 @@ fn memcached_tcp_clients_reconnect_through_server_outage() {
 /// retransmit until link-up) and re-requests the interrupted fragment.
 #[test]
 fn incast_epoll_client_deadline_recovers_from_flap() {
-    use diablo::core::{run_incast, FaultPlan, IncastClientKind, IncastConfig};
+    use diablo::core::{FaultPlan, IncastClientKind, IncastConfig};
     let plan =
         FaultPlan::parse("10ms  link-down node1\n510ms link-up   node1\n").expect("valid plan");
     let mut cfg = IncastConfig::fig6a(4);
@@ -250,7 +250,7 @@ fn incast_epoll_client_deadline_recovers_from_flap() {
     cfg.iterations = 3;
     cfg.faults = Some(plan);
     cfg.request_deadline = Some(SimDuration::from_millis(250));
-    let r = run_incast(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     assert_eq!(r.iteration_times.len(), 3);
     assert!(r.failure.failed > 0, "the deadline must fire during the outage");
     assert!(r.failure.recovered > 0, "the re-requested fragment must complete: {:?}", r.failure);
@@ -282,12 +282,12 @@ fn clean_links_have_no_drops() {
 /// only crash losses.
 #[test]
 fn client_crash_losses_are_not_give_ups() {
-    use diablo::core::{run_memcached, FaultPlan, McExperimentConfig};
+    use diablo::core::{FaultPlan, McExperimentConfig};
     // Closed loop: node1 is a client (mini puts the server on node0);
     // crash it while its current op is outstanding, reboot it, finish.
     let mut cfg = McExperimentConfig::mini(1, 40);
     cfg.faults = Some(FaultPlan::parse("1ms node-crash node1 reboot=1ms").expect("valid plan"));
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     assert!(r.failure.crash_lost > 0, "the crash must catch a request in flight: {:?}", r.failure);
     assert_eq!(r.failure.gave_up, 0, "no retry exhaustion on a healthy network: {:?}", r.failure);
 
@@ -301,7 +301,7 @@ fn client_crash_losses_are_not_give_ups() {
     );
     cfg.slo = Some(SimDuration::from_micros(500));
     cfg.faults = Some(FaultPlan::parse("2ms node-crash node1 reboot=2ms").expect("valid plan"));
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     assert!(r.failure.crash_lost > 0, "the crash must wipe the window: {:?}", r.failure);
     assert_eq!(r.failure.gave_up, 0, "crash losses must not count as give-ups: {:?}", r.failure);
     assert_eq!(

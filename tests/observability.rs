@@ -15,8 +15,8 @@ fn incast_scrape_is_identical_across_executors_and_conserves_frames() {
     let mut par = cfg.clone();
     par.mode = RunMode::parallel(4);
 
-    let rs = run_incast(&cfg);
-    let rp = run_incast(&par);
+    let rs = run(&cfg, &CheckpointPolicy::default()).unwrap();
+    let rp = run(&par, &CheckpointPolicy::default()).unwrap();
 
     // Drop accounting balances, per direction, on both executors.
     for r in [&rs, &rp] {
@@ -52,8 +52,8 @@ fn periodic_sampling_builds_identical_series_across_executors() {
     let mut par = cfg.clone();
     par.mode = RunMode::parallel(2);
 
-    let rs = run_incast(&cfg);
-    let rp = run_incast(&par);
+    let rs = run(&cfg, &CheckpointPolicy::default()).unwrap();
+    let rp = run(&par, &CheckpointPolicy::default()).unwrap();
     let ss = rs.series.expect("serial series");
     let sp = rp.series.expect("parallel series");
     assert!(ss.names().next().is_some(), "sampling must record at least one metric");
@@ -70,7 +70,7 @@ fn counter_resets_across_node_crash_yield_no_negative_deltas() {
     let mut cfg = McExperimentConfig::mini(1, 40);
     cfg.sample_every = Some(SimDuration::from_millis(1));
     cfg.faults = Some(FaultPlan::parse("5ms node-crash node1 reboot=1ms").expect("valid plan"));
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     assert!(r.failure.crash_lost > 0, "the crash must catch work in flight: {:?}", r.failure);
     let series = r.series.expect("sampled series");
 

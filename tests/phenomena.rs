@@ -2,7 +2,7 @@
 //! incast collapse, buffer ablation, the latency long tail, hop-class
 //! ordering, and the software-dominates-hardware findings.
 
-use diablo::core::{run_incast, run_memcached, IncastConfig, McExperimentConfig, SwitchTemplate};
+use diablo::core::{IncastConfig, McExperimentConfig, SwitchTemplate};
 use diablo::net::switch::BufferConfig;
 use diablo::prelude::*;
 
@@ -12,7 +12,7 @@ fn incast_collapse_and_buffer_ablation() {
     // configurable-buffer claim).
     let mut shallow = IncastConfig::fig6a(8);
     shallow.iterations = 3;
-    let g_shallow = run_incast(&shallow).goodput_mbps;
+    let g_shallow = run(&shallow, &CheckpointPolicy::default()).unwrap().goodput_mbps;
 
     let mut deep = IncastConfig::fig6a(8);
     deep.iterations = 3;
@@ -20,7 +20,7 @@ fn incast_collapse_and_buffer_ablation() {
         buffer: BufferConfig::PerPort { bytes_per_port: 1024 * 1024 },
         ..SwitchTemplate::gbe_shallow()
     });
-    let g_deep = run_incast(&deep).goodput_mbps;
+    let g_deep = run(&deep, &CheckpointPolicy::default()).unwrap().goodput_mbps;
 
     assert!(g_shallow < 50.0, "shallow buffers must collapse, got {g_shallow:.1} Mbps");
     assert!(g_deep > 500.0, "deep buffers must sustain goodput, got {g_deep:.1} Mbps");
@@ -35,7 +35,7 @@ fn incast_collapse_survives_partition_parallel_execution() {
     cfg.iterations = 3;
     cfg.racks = 4;
     cfg.mode = RunMode::parallel(4);
-    let r = run_incast(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     assert!(r.goodput_mbps < 50.0, "collapse expected in parallel, got {:.1} Mbps", r.goodput_mbps);
     let exec = r.exec.expect("parallel runs report an execution breakdown");
     assert_eq!(exec.partitions.len(), 4, "one stats row per partition");
@@ -52,7 +52,7 @@ fn slower_cpu_cannot_reach_10g_line_rate() {
             buffer: BufferConfig::PerPort { bytes_per_port: 256 * 1024 },
             ..SwitchTemplate::ten_gbe_fast()
         });
-        run_incast(&cfg).goodput_mbps
+        run(&cfg, &CheckpointPolicy::default()).unwrap().goodput_mbps
     };
     let fast = mk(4);
     let slow = mk(2);
@@ -64,7 +64,7 @@ fn slower_cpu_cannot_reach_10g_line_rate() {
 fn memcached_has_a_long_tail_and_hop_ordering() {
     let mut cfg = McExperimentConfig::mini(20, 80);
     cfg.proto = Proto::Udp;
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     let p50 = r.latency.quantile(0.5);
     let max = r.latency.max();
     assert!(max > p50 * 20, "long tail expected: p50={p50}ns max={max}ns");
@@ -83,7 +83,7 @@ fn newer_kernel_improves_latency() {
         let mut cfg = McExperimentConfig::mini(4, 60);
         cfg.kernel = kernel;
         cfg.ten_gig = true;
-        let r = run_memcached(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         r.latency.quantile(0.5)
     };
     let old = run(KernelProfile::linux_2_6_39());
@@ -98,7 +98,7 @@ fn network_upgrade_helps_less_than_2x() {
     let run = |ten_gig: bool| {
         let mut cfg = McExperimentConfig::mini(8, 80);
         cfg.ten_gig = ten_gig;
-        let r = run_memcached(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         r.latency.quantile(0.5)
     };
     let g1 = run(false);
@@ -122,13 +122,13 @@ fn network_upgrade_helps_less_than_2x() {
 /// itself and hide all of this.
 #[test]
 fn open_loop_overload_raises_slo_violations_monotonically() {
-    use diablo::core::{run_memcached, ArrivalSpec, McExperimentConfig};
+    use diablo::core::{ArrivalSpec, McExperimentConfig};
     let run = |rate: f64| {
         let mut cfg = McExperimentConfig::mini(1, 0);
         cfg.arrival =
             Some(ArrivalSpec::poisson(rate, SimDuration::from_millis(40)).expect("valid spec"));
         cfg.slo = Some(SimDuration::from_micros(500));
-        let r = run_memcached(&cfg);
+        let r = diablo::core::run(&cfg, &CheckpointPolicy::default()).unwrap();
         assert!(r.offered > 0, "schedule must admit load at {rate} req/s");
         assert_eq!(
             r.offered,
@@ -158,7 +158,7 @@ fn open_loop_overload_raises_slo_violations_monotonically() {
 /// the periodic `slo.*` counter scrapes.
 #[test]
 fn diurnal_overload_recovers_when_load_drops() {
-    use diablo::core::{run_memcached, ArrivalSpec, McExperimentConfig};
+    use diablo::core::{ArrivalSpec, McExperimentConfig};
     let text =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/diurnal.arrv"))
             .expect("bundled diurnal scenario");
@@ -167,7 +167,7 @@ fn diurnal_overload_recovers_when_load_drops() {
     cfg.arrival = Some(spec);
     cfg.slo = Some(SimDuration::from_micros(500));
     cfg.sample_every = Some(SimDuration::from_millis(5));
-    let r = run_memcached(&cfg);
+    let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     let series = r.series.expect("sample_every must produce a series");
 
     // Sum the per-client cumulative counters into cluster-wide
@@ -235,7 +235,7 @@ fn dctcp_tames_fat_tree_incast_that_collapses_under_reno() {
             buffer: BufferConfig::PerPort { bytes_per_port: 96 * 1024 },
             ..SwitchTemplate::gbe_shallow()
         });
-        let r = run_incast(&cfg);
+        let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
         let max_queue = r
             .metrics
             .iter()
