@@ -1615,6 +1615,45 @@ mod tests {
         assert!(rejected > 0, "no damage was detected at all");
     }
 
+    /// Damage can also decode cleanly into a node timer no kernel arms:
+    /// here the class nibble of a queued node timer's key is overwritten
+    /// with a class the kernel does not have. The restored run ignores the
+    /// timer and counts it.
+    #[test]
+    fn a_damaged_node_timer_key_is_counted_stale() {
+        let cfg = McExperimentConfig::mini(1, 10);
+        let dir = std::env::temp_dir().join("diablo_snapshot_damage");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("mc_udp.snap");
+        warm(&cfg, &path, SimTime::from_micros(120)).expect("warm");
+        let mut bytes = std::fs::read(&path).expect("snapshot written");
+
+        let harness = ExperimentHarness::new(cfg.base());
+        let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
+        cfg.workload().build(&mut host, &cluster);
+        // The event queue ends the stream. A queued timer is its time
+        // (u64), target and source (u32 each), sequence number (u64), the
+        // `Timer` tag (u64 0) and its key (u64); a node's own timer has the
+        // node as target and source. Take the last one.
+        let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
+        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+        let target = (8..=bytes.len() - 32)
+            .rev()
+            .find(|&i| {
+                let id = u32_at(i);
+                let node = cluster.nodes.iter().any(|c| c.0 == id);
+                node && u32_at(i + 4) == id && u64_at(i + 16) == 0
+            })
+            .expect("a queued node timer");
+        let due = SimTime::from_picos(u64_at(target - 8));
+        bytes[target + 24] |= 0xF;
+
+        crate::snapshot::decode_snapshot(&bytes, &mut host, harness.fingerprint("memcached"))
+            .expect("the damaged key still decodes");
+        host.run_until(due).expect("the run goes on");
+        assert_eq!(cluster.scrape(&host).sum_counters("*.kernel.stale_timers"), 1);
+    }
+
     #[test]
     fn memcached_mini_experiment_completes() {
         let cfg = McExperimentConfig::mini(2, 20);

@@ -49,8 +49,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 /// instead of one busy flag. Version 4: a switch and a node kernel each
 /// persist the schedule of fault directives still to apply (the switch in
 /// place of its fences), a pending fault timer carries no directive, and
-/// a TCP connection's parameters have no `nodelay` flag.
-pub const SNAP_VERSION: u32 = 4;
+/// a TCP connection's parameters have no `nodelay` flag. Version 5: a node
+/// kernel persists the generation of its CPU completion timer and a count
+/// of stale timers, and the CPU may hold a thread's deferred exit.
+pub const SNAP_VERSION: u32 = 5;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

@@ -12,10 +12,11 @@
 //! switches mid-traffic.
 
 use diablo_core::{
-    run, ArrivalSpec, CheckpointPolicy, ControlConfig, FaultPlan, IncastClientKind, IncastConfig,
-    McExperimentConfig, PaExperimentConfig, RunMode, SwitchTemplate,
+    run, warm, ArrivalSpec, CheckpointPolicy, Cluster, ControlConfig, Experiment, FaultPlan,
+    IncastClientKind, IncastConfig, McExperimentConfig, PaExperimentConfig, RunMode,
+    SwitchTemplate, Workload,
 };
-use diablo_engine::prelude::SimDuration;
+use diablo_engine::prelude::{SimDuration, SimTime};
 use diablo_net::switch::BufferConfig;
 use diablo_net::topology::FatTreeConfig;
 use diablo_stack::profile::CongestionControl;
@@ -33,7 +34,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// The digest is the model's behaviour and never moves; the event count
 /// is the simulator's cost and may only fall, by a change that schedules
-/// less for the same behaviour (re-pin it with the reason).
+/// less for the same behaviour (re-pin it with the reason). The counts
+/// last fell when a node kernel stopped arming a CPU completion for a
+/// compute burst or ready `recvfrom` it folds into the thread's next step
+/// (DESIGN.md §9.1): 7,011 -> 5,817 on the memcached tree, 24 or 36 fewer
+/// on each incast, 27,152 -> 23,293 under the rolling crash, 20,200 ->
+/// 16,732 on the controlled search tier.
 fn assert_pinned(
     name: &str,
     pinned: &str,
@@ -82,7 +88,7 @@ fn epoll_incast(servers: usize) -> IncastConfig {
 #[test]
 fn tree_memcached_udp() {
     let cfg = McExperimentConfig::mini(2, 40);
-    assert_pinned("tree memcached", "7ce8766424d48085", 7011, "rack0.tor.tx_frames", |m| {
+    assert_pinned("tree memcached", "7ce8766424d48085", 5817, "rack0.tor.tx_frames", |m| {
         memcached(&cfg, m)
     });
 }
@@ -93,7 +99,7 @@ fn fat_tree_incast_reno_tail_drops() {
     assert_pinned(
         "fat-tree incast, Reno",
         "f3b71ca6fff9b1ee",
-        12406,
+        12370,
         "rack0.tor.drops_buffer",
         |m| incast(&cfg, m),
     );
@@ -108,7 +114,7 @@ fn fat_tree_incast_dctcp_marks() {
         buffer: BufferConfig::PerPort { bytes_per_port: 96 * 1024 },
         ..SwitchTemplate::gbe_shallow()
     });
-    assert_pinned("fat-tree incast, DCTCP", "bab3764358ba5e51", 11234, "agg0.ecn_marked", |m| {
+    assert_pinned("fat-tree incast, DCTCP", "bab3764358ba5e51", 11198, "agg0.ecn_marked", |m| {
         incast(&cfg, m)
     });
 }
@@ -120,7 +126,7 @@ fn ten_gig_cut_through_incast() {
     assert_pinned(
         "10G cut-through incast",
         "d60e667a7adc0344",
-        4868,
+        4844,
         "rack0.tor.drops_buffer",
         |m| incast(&cfg, m),
     );
@@ -133,7 +139,7 @@ fn shared_buffer_tor_incast() {
         buffer: BufferConfig::Shared { total_bytes: 32 * 1024 },
         ..SwitchTemplate::gbe_shallow()
     });
-    assert_pinned("shared-buffer ToR", "fa0e358cd1a9f37b", 6495, "rack0.tor.drops_buffer", |m| {
+    assert_pinned("shared-buffer ToR", "fa0e358cd1a9f37b", 6471, "rack0.tor.drops_buffer", |m| {
         incast(&cfg, m)
     });
 }
@@ -145,7 +151,7 @@ fn link_flap_plan_through_incast() {
     cfg.faults = Some(
         FaultPlan::parse(include_str!("../../../scenarios/link_flap.fplan")).expect("bundled plan"),
     );
-    assert_pinned("link flap", "c6f07b29c8cec38e", 8884, "rack0.tor.drops_fault", |m| {
+    assert_pinned("link flap", "c6f07b29c8cec38e", 8860, "rack0.tor.drops_fault", |m| {
         incast(&cfg, m)
     });
 }
@@ -162,7 +168,7 @@ fn switch_outage_plan_through_incast() {
         FaultPlan::parse(include_str!("../../../scenarios/switch_outage.fplan"))
             .expect("bundled plan"),
     );
-    assert_pinned("switch outage", "f6d02b10af4c6aba", 9349, "rack0.tor.drops_error", |m| {
+    assert_pinned("switch outage", "f6d02b10af4c6aba", 9325, "rack0.tor.drops_error", |m| {
         incast(&cfg, m)
     });
 }
@@ -180,7 +186,7 @@ fn rolling_crash_plan_with_control_plane() {
     assert_pinned(
         "rolling crash",
         "3a5220d2f0163706",
-        27152,
+        23293,
         "rack1.server5.proc0.control.failovers",
         |m| memcached(&cfg, m),
     );
@@ -199,7 +205,7 @@ fn controlled_cross_rack_partition_aggregate() {
     assert_pinned(
         "controlled partition-aggregate",
         "ef84b54d67229cde",
-        20200,
+        16732,
         "rack1.server5.proc0.control.detections",
         |mode| {
             let mut cfg = cfg.clone();
@@ -208,4 +214,63 @@ fn controlled_cross_rack_partition_aggregate() {
             (r.metrics.to_json(), r.events)
         },
     );
+}
+
+/// A kernel that folds CPU spans into the process's next step must keep
+/// every folded window inside one `run_until` (DESIGN.md §9.1). This
+/// drives the cluster itself, one microsecond per `run_until`, and hashes
+/// the whole-cluster scrape and the completion check at every step, serial
+/// and on two partitions. Recorded before the kernel folded any span.
+#[test]
+fn memcached_udp_scraped_every_microsecond() {
+    let cfg = McExperimentConfig::mini(2, 10);
+    for mode in [RunMode::Serial, RunMode::parallel(2)] {
+        let (mut host, cluster) = Cluster::instantiate(&cfg.base().spec(), mode);
+        let mut workload = cfg.workload();
+        workload.build(&mut host, &cluster);
+        let (mut digest, mut at, mut steps) = (0xcbf2_9ce4_8422_2325u64, SimTime::ZERO, 0);
+        loop {
+            at += SimDuration::from_micros(1);
+            host.run_until(at).unwrap();
+            let done = workload.is_done(&host, &cluster);
+            let scrape = format!("{done}{}", cluster.scrape(&host).to_json());
+            digest = scrape
+                .bytes()
+                .fold(digest, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+            steps += 1;
+            if done {
+                break;
+            }
+        }
+        assert_eq!(
+            (steps, format!("{digest:016x}")),
+            (744, "cef434d33d91443e".to_string()),
+            "{mode:?}: a scrape saw a different instant"
+        );
+    }
+}
+
+/// A warm-up whose instant, 148 us, falls inside client node 1's think
+/// burst of 147.0645-148.57325 us (the span that follows a `recvfrom`),
+/// restored and run to the end, serial and on two partitions. The instant
+/// itself is one of the scrapes `memcached_udp_scraped_every_microsecond`
+/// pins for the same scenario.
+/// Recorded before the kernel folded any span.
+#[test]
+fn memcached_udp_warm_inside_a_think_burst() {
+    let mut cfg = McExperimentConfig::mini(2, 10);
+    let dir = std::env::temp_dir().join("diablo_scrape_golden");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    for mode in [RunMode::Serial, RunMode::parallel(2)] {
+        cfg.mode = mode;
+        let path = dir.join(format!("think_burst_{}.snap", matches!(mode, RunMode::Serial)));
+        warm(&cfg, &path, SimTime::from_micros(148)).expect("warm");
+        let policy = CheckpointPolicy { save: None, restore_from: Some(path) };
+        let json = run(&cfg, &policy).unwrap().metrics.to_json();
+        assert_eq!(
+            format!("{:016x}", fnv1a(json.as_bytes())),
+            "3548b99050917084",
+            "{mode:?}: the restored run differs"
+        );
+    }
 }

@@ -4,10 +4,12 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 4 (each switch and each node kernel persists its
-//! schedule of fault directives, empty here, so every one grew the 8
-//! bytes of a length, and a TCP connection's parameters lost the
-//! one-byte `nodelay` flag; version 3 made a switch pipeline entry's forwarding
+//! `SNAP_VERSION` 5 (each node kernel persists the generation of its CPU
+//! completion timer and a count of stale timers, 12 bytes more per node;
+//! version 4 gave each switch and each node kernel its schedule of fault
+//! directives, empty here, so every one grew the 8 bytes of a length, and
+//! a TCP connection's parameters lost the one-byte `nodelay` flag;
+//! version 3 made a switch pipeline entry's forwarding
 //! timer optional and a NIC's TX busy flag its free instant plus an armed
 //! flag, version 2 made the pipeline a FIFO beside a list of frames
 //! committed at admission, version 1's digests dated from the
@@ -52,7 +54,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     cfg.sample_every = Some(SimDuration::from_micros(500));
     let got =
         snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
-    assert_eq!(got, (472_181, "fc79c3133c9ee4f4".to_string()));
+    assert_eq!(got, (472_325, "d50d7c439e21ccd5".to_string()));
 }
 
 #[test]
@@ -65,7 +67,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_487, "9c8c18b7cd9abc9f".to_string()));
+    assert_eq!(got, (96_631, "06525b919309a67c".to_string()));
 }
 
 #[test]
@@ -75,7 +77,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     cfg.cross_rack = true;
     let got =
         snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
-    assert_eq!(got, (139_573, "af708e904d3641ce".to_string()));
+    assert_eq!(got, (139_765, "20ab322b21c15e63".to_string()));
 }
 
 #[test]
@@ -94,5 +96,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (47_017, "b33ca963091c1a73".to_string()));
+    assert_eq!(got, (47_209, "722801a5a177103d".to_string()));
 }

@@ -92,6 +92,7 @@ pub trait Component<M>: Send + 'static {
 #[derive(Debug)]
 pub struct Ctx<'a, M> {
     now: SimTime,
+    limit: SimTime,
     self_id: ComponentId,
     source: ComponentId,
     seq: &'a mut u64,
@@ -102,18 +103,28 @@ pub struct Ctx<'a, M> {
 impl<'a, M> Ctx<'a, M> {
     pub(crate) fn new(
         now: SimTime,
+        limit: SimTime,
         self_id: ComponentId,
         source: ComponentId,
         seq: &'a mut u64,
         pending: &'a mut Vec<Event<M>>,
         stop: &'a mut bool,
     ) -> Self {
-        Ctx { now, self_id, source, seq, pending, stop }
+        Ctx { now, limit, self_id, source, seq, pending, stop }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The instant the current `run_until` stops at (the run's limit, not
+    /// a parallel round's horizon). Nothing outside the model — a scrape,
+    /// a sample, a checkpoint, a completion check — looks at it before
+    /// then, so a model may settle state it knows up to this instant
+    /// ahead of time (DESIGN.md §9.1).
+    pub fn limit(&self) -> SimTime {
+        self.limit
     }
 
     /// The id of the component whose handler is running.
@@ -190,6 +201,7 @@ mod tests {
         let mut stop = false;
         let mut ctx: Ctx<'_, u32> = Ctx::new(
             SimTime::from_nanos(100),
+            SimTime::MAX,
             ComponentId(7),
             ComponentId(3),
             &mut seq,
@@ -216,6 +228,7 @@ mod tests {
         let mut stop = false;
         let mut ctx = Ctx::new(
             SimTime::from_nanos(100),
+            SimTime::MAX,
             ComponentId(0),
             ComponentId(0),
             &mut seq,

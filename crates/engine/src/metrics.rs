@@ -519,6 +519,11 @@ impl FlightRing {
         self.dropped
     }
 
+    /// The most records the ring retains.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
     /// Number of retained records.
     pub fn len(&self) -> usize {
         self.records.len()

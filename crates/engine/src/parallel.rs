@@ -434,6 +434,8 @@ struct RunShared<'a, M> {
     /// long after they are sent, in picoseconds.
     lookahead_ps: u64,
     start_now: SimTime,
+    /// The call's limit, which handlers see as [`Ctx::limit`].
+    limit: SimTime,
     exclusive_end: u64,
     first_run: bool,
     /// Global component id -> (partition, flat index within the owning
@@ -497,8 +499,15 @@ fn run_worker<M: Send + 'static>(
             let part_id = ws.part_of[i];
             let id = ws.ids[i];
             let mut stop = false;
-            let mut ctx =
-                Ctx::new(shared.start_now, id, id, &mut ws.seqs[i], &mut ws.pending, &mut stop);
+            let mut ctx = Ctx::new(
+                shared.start_now,
+                shared.limit,
+                id,
+                id,
+                &mut ws.seqs[i],
+                &mut ws.pending,
+                &mut stop,
+            );
             ws.comps[i].on_start(&mut ctx);
             pending_stop |= stop;
             let mut cross = 0u64;
@@ -642,6 +651,7 @@ fn run_worker<M: Send + 'static>(
                     local_now = ev.key.time;
                     let mut ctx = Ctx::new(
                         local_now,
+                        shared.limit,
                         target,
                         ev.key.source,
                         &mut ws.seqs[fidx],
@@ -990,6 +1000,7 @@ impl<M: Send + 'static> ParallelSimulation<M> {
             nworkers: nw,
             lookahead_ps: self.lookahead.as_picos(),
             start_now,
+            limit,
             exclusive_end: if limit == SimTime::MAX {
                 u64::MAX
             } else {

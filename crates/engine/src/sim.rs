@@ -157,15 +157,22 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
         self.events_processed
     }
 
-    fn start_if_needed(&mut self) {
+    fn start_if_needed(&mut self, limit: SimTime) {
         if self.started {
             return;
         }
         self.started = true;
         for i in 0..self.components.len() {
             let id = ComponentId(i as u32);
-            let mut ctx =
-                Ctx::new(self.now, id, id, &mut self.seqs[i], &mut self.pending, &mut self.stop);
+            let mut ctx = Ctx::new(
+                self.now,
+                limit,
+                id,
+                id,
+                &mut self.seqs[i],
+                &mut self.pending,
+                &mut self.stop,
+            );
             self.components[i].on_start(&mut ctx);
         }
         for ev in self.pending.drain(..) {
@@ -191,7 +198,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
     /// Returns [`EngineError::UnknownComponent`] if an event targets an
     /// unregistered component.
     pub fn run_until(&mut self, limit: SimTime) -> Result<RunStats, EngineError> {
-        self.start_if_needed();
+        self.start_if_needed(limit);
         // Events at exactly `limit` are processed: the bound is exclusive,
         // one past the limit. (At `SimTime::MAX` the +1 saturates; an event
         // at the final representable picosecond — 584 years in — would stay
@@ -210,6 +217,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
             {
                 let mut ctx = Ctx::new(
                     self.now,
+                    limit,
                     target,
                     ev.key.source,
                     &mut self.seqs[idx],

@@ -207,3 +207,65 @@ fn one_lookahead_runs_match_one_long_run_and_serial() {
     assert_eq!(scrape(&stepped), scrape(&long), "stepped runs diverged from one long run");
     assert_eq!(scrape(&stepped), reg.to_json(), "parallel diverged from serial");
 }
+
+/// Logs the limit every handler is shown, and keeps a neighbour busy.
+struct LimitLog {
+    peer: Option<ComponentId>,
+    seen: Vec<(SimTime, SimTime)>,
+}
+
+impl Component<u64> for LimitLog {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        self.seen.push((ctx.now(), ctx.limit()));
+        ctx.set_timer(SimDuration::from_nanos(300), 0);
+    }
+    fn on_timer(&mut self, _key: TimerKey, ctx: &mut Ctx<'_, u64>) {
+        self.seen.push((ctx.now(), ctx.limit()));
+        if let Some(p) = self.peer {
+            ctx.send_after(p, PortNo(0), SimDuration::from_micros(2), 0);
+        }
+        if ctx.now() < SimTime::from_micros(30) {
+            ctx.set_timer(SimDuration::from_nanos(300), 0);
+        }
+    }
+    fn on_message(&mut self, _port: PortNo, _msg: u64, ctx: &mut Ctx<'_, u64>) {
+        self.seen.push((ctx.now(), ctx.limit()));
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Two loggers in two partitions, the second messaging the first.
+fn limit_logs<H: ComponentHost<u64>>(host: &mut H) -> [ComponentId; 2] {
+    let a = host.add_in_partition(0, Box::new(LimitLog { peer: None, seen: Vec::new() }));
+    let b = host.add_in_partition(1, Box::new(LimitLog { peer: Some(a), seen: Vec::new() }));
+    [a, b]
+}
+
+/// A handler sees the limit of the `run_until` call it runs in — on the
+/// parallel executor too, whose rounds end at much nearer horizons.
+#[test]
+fn handlers_see_the_run_limit_not_the_round_horizon() {
+    let limits = [SimTime::from_micros(7), SimTime::from_micros(40)];
+    let mut parallel = ParallelSimulation::<u64>::with_workers(2, 2, SimDuration::from_micros(1));
+    let ids = limit_logs(&mut parallel);
+    let mut serial = Simulation::<u64>::new();
+    let ids_s = limit_logs(&mut serial);
+    for limit in limits {
+        parallel.run_until(limit).unwrap();
+        serial.run_until(limit).unwrap();
+    }
+    let log = |c: Option<&LimitLog>| c.unwrap().seen.clone();
+    let seen: Vec<_> = ids.iter().flat_map(|&id| log(parallel.component(id))).collect();
+    let reference: Vec<_> = ids_s.iter().flat_map(|&id| log(serial.component(id))).collect();
+    assert_eq!(seen, reference, "the executors showed different limits");
+    assert!(seen.len() > 100, "too few events to cross many rounds");
+    for (now, limit) in seen {
+        let expected = if now <= limits[0] { limits[0] } else { limits[1] };
+        assert_eq!(limit, expected, "the handler at {now} saw {limit}");
+    }
+}

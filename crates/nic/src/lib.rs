@@ -469,6 +469,22 @@ impl Nic {
         }
     }
 
+    /// The earliest instant a live RX interrupt could fire, as seen at
+    /// `now`: `None` while interrupts are masked (a NAPI poll cycle owns
+    /// the ring), the armed instant while one is pending, otherwise the
+    /// earliest a frame arriving from `now` on could assert one. The
+    /// kernel runs a process span without a completion timer only if it
+    /// ends strictly before this (DESIGN.md §9.1).
+    pub fn rx_quiet_until(&self, now: SimTime) -> Option<SimTime> {
+        if self.intr_masked {
+            None
+        } else if self.intr_pending {
+            self.last_intr
+        } else {
+            Some(self.next_intr_time(now))
+        }
+    }
+
     /// Earliest legal assertion time for a new interrupt: after the
     /// assertion delay, and no closer than the mitigation interval to the
     /// previous interrupt.
@@ -823,6 +839,37 @@ mod tests {
         n.unmask_interrupts(SimTime::from_micros(5), &mut actions);
         assert_eq!(actions.len(), 1);
         assert!(matches!(actions[0], NicAction::SetTimer(_, keys::RX_INTR)));
+    }
+
+    #[test]
+    fn rx_quiet_until_is_the_earliest_live_interrupt() {
+        let us = SimTime::from_micros;
+        let mut n = nic(NicConfig::default());
+        let mut actions = Vec::new();
+        // Idle, never interrupted: the assertion delay from now.
+        assert_eq!(n.rx_quiet_until(us(3)), Some(us(5)));
+        // Pending: the armed instant, whenever asked.
+        n.rx_frame(frame(100), us(4), &mut actions);
+        assert_eq!(actions, vec![NicAction::SetTimer(us(6), keys::RX_INTR)]);
+        assert_eq!(n.rx_quiet_until(us(4)), Some(us(6)));
+        assert_eq!(n.rx_quiet_until(us(5)), Some(us(6)));
+        // Masked: a poll cycle owns the ring, no bound.
+        assert!(n.on_rx_interrupt());
+        assert_eq!(n.rx_quiet_until(us(6)), None);
+        // Unmasked inside the mitigation interval: 6 + 10 us, not now + 2.
+        assert_eq!(n.rx_poll(64).len(), 1);
+        actions.clear();
+        n.unmask_interrupts(us(8), &mut actions);
+        assert!(actions.is_empty());
+        assert_eq!(n.rx_quiet_until(us(8)), Some(us(16)));
+        // A frame arriving then asserts exactly there.
+        n.rx_frame(frame(100), us(9), &mut actions);
+        assert_eq!(actions, vec![NicAction::SetTimer(us(16), keys::RX_INTR)]);
+        // Past the interval the delay from now rules again.
+        assert!(n.on_rx_interrupt());
+        assert_eq!(n.rx_poll(64).len(), 1);
+        n.unmask_interrupts(us(30), &mut actions);
+        assert_eq!(n.rx_quiet_until(us(30)), Some(us(32)));
     }
 
     #[test]

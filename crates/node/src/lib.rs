@@ -75,6 +75,14 @@ impl KernelEnv for EnvAdapter<'_, '_> {
         let (c, p) = self.uplink;
         self.ctx.send_at(c, p, at, frame);
     }
+
+    fn limit(&self) -> diablo_engine::time::SimTime {
+        self.ctx.limit()
+    }
+
+    fn source_order(&self) -> std::cmp::Ordering {
+        self.ctx.source().cmp(&self.ctx.self_id())
+    }
 }
 
 impl Component<Frame> for ServerNode {

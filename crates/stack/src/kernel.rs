@@ -19,6 +19,16 @@
 //! by the largest application compute burst — microseconds, matching real
 //! interrupt behaviour.
 //!
+//! A burst ends with one `K_CPU_DONE` timer, unless its end is decided
+//! when it starts: a compute burst, or a `recvfrom` that will not block,
+//! that no RX interrupt, loopback frame, fault directive, preemption or
+//! observer can reach before it ends. Such a span is *folded*: its
+//! end-work runs at once, the thread steps again at the span's end, and
+//! only the first span that does not fold arms a timer. Events that land
+//! inside the folded window meet the same kernel state, and are ordered
+//! against the folded completions, as they would have been with one timer
+//! per span (DESIGN.md §9.1).
+//!
 //! This explicit CPU accounting is what DIABLO's case studies hinge on:
 //! with a 10 Gbps link a slow CPU cannot drain the NIC ring, the ring
 //! overflows, packets drop, and TCP collapses (Figure 6(b)) — none of
@@ -37,6 +47,7 @@ use diablo_net::frame::{Frame, Route};
 use diablo_net::link::PortPeer;
 use diablo_net::payload::{AppMessage, IpPacket, TcpFlags, TcpSegment, Transport, UdpDatagram};
 use diablo_nic::{Nic, NicAction, NicConfig};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -62,6 +73,19 @@ pub trait KernelEnv {
     /// Deliver a frame to the node's uplink peer at an absolute instant
     /// (the NIC has already accounted serialization).
     fn send_frame(&mut self, at: SimTime, frame: Frame);
+    /// The instant the current run stops at: nothing outside the model
+    /// looks at the node before then. A host that cannot tell keeps this
+    /// default, and the kernel then folds no CPU span (DESIGN.md §9.1).
+    fn limit(&self) -> SimTime {
+        self.now()
+    }
+    /// Where the event being handled sorts among the node's own timers due
+    /// at the same instant: `Less` before them (sent by a component with a
+    /// smaller id), `Equal` for one of them, `Greater` after them. Read
+    /// only while a folded window is open.
+    fn source_order(&self) -> Ordering {
+        Ordering::Equal
+    }
 }
 
 /// Node-level configuration: CPU, kernel profile, NIC.
@@ -119,6 +143,10 @@ pub struct KernelStats {
     pub crashes: Counter,
     /// Node reboots applied.
     pub reboots: Counter,
+    /// Timers ignored because nothing in the kernel could have armed them
+    /// (an unknown class, or a CPU completion with the CPU idle): only a
+    /// damaged or mismatched snapshot delivers these.
+    pub stale_timers: Counter,
     /// Total time the CPU was busy.
     pub cpu_busy: SimDuration,
 }
@@ -235,11 +263,43 @@ struct ProcSlot {
 }
 
 /// What the CPU is currently executing (with the burst's duration, for
-/// timeslice accounting).
+/// timeslice accounting). `Exit`: the thread's last folded span ends at
+/// the timer's instant and its next step was `Exit`; it leaves the CPU
+/// then, when the run queue the next pick sees is known.
 enum CpuWork {
     Softirq { frames: Vec<Frame> },
     ProcBurst { tid: Tid, dur: SimDuration },
     ProcSyscall { tid: Tid, call: Syscall, dur: SimDuration },
+    Exit { tid: Tid },
+}
+
+/// The CPU spans folded into one thread run (DESIGN.md §9.1): the order
+/// the unfolded kernel's completion timers would have given events inside
+/// the run's window. Never persisted: a checkpoint instant is at or past
+/// every folded end, where the window has closed.
+#[derive(Default)]
+struct Fold {
+    /// The real instant the run started, then each folded span's end. The
+    /// last is the instant the final span started.
+    ends: Vec<SimTime>,
+    /// Where the armed `K_CPU_DONE` fires.
+    last_end: SimTime,
+    /// The event being handled sorts before the folded completion at its
+    /// instant.
+    early: bool,
+    /// An own timer due with the final span's end was armed ahead of where
+    /// the unfolded kernel armed the span's completion: re-arm it behind.
+    rearm: bool,
+    /// Trace records of folded steps, written once real time reaches them.
+    records: VecDeque<FlightRecord>,
+}
+
+impl Fold {
+    /// The last folded end while the window is open at `now`.
+    fn open_until(&self, now: SimTime) -> Option<SimTime> {
+        let last = *self.ends.last()?;
+        (self.ends.len() > 1 && now <= last).then_some(last)
+    }
 }
 
 /// The kernel. See the module docs.
@@ -284,6 +344,11 @@ pub struct Kernel {
     /// paths without an env handle).
     now_cache: SimTime,
 
+    /// Generation of the armed `K_CPU_DONE` (its key's `b`): bumped when
+    /// the timer is re-armed behind a tie, so the first one goes stale.
+    cpu_gen: u32,
+    fold: Fold,
+
     /// Crash epoch: bumped on every [`NodeFault::Crash`] and stamped into
     /// timer keys so pre-crash timers are discarded on arrival. Wraps at
     /// 16; a collision would need 16 crashes while one timer is in flight.
@@ -322,6 +387,10 @@ impl Instrumented for Kernel {
         v.counter("kernel.tx_drops", self.stats.tx_drops.get());
         v.counter("kernel.crashes", self.stats.crashes.get());
         v.counter("kernel.reboots", self.stats.reboots.get());
+        // Only a damaged snapshot moves this; healthy scrapes keep their shape.
+        if self.stats.stale_timers.get() > 0 {
+            v.counter("kernel.stale_timers", self.stats.stale_timers.get());
+        }
         v.counter("kernel.cpu_busy_ps", self.stats.cpu_busy.as_picos());
         {
             let tcp = self.tcp_stats();
@@ -357,6 +426,7 @@ diablo_engine::impl_snap_enum!(CpuWork {
     0 => Softirq { frames },
     1 => ProcBurst { tid, dur },
     2 => ProcSyscall { tid, call, dur },
+    3 => Exit { tid },
 });
 
 diablo_engine::impl_snap_struct!(KernelStats {
@@ -370,6 +440,7 @@ diablo_engine::impl_snap_struct!(KernelStats {
     tx_drops,
     crashes,
     reboots,
+    stale_timers,
     cpu_busy
 });
 
@@ -397,6 +468,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     current,
     last_ran,
     cpu_work,
+    cpu_gen,
     softirq_pending,
     sockets,
     free_socks,
@@ -419,6 +491,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     trace: config,
     nic_actions: config,
     rx_batch: config,
+    fold: config,
 });
 
 impl Kernel {
@@ -439,6 +512,8 @@ impl Kernel {
             current: None,
             last_ran: None,
             cpu_work: None,
+            cpu_gen: 0,
+            fold: Fold::default(),
             softirq_pending: false,
             sockets: Vec::new(),
             free_socks: Vec::new(),
@@ -510,19 +585,38 @@ impl Kernel {
         self.nic.enable_trace(capacity);
     }
 
-    /// The recorded trace, oldest first (empty unless enabled).
+    /// The recorded trace, oldest first (empty unless enabled). Records of
+    /// folded steps still waiting for real time count as written: nothing
+    /// observes the node before they are due.
     pub fn trace(&self) -> Vec<FlightRecord> {
-        self.trace.as_ref().map(FlightRing::records).unwrap_or_default()
+        let Some(ring) = &self.trace else { return Vec::new() };
+        let mut out = ring.records();
+        out.extend(self.fold.records.iter().copied());
+        out.drain(..out.len().saturating_sub(ring.capacity()));
+        out
     }
 
     /// Trace records evicted due to the capacity bound.
     pub fn trace_dropped(&self) -> u64 {
-        self.trace.as_ref().map_or(0, FlightRing::dropped)
+        self.trace.as_ref().map_or(0, |ring| {
+            let held = ring.len() + self.fold.records.len();
+            ring.dropped() + held.saturating_sub(ring.capacity()) as u64
+        })
     }
 
     fn trace_push(&mut self, record: FlightRecord) {
         if let Some(t) = &mut self.trace {
             t.push(record);
+        }
+    }
+
+    /// Traces a thread step, which a fold may place past the handler's
+    /// instant: such a record waits for real time to reach it.
+    fn trace_step(&mut self, record: FlightRecord) {
+        if record.at > self.now_cache && self.trace.is_some() {
+            self.fold.records.push_back(record);
+        } else {
+            self.trace_push(record);
         }
     }
 
@@ -557,12 +651,74 @@ impl Kernel {
 
     /// Starts the kernel: schedules the first dispatch.
     pub fn boot(&mut self, env: &mut dyn KernelEnv) {
+        self.now_cache = env.now();
         self.maybe_dispatch(env);
     }
 
     /// Handles a kernel timer.
     pub fn on_timer(&mut self, k: u64, env: &mut dyn KernelEnv) {
-        self.now_cache = env.now();
+        self.enter(env);
+        self.timer(k, env);
+        self.leave(env);
+    }
+
+    /// Handles a frame arriving from the wire.
+    pub fn on_frame(&mut self, frame: Frame, env: &mut dyn KernelEnv) {
+        self.enter(env);
+        self.with_nic(env, |nic, now, actions| nic.rx_frame(frame, now, actions));
+        self.maybe_dispatch(env);
+        self.leave(env);
+    }
+
+    /// Starts an entry point for the event delivered now: places it
+    /// against the folded completion due at its instant, if any, and
+    /// writes the folded trace records the unfolded kernel would have
+    /// written before it.
+    fn enter(&mut self, env: &dyn KernelEnv) {
+        let now = env.now();
+        self.now_cache = now;
+        let f = &mut self.fold;
+        // An own timer due at a folded end was armed before the window, so
+        // ahead of the completion there, or is a NIC TX completion, whose
+        // order against CPU work does not matter (DESIGN.md §9.1).
+        f.early = f.open_until(now).is_some()
+            && f.ends[1..].contains(&now)
+            && env.source_order() != Ordering::Greater;
+        if let Some(ring) = &mut self.trace {
+            while let Some(r) = f.records.front() {
+                if r.at > now || (r.at == now && f.early) {
+                    break;
+                }
+                ring.push(*r);
+                f.records.pop_front();
+            }
+        }
+    }
+
+    /// Ends an entry point: an own timer armed in it, due with the final
+    /// span's end, fires ahead of that span's completion, as in the
+    /// unfolded kernel, so the completion is re-armed behind it.
+    fn leave(&mut self, env: &mut dyn KernelEnv) {
+        if std::mem::take(&mut self.fold.rearm) {
+            self.cpu_gen = self.cpu_gen.wrapping_add(1);
+            env.set_timer_at(self.fold.last_end, self.key(K_CPU_DONE, 0, self.cpu_gen));
+        }
+    }
+
+    /// Arms one of the kernel's own timers other than `K_CPU_DONE`. Inside
+    /// an open fold window, one due with the final span's end is armed
+    /// before the unfolded kernel armed that span's completion (at the
+    /// window's last end) if it is armed earlier, or at that instant by an
+    /// event sorting before the folded completion there.
+    fn set_timer(&mut self, at: SimTime, key: u64, env: &mut dyn KernelEnv) {
+        env.set_timer_at(at, key);
+        let (now, f) = (self.now_cache, &mut self.fold);
+        if let Some(last) = f.open_until(now) {
+            f.rearm |= at == f.last_end && (now < last || f.early);
+        }
+    }
+
+    fn timer(&mut self, k: u64, env: &mut dyn KernelEnv) {
         let (class, epoch, a, b) = unpack(k);
         if class == K_FAULT {
             // A timer with no directive due now comes from a damaged or
@@ -578,6 +734,8 @@ impl Kernel {
             return; // armed before a crash; the kernel that armed it is gone
         }
         match class {
+            // Re-armed behind a tie: a later timer completes the span.
+            K_CPU_DONE if b != self.cpu_gen => return,
             K_CPU_DONE => self.on_cpu_done(env),
             K_NIC_TX => self.with_nic(env, |nic, now, actions| nic.on_tx_done(now, actions)),
             K_NIC_RX_INTR => {
@@ -623,15 +781,11 @@ impl Kernel {
             K_LOOPBACK => {
                 self.softirq_pending = true;
             }
-            other => panic!("unknown kernel timer class {other}"),
+            _ => {
+                self.stats.stale_timers.incr();
+                return;
+            }
         }
-        self.maybe_dispatch(env);
-    }
-
-    /// Handles a frame arriving from the wire.
-    pub fn on_frame(&mut self, frame: Frame, env: &mut dyn KernelEnv) {
-        self.now_cache = env.now();
-        self.with_nic(env, |nic, now, actions| nic.rx_frame(frame, now, actions));
         self.maybe_dispatch(env);
     }
 
@@ -771,7 +925,7 @@ impl Kernel {
                         diablo_nic::keys::RX_INTR => K_NIC_RX_INTR,
                         other => panic!("unknown NIC sub-key {other}"),
                     };
-                    env.set_timer_at(at, self.key(class, 0, 0));
+                    self.set_timer(at, self.key(class, 0, 0), env);
                 }
                 NicAction::SendFrame(at, frame) => env.send_frame(at, frame),
             }
@@ -786,18 +940,12 @@ impl Kernel {
         self.cfg.cpu.cycles_time(instructions * self.cfg.cpi as u64)
     }
 
-    /// Occupies the CPU for `cost` instructions; `work` receives the
-    /// computed duration for slice accounting.
-    fn start_cpu(&mut self, cost: u64, mut work: CpuWork, env: &mut dyn KernelEnv) {
+    /// Occupies the CPU with `work` until `end`, when `K_CPU_DONE` fires.
+    fn start_cpu(&mut self, end: SimTime, work: CpuWork, env: &mut dyn KernelEnv) {
         debug_assert!(self.cpu_work.is_none());
-        let dur = self.instr_time(cost.max(1));
-        self.stats.cpu_busy += dur;
-        match &mut work {
-            CpuWork::ProcBurst { dur: d, .. } | CpuWork::ProcSyscall { dur: d, .. } => *d = dur,
-            CpuWork::Softirq { .. } => {}
-        }
         self.cpu_work = Some(work);
-        env.set_timer_at(env.now() + dur, self.key(K_CPU_DONE, 0, 0));
+        self.fold.last_end = end;
+        env.set_timer_at(end, self.key(K_CPU_DONE, 0, self.cpu_gen));
     }
 
     fn maybe_dispatch(&mut self, env: &mut dyn KernelEnv) {
@@ -827,7 +975,9 @@ impl Kernel {
                 self.stats.softirq_runs.incr();
                 self.stats.softirq_packets.add(frames.len() as u64);
                 self.trace_push(FlightRecord::new(env.now(), "softirq", frames.len() as u64, 0));
-                self.start_cpu(cost, CpuWork::Softirq { frames }, env);
+                let dur = self.instr_time(cost.max(1));
+                self.stats.cpu_busy += dur;
+                self.start_cpu(env.now() + dur, CpuWork::Softirq { frames }, env);
                 return;
             }
             self.softirq_pending = false;
@@ -869,40 +1019,121 @@ impl Kernel {
                 }
             }
 
-            // One burst: step the process.
+            if self.run_thread(tid, env) {
+                return;
+            }
+        }
+    }
+
+    /// Runs thread `tid` on the CPU from now. A span whose end is decided
+    /// when it starts — a compute burst, or a `recvfrom` that will not
+    /// block — and that nothing can interrupt or observe before it ends is
+    /// folded: its end-work is done at once and the thread steps again at
+    /// the span's end (DESIGN.md §9.1). The first span that does not fold
+    /// arms the run's one `K_CPU_DONE`. Returns `false` if the thread
+    /// exited at once, leaving the CPU free.
+    fn run_thread(&mut self, tid: Tid, env: &mut dyn KernelEnv) -> bool {
+        let start = env.now();
+        let mut now = start;
+        // Conditions (a)-(c) as one instant, computed once per run.
+        let mut quiet = None;
+        loop {
             let slot = &mut self.procs[tid.0 as usize];
             let result = std::mem::replace(&mut slot.result, SysResult::Computed);
-            let mut pctx = ProcessCtx { now: env.now(), result, tid };
+            let mut pctx = ProcessCtx { now, result, tid };
             let step = slot.process.step(&mut pctx);
-            let prefix = std::mem::take(&mut self.procs[tid.0 as usize].extra_cost);
-            match step {
+            let prefix = std::mem::take(&mut slot.extra_cost);
+            let (cost, mut work) = match step {
                 Step::Compute(n) => {
-                    let work = CpuWork::ProcBurst { tid, dur: SimDuration::ZERO };
-                    self.start_cpu(prefix + n, work, env);
-                    return;
+                    (prefix + n, CpuWork::ProcBurst { tid, dur: SimDuration::ZERO })
                 }
                 Step::Syscall(call) => {
                     self.stats.syscalls.incr();
-                    let (at, detail) = (env.now(), call.name());
-                    self.trace_push(FlightRecord {
-                        at,
-                        kind: "syscall",
-                        detail,
-                        a: tid.0 as u64,
-                        b: 0,
-                    });
+                    let (detail, a) = (call.name(), tid.0 as u64);
+                    self.trace_step(FlightRecord { at: now, kind: "syscall", detail, a, b: 0 });
                     let cost = prefix + self.cfg.profile.syscall_cost + self.op_cost(&call);
-                    let work = CpuWork::ProcSyscall { tid, call, dur: SimDuration::ZERO };
-                    self.start_cpu(cost, work, env);
-                    return;
+                    (cost, CpuWork::ProcSyscall { tid, call, dur: SimDuration::ZERO })
                 }
-                Step::Exit => {
+                Step::Exit if now == start => {
                     self.procs[tid.0 as usize].state = ProcState::Exited;
                     self.current = None;
-                    continue;
+                    return false;
                 }
+                // The last folded span's completion is the one that exits:
+                // the unfolded kernel armed it where that span started.
+                Step::Exit => {
+                    self.fold.ends.pop();
+                    self.start_cpu(now, CpuWork::Exit { tid }, env);
+                    return true;
+                }
+            };
+            let dur = self.instr_time(cost.max(1));
+            self.stats.cpu_busy += dur;
+            let end = now + dur;
+            let folded = match &work {
+                CpuWork::ProcBurst { .. } if self.fits(tid, dur, end, start, &mut quiet, env) => {
+                    Some(SysResult::Computed)
+                }
+                CpuWork::ProcSyscall { call: Syscall::RecvFrom { fd }, .. }
+                    if self.fits(tid, dur, end, start, &mut quiet, env) =>
+                {
+                    self.recvfrom_now(tid, *fd)
+                }
+                _ => None,
+            };
+            let Some(result) = folded else {
+                if let CpuWork::ProcBurst { dur: d, .. } | CpuWork::ProcSyscall { dur: d, .. } =
+                    &mut work
+                {
+                    *d = dur;
+                }
+                self.start_cpu(end, work, env);
+                return true;
+            };
+            self.procs[tid.0 as usize].result = result;
+            self.finish_burst(tid, dur);
+            if now == start {
+                self.fold.ends.clear();
+                self.fold.ends.push(start);
             }
+            self.fold.ends.push(end);
+            now = end;
         }
+    }
+
+    /// Whether a span of `dur` ending at `end`, in a run that started at
+    /// `start`, can fold: the unfolded kernel's completion at `end` would
+    /// find (a) no RX interrupt fired, (b) no loopback frame due, (c) no
+    /// fault directive due, (d) the slice not spent, so no preemption, and
+    /// (e) no observer before it. Condition (b) keeps every window shorter
+    /// than the loopback delay; a profile whose TCP timers are shorter
+    /// still folds nothing, so no timer armed inside a window is due in it
+    /// but a NIC TX completion.
+    fn fits(
+        &self,
+        tid: Tid,
+        dur: SimDuration,
+        end: SimTime,
+        start: SimTime,
+        quiet: &mut Option<SimTime>,
+        env: &dyn KernelEnv,
+    ) -> bool {
+        if self.procs[tid.0 as usize].slice_used + dur >= self.cfg.profile.timeslice
+            || end > env.limit()
+        {
+            return false;
+        }
+        let quiet = *quiet.get_or_insert_with(|| {
+            let p = &self.cfg.profile;
+            let Some(rx) = self.nic.rx_quiet_until(start) else { return SimTime::ZERO };
+            if p.rto_min.min(p.delayed_ack) < self.cfg.loopback_delay {
+                return SimTime::ZERO;
+            }
+            let loopback = self.loopback.front().map_or(SimTime::MAX, |&(due, _)| due);
+            let fault = self.faults.front().map_or(SimTime::MAX, |&(due, _)| due);
+            rx.min(start + self.cfg.loopback_delay).min(loopback).min(fault)
+        });
+        end < quiet
     }
 
     /// Syscall-specific CPU charge on top of the base syscall cost.
@@ -918,7 +1149,10 @@ impl Kernel {
     }
 
     fn on_cpu_done(&mut self, env: &mut dyn KernelEnv) {
-        let work = self.cpu_work.take().expect("CPU_DONE without work");
+        let Some(work) = self.cpu_work.take() else {
+            self.stats.stale_timers.incr();
+            return;
+        };
         match work {
             CpuWork::Softirq { mut frames } => {
                 for frame in frames.drain(..) {
@@ -952,6 +1186,10 @@ impl Kernel {
                 if self.current == Some(tid) {
                     self.finish_burst(tid, dur);
                 }
+            }
+            CpuWork::Exit { tid } => {
+                self.procs[tid.0 as usize].state = ProcState::Exited;
+                self.current = None;
             }
         }
     }
@@ -1139,7 +1377,7 @@ impl Kernel {
         if pkt.dst == self.cfg.addr {
             let at = env.now() + self.cfg.loopback_delay;
             self.loopback.push_back((at, Frame::new(pkt, Route::empty())));
-            env.set_timer_at(at, self.key(K_LOOPBACK, 0, 0));
+            self.set_timer(at, self.key(K_LOOPBACK, 0, 0), env);
             return true;
         }
         let route = self.router.route(self.cfg.addr, pkt.dst);
@@ -1280,10 +1518,10 @@ impl Kernel {
             self.tx_packet(pkt, env);
         }
         if let Some(at) = out.arm_rto {
-            env.set_timer_at(at, self.key(K_TCP_RTO, sid, rto_gen as u32));
+            self.set_timer(at, self.key(K_TCP_RTO, sid, rto_gen as u32), env);
         }
         if let Some(at) = out.arm_delack {
-            env.set_timer_at(at, self.key(K_TCP_DELACK, sid, delack_gen as u32));
+            self.set_timer(at, self.key(K_TCP_DELACK, sid, delack_gen as u32), env);
         }
         if out.established {
             if embryo {
@@ -1397,7 +1635,7 @@ impl Kernel {
                 ExecOutcome::Ready(SysResult::FutexVal(val))
             }
             Syscall::Nanosleep(d) => {
-                env.set_timer_at(env.now() + d, self.key(K_SLEEP, tid.0, 0));
+                self.set_timer(env.now() + d, self.key(K_SLEEP, tid.0, 0), env);
                 ExecOutcome::Block(Syscall::Nanosleep(d))
             }
             Syscall::Yield => {
@@ -1676,29 +1914,31 @@ impl Kernel {
     }
 
     fn sys_recvfrom(&mut self, tid: Tid, fd: Fd) -> ExecOutcome {
-        let sid = fd.0;
-        let nonblocking = match self.sockets.get(sid as usize) {
-            Some(s) => s.nonblocking,
-            None => return ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
+        match self.recvfrom_now(tid, fd) {
+            Some(res) => ExecOutcome::Ready(res),
+            None => {
+                self.sockets[fd.0 as usize].wait_readers.push(tid);
+                ExecOutcome::Block(Syscall::RecvFrom { fd })
+            }
+        }
+    }
+
+    /// A `recvfrom` that completes at once: a datagram or an error, or
+    /// `None`, changing nothing, if the caller would block.
+    fn recvfrom_now(&mut self, tid: Tid, fd: Fd) -> Option<SysResult> {
+        let Some(sock) = self.sockets.get_mut(fd.0 as usize) else {
+            return Some(SysResult::Err(Errno::BadFd));
         };
-        match self.sockets.get_mut(sid as usize).map(|s| &mut s.kind) {
-            Some(SocketKind::Udp { rx, rx_bytes, .. }) => match rx.pop_front() {
-                Some((from, msg)) => {
-                    *rx_bytes -= msg.len as u64;
-                    self.procs[tid.0 as usize].extra_cost +=
-                        self.cfg.profile.copy_cost(msg.len as u64);
-                    ExecOutcome::Ready(SysResult::Datagram { from, msg })
-                }
-                None => {
-                    if nonblocking {
-                        ExecOutcome::Ready(SysResult::Err(Errno::WouldBlock))
-                    } else {
-                        self.sockets[sid as usize].wait_readers.push(tid);
-                        ExecOutcome::Block(Syscall::RecvFrom { fd })
-                    }
-                }
-            },
-            _ => ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
+        let SocketKind::Udp { rx, rx_bytes, .. } = &mut sock.kind else {
+            return Some(SysResult::Err(Errno::BadFd));
+        };
+        match rx.pop_front() {
+            Some((from, msg)) => {
+                *rx_bytes -= msg.len as u64;
+                self.procs[tid.0 as usize].extra_cost += self.cfg.profile.copy_cost(msg.len as u64);
+                Some(SysResult::Datagram { from, msg })
+            }
+            None => sock.nonblocking.then_some(SysResult::Err(Errno::WouldBlock)),
         }
     }
 
@@ -1772,7 +2012,7 @@ impl Kernel {
         }
         if let Some(t) = timeout {
             let gen = slot.wait_gen;
-            env.set_timer_at(env.now() + t, self.key(K_EPOLL_TO, tid.0, gen));
+            self.set_timer(env.now() + t, self.key(K_EPOLL_TO, tid.0, gen), env);
         }
         self.sockets[ep as usize].wait_readers.push(tid);
         ExecOutcome::Block(Syscall::EpollWait { epfd, max_events, timeout })

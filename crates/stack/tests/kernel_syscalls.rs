@@ -409,3 +409,19 @@ fn trace_disabled_by_default() {
     assert!(w.kernel.trace().is_empty());
     assert_eq!(w.kernel.trace_dropped(), 0);
 }
+
+/// A CPU completion while the CPU is idle, and a timer of a class the
+/// kernel does not have, come only from a damaged or mismatched snapshot:
+/// both are ignored and counted, never a panic.
+#[test]
+fn timers_nothing_armed_are_counted_stale() {
+    let mut w = World::new();
+    w.run(SimTime::from_micros(1)); // no thread: the CPU stays idle
+    let mut env =
+        Env { now: w.now, timers: &mut w.timers, seq: &mut w.seq, frames_out: &mut w.frames_out };
+    // Keys pack the class in the low nibble: 0 is the CPU completion
+    // (epoch 0, generation 0), 15 no class at all.
+    w.kernel.on_timer(0, &mut env);
+    w.kernel.on_timer(0xF, &mut env);
+    assert_eq!(w.kernel.stats().stale_timers.get(), 2);
+}
