@@ -1615,43 +1615,95 @@ mod tests {
         assert!(rejected > 0, "no damage was detected at all");
     }
 
+    fn u32_at(bytes: &[u8], i: usize) -> u32 {
+        u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"))
+    }
+
+    fn u64_at(bytes: &[u8], i: usize) -> u64 {
+        u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"))
+    }
+
+    /// Where each timer a node set for itself sits in a snapshot's event
+    /// queue, which ends the stream: the offset of its target. A queued
+    /// timer is its time (u64), target and source (u32 each), sequence
+    /// number (u64), the `Timer` tag (u64 0) and its key (u64), whose low
+    /// nibble is the kernel's timer class; a node's own timer has the node
+    /// as target and source.
+    fn queued_node_timers(bytes: &[u8], cluster: &Cluster) -> Vec<usize> {
+        (8..=bytes.len() - 32)
+            .filter(|&i| {
+                let id = u32_at(bytes, i);
+                let node = cluster.nodes.iter().any(|c| c.0 == id);
+                node && u32_at(bytes, i + 4) == id && u64_at(bytes, i + 16) == 0
+            })
+            .collect()
+    }
+
+    /// A warmed mini memcached snapshot and a freshly built host to restore
+    /// it into.
+    fn warmed_memcached(name: &str) -> (Vec<u8>, SimHost, Cluster, u64) {
+        let cfg = McExperimentConfig::mini(1, 10);
+        let dir = std::env::temp_dir().join("diablo_snapshot_damage");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join(name);
+        warm(&cfg, &path, SimTime::from_micros(120)).expect("warm");
+        let bytes = std::fs::read(&path).expect("snapshot written");
+        let harness = ExperimentHarness::new(cfg.base());
+        let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
+        cfg.workload().build(&mut host, &cluster);
+        (bytes, host, cluster, harness.fingerprint("memcached"))
+    }
+
     /// Damage can also decode cleanly into a node timer no kernel arms:
     /// here the class nibble of a queued node timer's key is overwritten
     /// with a class the kernel does not have. The restored run ignores the
     /// timer and counts it.
     #[test]
     fn a_damaged_node_timer_key_is_counted_stale() {
-        let cfg = McExperimentConfig::mini(1, 10);
-        let dir = std::env::temp_dir().join("diablo_snapshot_damage");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("mc_udp.snap");
-        warm(&cfg, &path, SimTime::from_micros(120)).expect("warm");
-        let mut bytes = std::fs::read(&path).expect("snapshot written");
-
-        let harness = ExperimentHarness::new(cfg.base());
-        let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
-        cfg.workload().build(&mut host, &cluster);
-        // The event queue ends the stream. A queued timer is its time
-        // (u64), target and source (u32 each), sequence number (u64), the
-        // `Timer` tag (u64 0) and its key (u64); a node's own timer has the
-        // node as target and source. Take the last one.
-        let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
-        let target = (8..=bytes.len() - 32)
-            .rev()
-            .find(|&i| {
-                let id = u32_at(i);
-                let node = cluster.nodes.iter().any(|c| c.0 == id);
-                node && u32_at(i + 4) == id && u64_at(i + 16) == 0
-            })
-            .expect("a queued node timer");
-        let due = SimTime::from_picos(u64_at(target - 8));
+        let (mut bytes, mut host, cluster, fingerprint) = warmed_memcached("mc_udp.snap");
+        let target = *queued_node_timers(&bytes, &cluster).last().expect("a queued node timer");
+        let due = SimTime::from_picos(u64_at(&bytes, target - 8));
         bytes[target + 24] |= 0xF;
 
-        crate::snapshot::decode_snapshot(&bytes, &mut host, harness.fingerprint("memcached"))
+        crate::snapshot::decode_snapshot(&bytes, &mut host, fingerprint)
             .expect("the damaged key still decodes");
         host.run_until(due).expect("the run goes on");
         assert_eq!(cluster.scrape(&host).sum_counters("*.kernel.stale_timers"), 1);
+    }
+
+    /// A thread's live epoll timer is its instant in the kernel plus the
+    /// timer in the queue. Here damage takes both: the queued timeout gets
+    /// a class the kernel does not have, and every copy of its instant in
+    /// the snapshot reads 1 ps. An instant already past cannot be a live
+    /// timer, so the client's next timed wait arms one of its own instead
+    /// of counting on one that never fires.
+    #[test]
+    fn a_damaged_live_epoll_timer_instant_is_ignored() {
+        let (mut bytes, mut host, cluster, fingerprint) = warmed_memcached("mc_udp_epoll.snap");
+        // Class 6 is `K_EPOLL_TO`.
+        let is_timeout = |bytes: &[u8], i: usize| bytes[i + 24] & 0xF == 6;
+        let target = *queued_node_timers(&bytes, &cluster)
+            .iter()
+            .rfind(|&&i| is_timeout(&bytes, i))
+            .expect("a queued epoll timeout");
+        let node = u32_at(&bytes, target);
+        let due = bytes[target - 8..target].to_vec();
+        bytes[target + 24] |= 0xF;
+        let copies: Vec<usize> = (0..target - 8).filter(|&i| bytes[i..i + 8] == due[..]).collect();
+        assert!(!copies.is_empty(), "the kernel holds the live instant");
+        for i in copies {
+            bytes[i..i + 8].copy_from_slice(&1u64.to_le_bytes());
+        }
+
+        let drive = crate::snapshot::decode_snapshot(&bytes, &mut host, fingerprint)
+            .expect("the damaged instant still decodes");
+        host.run_until(SimTime::from_millis(5)).expect("the run goes on");
+        let after = crate::snapshot::encode_snapshot(&mut host, fingerprint, &drive);
+        let timeouts = queued_node_timers(&after, &cluster)
+            .into_iter()
+            .filter(|&i| u32_at(&after, i) == node && is_timeout(&after, i))
+            .count();
+        assert_eq!(timeouts, 1, "the client's next timed wait armed a timeout");
     }
 
     #[test]

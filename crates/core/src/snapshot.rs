@@ -52,7 +52,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 /// a TCP connection's parameters have no `nodelay` flag. Version 5: a node
 /// kernel persists the generation of its CPU completion timer and a count
 /// of stale timers, and the CPU may hold a thread's deferred exit.
-pub const SNAP_VERSION: u32 = 5;
+/// Version 6: a kernel thread persists its epoll deadline and its one live
+/// epoll timer in place of a wait generation.
+pub const SNAP_VERSION: u32 = 6;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

@@ -4,9 +4,12 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 5 (each node kernel persists the generation of its CPU
-//! completion timer and a count of stale timers, 12 bytes more per node;
-//! version 4 gave each switch and each node kernel its schedule of fault
+//! `SNAP_VERSION` 6 (each kernel thread persists two optional instants,
+//! its epoll deadline and its live epoll timer, in place of a 4-byte wait
+//! generation, 2 bytes less per idle thread, and a wait that ended early
+//! leaves no timer queued; version 5 made each node kernel persist the
+//! generation of its CPU completion timer and a count of stale timers, 12
+//! bytes more per node; version 4 gave each switch and each node kernel its schedule of fault
 //! directives, empty here, so every one grew the 8 bytes of a length, and
 //! a TCP connection's parameters lost the one-byte `nodelay` flag;
 //! version 3 made a switch pipeline entry's forwarding
@@ -54,7 +57,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     cfg.sample_every = Some(SimDuration::from_micros(500));
     let got =
         snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
-    assert_eq!(got, (472_325, "d50d7c439e21ccd5".to_string()));
+    assert_eq!(got, (472_285, "1ef6db40b360aceb".to_string()));
 }
 
 #[test]
@@ -67,7 +70,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_631, "06525b919309a67c".to_string()));
+    assert_eq!(got, (96_591, "e99957a43a1ccd04".to_string()));
 }
 
 #[test]
@@ -77,7 +80,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     cfg.cross_rack = true;
     let got =
         snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
-    assert_eq!(got, (139_765, "20ab322b21c15e63".to_string()));
+    assert_eq!(got, (132_445, "eeebc09f8e0d644d".to_string()));
 }
 
 #[test]
@@ -96,5 +99,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (47_209, "722801a5a177103d".to_string()));
+    assert_eq!(got, (47_183, "518bb836ad0f6dea".to_string()));
 }

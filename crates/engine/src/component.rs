@@ -144,8 +144,7 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     fn push(&mut self, time: SimTime, target: ComponentId, kind: EventKind<M>) {
-        let key = EventKey { time, target, source: self.self_id, source_seq: *self.seq };
-        *self.seq += 1;
+        let key = EventKey { time, target, source: self.self_id, source_seq: self.reserve_seq() };
         self.pending.push(Event { key, kind });
     }
 
@@ -162,6 +161,33 @@ impl<'a, M> Ctx<'a, M> {
     pub fn set_timer_at(&mut self, at: SimTime, key: TimerKey) {
         assert!(at >= self.now, "timer scheduled in the past: {at} < {}", self.now);
         self.push(at, self.self_id, EventKind::Timer(key));
+    }
+
+    /// Takes the sequence number the next event this component schedules
+    /// would carry, without scheduling anything. A timer pushed later with
+    /// [`Ctx::set_timer_at_seq`] and this number has the [`EventKey`] a
+    /// timer set here would have had, so it takes the same place in the
+    /// event order (DESIGN.md §9.1). Every number is reserved once.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = *self.seq;
+        *self.seq += 1;
+        seq
+    }
+
+    /// Sets a timer at `at` with a sequence number taken earlier by
+    /// [`Ctx::reserve_seq`], in this handler or an earlier one. The caller
+    /// keeps the key after the event being delivered: `at` later than now,
+    /// or at now with a number reserved after that event was scheduled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `seq` was never reserved.
+    pub fn set_timer_at_seq(&mut self, at: SimTime, key: TimerKey, seq: u64) {
+        assert!(at >= self.now, "timer scheduled in the past: {at} < {}", self.now);
+        assert!(seq < *self.seq, "sequence number {seq} was never reserved");
+        let id = self.self_id;
+        let order = EventKey { time: at, target: id, source: id, source_seq: seq };
+        self.pending.push(Event { key: order, kind: EventKind::Timer(key) });
     }
 
     /// Delivers `msg` to `(to, port)` at absolute time `at`.
@@ -218,6 +244,30 @@ mod tests {
         assert_eq!(pending[1].key.target, ComponentId(9));
         assert_eq!(pending[1].key.time, SimTime::from_nanos(105));
         assert!(!stop);
+    }
+
+    #[test]
+    fn a_reserved_number_keys_a_later_timer() {
+        let (mut seq, mut pending, mut stop) = (0u64, Vec::new(), false);
+        let (now, id) = (SimTime::from_nanos(100), ComponentId(7));
+        let mut ctx: Ctx<'_, u32> =
+            Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut pending, &mut stop);
+        let reserved = ctx.reserve_seq();
+        ctx.set_timer(SimDuration::from_nanos(1), 1);
+        ctx.set_timer_at_seq(now, 2, reserved);
+        assert_eq!(pending[0].key.source_seq, 1, "the reservation took 0");
+        assert_eq!(pending[1].key.source_seq, reserved);
+        assert_eq!((pending[1].key.source, pending[1].key.target), (id, id));
+        assert!(matches!(pending[1].kind, EventKind::Timer(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn an_unreserved_number_panics() {
+        let (mut seq, mut pending, mut stop) = (0u64, Vec::<Event<u32>>::new(), false);
+        let (now, id) = (SimTime::from_nanos(100), ComponentId(0));
+        let mut ctx = Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut pending, &mut stop);
+        ctx.set_timer_at_seq(now, 0, 0);
     }
 
     #[test]

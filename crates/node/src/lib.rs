@@ -83,6 +83,14 @@ impl KernelEnv for EnvAdapter<'_, '_> {
     fn source_order(&self) -> std::cmp::Ordering {
         self.ctx.source().cmp(&self.ctx.self_id())
     }
+
+    fn reserve_seq(&mut self) -> u64 {
+        self.ctx.reserve_seq()
+    }
+
+    fn set_timer_at_seq(&mut self, at: diablo_engine::time::SimTime, key: u64, seq: u64) {
+        self.ctx.set_timer_at_seq(at, key, seq);
+    }
 }
 
 impl Component<Frame> for ServerNode {

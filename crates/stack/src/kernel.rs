@@ -29,6 +29,14 @@
 //! against the folded completions, as they would have been with one timer
 //! per span (DESIGN.md §9.1).
 //!
+//! A thread's timed `epoll_wait`s share one live `K_EPOLL_TO`. A wait
+//! pushes a timer only if none is due by its deadline, and a wake-up leaves
+//! the timer queued. A timer that fires before the deadline of the wait
+//! then in progress is pushed again at that deadline, with the sequence
+//! number the wait reserved. So a timeout fires exactly where one timer
+//! per wait would have put it, and a wait answered early leaves nothing
+//! behind (DESIGN.md §9.1).
+//!
 //! This explicit CPU accounting is what DIABLO's case studies hinge on:
 //! with a 10 Gbps link a slow CPU cannot drain the NIC ring, the ring
 //! overflows, packets drop, and TCP collapses (Figure 6(b)) — none of
@@ -85,6 +93,19 @@ pub trait KernelEnv {
     /// only while a folded window is open.
     fn source_order(&self) -> Ordering {
         Ordering::Equal
+    }
+    /// Takes the sequence number the next timer would carry without
+    /// arming one (`Ctx::reserve_seq`). A host that cannot reserve keeps
+    /// this default and [`KernelEnv::set_timer_at_seq`]'s, and a late
+    /// timer then sorts as if armed when it is pushed.
+    fn reserve_seq(&mut self) -> u64 {
+        0
+    }
+    /// Schedules a kernel timer with a number from
+    /// [`KernelEnv::reserve_seq`], in the place of the event order a timer
+    /// armed at the reservation would have had (`Ctx::set_timer_at_seq`).
+    fn set_timer_at_seq(&mut self, at: SimTime, key: u64, _seq: u64) {
+        self.set_timer_at(at, key);
     }
 }
 
@@ -256,10 +277,31 @@ struct ProcSlot {
     /// context switches).
     extra_cost: u64,
     slice_used: SimDuration,
-    /// Guards stale epoll-timeout timers.
-    wait_gen: u32,
+    /// The instant the blocked `epoll_wait` times out at, with the sequence
+    /// number its timer was given; `None` when not in a timed wait.
+    deadline: Option<(SimTime, u64)>,
+    /// The thread's one live `K_EPOLL_TO`: its instant and sequence number
+    /// (the key's `b` holds the low 32 bits). It stays queued across
+    /// wake-ups and is pushed again at the deadline if it fires early.
+    epoll_timer: Option<(SimTime, u64)>,
     /// The last epoll wait timed out.
     timed_out: bool,
+}
+
+impl ProcSlot {
+    /// Makes `deadline`, an instant and the sequence number reserved for
+    /// it, the thread's live `K_EPOLL_TO`, and pushes that timer.
+    fn push_epoll_timer(
+        &mut self,
+        tid: Tid,
+        epoch: u32,
+        deadline: (SimTime, u64),
+        env: &mut dyn KernelEnv,
+    ) {
+        let (at, seq) = deadline;
+        self.epoll_timer = Some(deadline);
+        env.set_timer_at_seq(at, key_epoch(K_EPOLL_TO, epoch, tid.0, seq as u32), seq);
+    }
 }
 
 /// What the CPU is currently executing (with the burst's duration, for
@@ -453,7 +495,8 @@ diablo_engine::impl_persist_fields!(ProcSlot {
     result,
     extra_cost,
     slice_used,
-    wait_gen,
+    deadline,
+    epoll_timer,
     timed_out,
     process: nested,
 });
@@ -630,7 +673,8 @@ impl Kernel {
             result: SysResult::Started,
             extra_cost: 0,
             slice_used: SimDuration::ZERO,
-            wait_gen: 0,
+            deadline: None,
+            epoll_timer: None,
             timed_out: false,
         });
         self.run_queue.push_back(tid);
@@ -712,6 +756,13 @@ impl Kernel {
     /// event sorting before the folded completion there.
     fn set_timer(&mut self, at: SimTime, key: u64, env: &mut dyn KernelEnv) {
         env.set_timer_at(at, key);
+        self.tie(at);
+    }
+
+    /// The tie rule of [`Kernel::set_timer`] for an own timer given its
+    /// place in the event order now, due at `at`, whether or not it is
+    /// pushed now.
+    fn tie(&mut self, at: SimTime) {
         let (now, f) = (self.now_cache, &mut self.fold);
         if let Some(last) = f.open_until(now) {
             f.rearm |= at == f.last_end && (now < last || f.early);
@@ -769,15 +820,7 @@ impl Kernel {
                 let tid = Tid(a);
                 self.wake_with(tid, Resume::Step, SysResult::Done);
             }
-            K_EPOLL_TO => {
-                let tid = Tid(a);
-                if let Some(slot) = self.procs.get_mut(tid.0 as usize) {
-                    if slot.state == ProcState::Blocked && slot.wait_gen == b {
-                        slot.timed_out = true;
-                        self.wake(tid);
-                    }
-                }
-            }
+            K_EPOLL_TO => self.on_epoll_timer(Tid(a), b, env),
             K_LOOPBACK => {
                 self.softirq_pending = true;
             }
@@ -787,6 +830,31 @@ impl Kernel {
             }
         }
         self.maybe_dispatch(env);
+    }
+
+    /// A `K_EPOLL_TO` of `tid` fired. Only the thread's live timer counts;
+    /// one it replaced by arming an earlier deadline is ignored. A thread
+    /// still blocked on the deadline the timer was armed for times out;
+    /// one blocked on a later deadline has the timer pushed again there,
+    /// with that deadline's number (DESIGN.md §9.1).
+    fn on_epoll_timer(&mut self, tid: Tid, b: u32, env: &mut dyn KernelEnv) {
+        let (now, epoch) = (self.now_cache, self.epoch);
+        let Some(slot) = self.procs.get_mut(tid.0 as usize) else { return };
+        let Some(fired) = slot.epoll_timer.filter(|&(due, seq)| due == now && seq as u32 == b)
+        else {
+            return;
+        };
+        slot.epoll_timer = None;
+        match slot.deadline {
+            // The deadline this timer was pushed for; one before it comes
+            // only from a damaged snapshot.
+            Some(deadline) if deadline <= fired => {
+                slot.timed_out = true;
+                self.wake(tid);
+            }
+            Some(deadline) => slot.push_epoll_timer(tid, epoch, deadline, env),
+            None => {}
+        }
     }
 
     // ------------------------------------------------------------- faults
@@ -867,7 +935,8 @@ impl Kernel {
             slot.result = SysResult::Started;
             slot.extra_cost = 0;
             slot.slice_used = SimDuration::ZERO;
-            slot.wait_gen = slot.wait_gen.wrapping_add(1);
+            slot.deadline = None;
+            slot.epoll_timer = None;
             slot.timed_out = false;
         }
     }
@@ -1277,7 +1346,7 @@ impl Kernel {
         let slot = &mut self.procs[tid.0 as usize];
         if slot.state == ProcState::Blocked {
             slot.state = ProcState::Runnable;
-            slot.wait_gen = slot.wait_gen.wrapping_add(1);
+            slot.deadline = None;
             slot.extra_cost += self.cfg.profile.wakeup_cost;
             self.stats.wakeups.incr();
             self.run_queue.push_back(tid);
@@ -1291,7 +1360,7 @@ impl Kernel {
             slot.resume = resume;
             slot.result = result;
             slot.state = ProcState::Runnable;
-            slot.wait_gen = slot.wait_gen.wrapping_add(1);
+            slot.deadline = None;
             slot.extra_cost += self.cfg.profile.wakeup_cost;
             self.stats.wakeups.incr();
             self.run_queue.push_back(tid);
@@ -2011,8 +2080,17 @@ impl Kernel {
             return ExecOutcome::Ready(SysResult::Events(Vec::new()));
         }
         if let Some(t) = timeout {
-            let gen = slot.wait_gen;
-            self.set_timer(env.now() + t, self.key(K_EPOLL_TO, tid.0, gen), env);
+            // The deadline takes the number its own timer would have; a
+            // timer is pushed only if none is live by then. A live instant
+            // already past comes only from a damaged snapshot: that timer
+            // never fires, so it does not count.
+            let (now, at) = (env.now(), env.now() + t);
+            let deadline = (at, env.reserve_seq());
+            slot.deadline = Some(deadline);
+            if slot.epoll_timer.is_none_or(|(due, _)| due < now || due > at) {
+                slot.push_epoll_timer(tid, self.epoch, deadline, env);
+            }
+            self.tie(at);
         }
         self.sockets[ep as usize].wait_readers.push(tid);
         ExecOutcome::Block(Syscall::EpollWait { epfd, max_events, timeout })

@@ -5,12 +5,16 @@
 use diablo_engine::event::{ComponentId, PortNo};
 use diablo_engine::prelude::{DetRng, SimDuration, SimTime};
 use diablo_net::frame::Frame;
+use diablo_net::frame::Route;
 use diablo_net::link::{LinkParams, PortPeer};
+use diablo_net::payload::{AppMessage, IpPacket, UdpDatagram};
 use diablo_net::topology::{Topology, TopologyConfig};
 use diablo_net::{NodeAddr, SockAddr};
-use diablo_stack::kernel::{Kernel, KernelEnv, NodeConfig};
+use diablo_stack::kernel::{Kernel, KernelEnv, NodeConfig, NodeFault};
 use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall, Tid};
 use diablo_stack::profile::KernelProfile;
+use diablo_stack::socket::EventMask;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -19,15 +23,30 @@ use std::sync::Arc;
 struct World {
     kernel: Kernel,
     now: SimTime,
-    timers: BinaryHeap<std::cmp::Reverse<(SimTime, u64, u64)>>,
-    seq: u64,
+    booted: bool,
+    timers: Timers,
     frames_out: Vec<(SimTime, Frame)>,
+}
+
+/// The kernel's pending timers in engine order, `(instant, sequence number,
+/// key)`, and every timer pushed, `(instant, key)`.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    seq: u64,
+    pushed: Vec<(SimTime, u64)>,
+}
+
+impl Timers {
+    fn push(&mut self, at: SimTime, seq: u64, key: u64) {
+        self.heap.push(Reverse((at, seq, key)));
+        self.pushed.push((at, key));
+    }
 }
 
 struct Env<'a> {
     now: SimTime,
-    timers: &'a mut BinaryHeap<std::cmp::Reverse<(SimTime, u64, u64)>>,
-    seq: &'a mut u64,
+    timers: &'a mut Timers,
     frames_out: &'a mut Vec<(SimTime, Frame)>,
 }
 
@@ -36,11 +55,18 @@ impl KernelEnv for Env<'_> {
         self.now
     }
     fn set_timer_at(&mut self, at: SimTime, key: u64) {
-        *self.seq += 1;
-        self.timers.push(std::cmp::Reverse((at, *self.seq, key)));
+        let seq = self.reserve_seq();
+        self.timers.push(at, seq, key);
     }
     fn send_frame(&mut self, at: SimTime, frame: Frame) {
         self.frames_out.push((at, frame));
+    }
+    fn reserve_seq(&mut self) -> u64 {
+        self.timers.seq += 1;
+        self.timers.seq
+    }
+    fn set_timer_at_seq(&mut self, at: SimTime, key: u64, seq: u64) {
+        self.timers.push(at, seq, key);
     }
 }
 
@@ -56,36 +82,56 @@ impl World {
         World {
             kernel: Kernel::new(cfg, uplink, topo),
             now: SimTime::ZERO,
-            timers: BinaryHeap::new(),
-            seq: 0,
+            booted: false,
+            timers: Timers::default(),
             frames_out: Vec::new(),
         }
     }
 
+    fn env(&mut self) -> (&mut Kernel, Env<'_>) {
+        let env = Env { now: self.now, timers: &mut self.timers, frames_out: &mut self.frames_out };
+        (&mut self.kernel, env)
+    }
+
+    /// Boots the kernel on the first call, then fires every timer due by
+    /// `until`.
     fn run(&mut self, until: SimTime) {
-        {
-            let mut env = Env {
-                now: self.now,
-                timers: &mut self.timers,
-                seq: &mut self.seq,
-                frames_out: &mut self.frames_out,
-            };
-            self.kernel.boot(&mut env);
+        if !std::mem::replace(&mut self.booted, true) {
+            let (kernel, mut env) = self.env();
+            kernel.boot(&mut env);
         }
-        while let Some(std::cmp::Reverse((at, _, key))) = self.timers.pop() {
+        while let Some(&Reverse((at, _, key))) = self.timers.heap.peek() {
             if at > until {
-                self.timers.push(std::cmp::Reverse((at, 0, key)));
                 break;
             }
+            self.timers.heap.pop();
             self.now = at;
-            let mut env = Env {
-                now: self.now,
-                timers: &mut self.timers,
-                seq: &mut self.seq,
-                frames_out: &mut self.frames_out,
-            };
-            self.kernel.on_timer(key, &mut env);
+            let (kernel, mut env) = self.env();
+            kernel.on_timer(key, &mut env);
         }
+    }
+
+    /// Runs to `at`, then a datagram for UDP port 9 arrives from the wire.
+    fn datagram_at(&mut self, at: SimTime) {
+        self.run(at);
+        self.now = at;
+        let msg = AppMessage::new(1, 1, 64, at);
+        let d = UdpDatagram { src_port: 9, dst_port: 9, msg };
+        let frame = Frame::new(IpPacket::udp(NodeAddr(1), NodeAddr(0), d), Route::empty());
+        let (kernel, mut env) = self.env();
+        kernel.on_frame(frame, &mut env);
+    }
+
+    /// Schedules `fault` for `at`, as a fault plan does.
+    fn fault_at(&mut self, at: SimTime, fault: NodeFault) {
+        let key = self.kernel.schedule_fault(at, fault);
+        self.timers.heap.push(Reverse((at, u64::MAX, key)));
+    }
+
+    /// The `K_EPOLL_TO` timers pushed so far (the class is the key's low
+    /// nibble), by instant.
+    fn epoll_timers(&self) -> Vec<SimTime> {
+        self.timers.pushed.iter().filter(|(_, key)| key & 0xF == 6).map(|&(at, _)| at).collect()
     }
 }
 
@@ -417,11 +463,141 @@ fn trace_disabled_by_default() {
 fn timers_nothing_armed_are_counted_stale() {
     let mut w = World::new();
     w.run(SimTime::from_micros(1)); // no thread: the CPU stays idle
-    let mut env =
-        Env { now: w.now, timers: &mut w.timers, seq: &mut w.seq, frames_out: &mut w.frames_out };
+    let (kernel, mut env) = w.env();
     // Keys pack the class in the low nibble: 0 is the CPU completion
     // (epoch 0, generation 0), 15 no class at all.
-    w.kernel.on_timer(0, &mut env);
-    w.kernel.on_timer(0xF, &mut env);
+    kernel.on_timer(0, &mut env);
+    kernel.on_timer(0xF, &mut env);
     assert_eq!(w.kernel.stats().stale_timers.get(), 2);
+}
+
+/// Waits on UDP port 9 through epoll, once per entry of `timeouts`,
+/// reading the datagram after each wait that reports one. Logs when each
+/// wait returned and whether it reported an event. Restarts after a crash.
+struct Poller {
+    timeouts: Vec<SimDuration>,
+    phase: u32,
+    returns: Vec<(SimTime, bool)>,
+}
+
+impl Poller {
+    fn new(timeouts_ms: &[u64]) -> Self {
+        let timeouts = timeouts_ms.iter().map(|&ms| SimDuration::from_millis(ms)).collect();
+        Poller { timeouts, phase: 0, returns: Vec::new() }
+    }
+}
+
+impl Process for Poller {
+    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+        self.phase += 1;
+        let call = match self.phase {
+            1 => Syscall::Socket(Proto::Udp),
+            2 => Syscall::Bind { fd: Fd(0), port: 9 },
+            3 => Syscall::EpollCreate,
+            4 => Syscall::EpollCtl { epfd: Fd(1), fd: Fd(0), interest: EventMask::READ },
+            _ => {
+                if let SysResult::Events(ev) = &ctx.result {
+                    self.returns.push((ctx.now, !ev.is_empty()));
+                    if !ev.is_empty() {
+                        return Step::Syscall(Syscall::RecvFrom { fd: Fd(0) });
+                    }
+                }
+                let Some(&t) = self.timeouts.get(self.returns.len()) else { return Step::Exit };
+                Syscall::EpollWait { epfd: Fd(1), max_events: 4, timeout: Some(t) }
+            }
+        };
+        Step::Syscall(call)
+    }
+    fn reset(&mut self) -> bool {
+        self.phase = 0;
+        true
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+fn poller(w: &World) -> &Poller {
+    w.kernel.process::<Poller>(Tid(0)).expect("poller")
+}
+
+const MS: SimDuration = SimDuration::from_millis(1);
+
+/// Each wait of a request loop is answered long before its 250 ms timeout:
+/// the first wait arms the thread's one timer and every later one finds it
+/// live and due first, so no wait leaves a timer of its own behind.
+#[test]
+fn waits_answered_early_share_one_epoll_timer() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Poller::new(&[250; 20])));
+    for i in 1..=19 {
+        w.datagram_at(SimTime::ZERO + MS * i);
+    }
+    w.run(SimTime::from_millis(30));
+    let returns = &poller(&w).returns;
+    assert_eq!(returns.len(), 19);
+    assert!(returns.iter().all(|&(_, ready)| ready), "every wait saw its datagram");
+    assert_eq!(w.epoll_timers().len(), 1, "one K_EPOLL_TO for 20 timed waits");
+}
+
+/// After several waits on the first wait's timer, a wait that no datagram
+/// answers times out at exactly its own deadline: the shared timer fires
+/// early and is pushed again there.
+#[test]
+fn a_missed_wait_times_out_at_exactly_its_deadline() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Poller::new(&[250; 4])));
+    for i in 1..=3 {
+        w.datagram_at(SimTime::ZERO + MS * i);
+    }
+    w.run(SimTime::from_secs(1));
+    let returns = &poller(&w).returns;
+    let timers = w.epoll_timers();
+    assert_eq!(returns.len(), 4);
+    let (woke, ready) = returns[3];
+    assert!(!ready, "the last wait times out");
+    assert_eq!(timers.len(), 2, "the first wait's timer, then the same timer at the deadline");
+    assert!(timers[0] < timers[1]);
+    assert_eq!(woke, timers[1], "woken at the deadline, not at the first wait's");
+    let since_answer = woke.duration_since(returns[2].0);
+    assert!(since_answer >= MS * 250 && since_answer < MS * 250 + SimDuration::from_micros(20));
+}
+
+/// A wait whose deadline is due before the live timer arms a second
+/// timer; the first, later one is then ignored when it fires, and does not
+/// end the wait after it early.
+#[test]
+fn an_earlier_deadline_arms_a_second_timer_and_the_later_one_is_ignored() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Poller::new(&[250, 10, 500])));
+    w.datagram_at(SimTime::ZERO + MS);
+    w.run(SimTime::from_secs(1));
+    let returns = &poller(&w).returns;
+    let timers = w.epoll_timers();
+    assert_eq!(returns.iter().map(|&(_, ready)| ready).collect::<Vec<_>>(), [true, false, false]);
+    assert_eq!(timers.len(), 3, "250 ms, then 10 ms before it, then 500 ms once neither is live");
+    assert!(timers[1] < timers[0] && timers[0] < timers[2]);
+    assert_eq!(returns[1].0, timers[1]);
+    assert_eq!(returns[2].0, timers[2], "the 250 ms timer did not end the 500 ms wait");
+    assert!(w.kernel.all_exited());
+}
+
+/// A crash takes the live timer with it (the epoch discards it), so the
+/// first timed wait after the reboot arms its own and times out on it.
+#[test]
+fn a_crash_drops_the_live_epoll_timer() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Poller::new(&[250, 250])));
+    w.fault_at(SimTime::ZERO + MS * 5, NodeFault::Crash);
+    w.fault_at(SimTime::ZERO + MS * 10, NodeFault::Reboot);
+    w.datagram_at(SimTime::ZERO + MS);
+    w.run(SimTime::from_secs(1));
+    let returns = &poller(&w).returns;
+    let timers = w.epoll_timers();
+    // The second wait died in the crash and began again after the reboot.
+    assert_eq!(returns.len(), 2, "{returns:?}");
+    assert_eq!(timers.len(), 2, "one timer before the crash, one after the reboot");
+    assert!(timers[1] > SimTime::ZERO + MS * 260);
+    assert_eq!(returns[1], (timers[1], false));
+    assert!(w.kernel.all_exited());
 }
