@@ -53,8 +53,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 /// kernel persists the generation of its CPU completion timer and a count
 /// of stale timers, and the CPU may hold a thread's deferred exit.
 /// Version 6: a kernel thread persists its epoll deadline and its one live
-/// epoll timer in place of a wait generation.
-pub const SNAP_VERSION: u32 = 6;
+/// epoll timer in place of a wait generation. Version 7: the executor head
+/// has no stop flag, a node kernel persists its CPU completion's deadline
+/// and live timer in place of a generation, and a TCP socket its RTO's and
+/// delayed ACK's, with the connection holding an optional deadline for
+/// each in place of a generation and an armed flag.
+pub const SNAP_VERSION: u32 = 7;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

@@ -4,10 +4,15 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 6 (each kernel thread persists two optional instants,
-//! its epoll deadline and its live epoll timer, in place of a 4-byte wait
-//! generation, 2 bytes less per idle thread, and a wait that ended early
-//! leaves no timer queued; version 5 made each node kernel persist the
+//! `SNAP_VERSION` 7 (the executor head lost its stop flag; a node kernel
+//! persists its CPU completion's deadline and live timer in place of a
+//! 4-byte generation, and each TCP socket the same pair for its RTO and
+//! its delayed ACK, while the connection keeps an optional deadline for
+//! each in place of an 8-byte generation and an armed flag: a connection
+//! with neither armed is 16 bytes smaller, a re-armed RTO leaves no timer
+//! queued; version 6 gave each kernel thread its epoll deadline and live
+//! epoll timer in place of a 4-byte wait generation, 2 bytes less per idle
+//! thread, and a wait that ended early left no timer queued; version 5 made each node kernel persist the
 //! generation of its CPU completion timer and a count of stale timers, 12
 //! bytes more per node; version 4 gave each switch and each node kernel its schedule of fault
 //! directives, empty here, so every one grew the 8 bytes of a length, and
@@ -57,7 +62,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     cfg.sample_every = Some(SimDuration::from_micros(500));
     let got =
         snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
-    assert_eq!(got, (472_285, "1ef6db40b360aceb".to_string()));
+    assert_eq!(got, (450_940, "a09091e83df8f5d5".to_string()));
 }
 
 #[test]
@@ -70,7 +75,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_591, "e99957a43a1ccd04".to_string()));
+    assert_eq!(got, (96_598, "9e0272ee88ef9e8d".to_string()));
 }
 
 #[test]
@@ -80,7 +85,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     cfg.cross_rack = true;
     let got =
         snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
-    assert_eq!(got, (132_445, "eeebc09f8e0d644d".to_string()));
+    assert_eq!(got, (132_700, "9a3b5bb072bdb5a2".to_string()));
 }
 
 #[test]
@@ -99,5 +104,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (47_183, "518bb836ad0f6dea".to_string()));
+    assert_eq!(got, (43_822, "20d38b2d4e2c0fe6".to_string()));
 }

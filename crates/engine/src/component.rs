@@ -97,7 +97,6 @@ pub struct Ctx<'a, M> {
     source: ComponentId,
     seq: &'a mut u64,
     pending: &'a mut Vec<Event<M>>,
-    stop: &'a mut bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -108,9 +107,8 @@ impl<'a, M> Ctx<'a, M> {
         source: ComponentId,
         seq: &'a mut u64,
         pending: &'a mut Vec<Event<M>>,
-        stop: &'a mut bool,
     ) -> Self {
-        Ctx { now, limit, self_id, source, seq, pending, stop }
+        Ctx { now, limit, self_id, source, seq, pending }
     }
 
     /// Current simulated time.
@@ -209,11 +207,6 @@ impl<'a, M> Ctx<'a, M> {
     pub fn send_after(&mut self, to: ComponentId, port: PortNo, after: SimDuration, msg: M) {
         self.push(self.now + after, to, EventKind::Message(port, msg));
     }
-
-    /// Requests that the whole simulation stop after the current event.
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +217,6 @@ mod tests {
     fn ctx_buffers_events_with_increasing_seq() {
         let mut seq = 0u64;
         let mut pending = Vec::new();
-        let mut stop = false;
         let mut ctx: Ctx<'_, u32> = Ctx::new(
             SimTime::from_nanos(100),
             SimTime::MAX,
@@ -232,7 +224,6 @@ mod tests {
             ComponentId(3),
             &mut seq,
             &mut pending,
-            &mut stop,
         );
         assert_eq!(ctx.source(), ComponentId(3));
         ctx.set_timer(SimDuration::from_nanos(10), 42);
@@ -243,15 +234,13 @@ mod tests {
         assert_eq!(pending[0].key.target, ComponentId(7));
         assert_eq!(pending[1].key.target, ComponentId(9));
         assert_eq!(pending[1].key.time, SimTime::from_nanos(105));
-        assert!(!stop);
     }
 
     #[test]
     fn a_reserved_number_keys_a_later_timer() {
-        let (mut seq, mut pending, mut stop) = (0u64, Vec::new(), false);
+        let (mut seq, mut pending) = (0u64, Vec::new());
         let (now, id) = (SimTime::from_nanos(100), ComponentId(7));
-        let mut ctx: Ctx<'_, u32> =
-            Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut pending, &mut stop);
+        let mut ctx: Ctx<'_, u32> = Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut pending);
         let reserved = ctx.reserve_seq();
         ctx.set_timer(SimDuration::from_nanos(1), 1);
         ctx.set_timer_at_seq(now, 2, reserved);
@@ -264,9 +253,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "never reserved")]
     fn an_unreserved_number_panics() {
-        let (mut seq, mut pending, mut stop) = (0u64, Vec::<Event<u32>>::new(), false);
+        let (mut seq, mut pending) = (0u64, Vec::<Event<u32>>::new());
         let (now, id) = (SimTime::from_nanos(100), ComponentId(0));
-        let mut ctx = Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut pending, &mut stop);
+        let mut ctx = Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut pending);
         ctx.set_timer_at_seq(now, 0, 0);
     }
 
@@ -275,7 +264,6 @@ mod tests {
     fn send_in_past_panics() {
         let mut seq = 0u64;
         let mut pending: Vec<Event<u32>> = Vec::new();
-        let mut stop = false;
         let mut ctx = Ctx::new(
             SimTime::from_nanos(100),
             SimTime::MAX,
@@ -283,7 +271,6 @@ mod tests {
             ComponentId(0),
             &mut seq,
             &mut pending,
-            &mut stop,
         );
         ctx.send_at(ComponentId(1), PortNo(0), SimTime::from_nanos(99), 0);
     }

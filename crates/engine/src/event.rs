@@ -60,7 +60,9 @@ impl fmt::Display for PortNo {
 ///
 /// Timers cannot be cancelled; components implement cancellation by carrying
 /// a generation number in the key and ignoring stale generations (the same
-/// lazy-cancel idiom hardware timing models use).
+/// lazy-cancel idiom hardware timing models use), or by keeping one live
+/// timer per deadline and pushing it again with the deadline's reserved
+/// number when it fires early ([`Ctx::reserve_seq`](crate::component::Ctx::reserve_seq)).
 pub type TimerKey = u64;
 
 /// What an event delivers.

@@ -449,20 +449,17 @@ struct RunShared<'a, M> {
     /// Published per-worker queue minima, parity double-buffered:
     /// `mins[parity * nworkers + worker]`.
     mins: Vec<AtomicU64>,
-    /// Published stop/error flags, same layout as `mins`.
-    flags: Vec<AtomicU64>,
+    /// Published error flags, same layout as `mins`.
+    failed: Vec<AtomicBool>,
 }
 
-/// What one worker reports at the end of a run: its last event time,
-/// whether a component stopped the run, and the first error it raised.
-type WorkerOutcome = (SimTime, bool, Option<EngineError>);
-
-const FLAG_STOP: u64 = 1;
-const FLAG_ERR: u64 = 2;
+/// What one worker reports at the end of a run: its last event time and
+/// the first error it raised.
+type WorkerOutcome = (SimTime, Option<EngineError>);
 
 /// One worker's body of one parallel run. Each round is: publish `(min incl.
-/// sent, flags)` at the current parity → **single barrier** → drain
-/// incoming lanes of that parity → decide (stop / error / done) → flip
+/// sent, error flag)` at the current parity → **single barrier** → drain
+/// incoming lanes of that parity → decide (error / done) → flip
 /// parity → process every owned event up to this round's lookahead horizon
 /// → swap outboxes into outgoing lanes of the new parity.
 fn run_worker<M: Send + 'static>(
@@ -477,8 +474,6 @@ fn run_worker<M: Send + 'static>(
     let mut local_now = shared.start_now;
     // The barrier's per-thread sense flag (see `SenseBarrier::wait`).
     let mut sense = true;
-    let mut stopped = false;
-    let mut pending_stop = false;
     let mut pending_err: Option<EngineError> = None;
     // Parity the *next* publish/drain round uses; flipped each round.
     let mut parity = 0usize;
@@ -498,18 +493,9 @@ fn run_worker<M: Send + 'static>(
         for i in 0..ws.comps.len() {
             let part_id = ws.part_of[i];
             let id = ws.ids[i];
-            let mut stop = false;
-            let mut ctx = Ctx::new(
-                shared.start_now,
-                shared.limit,
-                id,
-                id,
-                &mut ws.seqs[i],
-                &mut ws.pending,
-                &mut stop,
-            );
+            let mut ctx =
+                Ctx::new(shared.start_now, shared.limit, id, id, &mut ws.seqs[i], &mut ws.pending);
             ws.comps[i].on_start(&mut ctx);
-            pending_stop |= stop;
             let mut cross = 0u64;
             let mut outbox_min = u64::MAX;
             for ev in ws.pending.drain(..) {
@@ -536,7 +522,7 @@ fn run_worker<M: Send + 'static>(
 
     loop {
         // Publish local minimum (queue head plus freshly sent events) and
-        // flags into this round's parity slots.
+        // error flag into this round's parity slots.
         let queue_min = ws.queue.peek_key().map_or(u64::MAX, |k| k.time.as_picos());
         // Events flushed last round sit in the lanes and are drained by
         // their receivers *this* round; a receiver may process one at time
@@ -547,16 +533,9 @@ fn run_worker<M: Send + 'static>(
         let my_min = queue_min.min(sent_min);
         sent_min = u64::MAX;
         shared.mins[parity * nw + me].store(my_min, Ordering::Release);
-        let mut f = 0;
-        if pending_stop {
-            f |= FLAG_STOP;
-        }
-        if pending_err.is_some() {
-            // Every worker leaves at this round's decision, this one
-            // included, and the error goes back with its outcome.
-            f |= FLAG_ERR;
-        }
-        shared.flags[parity * nw + me].store(f, Ordering::Release);
+        // On an error every worker leaves at this round's decision, this
+        // one included, and the error goes back with its outcome.
+        shared.failed[parity * nw + me].store(pending_err.is_some(), Ordering::Release);
 
         let wait_start = std::time::Instant::now();
         if shared.barrier.wait(&mut sense).is_err() {
@@ -586,23 +565,16 @@ fn run_worker<M: Send + 'static>(
         // Decide from this round's published snapshot.
         let mut others_min = u64::MAX;
         let mut global_min = u64::MAX;
-        let mut any_flags = 0u64;
+        let mut any_failed = false;
         for i in 0..nw {
             let m = shared.mins[parity * nw + i].load(Ordering::Acquire);
             global_min = global_min.min(m);
             if i != me {
                 others_min = others_min.min(m);
             }
-            any_flags |= shared.flags[parity * nw + i].load(Ordering::Acquire);
+            any_failed |= shared.failed[parity * nw + i].load(Ordering::Acquire);
         }
-        if any_flags & FLAG_ERR != 0 {
-            break;
-        }
-        if any_flags & FLAG_STOP != 0 {
-            stopped = true;
-            break;
-        }
-        if global_min >= shared.exclusive_end {
+        if any_failed || global_min >= shared.exclusive_end {
             break;
         }
         parity = 1 - parity;
@@ -636,14 +608,12 @@ fn run_worker<M: Send + 'static>(
         // means the epilogue would have been a no-op for every skipped
         // per-event iteration.
         let mut processed_any = false;
-        'horizon: while !pending_stop {
-            let Some(mut ev) = ws.queue.pop_before(horizon) else { break };
+        'horizon: while let Some(mut ev) = ws.queue.pop_before(horizon) {
             let target = ev.key.target;
             let (p, fidx) = directory[target.index()];
             let prel = p as usize - ws.lo;
             let fidx = fidx as usize;
             debug_assert_eq!(ws.ids[fidx], target);
-            let mut stop = false;
             let mut batch = 0u64;
             {
                 let comp = &mut ws.comps[fidx];
@@ -656,14 +626,13 @@ fn run_worker<M: Send + 'static>(
                         ev.key.source,
                         &mut ws.seqs[fidx],
                         &mut ws.pending,
-                        &mut stop,
                     );
                     match ev.kind {
                         EventKind::Timer(key) => comp.on_timer(key, &mut ctx),
                         EventKind::Message(port, msg) => comp.on_message(port, msg, &mut ctx),
                     }
                     batch += 1;
-                    if !ws.pending.is_empty() || stop {
+                    if !ws.pending.is_empty() {
                         break;
                     }
                     match ws.queue.peek_key() {
@@ -677,7 +646,6 @@ fn run_worker<M: Send + 'static>(
             ws.counters[prel].events_processed += batch;
             ws.batches += 1;
             processed_any = true;
-            pending_stop |= stop;
             let earliest_ok = local_now.as_picos().saturating_add(lookahead);
             let mut cross = 0u64;
             let mut outbox_min = u64::MAX;
@@ -712,7 +680,7 @@ fn run_worker<M: Send + 'static>(
         // parity (drained by the receiver after the next barrier).
         flush_outboxes(shared, me, parity, &mut ws.outboxes, &mut sent_min);
     }
-    (ws.last_time, stopped, pending_err)
+    (ws.last_time, pending_err)
 }
 
 /// Swaps non-empty outboxes into this worker's outgoing lanes of the given
@@ -969,7 +937,7 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         }
     }
 
-    /// Runs until the queues drain or a component stops the run.
+    /// Runs until the queues drain.
     ///
     /// # Errors
     ///
@@ -979,7 +947,7 @@ impl<M: Send + 'static> ParallelSimulation<M> {
     }
 
     /// Runs until simulated time exceeds `limit` (events at exactly `limit`
-    /// are processed), the queues drain, or a component stops the run.
+    /// are processed) or the queues drain.
     /// Worker 0 runs on the calling thread; every other worker gets a
     /// thread for the duration of the call.
     ///
@@ -1012,7 +980,7 @@ impl<M: Send + 'static> ParallelSimulation<M> {
             lanes: &self.lanes,
             barrier: SenseBarrier::new(nw),
             mins: (0..2 * nw).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            flags: (0..2 * nw).map(|_| AtomicU64::new(0)).collect(),
+            failed: (0..2 * nw).map(|_| AtomicBool::new(false)).collect(),
         };
         // A handler's panic is caught on the worker it happened on, which
         // poisons the barrier so the others return instead of waiting for
@@ -1051,21 +1019,19 @@ impl<M: Send + 'static> ParallelSimulation<M> {
             self.panicked = true;
             return Err(EngineError::WorkerPanicked);
         }
-        let mut stopped = false;
         let mut event_max = SimTime::ZERO;
-        for (last_time, worker_stopped, err) in outcomes.into_iter().flatten() {
+        for (last_time, err) in outcomes.into_iter().flatten() {
             if let Some(e) = err {
                 return Err(e);
             }
-            stopped |= worker_stopped;
             event_max = event_max.max(last_time);
         }
-        if !stopped && limit < SimTime::MAX {
+        if limit < SimTime::MAX {
             self.now = limit.max(event_max);
         } else {
             self.now = event_max.max(start_now);
         }
-        Ok(RunStats { events: self.events_processed(), final_time: self.now, stopped })
+        Ok(RunStats { events: self.events_processed(), final_time: self.now })
     }
 }
 
@@ -1083,11 +1049,9 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
     /// (barrier waits, lane occupancy, batching) are deliberately not
     /// saved — they describe the host, not the model.
     pub fn save_state(&mut self, w: &mut SnapWriter) {
-        // Parallel stop flags are re-derived per run.
         let head = ExecHead {
             now: self.now,
             started: true,
-            stop: false,
             external_seq: self.external_seq,
             events_processed: self.events_processed(),
         };
@@ -1267,8 +1231,7 @@ mod tests {
         let b = sim.add_in_partition(1, Box::new(chatter(2_000, 10)));
         sim.component_mut::<Chatter>(a).unwrap().peer = Some(b);
         sim.component_mut::<Chatter>(b).unwrap().peer = Some(a);
-        let stats = sim.run().unwrap();
-        assert!(!stats.stopped);
+        sim.run().unwrap();
         let ca = sim.component::<Chatter>(a).unwrap();
         let cb = sim.component::<Chatter>(b).unwrap();
         assert_eq!(ca.received.len(), 10);

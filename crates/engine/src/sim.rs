@@ -17,8 +17,6 @@ pub struct RunStats {
     pub events: u64,
     /// Simulated time when the run stopped.
     pub final_time: SimTime,
-    /// `true` if a component called [`Ctx::stop`].
-    pub stopped: bool,
 }
 
 /// The single-threaded discrete-event executor.
@@ -41,7 +39,6 @@ pub struct Simulation<M, Q: EventQueue<M> = CalendarQueue<M>> {
     queue: Q,
     now: SimTime,
     started: bool,
-    stop: bool,
     external_seq: u64,
     events_processed: u64,
     pending: Vec<Event<M>>,
@@ -73,7 +70,6 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
             queue: Q::default(),
             now: SimTime::ZERO,
             started: false,
-            stop: false,
             external_seq: 0,
             events_processed: 0,
             pending: Vec::new(),
@@ -164,15 +160,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
         self.started = true;
         for i in 0..self.components.len() {
             let id = ComponentId(i as u32);
-            let mut ctx = Ctx::new(
-                self.now,
-                limit,
-                id,
-                id,
-                &mut self.seqs[i],
-                &mut self.pending,
-                &mut self.stop,
-            );
+            let mut ctx = Ctx::new(self.now, limit, id, id, &mut self.seqs[i], &mut self.pending);
             self.components[i].on_start(&mut ctx);
         }
         for ev in self.pending.drain(..) {
@@ -180,7 +168,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
         }
     }
 
-    /// Runs until the event queue drains or a component stops the run.
+    /// Runs until the event queue drains.
     ///
     /// # Errors
     ///
@@ -191,7 +179,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
     }
 
     /// Runs until simulated time exceeds `limit` (events at exactly `limit`
-    /// are processed), the queue drains, or a component stops the run.
+    /// are processed) or the queue drains.
     ///
     /// # Errors
     ///
@@ -204,8 +192,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
         // at the final representable picosecond — 584 years in — would stay
         // queued, which no model approaches.)
         let bound_ps = limit.as_picos().saturating_add(1);
-        while !self.stop {
-            let Some(ev) = self.queue.pop_before(bound_ps) else { break };
+        while let Some(ev) = self.queue.pop_before(bound_ps) {
             let t = ev.key.time;
             debug_assert!(t >= self.now, "event queue went backwards");
             self.now = t;
@@ -222,7 +209,6 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
                     ev.key.source,
                     &mut self.seqs[idx],
                     &mut self.pending,
-                    &mut self.stop,
                 );
                 match ev.kind {
                     EventKind::Timer(key) => self.components[idx].on_timer(key, &mut ctx),
@@ -236,12 +222,12 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
                 self.queue.push(out);
             }
         }
-        if self.now < limit && limit < SimTime::MAX && !self.stop && self.queue.is_empty() {
+        if self.now < limit && limit < SimTime::MAX && self.queue.is_empty() {
             // Advancing to the requested horizon keeps repeated run_until
             // calls monotonic even when the system goes idle early.
             self.now = limit;
         }
-        Ok(RunStats { events: self.events_processed, final_time: self.now, stopped: self.stop })
+        Ok(RunStats { events: self.events_processed, final_time: self.now })
     }
 }
 
@@ -257,7 +243,6 @@ impl<M: Snap + 'static, Q: EventQueue<M>> Simulation<M, Q> {
         let head = ExecHead {
             now: self.now,
             started: true,
-            stop: self.stop,
             external_seq: self.external_seq,
             events_processed: self.events_processed,
         };
@@ -287,7 +272,6 @@ impl<M: Snap + 'static, Q: EventQueue<M>> Simulation<M, Q> {
         let ExecStream { head, seqs, events } = load_exec_stream(r, comps)?;
         self.now = head.now;
         self.started = head.started;
-        self.stop = head.stop;
         self.external_seq = head.external_seq;
         self.events_processed = head.events_processed;
         self.seqs = seqs;
@@ -386,38 +370,6 @@ mod tests {
         let _ = sim.add_component(Box::new(pinger(0)));
         let stats = sim.run_until(SimTime::from_millis(5)).unwrap();
         assert_eq!(stats.final_time, SimTime::from_millis(5));
-    }
-
-    struct Stopper;
-    impl Component<u64> for Stopper {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-            ctx.set_timer(SimDuration::from_nanos(10), 1);
-            ctx.set_timer(SimDuration::from_nanos(20), 2);
-        }
-        fn on_timer(&mut self, key: TimerKey, ctx: &mut Ctx<'_, u64>) {
-            if key == 1 {
-                ctx.stop();
-            } else {
-                panic!("event after stop");
-            }
-        }
-        fn on_message(&mut self, _p: PortNo, _m: u64, _c: &mut Ctx<'_, u64>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    #[test]
-    fn stop_halts_immediately() {
-        let mut sim = Simulation::<u64>::new();
-        sim.add_component(Box::new(Stopper));
-        let stats = sim.run().unwrap();
-        assert!(stats.stopped);
-        assert_eq!(stats.events, 1);
-        assert_eq!(stats.final_time, SimTime::from_nanos(10));
     }
 
     #[test]

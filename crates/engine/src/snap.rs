@@ -894,16 +894,13 @@ pub struct ExecHead {
     /// already holds everything start produced, so a restored run must
     /// never re-fire it.
     pub started: bool,
-    /// A component requested a stop (serial executor; the parallel one
-    /// re-derives its stop flags per run and saves `false`).
-    pub stop: bool,
     /// Sequence counter for externally injected events.
     pub external_seq: u64,
     /// Events dispatched so far.
     pub events_processed: u64,
 }
 
-crate::impl_snap_struct!(ExecHead { now, started, stop, external_seq, events_processed });
+crate::impl_snap_struct!(ExecHead { now, started, external_seq, events_processed });
 
 /// Writes the executor stream both executors share, which is what lets a
 /// snapshot saved by one restore into the other: [`ExecHead`], the

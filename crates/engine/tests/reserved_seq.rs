@@ -7,7 +7,10 @@
 //! Both components draw the same decisions from the same RNG on every live
 //! event: start a wait (replacing the current one, as a wake-up followed
 //! by a new wait does), start one only if none is in progress, end the
-//! current one early, poke the peer. Ticks, deadlines and message
+//! current one early, re-arm the current deadline at its own instant (as
+//! the kernel re-arms a CPU completion behind a tie), start a wait at the
+//! instant of one that ended early while its timer is still queued (as a
+//! TCP timer is disarmed and armed again), poke the peer. Ticks, deadlines and message
 //! latencies sit on one grid, so deadlines fall on the instants of ticks,
 //! of other deadlines and of arriving messages. The eager component
 //! ignores a firing that belongs to no current wait; the lazy one only
@@ -42,8 +45,12 @@ struct Waiter {
     /// The wait in progress: its deadline, the sequence number reserved
     /// for it (lazy) and its number.
     wait: Option<(SimTime, u64, u64)>,
+    /// The deadline of the last wait that ended early.
+    ended: Option<SimTime>,
     /// Lazy: the one queued deadline timer, `(instant, sequence number)`.
     live: Option<(SimTime, u64)>,
+    /// Lazy: re-pushes at the instant the live timer fired at.
+    repushed_in_place: u64,
     /// Every live event, `(instant, what)`.
     log: Vec<(SimTime, u64)>,
 }
@@ -51,11 +58,17 @@ struct Waiter {
 impl Waiter {
     fn new(lazy: bool, rng: DetRng, budget: u32) -> Self {
         let peer = ComponentId(0);
-        Waiter { lazy, peer, rng, budget, waits: 0, wait: None, live: None, log: Vec::new() }
+        let (wait, ended, live) = (None, None, None);
+        let log = Vec::new();
+        Waiter { lazy, peer, rng, budget, waits: 0, wait, ended, live, repushed_in_place: 0, log }
     }
 
     fn start_wait(&mut self, ctx: &mut Ctx<'_, u64>) {
         let at = ctx.now() + GRID * self.rng.next_below(9);
+        self.wait_until(at, ctx);
+    }
+
+    fn wait_until(&mut self, at: SimTime, ctx: &mut Ctx<'_, u64>) {
         self.waits += 1;
         let id = self.waits;
         if !self.lazy {
@@ -73,10 +86,21 @@ impl Waiter {
 
     /// What every live event is followed by.
     fn act(&mut self, ctx: &mut Ctx<'_, u64>) {
-        match self.rng.next_below(4) {
+        let now = ctx.now();
+        match self.rng.next_below(6) {
             0 => self.start_wait(ctx),
             1 if self.wait.is_none() => self.start_wait(ctx),
-            2 => self.wait = None,
+            2 => self.ended = self.wait.take().map(|(at, _, _)| at),
+            3 => {
+                if let Some((at, _, _)) = self.wait {
+                    self.wait_until(at, ctx);
+                }
+            }
+            4 => {
+                if let Some(at) = self.ended.filter(|&at| at >= now) {
+                    self.wait_until(at, ctx);
+                }
+            }
             _ => {}
         }
         if self.budget > 0 && self.rng.chance(0.3) {
@@ -100,6 +124,7 @@ impl Waiter {
             Some((at, seq, _)) if (at, seq) == fired => true,
             Some((at, seq, _)) => {
                 self.live = Some((at, seq));
+                self.repushed_in_place += u64::from(at == ctx.now());
                 ctx.set_timer_at_seq(at, seq, seq);
                 false
             }
@@ -143,9 +168,12 @@ impl Component<u64> for Waiter {
     }
 }
 
-/// Two waiters poking each other, one per partition when partitioned:
-/// every live event of each, and the events the executor dispatched.
-fn run(lazy: bool, seed: u64, budget: u32, partitions: usize) -> (Vec<Vec<(SimTime, u64)>>, u64) {
+/// What one run of two waiters did: every live event of each, the events
+/// the executor dispatched, and the lazy waiters' re-pushes in place.
+type Outcome = (Vec<Vec<(SimTime, u64)>>, u64, u64);
+
+/// Two waiters poking each other, one per partition when partitioned.
+fn run(lazy: bool, seed: u64, budget: u32, partitions: usize) -> Outcome {
     enum Host {
         S(Simulation<u64>),
         P(ParallelSimulation<u64>),
@@ -172,17 +200,23 @@ fn run(lazy: bool, seed: u64, budget: u32, partitions: usize) -> (Vec<Vec<(SimTi
             Host::P(p) => p.component_mut::<Waiter>(id).expect("waiter").peer = peer,
         }
     }
-    let log = |w: Option<&Waiter>| w.expect("waiter").log.clone();
-    match &mut host {
+    let waiters: Vec<&Waiter> = match &mut host {
         Host::S(s) => {
             s.run().expect("serial run");
-            (ids.iter().map(|&id| log(s.component(id))).collect(), s.events_processed())
+            ids.iter().map(|&id| s.component(id).expect("waiter")).collect()
         }
         Host::P(p) => {
             p.run().expect("partitioned run");
-            (ids.iter().map(|&id| log(p.component(id))).collect(), p.events_processed())
+            ids.iter().map(|&id| p.component(id).expect("waiter")).collect()
         }
-    }
+    };
+    let logs = waiters.iter().map(|w| w.log.clone()).collect();
+    let in_place = waiters.iter().map(|w| w.repushed_in_place).sum();
+    let events = match &host {
+        Host::S(s) => s.events_processed(),
+        Host::P(p) => p.events_processed(),
+    };
+    (logs, events, in_place)
 }
 
 proptest! {
@@ -193,29 +227,33 @@ proptest! {
     /// dispatches no more events.
     #[test]
     fn one_live_timer_fires_what_eager_timers_fire(seed in any::<u64>(), budget in 10u32..120) {
-        let (eager, eager_events) = run(false, seed, budget, 1);
+        let (eager, eager_events, _) = run(false, seed, budget, 1);
         for partitions in [1, 2] {
-            let (lazy, lazy_events) = run(true, seed, budget, partitions);
+            let (lazy, lazy_events, _) = run(true, seed, budget, partitions);
             prop_assert_eq!(&lazy, &eager, "lazy on {} partition(s)", partitions);
             prop_assert!(lazy_events <= eager_events, "{} > {}", lazy_events, eager_events);
-            let (eager_p, events_p) = run(false, seed, budget, partitions);
+            let (eager_p, events_p, _) = run(false, seed, budget, partitions);
             prop_assert_eq!(&eager_p, &eager, "eager on {} partition(s)", partitions);
             prop_assert_eq!(events_p, eager_events);
         }
     }
 }
 
-/// The property is not vacuous: waits time out, and waits that end early
-/// leave fewer timers behind.
+/// The property is not vacuous: waits time out, waits that end early
+/// leave fewer timers behind, and a live timer is pushed again at the
+/// instant it fired at, behind a re-arm there.
 #[test]
 fn waits_time_out_and_the_lazy_waiter_dispatches_fewer_events() {
-    let (mut timeouts, mut eager_events, mut lazy_events) = (0, 0, 0);
+    let (mut timeouts, mut eager_events, mut lazy_events, mut in_place) = (0, 0, 0, 0);
     for seed in 0..32 {
-        let (log, events) = run(false, seed, 60, 1);
+        let (log, events, _) = run(false, seed, 60, 1);
         timeouts += log.iter().flatten().filter(|&&(_, what)| what < LOG_POKE).count();
         eager_events += events;
-        lazy_events += run(true, seed, 60, 1).1;
+        let (_, events, repushed) = run(true, seed, 60, 1);
+        lazy_events += events;
+        in_place += repushed;
     }
     assert!(timeouts > 100, "only {timeouts} timeouts");
     assert!(lazy_events < eager_events, "{lazy_events} events, eager {eager_events}");
+    assert!(in_place > 20, "only {in_place} re-pushes in place");
 }

@@ -29,12 +29,13 @@
 //! against the folded completions, as they would have been with one timer
 //! per span (DESIGN.md §9.1).
 //!
-//! A thread's timed `epoll_wait`s share one live `K_EPOLL_TO`. A wait
-//! pushes a timer only if none is due by its deadline, and a wake-up leaves
-//! the timer queued. A timer that fires before the deadline of the wait
-//! then in progress is pushed again at that deadline, with the sequence
-//! number the wait reserved. So a timeout fires exactly where one timer
-//! per wait would have put it, and a wait answered early leaves nothing
+//! A kernel timer that can be superseded — the CPU completion, a thread's
+//! `epoll_wait` timeout, a connection's RTO and delayed ACK — is a
+//! [`LiveTimer`]: a deadline and at most one queued timer. Arming a
+//! deadline pushes a timer only if none is due by then; a timer that fires
+//! before the deadline is pushed again there, with the sequence number the
+//! deadline reserved. So a deadline expires exactly where one timer per
+//! arm would have put it, and an arm superseded early leaves nothing
 //! behind (DESIGN.md §9.1).
 //!
 //! This explicit CPU accounting is what DIABLO's case studies hinge on:
@@ -165,16 +166,18 @@ pub struct KernelStats {
     /// Node reboots applied.
     pub reboots: Counter,
     /// Timers ignored because nothing in the kernel could have armed them
-    /// (an unknown class, or a CPU completion with the CPU idle): only a
-    /// damaged or mismatched snapshot delivers these.
+    /// (an unknown class, or a CPU completion that is not the CPU's live
+    /// timer, or finds it idle): only a damaged or mismatched snapshot
+    /// delivers these.
     pub stale_timers: Counter,
     /// Total time the CPU was busy.
     pub cpu_busy: SimDuration,
 }
 
-// Timer key classes (low 4 bits). Packing: class | epoch<<4 | a<<8 | b<<32.
-// The epoch nibble guards against timers armed before a node crash firing
-// into the rebooted kernel (stale CPU completions, RTOs, sleeps); fault
+// Timer key classes (low 4 bits). Packing: class | epoch<<4 | a<<8 | b<<32,
+// where a live timer's `b` is its sequence number's low 32 bits. The epoch
+// nibble guards against timers armed before a node crash firing into the
+// rebooted kernel (its live timers, sleeps, NIC and loopback timers); fault
 // directives (`K_FAULT`, no payload: the kernel holds its own schedule) are
 // stamped with epoch 0 and bypass the check so a scheduled reboot still
 // reaches a crashed node.
@@ -268,6 +271,50 @@ enum ProcState {
     Exited,
 }
 
+/// A deadline that can be superseded, and its one live timer (DESIGN.md
+/// §9.1). Each is an instant with a sequence number: the deadline's is the
+/// number a timer armed with it would have had, the live timer's is the
+/// one it was pushed with.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LiveTimer {
+    /// When the holder's timer expires; `None` when nothing is armed.
+    deadline: Option<(SimTime, u64)>,
+    /// The holder's one queued timer. It stays queued when the deadline is
+    /// cleared or moved later.
+    live: Option<(SimTime, u64)>,
+}
+
+impl LiveTimer {
+    /// Sets the deadline `at`, reserving its number, and pushes `key` (no
+    /// `b`) only if no live timer is due by then. A live instant before
+    /// `now` comes only from a damaged snapshot: that timer never fires.
+    fn arm(&mut self, at: SimTime, now: SimTime, key: u64, env: &mut dyn KernelEnv) {
+        let deadline = (at, env.reserve_seq());
+        self.deadline = Some(deadline);
+        if self.live.is_none_or(|(due, _)| due < now || due > at) {
+            self.push(deadline, key, env);
+        }
+    }
+
+    fn push(&mut self, (at, seq): (SimTime, u64), key: u64, env: &mut dyn KernelEnv) {
+        self.live = Some((at, seq));
+        env.set_timer_at_seq(at, key | (seq as u32 as u64) << 32, seq);
+    }
+
+    /// A timer of this holder fired at `now` with `b`. `None` if it is not
+    /// the live one. `Some(false)` if it came before the deadline, where it
+    /// is pushed again, or nothing is armed. `Some(true)` if it is at (or,
+    /// after damage, past) the deadline, which it clears.
+    fn fire(&mut self, now: SimTime, b: u32, key: u64, env: &mut dyn KernelEnv) -> Option<bool> {
+        let fired = self.live.take_if(|&mut (due, seq)| due == now && seq as u32 == b)?;
+        match self.deadline {
+            Some(deadline) if deadline > fired => self.push(deadline, key, env),
+            _ => return Some(self.deadline.take().is_some()),
+        }
+        Some(false)
+    }
+}
+
 struct ProcSlot {
     process: Box<dyn Process>,
     state: ProcState,
@@ -277,31 +324,11 @@ struct ProcSlot {
     /// context switches).
     extra_cost: u64,
     slice_used: SimDuration,
-    /// The instant the blocked `epoll_wait` times out at, with the sequence
-    /// number its timer was given; `None` when not in a timed wait.
-    deadline: Option<(SimTime, u64)>,
-    /// The thread's one live `K_EPOLL_TO`: its instant and sequence number
-    /// (the key's `b` holds the low 32 bits). It stays queued across
-    /// wake-ups and is pushed again at the deadline if it fires early.
-    epoll_timer: Option<(SimTime, u64)>,
+    /// The timeout of a blocked `epoll_wait` (`K_EPOLL_TO`). A wake-up
+    /// clears the deadline and leaves the timer queued for the next wait.
+    epoll: LiveTimer,
     /// The last epoll wait timed out.
     timed_out: bool,
-}
-
-impl ProcSlot {
-    /// Makes `deadline`, an instant and the sequence number reserved for
-    /// it, the thread's live `K_EPOLL_TO`, and pushes that timer.
-    fn push_epoll_timer(
-        &mut self,
-        tid: Tid,
-        epoch: u32,
-        deadline: (SimTime, u64),
-        env: &mut dyn KernelEnv,
-    ) {
-        let (at, seq) = deadline;
-        self.epoll_timer = Some(deadline);
-        env.set_timer_at_seq(at, key_epoch(K_EPOLL_TO, epoch, tid.0, seq as u32), seq);
-    }
 }
 
 /// What the CPU is currently executing (with the burst's duration, for
@@ -386,9 +413,8 @@ pub struct Kernel {
     /// paths without an env handle).
     now_cache: SimTime,
 
-    /// Generation of the armed `K_CPU_DONE` (its key's `b`): bumped when
-    /// the timer is re-armed behind a tie, so the first one goes stale.
-    cpu_gen: u32,
+    /// The end of the span on the CPU (`K_CPU_DONE`).
+    cpu_done: LiveTimer,
     fold: Fold,
 
     /// Crash epoch: bumped on every [`NodeFault::Crash`] and stamped into
@@ -460,6 +486,8 @@ impl Instrumented for Kernel {
     }
 }
 
+diablo_engine::impl_snap_struct!(LiveTimer { deadline, live });
+
 diablo_engine::impl_snap_enum!(Resume { 0 => Step, 1 => Retry(call) });
 
 diablo_engine::impl_snap_enum!(ProcState { 0 => Runnable, 1 => Blocked, 2 => Exited });
@@ -495,8 +523,7 @@ diablo_engine::impl_persist_fields!(ProcSlot {
     result,
     extra_cost,
     slice_used,
-    deadline,
-    epoll_timer,
+    epoll,
     timed_out,
     process: nested,
 });
@@ -511,7 +538,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     current,
     last_ran,
     cpu_work,
-    cpu_gen,
+    cpu_done,
     softirq_pending,
     sockets,
     free_socks,
@@ -555,7 +582,7 @@ impl Kernel {
             current: None,
             last_ran: None,
             cpu_work: None,
-            cpu_gen: 0,
+            cpu_done: LiveTimer::default(),
             fold: Fold::default(),
             softirq_pending: false,
             sockets: Vec::new(),
@@ -673,8 +700,7 @@ impl Kernel {
             result: SysResult::Started,
             extra_cost: 0,
             slice_used: SimDuration::ZERO,
-            deadline: None,
-            epoll_timer: None,
+            epoll: LiveTimer::default(),
             timed_out: false,
         });
         self.run_queue.push_back(tid);
@@ -741,11 +767,11 @@ impl Kernel {
 
     /// Ends an entry point: an own timer armed in it, due with the final
     /// span's end, fires ahead of that span's completion, as in the
-    /// unfolded kernel, so the completion is re-armed behind it.
+    /// unfolded kernel, so the completion is re-armed behind it: the live
+    /// one fires first and is pushed again with the new number.
     fn leave(&mut self, env: &mut dyn KernelEnv) {
         if std::mem::take(&mut self.fold.rearm) {
-            self.cpu_gen = self.cpu_gen.wrapping_add(1);
-            env.set_timer_at(self.fold.last_end, self.key(K_CPU_DONE, 0, self.cpu_gen));
+            self.cpu_done.arm(self.fold.last_end, env.now(), self.key(K_CPU_DONE, 0, 0), env);
         }
     }
 
@@ -784,43 +810,48 @@ impl Kernel {
         if epoch != (self.epoch & 0xF) {
             return; // armed before a crash; the kernel that armed it is gone
         }
+        let (now, key) = (self.now_cache, self.key(class, a, 0));
         match class {
-            // Re-armed behind a tie: a later timer completes the span.
-            K_CPU_DONE if b != self.cpu_gen => return,
-            K_CPU_DONE => self.on_cpu_done(env),
+            K_CPU_DONE => match self.cpu_done.fire(now, b, key, env) {
+                Some(true) => self.on_cpu_done(env),
+                // Re-armed behind a tie: pushed again, to complete the span.
+                Some(false) => return,
+                None => {
+                    self.stats.stale_timers.incr();
+                    return;
+                }
+            },
             K_NIC_TX => self.with_nic(env, |nic, now, actions| nic.on_tx_done(now, actions)),
             K_NIC_RX_INTR => {
                 if self.nic.on_rx_interrupt() {
                     self.softirq_pending = true;
                 }
             }
-            K_TCP_RTO => {
-                let sid = a;
-                let now = env.now();
-                if let Some(out) = self.with_conn(sid, |conn| {
-                    let mut out = TcpOutput::default();
-                    conn.on_rto_timer(now, Self::widen_gen(conn.rto_gen(), b), &mut out);
-                    out
-                }) {
-                    self.apply_tcp_output(sid, out, env);
+            K_TCP_RTO | K_TCP_DELACK => {
+                let (rto, mut out) = (class == K_TCP_RTO, TcpOutput::default());
+                if let Some((timer, conn)) = self.tcp_timer(a, class) {
+                    // A deadline the connection disarmed has no timer to push.
+                    let armed = if rto { conn.rto_deadline() } else { conn.delack_deadline() };
+                    timer.deadline = timer.deadline.filter(|_| armed.is_some());
+                    match timer.fire(now, b, key, env) {
+                        Some(true) if rto => conn.on_rto_timer(now, &mut out),
+                        Some(true) => conn.on_delack_timer(now, &mut out),
+                        _ => {}
+                    }
                 }
-            }
-            K_TCP_DELACK => {
-                let sid = a;
-                let now = env.now();
-                if let Some(out) = self.with_conn(sid, |conn| {
-                    let mut out = TcpOutput::default();
-                    conn.on_delack_timer(now, Self::widen_gen(conn.delack_gen(), b), &mut out);
-                    out
-                }) {
-                    self.apply_tcp_output(sid, out, env);
-                }
+                self.apply_tcp_output(a, out, env);
             }
             K_SLEEP => {
                 let tid = Tid(a);
                 self.wake_with(tid, Resume::Step, SysResult::Done);
             }
-            K_EPOLL_TO => self.on_epoll_timer(Tid(a), b, env),
+            K_EPOLL_TO => {
+                let slot = self.procs.get_mut(a as usize);
+                if slot.and_then(|s| s.epoll.fire(now, b, key, env)) == Some(true) {
+                    self.procs[a as usize].timed_out = true;
+                    self.wake(Tid(a));
+                }
+            }
             K_LOOPBACK => {
                 self.softirq_pending = true;
             }
@@ -830,31 +861,6 @@ impl Kernel {
             }
         }
         self.maybe_dispatch(env);
-    }
-
-    /// A `K_EPOLL_TO` of `tid` fired. Only the thread's live timer counts;
-    /// one it replaced by arming an earlier deadline is ignored. A thread
-    /// still blocked on the deadline the timer was armed for times out;
-    /// one blocked on a later deadline has the timer pushed again there,
-    /// with that deadline's number (DESIGN.md §9.1).
-    fn on_epoll_timer(&mut self, tid: Tid, b: u32, env: &mut dyn KernelEnv) {
-        let (now, epoch) = (self.now_cache, self.epoch);
-        let Some(slot) = self.procs.get_mut(tid.0 as usize) else { return };
-        let Some(fired) = slot.epoll_timer.filter(|&(due, seq)| due == now && seq as u32 == b)
-        else {
-            return;
-        };
-        slot.epoll_timer = None;
-        match slot.deadline {
-            // The deadline this timer was pushed for; one before it comes
-            // only from a damaged snapshot.
-            Some(deadline) if deadline <= fired => {
-                slot.timed_out = true;
-                self.wake(tid);
-            }
-            Some(deadline) => slot.push_epoll_timer(tid, epoch, deadline, env),
-            None => {}
-        }
     }
 
     // ------------------------------------------------------------- faults
@@ -928,6 +934,7 @@ impl Kernel {
         self.current = None;
         self.last_ran = None;
         self.cpu_work = None;
+        self.cpu_done = LiveTimer::default();
         self.softirq_pending = false;
         for slot in &mut self.procs {
             slot.state = ProcState::Exited;
@@ -935,8 +942,7 @@ impl Kernel {
             slot.result = SysResult::Started;
             slot.extra_cost = 0;
             slot.slice_used = SimDuration::ZERO;
-            slot.deadline = None;
-            slot.epoll_timer = None;
+            slot.epoll = LiveTimer::default();
             slot.timed_out = false;
         }
     }
@@ -960,20 +966,6 @@ impl Kernel {
                 slot.timed_out = false;
                 self.run_queue.push_back(Tid(i as u32));
             }
-        }
-    }
-
-    // ------------------------------------------------------- helper: gens
-
-    /// Reconstructs a full generation from its low 32 bits by matching the
-    /// connection's current generation (collisions would need 2^32
-    /// rearms between firing and delivery — impossible within a run).
-    fn widen_gen(current: u64, low: u32) -> u64 {
-        if current as u32 == low {
-            current
-        } else {
-            // Stale: return something that cannot match.
-            current.wrapping_add(1 << 33)
         }
     }
 
@@ -1014,7 +1006,7 @@ impl Kernel {
         debug_assert!(self.cpu_work.is_none());
         self.cpu_work = Some(work);
         self.fold.last_end = end;
-        env.set_timer_at(end, self.key(K_CPU_DONE, 0, self.cpu_gen));
+        self.cpu_done.arm(end, env.now(), self.key(K_CPU_DONE, 0, 0), env);
     }
 
     fn maybe_dispatch(&mut self, env: &mut dyn KernelEnv) {
@@ -1315,6 +1307,18 @@ impl Kernel {
         }
     }
 
+    /// Connection `sid`'s timer of `class` (`K_TCP_RTO` or `K_TCP_DELACK`),
+    /// with the connection. A slot's next connection starts with none live,
+    /// so a timer its last one left queued never matches.
+    fn tcp_timer(&mut self, sid: SockId, class: u64) -> Option<(&mut LiveTimer, &mut TcpConn)> {
+        match self.sockets.get_mut(sid as usize).map(|s| &mut s.kind) {
+            Some(SocketKind::Tcp { conn, rto, delack, .. }) => {
+                Some((if class == K_TCP_RTO { rto } else { delack }, conn))
+            }
+            _ => None,
+        }
+    }
+
     fn ephemeral_port(&mut self) -> u16 {
         for _ in 0..u16::MAX {
             let p = self.next_ephemeral;
@@ -1346,7 +1350,7 @@ impl Kernel {
         let slot = &mut self.procs[tid.0 as usize];
         if slot.state == ProcState::Blocked {
             slot.state = ProcState::Runnable;
-            slot.deadline = None;
+            slot.epoll.deadline = None;
             slot.extra_cost += self.cfg.profile.wakeup_cost;
             self.stats.wakeups.incr();
             self.run_queue.push_back(tid);
@@ -1360,7 +1364,7 @@ impl Kernel {
             slot.resume = resume;
             slot.result = result;
             slot.state = ProcState::Runnable;
-            slot.deadline = None;
+            slot.epoll.deadline = None;
             slot.extra_cost += self.cfg.profile.wakeup_cost;
             self.stats.wakeups.incr();
             self.run_queue.push_back(tid);
@@ -1529,6 +1533,8 @@ impl Kernel {
                 );
                 let sid = self.alloc_socket(SocketKind::Tcp {
                     conn: Box::new(conn),
+                    rto: LiveTimer::default(),
+                    delack: LiveTimer::default(),
                     embryo: true,
                     listener: Some(lid),
                     app_closed: false,
@@ -1569,28 +1575,22 @@ impl Kernel {
     /// Applies the effects of a TCP engine call: transmit segments, arm
     /// timers, wake waiters, tear down.
     fn apply_tcp_output(&mut self, sid: SockId, out: TcpOutput, env: &mut dyn KernelEnv) {
-        let (remote, rto_gen, delack_gen, state, embryo, listener, app_closed) =
-            match &self.sockets[sid as usize].kind {
-                SocketKind::Tcp { conn, embryo, listener, app_closed } => (
-                    conn.remote,
-                    conn.rto_gen(),
-                    conn.delack_gen(),
-                    conn.state(),
-                    *embryo,
-                    *listener,
-                    *app_closed,
-                ),
-                _ => return,
-            };
+        let (remote, state, embryo, listener, app_closed) = match &self.sockets[sid as usize].kind {
+            SocketKind::Tcp { conn, embryo, listener, app_closed, .. } => {
+                (conn.remote, conn.state(), *embryo, *listener, *app_closed)
+            }
+            _ => return,
+        };
         for seg in out.segs {
             let pkt = IpPacket::tcp(self.cfg.addr, remote.node, seg);
             self.tx_packet(pkt, env);
         }
-        if let Some(at) = out.arm_rto {
-            self.set_timer(at, self.key(K_TCP_RTO, sid, rto_gen as u32), env);
-        }
-        if let Some(at) = out.arm_delack {
-            self.set_timer(at, self.key(K_TCP_DELACK, sid, delack_gen as u32), env);
+        for (class, at) in [(K_TCP_RTO, out.arm_rto), (K_TCP_DELACK, out.arm_delack)] {
+            let Some(at) = at else { continue };
+            let key = self.key(class, sid, 0);
+            let (timer, _) = self.tcp_timer(sid, class).expect("a TCP socket");
+            timer.arm(at, env.now(), key, env);
+            self.tie(at);
         }
         if out.established {
             if embryo {
@@ -1822,6 +1822,8 @@ impl Kernel {
                 );
                 self.sockets[sid as usize].kind = SocketKind::Tcp {
                     conn: Box::new(conn),
+                    rto: LiveTimer::default(),
+                    delack: LiveTimer::default(),
                     embryo: false,
                     listener: None,
                     app_closed: false,
@@ -2080,16 +2082,8 @@ impl Kernel {
             return ExecOutcome::Ready(SysResult::Events(Vec::new()));
         }
         if let Some(t) = timeout {
-            // The deadline takes the number its own timer would have; a
-            // timer is pushed only if none is live by then. A live instant
-            // already past comes only from a damaged snapshot: that timer
-            // never fires, so it does not count.
-            let (now, at) = (env.now(), env.now() + t);
-            let deadline = (at, env.reserve_seq());
-            slot.deadline = Some(deadline);
-            if slot.epoll_timer.is_none_or(|(due, _)| due < now || due > at) {
-                slot.push_epoll_timer(tid, self.epoch, deadline, env);
-            }
+            let at = env.now() + t;
+            slot.epoll.arm(at, env.now(), key_epoch(K_EPOLL_TO, self.epoch, tid.0, 0), env);
             self.tie(at);
         }
         self.sockets[ep as usize].wait_readers.push(tid);

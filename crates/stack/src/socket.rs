@@ -4,6 +4,7 @@
 //! guests are threads of one application process, matching how memcached
 //! and the incast benchmark actually run).
 
+use crate::kernel::LiveTimer;
 use crate::process::Tid;
 use crate::tcp::TcpConn;
 use diablo_net::addr::SockAddr;
@@ -67,6 +68,10 @@ pub(crate) enum SocketKind {
     Tcp {
         /// Protocol engine.
         conn: Box<TcpConn>,
+        /// Its retransmission timer (`K_TCP_RTO`).
+        rto: LiveTimer,
+        /// Its delayed-ACK timer (`K_TCP_DELACK`).
+        delack: LiveTimer,
         /// Not yet handed to `accept`.
         embryo: bool,
         /// Owning listener (embryo/queued sockets only).
@@ -123,7 +128,7 @@ diablo_engine::impl_snap_struct!(EventMask { readable, writable });
 diablo_engine::impl_snap_enum!(SocketKind {
     0 => RawTcp { port },
     1 => TcpListen { port, backlog, queue, embryos },
-    2 => Tcp { conn, embryo, listener, app_closed },
+    2 => Tcp { conn, rto, delack, embryo, listener, app_closed },
     3 => Udp { port, rx, rx_bytes },
     4 => Epoll { watched },
     5 => Free,

@@ -118,11 +118,12 @@ pub struct TcpStats {
 pub struct TcpOutput {
     /// Segments to transmit, in order.
     pub segs: Vec<TcpSegment>,
-    /// Arm (replace) the retransmission timer at this absolute time; the
-    /// caller must deliver [`TcpConn::on_rto_timer`] with the generation
-    /// captured via [`TcpConn::rto_gen`] after this call.
+    /// Arm (replace) the retransmission timer at this absolute time: the
+    /// caller delivers [`TcpConn::on_rto_timer`] then, unless
+    /// [`TcpConn::rto_deadline`] has moved by then.
     pub arm_rto: Option<SimTime>,
-    /// Arm the delayed-ACK timer (generation via [`TcpConn::delack_gen`]).
+    /// Arm the delayed-ACK timer at this absolute time: the caller
+    /// delivers [`TcpConn::on_delack_timer`] then.
     pub arm_delack: Option<SimTime>,
     /// New data or EOF became available to the application.
     pub readable: bool,
@@ -206,8 +207,8 @@ pub struct TcpConn {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     rtt_sample: Option<RttSample>,
-    rto_gen: u64,
-    rto_armed: bool,
+    /// When the retransmission timer expires; `None` when disarmed.
+    rto_deadline: Option<SimTime>,
     /// RTO expirations since the last forward progress; past
     /// `max_rto_retries` the connection is abandoned.
     consecutive_rtos: u32,
@@ -234,8 +235,8 @@ pub struct TcpConn {
     remote_fin: Option<u64>,
     /// Our FIN has been acknowledged.
     fin_acked: bool,
-    delack_gen: u64,
-    delack_armed: bool,
+    /// When the delayed ACK is due; `None` when none is armed.
+    delack_deadline: Option<SimTime>,
     ack_owed: bool,
     segs_since_ack: u32,
     /// Last advertised window (to detect zero-window openings).
@@ -279,8 +280,7 @@ impl TcpConn {
             srtt: None,
             rttvar: SimDuration::ZERO,
             rtt_sample: None,
-            rto_gen: 0,
-            rto_armed: false,
+            rto_deadline: None,
             consecutive_rtos: 0,
             timed_out: false,
             handshake_sent: None,
@@ -292,8 +292,7 @@ impl TcpConn {
             consumed: DATA_START,
             remote_fin: None,
             fin_acked: false,
-            delack_gen: 0,
-            delack_armed: false,
+            delack_deadline: None,
             ack_owed: false,
             segs_since_ack: 0,
             last_adv_wnd: params.rcvbuf as u64,
@@ -353,15 +352,14 @@ impl TcpConn {
         self.stats
     }
 
-    /// Current retransmission-timer generation (stamp timer events with
-    /// this).
-    pub fn rto_gen(&self) -> u64 {
-        self.rto_gen
+    /// When the retransmission timer expires, if armed.
+    pub fn rto_deadline(&self) -> Option<SimTime> {
+        self.rto_deadline
     }
 
-    /// Current delayed-ACK-timer generation.
-    pub fn delack_gen(&self) -> u64 {
-        self.delack_gen
+    /// When the delayed ACK is due, if armed.
+    pub fn delack_deadline(&self) -> Option<SimTime> {
+        self.delack_deadline
     }
 
     /// `true` once the connection was abandoned after `max_rto_retries`
@@ -480,12 +478,13 @@ impl TcpConn {
 
     // ------------------------------------------------------------- timers
 
-    /// Handles an RTO expiration stamped with generation `gen`.
-    pub fn on_rto_timer(&mut self, now: SimTime, gen: u64, out: &mut TcpOutput) {
-        if gen != self.rto_gen || !self.rto_armed || self.state == TcpState::Closed {
+    /// Handles the retransmission timer firing at `now`: nothing happens
+    /// unless it is armed and due by then.
+    pub fn on_rto_timer(&mut self, now: SimTime, out: &mut TcpOutput) {
+        if self.rto_deadline.is_none_or(|due| due > now) || self.state == TcpState::Closed {
             return;
         }
-        self.rto_armed = false;
+        self.rto_deadline = None;
         self.stats.rtos += 1;
         // Karn: invalidate the RTT sample across retransmission.
         self.rtt_sample = None;
@@ -542,12 +541,13 @@ impl TcpConn {
         out.writable = true;
     }
 
-    /// Handles a delayed-ACK expiration stamped with generation `gen`.
-    pub fn on_delack_timer(&mut self, _now: SimTime, gen: u64, out: &mut TcpOutput) {
-        if gen != self.delack_gen || !self.delack_armed {
+    /// Handles the delayed-ACK timer firing at `now`: nothing happens
+    /// unless it is armed and due by then.
+    pub fn on_delack_timer(&mut self, now: SimTime, out: &mut TcpOutput) {
+        if self.delack_deadline.is_none_or(|due| due > now) {
             return;
         }
-        self.delack_armed = false;
+        self.delack_deadline = None;
         if self.ack_owed {
             self.emit_ack(out);
         }
@@ -837,10 +837,10 @@ impl TcpConn {
         self.segs_since_ack += 1;
         if self.segs_since_ack >= 2 || !self.ooo.is_empty() {
             self.emit_ack(out);
-        } else if !self.delack_armed {
-            self.delack_armed = true;
-            self.delack_gen += 1;
-            out.arm_delack = Some(now + self.params.delayed_ack);
+        } else if self.delack_deadline.is_none() {
+            let at = now + self.params.delayed_ack;
+            self.delack_deadline = Some(at);
+            out.arm_delack = Some(at);
         }
     }
 
@@ -1051,20 +1051,19 @@ impl TcpConn {
     }
 
     fn arm_rto(&mut self, now: SimTime, out: &mut TcpOutput) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        out.arm_rto = Some(now + self.rto);
+        let at = now + self.rto;
+        self.rto_deadline = Some(at);
+        out.arm_rto = Some(at);
     }
 
     fn arm_rto_if_unarmed(&mut self, now: SimTime, out: &mut TcpOutput) {
-        if !self.rto_armed {
+        if self.rto_deadline.is_none() {
             self.arm_rto(now, out);
         }
     }
 
     fn disarm_rto(&mut self) {
-        self.rto_gen += 1;
-        self.rto_armed = false;
+        self.rto_deadline = None;
     }
 }
 
@@ -1129,8 +1128,7 @@ diablo_engine::impl_snap_struct!(TcpConn {
     srtt,
     rttvar,
     rtt_sample,
-    rto_gen,
-    rto_armed,
+    rto_deadline,
     consecutive_rtos,
     timed_out,
     handshake_sent,
@@ -1142,8 +1140,7 @@ diablo_engine::impl_snap_struct!(TcpConn {
     consumed,
     remote_fin,
     fin_acked,
-    delack_gen,
-    delack_armed,
+    delack_deadline,
     ack_owed,
     segs_since_ack,
     last_adv_wnd,
@@ -1165,8 +1162,8 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
     enum Ev {
         Deliver(usize, SegKey),
-        Rto(usize, u64),
-        Delack(usize, u64),
+        Rto(usize),
+        Delack(usize),
     }
 
     /// Segments are stored out-of-band so the heap key stays Ord.
@@ -1239,16 +1236,14 @@ mod tests {
                 self.heap.push(Reverse((self.now + self.delay, key, Ev::Deliver(other, key))));
             }
             if let Some(at) = out.arm_rto {
-                let gen = self.conns[side].rto_gen();
                 let key = self.seq;
                 self.seq += 1;
-                self.heap.push(Reverse((at, key, Ev::Rto(side, gen))));
+                self.heap.push(Reverse((at, key, Ev::Rto(side))));
             }
             if let Some(at) = out.arm_delack {
-                let gen = self.conns[side].delack_gen();
                 let key = self.seq;
                 self.seq += 1;
-                self.heap.push(Reverse((at, key, Ev::Delack(side, gen))));
+                self.heap.push(Reverse((at, key, Ev::Delack(side))));
             }
             if out.established {
                 self.established[side] = true;
@@ -1293,12 +1288,12 @@ mod tests {
                         }
                         self.absorb(side, out);
                     }
-                    Ev::Rto(side, gen) => {
-                        self.conns[side].on_rto_timer(t, gen, &mut out);
+                    Ev::Rto(side) => {
+                        self.conns[side].on_rto_timer(t, &mut out);
                         self.absorb(side, out);
                     }
-                    Ev::Delack(side, gen) => {
-                        self.conns[side].on_delack_timer(t, gen, &mut out);
+                    Ev::Delack(side) => {
+                        self.conns[side].on_delack_timer(t, &mut out);
                         self.absorb(side, out);
                     }
                 }

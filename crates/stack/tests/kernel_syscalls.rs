@@ -7,7 +7,7 @@ use diablo_engine::prelude::{DetRng, SimDuration, SimTime};
 use diablo_net::frame::Frame;
 use diablo_net::frame::Route;
 use diablo_net::link::{LinkParams, PortPeer};
-use diablo_net::payload::{AppMessage, IpPacket, UdpDatagram};
+use diablo_net::payload::{AppMessage, IpPacket, TcpFlags, TcpSegment, Transport, UdpDatagram};
 use diablo_net::topology::{Topology, TopologyConfig};
 use diablo_net::{NodeAddr, SockAddr};
 use diablo_stack::kernel::{Kernel, KernelEnv, NodeConfig, NodeFault};
@@ -111,15 +111,44 @@ impl World {
         }
     }
 
-    /// Runs to `at`, then a datagram for UDP port 9 arrives from the wire.
-    fn datagram_at(&mut self, at: SimTime) {
+    /// Runs to `at`, then `packet` arrives from the wire.
+    fn packet_at(&mut self, at: SimTime, packet: IpPacket) {
         self.run(at);
         self.now = at;
+        let (kernel, mut env) = self.env();
+        kernel.on_frame(Frame::new(packet, Route::empty()), &mut env);
+    }
+
+    /// Runs to `at`, then a datagram for UDP port 9 arrives from the wire.
+    fn datagram_at(&mut self, at: SimTime) {
         let msg = AppMessage::new(1, 1, 64, at);
         let d = UdpDatagram { src_port: 9, dst_port: 9, msg };
-        let frame = Frame::new(IpPacket::udp(NodeAddr(1), NodeAddr(0), d), Route::empty());
-        let (kernel, mut env) = self.env();
-        kernel.on_frame(frame, &mut env);
+        self.packet_at(at, IpPacket::udp(NodeAddr(1), NodeAddr(0), d));
+    }
+
+    /// Runs to `at`, then the peer at `PEER` sends `seg` from port 80 to
+    /// local port `port`.
+    fn peer_segment_at(&mut self, at: SimTime, port: u16, seq: u64, flags: TcpFlags, len: u32) {
+        let seg = TcpSegment {
+            src_port: 80,
+            dst_port: port,
+            seq,
+            ack: 1,
+            flags,
+            wnd: 65_535,
+            payload_len: len,
+            markers: Vec::new(),
+        };
+        self.packet_at(at, IpPacket::tcp(PEER, NodeAddr(0), seg));
+    }
+
+    /// The TCP segments sent so far, with their instants.
+    fn segments_out(&self) -> Vec<(SimTime, TcpSegment)> {
+        let tcp = |(at, f): &(SimTime, Frame)| match &f.packet.transport {
+            Transport::Tcp(seg) => Some((*at, seg.clone())),
+            _ => None,
+        };
+        self.frames_out.iter().filter_map(tcp).collect()
     }
 
     /// Schedules `fault` for `at`, as a fault plan does.
@@ -465,7 +494,7 @@ fn timers_nothing_armed_are_counted_stale() {
     w.run(SimTime::from_micros(1)); // no thread: the CPU stays idle
     let (kernel, mut env) = w.env();
     // Keys pack the class in the low nibble: 0 is the CPU completion
-    // (epoch 0, generation 0), 15 no class at all.
+    // (epoch 0, number 0), 15 no class at all.
     kernel.on_timer(0, &mut env);
     kernel.on_timer(0xF, &mut env);
     assert_eq!(w.kernel.stats().stale_timers.get(), 2);
@@ -600,4 +629,83 @@ fn a_crash_drops_the_live_epoll_timer() {
     assert!(timers[1] > SimTime::ZERO + MS * 260);
     assert_eq!(returns[1], (timers[1], false));
     assert!(w.kernel.all_exited());
+}
+
+/// The node the connection tests dial. Nothing answers but the segments a
+/// test sends in its name.
+const PEER: NodeAddr = NodeAddr(5);
+
+/// Connects on `Fd(0)` without blocking and closes it a millisecond later,
+/// after the test has reset it; then opens and closes 512 UDP sockets, so
+/// that after `pause` a second connection reuses the first one's slot.
+/// The two connect from ports 32768 and 32769.
+fn reuse_script(pause: SimDuration) -> Script {
+    let connect = [
+        Syscall::Socket(Proto::Tcp),
+        Syscall::SetNonblocking { fd: Fd(0), on: true },
+        Syscall::Connect { fd: Fd(0), to: SockAddr::new(PEER, 80) },
+    ];
+    let mut calls = connect.to_vec();
+    calls.extend([Syscall::Nanosleep(MS), Syscall::Close { fd: Fd(0) }]);
+    for k in 1..=512 {
+        calls.extend([Syscall::Socket(Proto::Udp), Syscall::Close { fd: Fd(k) }]);
+    }
+    calls.push(Syscall::Nanosleep(pause));
+    calls.extend(connect);
+    Script::new(calls)
+}
+
+/// A connection reset during its handshake leaves its SYN's retransmission
+/// timer queued for a second. The slot's next connection, waiting on its
+/// own SYN, must not take that timer for its own: it retransmits one
+/// `rto_initial` after its SYN, not when the old timer fires.
+#[test]
+fn a_reused_slot_ignores_the_old_connections_rto() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(reuse_script(MS * 10)));
+    w.peer_segment_at(SimTime::ZERO + MS / 10, 32768, 0, TcpFlags::RST, 0);
+    w.run(SimTime::from_millis(100));
+    let syns = |w: &World| {
+        let out = w.segments_out();
+        out.into_iter().filter(|(_, s)| s.flags.syn).map(|(at, s)| (at, s.src_port)).collect()
+    };
+    let first: Vec<(SimTime, u16)> = syns(&w);
+    assert_eq!(first.iter().map(|&(_, port)| port).collect::<Vec<_>>(), [32768, 32769]);
+    let new_syn = first[1].0;
+    w.run(new_syn + MS * 999);
+    assert_eq!(w.kernel.tcp_stats().rtos, 0, "no RTO before the new connection's own");
+    assert_eq!(syns(&w), first, "no early SYN retransmission");
+    w.run(SimTime::from_secs(2));
+    let all = syns(&w);
+    assert_eq!(w.kernel.tcp_stats().rtos, 1);
+    assert_eq!(all.len(), 3);
+    assert_eq!(all[2].1, 32769);
+    assert!(all[2].0 >= new_syn + SimDuration::from_secs(1), "retransmitted at {}", all[2].0);
+}
+
+/// A connection reset while it owes a delayed ACK leaves that timer
+/// queued. The slot's next connection, owing a delayed ACK of its own,
+/// must not send it when the old timer fires.
+#[test]
+fn a_reused_slot_ignores_the_old_connections_delayed_ack() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(reuse_script(MS * 20)));
+    let at = |us: u64| SimTime::from_micros(us);
+    // Each connection is established, then one segment arrives; the
+    // first is reset before its ACK is due, the second within 40 ms of it.
+    w.peer_segment_at(at(100), 32768, 0, TcpFlags::SYN_ACK, 0);
+    w.peer_segment_at(at(200), 32768, 1, TcpFlags::ACK, 100);
+    w.peer_segment_at(at(300), 32768, 101, TcpFlags::RST, 0);
+    w.peer_segment_at(at(30_000), 32769, 0, TcpFlags::SYN_ACK, 0);
+    let data = at(31_000);
+    w.peer_segment_at(data, 32769, 1, TcpFlags::ACK, 100);
+    w.run(SimTime::from_millis(200));
+    let out = w.segments_out();
+    let new_conn: Vec<&(SimTime, TcpSegment)> =
+        out.iter().filter(|(_, s)| s.src_port == 32769).collect();
+    assert!(new_conn[0].1.flags.syn && new_conn[0].0 < at(30_000), "connected before the SYN-ACK");
+    let acks: Vec<SimTime> =
+        new_conn.iter().filter(|(_, s)| s.ack == 101).map(|&&(at, _)| at).collect();
+    assert_eq!(acks.len(), 1, "one ACK of the segment");
+    assert!(acks[0] >= data + MS * 40, "the ACK left at {}, before its delay", acks[0]);
 }
