@@ -5,8 +5,15 @@
 //! orders of magnitude (10 µs … 1 s tails). The [`Histogram`] here uses
 //! HDR-style log-linear buckets: values are grouped into power-of-two
 //! ranges, each split into `2^p` linear sub-buckets, giving a bounded
-//! relative error of `2^-p` at any magnitude with a few KiB of memory.
+//! relative error of `2^-p` at any magnitude. Only the buckets that hold a
+//! sample are stored, 16 bytes each, so a histogram's size follows the
+//! number of distinct buckets it has hit, not its largest sample: a client
+//! with a hundred samples, one of them a 250 ms retry, keeps about a
+//! hundred buckets rather than an array of 3,000. The snapshot wire form
+//! is the dense array (see [`Histogram`]).
 
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use core::cmp::Ordering;
 use core::fmt;
 
 /// A monotonically increasing event counter.
@@ -58,6 +65,20 @@ const DEFAULT_PRECISION_BITS: u32 = 7;
 /// `p` is the precision (default 7, ≤0.79%). Suitable for latencies in
 /// nanoseconds across the full `u64` range.
 ///
+/// The histogram stores its non-empty buckets only, as `(index, count)`
+/// pairs sorted by index: at most `(65 - p) · 2^p` of them (7,424 at the
+/// default precision), and in practice a few hundred. Recording into a
+/// bucket that already holds samples is a binary search; a new bucket is
+/// inserted in place, moving the entries above it. Merging is one linear
+/// pass over both lists, and quantiles and distributions walk the stored
+/// buckets only.
+///
+/// A snapshot keeps the dense form, one `u64` count per bucket up to the
+/// largest non-empty one: `save` expands to it and `load` compacts from
+/// it, so the snapshot format does not depend on the in-memory layout.
+/// `load` rejects a precision outside `1..=14` and a bucket array longer
+/// than that precision can index.
+///
 /// # Examples
 ///
 /// ```
@@ -73,7 +94,9 @@ const DEFAULT_PRECISION_BITS: u32 = 7;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     precision_bits: u32,
-    buckets: Vec<u64>,
+    /// Non-empty buckets as `(index, count)`, sorted by index; every count
+    /// is at least one.
+    buckets: Vec<(u32, u64)>,
     count: u64,
     sum: u128,
     min: u64,
@@ -127,7 +150,7 @@ impl Histogram {
             let sub_idx = idx % sub;
             let base = (sub + sub_idx) << octave;
             let width = 1u64 << octave;
-            base + width - 1
+            base + (width - 1)
         }
     }
 
@@ -142,11 +165,11 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = self.index_of(value);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
+        let idx = self.index_of(value) as u32;
+        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(pos) => self.buckets[pos].1 = self.buckets[pos].1.saturating_add(n),
+            Err(pos) => self.buckets.insert(pos, (idx, n)),
         }
-        self.buckets[idx] = self.buckets[idx].saturating_add(n);
         self.count = self.count.saturating_add(n);
         self.sum = self.sum.saturating_add(value as u128 * n as u128);
         self.min = self.min.min(value);
@@ -200,10 +223,10 @@ impl Histogram {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+        for &(idx, c) in &self.buckets {
+            seen = seen.saturating_add(c);
             if seen >= rank {
-                return self.bucket_upper(idx).min(self.max).max(self.min);
+                return self.bucket_upper(idx as usize).min(self.max).max(self.min);
             }
         }
         self.max
@@ -216,12 +239,29 @@ impl Histogram {
     /// Panics if precisions differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.precision_bits, other.precision_bits, "precision mismatch");
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
+        let (a, b) = (&self.buckets, &other.buckets);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    merged.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    merged.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    merged.push((a[i].0, a[i].1.saturating_add(b[j].1)));
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        for (dst, &src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst = dst.saturating_add(src);
-        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        self.buckets = merged;
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
@@ -236,12 +276,9 @@ impl Histogram {
             return out;
         }
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            seen += c;
-            out.push((self.bucket_upper(idx), seen as f64 / self.count as f64));
+        for &(idx, c) in &self.buckets {
+            seen = seen.saturating_add(c);
+            out.push((self.bucket_upper(idx as usize), seen as f64 / self.count as f64));
         }
         out
     }
@@ -261,11 +298,8 @@ impl Histogram {
         if self.count == 0 {
             return out;
         }
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let v = self.bucket_upper(idx);
+        for &(idx, c) in &self.buckets {
+            let v = self.bucket_upper(idx as usize);
             // Find the first edge >= v (values below lo clamp to bin 0;
             // above hi clamp to the last bin).
             let bin = match edges[1..].binary_search(&v) {
@@ -500,7 +534,55 @@ impl ExecReport {
     }
 }
 
-crate::impl_snap_struct!(Histogram { precision_bits, buckets, count, sum, min, max });
+impl Snap for Histogram {
+    /// Writes the dense form: one `u64` count for every bucket up to the
+    /// largest non-empty one, zeros included.
+    fn save(&self, w: &mut SnapWriter) {
+        self.precision_bits.save(w);
+        w.put_len(self.buckets.last().map_or(0, |&(idx, _)| idx as usize + 1));
+        let mut next = 0;
+        for &(idx, c) in &self.buckets {
+            for _ in next..idx {
+                0u64.save(w);
+            }
+            c.save(w);
+            next = idx + 1;
+        }
+        self.count.save(w);
+        self.sum.save(w);
+        self.min.save(w);
+        self.max.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let precision_bits = u32::load(r)?;
+        if !(1..=14).contains(&precision_bits) {
+            return Err(SnapError::Malformed(format!(
+                "histogram precision {precision_bits} is outside 1..=14"
+            )));
+        }
+        let mut h = Histogram::with_precision(precision_bits);
+        let len = r.take_len()?;
+        let buckets = h.index_of(u64::MAX) + 1;
+        if len > buckets {
+            return Err(SnapError::Malformed(format!(
+                "histogram of precision {precision_bits} has {len} buckets, at most {buckets} exist"
+            )));
+        }
+        for idx in 0..len {
+            let c = u64::load(r)?;
+            if c != 0 {
+                h.buckets.push((idx as u32, c));
+            }
+        }
+        h.count = u64::load(r)?;
+        h.sum = u128::load(r)?;
+        h.min = u64::load(r)?;
+        h.max = u64::load(r)?;
+        Ok(h)
+    }
+}
+
 crate::impl_snap_struct!(Series { values });
 
 #[cfg(test)]
@@ -657,6 +739,54 @@ mod tests {
         let empty = Histogram::new();
         assert_eq!(empty.log_cdf(1, 10, 10).len(), cdf.len());
         assert!(empty.log_cdf(1, 10, 10).iter().all(|&(_, f)| f == 0.0));
+    }
+
+    /// The snapshot form of a histogram with the dense bucket array
+    /// `buckets`, min 0 and max 1.
+    fn dense_bytes(precision_bits: u32, buckets: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        precision_bits.save(&mut w);
+        buckets.to_vec().save(&mut w);
+        let count: u64 = buckets.iter().sum();
+        count.save(&mut w);
+        (count as u128).save(&mut w);
+        0u64.save(&mut w);
+        1u64.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn load_bytes(bytes: &[u8]) -> Result<Histogram, SnapError> {
+        Histogram::load(&mut SnapReader::new(bytes))
+    }
+
+    /// Zeros in a snapshot's dense bucket array, trailing ones included,
+    /// are not stored.
+    #[test]
+    fn snapshot_load_keeps_non_empty_buckets_only() {
+        let h = load_bytes(&dense_bytes(7, &[0, 1, 0, 0])).unwrap();
+        assert_eq!(h.buckets, vec![(1, 1)]);
+        assert_eq!(h.quantile(1.0), 1);
+        assert!(load_bytes(&dense_bytes(7, &[])).unwrap().buckets.is_empty());
+    }
+
+    /// A precision the constructor refuses would, once loaded, size the
+    /// next record's bucket from a shift of up to 64 bits; a bucket array
+    /// longer than the precision can index holds counts no value maps to.
+    #[test]
+    fn snapshot_rejects_a_damaged_histogram() {
+        for p in [0, 15, 40, 64, u32::MAX] {
+            let err = load_bytes(&dense_bytes(p, &[1])).unwrap_err();
+            assert!(matches!(err, SnapError::Malformed(_)), "precision {p}: {err:?}");
+        }
+        for p in [1, 7, 14] {
+            let most = Histogram::with_precision(p).index_of(u64::MAX) + 1;
+            let mut buckets = vec![0u64; most];
+            buckets[most - 1] = 1;
+            assert!(load_bytes(&dense_bytes(p, &buckets)).is_ok(), "precision {p}");
+            buckets.push(1);
+            let err = load_bytes(&dense_bytes(p, &buckets)).unwrap_err();
+            assert!(matches!(err, SnapError::Malformed(_)), "precision {p}: {err:?}");
+        }
     }
 
     #[test]
