@@ -189,19 +189,6 @@ impl SimHost {
             SimHost::Parallel(p) => p.load_state(r),
         }
     }
-
-    /// Visits every component that exposes metrics (see
-    /// [`Instrumented`](diablo_engine::metrics::Instrumented)), in
-    /// component-id order under either executor.
-    pub fn visit_instrumented(
-        &self,
-        f: impl FnMut(ComponentId, &dyn diablo_engine::metrics::Instrumented),
-    ) {
-        match self {
-            SimHost::Serial(s) => s.visit_instrumented(f),
-            SimHost::Parallel(p) => p.visit_instrumented(f),
-        }
-    }
 }
 
 impl ComponentHost<Frame> for SimHost {

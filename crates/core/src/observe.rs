@@ -19,12 +19,11 @@
 
 use crate::cluster::{Cluster, SimHost};
 use diablo_engine::event::ComponentId;
-use diablo_engine::metrics::{FlightEvent, FlightRecorder, MetricsRegistry};
+use diablo_engine::metrics::{FlightEvent, FlightRecorder, Instrumented, MetricsRegistry};
 use diablo_net::switch::PacketSwitch;
 use diablo_net::topology::{Endpoint, SwitchLevel};
 use diablo_net::NodeAddr;
 use diablo_node::ServerNode;
-use std::collections::HashMap;
 
 /// Cluster-wide frame conservation totals, split by wire direction, plus
 /// any invariant violations found. Produced by
@@ -73,20 +72,38 @@ impl DropAccounting {
     }
 }
 
+/// A component the scrape names: a server node or a switch.
+#[derive(Debug, Clone, Copy)]
+enum Scraped {
+    Node(ComponentId),
+    Switch(ComponentId),
+}
+
+impl Scraped {
+    fn on(self, host: &SimHost) -> &dyn Instrumented {
+        match self {
+            Scraped::Node(id) => host.component::<ServerNode>(id).expect("node vanished"),
+            Scraped::Switch(id) => host.component::<PacketSwitch>(id).expect("switch vanished"),
+        }
+    }
+}
+
 impl Cluster {
-    /// Hierarchical scrape name of every component: nodes are
-    /// `rack{r}.server{slot}`, ToRs `rack{r}.tor`, array switches
+    /// Hierarchical scrape name of every component, sorted by name: nodes
+    /// are `rack{r}.server{slot}`, ToRs `rack{r}.tor`, array switches
     /// `array{a}`, the root `datacenter`. On a fat-tree, edges take the
-    /// ToR names and the upper tiers are `agg{i}` / `core{i}`.
-    fn component_names(&self) -> HashMap<ComponentId, String> {
-        let mut names = HashMap::new();
+    /// ToR names and the upper tiers are `agg{i}` / `core{i}`. No name is
+    /// another followed by a dot, and every name is lowercase letters,
+    /// digits and dots, so recording the components in this order puts
+    /// their metrics in name order (see [`MetricsRegistry`]).
+    fn component_names(&self) -> Vec<(String, Scraped)> {
         let spr = self.topo.config().servers_per_rack;
-        for (n, &id) in self.nodes.iter().enumerate() {
+        let nodes = self.nodes.iter().enumerate().map(|(n, &id)| {
             let rack = self.topo.rack_of(NodeAddr(n as u32));
             let slot = n - rack * spr;
-            names.insert(id, format!("rack{rack}.server{slot}"));
-        }
-        for (s, &id) in self.switches.iter().enumerate() {
+            (format!("rack{rack}.server{slot}"), Scraped::Node(id))
+        });
+        let switches = self.switches.iter().enumerate().map(|(s, &id)| {
             let name = match self.topo.switch_level(s) {
                 SwitchLevel::Tor { rack } => format!("rack{rack}.tor"),
                 SwitchLevel::Array { array } => format!("array{array}"),
@@ -94,8 +111,10 @@ impl Cluster {
                 SwitchLevel::Aggregation { index, .. } => format!("agg{index}"),
                 SwitchLevel::Core { index } => format!("core{index}"),
             };
-            names.insert(id, name);
-        }
+            (name, Scraped::Switch(id))
+        });
+        let mut names: Vec<_> = nodes.chain(switches).collect();
+        names.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         names
     }
 
@@ -105,15 +124,13 @@ impl Cluster {
     ///
     /// The registry depends only on model state, never on execution
     /// structure, so a serial run and a partition-parallel run of the
-    /// same cluster scrape byte-identically.
+    /// same cluster scrape byte-identically. Components are recorded in
+    /// name order, so the registry only appends.
     pub fn scrape(&self, host: &SimHost) -> MetricsRegistry {
-        let names = self.component_names();
         let mut reg = MetricsRegistry::new();
-        host.visit_instrumented(|id, ins| {
-            if let Some(name) = names.get(&id) {
-                reg.record(name, ins);
-            }
-        });
+        for (name, c) in self.component_names() {
+            reg.record(&name, c.on(host));
+        }
         reg
     }
 
@@ -138,13 +155,10 @@ impl Cluster {
     /// [`enable_flight_recorders`](Cluster::enable_flight_recorders) was
     /// called before the run.
     pub fn flight_recording(&self, host: &SimHost, cap: usize) -> Vec<FlightEvent> {
-        let names = self.component_names();
         let mut rec = FlightRecorder::new();
-        host.visit_instrumented(|id, ins| {
-            if let Some(name) = names.get(&id) {
-                rec.add_source(name, ins.flight_records());
-            }
-        });
+        for (name, c) in self.component_names() {
+            rec.add_source(&name, c.on(host).flight_records());
+        }
         rec.finish(cap)
     }
 

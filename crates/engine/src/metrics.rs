@@ -11,9 +11,14 @@
 //!   events to the flight recorder.
 //! * [`MetricsRegistry`] — a scrape target. Recording a component under a
 //!   prefix produces hierarchical names (`rack0.server3.nic.tx_frames`);
-//!   the registry is an ordered map, so two scrapes of identical model
-//!   state serialize byte-identically — the property the determinism
-//!   suite asserts across serial and partition-parallel runs.
+//!   the registry is one vector of `(name, value)` entries kept sorted by
+//!   name, so two scrapes of identical model state serialize
+//!   byte-identically — the property the determinism suite asserts across
+//!   serial and partition-parallel runs. A scrape that records components
+//!   in name order only appends: each component's run of entries is
+//!   sorted on its own and lands after everything already stored (see
+//!   [`MetricsRegistry`] for why name order is metric order, and for the
+//!   merge that handles any other order).
 //! * [`SeriesRecorder`] — periodic interval sampling of a registry at a
 //!   configurable simulated-time cadence, so experiments can plot
 //!   throughput or queue depth *over* simulated time rather than only
@@ -68,28 +73,41 @@ pub trait Instrumented {
 
 /// Adapter that prepends a prefix to every metric name before forwarding
 /// to an inner visitor; used to nest one instrumented model inside
-/// another (the kernel scrapes its NIC under `nic.`).
+/// another (the kernel scrapes its NIC under `nic.`). The prefixed name
+/// is built in one buffer that every metric reuses.
 pub struct PrefixedVisitor<'a> {
     inner: &'a mut dyn MetricsVisitor,
-    prefix: &'a str,
+    buf: String,
+    prefix_len: usize,
 }
 
 impl<'a> PrefixedVisitor<'a> {
     /// Wraps `inner`, prepending `prefix` (include the trailing `.`).
     pub fn new(inner: &'a mut dyn MetricsVisitor, prefix: &'a str) -> Self {
-        PrefixedVisitor { inner, prefix }
+        let mut buf = String::with_capacity(prefix.len() + 32);
+        buf.push_str(prefix);
+        PrefixedVisitor { inner, buf, prefix_len: prefix.len() }
+    }
+
+    /// Leaves `prefix` + `name` in the buffer.
+    fn set_name(&mut self, name: &str) {
+        self.buf.truncate(self.prefix_len);
+        self.buf.push_str(name);
     }
 }
 
 impl MetricsVisitor for PrefixedVisitor<'_> {
     fn counter(&mut self, name: &str, value: u64) {
-        self.inner.counter(&format!("{}{}", self.prefix, name), value);
+        self.set_name(name);
+        self.inner.counter(&self.buf, value);
     }
     fn gauge(&mut self, name: &str, value: f64) {
-        self.inner.gauge(&format!("{}{}", self.prefix, name), value);
+        self.set_name(name);
+        self.inner.gauge(&self.buf, value);
     }
     fn histogram(&mut self, name: &str, h: &Histogram) {
-        self.inner.histogram(&format!("{}{}", self.prefix, name), h);
+        self.set_name(name);
+        self.inner.histogram(&self.buf, h);
     }
 }
 
@@ -141,9 +159,13 @@ pub enum MetricValue {
     Counter(u64),
     /// Instantaneous float.
     Gauge(f64),
-    /// Distribution summary.
-    Histogram(HistogramSummary),
+    /// Distribution summary. Boxed, so that a registry entry stays 40
+    /// bytes: a large scrape holds about twelve counters per histogram.
+    Histogram(Box<HistogramSummary>),
 }
+
+/// One registry entry: a full metric name and its value.
+type Entry = (String, MetricValue);
 
 /// An ordered collection of hierarchically named metrics, built by
 /// scraping [`Instrumented`] components under per-component prefixes.
@@ -151,6 +173,24 @@ pub enum MetricValue {
 /// Iteration (and therefore every exporter) is in lexicographic name
 /// order, so registries built from identical model state are equal and
 /// serialize byte-identically regardless of scrape order or executor.
+///
+/// The registry is one vector of `(full name, value)` entries, sorted by
+/// name, with no name twice; lookups binary-search it. [`record`] appends
+/// the component's metrics (each full name allocated once), sorts just
+/// that run, and is done if the run sorts after every entry already
+/// stored. That is the case whenever components are recorded in the
+/// order of their prefixes, no prefix is another one followed by `.`,
+/// and prefixes use only characters above `.` (letters, digits, `_`):
+/// then `"rack1"` < `"rack10"` implies `"rack1.x"` < `"rack10.y"`,
+/// because `.` sorts below every character that can follow `rack1` in
+/// another prefix. `Cluster::scrape` records that way, so a whole-cluster
+/// scrape only appends. Otherwise (a prefix with `-` or another character
+/// below `.`, a prefix that is another one plus a dot, components in any
+/// other order, or one name written twice) the run is merged into the
+/// entries, and where a name is written more than once the last write
+/// wins.
+///
+/// [`record`]: MetricsRegistry::record
 ///
 /// # Examples
 ///
@@ -171,33 +211,36 @@ pub enum MetricValue {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    metrics: BTreeMap<String, MetricValue>,
+    metrics: Vec<Entry>,
 }
 
+/// Appends each visited metric under `prefix.` to the registry's vector.
 struct RegistryVisitor<'a> {
     prefix: &'a str,
-    metrics: &'a mut BTreeMap<String, MetricValue>,
+    metrics: &'a mut Vec<Entry>,
 }
 
 impl RegistryVisitor<'_> {
-    fn full(&self, name: &str) -> String {
-        if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}.{}", self.prefix, name)
+    fn push(&mut self, name: &str, value: MetricValue) {
+        let mut full = String::with_capacity(self.prefix.len() + 1 + name.len());
+        if !self.prefix.is_empty() {
+            full.push_str(self.prefix);
+            full.push('.');
         }
+        full.push_str(name);
+        self.metrics.push((full, value));
     }
 }
 
 impl MetricsVisitor for RegistryVisitor<'_> {
     fn counter(&mut self, name: &str, value: u64) {
-        self.metrics.insert(self.full(name), MetricValue::Counter(value));
+        self.push(name, MetricValue::Counter(value));
     }
     fn gauge(&mut self, name: &str, value: f64) {
-        self.metrics.insert(self.full(name), MetricValue::Gauge(value));
+        self.push(name, MetricValue::Gauge(value));
     }
     fn histogram(&mut self, name: &str, h: &Histogram) {
-        self.metrics.insert(self.full(name), MetricValue::Histogram(HistogramSummary::of(h)));
+        self.push(name, MetricValue::Histogram(Box::new(HistogramSummary::of(h))));
     }
 }
 
@@ -210,19 +253,37 @@ impl MetricsRegistry {
     /// Scrapes `source`, storing every metric under `prefix.`
     /// (an empty prefix stores local names unqualified).
     pub fn record(&mut self, prefix: &str, source: &dyn Instrumented) {
-        let mut v = RegistryVisitor { prefix, metrics: &mut self.metrics };
-        source.visit_metrics(&mut v);
+        let start = self.metrics.len();
+        source.visit_metrics(&mut RegistryVisitor { prefix, metrics: &mut self.metrics });
+        // Stable, so two writes of one name stay in write order for the merge.
+        self.metrics[start..].sort_by(|a, b| a.0.cmp(&b.0));
+        let sorted = self.metrics[start.saturating_sub(1)..].windows(2).all(|w| w[0].0 < w[1].0);
+        if !sorted {
+            let run = self.metrics.split_off(start);
+            self.metrics = merge_last_wins(std::mem::take(&mut self.metrics), run);
+        }
     }
 
     /// Inserts a counter directly (for host-level metrics with no
     /// `Instrumented` carrier).
     pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.metrics.insert(name.to_string(), MetricValue::Counter(value));
+        self.set(name, MetricValue::Counter(value));
     }
 
     /// Inserts a gauge directly.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.metrics.insert(name.to_string(), MetricValue::Gauge(value));
+        self.set(name, MetricValue::Gauge(value));
+    }
+
+    fn set(&mut self, name: &str, value: MetricValue) {
+        match self.find(name) {
+            Ok(i) => self.metrics[i].1 = value,
+            Err(i) => self.metrics.insert(i, (name.to_string(), value)),
+        }
+    }
+
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.metrics.binary_search_by(|(k, _)| k.as_str().cmp(name))
     }
 
     /// Number of metrics.
@@ -237,12 +298,12 @@ impl MetricsRegistry {
 
     /// Looks up one metric by full name.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.metrics.get(name)
+        self.find(name).ok().map(|i| &self.metrics[i].1)
     }
 
     /// The value of a counter metric, if present and a counter.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name) {
+        match self.get(name) {
             Some(MetricValue::Counter(v)) => Some(*v),
             _ => None,
         }
@@ -256,8 +317,7 @@ impl MetricsRegistry {
     /// Sums every counter whose name matches `pattern` (`*` matches any
     /// run of characters, including dots).
     pub fn sum_counters(&self, pattern: &str) -> u64 {
-        self.metrics
-            .iter()
+        self.iter()
             .filter(|(k, _)| glob_match(pattern.as_bytes(), k.as_bytes()))
             .map(|(_, v)| match v {
                 MetricValue::Counter(c) => *c,
@@ -270,32 +330,34 @@ impl MetricsRegistry {
     /// gauges as numbers, histograms as summary objects. Deterministic:
     /// keys in lexicographic order, shortest-roundtrip float formatting.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
+        let mut out = String::with_capacity(64 * self.metrics.len() + 4);
+        out.push_str("{\n");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
-            let sep = if i + 1 == self.metrics.len() { "" } else { "," };
-            let _ = write!(out, "  \"{}\": ", json_escape(name));
+            out.push_str("  \"");
+            push_json_escaped(&mut out, name);
+            out.push_str("\": ");
             match value {
                 MetricValue::Counter(c) => {
                     let _ = write!(out, "{c}");
                 }
-                MetricValue::Gauge(g) => out.push_str(&json_f64(*g)),
+                MetricValue::Gauge(g) => push_json_f64(&mut out, *g),
                 MetricValue::Histogram(h) => {
                     let _ = write!(
                         out,
-                        "{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\
-                         \"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-                        h.count,
-                        h.min,
-                        h.max,
-                        json_f64(h.mean),
-                        h.p50,
-                        h.p90,
-                        h.p99,
-                        h.p999
+                        "{{\"count\":{},\"min\":{},\"max\":{},\"mean\":",
+                        h.count, h.min, h.max
+                    );
+                    push_json_f64(&mut out, h.mean);
+                    let _ = write!(
+                        out,
+                        ",\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
+                        h.p50, h.p90, h.p99, h.p999
                     );
                 }
             }
-            out.push_str(sep);
+            if i + 1 < self.metrics.len() {
+                out.push(',');
+            }
             out.push('\n');
         }
         out.push_str("}\n");
@@ -305,7 +367,8 @@ impl MetricsRegistry {
     /// Serializes the registry as CSV with a `name,kind,value` header.
     /// Histograms expand into one row per summary field.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,kind,value\n");
+        let mut out = String::with_capacity(64 * self.metrics.len() + 16);
+        out.push_str("name,kind,value\n");
         for (name, value) in &self.metrics {
             match value {
                 MetricValue::Counter(c) => {
@@ -330,6 +393,26 @@ impl MetricsRegistry {
     }
 }
 
+/// Merges `new` (sorted, stably) into `old` (sorted, no name twice).
+/// Where a name is written more than once, the entry written last wins.
+fn merge_last_wins(old: Vec<Entry>, new: Vec<Entry>) -> Vec<Entry> {
+    let mut out: Vec<Entry> = Vec::with_capacity(old.len() + new.len());
+    let (mut old, mut new) = (old.into_iter().peekable(), new.into_iter().peekable());
+    loop {
+        // On a tie the older entry goes first, so the newer replaces it.
+        let take_old = match (old.peek(), new.peek()) {
+            (Some(o), Some(n)) => o.0 <= n.0,
+            (o, _) => o.is_some(),
+        };
+        let Some(e) = (if take_old { old.next() } else { new.next() }) else { break };
+        match out.last_mut() {
+            Some(last) if last.0 == e.0 => last.1 = e.1,
+            _ => out.push(e),
+        }
+    }
+    out
+}
+
 /// `*`-wildcard matcher (no character classes; `*` spans dots).
 fn glob_match(pattern: &[u8], name: &[u8]) -> bool {
     match pattern.split_first() {
@@ -343,8 +426,12 @@ fn glob_match(pattern: &[u8], name: &[u8]) -> bool {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` as the inside of a JSON string.
+fn push_json_escaped(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -358,15 +445,14 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// JSON-safe float: non-finite values become `null`.
-fn json_f64(v: f64) -> String {
+/// Appends a JSON-safe float: non-finite values become `null`.
+fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -400,7 +486,12 @@ impl SeriesRecorder {
                 MetricValue::Gauge(g) => *g,
                 MetricValue::Histogram(h) => h.count as f64,
             };
-            self.points.entry(name.to_string()).or_default().push((at, v));
+            match self.points.get_mut(name) {
+                Some(series) => series.push((at, v)),
+                None => {
+                    self.points.insert(name.to_string(), vec![(at, v)]);
+                }
+            }
         }
     }
 
@@ -728,6 +819,7 @@ mod tests {
             reg.record("n", &dev(step * 10));
             rec.sample(SimTime::from_micros(step), &reg);
         }
+        assert_eq!(rec.len(), 3, "later samples of the same metrics create no series");
         let pts = rec.series("n.tx_frames").unwrap();
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[2], (SimTime::from_micros(3), 30.0));

@@ -1,9 +1,13 @@
 //! Property-based tests of the engine's core invariants.
 
-use diablo_engine::metrics::HistogramSummary;
+use diablo_engine::metrics::{
+    HistogramSummary, Instrumented, MetricValue, MetricsRegistry, MetricsVisitor, PrefixedVisitor,
+};
 use diablo_engine::prelude::*;
 use proptest::prelude::*;
 use std::any::Any;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Collects every delivery with its timestamp.
 struct Recorder {
@@ -270,6 +274,308 @@ fn check_against_dense(
     Ok(())
 }
 
+/// The metrics registry as it was before it became a name-sorted vector:
+/// a `BTreeMap` keyed by full name, every metric an insert, every name a
+/// `format!`, and the exporters that went with it. It is the reference the
+/// vector-backed [`MetricsRegistry`] must agree with, byte for byte.
+#[derive(Default)]
+struct MapRegistry {
+    metrics: BTreeMap<String, MetricValue>,
+}
+
+struct MapVisitor<'a> {
+    prefix: &'a str,
+    metrics: &'a mut BTreeMap<String, MetricValue>,
+}
+
+impl MapVisitor<'_> {
+    fn full(&self, name: &str) -> String {
+        if self.prefix.is_empty() {
+            name.to_string()
+        } else {
+            format!("{}.{}", self.prefix, name)
+        }
+    }
+}
+
+impl MetricsVisitor for MapVisitor<'_> {
+    fn counter(&mut self, name: &str, value: u64) {
+        self.metrics.insert(self.full(name), MetricValue::Counter(value));
+    }
+    fn gauge(&mut self, name: &str, value: f64) {
+        self.metrics.insert(self.full(name), MetricValue::Gauge(value));
+    }
+    fn histogram(&mut self, name: &str, h: &Histogram) {
+        self.metrics
+            .insert(self.full(name), MetricValue::Histogram(Box::new(HistogramSummary::of(h))));
+    }
+}
+
+impl MapRegistry {
+    fn record(&mut self, prefix: &str, source: &dyn Instrumented) {
+        source.visit_metrics(&mut MapVisitor { prefix, metrics: &mut self.metrics });
+    }
+
+    fn set_counter(&mut self, name: &str, value: u64) {
+        self.metrics.insert(name.to_string(), MetricValue::Counter(value));
+    }
+
+    fn set_gauge(&mut self, name: &str, value: f64) {
+        self.metrics.insert(name.to_string(), MetricValue::Gauge(value));
+    }
+
+    fn counter(&self, name: &str) -> Option<u64> {
+        match self.metrics.get(name) {
+            Some(MetricValue::Counter(v)) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn sum_counters(&self, pattern: &str) -> u64 {
+        self.metrics
+            .iter()
+            .filter(|(k, _)| glob_match(pattern.as_bytes(), k.as_bytes()))
+            .map(|(_, v)| match v {
+                MetricValue::Counter(c) => *c,
+                _ => 0,
+            })
+            .fold(0u64, u64::saturating_add)
+    }
+
+    fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        for (i, (name, value)) in self.metrics.iter().enumerate() {
+            let sep = if i + 1 == self.metrics.len() { "" } else { "," };
+            let _ = write!(out, "  \"{}\": ", json_escape(name));
+            match value {
+                MetricValue::Counter(c) => {
+                    let _ = write!(out, "{c}");
+                }
+                MetricValue::Gauge(g) => out.push_str(&json_f64(*g)),
+                MetricValue::Histogram(h) => {
+                    let _ = write!(
+                        out,
+                        "{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\
+                         \"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
+                        h.count,
+                        h.min,
+                        h.max,
+                        json_f64(h.mean),
+                        h.p50,
+                        h.p90,
+                        h.p99,
+                        h.p999
+                    );
+                }
+            }
+            out.push_str(sep);
+            out.push('\n');
+        }
+        out.push_str("}\n");
+        out
+    }
+
+    fn to_csv(&self) -> String {
+        let mut out = String::from("name,kind,value\n");
+        for (name, value) in &self.metrics {
+            match value {
+                MetricValue::Counter(c) => {
+                    let _ = writeln!(out, "{name},counter,{c}");
+                }
+                MetricValue::Gauge(g) => {
+                    let _ = writeln!(out, "{name},gauge,{g}");
+                }
+                MetricValue::Histogram(h) => {
+                    let _ = writeln!(out, "{name},hist.count,{}", h.count);
+                    let _ = writeln!(out, "{name},hist.min,{}", h.min);
+                    let _ = writeln!(out, "{name},hist.max,{}", h.max);
+                    let _ = writeln!(out, "{name},hist.mean,{}", h.mean);
+                    let _ = writeln!(out, "{name},hist.p50,{}", h.p50);
+                    let _ = writeln!(out, "{name},hist.p90,{}", h.p90);
+                    let _ = writeln!(out, "{name},hist.p99,{}", h.p99);
+                    let _ = writeln!(out, "{name},hist.p999,{}", h.p999);
+                }
+            }
+        }
+        out
+    }
+}
+
+fn glob_match(pattern: &[u8], name: &[u8]) -> bool {
+    match pattern.split_first() {
+        None => name.is_empty(),
+        Some((b'*', rest)) => {
+            glob_match(rest, name) || (!name.is_empty() && glob_match(pattern, &name[1..]))
+        }
+        Some((&c, rest)) => {
+            name.split_first().is_some_and(|(&n, nr)| n == c && glob_match(rest, nr))
+        }
+    }
+}
+
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// Component prefixes: pairs where one is a prefix of the other
+/// (`rack1`/`rack10`/`rack1-x`, `rack1`/`rack1.tor`), uppercase, `-`, and
+/// the empty prefix.
+const PREFIXES: [&str; 12] = [
+    "",
+    "rack1",
+    "rack10",
+    "rack1-x",
+    "rack1.tor",
+    "rack1.server0",
+    "rack1.server10",
+    "rack2",
+    "Rack1",
+    "array0",
+    "a",
+    "a.b",
+];
+
+/// Local metric names, some of which nest, sort below `.` or need JSON
+/// escaping.
+const LOCAL_NAMES: [&str; 12] = [
+    "tx_frames",
+    "rx_frames",
+    "port1.rx_frames",
+    "port10.rx_frames",
+    "a",
+    "B",
+    "x-y",
+    "latency",
+    "kernel.tcp.rtos",
+    "z",
+    "\"q\\",
+    "tab\t",
+];
+
+/// Prefixes a component nests some metrics under, as the kernel nests
+/// its NIC and processes; the empty one visits directly.
+const NESTS: [&str; 5] = ["", "nic.", "proc1.", "proc10.", "kernel."];
+
+/// One drawn metric: local name, nest, kind (counter, gauge,
+/// histogram), and the raw draw its value is made from.
+type DrawnMetric = (usize, usize, u64, u64);
+
+/// A component whose metrics the test draws.
+struct Drawn(Vec<DrawnMetric>);
+
+fn drawn_gauge(raw: u64) -> f64 {
+    match raw % 8 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        _ => (raw >> 3) as f64 / 8.0,
+    }
+}
+
+fn drawn_histogram(raw: u64) -> Histogram {
+    let mut h = Histogram::new();
+    for i in 0..raw % 5 {
+        h.record((raw >> (8 * i)) % 100_000);
+    }
+    h
+}
+
+fn visit_drawn(v: &mut dyn MetricsVisitor, name: &str, kind: u64, raw: u64) {
+    match kind {
+        0 => v.counter(name, raw),
+        1 => v.gauge(name, drawn_gauge(raw)),
+        _ => v.histogram(name, &drawn_histogram(raw)),
+    }
+}
+
+impl Instrumented for Drawn {
+    /// Each run of metrics under one nest goes through one
+    /// [`PrefixedVisitor`], so its name buffer is reused.
+    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+        for run in self.0.chunk_by(|a, b| a.1 == b.1) {
+            let mut nested = PrefixedVisitor::new(v, NESTS[run[0].1]);
+            for &(name, _, kind, raw) in run {
+                visit_drawn(&mut nested, LOCAL_NAMES[name], kind, raw);
+            }
+        }
+    }
+}
+
+/// The same component with every nested name spelled out, for the
+/// reference registry.
+struct Spelled<'a>(&'a Drawn);
+
+impl Instrumented for Spelled<'_> {
+    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+        for &(name, nest, kind, raw) in &self.0 .0 {
+            visit_drawn(v, &format!("{}{}", NESTS[nest], LOCAL_NAMES[name]), kind, raw);
+        }
+    }
+}
+
+/// The name `record(prefix, ..)` gives the local metric `local`.
+fn full_name(prefix: &str, local: &str) -> String {
+    if prefix.is_empty() {
+        local.to_string()
+    } else {
+        format!("{prefix}.{local}")
+    }
+}
+
+fn check_against_map(reg: &MetricsRegistry, map: &MapRegistry) -> Result<(), TestCaseError> {
+    let listed = |it: &mut dyn Iterator<Item = (&str, &MetricValue)>| {
+        it.map(|(k, v)| format!("{k} = {v:?}")).collect::<Vec<_>>()
+    };
+    prop_assert_eq!(
+        listed(&mut reg.iter()),
+        listed(&mut map.metrics.iter().map(|(k, v)| (k.as_str(), v)))
+    );
+    prop_assert_eq!(reg.len(), map.metrics.len());
+    prop_assert_eq!(reg.is_empty(), map.metrics.is_empty());
+    let mut names: Vec<String> = map.metrics.keys().cloned().collect();
+    for prefix in PREFIXES {
+        for local in LOCAL_NAMES {
+            names.push(full_name(prefix, local));
+        }
+    }
+    for name in &names {
+        prop_assert_eq!(
+            format!("{:?}", reg.get(name)),
+            format!("{:?}", map.metrics.get(name)),
+            "get({})",
+            name
+        );
+        prop_assert_eq!(reg.counter(name), map.counter(name), "counter({})", name);
+    }
+    for pattern in ["*", "rack1*", "rack1.*", "*.tx_frames", "rack*.server*.*", "*-*", "a", ""] {
+        prop_assert_eq!(reg.sum_counters(pattern), map.sum_counters(pattern), "{}", pattern);
+    }
+    prop_assert!(reg.to_json() == map.to_json(), "to_json differs");
+    prop_assert!(reg.to_csv() == map.to_csv(), "to_csv differs");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -395,5 +701,48 @@ proptest! {
         let back = bw.bytes_in(t);
         // Ceil rounding in transmit_time can add at most one byte-time.
         prop_assert!(back >= bytes && back <= bytes + 1, "bytes={} back={}", bytes, back);
+    }
+
+    /// The vector-backed registry agrees with the `BTreeMap` one it
+    /// replaced, on every query and on both exports byte for byte: after
+    /// components recorded in any order under any prefixes (empty ones,
+    /// ones that sort below `.`, names written twice in one component)
+    /// and direct `set_counter`/`set_gauge` writes in between.
+    #[test]
+    fn registry_matches_map_reference(
+        steps in proptest::collection::vec(
+            (
+                0u64..10,
+                0usize..PREFIXES.len(),
+                proptest::collection::vec(
+                    (0usize..LOCAL_NAMES.len(), 0usize..NESTS.len(), 0u64..3, any::<u64>()),
+                    0..10
+                )
+            ),
+            0..14
+        )
+    ) {
+        let (mut reg, mut map) = (MetricsRegistry::new(), MapRegistry::default());
+        for (step, prefix, metrics) in steps {
+            let prefix = PREFIXES[prefix];
+            match (step, metrics.first()) {
+                (8, Some(&(name, _, _, raw))) => {
+                    let name = full_name(prefix, LOCAL_NAMES[name]);
+                    reg.set_counter(&name, raw);
+                    map.set_counter(&name, raw);
+                }
+                (9, Some(&(name, _, _, raw))) => {
+                    let name = full_name(prefix, LOCAL_NAMES[name]);
+                    reg.set_gauge(&name, drawn_gauge(raw));
+                    map.set_gauge(&name, drawn_gauge(raw));
+                }
+                _ => {
+                    let source = Drawn(metrics);
+                    reg.record(prefix, &source);
+                    map.record(prefix, &Spelled(&source));
+                }
+            }
+            check_against_map(&reg, &map)?;
+        }
     }
 }
