@@ -136,8 +136,6 @@ pub struct DiscoveryConfig {
     pub control: SockAddr,
     /// Service id to look up.
     pub service: u32,
-    /// Registry lookup cadence.
-    pub refresh_every: SimDuration,
     /// Liveness mask assumed before the first [`KIND_ENDPOINTS`] reply
     /// arrives (normally the initial placement).
     pub initial_mask: u128,
@@ -196,7 +194,7 @@ impl RegistryClient {
             return None;
         }
         while *due <= now {
-            *due += d.refresh_every;
+            *due += REFRESH_EVERY;
         }
         let lookup = AppMessage::new(KIND_LOOKUP, u64::from(d.service), CTRL_BYTES, now)
             .with_arg0(completed - self.reported_completed)
@@ -231,11 +229,28 @@ impl RegistryClient {
     }
 }
 
-/// Control-plane tuning. Defaults are scaled to the repo's mini-shape
-/// experiments (millisecond horizons); the CLI and experiment configs
-/// override per run. [`ControlConfig::validate`] rejects contradictory
-/// settings instead of letting them produce a plane that can never
-/// detect or never converge.
+/// Client registry-lookup cadence.
+pub const REFRESH_EVERY: SimDuration = SimDuration::from_millis(5);
+/// Reconciliation tick period.
+pub const RECONCILE_EVERY: SimDuration = SimDuration::from_millis(2);
+/// Sliding window over client SLO deltas for the autoscaler.
+pub const SLO_WINDOW: SimDuration = SimDuration::from_millis(20);
+/// Minimum spacing between scaling decisions for one service.
+pub const SCALE_COOLDOWN: SimDuration = SimDuration::from_millis(20);
+/// Command resend attempts before the scheduler gives up on a placement
+/// (the anti-flap retry budget).
+pub const RETRY_BUDGET: u32 = 3;
+/// Silence before an unacked command is resent.
+pub const COMMAND_TIMEOUT: SimDuration = SimDuration::from_millis(4);
+/// Replica floor per service; the ceiling is the whole pool.
+pub const MIN_REPLICAS: usize = 1;
+
+/// Control-plane tuning: the settings a run chooses. Defaults, and the
+/// fixed periods above, are scaled to the repo's mini-shape experiments
+/// (millisecond horizons); the CLI and experiment configs override per
+/// run. [`ControlConfig::validate`] rejects contradictory settings instead
+/// of letting them produce a plane that can never detect or never
+/// converge.
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
     /// Agent heartbeat period.
@@ -246,30 +261,12 @@ pub struct ControlConfig {
     /// [`ControlConfig::suspect_after`]; the gap is the false-positive
     /// guard band).
     pub dead_after: SimDuration,
-    /// Reconciliation tick period.
-    pub reconcile_every: SimDuration,
-    /// Client registry-lookup cadence (propagated into
-    /// [`DiscoveryConfig::refresh_every`]).
-    pub refresh_every: SimDuration,
-    /// Sliding window over client SLO deltas for the autoscaler.
-    pub slo_window: SimDuration,
     /// Windowed p99-violation fraction above which a replica is added.
     pub scale_up_frac: f64,
     /// Windowed violation fraction below which a replica is removed.
     /// Must be strictly below [`ControlConfig::scale_up_frac`] — the
     /// hysteresis gap that prevents flap storms.
     pub scale_down_frac: f64,
-    /// Minimum spacing between scaling decisions for one service.
-    pub scale_cooldown: SimDuration,
-    /// Command resend attempts before the scheduler gives up on a
-    /// placement (the anti-flap retry budget).
-    pub retry_budget: u32,
-    /// Silence before an unacked command is resent.
-    pub command_timeout: SimDuration,
-    /// Replica floor per service.
-    pub min_replicas: usize,
-    /// Replica ceiling per service (0 = the whole pool).
-    pub max_replicas: usize,
     /// Standby replicas provisioned per rack when an experiment builds
     /// its pool (consumed by the workload wiring, not the scheduler).
     pub spares_per_rack: usize,
@@ -283,16 +280,8 @@ impl Default for ControlConfig {
             heartbeat_every: SimDuration::from_millis(2),
             suspect_after: SimDuration::from_millis(5),
             dead_after: SimDuration::from_millis(11),
-            reconcile_every: SimDuration::from_millis(2),
-            refresh_every: SimDuration::from_millis(5),
-            slo_window: SimDuration::from_millis(20),
             scale_up_frac: 0.25,
             scale_down_frac: 0.05,
-            scale_cooldown: SimDuration::from_millis(20),
-            retry_budget: 3,
-            command_timeout: SimDuration::from_millis(4),
-            min_replicas: 1,
-            max_replicas: 0,
             spares_per_rack: 1,
             autoscale: false,
         }
@@ -300,10 +289,10 @@ impl Default for ControlConfig {
 }
 
 impl ControlConfig {
-    /// Rejects configurations that cannot work: zero periods, detection
-    /// thresholds out of order (suspect must trail at least one missed
-    /// heartbeat, dead must trail suspect), inverted or out-of-range
-    /// scaling thresholds, and an empty replica range.
+    /// Rejects configurations that cannot work: a zero heartbeat period,
+    /// detection thresholds out of order (suspect must trail at least one
+    /// missed heartbeat, dead must trail suspect), and inverted or
+    /// out-of-range scaling thresholds.
     ///
     /// # Errors
     ///
@@ -324,18 +313,6 @@ impl ControlConfig {
                 self.dead_after, self.suspect_after
             ));
         }
-        if self.reconcile_every.is_zero() {
-            return Err("reconcile period must be positive".into());
-        }
-        if self.refresh_every.is_zero() {
-            return Err("registry refresh period must be positive".into());
-        }
-        if self.command_timeout.is_zero() {
-            return Err("command timeout must be positive".into());
-        }
-        if self.retry_budget == 0 {
-            return Err("retry budget must be at least 1".into());
-        }
         if !(0.0..=1.0).contains(&self.scale_up_frac)
             || !(0.0..=1.0).contains(&self.scale_down_frac)
         {
@@ -346,15 +323,6 @@ impl ControlConfig {
                 "scale-down threshold ({}) must be strictly below scale-up ({}) \
                  — the hysteresis gap prevents flap storms",
                 self.scale_down_frac, self.scale_up_frac
-            ));
-        }
-        if self.min_replicas == 0 {
-            return Err("minimum replica count must be at least 1".into());
-        }
-        if self.max_replicas != 0 && self.max_replicas < self.min_replicas {
-            return Err(format!(
-                "maximum replica count ({}) must be at least the minimum ({})",
-                self.max_replicas, self.min_replicas
             ));
         }
         Ok(())
@@ -741,12 +709,12 @@ impl ControlPlane {
         let due: Vec<u64> = self
             .pending
             .iter()
-            .filter(|(_, c)| now.saturating_duration_since(c.sent_at) >= self.cfg.command_timeout)
+            .filter(|(_, c)| now.saturating_duration_since(c.sent_at) >= COMMAND_TIMEOUT)
             .map(|(&seq, _)| seq)
             .collect();
         for seq in due {
             let cmd = self.pending.remove(&seq).expect("pending command vanished");
-            if cmd.tries >= self.cfg.retry_budget {
+            if cmd.tries >= RETRY_BUDGET {
                 self.commands_dropped += 1;
                 if cmd.activate {
                     let svc = &mut self.services[cmd.service];
@@ -801,14 +769,9 @@ impl ControlPlane {
         /// Completions required in the window before the violation
         /// fraction is trusted (guards cold-start noise).
         const MIN_SAMPLES: u64 = 20;
-        let max = if self.cfg.max_replicas == 0 {
-            self.services[si].spec.pool.len()
-        } else {
-            self.cfg.max_replicas.min(self.services[si].spec.pool.len())
-        };
         let svc = &mut self.services[si];
         while let Some(&(at, _, _)) = svc.window.front() {
-            if now.saturating_duration_since(at) > self.cfg.slo_window {
+            if now.saturating_duration_since(at) > SLO_WINDOW {
                 svc.window.pop_front();
             } else {
                 break;
@@ -816,17 +779,16 @@ impl ControlPlane {
         }
         let (completed, violations) =
             svc.window.iter().fold((0u64, 0u64), |(c, v), &(_, dc, dv)| (c + dc, v + dv));
-        if completed < MIN_SAMPLES
-            || now.saturating_duration_since(svc.last_scale) < self.cfg.scale_cooldown
+        if completed < MIN_SAMPLES || now.saturating_duration_since(svc.last_scale) < SCALE_COOLDOWN
         {
             return;
         }
         let frac = violations as f64 / completed as f64;
-        if frac > self.cfg.scale_up_frac && svc.desired < max {
+        if frac > self.cfg.scale_up_frac && svc.desired < svc.spec.pool.len() {
             svc.desired += 1;
             svc.last_scale = now;
             self.scale_ups += 1;
-        } else if frac < self.cfg.scale_down_frac && svc.desired > self.cfg.min_replicas {
+        } else if frac < self.cfg.scale_down_frac && svc.desired > MIN_REPLICAS {
             svc.desired -= 1;
             svc.last_scale = now;
             self.scale_downs += 1;
@@ -922,14 +884,14 @@ impl Process for ControlPlane {
                         for h in self.health.values_mut() {
                             h.last_hb = ctx.now;
                         }
-                        self.next_tick = ctx.now + self.cfg.reconcile_every;
+                        self.next_tick = ctx.now + RECONCILE_EVERY;
                     }
                     self.state = CpState::Pump;
                     continue;
                 }
                 CpState::Pump => {
                     while self.next_tick <= ctx.now {
-                        self.next_tick += self.cfg.reconcile_every;
+                        self.next_tick += RECONCILE_EVERY;
                         self.tick(ctx.now);
                     }
                     if let Some((to, msg)) = self.sendq.pop_front() {
@@ -1399,10 +1361,6 @@ mod tests {
             ("zero heartbeat", Box::new(|c| c.heartbeat_every = SimDuration::ZERO)),
             ("suspect <= heartbeat", Box::new(|c| c.suspect_after = c.heartbeat_every)),
             ("dead <= suspect", Box::new(|c| c.dead_after = c.suspect_after)),
-            ("zero reconcile", Box::new(|c| c.reconcile_every = SimDuration::ZERO)),
-            ("zero refresh", Box::new(|c| c.refresh_every = SimDuration::ZERO)),
-            ("zero command timeout", Box::new(|c| c.command_timeout = SimDuration::ZERO)),
-            ("zero retry budget", Box::new(|c| c.retry_budget = 0)),
             ("scale-up > 1", Box::new(|c| c.scale_up_frac = 1.5)),
             ("negative scale-down", Box::new(|c| c.scale_down_frac = -0.1)),
             (
@@ -1410,14 +1368,6 @@ mod tests {
                 Box::new(|c| {
                     c.scale_up_frac = 0.1;
                     c.scale_down_frac = 0.1;
-                }),
-            ),
-            ("zero min replicas", Box::new(|c| c.min_replicas = 0)),
-            (
-                "max below min",
-                Box::new(|c| {
-                    c.min_replicas = 3;
-                    c.max_replicas = 2;
                 }),
             ),
         ];
@@ -1569,7 +1519,7 @@ mod tests {
         // A healthy window after the cooldown scales back down — but the
         // in-between fraction (0.10) sits in the hysteresis gap and
         // leaves the count alone.
-        let t2 = t1 + cfg.scale_cooldown + cfg.slo_window;
+        let t2 = t1 + SCALE_COOLDOWN + SLO_WINDOW;
         cp.handle_datagram(
             from,
             AppMessage::new(KIND_LOOKUP, 0, 64, t2).with_arg0(100).with_arg1(10),
@@ -1581,7 +1531,7 @@ mod tests {
         cp.tick(t2);
         assert_eq!(cp.scale_ups, 1);
         assert_eq!(cp.scale_downs, 0, "0.10 lies inside the hysteresis band");
-        let t3 = t2 + cfg.scale_cooldown + cfg.slo_window;
+        let t3 = t2 + SCALE_COOLDOWN + SLO_WINDOW;
         cp.handle_datagram(
             from,
             AppMessage::new(KIND_LOOKUP, 0, 64, t3).with_arg0(100).with_arg1(0),
@@ -1597,32 +1547,33 @@ mod tests {
 
     #[test]
     fn unacked_commands_retry_then_drop_within_budget() {
-        let cfg = ControlConfig { retry_budget: 2, ..ControlConfig::default() };
-        let mut cp = ControlPlane::new(cfg.clone(), vec![spec_two_racks()], 7100);
-        let t0 = SimTime::from_millis(10);
+        let mut cp = ControlPlane::new(ControlConfig::default(), vec![spec_two_racks()], 7100);
+        let mut now = SimTime::from_millis(10);
         for h in cp.health.values_mut() {
-            h.last_hb = t0;
+            h.last_hb = now;
         }
         cp.services[0].desired = 3; // forces one activate
-        cp.tick(t0);
+        cp.tick(now);
         assert_eq!(cp.commands_sent, 1);
         assert_eq!(cp.pending.len(), 1);
-        // First timeout: resend. Keep every node's heartbeat fresh so
-        // health stays out of the picture.
-        let t1 = t0 + cfg.command_timeout;
-        for h in cp.health.values_mut() {
-            h.last_hb = t1;
+        // Each timeout short of the budget resends. Keep every node's
+        // heartbeat fresh so health stays out of the picture.
+        for retried in 1..RETRY_BUDGET {
+            now += COMMAND_TIMEOUT;
+            for h in cp.health.values_mut() {
+                h.last_hb = now;
+            }
+            cp.tick(now);
+            assert_eq!(cp.commands_retried, u64::from(retried));
         }
-        cp.tick(t1);
-        assert_eq!(cp.commands_retried, 1);
-        // Second timeout exhausts the budget: dropped and un-assigned —
+        // The next timeout exhausts the budget: dropped and un-assigned —
         // and the same reconciliation pass re-places it (a fresh
         // command), so the tier converges instead of wedging.
-        let t2 = t1 + cfg.command_timeout;
+        now += COMMAND_TIMEOUT;
         for h in cp.health.values_mut() {
-            h.last_hb = t2;
+            h.last_hb = now;
         }
-        cp.tick(t2);
+        cp.tick(now);
         assert_eq!(cp.commands_dropped, 1);
         assert_eq!(cp.commands_sent, 2, "the dropped slot must be re-placed");
     }

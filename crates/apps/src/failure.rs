@@ -40,9 +40,9 @@ pub fn backoff_delay_jittered(attempt: u32, rng: &mut DetRng) -> SimDuration {
 }
 
 /// Failure/recovery accounting for one client process. Counters only ever
-/// grow — they survive node crashes via [`Process::reset`]
-/// (`diablo_stack::process::Process::reset`), so the report covers the
-/// whole run.
+/// grow — they survive node crashes via
+/// [`Process::reset`](diablo_stack::process::Process::reset), so the
+/// report covers the whole run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureStats {
     /// Request attempts that ended in a transport error, timeout, or

@@ -678,6 +678,16 @@ impl Process for McWorker {
 // Client
 // ====================================================================
 
+/// Key space size of every client's workload.
+const KEYSPACE: usize = 100_000;
+/// UDP: how long a client waits for a reply before retrying.
+const UDP_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+/// UDP: retries before a client counts a failure.
+const UDP_MAX_RETRIES: u32 = 2;
+/// TCP: consecutive connection failures tolerated per request before
+/// the request is abandoned.
+const TCP_MAX_RETRIES: u32 = 8;
+
 /// Client configuration.
 #[derive(Clone)]
 pub struct McClientConfig {
@@ -689,16 +699,10 @@ pub struct McClientConfig {
     pub proto: Proto,
     /// Requests to issue (30,000 in the paper; reduce for quick runs).
     pub requests: u64,
-    /// Key space size.
-    pub keyspace: usize,
     /// Instructions of client-side think time between requests.
     pub think: u64,
     /// Delay before the first request (stagger startup).
     pub start_delay: SimDuration,
-    /// UDP: how long to wait for a reply before retrying.
-    pub udp_timeout: SimDuration,
-    /// UDP: retries before counting a failure.
-    pub udp_max_retries: u32,
     /// TCP: close and re-open a server connection after this many uses
     /// (connection churn keeps the server's accept path hot — the code
     /// path `accept4` shortens).
@@ -707,9 +711,6 @@ pub struct McClientConfig {
     /// through `epoll` and treats an expiry as a broken connection
     /// (reconnect + retry). `None` keeps the plain blocking receive.
     pub request_deadline: Option<SimDuration>,
-    /// TCP: consecutive connection failures tolerated per request before
-    /// the request is abandoned.
-    pub tcp_max_retries: u32,
     /// Maps a server node to a hop class index (0 = local, 1 = one-hop,
     /// 2 = two-hop) for Figure 10's breakdown.
     pub classify: Option<Arc<dyn Fn(NodeAddr) -> usize + Send + Sync>>,
@@ -746,14 +747,10 @@ impl McClientConfig {
             servers: servers.into(),
             proto: Proto::Tcp,
             requests,
-            keyspace: 100_000,
             think: 6_000,
             start_delay: SimDuration::ZERO,
-            udp_timeout: SimDuration::from_millis(250),
-            udp_max_retries: 2,
             reconnect_every: None,
             request_deadline: None,
-            tcp_max_retries: 8,
             classify: None,
             arrival: None,
             window: 64,
@@ -840,7 +837,7 @@ enum CliState {
 impl McClient {
     /// Creates a client with a deterministic RNG stream.
     pub fn new(cfg: McClientConfig, rng: DetRng) -> Self {
-        let workload = EtcWorkload::new(rng.derive(1), cfg.keyspace);
+        let workload = EtcWorkload::new(rng.derive(1), KEYSPACE);
         let backoff_rng = rng.derive(0xBACC0FF);
         McClient {
             workload,
@@ -968,7 +965,7 @@ impl Process for McClient {
                         self.rng.next_below(self.cfg.servers.len() as u64) as usize;
                     self.current_op = Some(self.workload.next_op());
                     self.issued += 1;
-                    self.retries_left = self.cfg.udp_max_retries;
+                    self.retries_left = UDP_MAX_RETRIES;
                     if self.cfg.proto == Proto::Udp {
                         self.state = CliState::SendReq;
                         continue;
@@ -1098,7 +1095,7 @@ impl Process for McClient {
                 CliState::TcpFailed => {
                     // Close result consumed; retry with backoff or abandon
                     // the request.
-                    if self.attempts > self.cfg.tcp_max_retries {
+                    if self.attempts > TCP_MAX_RETRIES {
                         self.failures += 1;
                         self.failure.on_give_up();
                         self.attempts = 0;
@@ -1122,7 +1119,7 @@ impl Process for McClient {
                     return Step::Syscall(Syscall::EpollWait {
                         epfd: self.epfd.expect("no epfd"),
                         max_events: 4,
-                        timeout: Some(self.cfg.udp_timeout),
+                        timeout: Some(UDP_TIMEOUT),
                     });
                 }
                 CliState::UdpRecv => {
@@ -1251,7 +1248,7 @@ struct OlInflight {
 /// `min(next admission, earliest expiry) - now`, so serial and
 /// partition-parallel runs replay the same schedule bit-identically.
 /// A request unanswered for `cfg.request_deadline` (default:
-/// `cfg.udp_timeout`) expires — freeing its window slot and counting an
+/// `UDP_TIMEOUT`) expires — freeing its window slot and counting an
 /// SLO violation — which is what lets the client keep offering load while
 /// a saturated server digs out of its backlog.
 #[derive(Debug)]
@@ -1324,7 +1321,7 @@ impl McOpenLoopClient {
         let spec = cfg.arrival.clone().expect("open-loop client requires an arrival spec");
         assert_eq!(cfg.proto, Proto::Udp, "open-loop memcached requires UDP");
         assert!(cfg.window > 0, "open-loop window must be positive");
-        let workload = EtcWorkload::new(rng.derive(1), cfg.keyspace);
+        let workload = EtcWorkload::new(rng.derive(1), KEYSPACE);
         let mut arrivals = ArrivalProcess::new(spec, rng.derive(2));
         let next_arrival = arrivals.next_arrival();
         McOpenLoopClient {
@@ -1358,7 +1355,7 @@ impl McOpenLoopClient {
 
     /// Per-request expiry budget.
     fn expiry(&self) -> SimDuration {
-        self.cfg.request_deadline.unwrap_or(self.cfg.udp_timeout)
+        self.cfg.request_deadline.unwrap_or(UDP_TIMEOUT)
     }
 
     /// Expires overdue requests and admits every arrival due by `now`.

@@ -36,28 +36,24 @@ pub const PA_PORT: u16 = 6001;
 // Leaf
 // ====================================================================
 
+/// Instructions of modeled service work per query.
+const SERVICE_WORK: u64 = 20_000;
+/// Uniform extra instructions added per query; the service-time spread
+/// that makes the slowest leaf the tail.
+const SERVICE_JITTER: u64 = 8_000;
+
 /// Leaf configuration.
 #[derive(Debug, Clone)]
 pub struct PaLeafConfig {
     /// UDP port to serve on.
     pub port: u16,
-    /// Instructions of modeled service work per query.
-    pub service_work: u64,
-    /// Uniform extra instructions added per query (0 disables the draw);
-    /// the service-time spread that makes the slowest leaf the tail.
-    pub service_jitter: u64,
     /// Answer payload bytes.
     pub answer_bytes: u32,
 }
 
 impl Default for PaLeafConfig {
     fn default() -> Self {
-        PaLeafConfig {
-            port: PA_PORT,
-            service_work: 20_000,
-            service_jitter: 8_000,
-            answer_bytes: 2_048,
-        }
+        PaLeafConfig { port: PA_PORT, answer_bytes: 2_048 }
     }
 }
 
@@ -154,17 +150,13 @@ impl Process for PaLeaf {
                     SysResult::Datagram { from, msg } => {
                         assert_eq!(msg.kind, KIND_QUERY, "leaf got non-query");
                         self.served += 1;
-                        let jitter = if self.cfg.service_jitter > 0 {
-                            self.rng.next_below(self.cfg.service_jitter + 1)
-                        } else {
-                            0
-                        };
+                        let jitter = self.rng.next_below(SERVICE_JITTER + 1);
                         let answer =
                             AppMessage::new(KIND_ANSWER, msg.id, self.cfg.answer_bytes, ctx.now)
                                 .with_arg0(msg.arg0);
                         self.reply = Some((from, answer));
                         self.state = LeafState::SendReply;
-                        return Step::Compute(self.cfg.service_work + jitter);
+                        return Step::Compute(SERVICE_WORK + jitter);
                     }
                     SysResult::Err(Errno::WouldBlock) => {
                         self.state = LeafState::Registered;

@@ -662,12 +662,9 @@ impl Cluster {
             let uplink =
                 PortPeer { component: switches[tor], port: PortNo(port), params: spec.node_link };
             let cfg = NodeConfig {
-                addr,
                 cpu: spec.cpu,
-                cpi: 1,
-                profile: spec.kernel.clone(),
                 nic: spec.nic,
-                loopback_delay: SimDuration::from_micros(5),
+                ..NodeConfig::new(addr, spec.kernel.clone())
             };
             let node = ServerNode::new(cfg, uplink, topo.clone());
             let partition = plan.rack_partition[topo.rack_of(addr)] as usize;

@@ -72,13 +72,11 @@ pub struct ExperimentBase {
     pub cpu: Option<Frequency>,
     /// 10 Gbps fabric instead of 1 Gbps.
     pub ten_gig: bool,
-    /// ToR switch template override (`None` keeps the spec default).
-    pub tor: Option<SwitchTemplate>,
-    /// Switch template override for every level at once. A fat-tree is
-    /// built from one commodity switch model, not a ToR/aggregation/core
-    /// hierarchy of different silicon, so fat-tree experiments set this
-    /// rather than [`ExperimentBase::tor`]. Applied after `tor`.
-    pub switch_all: Option<SwitchTemplate>,
+    /// Switch template override (`None` keeps the spec default): the ToR
+    /// on a tree, every tier on a fat-tree, which is built from one
+    /// commodity switch model, not a ToR/aggregation/core hierarchy of
+    /// different silicon.
+    pub switch: Option<SwitchTemplate>,
     /// Extra switch latency at every level (Figure 12's sweep).
     pub extra_switch_latency: SimDuration,
     /// Master seed for all derived RNG streams.
@@ -137,8 +135,7 @@ impl ExperimentBase {
             kernel: KernelProfile::linux_2_6_39(),
             cpu: None,
             ten_gig: false,
-            tor: None,
-            switch_all: None,
+            switch: None,
             extra_switch_latency: SimDuration::ZERO,
             seed: 0x00D1_AB10,
             mode: RunMode::Serial,
@@ -159,18 +156,17 @@ impl ExperimentBase {
             spec = spec.with_fat_tree(ft);
         }
         spec.kernel = self.kernel.clone();
-        spec.kernel.cc = self.cc;
+        spec.kernel.tcp.cc = self.cc;
         spec.seed = self.seed;
         if let Some(cpu) = self.cpu {
             spec.cpu = cpu;
         }
-        if let Some(tor) = self.tor {
-            spec.tor = tor;
-        }
-        if let Some(t) = self.switch_all {
+        if let Some(t) = self.switch {
             spec.tor = t;
-            spec.array = t;
-            spec.datacenter = t;
+            if let FabricKind::FatTree(_) = self.fabric {
+                spec.array = t;
+                spec.datacenter = t;
+            }
         }
         // ECN marking rides after the template overrides so a DCTCP run
         // keeps its marking threshold under a custom ToR template.

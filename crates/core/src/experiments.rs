@@ -120,7 +120,7 @@ fn attach_control_plane(
         cp_node,
         Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
     );
-    DiscoveryConfig { control, service: 0, refresh_every: ctl.refresh_every, initial_mask }
+    DiscoveryConfig { control, service: 0, initial_mask }
 }
 
 /// The scheduler's end-of-run counters, when `cp_node` runs one.
@@ -177,7 +177,8 @@ pub struct IncastConfig {
     pub kernel: KernelProfile,
     /// Use the 10 Gbps fabric instead of 1 Gbps.
     pub ten_gig: bool,
-    /// Override the ToR buffer (defaults to the paper's 4 KB/port).
+    /// Switch template override, applied as [`ExperimentBase::switch`]
+    /// says (defaults to the paper's 4 KB/port ToR).
     pub switch: Option<SwitchTemplate>,
     /// Racks to spread the servers over (1 in the paper's figures; >1
     /// exercises the partitioned executor on a multi-rack cut). Ignored
@@ -307,13 +308,6 @@ impl Experiment for IncastConfig {
                 }
             }
         };
-        // A fat-tree is one commodity switch model replicated across
-        // tiers, so the override applies to every level; the classic
-        // tree keeps it as a ToR-only override.
-        let (tor, switch_all) = match self.fabric {
-            FabricKind::FatTree(_) => (None, self.switch),
-            FabricKind::Tree => (self.switch, None),
-        };
         ExperimentBase {
             topology,
             fabric: self.fabric,
@@ -321,8 +315,7 @@ impl Experiment for IncastConfig {
             kernel: self.kernel.clone(),
             cpu: Some(self.cpu),
             ten_gig: self.ten_gig,
-            tor,
-            switch_all,
+            switch: self.switch,
             extra_switch_latency: SimDuration::ZERO,
             seed: self.seed,
             mode: self.mode,
@@ -706,8 +699,7 @@ impl Experiment for McExperimentConfig {
             kernel: self.kernel.clone(),
             cpu: None,
             ten_gig: self.ten_gig,
-            tor: None,
-            switch_all: None,
+            switch: None,
             extra_switch_latency: self.extra_switch_latency,
             seed: self.seed,
             mode: self.mode,
@@ -1164,10 +1156,7 @@ impl Experiment for PaExperimentConfig {
             kernel: self.kernel.clone(),
             cpu: None,
             ten_gig: self.ten_gig,
-            // One switch model per fabric: the deep-buffered template
-            // covers every fat-tree tier, only the racks in the tree.
-            tor: Some(self.tor_template()),
-            switch_all: matches!(self.fabric, FabricKind::FatTree(_)).then(|| self.tor_template()),
+            switch: Some(self.tor_template()),
             extra_switch_latency: SimDuration::ZERO,
             seed: self.seed,
             mode: self.mode,
@@ -1411,6 +1400,7 @@ pub fn try_run_partition_aggregate(
 mod tests {
     use super::*;
     use crate::experiment::ExperimentHarness;
+    use diablo_engine::snap::{SnapReader, SnapWriter};
 
     /// The message of a config that must not validate.
     fn invalid(r: Result<(), ExperimentError>) -> String {
@@ -1669,6 +1659,43 @@ mod tests {
             .expect("the damaged key still decodes");
         host.run_until(due).expect("the run goes on");
         assert_eq!(cluster.scrape(&host).sum_counters("*.kernel.stale_timers"), 1);
+    }
+
+    /// Where the longest kernel run queue `0, 1, ..., n - 1` (n >= 2) sits
+    /// in `bytes`: its length is a u64 and each thread id a u32. Returns the
+    /// offset of the last id, and n.
+    fn longest_run_queue(bytes: &[u8]) -> Option<(usize, u32)> {
+        (2..16u32).rev().find_map(|n| {
+            let mut queue = u64::from(n).to_le_bytes().to_vec();
+            (0..n).for_each(|tid| queue.extend(tid.to_le_bytes()));
+            let at = bytes.windows(queue.len()).position(|w| w == queue)?;
+            Some((at + queue.len() - 4, n))
+        })
+    }
+
+    /// Damage can decode cleanly into a thread id the rebuilt process table
+    /// cannot index: here the last entry of a kernel's run queue names
+    /// thread n of n. The restore refuses it rather than panic at the next
+    /// dispatch.
+    #[test]
+    fn a_restored_thread_id_past_the_process_table_is_an_error() {
+        let cfg = McExperimentConfig::mini(1, 10);
+        let harness = ExperimentHarness::new(cfg.base());
+        let build = || {
+            let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
+            cfg.workload().build(&mut host, &cluster);
+            host
+        };
+        let restore = |bytes: &[u8]| build().load_state(&mut SnapReader::new(bytes));
+        // Before boot, every thread waits in its kernel's run queue.
+        let mut w = SnapWriter::new();
+        build().save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        restore(&bytes).expect("the undamaged state restores");
+        let (last, n) = longest_run_queue(&bytes).expect("a kernel with two threads queued");
+        bytes[last..last + 4].copy_from_slice(&n.to_le_bytes());
+        let err = restore(&bytes).expect_err("a thread past the table is refused");
+        assert!(err.to_string().contains(&format!("thread {n} of a kernel with {n}")), "{err}");
     }
 
     /// A thread's live epoll timer is its instant in the kernel plus the

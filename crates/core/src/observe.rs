@@ -3,7 +3,7 @@
 //!
 //! Every instrumentable component — switches, NICs, the modeled kernel,
 //! guest applications — exposes its counters through
-//! [`Instrumented`](diablo_engine::metrics::Instrumented). This module
+//! [`Instrumented`]. This module
 //! names each component hierarchically (`rack0.server3.nic.tx_frames`,
 //! `rack0.tor.drops_buffer`) and scrapes the whole cluster into one
 //! [`MetricsRegistry`], identically under either executor: registries from

@@ -3,6 +3,7 @@
 //! spares, drain-and-rejoin after reboot, and the latency bounds the
 //! configuration promises.
 
+use diablo_apps::control::{COMMAND_TIMEOUT, RETRY_BUDGET};
 use diablo_core::{
     run, ArrivalSpec, CheckpointPolicy, ControlConfig, FaultPlan, McExperimentConfig,
 };
@@ -33,9 +34,7 @@ fn crashed_replica_is_replaced_within_the_configured_window() {
     assert_eq!(ctl.replicas, vec![(0, 2, 2)], "fleet restored to full strength");
     assert_eq!(ctl.commands_dropped, 0, "no retry budget exhaustion on a healthy fabric");
     let worst = ctl.replacement_latency.quantile(1.0);
-    let bound = (cfg.control.as_ref().unwrap().command_timeout
-        * u64::from(cfg.control.as_ref().unwrap().retry_budget))
-    .as_nanos();
+    let bound = (COMMAND_TIMEOUT * u64::from(RETRY_BUDGET)).as_nanos();
     assert!(worst <= bound, "replacement took {worst} ns, above the command budget {bound} ns");
 }
 

@@ -49,7 +49,7 @@
 //! * **Scoped threads, one run at a time.** Each
 //!   [`ParallelSimulation::run_until`] call runs worker 0 on the calling
 //!   thread and workers `1..n` on [`std::thread::scope`] threads that
-//!   borrow their [`WorkerState`] for the duration of the call and hand
+//!   borrow their `WorkerState` for the duration of the call and hand
 //!   their result back through `join`. Nothing outlives the call: there is
 //!   no pool to park, wake or shut down, and a single-worker executor
 //!   spawns nothing at all. A spawn per extra worker per call costs tens
@@ -81,7 +81,7 @@
 //!   state at all. See `run_worker`.
 //! * **Per-worker arenas.** Every scratch buffer on the steady-state path —
 //!   the emitted-event buffer, the per-destination outboxes, the calendar
-//!   queue's buckets, the exchange lanes — lives in [`WorkerState`] or the
+//!   queue's buckets, the exchange lanes — lives in `WorkerState` or the
 //!   executor and is reused across rounds *and* across `run_until` calls,
 //!   so the hot path performs no per-event heap allocation once capacities
 //!   have warmed up.

@@ -125,12 +125,7 @@ fn build_controlled_rack(ctl: &ControlConfig) -> (Rack, McSharedHandle, McShared
         0,
     );
     ccfg.arrival = Some(ArrivalSpec::poisson(3_000.0, SimDuration::from_millis(100)).unwrap());
-    ccfg.discovery = Some(DiscoveryConfig {
-        control: cp,
-        service: 0,
-        refresh_every: ctl.refresh_every,
-        initial_mask: 0b01,
-    });
+    ccfg.discovery = Some(DiscoveryConfig { control: cp, service: 0, initial_mask: 0b01 });
     rack.sim
         .component_mut::<ServerNode>(rack.nodes[3])
         .unwrap()

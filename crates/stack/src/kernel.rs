@@ -31,7 +31,7 @@
 //!
 //! A kernel timer that can be superseded — the CPU completion, a thread's
 //! `epoll_wait` timeout, a connection's RTO and delayed ACK — is a
-//! [`LiveTimer`]: a deadline and at most one queued timer. Arming a
+//! `LiveTimer`: a deadline and at most one queued timer. Arming a
 //! deadline pushes a timer only if none is due by then; a timer that fires
 //! before the deadline is pushed again there, with the sequence number the
 //! deadline reserved. So a deadline expires exactly where one timer per
@@ -46,11 +46,12 @@
 use crate::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall, Tid};
 use crate::profile::KernelProfile;
 use crate::socket::{EventMask, SockId, Socket, SocketKind};
-use crate::tcp::{TcpConn, TcpOutput, TcpParams, TcpState, TcpStats};
+use crate::tcp::{TcpConn, TcpOutput, TcpState, TcpStats};
 use diablo_engine::metrics::{
     FlightRecord, FlightRing, Instrumented, MetricsVisitor, PrefixedVisitor,
 };
 use diablo_engine::prelude::{Counter, DetRng, Frequency, SimDuration, SimTime};
+use diablo_engine::snap::SnapError;
 use diablo_net::addr::{NodeAddr, SockAddr};
 use diablo_net::frame::{Frame, Route};
 use diablo_net::link::PortPeer;
@@ -117,30 +118,31 @@ pub struct NodeConfig {
     pub addr: NodeAddr,
     /// CPU clock (the paper simulates 2 GHz and 4 GHz servers).
     pub cpu: Frequency,
-    /// Fixed cycles-per-instruction of the server timing model.
-    pub cpi: u32,
     /// Kernel profile.
     pub profile: KernelProfile,
     /// NIC parameters.
     pub nic: NicConfig,
-    /// One-way latency of the in-kernel loopback path.
-    pub loopback_delay: SimDuration,
 }
 
 impl NodeConfig {
     /// A 4 GHz fixed-CPI server running the given kernel, as used in most
     /// of the paper's experiments.
     pub fn new(addr: NodeAddr, profile: KernelProfile) -> Self {
-        NodeConfig {
-            addr,
-            cpu: Frequency::ghz(4),
-            cpi: 1,
-            profile,
-            nic: NicConfig::default(),
-            loopback_delay: SimDuration::from_micros(5),
-        }
+        NodeConfig { addr, cpu: Frequency::ghz(4), profile, nic: NicConfig::default() }
     }
 }
+
+/// Fixed cycles-per-instruction of the server timing model: the paper's
+/// servers are fixed-CPI machines (§3.3), so every instruction takes one
+/// cycle at the configured clock.
+const CPI: u64 = 1;
+
+/// One-way latency of the in-kernel loopback path.
+const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(5);
+
+/// Default UDP socket receive buffer (bytes), the same in every modeled
+/// kernel.
+const UDP_RCVBUF: u64 = 160 * 1024;
 
 /// Aggregate kernel statistics.
 #[derive(Debug, Clone, Default)]
@@ -562,7 +564,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     nic_actions: config,
     rx_batch: config,
     fold: config,
-});
+} after_load = check_indices);
 
 impl Kernel {
     /// Creates a kernel for a node wired to `uplink` (its ToR port).
@@ -715,6 +717,45 @@ impl Kernel {
     /// `true` once every guest thread has exited.
     pub fn all_exited(&self) -> bool {
         self.procs.iter().all(|p| p.state == ProcState::Exited)
+    }
+
+    /// Refuses restored state that names a thread or a socket the rebuilt
+    /// tables cannot index: it would decode, then panic at the next
+    /// dispatch or demultiplex.
+    fn check_indices(&self) -> Result<(), SnapError> {
+        let mut tids: Vec<Tid> =
+            self.run_queue.iter().chain(&self.current).chain(&self.last_ran).copied().collect();
+        if let Some(
+            CpuWork::ProcBurst { tid, .. }
+            | CpuWork::ProcSyscall { tid, .. }
+            | CpuWork::Exit { tid },
+        ) = &self.cpu_work
+        {
+            tids.push(*tid);
+        }
+        tids.extend(self.futexes.values().flat_map(|(_, waiters)| waiters));
+        let mut sids: Vec<SockId> = self.free_socks.clone();
+        sids.extend(
+            self.conns.values().chain(self.listeners.values()).chain(self.udp_ports.values()),
+        );
+        for sock in &self.sockets {
+            tids.extend(sock.wait_readers.iter().chain(&sock.wait_writers));
+            sids.extend(&sock.watchers);
+            match &sock.kind {
+                SocketKind::TcpListen { queue, .. } => sids.extend(queue),
+                SocketKind::Tcp { listener, .. } => sids.extend(listener),
+                SocketKind::Epoll { watched } => sids.extend(watched.iter().map(|&(sid, _)| sid)),
+                _ => {}
+            }
+        }
+        let (procs, socks) = (self.procs.len(), self.sockets.len());
+        if let Some(t) = tids.iter().find(|t| t.0 as usize >= procs) {
+            return Err(SnapError::Malformed(format!("thread {} of a kernel with {procs}", t.0)));
+        }
+        if let Some(sid) = sids.iter().find(|&&sid| sid as usize >= socks) {
+            return Err(SnapError::Malformed(format!("socket {sid} of a kernel with {socks}")));
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------- entry points
@@ -998,7 +1039,7 @@ impl Kernel {
     // ---------------------------------------------------------- CPU core
 
     fn instr_time(&self, instructions: u64) -> SimDuration {
-        self.cfg.cpu.cycles_time(instructions * self.cfg.cpi as u64)
+        self.cfg.cpu.cycles_time(instructions * CPI)
     }
 
     /// Occupies the CPU with `work` until `end`, when `K_CPU_DONE` fires.
@@ -1185,14 +1226,14 @@ impl Kernel {
             return false;
         }
         let quiet = *quiet.get_or_insert_with(|| {
-            let p = &self.cfg.profile;
+            let tcp = &self.cfg.profile.tcp;
             let Some(rx) = self.nic.rx_quiet_until(start) else { return SimTime::ZERO };
-            if p.rto_min.min(p.delayed_ack) < self.cfg.loopback_delay {
+            if tcp.rto_min.min(tcp.delayed_ack) < LOOPBACK_DELAY {
                 return SimTime::ZERO;
             }
             let loopback = self.loopback.front().map_or(SimTime::MAX, |&(due, _)| due);
             let fault = self.faults.front().map_or(SimTime::MAX, |&(due, _)| due);
-            rx.min(start + self.cfg.loopback_delay).min(loopback).min(fault)
+            rx.min(start + LOOPBACK_DELAY).min(loopback).min(fault)
         });
         end < quiet
     }
@@ -1358,16 +1399,14 @@ impl Kernel {
         }
     }
 
+    /// [`Kernel::wake`] with the step the thread resumes at and the result
+    /// it sees (a thread that is not blocked, or not there, is left alone).
     fn wake_with(&mut self, tid: Tid, resume: Resume, result: SysResult) {
-        let slot = &mut self.procs[tid.0 as usize];
-        if slot.state == ProcState::Blocked {
+        let slot = self.procs.get_mut(tid.0 as usize);
+        if let Some(slot) = slot.filter(|slot| slot.state == ProcState::Blocked) {
             slot.resume = resume;
             slot.result = result;
-            slot.state = ProcState::Runnable;
-            slot.epoll.deadline = None;
-            slot.extra_cost += self.cfg.profile.wakeup_cost;
-            self.stats.wakeups.incr();
-            self.run_queue.push_back(tid);
+            self.wake(tid);
         }
     }
 
@@ -1448,7 +1487,7 @@ impl Kernel {
     /// `false` if the TX ring rejected it.
     fn tx_packet(&mut self, pkt: IpPacket, env: &mut dyn KernelEnv) -> bool {
         if pkt.dst == self.cfg.addr {
-            let at = env.now() + self.cfg.loopback_delay;
+            let at = env.now() + LOOPBACK_DELAY;
             self.loopback.push_back((at, Frame::new(pkt, Route::empty())));
             self.set_timer(at, self.key(K_LOOPBACK, 0, 0), env);
             return true;
@@ -1475,11 +1514,10 @@ impl Kernel {
         let Some(&sid) = self.udp_ports.get(&d.dst_port) else {
             return; // no listener; silently dropped (no ICMP model)
         };
-        let cap = self.cfg.profile.udp_rcvbuf as u64;
         let from = SockAddr::new(src, d.src_port);
         let fits = match &mut self.sockets[sid as usize].kind {
             SocketKind::Udp { rx, rx_bytes, .. } => {
-                if *rx_bytes + d.msg.len as u64 > cap {
+                if *rx_bytes + d.msg.len as u64 > UDP_RCVBUF {
                     false
                 } else {
                     *rx_bytes += d.msg.len as u64;
@@ -1524,7 +1562,7 @@ impl Kernel {
                 }
                 let mut out = TcpOutput::default();
                 let conn = TcpConn::server_from_syn(
-                    TcpParams::from_profile(&self.cfg.profile),
+                    self.cfg.profile.tcp.clone(),
                     local,
                     remote,
                     &seg,
@@ -1813,13 +1851,8 @@ impl Kernel {
                 };
                 let local = SockAddr::new(self.cfg.addr, lport);
                 let mut out = TcpOutput::default();
-                let conn = TcpConn::client(
-                    TcpParams::from_profile(&self.cfg.profile),
-                    local,
-                    to,
-                    env.now(),
-                    &mut out,
-                );
+                let conn =
+                    TcpConn::client(self.cfg.profile.tcp.clone(), local, to, env.now(), &mut out);
                 self.sockets[sid as usize].kind = SocketKind::Tcp {
                     conn: Box::new(conn),
                     rto: LiveTimer::default(),

@@ -10,7 +10,13 @@
 //! change — cheaper per-packet stack traversal, cheaper syscall entry,
 //! lower wakeup overhead, and a smaller scheduling quantum — which is what
 //! produces the halved average latency and thinner tail the paper reports.
+//!
+//! The TCP defaults are one [`TcpParams`] per profile
+//! ([`KernelProfile::tcp`]), which the kernel clones for each connection.
+//! Their values are written once, in [`TcpParams::default`] (`tcp.rs`):
+//! the modeled kernels differ in CPU costs, not in transport defaults.
 
+use crate::tcp::TcpParams;
 use diablo_engine::time::SimDuration;
 
 /// The congestion-control algorithm a kernel profile runs.
@@ -93,29 +99,10 @@ pub struct KernelProfile {
     pub napi_budget: usize,
 
     // ------------------------------------------------------------------ TCP
-    /// Initial congestion window in segments (IW10 in both modeled
-    /// kernels).
-    pub initial_cwnd_segments: u32,
-    /// Minimum retransmission timeout (Linux default 200 ms — the classic
-    /// Incast ingredient).
-    pub rto_min: SimDuration,
-    /// Initial RTO before any RTT sample (Linux: 1 s).
-    pub rto_initial: SimDuration,
-    /// Maximum RTO backoff ceiling.
-    pub rto_max: SimDuration,
-    /// Consecutive RTOs tolerated before the connection is aborted with a
-    /// timeout (Linux `tcp_retries2`).
-    pub tcp_retries: u32,
-    /// Delayed-ACK timeout.
-    pub delayed_ack: SimDuration,
-    /// Default socket send buffer (bytes).
-    pub sndbuf: u32,
-    /// Default socket receive buffer (bytes).
-    pub rcvbuf: u32,
-    /// Default UDP socket receive buffer (bytes).
-    pub udp_rcvbuf: u32,
-    /// Congestion-control algorithm (`net.ipv4.tcp_congestion_control`).
-    pub cc: CongestionControl,
+    /// TCP defaults every connection the kernel opens or accepts starts
+    /// from (Linux's IW10, 200 ms `RTO_min`, ... in every modeled kernel:
+    /// see [`TcpParams::default`]).
+    pub tcp: TcpParams,
 }
 
 impl KernelProfile {
@@ -136,16 +123,7 @@ impl KernelProfile {
             epoll_wait_cost: 5_000,
             timeslice: SimDuration::from_millis(4),
             napi_budget: 64,
-            initial_cwnd_segments: 10,
-            rto_min: SimDuration::from_millis(200),
-            rto_initial: SimDuration::from_secs(1),
-            rto_max: SimDuration::from_secs(60),
-            tcp_retries: 15,
-            delayed_ack: SimDuration::from_millis(40),
-            sndbuf: 128 * 1024,
-            rcvbuf: 128 * 1024,
-            udp_rcvbuf: 160 * 1024,
-            cc: CongestionControl::Reno,
+            tcp: TcpParams::default(),
         }
     }
 
@@ -166,16 +144,7 @@ impl KernelProfile {
             epoll_wait_cost: 3_500,
             timeslice: SimDuration::from_millis(3),
             napi_budget: 64,
-            initial_cwnd_segments: 10,
-            rto_min: SimDuration::from_millis(200),
-            rto_initial: SimDuration::from_secs(1),
-            rto_max: SimDuration::from_secs(60),
-            tcp_retries: 15,
-            delayed_ack: SimDuration::from_millis(40),
-            sndbuf: 128 * 1024,
-            rcvbuf: 128 * 1024,
-            udp_rcvbuf: 160 * 1024,
-            cc: CongestionControl::Reno,
+            tcp: TcpParams::default(),
         }
     }
 
@@ -197,16 +166,7 @@ impl KernelProfile {
             epoll_wait_cost: 0,
             timeslice: SimDuration::from_millis(4),
             napi_budget: usize::MAX,
-            initial_cwnd_segments: 10,
-            rto_min: SimDuration::from_millis(200),
-            rto_initial: SimDuration::from_secs(1),
-            rto_max: SimDuration::from_secs(60),
-            tcp_retries: 15,
-            delayed_ack: SimDuration::from_millis(40),
-            sndbuf: 128 * 1024,
-            rcvbuf: 128 * 1024,
-            udp_rcvbuf: 160 * 1024,
-            cc: CongestionControl::Reno,
+            tcp: TcpParams::default(),
         }
     }
 
@@ -243,7 +203,7 @@ mod tests {
         assert!(new.tx_packet_cost < old.tx_packet_cost);
         assert!(new.syscall_cost < old.syscall_cost);
         assert!(new.wakeup_cost < old.wakeup_cost);
-        assert_eq!(new.rto_min, old.rto_min, "transport defaults unchanged");
+        assert_eq!(new.tcp, old.tcp, "transport defaults unchanged");
     }
 
     #[test]

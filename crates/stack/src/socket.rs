@@ -85,8 +85,8 @@ pub(crate) enum SocketKind {
         port: u16,
         /// Received datagrams.
         rx: VecDeque<(SockAddr, AppMessage)>,
-        /// Bytes currently buffered (bounded by the profile's
-        /// `udp_rcvbuf`).
+        /// Bytes currently buffered (bounded by the kernel's
+        /// `UDP_RCVBUF`).
         rx_bytes: u64,
     },
     /// An epoll instance.

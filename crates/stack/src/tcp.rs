@@ -18,65 +18,65 @@
 //! The engine is a pure state machine: callers feed it segments and timer
 //! expirations, and it accumulates emitted segments and notifications in a
 //! [`TcpOutput`]. The kernel (`crate::kernel`) wires it to sockets, CPU
-//! cost accounting and the NIC.
+//! cost accounting and the NIC, and starts each connection from a clone
+//! of its profile's [`TcpParams`], whose defaults live in
+//! [`TcpParams::default`] here.
 
-use crate::profile::{CongestionControl, KernelProfile};
+use crate::profile::CongestionControl;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::addr::SockAddr;
 use diablo_net::payload::{AppMessage, StreamMarker, TcpFlags, TcpSegment, TCP_MSS};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// Transport parameters for one connection.
+/// Transport parameters for one connection, and a kernel profile's TCP
+/// defaults ([`KernelProfile::tcp`](crate::profile::KernelProfile::tcp)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcpParams {
     /// Maximum segment size (payload bytes per segment).
     pub mss: u32,
-    /// Send buffer capacity in bytes.
+    /// Send buffer capacity in bytes (default 128 KiB).
     pub sndbuf: u32,
-    /// Receive buffer capacity in bytes (bounds the advertised window).
+    /// Receive buffer capacity in bytes, which bounds the advertised
+    /// window (default 128 KiB).
     pub rcvbuf: u32,
-    /// Initial congestion window in segments.
+    /// Initial congestion window in segments (IW10 in both modeled
+    /// kernels).
     pub initial_cwnd_segments: u32,
-    /// Minimum RTO.
+    /// Minimum retransmission timeout (Linux default 200 ms — the classic
+    /// Incast ingredient).
     pub rto_min: SimDuration,
-    /// RTO before the first RTT sample.
+    /// Initial RTO before any RTT sample (Linux: 1 s).
     pub rto_initial: SimDuration,
-    /// RTO backoff ceiling.
+    /// Maximum RTO backoff ceiling (60 s).
     pub rto_max: SimDuration,
     /// Consecutive RTOs tolerated before the connection is aborted with a
-    /// timeout (`tcp_retries2`); the next expiry closes the connection and
-    /// surfaces `ETIMEDOUT` instead of retrying forever.
+    /// timeout (Linux `tcp_retries2`, 15); the next expiry closes the
+    /// connection and surfaces `ETIMEDOUT` instead of retrying forever.
     pub max_rto_retries: u32,
-    /// Delayed-ACK timeout.
+    /// Delayed-ACK timeout (40 ms).
     pub delayed_ack: SimDuration,
-    /// Congestion-control algorithm. DCTCP layers an ECN-driven
-    /// proportional window cut on top of the NewReno machinery (loss
-    /// handling, RTO, fast retransmit are unchanged).
+    /// Congestion-control algorithm (`net.ipv4.tcp_congestion_control`,
+    /// Reno by default). DCTCP layers an ECN-driven proportional window
+    /// cut on top of the NewReno machinery (loss handling, RTO, fast
+    /// retransmit are unchanged).
     pub cc: CongestionControl,
-}
-
-impl TcpParams {
-    /// Derives connection parameters from a kernel profile.
-    pub fn from_profile(p: &KernelProfile) -> Self {
-        TcpParams {
-            mss: TCP_MSS,
-            sndbuf: p.sndbuf,
-            rcvbuf: p.rcvbuf,
-            initial_cwnd_segments: p.initial_cwnd_segments,
-            rto_min: p.rto_min,
-            rto_initial: p.rto_initial,
-            rto_max: p.rto_max,
-            max_rto_retries: p.tcp_retries,
-            delayed_ack: p.delayed_ack,
-            cc: p.cc,
-        }
-    }
 }
 
 impl Default for TcpParams {
     fn default() -> Self {
-        Self::from_profile(&KernelProfile::linux_2_6_39())
+        TcpParams {
+            mss: TCP_MSS,
+            sndbuf: 128 * 1024,
+            rcvbuf: 128 * 1024,
+            initial_cwnd_segments: 10,
+            rto_min: SimDuration::from_millis(200),
+            rto_initial: SimDuration::from_secs(1),
+            rto_max: SimDuration::from_secs(60),
+            max_rto_retries: 15,
+            delayed_ack: SimDuration::from_millis(40),
+            cc: CongestionControl::Reno,
+        }
     }
 }
 

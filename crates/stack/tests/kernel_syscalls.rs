@@ -399,6 +399,26 @@ fn connect_to_dead_node_gets_syn_retransmitted() {
     assert!(!w.kernel.all_exited(), "connect must still be blocked");
 }
 
+/// A thread woken from `nanosleep` takes the one wake-up path, so a traced
+/// kernel records its `wakeup` where the sleep ends.
+#[test]
+fn a_sleep_ends_in_a_traced_wakeup() {
+    let mut w = World::new();
+    w.kernel.enable_trace(64);
+    w.kernel.spawn(Box::new(Script::new(vec![
+        Syscall::Nanosleep(SimDuration::from_millis(7)),
+        Syscall::Socket(Proto::Udp),
+    ])));
+    w.run(SimTime::from_secs(1));
+    // Class 5 is `K_SLEEP`.
+    let sleeps: Vec<SimTime> =
+        w.timers.pushed.iter().filter(|(_, key)| key & 0xF == 5).map(|&(at, _)| at).collect();
+    assert_eq!(sleeps.len(), 1, "one sleep timer");
+    let wakeups: Vec<(SimTime, u64)> =
+        w.kernel.trace().iter().filter(|r| r.kind == "wakeup").map(|r| (r.at, r.a)).collect();
+    assert_eq!(wakeups, vec![(sleeps[0], 0)], "thread 0 woke where its sleep ended");
+}
+
 #[test]
 fn scheduler_interleaves_two_spinners_fairly() {
     struct Burner {
