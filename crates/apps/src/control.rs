@@ -9,8 +9,8 @@
 //! detection latency is a function of simulated network conditions, not
 //! an oracle:
 //!
-//! * [`ControlPlane`] — one scheduler process holding the service
-//!   registry (desired replica counts, placement spread across racks),
+//! * [`ControlPlane`] — one scheduler process holding the registry of
+//!   its one service (desired replica count, placement spread across racks),
 //!   a per-node heartbeat-driven health state machine
 //!   (alive → suspect → dead), and a periodic reconciliation tick that
 //!   re-places replicas off dead nodes, scales the replica count against
@@ -36,6 +36,7 @@
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::prelude::Histogram;
 use diablo_engine::rng::DetRng;
+use diablo_engine::snap::SnapError;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
@@ -51,14 +52,15 @@ pub const AGENT_PORT: u16 = 7101;
 
 /// Agent → scheduler liveness beacon (the sender's node identifies it).
 pub const KIND_HEARTBEAT: u32 = 40;
-/// Client → scheduler registry lookup; `id` = service, `arg0`/`arg1` =
-/// completed/violation deltas since the client's last lookup.
+/// Client → scheduler registry lookup; `id` = service (0, the one the
+/// scheduler holds), `arg0`/`arg1` = completed/violation deltas since the
+/// client's last lookup.
 pub const KIND_LOOKUP: u32 = 41;
-/// Scheduler → client endpoint set; `id` = service, `arg0`|`arg1` = the
+/// Scheduler → client endpoint set; `id` echoes the lookup's, `arg0`|`arg1` = the
 /// low/high halves of the 128-bit liveness mask over the service pool.
 pub const KIND_ENDPOINTS: u32 = 42;
 /// Scheduler → agent placement command; `id` = command sequence number,
-/// `arg0` = service, `arg1` = 1 to activate / 0 to deactivate.
+/// `arg0` = service (0), `arg1` = 1 to activate / 0 to deactivate.
 pub const KIND_ACTIVATE: u32 = 43;
 /// Agent → scheduler command acknowledgement echoing the sequence number.
 pub const KIND_ACK: u32 = 44;
@@ -67,11 +69,9 @@ pub const KIND_ACK: u32 = 44;
 /// room to spare; heartbeats and commands are tiny in real planes too).
 const CTRL_BYTES: u32 = 64;
 
-/// Futex key an agent wakes when it flips `service`'s gate. Offset far
-/// above the incast barrier keys (0xA/0xB) so a pool node can host both.
-pub const fn gate_futex_key(service: u32) -> u64 {
-    0xC0DE_0000 | service as u64
-}
+/// Futex key an agent wakes when it flips its node's gate. Far above the
+/// incast barrier keys (0xA/0xB) so a pool node can host both.
+pub const GATE_FUTEX_KEY: u64 = 0xC0DE_0000;
 
 // ====================================================================
 // Gates — how an agent starts/stops a co-located server process
@@ -134,8 +134,6 @@ fn mask_of(set: &BTreeSet<usize>) -> u128 {
 pub struct DiscoveryConfig {
     /// The scheduler's endpoint.
     pub control: SockAddr,
-    /// Service id to look up.
-    pub service: u32,
     /// Liveness mask assumed before the first [`KIND_ENDPOINTS`] reply
     /// arrives (normally the initial placement).
     pub initial_mask: u128,
@@ -179,12 +177,11 @@ impl RegistryClient {
         self.next_refresh
     }
 
-    /// The lookup to send to `d.control` now, if one is due: it reports
+    /// The lookup to send to the scheduler now, if one is due: it reports
     /// the `completed` and `violations` the client counted since its last
     /// lookup. The first call makes one due at once.
     pub fn lookup_due(
         &mut self,
-        d: &DiscoveryConfig,
         now: SimTime,
         completed: u64,
         violations: u64,
@@ -196,7 +193,7 @@ impl RegistryClient {
         while *due <= now {
             *due += REFRESH_EVERY;
         }
-        let lookup = AppMessage::new(KIND_LOOKUP, u64::from(d.service), CTRL_BYTES, now)
+        let lookup = AppMessage::new(KIND_LOOKUP, 0, CTRL_BYTES, now)
             .with_arg0(completed - self.reported_completed)
             .with_arg1(violations - self.reported_violations);
         self.reported_completed = completed;
@@ -235,14 +232,14 @@ pub const REFRESH_EVERY: SimDuration = SimDuration::from_millis(5);
 pub const RECONCILE_EVERY: SimDuration = SimDuration::from_millis(2);
 /// Sliding window over client SLO deltas for the autoscaler.
 pub const SLO_WINDOW: SimDuration = SimDuration::from_millis(20);
-/// Minimum spacing between scaling decisions for one service.
+/// Minimum spacing between scaling decisions.
 pub const SCALE_COOLDOWN: SimDuration = SimDuration::from_millis(20);
 /// Command resend attempts before the scheduler gives up on a placement
 /// (the anti-flap retry budget).
 pub const RETRY_BUDGET: u32 = 3;
 /// Silence before an unacked command is resent.
 pub const COMMAND_TIMEOUT: SimDuration = SimDuration::from_millis(4);
-/// Replica floor per service; the ceiling is the whole pool.
+/// Replica floor; the ceiling is the whole pool.
 pub const MIN_REPLICAS: usize = 1;
 
 /// Control-plane tuning: the settings a run chooses. Defaults, and the
@@ -329,17 +326,14 @@ impl ControlConfig {
     }
 }
 
-/// One schedulable service: a fixed address pool (≤ 128 endpoints so
-/// liveness fits the wire mask), the co-located agents, each endpoint's
-/// rack (for placement spread), and the initially active pool indices.
+/// The scheduled service: a fixed address pool (≤ 128 endpoints so
+/// liveness fits the wire mask), each endpoint's rack (for placement
+/// spread), and the initially active pool indices. The agent of pool
+/// entry `i` listens on [`AGENT_PORT`] of `pool[i]`'s node.
 #[derive(Debug, Clone)]
 pub struct ServiceSpec {
-    /// Service id (what clients put in [`KIND_LOOKUP`]).
-    pub id: u32,
     /// Every endpoint that *could* host a replica, active or standby.
     pub pool: Vec<SockAddr>,
-    /// The agent endpoint co-located with each pool entry.
-    pub agents: Vec<SockAddr>,
     /// Rack of each pool entry (placement spreads across these).
     pub racks: Vec<u32>,
     /// Initially active pool indices.
@@ -387,8 +381,10 @@ pub struct ControlReport {
     pub placement_stalls: u64,
     /// Dead-declaration → replacement-acked latency, nanoseconds.
     pub replacement_latency: Histogram,
-    /// Per-service (id, desired, ready-and-serving) at scrape time.
-    pub replicas: Vec<(u32, usize, usize)>,
+    /// Replica target at report time.
+    pub desired: usize,
+    /// Replicas ready and serving at report time.
+    pub ready: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -406,25 +402,7 @@ struct NodeHealth {
 }
 
 #[derive(Debug)]
-struct ServiceState {
-    spec: ServiceSpec,
-    /// Replica target the reconciler converges toward.
-    desired: usize,
-    /// Placement intent: indices commanded active (acked or not).
-    assigned: BTreeSet<usize>,
-    /// Acked and serving — what the liveness mask advertises.
-    ready: BTreeSet<usize>,
-    /// (arrival, completed delta, violation delta) from client lookups.
-    window: VecDeque<(SimTime, u64, u64)>,
-    last_scale: SimTime,
-    /// Dead-declaration instants of lost replicas awaiting replacement
-    /// (FIFO), so replacement latency spans detection → restored ack.
-    owed_failovers: VecDeque<SimTime>,
-}
-
-#[derive(Debug)]
 struct PendingCmd {
-    service: usize,
     pool_idx: usize,
     activate: bool,
     to: SockAddr,
@@ -454,8 +432,19 @@ enum CpState {
 #[derive(Debug)]
 pub struct ControlPlane {
     cfg: ControlConfig,
-    port: u16,
-    services: Vec<ServiceState>,
+    spec: ServiceSpec,
+    /// Replica target the reconciler converges toward.
+    desired: usize,
+    /// Placement intent: indices commanded active (acked or not).
+    assigned: BTreeSet<usize>,
+    /// Acked and serving — what the liveness mask advertises.
+    ready: BTreeSet<usize>,
+    /// (arrival, completed delta, violation delta) from client lookups.
+    window: VecDeque<(SimTime, u64, u64)>,
+    last_scale: SimTime,
+    /// Dead-declaration instants of lost replicas awaiting replacement
+    /// (FIFO), so replacement latency spans detection → restored ack.
+    owed_failovers: VecDeque<SimTime>,
     health: BTreeMap<u32, NodeHealth>,
     pending: BTreeMap<u64, PendingCmd>,
     next_seq: u64,
@@ -467,68 +456,40 @@ pub struct ControlPlane {
     /// Health baselining runs once, at the instant the scheduler's event
     /// loop first becomes ready — boot counts as one big heartbeat.
     started: bool,
-    // --- counters (see ControlReport) ---
-    heartbeats: u64,
-    lookups: u64,
-    suspicions: u64,
-    false_positive_suspicions: u64,
-    detections: u64,
-    rejoins: u64,
-    failovers: u64,
-    scale_ups: u64,
-    scale_downs: u64,
-    commands_sent: u64,
-    commands_retried: u64,
-    commands_acked: u64,
-    commands_dropped: u64,
-    placement_stalls: u64,
-    replacement_latency: Histogram,
+    /// The counters; [`report`](ControlPlane::report) fills in `desired`
+    /// and `ready`.
+    stats: ControlReport,
 }
 
 impl ControlPlane {
-    /// Creates the scheduler over `services`, serving on `port`.
+    /// Creates the scheduler over `spec`, serving on [`CONTROL_PORT`].
     ///
     /// # Panics
     ///
     /// On an invalid [`ControlConfig`] or a malformed [`ServiceSpec`]
-    /// (pool over 128 entries, mismatched agent/rack lists, initial
-    /// indices out of range) — construction bugs, not runtime faults.
-    pub fn new(cfg: ControlConfig, services: Vec<ServiceSpec>, port: u16) -> Self {
+    /// (pool over 128 entries, mismatched rack list, initial indices out
+    /// of range) — construction bugs, not runtime faults.
+    pub fn new(cfg: ControlConfig, spec: ServiceSpec) -> Self {
         cfg.validate().expect("invalid control-plane config");
-        let mut health = BTreeMap::new();
-        let states = services
-            .into_iter()
-            .map(|spec| {
-                assert!(spec.pool.len() <= 128, "service pool exceeds the 128-bit wire mask");
-                assert_eq!(spec.agents.len(), spec.pool.len(), "one agent per pool entry");
-                assert_eq!(spec.racks.len(), spec.pool.len(), "one rack per pool entry");
-                assert!(
-                    spec.initial.iter().all(|&i| i < spec.pool.len()),
-                    "initial placement outside the pool"
-                );
-                for agent in &spec.agents {
-                    health.entry(agent.node.0).or_insert(NodeHealth {
-                        last_hb: SimTime::ZERO,
-                        dead_at: SimTime::ZERO,
-                        state: Health::Alive,
-                    });
-                }
-                let initial: BTreeSet<usize> = spec.initial.iter().copied().collect();
-                ServiceState {
-                    desired: initial.len(),
-                    assigned: initial.clone(),
-                    ready: initial,
-                    window: VecDeque::new(),
-                    last_scale: SimTime::ZERO,
-                    owed_failovers: VecDeque::new(),
-                    spec,
-                }
-            })
-            .collect();
+        assert!(spec.pool.len() <= 128, "service pool exceeds the 128-bit wire mask");
+        assert_eq!(spec.racks.len(), spec.pool.len(), "one rack per pool entry");
+        assert!(
+            spec.initial.iter().all(|&i| i < spec.pool.len()),
+            "initial placement outside the pool"
+        );
+        let alive =
+            NodeHealth { last_hb: SimTime::ZERO, dead_at: SimTime::ZERO, state: Health::Alive };
+        let health = spec.pool.iter().map(|ep| (ep.node.0, alive)).collect();
+        let initial: BTreeSet<usize> = spec.initial.iter().copied().collect();
         ControlPlane {
             cfg,
-            port,
-            services: states,
+            spec,
+            desired: initial.len(),
+            assigned: initial.clone(),
+            ready: initial,
+            window: VecDeque::new(),
+            last_scale: SimTime::ZERO,
+            owed_failovers: VecDeque::new(),
             health,
             pending: BTreeMap::new(),
             next_seq: 0,
@@ -538,54 +499,22 @@ impl ControlPlane {
             epfd: None,
             next_tick: SimTime::ZERO,
             started: false,
-            heartbeats: 0,
-            lookups: 0,
-            suspicions: 0,
-            false_positive_suspicions: 0,
-            detections: 0,
-            rejoins: 0,
-            failovers: 0,
-            scale_ups: 0,
-            scale_downs: 0,
-            commands_sent: 0,
-            commands_retried: 0,
-            commands_acked: 0,
-            commands_dropped: 0,
-            placement_stalls: 0,
-            replacement_latency: Histogram::new(),
+            stats: ControlReport::default(),
         }
     }
 
     /// Snapshot of the scheduler's counters for experiment results.
     pub fn report(&self) -> ControlReport {
-        ControlReport {
-            heartbeats: self.heartbeats,
-            lookups: self.lookups,
-            suspicions: self.suspicions,
-            false_positive_suspicions: self.false_positive_suspicions,
-            detections: self.detections,
-            rejoins: self.rejoins,
-            failovers: self.failovers,
-            scale_ups: self.scale_ups,
-            scale_downs: self.scale_downs,
-            commands_sent: self.commands_sent,
-            commands_retried: self.commands_retried,
-            commands_acked: self.commands_acked,
-            commands_dropped: self.commands_dropped,
-            placement_stalls: self.placement_stalls,
-            replacement_latency: self.replacement_latency.clone(),
-            replicas: self.services.iter().map(|s| (s.spec.id, s.desired, s.ready.len())).collect(),
-        }
+        ControlReport { desired: self.desired, ready: self.ready.len(), ..self.stats.clone() }
     }
 
-    /// The advertised liveness mask for service `idx` (tests/debugging).
-    pub fn ready_mask(&self, idx: usize) -> u128 {
-        mask_of(&self.services[idx].ready)
+    /// The advertised liveness mask (tests/debugging).
+    pub fn ready_mask(&self) -> u128 {
+        mask_of(&self.ready)
     }
 
     fn enqueue_command(
         &mut self,
-        service: usize,
         pool_idx: usize,
         activate: bool,
         now: SimTime,
@@ -593,55 +522,44 @@ impl ControlPlane {
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let to = self.services[service].spec.agents[pool_idx];
-        let msg = AppMessage::new(KIND_ACTIVATE, seq, CTRL_BYTES, now)
-            .with_arg0(u64::from(self.services[service].spec.id))
-            .with_arg1(u64::from(activate));
+        let to = SockAddr::new(self.spec.pool[pool_idx].node, AGENT_PORT);
+        let msg =
+            AppMessage::new(KIND_ACTIVATE, seq, CTRL_BYTES, now).with_arg1(u64::from(activate));
         self.sendq.push_back((to, msg));
         self.pending.insert(
             seq,
-            PendingCmd { service, pool_idx, activate, to, sent_at: now, tries: 1, failover_from },
+            PendingCmd { pool_idx, activate, to, sent_at: now, tries: 1, failover_from },
         );
-        self.commands_sent += 1;
+        self.stats.commands_sent += 1;
     }
 
     /// `true` when an activate/deactivate command for this replica is
     /// already in flight (dedupes rejoin drains against reconciliation).
-    fn command_in_flight(&self, service: usize, pool_idx: usize) -> bool {
-        self.pending.values().any(|c| c.service == service && c.pool_idx == pool_idx)
+    fn command_in_flight(&self, pool_idx: usize) -> bool {
+        self.pending.values().any(|c| c.pool_idx == pool_idx)
     }
 
     fn handle_datagram(&mut self, from: SockAddr, msg: AppMessage, now: SimTime) {
         match msg.kind {
             KIND_HEARTBEAT => {
-                self.heartbeats += 1;
+                self.stats.heartbeats += 1;
                 let Some(was) = self.health.get(&from.node.0).map(|h| h.state) else { return };
                 match was {
-                    Health::Suspect => self.false_positive_suspicions += 1,
+                    Health::Suspect => self.stats.false_positive_suspicions += 1,
                     Health::Dead => {
-                        self.rejoins += 1;
+                        self.stats.rejoins += 1;
                         // Drain the rebooted node: any replica it still
                         // thinks it hosts but the scheduler re-placed
                         // elsewhere gets an explicit deactivate, so a
                         // stale gate cannot resurrect a moved replica.
-                        let drains: Vec<(usize, usize)> = self
-                            .services
-                            .iter()
-                            .enumerate()
-                            .flat_map(|(si, svc)| {
-                                svc.spec
-                                    .pool
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(pi, ep)| {
-                                        ep.node == from.node && !svc.assigned.contains(pi)
-                                    })
-                                    .map(move |(pi, _)| (si, pi))
+                        let drains: Vec<usize> = (0..self.spec.pool.len())
+                            .filter(|pi| {
+                                self.spec.pool[*pi].node == from.node && !self.assigned.contains(pi)
                             })
                             .collect();
-                        for (si, pi) in drains {
-                            if !self.command_in_flight(si, pi) {
-                                self.enqueue_command(si, pi, false, now, None);
+                        for pi in drains {
+                            if !self.command_in_flight(pi) {
+                                self.enqueue_command(pi, false, now, None);
                             }
                         }
                     }
@@ -652,15 +570,11 @@ impl ControlPlane {
                 h.last_hb = now;
             }
             KIND_LOOKUP => {
-                self.lookups += 1;
-                let Some(svc) = self.services.iter_mut().find(|s| u64::from(s.spec.id) == msg.id)
-                else {
-                    return;
-                };
+                self.stats.lookups += 1;
                 if msg.arg0 > 0 || msg.arg1 > 0 {
-                    svc.window.push_back((now, msg.arg0, msg.arg1));
+                    self.window.push_back((now, msg.arg0, msg.arg1));
                 }
-                let mask = mask_of(&svc.ready);
+                let mask = mask_of(&self.ready);
                 let reply = AppMessage::new(KIND_ENDPOINTS, msg.id, CTRL_BYTES, now)
                     .with_arg0(mask as u64)
                     .with_arg1((mask >> 64) as u64);
@@ -668,17 +582,17 @@ impl ControlPlane {
             }
             KIND_ACK => {
                 let Some(cmd) = self.pending.remove(&msg.id) else { return };
-                self.commands_acked += 1;
+                self.stats.commands_acked += 1;
                 if cmd.activate {
-                    let svc = &mut self.services[cmd.service];
                     // Only mark ready if the placement still stands (it
                     // may have been scaled away while the ack flew).
-                    if svc.assigned.contains(&cmd.pool_idx) {
-                        svc.ready.insert(cmd.pool_idx);
+                    if self.assigned.contains(&cmd.pool_idx) {
+                        self.ready.insert(cmd.pool_idx);
                     }
                     if let Some(dead_at) = cmd.failover_from {
-                        self.failovers += 1;
-                        self.replacement_latency
+                        self.stats.failovers += 1;
+                        self.stats
+                            .replacement_latency
                             .record(now.saturating_duration_since(dead_at).as_nanos());
                     }
                 }
@@ -693,14 +607,14 @@ impl ControlPlane {
             let silent = now.saturating_duration_since(h.last_hb);
             if silent >= self.cfg.dead_after && h.state != Health::Dead {
                 if h.state == Health::Alive {
-                    self.suspicions += 1;
+                    self.stats.suspicions += 1;
                 }
                 h.state = Health::Dead;
                 h.dead_at = now;
-                self.detections += 1;
+                self.stats.detections += 1;
             } else if silent >= self.cfg.suspect_after && h.state == Health::Alive {
                 h.state = Health::Suspect;
-                self.suspicions += 1;
+                self.stats.suspicions += 1;
             }
         }
 
@@ -715,83 +629,77 @@ impl ControlPlane {
         for seq in due {
             let cmd = self.pending.remove(&seq).expect("pending command vanished");
             if cmd.tries >= RETRY_BUDGET {
-                self.commands_dropped += 1;
+                self.stats.commands_dropped += 1;
                 if cmd.activate {
-                    let svc = &mut self.services[cmd.service];
-                    svc.assigned.remove(&cmd.pool_idx);
-                    svc.ready.remove(&cmd.pool_idx);
+                    self.assigned.remove(&cmd.pool_idx);
+                    self.ready.remove(&cmd.pool_idx);
                     if let Some(dead_at) = cmd.failover_from {
-                        svc.owed_failovers.push_back(dead_at);
+                        self.owed_failovers.push_back(dead_at);
                     }
                 }
             } else {
                 let resend = AppMessage::new(KIND_ACTIVATE, seq, CTRL_BYTES, now)
-                    .with_arg0(u64::from(self.services[cmd.service].spec.id))
                     .with_arg1(u64::from(cmd.activate));
                 self.sendq.push_back((cmd.to, resend));
-                self.commands_retried += 1;
+                self.stats.commands_retried += 1;
                 self.pending.insert(seq, PendingCmd { sent_at: now, tries: cmd.tries + 1, ..cmd });
             }
         }
 
-        // 3. Per-service: evict dead replicas, autoscale, converge.
-        for si in 0..self.services.len() {
-            self.evict_dead(si);
-            if self.cfg.autoscale {
-                self.autoscale(si, now);
-            }
-            self.converge(si, now);
+        // 3. Evict dead replicas, autoscale, converge.
+        self.evict_dead();
+        if self.cfg.autoscale {
+            self.autoscale(now);
         }
+        self.converge(now);
     }
 
     /// Removes replicas placed on dead nodes from the serving set and
     /// queues each loss for replacement-latency attribution.
-    fn evict_dead(&mut self, si: usize) {
-        let svc = &mut self.services[si];
-        let dead: Vec<usize> = svc
-            .assigned
-            .iter()
-            .copied()
-            .filter(|&i| {
-                self.health.get(&svc.spec.pool[i].node.0).is_some_and(|h| h.state == Health::Dead)
-            })
-            .collect();
-        for i in dead {
-            svc.assigned.remove(&i);
-            svc.ready.remove(&i);
-            let dead_at = self.health[&svc.spec.pool[i].node.0].dead_at;
-            svc.owed_failovers.push_back(dead_at);
+    fn evict_dead(&mut self) {
+        let dead_at = |i: usize| {
+            self.health
+                .get(&self.spec.pool[i].node.0)
+                .filter(|h| h.state == Health::Dead)
+                .map(|h| h.dead_at)
+        };
+        let dead: Vec<(usize, SimTime)> =
+            self.assigned.iter().filter_map(|&i| Some((i, dead_at(i)?))).collect();
+        for (i, at) in dead {
+            self.assigned.remove(&i);
+            self.ready.remove(&i);
+            self.owed_failovers.push_back(at);
         }
     }
 
     /// SLO-driven replica-count adjustment with hysteresis and cooldown.
-    fn autoscale(&mut self, si: usize, now: SimTime) {
+    fn autoscale(&mut self, now: SimTime) {
         /// Completions required in the window before the violation
         /// fraction is trusted (guards cold-start noise).
         const MIN_SAMPLES: u64 = 20;
-        let svc = &mut self.services[si];
-        while let Some(&(at, _, _)) = svc.window.front() {
+        while let Some(&(at, _, _)) = self.window.front() {
             if now.saturating_duration_since(at) > SLO_WINDOW {
-                svc.window.pop_front();
+                self.window.pop_front();
             } else {
                 break;
             }
         }
         let (completed, violations) =
-            svc.window.iter().fold((0u64, 0u64), |(c, v), &(_, dc, dv)| (c + dc, v + dv));
-        if completed < MIN_SAMPLES || now.saturating_duration_since(svc.last_scale) < SCALE_COOLDOWN
+            self.window.iter().fold((0u64, 0u64), |(c, v), &(_, dc, dv)| (c + dc, v + dv));
+        if completed < MIN_SAMPLES
+            || now.saturating_duration_since(self.last_scale) < SCALE_COOLDOWN
         {
             return;
         }
         let frac = violations as f64 / completed as f64;
-        if frac > self.cfg.scale_up_frac && svc.desired < svc.spec.pool.len() {
-            svc.desired += 1;
-            svc.last_scale = now;
-            self.scale_ups += 1;
-        } else if frac < self.cfg.scale_down_frac && svc.desired > MIN_REPLICAS {
-            svc.desired -= 1;
-            svc.last_scale = now;
-            self.scale_downs += 1;
+        if frac > self.cfg.scale_up_frac && self.desired < self.spec.pool.len() {
+            self.desired += 1;
+            self.last_scale = now;
+            self.stats.scale_ups += 1;
+        } else if frac < self.cfg.scale_down_frac && self.desired > MIN_REPLICAS {
+            self.desired -= 1;
+            self.last_scale = now;
+            self.stats.scale_downs += 1;
         }
     }
 
@@ -799,44 +707,54 @@ impl ControlPlane {
     /// healthy unassigned pool nodes (least-populated rack first, ties by
     /// rack then pool index) and retires surplus replicas from the
     /// most-populated racks.
-    fn converge(&mut self, si: usize, now: SimTime) {
-        while self.services[si].assigned.len() < self.services[si].desired {
-            let svc = &self.services[si];
-            let rack_pop =
-                |rack: u32| svc.assigned.iter().filter(|&&i| svc.spec.racks[i] == rack).count();
-            let candidate = (0..svc.spec.pool.len())
-                .filter(|i| !svc.assigned.contains(i))
+    fn converge(&mut self, now: SimTime) {
+        // (rack population, rack, pool index) of pool entry `i`.
+        let spread = |cp: &Self, i: usize| {
+            let rack = cp.spec.racks[i];
+            (cp.assigned.iter().filter(|&&j| cp.spec.racks[j] == rack).count(), rack, i)
+        };
+        while self.assigned.len() < self.desired {
+            let candidate = (0..self.spec.pool.len())
+                .filter(|i| !self.assigned.contains(i))
                 .filter(|&i| {
                     self.health
-                        .get(&svc.spec.pool[i].node.0)
+                        .get(&self.spec.pool[i].node.0)
                         .is_some_and(|h| h.state == Health::Alive)
                 })
-                .filter(|&i| !self.command_in_flight(si, i))
-                .min_by_key(|&i| (rack_pop(svc.spec.racks[i]), svc.spec.racks[i], i));
+                .filter(|&i| !self.command_in_flight(i))
+                .min_by_key(|&i| spread(self, i));
             let Some(idx) = candidate else {
-                self.placement_stalls += 1;
+                self.stats.placement_stalls += 1;
                 break;
             };
-            self.services[si].assigned.insert(idx);
-            let owed = self.services[si].owed_failovers.pop_front();
-            self.enqueue_command(si, idx, true, now, owed);
+            self.assigned.insert(idx);
+            let owed = self.owed_failovers.pop_front();
+            self.enqueue_command(idx, true, now, owed);
         }
-        while self.services[si].assigned.len() > self.services[si].desired {
-            let svc = &self.services[si];
-            let rack_pop =
-                |rack: u32| svc.assigned.iter().filter(|&&i| svc.spec.racks[i] == rack).count();
-            let victim = svc
+        while self.assigned.len() > self.desired {
+            let victim = self
                 .assigned
                 .iter()
                 .copied()
-                .max_by_key(|&i| (rack_pop(svc.spec.racks[i]), svc.spec.racks[i], i))
+                .max_by_key(|&i| spread(self, i))
                 .expect("assigned nonempty");
-            let svc = &mut self.services[si];
-            svc.assigned.remove(&victim);
-            svc.ready.remove(&victim);
-            if !self.command_in_flight(si, victim) {
-                self.enqueue_command(si, victim, false, now, None);
+            self.assigned.remove(&victim);
+            self.ready.remove(&victim);
+            if !self.command_in_flight(victim) {
+                self.enqueue_command(victim, false, now, None);
             }
+        }
+    }
+
+    /// Refuses a restored pool index the rebuilt pool cannot hold: it
+    /// would decode, then panic at the next tick (or shift the liveness
+    /// mask past its 128 bits).
+    fn check_pool_indices(&mut self) -> Result<(), SnapError> {
+        let n = self.spec.pool.len();
+        let pending = self.pending.values().map(|c| &c.pool_idx);
+        match self.assigned.iter().chain(&self.ready).chain(pending).find(|&&i| i >= n) {
+            Some(i) => Err(SnapError::Malformed(format!("pool index {i} of a service with {n}"))),
+            None => Ok(()),
         }
     }
 }
@@ -859,7 +777,7 @@ impl Process for ControlPlane {
                     assert_eq!(ctx.result, SysResult::Done, "fcntl failed");
                     let fd = self.fd.expect("no fd");
                     self.state = CpState::Bound;
-                    return Step::Syscall(Syscall::Bind { fd, port: self.port });
+                    return Step::Syscall(Syscall::Bind { fd, port: CONTROL_PORT });
                 }
                 CpState::Bound => {
                     assert_eq!(ctx.result, SysResult::Done, "bind failed");
@@ -952,25 +870,25 @@ impl Process for ControlPlane {
     }
 
     fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
-        v.counter("control.heartbeats", self.heartbeats);
-        v.counter("control.lookups", self.lookups);
-        v.counter("control.suspicions", self.suspicions);
-        v.counter("control.false_positive_suspicions", self.false_positive_suspicions);
-        v.counter("control.detections", self.detections);
-        v.counter("control.rejoins", self.rejoins);
-        v.counter("control.failovers", self.failovers);
-        v.counter("control.scale_ups", self.scale_ups);
-        v.counter("control.scale_downs", self.scale_downs);
-        v.counter("control.commands_sent", self.commands_sent);
-        v.counter("control.commands_retried", self.commands_retried);
-        v.counter("control.commands_acked", self.commands_acked);
-        v.counter("control.commands_dropped", self.commands_dropped);
-        v.counter("control.placement_stalls", self.placement_stalls);
-        v.histogram("control.replacement_latency_ns", &self.replacement_latency);
-        for svc in &self.services {
-            v.gauge(&format!("control.service{}.desired", svc.spec.id), svc.desired as f64);
-            v.gauge(&format!("control.service{}.ready", svc.spec.id), svc.ready.len() as f64);
-        }
+        let s = &self.stats;
+        v.counter("control.heartbeats", s.heartbeats);
+        v.counter("control.lookups", s.lookups);
+        v.counter("control.suspicions", s.suspicions);
+        v.counter("control.false_positive_suspicions", s.false_positive_suspicions);
+        v.counter("control.detections", s.detections);
+        v.counter("control.rejoins", s.rejoins);
+        v.counter("control.failovers", s.failovers);
+        v.counter("control.scale_ups", s.scale_ups);
+        v.counter("control.scale_downs", s.scale_downs);
+        v.counter("control.commands_sent", s.commands_sent);
+        v.counter("control.commands_retried", s.commands_retried);
+        v.counter("control.commands_acked", s.commands_acked);
+        v.counter("control.commands_dropped", s.commands_dropped);
+        v.counter("control.placement_stalls", s.placement_stalls);
+        v.histogram("control.replacement_latency_ns", &s.replacement_latency);
+        // The one service keeps the id clients look it up by, 0.
+        v.gauge("control.service0.desired", self.desired as f64);
+        v.gauge("control.service0.ready", self.ready.len() as f64);
     }
 
     fn reset(&mut self) -> bool {
@@ -1022,7 +940,7 @@ pub struct ControlAgent {
     /// Offset of this agent's first heartbeat, de-phasing the pool so the
     /// scheduler never sees every beacon in the same microsecond.
     stagger: SimDuration,
-    gates: BTreeMap<u32, ServiceGate>,
+    gate: Option<ServiceGate>,
     state: AgState,
     fd: Option<Fd>,
     epfd: Option<Fd>,
@@ -1040,20 +958,20 @@ pub struct ControlAgent {
 
 impl ControlAgent {
     /// Creates an agent heartbeating `control`, executing commands
-    /// against `gates` (service id → gate of the co-located replica; an
-    /// empty map makes the agent a pure health beacon).
+    /// against `gate`, the co-located replica's (`None` makes the agent a
+    /// pure health beacon).
     pub fn new(
         control: SockAddr,
         heartbeat_every: SimDuration,
         stagger: SimDuration,
-        gates: BTreeMap<u32, ServiceGate>,
+        gate: Option<ServiceGate>,
     ) -> Self {
         assert!(!heartbeat_every.is_zero(), "heartbeat period must be positive");
         ControlAgent {
             control,
             heartbeat_every,
             stagger,
-            gates,
+            gate,
             state: AgState::Start,
             fd: None,
             epfd: None,
@@ -1162,18 +1080,17 @@ impl Process for ControlAgent {
                 AgState::Drain => match std::mem::replace(&mut ctx.result, SysResult::Computed) {
                     SysResult::Datagram { from, msg } => {
                         if msg.kind == KIND_ACTIVATE {
-                            let service = msg.arg0 as u32;
                             let active = msg.arg1 == 1;
                             if active {
                                 self.activations += 1;
                             } else {
                                 self.deactivations += 1;
                             }
-                            if let Some(gate) = self.gates.get(&service) {
+                            if let Some(gate) = &self.gate {
                                 let mut g = gate.lock().expect("gate poisoned");
                                 g.active = active;
                                 g.generation += 1;
-                                self.wakeq.push_back(gate_futex_key(service));
+                                self.wakeq.push_back(GATE_FUTEX_KEY);
                             }
                             let ack = AppMessage::new(KIND_ACK, msg.id, CTRL_BYTES, ctx.now);
                             self.sendq.push_back((from, ack));
@@ -1244,7 +1161,6 @@ diablo_engine::impl_snap_struct!(RegistryClient {
 });
 
 diablo_engine::impl_snap_struct!(PendingCmd {
-    service,
     pool_idx,
     activate,
     to,
@@ -1280,30 +1196,9 @@ diablo_engine::impl_snap_enum!(AgState as "control AgState" {
     10 => Drain,
 });
 
-// Each service's `spec` is config, so the per-service table carries only
-// the evolving fields and the load validates the service count against
-// the rebuilt registry.
-diablo_engine::impl_persist_fields!(ServiceState {
-    desired,
-    assigned,
-    ready,
-    window,
-    last_scale,
-    owed_failovers,
-    spec: config,
-});
-
-diablo_engine::impl_persist_fields!(ControlPlane {
-    services: nested,
-    health,
-    pending,
-    next_seq,
-    sendq,
-    state,
-    fd,
-    epfd,
-    next_tick,
-    started,
+// `desired` and `ready` are the scheduler's own state, which `report`
+// fills in.
+diablo_engine::impl_persist_fields!(ControlReport {
     heartbeats,
     lookups,
     suspicions,
@@ -1319,13 +1214,36 @@ diablo_engine::impl_persist_fields!(ControlPlane {
     commands_dropped,
     placement_stalls,
     replacement_latency,
-    cfg: config,
-    port: config,
+    desired: derived,
+    ready: derived,
 });
+
+// The pool is config; a restored index the rebuilt pool cannot hold is
+// refused.
+diablo_engine::impl_persist_fields!(ControlPlane {
+    desired,
+    assigned,
+    ready,
+    window,
+    last_scale,
+    owed_failovers,
+    health,
+    pending,
+    next_seq,
+    sendq,
+    state,
+    fd,
+    epfd,
+    next_tick,
+    started,
+    stats: nested,
+    cfg: config,
+    spec: config,
+} after_load = check_pool_indices);
 
 diablo_engine::impl_persist_fields!(GateState { active, generation });
 
-// The agent is the single owner of the node's service gates: the
+// The agent is the single owner of the node's service gate: the
 // gated servers share the `Arc` but never persist its contents (the
 // dispatcher's Persist documents the same contract from its side).
 diablo_engine::impl_persist_fields!(ControlAgent {
@@ -1339,7 +1257,7 @@ diablo_engine::impl_persist_fields!(ControlAgent {
     heartbeats_sent,
     activations,
     deactivations,
-    gates: nested,
+    gate: nested,
     control: config,
     heartbeat_every: config,
     stagger: config,
@@ -1406,27 +1324,26 @@ mod tests {
     }
 
     #[test]
-    fn gate_flip_and_futex_key_are_per_service() {
+    fn gate_flips_and_its_futex_key_clears_the_barrier_keys() {
         let g = service_gate(false);
         assert!(!g.lock().unwrap().active);
         g.lock().unwrap().active = true;
         assert!(g.lock().unwrap().active);
-        assert_ne!(gate_futex_key(0), gate_futex_key(1));
         // Far from the incast barrier keys (0xA / 0xB).
-        assert!(gate_futex_key(0) > 0xFF);
+        const { assert!(GATE_FUTEX_KEY > 0xFF) };
     }
 
     fn spec_two_racks() -> ServiceSpec {
-        use diablo_net::addr::NodeAddr;
-        let pool: Vec<SockAddr> = (0..4).map(|i| SockAddr::new(NodeAddr(i), 11211)).collect();
-        let agents: Vec<SockAddr> =
-            (0..4).map(|i| SockAddr::new(NodeAddr(i), AGENT_PORT)).collect();
-        ServiceSpec { id: 0, pool, agents, racks: vec![0, 0, 1, 1], initial: vec![0, 2] }
+        ServiceSpec { pool: pool(4), racks: vec![0, 0, 1, 1], initial: vec![0, 2] }
+    }
+
+    fn pool(n: u32) -> Vec<SockAddr> {
+        (0..n).map(|i| SockAddr::new(diablo_net::addr::NodeAddr(i), 11211)).collect()
     }
 
     #[test]
     fn scheduler_reconciles_a_dead_replica_onto_a_same_rack_spare() {
-        let mut cp = ControlPlane::new(ControlConfig::default(), vec![spec_two_racks()], 7100);
+        let mut cp = ControlPlane::new(ControlConfig::default(), spec_two_racks());
         // Baseline everyone at t=10ms, then silence node 0 past the dead
         // threshold while the others keep beating.
         let t0 = SimTime::from_millis(10);
@@ -1442,26 +1359,43 @@ mod tests {
             );
         }
         cp.tick(late);
-        assert_eq!(cp.detections, 1, "node 0 must be declared dead");
+        assert_eq!(cp.stats.detections, 1, "node 0 must be declared dead");
         // Replacement lands on index 1 — the spare in the depleted rack.
-        assert!(cp.services[0].assigned.contains(&1), "{:?}", cp.services[0].assigned);
-        assert!(!cp.services[0].assigned.contains(&0));
+        assert!(cp.assigned.contains(&1), "{:?}", cp.assigned);
+        assert!(!cp.assigned.contains(&0));
         // Not ready (and not advertised) until the agent acks.
-        assert_eq!(cp.ready_mask(0), 0b100);
+        assert_eq!(cp.ready_mask(), 0b100);
         let seq = *cp.pending.keys().next().expect("an activate must be pending");
         cp.handle_datagram(
             SockAddr::new(diablo_net::addr::NodeAddr(1), AGENT_PORT),
             AppMessage::new(KIND_ACK, seq, 64, late + SimDuration::from_micros(50)),
             late + SimDuration::from_micros(50),
         );
-        assert_eq!(cp.ready_mask(0), 0b110);
-        assert_eq!(cp.failovers, 1);
-        assert_eq!(cp.replacement_latency.count(), 1);
+        assert_eq!(cp.ready_mask(), 0b110);
+        assert_eq!(cp.stats.failovers, 1);
+        assert_eq!(cp.stats.replacement_latency.count(), 1);
+    }
+
+    /// A snapshot naming a pool index the rebuilt pool cannot hold is
+    /// refused at load, not at the next tick's `spec.pool[i]`.
+    #[test]
+    fn a_restored_pool_index_past_the_pool_is_an_error() {
+        use diablo_engine::snap::{Persist, SnapReader, SnapWriter};
+        let mut w = SnapWriter::new();
+        ControlPlane::new(ControlConfig::default(), spec_two_racks()).save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut same = ControlPlane::new(ControlConfig::default(), spec_two_racks());
+        same.load_state(&mut SnapReader::new(&bytes)).expect("the same pool restores");
+        let two = ServiceSpec { pool: pool(2), racks: vec![0, 1], initial: vec![0] };
+        let err = ControlPlane::new(ControlConfig::default(), two)
+            .load_state(&mut SnapReader::new(&bytes))
+            .expect_err("index 2 of a 2-entry pool is refused");
+        assert!(err.to_string().contains("pool index 2 of a service with 2"), "{err}");
     }
 
     #[test]
     fn suspect_recovers_as_false_positive_without_eviction() {
-        let mut cp = ControlPlane::new(ControlConfig::default(), vec![spec_two_racks()], 7100);
+        let mut cp = ControlPlane::new(ControlConfig::default(), spec_two_racks());
         let t0 = SimTime::from_millis(10);
         for h in cp.health.values_mut() {
             h.last_hb = t0;
@@ -1469,22 +1403,22 @@ mod tests {
         // 6 ms of silence: past suspect (5 ms), short of dead (11 ms).
         let mid = t0 + SimDuration::from_millis(6);
         cp.tick(mid);
-        assert_eq!(cp.suspicions, 4, "every silent node turns suspect");
-        assert_eq!(cp.detections, 0);
-        assert_eq!(cp.services[0].assigned, [0usize, 2].into_iter().collect());
+        assert_eq!(cp.stats.suspicions, 4, "every silent node turns suspect");
+        assert_eq!(cp.stats.detections, 0);
+        assert_eq!(cp.assigned, [0usize, 2].into_iter().collect());
         // A late heartbeat clears the suspicion.
         cp.handle_datagram(
             SockAddr::new(diablo_net::addr::NodeAddr(0), AGENT_PORT),
             AppMessage::new(KIND_HEARTBEAT, 0, 64, mid),
             mid,
         );
-        assert_eq!(cp.false_positive_suspicions, 1);
+        assert_eq!(cp.stats.false_positive_suspicions, 1);
     }
 
     #[test]
     fn autoscaler_honors_hysteresis_cooldown_and_bounds() {
         let cfg = ControlConfig { autoscale: true, ..ControlConfig::default() };
-        let mut cp = ControlPlane::new(cfg.clone(), vec![spec_two_racks()], 7100);
+        let mut cp = ControlPlane::new(cfg.clone(), spec_two_racks());
         let t0 = SimTime::from_millis(100);
         for h in cp.health.values_mut() {
             h.last_hb = t0;
@@ -1496,14 +1430,14 @@ mod tests {
             AppMessage::new(KIND_LOOKUP, 0, 64, t0).with_arg0(100).with_arg1(40),
             t0,
         );
-        cp.services[0].last_scale = SimTime::ZERO;
+        cp.last_scale = SimTime::ZERO;
         // Keep heartbeats fresh so health never interferes.
         for h in cp.health.values_mut() {
             h.last_hb = t0;
         }
         cp.tick(t0);
-        assert_eq!(cp.scale_ups, 1);
-        assert_eq!(cp.services[0].desired, 3);
+        assert_eq!(cp.stats.scale_ups, 1);
+        assert_eq!(cp.desired, 3);
         // Cooldown: an equally bad window right after must not scale.
         let t1 = t0 + SimDuration::from_millis(2);
         cp.handle_datagram(
@@ -1515,7 +1449,7 @@ mod tests {
             h.last_hb = t1;
         }
         cp.tick(t1);
-        assert_eq!(cp.scale_ups, 1, "cooldown must suppress back-to-back scaling");
+        assert_eq!(cp.stats.scale_ups, 1, "cooldown must suppress back-to-back scaling");
         // A healthy window after the cooldown scales back down — but the
         // in-between fraction (0.10) sits in the hysteresis gap and
         // leaves the count alone.
@@ -1529,8 +1463,8 @@ mod tests {
             h.last_hb = t2;
         }
         cp.tick(t2);
-        assert_eq!(cp.scale_ups, 1);
-        assert_eq!(cp.scale_downs, 0, "0.10 lies inside the hysteresis band");
+        assert_eq!(cp.stats.scale_ups, 1);
+        assert_eq!(cp.stats.scale_downs, 0, "0.10 lies inside the hysteresis band");
         let t3 = t2 + SCALE_COOLDOWN + SLO_WINDOW;
         cp.handle_datagram(
             from,
@@ -1541,20 +1475,20 @@ mod tests {
             h.last_hb = t3;
         }
         cp.tick(t3);
-        assert_eq!(cp.scale_downs, 1);
-        assert_eq!(cp.services[0].desired, 2);
+        assert_eq!(cp.stats.scale_downs, 1);
+        assert_eq!(cp.desired, 2);
     }
 
     #[test]
     fn unacked_commands_retry_then_drop_within_budget() {
-        let mut cp = ControlPlane::new(ControlConfig::default(), vec![spec_two_racks()], 7100);
+        let mut cp = ControlPlane::new(ControlConfig::default(), spec_two_racks());
         let mut now = SimTime::from_millis(10);
         for h in cp.health.values_mut() {
             h.last_hb = now;
         }
-        cp.services[0].desired = 3; // forces one activate
+        cp.desired = 3; // forces one activate
         cp.tick(now);
-        assert_eq!(cp.commands_sent, 1);
+        assert_eq!(cp.stats.commands_sent, 1);
         assert_eq!(cp.pending.len(), 1);
         // Each timeout short of the budget resends. Keep every node's
         // heartbeat fresh so health stays out of the picture.
@@ -1564,7 +1498,7 @@ mod tests {
                 h.last_hb = now;
             }
             cp.tick(now);
-            assert_eq!(cp.commands_retried, u64::from(retried));
+            assert_eq!(cp.stats.commands_retried, u64::from(retried));
         }
         // The next timeout exhausts the budget: dropped and un-assigned —
         // and the same reconciliation pass re-places it (a fresh
@@ -1574,7 +1508,7 @@ mod tests {
             h.last_hb = now;
         }
         cp.tick(now);
-        assert_eq!(cp.commands_dropped, 1);
-        assert_eq!(cp.commands_sent, 2, "the dropped slot must be re-placed");
+        assert_eq!(cp.stats.commands_dropped, 1);
+        assert_eq!(cp.stats.commands_sent, 2, "the dropped slot must be re-placed");
     }
 }

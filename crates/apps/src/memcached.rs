@@ -17,7 +17,7 @@
 //! latency in HDR histograms — overall and per hop-class (Figure 10).
 
 use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
-use crate::control::{pick_live, DiscoveryConfig, RegistryClient, ServiceGate};
+use crate::control::{pick_live, DiscoveryConfig, RegistryClient, ServiceGate, GATE_FUTEX_KEY};
 use crate::failure::{backoff_delay_jittered, FailureStats};
 use crate::workload::{etc_value_size_for_key, EtcWorkload, KvOp};
 use diablo_engine::metrics::MetricsVisitor;
@@ -146,8 +146,8 @@ pub struct McDispatcher {
     next_worker: usize,
     udp_reg_idx: usize,
     pending_conn: Option<Fd>,
-    /// Activation gate and its futex key (`None` = always serve).
-    gate: Option<(ServiceGate, u64)>,
+    /// Activation gate (`None` = always serve).
+    gate: Option<ServiceGate>,
     /// Last futex eventcount observed while parked on the gate.
     last_futex: u64,
     /// Connections accepted.
@@ -189,11 +189,16 @@ impl McDispatcher {
     }
 
     /// Gates this dispatcher behind a control-plane activation flag: it
-    /// parks on `futex_key` until the gate turns active.
+    /// parks on [`GATE_FUTEX_KEY`] until the gate turns active.
     #[must_use]
-    pub fn with_gate(mut self, gate: ServiceGate, futex_key: u64) -> Self {
-        self.gate = Some((gate, futex_key));
+    pub fn with_gate(mut self, gate: ServiceGate) -> Self {
+        self.gate = Some(gate);
         self
+    }
+
+    /// Requests this server's workers have served.
+    pub fn served(&self) -> u64 {
+        self.shared.lock().expect("poisoned").served
     }
 
     fn worker_epfd(&self, i: usize) -> Option<Fd> {
@@ -210,13 +215,13 @@ impl Process for McDispatcher {
         loop {
             match self.state {
                 DispState::Start => {
-                    if let Some((gate, key)) = &self.gate {
+                    if let Some(gate) = &self.gate {
                         if !gate.lock().expect("gate poisoned").active {
                             // Standby: park until the control agent
                             // activates this replica and wakes the futex.
                             self.state = DispState::Standby;
                             return Step::Syscall(Syscall::FutexWait {
-                                key: *key,
+                                key: GATE_FUTEX_KEY,
                                 seen: self.last_futex,
                             });
                         }
@@ -342,7 +347,7 @@ impl Process for McDispatcher {
 
     fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
         v.counter("accepted", self.accepted);
-        if let Some((gate, _)) = &self.gate {
+        if let Some(gate) = &self.gate {
             let active = gate.lock().expect("gate poisoned").active;
             v.gauge("service_active", if active { 1.0 } else { 0.0 });
         }
@@ -862,6 +867,21 @@ impl McClient {
             done: false,
             finished_at: SimTime::ZERO,
             cfg,
+        }
+    }
+
+    /// Refuses a restored server index the rebuilt server list cannot
+    /// hold: it would decode, then panic at the client's next request.
+    fn check_server_indices(&mut self) -> Result<(), SnapError> {
+        let n = self.cfg.servers.len();
+        let stale = match self.state {
+            CliState::CloseStale(i) => Some(i),
+            _ => None,
+        };
+        let mut indices = self.conns.keys().chain(&stale).chain([&self.current_server]);
+        match indices.find(|&&i| i >= n) {
+            Some(i) => Err(SnapError::Malformed(format!("server index {i} of a client with {n}"))),
+            None => Ok(()),
         }
     }
 
@@ -1464,7 +1484,7 @@ impl Process for McOpenLoopClient {
                     if let Some(d) = &self.cfg.discovery {
                         let slo = &self.slo;
                         if let Some(lookup) =
-                            self.registry.lookup_due(d, ctx.now, slo.completed, slo.violations)
+                            self.registry.lookup_due(ctx.now, slo.completed, slo.violations)
                         {
                             self.state = OlState::SendDone;
                             return Step::Syscall(Syscall::SendTo {
@@ -1616,7 +1636,7 @@ impl Process for McOpenLoopClient {
 // Snapshot layer
 // ====================================================================
 
-use diablo_engine::snap::Persist;
+use diablo_engine::snap::{Persist, SnapError};
 
 diablo_engine::impl_snap_enum!(DispState {
     0 => Start,
@@ -1749,7 +1769,7 @@ diablo_engine::impl_persist_fields!(McClient {
     done,
     finished_at,
     cfg: config,
-});
+} after_load = check_server_indices);
 
 diablo_engine::impl_persist_fields!(McOpenLoopClient {
     rng,
@@ -1791,6 +1811,28 @@ mod tests {
     fn versions_have_names() {
         assert_eq!(McVersion::V1_4_15.as_str(), "1.4.15");
         assert_eq!(McVersion::V1_4_17.as_str(), "1.4.17");
+    }
+
+    /// A snapshot naming a server index the rebuilt list cannot hold is
+    /// refused at load, not at the client's next request.
+    #[test]
+    fn a_restored_server_index_past_the_list_is_an_error() {
+        use diablo_engine::snap::{SnapReader, SnapWriter};
+        let client = |n: u32| {
+            let servers: Vec<SockAddr> =
+                (0..n).map(|i| SockAddr::new(NodeAddr(i), MEMCACHED_PORT)).collect();
+            McClient::new(McClientConfig::udp(servers, 10), DetRng::new(1))
+        };
+        let mut four = client(4);
+        four.current_server = 3;
+        let mut w = SnapWriter::new();
+        four.save_state(&mut w);
+        let bytes = w.into_bytes();
+        client(4).load_state(&mut SnapReader::new(&bytes)).expect("the same list restores");
+        let err = client(2)
+            .load_state(&mut SnapReader::new(&bytes))
+            .expect_err("index 3 of a 2-server list is refused");
+        assert!(err.to_string().contains("server index 3 of a client with 2"), "{err}");
     }
 
     #[test]

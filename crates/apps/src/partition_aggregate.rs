@@ -489,7 +489,7 @@ impl Process for PaFrontend {
                             (self.completed, self.deadline_misses)
                         };
                         if let Some(lookup) =
-                            self.registry.lookup_due(d, ctx.now, completed, violations)
+                            self.registry.lookup_due(ctx.now, completed, violations)
                         {
                             self.state = FeState::LookupSent;
                             return Step::Syscall(Syscall::SendTo {

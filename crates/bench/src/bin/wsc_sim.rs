@@ -395,9 +395,7 @@ fn print_control(ctl: Option<&ControlReport>) {
         ctl.commands_dropped,
         ctl.placement_stalls
     );
-    for (id, desired, ready) in &ctl.replicas {
-        println!("  service {id}: desired={desired} ready={ready}");
-    }
+    println!("  service 0: desired={} ready={}", ctl.desired, ctl.ready);
     if !ctl.replacement_latency.is_empty() {
         println!(
             "  replacement latency: n={} p50={:.1}us max={:.1}us",

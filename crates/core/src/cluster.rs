@@ -727,6 +727,15 @@ impl Cluster {
         host.component::<ServerNode>(self.node(addr))?.kernel().process::<T>(tid)
     }
 
+    /// Every guest process of type `T` on the cluster: nodes in address
+    /// order, each node's threads in tid order.
+    pub fn processes<'h, T: Any>(&'h self, host: &'h SimHost) -> impl Iterator<Item = &'h T> {
+        self.nodes
+            .iter()
+            .filter_map(|&id| host.component::<ServerNode>(id))
+            .flat_map(|node| node.kernel().processes::<T>())
+    }
+
     /// Sums switch buffer drops over all switches.
     pub fn total_switch_drops(&self, host: &SimHost) -> u64 {
         self.switches
@@ -743,6 +752,32 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `processes` yields only the type asked for: nodes in address order,
+    /// each node's threads in tid order, whatever order they were spawned
+    /// in across nodes, serially and on two partitions.
+    #[test]
+    fn processes_walks_one_type_in_node_then_tid_order() {
+        use diablo_apps::echo::{Spinner, TcpEchoServer, UdpEchoServer};
+        let spec =
+            ClusterSpec::gbe(TopologyConfig { racks: 2, servers_per_rack: 2, racks_per_array: 2 });
+        for mode in [RunMode::Serial, RunMode::parallel(2)] {
+            let (mut host, cluster) = Cluster::instantiate(&spec, mode);
+            let echo = |port| -> Box<dyn Process> { Box::new(UdpEchoServer::new(port)) };
+            cluster.spawn(&mut host, NodeAddr(3), Box::new(Spinner::new(7, 1)));
+            cluster.spawn(&mut host, NodeAddr(2), echo(20));
+            cluster.spawn(&mut host, NodeAddr(2), Box::new(Spinner::new(6, 1)));
+            cluster.spawn(&mut host, NodeAddr(2), echo(21));
+            cluster.spawn(&mut host, NodeAddr(0), echo(10));
+            cluster.spawn(&mut host, NodeAddr(1), Box::new(Spinner::new(5, 1)));
+            let ports: Vec<u16> =
+                cluster.processes::<UdpEchoServer>(&host).map(|e| e.port).collect();
+            assert_eq!(ports, [10, 20, 21], "{mode:?}");
+            let bursts: Vec<u64> = cluster.processes::<Spinner>(&host).map(|s| s.burst).collect();
+            assert_eq!(bursts, [5, 6, 7], "{mode:?}");
+            assert_eq!(cluster.processes::<TcpEchoServer>(&host).count(), 0, "{mode:?}");
+        }
+    }
 
     #[test]
     fn fabric_tokens_parse_and_malformed_ones_are_rejected() {

@@ -1,15 +1,15 @@
-//! The generic experiment lifecycle: one harness owning everything every
-//! workload run shares.
+//! The generic experiment lifecycle: everything every workload run shares,
+//! written once.
 //!
 //! The paper drives each case study (§4.1 incast, §4.2 memcached) through
 //! the same simulator lifecycle — build the array, load the software,
-//! drive it to completion, collect timing. [`ExperimentHarness`] is that
-//! lifecycle, written exactly once:
+//! drive it to completion, collect timing. [`run`] and [`warm`] are that
+//! lifecycle, one drive loop behind both:
 //!
 //! 1. assemble a [`ClusterSpec`] from a shared [`ExperimentBase`]
 //!    (topology, link speed, kernel, CPU, seed, executor mode);
 //! 2. apply the scripted [`FaultPlan`], if any;
-//! 3. let the [`Workload`] spawn its guest processes;
+//! 3. let the [`Experiment`] spawn its guest processes;
 //! 4. drive the simulation with a doubling horizon, sampling the cluster
 //!    into a [`SeriesRecorder`] at the configured cadence, until the
 //!    workload reports completion — or its simulated-time budget runs
@@ -20,13 +20,14 @@
 //!    run-level measurements (events, executor report, metric scrape,
 //!    series, conservation audit, failure accounting).
 //!
-//! Workloads implement the [`Workload`] trait: spawn processes in
-//! [`build`](Workload::build), poll a done flag in
-//! [`is_done`](Workload::is_done) (keep the poll cheap — it runs on every
-//! horizon doubling), and extract results once in
-//! [`summarize`](Workload::summarize) after completion. Their configs
-//! implement [`Experiment`], which the two verbs take: [`run`] drives one
-//! to completion, [`warm`] to a checkpoint instant and no further.
+//! A workload's config implements [`Experiment`]: say what it checks and
+//! the base it describes, spawn processes in
+//! [`build`](Experiment::build), poll done flags in
+//! [`is_done`](Experiment::is_done) (keep the poll cheap — it runs on
+//! every horizon doubling), and extract results once in
+//! [`summarize`](Experiment::summarize) after completion, finding its
+//! processes by type ([`Cluster::processes`]). [`run`] drives one to
+//! completion, [`warm`] to a checkpoint instant and no further.
 
 use crate::cluster::{Cluster, ClusterSpec, FabricKind, RunMode, SimHost, SwitchTemplate};
 use crate::fault::{FaultPlan, FaultPlanError};
@@ -53,7 +54,7 @@ pub const DEFAULT_DCTCP_ECN_THRESHOLD: u32 = 16 * 1024;
 /// The experiment knobs every workload shares: cluster shape, fabric and
 /// speed, guest software profile, congestion control, executor selection,
 /// determinism seed, fault schedule and sampling cadence.
-/// Workload-specific configs embed or produce one of these; the harness
+/// Workload-specific configs embed or produce one of these; the lifecycle
 /// turns it into a [`ClusterSpec`] in exactly one place.
 #[derive(Debug, Clone)]
 pub struct ExperimentBase {
@@ -178,58 +179,6 @@ impl ExperimentBase {
 }
 
 // ====================================================================
-// The Workload trait
-// ====================================================================
-
-/// One simulated application driven through the experiment lifecycle.
-///
-/// Implementations spawn guest processes, report completion, and extract
-/// their workload-specific numbers; the [`ExperimentHarness`] owns
-/// everything else. See the module docs for the lifecycle and DESIGN.md
-/// §11 for a how-to-add-a-workload walkthrough.
-pub trait Workload {
-    /// The workload-specific measurements [`summarize`](Workload::summarize)
-    /// produces (per-iteration times, latency histograms, …).
-    type Summary;
-
-    /// Short name used in progress and error messages (`"incast"`,
-    /// `"memcached"`, `"partition-aggregate"`).
-    fn name(&self) -> &str;
-
-    /// Simulated-time budget: the run fails with
-    /// [`ExperimentError::BudgetExhausted`] if the workload has not
-    /// completed by this horizon. Be generous — faults can stretch a run
-    /// by many retransmission backoffs.
-    fn budget(&self) -> SimTime;
-
-    /// First drive horizon; the harness doubles it (capped at the budget)
-    /// after every completion poll that comes back pending.
-    fn initial_horizon(&self) -> SimTime {
-        SimTime::from_millis(500)
-    }
-
-    /// Spawns the workload's guest processes into the freshly built
-    /// cluster.
-    fn build(&mut self, host: &mut SimHost, cluster: &Cluster);
-
-    /// Completion poll, run after every horizon. Keep it cheap — check
-    /// done flags only; extract results in
-    /// [`summarize`](Workload::summarize), which runs exactly once.
-    fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool;
-
-    /// Extracts the workload's measurements after completion (called
-    /// once, before the settle phase runs trailing traffic out), with the
-    /// client-side failure/recovery accounting (all zeros in a fault-free
-    /// run) and the open-loop SLO accounting (empty in a closed-loop run)
-    /// merged over all its processes in the same walk.
-    fn summarize(
-        &self,
-        host: &SimHost,
-        cluster: &Cluster,
-    ) -> (Self::Summary, FailureStats, SloStats);
-}
-
-// ====================================================================
 // Errors
 // ====================================================================
 
@@ -244,7 +193,7 @@ pub enum ExperimentError {
     /// (a deadlock, a fault schedule it cannot recover from, or a budget
     /// that is simply too small).
     BudgetExhausted {
-        /// [`Workload::name`] of the stuck workload.
+        /// [`Experiment::name`] of the stuck workload.
         workload: String,
         /// The exhausted budget.
         budget: SimTime,
@@ -314,8 +263,8 @@ impl From<FaultPlanError> for ExperimentError {
 // The run envelope
 // ====================================================================
 
-/// The run-level measurements common to every workload, wrapped around
-/// each workload's own [`Workload::Summary`].
+/// The run-level measurements common to every workload, folded into each
+/// workload's own result by [`Experiment::result`].
 #[derive(Debug, Clone)]
 pub struct RunEnvelope {
     /// Events processed (simulator-performance reporting).
@@ -351,7 +300,7 @@ impl RunEnvelope {
 }
 
 // ====================================================================
-// The harness
+// The drive loop
 // ====================================================================
 
 /// Advances `host` to `target`, scraping the cluster into `series` at
@@ -413,184 +362,150 @@ pub struct CheckpointPolicy {
     pub restore_from: Option<std::path::PathBuf>,
 }
 
-/// The generic experiment runner: owns the lifecycle every workload
-/// shares. See the module docs for the phase-by-phase description.
-#[derive(Debug, Clone)]
-pub struct ExperimentHarness {
-    /// The shared experiment configuration.
-    pub base: ExperimentBase,
+/// The structural fingerprint stamped into (and demanded of) a run's
+/// snapshots: topology shape, fabric kind, and workload name — never
+/// sweepable knobs, so one warmed checkpoint can seed many
+/// differently-tuned sweep points, but never a cluster of a different
+/// shape.
+pub(crate) fn fingerprint(base: &ExperimentBase, workload: &str) -> u64 {
+    let t = &base.topology;
+    snapshot::fingerprint([
+        format!("racks={}", t.racks),
+        format!("servers_per_rack={}", t.servers_per_rack),
+        format!("racks_per_array={}", t.racks_per_array),
+        format!("fabric={}", base.fabric.name()),
+        format!("workload={workload}"),
+    ])
 }
 
-impl ExperimentHarness {
-    /// Creates a harness over the shared configuration.
-    pub fn new(base: ExperimentBase) -> Self {
-        ExperimentHarness { base }
-    }
+/// The drive loop of [`run`] and [`warm`], optionally writing a mid-run
+/// checkpoint and/or seeding from a restored one. With `stop_after_save`
+/// it returns `None` right after it writes the policy's snapshot: the
+/// warm-up leg of a sweep, which is therefore indistinguishable from a run
+/// that checkpointed mid-flight. Its errors are [`run`]'s, but for
+/// [`ExperimentError::InvalidConfig`]: it does not validate.
+fn drive<C: Experiment>(
+    cfg: &C,
+    ckpt: &CheckpointPolicy,
+    stop_after_save: bool,
+) -> Result<Option<(C::Result, RunEnvelope)>, ExperimentError> {
+    let wall_start = std::time::Instant::now();
 
-    /// The structural fingerprint stamped into (and demanded of) this
-    /// harness's snapshots: topology shape, fabric kind, and workload
-    /// name — never sweepable knobs, so one warmed checkpoint can seed
-    /// many differently-tuned sweep points, but never a cluster of a
-    /// different shape.
-    pub fn fingerprint(&self, workload_name: &str) -> u64 {
-        let t = &self.base.topology;
-        snapshot::fingerprint([
-            format!("racks={}", t.racks),
-            format!("servers_per_rack={}", t.servers_per_rack),
-            format!("racks_per_array={}", t.racks_per_array),
-            format!("fabric={}", self.base.fabric.name()),
-            format!("workload={workload_name}"),
-        ])
-    }
+    // 1. Assemble the cluster.
+    let base = cfg.base();
+    let (mut host, cluster) = Cluster::instantiate(&base.spec(), base.mode);
+    let fingerprint = fingerprint(&base, cfg.name());
+    let budget = cfg.budget();
 
-    /// Runs `workload` through the full lifecycle, optionally writing a
-    /// mid-run checkpoint and/or seeding from a restored one.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::BudgetExhausted`] when the workload does not
-    /// complete within [`Workload::budget`];
-    /// [`ExperimentError::FaultPlan`] when the configured fault plan does
-    /// not fit the cluster; [`ExperimentError::Engine`] on executor
-    /// failures; [`ExperimentError::Snapshot`] on checkpoint I/O or
-    /// validation failures and [`ExperimentError::CheckpointUnreached`]
-    /// when the run completes before the requested snapshot instant.
-    pub fn run_with<W: Workload>(
-        &self,
-        workload: &mut W,
-        ckpt: &CheckpointPolicy,
-    ) -> Result<(W::Summary, RunEnvelope), ExperimentError> {
-        let done = self.drive(workload, ckpt, false)?;
-        Ok(done.expect("only a warm-up stops at its snapshot"))
-    }
+    // 2-3. Fault schedule and software — or a restored snapshot.
+    let mut drive = if let Some(path) = &ckpt.restore_from {
+        // Restore: rebuild structure and guest software from the
+        // scenario config, then overwrite all evolving state. Fault
+        // timers ride the snapshot's event queue, so the plan is not
+        // re-applied (doing so would double-fire every fault).
+        cfg.build(&mut host, &cluster);
+        snapshot::read_snapshot_file(path, &mut host, fingerprint)?
+    } else {
+        if let Some(plan) = &base.faults {
+            plan.apply(&mut host, &cluster)?;
+        }
+        cfg.build(&mut host, &cluster);
+        DriveState {
+            horizon: cfg.initial_horizon().min(budget),
+            next_sample: base.sample_every.map_or(SimTime::ZERO, |d| SimTime::ZERO + d),
+            series: base.sample_every.map(|_| SeriesRecorder::new()),
+        }
+    };
 
-    /// The drive loop of [`run_with`](ExperimentHarness::run_with). With
-    /// `stop_after_save` it returns `None` right after it writes the
-    /// policy's snapshot: the warm-up leg of a sweep ([`warm`]), which is
-    /// therefore indistinguishable from a run that checkpointed mid-flight.
-    pub(crate) fn drive<W: Workload>(
-        &self,
-        workload: &mut W,
-        ckpt: &CheckpointPolicy,
-        stop_after_save: bool,
-    ) -> Result<Option<(W::Summary, RunEnvelope)>, ExperimentError> {
-        let wall_start = std::time::Instant::now();
-
-        // 1. Assemble the cluster.
-        let spec = self.base.spec();
-        let (mut host, cluster) = Cluster::instantiate(&spec, self.base.mode);
-        let fingerprint = self.fingerprint(workload.name());
-        let budget = workload.budget();
-
-        // 2-3. Fault schedule and software — or a restored snapshot.
-        let mut drive = if let Some(path) = &ckpt.restore_from {
-            // Restore: rebuild structure and guest software from the
-            // scenario config, then overwrite all evolving state. Fault
-            // timers ride the snapshot's event queue, so the plan is
-            // not re-applied (doing so would double-fire every fault).
-            workload.build(&mut host, &cluster);
-            snapshot::read_snapshot_file(path, &mut host, fingerprint)?
-        } else {
-            if let Some(plan) = &self.base.faults {
-                plan.apply(&mut host, &cluster)?;
-            }
-            workload.build(&mut host, &cluster);
-            DriveState {
-                horizon: workload.initial_horizon().min(budget),
-                next_sample: self.base.sample_every.map_or(SimTime::ZERO, |d| SimTime::ZERO + d),
-                series: self.base.sample_every.map(|_| SeriesRecorder::new()),
-            }
-        };
-
-        // 4. Drive with a doubling horizon until the workload completes,
-        // snapshotting exactly at the requested instant along the way.
-        let mut pending_save = ckpt.save.clone();
-        loop {
-            if let Some((path, at)) = &pending_save {
-                if *at <= drive.horizon && *at >= host.now() {
-                    advance(
-                        &mut host,
-                        &cluster,
-                        *at,
-                        self.base.sample_every,
-                        &mut drive.next_sample,
-                        drive.series.as_mut(),
-                    )?;
-                    snapshot::write_snapshot_file(path, &mut host, fingerprint, &drive)?;
-                    if stop_after_save {
-                        return Ok(None);
-                    }
-                    pending_save = None;
+    // 4. Drive with a doubling horizon until the workload completes,
+    // snapshotting exactly at the requested instant along the way.
+    let mut pending_save = ckpt.save.clone();
+    loop {
+        if let Some((path, at)) = &pending_save {
+            if *at <= drive.horizon && *at >= host.now() {
+                advance(
+                    &mut host,
+                    &cluster,
+                    *at,
+                    base.sample_every,
+                    &mut drive.next_sample,
+                    drive.series.as_mut(),
+                )?;
+                snapshot::write_snapshot_file(path, &mut host, fingerprint, &drive)?;
+                if stop_after_save {
+                    return Ok(None);
                 }
+                pending_save = None;
             }
-            advance(
-                &mut host,
-                &cluster,
-                drive.horizon,
-                self.base.sample_every,
-                &mut drive.next_sample,
-                drive.series.as_mut(),
-            )?;
-            if workload.is_done(&host, &cluster) {
-                break;
-            }
-            if drive.horizon >= budget {
-                return Err(ExperimentError::BudgetExhausted {
-                    workload: workload.name().to_string(),
-                    budget,
-                    at: host.now(),
-                });
-            }
-            drive.horizon = SimTime::from_picos(drive.horizon.as_picos() * 2).min(budget);
         }
-        if let Some((_, at)) = pending_save {
-            return Err(ExperimentError::CheckpointUnreached { at, finished_at: host.now() });
+        advance(
+            &mut host,
+            &cluster,
+            drive.horizon,
+            base.sample_every,
+            &mut drive.next_sample,
+            drive.series.as_mut(),
+        )?;
+        if cfg.is_done(&host, &cluster) {
+            break;
         }
-        let series = drive.series;
-
-        // 5. Extract results, then settle trailing traffic and audit.
-        let (summary, failure, slo) = workload.summarize(&host, &cluster);
-        let conservation = settle(&mut host, &cluster)?;
-        debug_assert!(
-            conservation.is_balanced(),
-            "{} frame conservation violated: {:?}",
-            workload.name(),
-            conservation.violations
-        );
-
-        // 6. Wrap it all in the envelope.
-        let envelope = RunEnvelope {
-            events: host.events_processed(),
-            exec: host.exec_report(),
-            metrics: cluster.scrape(&host),
-            series,
-            conservation,
-            failure,
-            slo,
-            sim_time: host.now(),
-            wall: wall_start.elapsed(),
-        };
-        Ok(Some((summary, envelope)))
+        if drive.horizon >= budget {
+            return Err(ExperimentError::BudgetExhausted {
+                workload: cfg.name().to_string(),
+                budget,
+                at: host.now(),
+            });
+        }
+        drive.horizon = SimTime::from_picos(drive.horizon.as_picos() * 2).min(budget);
     }
+    if let Some((_, at)) = pending_save {
+        return Err(ExperimentError::CheckpointUnreached { at, finished_at: host.now() });
+    }
+    let series = drive.series;
+
+    // 5. Extract results, then settle trailing traffic and audit.
+    let (summary, failure, slo) = cfg.summarize(&host, &cluster);
+    let conservation = settle(&mut host, &cluster)?;
+    debug_assert!(
+        conservation.is_balanced(),
+        "{} frame conservation violated: {:?}",
+        cfg.name(),
+        conservation.violations
+    );
+
+    // 6. Wrap it all in the envelope.
+    let envelope = RunEnvelope {
+        events: host.events_processed(),
+        exec: host.exec_report(),
+        metrics: cluster.scrape(&host),
+        series,
+        conservation,
+        failure,
+        slo,
+        sim_time: host.now(),
+        wall: wall_start.elapsed(),
+    };
+    Ok(Some((summary, envelope)))
 }
 
 // ====================================================================
 // The two verbs
 // ====================================================================
 
-/// A workload configuration the two verbs [`run`] and [`warm`] drive:
-/// implemented by each workload's config, which says only what is its own
-/// — what it checks, the base it describes, the [`Workload`] it builds,
-/// and how a run's envelope folds into its result.
+/// A workload the two verbs [`run`] and [`warm`] drive, implemented by
+/// the workload's config: what it checks, the base it describes, the
+/// guest processes it spawns, when it is done, what it measures, and how
+/// a run's envelope folds into its result. See DESIGN.md §11 for a
+/// how-to-add-a-workload walkthrough.
 pub trait Experiment {
-    /// What a finished run returns. The workload's
-    /// [`summarize`](Workload::summarize) fills the fields it measures,
+    /// What a finished run returns. [`summarize`](Experiment::summarize)
+    /// fills the fields the workload measures,
     /// [`result`](Experiment::result) those of the [`RunEnvelope`].
     type Result;
-    /// The workload the config builds, borrowing it.
-    type Workload<'a>: Workload<Summary = Self::Result>
-    where
-        Self: 'a;
+
+    /// Short name used in progress and error messages and in the snapshot
+    /// fingerprint (`"incast"`, `"memcached"`, `"partition-aggregate"`).
+    fn name(&self) -> &str;
 
     /// The first requirement the config breaks, naming the field and the
     /// limit, as [`validate`](Experiment::validate) reports it.
@@ -610,8 +525,37 @@ pub trait Experiment {
     /// The shared experiment base this config describes.
     fn base(&self) -> ExperimentBase;
 
-    /// The workload, not yet built.
-    fn workload(&self) -> Self::Workload<'_>;
+    /// Simulated-time budget: the run fails with
+    /// [`ExperimentError::BudgetExhausted`] if the workload has not
+    /// completed by this horizon. Be generous — faults can stretch a run
+    /// by many retransmission backoffs.
+    fn budget(&self) -> SimTime;
+
+    /// First drive horizon; the drive loop doubles it (capped at the
+    /// budget) after every completion poll that comes back pending.
+    fn initial_horizon(&self) -> SimTime {
+        SimTime::from_millis(500)
+    }
+
+    /// Spawns the workload's guest processes into the freshly built
+    /// cluster.
+    fn build(&self, host: &mut SimHost, cluster: &Cluster);
+
+    /// Completion poll, run after every horizon. Keep it cheap — check
+    /// done flags only; extract results in
+    /// [`summarize`](Experiment::summarize), which runs exactly once.
+    fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool;
+
+    /// Extracts the workload's measurements after completion (called
+    /// once, before the settle phase runs trailing traffic out), with the
+    /// client-side failure/recovery accounting (all zeros in a fault-free
+    /// run) and the open-loop SLO accounting (empty in a closed-loop run)
+    /// merged over all its processes in the same walk.
+    fn summarize(
+        &self,
+        host: &SimHost,
+        cluster: &Cluster,
+    ) -> (Self::Result, FailureStats, SloStats);
 
     /// The workload's summary with the envelope's fields filled in.
     fn result(summary: Self::Result, envelope: RunEnvelope) -> Self::Result;
@@ -622,12 +566,17 @@ pub trait Experiment {
 ///
 /// # Errors
 ///
-/// [`ExperimentError::InvalidConfig`], or what
-/// [`ExperimentHarness::run_with`] returns.
+/// [`ExperimentError::InvalidConfig`]; [`ExperimentError::BudgetExhausted`]
+/// when the workload does not complete within [`Experiment::budget`];
+/// [`ExperimentError::FaultPlan`] when the configured fault plan does not
+/// fit the cluster; [`ExperimentError::Engine`] on executor failures;
+/// [`ExperimentError::Snapshot`] on checkpoint I/O or validation failures
+/// and [`ExperimentError::CheckpointUnreached`] when the run completes
+/// before the requested snapshot instant.
 pub fn run<C: Experiment>(cfg: &C, ckpt: &CheckpointPolicy) -> Result<C::Result, ExperimentError> {
     cfg.validate()?;
     let (summary, envelope) =
-        ExperimentHarness::new(cfg.base()).run_with(&mut cfg.workload(), ckpt)?;
+        drive(cfg, ckpt, false)?.expect("only a warm-up stops at its snapshot");
     Ok(C::result(summary, envelope))
 }
 
@@ -636,10 +585,9 @@ pub fn run<C: Experiment>(cfg: &C, ckpt: &CheckpointPolicy) -> Result<C::Result,
 ///
 /// # Errors
 ///
-/// [`ExperimentError::InvalidConfig`], or what
-/// [`ExperimentHarness::run_with`] returns for the same checkpoint,
-/// including [`ExperimentError::CheckpointUnreached`] when the workload
-/// completes before `at`.
+/// What [`run`] returns for the same checkpoint, including
+/// [`ExperimentError::CheckpointUnreached`] when the workload completes
+/// before `at`.
 pub fn warm(
     cfg: &impl Experiment,
     path: &std::path::Path,
@@ -647,23 +595,35 @@ pub fn warm(
 ) -> Result<(), ExperimentError> {
     cfg.validate()?;
     let save = CheckpointPolicy { save: Some((path.to_path_buf(), at)), restore_from: None };
-    ExperimentHarness::new(cfg.base()).drive(&mut cfg.workload(), &save, true).map(drop)
+    drive(cfg, &save, true).map(drop)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A workload that spawns nothing and never finishes: the harness
+    fn tiny_base() -> ExperimentBase {
+        ExperimentBase::new(TopologyConfig { racks: 1, servers_per_rack: 2, racks_per_array: 1 })
+    }
+
+    /// A workload that spawns nothing and never finishes: the drive loop
     /// must surface a structured budget-exhaustion error naming it, not
     /// panic.
     struct NeverDone;
 
-    impl Workload for NeverDone {
-        type Summary = ();
+    impl Experiment for NeverDone {
+        type Result = ();
 
         fn name(&self) -> &str {
             "never-done"
+        }
+
+        fn check(&self) -> Result<(), String> {
+            Ok(())
+        }
+
+        fn base(&self) -> ExperimentBase {
+            tiny_base()
         }
 
         fn budget(&self) -> SimTime {
@@ -674,7 +634,7 @@ mod tests {
             SimTime::from_millis(5)
         }
 
-        fn build(&mut self, _host: &mut SimHost, _cluster: &Cluster) {}
+        fn build(&self, _host: &mut SimHost, _cluster: &Cluster) {}
 
         fn is_done(&self, _host: &SimHost, _cluster: &Cluster) -> bool {
             false
@@ -683,16 +643,13 @@ mod tests {
         fn summarize(&self, _: &SimHost, _: &Cluster) -> ((), FailureStats, SloStats) {
             Default::default()
         }
-    }
 
-    fn tiny_base() -> ExperimentBase {
-        ExperimentBase::new(TopologyConfig { racks: 1, servers_per_rack: 2, racks_per_array: 1 })
+        fn result((): (), _: RunEnvelope) {}
     }
 
     #[test]
     fn budget_exhaustion_is_a_structured_error_naming_the_workload() {
-        let err = ExperimentHarness::new(tiny_base())
-            .run_with(&mut NeverDone, &CheckpointPolicy::default())
+        let err = run(&NeverDone, &CheckpointPolicy::default())
             .expect_err("a never-done workload must exhaust its budget");
         match &err {
             ExperimentError::BudgetExhausted { workload, budget, at } => {
@@ -711,18 +668,26 @@ mod tests {
     /// and yields a balanced, quiescent envelope.
     struct Immediate;
 
-    impl Workload for Immediate {
-        type Summary = u32;
+    impl Experiment for Immediate {
+        type Result = u32;
 
         fn name(&self) -> &str {
             "immediate"
+        }
+
+        fn check(&self) -> Result<(), String> {
+            Ok(())
+        }
+
+        fn base(&self) -> ExperimentBase {
+            tiny_base()
         }
 
         fn budget(&self) -> SimTime {
             SimTime::from_millis(10)
         }
 
-        fn build(&mut self, _host: &mut SimHost, _cluster: &Cluster) {}
+        fn build(&self, _host: &mut SimHost, _cluster: &Cluster) {}
 
         fn is_done(&self, _host: &SimHost, _cluster: &Cluster) -> bool {
             true
@@ -731,13 +696,17 @@ mod tests {
         fn summarize(&self, _: &SimHost, _: &Cluster) -> (u32, FailureStats, SloStats) {
             (42, FailureStats::default(), SloStats::default())
         }
+
+        fn result(summary: u32, _: RunEnvelope) -> u32 {
+            summary
+        }
     }
 
     #[test]
     fn trivial_workload_completes_with_conserved_envelope() {
-        let (summary, env) = ExperimentHarness::new(tiny_base())
-            .run_with(&mut Immediate, &CheckpointPolicy::default())
-            .expect("run failed");
+        let (summary, env) = drive(&Immediate, &CheckpointPolicy::default(), false)
+            .expect("run failed")
+            .expect("a run without a warm-up completes");
         assert_eq!(summary, 42);
         assert!(env.conserved(), "idle cluster must balance: {:?}", env.conservation.violations);
         assert_eq!(env.failure, FailureStats::default());

@@ -1,31 +1,30 @@
 //! Experiment definitions: assembled scenarios matching the paper's case
 //! studies (§4), returning the measurements the figures plot.
 //!
-//! Every experiment here is a [`Workload`] implementation driven by the
-//! generic [`ExperimentHarness`](crate::experiment::ExperimentHarness) —
-//! the drive loop, sampling, settle, conservation audit and failure merge
-//! live exactly once in [`crate::experiment`]; this module only describes
-//! *what* runs (which guest processes, where) and *what to measure*.
+//! Every experiment here is an [`Experiment`] implementation driven by the
+//! generic [`run`] and [`warm`] — the drive loop, sampling, settle,
+//! conservation audit and failure merge live exactly once in
+//! [`crate::experiment`]; this module only describes *what* runs (which
+//! guest processes, where) and *what to measure*.
 
 use crate::cluster::{Cluster, FabricKind, RunMode, SimHost, SwitchTemplate};
 use crate::experiment::{
     ensure, run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError, RunEnvelope,
-    Workload,
 };
 use crate::fault::FaultPlan;
 use crate::observe::DropAccounting;
 use diablo_apps::arrival::{ArrivalSpec, SloStats};
 use diablo_apps::control::{
-    gate_futex_key, service_gate, ControlAgent, ControlConfig, ControlPlane, ControlReport,
-    DiscoveryConfig, ServiceGate, ServiceSpec, AGENT_PORT, CONTROL_PORT,
+    service_gate, ControlAgent, ControlConfig, ControlPlane, ControlReport, DiscoveryConfig,
+    ServiceGate, ServiceSpec, CONTROL_PORT,
 };
 use diablo_apps::failure::FailureStats;
 use diablo_apps::incast::{
     shared, IncastEpollClient, IncastMaster, IncastServer, IncastWorker, INCAST_PORT,
 };
 use diablo_apps::memcached::{
-    mc_shared, McClient, McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig,
-    McSharedHandle, McVersion, McWorker, MEMCACHED_PORT,
+    mc_shared, McClient, McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig, McVersion,
+    McWorker, MEMCACHED_PORT,
 };
 use diablo_apps::partition_aggregate::{
     PaFrontend, PaFrontendConfig, PaLeaf, PaLeafConfig, PA_PORT,
@@ -36,9 +35,8 @@ use diablo_engine::prelude::{
 use diablo_net::switch::BufferConfig;
 use diablo_net::topology::{FatTreeConfig, HopClass, TopologyConfig};
 use diablo_net::{NodeAddr, SockAddr};
-use diablo_stack::process::{Proto, Tid};
+use diablo_stack::process::Proto;
 use diablo_stack::profile::{CongestionControl, KernelProfile};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // ====================================================================
@@ -81,8 +79,8 @@ fn check_control(ctl: &ControlConfig, pool_len: usize, pool: &str) -> Result<(),
 /// already spawned: a [`ControlAgent`] joins each pool node, heartbeats
 /// staggered evenly across one period so the scheduler never sees a
 /// synchronized burst, and the [`ControlPlane`] scheduler starts on
-/// `cp_node`. `gates` holds one service gate map per pool entry (none:
-/// the agents are pure health beacons). Returns what a client needs to
+/// `cp_node`. `gates` holds one service gate per pool entry (none: the
+/// agents are pure health beacons). Returns what a client needs to
 /// discover the pool through the registry.
 fn attach_control_plane(
     host: &mut SimHost,
@@ -91,7 +89,7 @@ fn attach_control_plane(
     cp_node: NodeAddr,
     pool: &[SockAddr],
     initial: Vec<usize>,
-    gates: Vec<BTreeMap<u32, ServiceGate>>,
+    gates: Vec<ServiceGate>,
 ) -> DiscoveryConfig {
     let control = SockAddr::new(cp_node, CONTROL_PORT);
     let mut gates = gates.into_iter();
@@ -99,39 +97,22 @@ fn attach_control_plane(
         let stagger = SimDuration::from_picos(
             ctl.heartbeat_every.as_picos() * idx as u64 / pool.len() as u64,
         );
-        let agent = ControlAgent::new(
-            control,
-            ctl.heartbeat_every,
-            stagger,
-            gates.next().unwrap_or_default(),
-        );
+        let agent = ControlAgent::new(control, ctl.heartbeat_every, stagger, gates.next());
         cluster.spawn(host, replica.node, Box::new(agent));
     }
     let initial_mask = initial.iter().fold(0u128, |m, &i| m | (1u128 << i));
     let spec = ServiceSpec {
-        id: 0,
         pool: pool.to_vec(),
-        agents: pool.iter().map(|r| SockAddr::new(r.node, AGENT_PORT)).collect(),
         racks: pool.iter().map(|r| cluster.topo.rack_of(r.node) as u32).collect(),
         initial,
     };
-    cluster.spawn(
-        host,
-        cp_node,
-        Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
-    );
-    DiscoveryConfig { control, service: 0, initial_mask }
+    cluster.spawn(host, cp_node, Box::new(ControlPlane::new(ctl.clone(), spec)));
+    DiscoveryConfig { control, initial_mask }
 }
 
-/// The scheduler's end-of-run counters, when `cp_node` runs one.
-fn control_report(
-    host: &SimHost,
-    cluster: &Cluster,
-    cp_node: Option<NodeAddr>,
-) -> Option<ControlReport> {
-    cp_node.map(|cp| {
-        cluster.process::<ControlPlane>(host, cp, Tid(0)).expect("control plane missing").report()
-    })
+/// The scheduler's end-of-run counters, when the cluster runs one.
+fn control_report(host: &SimHost, cluster: &Cluster) -> Option<ControlReport> {
+    cluster.processes::<ControlPlane>(host).next().map(ControlPlane::report)
 }
 
 // ====================================================================
@@ -259,9 +240,16 @@ impl IncastConfig {
     }
 }
 
+/// Node 0, the incast client (pthread master+workers, or one epoll loop);
+/// the storage servers sit on nodes 1..=n.
+const INCAST_CLIENT: NodeAddr = NodeAddr(0);
+
 impl Experiment for IncastConfig {
     type Result = IncastResult;
-    type Workload<'a> = IncastWorkload<'a>;
+
+    fn name(&self) -> &str {
+        "incast"
+    }
 
     fn check(&self) -> Result<(), String> {
         let base = self.base();
@@ -324,8 +312,101 @@ impl Experiment for IncastConfig {
         }
     }
 
-    fn workload(&self) -> IncastWorkload<'_> {
-        IncastWorkload { cfg: self }
+    fn budget(&self) -> SimTime {
+        if let Some(spec) = &self.arrival {
+            // Open loop: the schedule's horizon bounds admissions; slack
+            // covers the trailing iteration's RTO backoffs.
+            return SimTime::ZERO + spec.horizon() + SimDuration::from_secs(10);
+        }
+        // Worst case: every iteration eats several RTO backoffs.
+        SimTime::from_secs(10 + 3 * self.iterations)
+    }
+
+    fn build(&self, host: &mut SimHost, cluster: &Cluster) {
+        let n = self.servers;
+        let servers: Vec<SockAddr> =
+            (1..=n).map(|i| SockAddr::new(NodeAddr(i as u32), INCAST_PORT)).collect();
+        for s in &servers {
+            cluster.spawn(host, s.node, Box::new(IncastServer::new()));
+        }
+        let fragment = self.block_bytes / n as u32;
+        // Monitoring control plane: a health beacon on every server, the
+        // scheduler on one extra node past the last server. It observes
+        // liveness through the same congested fabric the incast burst
+        // saturates but does not steer the client.
+        if let Some(ctl) = &self.control {
+            let cp_node = NodeAddr(n as u32 + 1);
+            attach_control_plane(host, cluster, ctl, cp_node, &servers, (0..n).collect(), vec![]);
+        }
+        match self.client {
+            IncastClientKind::Pthread => {
+                let sh = shared(n);
+                cluster.spawn(
+                    host,
+                    INCAST_CLIENT,
+                    Box::new(IncastMaster::new(n, self.iterations, sh.clone())),
+                );
+                for s in &servers {
+                    cluster.spawn(
+                        host,
+                        INCAST_CLIENT,
+                        Box::new(IncastWorker::new(*s, fragment, sh.clone())),
+                    );
+                }
+            }
+            IncastClientKind::Epoll => {
+                let mut client = IncastEpollClient::new(servers, fragment, self.iterations);
+                if let Some(d) = self.request_deadline {
+                    client = client.with_deadline(d);
+                }
+                if let Some(spec) = &self.arrival {
+                    client = client.with_arrival(spec.clone(), DetRng::new(self.seed ^ 0xa11));
+                }
+                if let Some(target) = self.slo {
+                    client = client.with_slo(target);
+                }
+                cluster.spawn(host, INCAST_CLIENT, Box::new(client));
+            }
+        }
+    }
+
+    fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool {
+        // Done-flag poll only: results are extracted once, in summarize.
+        cluster.processes::<IncastMaster>(host).all(|m| m.done)
+            && cluster.processes::<IncastEpollClient>(host).all(|c| c.done)
+    }
+
+    fn summarize(
+        &self,
+        host: &SimHost,
+        cluster: &Cluster,
+    ) -> (IncastResult, FailureStats, SloStats) {
+        let (mut failure, mut slo) = (FailureStats::default(), SloStats::default());
+        let (goodput_bps, iteration_times, offered) = match self.client {
+            IncastClientKind::Pthread => {
+                let m = cluster.processes::<IncastMaster>(host).next().expect("master missing");
+                for w in cluster.processes::<IncastWorker>(host) {
+                    failure.merge(&w.failure);
+                }
+                (m.goodput_bps(self.block_bytes as u64), m.iteration_times.clone(), 0)
+            }
+            IncastClientKind::Epoll => {
+                let c =
+                    cluster.processes::<IncastEpollClient>(host).next().expect("client missing");
+                failure.merge(&c.failure);
+                slo.merge(&c.slo);
+                (c.goodput_bps(), c.iteration_times.clone(), c.offered)
+            }
+        };
+        let result = IncastResult {
+            goodput_mbps: goodput_bps / 1e6,
+            iteration_times,
+            switch_drops: cluster.total_switch_drops(host),
+            offered,
+            control: control_report(host, cluster),
+            ..IncastResult::default()
+        };
+        (result, failure, slo)
     }
 
     fn result(r: IncastResult, env: RunEnvelope) -> IncastResult {
@@ -372,140 +453,6 @@ pub struct IncastResult {
     /// Monitoring control-plane counters (`None` unless
     /// [`IncastConfig::control`] was set).
     pub control: Option<ControlReport>,
-}
-
-/// The incast scenario behind the [`Workload`] trait: storage servers on
-/// nodes 1..=n, the client (pthread master+workers, or one epoll loop) on
-/// node 0.
-pub struct IncastWorkload<'a> {
-    cfg: &'a IncastConfig,
-}
-
-const INCAST_CLIENT: NodeAddr = NodeAddr(0);
-
-impl IncastWorkload<'_> {
-    /// The monitoring scheduler's node: one past the last server.
-    fn cp_node(&self) -> Option<NodeAddr> {
-        self.cfg.control.as_ref().map(|_| NodeAddr(self.cfg.servers as u32 + 1))
-    }
-}
-
-impl Workload for IncastWorkload<'_> {
-    type Summary = IncastResult;
-
-    fn name(&self) -> &str {
-        "incast"
-    }
-
-    fn budget(&self) -> SimTime {
-        if let Some(spec) = &self.cfg.arrival {
-            // Open loop: the schedule's horizon bounds admissions; slack
-            // covers the trailing iteration's RTO backoffs.
-            return SimTime::ZERO + spec.horizon() + SimDuration::from_secs(10);
-        }
-        // Worst case: every iteration eats several RTO backoffs.
-        SimTime::from_secs(10 + 3 * self.cfg.iterations)
-    }
-
-    fn build(&mut self, host: &mut SimHost, cluster: &Cluster) {
-        let n = self.cfg.servers;
-        let servers: Vec<SockAddr> =
-            (1..=n).map(|i| SockAddr::new(NodeAddr(i as u32), INCAST_PORT)).collect();
-        for s in &servers {
-            cluster.spawn(host, s.node, Box::new(IncastServer::new()));
-        }
-        let fragment = self.cfg.block_bytes / n as u32;
-        // Monitoring control plane: a health beacon on every server, the
-        // scheduler on one extra node past the last server. It observes
-        // liveness through the same congested fabric the incast burst
-        // saturates but does not steer the client.
-        if let (Some(ctl), Some(cp_node)) = (&self.cfg.control, self.cp_node()) {
-            attach_control_plane(host, cluster, ctl, cp_node, &servers, (0..n).collect(), vec![]);
-        }
-        match self.cfg.client {
-            IncastClientKind::Pthread => {
-                let sh = shared(n);
-                cluster.spawn(
-                    host,
-                    INCAST_CLIENT,
-                    Box::new(IncastMaster::new(n, self.cfg.iterations, sh.clone())),
-                );
-                for s in &servers {
-                    cluster.spawn(
-                        host,
-                        INCAST_CLIENT,
-                        Box::new(IncastWorker::new(*s, fragment, sh.clone())),
-                    );
-                }
-            }
-            IncastClientKind::Epoll => {
-                let mut client = IncastEpollClient::new(servers, fragment, self.cfg.iterations);
-                if let Some(d) = self.cfg.request_deadline {
-                    client = client.with_deadline(d);
-                }
-                if let Some(spec) = &self.cfg.arrival {
-                    client = client.with_arrival(spec.clone(), DetRng::new(self.cfg.seed ^ 0xa11));
-                }
-                if let Some(target) = self.cfg.slo {
-                    client = client.with_slo(target);
-                }
-                cluster.spawn(host, INCAST_CLIENT, Box::new(client));
-            }
-        }
-    }
-
-    fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool {
-        // Done-flag poll only: results are extracted once, in summarize.
-        match self.cfg.client {
-            IncastClientKind::Pthread => {
-                let m: &IncastMaster =
-                    cluster.process(host, INCAST_CLIENT, Tid(0)).expect("master missing");
-                m.done
-            }
-            IncastClientKind::Epoll => {
-                let c: &IncastEpollClient =
-                    cluster.process(host, INCAST_CLIENT, Tid(0)).expect("client missing");
-                c.done
-            }
-        }
-    }
-
-    fn summarize(
-        &self,
-        host: &SimHost,
-        cluster: &Cluster,
-    ) -> (IncastResult, FailureStats, SloStats) {
-        let (mut failure, mut slo) = (FailureStats::default(), SloStats::default());
-        let (goodput_bps, iteration_times, offered) = match self.cfg.client {
-            IncastClientKind::Pthread => {
-                let m: &IncastMaster =
-                    cluster.process(host, INCAST_CLIENT, Tid(0)).expect("master missing");
-                for tid in 1..=self.cfg.servers {
-                    let w: &IncastWorker = cluster
-                        .process(host, INCAST_CLIENT, Tid(tid as u32))
-                        .expect("worker missing");
-                    failure.merge(&w.failure);
-                }
-                (m.goodput_bps(self.cfg.block_bytes as u64), m.iteration_times.clone(), 0)
-            }
-            IncastClientKind::Epoll => {
-                let c: &IncastEpollClient =
-                    cluster.process(host, INCAST_CLIENT, Tid(0)).expect("client missing");
-                failure.merge(&c.failure);
-                slo.merge(&c.slo);
-                (c.goodput_bps(), c.iteration_times.clone(), c.offered)
-            }
-        };
-        let result = IncastResult {
-            goodput_mbps: goodput_bps / 1e6,
-            iteration_times,
-            switch_drops: cluster.total_switch_drops(host),
-            offered,
-            control: control_report(host, cluster, self.cp_node()),
-            ..IncastResult::default()
-        };
-        (result, failure, slo)
-    }
 }
 
 /// [`run`] with no checkpoint, under the name the repo benchmark imports;
@@ -646,7 +593,10 @@ impl McExperimentConfig {
 
 impl Experiment for McExperimentConfig {
     type Result = McExperimentResult;
-    type Workload<'a> = McWorkload<'a>;
+
+    fn name(&self) -> &str {
+        "memcached"
+    }
 
     fn check(&self) -> Result<(), String> {
         self.base().check()?;
@@ -708,8 +658,151 @@ impl Experiment for McExperimentConfig {
         }
     }
 
-    fn workload(&self) -> McWorkload<'_> {
-        McWorkload { cfg: self, shareds: Vec::new(), client_addrs: Vec::new(), cp: None }
+    fn budget(&self) -> SimTime {
+        if let Some(spec) = &self.arrival {
+            // Open loop: the schedule's horizon bounds admissions; slack
+            // covers the trailing window's expiries and retransmissions.
+            return SimTime::ZERO + spec.horizon() + SimDuration::from_secs(3);
+        }
+        SimTime::from_secs(5 + self.requests_per_client / 2)
+    }
+
+    fn initial_horizon(&self) -> SimTime {
+        SimTime::from_millis(200)
+    }
+
+    /// The first `mc_per_rack` nodes of each rack serve, every remaining
+    /// node runs a client.
+    fn build(&self, host: &mut SimHost, cluster: &Cluster) {
+        let topo = cluster.topo.clone();
+        let root_rng = DetRng::new(self.seed);
+        // Under the control plane every rack also hosts `spares_per_rack`
+        // standby servers parked on an inactive service gate, and the
+        // scheduler claims the cluster's last node (a client slot).
+        let ctl = self.control.as_ref();
+        let pool_slots = self.mc_per_rack + ctl.map_or(0, |c| c.spares_per_rack);
+        let cp = ctl.map(|_| NodeAddr((self.nodes() - 1) as u32));
+
+        // memcached servers: the first `pool_slots` nodes of each rack.
+        let mut pool = Vec::new();
+        let mut initial = Vec::new();
+        let mut gates = Vec::new();
+        for rack in 0..self.racks {
+            for slot in 0..pool_slots {
+                let addr = NodeAddr((rack * self.servers_per_rack + slot) as u32);
+                let scfg = McServerConfig {
+                    port: MEMCACHED_PORT,
+                    workers: self.workers,
+                    version: self.version,
+                    udp: self.proto == Proto::Udp,
+                    request_work: self.request_work,
+                };
+                let sh = mc_shared(scfg.workers);
+                let mut dispatcher = McDispatcher::new(scfg.clone(), sh.clone());
+                let active = slot < self.mc_per_rack;
+                if active {
+                    initial.push(pool.len());
+                }
+                if ctl.is_some() {
+                    // The node's agent flips this gate on the scheduler's
+                    // command.
+                    let gate = service_gate(active);
+                    dispatcher = dispatcher.with_gate(gate.clone());
+                    gates.push(gate);
+                }
+                cluster.spawn(host, addr, Box::new(dispatcher));
+                for w in 0..scfg.workers {
+                    cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
+                }
+                pool.push(SockAddr::new(addr, MEMCACHED_PORT));
+            }
+        }
+        // Controlled clients restrict their per-request server draw to
+        // the registry's live-endpoint mask.
+        let discovery = ctl
+            .zip(cp)
+            .map(|(ctl, cp)| attach_control_plane(host, cluster, ctl, cp, &pool, initial, gates));
+        // One shared server list for every client on the cluster.
+        let server_addrs: Arc<[SockAddr]> = pool.into();
+
+        // Clients: every remaining node except the scheduler's.
+        for rack in 0..self.racks {
+            for slot in pool_slots..self.servers_per_rack {
+                let addr = NodeAddr((rack * self.servers_per_rack + slot) as u32);
+                if Some(addr) == cp {
+                    continue;
+                }
+                let mut ccfg = match self.proto {
+                    Proto::Tcp => {
+                        McClientConfig::tcp(server_addrs.clone(), self.requests_per_client)
+                    }
+                    Proto::Udp => {
+                        McClientConfig::udp(server_addrs.clone(), self.requests_per_client)
+                    }
+                };
+                ccfg.reconnect_every = self.reconnect_every;
+                ccfg.request_deadline = self.request_deadline;
+                ccfg.discovery = discovery.clone();
+                let rng = root_rng.derive(addr.0 as u64);
+                if let Some(spec) = &self.arrival {
+                    // Open loop: admissions come from the schedule (each
+                    // client draws its own Poisson stream), so no start
+                    // stagger and no per-hop-class split.
+                    ccfg.arrival = Some(spec.clone());
+                    ccfg.window = self.window;
+                    ccfg.slo = self.slo;
+                    cluster.spawn(host, addr, Box::new(McOpenLoopClient::new(ccfg, rng)));
+                } else {
+                    // Stagger client start over ~2 ms to avoid a
+                    // synchronized thundering herd at t=0.
+                    ccfg.start_delay = SimDuration::from_micros((addr.0 as u64 * 7) % 2_000);
+                    let topo2 = topo.clone();
+                    ccfg.classify = Some(Arc::new(move |server: NodeAddr| {
+                        match topo2.hop_class(addr, server) {
+                            HopClass::Local => 0,
+                            HopClass::OneHop => 1,
+                            HopClass::TwoHop => 2,
+                        }
+                    }));
+                    cluster.spawn(host, addr, Box::new(McClient::new(ccfg, rng)));
+                }
+            }
+        }
+    }
+
+    fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool {
+        cluster.processes::<McClient>(host).all(|c| c.done)
+            && cluster.processes::<McOpenLoopClient>(host).all(|c| c.done)
+    }
+
+    fn summarize(
+        &self,
+        host: &SimHost,
+        cluster: &Cluster,
+    ) -> (McExperimentResult, FailureStats, SloStats) {
+        let (mut failure, mut slo) = (FailureStats::default(), SloStats::default());
+        let mut r = McExperimentResult::default();
+        for c in cluster.processes::<McOpenLoopClient>(host) {
+            r.latency.merge(&c.latency);
+            r.offered += c.offered;
+            r.timed_out += c.timed_out;
+            r.completed_at = r.completed_at.max(c.finished_at);
+            failure.merge(&c.failure);
+            slo.merge(&c.slo);
+        }
+        for c in cluster.processes::<McClient>(host) {
+            r.latency.merge(&c.latency);
+            for (dst, src) in r.by_class.iter_mut().zip(&c.latency_by_class) {
+                dst.merge(src);
+            }
+            r.failures += c.failures;
+            r.udp_retries += c.udp_retries;
+            r.completed_at = r.completed_at.max(c.finished_at);
+            failure.merge(&c.failure);
+        }
+        r.served = cluster.processes::<McDispatcher>(host).map(McDispatcher::served).sum();
+        r.control = control_report(host, cluster);
+        (r, failure, slo)
     }
 
     fn result(r: McExperimentResult, env: RunEnvelope) -> McExperimentResult {
@@ -773,202 +866,6 @@ pub struct McExperimentResult {
     /// Control-plane counters (`None` unless
     /// [`McExperimentConfig::control`] was set).
     pub control: Option<ControlReport>,
-}
-
-/// The memcached-at-scale scenario: the first `mc_per_rack` nodes of each
-/// rack serve, every remaining node runs a closed-loop client.
-pub struct McWorkload<'a> {
-    cfg: &'a McExperimentConfig,
-    shareds: Vec<McSharedHandle>,
-    client_addrs: Vec<NodeAddr>,
-    cp: Option<NodeAddr>,
-}
-
-impl Workload for McWorkload<'_> {
-    type Summary = McExperimentResult;
-
-    fn name(&self) -> &str {
-        "memcached"
-    }
-
-    fn budget(&self) -> SimTime {
-        if let Some(spec) = &self.cfg.arrival {
-            // Open loop: the schedule's horizon bounds admissions; slack
-            // covers the trailing window's expiries and retransmissions.
-            return SimTime::ZERO + spec.horizon() + SimDuration::from_secs(3);
-        }
-        SimTime::from_secs(5 + self.cfg.requests_per_client / 2)
-    }
-
-    fn initial_horizon(&self) -> SimTime {
-        SimTime::from_millis(200)
-    }
-
-    fn build(&mut self, host: &mut SimHost, cluster: &Cluster) {
-        let cfg = self.cfg;
-        let topo = cluster.topo.clone();
-        let root_rng = DetRng::new(cfg.seed);
-        // Under the control plane every rack also hosts `spares_per_rack`
-        // standby servers parked on an inactive service gate, and the
-        // scheduler claims the cluster's last node (a client slot).
-        let ctl = cfg.control.as_ref();
-        let pool_slots = cfg.mc_per_rack + ctl.map_or(0, |c| c.spares_per_rack);
-        self.cp = ctl.map(|_| NodeAddr((cfg.nodes() - 1) as u32));
-
-        // memcached servers: the first `pool_slots` nodes of each rack.
-        let mut pool = Vec::new();
-        let mut initial = Vec::new();
-        let mut gates = Vec::new();
-        for rack in 0..cfg.racks {
-            for slot in 0..pool_slots {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                let scfg = McServerConfig {
-                    port: MEMCACHED_PORT,
-                    workers: cfg.workers,
-                    version: cfg.version,
-                    udp: cfg.proto == Proto::Udp,
-                    request_work: cfg.request_work,
-                };
-                let sh = mc_shared(scfg.workers);
-                let mut dispatcher = McDispatcher::new(scfg.clone(), sh.clone());
-                let active = slot < cfg.mc_per_rack;
-                if active {
-                    initial.push(pool.len());
-                }
-                if ctl.is_some() {
-                    // The node's agent flips this gate on the scheduler's
-                    // command.
-                    let gate = service_gate(active);
-                    dispatcher = dispatcher.with_gate(gate.clone(), gate_futex_key(0));
-                    gates.push(BTreeMap::from([(0u32, gate)]));
-                }
-                cluster.spawn(host, addr, Box::new(dispatcher));
-                for w in 0..scfg.workers {
-                    cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
-                }
-                self.shareds.push(sh);
-                pool.push(SockAddr::new(addr, MEMCACHED_PORT));
-            }
-        }
-        // Controlled clients restrict their per-request server draw to
-        // the registry's live-endpoint mask.
-        let discovery = ctl
-            .zip(self.cp)
-            .map(|(ctl, cp)| attach_control_plane(host, cluster, ctl, cp, &pool, initial, gates));
-        // One shared server list for every client on the cluster.
-        let server_addrs: Arc<[SockAddr]> = pool.into();
-
-        // Clients: every remaining node except the scheduler's.
-        for rack in 0..cfg.racks {
-            for slot in pool_slots..cfg.servers_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                if Some(addr) == self.cp {
-                    continue;
-                }
-                let mut ccfg = match cfg.proto {
-                    Proto::Tcp => {
-                        McClientConfig::tcp(server_addrs.clone(), cfg.requests_per_client)
-                    }
-                    Proto::Udp => {
-                        McClientConfig::udp(server_addrs.clone(), cfg.requests_per_client)
-                    }
-                };
-                ccfg.reconnect_every = cfg.reconnect_every;
-                ccfg.request_deadline = cfg.request_deadline;
-                ccfg.discovery = discovery.clone();
-                let rng = root_rng.derive(addr.0 as u64);
-                if let Some(spec) = &cfg.arrival {
-                    // Open loop: admissions come from the schedule (each
-                    // client draws its own Poisson stream), so no start
-                    // stagger and no per-hop-class split.
-                    ccfg.arrival = Some(spec.clone());
-                    ccfg.window = cfg.window;
-                    ccfg.slo = cfg.slo;
-                    cluster.spawn(host, addr, Box::new(McOpenLoopClient::new(ccfg, rng)));
-                } else {
-                    // Stagger client start over ~2 ms to avoid a
-                    // synchronized thundering herd at t=0.
-                    ccfg.start_delay = SimDuration::from_micros((addr.0 as u64 * 7) % 2_000);
-                    let topo2 = topo.clone();
-                    ccfg.classify = Some(Arc::new(move |server: NodeAddr| {
-                        match topo2.hop_class(addr, server) {
-                            HopClass::Local => 0,
-                            HopClass::OneHop => 1,
-                            HopClass::TwoHop => 2,
-                        }
-                    }));
-                    cluster.spawn(host, addr, Box::new(McClient::new(ccfg, rng)));
-                }
-                self.client_addrs.push(addr);
-            }
-        }
-    }
-
-    fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool {
-        if self.cfg.arrival.is_some() {
-            self.client_addrs.iter().all(|&a| {
-                cluster
-                    .process::<McOpenLoopClient>(host, a, Tid(0))
-                    .map(|c| c.done)
-                    .unwrap_or(false)
-            })
-        } else {
-            self.client_addrs.iter().all(|&a| {
-                cluster.process::<McClient>(host, a, Tid(0)).map(|c| c.done).unwrap_or(false)
-            })
-        }
-    }
-
-    fn summarize(
-        &self,
-        host: &SimHost,
-        cluster: &Cluster,
-    ) -> (McExperimentResult, FailureStats, SloStats) {
-        let (mut failure, mut slo) = (FailureStats::default(), SloStats::default());
-        let mut latency = Histogram::new();
-        let mut by_class = [Histogram::new(), Histogram::new(), Histogram::new()];
-        let mut failures = 0;
-        let mut udp_retries = 0;
-        let mut completed_at = SimTime::ZERO;
-        let mut offered = 0;
-        let mut timed_out = 0;
-        for &a in &self.client_addrs {
-            if self.cfg.arrival.is_some() {
-                let c: &McOpenLoopClient =
-                    cluster.process(host, a, Tid(0)).expect("client missing");
-                latency.merge(&c.latency);
-                offered += c.offered;
-                timed_out += c.timed_out;
-                completed_at = completed_at.max(c.finished_at);
-                failure.merge(&c.failure);
-                slo.merge(&c.slo);
-            } else {
-                let c: &McClient = cluster.process(host, a, Tid(0)).expect("client missing");
-                latency.merge(&c.latency);
-                for (dst, src) in by_class.iter_mut().zip(&c.latency_by_class) {
-                    dst.merge(src);
-                }
-                failures += c.failures;
-                udp_retries += c.udp_retries;
-                completed_at = completed_at.max(c.finished_at);
-                failure.merge(&c.failure);
-            }
-        }
-        let served = self.shareds.iter().map(|s| s.lock().expect("poisoned").served).sum();
-        let result = McExperimentResult {
-            latency,
-            by_class,
-            served,
-            failures,
-            udp_retries,
-            completed_at,
-            offered,
-            timed_out,
-            control: control_report(host, cluster, self.cp),
-            ..McExperimentResult::default()
-        };
-        (result, failure, slo)
-    }
 }
 
 /// [`run`] with no checkpoint, under the name the repo benchmark imports;
@@ -1121,7 +1018,10 @@ impl PaExperimentConfig {
 
 impl Experiment for PaExperimentConfig {
     type Result = PaExperimentResult;
-    type Workload<'a> = PaWorkload<'a>;
+
+    fn name(&self) -> &str {
+        "partition-aggregate"
+    }
 
     fn check(&self) -> Result<(), String> {
         self.base().check()?;
@@ -1165,8 +1065,115 @@ impl Experiment for PaExperimentConfig {
         }
     }
 
-    fn workload(&self) -> PaWorkload<'_> {
-        PaWorkload { cfg: self, frontends: Vec::new(), cp: None }
+    fn budget(&self) -> SimTime {
+        if let Some(spec) = &self.arrival {
+            // Open loop: the schedule's horizon bounds admissions; slack
+            // covers the trailing query's aggregation deadline.
+            return SimTime::ZERO + spec.horizon() + self.deadline * 4 + SimDuration::from_secs(2);
+        }
+        // Deadline-bounded: each query finishes within think + deadline,
+        // but faults can only slow a query down to the deadline, so the
+        // dominant term is queries * deadline with slack for startup.
+        SimTime::from_secs(2) + self.deadline * (4 * self.queries)
+    }
+
+    fn initial_horizon(&self) -> SimTime {
+        SimTime::from_millis(100)
+    }
+
+    /// Slot 0 of each rack is a front-end, the remaining slots are
+    /// leaves. Rack-local fan-out by default; [`Self::cross_rack`] widens
+    /// it to the whole cluster.
+    fn build(&self, host: &mut SimHost, cluster: &Cluster) {
+        let root_rng = DetRng::new(self.seed);
+        let spr = self.servers_per_rack;
+        // Under the control plane the scheduler claims the last leaf slot
+        // of the last rack.
+        let cp = self.control.as_ref().map(|_| NodeAddr((self.racks * spr - 1) as u32));
+        // The leaves of `racks`, in rack and slot order: every non-zero
+        // slot except the scheduler's.
+        let leaves = move |racks: std::ops::Range<usize>| {
+            racks
+                .flat_map(move |rack| {
+                    (1..spr).map(move |slot| NodeAddr((rack * spr + slot) as u32))
+                })
+                .filter(move |leaf| Some(*leaf) != cp)
+                .map(|leaf| SockAddr::new(leaf, PA_PORT))
+        };
+        // Leaves first.
+        for leaf in leaves(0..self.racks) {
+            let lcfg = PaLeafConfig { answer_bytes: self.answer_bytes, ..PaLeafConfig::default() };
+            let rng = root_rng.derive(leaf.node.0 as u64);
+            cluster.spawn(host, leaf.node, Box::new(PaLeaf::new(lcfg, rng)));
+        }
+        // One leaf list per fan-out domain. Under the control plane the
+        // cluster-wide one is the registry's pool: every leaf runs a pure
+        // health beacon (leaves are always willing; the registry only
+        // tracks their liveness) and front-ends fan out only to leaves
+        // its mask reports up, so a crashed leaf stops costing every
+        // query its full deadline as soon as detection lands.
+        let cluster_leaves: Option<Arc<[SockAddr]>> =
+            self.cross_rack.then(|| leaves(0..self.racks).collect());
+        let discovery = match (&self.control, cp, &cluster_leaves) {
+            (Some(ctl), Some(cp), Some(pool)) => {
+                let all = (0..pool.len()).collect();
+                Some(attach_control_plane(host, cluster, ctl, cp, pool, all, vec![]))
+            }
+            _ => None,
+        };
+        // Front-ends: slot 0 of each rack.
+        for rack in 0..self.racks {
+            let addr = NodeAddr((rack * spr) as u32);
+            let leaves: Arc<[SockAddr]> = match &cluster_leaves {
+                Some(shared) => shared.clone(),
+                None => leaves(rack..rack + 1).collect(),
+            };
+            let mut fcfg = PaFrontendConfig::new(leaves, self.queries);
+            fcfg.deadline = self.deadline;
+            fcfg.query_bytes = self.query_bytes;
+            fcfg.discovery = discovery.clone();
+            let fe: Box<PaFrontend> = if let Some(spec) = &self.arrival {
+                // Open loop: admissions come from the schedule (each
+                // front-end draws its own stream), so no start stagger.
+                fcfg.arrival = Some(spec.clone());
+                fcfg.slo = self.slo;
+                Box::new(PaFrontend::open_loop(fcfg, root_rng.derive(addr.0 as u64)))
+            } else {
+                // Stagger front-end start so racks do not fan out in
+                // lockstep.
+                fcfg.start_delay = SimDuration::from_micros((addr.0 as u64 * 7) % 2_000);
+                Box::new(PaFrontend::new(fcfg))
+            };
+            cluster.spawn(host, addr, fe);
+        }
+    }
+
+    fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool {
+        cluster.processes::<PaFrontend>(host).all(|f| f.done)
+    }
+
+    fn summarize(
+        &self,
+        host: &SimHost,
+        cluster: &Cluster,
+    ) -> (PaExperimentResult, FailureStats, SloStats) {
+        let mut slo = SloStats::default();
+        let mut r = PaExperimentResult::default();
+        for f in cluster.processes::<PaFrontend>(host) {
+            r.latency.merge(&f.latency);
+            r.queries += f.completed;
+            r.full_aggregates += f.full_aggregates;
+            r.deadline_misses += f.deadline_misses;
+            r.missing_answers += f.missing_answers;
+            r.completed_at = r.completed_at.max(f.finished_at);
+            r.offered += f.offered;
+            slo.merge(&f.slo);
+        }
+        r.served = cluster.processes::<PaLeaf>(host).map(|l| l.served).sum();
+        r.control = control_report(host, cluster);
+        // The deadline-bounded front-end degrades by missing answers, not
+        // by retrying: it has no failure accounting.
+        (r, FailureStats::default(), slo)
     }
 
     fn result(r: PaExperimentResult, env: RunEnvelope) -> PaExperimentResult {
@@ -1232,162 +1239,6 @@ pub struct PaExperimentResult {
     pub control: Option<ControlReport>,
 }
 
-/// The search-tier scenario: slot 0 of each rack is a front-end, the
-/// remaining slots are leaves. Rack-local fan-out by default;
-/// [`PaExperimentConfig::cross_rack`] widens it to the whole cluster.
-pub struct PaWorkload<'a> {
-    cfg: &'a PaExperimentConfig,
-    frontends: Vec<NodeAddr>,
-    cp: Option<NodeAddr>,
-}
-
-impl PaWorkload<'_> {
-    /// The leaves of `racks`, in rack and slot order: every non-zero slot
-    /// except the one the scheduler claims.
-    fn leaves(&self, racks: std::ops::Range<usize>) -> impl Iterator<Item = SockAddr> + '_ {
-        let spr = self.cfg.servers_per_rack;
-        racks
-            .flat_map(move |rack| (1..spr).map(move |slot| NodeAddr((rack * spr + slot) as u32)))
-            .filter(|leaf| Some(*leaf) != self.cp)
-            .map(|leaf| SockAddr::new(leaf, PA_PORT))
-    }
-}
-
-impl Workload for PaWorkload<'_> {
-    type Summary = PaExperimentResult;
-
-    fn name(&self) -> &str {
-        "partition-aggregate"
-    }
-
-    fn budget(&self) -> SimTime {
-        if let Some(spec) = &self.cfg.arrival {
-            // Open loop: the schedule's horizon bounds admissions; slack
-            // covers the trailing query's aggregation deadline.
-            return SimTime::ZERO
-                + spec.horizon()
-                + self.cfg.deadline * 4
-                + SimDuration::from_secs(2);
-        }
-        // Deadline-bounded: each query finishes within think + deadline,
-        // but faults can only slow a query down to the deadline, so the
-        // dominant term is queries * deadline with slack for startup.
-        SimTime::from_secs(2) + self.cfg.deadline * (4 * self.cfg.queries)
-    }
-
-    fn initial_horizon(&self) -> SimTime {
-        SimTime::from_millis(100)
-    }
-
-    fn build(&mut self, host: &mut SimHost, cluster: &Cluster) {
-        let cfg = self.cfg;
-        let root_rng = DetRng::new(cfg.seed);
-        // Under the control plane the scheduler claims the last leaf slot
-        // of the last rack.
-        self.cp =
-            cfg.control.as_ref().map(|_| NodeAddr((cfg.racks * cfg.servers_per_rack - 1) as u32));
-        // Leaves first.
-        for leaf in self.leaves(0..cfg.racks) {
-            let lcfg = PaLeafConfig { answer_bytes: cfg.answer_bytes, ..PaLeafConfig::default() };
-            let rng = root_rng.derive(leaf.node.0 as u64);
-            cluster.spawn(host, leaf.node, Box::new(PaLeaf::new(lcfg, rng)));
-        }
-        // One leaf list per fan-out domain. Under the control plane the
-        // cluster-wide one is the registry's pool: every leaf runs a pure
-        // health beacon (leaves are always willing; the registry only
-        // tracks their liveness) and front-ends fan out only to leaves
-        // its mask reports up, so a crashed leaf stops costing every
-        // query its full deadline as soon as detection lands.
-        let cluster_leaves: Option<Arc<[SockAddr]>> =
-            cfg.cross_rack.then(|| self.leaves(0..cfg.racks).collect());
-        let discovery = match (&cfg.control, self.cp, &cluster_leaves) {
-            (Some(ctl), Some(cp), Some(pool)) => {
-                let all = (0..pool.len()).collect();
-                Some(attach_control_plane(host, cluster, ctl, cp, pool, all, vec![]))
-            }
-            _ => None,
-        };
-        // Front-ends: slot 0 of each rack.
-        for rack in 0..cfg.racks {
-            let addr = NodeAddr((rack * cfg.servers_per_rack) as u32);
-            let leaves: Arc<[SockAddr]> = match &cluster_leaves {
-                Some(shared) => shared.clone(),
-                None => self.leaves(rack..rack + 1).collect(),
-            };
-            let mut fcfg = PaFrontendConfig::new(leaves, cfg.queries);
-            fcfg.deadline = cfg.deadline;
-            fcfg.query_bytes = cfg.query_bytes;
-            fcfg.discovery = discovery.clone();
-            let fe: Box<PaFrontend> = if let Some(spec) = &cfg.arrival {
-                // Open loop: admissions come from the schedule (each
-                // front-end draws its own stream), so no start stagger.
-                fcfg.arrival = Some(spec.clone());
-                fcfg.slo = cfg.slo;
-                Box::new(PaFrontend::open_loop(fcfg, root_rng.derive(addr.0 as u64)))
-            } else {
-                // Stagger front-end start so racks do not fan out in
-                // lockstep.
-                fcfg.start_delay = SimDuration::from_micros((addr.0 as u64 * 7) % 2_000);
-                Box::new(PaFrontend::new(fcfg))
-            };
-            cluster.spawn(host, addr, fe);
-            self.frontends.push(addr);
-        }
-    }
-
-    fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool {
-        self.frontends.iter().all(|&a| {
-            cluster.process::<PaFrontend>(host, a, Tid(0)).map(|f| f.done).unwrap_or(false)
-        })
-    }
-
-    fn summarize(
-        &self,
-        host: &SimHost,
-        cluster: &Cluster,
-    ) -> (PaExperimentResult, FailureStats, SloStats) {
-        let mut slo = SloStats::default();
-        let mut latency = Histogram::new();
-        let mut queries = 0;
-        let mut full_aggregates = 0;
-        let mut deadline_misses = 0;
-        let mut missing_answers = 0;
-        let mut completed_at = SimTime::ZERO;
-        let mut offered = 0;
-        for &a in &self.frontends {
-            let f: &PaFrontend = cluster.process(host, a, Tid(0)).expect("front-end missing");
-            latency.merge(&f.latency);
-            queries += f.completed;
-            full_aggregates += f.full_aggregates;
-            deadline_misses += f.deadline_misses;
-            missing_answers += f.missing_answers;
-            completed_at = completed_at.max(f.finished_at);
-            offered += f.offered;
-            slo.merge(&f.slo);
-        }
-        let mut served = 0;
-        for leaf in self.leaves(0..self.cfg.racks) {
-            let l: &PaLeaf = cluster.process(host, leaf.node, Tid(0)).expect("leaf missing");
-            served += l.served;
-        }
-        let result = PaExperimentResult {
-            latency,
-            queries,
-            full_aggregates,
-            deadline_misses,
-            missing_answers,
-            served,
-            completed_at,
-            offered,
-            control: control_report(host, cluster, self.cp),
-            ..PaExperimentResult::default()
-        };
-        // The deadline-bounded front-end degrades by missing answers, not
-        // by retrying: it has no failure accounting.
-        (result, FailureStats::default(), slo)
-    }
-}
-
 /// [`run`] with no checkpoint, under the name the repo benchmark imports;
 /// its errors are [`run`]'s.
 pub fn try_run_partition_aggregate(
@@ -1399,7 +1250,7 @@ pub fn try_run_partition_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentHarness;
+    use crate::experiment::fingerprint;
     use diablo_engine::snap::{SnapReader, SnapWriter};
 
     /// The message of a config that must not validate.
@@ -1577,11 +1428,11 @@ mod tests {
         warm(&cfg, &path, SimTime::from_micros(120)).expect("warm");
         let bytes = std::fs::read(&path).expect("snapshot written");
 
-        let harness = ExperimentHarness::new(cfg.base());
+        let base = cfg.base();
         let restore = |bytes: &[u8]| {
-            let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
-            cfg.workload().build(&mut host, &cluster);
-            crate::snapshot::decode_snapshot(bytes, &mut host, harness.fingerprint("memcached"))
+            let (mut host, cluster) = Cluster::instantiate(&base.spec(), RunMode::Serial);
+            cfg.build(&mut host, &cluster);
+            crate::snapshot::decode_snapshot(bytes, &mut host, fingerprint(&base, "memcached"))
                 .map(|_| cluster.scrape(&host).sum_counters("*.kernel.tcp.segs_out"))
         };
         let segs_out = restore(&bytes).expect("the undamaged snapshot restores");
@@ -1638,10 +1489,10 @@ mod tests {
         let path = dir.join(name);
         warm(&cfg, &path, SimTime::from_micros(120)).expect("warm");
         let bytes = std::fs::read(&path).expect("snapshot written");
-        let harness = ExperimentHarness::new(cfg.base());
-        let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
-        cfg.workload().build(&mut host, &cluster);
-        (bytes, host, cluster, harness.fingerprint("memcached"))
+        let base = cfg.base();
+        let (mut host, cluster) = Cluster::instantiate(&base.spec(), RunMode::Serial);
+        cfg.build(&mut host, &cluster);
+        (bytes, host, cluster, fingerprint(&base, "memcached"))
     }
 
     /// Damage can also decode cleanly into a node timer no kernel arms:
@@ -1680,10 +1531,10 @@ mod tests {
     #[test]
     fn a_restored_thread_id_past_the_process_table_is_an_error() {
         let cfg = McExperimentConfig::mini(1, 10);
-        let harness = ExperimentHarness::new(cfg.base());
+        let spec = cfg.base().spec();
         let build = || {
-            let (mut host, cluster) = Cluster::instantiate(&harness.base.spec(), RunMode::Serial);
-            cfg.workload().build(&mut host, &cluster);
+            let (mut host, cluster) = Cluster::instantiate(&spec, RunMode::Serial);
+            cfg.build(&mut host, &cluster);
             host
         };
         let restore = |bytes: &[u8]| build().load_state(&mut SnapReader::new(bytes));
@@ -1872,8 +1723,8 @@ mod tests {
         assert_eq!(ctl.suspicions, 0, "a healthy fleet raises no suspicions");
         assert_eq!(ctl.failovers, 0);
         assert_eq!(ctl.commands_dropped, 0);
-        // One service, mc_per_rack x racks = 2 desired, 2 ready.
-        assert_eq!(ctl.replicas, vec![(0, 2, 2)]);
+        // mc_per_rack x racks = 2 desired, 2 ready.
+        assert_eq!((ctl.desired, ctl.ready), (2, 2));
         // The fleet the clients see is exactly the ready replicas: the
         // spares never serve while gated off.
         assert!(r.latency.count() > 0);
@@ -1894,7 +1745,7 @@ mod tests {
         let ctl = r.control.expect("control report present");
         assert!(ctl.detections >= 1, "the dead replica must be detected");
         assert_eq!(ctl.failovers, 1, "exactly one replacement activation");
-        assert_eq!(ctl.replicas, vec![(0, 2, 2)], "the fleet must be whole again");
+        assert_eq!((ctl.desired, ctl.ready), (2, 2), "the fleet must be whole again");
         assert_eq!(ctl.replacement_latency.count(), 1);
         // Detection + command round trip is bounded by the config: dead
         // threshold + command timeout budget + fabric slack.
@@ -1933,7 +1784,7 @@ mod tests {
         let ctl = r.control.expect("control report present");
         assert!(ctl.heartbeats > 0);
         assert_eq!(ctl.suspicions, 0, "servers stay alive through the burst");
-        assert_eq!(ctl.replicas, vec![(0, 4, 4)]);
+        assert_eq!((ctl.desired, ctl.ready), (4, 4));
     }
 
     #[test]

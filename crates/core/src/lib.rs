@@ -4,8 +4,8 @@
 //! warehouse-scale array (servers + NICs + three switch levels) from a
 //! [`cluster::ClusterSpec`], run it deterministically on one thread or
 //! partition-parallel across many ([`cluster::SimHost`]), drive any
-//! [`experiment::Workload`] through the one shared lifecycle
-//! ([`experiment::ExperimentHarness`]), run the paper's workloads
+//! [`experiment::Experiment`] through the one shared lifecycle
+//! ([`experiment::run`], [`experiment::warm`]), run the paper's workloads
 //! ([`experiments`]), and render results ([`report`]). The [`survey`]
 //! module carries the paper's motivation data (Figure 2 / Table 1).
 
@@ -26,8 +26,7 @@ pub use cluster::{Cluster, ClusterSpec, FabricKind, RunMode, SimHost, SwitchTemp
 pub use diablo_apps::arrival::{ArrivalError, ArrivalProcess, ArrivalSpec, SloStats};
 pub use diablo_apps::control::{ControlConfig, ControlReport};
 pub use experiment::{
-    run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError, ExperimentHarness,
-    RunEnvelope, Workload,
+    run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError, RunEnvelope,
 };
 pub use experiments::{
     try_run_incast, try_run_memcached, try_run_memcached_with, try_run_partition_aggregate,

@@ -57,8 +57,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 /// has no stop flag, a node kernel persists its CPU completion's deadline
 /// and live timer in place of a generation, and a TCP socket its RTO's and
 /// delayed ACK's, with the connection holding an optional deadline for
-/// each in place of a generation and an armed flag.
-pub const SNAP_VERSION: u32 = 7;
+/// each in place of a generation and an armed flag. Version 8: the
+/// control-plane scheduler persists its one service's state directly (no
+/// service table), a pending command names no service, and a control
+/// agent persists an optional gate in place of a map of them.
+pub const SNAP_VERSION: u32 = 8;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards
@@ -77,13 +80,13 @@ pub fn fingerprint<S: AsRef<str>>(parts: impl IntoIterator<Item = S>) -> u64 {
     h
 }
 
-/// The experiment harness's resumable drive position, snapshotted
+/// The drive loop's resumable position, snapshotted
 /// alongside the executor so a restored run continues the same horizon
 /// doubling schedule and sampling cadence (and keeps the series rows
 /// already recorded).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriveState {
-    /// Current drive horizon (the harness doubles it per pending poll).
+    /// Current drive horizon (doubled per pending poll).
     pub horizon: SimTime,
     /// Next periodic-scrape instant.
     pub next_sample: SimTime,

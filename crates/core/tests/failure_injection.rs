@@ -31,7 +31,7 @@ fn crashed_replica_is_replaced_within_the_configured_window() {
     let ctl = r.control.expect("control report");
     assert!(ctl.detections >= 1, "silent replica never declared dead");
     assert_eq!(ctl.failovers, 1, "exactly one spare activation");
-    assert_eq!(ctl.replicas, vec![(0, 2, 2)], "fleet restored to full strength");
+    assert_eq!((ctl.desired, ctl.ready), (2, 2), "fleet restored to full strength");
     assert_eq!(ctl.commands_dropped, 0, "no retry budget exhaustion on a healthy fabric");
     let worst = ctl.replacement_latency.quantile(1.0);
     let bound = (COMMAND_TIMEOUT * u64::from(RETRY_BUDGET)).as_nanos();
@@ -50,7 +50,7 @@ fn rebooted_replica_rejoins_as_a_drained_spare() {
     assert!(ctl.detections >= 1);
     assert_eq!(ctl.failovers, 1);
     assert!(ctl.rejoins >= 1, "the rebooted node's heartbeats must re-admit it");
-    assert_eq!(ctl.replicas, vec![(0, 2, 2)], "still two ready replicas, not three");
+    assert_eq!((ctl.desired, ctl.ready), (2, 2), "still two ready replicas, not three");
 }
 
 #[test]
@@ -91,5 +91,5 @@ fn suspect_then_recovery_raises_no_failover() {
     assert_eq!(ctl.detections, 0, "flap shorter than the dead threshold");
     assert_eq!(ctl.failovers, 0, "no placement change on a false positive");
     assert_eq!(ctl.false_positive_suspicions, ctl.suspicions);
-    assert_eq!(ctl.replicas, vec![(0, 2, 2)]);
+    assert_eq!((ctl.desired, ctl.ready), (2, 2));
 }

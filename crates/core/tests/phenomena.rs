@@ -46,7 +46,7 @@ fn control_plane_bounds_slo_damage_from_a_rolling_crash() {
     let ctl = ron.control.expect("control report");
     assert_eq!(ctl.failovers, 3, "each crashed replica must fail over to a spare");
     assert!(ctl.detections >= 3);
-    assert_eq!(ctl.replicas, vec![(0, 3, 3)], "fleet back at full strength");
+    assert_eq!((ctl.desired, ctl.ready), (3, 3), "fleet back at full strength");
     let frac_on = ron.slo.violation_fraction();
 
     // Control plane off: clients keep the static list, so every crashed

@@ -14,7 +14,7 @@
 use diablo_core::{
     run, warm, ArrivalSpec, CheckpointPolicy, Cluster, ControlConfig, Experiment, FaultPlan,
     IncastClientKind, IncastConfig, McExperimentConfig, PaExperimentConfig, RunMode,
-    SwitchTemplate, Workload,
+    SwitchTemplate,
 };
 use diablo_engine::prelude::{SimDuration, SimTime};
 use diablo_net::switch::BufferConfig;
@@ -234,13 +234,12 @@ fn memcached_udp_scraped_every_microsecond() {
     let cfg = McExperimentConfig::mini(2, 10);
     for mode in [RunMode::Serial, RunMode::parallel(2)] {
         let (mut host, cluster) = Cluster::instantiate(&cfg.base().spec(), mode);
-        let mut workload = cfg.workload();
-        workload.build(&mut host, &cluster);
+        cfg.build(&mut host, &cluster);
         let (mut digest, mut at, mut steps) = (0xcbf2_9ce4_8422_2325u64, SimTime::ZERO, 0);
         loop {
             at += SimDuration::from_micros(1);
             host.run_until(at).unwrap();
-            let done = workload.is_done(&host, &cluster);
+            let done = cfg.is_done(&host, &cluster);
             let scrape = format!("{done}{}", cluster.scrape(&host).to_json());
             digest = scrape
                 .bytes()

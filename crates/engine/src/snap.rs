@@ -799,32 +799,24 @@ impl<T: Persist> Persist for Vec<T> {
     }
 }
 
-impl<K: Snap + PartialEq + std::fmt::Debug, V: Persist> Persist for BTreeMap<K, V> {
+/// An object the rebuilt model may or may not have: a presence flag, then
+/// its state restored in place. A snapshot that disagrees on presence is
+/// rejected.
+impl<T: Persist> Persist for Option<T> {
     fn save_state(&self, w: &mut SnapWriter) {
-        w.put_len(self.len());
-        for (k, v) in self {
-            k.save(w);
+        self.is_some().save(w);
+        if let Some(v) = self {
             v.save_state(w);
         }
     }
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.take_len()?;
-        if n != self.len() {
-            return Err(SnapError::Malformed(format!(
-                "snapshot map has {n} entries, rebuilt model has {}",
-                self.len()
-            )));
+        match (bool::load(r)?, self) {
+            (true, Some(v)) => v.load_state(r),
+            (false, None) => Ok(()),
+            (found, _) => Err(SnapError::Malformed(format!(
+                "snapshot presence flag {found} disagrees with the rebuilt model"
+            ))),
         }
-        for (k, v) in self.iter_mut() {
-            let found = K::load(r)?;
-            if found != *k {
-                return Err(SnapError::Malformed(format!(
-                    "snapshot map entry {found:?}, rebuilt model expects {k:?}"
-                )));
-            }
-            v.load_state(r)?;
-        }
-        Ok(())
     }
 }
 
@@ -1149,7 +1141,7 @@ mod tests {
         inner: Inner,
         parts: Vec<Inner>,
         shared: Arc<Mutex<Inner>>,
-        by_id: BTreeMap<u32, Inner>,
+        maybe: Option<Inner>,
         lanes: Vec<u64>,
         log: Vec<u64>,
     }
@@ -1158,7 +1150,7 @@ mod tests {
         inner: nested,
         parts: nested,
         shared: nested,
-        by_id: nested,
+        maybe: nested,
         lanes: fixed_len,
         log,
         tunable: config,
@@ -1172,7 +1164,7 @@ mod tests {
             inner: inner(tunable),
             parts: vec![inner(tunable), inner(tunable)],
             shared: Arc::new(Mutex::new(inner(tunable))),
-            by_id: BTreeMap::from([(5, inner(tunable))]),
+            maybe: Some(inner(tunable)),
             lanes: vec![hits; 2],
             log,
         }
@@ -1194,7 +1186,7 @@ mod tests {
         assert_eq!(fresh.tunable, 2, "config fields stay rebuilt");
         assert_eq!((fresh.count, &fresh.log, &fresh.lanes), (41, &vec![4, 5], &vec![7, 7]));
         let shared = fresh.shared.lock().unwrap();
-        for inner in [&fresh.inner, &fresh.parts[1], &*shared, &fresh.by_id[&5]] {
+        for inner in [&fresh.inner, &fresh.parts[1], &*shared, fresh.maybe.as_ref().unwrap()] {
             assert_eq!((inner.seed, inner.hits), (2, 7), "nested state restored in place");
         }
     }
@@ -1209,8 +1201,7 @@ mod tests {
         };
         assert!(malformed(|w| w.parts.truncate(1)), "in-place Vec length");
         assert!(malformed(|w| w.lanes.push(0)), "fixed_len Vec length");
-        assert!(malformed(|w| w.by_id = BTreeMap::new()), "in-place map length");
-        assert!(malformed(|w| w.by_id = BTreeMap::from([(6, Inner { seed: 0, hits: 0 })])), "key");
+        assert!(malformed(|w| w.maybe = None), "in-place optional presence");
     }
 
     /// `total` summarises `items`; `limit` is configuration the items must

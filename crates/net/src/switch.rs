@@ -112,10 +112,6 @@ pub struct EcmpConfig {
 pub enum RoutingMode {
     /// Use the frame's pre-computed source route (paper default).
     Source,
-    /// Static destination-indexed forwarding table
-    /// (`table[dst.index()] = output port`), standing in for the TCAM flow
-    /// tables of SDN-style switches.
-    Table(Vec<u16>),
     /// Flow-consistent ECMP on a fat-tree: downward ports are fixed by the
     /// destination address, upward ports are picked by a deterministic
     /// 5-tuple hash seeded per-switch, so a flow always takes the same
@@ -978,7 +974,6 @@ impl Component<Frame> for PacketSwitch {
 
         let out = match &self.cfg.routing {
             RoutingMode::Source => frame.route.port_at(frame.hop),
-            RoutingMode::Table(t) => t.get(frame.packet.dst.index()).copied(),
             RoutingMode::Ecmp(e) => Some(Self::ecmp_port(e, self.ecmp_seed, &frame.packet)),
         };
         // A powered-off switch receives frames (the sender committed them
@@ -1734,18 +1729,6 @@ mod tests {
             msg: AppMessage::new(0, 0, 100, SimTime::ZERO),
         };
         let f = Frame::new(IpPacket::udp(NodeAddr(0), NodeAddr(1), d), Route::empty());
-        sim.inject_message(SimTime::from_micros(1), sw, PortNo(0), f);
-        sim.run().unwrap();
-        assert_eq!(sim.component::<Sink>(sink).unwrap().got.len(), 1);
-    }
-
-    #[test]
-    fn table_routing_ignores_source_route() {
-        let mut cfg = SwitchConfig::shallow_gbe("t", 4);
-        cfg.routing = RoutingMode::Table(vec![0, 1]); // dst n1 -> port 1
-        let (mut sim, sw, sink) = build(cfg);
-        let mut f = udp_frame(100, 3); // bogus source route
-        f.route = Route::new(vec![3]);
         sim.inject_message(SimTime::from_micros(1), sw, PortNo(0), f);
         sim.run().unwrap();
         assert_eq!(sim.component::<Sink>(sink).unwrap().got.len(), 1);

@@ -14,7 +14,8 @@ use diablo_engine::event::{ComponentId, PortNo, TimerKey};
 use diablo_engine::metrics::{FlightRecord, Instrumented, MetricsVisitor};
 use diablo_net::frame::Frame;
 use diablo_net::link::PortPeer;
-use diablo_stack::kernel::{Kernel, KernelEnv, NodeConfig, Router};
+use diablo_net::topology::Topology;
+use diablo_stack::kernel::{Kernel, KernelEnv, NodeConfig};
 use diablo_stack::process::{Process, Tid};
 use std::any::Any;
 use std::sync::Arc;
@@ -32,10 +33,11 @@ pub struct ServerNode {
 }
 
 impl ServerNode {
-    /// Creates a server wired to `uplink` (its ToR switch port).
-    pub fn new(cfg: NodeConfig, uplink: PortPeer, router: Arc<dyn Router>) -> Self {
+    /// Creates a server wired to `uplink` (its ToR switch port) that
+    /// routes through `topo`.
+    pub fn new(cfg: NodeConfig, uplink: PortPeer, topo: Arc<Topology>) -> Self {
         ServerNode {
-            kernel: Kernel::new(cfg, uplink, router),
+            kernel: Kernel::new(cfg, uplink, topo),
             uplink: (uplink.component, uplink.port),
         }
     }

@@ -5,8 +5,8 @@
 
 use diablo_apps::arrival::ArrivalSpec;
 use diablo_apps::control::{
-    gate_futex_key, service_gate, ControlAgent, ControlConfig, ControlPlane, DiscoveryConfig,
-    ServiceSpec, AGENT_PORT, CONTROL_PORT,
+    service_gate, ControlAgent, ControlConfig, ControlPlane, DiscoveryConfig, ServiceSpec,
+    CONTROL_PORT,
 };
 use diablo_apps::memcached::{
     mc_shared, McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig, McSharedHandle,
@@ -21,7 +21,6 @@ use diablo_node::ServerNode;
 use diablo_stack::kernel::{NodeConfig, NodeFault};
 use diablo_stack::process::Tid;
 use diablo_stack::profile::KernelProfile;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 struct Rack {
@@ -70,18 +69,11 @@ fn install_replica(
     let scfg = McServerConfig { workers: WORKERS, udp: true, ..McServerConfig::default() };
     let sh = mc_shared(scfg.workers);
     let sn = rack.sim.component_mut::<ServerNode>(rack.nodes[node]).unwrap();
-    sn.spawn(Box::new(
-        McDispatcher::new(scfg.clone(), sh.clone()).with_gate(gate.clone(), gate_futex_key(0)),
-    ));
+    sn.spawn(Box::new(McDispatcher::new(scfg.clone(), sh.clone()).with_gate(gate.clone())));
     for w in 0..scfg.workers {
         sn.spawn(Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
     }
-    sn.spawn(Box::new(ControlAgent::new(
-        cp,
-        ctl.heartbeat_every,
-        stagger,
-        BTreeMap::from([(0u32, gate)]),
-    )));
+    sn.spawn(Box::new(ControlAgent::new(cp, ctl.heartbeat_every, stagger, Some(gate))));
     sh
 }
 
@@ -101,14 +93,9 @@ fn build_controlled_rack(ctl: &ControlConfig) -> (Rack, McSharedHandle, McShared
     let sh1 = install_replica(&mut rack, 1, true, cp, ctl, SimDuration::ZERO);
     let sh2 = install_replica(&mut rack, 2, false, cp, ctl, SimDuration::from_micros(500));
     let spec = ServiceSpec {
-        id: 0,
         pool: vec![
             SockAddr::new(NodeAddr(1), MEMCACHED_PORT),
             SockAddr::new(NodeAddr(2), MEMCACHED_PORT),
-        ],
-        agents: vec![
-            SockAddr::new(NodeAddr(1), AGENT_PORT),
-            SockAddr::new(NodeAddr(2), AGENT_PORT),
         ],
         racks: vec![0, 0],
         initial: vec![0],
@@ -116,7 +103,7 @@ fn build_controlled_rack(ctl: &ControlConfig) -> (Rack, McSharedHandle, McShared
     rack.sim
         .component_mut::<ServerNode>(rack.nodes[0])
         .unwrap()
-        .spawn(Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)));
+        .spawn(Box::new(ControlPlane::new(ctl.clone(), spec)));
     let mut ccfg = McClientConfig::udp(
         vec![
             SockAddr::new(NodeAddr(1), MEMCACHED_PORT),
@@ -125,7 +112,7 @@ fn build_controlled_rack(ctl: &ControlConfig) -> (Rack, McSharedHandle, McShared
         0,
     );
     ccfg.arrival = Some(ArrivalSpec::poisson(3_000.0, SimDuration::from_millis(100)).unwrap());
-    ccfg.discovery = Some(DiscoveryConfig { control: cp, service: 0, initial_mask: 0b01 });
+    ccfg.discovery = Some(DiscoveryConfig { control: cp, initial_mask: 0b01 });
     rack.sim
         .component_mut::<ServerNode>(rack.nodes[3])
         .unwrap()
@@ -146,7 +133,7 @@ fn crash_activates_the_parked_standby_and_traffic_follows() {
     let report = cp.report();
     assert!(report.detections >= 1, "silent replica never declared dead");
     assert_eq!(report.failovers, 1, "the standby must be activated exactly once");
-    assert_eq!(cp.ready_mask(0), 0b10, "liveness mask must point at the standby");
+    assert_eq!(cp.ready_mask(), 0b10, "liveness mask must point at the standby");
 
     // The standby's agent flipped the gate and woke the futex-parked
     // dispatcher…
@@ -185,7 +172,7 @@ fn short_link_flap_stays_a_false_positive() {
     assert_eq!(report.detections, 0, "the flap must not cross the dead threshold");
     assert_eq!(report.false_positive_suspicions, report.suspicions);
     assert_eq!(report.failovers, 0);
-    assert_eq!(cp.ready_mask(0), 0b01, "the active replica keeps its slot");
+    assert_eq!(cp.ready_mask(), 0b01, "the active replica keeps its slot");
     // The standby never woke: its gate never flipped, nothing served.
     assert_eq!(sh2.lock().unwrap().served, 0);
 }

@@ -56,23 +56,11 @@ use diablo_net::addr::{NodeAddr, SockAddr};
 use diablo_net::frame::{Frame, Route};
 use diablo_net::link::PortPeer;
 use diablo_net::payload::{AppMessage, IpPacket, TcpFlags, TcpSegment, Transport, UdpDatagram};
+use diablo_net::topology::Topology;
 use diablo_nic::{Nic, NicAction, NicConfig};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-
-/// Route provider: maps a (source, destination) node pair to a source
-/// route through the switch hierarchy.
-pub trait Router: Send + Sync {
-    /// The route `src` must stamp on frames for `dst`.
-    fn route(&self, src: NodeAddr, dst: NodeAddr) -> Route;
-}
-
-impl Router for diablo_net::topology::Topology {
-    fn route(&self, src: NodeAddr, dst: NodeAddr) -> Route {
-        diablo_net::topology::Topology::route(self, src, dst)
-    }
-}
 
 /// Callback surface the hosting component provides to the kernel.
 pub trait KernelEnv {
@@ -377,7 +365,8 @@ impl Fold {
 pub struct Kernel {
     cfg: NodeConfig,
     nic: Nic,
-    router: Arc<dyn Router>,
+    /// Where every frame's source route comes from.
+    topo: Arc<Topology>,
 
     procs: Vec<ProcSlot>,
     run_queue: VecDeque<Tid>,
@@ -559,7 +548,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     tcp_agg,
     stats,
     cfg: config,
-    router: config,
+    topo: config,
     trace: config,
     nic_actions: config,
     rx_batch: config,
@@ -567,8 +556,9 @@ diablo_engine::impl_persist_fields!(Kernel {
 } after_load = check_indices);
 
 impl Kernel {
-    /// Creates a kernel for a node wired to `uplink` (its ToR port).
-    pub fn new(cfg: NodeConfig, uplink: PortPeer, router: Arc<dyn Router>) -> Self {
+    /// Creates a kernel for a node wired to `uplink` (its ToR port) that
+    /// routes its frames through `topo`.
+    pub fn new(cfg: NodeConfig, uplink: PortPeer, topo: Arc<Topology>) -> Self {
         // The NIC's egress-loss RNG is seeded from the node address alone —
         // never from partition placement or registration order — so loss
         // draws (and therefore results) are identical across serial and
@@ -578,7 +568,7 @@ impl Kernel {
         Kernel {
             cfg,
             nic,
-            router,
+            topo,
             procs: Vec::new(),
             run_queue: VecDeque::new(),
             current: None,
@@ -712,6 +702,11 @@ impl Kernel {
     /// Inspects a guest thread's concrete state after a run.
     pub fn process<T: 'static>(&self, tid: Tid) -> Option<&T> {
         self.procs.get(tid.0 as usize)?.process.as_any().downcast_ref::<T>()
+    }
+
+    /// Every guest thread of type `T`, in tid order.
+    pub fn processes<T: 'static>(&self) -> impl Iterator<Item = &T> {
+        self.procs.iter().filter_map(|slot| slot.process.as_any().downcast_ref::<T>())
     }
 
     /// `true` once every guest thread has exited.
@@ -1492,7 +1487,7 @@ impl Kernel {
             self.set_timer(at, self.key(K_LOOPBACK, 0, 0), env);
             return true;
         }
-        let route = self.router.route(self.cfg.addr, pkt.dst);
+        let route = self.topo.route(self.cfg.addr, pkt.dst);
         let frame = Frame::new(pkt, route);
         let ok = self.with_nic(env, |nic, now, actions| nic.tx_enqueue(frame, now, actions));
         if !ok {

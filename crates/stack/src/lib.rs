@@ -17,7 +17,7 @@ pub mod profile;
 pub mod socket;
 pub mod tcp;
 
-pub use kernel::{Kernel, KernelEnv, KernelStats, NodeConfig, Router};
+pub use kernel::{Kernel, KernelEnv, KernelStats, NodeConfig};
 pub use process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall, Tid};
 pub use profile::KernelProfile;
 pub use socket::EventMask;

@@ -78,8 +78,7 @@ pub mod prelude {
         Cluster, ClusterSpec, FabricKind, RunMode, SimHost, SwitchTemplate,
     };
     pub use diablo_core::experiment::{
-        run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError,
-        ExperimentHarness, RunEnvelope, Workload,
+        run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError, RunEnvelope,
     };
     pub use diablo_core::experiments::{
         IncastClientKind, IncastConfig, McExperimentConfig, PaExperimentConfig,
