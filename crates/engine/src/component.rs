@@ -14,9 +14,10 @@ use std::any::Any;
 ///
 /// `M` is the inter-component message currency (the network layer
 /// instantiates it with its frame type). Handlers receive a [`Ctx`] used to
-/// set timers and emit messages; all scheduling is deferred and routed by
-/// the executor after the handler returns, which keeps handlers pure with
-/// respect to the event queue and makes execution order deterministic.
+/// set timers and emit messages. Each one goes straight to the executor
+/// running the handler, which queues or routes it at once; a handler can
+/// schedule but never look at the event queue, so execution order stays
+/// deterministic.
 ///
 /// # Examples
 ///
@@ -85,10 +86,26 @@ pub trait Component<M>: Send + 'static {
     }
 }
 
+/// Where [`Ctx`] puts the events a handler schedules: the serial
+/// executor's [`CalendarQueue`](crate::sched::CalendarQueue), or a parallel
+/// worker's router, which queues a local event and checks and holds a
+/// remote one for the round's exchange. Each event is written once, into
+/// the queue or outbox it leaves from (DESIGN.md §4).
+pub(crate) trait EventSink<M> {
+    /// Takes one event, keyed by the scheduling component.
+    fn schedule(&mut self, ev: Event<M>);
+}
+
+impl<M> std::fmt::Debug for dyn EventSink<M> + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("EventSink")
+    }
+}
+
 /// Scheduling context passed to component handlers.
 ///
-/// All operations are buffered; the executor validates and routes them when
-/// the handler returns.
+/// Each event is handed to the executor as it is scheduled; the context has
+/// no way to peek at or pop from the executor's queue.
 #[derive(Debug)]
 pub struct Ctx<'a, M> {
     now: SimTime,
@@ -96,7 +113,7 @@ pub struct Ctx<'a, M> {
     self_id: ComponentId,
     source: ComponentId,
     seq: &'a mut u64,
-    pending: &'a mut Vec<Event<M>>,
+    sink: &'a mut dyn EventSink<M>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -106,9 +123,9 @@ impl<'a, M> Ctx<'a, M> {
         self_id: ComponentId,
         source: ComponentId,
         seq: &'a mut u64,
-        pending: &'a mut Vec<Event<M>>,
+        sink: &'a mut dyn EventSink<M>,
     ) -> Self {
-        Ctx { now, limit, self_id, source, seq, pending }
+        Ctx { now, limit, self_id, source, seq, sink }
     }
 
     /// Current simulated time.
@@ -143,7 +160,7 @@ impl<'a, M> Ctx<'a, M> {
 
     fn push(&mut self, time: SimTime, target: ComponentId, kind: EventKind<M>) {
         let key = EventKey { time, target, source: self.self_id, source_seq: self.reserve_seq() };
-        self.pending.push(Event { key, kind });
+        self.sink.schedule(Event { key, kind });
     }
 
     /// Sets a timer that fires `after` from now with the given key.
@@ -185,7 +202,7 @@ impl<'a, M> Ctx<'a, M> {
         assert!(seq < *self.seq, "sequence number {seq} was never reserved");
         let id = self.self_id;
         let order = EventKey { time: at, target: id, source: id, source_seq: seq };
-        self.pending.push(Event { key: order, kind: EventKind::Timer(key) });
+        self.sink.schedule(Event { key: order, kind: EventKind::Timer(key) });
     }
 
     /// Delivers `msg` to `(to, port)` at absolute time `at`.
@@ -212,50 +229,58 @@ impl<'a, M> Ctx<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{CalendarQueue, EventQueue};
+
+    fn drain(q: &mut CalendarQueue<u32>) -> Vec<Event<u32>> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
 
     #[test]
-    fn ctx_buffers_events_with_increasing_seq() {
+    fn ctx_schedules_events_with_increasing_seq() {
         let mut seq = 0u64;
-        let mut pending = Vec::new();
+        let mut queue = CalendarQueue::new();
         let mut ctx: Ctx<'_, u32> = Ctx::new(
             SimTime::from_nanos(100),
             SimTime::MAX,
             ComponentId(7),
             ComponentId(3),
             &mut seq,
-            &mut pending,
+            &mut queue,
         );
         assert_eq!(ctx.source(), ComponentId(3));
         ctx.set_timer(SimDuration::from_nanos(10), 42);
         ctx.send_after(ComponentId(9), PortNo(1), SimDuration::from_nanos(5), 1234);
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0].key.source_seq, 0);
-        assert_eq!(pending[1].key.source_seq, 1);
-        assert_eq!(pending[0].key.target, ComponentId(7));
-        assert_eq!(pending[1].key.target, ComponentId(9));
-        assert_eq!(pending[1].key.time, SimTime::from_nanos(105));
+        let queued = drain(&mut queue);
+        assert_eq!(queued.len(), 2);
+        // The queue pops the message (105 ns) before the timer (110 ns).
+        assert_eq!(queued[0].key.source_seq, 1);
+        assert_eq!(queued[1].key.source_seq, 0);
+        assert_eq!(queued[0].key.target, ComponentId(9));
+        assert_eq!(queued[1].key.target, ComponentId(7));
+        assert_eq!(queued[0].key.time, SimTime::from_nanos(105));
     }
 
     #[test]
     fn a_reserved_number_keys_a_later_timer() {
-        let (mut seq, mut pending) = (0u64, Vec::new());
+        let (mut seq, mut queue) = (0u64, CalendarQueue::new());
         let (now, id) = (SimTime::from_nanos(100), ComponentId(7));
-        let mut ctx: Ctx<'_, u32> = Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut pending);
+        let mut ctx: Ctx<'_, u32> = Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut queue);
         let reserved = ctx.reserve_seq();
         ctx.set_timer(SimDuration::from_nanos(1), 1);
         ctx.set_timer_at_seq(now, 2, reserved);
-        assert_eq!(pending[0].key.source_seq, 1, "the reservation took 0");
-        assert_eq!(pending[1].key.source_seq, reserved);
-        assert_eq!((pending[1].key.source, pending[1].key.target), (id, id));
-        assert!(matches!(pending[1].kind, EventKind::Timer(2)));
+        let queued = drain(&mut queue);
+        assert_eq!(queued[1].key.source_seq, 1, "the reservation took 0");
+        assert_eq!(queued[0].key.source_seq, reserved);
+        assert_eq!((queued[0].key.source, queued[0].key.target), (id, id));
+        assert!(matches!(queued[0].kind, EventKind::Timer(2)));
     }
 
     #[test]
     #[should_panic(expected = "never reserved")]
     fn an_unreserved_number_panics() {
-        let (mut seq, mut pending) = (0u64, Vec::<Event<u32>>::new());
+        let (mut seq, mut queue) = (0u64, CalendarQueue::<u32>::new());
         let (now, id) = (SimTime::from_nanos(100), ComponentId(0));
-        let mut ctx = Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut pending);
+        let mut ctx = Ctx::new(now, SimTime::MAX, id, id, &mut seq, &mut queue);
         ctx.set_timer_at_seq(now, 0, 0);
     }
 
@@ -263,14 +288,14 @@ mod tests {
     #[should_panic(expected = "in the past")]
     fn send_in_past_panics() {
         let mut seq = 0u64;
-        let mut pending: Vec<Event<u32>> = Vec::new();
+        let mut queue = CalendarQueue::<u32>::new();
         let mut ctx = Ctx::new(
             SimTime::from_nanos(100),
             SimTime::MAX,
             ComponentId(0),
             ComponentId(0),
             &mut seq,
-            &mut pending,
+            &mut queue,
         );
         ctx.send_at(ComponentId(1), PortNo(0), SimTime::from_nanos(99), 0);
     }

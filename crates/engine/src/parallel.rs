@@ -72,19 +72,23 @@
 //!   then `yield_now`, then a timed condvar wait — so oversubscribed or
 //!   idle workers don't burn the bus. Min/flag slots are parity
 //!   double-buffered like the lanes.
+//! * **Routed as scheduled.** A handler's [`Ctx`] hands each event to the
+//!   worker's `Router`, which checks and routes it at once (worker queue
+//!   or outbox), so an event is written once, where it is dispatched or
+//!   exchanged from.
 //! * **Batched dispatch.** Inside a round, consecutive events for the same
 //!   component are dispatched as one *batch*: one directory lookup, one
-//!   component borrow, and one routing epilogue (cross-partition checks,
-//!   outbox-minimum fold, in-round horizon clamp) per batch instead of per
-//!   event. The published-minimum scan over the `mins`/`flags` arrays runs
-//!   exactly once per round; the dispatch fast path touches no shared
-//!   state at all. See `run_worker`.
-//! * **Per-worker arenas.** Every scratch buffer on the steady-state path —
-//!   the emitted-event buffer, the per-destination outboxes, the calendar
-//!   queue's buckets, the exchange lanes — lives in `WorkerState` or the
-//!   executor and is reused across rounds *and* across `run_until` calls,
-//!   so the hot path performs no per-event heap allocation once capacities
-//!   have warmed up.
+//!   component borrow, and one epilogue (cross-partition count, error
+//!   check, in-round horizon clamp) per batch instead of per event. A
+//!   batch ends at the first event that schedules anything, which the
+//!   router's push count tells. The published-minimum scan over the
+//!   `mins`/`flags` arrays runs exactly once per round; the dispatch fast
+//!   path touches no shared state at all. See `run_worker`.
+//! * **Per-worker arenas.** Every buffer on the steady-state path — the
+//!   per-destination outboxes, the calendar queue's buckets, the exchange
+//!   lanes — lives in `WorkerState` or the executor and is reused across
+//!   rounds *and* across `run_until` calls, so the hot path performs no
+//!   per-event heap allocation once capacities have warmed up.
 //! * **Checked by the compiler.** Worker states are `&mut` borrows, lanes
 //!   are mutexes, minima and flags are atomics, and the crate root's
 //!   `forbid` keeps it that way: a data race in the executor is a compile
@@ -107,7 +111,7 @@
 //! partitions must satisfy `arrival ≥ send_time + lookahead` whether or
 //! not the two partitions happen to share a worker thread on this host.
 
-use crate::component::{Component, Ctx};
+use crate::component::{Component, Ctx, EventSink};
 use crate::error::EngineError;
 use crate::event::{ComponentId, Event, EventKey, EventKind, PortNo, TimerKey};
 use crate::sched::{CalendarQueue, EventQueue};
@@ -154,7 +158,7 @@ pub trait ComponentHost<M> {
     }
 }
 
-impl<M: 'static, Q: EventQueue<M> + Default> ComponentHost<M> for Simulation<M, Q> {
+impl<M: 'static> ComponentHost<M> for Simulation<M> {
     fn add_in_partition(
         &mut self,
         _partition: usize,
@@ -208,10 +212,6 @@ struct WorkerState<M> {
     /// Per-destination-worker outboxes, swapped into lanes at round end.
     /// Kept in the state so buffer capacity survives across rounds/runs.
     outboxes: Vec<Vec<Event<M>>>,
-    /// Reusable buffer for events emitted by one dispatch batch (the
-    /// per-worker arena: capacity survives across rounds and runs, so the
-    /// steady-state dispatch path performs no heap allocation).
-    pending: Vec<Event<M>>,
     last_time: SimTime,
     /// Barrier rounds completed.
     rounds: u64,
@@ -239,7 +239,6 @@ impl<M> WorkerState<M> {
             counters: Vec::new(),
             queue: CalendarQueue::new(),
             outboxes: Vec::new(),
-            pending: Vec::new(),
             last_time: SimTime::ZERO,
             rounds: 0,
             busy_rounds: 0,
@@ -251,53 +250,92 @@ impl<M> WorkerState<M> {
     }
 }
 
-/// Routes one outgoing event emitted at `now_ps` by a component of
-/// partition `src_part` on worker `me`: same partition -> worker queue;
-/// other partition -> lookahead check, then worker queue (same worker) or
-/// outbox (other worker).
+/// A worker's [`EventSink`]: routes each event a handler schedules as it
+/// is scheduled. Same partition -> worker queue; other partition ->
+/// lookahead check, then worker queue (same worker) or outbox (other
+/// worker). The first error is kept and every later event dropped, as the
+/// run ends at the next round decision.
 ///
 /// The lookahead check is deliberately independent of worker placement so
 /// that a model that is illegal on a many-core host is equally illegal on
 /// a single core.
-#[allow(clippy::too_many_arguments)]
-fn route_one<M>(
-    directory: &[(u32, u32)],
-    part_worker: &[u32],
+struct Router<'r, M> {
+    directory: &'r [(u32, u32)],
+    part_worker: &'r [u32],
     me: usize,
+    queue: &'r mut CalendarQueue<M>,
+    outboxes: &'r mut [Vec<Event<M>>],
+    /// Partition of the component whose handler is running.
     src_part: u32,
-    queue: &mut CalendarQueue<M>,
-    outboxes: &mut [Vec<Event<M>>],
+    /// Earliest delivery time a cross-partition event may carry: the
+    /// running event's time plus the lookahead.
     earliest_ok_ps: u64,
-    cross: &mut u64,
-    outbox_min: &mut u64,
-    ev: Event<M>,
-) -> Result<(), EngineError> {
-    let idx = ev.key.target.index();
-    if idx >= directory.len() {
-        return Err(EngineError::UnknownComponent(ev.key.target));
+    /// Events scheduled since the caller last reset it.
+    pushed: u64,
+    /// Cross-partition events routed since the caller last took it.
+    cross: u64,
+    /// Earliest delivery time among events put in an outbox.
+    outbox_min: u64,
+    err: Option<EngineError>,
+}
+
+impl<'r, M> Router<'r, M> {
+    fn new(
+        shared: &RunShared<'r, M>,
+        me: usize,
+        queue: &'r mut CalendarQueue<M>,
+        outboxes: &'r mut [Vec<Event<M>>],
+    ) -> Self {
+        Router {
+            directory: shared.directory,
+            part_worker: shared.part_worker,
+            me,
+            queue,
+            outboxes,
+            src_part: 0,
+            earliest_ok_ps: 0,
+            pushed: 0,
+            cross: 0,
+            outbox_min: u64::MAX,
+            err: None,
+        }
     }
-    let (p, _) = directory[idx];
-    if p == src_part {
-        queue.push(ev);
-        return Ok(());
+
+    fn route(&mut self, ev: Event<M>) -> Result<(), EngineError> {
+        let Some(&(p, _)) = self.directory.get(ev.key.target.index()) else {
+            return Err(EngineError::UnknownComponent(ev.key.target));
+        };
+        if p == self.src_part {
+            self.queue.push(ev);
+            return Ok(());
+        }
+        if ev.key.time.as_picos() < self.earliest_ok_ps {
+            return Err(EngineError::CrossPartitionTooSoon {
+                source: ev.key.source,
+                target: ev.key.target,
+                at: ev.key.time,
+                earliest_ok: SimTime::from_picos(self.earliest_ok_ps),
+            });
+        }
+        self.cross += 1;
+        let dw = self.part_worker[p as usize] as usize;
+        if dw == self.me {
+            self.queue.push(ev);
+        } else {
+            self.outbox_min = self.outbox_min.min(ev.key.time.as_picos());
+            self.outboxes[dw].push(ev);
+        }
+        Ok(())
     }
-    if ev.key.time.as_picos() < earliest_ok_ps {
-        return Err(EngineError::CrossPartitionTooSoon {
-            source: ev.key.source,
-            target: ev.key.target,
-            at: ev.key.time,
-            earliest_ok: SimTime::from_picos(earliest_ok_ps),
-        });
+}
+
+impl<M> EventSink<M> for Router<'_, M> {
+    fn schedule(&mut self, ev: Event<M>) {
+        self.pushed += 1;
+        if self.err.is_none() {
+            self.err = self.route(ev).err();
+        }
     }
-    *cross += 1;
-    let dw = part_worker[p as usize] as usize;
-    if dw == me {
-        queue.push(ev);
-    } else {
-        *outbox_min = (*outbox_min).min(ev.key.time.as_picos());
-        outboxes[dw].push(ev);
-    }
-    Ok(())
 }
 
 /// A sense-reversing barrier with bounded backoff that can be *poisoned*
@@ -469,7 +507,6 @@ fn run_worker<M: Send + 'static>(
 ) -> WorkerOutcome {
     let nw = shared.nworkers;
     let directory = shared.directory;
-    let part_worker = shared.part_worker;
     let lookahead = shared.lookahead_ps;
     let mut local_now = shared.start_now;
     // The barrier's per-thread sense flag (see `SenseBarrier::wait`).
@@ -489,33 +526,19 @@ fn run_worker<M: Send + 'static>(
         // through the lanes before anything is processed, so
         // cross-partition deliveries have no lookahead bound here
         // (`earliest_ok = start_now` admits everything).
-        let start_ps = shared.start_now.as_picos();
+        let mut router = Router::new(shared, me, &mut ws.queue, &mut ws.outboxes);
+        router.earliest_ok_ps = shared.start_now.as_picos();
         for i in 0..ws.comps.len() {
             let part_id = ws.part_of[i];
             let id = ws.ids[i];
+            router.src_part = part_id;
             let mut ctx =
-                Ctx::new(shared.start_now, shared.limit, id, id, &mut ws.seqs[i], &mut ws.pending);
+                Ctx::new(shared.start_now, shared.limit, id, id, &mut ws.seqs[i], &mut router);
             ws.comps[i].on_start(&mut ctx);
-            let mut cross = 0u64;
-            let mut outbox_min = u64::MAX;
-            for ev in ws.pending.drain(..) {
-                if let Err(e) = route_one(
-                    directory,
-                    part_worker,
-                    me,
-                    part_id,
-                    &mut ws.queue,
-                    &mut ws.outboxes,
-                    start_ps,
-                    &mut cross,
-                    &mut outbox_min,
-                    ev,
-                ) {
-                    pending_err.get_or_insert(e);
-                    break;
-                }
+            ws.counters[part_id as usize - ws.lo].sent_cross += std::mem::take(&mut router.cross);
+            if let Some(e) = router.err.take() {
+                pending_err.get_or_insert(e);
             }
-            ws.counters[part_id as usize - ws.lo].sent_cross += cross;
         }
         flush_outboxes(shared, me, parity, &mut ws.outboxes, &mut sent_min);
     }
@@ -599,76 +622,64 @@ fn run_worker<M: Send + 'static>(
         // time order and `d + lookahead` is strictly in the future.
         // The loop is *batched*: once a component is resolved, consecutive
         // queue-head events for the same component are dispatched under a
-        // single directory lookup and component borrow, and the routing
-        // epilogue below (cross-partition checks, outbox-minimum fold,
-        // horizon clamp) runs once per batch. The batch may only continue
-        // while the previous event emitted nothing (`pending` empty): the
-        // queue head is this worker's globally next event, so the dispatch
-        // order is identical to the unbatched loop, and an empty `pending`
-        // means the epilogue would have been a no-op for every skipped
-        // per-event iteration.
+        // single directory lookup and component borrow, and the epilogue
+        // below (cross-partition count, error check, horizon clamp) runs
+        // once per batch. The router routes each event as the handler
+        // schedules it, so the batch may only continue while the previous
+        // event scheduled nothing (the router's push count is zero): the
+        // queue head is then this worker's globally next event, the
+        // dispatch order is identical to the unbatched loop, and the
+        // epilogue would have been a no-op for every skipped per-event
+        // iteration.
         let mut processed_any = false;
-        'horizon: while let Some(mut ev) = ws.queue.pop_before(horizon) {
+        let mut router = Router::new(shared, me, &mut ws.queue, &mut ws.outboxes);
+        while let Some(mut ev) = router.queue.pop_before(horizon) {
             let target = ev.key.target;
             let (p, fidx) = directory[target.index()];
             let prel = p as usize - ws.lo;
             let fidx = fidx as usize;
             debug_assert_eq!(ws.ids[fidx], target);
+            router.src_part = p;
+            router.pushed = 0;
             let mut batch = 0u64;
             {
                 let comp = &mut ws.comps[fidx];
                 loop {
                     local_now = ev.key.time;
+                    router.earliest_ok_ps = local_now.as_picos().saturating_add(lookahead);
                     let mut ctx = Ctx::new(
                         local_now,
                         shared.limit,
                         target,
                         ev.key.source,
                         &mut ws.seqs[fidx],
-                        &mut ws.pending,
+                        &mut router,
                     );
                     match ev.kind {
                         EventKind::Timer(key) => comp.on_timer(key, &mut ctx),
                         EventKind::Message(port, msg) => comp.on_message(port, msg, &mut ctx),
                     }
                     batch += 1;
-                    if !ws.pending.is_empty() {
+                    if router.pushed != 0 {
                         break;
                     }
-                    match ws.queue.peek_key() {
+                    match router.queue.peek_key() {
                         Some(k) if k.target == target && k.time.as_picos() < horizon => {
-                            ev = ws.queue.pop_before(horizon).expect("peeked event");
+                            ev = router.queue.pop_before(horizon).expect("peeked event");
                         }
                         _ => break,
                     }
                 }
             }
             ws.counters[prel].events_processed += batch;
+            ws.counters[prel].sent_cross += std::mem::take(&mut router.cross);
             ws.batches += 1;
             processed_any = true;
-            let earliest_ok = local_now.as_picos().saturating_add(lookahead);
-            let mut cross = 0u64;
-            let mut outbox_min = u64::MAX;
-            for out in ws.pending.drain(..) {
-                if let Err(e) = route_one(
-                    directory,
-                    part_worker,
-                    me,
-                    p,
-                    &mut ws.queue,
-                    &mut ws.outboxes,
-                    earliest_ok,
-                    &mut cross,
-                    &mut outbox_min,
-                    out,
-                ) {
-                    pending_err.get_or_insert(e);
-                    ws.counters[prel].sent_cross += cross;
-                    break 'horizon;
-                }
+            if let Some(e) = router.err.take() {
+                pending_err.get_or_insert(e);
+                break;
             }
-            ws.counters[prel].sent_cross += cross;
-            horizon = horizon.min(outbox_min.saturating_add(lookahead));
+            horizon = horizon.min(router.outbox_min.saturating_add(lookahead));
         }
         if processed_any {
             ws.busy_rounds += 1;
@@ -1257,6 +1268,25 @@ mod tests {
                 matches!(err, EngineError::CrossPartitionTooSoon { .. }),
                 "workers={workers}: got {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_handler_sending_to_an_unregistered_component_is_an_error() {
+        let unknown = ComponentId(42);
+        let mut serial = Simulation::<u64>::new();
+        let a = serial.add_component(Box::new(chatter(2_000, 1)));
+        serial.component_mut::<Chatter>(a).unwrap().peer = Some(unknown);
+        assert_eq!(serial.run().unwrap_err(), EngineError::UnknownComponent(unknown));
+        // The sender's worker catches it, whichever worker that is.
+        for (workers, sender) in [(1usize, 0usize), (2, 0), (2, 1)] {
+            let mut sim =
+                ParallelSimulation::<u64>::with_workers(2, workers, SimDuration::from_micros(1));
+            let a = sim.add_in_partition(sender, Box::new(chatter(2_000, 1)));
+            sim.add_in_partition(1 - sender, Box::new(chatter(2_000, 0)));
+            sim.component_mut::<Chatter>(a).unwrap().peer = Some(unknown);
+            let err = sim.run().unwrap_err();
+            assert_eq!(err, EngineError::UnknownComponent(unknown), "{workers} workers");
         }
     }
 

@@ -1,5 +1,6 @@
-//! Event schedulers: the [`EventQueue`] abstraction, the default two-tier
-//! [`CalendarQueue`], and the reference [`HeapQueue`].
+//! Event schedulers: the [`EventQueue`] abstraction, the two-tier
+//! [`CalendarQueue`] both executors run on, and the reference
+//! [`HeapQueue`].
 //!
 //! # Why a calendar queue
 //!
@@ -66,10 +67,12 @@
 //! (`tests/determinism.rs`) confirm serial/parallel runs stay bit-identical
 //! end to end.
 
+use crate::component::EventSink;
 use crate::event::{Event, EventKey, HeapEntry};
 use std::collections::BinaryHeap;
 
-/// Minimal interface the executors need from an event scheduler.
+/// The interface [`CalendarQueue`] and its [`HeapQueue`] reference share,
+/// so the differential tests drive both through one code path.
 ///
 /// `peek_key` takes `&mut self` because the calendar queue advances its
 /// cursor lazily: finding the next event may rotate the wheel and migrate
@@ -394,6 +397,15 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
 
     fn len(&self) -> usize {
         self.len
+    }
+}
+
+/// The serial executor's sink: a handler's event goes straight into the
+/// queue it will be dispatched from.
+impl<M> EventSink<M> for CalendarQueue<M> {
+    #[inline]
+    fn schedule(&mut self, ev: Event<M>) {
+        self.push(ev);
     }
 }
 

@@ -23,34 +23,32 @@ pub struct RunStats {
 ///
 /// Components are registered before the first run; events are then
 /// dispatched in the deterministic total order described in
-/// [`crate::event`]. Scheduling goes through the [`EventQueue`] trait and
-/// defaults to the two-tier [`CalendarQueue`] (amortized O(1) dispatch for
-/// near-future events); instantiate `Simulation<M, HeapQueue<M>>` to run on
-/// the reference binary heap instead. For multi-million-node experiments
+/// [`crate::event`] from the two-tier [`CalendarQueue`] (amortized O(1)
+/// dispatch for near-future events). A handler's events go straight into
+/// that queue. For multi-million-node experiments
 /// the [`ParallelSimulation`](crate::parallel::ParallelSimulation) executor
 /// distributes partitions over host threads with identical results.
 ///
 /// # Examples
 ///
 /// See [`Component`] for a complete runnable example.
-pub struct Simulation<M, Q: EventQueue<M> = CalendarQueue<M>> {
+pub struct Simulation<M> {
     components: Vec<Box<dyn Component<M>>>,
     seqs: Vec<u64>,
-    queue: Q,
+    queue: CalendarQueue<M>,
     now: SimTime,
     started: bool,
     external_seq: u64,
     events_processed: u64,
-    pending: Vec<Event<M>>,
 }
 
-impl<M: 'static, Q: EventQueue<M> + Default> Default for Simulation<M, Q> {
+impl<M: 'static> Default for Simulation<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M, Q: EventQueue<M>> std::fmt::Debug for Simulation<M, Q> {
+impl<M> std::fmt::Debug for Simulation<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("components", &self.components.len())
@@ -61,18 +59,17 @@ impl<M, Q: EventQueue<M>> std::fmt::Debug for Simulation<M, Q> {
     }
 }
 
-impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
+impl<M: 'static> Simulation<M> {
     /// Creates an empty simulation at time zero.
     pub fn new() -> Self {
         Simulation {
             components: Vec::new(),
             seqs: Vec::new(),
-            queue: Q::default(),
+            queue: CalendarQueue::new(),
             now: SimTime::ZERO,
             started: false,
             external_seq: 0,
             events_processed: 0,
-            pending: Vec::new(),
         }
     }
 
@@ -160,11 +157,8 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
         self.started = true;
         for i in 0..self.components.len() {
             let id = ComponentId(i as u32);
-            let mut ctx = Ctx::new(self.now, limit, id, id, &mut self.seqs[i], &mut self.pending);
+            let mut ctx = Ctx::new(self.now, limit, id, id, &mut self.seqs[i], &mut self.queue);
             self.components[i].on_start(&mut ctx);
-        }
-        for ev in self.pending.drain(..) {
-            self.queue.push(ev);
         }
     }
 
@@ -208,7 +202,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
                     target,
                     ev.key.source,
                     &mut self.seqs[idx],
-                    &mut self.pending,
+                    &mut self.queue,
                 );
                 match ev.kind {
                     EventKind::Timer(key) => self.components[idx].on_timer(key, &mut ctx),
@@ -218,9 +212,6 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
                 }
             }
             self.events_processed += 1;
-            for out in self.pending.drain(..) {
-                self.queue.push(out);
-            }
         }
         if self.now < limit && limit < SimTime::MAX && self.queue.is_empty() {
             // Advancing to the requested horizon keeps repeated run_until
@@ -231,7 +222,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> Simulation<M, Q> {
     }
 }
 
-impl<M: Snap + 'static, Q: EventQueue<M>> Simulation<M, Q> {
+impl<M: Snap + 'static> Simulation<M> {
     /// Serializes the executor's complete deterministic state: clock,
     /// sequence counters, per-component state (via
     /// [`Component::persist`]), and every queued event in total order.

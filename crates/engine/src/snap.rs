@@ -925,7 +925,8 @@ pub struct ExecStream<M> {
     pub head: ExecHead,
     /// Per-component sequence counters, in component-id order.
     pub seqs: Vec<u64>,
-    /// Every pending event; each targets a component the model has.
+    /// Every pending event in ascending key order; each targets a
+    /// component the model has and is one the saved run could hold.
     pub events: Vec<crate::event::Event<M>>,
 }
 
@@ -936,7 +937,10 @@ pub struct ExecStream<M> {
 /// # Errors
 ///
 /// Any [`SnapError`] on truncation, corruption, or a component-count /
-/// persist-surface mismatch with the rebuilt model.
+/// persist-surface mismatch with the rebuilt model;
+/// [`SnapError::Malformed`] for an event the saved run could not hold:
+/// aimed at no component, due before the clock, from no component, with a
+/// sequence number its source had not issued, or out of key order.
 pub fn load_exec_stream<'a, M: Snap>(
     r: &mut SnapReader<'_>,
     comps: impl ExactSizeIterator<Item = Option<&'a mut dyn Persist>>,
@@ -961,13 +965,47 @@ pub fn load_exec_stream<'a, M: Snap>(
         load_dyn(c, format_args!("component {i}"), r)?;
     }
     let events = Vec::<crate::event::Event<M>>::load(r)?;
-    if let Some(ev) = events.iter().find(|ev| ev.key.target.index() >= ncomp) {
-        return Err(SnapError::Malformed(format!(
-            "snapshot event targets unknown component {}",
-            ev.key.target
-        )));
+    let mut prev = None;
+    for ev in &events {
+        check_restored_event(&ev.key, prev, &head, &seqs)?;
+        prev = Some(ev.key);
     }
     Ok(ExecStream { head, seqs, events })
+}
+
+/// Refuses a restored event the saved run could not have held: one aimed
+/// at no component, due before the restored clock, from an unknown
+/// source, carrying a sequence number its source has not issued yet (the
+/// source would issue that key again), or not strictly after the event
+/// before it (keys are unique and saved in order).
+fn check_restored_event(
+    key: &crate::event::EventKey,
+    prev: Option<crate::event::EventKey>,
+    head: &ExecHead,
+    seqs: &[u64],
+) -> Result<(), SnapError> {
+    let issued = if key.source == crate::event::ComponentId::EXTERNAL {
+        Some(head.external_seq)
+    } else {
+        seqs.get(key.source.index()).copied()
+    };
+    let fault = if key.target.index() >= seqs.len() {
+        format!("targets unknown component {}", key.target)
+    } else if key.time < head.now {
+        format!("is due at {}, before the restored clock {}", key.time, head.now)
+    } else if let Some(n) = issued.filter(|&n| key.source_seq >= n) {
+        format!(
+            "carries sequence number {} of {}, which has issued {n}",
+            key.source_seq, key.source
+        )
+    } else if issued.is_none() {
+        format!("comes from unknown component {}", key.source)
+    } else if prev.is_some_and(|p| p >= *key) {
+        "does not follow the event before it in key order".to_string()
+    } else {
+        return Ok(());
+    };
+    Err(SnapError::Malformed(format!("snapshot event {fault}")))
 }
 
 #[cfg(test)]
@@ -1267,5 +1305,50 @@ mod tests {
         true.save(&mut w);
         w.put_blob(&[0; 9]);
         assert!(err(Some(&mut inner), &w.into_bytes()).contains("left 1 trailing bytes"));
+    }
+
+    #[test]
+    fn restore_refuses_an_event_the_saved_run_could_not_hold() {
+        use crate::event::{ComponentId, Event, EventKey, EventKind};
+        let head = ExecHead {
+            now: SimTime::from_nanos(100),
+            started: true,
+            external_seq: 2,
+            events_processed: 9,
+        };
+        let seqs = [3u64, 1];
+        let ext = ComponentId::EXTERNAL.0;
+        let ev = |ns: u64, source: u32, source_seq: u64| Event::<u64> {
+            key: EventKey {
+                time: SimTime::from_nanos(ns),
+                target: ComponentId(0),
+                source: ComponentId(source),
+                source_seq,
+            },
+            kind: EventKind::Timer(0),
+        };
+        let load = |mut events: Vec<Event<u64>>| {
+            let mut w = SnapWriter::new();
+            save_exec_stream(
+                &mut w,
+                &head,
+                &seqs,
+                [None::<&dyn Persist>; 2].into_iter(),
+                &mut events,
+            );
+            let bytes = w.into_bytes();
+            let comps = [None::<&mut dyn Persist>, None].into_iter();
+            load_exec_stream::<u64>(&mut SnapReader::new(&bytes), comps).map(|s| s.events.len())
+        };
+        assert_eq!(load(vec![ev(100, 0, 2), ev(100, 1, 0), ev(150, ext, 1)]).ok(), Some(3));
+        for (what, events) in [
+            ("an event before the clock", vec![ev(99, 0, 0)]),
+            ("a number its source has not issued", vec![ev(200, 0, 3)]),
+            ("an external number not issued", vec![ev(200, ext, 2)]),
+            ("a source past the component table", vec![ev(200, 2, 0)]),
+            ("two equal keys", vec![ev(200, 0, 1), ev(200, 0, 1)]),
+        ] {
+            assert!(matches!(load(events), Err(SnapError::Malformed(_))), "loaded {what}");
+        }
     }
 }
