@@ -17,9 +17,10 @@
 //!   an SLO signal with hysteresis, and drains rebooted nodes back in as
 //!   spares.
 //! * [`ControlAgent`] — one per pool node: sends heartbeats, executes
-//!   activate/deactivate commands by flipping a host-shared
-//!   [`ServiceGate`] and waking the gated server through a futex, and
-//!   acks so the scheduler's retry budget can bound command loss.
+//!   activate/deactivate commands by flipping its node's [`GateState`]
+//!   (memory the node's threads share) and waking the gated server
+//!   through a futex, and acks so the scheduler's retry budget can bound
+//!   command loss.
 //! * Clients discover live endpoints through a simulated registry lookup
 //!   ([`KIND_LOOKUP`] → [`KIND_ENDPOINTS`], a 128-bit liveness mask over
 //!   the service's fixed address pool) instead of a static address list;
@@ -40,10 +41,11 @@ use diablo_engine::snap::SnapError;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
-use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall};
+use diablo_stack::process::{
+    Errno, Fd, Process, ProcessCtx, Proto, Shared, Shm, Step, SysResult, Syscall,
+};
 use diablo_stack::socket::EventMask;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
 
 /// UDP port the [`ControlPlane`] scheduler serves on.
 pub const CONTROL_PORT: u16 = 7100;
@@ -77,9 +79,10 @@ pub const GATE_FUTEX_KEY: u64 = 0xC0DE_0000;
 // Gates — how an agent starts/stops a co-located server process
 // ====================================================================
 
-/// Host-shared activation flag for one service replica on one node.
-/// The gated server checks it before binding; the agent flips it on
-/// command and wakes the server's futex.
+/// One service replica's activation flag, in the memory its node's
+/// threads share; a node holds at most one. The gated server checks it
+/// before binding; the agent flips it on command and wakes the server's
+/// futex.
 #[derive(Debug, Default)]
 pub struct GateState {
     /// Whether this replica should serve.
@@ -88,14 +91,10 @@ pub struct GateState {
     pub generation: u64,
 }
 
-/// Shared handle to one replica's [`GateState`]. Both sides live on the
-/// same simulated node, so sharing memory models pthread-style IPC, not
-/// a network channel.
-pub type ServiceGate = Arc<Mutex<GateState>>;
-
-/// Creates a gate in the given initial state.
-pub fn service_gate(active: bool) -> ServiceGate {
-    Arc::new(Mutex::new(GateState { active, generation: 0 }))
+/// The gate holds the scheduler's placement, not the node's state: it
+/// survives a reboot.
+impl Shared for GateState {
+    fn reboot(&mut self) {}
 }
 
 /// Picks one live pool index from a 128-bit liveness mask: the k-th set
@@ -760,7 +759,7 @@ impl ControlPlane {
 }
 
 impl Process for ControlPlane {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 CpState::Start => {
@@ -861,15 +860,7 @@ impl Process for ControlPlane {
         "control-plane"
     }
 
-    fn persist(&self) -> Option<&dyn diablo_engine::snap::Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn diablo_engine::snap::Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         let s = &self.stats;
         v.counter("control.heartbeats", s.heartbeats);
         v.counter("control.lookups", s.lookups);
@@ -904,10 +895,6 @@ impl Process for ControlPlane {
         self.started = false;
         true
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 // ====================================================================
@@ -930,9 +917,10 @@ enum AgState {
 }
 
 /// The per-node control agent: heartbeats the scheduler on a staggered
-/// period and executes placement commands by flipping the co-located
-/// [`ServiceGate`] and waking the gated server's futex. Runs the same
-/// nonblocking `epoll` loop shape as every other server in the repo.
+/// period and executes placement commands by flipping its node's
+/// [`GateState`] and waking the gated server's futex (on a node without a
+/// gate it is a pure health beacon). Runs the same nonblocking `epoll`
+/// loop shape as every other server in the repo.
 #[derive(Debug)]
 pub struct ControlAgent {
     control: SockAddr,
@@ -940,7 +928,6 @@ pub struct ControlAgent {
     /// Offset of this agent's first heartbeat, de-phasing the pool so the
     /// scheduler never sees every beacon in the same microsecond.
     stagger: SimDuration,
-    gate: Option<ServiceGate>,
     state: AgState,
     fd: Option<Fd>,
     epfd: Option<Fd>,
@@ -957,21 +944,14 @@ pub struct ControlAgent {
 }
 
 impl ControlAgent {
-    /// Creates an agent heartbeating `control`, executing commands
-    /// against `gate`, the co-located replica's (`None` makes the agent a
-    /// pure health beacon).
-    pub fn new(
-        control: SockAddr,
-        heartbeat_every: SimDuration,
-        stagger: SimDuration,
-        gate: Option<ServiceGate>,
-    ) -> Self {
+    /// Creates an agent heartbeating `control` every `heartbeat_every`,
+    /// first after `stagger`.
+    pub fn new(control: SockAddr, heartbeat_every: SimDuration, stagger: SimDuration) -> Self {
         assert!(!heartbeat_every.is_zero(), "heartbeat period must be positive");
         ControlAgent {
             control,
             heartbeat_every,
             stagger,
-            gate,
             state: AgState::Start,
             fd: None,
             epfd: None,
@@ -987,7 +967,7 @@ impl ControlAgent {
 }
 
 impl Process for ControlAgent {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 AgState::Start => {
@@ -1086,8 +1066,8 @@ impl Process for ControlAgent {
                             } else {
                                 self.deactivations += 1;
                             }
-                            if let Some(gate) = &self.gate {
-                                let mut g = gate.lock().expect("gate poisoned");
+                            if let Some(gate) = ctx.shm.find::<GateState>() {
+                                let g = ctx.shm.get_mut(gate);
                                 g.active = active;
                                 g.generation += 1;
                                 self.wakeq.push_back(GATE_FUTEX_KEY);
@@ -1111,24 +1091,14 @@ impl Process for ControlAgent {
         "control-agent"
     }
 
-    fn persist(&self) -> Option<&dyn diablo_engine::snap::Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn diablo_engine::snap::Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("control.agent.heartbeats_sent", self.heartbeats_sent);
         v.counter("control.agent.activations", self.activations);
         v.counter("control.agent.deactivations", self.deactivations);
     }
 
     fn reset(&mut self) -> bool {
-        // Gates are host memory shared with the server — they survive the
-        // crash exactly as the server's own reset sees them. The reboot
-        // re-staggers from the configured offset.
+        // The reboot re-staggers from the configured offset.
         self.state = AgState::Start;
         self.fd = None;
         self.epfd = None;
@@ -1136,10 +1106,6 @@ impl Process for ControlAgent {
         self.wakeq.clear();
         self.hb_init = false;
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -1243,9 +1209,6 @@ diablo_engine::impl_persist_fields!(ControlPlane {
 
 diablo_engine::impl_persist_fields!(GateState { active, generation });
 
-// The agent is the single owner of the node's service gate: the
-// gated servers share the `Arc` but never persist its contents (the
-// dispatcher's Persist documents the same contract from its side).
 diablo_engine::impl_persist_fields!(ControlAgent {
     state,
     fd,
@@ -1257,7 +1220,6 @@ diablo_engine::impl_persist_fields!(ControlAgent {
     heartbeats_sent,
     activations,
     deactivations,
-    gate: nested,
     control: config,
     heartbeat_every: config,
     stagger: config,
@@ -1325,10 +1287,11 @@ mod tests {
 
     #[test]
     fn gate_flips_and_its_futex_key_clears_the_barrier_keys() {
-        let g = service_gate(false);
-        assert!(!g.lock().unwrap().active);
-        g.lock().unwrap().active = true;
-        assert!(g.lock().unwrap().active);
+        let mut g = GateState::default();
+        assert!(!g.active);
+        g.active = true;
+        g.reboot();
+        assert!(g.active, "a gate survives its node's reboot");
         // Far from the incast barrier keys (0xA / 0xB).
         const { assert!(GATE_FUTEX_KEY > 0xFF) };
     }

@@ -57,7 +57,7 @@ impl TcpEchoServer {
 }
 
 impl Process for TcpEchoServer {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 SrvState::Start => {
@@ -137,18 +137,6 @@ impl Process for TcpEchoServer {
     fn label(&self) -> &str {
         "tcp-echo-server"
     }
-
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// A TCP echo client: connects, sends `count` messages of `len` bytes
@@ -205,7 +193,7 @@ impl TcpEchoClient {
 }
 
 impl Process for TcpEchoClient {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 CliState::Start => {
@@ -274,18 +262,6 @@ impl Process for TcpEchoClient {
     fn label(&self) -> &str {
         "tcp-echo-client"
     }
-
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// A UDP echo server: bounces every datagram back to its sender, forever.
@@ -319,7 +295,7 @@ impl Process for UdpEchoServer {
     // The state-machine loop idiom is shared across all guest processes
     // even where this particular machine returns from every arm.
     #[allow(clippy::never_loop)]
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 UdpSrvState::Start => {
@@ -363,18 +339,6 @@ impl Process for UdpEchoServer {
 
     fn label(&self) -> &str {
         "udp-echo-server"
-    }
-
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -425,7 +389,7 @@ impl UdpPingClient {
 }
 
 impl Process for UdpPingClient {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 UdpCliState::Start => {
@@ -478,18 +442,6 @@ impl Process for UdpPingClient {
     fn label(&self) -> &str {
         "udp-ping-client"
     }
-
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Burns CPU in fixed bursts for a given number of iterations (a
@@ -512,7 +464,7 @@ impl Spinner {
 }
 
 impl Process for Spinner {
-    fn step(&mut self, _ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, _ctx: &mut ProcessCtx<'_>) -> Step {
         if self.completed > 0 {
             self.remaining -= 1;
         }
@@ -526,21 +478,7 @@ impl Process for Spinner {
     fn label(&self) -> &str {
         "spinner"
     }
-
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
-
-use diablo_engine::snap::Persist;
 
 diablo_engine::impl_snap_enum!(SrvState {
     0 => Start,

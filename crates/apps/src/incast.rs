@@ -25,13 +25,15 @@ use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
 use crate::failure::{backoff_delay_jittered, FailureStats};
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::rng::DetRng;
+use diablo_engine::snap::SnapError;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
-use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall};
+use diablo_stack::process::{
+    Errno, Fd, Process, ProcessCtx, Proto, Shared, Shm, ShmKey, Step, SysResult, Syscall,
+};
 use diablo_stack::socket::EventMask;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// Request message kind.
 pub const KIND_REQ: u32 = 10;
@@ -49,9 +51,12 @@ const FUTEX_DONE: u64 = 0xB;
 /// Per-request instruction cost of server-side application logic.
 const SERVER_WORK: u64 = 3_000;
 
-/// State shared between the incast client threads on one node.
+/// The memory the incast client threads on one node share: a barrier
+/// over the workers that, like a `pthread_barrier_t`, holds its count.
 #[derive(Debug)]
 pub struct IncastShared {
+    /// Workers in the barrier.
+    pub workers: usize,
     /// Workers still owing a fragment this iteration (or still connecting
     /// during setup).
     pub remaining: usize,
@@ -59,12 +64,18 @@ pub struct IncastShared {
     pub finished: bool,
 }
 
-/// Handle to the client-side shared state.
-pub type SharedHandle = Arc<Mutex<IncastShared>>;
+impl IncastShared {
+    /// A barrier over `workers` workers, none connected yet.
+    pub fn new(workers: usize) -> Self {
+        IncastShared { workers, remaining: workers, finished: false }
+    }
+}
 
-/// Creates the shared state for `n` workers.
-pub fn shared(n: usize) -> SharedHandle {
-    Arc::new(Mutex::new(IncastShared { remaining: n, finished: false }))
+/// The crash killed the whole thread group: the barrier starts over.
+impl Shared for IncastShared {
+    fn reboot(&mut self) {
+        *self = IncastShared::new(self.workers);
+    }
 }
 
 // ====================================================================
@@ -117,7 +128,7 @@ impl Default for IncastServer {
 }
 
 impl Process for IncastServer {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 SrvState::Start => {
@@ -202,15 +213,7 @@ impl Process for IncastServer {
         "incast-server"
     }
 
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("served", self.served);
     }
 
@@ -219,10 +222,6 @@ impl Process for IncastServer {
         self.listen_fd = None;
         self.to_send.clear();
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -245,7 +244,7 @@ pub struct IncastWorker {
     pub fragment: u32,
     /// Failure/recovery accounting.
     pub failure: FailureStats,
-    shared: SharedHandle,
+    shared: ShmKey<IncastShared>,
     state: WrkState,
     fd: Option<Fd>,
     start_seen: u64,
@@ -278,7 +277,7 @@ enum WrkState {
 
 impl IncastWorker {
     /// Creates a worker fetching `fragment` bytes per iteration.
-    pub fn new(server: SockAddr, fragment: u32, shared: SharedHandle) -> Self {
+    pub fn new(server: SockAddr, fragment: u32, shared: ShmKey<IncastShared>) -> Self {
         IncastWorker {
             fragment,
             failure: FailureStats::default(),
@@ -305,15 +304,15 @@ impl IncastWorker {
 
     /// Decrements the shared countdown; returns `true` for the last
     /// finisher.
-    fn finish_one(&self) -> bool {
-        let mut s = self.shared.lock().expect("shared state poisoned");
+    fn finish_one(&self, shm: &mut Shm) -> bool {
+        let s = shm.get_mut(self.shared);
         s.remaining -= 1;
         s.remaining == 0
     }
 }
 
 impl Process for IncastWorker {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 WrkState::Start => {
@@ -347,7 +346,7 @@ impl Process for IncastWorker {
                         self.failure.on_success(ctx.now);
                         self.attempts = 0;
                         self.state = WrkState::WaitStart;
-                        if self.finish_one() {
+                        if self.finish_one(ctx.shm) {
                             return Step::Syscall(Syscall::FutexWake { key: FUTEX_DONE });
                         }
                         continue;
@@ -360,7 +359,7 @@ impl Process for IncastWorker {
                     other => panic!("connect failed: {other:?}"),
                 },
                 WrkState::WaitStart => {
-                    if self.shared.lock().expect("poisoned").finished {
+                    if ctx.shm.get(self.shared).finished {
                         self.state = WrkState::Closing;
                         continue;
                     }
@@ -374,7 +373,7 @@ impl Process for IncastWorker {
                     if let SysResult::FutexVal(v) = ctx.result {
                         self.start_seen = v;
                     }
-                    if self.shared.lock().expect("poisoned").finished {
+                    if ctx.shm.get(self.shared).finished {
                         self.state = WrkState::Closing;
                         continue;
                     }
@@ -402,13 +401,13 @@ impl Process for IncastWorker {
                             self.attempts = 0;
                             self.resend = false;
                             self.state = WrkState::WaitStart;
-                            if self.finish_one() {
+                            if self.finish_one(ctx.shm) {
                                 return Step::Syscall(Syscall::FutexWake { key: FUTEX_DONE });
                             }
                             continue;
                         }
                         if eof {
-                            if self.shared.lock().expect("poisoned").finished {
+                            if ctx.shm.get(self.shared).finished {
                                 self.state = WrkState::Closing;
                                 continue;
                             }
@@ -457,15 +456,7 @@ impl Process for IncastWorker {
         "incast-worker"
     }
 
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         self.failure.visit(v);
     }
 
@@ -484,25 +475,19 @@ impl Process for IncastWorker {
         self.resend = false;
         true
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// The pthread-style client coordinator: releases the worker barrier each
 /// iteration and records per-iteration block completion times.
 #[derive(Debug)]
 pub struct IncastMaster {
-    /// Workers (= servers).
-    pub n: usize,
     /// Iterations to run.
     pub iterations: u64,
     /// Wall-clock duration of each completed iteration.
     pub iteration_times: Vec<SimDuration>,
     /// All iterations completed.
     pub done: bool,
-    shared: SharedHandle,
+    shared: ShmKey<IncastShared>,
     state: MstState,
     done_seen: u64,
     iter_started: SimTime,
@@ -519,10 +504,10 @@ enum MstState {
 }
 
 impl IncastMaster {
-    /// Creates a coordinator for `n` workers running `iterations`.
-    pub fn new(n: usize, iterations: u64, shared: SharedHandle) -> Self {
+    /// Creates a coordinator running `iterations` over the workers of the
+    /// `shared` barrier.
+    pub fn new(iterations: u64, shared: ShmKey<IncastShared>) -> Self {
         IncastMaster {
-            n,
             iterations,
             iteration_times: Vec::new(),
             done: false,
@@ -547,7 +532,7 @@ impl IncastMaster {
 }
 
 impl Process for IncastMaster {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 MstState::AwaitConnects => {
@@ -570,7 +555,8 @@ impl Process for IncastMaster {
                         continue;
                     }
                     self.iter += 1;
-                    self.shared.lock().expect("poisoned").remaining = self.n;
+                    let barrier = ctx.shm.get_mut(self.shared);
+                    barrier.remaining = barrier.workers;
                     self.iter_started = ctx.now;
                     self.state = MstState::AwaitDone;
                     return Step::Syscall(Syscall::FutexWake { key: FUTEX_START });
@@ -583,7 +569,7 @@ impl Process for IncastMaster {
                     });
                 }
                 MstState::Finish => {
-                    self.shared.lock().expect("poisoned").finished = true;
+                    ctx.shm.get_mut(self.shared).finished = true;
                     self.done = true;
                     self.state = MstState::Exit;
                     return Step::Syscall(Syscall::FutexWake { key: FUTEX_START });
@@ -597,36 +583,18 @@ impl Process for IncastMaster {
         "incast-master"
     }
 
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("iterations_completed", self.iteration_times.len() as u64);
         v.gauge("done", if self.done { 1.0 } else { 0.0 });
     }
 
     fn reset(&mut self) -> bool {
-        // Rewind the barrier for the whole thread group; the workers reset
-        // alongside (a crash takes down every thread on the node).
-        let mut s = self.shared.lock().expect("poisoned");
-        s.remaining = self.n;
-        s.finished = false;
-        drop(s);
         self.state = MstState::AwaitConnects;
         self.done_seen = 0;
         self.iter = 0;
         self.iter_started = SimTime::ZERO;
         self.done = false;
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -811,10 +779,30 @@ impl IncastEpollClient {
     fn fd_index(&self, fd: Fd) -> usize {
         self.fds.iter().position(|f| *f == fd).expect("unknown fd")
     }
+
+    /// Refuses a restored connection table or index the rebuilt server
+    /// list cannot hold: it would decode, then panic at the next step.
+    fn check_indices(&mut self) -> Result<(), SnapError> {
+        let (servers, fds) = (self.servers.len(), self.fds.len());
+        let closing = if let EpState::Closing(i) = self.state { i } else { 0 };
+        let checks = [
+            (self.got.len() == fds && fds <= servers, "connection table"),
+            (self.connect_idx <= servers, "connect index"),
+            (self.send_idx <= fds, "send index"),
+            (self.reconn_idx < fds.max(1), "reconnect index"),
+            (closing <= fds, "close index"),
+        ];
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, what)) => Err(SnapError::Malformed(format!(
+                "{what} of an incast client with {servers} servers and {fds} connections"
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
 impl Process for IncastEpollClient {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 EpState::Start => {
@@ -1160,15 +1148,7 @@ impl Process for IncastEpollClient {
         "incast-epoll-client"
     }
 
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("iterations_completed", self.iteration_times.len() as u64);
         v.gauge("done", if self.done { 1.0 } else { 0.0 });
         self.failure.visit(v);
@@ -1212,17 +1192,11 @@ impl Process for IncastEpollClient {
         self.done = false;
         true
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 // ====================================================================
 // Snapshot layer
 // ====================================================================
-
-use diablo_engine::snap::Persist;
 
 diablo_engine::impl_snap_enum!(SrvState as "incast SrvState" {
     0 => Start,
@@ -1307,10 +1281,8 @@ diablo_engine::impl_persist_fields!(IncastWorker {
     shared: config,
 });
 
-diablo_engine::impl_persist_fields!(IncastShared { remaining, finished });
+diablo_engine::impl_persist_fields!(IncastShared { remaining, finished, workers: config });
 
-// Single owner of the node's `IncastShared` barrier block in
-// snapshots; the workers share it through the same `Arc` on restore.
 diablo_engine::impl_persist_fields!(IncastMaster {
     iteration_times,
     done,
@@ -1318,8 +1290,7 @@ diablo_engine::impl_persist_fields!(IncastMaster {
     done_seen,
     iter_started,
     iter,
-    shared: nested,
-    n: config,
+    shared: config,
     iterations: config,
 });
 
@@ -1348,7 +1319,7 @@ diablo_engine::impl_persist_fields!(IncastEpollClient {
     fragment: config,
     iterations: config,
     request_deadline: config,
-});
+} after_load = check_indices);
 
 #[cfg(test)]
 mod tests {
@@ -1356,18 +1327,56 @@ mod tests {
 
     #[test]
     fn shared_state_countdown() {
-        let s = shared(3);
-        assert_eq!(s.lock().unwrap().remaining, 3);
-        let w = IncastWorker::new(SockAddr::default(), 1024, s.clone());
-        assert!(!w.finish_one());
-        assert!(!w.finish_one());
-        assert!(w.finish_one());
+        let mut shm = Shm::default();
+        let s = shm.share(IncastShared::new(3));
+        assert_eq!(shm.get(s).remaining, 3);
+        let w = IncastWorker::new(SockAddr::default(), 1024, s);
+        assert!(!w.finish_one(&mut shm));
+        assert!(!w.finish_one(&mut shm));
+        assert!(w.finish_one(&mut shm));
+        shm.get_mut(s).finished = true;
+        shm.get_mut(s).reboot();
+        let b = shm.get(s);
+        assert_eq!((b.remaining, b.finished), (3, false), "a reboot rewinds the barrier");
+    }
+
+    /// A snapshot whose connection table or indices the rebuilt server
+    /// list cannot hold is refused at load, not at the client's next step.
+    #[test]
+    fn a_restored_index_past_the_connection_table_is_an_error() {
+        use diablo_engine::snap::{Persist, SnapReader, SnapWriter};
+        use diablo_net::addr::NodeAddr;
+        let client = |n: u32| {
+            let servers = (0..n).map(|i| SockAddr::new(NodeAddr(i), INCAST_PORT)).collect();
+            IncastEpollClient::new(servers, 1024, 1)
+        };
+        let restore = |mutate: fn(&mut IncastEpollClient)| {
+            let mut saved = client(2);
+            (saved.fds, saved.got) = (vec![Fd(3), Fd(4)], vec![0, 0]);
+            mutate(&mut saved);
+            let mut w = SnapWriter::new();
+            saved.save_state(&mut w);
+            client(2).load_state(&mut SnapReader::new(&w.into_bytes()))
+        };
+        restore(|_| {}).expect("a table that fits restores");
+        restore(|c| c.state = EpState::Closing(2)).expect("closing the last fd is a state");
+        for (what, mutate) in [
+            ("connect index", (|c| c.connect_idx = 3) as fn(&mut IncastEpollClient)),
+            ("reconnect index", |c| c.reconn_idx = 2),
+            ("close index", |c| c.state = EpState::Closing(3)),
+            ("connection table", |c| c.got.push(0)),
+            ("connection table", |c| (c.fds, c.got) = (vec![Fd(3); 3], vec![0; 3])),
+        ] {
+            match restore(mutate) {
+                Err(SnapError::Malformed(msg)) => assert!(msg.starts_with(what), "{msg}"),
+                other => panic!("{what}: expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn goodput_math() {
-        let s = shared(1);
-        let mut m = IncastMaster::new(1, 2, s);
+        let mut m = IncastMaster::new(2, Shm::default().share(IncastShared::new(1)));
         m.iteration_times = vec![SimDuration::from_millis(2), SimDuration::from_millis(2)];
         let expected = 2.0 * 256.0 * 1024.0 * 8.0 / 0.004;
         assert!((m.goodput_bps(256 * 1024) - expected).abs() < 1.0);

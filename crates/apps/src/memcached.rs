@@ -17,7 +17,7 @@
 //! latency in HDR histograms — overall and per hop-class (Figure 10).
 
 use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
-use crate::control::{pick_live, DiscoveryConfig, RegistryClient, ServiceGate, GATE_FUTEX_KEY};
+use crate::control::{pick_live, DiscoveryConfig, GateState, RegistryClient, GATE_FUTEX_KEY};
 use crate::failure::{backoff_delay_jittered, FailureStats};
 use crate::workload::{etc_value_size_for_key, EtcWorkload, KvOp};
 use diablo_engine::metrics::MetricsVisitor;
@@ -27,10 +27,12 @@ use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::addr::NodeAddr;
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
-use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall};
+use diablo_stack::process::{
+    Errno, Fd, Process, ProcessCtx, Proto, Shared, Shm, ShmKey, Step, SysResult, Syscall,
+};
 use diablo_stack::socket::EventMask;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// GET request kind.
 pub const KIND_GET: u32 = 20;
@@ -76,23 +78,30 @@ impl std::str::FromStr for McVersion {
     }
 }
 
-/// State shared between the dispatcher and workers of one server.
+/// The memory the dispatcher and workers of one server share: the fds
+/// they publish to each other.
 #[derive(Debug, Default)]
 pub struct McShared {
     /// Worker epoll fds, published as workers start.
     pub worker_epfds: Vec<Option<Fd>>,
     /// The shared UDP socket, once created by the dispatcher.
     pub udp_fd: Option<Fd>,
-    /// Requests served (all workers).
-    pub served: u64,
 }
 
-/// Handle to a server's shared state.
-pub type McSharedHandle = Arc<Mutex<McShared>>;
+impl McShared {
+    /// Nothing published yet, for `workers` worker threads.
+    pub fn new(workers: usize) -> Self {
+        McShared { worker_epfds: vec![None; workers], udp_fd: None }
+    }
+}
 
-/// Creates shared state for `workers` worker threads.
-pub fn mc_shared(workers: usize) -> McSharedHandle {
-    Arc::new(Mutex::new(McShared { worker_epfds: vec![None; workers], udp_fd: None, served: 0 }))
+/// The crash wiped every socket: the dispatcher and workers publish their
+/// fds again from scratch.
+impl Shared for McShared {
+    fn reboot(&mut self) {
+        self.worker_epfds.fill(None);
+        self.udp_fd = None;
+    }
 }
 
 /// Server configuration.
@@ -130,24 +139,22 @@ impl Default for McServerConfig {
 /// The memcached dispatcher: accepts connections and assigns them
 /// round-robin to worker epolls; creates the shared UDP socket.
 ///
-/// Under the control plane a dispatcher can be *gated*
-/// ([`McDispatcher::with_gate`]): a standby replica parks on a futex
-/// until the co-located [`ControlAgent`](crate::control::ControlAgent)
-/// activates its [`ServiceGate`], modeling cold-start warmup — the
-/// replica boots its whole socket machinery (and its workers fill a cold
-/// cache) only after placement.
+/// Under the control plane a dispatcher is *gated* by its node's
+/// [`GateState`]: a standby replica parks on a futex until the co-located
+/// [`ControlAgent`](crate::control::ControlAgent) activates the gate,
+/// modeling cold-start warmup — the replica boots its whole socket
+/// machinery (and its workers fill a cold cache) only after placement. A
+/// node without a gate always serves.
 #[derive(Debug)]
 pub struct McDispatcher {
     cfg: McServerConfig,
-    shared: McSharedHandle,
+    shared: ShmKey<McShared>,
     state: DispState,
     listen_fd: Option<Fd>,
     udp_fd: Option<Fd>,
     next_worker: usize,
     udp_reg_idx: usize,
     pending_conn: Option<Fd>,
-    /// Activation gate (`None` = always serve).
-    gate: Option<ServiceGate>,
     /// Last futex eventcount observed while parked on the gate.
     last_futex: u64,
     /// Connections accepted.
@@ -172,7 +179,7 @@ enum DispState {
 
 impl McDispatcher {
     /// Creates the dispatcher.
-    pub fn new(cfg: McServerConfig, shared: McSharedHandle) -> Self {
+    pub fn new(cfg: McServerConfig, shared: ShmKey<McShared>) -> Self {
         McDispatcher {
             cfg,
             shared,
@@ -182,49 +189,25 @@ impl McDispatcher {
             next_worker: 0,
             udp_reg_idx: 0,
             pending_conn: None,
-            gate: None,
             last_futex: 0,
             accepted: 0,
         }
     }
-
-    /// Gates this dispatcher behind a control-plane activation flag: it
-    /// parks on [`GATE_FUTEX_KEY`] until the gate turns active.
-    #[must_use]
-    pub fn with_gate(mut self, gate: ServiceGate) -> Self {
-        self.gate = Some(gate);
-        self
-    }
-
-    /// Requests this server's workers have served.
-    pub fn served(&self) -> u64 {
-        self.shared.lock().expect("poisoned").served
-    }
-
-    fn worker_epfd(&self, i: usize) -> Option<Fd> {
-        self.shared.lock().expect("poisoned").worker_epfds[i]
-    }
-
-    fn all_workers_ready(&self) -> bool {
-        self.shared.lock().expect("poisoned").worker_epfds.iter().all(|e| e.is_some())
-    }
 }
 
 impl Process for McDispatcher {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 DispState::Start => {
-                    if let Some(gate) = &self.gate {
-                        if !gate.lock().expect("gate poisoned").active {
-                            // Standby: park until the control agent
-                            // activates this replica and wakes the futex.
-                            self.state = DispState::Standby;
-                            return Step::Syscall(Syscall::FutexWait {
-                                key: GATE_FUTEX_KEY,
-                                seen: self.last_futex,
-                            });
-                        }
+                    if ctx.shm.find::<GateState>().is_some_and(|g| !ctx.shm.get(g).active) {
+                        // Standby: park on GATE_FUTEX_KEY until the control
+                        // agent activates this replica and wakes the futex.
+                        self.state = DispState::Standby;
+                        return Step::Syscall(Syscall::FutexWait {
+                            key: GATE_FUTEX_KEY,
+                            seen: self.last_futex,
+                        });
                     }
                     self.state = DispState::TcpSocketed;
                     return Step::Syscall(Syscall::Socket(Proto::Tcp));
@@ -268,12 +251,12 @@ impl Process for McDispatcher {
                 }
                 DispState::UdpBound => {
                     assert_eq!(ctx.result, SysResult::Done, "udp bind failed");
-                    self.shared.lock().expect("poisoned").udp_fd = self.udp_fd;
+                    ctx.shm.get_mut(self.shared).udp_fd = self.udp_fd;
                     self.state = DispState::WaitWorkers;
                     continue;
                 }
                 DispState::WaitWorkers => {
-                    if !self.all_workers_ready() {
+                    if ctx.shm.get(self.shared).worker_epfds.contains(&None) {
                         return Step::Syscall(Syscall::Nanosleep(SimDuration::from_micros(100)));
                     }
                     if self.cfg.udp && self.udp_reg_idx < self.cfg.workers {
@@ -289,7 +272,7 @@ impl Process for McDispatcher {
                 DispState::RegisterUdp => {
                     let i = self.udp_reg_idx;
                     self.udp_reg_idx += 1;
-                    let epfd = self.worker_epfd(i).expect("worker not ready");
+                    let epfd = ctx.shm.get(self.shared).worker_epfds[i].expect("worker not ready");
                     self.state = DispState::WaitWorkers;
                     return Step::Syscall(Syscall::EpollCtl {
                         epfd,
@@ -319,7 +302,7 @@ impl Process for McDispatcher {
                     let fd = self.pending_conn.take().expect("no pending conn");
                     let w = self.next_worker % self.cfg.workers;
                     self.next_worker += 1;
-                    let epfd = self.worker_epfd(w).expect("worker not ready");
+                    let epfd = ctx.shm.get(self.shared).worker_epfds[w].expect("worker not ready");
                     // The EpollCtl is the "notify worker" step; afterwards
                     // loop back through WaitWorkers to the next accept.
                     self.state = DispState::WaitWorkers;
@@ -337,29 +320,14 @@ impl Process for McDispatcher {
         "memcached-dispatcher"
     }
 
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, shm: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("accepted", self.accepted);
-        if let Some(gate) = &self.gate {
-            let active = gate.lock().expect("gate poisoned").active;
-            v.gauge("service_active", if active { 1.0 } else { 0.0 });
+        if let Some(gate) = shm.find::<GateState>() {
+            v.gauge("service_active", if shm.get(gate).active { 1.0 } else { 0.0 });
         }
     }
 
     fn reset(&mut self) -> bool {
-        // A crash wiped every socket; unpublish the shared fds so workers
-        // and dispatcher renegotiate from scratch on reboot.
-        let mut s = self.shared.lock().expect("poisoned");
-        s.worker_epfds.iter_mut().for_each(|e| *e = None);
-        s.udp_fd = None;
-        drop(s);
         self.state = DispState::Start;
         self.listen_fd = None;
         self.udp_fd = None;
@@ -370,10 +338,6 @@ impl Process for McDispatcher {
         // restarts from zero, so the parked-on value must too.
         self.last_futex = 0;
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -405,7 +369,7 @@ pub struct McWorker {
     /// This worker's index.
     pub index: usize,
     cfg: McServerConfig,
-    shared: McSharedHandle,
+    shared: ShmKey<McShared>,
     state: WkState,
     epfd: Option<Fd>,
     conns: HashMap<Fd, ConnOut>,
@@ -426,7 +390,7 @@ enum WkState {
 
 impl McWorker {
     /// Creates worker `index`.
-    pub fn new(index: usize, cfg: McServerConfig, shared: McSharedHandle) -> Self {
+    pub fn new(index: usize, cfg: McServerConfig, shared: ShmKey<McShared>) -> Self {
         McWorker {
             index,
             cfg,
@@ -444,7 +408,6 @@ impl McWorker {
     /// Builds the reply for one request and the compute cost it incurs.
     fn serve(&mut self, req: &AppMessage, now: SimTime) -> (AppMessage, u64) {
         self.served += 1;
-        self.shared.lock().expect("poisoned").served += 1;
         let key = req.arg0;
         let reply_len = match req.kind {
             KIND_GET => {
@@ -463,14 +426,10 @@ impl McWorker {
         reply.arg1 = req.created_at.as_picos();
         (reply, self.cfg.request_work)
     }
-
-    fn udp_fd(&self) -> Option<Fd> {
-        self.shared.lock().expect("poisoned").udp_fd
-    }
 }
 
 impl Process for McWorker {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 WkState::Start => {
@@ -480,7 +439,7 @@ impl Process for McWorker {
                 WkState::Publish => {
                     let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
                     self.epfd = Some(ep);
-                    self.shared.lock().expect("poisoned").worker_epfds[self.index] = Some(ep);
+                    ctx.shm.get_mut(self.shared).worker_epfds[self.index] = Some(ep);
                     self.state = WkState::Wait;
                     return Step::Syscall(Syscall::EpollWait {
                         epfd: ep,
@@ -491,7 +450,7 @@ impl Process for McWorker {
                 WkState::Wait => {
                     match std::mem::replace(&mut ctx.result, SysResult::Computed) {
                         SysResult::Events(evs) => {
-                            let udp = self.udp_fd();
+                            let udp = ctx.shm.get(self.shared).udp_fd;
                             for (fd, mask) in evs {
                                 if Some(fd) == udp {
                                     if !self.queue.contains(&Act::RecvUdp(fd)) {
@@ -649,22 +608,13 @@ impl Process for McWorker {
         "memcached-worker"
     }
 
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("served", self.served);
     }
 
     fn reset(&mut self) -> bool {
         // The crash wiped the item table along with the sockets — a
         // rebooted cache comes back cold.
-        self.shared.lock().expect("poisoned").worker_epfds[self.index] = None;
         self.state = WkState::Start;
         self.epfd = None;
         self.conns.clear();
@@ -672,10 +622,6 @@ impl Process for McWorker {
         self.inflight = None;
         self.store.clear();
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -922,7 +868,7 @@ impl McClient {
 }
 
 impl Process for McClient {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 CliState::Start => {
@@ -1197,15 +1143,7 @@ impl Process for McClient {
         "memcached-client"
     }
 
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("requests_issued", self.issued);
         v.counter("requests_completed", self.completed);
         v.counter("failures", self.failures);
@@ -1233,10 +1171,6 @@ impl Process for McClient {
         self.attempts = 0;
         self.done = false;
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -1439,7 +1373,7 @@ impl McOpenLoopClient {
 }
 
 impl Process for McOpenLoopClient {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 OlState::Start => {
@@ -1586,15 +1520,7 @@ impl Process for McOpenLoopClient {
         "memcached-openloop-client"
     }
 
-    fn persist(&self) -> Option<&dyn Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("open_loop.offered", self.offered);
         v.counter("requests_issued", self.issued);
         v.counter("requests_completed", self.completed);
@@ -1626,17 +1552,13 @@ impl Process for McOpenLoopClient {
         self.done = false;
         true
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 // ====================================================================
 // Snapshot layer
 // ====================================================================
 
-use diablo_engine::snap::{Persist, SnapError};
+use diablo_engine::snap::SnapError;
 
 diablo_engine::impl_snap_enum!(DispState {
     0 => Start,
@@ -1710,13 +1632,8 @@ diablo_engine::impl_snap_struct!(OlInflight { sent_at, expires });
 
 // One slot per configured worker thread; a snapshot of another shape is
 // rejected.
-diablo_engine::impl_persist_fields!(McShared { worker_epfds: fixed_len, udp_fd, served });
+diablo_engine::impl_persist_fields!(McShared { worker_epfds: fixed_len, udp_fd });
 
-// The dispatcher is the single owner of the node's `McShared` block in
-// snapshots: workers read it back through the same `Arc` on restore,
-// so only one process may serialize it or the blob would be applied
-// twice. The activation gate is owned (and persisted) by the node's
-// `ControlAgent`.
 diablo_engine::impl_persist_fields!(McDispatcher {
     state,
     listen_fd,
@@ -1726,9 +1643,8 @@ diablo_engine::impl_persist_fields!(McDispatcher {
     pending_conn,
     last_futex,
     accepted,
-    shared: nested,
+    shared: config,
     cfg: config,
-    gate: config,
 });
 
 diablo_engine::impl_persist_fields!(McWorker {
@@ -1800,11 +1716,13 @@ mod tests {
 
     #[test]
     fn shared_state_starts_empty() {
-        let s = mc_shared(4);
-        let g = s.lock().unwrap();
+        let mut g = McShared::new(4);
         assert_eq!(g.worker_epfds.len(), 4);
         assert!(g.worker_epfds.iter().all(Option::is_none));
         assert!(g.udp_fd.is_none());
+        (g.worker_epfds[1], g.udp_fd) = (Some(Fd(3)), Some(Fd(4)));
+        g.reboot();
+        assert_eq!((g.worker_epfds, g.udp_fd), (vec![None; 4], None), "a reboot unpublishes");
     }
 
     #[test]
@@ -1817,7 +1735,7 @@ mod tests {
     /// refused at load, not at the client's next request.
     #[test]
     fn a_restored_server_index_past_the_list_is_an_error() {
-        use diablo_engine::snap::{SnapReader, SnapWriter};
+        use diablo_engine::snap::{Persist, SnapReader, SnapWriter};
         let client = |n: u32| {
             let servers: Vec<SockAddr> =
                 (0..n).map(|i| SockAddr::new(NodeAddr(i), MEMCACHED_PORT)).collect();

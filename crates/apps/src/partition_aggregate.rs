@@ -21,7 +21,7 @@ use diablo_engine::rng::DetRng;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
-use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall};
+use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Shm, Step, SysResult, Syscall};
 use diablo_stack::socket::EventMask;
 use std::sync::Arc;
 
@@ -95,7 +95,7 @@ impl PaLeaf {
 }
 
 impl Process for PaLeaf {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 LeafState::Start => {
@@ -182,15 +182,7 @@ impl Process for PaLeaf {
         "pa-leaf"
     }
 
-    fn persist(&self) -> Option<&dyn diablo_engine::snap::Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn diablo_engine::snap::Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("served", self.served);
     }
 
@@ -202,10 +194,6 @@ impl Process for PaLeaf {
         self.epfd = None;
         self.reply = None;
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -440,7 +428,7 @@ impl PaFrontend {
 }
 
 impl Process for PaFrontend {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 FeState::Start => {
@@ -665,15 +653,7 @@ impl Process for PaFrontend {
         "pa-frontend"
     }
 
-    fn persist(&self) -> Option<&dyn diablo_engine::snap::Persist> {
-        Some(self)
-    }
-
-    fn persist_mut(&mut self) -> Option<&mut dyn diablo_engine::snap::Persist> {
-        Some(self)
-    }
-
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("queries_issued", self.issued);
         v.counter("queries_completed", self.completed);
         v.counter("full_aggregates", self.full_aggregates);
@@ -705,10 +685,6 @@ impl Process for PaFrontend {
         self.registry.reset();
         self.done = false;
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -15,7 +15,7 @@ use diablo_net::NodeAddr;
 use diablo_nic::NicConfig;
 use diablo_node::ServerNode;
 use diablo_stack::kernel::NodeConfig;
-use diablo_stack::process::Process;
+use diablo_stack::process::{Process, Shared, ShmKey};
 use diablo_stack::profile::KernelProfile;
 use std::any::Any;
 use std::sync::Arc;
@@ -715,6 +715,13 @@ impl Cluster {
     /// Panics if the node does not exist.
     pub fn spawn(&self, host: &mut SimHost, addr: NodeAddr, process: Box<dyn Process>) {
         host.component_mut::<ServerNode>(self.node(addr)).expect("node vanished").spawn(process);
+    }
+
+    /// Creates a block of memory the threads of `addr` share; panics if
+    /// the node does not exist.
+    pub fn share<T: Shared>(&self, host: &mut SimHost, addr: NodeAddr, block: T) -> ShmKey<T> {
+        let node = host.component_mut::<ServerNode>(self.node(addr)).expect("node vanished");
+        node.kernel_mut().share(block)
     }
 
     /// Reads a guest process's state on `addr`.

@@ -15,15 +15,15 @@ use crate::fault::FaultPlan;
 use crate::observe::DropAccounting;
 use diablo_apps::arrival::{ArrivalSpec, SloStats};
 use diablo_apps::control::{
-    service_gate, ControlAgent, ControlConfig, ControlPlane, ControlReport, DiscoveryConfig,
-    ServiceGate, ServiceSpec, CONTROL_PORT,
+    ControlAgent, ControlConfig, ControlPlane, ControlReport, DiscoveryConfig, GateState,
+    ServiceSpec, CONTROL_PORT,
 };
 use diablo_apps::failure::FailureStats;
 use diablo_apps::incast::{
-    shared, IncastEpollClient, IncastMaster, IncastServer, IncastWorker, INCAST_PORT,
+    IncastEpollClient, IncastMaster, IncastServer, IncastShared, IncastWorker, INCAST_PORT,
 };
 use diablo_apps::memcached::{
-    mc_shared, McClient, McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig, McVersion,
+    McClient, McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig, McShared, McVersion,
     McWorker, MEMCACHED_PORT,
 };
 use diablo_apps::partition_aggregate::{
@@ -79,9 +79,9 @@ fn check_control(ctl: &ControlConfig, pool_len: usize, pool: &str) -> Result<(),
 /// already spawned: a [`ControlAgent`] joins each pool node, heartbeats
 /// staggered evenly across one period so the scheduler never sees a
 /// synchronized burst, and the [`ControlPlane`] scheduler starts on
-/// `cp_node`. `gates` holds one service gate per pool entry (none: the
-/// agents are pure health beacons). Returns what a client needs to
-/// discover the pool through the registry.
+/// `cp_node`. An agent flips its node's [`GateState`], if the node has
+/// one, and is a pure health beacon otherwise. Returns what a client
+/// needs to discover the pool through the registry.
 fn attach_control_plane(
     host: &mut SimHost,
     cluster: &Cluster,
@@ -89,15 +89,13 @@ fn attach_control_plane(
     cp_node: NodeAddr,
     pool: &[SockAddr],
     initial: Vec<usize>,
-    gates: Vec<ServiceGate>,
 ) -> DiscoveryConfig {
     let control = SockAddr::new(cp_node, CONTROL_PORT);
-    let mut gates = gates.into_iter();
     for (idx, replica) in pool.iter().enumerate() {
         let stagger = SimDuration::from_picos(
             ctl.heartbeat_every.as_picos() * idx as u64 / pool.len() as u64,
         );
-        let agent = ControlAgent::new(control, ctl.heartbeat_every, stagger, gates.next());
+        let agent = ControlAgent::new(control, ctl.heartbeat_every, stagger);
         cluster.spawn(host, replica.node, Box::new(agent));
     }
     let initial_mask = initial.iter().fold(0u128, |m, &i| m | (1u128 << i));
@@ -336,22 +334,16 @@ impl Experiment for IncastConfig {
         // saturates but does not steer the client.
         if let Some(ctl) = &self.control {
             let cp_node = NodeAddr(n as u32 + 1);
-            attach_control_plane(host, cluster, ctl, cp_node, &servers, (0..n).collect(), vec![]);
+            attach_control_plane(host, cluster, ctl, cp_node, &servers, (0..n).collect());
         }
         match self.client {
             IncastClientKind::Pthread => {
-                let sh = shared(n);
-                cluster.spawn(
-                    host,
-                    INCAST_CLIENT,
-                    Box::new(IncastMaster::new(n, self.iterations, sh.clone())),
-                );
+                let sh = cluster.share(host, INCAST_CLIENT, IncastShared::new(n));
+                let master = IncastMaster::new(self.iterations, sh);
+                cluster.spawn(host, INCAST_CLIENT, Box::new(master));
                 for s in &servers {
-                    cluster.spawn(
-                        host,
-                        INCAST_CLIENT,
-                        Box::new(IncastWorker::new(*s, fragment, sh.clone())),
-                    );
+                    let worker = IncastWorker::new(*s, fragment, sh);
+                    cluster.spawn(host, INCAST_CLIENT, Box::new(worker));
                 }
             }
             IncastClientKind::Epoll => {
@@ -686,7 +678,6 @@ impl Experiment for McExperimentConfig {
         // memcached servers: the first `pool_slots` nodes of each rack.
         let mut pool = Vec::new();
         let mut initial = Vec::new();
-        let mut gates = Vec::new();
         for rack in 0..self.racks {
             for slot in 0..pool_slots {
                 let addr = NodeAddr((rack * self.servers_per_rack + slot) as u32);
@@ -697,8 +688,7 @@ impl Experiment for McExperimentConfig {
                     udp: self.proto == Proto::Udp,
                     request_work: self.request_work,
                 };
-                let sh = mc_shared(scfg.workers);
-                let mut dispatcher = McDispatcher::new(scfg.clone(), sh.clone());
+                let sh = cluster.share(host, addr, McShared::new(scfg.workers));
                 let active = slot < self.mc_per_rack;
                 if active {
                     initial.push(pool.len());
@@ -706,13 +696,11 @@ impl Experiment for McExperimentConfig {
                 if ctl.is_some() {
                     // The node's agent flips this gate on the scheduler's
                     // command.
-                    let gate = service_gate(active);
-                    dispatcher = dispatcher.with_gate(gate.clone());
-                    gates.push(gate);
+                    cluster.share(host, addr, GateState { active, generation: 0 });
                 }
-                cluster.spawn(host, addr, Box::new(dispatcher));
+                cluster.spawn(host, addr, Box::new(McDispatcher::new(scfg.clone(), sh)));
                 for w in 0..scfg.workers {
-                    cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
+                    cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh)));
                 }
                 pool.push(SockAddr::new(addr, MEMCACHED_PORT));
             }
@@ -721,7 +709,7 @@ impl Experiment for McExperimentConfig {
         // the registry's live-endpoint mask.
         let discovery = ctl
             .zip(cp)
-            .map(|(ctl, cp)| attach_control_plane(host, cluster, ctl, cp, &pool, initial, gates));
+            .map(|(ctl, cp)| attach_control_plane(host, cluster, ctl, cp, &pool, initial));
         // One shared server list for every client on the cluster.
         let server_addrs: Arc<[SockAddr]> = pool.into();
 
@@ -800,7 +788,7 @@ impl Experiment for McExperimentConfig {
             r.completed_at = r.completed_at.max(c.finished_at);
             failure.merge(&c.failure);
         }
-        r.served = cluster.processes::<McDispatcher>(host).map(McDispatcher::served).sum();
+        r.served = cluster.processes::<McWorker>(host).map(|w| w.served).sum();
         r.control = control_report(host, cluster);
         (r, failure, slo)
     }
@@ -1117,7 +1105,7 @@ impl Experiment for PaExperimentConfig {
         let discovery = match (&self.control, cp, &cluster_leaves) {
             (Some(ctl), Some(cp), Some(pool)) => {
                 let all = (0..pool.len()).collect();
-                Some(attach_control_plane(host, cluster, ctl, cp, pool, all, vec![]))
+                Some(attach_control_plane(host, cluster, ctl, cp, pool, all))
             }
             _ => None,
         };

@@ -60,8 +60,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 /// each in place of a generation and an armed flag. Version 8: the
 /// control-plane scheduler persists its one service's state directly (no
 /// service table), a pending command names no service, and a control
-/// agent persists an optional gate in place of a map of them.
-pub const SNAP_VERSION: u32 = 8;
+/// agent persists an optional gate in place of a map of them. Version 9: a
+/// node kernel persists the memory its threads share (after its futexes),
+/// no process persists a shared block or a gate, and a process blob has no
+/// presence flag.
+pub const SNAP_VERSION: u32 = 9;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

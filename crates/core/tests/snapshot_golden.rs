@@ -4,11 +4,21 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 8 (the control-plane scheduler holds its one service's
-//! state without a service table and its pending commands name no
-//! service, and each control agent persists an optional gate in place of
-//! a map keyed by service: the controlled memcached snapshot is 52 bytes
-//! smaller, the other three differ from version 7's in the version word
+//! `SNAP_VERSION` 9 (a node kernel persists the memory its threads share
+//! after its futexes, 8 bytes of table length per node plus its blocks; a
+//! process blob loses its 1-byte presence flag; a shared block moves from
+//! the one process that persisted it into its kernel, and memcached's
+//! block drops its 8-byte copy of the served count; a control agent loses
+//! its gate's 1-byte presence flag, its gate moving to the kernel: the
+//! closed-loop memcached snapshot, 12 nodes, 20 processes, 2 servers, is
+//! 60 bytes larger, the controlled one, 12 nodes, 32 processes, 4 servers
+//! and 4 gates, 28, the partition-aggregate one, 16 nodes and 16
+//! processes, 112, and the incast one, 16 nodes and 13 processes, 115;
+//! version 8's control-plane scheduler held its one service's state
+//! without a service table and its pending commands named no service,
+//! and each control agent persisted an optional gate in place of a map
+//! keyed by service: the controlled memcached snapshot was 52 bytes
+//! smaller, the other three differed from version 7's in the version word
 //! only; version 7's executor head lost its stop flag; a node kernel
 //! persists its CPU completion's deadline and live timer in place of a
 //! 4-byte generation, and each TCP socket the same pair for its RTO and
@@ -67,7 +77,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     cfg.sample_every = Some(SimDuration::from_micros(500));
     let got =
         snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
-    assert_eq!(got, (450_940, "b2ee0f4de761b64e".to_string()));
+    assert_eq!(got, (451_000, "e30b6fa6b17fd6c9".to_string()));
 }
 
 #[test]
@@ -80,7 +90,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_546, "86b443469374a889".to_string()));
+    assert_eq!(got, (96_574, "cde955dfd0b2fc04".to_string()));
 }
 
 #[test]
@@ -90,7 +100,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     cfg.cross_rack = true;
     let got =
         snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
-    assert_eq!(got, (132_700, "324cf52d934de285".to_string()));
+    assert_eq!(got, (132_812, "a6053e0df9376a1a".to_string()));
 }
 
 #[test]
@@ -109,5 +119,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (43_822, "4189f42fe6bae849".to_string()));
+    assert_eq!(got, (43_937, "1a34aa3b1c25ba5c".to_string()));
 }

@@ -28,10 +28,10 @@
 //! fields) and [`impl_persist_fields!`](crate::impl_persist_fields) (an
 //! object restored in place, every field classified as state, nested
 //! state, configuration, or a total derived from state on load). In
-//! each, leaving out a field or a variant is a compile error. Optional
-//! trait objects go through [`save_dyn`]/[`load_dyn`], and the
-//! executor-level stream both executors share through
-//! [`save_exec_stream`]/[`load_exec_stream`].
+//! each, leaving out a field or a variant is a compile error. Trait
+//! objects go through [`save_blob`]/[`load_blob`] (optional ones through
+//! [`save_dyn`]/[`load_dyn`]), and the executor-level stream both
+//! executors share through [`save_exec_stream`]/[`load_exec_stream`].
 //!
 //! # What is deliberately not serialized
 //!
@@ -49,7 +49,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
 
 /// Snapshot format errors: truncated input, unknown enum tags, or header
 /// mismatches (magic, version, configuration fingerprint).
@@ -705,8 +704,7 @@ macro_rules! __persist_field {
 ///
 /// * `field` — state: a [`Snap`] value the snapshot replaces wholesale;
 /// * `field: nested` — state that is itself [`Persist`] and is restored
-///   in place (a nested object, a `Vec` of them, a shared
-///   `Arc<Mutex<_>>` block);
+///   in place (a nested object, a `Vec` or an `Option` of them);
 /// * `field: fixed_len` — a state `Vec` whose length the configuration
 ///   fixes; a snapshot with a different length is rejected;
 /// * `field: config` — rebuilt from the experiment spec by the restore
@@ -777,7 +775,7 @@ pub fn load_fixed_len<T: Snap>(slot: &mut Vec<T>, r: &mut SnapReader<'_>) -> Res
 }
 
 // In-place containers: the restore path rebuilds their shape (how many
-// processes, which services, who shares a block) from configuration, so
+// processes, which services, how many shared blocks) from configuration, so
 // the snapshot overwrites element state and rejects a shape mismatch.
 
 impl<T: Persist> Persist for Vec<T> {
@@ -820,28 +818,40 @@ impl<T: Persist> Persist for Option<T> {
     }
 }
 
-/// A block several objects share on one simulated node. Exactly one of
-/// the sharers lists it as `nested`; the others list their handle as
-/// `config`, or the block would be applied twice.
-impl<T: Persist> Persist for Arc<Mutex<T>> {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.lock().expect("shared block poisoned").save_state(w);
-    }
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.lock().expect("shared block poisoned").load_state(r)
+/// Writes a `dyn Persist` object's state as a length-prefixed blob, so
+/// the reader can check the object consumed exactly what was written.
+pub fn save_blob(obj: &dyn Persist, w: &mut SnapWriter) {
+    let mut blob = SnapWriter::new();
+    obj.save_state(&mut blob);
+    w.put_blob(&blob.into_bytes());
+}
+
+/// Restores a blob written by [`save_blob`] into its rebuilt object;
+/// `what` names it in errors.
+///
+/// # Errors
+///
+/// [`SnapError::Malformed`] when the object leaves part of its blob
+/// unread; any decode error from the object itself.
+pub fn load_blob(
+    obj: &mut dyn Persist,
+    what: std::fmt::Arguments<'_>,
+    r: &mut SnapReader<'_>,
+) -> Result<(), SnapError> {
+    let mut blob = SnapReader::new(r.take_blob()?);
+    obj.load_state(&mut blob)?;
+    match blob.remaining() {
+        0 => Ok(()),
+        n => Err(SnapError::Malformed(format!("{what} left {n} trailing bytes"))),
     }
 }
 
 /// Writes an optional `dyn Persist` object (a component under an
-/// executor, a guest process under a kernel): a presence flag, then its
-/// state as a length-prefixed blob so the reader can check the object
-/// consumed exactly what was written.
+/// executor): a presence flag, then its [`save_blob`].
 pub fn save_dyn(obj: Option<&dyn Persist>, w: &mut SnapWriter) {
     obj.is_some().save(w);
     if let Some(p) = obj {
-        let mut blob = SnapWriter::new();
-        p.save_state(&mut blob);
-        w.put_blob(&blob.into_bytes());
+        save_blob(p, w);
     }
 }
 
@@ -859,14 +869,7 @@ pub fn load_dyn(
     r: &mut SnapReader<'_>,
 ) -> Result<(), SnapError> {
     match (bool::load(r)?, obj) {
-        (true, Some(p)) => {
-            let mut blob = SnapReader::new(r.take_blob()?);
-            p.load_state(&mut blob)?;
-            match blob.remaining() {
-                0 => Ok(()),
-                n => Err(SnapError::Malformed(format!("{what} left {n} trailing bytes"))),
-            }
-        }
+        (true, Some(p)) => load_blob(p, what, r),
         (false, None) => Ok(()),
         (true, None) => Err(SnapError::Malformed(format!(
             "snapshot has state for {what}, which is not persistable"
@@ -1178,7 +1181,6 @@ mod tests {
         count: u64,
         inner: Inner,
         parts: Vec<Inner>,
-        shared: Arc<Mutex<Inner>>,
         maybe: Option<Inner>,
         lanes: Vec<u64>,
         log: Vec<u64>,
@@ -1187,7 +1189,6 @@ mod tests {
         count,
         inner: nested,
         parts: nested,
-        shared: nested,
         maybe: nested,
         lanes: fixed_len,
         log,
@@ -1201,7 +1202,6 @@ mod tests {
             count,
             inner: inner(tunable),
             parts: vec![inner(tunable), inner(tunable)],
-            shared: Arc::new(Mutex::new(inner(tunable))),
             maybe: Some(inner(tunable)),
             lanes: vec![hits; 2],
             log,
@@ -1223,8 +1223,7 @@ mod tests {
         assert_eq!(r.remaining(), 0);
         assert_eq!(fresh.tunable, 2, "config fields stay rebuilt");
         assert_eq!((fresh.count, &fresh.log, &fresh.lanes), (41, &vec![4, 5], &vec![7, 7]));
-        let shared = fresh.shared.lock().unwrap();
-        for inner in [&fresh.inner, &fresh.parts[1], &*shared, fresh.maybe.as_ref().unwrap()] {
+        for inner in [&fresh.inner, &fresh.parts[1], fresh.maybe.as_ref().unwrap()] {
             assert_eq!((inner.seed, inner.hits), (2, 7), "nested state restored in place");
         }
     }

@@ -5,12 +5,12 @@
 
 use diablo_apps::arrival::ArrivalSpec;
 use diablo_apps::control::{
-    service_gate, ControlAgent, ControlConfig, ControlPlane, DiscoveryConfig, ServiceSpec,
+    ControlAgent, ControlConfig, ControlPlane, DiscoveryConfig, GateState, ServiceSpec,
     CONTROL_PORT,
 };
 use diablo_apps::memcached::{
-    mc_shared, McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig, McSharedHandle,
-    McWorker, MEMCACHED_PORT,
+    McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig, McShared, McWorker,
+    MEMCACHED_PORT,
 };
 use diablo_engine::prelude::*;
 use diablo_net::link::{LinkParams, PortPeer};
@@ -55,8 +55,8 @@ fn build_rack(n: usize) -> Rack {
 const WORKERS: usize = 2;
 
 /// Installs a gated memcached replica (dispatcher + workers + agent) on
-/// `node`, returning its shared served counter. `active` decides whether
-/// the gate starts open (serving) or parked on the service futex.
+/// `node`. `active` decides whether the gate starts open (serving) or
+/// parked on the service futex.
 fn install_replica(
     rack: &mut Rack,
     node: usize,
@@ -64,17 +64,22 @@ fn install_replica(
     cp: SockAddr,
     ctl: &ControlConfig,
     stagger: SimDuration,
-) -> McSharedHandle {
-    let gate = service_gate(active);
+) {
     let scfg = McServerConfig { workers: WORKERS, udp: true, ..McServerConfig::default() };
-    let sh = mc_shared(scfg.workers);
     let sn = rack.sim.component_mut::<ServerNode>(rack.nodes[node]).unwrap();
-    sn.spawn(Box::new(McDispatcher::new(scfg.clone(), sh.clone()).with_gate(gate.clone())));
+    let sh = sn.kernel_mut().share(McShared::new(scfg.workers));
+    sn.kernel_mut().share(GateState { active, generation: 0 });
+    sn.spawn(Box::new(McDispatcher::new(scfg.clone(), sh)));
     for w in 0..scfg.workers {
-        sn.spawn(Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
+        sn.spawn(Box::new(McWorker::new(w, scfg.clone(), sh)));
     }
-    sn.spawn(Box::new(ControlAgent::new(cp, ctl.heartbeat_every, stagger, Some(gate))));
-    sh
+    sn.spawn(Box::new(ControlAgent::new(cp, ctl.heartbeat_every, stagger)));
+}
+
+/// Requests the replica on `node` has served.
+fn served(rack: &Rack, node: usize) -> u64 {
+    let kernel = rack.sim.component::<ServerNode>(rack.nodes[node]).unwrap().kernel();
+    kernel.processes::<McWorker>().map(|w| w.served).sum()
 }
 
 /// Schedules `fault` on node `node`'s kernel and injects its timer.
@@ -87,11 +92,11 @@ fn inject_fault(rack: &mut Rack, node: usize, at: SimTime, fault: NodeFault) {
 
 /// CP on node 0, active replica on node 1, parked standby on node 2, one
 /// registry-driven open-loop client on node 3.
-fn build_controlled_rack(ctl: &ControlConfig) -> (Rack, McSharedHandle, McSharedHandle) {
+fn build_controlled_rack(ctl: &ControlConfig) -> Rack {
     let mut rack = build_rack(4);
     let cp = SockAddr::new(NodeAddr(0), CONTROL_PORT);
-    let sh1 = install_replica(&mut rack, 1, true, cp, ctl, SimDuration::ZERO);
-    let sh2 = install_replica(&mut rack, 2, false, cp, ctl, SimDuration::from_micros(500));
+    install_replica(&mut rack, 1, true, cp, ctl, SimDuration::ZERO);
+    install_replica(&mut rack, 2, false, cp, ctl, SimDuration::from_micros(500));
     let spec = ServiceSpec {
         pool: vec![
             SockAddr::new(NodeAddr(1), MEMCACHED_PORT),
@@ -117,13 +122,13 @@ fn build_controlled_rack(ctl: &ControlConfig) -> (Rack, McSharedHandle, McShared
         .component_mut::<ServerNode>(rack.nodes[3])
         .unwrap()
         .spawn(Box::new(McOpenLoopClient::new(ccfg, DetRng::new(0xc11e47))));
-    (rack, sh1, sh2)
+    rack
 }
 
 #[test]
 fn crash_activates_the_parked_standby_and_traffic_follows() {
     let ctl = ControlConfig::default();
-    let (mut rack, sh1, sh2) = build_controlled_rack(&ctl);
+    let mut rack = build_controlled_rack(&ctl);
     // Crash the active replica mid-trace with a kernel fault directive.
     inject_fault(&mut rack, 1, SimTime::from_millis(30), NodeFault::Crash);
     rack.sim.run_until(SimTime::from_millis(150)).unwrap();
@@ -143,8 +148,7 @@ fn crash_activates_the_parked_standby_and_traffic_follows() {
     assert!(agent.heartbeats_sent > 0);
 
     // …and real requests reached it once the client refreshed its view.
-    let before = sh1.lock().unwrap().served;
-    let after = sh2.lock().unwrap().served;
+    let (before, after) = (served(&rack, 1), served(&rack, 2));
     assert!(before > 0, "the active replica must serve before the crash");
     assert!(after > 0, "the woken standby must serve after failover");
 
@@ -157,7 +161,7 @@ fn crash_activates_the_parked_standby_and_traffic_follows() {
 #[test]
 fn short_link_flap_stays_a_false_positive() {
     let ctl = ControlConfig::default();
-    let (mut rack, _sh1, sh2) = build_controlled_rack(&ctl);
+    let mut rack = build_controlled_rack(&ctl);
     // A silence longer than the suspect threshold (5 ms) but shorter
     // than the dead threshold (11 ms): carrier down at 30 ms, up at
     // 38 ms.
@@ -174,5 +178,5 @@ fn short_link_flap_stays_a_false_positive() {
     assert_eq!(report.failovers, 0);
     assert_eq!(cp.ready_mask(), 0b01, "the active replica keeps its slot");
     // The standby never woke: its gate never flipped, nothing served.
-    assert_eq!(sh2.lock().unwrap().served, 0);
+    assert_eq!(served(&rack, 2), 0);
 }

@@ -3,7 +3,7 @@
 //! buffers.
 
 use diablo_apps::incast::{
-    shared, IncastEpollClient, IncastMaster, IncastServer, IncastWorker, INCAST_PORT,
+    IncastEpollClient, IncastMaster, IncastServer, IncastShared, IncastWorker, INCAST_PORT,
 };
 use diablo_engine::prelude::*;
 use diablo_net::link::{LinkParams, PortPeer};
@@ -55,14 +55,14 @@ fn run_pthread_incast(n_servers: usize, iters: u64, buffer: BufferConfig) -> f64
         let id = rack.nodes[s];
         rack.sim.component_mut::<ServerNode>(id).unwrap().spawn(Box::new(IncastServer::new()));
     }
-    let sh = shared(n_servers);
     let client = rack.nodes[0];
     {
         let node = rack.sim.component_mut::<ServerNode>(client).unwrap();
-        node.spawn(Box::new(IncastMaster::new(n_servers, iters, sh.clone())));
+        let sh = node.kernel_mut().share(IncastShared::new(n_servers));
+        node.spawn(Box::new(IncastMaster::new(iters, sh)));
         for s in 1..=n_servers {
             let server = SockAddr::new(NodeAddr(s as u32), INCAST_PORT);
-            node.spawn(Box::new(IncastWorker::new(server, block / n_servers as u32, sh.clone())));
+            node.spawn(Box::new(IncastWorker::new(server, block / n_servers as u32, sh)));
         }
     }
     rack.sim.run_until(SimTime::from_secs(60)).unwrap();

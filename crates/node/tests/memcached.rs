@@ -2,7 +2,7 @@
 //! UDP clients through a modeled switch.
 
 use diablo_apps::memcached::{
-    mc_shared, McClient, McClientConfig, McDispatcher, McServerConfig, McVersion, McWorker,
+    McClient, McClientConfig, McDispatcher, McServerConfig, McShared, McVersion, McWorker,
     MEMCACHED_PORT,
 };
 use diablo_engine::prelude::*;
@@ -55,12 +55,12 @@ fn run_memcached(
 ) -> (Vec<u64>, u64, Vec<u64>) {
     let mut rack = build_rack(clients + 1);
     let cfg = McServerConfig { version, workers: 4, ..McServerConfig::default() };
-    let shared = mc_shared(cfg.workers);
     {
         let node = rack.sim.component_mut::<ServerNode>(rack.nodes[0]).unwrap();
-        node.spawn(Box::new(McDispatcher::new(cfg.clone(), shared.clone())));
+        let shared = node.kernel_mut().share(McShared::new(cfg.workers));
+        node.spawn(Box::new(McDispatcher::new(cfg.clone(), shared)));
         for w in 0..cfg.workers {
-            node.spawn(Box::new(McWorker::new(w, cfg.clone(), shared.clone())));
+            node.spawn(Box::new(McWorker::new(w, cfg.clone(), shared)));
         }
     }
     let servers = vec![SockAddr::new(NodeAddr(0), MEMCACHED_PORT)];
@@ -84,7 +84,8 @@ fn run_memcached(
         completed.push(cl.completed);
         p99s.push(cl.latency.quantile(0.99));
     }
-    let served = shared.lock().unwrap().served;
+    let server = rack.sim.component::<ServerNode>(rack.nodes[0]).unwrap().kernel();
+    let served = server.processes::<McWorker>().map(|w| w.served).sum();
     (completed, served, p99s)
 }
 
@@ -119,12 +120,12 @@ fn old_version_pays_extra_syscall_per_connection() {
 fn workers_share_the_load() {
     let mut rack = build_rack(4);
     let cfg = McServerConfig { workers: 4, ..McServerConfig::default() };
-    let shared = mc_shared(cfg.workers);
     {
         let node = rack.sim.component_mut::<ServerNode>(rack.nodes[0]).unwrap();
-        node.spawn(Box::new(McDispatcher::new(cfg.clone(), shared.clone())));
+        let shared = node.kernel_mut().share(McShared::new(cfg.workers));
+        node.spawn(Box::new(McDispatcher::new(cfg.clone(), shared)));
         for w in 0..cfg.workers {
-            node.spawn(Box::new(McWorker::new(w, cfg.clone(), shared.clone())));
+            node.spawn(Box::new(McWorker::new(w, cfg.clone(), shared)));
         }
     }
     let servers = vec![SockAddr::new(NodeAddr(0), MEMCACHED_PORT)];

@@ -43,7 +43,9 @@
 //! overflows, packets drop, and TCP collapses (Figure 6(b)) — none of
 //! which network-only simulators reproduce.
 
-use crate::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall, Tid};
+use crate::process::{
+    Errno, Fd, Process, ProcessCtx, Proto, Shared, Shm, ShmKey, Step, SysResult, Syscall, Tid,
+};
 use crate::profile::KernelProfile;
 use crate::socket::{EventMask, SockId, Socket, SocketKind};
 use crate::tcp::{TcpConn, TcpOutput, TcpState, TcpStats};
@@ -58,6 +60,7 @@ use diablo_net::link::PortPeer;
 use diablo_net::payload::{AppMessage, IpPacket, TcpFlags, TcpSegment, Transport, UdpDatagram};
 use diablo_net::topology::Topology;
 use diablo_nic::{Nic, NicAction, NicConfig};
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -387,6 +390,8 @@ pub struct Kernel {
     loopback: VecDeque<(SimTime, Frame)>,
     /// Futex-style eventcounts: key -> (counter, waiters).
     futexes: HashMap<u64, (u64, Vec<Tid>)>,
+    /// The memory this node's threads share.
+    shm: Shm,
     /// Round-robin cursor for wake-one notification fairness.
     notify_rr: u64,
     /// Scratch for the actions one NIC call returns; empty between calls,
@@ -466,7 +471,7 @@ impl Instrumented for Kernel {
         for (i, slot) in self.procs.iter().enumerate() {
             let prefix = format!("proc{i}.");
             let mut nested = PrefixedVisitor::new(v, &prefix);
-            slot.process.visit_metrics(&mut nested);
+            slot.process.visit_metrics(&self.shm, &mut nested);
         }
     }
 
@@ -506,8 +511,7 @@ diablo_engine::impl_snap_struct!(KernelStats {
 });
 
 // Process *objects* are rebuilt by the workload builder; their state
-// rides per-slot blobs via `Process::persist`, exactly like components
-// under the executor snapshot.
+// rides per-slot blobs, like components under the executor snapshot.
 diablo_engine::impl_persist_fields!(ProcSlot {
     state,
     resume,
@@ -540,6 +544,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     next_ephemeral,
     loopback,
     futexes,
+    shm: nested,
     notify_rr,
     now_cache,
     epoch,
@@ -586,6 +591,7 @@ impl Kernel {
             next_ephemeral: 32768,
             loopback: VecDeque::new(),
             futexes: HashMap::new(),
+            shm: Shm::default(),
             notify_rr: 0,
             nic_actions: Vec::new(),
             rx_batch: Vec::new(),
@@ -699,14 +705,27 @@ impl Kernel {
         tid
     }
 
+    /// Creates a block of memory this node's threads share, before boot.
+    /// The kernel persists it and applies its [`Shared::reboot`]; threads
+    /// reach it through the returned key ([`ProcessCtx::shm`]).
+    pub fn share<T: Shared>(&mut self, block: T) -> ShmKey<T> {
+        self.shm.share(block)
+    }
+
+    /// The memory this node's threads share.
+    pub fn shm(&self) -> &Shm {
+        &self.shm
+    }
+
     /// Inspects a guest thread's concrete state after a run.
     pub fn process<T: 'static>(&self, tid: Tid) -> Option<&T> {
-        self.procs.get(tid.0 as usize)?.process.as_any().downcast_ref::<T>()
+        let process: &dyn Any = &*self.procs.get(tid.0 as usize)?.process;
+        process.downcast_ref()
     }
 
     /// Every guest thread of type `T`, in tid order.
     pub fn processes<T: 'static>(&self) -> impl Iterator<Item = &T> {
-        self.procs.iter().filter_map(|slot| slot.process.as_any().downcast_ref::<T>())
+        self.procs.iter().filter_map(|slot| (&*slot.process as &dyn Any).downcast_ref())
     }
 
     /// `true` once every guest thread has exited.
@@ -983,8 +1002,9 @@ impl Kernel {
         }
     }
 
-    /// Restarts a crashed node: carrier returns and every process that
-    /// supports [`Process::reset`] is scheduled from scratch.
+    /// Restarts a crashed node: carrier returns, every shared block takes
+    /// its [`Shared::reboot`], and every process that supports
+    /// [`Process::reset`] is scheduled from scratch.
     fn reboot(&mut self) {
         if !self.crashed {
             return;
@@ -992,6 +1012,7 @@ impl Kernel {
         self.crashed = false;
         self.stats.reboots.incr();
         self.nic.set_carrier_up();
+        self.shm.reboot();
         for (i, slot) in self.procs.iter_mut().enumerate() {
             if slot.process.reset() {
                 slot.state = ProcState::Runnable;
@@ -1137,7 +1158,7 @@ impl Kernel {
         loop {
             let slot = &mut self.procs[tid.0 as usize];
             let result = std::mem::replace(&mut slot.result, SysResult::Computed);
-            let mut pctx = ProcessCtx { now, result, tid };
+            let mut pctx = ProcessCtx { now, result, tid, shm: &mut self.shm };
             let step = slot.process.step(&mut pctx);
             let prefix = std::mem::take(&mut slot.extra_cost);
             let (cost, mut work) = match step {

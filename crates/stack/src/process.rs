@@ -11,11 +11,20 @@
 //! case studies measure: syscall counts and costs (`accept` vs `accept4`,
 //! Figure 15), blocking-socket-per-thread vs `epoll` structure
 //! (Figure 6(b)), and scheduler-induced queueing.
+//!
+//! Memory the threads of one node share (memcached's published epoll fds,
+//! the pthread incast client's barrier, a control-plane service gate)
+//! belongs to the node's kernel, as a guest's shared memory belongs to
+//! its OS: a [`Shared`] block in the kernel's [`Shm`], reached through a
+//! typed [`ShmKey`] while a thread steps.
 
 use crate::socket::EventMask;
+use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::addr::SockAddr;
 use diablo_net::payload::AppMessage;
+use std::any::Any;
+use std::marker::PhantomData;
 
 /// A file descriptor within one simulated node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -306,23 +315,28 @@ pub enum Step {
 
 /// Context handed to [`Process::step`].
 #[derive(Debug)]
-pub struct ProcessCtx {
+pub struct ProcessCtx<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// Result of the previous step.
     pub result: SysResult,
     /// The stepping thread's id.
     pub tid: Tid,
+    /// The node's shared memory, lent by the kernel for this step.
+    pub shm: &'a mut Shm,
 }
 
-/// A guest application thread.
+/// A guest application thread: a state machine the kernel steps, saves
+/// and restores in place (its [`Persist`] impl, usually
+/// [`impl_persist_fields!`](diablo_engine::impl_persist_fields)), and
+/// downcasts for post-run inspection (its [`Any`] supertrait).
 ///
 /// Implementations must be deterministic: any randomness should come from a
 /// [`DetRng`](diablo_engine::rng::DetRng) owned by the process.
-pub trait Process: Send + 'static {
+pub trait Process: Persist + Any + Send {
     /// Advance the thread: consume the previous step's result and return
     /// the next action.
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step;
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step;
 
     /// Short label for diagnostics.
     fn label(&self) -> &str {
@@ -330,38 +344,91 @@ pub trait Process: Send + 'static {
     }
 
     /// Application-level metrics (request latencies, completion counts),
-    /// scraped by the kernel under this thread's `proc{tid}.` prefix.
-    /// Default: no metrics.
-    fn visit_metrics(&self, _v: &mut dyn diablo_engine::metrics::MetricsVisitor) {}
+    /// scraped by the kernel under this thread's `proc{tid}.` prefix, with
+    /// the node's shared memory to read. Default: no metrics.
+    fn visit_metrics(&self, _shm: &Shm, _v: &mut dyn MetricsVisitor) {}
 
     /// Restart the thread from its initial state after a node crash.
     /// Returns `true` when the process supports being restarted (it will be
     /// scheduled again from scratch on reboot); `false` leaves it dead.
     /// Accumulated metrics should survive the reset — the run's history
-    /// happened even if the node forgot it.
+    /// happened even if the node forgot it. Shared memory is not the
+    /// thread's to reset: each block's [`Shared::reboot`] does that.
     fn reset(&mut self) -> bool {
         false
     }
+}
 
-    /// Upcast for post-run inspection.
-    fn as_any(&self) -> &dyn std::any::Any;
+/// A block of memory the threads of one node share. The kernel owns it,
+/// persists it once in its own snapshot, and applies its reboot hook.
+pub trait Shared: Persist + Any + Send + std::fmt::Debug {
+    /// What a reboot of the node does to the block (the crash before it
+    /// killed every thread that used it).
+    fn reboot(&mut self);
+}
 
-    /// The process's snapshot surface, if it has checkpointable state.
-    /// Processes that participate in checkpoint/restore override this
-    /// (returning `Some(self)`), mirroring
-    /// [`Component::persist`](diablo_engine::component::Component::persist).
-    fn persist(&self) -> Option<&dyn diablo_engine::snap::Persist> {
-        None
-    }
+/// A typed handle to one block of a node's [`Shm`], returned when the
+/// block is created; a process keeps it as configuration.
+#[derive(Debug)]
+pub struct ShmKey<T> {
+    index: usize,
+    block: PhantomData<fn() -> T>,
+}
 
-    /// Mutable snapshot surface. Must return `Some` exactly when
-    /// [`Process::persist`] does.
-    fn persist_mut(&mut self) -> Option<&mut dyn diablo_engine::snap::Persist> {
-        None
+impl<T> Clone for ShmKey<T> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
 
-use diablo_engine::snap::{load_dyn, save_dyn, Persist, SnapError, SnapReader, SnapWriter};
+impl<T> Copy for ShmKey<T> {}
+
+/// A node's shared memory: its blocks in creation order.
+#[derive(Debug, Default)]
+pub struct Shm(Vec<Box<dyn Shared>>);
+
+impl Shm {
+    /// Adds `block` and returns its key.
+    pub fn share<T: Shared>(&mut self, block: T) -> ShmKey<T> {
+        self.0.push(Box::new(block));
+        ShmKey { index: self.0.len() - 1, block: PhantomData }
+    }
+
+    /// The key of the node's first block of type `T`: how threads meet a
+    /// block the node has at most one of, as they meet at a well-known
+    /// futex key.
+    pub fn find<T: Shared>(&self) -> Option<ShmKey<T>> {
+        let index = self.0.iter().position(|b| (&**b as &dyn Any).is::<T>())?;
+        Some(ShmKey { index, block: PhantomData })
+    }
+
+    /// The block `key` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a key from another node's memory.
+    pub fn get<T: Shared>(&self, key: ShmKey<T>) -> &T {
+        let block: &dyn Any = &*self.0[key.index];
+        block.downcast_ref().expect("a shm key names a block of its node")
+    }
+
+    /// The block `key` names, to write.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a key from another node's memory.
+    pub fn get_mut<T: Shared>(&mut self, key: ShmKey<T>) -> &mut T {
+        let block: &mut dyn Any = &mut *self.0[key.index];
+        block.downcast_mut().expect("a shm key names a block of its node")
+    }
+
+    /// Applies every block's reboot hook.
+    pub(crate) fn reboot(&mut self) {
+        self.0.iter_mut().for_each(|b| b.reboot());
+    }
+}
+
+use diablo_engine::snap::{load_blob, save_blob, Persist, SnapError, SnapReader, SnapWriter};
 
 diablo_engine::impl_snap_struct!(Fd { 0 });
 diablo_engine::impl_snap_struct!(Tid { 0 });
@@ -414,15 +481,33 @@ diablo_engine::impl_snap_enum!(SysResult {
     9 => Err(errno),
 });
 
-// A guest process rides its kernel slot as an optional blob, exactly
-// like a component under the executor stream.
+// A guest process rides its kernel slot as a blob; the rebuilt process
+// must consume exactly what it wrote.
 impl Persist for Box<dyn Process> {
     fn save_state(&self, w: &mut SnapWriter) {
-        save_dyn(self.persist(), w);
+        save_blob(&**self, w);
     }
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let label = self.label().to_string();
-        load_dyn(self.persist_mut(), format_args!("process '{label}'"), r)
+        load_blob(&mut **self, format_args!("process '{label}'"), r)
+    }
+}
+
+// The block count is the rebuilt node's; each block is restored in place.
+impl Persist for Shm {
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put_len(self.0.len());
+        self.0.iter().for_each(|b| b.save_state(w));
+    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.take_len()?;
+        if n != self.0.len() {
+            return Err(SnapError::Malformed(format!(
+                "snapshot has {n} shared blocks, the rebuilt node {}",
+                self.0.len()
+            )));
+        }
+        self.0.iter_mut().try_for_each(|b| b.load_state(r))
     }
 }
 

@@ -9,6 +9,7 @@
 //! hashed too. The digest was recorded before the kernel folded any span.
 
 use diablo_engine::event::{ComponentId, PortNo};
+use diablo_engine::impl_persist_fields;
 use diablo_engine::metrics::{
     flight_to_csv, FlightRecorder, Instrumented, MetricsRegistry, MetricsVisitor,
 };
@@ -20,7 +21,7 @@ use diablo_net::topology::{Topology, TopologyConfig};
 use diablo_net::{NodeAddr, SockAddr};
 use diablo_nic::NicConfig;
 use diablo_stack::kernel::{Kernel, KernelEnv, NodeConfig};
-use diablo_stack::process::{Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall};
+use diablo_stack::process::{Fd, Process, ProcessCtx, Proto, Shm, Step, SysResult, Syscall};
 use diablo_stack::profile::KernelProfile;
 use diablo_stack::socket::EventMask;
 use std::cmp::{Ordering, Reverse};
@@ -65,6 +66,7 @@ struct Log {
     digest: u64,
     steps: u64,
 }
+impl_persist_fields!(Log { digest, steps });
 
 impl Log {
     fn note(&mut self, ctx: &ProcessCtx) {
@@ -88,9 +90,10 @@ struct Echo {
     state: u32,
     log: Log,
 }
+impl_persist_fields!(Echo { requests, fd, state, log: nested, think: config });
 
 impl Process for Echo {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         self.log.note(ctx);
         self.state += 1;
         match self.state {
@@ -118,11 +121,8 @@ impl Process for Echo {
             _ => unreachable!(),
         }
     }
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         self.log.visit(v);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -137,9 +137,10 @@ struct Poller {
     state: u32,
     log: Log,
 }
+impl_persist_fields!(Poller { rounds, fd, ep, state, log: nested, timeout: config, think: config });
 
 impl Process for Poller {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         self.log.note(ctx);
         self.state += 1;
         match self.state {
@@ -183,11 +184,8 @@ impl Process for Poller {
             _ => unreachable!(),
         }
     }
-    fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         self.log.visit(v);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

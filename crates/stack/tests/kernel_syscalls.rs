@@ -4,6 +4,7 @@
 
 use diablo_engine::event::{ComponentId, PortNo};
 use diablo_engine::prelude::{DetRng, SimDuration, SimTime};
+use diablo_engine::snap::{Persist, SnapError, SnapReader, SnapWriter};
 use diablo_net::frame::Frame;
 use diablo_net::frame::Route;
 use diablo_net::link::{LinkParams, PortPeer};
@@ -11,7 +12,9 @@ use diablo_net::payload::{AppMessage, IpPacket, TcpFlags, TcpSegment, Transport,
 use diablo_net::topology::{Topology, TopologyConfig};
 use diablo_net::{NodeAddr, SockAddr};
 use diablo_stack::kernel::{Kernel, KernelEnv, NodeConfig, NodeFault};
-use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall, Tid};
+use diablo_stack::process::{
+    Errno, Fd, Process, ProcessCtx, Proto, Shared, ShmKey, Step, SysResult, Syscall, Tid,
+};
 use diablo_stack::profile::KernelProfile;
 use diablo_stack::socket::EventMask;
 use std::cmp::Reverse;
@@ -30,7 +33,7 @@ struct World {
 
 /// The kernel's pending timers in engine order, `(instant, sequence number,
 /// key)`, and every timer pushed, `(instant, key)`.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Timers {
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     seq: u64,
@@ -171,6 +174,7 @@ struct Script {
     /// `(call index, result)` log.
     pub results: Vec<SysResult>,
 }
+diablo_engine::impl_persist_fields!(Script { next, results, calls: config });
 
 impl Script {
     fn new(calls: Vec<Syscall>) -> Self {
@@ -179,7 +183,7 @@ impl Script {
 }
 
 impl Process for Script {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         if self.next > 0 {
             self.results.push(std::mem::replace(&mut ctx.result, SysResult::Computed));
         }
@@ -190,9 +194,6 @@ impl Process for Script {
             }
             None => Step::Exit,
         }
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -426,17 +427,15 @@ fn scheduler_interleaves_two_spinners_fairly() {
         done: u64,
         finished_at: SimTime,
     }
+    diablo_engine::impl_persist_fields!(Burner { done, finished_at, steps: config });
     impl Process for Burner {
-        fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+        fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
             if self.done >= self.steps {
                 self.finished_at = ctx.now;
                 return Step::Exit;
             }
             self.done += 1;
             Step::Compute(100_000)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
         }
     }
     let mut w = World::new();
@@ -528,6 +527,7 @@ struct Poller {
     phase: u32,
     returns: Vec<(SimTime, bool)>,
 }
+diablo_engine::impl_persist_fields!(Poller { phase, returns, timeouts: config });
 
 impl Poller {
     fn new(timeouts_ms: &[u64]) -> Self {
@@ -537,7 +537,7 @@ impl Poller {
 }
 
 impl Process for Poller {
-    fn step(&mut self, ctx: &mut ProcessCtx) -> Step {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         self.phase += 1;
         let call = match self.phase {
             1 => Syscall::Socket(Proto::Udp),
@@ -560,9 +560,6 @@ impl Process for Poller {
     fn reset(&mut self) -> bool {
         self.phase = 0;
         true
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -728,4 +725,101 @@ fn a_reused_slot_ignores_the_old_connections_delayed_ack() {
         new_conn.iter().filter(|(_, s)| s.ack == 101).map(|&&(at, _)| at).collect();
     assert_eq!(acks.len(), 1, "one ACK of the segment");
     assert!(acks[0] >= data + MS * 40, "the ACK left at {}, before its delay", acks[0]);
+}
+
+/// Memory two threads share: a running sum.
+#[derive(Debug)]
+struct Tally {
+    sum: u64,
+}
+diablo_engine::impl_persist_fields!(Tally { sum });
+
+/// A reboot zeroes the sum.
+impl Shared for Tally {
+    fn reboot(&mut self) {
+        self.sum = 0;
+    }
+}
+
+/// The sum the tally starts at: a byte pattern no other state holds.
+const MARK: u64 = 0x7A11_0000_0000_0000;
+
+/// Reads the shared sum and adds `add` to it, then sleeps a millisecond;
+/// `turns` times. Keeps every value it read. Restarts after a crash.
+struct Adder {
+    tally: ShmKey<Tally>,
+    add: u64,
+    turns: usize,
+    read: Vec<u64>,
+}
+diablo_engine::impl_persist_fields!(Adder { read, tally: config, add: config, turns: config });
+
+impl Process for Adder {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
+        if self.read.len() == self.turns {
+            return Step::Exit;
+        }
+        let tally = ctx.shm.get_mut(self.tally);
+        self.read.push(tally.sum);
+        tally.sum += self.add;
+        Step::Syscall(Syscall::Nanosleep(MS))
+    }
+    fn reset(&mut self) -> bool {
+        true
+    }
+}
+
+/// A node whose two threads add 1 and 2 to one tally, four times each.
+fn tally_world() -> (World, ShmKey<Tally>) {
+    let mut w = World::new();
+    let tally = w.kernel.share(Tally { sum: MARK });
+    for add in [1, 2] {
+        w.kernel.spawn(Box::new(Adder { tally, add, turns: 4, read: Vec::new() }));
+    }
+    (w, tally)
+}
+
+fn reads(w: &World) -> Vec<Vec<u64>> {
+    w.kernel.processes::<Adder>().map(|t| t.read.clone()).collect()
+}
+
+/// The kernel owns the memory its threads share: it saves a block once,
+/// restores it for every thread, applies its reboot hook, and refuses a
+/// snapshot of a node with another number of blocks.
+#[test]
+fn threads_share_a_block_their_kernel_saves_once_and_reboots() {
+    let (mut a, tally) = tally_world();
+    a.run(SimTime::ZERO + MS * 3 / 2);
+    let mut w = SnapWriter::new();
+    a.kernel.save_state(&mut w);
+    let bytes = w.into_bytes();
+    let sum = a.kernel.shm().get(tally).sum;
+    assert!(sum > MARK, "both threads added before the save");
+    let copies = bytes.windows(8).filter(|b| *b == sum.to_le_bytes()).count();
+    assert_eq!(copies, 1, "the snapshot holds the block once");
+
+    let (mut b, _) = tally_world();
+    b.kernel.load_state(&mut SnapReader::new(&bytes)).expect("the same node restores");
+    (b.now, b.booted, b.timers) = (a.now, a.booted, a.timers.clone());
+    assert_eq!(b.kernel.shm().get(tally).sum, sum);
+    a.run(SimTime::from_secs(1));
+    b.run(SimTime::from_secs(1));
+    assert_eq!(reads(&b), reads(&a), "both threads read on from the restored sum");
+    assert_eq!(b.kernel.shm().get(tally).sum, MARK + 4 * (1 + 2));
+
+    let (mut c, tally) = tally_world();
+    c.fault_at(SimTime::ZERO + MS * 3 / 2, NodeFault::Crash);
+    c.fault_at(SimTime::ZERO + MS * 3, NodeFault::Reboot);
+    c.run(SimTime::ZERO + MS * 2);
+    assert!(c.kernel.shm().get(tally).sum > MARK, "a crash leaves the block alone");
+    c.run(SimTime::from_secs(1));
+    assert!(c.kernel.shm().get(tally).sum < MARK, "the reboot zeroed the sum");
+    assert!(reads(&c).iter().flatten().any(|&v| v == 0), "a restarted thread read the zero");
+
+    let (mut d, _) = tally_world();
+    d.kernel.share(Tally { sum: 0 });
+    match d.kernel.load_state(&mut SnapReader::new(&bytes)) {
+        Err(SnapError::Malformed(msg)) => assert!(msg.contains("1 shared blocks"), "{msg}"),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
 }
