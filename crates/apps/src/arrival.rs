@@ -244,7 +244,9 @@ impl fmt::Display for ArrivalSpec {
     }
 }
 
-/// Deterministic generator of admission instants for one client.
+/// Deterministic generator of admission instants for one client, and
+/// the client's admission rule: it holds the next unadmitted instant, and
+/// [`take_due`](ArrivalProcess::take_due) admits every one due by now.
 ///
 /// A pure function of `(spec, rng seed)`: identical seeds yield identical
 /// sequences regardless of how the rest of the simulation interleaves,
@@ -258,13 +260,43 @@ pub struct ArrivalProcess {
     phase: usize,
     cursor: SimTime,
     phase_end: SimTime,
+    /// The next unadmitted instant, drawn ahead (`None` once exhausted).
+    next: Option<SimTime>,
 }
 
 impl ArrivalProcess {
-    /// Creates a process over `spec`, drawing Poisson gaps from `rng`.
+    /// Creates a process over `spec`, drawing Poisson gaps from `rng`; the
+    /// first instant is drawn here.
     pub fn new(spec: ArrivalSpec, rng: DetRng) -> Self {
         let phase_end = SimTime::ZERO + spec.phases[0].duration;
-        ArrivalProcess { spec, rng, phase: 0, cursor: SimTime::ZERO, phase_end }
+        let mut p =
+            ArrivalProcess { spec, rng, phase: 0, cursor: SimTime::ZERO, phase_end, next: None };
+        p.next = p.draw();
+        p
+    }
+
+    /// The next unadmitted instant, or `None` once the profile is
+    /// exhausted.
+    pub fn peek(&self) -> Option<SimTime> {
+        self.next
+    }
+
+    /// Admits every instant due by `now` and returns how many there were.
+    /// A client with a window of one starts the oldest and sheds the rest.
+    pub fn take_due(&mut self, now: SimTime) -> u64 {
+        let mut due = 0;
+        while self.next.is_some_and(|at| at <= now) {
+            due += 1;
+            self.next = self.draw();
+        }
+        due
+    }
+
+    /// Takes the next instant, or `None` once the profile is exhausted.
+    pub fn next_arrival(&mut self) -> Option<SimTime> {
+        let at = self.next?;
+        self.next = self.draw();
+        Some(at)
     }
 
     /// The profile this process realizes.
@@ -272,11 +304,11 @@ impl ArrivalProcess {
         &self.spec
     }
 
-    /// The next admission instant, or `None` once the profile is
-    /// exhausted. A gap that crosses a phase boundary is redrawn at the
-    /// boundary under the new phase's rate (memoryless for Poisson;
+    /// Draws the instant after the last one drawn, or `None` once the
+    /// profile is exhausted. A gap that crosses a phase boundary is redrawn
+    /// at the boundary under the new phase's rate (memoryless for Poisson;
     /// `const` phases restart their even spacing at the boundary).
-    pub fn next_arrival(&mut self) -> Option<SimTime> {
+    fn draw(&mut self) -> Option<SimTime> {
         loop {
             let p = *self.spec.phases.get(self.phase)?;
             let mean_gap_ps = 1e12 / p.rate;
@@ -395,7 +427,7 @@ diablo_engine::impl_snap_struct!(ArrivalSpec { phases });
 // The spec rides the snapshot with the generator's position: a restored
 // sweep point cannot re-shape the arrival profile mid-run (the remaining
 // schedule is already committed state, like TCP params on live flows).
-diablo_engine::impl_snap_struct!(ArrivalProcess { spec, rng, phase, cursor, phase_end });
+diablo_engine::impl_snap_struct!(ArrivalProcess { spec, rng, phase, cursor, phase_end, next });
 diablo_engine::impl_snap_struct!(SloStats { target, completed, violations, shed });
 
 #[cfg(test)]

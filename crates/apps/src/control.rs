@@ -34,6 +34,7 @@
 //! the client's own [`DetRng`] stream per request, so runs stay
 //! byte-identical serial vs. partition-parallel.
 
+use crate::udp_loop::{self, Next, Then, UdpGuest, UdpLoop};
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::prelude::Histogram;
 use diablo_engine::rng::DetRng;
@@ -41,10 +42,7 @@ use diablo_engine::snap::SnapError;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
-use diablo_stack::process::{
-    Errno, Fd, Process, ProcessCtx, Proto, Shared, Shm, Step, SysResult, Syscall,
-};
-use diablo_stack::socket::EventMask;
+use diablo_stack::process::{Process, ProcessCtx, Shared, Shm, Step};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// UDP port the [`ControlPlane`] scheduler serves on.
@@ -411,23 +409,9 @@ struct PendingCmd {
     failover_from: Option<SimTime>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CpState {
-    Start,
-    Socketed,
-    NbSet,
-    Bound,
-    EpollCreated,
-    Registered,
-    Pump,
-    SendDone,
-    Waiting,
-    Drain,
-}
-
-/// The scheduler process: one nonblocking `epoll` loop over a UDP socket
-/// multiplexing heartbeats, registry lookups and command acks, plus a
-/// periodic reconciliation tick. See the module docs for the protocol.
+/// The scheduler process: a [`UdpGuest`] serving heartbeats, registry
+/// lookups and command acks on [`CONTROL_PORT`], plus a periodic
+/// reconciliation tick. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct ControlPlane {
     cfg: ControlConfig,
@@ -448,12 +432,10 @@ pub struct ControlPlane {
     pending: BTreeMap<u64, PendingCmd>,
     next_seq: u64,
     sendq: VecDeque<(SockAddr, AppMessage)>,
-    state: CpState,
-    fd: Option<Fd>,
-    epfd: Option<Fd>,
+    io: UdpLoop,
     next_tick: SimTime,
-    /// Health baselining runs once, at the instant the scheduler's event
-    /// loop first becomes ready — boot counts as one big heartbeat.
+    /// Health baselining runs once, at the scheduler's first pump — boot
+    /// counts as one big heartbeat.
     started: bool,
     /// The counters; [`report`](ControlPlane::report) fills in `desired`
     /// and `ready`.
@@ -493,9 +475,7 @@ impl ControlPlane {
             pending: BTreeMap::new(),
             next_seq: 0,
             sendq: VecDeque::new(),
-            state: CpState::Start,
-            fd: None,
-            epfd: None,
+            io: UdpLoop::Start,
             next_tick: SimTime::ZERO,
             started: false,
             stats: ControlReport::default(),
@@ -758,102 +738,44 @@ impl ControlPlane {
     }
 }
 
+impl UdpGuest for ControlPlane {
+    fn port(&self) -> Option<u16> {
+        Some(CONTROL_PORT)
+    }
+
+    fn io(&mut self) -> &mut UdpLoop {
+        &mut self.io
+    }
+
+    fn pump(&mut self, ctx: &mut ProcessCtx<'_>) -> Next {
+        if !self.started {
+            // Boot counts as one heartbeat from everyone: detection
+            // windows start when the prober does.
+            self.started = true;
+            for h in self.health.values_mut() {
+                h.last_hb = ctx.now;
+            }
+            self.next_tick = ctx.now + RECONCILE_EVERY;
+        }
+        while self.next_tick <= ctx.now {
+            self.next_tick += RECONCILE_EVERY;
+            self.tick(ctx.now);
+        }
+        match self.sendq.pop_front() {
+            Some((to, msg)) => Next::Send(to, msg),
+            None => Next::Wait(Some(self.next_tick.saturating_duration_since(ctx.now))),
+        }
+    }
+
+    fn on_datagram(&mut self, from: SockAddr, msg: AppMessage, ctx: &mut ProcessCtx<'_>) -> Then {
+        self.handle_datagram(from, msg, ctx.now);
+        Then::ReadOn
+    }
+}
+
 impl Process for ControlPlane {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
-        loop {
-            match self.state {
-                CpState::Start => {
-                    self.state = CpState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Udp));
-                }
-                CpState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.fd = Some(fd);
-                    self.state = CpState::NbSet;
-                    return Step::Syscall(Syscall::SetNonblocking { fd, on: true });
-                }
-                CpState::NbSet => {
-                    assert_eq!(ctx.result, SysResult::Done, "fcntl failed");
-                    let fd = self.fd.expect("no fd");
-                    self.state = CpState::Bound;
-                    return Step::Syscall(Syscall::Bind { fd, port: CONTROL_PORT });
-                }
-                CpState::Bound => {
-                    assert_eq!(ctx.result, SysResult::Done, "bind failed");
-                    self.state = CpState::EpollCreated;
-                    return Step::Syscall(Syscall::EpollCreate);
-                }
-                CpState::EpollCreated => {
-                    let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
-                    self.state = CpState::Registered;
-                    return Step::Syscall(Syscall::EpollCtl {
-                        epfd: ep,
-                        fd: self.fd.expect("no fd"),
-                        interest: EventMask::READ,
-                    });
-                }
-                CpState::Registered => {
-                    if !self.started {
-                        // Boot counts as one heartbeat from everyone:
-                        // detection windows start when the prober does.
-                        self.started = true;
-                        for h in self.health.values_mut() {
-                            h.last_hb = ctx.now;
-                        }
-                        self.next_tick = ctx.now + RECONCILE_EVERY;
-                    }
-                    self.state = CpState::Pump;
-                    continue;
-                }
-                CpState::Pump => {
-                    while self.next_tick <= ctx.now {
-                        self.next_tick += RECONCILE_EVERY;
-                        self.tick(ctx.now);
-                    }
-                    if let Some((to, msg)) = self.sendq.pop_front() {
-                        self.state = CpState::SendDone;
-                        return Step::Syscall(Syscall::SendTo {
-                            fd: self.fd.expect("no fd"),
-                            to,
-                            msg,
-                        });
-                    }
-                    self.state = CpState::Waiting;
-                    return Step::Syscall(Syscall::EpollWait {
-                        epfd: self.epfd.expect("no epfd"),
-                        max_events: 64,
-                        timeout: Some(self.next_tick.saturating_duration_since(ctx.now)),
-                    });
-                }
-                CpState::SendDone => {
-                    self.state = CpState::Pump;
-                    continue;
-                }
-                CpState::Waiting => match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                    SysResult::Events(evs) => {
-                        if evs.is_empty() {
-                            self.state = CpState::Pump;
-                            continue;
-                        }
-                        self.state = CpState::Drain;
-                        return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                    }
-                    other => panic!("control-plane epoll_wait failed: {other:?}"),
-                },
-                CpState::Drain => match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                    SysResult::Datagram { from, msg } => {
-                        self.handle_datagram(from, msg, ctx.now);
-                        return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                    }
-                    SysResult::Err(Errno::WouldBlock) => {
-                        self.state = CpState::Pump;
-                        continue;
-                    }
-                    other => panic!("control-plane recvfrom failed: {other:?}"),
-                },
-            }
-        }
+        udp_loop::step(self, ctx)
     }
 
     fn label(&self) -> &str {
@@ -887,9 +809,7 @@ impl Process for ControlPlane {
         // not its registry (modeling durable desired-state). Health is
         // re-baselined on reboot so the downtime itself does not declare
         // the whole cluster dead.
-        self.state = CpState::Start;
-        self.fd = None;
-        self.epfd = None;
+        self.io = UdpLoop::Start;
         self.sendq.clear();
         self.pending.clear();
         self.started = false;
@@ -901,26 +821,12 @@ impl Process for ControlPlane {
 // The per-node agent
 // ====================================================================
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AgState {
-    Start,
-    Socketed,
-    NbSet,
-    Bound,
-    EpollCreated,
-    Registered,
-    Pump,
-    SendDone,
-    WakeDone,
-    Waiting,
-    Drain,
-}
-
 /// The per-node control agent: heartbeats the scheduler on a staggered
 /// period and executes placement commands by flipping its node's
 /// [`GateState`] and waking the gated server's futex (on a node without a
-/// gate it is a pure health beacon). Runs the same nonblocking `epoll`
-/// loop shape as every other server in the repo.
+/// gate it is a pure health beacon). A [`UdpGuest`] on [`AGENT_PORT`]:
+/// it wakes the server, sends an ack or a due heartbeat, else waits for
+/// a command until its next heartbeat.
 #[derive(Debug)]
 pub struct ControlAgent {
     control: SockAddr,
@@ -928,13 +834,12 @@ pub struct ControlAgent {
     /// Offset of this agent's first heartbeat, de-phasing the pool so the
     /// scheduler never sees every beacon in the same microsecond.
     stagger: SimDuration,
-    state: AgState,
-    fd: Option<Fd>,
-    epfd: Option<Fd>,
+    io: UdpLoop,
     sendq: VecDeque<(SockAddr, AppMessage)>,
     wakeq: VecDeque<u64>,
-    next_hb: SimTime,
-    hb_init: bool,
+    /// When the next heartbeat is due: `None` until the agent's first
+    /// pump, which sets it `stagger` ahead.
+    next_hb: Option<SimTime>,
     /// Heartbeats sent.
     pub heartbeats_sent: u64,
     /// Activate commands executed.
@@ -952,13 +857,10 @@ impl ControlAgent {
             control,
             heartbeat_every,
             stagger,
-            state: AgState::Start,
-            fd: None,
-            epfd: None,
+            io: UdpLoop::Start,
             sendq: VecDeque::new(),
             wakeq: VecDeque::new(),
-            next_hb: SimTime::ZERO,
-            hb_init: false,
+            next_hb: None,
             heartbeats_sent: 0,
             activations: 0,
             deactivations: 0,
@@ -966,125 +868,57 @@ impl ControlAgent {
     }
 }
 
+impl UdpGuest for ControlAgent {
+    fn port(&self) -> Option<u16> {
+        Some(AGENT_PORT)
+    }
+
+    fn io(&mut self) -> &mut UdpLoop {
+        &mut self.io
+    }
+
+    fn pump(&mut self, ctx: &mut ProcessCtx<'_>) -> Next {
+        if let Some(key) = self.wakeq.pop_front() {
+            return Next::Wake(key);
+        }
+        if let Some((to, msg)) = self.sendq.pop_front() {
+            return Next::Send(to, msg);
+        }
+        let due = self.next_hb.get_or_insert(ctx.now + self.stagger);
+        if *due > ctx.now {
+            return Next::Wait(Some(due.saturating_duration_since(ctx.now)));
+        }
+        while *due <= ctx.now {
+            *due += self.heartbeat_every;
+        }
+        self.heartbeats_sent += 1;
+        Next::Send(self.control, AppMessage::new(KIND_HEARTBEAT, 0, CTRL_BYTES, ctx.now))
+    }
+
+    fn on_datagram(&mut self, from: SockAddr, msg: AppMessage, ctx: &mut ProcessCtx<'_>) -> Then {
+        if msg.kind == KIND_ACTIVATE {
+            let active = msg.arg1 == 1;
+            if active {
+                self.activations += 1;
+            } else {
+                self.deactivations += 1;
+            }
+            if let Some(gate) = ctx.shm.find::<GateState>() {
+                let g = ctx.shm.get_mut(gate);
+                g.active = active;
+                g.generation += 1;
+                self.wakeq.push_back(GATE_FUTEX_KEY);
+            }
+            let ack = AppMessage::new(KIND_ACK, msg.id, CTRL_BYTES, ctx.now);
+            self.sendq.push_back((from, ack));
+        }
+        Then::ReadOn
+    }
+}
+
 impl Process for ControlAgent {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
-        loop {
-            match self.state {
-                AgState::Start => {
-                    self.state = AgState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Udp));
-                }
-                AgState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.fd = Some(fd);
-                    self.state = AgState::NbSet;
-                    return Step::Syscall(Syscall::SetNonblocking { fd, on: true });
-                }
-                AgState::NbSet => {
-                    assert_eq!(ctx.result, SysResult::Done, "fcntl failed");
-                    let fd = self.fd.expect("no fd");
-                    self.state = AgState::Bound;
-                    return Step::Syscall(Syscall::Bind { fd, port: AGENT_PORT });
-                }
-                AgState::Bound => {
-                    assert_eq!(ctx.result, SysResult::Done, "bind failed");
-                    self.state = AgState::EpollCreated;
-                    return Step::Syscall(Syscall::EpollCreate);
-                }
-                AgState::EpollCreated => {
-                    let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
-                    self.state = AgState::Registered;
-                    return Step::Syscall(Syscall::EpollCtl {
-                        epfd: ep,
-                        fd: self.fd.expect("no fd"),
-                        interest: EventMask::READ,
-                    });
-                }
-                AgState::Registered => {
-                    if !self.hb_init {
-                        self.hb_init = true;
-                        self.next_hb = ctx.now + self.stagger;
-                    }
-                    self.state = AgState::Pump;
-                    continue;
-                }
-                AgState::Pump => {
-                    if let Some(key) = self.wakeq.pop_front() {
-                        self.state = AgState::WakeDone;
-                        return Step::Syscall(Syscall::FutexWake { key });
-                    }
-                    if let Some((to, msg)) = self.sendq.pop_front() {
-                        self.state = AgState::SendDone;
-                        return Step::Syscall(Syscall::SendTo {
-                            fd: self.fd.expect("no fd"),
-                            to,
-                            msg,
-                        });
-                    }
-                    if ctx.now >= self.next_hb {
-                        while self.next_hb <= ctx.now {
-                            self.next_hb += self.heartbeat_every;
-                        }
-                        self.heartbeats_sent += 1;
-                        let hb = AppMessage::new(KIND_HEARTBEAT, 0, CTRL_BYTES, ctx.now);
-                        self.state = AgState::SendDone;
-                        return Step::Syscall(Syscall::SendTo {
-                            fd: self.fd.expect("no fd"),
-                            to: self.control,
-                            msg: hb,
-                        });
-                    }
-                    self.state = AgState::Waiting;
-                    return Step::Syscall(Syscall::EpollWait {
-                        epfd: self.epfd.expect("no epfd"),
-                        max_events: 16,
-                        timeout: Some(self.next_hb.saturating_duration_since(ctx.now)),
-                    });
-                }
-                AgState::SendDone | AgState::WakeDone => {
-                    self.state = AgState::Pump;
-                    continue;
-                }
-                AgState::Waiting => match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                    SysResult::Events(evs) => {
-                        if evs.is_empty() {
-                            self.state = AgState::Pump;
-                            continue;
-                        }
-                        self.state = AgState::Drain;
-                        return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                    }
-                    other => panic!("agent epoll_wait failed: {other:?}"),
-                },
-                AgState::Drain => match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                    SysResult::Datagram { from, msg } => {
-                        if msg.kind == KIND_ACTIVATE {
-                            let active = msg.arg1 == 1;
-                            if active {
-                                self.activations += 1;
-                            } else {
-                                self.deactivations += 1;
-                            }
-                            if let Some(gate) = ctx.shm.find::<GateState>() {
-                                let g = ctx.shm.get_mut(gate);
-                                g.active = active;
-                                g.generation += 1;
-                                self.wakeq.push_back(GATE_FUTEX_KEY);
-                            }
-                            let ack = AppMessage::new(KIND_ACK, msg.id, CTRL_BYTES, ctx.now);
-                            self.sendq.push_back((from, ack));
-                        }
-                        return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                    }
-                    SysResult::Err(Errno::WouldBlock) => {
-                        self.state = AgState::Pump;
-                        continue;
-                    }
-                    other => panic!("agent recvfrom failed: {other:?}"),
-                },
-            }
-        }
+        udp_loop::step(self, ctx)
     }
 
     fn label(&self) -> &str {
@@ -1099,12 +933,10 @@ impl Process for ControlAgent {
 
     fn reset(&mut self) -> bool {
         // The reboot re-staggers from the configured offset.
-        self.state = AgState::Start;
-        self.fd = None;
-        self.epfd = None;
+        self.io = UdpLoop::Start;
         self.sendq.clear();
         self.wakeq.clear();
-        self.hb_init = false;
+        self.next_hb = None;
         true
     }
 }
@@ -1133,33 +965,6 @@ diablo_engine::impl_snap_struct!(PendingCmd {
     sent_at,
     tries,
     failover_from
-});
-
-diablo_engine::impl_snap_enum!(CpState as "control CpState" {
-    0 => Start,
-    1 => Socketed,
-    2 => NbSet,
-    3 => Bound,
-    4 => EpollCreated,
-    5 => Registered,
-    6 => Pump,
-    7 => SendDone,
-    8 => Waiting,
-    9 => Drain,
-});
-
-diablo_engine::impl_snap_enum!(AgState as "control AgState" {
-    0 => Start,
-    1 => Socketed,
-    2 => NbSet,
-    3 => Bound,
-    4 => EpollCreated,
-    5 => Registered,
-    6 => Pump,
-    7 => SendDone,
-    8 => WakeDone,
-    9 => Waiting,
-    10 => Drain,
 });
 
 // `desired` and `ready` are the scheduler's own state, which `report`
@@ -1197,9 +1002,7 @@ diablo_engine::impl_persist_fields!(ControlPlane {
     pending,
     next_seq,
     sendq,
-    state,
-    fd,
-    epfd,
+    io,
     next_tick,
     started,
     stats: nested,
@@ -1210,13 +1013,10 @@ diablo_engine::impl_persist_fields!(ControlPlane {
 diablo_engine::impl_persist_fields!(GateState { active, generation });
 
 diablo_engine::impl_persist_fields!(ControlAgent {
-    state,
-    fd,
-    epfd,
+    io,
     sendq,
     wakeq,
     next_hb,
-    hb_init,
     heartbeats_sent,
     activations,
     deactivations,

@@ -643,8 +643,6 @@ pub struct IncastEpollClient {
     reconn_idx: usize,
     /// Open-loop mode: the admission schedule (closed-loop when `None`).
     arrivals: Option<ArrivalProcess>,
-    /// Open-loop mode: the next unadmitted arrival instant.
-    next_arrival: Option<SimTime>,
     /// Open-loop mode: iterations the schedule offered (started + shed).
     pub offered: u64,
     /// Open-loop mode: SLO accounting over iteration times.
@@ -718,7 +716,6 @@ impl IncastEpollClient {
             attempts: 0,
             reconn_idx: 0,
             arrivals: None,
-            next_arrival: None,
             offered: 0,
             slo: SloStats::default(),
         }
@@ -737,9 +734,7 @@ impl IncastEpollClient {
     /// iteration is still in flight is shed (window of one), and
     /// `iterations` is ignored — the profile's horizon bounds the run.
     pub fn with_arrival(mut self, spec: ArrivalSpec, rng: DetRng) -> Self {
-        let mut arrivals = ArrivalProcess::new(spec, rng);
-        self.next_arrival = arrivals.next_arrival();
-        self.arrivals = Some(arrivals);
+        self.arrivals = Some(ArrivalProcess::new(spec, rng));
         self
     }
 
@@ -892,17 +887,10 @@ impl Process for IncastEpollClient {
                 }
                 EpState::Pace => {
                     let arrivals = self.arrivals.as_mut().expect("pace without schedule");
-                    let mut due = 0u64;
-                    while let Some(at) = self.next_arrival {
-                        if at > ctx.now {
-                            break;
-                        }
-                        due += 1;
-                        self.next_arrival = arrivals.next_arrival();
-                    }
+                    let due = arrivals.take_due(ctx.now);
                     self.offered += due;
                     if due == 0 {
-                        let Some(at) = self.next_arrival else {
+                        let Some(at) = arrivals.peek() else {
                             // Schedule exhausted: close down.
                             self.state = EpState::Closing(0);
                             continue;
@@ -1311,7 +1299,6 @@ diablo_engine::impl_persist_fields!(IncastEpollClient {
     attempts,
     reconn_idx,
     arrivals,
-    next_arrival,
     offered,
     slo,
     backoff_rng,

@@ -24,6 +24,9 @@
 //!   TCP and UDP with worker threads.
 //! * [`partition_aggregate`] — the fan-out/fan-in search tier: a
 //!   front-end aggregating per-query leaf answers under a deadline.
+//! * [`udp_loop`] — the nonblocking UDP event loop the scheduler, the
+//!   agent, the leaf, the front-end and the open-loop memcached client
+//!   run ([`udp_loop::UdpGuest`]).
 //! * [`workload`] — statistical samplers (GEV, generalized Pareto, Zipf)
 //!   and the Facebook-ETC-style key-value workload generator (§4.2).
 
@@ -37,4 +40,5 @@ pub mod failure;
 pub mod incast;
 pub mod memcached;
 pub mod partition_aggregate;
+pub mod udp_loop;
 pub mod workload;

@@ -19,6 +19,7 @@
 use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
 use crate::control::{pick_live, DiscoveryConfig, GateState, RegistryClient, GATE_FUTEX_KEY};
 use crate::failure::{backoff_delay_jittered, FailureStats};
+use crate::udp_loop::{self, Next, Then, UdpGuest, UdpLoop};
 use crate::workload::{etc_value_size_for_key, EtcWorkload, KvOp};
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::prelude::Histogram;
@@ -639,6 +640,21 @@ const UDP_MAX_RETRIES: u32 = 2;
 /// the request is abandoned.
 const TCP_MAX_RETRIES: u32 = 8;
 
+/// The GET or SET request for `op`, numbered `id`, sent at `now`: the one
+/// request codec both clients speak.
+fn request_msg(op: KvOp, id: u64, now: SimTime) -> AppMessage {
+    let kind = match op {
+        KvOp::Get { .. } => KIND_GET,
+        KvOp::Set { .. } => KIND_SET,
+    };
+    let mut m = AppMessage::new(kind, id, op.request_size(), now);
+    m.arg0 = op.key();
+    if let KvOp::Set { value_size, .. } = op {
+        m.arg1 = value_size as u64;
+    }
+    m
+}
+
 /// Client configuration.
 #[derive(Clone)]
 pub struct McClientConfig {
@@ -841,20 +857,6 @@ impl McClient {
         self.completed += 1;
     }
 
-    fn request_msg(&self, now: SimTime) -> AppMessage {
-        let op = self.current_op.expect("no op in flight");
-        let kind = match op {
-            KvOp::Get { .. } => KIND_GET,
-            KvOp::Set { .. } => KIND_SET,
-        };
-        let mut m = AppMessage::new(kind, self.issued - 1, op.request_size(), now);
-        m.arg0 = op.key();
-        if let KvOp::Set { value_size, .. } = op {
-            m.arg1 = value_size as u64;
-        }
-        m
-    }
-
     /// Enters the TCP failure path: the current server's connection is
     /// retired and closed; [`CliState::TcpFailed`] decides between retry
     /// and give-up.
@@ -990,7 +992,8 @@ impl Process for McClient {
                 }
                 CliState::SendReq => {
                     self.sent_at = ctx.now;
-                    let msg = self.request_msg(ctx.now);
+                    let op = self.current_op.expect("no op in flight");
+                    let msg = request_msg(op, self.issued - 1, ctx.now);
                     if self.cfg.proto == Proto::Udp {
                         self.state = CliState::UdpAwait;
                         return Step::Syscall(Syscall::SendTo {
@@ -1096,7 +1099,8 @@ impl Process for McClient {
                                 if self.retries_left > 0 {
                                     self.retries_left -= 1;
                                     self.udp_retries += 1;
-                                    let msg = self.request_msg(ctx.now);
+                                    let op = self.current_op.expect("no op in flight");
+                                    let msg = request_msg(op, self.issued - 1, ctx.now);
                                     self.state = CliState::UdpAwait;
                                     return Step::Syscall(Syscall::SendTo {
                                         fd: self.udp_fd.expect("no udp fd"),
@@ -1197,10 +1201,11 @@ struct OlInflight {
 /// load shed in [`McOpenLoopClient::slo`] rather than silently delayed,
 /// so offered load is never quietly re-coupled to completion.
 ///
-/// Arrival instants are realized as ordinary deterministic kernel timers:
-/// the client sleeps in `epoll_wait` with a timeout of exactly
-/// `min(next admission, earliest expiry) - now`, so serial and
-/// partition-parallel runs replay the same schedule bit-identically.
+/// A [`UdpGuest`]: arrival instants are realized as ordinary
+/// deterministic kernel timers — the client sleeps in `epoll_wait` with a
+/// timeout of exactly `min(next admission, earliest expiry) - now`, so
+/// serial and partition-parallel runs replay the same schedule
+/// bit-identically.
 /// A request unanswered for `cfg.request_deadline` (default:
 /// `UDP_TIMEOUT`) expires — freeing its window slot and counting an
 /// SLO violation — which is what lets the client keep offering load while
@@ -1211,10 +1216,7 @@ pub struct McOpenLoopClient {
     rng: DetRng,
     workload: EtcWorkload,
     arrivals: ArrivalProcess,
-    state: OlState,
-    udp_fd: Option<Fd>,
-    epfd: Option<Fd>,
-    next_arrival: Option<SimTime>,
+    io: UdpLoop,
     /// In-flight requests by id (`BTreeMap` for deterministic iteration).
     inflight: BTreeMap<u64, OlInflight>,
     /// Admitted requests waiting for their `SendTo` turn (they already
@@ -1243,26 +1245,6 @@ pub struct McOpenLoopClient {
     pub finished_at: SimTime,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OlState {
-    Start,
-    Socketed,
-    EpollMade,
-    Ctled,
-    /// `SetNonblocking` on the UDP socket is in flight.
-    NonBlocked,
-    /// Central dispatch: expire, admit, send, or wait.
-    Pump,
-    /// A `SendTo` is in flight.
-    SendDone,
-    /// Parked in `epoll_wait` until data, the next admission, or the
-    /// earliest expiry.
-    Waiting,
-    /// Draining readable datagrams.
-    Recv,
-    Done,
-}
-
 impl McOpenLoopClient {
     /// Creates an open-loop client; `cfg.arrival` must be set and
     /// `cfg.proto` must be [`Proto::Udp`].
@@ -1275,17 +1257,11 @@ impl McOpenLoopClient {
         let spec = cfg.arrival.clone().expect("open-loop client requires an arrival spec");
         assert_eq!(cfg.proto, Proto::Udp, "open-loop memcached requires UDP");
         assert!(cfg.window > 0, "open-loop window must be positive");
-        let workload = EtcWorkload::new(rng.derive(1), KEYSPACE);
-        let mut arrivals = ArrivalProcess::new(spec, rng.derive(2));
-        let next_arrival = arrivals.next_arrival();
         McOpenLoopClient {
-            workload,
+            workload: EtcWorkload::new(rng.derive(1), KEYSPACE),
+            arrivals: ArrivalProcess::new(spec, rng.derive(2)),
             rng,
-            arrivals,
-            state: OlState::Start,
-            udp_fd: None,
-            epfd: None,
-            next_arrival,
+            io: UdpLoop::Start,
             inflight: BTreeMap::new(),
             sendq: VecDeque::new(),
             offered: 0,
@@ -1321,10 +1297,7 @@ impl McOpenLoopClient {
             self.timed_out += 1;
             self.slo.on_unanswered();
         }
-        while let Some(at) = self.next_arrival {
-            if at > now {
-                break;
-            }
+        for _ in 0..self.arrivals.take_due(now) {
             self.offered += 1;
             if self.in_flight() < self.cfg.window {
                 // With discovery, route to a live replica from the
@@ -1345,175 +1318,89 @@ impl McOpenLoopClient {
             } else {
                 self.slo.on_shed();
             }
-            self.next_arrival = self.arrivals.next_arrival();
         }
     }
 
     /// The next instant the client must wake at, if any.
     fn next_deadline(&self) -> Option<SimTime> {
         let expiry = self.inflight.values().map(|r| r.expires).min();
-        match (self.next_arrival, expiry) {
+        match (self.arrivals.peek(), expiry) {
             (Some(a), Some(e)) => Some(a.min(e)),
             (a, e) => a.or(e),
         }
     }
 
-    fn request_msg(op: KvOp, id: u64, now: SimTime) -> AppMessage {
-        let kind = match op {
-            KvOp::Get { .. } => KIND_GET,
-            KvOp::Set { .. } => KIND_SET,
-        };
-        let mut m = AppMessage::new(kind, id, op.request_size(), now);
-        m.arg0 = op.key();
-        if let KvOp::Set { value_size, .. } = op {
-            m.arg1 = value_size as u64;
+    /// Refuses a restored request naming a server index the rebuilt list
+    /// cannot hold: it would decode, then panic when the request is sent.
+    fn check_server_indices(&mut self) -> Result<(), SnapError> {
+        let n = self.cfg.servers.len();
+        match self.sendq.iter().find(|(i, _)| *i >= n) {
+            Some((i, _)) => {
+                Err(SnapError::Malformed(format!("server index {i} of a client with {n}")))
+            }
+            None => Ok(()),
         }
-        m
+    }
+}
+
+impl UdpGuest for McOpenLoopClient {
+    fn io(&mut self) -> &mut UdpLoop {
+        &mut self.io
+    }
+
+    fn pump(&mut self, ctx: &mut ProcessCtx<'_>) -> Next {
+        self.expire_and_admit(ctx.now);
+        // Registry refresh rides the same pump: checked before request
+        // sends so a deep send queue cannot starve endpoint discovery
+        // during an outage.
+        if let Some(d) = &self.cfg.discovery {
+            let slo = &self.slo;
+            if let Some(lookup) = self.registry.lookup_due(ctx.now, slo.completed, slo.violations) {
+                return Next::Send(d.control, lookup);
+            }
+        }
+        if let Some((server, op)) = self.sendq.pop_front() {
+            self.issued += 1;
+            let id = self.issued - 1;
+            self.inflight
+                .insert(id, OlInflight { sent_at: ctx.now, expires: ctx.now + self.expiry() });
+            return Next::Send(self.cfg.servers[server], request_msg(op, id, ctx.now));
+        }
+        let Some(mut deadline) = self.next_deadline() else {
+            // Schedule exhausted, nothing in flight: finished. (The
+            // registry refresh deliberately does not keep an
+            // otherwise-finished client alive.)
+            self.done = true;
+            self.finished_at = ctx.now;
+            return Next::Exit;
+        };
+        if let Some(refresh) = self.registry.next_refresh() {
+            deadline = deadline.min(refresh);
+        }
+        // Everything due was processed above, so the deadline is strictly
+        // in the future.
+        Next::Wait(Some(deadline.duration_since(ctx.now)))
+    }
+
+    fn on_datagram(&mut self, _: SockAddr, msg: AppMessage, ctx: &mut ProcessCtx<'_>) -> Then {
+        // Registry replies share the socket and their `id` is a service
+        // id, so they are taken before the in-flight match. A reply to an
+        // already-expired request finds its slot reclaimed and is dropped.
+        if !self.registry.on_reply(&msg) {
+            if let Some(req) = self.inflight.remove(&msg.id) {
+                let ns = ctx.now.saturating_duration_since(req.sent_at);
+                self.latency.record(ns.as_nanos());
+                self.completed += 1;
+                self.slo.on_complete(ns);
+            }
+        }
+        Then::ReadOn
     }
 }
 
 impl Process for McOpenLoopClient {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
-        loop {
-            match self.state {
-                OlState::Start => {
-                    self.state = OlState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Udp));
-                }
-                OlState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.udp_fd = Some(fd);
-                    self.state = OlState::EpollMade;
-                    return Step::Syscall(Syscall::EpollCreate);
-                }
-                OlState::EpollMade => {
-                    let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
-                    self.state = OlState::Ctled;
-                    return Step::Syscall(Syscall::EpollCtl {
-                        epfd: ep,
-                        fd: self.udp_fd.expect("no udp fd"),
-                        interest: EventMask::READ,
-                    });
-                }
-                OlState::Ctled => {
-                    // Multiple replies can land between wakeups; the drain
-                    // loop needs `EWOULDBLOCK` (not a blocked `recvfrom`)
-                    // to know when the queue is empty.
-                    self.state = OlState::NonBlocked;
-                    return Step::Syscall(Syscall::SetNonblocking {
-                        fd: self.udp_fd.expect("no udp fd"),
-                        on: true,
-                    });
-                }
-                OlState::NonBlocked => {
-                    self.state = OlState::Pump;
-                    continue;
-                }
-                OlState::Pump => {
-                    self.expire_and_admit(ctx.now);
-                    // Registry refresh rides the same pump: checked before
-                    // request sends so a deep send queue cannot starve
-                    // endpoint discovery during an outage.
-                    if let Some(d) = &self.cfg.discovery {
-                        let slo = &self.slo;
-                        if let Some(lookup) =
-                            self.registry.lookup_due(ctx.now, slo.completed, slo.violations)
-                        {
-                            self.state = OlState::SendDone;
-                            return Step::Syscall(Syscall::SendTo {
-                                fd: self.udp_fd.expect("no udp fd"),
-                                to: d.control,
-                                msg: lookup,
-                            });
-                        }
-                    }
-                    if let Some((server, op)) = self.sendq.pop_front() {
-                        self.issued += 1;
-                        let id = self.issued - 1;
-                        self.inflight.insert(
-                            id,
-                            OlInflight { sent_at: ctx.now, expires: ctx.now + self.expiry() },
-                        );
-                        self.state = OlState::SendDone;
-                        return Step::Syscall(Syscall::SendTo {
-                            fd: self.udp_fd.expect("no udp fd"),
-                            to: self.cfg.servers[server],
-                            msg: Self::request_msg(op, id, ctx.now),
-                        });
-                    }
-                    let Some(mut deadline) = self.next_deadline() else {
-                        // Schedule exhausted, nothing in flight: finished.
-                        // (The registry refresh deliberately does not keep
-                        // an otherwise-finished client alive.)
-                        self.state = OlState::Done;
-                        continue;
-                    };
-                    if let Some(refresh) = self.registry.next_refresh() {
-                        deadline = deadline.min(refresh);
-                    }
-                    // Everything due was processed above, so the deadline
-                    // is strictly in the future.
-                    self.state = OlState::Waiting;
-                    return Step::Syscall(Syscall::EpollWait {
-                        epfd: self.epfd.expect("no epfd"),
-                        max_events: 16,
-                        timeout: Some(deadline.duration_since(ctx.now)),
-                    });
-                }
-                OlState::SendDone => {
-                    // SendTo completed (UDP send never blocks).
-                    self.state = OlState::Pump;
-                    continue;
-                }
-                OlState::Waiting => {
-                    let SysResult::Events(ref evs) = ctx.result else {
-                        panic!("epoll_wait failed")
-                    };
-                    if evs.is_empty() {
-                        // Timer wakeup: an admission or expiry is due.
-                        self.state = OlState::Pump;
-                        continue;
-                    }
-                    self.state = OlState::Recv;
-                    return Step::Syscall(Syscall::RecvFrom {
-                        fd: self.udp_fd.expect("no udp fd"),
-                    });
-                }
-                OlState::Recv => {
-                    match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                        SysResult::Datagram { msg, .. } => {
-                            // Registry replies share the socket and their
-                            // `id` is a service id, so they are taken
-                            // before the in-flight match. A reply to an
-                            // already-expired request finds its slot
-                            // reclaimed and is dropped.
-                            if !self.registry.on_reply(&msg) {
-                                if let Some(req) = self.inflight.remove(&msg.id) {
-                                    let ns = ctx.now.saturating_duration_since(req.sent_at);
-                                    self.latency.record(ns.as_nanos());
-                                    self.completed += 1;
-                                    self.slo.on_complete(ns);
-                                }
-                            }
-                            return Step::Syscall(Syscall::RecvFrom {
-                                fd: self.udp_fd.expect("no udp fd"),
-                            });
-                        }
-                        SysResult::Err(Errno::WouldBlock) => {
-                            self.state = OlState::Pump;
-                            continue;
-                        }
-                        other => panic!("udp recv failed: {other:?}"),
-                    }
-                }
-                OlState::Done => {
-                    self.done = true;
-                    self.finished_at = ctx.now;
-                    return Step::Exit;
-                }
-            }
-        }
+        udp_loop::step(self, ctx)
     }
 
     fn label(&self) -> &str {
@@ -1545,9 +1432,7 @@ impl Process for McOpenLoopClient {
         }
         self.inflight.clear();
         self.sendq.clear();
-        self.state = OlState::Start;
-        self.udp_fd = None;
-        self.epfd = None;
+        self.io = UdpLoop::Start;
         self.registry.reset();
         self.done = false;
         true
@@ -1615,19 +1500,6 @@ diablo_engine::impl_snap_enum!(CliState {
     18 => Done,
 });
 
-diablo_engine::impl_snap_enum!(OlState {
-    0 => Start,
-    1 => Socketed,
-    2 => EpollMade,
-    3 => Ctled,
-    4 => NonBlocked,
-    5 => Pump,
-    6 => SendDone,
-    7 => Waiting,
-    8 => Recv,
-    9 => Done,
-});
-
 diablo_engine::impl_snap_struct!(OlInflight { sent_at, expires });
 
 // One slot per configured worker thread; a snapshot of another shape is
@@ -1691,10 +1563,7 @@ diablo_engine::impl_persist_fields!(McOpenLoopClient {
     rng,
     workload: nested,
     arrivals,
-    state,
-    udp_fd,
-    epfd,
-    next_arrival,
+    io,
     inflight,
     sendq,
     offered,
@@ -1708,7 +1577,7 @@ diablo_engine::impl_persist_fields!(McOpenLoopClient {
     done,
     finished_at,
     cfg: config,
-});
+} after_load = check_server_indices);
 
 #[cfg(test)]
 mod tests {
@@ -1743,6 +1612,31 @@ mod tests {
         };
         let mut four = client(4);
         four.current_server = 3;
+        let mut w = SnapWriter::new();
+        four.save_state(&mut w);
+        let bytes = w.into_bytes();
+        client(4).load_state(&mut SnapReader::new(&bytes)).expect("the same list restores");
+        let err = client(2)
+            .load_state(&mut SnapReader::new(&bytes))
+            .expect_err("index 3 of a 2-server list is refused");
+        assert!(err.to_string().contains("server index 3 of a client with 2"), "{err}");
+    }
+
+    /// A queued open-loop request naming a server the rebuilt list cannot
+    /// hold is refused at load, not when the request is sent.
+    #[test]
+    fn a_restored_open_loop_request_past_the_list_is_an_error() {
+        use diablo_engine::snap::{Persist, SnapReader, SnapWriter};
+        let client = |n: u32| {
+            let servers: Vec<SockAddr> =
+                (0..n).map(|i| SockAddr::new(NodeAddr(i), MEMCACHED_PORT)).collect();
+            let mut cfg = McClientConfig::udp(servers, 0);
+            cfg.arrival = Some(ArrivalSpec::poisson(1_000.0, SimDuration::from_millis(5)).unwrap());
+            McOpenLoopClient::new(cfg, DetRng::new(1))
+        };
+        let mut four = client(4);
+        let op = four.workload.next_op();
+        four.sendq.push_back((3, op));
         let mut w = SnapWriter::new();
         four.save_state(&mut w);
         let bytes = w.into_bytes();

@@ -11,18 +11,19 @@
 //! faults show up as *deadline misses* instead of retries.
 //!
 //! Both processes are single-threaded nonblocking `epoll` loops over one
-//! UDP socket, like the modern WSC software the paper's §4.2 models.
+//! UDP socket ([`UdpGuest`]s), like the modern WSC software the paper's
+//! §4.2 models.
 
 use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
 use crate::control::{DiscoveryConfig, RegistryClient};
+use crate::udp_loop::{self, Next, Then, UdpGuest, UdpLoop};
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::prelude::Histogram;
 use diablo_engine::rng::DetRng;
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
-use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Shm, Step, SysResult, Syscall};
-use diablo_stack::socket::EventMask;
+use diablo_stack::process::{Process, ProcessCtx, Shm, Step};
 use std::sync::Arc;
 
 /// Query message kind.
@@ -60,122 +61,79 @@ impl Default for PaLeafConfig {
 /// A leaf search node: receives queries on a UDP socket, computes the
 /// modeled service work (base + per-query jitter), and sends one answer
 /// datagram back, echoing the query's shard tag so the front-end can
-/// attribute it.
+/// attribute it; then it reads on.
 #[derive(Debug)]
 pub struct PaLeaf {
     cfg: PaLeafConfig,
     rng: DetRng,
+    io: UdpLoop,
     state: LeafState,
-    fd: Option<Fd>,
-    epfd: Option<Fd>,
-    reply: Option<(SockAddr, AppMessage)>,
     /// Queries answered.
     pub served: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LeafState {
-    Start,
-    Socketed,
-    NbSet,
-    Bound,
-    EpollCreated,
-    Registered,
-    Wait,
-    Drain,
-    SendReply,
-    AfterReply,
+    /// No query in hand: wait for one.
+    Idle,
+    /// Serving a query: where and what to reply, and the instructions of
+    /// service work still to compute before the reply goes out.
+    Serving(SockAddr, AppMessage, u64),
+    /// The reply is sent: read on before waiting again.
+    Replied,
 }
 
 impl PaLeaf {
     /// Creates a leaf with a deterministic jitter stream.
     pub fn new(cfg: PaLeafConfig, rng: DetRng) -> Self {
-        PaLeaf { cfg, rng, state: LeafState::Start, fd: None, epfd: None, reply: None, served: 0 }
+        PaLeaf { cfg, rng, io: UdpLoop::Start, state: LeafState::Idle, served: 0 }
+    }
+}
+
+impl UdpGuest for PaLeaf {
+    fn port(&self) -> Option<u16> {
+        Some(self.cfg.port)
+    }
+
+    fn io(&mut self) -> &mut UdpLoop {
+        &mut self.io
+    }
+
+    fn pump(&mut self, _: &mut ProcessCtx<'_>) -> Next {
+        match self.state {
+            LeafState::Idle => Next::Wait(None),
+            LeafState::Serving(to, msg, work) if work > 0 => {
+                self.state = LeafState::Serving(to, msg, 0);
+                Next::Compute(work)
+            }
+            LeafState::Serving(to, msg, _) => {
+                self.state = LeafState::Replied;
+                Next::Send(to, msg)
+            }
+            LeafState::Replied => {
+                self.state = LeafState::Idle;
+                Next::ReadOn
+            }
+        }
+    }
+
+    /// A query becomes the reply to serve; any other datagram is dropped.
+    fn on_datagram(&mut self, from: SockAddr, msg: AppMessage, ctx: &mut ProcessCtx<'_>) -> Then {
+        if msg.kind != KIND_QUERY {
+            return Then::ReadOn;
+        }
+        self.served += 1;
+        let work = SERVICE_WORK + self.rng.next_below(SERVICE_JITTER + 1);
+        let answer = AppMessage::new(KIND_ANSWER, msg.id, self.cfg.answer_bytes, ctx.now)
+            .with_arg0(msg.arg0);
+        self.state = LeafState::Serving(from, answer, work);
+        Then::Pump
     }
 }
 
 impl Process for PaLeaf {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
-        loop {
-            match self.state {
-                LeafState::Start => {
-                    self.state = LeafState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Udp));
-                }
-                LeafState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.fd = Some(fd);
-                    // The drain loop recvs until empty, so the socket must
-                    // be nonblocking or the last recv would park the thread.
-                    self.state = LeafState::NbSet;
-                    return Step::Syscall(Syscall::SetNonblocking { fd, on: true });
-                }
-                LeafState::NbSet => {
-                    assert_eq!(ctx.result, SysResult::Done, "fcntl failed");
-                    let fd = self.fd.expect("no fd");
-                    self.state = LeafState::Bound;
-                    return Step::Syscall(Syscall::Bind { fd, port: self.cfg.port });
-                }
-                LeafState::Bound => {
-                    assert_eq!(ctx.result, SysResult::Done, "bind failed");
-                    self.state = LeafState::EpollCreated;
-                    return Step::Syscall(Syscall::EpollCreate);
-                }
-                LeafState::EpollCreated => {
-                    let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
-                    self.state = LeafState::Registered;
-                    return Step::Syscall(Syscall::EpollCtl {
-                        epfd: ep,
-                        fd: self.fd.expect("no fd"),
-                        interest: EventMask::READ,
-                    });
-                }
-                LeafState::Registered => {
-                    self.state = LeafState::Wait;
-                    return Step::Syscall(Syscall::EpollWait {
-                        epfd: self.epfd.expect("no epfd"),
-                        max_events: 64,
-                        timeout: None,
-                    });
-                }
-                LeafState::Wait => match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                    SysResult::Events(_) => {
-                        self.state = LeafState::Drain;
-                        return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                    }
-                    other => panic!("leaf epoll_wait failed: {other:?}"),
-                },
-                LeafState::Drain => match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                    SysResult::Datagram { from, msg } => {
-                        assert_eq!(msg.kind, KIND_QUERY, "leaf got non-query");
-                        self.served += 1;
-                        let jitter = self.rng.next_below(SERVICE_JITTER + 1);
-                        let answer =
-                            AppMessage::new(KIND_ANSWER, msg.id, self.cfg.answer_bytes, ctx.now)
-                                .with_arg0(msg.arg0);
-                        self.reply = Some((from, answer));
-                        self.state = LeafState::SendReply;
-                        return Step::Compute(SERVICE_WORK + jitter);
-                    }
-                    SysResult::Err(Errno::WouldBlock) => {
-                        self.state = LeafState::Registered;
-                        continue;
-                    }
-                    other => panic!("leaf recvfrom failed: {other:?}"),
-                },
-                LeafState::SendReply => {
-                    let (to, msg) = self.reply.take().expect("no reply staged");
-                    self.state = LeafState::AfterReply;
-                    return Step::Syscall(Syscall::SendTo { fd: self.fd.expect("no fd"), to, msg });
-                }
-                LeafState::AfterReply => {
-                    // Drain any further queued queries before re-polling.
-                    self.state = LeafState::Drain;
-                    return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                }
-            }
-        }
+        udp_loop::step(self, ctx)
     }
 
     fn label(&self) -> &str {
@@ -189,10 +147,8 @@ impl Process for PaLeaf {
     fn reset(&mut self) -> bool {
         // A crash wipes the socket; answers served so far survive as
         // counters, and the rebooted leaf rebuilds from scratch.
-        self.state = LeafState::Start;
-        self.fd = None;
-        self.epfd = None;
-        self.reply = None;
+        self.io = UdpLoop::Start;
+        self.state = LeafState::Idle;
         true
     }
 }
@@ -268,9 +224,8 @@ impl PaFrontendConfig {
 #[derive(Debug)]
 pub struct PaFrontend {
     cfg: PaFrontendConfig,
+    io: UdpLoop,
     state: FeState,
-    fd: Option<Fd>,
-    epfd: Option<Fd>,
     /// Per-leaf answered flag for the in-flight query.
     answered: Vec<bool>,
     /// Leaves still owing an answer for the in-flight query.
@@ -290,8 +245,6 @@ pub struct PaFrontend {
     pub missing_answers: u64,
     /// Open-loop mode: the admission schedule (closed-loop when `None`).
     arrivals: Option<ArrivalProcess>,
-    /// Open-loop mode: the next unadmitted arrival instant.
-    next_arrival: Option<SimTime>,
     /// Open-loop mode: arrivals produced by the schedule (admitted + shed).
     pub offered: u64,
     /// Open-loop mode: SLO accounting (deadline misses always violate).
@@ -307,19 +260,14 @@ pub struct PaFrontend {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FeState {
-    Start,
-    Socketed,
-    NbSet,
-    EpollCreated,
-    Registered,
+    /// Sleep the configured start delay, if any.
+    StartDelay,
+    /// Between queries: refresh the registry, then start, pace or finish.
     Think,
-    /// Open-loop: sleeping until the next scheduled admission.
-    Paced,
-    /// A registry lookup is in flight.
-    LookupSent,
+    /// Sending the query to each live leaf.
     Fanout,
+    /// Waiting for answers until the deadline.
     Collect,
-    Drain,
     Done,
 }
 
@@ -332,7 +280,7 @@ impl PaFrontend {
     /// schedules need the RNG passed to [`PaFrontend::open_loop`].
     pub fn new(cfg: PaFrontendConfig) -> Self {
         assert!(cfg.arrival.is_none(), "use PaFrontend::open_loop for arrival-driven front-ends");
-        Self::build(cfg, None, None)
+        Self::build(cfg, None)
     }
 
     /// Creates an open-loop front-end: one query admitted per
@@ -344,23 +292,16 @@ impl PaFrontend {
     /// Panics without leaves or when `cfg.arrival` is `None`.
     pub fn open_loop(cfg: PaFrontendConfig, rng: DetRng) -> Self {
         let spec = cfg.arrival.clone().expect("open-loop front-end requires an arrival spec");
-        let mut arrivals = ArrivalProcess::new(spec, rng);
-        let next = arrivals.next_arrival();
-        Self::build(cfg, Some(arrivals), next)
+        Self::build(cfg, Some(ArrivalProcess::new(spec, rng)))
     }
 
-    fn build(
-        cfg: PaFrontendConfig,
-        arrivals: Option<ArrivalProcess>,
-        next_arrival: Option<SimTime>,
-    ) -> Self {
+    fn build(cfg: PaFrontendConfig, arrivals: Option<ArrivalProcess>) -> Self {
         let n = cfg.leaves.len();
         assert!(n > 0, "a front-end needs at least one leaf");
         let slo = SloStats::with_target(cfg.slo);
         PaFrontend {
-            state: FeState::Start,
-            fd: None,
-            epfd: None,
+            io: UdpLoop::Start,
+            state: FeState::StartDelay,
             answered: vec![false; n],
             pending: 0,
             issued: 0,
@@ -372,7 +313,6 @@ impl PaFrontend {
             deadline_misses: 0,
             missing_answers: 0,
             arrivals,
-            next_arrival,
             offered: 0,
             slo,
             registry: RegistryClient::new(cfg.discovery.as_ref()),
@@ -427,44 +367,19 @@ impl PaFrontend {
     }
 }
 
-impl Process for PaFrontend {
-    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
+impl UdpGuest for PaFrontend {
+    fn io(&mut self) -> &mut UdpLoop {
+        &mut self.io
+    }
+
+    fn pump(&mut self, ctx: &mut ProcessCtx<'_>) -> Next {
         loop {
             match self.state {
-                FeState::Start => {
-                    self.state = FeState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Udp));
-                }
-                FeState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.fd = Some(fd);
-                    // Answers are drained until empty; keep the socket
-                    // nonblocking so the last recv returns instead of
-                    // parking past the deadline.
-                    self.state = FeState::NbSet;
-                    return Step::Syscall(Syscall::SetNonblocking { fd, on: true });
-                }
-                FeState::NbSet => {
-                    assert_eq!(ctx.result, SysResult::Done, "fcntl failed");
-                    self.state = FeState::EpollCreated;
-                    return Step::Syscall(Syscall::EpollCreate);
-                }
-                FeState::EpollCreated => {
-                    let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
-                    self.state = FeState::Registered;
-                    return Step::Syscall(Syscall::EpollCtl {
-                        epfd: ep,
-                        fd: self.fd.expect("no fd"),
-                        interest: EventMask::READ,
-                    });
-                }
-                FeState::Registered => {
+                FeState::StartDelay => {
                     self.state = FeState::Think;
                     if !self.cfg.start_delay.is_zero() {
-                        return Step::Syscall(Syscall::Nanosleep(self.cfg.start_delay));
+                        return Next::Sleep(self.cfg.start_delay);
                     }
-                    continue;
                 }
                 FeState::Think => {
                     // Registry refresh rides the think path: between
@@ -479,12 +394,7 @@ impl Process for PaFrontend {
                         if let Some(lookup) =
                             self.registry.lookup_due(ctx.now, completed, violations)
                         {
-                            self.state = FeState::LookupSent;
-                            return Step::Syscall(Syscall::SendTo {
-                                fd: self.fd.expect("no fd"),
-                                to: d.control,
-                                msg: lookup,
-                            });
+                            return Next::Send(d.control, lookup);
                         }
                     }
                     if let Some(arrivals) = self.arrivals.as_mut() {
@@ -493,28 +403,17 @@ impl Process for PaFrontend {
                         // while the previous query was aggregating found
                         // the window (of one) full: the oldest is admitted
                         // now (late), the rest are shed.
-                        let mut due = 0u64;
-                        while let Some(at) = self.next_arrival {
-                            if at > ctx.now {
-                                break;
-                            }
-                            due += 1;
-                            self.next_arrival = arrivals.next_arrival();
-                        }
+                        let due = arrivals.take_due(ctx.now);
                         self.offered += due;
                         if due == 0 {
-                            let Some(at) = self.next_arrival else {
+                            let Some(at) = arrivals.peek() else {
                                 self.state = FeState::Done;
                                 continue;
                             };
-                            self.state = FeState::Paced;
                             // Wake early for a due registry refresh so a
                             // sparse schedule cannot stall discovery.
-                            let wake = match self.registry.next_refresh() {
-                                Some(r) => at.min(r),
-                                None => at,
-                            };
-                            return Step::Syscall(Syscall::Nanosleep(wake.duration_since(ctx.now)));
+                            let wake = self.registry.next_refresh().map_or(at, |r| at.min(r));
+                            return Next::Sleep(wake.duration_since(ctx.now));
                         }
                         for _ in 1..due {
                             self.slo.on_shed();
@@ -527,19 +426,7 @@ impl Process for PaFrontend {
                         continue;
                     }
                     self.begin_query();
-                    return Step::Compute(self.cfg.think);
-                }
-                FeState::Paced => {
-                    // Sleep finished at the admission instant (or a due
-                    // registry refresh); let Think observe and act.
-                    self.state = FeState::Think;
-                    continue;
-                }
-                FeState::LookupSent => {
-                    // UDP send never blocks; back to Think, which now
-                    // sees the refresh armed in the future.
-                    self.state = FeState::Think;
-                    continue;
+                    return Next::Compute(self.cfg.think);
                 }
                 FeState::Fanout => {
                     if self.fanout_idx == 0 {
@@ -566,14 +453,9 @@ impl Process for PaFrontend {
                         )
                         .with_arg0(self.fanout_idx as u64);
                         self.fanout_idx += 1;
-                        return Step::Syscall(Syscall::SendTo {
-                            fd: self.fd.expect("no fd"),
-                            to,
-                            msg,
-                        });
+                        return Next::Send(to, msg);
                     }
                     self.state = FeState::Collect;
-                    continue;
                 }
                 FeState::Collect => {
                     let elapsed = ctx.now.saturating_duration_since(self.sent_at);
@@ -581,72 +463,56 @@ impl Process for PaFrontend {
                         self.miss();
                         continue;
                     }
-                    self.state = FeState::Drain;
-                    return Step::Syscall(Syscall::EpollWait {
-                        epfd: self.epfd.expect("no epfd"),
-                        max_events: 64,
-                        timeout: Some(self.cfg.deadline - elapsed),
-                    });
-                }
-                FeState::Drain => {
-                    match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                        SysResult::Events(evs) => {
-                            if evs.is_empty() {
-                                // Deadline expired with answers outstanding.
-                                self.miss();
-                                continue;
-                            }
-                            return Step::Syscall(Syscall::RecvFrom {
-                                fd: self.fd.expect("no fd"),
-                            });
-                        }
-                        SysResult::Datagram { msg, .. } => {
-                            // A registry reply landing mid-collect: its
-                            // mask is for the *next* fan-out; the in-flight
-                            // aggregate keeps its span.
-                            if self.registry.on_reply(&msg) {
-                                return Step::Syscall(Syscall::RecvFrom {
-                                    fd: self.fd.expect("no fd"),
-                                });
-                            }
-                            if msg.kind == KIND_ANSWER && msg.id == self.issued - 1 {
-                                let idx = msg.arg0 as usize;
-                                if !self.answered[idx] {
-                                    self.answered[idx] = true;
-                                    self.pending -= 1;
-                                }
-                            }
-                            // Stale answers from an already-closed query are
-                            // ignored — their aggregate has shipped.
-                            if self.pending == 0 {
-                                let d = ctx.now.saturating_duration_since(self.sent_at);
-                                self.latency.record(d.as_nanos());
-                                self.full_aggregates += 1;
-                                self.completed += 1;
-                                if self.is_open_loop() {
-                                    self.slo.on_complete(d);
-                                }
-                                self.state = FeState::Think;
-                                continue;
-                            }
-                            return Step::Syscall(Syscall::RecvFrom {
-                                fd: self.fd.expect("no fd"),
-                            });
-                        }
-                        SysResult::Err(Errno::WouldBlock) => {
-                            self.state = FeState::Collect;
-                            continue;
-                        }
-                        other => panic!("front-end drain failed: {other:?}"),
-                    }
+                    return Next::Wait(Some(self.cfg.deadline - elapsed));
                 }
                 FeState::Done => {
                     self.done = true;
                     self.finished_at = ctx.now;
-                    return Step::Exit;
+                    return Next::Exit;
                 }
             }
         }
+    }
+
+    fn on_datagram(&mut self, _: SockAddr, msg: AppMessage, ctx: &mut ProcessCtx<'_>) -> Then {
+        // A registry reply landing mid-collect: its mask is for the *next*
+        // fan-out; the in-flight aggregate keeps its span.
+        if self.registry.on_reply(&msg) {
+            return Then::ReadOn;
+        }
+        // Stale answers from an already-closed query are ignored — their
+        // aggregate has shipped.
+        if msg.kind == KIND_ANSWER && msg.id == self.issued - 1 {
+            if let Some(answered) = self.answered.get_mut(msg.arg0 as usize) {
+                if !*answered {
+                    *answered = true;
+                    self.pending -= 1;
+                }
+            }
+        }
+        if self.pending > 0 {
+            return Then::ReadOn;
+        }
+        let d = ctx.now.saturating_duration_since(self.sent_at);
+        self.latency.record(d.as_nanos());
+        self.full_aggregates += 1;
+        self.completed += 1;
+        if self.is_open_loop() {
+            self.slo.on_complete(d);
+        }
+        self.state = FeState::Think;
+        Then::Pump
+    }
+
+    /// The deadline expired with answers outstanding.
+    fn on_timeout(&mut self, _: &mut ProcessCtx<'_>) {
+        self.miss();
+    }
+}
+
+impl Process for PaFrontend {
+    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
+        udp_loop::step(self, ctx)
     }
 
     fn label(&self) -> &str {
@@ -677,9 +543,8 @@ impl Process for PaFrontend {
         if self.pending > 0 {
             self.miss();
         }
-        self.state = FeState::Start;
-        self.fd = None;
-        self.epfd = None;
+        self.io = UdpLoop::Start;
+        self.state = FeState::StartDelay;
         self.answered.iter_mut().for_each(|a| *a = false);
         self.fanout_idx = 0;
         self.registry.reset();
@@ -693,45 +558,31 @@ impl Process for PaFrontend {
 // ====================================================================
 
 diablo_engine::impl_snap_enum!(LeafState as "pa LeafState" {
-    0 => Start,
-    1 => Socketed,
-    2 => NbSet,
-    3 => Bound,
-    4 => EpollCreated,
-    5 => Registered,
-    6 => Wait,
-    7 => Drain,
-    8 => SendReply,
-    9 => AfterReply,
+    0 => Idle,
+    1 => Serving(to, msg, work),
+    2 => Replied,
 });
 
 diablo_engine::impl_snap_enum!(FeState as "pa FeState" {
-    0 => Start,
-    1 => Socketed,
-    2 => NbSet,
-    3 => EpollCreated,
-    4 => Registered,
-    5 => Think,
-    6 => Paced,
-    7 => LookupSent,
-    8 => Fanout,
-    9 => Collect,
-    10 => Drain,
-    11 => Done,
+    0 => StartDelay,
+    1 => Think,
+    2 => Fanout,
+    3 => Collect,
+    4 => Done,
 });
 
 // The config (port, service work, jitter bounds) is rebuilt; only the
 // jitter stream and the serving loop's position evolve.
-diablo_engine::impl_persist_fields!(PaLeaf { rng, state, fd, epfd, reply, served, cfg: config });
+diablo_engine::impl_persist_fields!(PaLeaf { rng, io, state, served, cfg: config });
 
 // `cfg` (leaf pool, deadline, arrival spec) is rebuilt from the scenario;
 // everything the run accumulated — including the arrival process, whose
-// spec rides its own snapshot — is state.
+// spec rides its own snapshot — is state. One answered flag per leaf of
+// the rebuilt pool: a snapshot of another pool is refused.
 diablo_engine::impl_persist_fields!(PaFrontend {
+    io,
     state,
-    fd,
-    epfd,
-    answered,
+    answered: fixed_len,
     pending,
     issued,
     sent_at,
@@ -742,7 +593,6 @@ diablo_engine::impl_persist_fields!(PaFrontend {
     deadline_misses,
     missing_answers,
     arrivals,
-    next_arrival,
     offered,
     slo,
     registry,
@@ -775,6 +625,29 @@ mod tests {
         assert_eq!(fe.deadline_misses, 1);
         assert_eq!(fe.missing_answers, 2);
         assert_eq!(fe.completed, 1);
+    }
+
+    /// A snapshot of a front-end over another leaf pool is refused at
+    /// load, not when the next answer indexes past its flags.
+    #[test]
+    fn a_restored_answer_flag_list_of_another_pool_is_an_error() {
+        use diablo_engine::snap::{Persist, SnapReader, SnapWriter};
+        let frontend = |n: u32| {
+            let leaves: Vec<SockAddr> =
+                (1..=n).map(|i| SockAddr::new(NodeAddr(i), PA_PORT)).collect();
+            PaFrontend::new(PaFrontendConfig::new(leaves, 5))
+        };
+        let mut w = SnapWriter::new();
+        frontend(3).save_state(&mut w);
+        let bytes = w.into_bytes();
+        frontend(3).load_state(&mut SnapReader::new(&bytes)).expect("the same pool restores");
+        let err = frontend(2)
+            .load_state(&mut SnapReader::new(&bytes))
+            .expect_err("3 answer flags for 2 leaves are refused");
+        assert!(
+            err.to_string().contains("snapshot vector has 3 entries, rebuilt model has 2"),
+            "{err}"
+        );
     }
 
     #[test]

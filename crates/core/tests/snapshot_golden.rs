@@ -4,7 +4,23 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 9 (a node kernel persists the memory its threads share
+//! `SNAP_VERSION` 10 (the scheduler, each control agent, each
+//! partition-aggregate leaf and front-end and each open-loop memcached
+//! client persist one UDP loop phase — an 8-byte tag, then the socket and
+//! epoll descriptors, 4 bytes each, once set up — in place of an 8-byte
+//! setup/drain state tag and two optional descriptors; an agent's next
+//! heartbeat becomes optional and its 1-byte started flag goes; a leaf's
+//! staged reply moves into its state, which gains the work left to
+//! compute; an arrival process persists its optional next instant, which
+//! an open-loop client and the epoll incast client no longer hold: the
+//! closed-loop memcached snapshot differs in the version word only, the
+//! controlled one is 24 bytes smaller (7 open-loop clients, 4 agents and
+//! the scheduler, 2 bytes each), the partition-aggregate one 80 bytes
+//! larger (16 leaves and front-ends, 5 bytes each, none holding a reply),
+//! and the incast one 1 byte smaller; the control agent's and the
+//! open-loop client's `epoll_wait` returns 64 events at most, not 16, which
+//! a blocked wait's arguments carry into the kernel's snapshot; version 9:
+//! a node kernel persists the memory its threads share
 //! after its futexes, 8 bytes of table length per node plus its blocks; a
 //! process blob loses its 1-byte presence flag; a shared block moves from
 //! the one process that persisted it into its kernel, and memcached's
@@ -29,13 +45,17 @@
 //! epoll timer in place of a 4-byte wait generation, 2 bytes less per idle
 //! thread, and a wait that ended early left no timer queued; version 5 made each node kernel persist the
 //! generation of its CPU completion timer and a count of stale timers, 12
-//! bytes more per node; version 4 gave each switch and each node kernel its schedule of fault
-//! directives, empty here, so every one grew the 8 bytes of a length, and
-//! a TCP connection's parameters lost the one-byte `nodelay` flag;
+//! bytes more per node, and let the CPU hold a thread's deferred exit;
+//! version 4 gave each switch (in place of its fault fences) and each
+//! node kernel its schedule of fault directives, empty here, so every one
+//! grew the 8 bytes of a length, a pending fault timer lost its
+//! directive, and a TCP connection's parameters lost the one-byte
+//! `nodelay` flag;
 //! version 3 made a switch pipeline entry's forwarding
 //! timer optional and a NIC's TX busy flag its free instant plus an armed
 //! flag, version 2 made the pipeline a FIFO beside a list of frames
-//! committed at admission, version 1's digests dated from the
+//! committed at admission and the fault fences the switch was told of,
+//! its per-output totals recomputed on load, version 1's digests dated from the
 //! hand-written codec). A
 //! digest that moves means snapshots written by earlier builds no longer
 //! restore — bump `SNAP_VERSION` and re-record, or fix the encoding.
@@ -77,7 +97,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     cfg.sample_every = Some(SimDuration::from_micros(500));
     let got =
         snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
-    assert_eq!(got, (451_000, "e30b6fa6b17fd6c9".to_string()));
+    assert_eq!(got, (451_000, "896d5a9f084c049a".to_string()));
 }
 
 #[test]
@@ -90,7 +110,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_574, "cde955dfd0b2fc04".to_string()));
+    assert_eq!(got, (96_550, "581b541d1d32b506".to_string()));
 }
 
 #[test]
@@ -100,7 +120,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     cfg.cross_rack = true;
     let got =
         snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
-    assert_eq!(got, (132_812, "a6053e0df9376a1a".to_string()));
+    assert_eq!(got, (132_892, "70d3d2669e0f23a5".to_string()));
 }
 
 #[test]
@@ -119,5 +139,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (43_937, "1a34aa3b1c25ba5c".to_string()));
+    assert_eq!(got, (43_936, "f3e1cf4f9f81687b".to_string()));
 }
