@@ -778,10 +778,6 @@ impl Process for ControlPlane {
         udp_loop::step(self, ctx)
     }
 
-    fn label(&self) -> &str {
-        "control-plane"
-    }
-
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         let s = &self.stats;
         v.counter("control.heartbeats", s.heartbeats);
@@ -919,10 +915,6 @@ impl UdpGuest for ControlAgent {
 impl Process for ControlAgent {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         udp_loop::step(self, ctx)
-    }
-
-    fn label(&self) -> &str {
-        "control-agent"
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {

@@ -133,10 +133,6 @@ impl Process for TcpEchoServer {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "tcp-echo-server"
-    }
 }
 
 /// A TCP echo client: connects, sends `count` messages of `len` bytes
@@ -258,10 +254,6 @@ impl Process for TcpEchoClient {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "tcp-echo-client"
-    }
 }
 
 /// A UDP echo server: bounces every datagram back to its sender, forever.
@@ -335,10 +327,6 @@ impl Process for UdpEchoServer {
                 }
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "udp-echo-server"
     }
 }
 
@@ -438,10 +426,6 @@ impl Process for UdpPingClient {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "udp-ping-client"
-    }
 }
 
 /// Burns CPU in fixed bursts for a given number of iterations (a
@@ -473,10 +457,6 @@ impl Process for Spinner {
         }
         self.completed += 1;
         Step::Compute(self.burst)
-    }
-
-    fn label(&self) -> &str {
-        "spinner"
     }
 }
 

@@ -209,10 +209,6 @@ impl Process for IncastServer {
         }
     }
 
-    fn label(&self) -> &str {
-        "incast-server"
-    }
-
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("served", self.served);
     }
@@ -452,10 +448,6 @@ impl Process for IncastWorker {
         }
     }
 
-    fn label(&self) -> &str {
-        "incast-worker"
-    }
-
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         self.failure.visit(v);
     }
@@ -577,10 +569,6 @@ impl Process for IncastMaster {
                 MstState::Exit => return Step::Exit,
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "incast-master"
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
@@ -1130,10 +1118,6 @@ impl Process for IncastEpollClient {
                 EpState::Done => return Step::Exit,
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "incast-epoll-client"
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {

@@ -317,10 +317,6 @@ impl Process for McDispatcher {
         }
     }
 
-    fn label(&self) -> &str {
-        "memcached-dispatcher"
-    }
-
     fn visit_metrics(&self, shm: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("accepted", self.accepted);
         if let Some(gate) = shm.find::<GateState>() {
@@ -603,10 +599,6 @@ impl Process for McWorker {
                 }
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "memcached-worker"
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
@@ -1143,10 +1135,6 @@ impl Process for McClient {
         }
     }
 
-    fn label(&self) -> &str {
-        "memcached-client"
-    }
-
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("requests_issued", self.issued);
         v.counter("requests_completed", self.completed);
@@ -1401,10 +1389,6 @@ impl UdpGuest for McOpenLoopClient {
 impl Process for McOpenLoopClient {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         udp_loop::step(self, ctx)
-    }
-
-    fn label(&self) -> &str {
-        "memcached-openloop-client"
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {

@@ -136,10 +136,6 @@ impl Process for PaLeaf {
         udp_loop::step(self, ctx)
     }
 
-    fn label(&self) -> &str {
-        "pa-leaf"
-    }
-
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
         v.counter("served", self.served);
     }
@@ -513,10 +509,6 @@ impl UdpGuest for PaFrontend {
 impl Process for PaFrontend {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         udp_loop::step(self, ctx)
-    }
-
-    fn label(&self) -> &str {
-        "pa-frontend"
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {

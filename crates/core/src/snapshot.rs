@@ -40,14 +40,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 
 /// Format version this build writes and reads. Bump on any layout
 /// change; restore rejects other versions with [`SnapError::Version`].
-/// Version 10: the scheduler, the control agent, the partition-aggregate
-/// leaf and front-end and the open-loop memcached client each persist one
-/// UDP loop phase (holding their socket and epoll descriptors) in place
-/// of their set-up and drain states and two optional descriptors, and an
-/// arrival process persists its next instant in place of the client
-/// holding it. Each version's change, and what it did to the bytes of
-/// four pinned snapshots, is stated in `tests/snapshot_golden.rs`.
-pub const SNAP_VERSION: u32 = 10;
+/// Version 11: a NIC persists the start instants of the frames it started
+/// ahead of their turn, a kernel thread its sleep deadline, and a CPU may
+/// hold a planned softirq run (its interrupt's instant and frame count).
+/// Each version's change, and what it did to the bytes of four pinned
+/// snapshots, is stated in `tests/snapshot_golden.rs`.
+pub const SNAP_VERSION: u32 = 11;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

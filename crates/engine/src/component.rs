@@ -229,7 +229,7 @@ impl<'a, M> Ctx<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{CalendarQueue, EventQueue};
+    use crate::sched::CalendarQueue;
 
     fn drain(q: &mut CalendarQueue<u32>) -> Vec<Event<u32>> {
         std::iter::from_fn(|| q.pop()).collect()

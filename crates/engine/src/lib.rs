@@ -72,7 +72,7 @@ pub mod prelude {
     };
     pub use crate::parallel::{ComponentHost, ParallelSimulation};
     pub use crate::rng::DetRng;
-    pub use crate::sched::{CalendarQueue, EventQueue, HeapQueue};
+    pub use crate::sched::CalendarQueue;
     pub use crate::sim::{RunStats, Simulation};
     pub use crate::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
     pub use crate::stats::{Counter, ExecReport, Histogram, PartitionExec, Series, WorkerExec};

@@ -114,7 +114,7 @@
 use crate::component::{Component, Ctx, EventSink};
 use crate::error::EngineError;
 use crate::event::{ComponentId, Event, EventKey, EventKind, PortNo, TimerKey};
-use crate::sched::{CalendarQueue, EventQueue};
+use crate::sched::CalendarQueue;
 use crate::sim::{RunStats, Simulation};
 use crate::snap::{
     load_exec_stream, save_exec_stream, ExecHead, ExecStream, Persist, Snap, SnapError, SnapReader,
@@ -861,11 +861,6 @@ impl<M: Send + 'static> ParallelSimulation<M> {
     /// up in metrics artifacts.
     pub fn workers_requested(&self) -> usize {
         self.workers_requested
-    }
-
-    /// Number of registered components.
-    pub fn component_count(&self) -> usize {
-        self.directory.len()
     }
 
     /// Downcasts a component to its concrete type for inspection.

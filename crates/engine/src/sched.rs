@@ -1,6 +1,5 @@
-//! Event schedulers: the [`EventQueue`] abstraction, the two-tier
-//! [`CalendarQueue`] both executors run on, and the reference
-//! [`HeapQueue`].
+//! The event scheduler: the two-tier [`CalendarQueue`] both executors run
+//! on.
 //!
 //! # Why a calendar queue
 //!
@@ -57,12 +56,13 @@
 //!
 //! [`CalendarQueue`] pops events in exactly the total
 //! `(time, target, source, source_seq)` order of [`EventKey`] — the same
-//! order [`HeapQueue`] (the original `BinaryHeap` scheduler) produces —
-//! for *any* interleaving of pushes and pops. Bucketing partitions events
+//! order the original `BinaryHeap` scheduler produces — for *any*
+//! interleaving of pushes and pops. Bucketing partitions events
 //! by time, the active bucket's two parts are each key-ordered, and
 //! equal-time events always share a bucket, so the global minimum is always
 //! the earlier of the active bucket's two heads. `tests/prop_sched.rs`
-//! checks byte-identical agreement against [`HeapQueue`] under random
+//! checks byte-identical agreement against that heap, kept there as the
+//! reference, under random
 //! interleavings at several wheel geometries, and the executor cross-tests
 //! (`tests/determinism.rs`) confirm serial/parallel runs stay bit-identical
 //! end to end.
@@ -70,72 +70,6 @@
 use crate::component::EventSink;
 use crate::event::{Event, EventKey, HeapEntry};
 use std::collections::BinaryHeap;
-
-/// The interface [`CalendarQueue`] and its [`HeapQueue`] reference share,
-/// so the differential tests drive both through one code path.
-///
-/// `peek_key` takes `&mut self` because the calendar queue advances its
-/// cursor lazily: finding the next event may rotate the wheel and migrate
-/// overflow entries.
-pub trait EventQueue<M> {
-    /// Inserts an event.
-    fn push(&mut self, ev: Event<M>);
-    /// The key of the earliest event, if any.
-    fn peek_key(&mut self) -> Option<EventKey>;
-    /// Removes and returns the earliest event.
-    fn pop(&mut self) -> Option<Event<M>>;
-    /// Removes and returns the earliest event *iff* its delivery time is
-    /// strictly before `bound_ps` (picoseconds). The executors' hot loops
-    /// use this fused form so serving an event is one queue operation, not
-    /// a peek followed by a pop.
-    fn pop_before(&mut self, bound_ps: u64) -> Option<Event<M>> {
-        match self.peek_key() {
-            Some(k) if k.time.as_picos() < bound_ps => self.pop(),
-            _ => None,
-        }
-    }
-    /// Number of queued events.
-    fn len(&self) -> usize;
-    /// `true` if no events are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The original `BinaryHeap` scheduler, kept as the reference
-/// implementation the differential tests compare [`CalendarQueue`] against.
-#[derive(Debug)]
-pub struct HeapQueue<M> {
-    heap: BinaryHeap<HeapEntry<M>>,
-}
-
-impl<M> Default for HeapQueue<M> {
-    fn default() -> Self {
-        HeapQueue { heap: BinaryHeap::new() }
-    }
-}
-
-impl<M> HeapQueue<M> {
-    /// Creates an empty heap scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<M> EventQueue<M> for HeapQueue<M> {
-    fn push(&mut self, ev: Event<M>) {
-        self.heap.push(HeapEntry(ev));
-    }
-    fn peek_key(&mut self) -> Option<EventKey> {
-        self.heap.peek().map(|e| e.0.key)
-    }
-    fn pop(&mut self) -> Option<Event<M>> {
-        self.heap.pop().map(|e| e.0)
-    }
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
 
 /// Default bucket width: `2^17` ps ≈ 131 ns. Events are stored by value, so
 /// wide buckets keep a bucket's events contiguous and amortize the cursor
@@ -302,10 +236,11 @@ impl<M> CalendarQueue<M> {
             // All wheel events live strictly within one revolution ahead of
             // the cursor; the occupancy bitmap finds the nearest one a word
             // at a time instead of probing slots individually.
-            let n = self.wheel_slots() as usize;
+            // The wheel size is a power of two: `& mask` is `% size`.
+            let mask = self.mask as usize;
             let cslot = (self.cursor & self.mask) as usize;
-            let slot = self.next_occupied_slot((cslot + 1) % n);
-            let d = ((slot + n - cslot - 1) % n) + 1;
+            let slot = self.next_occupied_slot((cslot + 1) & mask);
+            let d = (slot.wrapping_sub(cslot + 1) & mask) + 1;
             self.cursor += d as u64;
         } else {
             // Wheel idle: jump straight to the earliest far-future bucket.
@@ -353,8 +288,9 @@ impl<M> CalendarQueue<M> {
     }
 }
 
-impl<M> EventQueue<M> for CalendarQueue<M> {
-    fn push(&mut self, ev: Event<M>) {
+impl<M> CalendarQueue<M> {
+    /// Inserts an event.
+    pub fn push(&mut self, ev: Event<M>) {
         let b = self.bucket_of(&ev.key);
         if self.len == 0 {
             // Nothing pending, so the cursor is free to move, backwards
@@ -378,16 +314,24 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
         }
     }
 
-    fn peek_key(&mut self) -> Option<EventKey> {
+    /// The key of the earliest event, if any. Takes `&mut self` because
+    /// the cursor advances lazily: finding the next event may rotate the
+    /// wheel and migrate overflow entries.
+    pub fn peek_key(&mut self) -> Option<EventKey> {
         self.head().map(|(key, _)| key)
     }
 
-    fn pop(&mut self) -> Option<Event<M>> {
+    /// Removes and returns the earliest event.
+    pub fn pop(&mut self) -> Option<Event<M>> {
         let (_, from_late) = self.head()?;
         self.take_head(from_late)
     }
 
-    fn pop_before(&mut self, bound_ps: u64) -> Option<Event<M>> {
+    /// Removes and returns the earliest event *iff* its delivery time is
+    /// strictly before `bound_ps` (picoseconds). The executors' hot loops
+    /// use this fused form so serving an event is one queue operation, not
+    /// a peek followed by a pop.
+    pub fn pop_before(&mut self, bound_ps: u64) -> Option<Event<M>> {
         let (key, from_late) = self.head()?;
         if key.time.as_picos() >= bound_ps {
             return None;
@@ -395,8 +339,14 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
         self.take_head(from_late)
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued events.
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// `true` if no events are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -427,7 +377,7 @@ mod tests {
         }
     }
 
-    fn drain_keys<Q: EventQueue<()>>(q: &mut Q) -> Vec<EventKey> {
+    fn drain_keys(q: &mut CalendarQueue<()>) -> Vec<EventKey> {
         core::iter::from_fn(|| q.pop().map(|e| e.key)).collect()
     }
 
@@ -472,7 +422,8 @@ mod tests {
     #[test]
     fn interleaved_push_pop_matches_heap() {
         let mut cal = CalendarQueue::<()>::with_params(6, 3);
-        let mut heap = HeapQueue::<()>::new();
+        // The original scheduler, as the reference.
+        let mut heap = BinaryHeap::new();
         let mut x = 0x2545F4914F6CDD1Du64;
         let mut next = || {
             x ^= x << 13;
@@ -486,20 +437,20 @@ mod tests {
             let t = next() % 50_000;
             let e = ev(t, (next() % 7) as u32, round);
             cal.push(e.clone());
-            heap.push(e);
+            heap.push(HeapEntry(e));
             if round % 3 == 0 {
                 for _ in 0..(next() % 3) {
                     if let Some(a) = cal.pop() {
                         popped.push(a.key);
                     }
                     if let Some(b) = heap.pop() {
-                        reference.push(b.key);
+                        reference.push(b.0.key);
                     }
                 }
             }
         }
         popped.extend(drain_keys(&mut cal));
-        reference.extend(drain_keys(&mut heap));
+        reference.extend(core::iter::from_fn(|| heap.pop().map(|e| e.0.key)));
         assert_eq!(popped, reference);
     }
 

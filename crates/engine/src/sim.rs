@@ -3,7 +3,7 @@
 use crate::component::{Component, Ctx};
 use crate::error::EngineError;
 use crate::event::{ComponentId, Event, EventKey, EventKind, TimerKey};
-use crate::sched::{CalendarQueue, EventQueue};
+use crate::sched::CalendarQueue;
 use crate::snap::{
     load_exec_stream, save_exec_stream, ExecHead, ExecStream, Snap, SnapError, SnapReader,
     SnapWriter,
@@ -86,11 +86,6 @@ impl<M: 'static> Simulation<M> {
         self.components.push(c);
         self.seqs.push(0);
         id
-    }
-
-    /// Number of registered components.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
     }
 
     /// Downcasts a component to its concrete type for inspection.

@@ -379,15 +379,12 @@ impl Bandwidth {
     /// Exact time to transmit `bytes` bytes at this rate (rounded up to the
     /// next picosecond).
     pub fn transmit_time(self, bytes: u64) -> SimDuration {
-        let bits = bytes as u128 * 8;
-        let ps = (bits * PS_PER_SEC as u128).div_ceil(self.bits_per_sec as u128);
-        SimDuration(ps as u64)
+        SimDuration(mul_div(bytes, 8 * PS_PER_SEC, self.bits_per_sec, true) as u64)
     }
 
     /// Bytes deliverable in `d` at this rate (truncating).
     pub fn bytes_in(self, d: SimDuration) -> u64 {
-        let bits = d.0 as u128 * self.bits_per_sec as u128 / PS_PER_SEC as u128;
-        (bits / 8) as u64
+        mul_div(d.0, self.bits_per_sec, 8 * PS_PER_SEC, false) as u64
     }
 }
 
@@ -445,13 +442,25 @@ impl Frequency {
     /// Exact duration of `cycles` clock cycles (rounded up to the next
     /// picosecond).
     pub fn cycles_time(self, cycles: u64) -> SimDuration {
-        let ps = (cycles as u128 * PS_PER_SEC as u128).div_ceil(self.hz as u128);
-        SimDuration(ps as u64)
+        SimDuration(mul_div(cycles, PS_PER_SEC, self.hz, true) as u64)
     }
 
     /// Whole cycles elapsing in `d` (truncating).
     pub fn cycles_in(self, d: SimDuration) -> u64 {
-        (d.0 as u128 * self.hz as u128 / PS_PER_SEC as u128) as u64
+        mul_div(d.0, self.hz, PS_PER_SEC, false) as u64
+    }
+}
+
+/// `a * b / c`, rounded up if `ceil`, exactly: in u64 when the product
+/// fits (a frame of up to 2.3 MB, a span of up to 18 M cycles), and in
+/// u128, a software division, only when it does not.
+#[inline]
+fn mul_div(a: u64, b: u64, c: u64, ceil: bool) -> u128 {
+    match a.checked_mul(b) {
+        Some(p) if ceil => p.div_ceil(c) as u128,
+        Some(p) => (p / c) as u128,
+        None if ceil => (a as u128 * b as u128).div_ceil(c as u128),
+        None => a as u128 * b as u128 / c as u128,
     }
 }
 
@@ -471,6 +480,38 @@ impl fmt::Display for Frequency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The u64 path agrees with the u128 arithmetic it short-cuts, also
+        /// with the product just below, at and just above `u64::MAX`.
+        #[test]
+        fn mul_div_matches_u128_arithmetic(
+            a in any::<u64>(),
+            b in 0u64..u64::MAX,
+            c in 1u64..u64::MAX,
+            boundary in any::<bool>(),
+            ceil in any::<bool>(),
+        ) {
+            let a = if boundary { (u64::MAX / b.max(1) - 1).saturating_add(a % 3) } else { a };
+            let wide = a as u128 * b as u128;
+            let want = if ceil { wide.div_ceil(c as u128) } else { wide / c as u128 };
+            prop_assert_eq!(mul_div(a, b, c, ceil), want);
+        }
+    }
+
+    #[test]
+    fn transmit_time_is_exact_on_both_sides_of_the_u64_product() {
+        // 2,305,843 bytes is the most whose bits times 10^12 fit in a u64.
+        let gbe = Bandwidth::gbps(1);
+        for bytes in [1_500, 2_305_843, 2_305_844, 40_000_000] {
+            let ps = (bytes as u128 * 8 * PS_PER_SEC as u128).div_ceil(1_000_000_000);
+            assert_eq!(gbe.transmit_time(bytes).as_picos() as u128, ps);
+            assert_eq!(gbe.bytes_in(gbe.transmit_time(bytes)), bytes);
+        }
+    }
 
     #[test]
     fn time_roundtrips() {

@@ -8,9 +8,51 @@
 //! re-anchors the wheel.
 
 use diablo_engine::event::{ComponentId, Event, EventKey, EventKind};
-use diablo_engine::sched::{CalendarQueue, EventQueue, HeapQueue};
+use diablo_engine::sched::CalendarQueue;
 use diablo_engine::time::SimTime;
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+/// An event in the reference heap: the max-heap serves the smallest key.
+struct Entry(Event<u32>);
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key == other.0.key
+    }
+}
+impl Eq for Entry {}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.key.cmp(&self.0.key)
+    }
+}
+
+/// The original `BinaryHeap` scheduler: the reference the calendar queue
+/// must agree with.
+#[derive(Default)]
+struct HeapQueue(BinaryHeap<Entry>);
+
+impl HeapQueue {
+    fn push(&mut self, ev: Event<u32>) {
+        self.0.push(Entry(ev));
+    }
+    fn peek_key(&self) -> Option<EventKey> {
+        self.0.peek().map(|e| e.0.key)
+    }
+    fn pop(&mut self) -> Option<Event<u32>> {
+        self.0.pop().map(|e| e.0)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
 
 /// Far enough past the default wheel's reach (one revolution, ~33.6 us) to
 /// always land in the overflow heap: 200 ms, a TCP retransmission timeout.
@@ -68,7 +110,7 @@ fn check_equivalence(
     (shift, bits): (u32, u32),
     ops: &[(u64, u32, u8)],
 ) -> Result<(), TestCaseError> {
-    let mut heap = HeapQueue::<u32>::new();
+    let mut heap = HeapQueue::default();
     // Delivery time of the last popped event: the executor's "now", whose
     // bucket is the one the calendar queue is draining.
     let mut now_ps = 0u64;

@@ -12,15 +12,20 @@
 //! * **TX**: the driver posts frames to a bounded TX descriptor ring. The
 //!   DMA engine streams them onto the wire back-to-back; a per-packet DMA
 //!   fetch latency applies before the first bit of each frame. A frame
-//!   posted to an idle engine goes out at once and needs no completion
-//!   event: only a frame waiting behind the one on the wire asks for a
-//!   [`keys::TX_DONE`] timer (DESIGN.md §9.1).
+//!   posted to an idle engine goes out at once. One posted behind a busy
+//!   engine starts at once too, at the instant the engine frees, when the
+//!   host shows that nothing can change the uplink by then; it holds its
+//!   descriptor until that instant. Only a frame held back that way asks
+//!   for a [`keys::TX_DONE`] timer (DESIGN.md §9.1).
 //! * **RX**: arriving frames consume RX descriptors; when the ring is full
 //!   frames are dropped (the overload behaviour behind receive livelock).
 //!   An interrupt is asserted after `intr_delay`, but no sooner than
 //!   `intr_mitigation` after the previous interrupt (ITR-style moderation).
 //!   Under NAPI the driver masks interrupts and polls with a budget,
-//!   re-enabling them only once the ring drains.
+//!   re-enabling them only once the ring drains. The host may assert a
+//!   pending interrupt itself at its instant instead of arming
+//!   [`keys::RX_INTR`] when it knows nothing else runs before then
+//!   (DESIGN.md §9.1); the device behaves the same either way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +40,7 @@ use std::collections::{vec_deque, VecDeque};
 pub mod keys {
     /// The frame on the wire has left and another waits in the TX ring:
     /// call [`Nic::on_tx_done`](super::Nic::on_tx_done) to start it. Armed
-    /// only while the ring holds a frame.
+    /// only while the ring holds a frame held back past the host's bound.
     pub const TX_DONE: u64 = 1;
     /// RX interrupt assertion: call [`Nic::on_rx_interrupt`](super::Nic::on_rx_interrupt).
     pub const RX_INTR: u64 = 2;
@@ -145,6 +150,9 @@ pub struct Nic {
     /// until then a posted frame waits in the ring. A crash reset clears it:
     /// the rebooted engine is idle whatever the wire still carries.
     tx_done_at: SimTime,
+    /// The instants frames started ahead of their turn leave the ring, in
+    /// start order: until then each holds its descriptor.
+    tx_starts: VecDeque<SimTime>,
     /// A [`keys::TX_DONE`] timer is armed for `tx_done_at`.
     tx_done_armed: bool,
     /// Always `false` outside this crate's tests, which build the NIC that
@@ -189,6 +197,7 @@ impl Nic {
             tx_port: TxPort::new(peer),
             tx_ring: VecDeque::new(),
             tx_done_at: SimTime::ZERO,
+            tx_starts: VecDeque::new(),
             tx_done_armed: false,
             completion_per_frame: false,
             rx_ring: VecDeque::new(),
@@ -238,9 +247,17 @@ impl Nic {
         self.rx_ring.len()
     }
 
-    /// Free TX descriptors.
-    pub fn tx_free(&self) -> usize {
-        self.cfg.tx_ring - self.tx_ring.len()
+    /// Free TX descriptors at `now`.
+    pub fn tx_free(&mut self, now: SimTime) -> usize {
+        while self.tx_starts.front().is_some_and(|&at| at <= now) {
+            self.tx_starts.pop_front();
+        }
+        self.cfg.tx_ring - self.tx_ring.len() - self.tx_starts.len()
+    }
+
+    /// The instant a pending interrupt is due, unless it is masked.
+    pub fn pending_interrupt(&self) -> Option<SimTime> {
+        self.last_intr.filter(|_| self.intr_pending && !self.intr_masked)
     }
 
     /// The wired peer (for route/link introspection).
@@ -297,6 +314,7 @@ impl Nic {
         self.set_carrier_down();
         self.rx_ring.clear();
         self.tx_done_at = SimTime::ZERO;
+        self.tx_starts.clear();
         self.tx_done_armed = false;
         self.intr_masked = false;
         self.intr_pending = false;
@@ -305,15 +323,28 @@ impl Nic {
 
     // ---------------------------------------------------------------- TX --
 
-    /// Driver posts a frame for transmission. On an idle engine it starts
-    /// at once; behind a busy one it waits in the ring, and the first frame
-    /// to wait arms the [`keys::TX_DONE`] timer for the instant the engine
-    /// frees.
+    /// Driver posts a frame for transmission: [`Nic::tx_post`] with no
+    /// frame started ahead of its turn.
+    pub fn tx_enqueue(&mut self, frame: Frame, now: SimTime, actions: &mut Vec<NicAction>) -> bool {
+        self.tx_post(frame, now, now, actions)
+    }
+
+    /// Driver posts a frame for transmission. It starts at once if the
+    /// engine is idle, or busy until an instant no later than `until`
+    /// (the host's bound: no fault directive before it, and no observer).
+    /// Otherwise it waits in the ring, and the first frame to wait arms
+    /// the [`keys::TX_DONE`] timer for the instant the engine frees.
     ///
     /// Returns `false` (and counts a reject) when the TX ring is full. The
     /// frame is gone: nothing retries it (the modeled kernel counts it in
     /// `kernel.tx_drops`), so reliability is the transport's business.
-    pub fn tx_enqueue(&mut self, frame: Frame, now: SimTime, actions: &mut Vec<NicAction>) -> bool {
+    pub fn tx_post(
+        &mut self,
+        frame: Frame,
+        now: SimTime,
+        until: SimTime,
+        actions: &mut Vec<NicAction>,
+    ) -> bool {
         if !self.carrier() {
             // Carrier-down semantics: the frame is accepted and silently
             // dropped (counted), like an interface in NO-CARRIER — the
@@ -322,31 +353,38 @@ impl Nic {
             drop(frame);
             return true;
         }
-        if self.tx_ring.len() >= self.cfg.tx_ring {
+        if self.tx_free(now) == 0 {
             self.stats.tx_ring_rejects.incr();
             return false;
         }
         self.tx_ring.push_back(frame);
-        // With a completion armed, it starts the ring's head. (The
-        // reference has one armed whenever its engine is busy.)
-        if !self.tx_done_armed {
-            if self.tx_done_at > now && !self.completion_per_frame {
-                self.arm_tx_done(actions);
-            } else {
-                self.start_tx(now, actions);
-            }
-        }
+        self.start_ready(now, until, actions);
         true
     }
 
-    fn arm_tx_done(&mut self, actions: &mut Vec<NicAction>) {
-        self.tx_done_armed = true;
-        actions.push(NicAction::SetTimer(self.tx_done_at, keys::TX_DONE));
+    /// Starts ring frames in order, each at the instant the engine frees,
+    /// while that is now or no later than `until`; arms the completion
+    /// for the first frame past it. With a completion armed, that timer
+    /// starts the ring's head. (The reference has one armed whenever its
+    /// engine is busy.)
+    fn start_ready(&mut self, now: SimTime, until: SimTime, actions: &mut Vec<NicAction>) {
+        while !self.tx_done_armed && !self.tx_ring.is_empty() {
+            let at = self.tx_done_at.max(now);
+            if at > now && at > until {
+                self.tx_done_armed = true;
+                actions.push(NicAction::SetTimer(at, keys::TX_DONE));
+            } else {
+                if at > now {
+                    self.tx_starts.push_back(at);
+                }
+                self.start_tx(at, actions);
+            }
+        }
     }
 
-    /// Puts the ring's head on the wire, and arms the completion timer if
-    /// another frame waits behind it.
-    fn start_tx(&mut self, now: SimTime, actions: &mut Vec<NicAction>) {
+    /// Puts the ring's head on the wire at `at`, the instant it leaves the
+    /// ring.
+    fn start_tx(&mut self, at: SimTime, actions: &mut Vec<NicAction>) {
         if !self.carrier() {
             // Carrier lost between completions: nothing can leave.
             self.stats.tx_carrier_drops.add(self.tx_ring.len() as u64);
@@ -357,7 +395,7 @@ impl Nic {
             return;
         };
         let wire = frame.wire_bytes();
-        let timing = self.tx_port.transmit(now + self.cfg.dma_latency, wire);
+        let timing = self.tx_port.transmit(at + self.cfg.dma_latency, wire);
         if let Some(tr) = &mut self.trace {
             tr.push(FlightRecord::new(timing.start, "nic_dma_tx", wire as u64, 0));
         }
@@ -386,18 +424,25 @@ impl Nic {
             actions.push(NicAction::SendFrame(timing.arrival, frame));
         }
         self.tx_done_at = timing.end;
-        if !self.tx_ring.is_empty() || self.completion_per_frame {
-            self.arm_tx_done(actions);
+        if self.completion_per_frame {
+            self.tx_done_armed = true;
+            actions.push(NicAction::SetTimer(timing.end, keys::TX_DONE));
         }
     }
 
-    /// Handles the [`keys::TX_DONE`] timer: the engine is free, so the
-    /// frame at the head of the ring goes on the wire, and the timer is
-    /// re-armed only if yet another frame waits. If the carrier went down
-    /// meanwhile the ring is already empty and nothing starts.
+    /// Handles the [`keys::TX_DONE`] timer: [`Nic::tx_resume`] with no
+    /// frame started ahead of its turn.
     pub fn on_tx_done(&mut self, now: SimTime, actions: &mut Vec<NicAction>) {
+        self.tx_resume(now, now, actions);
+    }
+
+    /// Handles the [`keys::TX_DONE`] timer: the engine is free, so the
+    /// frame at the head of the ring goes on the wire, and the frames
+    /// behind it start as in [`Nic::tx_post`]. If the carrier went down
+    /// meanwhile the ring is already empty and nothing starts.
+    pub fn tx_resume(&mut self, now: SimTime, until: SimTime, actions: &mut Vec<NicAction>) {
         self.tx_done_armed = false;
-        self.start_tx(now, actions);
+        self.start_ready(now, until, actions);
     }
 
     // ---------------------------------------------------------------- RX --
@@ -537,6 +582,7 @@ diablo_engine::impl_persist_fields!(Nic {
     tx_port,
     tx_ring,
     tx_done_at,
+    tx_starts,
     tx_done_armed,
     rx_ring,
     intr_masked,
@@ -549,7 +595,29 @@ diablo_engine::impl_persist_fields!(Nic {
     base_params: config,
     trace: config,
     completion_per_frame: config,
-});
+} after_load = check_tx_starts);
+
+impl Nic {
+    /// Refuses start instants out of order, past the engine's free
+    /// instant, or more frames than the ring has descriptors.
+    fn check_tx_starts(&self) -> Result<(), diablo_engine::snap::SnapError> {
+        let starts = &self.tx_starts;
+        let sorted = starts.iter().zip(starts.iter().skip(1)).all(|(a, b)| a <= b);
+        if !sorted
+            || starts.back().is_some_and(|&at| at > self.tx_done_at)
+            || starts.len() + self.tx_ring.len() > self.cfg.tx_ring
+        {
+            return Err(diablo_engine::snap::SnapError::Malformed(format!(
+                "NIC start instants {starts:?} with the engine free at {} and {} of {} \
+                 descriptors waiting",
+                self.tx_done_at,
+                self.tx_ring.len(),
+                self.cfg.tx_ring
+            )));
+        }
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -648,7 +716,7 @@ mod tests {
         assert!(n.tx_enqueue(frame(100), t0, &mut actions));
         assert!(!n.tx_enqueue(frame(100), t0, &mut actions));
         assert_eq!(n.stats().tx_ring_rejects.get(), 1);
-        assert_eq!(n.tx_free(), 0);
+        assert_eq!(n.tx_free(t0), 0);
     }
 
     #[test]
@@ -764,7 +832,7 @@ mod tests {
         n.reset_after_crash();
         assert!(!n.carrier());
         assert_eq!(n.rx_queue_len(), 0);
-        assert_eq!(n.tx_free(), n.config().tx_ring);
+        assert_eq!(n.tx_free(SimTime::ZERO), n.config().tx_ring);
         // One frame was in flight (not in the ring); only the queued one
         // counts as a carrier drop.
         assert_eq!(n.stats().tx_carrier_drops.get(), 1);
@@ -885,14 +953,18 @@ mod tests {
     }
 }
 
-/// Arming a completion only behind a busy wire must be unobservable: each
-/// test drives the shipped NIC and the timer-per-frame NIC
+/// Arming a completion only for a frame held back must be unobservable:
+/// each test drives the shipped NIC and the timer-per-frame NIC
 /// (`with_completion_per_frame`) through one script and compares every
-/// frame put on the wire, the counters and the ring.
+/// frame put on the wire, the counters and the ring. The shipped NIC
+/// starts a frame behind a busy engine when it is posted, up to the bound
+/// its host gives: no scripted directive before the start, and no
+/// observation (a run's limit) before it either.
 #[cfg(test)]
 mod completion_tests {
     use super::*;
     use diablo_engine::event::{ComponentId, PortNo};
+    use diablo_engine::snap::{Persist, SnapError, SnapReader, SnapWriter};
     use diablo_net::addr::NodeAddr;
     use diablo_net::frame::Route;
     use diablo_net::link::fp20_encode;
@@ -914,18 +986,30 @@ mod completion_tests {
     }
 
     /// One NIC with the engine around it reduced to a list of pending
-    /// completions.
+    /// completions, and the host's bound: the scripted directives still
+    /// to come and a run limit every `limit_every` steps.
     struct Driven {
         nic: Nic,
         actions: Vec<NicAction>,
         pending: Vec<SimTime>,
         sent: Vec<(SimTime, Frame)>,
         armed: u64,
+        directives: Vec<SimTime>,
+        limit_every: u64,
     }
 
     impl Driven {
-        fn new(nic: Nic) -> Self {
-            Driven { nic, actions: Vec::new(), pending: Vec::new(), sent: Vec::new(), armed: 0 }
+        fn new(nic: Nic, directives: Vec<SimTime>, limit_every: u64) -> Self {
+            let (actions, pending, sent) = (Vec::new(), Vec::new(), Vec::new());
+            Driven { nic, actions, pending, sent, armed: 0, directives, limit_every }
+        }
+
+        /// The first directive still to come and the limit of the run
+        /// `now` falls in.
+        fn until(&self, now: SimTime) -> SimTime {
+            let step = GRID.as_picos() * self.limit_every;
+            let limit = SimTime::from_picos(now.as_picos().div_ceil(step) * step);
+            self.directives.first().map_or(limit, |&at| at.min(limit))
         }
 
         fn absorb(&mut self) {
@@ -949,13 +1033,17 @@ mod completion_tests {
                 .min_by_key(|&i| self.pending[i])
             {
                 let at = self.pending.swap_remove(i);
-                self.nic.on_tx_done(at, &mut self.actions);
+                let until = self.until(at);
+                self.nic.tx_resume(at, until, &mut self.actions);
                 self.absorb();
             }
         }
 
         fn apply(&mut self, now: SimTime, id: u64, op: Op) {
             self.advance(now);
+            if !matches!(op, Op::Post { .. }) {
+                self.directives.remove(0);
+            }
             match op {
                 Op::Post { payload } => {
                     let d = UdpDatagram {
@@ -965,7 +1053,8 @@ mod completion_tests {
                     };
                     let frame =
                         Frame::new(IpPacket::udp(NodeAddr(0), NodeAddr(1), d), Route::new(vec![0]));
-                    self.nic.tx_enqueue(frame, now, &mut self.actions);
+                    let until = self.until(now);
+                    self.nic.tx_post(frame, now, until, &mut self.actions);
                 }
                 Op::CarrierDown => self.nic.set_carrier_down(),
                 Op::CarrierUp => self.nic.set_carrier_up(),
@@ -993,26 +1082,41 @@ mod completion_tests {
         rng: [u64; 4],
     }
 
-    fn run(tx_ring: usize, script: &[(u64, Op)], per_frame: bool) -> (Outcome, u64) {
+    fn nic(tx_ring: usize) -> Nic {
         let peer = PortPeer {
             component: ComponentId(1),
             port: PortNo(0),
             params: LinkParams::gbe(500).with_loss_rate(0.2),
         };
         let cfg = NicConfig { tx_ring, dma_latency: GRID, ..NicConfig::default() };
-        let mut nic = Nic::new(cfg, peer, DetRng::new(7));
+        Nic::new(cfg, peer, DetRng::new(7))
+    }
+
+    fn run(
+        tx_ring: usize,
+        limit_every: u64,
+        script: &[(u64, Op)],
+        per_frame: bool,
+    ) -> (Outcome, u64) {
+        let mut nic = nic(tx_ring);
         if per_frame {
             nic = nic.with_completion_per_frame();
         }
-        let mut d = Driven::new(nic);
+        let at = |tick: u64| SimTime::ZERO + GRID * tick;
+        let directives = script
+            .iter()
+            .filter(|(_, op)| !matches!(op, Op::Post { .. }))
+            .map(|&(tick, _)| at(tick))
+            .collect();
+        let mut d = Driven::new(nic, directives, limit_every);
         for (id, &(tick, op)) in script.iter().enumerate() {
-            d.apply(SimTime::ZERO + GRID * tick, id as u64, op);
+            d.apply(at(tick), id as u64, op);
         }
         d.advance(SimTime::MAX);
         let outcome = Outcome {
             sent: d.sent,
             stats: format!("{:?}", d.nic.stats()),
-            tx_free: d.nic.tx_free(),
+            tx_free: d.nic.tx_free(SimTime::MAX),
             rng: d.nic.rng.state(),
         };
         (outcome, d.armed)
@@ -1047,14 +1151,15 @@ mod completion_tests {
         #[test]
         fn arming_only_behind_a_busy_wire_is_unobservable(
             tx_ring in 1usize..5,
+            limit_every in 1u64..60,
             raw in proptest::collection::vec(
                 (0u64..40, 0u8..12, any::<u32>(), any::<bool>(), 0usize..3),
                 1..60,
             ),
         ) {
             let script = script(raw);
-            let (shipped, shipped_timers) = run(tx_ring, &script, false);
-            let (reference, reference_timers) = run(tx_ring, &script, true);
+            let (shipped, shipped_timers) = run(tx_ring, limit_every, &script, false);
+            let (reference, reference_timers) = run(tx_ring, limit_every, &script, true);
             prop_assert_eq!(shipped, reference);
             prop_assert!(shipped_timers <= reference_timers);
         }
@@ -1068,16 +1173,104 @@ mod completion_tests {
         let post = |k: u32| Op::Post { payload: 125 * k - 66 };
         // Three lone frames, the second and third posted exactly when the
         // one before leaves the engine (1 us DMA + k us on the wire); then
-        // a burst of three, of which two wait.
+        // a burst of three, of which two wait and start when posted.
         let script =
             [(0, post(2)), (3, post(1)), (5, post(4)), (20, post(1)), (20, post(1)), (20, post(1))];
-        let (shipped, shipped_timers) = run(4, &script, false);
-        let (reference, reference_timers) = run(4, &script, true);
+        let (shipped, shipped_timers) = run(4, 1_000, &script, false);
+        let (reference, reference_timers) = run(4, 1_000, &script, true);
         assert_eq!(shipped, reference);
         let at: Vec<u64> = shipped.sent.iter().map(|(t, _)| t.as_nanos()).collect();
         assert_eq!(at, [3_500, 5_500, 10_500, 22_500, 24_500, 26_500]);
-        // The reference arms six completions; the shipped NIC only the two
-        // for the frames that waited behind the burst's head.
-        assert_eq!((shipped_timers, reference_timers), (2, 6));
+        // The reference arms six completions; the shipped NIC none.
+        assert_eq!((shipped_timers, reference_timers), (0, 6));
+    }
+
+    /// A backlog that fills a two-descriptor ring, posts that tie with
+    /// the instant a frame leaves it, and a directive or a limit in the
+    /// middle that holds the rest back behind a completion.
+    #[test]
+    fn a_directive_or_a_limit_holds_the_backlog_behind_a_completion() {
+        let post = Op::Post { payload: 125 * 2 - 66 };
+        // Each frame takes 1 us of DMA and 2 us of wire, so the engine
+        // frees at 4, 7, 10 ... The ring holds two: the fourth post at 1 is
+        // rejected, and at 4, when the second frame leaves the ring, one
+        // of two posts is taken.
+        let backlog = [(1, post), (1, post), (1, post), (1, post), (4, post), (4, post)];
+        // The frame starting past the directive waits; on the degraded
+        // link the one behind it starts past the carrier coming back.
+        let faults = [(Op::CarrierDown, 1), (Op::Degrade { severity: 2 }, 2), (Op::Crash, 1)];
+        for (fault, timers) in faults {
+            let mut script = backlog.to_vec();
+            script.extend([(4, fault), (4, post), (10, Op::CarrierUp), (10, post)]);
+            let (shipped, shipped_timers) = run(2, 1_000, &script, false);
+            let (reference, _) = run(2, 1_000, &script, true);
+            assert_eq!(shipped, reference, "{fault:?}");
+            assert_eq!(shipped_timers, timers, "{fault:?}");
+        }
+        // Limits at 3, 6, 9 ...: every frame but the first starts past the
+        // limit of the run it was posted in, and waits for a completion.
+        let (shipped, shipped_timers) = run(2, 3, &backlog, false);
+        let (reference, reference_timers) = run(2, 3, &backlog, true);
+        assert_eq!(shipped, reference);
+        assert_eq!((shipped_timers, reference_timers), (3, 4));
+        assert_eq!(shipped.stats, run(2, 1_000, &backlog, false).0.stats);
+    }
+
+    /// A NIC whose host asserts its pending interrupt itself, at its
+    /// instant and without a timer, polls what the timer NIC polls, also
+    /// when it is saved and restored while the interrupt is pending.
+    #[test]
+    fn a_planned_interrupt_survives_a_snapshot() {
+        let frame = |id: u64| {
+            let d = UdpDatagram {
+                src_port: 1,
+                dst_port: 2,
+                msg: AppMessage::new(0, id, 100, SimTime::ZERO),
+            };
+            Frame::new(IpPacket::udp(NodeAddr(0), NodeAddr(1), d), Route::new(vec![0]))
+        };
+        let us = SimTime::from_micros;
+        // Arrivals at 0, 1 and 2 us; the interrupt is due at 2 us, the last
+        // arrival lands with it and sorts after it.
+        let (mut timer, mut planned) = (nic(4), nic(4));
+        let mut actions = Vec::new();
+        for (id, at) in [(0, us(0)), (1, us(1))] {
+            timer.rx_frame(frame(id), at, &mut actions);
+        }
+        assert_eq!(actions, [NicAction::SetTimer(us(2), keys::RX_INTR)]);
+        planned.rx_frame(frame(0), us(0), &mut actions);
+        let mut w = SnapWriter::new();
+        planned.save_state(&mut w);
+        let mut restored = nic(4);
+        restored.load_state(&mut SnapReader::new(&w.into_bytes())).expect("restores");
+        assert_eq!(restored.pending_interrupt(), Some(us(2)));
+        actions.clear();
+        restored.rx_frame(frame(1), us(1), &mut actions);
+        assert!(actions.is_empty(), "a pending interrupt arms nothing more");
+        let polled = |nic: &mut Nic| {
+            assert!(nic.on_rx_interrupt());
+            nic.rx_frame(frame(2), us(2), &mut Vec::new());
+            let got: Vec<Frame> = nic.rx_poll(8).collect();
+            (got, format!("{:?}", nic.stats()))
+        };
+        assert_eq!(polled(&mut restored), polled(&mut timer));
+    }
+
+    /// Start instants out of order, past the engine's free instant, or
+    /// more than the ring holds, are refused on load, never a panic.
+    #[test]
+    fn restore_refuses_start_instants_the_engine_could_not_hold() {
+        let us = SimTime::from_micros;
+        for (starts, done) in
+            [(vec![us(5), us(3)], us(9)), (vec![us(3), us(5)], us(4)), (vec![us(1); 3], us(9))]
+        {
+            let mut damaged = nic(2);
+            damaged.tx_starts = starts.into();
+            damaged.tx_done_at = done;
+            let mut w = SnapWriter::new();
+            damaged.save_state(&mut w);
+            let loaded = nic(2).load_state(&mut SnapReader::new(&w.into_bytes()));
+            assert!(matches!(loaded, Err(SnapError::Malformed(_))), "{loaded:?}");
+        }
     }
 }

@@ -29,6 +29,10 @@
 //! against the folded completions, as they would have been with one timer
 //! per span (DESIGN.md §9.1).
 //!
+//! An RX interrupt landing on an idle node with nothing of its own due
+//! first plans its softirq run without a timer, and a frame posted behind
+//! a busy DMA engine starts when posted (DESIGN.md §9.1).
+//!
 //! A kernel timer that can be superseded — the CPU completion, a thread's
 //! `epoll_wait` timeout, a connection's RTO and delayed ACK — is a
 //! `LiveTimer`: a deadline and at most one queued timer. Arming a
@@ -320,6 +324,8 @@ struct ProcSlot {
     /// The timeout of a blocked `epoll_wait` (`K_EPOLL_TO`). A wake-up
     /// clears the deadline and leaves the timer queued for the next wait.
     epoll: LiveTimer,
+    /// When the thread's `nanosleep` ends (`K_SLEEP`), while it sleeps.
+    sleep: Option<SimTime>,
     /// The last epoll wait timed out.
     timed_out: bool,
 }
@@ -327,18 +333,21 @@ struct ProcSlot {
 /// What the CPU is currently executing (with the burst's duration, for
 /// timeslice accounting). `Exit`: the thread's last folded span ends at
 /// the timer's instant and its next step was `Exit`; it leaves the CPU
-/// then, when the run queue the next pick sees is known.
+/// then, when the run queue the next pick sees is known. `Planned`: the
+/// softirq run of `n` ring frames the interrupt due at `at` starts.
 enum CpuWork {
     Softirq { frames: Vec<Frame> },
     ProcBurst { tid: Tid, dur: SimDuration },
     ProcSyscall { tid: Tid, call: Syscall, dur: SimDuration },
     Exit { tid: Tid },
+    Planned { at: SimTime, n: usize },
 }
 
 /// The CPU spans folded into one thread run (DESIGN.md §9.1): the order
 /// the unfolded kernel's completion timers would have given events inside
-/// the run's window. Never persisted: a checkpoint instant is at or past
-/// every folded end, where the window has closed.
+/// the run's window; a planned softirq run's one folded end is its
+/// interrupt. Never persisted: a checkpoint instant is at or past every
+/// folded end, where the window has closed.
 #[derive(Default)]
 struct Fold {
     /// The real instant the run started, then each folded span's end. The
@@ -493,6 +502,7 @@ diablo_engine::impl_snap_enum!(CpuWork {
     1 => ProcBurst { tid, dur },
     2 => ProcSyscall { tid, call, dur },
     3 => Exit { tid },
+    4 => Planned { at, n },
 });
 
 diablo_engine::impl_snap_struct!(KernelStats {
@@ -519,6 +529,7 @@ diablo_engine::impl_persist_fields!(ProcSlot {
     extra_cost,
     slice_used,
     epoll,
+    sleep,
     timed_out,
     process: nested,
 });
@@ -558,7 +569,7 @@ diablo_engine::impl_persist_fields!(Kernel {
     nic_actions: config,
     rx_batch: config,
     fold: config,
-} after_load = check_indices);
+} after_load = check_restored);
 
 impl Kernel {
     /// Creates a kernel for a node wired to `uplink` (its ToR port) that
@@ -699,6 +710,7 @@ impl Kernel {
             extra_cost: 0,
             slice_used: SimDuration::ZERO,
             epoll: LiveTimer::default(),
+            sleep: None,
             timed_out: false,
         });
         self.run_queue.push_back(tid);
@@ -734,9 +746,23 @@ impl Kernel {
     }
 
     /// Refuses restored state that names a thread or a socket the rebuilt
-    /// tables cannot index: it would decode, then panic at the next
-    /// dispatch or demultiplex.
-    fn check_indices(&self) -> Result<(), SnapError> {
+    /// tables cannot index, which would decode, then panic at the next
+    /// dispatch or demultiplex, and a planned softirq run its NIC and CPU
+    /// could not have planned.
+    fn check_restored(&self) -> Result<(), SnapError> {
+        if let Some(CpuWork::Planned { at, n }) = self.cpu_work {
+            let done = self.cpu_done.deadline.map(|(end, _)| end);
+            if n == 0
+                || n > self.cfg.profile.napi_budget.min(self.nic.rx_queue_len())
+                || self.nic.pending_interrupt() != Some(at)
+                || done.is_none_or(|end| end <= at)
+            {
+                return Err(SnapError::Malformed(format!(
+                    "a softirq run of {n} frames planned at {at} with {} in the ring",
+                    self.nic.rx_queue_len()
+                )));
+            }
+        }
         let mut tids: Vec<Tid> =
             self.run_queue.iter().chain(&self.current).chain(&self.last_ran).copied().collect();
         if let Some(
@@ -787,18 +813,91 @@ impl Kernel {
         self.leave(env);
     }
 
-    /// Handles a frame arriving from the wire.
+    /// Handles a frame arriving from the wire. Its interrupt may plan a
+    /// softirq run without a timer; before the interrupt, it joins the
+    /// planned run.
     pub fn on_frame(&mut self, frame: Frame, env: &mut dyn KernelEnv) {
         self.enter(env);
-        self.with_nic(env, |nic, now, actions| nic.rx_frame(frame, now, actions));
+        let mut actions = std::mem::take(&mut self.nic_actions);
+        self.nic.rx_frame(frame, env.now(), &mut actions);
+        // The one action a landing frame asks for is its interrupt.
+        if let Some(NicAction::SetTimer(at, _)) = actions.pop() {
+            if !self.plan_softirq(at, env) {
+                self.set_timer(at, self.key(K_NIC_RX_INTR, 0, 0), env);
+            }
+        }
+        self.nic_actions = actions;
+        if let Some(CpuWork::Planned { at, n }) = self.cpu_work {
+            let joined = self.cfg.profile.napi_budget.min(self.nic.rx_queue_len());
+            if joined > n {
+                // Each frame moves the completion later, keeping its number:
+                // the timer queued at the old end is pushed again once.
+                let end = at + self.softirq_time(joined);
+                self.cpu_work = Some(CpuWork::Planned { at, n: joined });
+                self.cpu_done.deadline = self.cpu_done.deadline.map(|(_, seq)| (end, seq));
+                self.fold.last_end = end;
+            }
+        }
         self.maybe_dispatch(env);
         self.leave(env);
     }
 
+    /// Plans the softirq run an interrupt a frame landing now arms for
+    /// `at`: the CPU takes it at `at` with the frames then in the ring and
+    /// arms its completion now, with no interrupt timer. Only if nothing
+    /// can run on the node before `at` (the CPU idle, nothing runnable,
+    /// nothing of its own due by then) and the run, even at a full budget,
+    /// ends by the limit (DESIGN.md §9.1).
+    fn plan_softirq(&mut self, at: SimTime, env: &mut dyn KernelEnv) -> bool {
+        let most = self.cfg.profile.napi_budget.min(self.cfg.nic.rx_ring);
+        if self.cpu_work.is_some()
+            || self.current.is_some()
+            || !self.run_queue.is_empty()
+            || self.softirq_pending
+            || at + self.softirq_time(most) > env.limit()
+            || self.next_own_deadline() <= at
+        {
+            return false;
+        }
+        // The interrupt's number, so every later event keeps its own.
+        env.reserve_seq();
+        self.fold.ends.clear();
+        self.fold.ends.extend([env.now(), at]);
+        self.start_cpu(at + self.softirq_time(1), CpuWork::Planned { at, n: 1 }, env);
+        true
+    }
+
+    /// The earliest instant something of the node's own is due that could
+    /// make its CPU busy: a loopback frame, a fault directive, a sleep, an
+    /// epoll timeout, a TCP retransmission or delayed ACK. (A NIC TX
+    /// completion commutes with CPU work.)
+    fn next_own_deadline(&self) -> SimTime {
+        let due = |t: &LiveTimer| t.deadline.map_or(SimTime::MAX, |(at, _)| at);
+        let threads = self.procs.iter().map(|p| due(&p.epoll).min(p.sleep.unwrap_or(SimTime::MAX)));
+        let tcp = self.sockets.iter().map(|s| match &s.kind {
+            SocketKind::Tcp { rto, delack, .. } => due(rto).min(due(delack)),
+            _ => SimTime::MAX,
+        });
+        let loopback = self.loopback.front().map_or(SimTime::MAX, |&(due, _)| due);
+        let fault = self.faults.front().map_or(SimTime::MAX, |&(due, _)| due);
+        threads.chain(tcp).fold(loopback.min(fault), SimTime::min)
+    }
+
+    /// Asserts a planned run's interrupt and polls its frames, as the
+    /// interrupt's timer would have at `at`.
+    fn assert_planned(&mut self, at: SimTime, n: usize) {
+        let live = self.nic.on_rx_interrupt();
+        debug_assert!(live, "a planned interrupt finds its frames");
+        let mut frames = std::mem::take(&mut self.rx_batch);
+        frames.extend(self.nic.rx_poll(n));
+        self.count_softirq(at, frames.len());
+        self.cpu_work = Some(CpuWork::Softirq { frames });
+    }
+
     /// Starts an entry point for the event delivered now: places it
-    /// against the folded completion due at its instant, if any, and
-    /// writes the folded trace records the unfolded kernel would have
-    /// written before it.
+    /// against the folded completion due at its instant, if any, writes
+    /// the folded trace records the unfolded kernel would have written
+    /// before it, and asserts a planned interrupt it sorts after.
     fn enter(&mut self, env: &dyn KernelEnv) {
         let now = env.now();
         self.now_cache = now;
@@ -816,6 +915,11 @@ impl Kernel {
                 }
                 ring.push(*r);
                 f.records.pop_front();
+            }
+        }
+        if let Some(CpuWork::Planned { at, n }) = self.cpu_work {
+            if now > at || (now == at && !self.fold.early) {
+                self.assert_planned(at, n);
             }
         }
     }
@@ -876,7 +980,10 @@ impl Kernel {
                     return;
                 }
             },
-            K_NIC_TX => self.with_nic(env, |nic, now, actions| nic.on_tx_done(now, actions)),
+            K_NIC_TX => {
+                let until = self.tx_until(env);
+                self.with_nic(env, |nic, now, actions| nic.tx_resume(now, until, actions));
+            }
             K_NIC_RX_INTR => {
                 if self.nic.on_rx_interrupt() {
                     self.softirq_pending = true;
@@ -897,8 +1004,10 @@ impl Kernel {
                 self.apply_tcp_output(a, out, env);
             }
             K_SLEEP => {
-                let tid = Tid(a);
-                self.wake_with(tid, Resume::Step, SysResult::Done);
+                if let Some(slot) = self.procs.get_mut(a as usize) {
+                    slot.sleep = None;
+                }
+                self.wake_with(Tid(a), Resume::Step, SysResult::Done);
             }
             K_EPOLL_TO => {
                 let slot = self.procs.get_mut(a as usize);
@@ -998,6 +1107,7 @@ impl Kernel {
             slot.extra_cost = 0;
             slot.slice_used = SimDuration::ZERO;
             slot.epoll = LiveTimer::default();
+            slot.sleep = None;
             slot.timed_out = false;
         }
     }
@@ -1058,6 +1168,29 @@ impl Kernel {
         self.cfg.cpu.cycles_time(instructions * CPI)
     }
 
+    /// How long a softirq run of `n` frames occupies the CPU.
+    fn softirq_time(&self, n: usize) -> SimDuration {
+        let p = &self.cfg.profile;
+        self.instr_time((p.softirq_entry_cost + p.rx_packet_cost * n as u64).max(1))
+    }
+
+    /// Counts a softirq run of `n` frames started at `at`, busy time
+    /// included; returns its length.
+    fn count_softirq(&mut self, at: SimTime, n: usize) -> SimDuration {
+        self.stats.softirq_runs.incr();
+        self.stats.softirq_packets.add(n as u64);
+        self.trace_push(FlightRecord::new(at, "softirq", n as u64, 0));
+        let dur = self.softirq_time(n);
+        self.stats.cpu_busy += dur;
+        dur
+    }
+
+    /// Until when the NIC may start a frame ahead of its turn: no fault
+    /// directive is due before then, and nothing looks at the node.
+    fn tx_until(&self, env: &dyn KernelEnv) -> SimTime {
+        self.faults.front().map_or(SimTime::MAX, |&(due, _)| due).min(env.limit())
+    }
+
     /// Occupies the CPU with `work` until `end`, when `K_CPU_DONE` fires.
     fn start_cpu(&mut self, end: SimTime, work: CpuWork, env: &mut dyn KernelEnv) {
         debug_assert!(self.cpu_work.is_none());
@@ -1088,13 +1221,7 @@ impl Kernel {
                 if frames.len() < budget {
                     frames.extend(self.nic.rx_poll(budget - frames.len()));
                 }
-                let cost = self.cfg.profile.softirq_entry_cost
-                    + self.cfg.profile.rx_packet_cost * frames.len() as u64;
-                self.stats.softirq_runs.incr();
-                self.stats.softirq_packets.add(frames.len() as u64);
-                self.trace_push(FlightRecord::new(env.now(), "softirq", frames.len() as u64, 0));
-                let dur = self.instr_time(cost.max(1));
-                self.stats.cpu_busy += dur;
+                let dur = self.count_softirq(env.now(), frames.len());
                 self.start_cpu(env.now() + dur, CpuWork::Softirq { frames }, env);
                 return;
             }
@@ -1309,6 +1436,9 @@ impl Kernel {
                 self.procs[tid.0 as usize].state = ProcState::Exited;
                 self.current = None;
             }
+            // Asserted by every event after its instant, so only a damaged
+            // snapshot completes a run still planned.
+            CpuWork::Planned { .. } => self.stats.stale_timers.incr(),
         }
     }
 
@@ -1438,16 +1568,8 @@ impl Kernel {
         let wake_one = matches!(self.sockets[sid as usize].kind, SocketKind::Udp { .. })
             && what.readable
             && !what.writable;
-        let s = &mut self.sockets[sid as usize];
-        if wake_one && !s.wait_readers.is_empty() {
-            let t = s.wait_readers.remove(0);
-            self.wake(t);
+        if what.readable && self.wake_readers(sid, wake_one) {
             return;
-        }
-        if what.readable {
-            for t in std::mem::take(&mut self.sockets[sid as usize].wait_readers) {
-                self.wake(t);
-            }
         }
         if what.writable {
             for t in std::mem::take(&mut self.sockets[sid as usize].wait_writers) {
@@ -1467,21 +1589,22 @@ impl Kernel {
                 }
                 _ => EventMask::default(),
             };
-            if !interest.intersect(what).is_empty() {
-                if wake_one {
-                    let s = &mut self.sockets[ep as usize];
-                    if !s.wait_readers.is_empty() {
-                        let t = s.wait_readers.remove(0);
-                        self.wake(t);
-                        return;
-                    }
-                } else {
-                    let waiters = std::mem::take(&mut self.sockets[ep as usize].wait_readers);
-                    for t in waiters {
-                        self.wake(t);
-                    }
-                }
+            if !interest.intersect(what).is_empty() && self.wake_readers(ep, wake_one) {
+                return;
             }
+        }
+    }
+
+    /// Wakes the threads waiting to read `sid`, or only the first if
+    /// `one`; `true` if that woke one.
+    fn wake_readers(&mut self, sid: SockId, one: bool) -> bool {
+        let waiters = &mut self.sockets[sid as usize].wait_readers;
+        if one {
+            let first = (!waiters.is_empty()).then(|| waiters.remove(0));
+            first.map(|t| self.wake(t)).is_some()
+        } else {
+            std::mem::take(waiters).into_iter().for_each(|t| self.wake(t));
+            false
         }
     }
 
@@ -1510,7 +1633,8 @@ impl Kernel {
         }
         let route = self.topo.route(self.cfg.addr, pkt.dst);
         let frame = Frame::new(pkt, route);
-        let ok = self.with_nic(env, |nic, now, actions| nic.tx_enqueue(frame, now, actions));
+        let until = self.tx_until(env);
+        let ok = self.with_nic(env, |nic, now, actions| nic.tx_post(frame, now, until, actions));
         if !ok {
             self.stats.tx_drops.incr();
         }
@@ -1666,16 +1790,10 @@ impl Kernel {
                 self.notify(sid, EventMask::BOTH);
             }
         }
-        let mut mask = EventMask::default();
-        if out.readable {
-            mask.readable = true;
-        }
-        if out.writable {
-            mask.writable = true;
-        }
-        if out.reset || out.closed {
-            mask = EventMask::BOTH;
-        }
+        let mask = match out.reset || out.closed {
+            true => EventMask::BOTH,
+            false => EventMask { readable: out.readable, writable: out.writable },
+        };
         if !mask.is_empty() {
             self.notify(sid, mask);
         }
@@ -1758,6 +1876,7 @@ impl Kernel {
                 ExecOutcome::Ready(SysResult::FutexVal(val))
             }
             Syscall::Nanosleep(d) => {
+                self.procs[tid.0 as usize].sleep = Some(env.now() + d);
                 self.set_timer(env.now() + d, self.key(K_SLEEP, tid.0, 0), env);
                 ExecOutcome::Block(Syscall::Nanosleep(d))
             }
@@ -1813,12 +1932,8 @@ impl Kernel {
 
     fn sys_accept(&mut self, tid: Tid, fd: Fd, accept4: bool) -> ExecOutcome {
         let sid = fd.0;
-        let nonblocking = match self.sockets.get(sid as usize) {
-            Some(s) => s.nonblocking,
-            None => return ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
-        };
-        let popped = match &mut self.sockets[sid as usize].kind {
-            SocketKind::TcpListen { queue, .. } => queue.pop_front(),
+        let popped = match self.sockets.get_mut(sid as usize).map(|s| &mut s.kind) {
+            Some(SocketKind::TcpListen { queue, .. }) => queue.pop_front(),
             _ => return ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
         };
         match popped {
@@ -1832,14 +1947,7 @@ impl Kernel {
                 };
                 ExecOutcome::Ready(SysResult::Accepted { fd: Fd(new_sid), peer })
             }
-            None => {
-                if nonblocking {
-                    ExecOutcome::Ready(SysResult::Err(Errno::WouldBlock))
-                } else {
-                    self.sockets[sid as usize].wait_readers.push(tid);
-                    ExecOutcome::Block(Syscall::Accept { fd, accept4 })
-                }
-            }
+            None => self.would_block(tid, sid, false, Syscall::Accept { fd, accept4 }),
         }
     }
 
@@ -1851,12 +1959,8 @@ impl Kernel {
         env: &mut dyn KernelEnv,
     ) -> ExecOutcome {
         let sid = fd.0;
-        let nonblocking = match self.sockets.get(sid as usize) {
-            Some(s) => s.nonblocking,
-            None => return ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
-        };
-        match &self.sockets[sid as usize].kind {
-            SocketKind::RawTcp { port } => {
+        match self.sockets.get(sid as usize).map(|s| &s.kind) {
+            Some(SocketKind::RawTcp { port }) => {
                 let lport = match port {
                     Some(p) => *p,
                     None => {
@@ -1879,28 +1983,16 @@ impl Kernel {
                 };
                 self.conns.insert((lport, to), sid);
                 self.apply_tcp_output(sid, out, env);
-                if nonblocking {
-                    ExecOutcome::Ready(SysResult::Err(Errno::WouldBlock))
-                } else {
-                    self.sockets[sid as usize].wait_writers.push(tid);
-                    ExecOutcome::Block(Syscall::Connect { fd, to })
-                }
+                self.would_block(tid, sid, true, Syscall::Connect { fd, to })
             }
-            SocketKind::Tcp { conn, .. } => match conn.state() {
+            Some(SocketKind::Tcp { conn, .. }) => match conn.state() {
                 TcpState::Established => ExecOutcome::Ready(SysResult::Done),
                 TcpState::Closed => ExecOutcome::Ready(SysResult::Err(if conn.timed_out() {
                     Errno::TimedOut
                 } else {
                     Errno::ConnRefused
                 })),
-                _ => {
-                    if nonblocking {
-                        ExecOutcome::Ready(SysResult::Err(Errno::WouldBlock))
-                    } else {
-                        self.sockets[sid as usize].wait_writers.push(tid);
-                        ExecOutcome::Block(Syscall::Connect { fd, to })
-                    }
-                }
+                _ => self.would_block(tid, sid, true, Syscall::Connect { fd, to }),
             },
             _ => ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
         }
@@ -1914,10 +2006,6 @@ impl Kernel {
         env: &mut dyn KernelEnv,
     ) -> ExecOutcome {
         let sid = fd.0;
-        let nonblocking = match self.sockets.get(sid as usize) {
-            Some(s) => s.nonblocking,
-            None => return ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
-        };
         let now = env.now();
         let attempt = self.with_conn(sid, |conn| match conn.state() {
             TcpState::Established => {
@@ -1937,23 +2025,30 @@ impl Kernel {
                 ExecOutcome::Ready(SysResult::Done)
             }
             Some((false, _, TcpState::Established)) => {
-                if nonblocking {
-                    ExecOutcome::Ready(SysResult::Err(Errno::WouldBlock))
-                } else {
-                    self.sockets[sid as usize].wait_writers.push(tid);
-                    ExecOutcome::Block(Syscall::Send { fd, msg })
-                }
+                self.would_block(tid, sid, true, Syscall::Send { fd, msg })
             }
-            Some((false, _, TcpState::Closed)) => {
-                let timed_out = self.with_conn(sid, |c| c.timed_out()).unwrap_or(false);
-                ExecOutcome::Ready(SysResult::Err(if timed_out {
-                    Errno::TimedOut
-                } else {
-                    Errno::ConnReset
-                }))
-            }
+            Some((false, _, TcpState::Closed)) => self.reset_err(sid),
             Some((false, _, _)) => ExecOutcome::Ready(SysResult::Err(Errno::NotConnected)),
         }
+    }
+
+    /// A call on `sid` that cannot complete: `WouldBlock` on a nonblocking
+    /// socket, else `tid` waits to read (or `write`) and retries `call`.
+    fn would_block(&mut self, tid: Tid, sid: SockId, write: bool, call: Syscall) -> ExecOutcome {
+        let sock = &mut self.sockets[sid as usize];
+        if sock.nonblocking {
+            return ExecOutcome::Ready(SysResult::Err(Errno::WouldBlock));
+        }
+        let waiters = if write { &mut sock.wait_writers } else { &mut sock.wait_readers };
+        waiters.push(tid);
+        ExecOutcome::Block(call)
+    }
+
+    /// What a call on closed connection `sid` fails with.
+    fn reset_err(&mut self, sid: SockId) -> ExecOutcome {
+        let timed_out = self.with_conn(sid, |c| c.timed_out()).unwrap_or(false);
+        let errno = if timed_out { Errno::TimedOut } else { Errno::ConnReset };
+        ExecOutcome::Ready(SysResult::Err(errno))
     }
 
     fn sys_recv(
@@ -1964,10 +2059,6 @@ impl Kernel {
         env: &mut dyn KernelEnv,
     ) -> ExecOutcome {
         let sid = fd.0;
-        let nonblocking = match self.sockets.get(sid as usize) {
-            Some(s) => s.nonblocking,
-            None => return ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
-        };
         let now = env.now();
         let got = self.with_conn(sid, |conn| {
             let mut out = TcpOutput::default();
@@ -1983,17 +2074,9 @@ impl Kernel {
                     self.procs[tid.0 as usize].extra_cost += self.cfg.profile.copy_cost(bytes);
                     ExecOutcome::Ready(SysResult::Messages { msgs, eof })
                 } else if state == TcpState::Closed {
-                    let timed_out = self.with_conn(sid, |c| c.timed_out()).unwrap_or(false);
-                    ExecOutcome::Ready(SysResult::Err(if timed_out {
-                        Errno::TimedOut
-                    } else {
-                        Errno::ConnReset
-                    }))
-                } else if nonblocking {
-                    ExecOutcome::Ready(SysResult::Err(Errno::WouldBlock))
+                    self.reset_err(sid)
                 } else {
-                    self.sockets[sid as usize].wait_readers.push(tid);
-                    ExecOutcome::Block(Syscall::Recv { fd, max_msgs })
+                    self.would_block(tid, sid, false, Syscall::Recv { fd, max_msgs })
                 }
             }
         }
@@ -2087,10 +2170,7 @@ impl Kernel {
         // ready, waiters on this epoll must re-evaluate (memcached's
         // dispatcher registers accepted connections from another thread).
         if !interest.is_empty() && !self.readiness(target).intersect(interest).is_empty() {
-            let waiters = std::mem::take(&mut self.sockets[ep as usize].wait_readers);
-            for t in waiters {
-                self.wake(t);
-            }
+            self.wake_readers(ep, false);
         }
         ExecOutcome::Ready(SysResult::Done)
     }
@@ -2141,69 +2221,44 @@ impl Kernel {
 
     fn sys_close(&mut self, fd: Fd, env: &mut dyn KernelEnv) -> ExecOutcome {
         let sid = fd.0;
-        let kind_tag = match self.sockets.get(sid as usize).map(|s| &s.kind) {
-            Some(SocketKind::Tcp { .. }) => 0,
-            Some(SocketKind::TcpListen { .. }) => 1,
-            Some(SocketKind::Udp { .. }) => 2,
-            Some(SocketKind::Epoll { .. }) => 3,
-            Some(SocketKind::RawTcp { .. }) => 4,
-            _ => return ExecOutcome::Ready(SysResult::Err(Errno::BadFd)),
-        };
-        match kind_tag {
-            0 => {
-                let now = env.now();
-                let (out, closed) = self
-                    .with_conn(sid, |conn| {
-                        let mut out = TcpOutput::default();
-                        conn.app_close(now, &mut out);
-                        (out, conn.state() == TcpState::Closed)
-                    })
-                    .expect("tcp socket vanished");
-                if let SocketKind::Tcp { app_closed, .. } = &mut self.sockets[sid as usize].kind {
-                    *app_closed = true;
-                }
+        let bad = ExecOutcome::Ready(SysResult::Err(Errno::BadFd));
+        let Some(sock) = self.sockets.get_mut(sid as usize) else { return bad };
+        match &mut sock.kind {
+            SocketKind::Tcp { conn, app_closed, .. } => {
+                let mut out = TcpOutput::default();
+                conn.app_close(env.now(), &mut out);
+                let closed = conn.state() == TcpState::Closed;
+                *app_closed = true;
                 self.apply_tcp_output(sid, out, env);
                 if closed {
                     self.teardown_tcp(sid);
                 }
+                return ExecOutcome::Ready(SysResult::Done);
             }
-            1 => {
-                if let SocketKind::TcpListen { port, .. } = &self.sockets[sid as usize].kind {
-                    let port = *port;
-                    self.listeners.remove(&port);
-                    self.used_tcp_ports.remove(&port);
-                }
-                self.free_socket(sid);
+            SocketKind::TcpListen { port, .. } => {
+                self.listeners.remove(port);
+                self.used_tcp_ports.remove(port);
             }
-            2 => {
-                if let SocketKind::Udp { port, .. } = &self.sockets[sid as usize].kind {
-                    let port = *port;
-                    if port != 0 {
-                        self.udp_ports.remove(&port);
-                    }
-                }
-                self.free_socket(sid);
+            SocketKind::Udp { port: 0, .. } => {}
+            SocketKind::Udp { port, .. } => {
+                self.udp_ports.remove(port);
             }
-            3 => {
+            SocketKind::Epoll { watched } => {
                 // Unregister from watched sockets.
-                if let SocketKind::Epoll { watched } = &self.sockets[sid as usize].kind {
-                    let targets: Vec<SockId> = watched.iter().map(|(s, _)| *s).collect();
-                    for t in targets {
-                        if let Some(sock) = self.sockets.get_mut(t as usize) {
-                            sock.watchers.retain(|x| *x != sid);
-                        }
+                for (t, _) in std::mem::take(watched) {
+                    if let Some(target) = self.sockets.get_mut(t as usize) {
+                        target.watchers.retain(|x| *x != sid);
                     }
                 }
-                self.free_socket(sid);
             }
-            _ => {
-                if let SocketKind::RawTcp { port: Some(p) } = &self.sockets[sid as usize].kind {
-                    let p = *p;
-                    self.used_tcp_ports.remove(&p);
+            SocketKind::RawTcp { port } => {
+                if let Some(p) = port {
+                    self.used_tcp_ports.remove(p);
                 }
-                self.free_socket(sid);
             }
+            SocketKind::Free => return bad,
         }
+        self.free_socket(sid);
         ExecOutcome::Ready(SysResult::Done)
     }
 }
@@ -2214,4 +2269,59 @@ enum ExecOutcome {
     Ready(SysResult),
     /// The calling thread blocks; retry this call on wakeup.
     Block(Syscall),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use diablo_engine::event::{ComponentId, PortNo};
+    use diablo_engine::snap::{Persist, SnapReader, SnapWriter};
+    use diablo_net::link::LinkParams;
+    use diablo_net::payload::AppMessage;
+    use diablo_net::topology::TopologyConfig;
+
+    fn kernel() -> Kernel {
+        let topo =
+            Topology::new(TopologyConfig { racks: 1, servers_per_rack: 4, racks_per_array: 1 });
+        let uplink =
+            PortPeer { component: ComponentId(1), port: PortNo(0), params: LinkParams::gbe(0) };
+        let cfg = NodeConfig::new(NodeAddr(0), KernelProfile::linux_2_6_39());
+        Kernel::new(cfg, uplink, Arc::new(topo.expect("topology")))
+    }
+
+    /// A kernel whose NIC holds `frames` frames behind an interrupt due at
+    /// 2 us, and whose CPU holds a run of `n` of them planned for then.
+    fn planned(frames: usize, n: usize) -> Vec<u8> {
+        let mut k = kernel();
+        let to = SockAddr::new(NodeAddr(0), 9);
+        for id in 0..frames as u64 {
+            let msg = AppMessage::new(0, id, 64, SimTime::ZERO);
+            let pkt = IpPacket::udp(
+                NodeAddr(1),
+                NodeAddr(0),
+                UdpDatagram { src_port: 9, dst_port: to.port, msg },
+            );
+            k.nic.rx_frame(Frame::new(pkt, Route::empty()), SimTime::ZERO, &mut Vec::new());
+        }
+        let at = k.nic.pending_interrupt().expect("an interrupt is pending");
+        k.cpu_work = Some(CpuWork::Planned { at, n });
+        k.cpu_done.deadline = Some((at + k.softirq_time(n), 0));
+        let mut w = SnapWriter::new();
+        k.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A planned softirq run its NIC could not have planned — no frame,
+    /// more frames than the ring holds or than the budget polls — is
+    /// refused on load, never a panic.
+    #[test]
+    fn restore_refuses_a_planned_run_larger_than_the_ring_or_the_budget() {
+        let budget = KernelProfile::linux_2_6_39().napi_budget;
+        let load = |bytes: Vec<u8>| kernel().load_state(&mut SnapReader::new(&bytes));
+        assert!(load(planned(2, 2)).is_ok());
+        for (frames, n) in [(2, 0), (2, 3), (budget + 1, budget + 1)] {
+            let loaded = load(planned(frames, n));
+            assert!(matches!(loaded, Err(SnapError::Malformed(_))), "{frames} {n}: {loaded:?}");
+        }
+    }
 }

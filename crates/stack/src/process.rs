@@ -338,9 +338,9 @@ pub trait Process: Persist + Any + Send {
     /// the next action.
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step;
 
-    /// Short label for diagnostics.
+    /// Label for diagnostics: the concrete type's name.
     fn label(&self) -> &str {
-        "process"
+        std::any::type_name_of_val(self)
     }
 
     /// Application-level metrics (request latencies, completion counts),
