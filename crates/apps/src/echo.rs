@@ -2,6 +2,7 @@
 //! CPU-burning spinner. These exercise every syscall path and serve as the
 //! building blocks and smoke tests for the paper workloads.
 
+use crate::conn::{self, Dial, Dialer, Listen, Setup, Sock};
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
@@ -25,20 +26,19 @@ pub struct TcpEchoServer {
     pub clients_served: u64,
     state: SrvState,
     pending: VecDeque<AppMessage>,
-    listen_fd: Option<Fd>,
 }
 
+/// Where the server stands, with its listening socket once it has one,
+/// then the connection it serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SrvState {
-    Start,
-    Socketed,
-    Bound,
-    Listening,
-    Accepting,
-    Recv(Fd),
-    Work(Fd),
-    Send(Fd),
-    Closing(Fd),
+    Listen(Listen),
+    /// `accept` goes next.
+    Accept(Fd),
+    /// `accept` in flight.
+    Accepting(Fd),
+    Recv(Fd, Fd),
+    Send(Fd, Fd),
 }
 
 impl TcpEchoServer {
@@ -49,9 +49,8 @@ impl TcpEchoServer {
             work_per_msg: 2_000,
             echoed: 0,
             clients_served: 0,
-            state: SrvState::Start,
+            state: SrvState::Listen(Listen::Start),
             pending: VecDeque::new(),
-            listen_fd: None,
         }
     }
 }
@@ -60,76 +59,55 @@ impl Process for TcpEchoServer {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
-                SrvState::Start => {
-                    self.state = SrvState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
+                SrvState::Listen(l) => match conn::listen(l, self.port, 64, ctx) {
+                    Setup::Call(l, call) => {
+                        self.state = SrvState::Listen(l);
+                        return Step::Syscall(call);
+                    }
+                    Setup::Up(lfd) => {
+                        self.state = SrvState::Accept(lfd);
+                        continue;
+                    }
+                },
+                SrvState::Accept(lfd) => {
+                    self.state = SrvState::Accepting(lfd);
+                    return Step::Syscall(Syscall::Accept { fd: lfd, accept4: false });
                 }
-                SrvState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else {
-                        panic!("socket failed: {:?}", ctx.result)
-                    };
-                    self.listen_fd = Some(fd);
-                    self.state = SrvState::Bound;
-                    return Step::Syscall(Syscall::Bind { fd, port: self.port });
-                }
-                SrvState::Bound => {
-                    assert_eq!(ctx.result, SysResult::Done, "bind failed");
-                    self.state = SrvState::Listening;
-                    return Step::Syscall(Syscall::Listen {
-                        fd: self.listen_fd.expect("no listen fd"),
-                        backlog: 64,
-                    });
-                }
-                SrvState::Listening => {
-                    self.state = SrvState::Accepting;
-                    return Step::Syscall(Syscall::Accept {
-                        fd: self.listen_fd.expect("no listen fd"),
-                        accept4: false,
-                    });
-                }
-                SrvState::Accepting => {
+                SrvState::Accepting(lfd) => {
                     let SysResult::Accepted { fd, .. } = ctx.result else {
                         panic!("accept failed: {:?}", ctx.result)
                     };
-                    self.state = SrvState::Recv(fd);
+                    self.state = SrvState::Recv(lfd, fd);
                     return Step::Syscall(Syscall::Recv { fd, max_msgs: 16 });
                 }
-                SrvState::Recv(fd) => match std::mem::replace(&mut ctx.result, SysResult::Done) {
-                    SysResult::Messages { msgs, eof } => {
-                        self.pending.extend(msgs);
-                        if self.pending.is_empty() && eof {
-                            self.state = SrvState::Closing(fd);
-                            continue;
+                SrvState::Recv(lfd, fd) => {
+                    let closed = match std::mem::replace(&mut ctx.result, SysResult::Done) {
+                        SysResult::Messages { msgs, eof } => {
+                            self.pending.extend(msgs);
+                            self.pending.is_empty() && eof
                         }
-                        self.state = SrvState::Work(fd);
-                        return Step::Compute(self.work_per_msg * self.pending.len().max(1) as u64);
+                        SysResult::Err(Errno::ConnReset) => true,
+                        other => panic!("recv failed: {other:?}"),
+                    };
+                    if closed {
+                        self.clients_served += 1;
+                        self.state = SrvState::Accept(lfd);
+                        return Step::Syscall(Syscall::Close { fd });
                     }
-                    SysResult::Err(Errno::ConnReset) => {
-                        self.state = SrvState::Closing(fd);
-                        continue;
-                    }
-                    other => panic!("recv failed: {other:?}"),
-                },
-                SrvState::Work(fd) => {
-                    self.state = SrvState::Send(fd);
-                    continue;
+                    self.state = SrvState::Send(lfd, fd);
+                    return Step::Compute(self.work_per_msg * self.pending.len().max(1) as u64);
                 }
-                SrvState::Send(fd) => match self.pending.pop_front() {
+                SrvState::Send(lfd, fd) => match self.pending.pop_front() {
                     Some(mut msg) => {
                         msg.created_at = ctx.now;
                         self.echoed += 1;
                         return Step::Syscall(Syscall::Send { fd, msg });
                     }
                     None => {
-                        self.state = SrvState::Recv(fd);
+                        self.state = SrvState::Recv(lfd, fd);
                         return Step::Syscall(Syscall::Recv { fd, max_msgs: 16 });
                     }
                 },
-                SrvState::Closing(fd) => {
-                    self.clients_served += 1;
-                    self.state = SrvState::Listening;
-                    return Step::Syscall(Syscall::Close { fd });
-                }
             }
         }
     }
@@ -152,20 +130,17 @@ pub struct TcpEchoClient {
     /// Set when the client finished cleanly.
     pub done: bool,
     state: CliState,
-    fd: Option<Fd>,
     sent_at: SimTime,
     next_id: u64,
 }
 
+/// Where the client stands, with its connection once it is up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CliState {
-    Start,
-    Socketed,
-    Connecting,
-    Think,
-    SendReq,
-    AwaitEcho,
-    Close,
+    Dial(Dial),
+    Think(Fd),
+    SendReq(Fd),
+    AwaitEcho(Fd),
     Done,
 }
 
@@ -180,72 +155,63 @@ impl TcpEchoClient {
             think: 5_000,
             rtts: Vec::new(),
             done: false,
-            state: CliState::Start,
-            fd: None,
+            state: CliState::Dial(Dial::Start),
             sent_at: SimTime::ZERO,
             next_id: 0,
         }
     }
 }
 
+/// A blocking socket with no failure path: a refused connect panics.
+impl Dialer for TcpEchoClient {}
+
 impl Process for TcpEchoClient {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
-                CliState::Start => {
-                    self.state = CliState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
-                }
-                CliState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else {
-                        panic!("socket failed: {:?}", ctx.result)
-                    };
-                    self.fd = Some(fd);
-                    self.state = CliState::Connecting;
-                    return Step::Syscall(Syscall::Connect { fd, to: self.server });
-                }
-                CliState::Connecting => {
-                    assert_eq!(ctx.result, SysResult::Done, "connect failed: {:?}", ctx.result);
-                    self.state = CliState::Think;
-                    continue;
-                }
-                CliState::Think => {
-                    if self.next_id >= self.count {
-                        self.state = CliState::Close;
-                        continue;
+                CliState::Dial(d) => {
+                    let sock = Sock { to: self.server, nonblocking: false, epfd: None };
+                    match conn::dial(self, d, sock, ctx) {
+                        Setup::Call(d, call) => {
+                            self.state = CliState::Dial(d);
+                            return Step::Syscall(call);
+                        }
+                        Setup::Up(fd) => {
+                            self.state = CliState::Think(fd);
+                            continue;
+                        }
                     }
-                    self.state = CliState::SendReq;
+                }
+                CliState::Think(fd) => {
+                    if self.next_id >= self.count {
+                        self.state = CliState::Done;
+                        return Step::Syscall(Syscall::Close { fd });
+                    }
+                    self.state = CliState::SendReq(fd);
                     return Step::Compute(self.think);
                 }
-                CliState::SendReq => {
+                CliState::SendReq(fd) => {
                     let msg = AppMessage::new(ECHO_KIND, self.next_id, self.len, ctx.now);
                     self.sent_at = ctx.now;
                     self.next_id += 1;
-                    self.state = CliState::AwaitEcho;
-                    return Step::Syscall(Syscall::Send { fd: self.fd.expect("no fd"), msg });
+                    self.state = CliState::AwaitEcho(fd);
+                    return Step::Syscall(Syscall::Send { fd, msg });
                 }
-                CliState::AwaitEcho => {
+                CliState::AwaitEcho(fd) => {
                     match std::mem::replace(&mut ctx.result, SysResult::Done) {
                         SysResult::Done => {
                             // Send completed; now wait for the echo.
-                            return Step::Syscall(Syscall::Recv {
-                                fd: self.fd.expect("no fd"),
-                                max_msgs: 1,
-                            });
+                            return Step::Syscall(Syscall::Recv { fd, max_msgs: 1 });
                         }
                         SysResult::Messages { msgs, .. } => {
                             assert_eq!(msgs.len(), 1, "expected one echo");
                             assert_eq!(msgs[0].id, self.next_id - 1, "echo id mismatch");
                             self.rtts.push(ctx.now.saturating_duration_since(self.sent_at));
-                            self.state = CliState::Think;
+                            self.state = CliState::Think(fd);
                             continue;
                         }
                         other => panic!("echo exchange failed: {other:?}"),
                     }
-                }
-                CliState::Close => {
-                    self.state = CliState::Done;
-                    return Step::Syscall(Syscall::Close { fd: self.fd.expect("no fd") });
                 }
                 CliState::Done => {
                     self.done = true;
@@ -264,69 +230,43 @@ pub struct UdpEchoServer {
     /// Datagrams echoed.
     pub echoed: u64,
     state: UdpSrvState,
-    fd: Option<Fd>,
 }
 
+/// The syscall in flight, with the socket once it exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UdpSrvState {
     Start,
-    Socketed,
-    Bound,
-    Recv,
-    Reply(SockAddr),
+    Socket,
+    Bind(Fd),
+    Recv(Fd),
+    Reply(Fd),
 }
 
 impl UdpEchoServer {
     /// Creates a server for `port`.
     pub fn new(port: u16) -> Self {
-        UdpEchoServer { port, echoed: 0, state: UdpSrvState::Start, fd: None }
+        UdpEchoServer { port, echoed: 0, state: UdpSrvState::Start }
     }
 }
 
 impl Process for UdpEchoServer {
-    // The state-machine loop idiom is shared across all guest processes
-    // even where this particular machine returns from every arm.
-    #[allow(clippy::never_loop)]
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
-        loop {
-            match self.state {
-                UdpSrvState::Start => {
-                    self.state = UdpSrvState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Udp));
-                }
-                UdpSrvState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else {
-                        panic!("socket failed: {:?}", ctx.result)
-                    };
-                    self.fd = Some(fd);
-                    self.state = UdpSrvState::Bound;
-                    return Step::Syscall(Syscall::Bind { fd, port: self.port });
-                }
-                UdpSrvState::Bound => {
-                    assert_eq!(ctx.result, SysResult::Done, "bind failed");
-                    self.state = UdpSrvState::Recv;
-                    return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                }
-                UdpSrvState::Recv => {
-                    let SysResult::Datagram { from, msg } =
-                        std::mem::replace(&mut ctx.result, SysResult::Done)
-                    else {
-                        panic!("recvfrom failed")
-                    };
-                    self.state = UdpSrvState::Reply(from);
-                    self.echoed += 1;
-                    return Step::Syscall(Syscall::SendTo {
-                        fd: self.fd.expect("no fd"),
-                        to: from,
-                        msg,
-                    });
-                }
-                UdpSrvState::Reply(_) => {
-                    self.state = UdpSrvState::Recv;
-                    return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                }
+        let (next, call) = match (self.state, std::mem::replace(&mut ctx.result, SysResult::Done)) {
+            (UdpSrvState::Start, _) => (UdpSrvState::Socket, Syscall::Socket(Proto::Udp)),
+            (UdpSrvState::Socket, SysResult::NewFd(fd)) => {
+                (UdpSrvState::Bind(fd), Syscall::Bind { fd, port: self.port })
             }
-        }
+            (UdpSrvState::Bind(fd), SysResult::Done) | (UdpSrvState::Reply(fd), _) => {
+                (UdpSrvState::Recv(fd), Syscall::RecvFrom { fd })
+            }
+            (UdpSrvState::Recv(fd), SysResult::Datagram { from, msg }) => {
+                self.echoed += 1;
+                (UdpSrvState::Reply(fd), Syscall::SendTo { fd, to: from, msg })
+            }
+            (state, other) => panic!("udp echo server: {other:?} in {state:?}"),
+        };
+        self.state = next;
+        Step::Syscall(call)
     }
 }
 
@@ -345,17 +285,17 @@ pub struct UdpPingClient {
     /// Finished cleanly.
     pub done: bool,
     state: UdpCliState,
-    fd: Option<Fd>,
     sent_at: SimTime,
     next_id: u64,
 }
 
+/// Where the client stands, with its socket once it exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UdpCliState {
     Start,
-    Socketed,
-    Send,
-    Await,
+    Socket,
+    Send(Fd),
+    Await(Fd),
     Done,
 }
 
@@ -369,7 +309,6 @@ impl UdpPingClient {
             rtts: Vec::new(),
             done: false,
             state: UdpCliState::Start,
-            fd: None,
             sent_at: SimTime::ZERO,
             next_id: 0,
         }
@@ -379,20 +318,12 @@ impl UdpPingClient {
 impl Process for UdpPingClient {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
-            match self.state {
-                UdpCliState::Start => {
-                    self.state = UdpCliState::Socketed;
+            match (self.state, std::mem::replace(&mut ctx.result, SysResult::Computed)) {
+                (UdpCliState::Start, _) => {
+                    self.state = UdpCliState::Socket;
                     return Step::Syscall(Syscall::Socket(Proto::Udp));
                 }
-                UdpCliState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else {
-                        panic!("socket failed: {:?}", ctx.result)
-                    };
-                    self.fd = Some(fd);
-                    self.state = UdpCliState::Send;
-                    continue;
-                }
-                UdpCliState::Send => {
+                (UdpCliState::Socket, SysResult::NewFd(fd)) | (UdpCliState::Send(fd), _) => {
                     if self.next_id >= self.count {
                         self.state = UdpCliState::Done;
                         continue;
@@ -400,29 +331,23 @@ impl Process for UdpPingClient {
                     let msg = AppMessage::new(ECHO_KIND, self.next_id, self.len, ctx.now);
                     self.sent_at = ctx.now;
                     self.next_id += 1;
-                    self.state = UdpCliState::Await;
-                    return Step::Syscall(Syscall::SendTo {
-                        fd: self.fd.expect("no fd"),
-                        to: self.server,
-                        msg,
-                    });
+                    self.state = UdpCliState::Await(fd);
+                    return Step::Syscall(Syscall::SendTo { fd, to: self.server, msg });
                 }
-                UdpCliState::Await => match std::mem::replace(&mut ctx.result, SysResult::Done) {
-                    SysResult::Done => {
-                        return Step::Syscall(Syscall::RecvFrom { fd: self.fd.expect("no fd") });
-                    }
-                    SysResult::Datagram { msg, .. } => {
-                        assert_eq!(msg.id, self.next_id - 1);
-                        self.rtts.push(ctx.now.saturating_duration_since(self.sent_at));
-                        self.state = UdpCliState::Send;
-                        continue;
-                    }
-                    other => panic!("udp exchange failed: {other:?}"),
-                },
-                UdpCliState::Done => {
+                (UdpCliState::Await(fd), SysResult::Done) => {
+                    return Step::Syscall(Syscall::RecvFrom { fd });
+                }
+                (UdpCliState::Await(fd), SysResult::Datagram { msg, .. }) => {
+                    assert_eq!(msg.id, self.next_id - 1);
+                    self.rtts.push(ctx.now.saturating_duration_since(self.sent_at));
+                    self.state = UdpCliState::Send(fd);
+                    continue;
+                }
+                (UdpCliState::Done, _) => {
                     self.done = true;
                     return Step::Exit;
                 }
+                (state, other) => panic!("udp exchange failed: {other:?} in {state:?}"),
             }
         }
     }
@@ -461,41 +386,34 @@ impl Process for Spinner {
 }
 
 diablo_engine::impl_snap_enum!(SrvState {
-    0 => Start,
-    1 => Socketed,
-    2 => Bound,
-    3 => Listening,
-    4 => Accepting,
-    5 => Recv(fd),
-    6 => Work(fd),
-    7 => Send(fd),
-    8 => Closing(fd),
+    0 => Listen(l),
+    1 => Accept(lfd),
+    2 => Accepting(lfd),
+    3 => Recv(lfd, fd),
+    4 => Send(lfd, fd),
 });
 
 diablo_engine::impl_snap_enum!(CliState {
-    0 => Start,
-    1 => Socketed,
-    2 => Connecting,
-    3 => Think,
-    4 => SendReq,
-    5 => AwaitEcho,
-    6 => Close,
-    7 => Done,
+    0 => Dial(d),
+    1 => Think(fd),
+    2 => SendReq(fd),
+    3 => AwaitEcho(fd),
+    4 => Done,
 });
 
 diablo_engine::impl_snap_enum!(UdpSrvState {
     0 => Start,
-    1 => Socketed,
-    2 => Bound,
-    3 => Recv,
-    4 => Reply(from),
+    1 => Socket,
+    2 => Bind(fd),
+    3 => Recv(fd),
+    4 => Reply(fd),
 });
 
 diablo_engine::impl_snap_enum!(UdpCliState {
     0 => Start,
-    1 => Socketed,
-    2 => Send,
-    3 => Await,
+    1 => Socket,
+    2 => Send(fd),
+    3 => Await(fd),
     4 => Done,
 });
 
@@ -504,7 +422,6 @@ diablo_engine::impl_persist_fields!(TcpEchoServer {
     clients_served,
     state,
     pending,
-    listen_fd,
     port: config,
     work_per_msg: config,
 });
@@ -512,7 +429,6 @@ diablo_engine::impl_persist_fields!(TcpEchoClient {
     rtts,
     done,
     state,
-    fd,
     sent_at,
     next_id,
     server: config,
@@ -520,12 +436,11 @@ diablo_engine::impl_persist_fields!(TcpEchoClient {
     len: config,
     think: config,
 });
-diablo_engine::impl_persist_fields!(UdpEchoServer { echoed, state, fd, port: config });
+diablo_engine::impl_persist_fields!(UdpEchoServer { echoed, state, port: config });
 diablo_engine::impl_persist_fields!(UdpPingClient {
     rtts,
     done,
     state,
-    fd,
     sent_at,
     next_id,
     server: config,

@@ -18,11 +18,17 @@
 //! * [`IncastEpollClient`] — a single thread multiplexing nonblocking
 //!   sockets with `epoll`, like modern WSC applications.
 //!
+//! Both clients connect, and reconnect after a transport failure, through
+//! the one dial of [`crate::conn`]: a worker's socket is blocking, the
+//! epoll client's nonblocking and, when it redials, registered with its
+//! epoll instance. The server listens through [`conn::listen`].
+//!
 //! Responses are streamed in 32 KB application chunks so socket-buffer
 //! backpressure behaves like a real `write()` loop.
 
 use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
-use crate::failure::{backoff_delay_jittered, FailureStats};
+use crate::conn::{self, Dial, Dialer, Listen, Redial, Setup, Sock};
+use crate::failure::FailureStats;
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::rng::DetRng;
 use diablo_engine::snap::SnapError;
@@ -30,7 +36,7 @@ use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
 use diablo_stack::process::{
-    Errno, Fd, Process, ProcessCtx, Proto, Shared, Shm, ShmKey, Step, SysResult, Syscall,
+    Errno, Fd, Process, ProcessCtx, Shared, Shm, ShmKey, Step, SysResult, Syscall,
 };
 use diablo_stack::socket::EventMask;
 use std::collections::VecDeque;
@@ -50,6 +56,11 @@ const FUTEX_DONE: u64 = 0xB;
 
 /// Per-request instruction cost of server-side application logic.
 const SERVER_WORK: u64 = 3_000;
+
+/// The request for iteration `iter`'s `fragment` bytes, sent at `now`.
+fn request(iter: u64, fragment: u32, now: SimTime) -> AppMessage {
+    AppMessage::new(KIND_REQ, iter, 32, now).with_arg0(fragment as u64)
+}
 
 /// The memory the incast client threads on one node share: a barrier
 /// over the workers that, like a `pthread_barrier_t`, holds its count.
@@ -92,20 +103,20 @@ pub struct IncastServer {
     /// Requests served.
     pub served: u64,
     state: SrvState,
-    listen_fd: Option<Fd>,
     to_send: VecDeque<AppMessage>,
 }
 
+/// Where the server stands, with its listening socket once it has one,
+/// then the connection it serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SrvState {
-    Start,
-    Socketed,
-    Bound,
-    Listening,
-    Accepting,
-    Recv(Fd),
-    Respond(Fd),
-    Closing(Fd),
+    Listen(Listen),
+    /// `accept` goes next.
+    Accept(Fd),
+    /// `accept` in flight.
+    Accepting(Fd),
+    Recv(Fd, Fd),
+    Respond(Fd, Fd),
 }
 
 impl IncastServer {
@@ -114,8 +125,7 @@ impl IncastServer {
         IncastServer {
             port: INCAST_PORT,
             served: 0,
-            state: SrvState::Start,
-            listen_fd: None,
+            state: SrvState::Listen(Listen::Start),
             to_send: VecDeque::new(),
         }
     }
@@ -131,80 +141,65 @@ impl Process for IncastServer {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
-                SrvState::Start => {
-                    self.state = SrvState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
+                SrvState::Listen(l) => match conn::listen(l, self.port, 8, ctx) {
+                    Setup::Call(l, call) => {
+                        self.state = SrvState::Listen(l);
+                        return Step::Syscall(call);
+                    }
+                    Setup::Up(lfd) => {
+                        self.state = SrvState::Accept(lfd);
+                        continue;
+                    }
+                },
+                SrvState::Accept(lfd) => {
+                    self.state = SrvState::Accepting(lfd);
+                    return Step::Syscall(Syscall::Accept { fd: lfd, accept4: false });
                 }
-                SrvState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.listen_fd = Some(fd);
-                    self.state = SrvState::Bound;
-                    return Step::Syscall(Syscall::Bind { fd, port: self.port });
-                }
-                SrvState::Bound => {
-                    assert_eq!(ctx.result, SysResult::Done, "bind failed");
-                    self.state = SrvState::Listening;
-                    return Step::Syscall(Syscall::Listen {
-                        fd: self.listen_fd.expect("no listen fd"),
-                        backlog: 8,
-                    });
-                }
-                SrvState::Listening => {
-                    self.state = SrvState::Accepting;
-                    return Step::Syscall(Syscall::Accept {
-                        fd: self.listen_fd.expect("no listen fd"),
-                        accept4: false,
-                    });
-                }
-                SrvState::Accepting => {
+                SrvState::Accepting(lfd) => {
                     let SysResult::Accepted { fd, .. } = ctx.result else {
                         panic!("accept failed: {:?}", ctx.result)
                     };
-                    self.state = SrvState::Recv(fd);
+                    self.state = SrvState::Recv(lfd, fd);
                     return Step::Syscall(Syscall::Recv { fd, max_msgs: 4 });
                 }
-                SrvState::Recv(fd) => match std::mem::replace(&mut ctx.result, SysResult::Done) {
-                    SysResult::Messages { msgs, eof } => {
-                        for req in &msgs {
-                            assert_eq!(req.kind, KIND_REQ);
-                            let mut left = req.arg0 as u32;
-                            let mut chunk_idx = 0u64;
-                            while left > 0 {
-                                let this = left.min(CHUNK);
-                                let m = AppMessage::new(KIND_RESP, req.id, this, ctx.now)
-                                    .with_arg0(chunk_idx);
-                                self.to_send.push_back(m);
-                                left -= this;
-                                chunk_idx += 1;
+                SrvState::Recv(lfd, fd) => {
+                    let closed = match std::mem::replace(&mut ctx.result, SysResult::Done) {
+                        SysResult::Messages { msgs, eof } => {
+                            for req in &msgs {
+                                assert_eq!(req.kind, KIND_REQ);
+                                let mut left = req.arg0 as u32;
+                                let mut chunk_idx = 0u64;
+                                while left > 0 {
+                                    let this = left.min(CHUNK);
+                                    let m = AppMessage::new(KIND_RESP, req.id, this, ctx.now)
+                                        .with_arg0(chunk_idx);
+                                    self.to_send.push_back(m);
+                                    left -= this;
+                                    chunk_idx += 1;
+                                }
+                                self.served += 1;
                             }
-                            self.served += 1;
+                            msgs.is_empty() && eof && self.to_send.is_empty()
                         }
-                        if msgs.is_empty() && eof && self.to_send.is_empty() {
-                            self.state = SrvState::Closing(fd);
-                            continue;
-                        }
-                        self.state = SrvState::Respond(fd);
-                        return Step::Compute(SERVER_WORK);
+                        SysResult::Err(Errno::ConnReset) => true,
+                        other => panic!("server recv failed: {other:?}"),
+                    };
+                    if closed {
+                        self.state = SrvState::Accept(lfd);
+                        return Step::Syscall(Syscall::Close { fd });
                     }
-                    SysResult::Err(Errno::ConnReset) => {
-                        self.state = SrvState::Closing(fd);
-                        continue;
-                    }
-                    other => panic!("server recv failed: {other:?}"),
-                },
-                SrvState::Respond(fd) => match self.to_send.pop_front() {
+                    self.state = SrvState::Respond(lfd, fd);
+                    return Step::Compute(SERVER_WORK);
+                }
+                SrvState::Respond(lfd, fd) => match self.to_send.pop_front() {
                     Some(msg) => {
                         return Step::Syscall(Syscall::Send { fd, msg });
                     }
                     None => {
-                        self.state = SrvState::Recv(fd);
+                        self.state = SrvState::Recv(lfd, fd);
                         return Step::Syscall(Syscall::Recv { fd, max_msgs: 4 });
                     }
                 },
-                SrvState::Closing(fd) => {
-                    self.state = SrvState::Listening;
-                    return Step::Syscall(Syscall::Close { fd });
-                }
             }
         }
     }
@@ -214,8 +209,7 @@ impl Process for IncastServer {
     }
 
     fn reset(&mut self) -> bool {
-        self.state = SrvState::Start;
-        self.listen_fd = None;
+        self.state = SrvState::Listen(Listen::Start);
         self.to_send.clear();
         true
     }
@@ -242,32 +236,24 @@ pub struct IncastWorker {
     pub failure: FailureStats,
     shared: ShmKey<IncastShared>,
     state: WrkState,
-    fd: Option<Fd>,
     start_seen: u64,
     iter: u64,
     got_bytes: u32,
-    /// Consecutive failures of the in-flight operation (backoff exponent).
-    attempts: u32,
+    /// Reconnect backoff, its jitter seeded from the target server's
+    /// address so the per-server workers of a mass failure back off
+    /// de-correlated.
+    redial: Redial,
     /// A request was interrupted; re-send it once reconnected.
     resend: bool,
-    /// Reconnect-jitter stream, seeded from the target server's address so
-    /// the per-server workers of a mass failure back off de-correlated.
-    backoff_rng: DetRng,
 }
 
+/// Where the worker stands, with its connection once it is up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WrkState {
-    Start,
-    Socketed,
-    Connected,
-    WaitStart,
-    SendReq,
-    RecvResp,
-    /// Close the broken socket, then back off.
-    ConnFailed,
-    /// Sleep the backoff delay, then reconnect via `Start`.
-    Backoff,
-    Closing,
+    Dial(Dial),
+    WaitStart(Fd),
+    SendReq(Fd),
+    RecvResp(Fd),
     Done,
 }
 
@@ -278,24 +264,33 @@ impl IncastWorker {
             fragment,
             failure: FailureStats::default(),
             shared,
-            state: WrkState::Start,
-            fd: None,
+            state: WrkState::Dial(Dial::Start),
             start_seen: 0,
             iter: 0,
             got_bytes: 0,
-            attempts: 0,
+            redial: Redial::new(DetRng::new(u64::from(server.node.0)).derive(0xBACC0FF)),
             resend: false,
-            backoff_rng: DetRng::new(u64::from(server.node.0)).derive(0xBACC0FF),
             server,
         }
     }
 
-    /// Enters the reconnect path after a transport failure.
-    fn fail(&mut self, now: SimTime, resend: bool) {
-        self.failure.on_failure(now);
-        self.attempts += 1;
-        self.resend = resend;
-        self.state = WrkState::ConnFailed;
+    /// Enters the reconnect path after the request on `fd` failed.
+    fn fail(&mut self, fd: Fd, now: SimTime) -> Step {
+        self.resend = true;
+        let (d, call) = self.redial.fail(&mut self.failure, fd, now);
+        self.state = WrkState::Dial(d);
+        Step::Syscall(call)
+    }
+
+    /// The connection is up, or this iteration's fragment is in: waits
+    /// for the next iteration on `fd`; returns `true` for the last worker
+    /// to arrive, which wakes the master.
+    fn arrive(&mut self, fd: Fd, ctx: &mut ProcessCtx<'_>) -> bool {
+        self.failure.on_success(ctx.now);
+        self.redial.attempts = 0;
+        self.resend = false;
+        self.state = WrkState::WaitStart(fd);
+        self.finish_one(ctx.shm)
     }
 
     /// Decrements the shared countdown; returns `true` for the last
@@ -307,141 +302,99 @@ impl IncastWorker {
     }
 }
 
+impl Dialer for IncastWorker {
+    fn retry(&mut self) -> Option<(&mut FailureStats, &mut Redial)> {
+        Some((&mut self.failure, &mut self.redial))
+    }
+
+    fn on_connect(&mut self, _: SimTime) {
+        if self.redial.attempts > 0 {
+            self.failure.reconnects += 1;
+        }
+    }
+}
+
 impl Process for IncastWorker {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
-                WrkState::Start => {
-                    self.state = WrkState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
-                }
-                WrkState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.fd = Some(fd);
-                    self.state = WrkState::Connected;
-                    return Step::Syscall(Syscall::Connect { fd, to: self.server });
-                }
-                WrkState::Connected => match std::mem::replace(&mut ctx.result, SysResult::Done) {
-                    SysResult::Done => {
-                        if self.attempts > 0 {
-                            self.failure.reconnects += 1;
+                WrkState::Dial(d) => {
+                    let sock = Sock { to: self.server, nonblocking: false, epfd: None };
+                    let fd = match conn::dial(self, d, sock, ctx) {
+                        Setup::Call(d, call) => {
+                            self.state = WrkState::Dial(d);
+                            return Step::Syscall(call);
                         }
-                        if self.resend {
-                            // Re-issue the interrupted request on the fresh
-                            // connection.
-                            self.failure.retried += 1;
-                            self.got_bytes = 0;
-                            let msg = AppMessage::new(KIND_REQ, self.iter - 1, 32, ctx.now)
-                                .with_arg0(self.fragment as u64);
-                            self.state = WrkState::RecvResp;
-                            return Step::Syscall(Syscall::Send {
-                                fd: self.fd.expect("no fd"),
-                                msg,
-                            });
-                        }
-                        self.failure.on_success(ctx.now);
-                        self.attempts = 0;
-                        self.state = WrkState::WaitStart;
-                        if self.finish_one(ctx.shm) {
-                            return Step::Syscall(Syscall::FutexWake { key: FUTEX_DONE });
-                        }
-                        continue;
+                        Setup::Up(fd) => fd,
+                    };
+                    if self.resend {
+                        // Re-issue the interrupted request on the fresh
+                        // connection.
+                        self.failure.retried += 1;
+                        self.got_bytes = 0;
+                        self.state = WrkState::RecvResp(fd);
+                        let msg = request(self.iter - 1, self.fragment, ctx.now);
+                        return Step::Syscall(Syscall::Send { fd, msg });
                     }
-                    SysResult::Err(_) => {
-                        let resend = self.resend;
-                        self.fail(ctx.now, resend);
-                        continue;
+                    if self.arrive(fd, ctx) {
+                        return Step::Syscall(Syscall::FutexWake { key: FUTEX_DONE });
                     }
-                    other => panic!("connect failed: {other:?}"),
-                },
-                WrkState::WaitStart => {
+                    continue;
+                }
+                WrkState::WaitStart(fd) => {
                     if ctx.shm.get(self.shared).finished {
-                        self.state = WrkState::Closing;
-                        continue;
+                        self.state = WrkState::Done;
+                        return Step::Syscall(Syscall::Close { fd });
                     }
-                    self.state = WrkState::SendReq;
+                    self.state = WrkState::SendReq(fd);
                     return Step::Syscall(Syscall::FutexWait {
                         key: FUTEX_START,
                         seen: self.start_seen,
                     });
                 }
-                WrkState::SendReq => {
+                WrkState::SendReq(fd) => {
                     if let SysResult::FutexVal(v) = ctx.result {
                         self.start_seen = v;
                     }
                     if ctx.shm.get(self.shared).finished {
-                        self.state = WrkState::Closing;
-                        continue;
+                        self.state = WrkState::Done;
+                        return Step::Syscall(Syscall::Close { fd });
                     }
-                    let msg = AppMessage::new(KIND_REQ, self.iter, 32, ctx.now)
-                        .with_arg0(self.fragment as u64);
+                    let msg = request(self.iter, self.fragment, ctx.now);
                     self.iter += 1;
                     self.got_bytes = 0;
-                    self.state = WrkState::RecvResp;
-                    return Step::Syscall(Syscall::Send { fd: self.fd.expect("no fd"), msg });
+                    self.state = WrkState::RecvResp(fd);
+                    return Step::Syscall(Syscall::Send { fd, msg });
                 }
-                WrkState::RecvResp => match std::mem::replace(&mut ctx.result, SysResult::Done) {
-                    SysResult::Done => {
-                        return Step::Syscall(Syscall::Recv {
-                            fd: self.fd.expect("no fd"),
-                            max_msgs: 16,
-                        });
+                WrkState::RecvResp(fd) => {
+                    let (msgs, eof) = match std::mem::replace(&mut ctx.result, SysResult::Done) {
+                        SysResult::Done => {
+                            return Step::Syscall(Syscall::Recv { fd, max_msgs: 16 })
+                        }
+                        SysResult::Messages { msgs, eof } => (msgs, eof),
+                        SysResult::Err(_) => return self.fail(fd, ctx.now),
+                        other => panic!("worker recv failed: {other:?}"),
+                    };
+                    for m in &msgs {
+                        assert_eq!(m.kind, KIND_RESP);
+                        self.got_bytes += m.len;
                     }
-                    SysResult::Messages { msgs, eof } => {
-                        for m in &msgs {
-                            assert_eq!(m.kind, KIND_RESP);
-                            self.got_bytes += m.len;
+                    if self.got_bytes >= self.fragment {
+                        if self.arrive(fd, ctx) {
+                            return Step::Syscall(Syscall::FutexWake { key: FUTEX_DONE });
                         }
-                        if self.got_bytes >= self.fragment {
-                            self.failure.on_success(ctx.now);
-                            self.attempts = 0;
-                            self.resend = false;
-                            self.state = WrkState::WaitStart;
-                            if self.finish_one(ctx.shm) {
-                                return Step::Syscall(Syscall::FutexWake { key: FUTEX_DONE });
-                            }
-                            continue;
-                        }
-                        if eof {
-                            if ctx.shm.get(self.shared).finished {
-                                self.state = WrkState::Closing;
-                                continue;
-                            }
-                            // The server vanished mid-response: reconnect
-                            // and re-request the fragment.
-                            self.fail(ctx.now, true);
-                            continue;
-                        }
-                        return Step::Syscall(Syscall::Recv {
-                            fd: self.fd.expect("no fd"),
-                            max_msgs: 16,
-                        });
-                    }
-                    SysResult::Err(_) => {
-                        self.fail(ctx.now, true);
                         continue;
                     }
-                    other => panic!("worker recv failed: {other:?}"),
-                },
-                WrkState::ConnFailed => {
-                    self.state = WrkState::Backoff;
-                    match self.fd.take() {
-                        Some(fd) => return Step::Syscall(Syscall::Close { fd }),
-                        None => continue,
+                    if eof {
+                        if ctx.shm.get(self.shared).finished {
+                            self.state = WrkState::Done;
+                            return Step::Syscall(Syscall::Close { fd });
+                        }
+                        // The server vanished mid-response: reconnect and
+                        // re-request the fragment.
+                        return self.fail(fd, ctx.now);
                     }
-                }
-                WrkState::Backoff => {
-                    // Close result (if any) is irrelevant; sleep, then
-                    // rebuild the socket through the Start chain.
-                    self.state = WrkState::Start;
-                    return Step::Syscall(Syscall::Nanosleep(backoff_delay_jittered(
-                        self.attempts.saturating_sub(1),
-                        &mut self.backoff_rng,
-                    )));
-                }
-                WrkState::Closing => {
-                    self.state = WrkState::Done;
-                    return Step::Syscall(Syscall::Close { fd: self.fd.expect("no fd") });
+                    return Step::Syscall(Syscall::Recv { fd, max_msgs: 16 });
                 }
                 WrkState::Done => return Step::Exit,
             }
@@ -458,12 +411,11 @@ impl Process for IncastWorker {
         if self.failure.failing() {
             self.failure.on_crash_lost();
         }
-        self.state = WrkState::Start;
-        self.fd = None;
+        self.state = WrkState::Dial(Dial::Start);
         self.start_seen = 0;
         self.iter = 0;
         self.got_bytes = 0;
-        self.attempts = 0;
+        self.redial.attempts = 0;
         self.resend = false;
         true
     }
@@ -618,16 +570,17 @@ pub struct IncastEpollClient {
     state: EpState,
     fds: Vec<Fd>,
     got: Vec<u32>,
-    epfd: Option<Fd>,
-    connect_idx: usize,
     send_idx: usize,
     ready_queue: VecDeque<Fd>,
     completed: usize,
     iter: u64,
     iter_started: SimTime,
-    /// Consecutive failures of the in-flight operation (backoff exponent).
-    attempts: u32,
-    /// Index of the connection being re-established.
+    /// Reconnect backoff, its jitter seeded from the server list so
+    /// repeated reconnect rounds against a flapping fabric don't stay
+    /// phase-locked.
+    redial: Redial,
+    /// Index of the connection last torn down: the one being
+    /// re-established, then the one whose fragment ends the failure.
     reconn_idx: usize,
     /// Open-loop mode: the admission schedule (closed-loop when `None`).
     arrivals: Option<ArrivalProcess>,
@@ -635,47 +588,33 @@ pub struct IncastEpollClient {
     pub offered: u64,
     /// Open-loop mode: SLO accounting over iteration times.
     pub slo: SloStats,
-    /// Reconnect-jitter stream (seeded from the server list) so repeated
-    /// reconnect rounds against a flapping fabric don't stay phase-locked.
-    backoff_rng: DetRng,
 }
 
+/// Where the client stands, with its epoll instance once it has one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EpState {
+    /// Set-up: dial the next server, or create the epoll instance once
+    /// every server is connected.
     Start,
-    Socketed,
-    Connected,
-    NonblockSet,
-    EpollCreated,
-    CtlAdded,
-    SendNext,
-    Wait,
-    Drain,
-    /// Initial connect failed: backoff, then retry from `Start`.
-    InitRetry,
-    /// Re-establishing connection `reconn_idx` after a failure.
-    Reconn(ReconnStage),
-    /// Open-loop: decide whether an iteration is due, shed, or slept for.
-    Pace,
-    /// Open-loop: sleeping until the next scheduled admission.
-    Paced,
+    /// Set-up: dialing `servers[fds.len()]`.
+    Dial(Dial),
+    /// `epoll_create` in flight.
+    EpollCreate,
+    /// Registering `fds[i..]` with the epoll instance.
+    Register(Fd, usize),
+    SendNext(Fd),
+    Wait(Fd),
+    Drain(Fd),
+    /// Re-establishing connection `reconn_idx`: the socket goes into the
+    /// epoll instance.
+    Redial(Fd, Dial),
+    /// The interrupted request, re-sent on the new connection, in flight.
+    Resent(Fd),
+    /// Open-loop: decide whether an iteration is due, shed, or slept for
+    /// (the sleep until the next admission may be in flight).
+    Pace(Fd),
     Closing(usize),
     Done,
-}
-
-/// Stages of the epoll client's reconnect path: close the broken socket,
-/// back off, re-socket, re-connect, re-register with epoll, and re-issue
-/// the interrupted fragment request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReconnStage {
-    Close,
-    Backoff,
-    Socket,
-    Connect,
-    Nonblock,
-    Ctl,
-    Resend,
-    AfterResend,
 }
 
 impl IncastEpollClient {
@@ -683,7 +622,7 @@ impl IncastEpollClient {
     pub fn new(servers: Vec<SockAddr>, fragment: u32, iterations: u64) -> Self {
         let seed = servers.first().map_or(0, |s| u64::from(s.node.0));
         IncastEpollClient {
-            backoff_rng: DetRng::new(seed).derive(0xBACC0FF),
+            redial: Redial::new(DetRng::new(seed).derive(0xBACC0FF)),
             servers,
             fragment,
             iterations,
@@ -694,14 +633,11 @@ impl IncastEpollClient {
             state: EpState::Start,
             fds: Vec::new(),
             got: Vec::new(),
-            epfd: None,
-            connect_idx: 0,
             send_idx: 0,
             ready_queue: VecDeque::new(),
             completed: 0,
             iter: 0,
             iter_started: SimTime::ZERO,
-            attempts: 0,
             reconn_idx: 0,
             arrivals: None,
             offered: 0,
@@ -737,15 +673,35 @@ impl IncastEpollClient {
         self.arrivals.is_some()
     }
 
+    /// `true` while an iteration is in flight.
+    fn busy(&self) -> bool {
+        matches!(
+            self.state,
+            EpState::SendNext(_)
+                | EpState::Wait(_)
+                | EpState::Drain(_)
+                | EpState::Redial(..)
+                | EpState::Resent(_)
+        )
+    }
+
     /// Enters the reconnect path for connection `idx`, discarding any
     /// queued readiness for its (now doomed) fd.
-    fn fail_conn(&mut self, now: SimTime, idx: usize) {
+    fn fail_conn(&mut self, epfd: Fd, now: SimTime, idx: usize) -> Step {
         let fd = self.fds[idx];
         self.ready_queue.retain(|f| *f != fd);
         self.reconn_idx = idx;
-        self.failure.on_failure(now);
-        self.attempts += 1;
-        self.state = EpState::Reconn(ReconnStage::Close);
+        let (d, call) = self.redial.fail(&mut self.failure, fd, now);
+        self.state = EpState::Redial(epfd, d);
+        Step::Syscall(call)
+    }
+
+    /// Starts the next iteration's sends.
+    fn begin_iteration(&mut self, epfd: Fd, now: SimTime) {
+        self.iter += 1;
+        self.iter_started = now;
+        self.send_idx = 0;
+        self.state = EpState::SendNext(epfd);
     }
 
     /// Mean goodput in bits per second for the whole striped block.
@@ -763,16 +719,23 @@ impl IncastEpollClient {
         self.fds.iter().position(|f| *f == fd).expect("unknown fd")
     }
 
-    /// Refuses a restored connection table or index the rebuilt server
-    /// list cannot hold: it would decode, then panic at the next step.
+    /// Refuses a restored connection table, index or dial the rebuilt
+    /// server list cannot hold: it would decode, then panic at the next
+    /// step.
     fn check_indices(&mut self) -> Result<(), SnapError> {
         let (servers, fds) = (self.servers.len(), self.fds.len());
-        let closing = if let EpState::Closing(i) = self.state { i } else { 0 };
+        let (registered, closing) = match self.state {
+            EpState::Register(_, i) => (i, 0),
+            EpState::Closing(i) => (0, i),
+            _ => (0, 0),
+        };
         let checks = [
             (self.got.len() == fds && fds <= servers, "connection table"),
-            (self.connect_idx <= servers, "connect index"),
+            (!matches!(self.state, EpState::Dial(_)) || fds < servers, "set-up dial"),
+            (registered <= fds, "register index"),
             (self.send_idx <= fds, "send index"),
             (self.reconn_idx < fds.max(1), "reconnect index"),
+            (!matches!(self.state, EpState::Redial(..)) || self.reconn_idx < fds, "redial"),
             (closing <= fds, "close index"),
         ];
         match checks.into_iter().find(|&(ok, _)| !ok) {
@@ -784,78 +747,63 @@ impl IncastEpollClient {
     }
 }
 
+impl Dialer for IncastEpollClient {
+    fn retry(&mut self) -> Option<(&mut FailureStats, &mut Redial)> {
+        Some((&mut self.failure, &mut self.redial))
+    }
+
+    fn on_connect(&mut self, now: SimTime) {
+        if self.redial.attempts == 0 {
+            return;
+        }
+        self.failure.reconnects += 1;
+        if matches!(self.state, EpState::Dial(_)) {
+            // A set-up connect ends its failure here; a redialed one when
+            // its re-requested fragment lands.
+            self.failure.on_success(now);
+            self.redial.attempts = 0;
+        }
+    }
+}
+
 impl Process for IncastEpollClient {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 EpState::Start => {
-                    if self.connect_idx == self.servers.len() {
-                        self.state = EpState::EpollCreated;
+                    if self.fds.len() == self.servers.len() {
+                        self.state = EpState::EpollCreate;
                         return Step::Syscall(Syscall::EpollCreate);
                     }
-                    self.state = EpState::Socketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
+                    self.state = EpState::Dial(Dial::Start);
+                    continue;
                 }
-                EpState::Socketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.fds.push(fd);
-                    self.got.push(0);
-                    self.state = EpState::Connected;
-                    return Step::Syscall(Syscall::Connect {
-                        fd,
-                        to: self.servers[self.connect_idx],
-                    });
-                }
-                EpState::Connected => match ctx.result {
-                    SysResult::Done => {
-                        if self.attempts > 0 {
-                            self.failure.reconnects += 1;
-                            self.failure.on_success(ctx.now);
-                            self.attempts = 0;
+                EpState::Dial(d) => {
+                    // Nonblocking, registered once the epoll instance exists.
+                    let to = self.servers[self.fds.len()];
+                    match conn::dial(self, d, Sock { to, nonblocking: true, epfd: None }, ctx) {
+                        Setup::Call(d, call) => {
+                            self.state = EpState::Dial(d);
+                            return Step::Syscall(call);
                         }
-                        self.state = EpState::NonblockSet;
-                        return Step::Syscall(Syscall::SetNonblocking {
-                            fd: self.fds[self.connect_idx],
-                            on: true,
-                        });
+                        Setup::Up(fd) => {
+                            self.fds.push(fd);
+                            self.got.push(0);
+                            self.state = EpState::Start;
+                            continue;
+                        }
                     }
-                    SysResult::Err(_) => {
-                        // Setup-time connect failure: close, back off, retry
-                        // the same server.
-                        self.failure.on_failure(ctx.now);
-                        self.attempts += 1;
-                        self.got.pop();
-                        let fd = self.fds.pop().expect("no fd to retire");
-                        self.state = EpState::InitRetry;
-                        return Step::Syscall(Syscall::Close { fd });
-                    }
-                    ref other => panic!("connect failed: {other:?}"),
-                },
-                EpState::NonblockSet => {
-                    self.connect_idx += 1;
-                    self.state = EpState::Start;
-                    continue;
                 }
-                EpState::InitRetry => {
-                    self.state = EpState::Start;
-                    return Step::Syscall(Syscall::Nanosleep(backoff_delay_jittered(
-                        self.attempts.saturating_sub(1),
-                        &mut self.backoff_rng,
-                    )));
-                }
-                EpState::EpollCreated => {
+                EpState::EpollCreate => {
                     let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
-                    self.connect_idx = 0;
-                    self.state = EpState::CtlAdded;
+                    self.state = EpState::Register(ep, 0);
                     continue;
                 }
-                EpState::CtlAdded => {
-                    if self.connect_idx < self.fds.len() {
-                        let fd = self.fds[self.connect_idx];
-                        self.connect_idx += 1;
+                EpState::Register(ep, i) => {
+                    if let Some(&fd) = self.fds.get(i) {
+                        self.state = EpState::Register(ep, i + 1);
                         return Step::Syscall(Syscall::EpollCtl {
-                            epfd: self.epfd.expect("no epfd"),
+                            epfd: ep,
                             fd,
                             interest: EventMask::READ,
                         });
@@ -863,18 +811,16 @@ impl Process for IncastEpollClient {
                     if self.is_open_loop() {
                         // Open loop: the first iteration waits for the
                         // schedule's first admission.
-                        self.state = EpState::Pace;
+                        self.state = EpState::Pace(ep);
                         continue;
                     }
-                    // Begin the first iteration.
-                    self.iter += 1;
-                    self.iter_started = ctx.now;
-                    self.send_idx = 0;
-                    self.state = EpState::SendNext;
+                    self.begin_iteration(ep, ctx.now);
                     continue;
                 }
-                EpState::Pace => {
-                    let arrivals = self.arrivals.as_mut().expect("pace without schedule");
+                EpState::Pace(ep) => {
+                    let Some(arrivals) = self.arrivals.as_mut() else {
+                        unreachable!("a closed-loop client never paces")
+                    };
                     let due = arrivals.take_due(ctx.now);
                     self.offered += due;
                     if due == 0 {
@@ -883,7 +829,6 @@ impl Process for IncastEpollClient {
                             self.state = EpState::Closing(0);
                             continue;
                         };
-                        self.state = EpState::Paced;
                         return Step::Syscall(Syscall::Nanosleep(at.duration_since(ctx.now)));
                     }
                     // Arrivals that fired while the previous iteration was
@@ -892,63 +837,54 @@ impl Process for IncastEpollClient {
                     for _ in 1..due {
                         self.slo.on_shed();
                     }
-                    self.iter += 1;
-                    self.iter_started = ctx.now;
-                    self.send_idx = 0;
-                    self.state = EpState::SendNext;
+                    self.begin_iteration(ep, ctx.now);
                     continue;
                 }
-                EpState::Paced => {
-                    // Sleep finished exactly at the admission instant.
-                    self.state = EpState::Pace;
-                    continue;
-                }
-                EpState::SendNext => {
+                EpState::SendNext(ep) => {
                     // A send's result lands here on the next step; an error
                     // means the connection we just wrote to has broken.
                     if self.send_idx > 0 {
                         if let SysResult::Err(_) = ctx.result {
                             ctx.result = SysResult::Computed;
-                            self.fail_conn(ctx.now, self.send_idx - 1);
-                            continue;
+                            return self.fail_conn(ep, ctx.now, self.send_idx - 1);
                         }
                     }
                     if self.send_idx < self.fds.len() {
                         let fd = self.fds[self.send_idx];
                         self.send_idx += 1;
-                        let msg = AppMessage::new(KIND_REQ, self.iter - 1, 32, ctx.now)
-                            .with_arg0(self.fragment as u64);
+                        let msg = request(self.iter - 1, self.fragment, ctx.now);
                         return Step::Syscall(Syscall::Send { fd, msg });
                     }
-                    self.state = EpState::Wait;
+                    self.state = EpState::Wait(ep);
                     return Step::Syscall(Syscall::EpollWait {
-                        epfd: self.epfd.expect("no epfd"),
+                        epfd: ep,
                         max_events: 64,
                         timeout: self.request_deadline,
                     });
                 }
-                EpState::Wait => match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                    SysResult::Events(evs) => {
-                        if evs.is_empty() {
-                            // Deadline expired with a fragment outstanding:
-                            // declare the slowest connection failed.
-                            let idx = (0..self.fds.len())
-                                .find(|&i| self.got[i] < self.fragment)
-                                .expect("epoll deadline with nothing outstanding");
-                            self.fail_conn(ctx.now, idx);
+                EpState::Wait(ep) => {
+                    match std::mem::replace(&mut ctx.result, SysResult::Computed) {
+                        SysResult::Events(evs) => {
+                            if evs.is_empty() {
+                                // Deadline expired with a fragment outstanding:
+                                // declare the slowest connection failed.
+                                let idx = (0..self.fds.len())
+                                    .find(|&i| self.got[i] < self.fragment)
+                                    .expect("epoll deadline with nothing outstanding");
+                                return self.fail_conn(ep, ctx.now, idx);
+                            }
+                            for (fd, mask) in evs {
+                                if mask.readable {
+                                    self.ready_queue.push_back(fd);
+                                }
+                            }
+                            self.state = EpState::Drain(ep);
                             continue;
                         }
-                        for (fd, mask) in evs {
-                            if mask.readable {
-                                self.ready_queue.push_back(fd);
-                            }
-                        }
-                        self.state = EpState::Drain;
-                        continue;
+                        other => panic!("epoll_wait failed: {other:?}"),
                     }
-                    other => panic!("epoll_wait failed: {other:?}"),
-                },
-                EpState::Drain => {
+                }
+                EpState::Drain(ep) => {
                     // Consume one Recv result if we just issued one.
                     match std::mem::replace(&mut ctx.result, SysResult::Computed) {
                         SysResult::Messages { msgs, eof } => {
@@ -965,15 +901,14 @@ impl Process for IncastEpollClient {
                                 self.completed += 1;
                                 if self.failure.failing() && idx == self.reconn_idx {
                                     self.failure.on_success(ctx.now);
-                                    self.attempts = 0;
+                                    self.redial.attempts = 0;
                                 }
                             } else if eof && self.got[idx] < self.fragment {
                                 // The server half-closed mid-fragment:
                                 // reconnect and re-request. (An EOF after a
                                 // complete fragment is left for the next
                                 // send to trip over.)
-                                self.fail_conn(ctx.now, idx);
-                                continue;
+                                return self.fail_conn(ep, ctx.now, idx);
                             }
                         }
                         SysResult::Err(Errno::WouldBlock) => {
@@ -987,8 +922,7 @@ impl Process for IncastEpollClient {
                                 .pop_front()
                                 .expect("recv result without pending fd");
                             let idx = self.fd_index(fd);
-                            self.fail_conn(ctx.now, idx);
-                            continue;
+                            return self.fail_conn(ep, ctx.now, idx);
                         }
                         _ => {}
                     }
@@ -1001,17 +935,14 @@ impl Process for IncastEpollClient {
                         self.ready_queue.clear();
                         if self.is_open_loop() {
                             self.slo.on_complete(d);
-                            self.state = EpState::Pace;
+                            self.state = EpState::Pace(ep);
                             continue;
                         }
                         if self.iter >= self.iterations {
                             self.state = EpState::Closing(0);
                             continue;
                         }
-                        self.iter += 1;
-                        self.iter_started = ctx.now;
-                        self.send_idx = 0;
-                        self.state = EpState::SendNext;
+                        self.begin_iteration(ep, ctx.now);
                         continue;
                     }
                     match self.ready_queue.front() {
@@ -1019,92 +950,49 @@ impl Process for IncastEpollClient {
                             return Step::Syscall(Syscall::Recv { fd, max_msgs: 16 });
                         }
                         None => {
-                            self.state = EpState::Wait;
+                            self.state = EpState::Wait(ep);
                             return Step::Syscall(Syscall::EpollWait {
-                                epfd: self.epfd.expect("no epfd"),
+                                epfd: ep,
                                 max_events: 64,
                                 timeout: self.request_deadline,
                             });
                         }
                     }
                 }
-                EpState::Reconn(stage) => match stage {
-                    ReconnStage::Close => {
-                        self.state = EpState::Reconn(ReconnStage::Backoff);
+                EpState::Redial(ep, d) => {
+                    let to = self.servers[self.reconn_idx];
+                    match conn::dial(self, d, Sock { to, nonblocking: true, epfd: Some(ep) }, ctx) {
+                        Setup::Call(d, call) => {
+                            self.state = EpState::Redial(ep, d);
+                            return Step::Syscall(call);
+                        }
+                        Setup::Up(fd) => {
+                            self.fds[self.reconn_idx] = fd;
+                            self.got[self.reconn_idx] = 0;
+                            self.failure.retried += 1;
+                            self.state = EpState::Resent(ep);
+                            let msg = request(self.iter - 1, self.fragment, ctx.now);
+                            return Step::Syscall(Syscall::Send { fd, msg });
+                        }
+                    }
+                }
+                EpState::Resent(ep) => match ctx.result {
+                    SysResult::Done => {
+                        // Resume the iteration: any sends still owed go
+                        // out, then the normal wait/drain loop runs.
+                        ctx.result = SysResult::Computed;
+                        self.state = EpState::SendNext(ep);
+                        continue;
+                    }
+                    SysResult::Err(_) => {
+                        // The re-sent request failed: close the new socket
+                        // and redial, leaving the ready queue as it is.
                         let fd = self.fds[self.reconn_idx];
-                        return Step::Syscall(Syscall::Close { fd });
+                        let (d, call) = self.redial.fail(&mut self.failure, fd, ctx.now);
+                        self.state = EpState::Redial(ep, d);
+                        return Step::Syscall(call);
                     }
-                    ReconnStage::Backoff => {
-                        self.state = EpState::Reconn(ReconnStage::Socket);
-                        return Step::Syscall(Syscall::Nanosleep(backoff_delay_jittered(
-                            self.attempts.saturating_sub(1),
-                            &mut self.backoff_rng,
-                        )));
-                    }
-                    ReconnStage::Socket => {
-                        self.state = EpState::Reconn(ReconnStage::Connect);
-                        return Step::Syscall(Syscall::Socket(Proto::Tcp));
-                    }
-                    ReconnStage::Connect => {
-                        let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                        self.fds[self.reconn_idx] = fd;
-                        self.got[self.reconn_idx] = 0;
-                        self.state = EpState::Reconn(ReconnStage::Nonblock);
-                        return Step::Syscall(Syscall::Connect {
-                            fd,
-                            to: self.servers[self.reconn_idx],
-                        });
-                    }
-                    ReconnStage::Nonblock => match ctx.result {
-                        SysResult::Done => {
-                            self.failure.reconnects += 1;
-                            self.state = EpState::Reconn(ReconnStage::Ctl);
-                            return Step::Syscall(Syscall::SetNonblocking {
-                                fd: self.fds[self.reconn_idx],
-                                on: true,
-                            });
-                        }
-                        SysResult::Err(_) => {
-                            // Reconnect itself failed: close and try again
-                            // with a longer backoff.
-                            self.failure.on_failure(ctx.now);
-                            self.attempts += 1;
-                            self.state = EpState::Reconn(ReconnStage::Close);
-                            continue;
-                        }
-                        ref other => panic!("reconnect failed: {other:?}"),
-                    },
-                    ReconnStage::Ctl => {
-                        self.state = EpState::Reconn(ReconnStage::Resend);
-                        return Step::Syscall(Syscall::EpollCtl {
-                            epfd: self.epfd.expect("no epfd"),
-                            fd: self.fds[self.reconn_idx],
-                            interest: EventMask::READ,
-                        });
-                    }
-                    ReconnStage::Resend => {
-                        self.failure.retried += 1;
-                        self.state = EpState::Reconn(ReconnStage::AfterResend);
-                        let msg = AppMessage::new(KIND_REQ, self.iter - 1, 32, ctx.now)
-                            .with_arg0(self.fragment as u64);
-                        return Step::Syscall(Syscall::Send { fd: self.fds[self.reconn_idx], msg });
-                    }
-                    ReconnStage::AfterResend => match ctx.result {
-                        SysResult::Done => {
-                            // Resume the iteration: any sends still owed go
-                            // out, then the normal wait/drain loop runs.
-                            ctx.result = SysResult::Computed;
-                            self.state = EpState::SendNext;
-                            continue;
-                        }
-                        SysResult::Err(_) => {
-                            self.failure.on_failure(ctx.now);
-                            self.attempts += 1;
-                            self.state = EpState::Reconn(ReconnStage::Close);
-                            continue;
-                        }
-                        ref other => panic!("resend failed: {other:?}"),
-                    },
+                    ref other => panic!("resend failed: {other:?}"),
                 },
                 EpState::Closing(i) => {
                     if i < self.fds.len() {
@@ -1126,11 +1014,7 @@ impl Process for IncastEpollClient {
         self.failure.visit(v);
         if self.is_open_loop() {
             v.counter("open_loop.offered", self.offered);
-            let busy = matches!(
-                self.state,
-                EpState::SendNext | EpState::Wait | EpState::Drain | EpState::Reconn(_)
-            );
-            v.gauge("open_loop.in_flight", if busy { 1.0 } else { 0.0 });
+            v.gauge("open_loop.in_flight", if self.busy() { 1.0 } else { 0.0 });
             self.slo.visit(v);
         }
     }
@@ -1140,26 +1024,19 @@ impl Process for IncastEpollClient {
         if self.failure.failing() {
             self.failure.on_crash_lost();
         }
-        if self.is_open_loop()
-            && matches!(
-                self.state,
-                EpState::SendNext | EpState::Wait | EpState::Drain | EpState::Reconn(_)
-            )
-        {
+        if self.is_open_loop() && self.busy() {
             // The in-flight iteration died with the node.
             self.slo.on_unanswered();
         }
         self.state = EpState::Start;
         self.fds.clear();
         self.got.clear();
-        self.epfd = None;
-        self.connect_idx = 0;
         self.send_idx = 0;
         self.ready_queue.clear();
         self.completed = 0;
         self.iter = 0;
         self.iter_started = SimTime::ZERO;
-        self.attempts = 0;
+        self.redial.attempts = 0;
         self.reconn_idx = 0;
         self.done = false;
         true
@@ -1171,27 +1048,19 @@ impl Process for IncastEpollClient {
 // ====================================================================
 
 diablo_engine::impl_snap_enum!(SrvState as "incast SrvState" {
-    0 => Start,
-    1 => Socketed,
-    2 => Bound,
-    3 => Listening,
-    4 => Accepting,
-    5 => Recv(fd),
-    6 => Respond(fd),
-    7 => Closing(fd),
+    0 => Listen(l),
+    1 => Accept(lfd),
+    2 => Accepting(lfd),
+    3 => Recv(lfd, fd),
+    4 => Respond(lfd, fd),
 });
 
 diablo_engine::impl_snap_enum!(WrkState {
-    0 => Start,
-    1 => Socketed,
-    2 => Connected,
-    3 => WaitStart,
-    4 => SendReq,
-    5 => RecvResp,
-    6 => ConnFailed,
-    7 => Backoff,
-    8 => Closing,
-    9 => Done,
+    0 => Dial(d),
+    1 => WaitStart(fd),
+    2 => SendReq(fd),
+    3 => RecvResp(fd),
+    4 => Done,
 });
 
 diablo_engine::impl_snap_enum!(MstState {
@@ -1202,52 +1071,30 @@ diablo_engine::impl_snap_enum!(MstState {
     4 => Exit,
 });
 
-diablo_engine::impl_snap_enum!(ReconnStage {
-    0 => Close,
-    1 => Backoff,
-    2 => Socket,
-    3 => Connect,
-    4 => Nonblock,
-    5 => Ctl,
-    6 => Resend,
-    7 => AfterResend,
-});
-
 diablo_engine::impl_snap_enum!(EpState {
     0 => Start,
-    1 => Socketed,
-    2 => Connected,
-    3 => NonblockSet,
-    4 => EpollCreated,
-    5 => CtlAdded,
-    6 => SendNext,
-    7 => Wait,
-    8 => Drain,
-    9 => InitRetry,
-    10 => Reconn(stage),
-    11 => Pace,
-    12 => Paced,
-    13 => Closing(i),
-    14 => Done,
+    1 => Dial(d),
+    2 => EpollCreate,
+    3 => Register(ep, i),
+    4 => SendNext(ep),
+    5 => Wait(ep),
+    6 => Drain(ep),
+    7 => Redial(ep, d),
+    8 => Resent(ep),
+    9 => Pace(ep),
+    10 => Closing(i),
+    11 => Done,
 });
 
-diablo_engine::impl_persist_fields!(IncastServer {
-    served,
-    state,
-    listen_fd,
-    to_send,
-    port: config,
-});
+diablo_engine::impl_persist_fields!(IncastServer { served, state, to_send, port: config });
 diablo_engine::impl_persist_fields!(IncastWorker {
     failure,
     state,
-    fd,
     start_seen,
     iter,
     got_bytes,
-    attempts,
+    redial,
     resend,
-    backoff_rng,
     server: config,
     fragment: config,
     shared: config,
@@ -1273,19 +1120,16 @@ diablo_engine::impl_persist_fields!(IncastEpollClient {
     state,
     fds,
     got,
-    epfd,
-    connect_idx,
     send_idx,
     ready_queue,
     completed,
     iter,
     iter_started,
-    attempts,
+    redial,
     reconn_idx,
     arrivals,
     offered,
     slo,
-    backoff_rng,
     servers: config,
     fragment: config,
     iterations: config,
@@ -1332,13 +1176,48 @@ mod tests {
         restore(|_| {}).expect("a table that fits restores");
         restore(|c| c.state = EpState::Closing(2)).expect("closing the last fd is a state");
         for (what, mutate) in [
-            ("connect index", (|c| c.connect_idx = 3) as fn(&mut IncastEpollClient)),
+            (
+                "register index",
+                (|c| c.state = EpState::Register(Fd(9), 3)) as fn(&mut IncastEpollClient),
+            ),
             ("reconnect index", |c| c.reconn_idx = 2),
             ("close index", |c| c.state = EpState::Closing(3)),
             ("connection table", |c| c.got.push(0)),
             ("connection table", |c| (c.fds, c.got) = (vec![Fd(3); 3], vec![0; 3])),
         ] {
             match restore(mutate) {
+                Err(SnapError::Malformed(msg)) => assert!(msg.starts_with(what), "{msg}"),
+                other => panic!("{what}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+
+    /// A restored dial aimed past the rebuilt servers (a set-up dial with
+    /// every server connected) or at a connection slot past the table (a
+    /// redial with none) is refused at load, not at the client's next step.
+    #[test]
+    fn a_restored_dial_past_the_servers_or_connections_is_an_error() {
+        use diablo_engine::snap::{Persist, SnapReader, SnapWriter};
+        use diablo_net::addr::NodeAddr;
+        let client = || {
+            let servers = (0..2).map(|i| SockAddr::new(NodeAddr(i), INCAST_PORT)).collect();
+            IncastEpollClient::new(servers, 1024, 1)
+        };
+        let restore = |saved: IncastEpollClient| {
+            let mut w = SnapWriter::new();
+            saved.save_state(&mut w);
+            client().load_state(&mut SnapReader::new(&w.into_bytes()))
+        };
+        let mut half = client();
+        (half.fds, half.got, half.state) = (vec![Fd(3)], vec![0], EpState::Dial(Dial::Socket));
+        restore(half).expect("a set-up dial to the second server restores");
+        let mut full = client();
+        (full.fds, full.got) = (vec![Fd(3), Fd(4)], vec![0, 0]);
+        full.state = EpState::Dial(Dial::Connect(Fd(5)));
+        let mut empty = client();
+        empty.state = EpState::Redial(Fd(2), Dial::Close);
+        for (what, saved) in [("set-up dial", full), ("redial", empty)] {
+            match restore(saved) {
                 Err(SnapError::Malformed(msg)) => assert!(msg.starts_with(what), "{msg}"),
                 other => panic!("{what}: expected Malformed, got {other:?}"),
             }

@@ -12,6 +12,9 @@
 //!   agent that executes its commands ([`control::ControlAgent`]), and
 //!   the registry-lookup protocol clients use to discover live
 //!   endpoints.
+//! * [`conn`] — the TCP set-up the echo, incast and memcached guests
+//!   share: one connect-and-redial rule ([`conn::dial`]) and one
+//!   listening-socket rule ([`conn::listen`]).
 //! * [`echo`] — TCP/UDP echo servers and clients plus a CPU spinner;
 //!   building blocks and smoke tests.
 //! * [`failure`] — client-side failure accounting ([`failure::FailureStats`])
@@ -34,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod arrival;
+pub mod conn;
 pub mod control;
 pub mod echo;
 pub mod failure;

@@ -17,8 +17,9 @@
 //! latency in HDR histograms — overall and per hop-class (Figure 10).
 
 use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
+use crate::conn::{self, Dial, Dialer, Listen, Redial, Setup, Sock};
 use crate::control::{pick_live, DiscoveryConfig, GateState, RegistryClient, GATE_FUTEX_KEY};
-use crate::failure::{backoff_delay_jittered, FailureStats};
+use crate::failure::FailureStats;
 use crate::udp_loop::{self, Next, Then, UdpGuest, UdpLoop};
 use crate::workload::{etc_value_size_for_key, EtcWorkload, KvOp};
 use diablo_engine::metrics::MetricsVisitor;
@@ -151,31 +152,33 @@ pub struct McDispatcher {
     cfg: McServerConfig,
     shared: ShmKey<McShared>,
     state: DispState,
-    listen_fd: Option<Fd>,
-    udp_fd: Option<Fd>,
     next_worker: usize,
-    udp_reg_idx: usize,
-    pending_conn: Option<Fd>,
     /// Last futex eventcount observed while parked on the gate.
     last_futex: u64,
     /// Connections accepted.
     pub accepted: u64,
 }
 
+/// Where the dispatcher stands, with its listening socket once it has
+/// one, then the UDP socket or the connection it hands over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DispState {
     Start,
     Standby,
-    TcpSocketed,
-    TcpBound,
-    TcpListening,
-    UdpSocketed,
-    UdpBound,
-    RegisterUdp,
-    WaitWorkers,
-    Accepting,
-    SetNb,
-    Assign,
+    Listen(Listen),
+    /// UDP `socket` in flight.
+    UdpSocket(Fd),
+    /// UDP `bind` in flight.
+    UdpBind(Fd, Fd),
+    /// Registering the UDP socket with worker `i` on, once every worker
+    /// has published its epoll instance.
+    RegisterUdp(Fd, Fd, usize),
+    /// `accept` goes next, once every worker has published.
+    Accept(Fd),
+    /// `accept` in flight.
+    Accepting(Fd),
+    /// The accepted connection goes to the next worker.
+    Assign(Fd, Fd),
 }
 
 impl McDispatcher {
@@ -185,14 +188,16 @@ impl McDispatcher {
             cfg,
             shared,
             state: DispState::Start,
-            listen_fd: None,
-            udp_fd: None,
             next_worker: 0,
-            udp_reg_idx: 0,
-            pending_conn: None,
             last_futex: 0,
             accepted: 0,
         }
+    }
+
+    /// A `nanosleep` while a worker has not published its epoll instance.
+    fn await_workers(&self, shm: &Shm) -> Option<Step> {
+        let unpublished = shm.get(self.shared).worker_epfds.contains(&None);
+        unpublished.then(|| Step::Syscall(Syscall::Nanosleep(SimDuration::from_micros(100))))
     }
 }
 
@@ -210,8 +215,8 @@ impl Process for McDispatcher {
                             seen: self.last_futex,
                         });
                     }
-                    self.state = DispState::TcpSocketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
+                    self.state = DispState::Listen(Listen::Start);
+                    continue;
                 }
                 DispState::Standby => {
                     if let SysResult::FutexVal(v) = ctx.result {
@@ -222,91 +227,76 @@ impl Process for McDispatcher {
                     self.state = DispState::Start;
                     continue;
                 }
-                DispState::TcpSocketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.listen_fd = Some(fd);
-                    self.state = DispState::TcpBound;
-                    return Step::Syscall(Syscall::Bind { fd, port: self.cfg.port });
-                }
-                DispState::TcpBound => {
-                    assert_eq!(ctx.result, SysResult::Done, "bind failed");
-                    self.state = DispState::TcpListening;
-                    return Step::Syscall(Syscall::Listen {
-                        fd: self.listen_fd.expect("no fd"),
-                        backlog: 1024,
-                    });
-                }
-                DispState::TcpListening => {
-                    if self.cfg.udp {
-                        self.state = DispState::UdpSocketed;
+                DispState::Listen(l) => match conn::listen(l, self.cfg.port, 1024, ctx) {
+                    Setup::Call(l, call) => {
+                        self.state = DispState::Listen(l);
+                        return Step::Syscall(call);
+                    }
+                    Setup::Up(lfd) if self.cfg.udp => {
+                        self.state = DispState::UdpSocket(lfd);
                         return Step::Syscall(Syscall::Socket(Proto::Udp));
                     }
-                    self.state = DispState::WaitWorkers;
-                    continue;
-                }
-                DispState::UdpSocketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.udp_fd = Some(fd);
-                    self.state = DispState::UdpBound;
-                    return Step::Syscall(Syscall::Bind { fd, port: self.cfg.port });
-                }
-                DispState::UdpBound => {
-                    assert_eq!(ctx.result, SysResult::Done, "udp bind failed");
-                    ctx.shm.get_mut(self.shared).udp_fd = self.udp_fd;
-                    self.state = DispState::WaitWorkers;
-                    continue;
-                }
-                DispState::WaitWorkers => {
-                    if ctx.shm.get(self.shared).worker_epfds.contains(&None) {
-                        return Step::Syscall(Syscall::Nanosleep(SimDuration::from_micros(100)));
-                    }
-                    if self.cfg.udp && self.udp_reg_idx < self.cfg.workers {
-                        self.state = DispState::RegisterUdp;
+                    Setup::Up(lfd) => {
+                        self.state = DispState::Accept(lfd);
                         continue;
                     }
-                    self.state = DispState::Accepting;
-                    return Step::Syscall(Syscall::Accept {
-                        fd: self.listen_fd.expect("no fd"),
-                        accept4: self.cfg.version == McVersion::V1_4_17,
-                    });
+                },
+                DispState::UdpSocket(lfd) => {
+                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
+                    self.state = DispState::UdpBind(lfd, fd);
+                    return Step::Syscall(Syscall::Bind { fd, port: self.cfg.port });
                 }
-                DispState::RegisterUdp => {
-                    let i = self.udp_reg_idx;
-                    self.udp_reg_idx += 1;
+                DispState::UdpBind(lfd, fd) => {
+                    assert_eq!(ctx.result, SysResult::Done, "udp bind failed");
+                    ctx.shm.get_mut(self.shared).udp_fd = Some(fd);
+                    self.state = DispState::RegisterUdp(lfd, fd, 0);
+                    continue;
+                }
+                DispState::RegisterUdp(lfd, fd, i) => {
+                    if let Some(wait) = self.await_workers(ctx.shm) {
+                        return wait;
+                    }
+                    if i >= self.cfg.workers {
+                        self.state = DispState::Accept(lfd);
+                        continue;
+                    }
                     let epfd = ctx.shm.get(self.shared).worker_epfds[i].expect("worker not ready");
-                    self.state = DispState::WaitWorkers;
+                    self.state = DispState::RegisterUdp(lfd, fd, i + 1);
                     return Step::Syscall(Syscall::EpollCtl {
                         epfd,
-                        fd: self.udp_fd.expect("no udp fd"),
+                        fd,
                         interest: EventMask::READ,
                     });
                 }
-                DispState::Accepting => {
+                DispState::Accept(lfd) => {
+                    if let Some(wait) = self.await_workers(ctx.shm) {
+                        return wait;
+                    }
+                    self.state = DispState::Accepting(lfd);
+                    return Step::Syscall(Syscall::Accept {
+                        fd: lfd,
+                        accept4: self.cfg.version == McVersion::V1_4_17,
+                    });
+                }
+                DispState::Accepting(lfd) => {
                     let SysResult::Accepted { fd, .. } = ctx.result else {
                         panic!("accept failed: {:?}", ctx.result)
                     };
                     self.accepted += 1;
-                    self.pending_conn = Some(fd);
+                    self.state = DispState::Assign(lfd, fd);
                     if self.cfg.version == McVersion::V1_4_15 {
                         // Extra fcntl per connection.
-                        self.state = DispState::SetNb;
                         return Step::Syscall(Syscall::SetNonblocking { fd, on: true });
                     }
-                    self.state = DispState::Assign;
                     continue;
                 }
-                DispState::SetNb => {
-                    self.state = DispState::Assign;
-                    continue;
-                }
-                DispState::Assign => {
-                    let fd = self.pending_conn.take().expect("no pending conn");
+                DispState::Assign(lfd, fd) => {
                     let w = self.next_worker % self.cfg.workers;
                     self.next_worker += 1;
                     let epfd = ctx.shm.get(self.shared).worker_epfds[w].expect("worker not ready");
                     // The EpollCtl is the "notify worker" step; afterwards
-                    // loop back through WaitWorkers to the next accept.
-                    self.state = DispState::WaitWorkers;
+                    // back to the next accept.
+                    self.state = DispState::Accept(lfd);
                     return Step::Syscall(Syscall::EpollCtl {
                         epfd,
                         fd,
@@ -326,11 +316,7 @@ impl Process for McDispatcher {
 
     fn reset(&mut self) -> bool {
         self.state = DispState::Start;
-        self.listen_fd = None;
-        self.udp_fd = None;
         self.next_worker = 0;
-        self.udp_reg_idx = 0;
-        self.pending_conn = None;
         // The crash wiped the kernel's futex table; its eventcount
         // restarts from zero, so the parked-on value must too.
         self.last_futex = 0;
@@ -368,7 +354,6 @@ pub struct McWorker {
     cfg: McServerConfig,
     shared: ShmKey<McShared>,
     state: WkState,
-    epfd: Option<Fd>,
     conns: HashMap<Fd, ConnOut>,
     queue: VecDeque<Act>,
     inflight: Option<Act>,
@@ -377,12 +362,14 @@ pub struct McWorker {
     pub served: u64,
 }
 
+/// Where the worker stands, with its epoll instance once it has one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WkState {
     Start,
+    /// `epoll_create` in flight.
     Publish,
-    Wait,
-    Run,
+    Wait(Fd),
+    Run(Fd),
 }
 
 impl McWorker {
@@ -393,7 +380,6 @@ impl McWorker {
             cfg,
             shared,
             state: WkState::Start,
-            epfd: None,
             conns: HashMap::new(),
             queue: VecDeque::new(),
             inflight: None,
@@ -435,16 +421,15 @@ impl Process for McWorker {
                 }
                 WkState::Publish => {
                     let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
                     ctx.shm.get_mut(self.shared).worker_epfds[self.index] = Some(ep);
-                    self.state = WkState::Wait;
+                    self.state = WkState::Wait(ep);
                     return Step::Syscall(Syscall::EpollWait {
                         epfd: ep,
                         max_events: 64,
                         timeout: None,
                     });
                 }
-                WkState::Wait => {
+                WkState::Wait(ep) => {
                     match std::mem::replace(&mut ctx.result, SysResult::Computed) {
                         SysResult::Events(evs) => {
                             let udp = ctx.shm.get(self.shared).udp_fd;
@@ -466,13 +451,13 @@ impl Process for McWorker {
                                     }
                                 }
                             }
-                            self.state = WkState::Run;
+                            self.state = WkState::Run(ep);
                             continue;
                         }
                         other => panic!("epoll_wait failed: {other:?}"),
                     }
                 }
-                WkState::Run => {
+                WkState::Run(ep) => {
                     // Interpret the result of the in-flight action, then
                     // issue the next one.
                     if let Some(act) = self.inflight.take() {
@@ -571,7 +556,7 @@ impl Process for McWorker {
                         Some(Act::Ctl(fd, mask)) => {
                             self.inflight = Some(Act::Ctl(fd, mask));
                             return Step::Syscall(Syscall::EpollCtl {
-                                epfd: self.epfd.expect("no epfd"),
+                                epfd: ep,
                                 fd,
                                 interest: mask,
                             });
@@ -588,9 +573,9 @@ impl Process for McWorker {
                             return Step::Syscall(Syscall::Close { fd });
                         }
                         None => {
-                            self.state = WkState::Wait;
+                            self.state = WkState::Wait(ep);
                             return Step::Syscall(Syscall::EpollWait {
-                                epfd: self.epfd.expect("no epfd"),
+                                epfd: ep,
                                 max_events: 64,
                                 timeout: None,
                             });
@@ -609,7 +594,6 @@ impl Process for McWorker {
         // The crash wiped the item table along with the sockets — a
         // rebooted cache comes back cold.
         self.state = WkState::Start;
-        self.epfd = None;
         self.conns.clear();
         self.queue.clear();
         self.inflight = None;
@@ -733,8 +717,6 @@ pub struct McClient {
     state: CliState,
     /// TCP connections by server index, with per-connection use counts.
     conns: HashMap<usize, (Fd, u64)>,
-    udp_fd: Option<Fd>,
-    epfd: Option<Fd>,
     current_server: usize,
     current_op: Option<KvOp>,
     issued: u64,
@@ -752,44 +734,48 @@ pub struct McClient {
     pub failures: u64,
     /// TCP failure/recovery accounting.
     pub failure: FailureStats,
-    /// Consecutive TCP failures of the in-flight request (backoff
-    /// exponent).
-    attempts: u32,
-    /// Dedicated stream for reconnect-backoff jitter. Derived from the
-    /// client's address-seeded rng, so a mass crash de-correlates into
-    /// per-client retry instants instead of a synchronized storm.
-    backoff_rng: DetRng,
+    /// TCP reconnect backoff. Its jitter stream derives from the client's
+    /// address-seeded rng, so a mass crash de-correlates into per-client
+    /// retry instants instead of a synchronized storm.
+    redial: Redial,
     /// Finished cleanly.
     pub done: bool,
     /// When the last request completed.
     pub finished_at: SimTime,
 }
 
+/// The descriptors a client holds besides its TCP connections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Io {
+    /// TCP with plain blocking receives: none.
+    Tcp,
+    /// TCP with a request deadline: the epoll instance it waits in.
+    TcpEpoll(Fd),
+    /// UDP: the socket and its epoll instance.
+    Udp(Fd, Fd),
+}
+
+/// Where the client stands, with its descriptors once set up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CliState {
     Start,
-    UdpSocketed,
-    UdpEpoll,
-    UdpCtl,
-    /// TCP with a request deadline: epoll instance created at startup.
+    /// UDP `socket` in flight.
+    UdpSocket,
+    /// UDP: `epoll_create` in flight.
+    UdpEpoll(Fd),
+    /// TCP with a request deadline: `epoll_create` in flight.
     TcpEpoll,
-    Think,
-    PickAndConnect,
-    CloseStale(usize),
-    TcpSocketed,
-    Connected,
-    /// TCP with a request deadline: register the fresh connection.
-    TcpCtl,
-    SendReq,
-    AwaitTcp,
-    /// TCP with a request deadline: wait for readability (or expiry).
-    AwaitTcpReady,
-    /// A TCP connection broke: the socket was closed; retry or give up.
-    TcpFailed,
-    /// Sleep the backoff delay, then reconnect.
-    TcpBackoff,
-    UdpAwait,
-    UdpRecv,
+    /// Set up: the start delay goes next.
+    Delay(Io),
+    Think(Io),
+    Pick(Io),
+    /// TCP: dialing `current_server`.
+    Dial(Io, Dial),
+    /// TCP: the send, the deadline wait or the receive of the request on
+    /// the connection in flight.
+    AwaitTcp(Io, Fd),
+    UdpAwait(Fd, Fd),
+    UdpRecv(Fd, Fd),
     Done,
 }
 
@@ -797,15 +783,13 @@ impl McClient {
     /// Creates a client with a deterministic RNG stream.
     pub fn new(cfg: McClientConfig, rng: DetRng) -> Self {
         let workload = EtcWorkload::new(rng.derive(1), KEYSPACE);
-        let backoff_rng = rng.derive(0xBACC0FF);
+        let redial = Redial::new(rng.derive(0xBACC0FF));
         McClient {
             workload,
             rng,
-            backoff_rng,
+            redial,
             state: CliState::Start,
             conns: HashMap::new(),
-            udp_fd: None,
-            epfd: None,
             current_server: 0,
             current_op: None,
             issued: 0,
@@ -817,7 +801,6 @@ impl McClient {
             udp_retries: 0,
             failures: 0,
             failure: FailureStats::default(),
-            attempts: 0,
             done: false,
             finished_at: SimTime::ZERO,
             cfg,
@@ -825,15 +808,11 @@ impl McClient {
     }
 
     /// Refuses a restored server index the rebuilt server list cannot
-    /// hold: it would decode, then panic at the client's next request.
+    /// hold: it would decode, then panic at the client's next request or
+    /// dial (a dial aims at `current_server`).
     fn check_server_indices(&mut self) -> Result<(), SnapError> {
         let n = self.cfg.servers.len();
-        let stale = match self.state {
-            CliState::CloseStale(i) => Some(i),
-            _ => None,
-        };
-        let mut indices = self.conns.keys().chain(&stale).chain([&self.current_server]);
-        match indices.find(|&&i| i >= n) {
+        match self.conns.keys().chain([&self.current_server]).find(|&&i| i >= n) {
             Some(i) => Err(SnapError::Malformed(format!("server index {i} of a client with {n}"))),
             None => Ok(()),
         }
@@ -849,15 +828,41 @@ impl McClient {
         self.completed += 1;
     }
 
-    /// Enters the TCP failure path: the current server's connection is
-    /// retired and closed; [`CliState::TcpFailed`] decides between retry
-    /// and give-up.
-    fn tcp_fail(&mut self, now: SimTime) -> Step {
-        self.failure.on_failure(now);
-        self.attempts += 1;
-        let (fd, _) = self.conns.remove(&self.current_server).expect("no conn to fail");
-        self.state = CliState::TcpFailed;
-        Step::Syscall(Syscall::Close { fd })
+    /// The request in flight, stamped `now`.
+    fn request(&self, now: SimTime) -> AppMessage {
+        let Some(op) = self.current_op else { unreachable!("a request is sent once picked") };
+        request_msg(op, self.issued - 1, now)
+    }
+
+    /// Sends the request on connection `fd`, its `uses`-th before.
+    fn send_tcp(&mut self, io: Io, fd: Fd, uses: u64, now: SimTime) -> Step {
+        self.sent_at = now;
+        self.conns.insert(self.current_server, (fd, uses + 1));
+        self.state = CliState::AwaitTcp(io, fd);
+        Step::Syscall(Syscall::Send { fd, msg: self.request(now) })
+    }
+
+    /// Enters the TCP failure path: the current server's connection `fd`
+    /// is retired and closed, and the dial decides between retry and
+    /// give-up.
+    fn tcp_fail(&mut self, io: Io, fd: Fd, now: SimTime) -> Step {
+        self.conns.remove(&self.current_server);
+        let (d, call) = self.redial.fail(&mut self.failure, fd, now);
+        self.state = CliState::Dial(io, d);
+        Step::Syscall(call)
+    }
+}
+
+impl Dialer for McClient {
+    fn retry(&mut self) -> Option<(&mut FailureStats, &mut Redial)> {
+        Some((&mut self.failure, &mut self.redial))
+    }
+
+    fn on_connect(&mut self, _: SimTime) {
+        if self.redial.attempts > 0 {
+            self.failure.reconnects += 1;
+            self.failure.retried += 1;
+        }
     }
 }
 
@@ -867,223 +872,160 @@ impl Process for McClient {
             match self.state {
                 CliState::Start => {
                     if self.cfg.proto == Proto::Udp {
-                        self.state = CliState::UdpSocketed;
+                        self.state = CliState::UdpSocket;
                         return Step::Syscall(Syscall::Socket(Proto::Udp));
                     }
                     if self.cfg.request_deadline.is_some() {
                         self.state = CliState::TcpEpoll;
                         return Step::Syscall(Syscall::EpollCreate);
                     }
-                    self.state = CliState::Think;
+                    self.state = CliState::Delay(Io::Tcp);
+                    continue;
+                }
+                CliState::UdpSocket | CliState::UdpEpoll(_) | CliState::TcpEpoll => {
+                    // Set-up: a `socket` or an `epoll_create` returned.
+                    let SysResult::NewFd(new) = ctx.result else {
+                        panic!("{:?} in client set-up {:?}", ctx.result, self.state)
+                    };
+                    match self.state {
+                        CliState::UdpSocket => {
+                            self.state = CliState::UdpEpoll(new);
+                            return Step::Syscall(Syscall::EpollCreate);
+                        }
+                        CliState::UdpEpoll(fd) => {
+                            self.state = CliState::Delay(Io::Udp(fd, new));
+                            return Step::Syscall(Syscall::EpollCtl {
+                                epfd: new,
+                                fd,
+                                interest: EventMask::READ,
+                            });
+                        }
+                        _ => self.state = CliState::Delay(Io::TcpEpoll(new)),
+                    }
+                    continue;
+                }
+                CliState::Delay(io) => {
+                    self.state = CliState::Think(io);
                     if !self.cfg.start_delay.is_zero() {
                         return Step::Syscall(Syscall::Nanosleep(self.cfg.start_delay));
                     }
                     continue;
                 }
-                CliState::TcpEpoll => {
-                    let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
-                    self.state = CliState::Think;
-                    if !self.cfg.start_delay.is_zero() {
-                        return Step::Syscall(Syscall::Nanosleep(self.cfg.start_delay));
-                    }
-                    continue;
-                }
-                CliState::UdpSocketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.udp_fd = Some(fd);
-                    self.state = CliState::UdpEpoll;
-                    return Step::Syscall(Syscall::EpollCreate);
-                }
-                CliState::UdpEpoll => {
-                    let SysResult::NewFd(ep) = ctx.result else { panic!("epoll failed") };
-                    self.epfd = Some(ep);
-                    self.state = CliState::UdpCtl;
-                    return Step::Syscall(Syscall::EpollCtl {
-                        epfd: ep,
-                        fd: self.udp_fd.expect("no udp fd"),
-                        interest: EventMask::READ,
-                    });
-                }
-                CliState::UdpCtl => {
-                    self.state = CliState::Think;
-                    if !self.cfg.start_delay.is_zero() {
-                        return Step::Syscall(Syscall::Nanosleep(self.cfg.start_delay));
-                    }
-                    continue;
-                }
-                CliState::Think => {
+                CliState::Think(io) => {
                     if self.issued >= self.cfg.requests {
                         self.state = CliState::Done;
                         continue;
                     }
-                    self.state = CliState::PickAndConnect;
+                    self.state = CliState::Pick(io);
                     return Step::Compute(self.cfg.think);
                 }
-                CliState::PickAndConnect => {
+                CliState::Pick(io) => {
                     self.current_server =
                         self.rng.next_below(self.cfg.servers.len() as u64) as usize;
                     self.current_op = Some(self.workload.next_op());
                     self.issued += 1;
                     self.retries_left = UDP_MAX_RETRIES;
-                    if self.cfg.proto == Proto::Udp {
-                        self.state = CliState::SendReq;
-                        continue;
-                    }
-                    if let Some(&(fd, uses)) = self.conns.get(&self.current_server) {
-                        if let Some(limit) = self.cfg.reconnect_every {
-                            if uses >= limit {
-                                self.conns.remove(&self.current_server);
-                                self.state = CliState::CloseStale(self.current_server);
-                                return Step::Syscall(Syscall::Close { fd });
-                            }
-                        }
-                        self.state = CliState::SendReq;
-                        continue;
-                    }
-                    self.state = CliState::TcpSocketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
-                }
-                CliState::CloseStale(_) => {
-                    self.state = CliState::TcpSocketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
-                }
-                CliState::TcpSocketed => {
-                    let SysResult::NewFd(fd) = ctx.result else { panic!("socket failed") };
-                    self.conns.insert(self.current_server, (fd, 0));
-                    self.state = CliState::Connected;
-                    return Step::Syscall(Syscall::Connect {
-                        fd,
-                        to: self.cfg.servers[self.current_server],
-                    });
-                }
-                CliState::Connected => match ctx.result {
-                    SysResult::Done => {
-                        if self.attempts > 0 {
-                            self.failure.reconnects += 1;
-                            self.failure.retried += 1;
-                        }
-                        if self.cfg.request_deadline.is_some() {
-                            self.state = CliState::TcpCtl;
-                            let fd = self.conns[&self.current_server].0;
-                            return Step::Syscall(Syscall::EpollCtl {
-                                epfd: self.epfd.expect("no epfd"),
-                                fd,
-                                interest: EventMask::READ,
-                            });
-                        }
-                        self.state = CliState::SendReq;
-                        continue;
-                    }
-                    SysResult::Err(_) => return self.tcp_fail(ctx.now),
-                    ref other => panic!("connect failed: {other:?}"),
-                },
-                CliState::TcpCtl => {
-                    self.state = CliState::SendReq;
-                    continue;
-                }
-                CliState::SendReq => {
-                    self.sent_at = ctx.now;
-                    let op = self.current_op.expect("no op in flight");
-                    let msg = request_msg(op, self.issued - 1, ctx.now);
-                    if self.cfg.proto == Proto::Udp {
-                        self.state = CliState::UdpAwait;
+                    if let Io::Udp(fd, ep) = io {
+                        self.sent_at = ctx.now;
+                        self.state = CliState::UdpAwait(fd, ep);
+                        let to = self.cfg.servers[self.current_server];
                         return Step::Syscall(Syscall::SendTo {
-                            fd: self.udp_fd.expect("no udp fd"),
-                            to: self.cfg.servers[self.current_server],
-                            msg,
+                            fd,
+                            to,
+                            msg: self.request(ctx.now),
                         });
                     }
-                    self.state = CliState::AwaitTcp;
-                    let entry = self.conns.get_mut(&self.current_server).expect("no conn");
-                    entry.1 += 1;
-                    let fd = entry.0;
-                    return Step::Syscall(Syscall::Send { fd, msg });
+                    let Some(&(fd, uses)) = self.conns.get(&self.current_server) else {
+                        self.state = CliState::Dial(io, Dial::Start);
+                        continue;
+                    };
+                    if self.cfg.reconnect_every.is_some_and(|limit| uses >= limit) {
+                        // Churn: re-open the connection before this request.
+                        self.conns.remove(&self.current_server);
+                        self.state = CliState::Dial(io, Dial::Start);
+                        return Step::Syscall(Syscall::Close { fd });
+                    }
+                    return self.send_tcp(io, fd, uses, ctx.now);
                 }
-                CliState::AwaitTcp => {
+                CliState::Dial(io, d) => {
+                    if d == Dial::Close && self.redial.attempts > TCP_MAX_RETRIES {
+                        // The failed socket is closed and the retries are
+                        // spent: abandon the request.
+                        self.failures += 1;
+                        self.failure.on_give_up();
+                        self.redial.attempts = 0;
+                        self.record(ctx.now);
+                        self.state = CliState::Think(io);
+                        continue;
+                    }
+                    // Blocking, registered when it waits out a deadline.
+                    let epfd = match io {
+                        Io::TcpEpoll(ep) => Some(ep),
+                        _ => None,
+                    };
+                    let to = self.cfg.servers[self.current_server];
+                    match conn::dial(self, d, Sock { to, nonblocking: false, epfd }, ctx) {
+                        Setup::Call(d, call) => {
+                            self.state = CliState::Dial(io, d);
+                            return Step::Syscall(call);
+                        }
+                        Setup::Up(fd) => return self.send_tcp(io, fd, 0, ctx.now),
+                    }
+                }
+                CliState::AwaitTcp(io, fd) => {
                     match std::mem::replace(&mut ctx.result, SysResult::Computed) {
+                        // Send completed; wait for the reply.
                         SysResult::Done => {
-                            // Send completed; wait for the reply.
-                            if let Some(deadline) = self.cfg.request_deadline {
-                                self.state = CliState::AwaitTcpReady;
+                            if let Io::TcpEpoll(epfd) = io {
                                 return Step::Syscall(Syscall::EpollWait {
-                                    epfd: self.epfd.expect("no epfd"),
+                                    epfd,
                                     max_events: 4,
-                                    timeout: Some(deadline),
+                                    timeout: self.cfg.request_deadline,
                                 });
                             }
-                            let fd = self.conns[&self.current_server].0;
+                            return Step::Syscall(Syscall::Recv { fd, max_msgs: 1 });
+                        }
+                        // Deadline expired without a reply.
+                        SysResult::Events(evs) if evs.is_empty() => {
+                            return self.tcp_fail(io, fd, ctx.now);
+                        }
+                        // Data (or EOF) on the current connection — failed
+                        // connections are always closed, which drops their
+                        // epoll registrations, so only the in-flight fd can
+                        // trigger here.
+                        SysResult::Events(_) => {
                             return Step::Syscall(Syscall::Recv { fd, max_msgs: 1 });
                         }
                         SysResult::Messages { msgs, eof } => {
                             if msgs.is_empty() {
                                 // EOF before the reply: the server went away.
                                 debug_assert!(eof);
-                                return self.tcp_fail(ctx.now);
+                                return self.tcp_fail(io, fd, ctx.now);
                             }
                             assert_eq!(msgs.len(), 1);
                             assert_eq!(msgs[0].id, self.issued - 1, "reply id mismatch");
                             self.failure.on_success(ctx.now);
-                            self.attempts = 0;
+                            self.redial.attempts = 0;
                             self.record(ctx.now);
-                            self.state = CliState::Think;
+                            self.state = CliState::Think(io);
                             continue;
                         }
                         // Send or receive hit a transport error (connection
                         // reset, retransmission timeout): reconnect.
-                        SysResult::Err(_) => return self.tcp_fail(ctx.now),
+                        SysResult::Err(_) => return self.tcp_fail(io, fd, ctx.now),
                         other => panic!("tcp request failed: {other:?}"),
                     }
                 }
-                CliState::AwaitTcpReady => {
-                    match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                        SysResult::Events(evs) => {
-                            if evs.is_empty() {
-                                // Deadline expired without a reply.
-                                return self.tcp_fail(ctx.now);
-                            }
-                            // Data (or EOF) on the current connection —
-                            // failed connections are always closed, which
-                            // drops their epoll registrations, so only the
-                            // in-flight fd can trigger here.
-                            let fd = self.conns[&self.current_server].0;
-                            self.state = CliState::AwaitTcp;
-                            return Step::Syscall(Syscall::Recv { fd, max_msgs: 1 });
-                        }
-                        other => panic!("epoll_wait failed: {other:?}"),
-                    }
-                }
-                CliState::TcpFailed => {
-                    // Close result consumed; retry with backoff or abandon
-                    // the request.
-                    if self.attempts > TCP_MAX_RETRIES {
-                        self.failures += 1;
-                        self.failure.on_give_up();
-                        self.attempts = 0;
-                        self.record(ctx.now);
-                        self.state = CliState::Think;
-                        continue;
-                    }
-                    self.state = CliState::TcpBackoff;
-                    return Step::Syscall(Syscall::Nanosleep(backoff_delay_jittered(
-                        self.attempts.saturating_sub(1),
-                        &mut self.backoff_rng,
-                    )));
-                }
-                CliState::TcpBackoff => {
-                    self.state = CliState::TcpSocketed;
-                    return Step::Syscall(Syscall::Socket(Proto::Tcp));
-                }
-                CliState::UdpAwait => {
+                CliState::UdpAwait(fd, ep) => {
                     // SendTo completed; wait for readability with timeout.
-                    self.state = CliState::UdpRecv;
+                    self.state = CliState::UdpRecv(fd, ep);
                     return Step::Syscall(Syscall::EpollWait {
-                        epfd: self.epfd.expect("no epfd"),
+                        epfd: ep,
                         max_events: 4,
                         timeout: Some(UDP_TIMEOUT),
                     });
                 }
-                CliState::UdpRecv => {
+                CliState::UdpRecv(fd, ep) => {
                     match std::mem::replace(&mut ctx.result, SysResult::Computed) {
                         SysResult::Events(evs) => {
                             if evs.is_empty() {
@@ -1091,36 +1033,32 @@ impl Process for McClient {
                                 if self.retries_left > 0 {
                                     self.retries_left -= 1;
                                     self.udp_retries += 1;
-                                    let op = self.current_op.expect("no op in flight");
-                                    let msg = request_msg(op, self.issued - 1, ctx.now);
-                                    self.state = CliState::UdpAwait;
+                                    self.state = CliState::UdpAwait(fd, ep);
                                     return Step::Syscall(Syscall::SendTo {
-                                        fd: self.udp_fd.expect("no udp fd"),
+                                        fd,
                                         to: self.cfg.servers[self.current_server],
-                                        msg,
+                                        msg: self.request(ctx.now),
                                     });
                                 }
                                 self.failures += 1;
                                 self.record(ctx.now);
-                                self.state = CliState::Think;
+                                self.state = CliState::Think(Io::Udp(fd, ep));
                                 continue;
                             }
-                            return Step::Syscall(Syscall::RecvFrom {
-                                fd: self.udp_fd.expect("no udp fd"),
-                            });
+                            return Step::Syscall(Syscall::RecvFrom { fd });
                         }
                         SysResult::Datagram { msg, .. } => {
                             if msg.id != self.issued - 1 {
                                 // Stale reply from an earlier retry; wait on.
-                                self.state = CliState::UdpAwait;
+                                self.state = CliState::UdpAwait(fd, ep);
                                 continue;
                             }
                             self.record(ctx.now);
-                            self.state = CliState::Think;
+                            self.state = CliState::Think(Io::Udp(fd, ep));
                             continue;
                         }
                         SysResult::Err(Errno::WouldBlock) => {
-                            self.state = CliState::UdpAwait;
+                            self.state = CliState::UdpAwait(fd, ep);
                             continue;
                         }
                         other => panic!("udp request failed: {other:?}"),
@@ -1157,10 +1095,8 @@ impl Process for McClient {
         }
         self.state = CliState::Start;
         self.conns.clear();
-        self.udp_fd = None;
-        self.epfd = None;
         self.current_op = None;
-        self.attempts = 0;
+        self.redial.attempts = 0;
         self.done = false;
         true
     }
@@ -1432,23 +1368,20 @@ use diablo_engine::snap::SnapError;
 diablo_engine::impl_snap_enum!(DispState {
     0 => Start,
     1 => Standby,
-    2 => TcpSocketed,
-    3 => TcpBound,
-    4 => TcpListening,
-    5 => UdpSocketed,
-    6 => UdpBound,
-    7 => RegisterUdp,
-    8 => WaitWorkers,
-    9 => Accepting,
-    10 => SetNb,
-    11 => Assign,
+    2 => Listen(l),
+    3 => UdpSocket(lfd),
+    4 => UdpBind(lfd, fd),
+    5 => RegisterUdp(lfd, fd, i),
+    6 => Accept(lfd),
+    7 => Accepting(lfd),
+    8 => Assign(lfd, fd),
 });
 
 diablo_engine::impl_snap_enum!(WkState {
     0 => Start,
     1 => Publish,
-    2 => Wait,
-    3 => Run,
+    2 => Wait(ep),
+    3 => Run(ep),
 });
 
 diablo_engine::impl_snap_enum!(Act {
@@ -1462,26 +1395,25 @@ diablo_engine::impl_snap_enum!(Act {
 
 diablo_engine::impl_snap_struct!(ConnOut { outbox, write_registered });
 
+diablo_engine::impl_snap_enum!(Io {
+    0 => Tcp,
+    1 => TcpEpoll(ep),
+    2 => Udp(fd, ep),
+});
+
 diablo_engine::impl_snap_enum!(CliState {
     0 => Start,
-    1 => UdpSocketed,
-    2 => UdpEpoll,
-    3 => UdpCtl,
-    4 => TcpEpoll,
-    5 => Think,
-    6 => PickAndConnect,
-    7 => CloseStale(i),
-    8 => TcpSocketed,
-    9 => Connected,
-    10 => TcpCtl,
-    11 => SendReq,
-    12 => AwaitTcp,
-    13 => AwaitTcpReady,
-    14 => TcpFailed,
-    15 => TcpBackoff,
-    16 => UdpAwait,
-    17 => UdpRecv,
-    18 => Done,
+    1 => UdpSocket,
+    2 => UdpEpoll(fd),
+    3 => TcpEpoll,
+    4 => Delay(io),
+    5 => Think(io),
+    6 => Pick(io),
+    7 => Dial(io, d),
+    8 => AwaitTcp(io, fd),
+    9 => UdpAwait(fd, ep),
+    10 => UdpRecv(fd, ep),
+    11 => Done,
 });
 
 diablo_engine::impl_snap_struct!(OlInflight { sent_at, expires });
@@ -1492,11 +1424,7 @@ diablo_engine::impl_persist_fields!(McShared { worker_epfds: fixed_len, udp_fd }
 
 diablo_engine::impl_persist_fields!(McDispatcher {
     state,
-    listen_fd,
-    udp_fd,
     next_worker,
-    udp_reg_idx,
-    pending_conn,
     last_futex,
     accepted,
     shared: config,
@@ -1505,7 +1433,6 @@ diablo_engine::impl_persist_fields!(McDispatcher {
 
 diablo_engine::impl_persist_fields!(McWorker {
     state,
-    epfd,
     conns,
     queue,
     inflight,
@@ -1520,12 +1447,10 @@ diablo_engine::impl_persist_fields!(McWorker {
 // only its RNG (its Zipf table is derived from the keyspace).
 diablo_engine::impl_persist_fields!(McClient {
     rng,
-    backoff_rng,
+    redial,
     workload: nested,
     state,
     conns,
-    udp_fd,
-    epfd,
     current_server,
     current_op,
     issued,
@@ -1537,7 +1462,6 @@ diablo_engine::impl_persist_fields!(McClient {
     udp_retries,
     failures,
     failure,
-    attempts,
     done,
     finished_at,
     cfg: config,
@@ -1603,6 +1527,29 @@ mod tests {
         let err = client(2)
             .load_state(&mut SnapReader::new(&bytes))
             .expect_err("index 3 of a 2-server list is refused");
+        assert!(err.to_string().contains("server index 3 of a client with 2"), "{err}");
+    }
+
+    /// A TCP client restored mid-dial aims at `current_server`: a dial
+    /// past the rebuilt list is refused at load, not at its `connect`.
+    #[test]
+    fn a_restored_dial_past_the_list_is_an_error() {
+        use diablo_engine::snap::{Persist, SnapReader, SnapWriter};
+        let client = |n: u32| {
+            let servers: Vec<SockAddr> =
+                (0..n).map(|i| SockAddr::new(NodeAddr(i), MEMCACHED_PORT)).collect();
+            McClient::new(McClientConfig::tcp(servers, 10), DetRng::new(1))
+        };
+        let mut four = client(4);
+        four.current_server = 3;
+        four.state = CliState::Dial(Io::TcpEpoll(Fd(2)), Dial::Connect(Fd(7)));
+        let mut w = SnapWriter::new();
+        four.save_state(&mut w);
+        let bytes = w.into_bytes();
+        client(4).load_state(&mut SnapReader::new(&bytes)).expect("the same list restores");
+        let err = client(2)
+            .load_state(&mut SnapReader::new(&bytes))
+            .expect_err("a dial to server 3 of 2 is refused");
         assert!(err.to_string().contains("server index 3 of a client with 2"), "{err}");
     }
 

@@ -40,12 +40,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 
 /// Format version this build writes and reads. Bump on any layout
 /// change; restore rejects other versions with [`SnapError::Version`].
-/// Version 11: a NIC persists the start instants of the frames it started
-/// ahead of their turn, a kernel thread its sleep deadline, and a CPU may
-/// hold a planned softirq run (its interrupt's instant and frame count).
+/// Version 12: the TCP guests keep their descriptors in their states, a
+/// dialing guest its dial phase there, and its attempts and jitter stream
+/// in one redial state.
 /// Each version's change, and what it did to the bytes of four pinned
 /// snapshots, is stated in `tests/snapshot_golden.rs`.
-pub const SNAP_VERSION: u32 = 11;
+pub const SNAP_VERSION: u32 = 12;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

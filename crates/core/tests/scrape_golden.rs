@@ -19,6 +19,7 @@ use diablo_core::{
 use diablo_engine::prelude::{SimDuration, SimTime};
 use diablo_net::switch::BufferConfig;
 use diablo_net::topology::FatTreeConfig;
+use diablo_stack::process::Proto;
 use diablo_stack::profile::CongestionControl;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -204,6 +205,82 @@ fn rolling_crash_plan_with_control_plane() {
         "3a5220d2f0163706",
         20952,
         "rack1.server5.proc0.control.failovers",
+        |m| memcached(&cfg, m),
+    );
+}
+
+/// The reconnect paths of the TCP clients, each pinned with a client's
+/// `failure.reconnects` as the counter it exists to move. Recorded before
+/// the TCP guests shared one connect-and-redial rule (`diablo_apps::conn`),
+/// so a dial that closes, sleeps, re-sockets, re-registers or re-sends at
+/// another instant than the hand-written chains it replaced shows here.
+///
+/// The pthread incast client with storage server 1 crashing mid-run: the
+/// worker reading from it closes, backs off, reconnects and re-requests.
+#[test]
+fn pthread_incast_reconnects_through_a_server_crash() {
+    let mut cfg = IncastConfig::fig6a(4);
+    cfg.iterations = 6;
+    cfg.faults = Some(FaultPlan::parse("5ms node-crash node1 reboot=5ms").expect("valid plan"));
+    assert_pinned(
+        "pthread incast, server crash",
+        "63b2988eae759d8d",
+        8445,
+        "rack0.server0.proc1.failure.reconnects",
+        |m| incast(&cfg, m),
+    );
+}
+
+/// The epoll incast client with a request deadline under a 500 ms flap of
+/// server 1's link: the deadline fires, the client redials, re-registers
+/// the new socket with its epoll instance and re-sends the fragment.
+#[test]
+fn epoll_incast_deadline_reconnects_through_a_flap() {
+    let mut cfg = epoll_incast(4);
+    cfg.faults = Some(
+        FaultPlan::parse("10ms  link-down node1\n510ms link-up   node1\n").expect("valid plan"),
+    );
+    cfg.request_deadline = Some(SimDuration::from_millis(250));
+    assert_pinned(
+        "epoll incast, deadline flap",
+        "7aceb59bdf530bb5",
+        4404,
+        "rack0.server0.proc0.failure.reconnects",
+        |m| incast(&cfg, m),
+    );
+}
+
+/// The memcached TCP clients with a request deadline (an epoll instance
+/// per client) through a 50 ms outage of server 0's link.
+#[test]
+fn memcached_tcp_deadline_reconnects_through_an_outage() {
+    let mut cfg = McExperimentConfig::mini(2, 40);
+    cfg.proto = Proto::Tcp;
+    cfg.request_deadline = Some(SimDuration::from_millis(10));
+    cfg.faults =
+        Some(FaultPlan::parse("2ms  link-down node0\n52ms link-up   node0\n").expect("valid plan"));
+    assert_pinned(
+        "memcached TCP, deadline outage",
+        "e3aa60618e49bba3",
+        7574,
+        "rack0.server1.proc0.failure.reconnects",
+        |m| memcached(&cfg, m),
+    );
+}
+
+/// The blocking memcached TCP clients, re-opening each connection after
+/// five uses, through a crash and reboot of server 0.
+#[test]
+fn memcached_tcp_churn_reconnects_through_a_server_crash() {
+    let mut cfg = McExperimentConfig::mini(2, 40);
+    cfg.proto = Proto::Tcp;
+    cfg.reconnect_every = Some(5);
+    cfg.faults = Some(FaultPlan::parse("2ms node-crash node0 reboot=3ms").expect("valid plan"));
+    assert_pinned(
+        "memcached TCP, churn and crash",
+        "bec18ccc2afa7008",
+        9800,
+        "rack0.server1.proc0.failure.reconnects",
         |m| memcached(&cfg, m),
     );
 }

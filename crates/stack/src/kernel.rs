@@ -252,6 +252,16 @@ fn fold_tcp_stats(agg: &mut TcpStats, s: TcpStats) {
     agg.rtos += s.rtos;
 }
 
+/// The first UDP port from 32768 up that no socket holds: where `bind(0)`
+/// and an unbound socket's first `sendto` land.
+fn free_udp_port(ports: &HashMap<u16, SockId>) -> u16 {
+    let mut p = 32768u16;
+    while ports.contains_key(&p) {
+        p = p.wrapping_add(1);
+    }
+    p
+}
+
 /// How a runnable process resumes.
 #[derive(Debug)]
 enum Resume {
@@ -1903,6 +1913,7 @@ impl Kernel {
                 if self.udp_ports.contains_key(&port) {
                     return ExecOutcome::Ready(SysResult::Err(Errno::AddrInUse));
                 }
+                let port = if port == 0 { free_udp_port(&self.udp_ports) } else { port };
                 *p = port;
                 self.udp_ports.insert(port, sid);
                 ExecOutcome::Ready(SysResult::Done)
@@ -2097,10 +2108,7 @@ impl Kernel {
             Some(SocketKind::Udp { port, .. }) => {
                 if *port == 0 {
                     // Auto-bind an ephemeral UDP port.
-                    let mut p = 32768u16;
-                    while self.udp_ports.contains_key(&p) {
-                        p = p.wrapping_add(1);
-                    }
+                    let p = free_udp_port(&self.udp_ports);
                     *port = p;
                     self.udp_ports.insert(p, sid);
                     p

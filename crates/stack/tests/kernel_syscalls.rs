@@ -234,6 +234,21 @@ fn double_bind_is_addr_in_use() {
     assert_eq!(r[3], SysResult::Done);
 }
 
+/// `bind(0)` takes an ephemeral port, as a first `sendto` does, and the
+/// close gives it back: a second `bind(0)` after a close finds a port.
+#[test]
+fn udp_bind_zero_takes_an_ephemeral_port_the_close_returns() {
+    use SysResult::{Done, NewFd};
+    let r = run_script(vec![
+        Syscall::Socket(Proto::Udp),
+        Syscall::Bind { fd: Fd(0), port: 0 },
+        Syscall::Close { fd: Fd(0) },
+        Syscall::Socket(Proto::Udp),
+        Syscall::Bind { fd: Fd(1), port: 0 },
+    ]);
+    assert_eq!(r, vec![NewFd(Fd(0)), Done, Done, NewFd(Fd(1)), Done]);
+}
+
 #[test]
 fn bad_fd_errors_everywhere() {
     let bogus = Fd(42);
