@@ -1,22 +1,18 @@
-//! Open-loop arrival engine: deterministic rate-driven request admission.
+//! When a load generator's requests start: its one admission rule.
 //!
-//! Every client in the repo used to be *closed-loop* — a new request was
-//! only issued once the previous one completed, so offered load collapsed
-//! the instant servers slowed down and the overload/queue-growth regimes
-//! the paper studies at warehouse scale were unreachable. This module
-//! decouples the load generator from completion: an [`ArrivalProcess`]
-//! produces a deterministic schedule of admission instants from an
-//! [`ArrivalSpec`] (constant-rate, Poisson via [`DetRng`], or a piecewise
-//! diurnal/burst profile parsed from a small text grammar modeled on the
-//! fault-plan grammar), and open-loop clients realize those instants as
-//! ordinary kernel timers (`Nanosleep` / `EpollWait` timeouts), admitting
-//! requests independent of how the previous ones are faring.
-//!
-//! Admissions that find the client's bounded in-flight window full are
-//! recorded as *load shed* — never silently throttled — and every
-//! completion is checked against an optional latency SLO target. Both
-//! land in an [`SloStats`] block merged into experiment results and the
-//! `slo.*` metric scrape.
+//! A closed loop starts each request when the last one is done, so its
+//! offered load collapses the instant servers slow down. An open loop
+//! decouples load from completion: an [`ArrivalProcess`] draws a
+//! deterministic schedule of admission instants from an [`ArrivalSpec`]
+//! (constant-rate, Poisson via [`DetRng`], or a piecewise profile parsed
+//! from the grammar below), which guests realize as ordinary kernel
+//! timers (`nanosleep` or `epoll_wait` timeouts). The memcached client,
+//! the partition-aggregate front-end and the epoll incast client each
+//! hold one [`Admission`], closed or open. An open-loop admission that
+//! finds the guest's in-flight window full is recorded as *load shed*,
+//! never silently throttled, and every completion is checked against an
+//! optional latency target, in an [`SloStats`] block merged into the
+//! experiment's results and scraped as `slo.*`.
 //!
 //! # Grammar
 //!
@@ -244,9 +240,8 @@ impl fmt::Display for ArrivalSpec {
     }
 }
 
-/// Deterministic generator of admission instants for one client, and
-/// the client's admission rule: it holds the next unadmitted instant, and
-/// [`take_due`](ArrivalProcess::take_due) admits every one due by now.
+/// Deterministic generator of one guest's admission instants: it holds
+/// the next unadmitted instant, drawn ahead.
 ///
 /// A pure function of `(spec, rng seed)`: identical seeds yield identical
 /// sequences regardless of how the rest of the simulation interleaves,
@@ -282,7 +277,6 @@ impl ArrivalProcess {
     }
 
     /// Admits every instant due by `now` and returns how many there were.
-    /// A client with a window of one starts the oldest and sheds the rest.
     pub fn take_due(&mut self, now: SimTime) -> u64 {
         let mut due = 0;
         while self.next.is_some_and(|at| at <= now) {
@@ -297,11 +291,6 @@ impl ArrivalProcess {
         let at = self.next?;
         self.next = self.draw();
         Some(at)
-    }
-
-    /// The profile this process realizes.
-    pub fn spec(&self) -> &ArrivalSpec {
-        &self.spec
     }
 
     /// Draws the instant after the last one drawn, or `None` once the
@@ -333,6 +322,84 @@ impl ArrivalProcess {
     }
 }
 
+/// A guest's admission rule and its open-loop books.
+///
+/// A closed loop has no schedule: the guest starts its next request when
+/// the last one is done (plus any think time it models), and the books
+/// stay empty. An open loop admits on an [`ArrivalProcess`]: every
+/// arrival due counts as offered, as many as the guest's free window
+/// holds start, and the rest are shed. Completions and unanswered
+/// requests are checked against the SLO target.
+#[derive(Debug, Clone, Default)]
+pub struct Admission {
+    /// The schedule; `None` for a closed loop (boxed, so a closed-loop
+    /// guest carries only the pointer).
+    arrivals: Option<Box<ArrivalProcess>>,
+    /// Arrivals the schedule produced: started plus shed.
+    pub offered: u64,
+    /// Completions against the target, unanswered requests and the shed.
+    pub slo: SloStats,
+}
+
+impl Admission {
+    /// An open loop on `spec`, its Poisson gaps drawn from `rng`, or a
+    /// closed loop without one; completions are checked against `target`.
+    pub fn new(spec: Option<&ArrivalSpec>, rng: DetRng, target: Option<SimDuration>) -> Self {
+        Admission {
+            arrivals: spec.map(|spec| Box::new(ArrivalProcess::new(spec.clone(), rng))),
+            offered: 0,
+            slo: SloStats::with_target(target),
+        }
+    }
+
+    /// Takes every arrival due by `now`: each is offered, up to `free` of
+    /// them start and the rest are shed. Returns how many start, or `None`
+    /// for a closed loop, whose guest starts its next request itself.
+    pub fn admit(&mut self, now: SimTime, free: usize) -> Option<u64> {
+        let due = self.arrivals.as_mut()?.take_due(now);
+        let start = due.min(free as u64);
+        self.offered += due;
+        self.slo.shed += due - start;
+        Some(start)
+    }
+
+    /// The next arrival's instant: `None` once the schedule is exhausted,
+    /// and for a closed loop.
+    pub fn next_arrival(&self) -> Option<SimTime> {
+        self.arrivals.as_ref()?.peek()
+    }
+
+    /// A request answered after `latency` (open loop: a violation if
+    /// slower than the target).
+    pub fn on_complete(&mut self, latency: SimDuration) {
+        self.account(self.slo.target.is_some_and(|t| latency > t));
+    }
+
+    /// A request that will never be answered: it expired, missed its
+    /// deadline or died with its node (open loop: a violation of any
+    /// target).
+    pub fn on_unanswered(&mut self) {
+        self.account(self.slo.target.is_some());
+    }
+
+    fn account(&mut self, violated: bool) {
+        if self.arrivals.is_some() {
+            self.slo.completed += 1;
+            self.slo.violations += u64::from(violated);
+        }
+    }
+
+    /// The `open_loop.*` and `slo.*` metrics, with `in_flight` requests
+    /// outstanding (open loop only).
+    pub fn visit(&self, in_flight: usize, v: &mut dyn MetricsVisitor) {
+        if self.arrivals.is_some() {
+            v.counter("open_loop.offered", self.offered);
+            v.gauge("open_loop.in_flight", in_flight as f64);
+            self.slo.visit(v);
+        }
+    }
+}
+
 /// Service-level objective accounting for one open-loop client (or the
 /// whole experiment after merging): completions checked against a target
 /// latency, plus the admissions shed because the in-flight window was
@@ -355,32 +422,6 @@ impl SloStats {
     /// Creates an empty block with the given target.
     pub fn with_target(target: Option<SimDuration>) -> Self {
         SloStats { target, ..Default::default() }
-    }
-
-    /// Records one completion, counting a violation if it exceeds the
-    /// target.
-    pub fn on_complete(&mut self, latency: SimDuration) {
-        self.completed += 1;
-        if let Some(t) = self.target {
-            if latency > t {
-                self.violations += 1;
-            }
-        }
-    }
-
-    /// Records a request that never completed (expiry, deadline miss):
-    /// counted as completed-for-accounting *and* as a violation when a
-    /// target is set.
-    pub fn on_unanswered(&mut self) {
-        self.completed += 1;
-        if self.target.is_some() {
-            self.violations += 1;
-        }
-    }
-
-    /// Records one shed admission (in-flight window full).
-    pub fn on_shed(&mut self) {
-        self.shed += 1;
     }
 
     /// Fraction of accounted requests that violated the target
@@ -429,6 +470,7 @@ diablo_engine::impl_snap_struct!(ArrivalSpec { phases });
 // schedule is already committed state, like TCP params on live flows).
 diablo_engine::impl_snap_struct!(ArrivalProcess { spec, rng, phase, cursor, phase_end, next });
 diablo_engine::impl_snap_struct!(SloStats { target, completed, violations, shed });
+diablo_engine::impl_snap_struct!(Admission { arrivals, offered, slo });
 
 #[cfg(test)]
 mod tests {
@@ -536,13 +578,40 @@ mod tests {
         assert_eq!(spec, reparsed);
     }
 
+    /// Every due arrival is offered; as many as the window holds start and
+    /// the rest are shed. A closed loop admits nothing and keeps no books.
+    #[test]
+    fn admission_starts_what_the_window_holds_and_sheds_the_rest() {
+        let spec = ArrivalSpec::constant(1000.0, SimDuration::from_millis(10)).unwrap();
+        let target = Some(SimDuration::from_micros(100));
+        let mut open = Admission::new(Some(&spec), DetRng::new(1), target);
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        assert_eq!(open.admit(ms(3), 2), Some(2), "arrivals at 1, 2 and 3 ms");
+        assert_eq!(open.admit(ms(3), 2), Some(0), "nothing new is due");
+        assert_eq!(open.next_arrival(), Some(ms(4)));
+        open.on_complete(SimDuration::from_micros(150));
+        open.on_unanswered();
+        assert_eq!((open.offered, open.slo.shed), (3, 1));
+        assert_eq!((open.slo.completed, open.slo.violations), (2, 2));
+
+        let mut closed = Admission::default();
+        assert_eq!(closed.admit(ms(3), 1), None);
+        assert_eq!(closed.next_arrival(), None);
+        closed.on_complete(SimDuration::from_micros(150));
+        closed.on_unanswered();
+        assert!(closed.offered == 0 && closed.slo.is_empty(), "a closed loop keeps no books");
+    }
+
     #[test]
     fn slo_stats_account_violations_and_shed() {
-        let mut s = SloStats::with_target(Some(SimDuration::from_micros(100)));
-        s.on_complete(SimDuration::from_micros(50));
-        s.on_complete(SimDuration::from_micros(150));
-        s.on_unanswered();
-        s.on_shed();
+        let spec = ArrivalSpec::constant(1000.0, SimDuration::from_millis(10)).unwrap();
+        let target = Some(SimDuration::from_micros(100));
+        let mut a = Admission::new(Some(&spec), DetRng::new(1), target);
+        a.on_complete(SimDuration::from_micros(50));
+        a.on_complete(SimDuration::from_micros(150));
+        a.on_unanswered();
+        a.slo.shed += 1;
+        let s = a.slo;
         assert_eq!((s.completed, s.violations, s.shed), (3, 2, 1));
         assert!((s.violation_fraction() - 2.0 / 3.0).abs() < 1e-12);
 

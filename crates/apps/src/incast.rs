@@ -26,7 +26,7 @@
 //! Responses are streamed in 32 KB application chunks so socket-buffer
 //! backpressure behaves like a real `write()` loop.
 
-use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
+use crate::arrival::Admission;
 use crate::conn::{self, Dial, Dialer, Listen, Redial, Setup, Sock};
 use crate::failure::FailureStats;
 use diablo_engine::metrics::MetricsVisitor;
@@ -582,12 +582,11 @@ pub struct IncastEpollClient {
     /// Index of the connection last torn down: the one being
     /// re-established, then the one whose fragment ends the failure.
     reconn_idx: usize,
-    /// Open-loop mode: the admission schedule (closed-loop when `None`).
-    arrivals: Option<ArrivalProcess>,
-    /// Open-loop mode: iterations the schedule offered (started + shed).
-    pub offered: u64,
-    /// Open-loop mode: SLO accounting over iteration times.
-    pub slo: SloStats,
+    /// When iterations start: back to back (closed loop), or on the
+    /// arrival schedule with a window of one (open loop: an arrival
+    /// landing while an iteration is in flight is shed, `iterations` is
+    /// ignored, and the SLO is over iteration times).
+    pub admission: Admission,
 }
 
 /// Where the client stands, with its epoll instance once it has one.
@@ -610,8 +609,8 @@ enum EpState {
     Redial(Fd, Dial),
     /// The interrupted request, re-sent on the new connection, in flight.
     Resent(Fd),
-    /// Open-loop: decide whether an iteration is due, shed, or slept for
-    /// (the sleep until the next admission may be in flight).
+    /// Between iterations: start the next, sleep until it is due (the
+    /// sleep may be in flight), or close down.
     Pace(Fd),
     Closing(usize),
     Done,
@@ -639,38 +638,8 @@ impl IncastEpollClient {
             iter: 0,
             iter_started: SimTime::ZERO,
             reconn_idx: 0,
-            arrivals: None,
-            offered: 0,
-            slo: SloStats::default(),
+            admission: Admission::default(),
         }
-    }
-
-    /// Bounds each `epoll_wait` by `deadline`; when it expires with a
-    /// fragment outstanding, the slowest connection is torn down and
-    /// re-established.
-    pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
-        self.request_deadline = Some(deadline);
-        self
-    }
-
-    /// Switches the client open-loop: iterations start at the schedule's
-    /// instants instead of back to back, an arrival landing while an
-    /// iteration is still in flight is shed (window of one), and
-    /// `iterations` is ignored — the profile's horizon bounds the run.
-    pub fn with_arrival(mut self, spec: ArrivalSpec, rng: DetRng) -> Self {
-        self.arrivals = Some(ArrivalProcess::new(spec, rng));
-        self
-    }
-
-    /// Sets the iteration-time SLO target (open-loop accounting).
-    pub fn with_slo(mut self, target: SimDuration) -> Self {
-        self.slo = SloStats::with_target(Some(target));
-        self
-    }
-
-    /// `true` when admissions come from an arrival schedule.
-    pub fn is_open_loop(&self) -> bool {
-        self.arrivals.is_some()
     }
 
     /// `true` while an iteration is in flight.
@@ -808,38 +777,24 @@ impl Process for IncastEpollClient {
                             interest: EventMask::READ,
                         });
                     }
-                    if self.is_open_loop() {
-                        // Open loop: the first iteration waits for the
-                        // schedule's first admission.
-                        self.state = EpState::Pace(ep);
-                        continue;
-                    }
-                    self.begin_iteration(ep, ctx.now);
+                    self.state = EpState::Pace(ep);
                     continue;
                 }
-                EpState::Pace(ep) => {
-                    let Some(arrivals) = self.arrivals.as_mut() else {
-                        unreachable!("a closed-loop client never paces")
-                    };
-                    let due = arrivals.take_due(ctx.now);
-                    self.offered += due;
-                    if due == 0 {
-                        let Some(at) = arrivals.peek() else {
-                            // Schedule exhausted: close down.
-                            self.state = EpState::Closing(0);
-                            continue;
-                        };
-                        return Step::Syscall(Syscall::Nanosleep(at.duration_since(ctx.now)));
-                    }
-                    // Arrivals that fired while the previous iteration was
-                    // still in flight found the window (of one) full: the
-                    // oldest starts now (late), the rest are shed.
-                    for _ in 1..due {
-                        self.slo.on_shed();
-                    }
-                    self.begin_iteration(ep, ctx.now);
-                    continue;
-                }
+                EpState::Pace(ep) => match self.admission.admit(ctx.now, 1) {
+                    // Closed loop: iterations run back to back, then stop.
+                    None if self.iter >= self.iterations => self.state = EpState::Closing(0),
+                    // Or open loop: the oldest due arrival starts now (late
+                    // if the last iteration was still in flight); the rest
+                    // were shed.
+                    None | Some(1..) => self.begin_iteration(ep, ctx.now),
+                    Some(0) => match self.admission.next_arrival() {
+                        Some(at) => {
+                            return Step::Syscall(Syscall::Nanosleep(at.duration_since(ctx.now)))
+                        }
+                        // Schedule exhausted: close down.
+                        None => self.state = EpState::Closing(0),
+                    },
+                },
                 EpState::SendNext(ep) => {
                     // A send's result lands here on the next step; an error
                     // means the connection we just wrote to has broken.
@@ -933,16 +888,8 @@ impl Process for IncastEpollClient {
                         self.completed = 0;
                         self.got.iter_mut().for_each(|g| *g = 0);
                         self.ready_queue.clear();
-                        if self.is_open_loop() {
-                            self.slo.on_complete(d);
-                            self.state = EpState::Pace(ep);
-                            continue;
-                        }
-                        if self.iter >= self.iterations {
-                            self.state = EpState::Closing(0);
-                            continue;
-                        }
-                        self.begin_iteration(ep, ctx.now);
+                        self.admission.on_complete(d);
+                        self.state = EpState::Pace(ep);
                         continue;
                     }
                     match self.ready_queue.front() {
@@ -1012,11 +959,7 @@ impl Process for IncastEpollClient {
         v.counter("iterations_completed", self.iteration_times.len() as u64);
         v.gauge("done", if self.done { 1.0 } else { 0.0 });
         self.failure.visit(v);
-        if self.is_open_loop() {
-            v.counter("open_loop.offered", self.offered);
-            v.gauge("open_loop.in_flight", if self.busy() { 1.0 } else { 0.0 });
-            self.slo.visit(v);
-        }
+        self.admission.visit(usize::from(self.busy()), v);
     }
 
     fn reset(&mut self) -> bool {
@@ -1024,9 +967,9 @@ impl Process for IncastEpollClient {
         if self.failure.failing() {
             self.failure.on_crash_lost();
         }
-        if self.is_open_loop() && self.busy() {
+        if self.busy() {
             // The in-flight iteration died with the node.
-            self.slo.on_unanswered();
+            self.admission.on_unanswered();
         }
         self.state = EpState::Start;
         self.fds.clear();
@@ -1127,9 +1070,7 @@ diablo_engine::impl_persist_fields!(IncastEpollClient {
     iter_started,
     redial,
     reconn_idx,
-    arrivals,
-    offered,
-    slo,
+    admission,
     servers: config,
     fragment: config,
     iterations: config,

@@ -2,10 +2,10 @@
 //!
 //! Deterministic state-machine models of the paper's workloads:
 //!
-//! * [`arrival`] — the open-loop arrival engine: deterministic
-//!   rate-driven admission schedules ([`arrival::ArrivalProcess`]) parsed
-//!   from a piecewise text grammar, plus SLO/load-shed accounting
-//!   ([`arrival::SloStats`]).
+//! * [`arrival`] — when a load generator's requests start: one admission
+//!   rule, closed- or open-loop ([`arrival::Admission`]), on deterministic
+//!   schedules parsed from a piecewise text grammar, with SLO/load-shed
+//!   accounting ([`arrival::SloStats`]).
 //! * [`control`] — the cluster control plane: a scheduler process with a
 //!   heartbeat-driven health state machine, failover placement and
 //!   SLO-driven autoscaling ([`control::ControlPlane`]), the per-node
@@ -27,9 +27,9 @@
 //!   TCP and UDP with worker threads.
 //! * [`partition_aggregate`] — the fan-out/fan-in search tier: a
 //!   front-end aggregating per-query leaf answers under a deadline.
-//! * [`udp_loop`] — the nonblocking UDP event loop the scheduler, the
-//!   agent, the leaf, the front-end and the open-loop memcached client
-//!   run ([`udp_loop::UdpGuest`]).
+//! * [`udp_loop`] — the UDP event loop the scheduler, the agent, the
+//!   leaf, the front-end and the memcached client run
+//!   ([`udp_loop::UdpGuest`]).
 //! * [`workload`] — statistical samplers (GEV, generalized Pareto, Zipf)
 //!   and the Facebook-ETC-style key-value workload generator (§4.2).
 

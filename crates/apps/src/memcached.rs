@@ -11,12 +11,13 @@
 //! * **1.4.17** — `accept4(SOCK_NONBLOCK)`, one syscall fewer per
 //!   connection (Figure 15's effect).
 //!
-//! The client is a closed-loop load generator: each request picks a
-//! uniformly random server (the paper's setup), sends a GET or SET drawn
-//! from the ETC workload model, waits for the reply and records the
-//! latency in HDR histograms — overall and per hop-class (Figure 10).
+//! One client drives it, closed- or open-loop, over TCP or UDP: each
+//! request picks a uniformly random server (the paper's setup), sends a
+//! GET or SET drawn from the ETC workload model, waits for the reply and
+//! records the latency in HDR histograms — overall and per hop-class
+//! (Figure 10).
 
-use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
+use crate::arrival::{Admission, ArrivalSpec};
 use crate::conn::{self, Dial, Dialer, Listen, Redial, Setup, Sock};
 use crate::control::{pick_live, DiscoveryConfig, GateState, RegistryClient, GATE_FUTEX_KEY};
 use crate::failure::FailureStats;
@@ -33,7 +34,7 @@ use diablo_stack::process::{
     Errno, Fd, Process, ProcessCtx, Proto, Shared, Shm, ShmKey, Step, SysResult, Syscall,
 };
 use diablo_stack::socket::EventMask;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// GET request kind.
@@ -610,14 +611,14 @@ impl Process for McWorker {
 const KEYSPACE: usize = 100_000;
 /// UDP: how long a client waits for a reply before retrying.
 const UDP_TIMEOUT: SimDuration = SimDuration::from_millis(250);
-/// UDP: retries before a client counts a failure.
+/// UDP: retries before a closed-loop client counts a failure.
 const UDP_MAX_RETRIES: u32 = 2;
 /// TCP: consecutive connection failures tolerated per request before
 /// the request is abandoned.
 const TCP_MAX_RETRIES: u32 = 8;
 
 /// The GET or SET request for `op`, numbered `id`, sent at `now`: the one
-/// request codec both clients speak.
+/// request codec both transports speak.
 fn request_msg(op: KvOp, id: u64, now: SimTime) -> AppMessage {
     let kind = match op {
         KvOp::Get { .. } => KIND_GET,
@@ -634,9 +635,7 @@ fn request_msg(op: KvOp, id: u64, now: SimTime) -> AppMessage {
 /// Client configuration.
 #[derive(Clone)]
 pub struct McClientConfig {
-    /// The memcached fleet. Shared (`Arc`) across all clients — at 64
-    /// racks there are thousands of clients, and each used to clone the
-    /// full `Vec`.
+    /// The memcached fleet, one list shared by every client.
     pub servers: Arc<[SockAddr]>,
     /// Transport (the paper compares both).
     pub proto: Proto,
@@ -650,26 +649,22 @@ pub struct McClientConfig {
     /// (connection churn keeps the server's accept path hot — the code
     /// path `accept4` shortens).
     pub reconnect_every: Option<u64>,
-    /// TCP: per-request deadline. When set, the client waits for the reply
-    /// through `epoll` and treats an expiry as a broken connection
-    /// (reconnect + retry). `None` keeps the plain blocking receive.
+    /// TCP: wait for each reply through `epoll` for this long, then
+    /// reconnect and retry (`None`: a blocking receive). Open loop: how
+    /// long a request may go unanswered (default `UDP_TIMEOUT`).
     pub request_deadline: Option<SimDuration>,
     /// Maps a server node to a hop class index (0 = local, 1 = one-hop,
     /// 2 = two-hop) for Figure 10's breakdown.
     pub classify: Option<Arc<dyn Fn(NodeAddr) -> usize + Send + Sync>>,
-    /// Open-loop mode: when set, requests are admitted on this arrival
-    /// schedule independent of completion (see [`McOpenLoopClient`]) and
-    /// `requests`/`think` are ignored. UDP only.
+    /// Open loop (UDP only): admit requests on this schedule, ignoring
+    /// `requests`, `think` and `start_delay`.
     pub arrival: Option<ArrivalSpec>,
-    /// Open-loop mode: bound on simultaneously in-flight requests;
-    /// admissions beyond it are recorded as load shed, never queued.
+    /// Open loop: requests in flight at most; admissions beyond are shed.
     pub window: usize,
-    /// Open-loop mode: latency SLO target checked on every completion.
+    /// Open loop: latency SLO target checked on every completion.
     pub slo: Option<SimDuration>,
-    /// Open-loop mode: discover live endpoints through the control
-    /// plane's registry instead of treating every entry of `servers` as
-    /// live. The `servers` list becomes the fixed address *pool* the
-    /// registry's liveness mask indexes into.
+    /// Open loop: route to the live replicas of the control plane's
+    /// registry; `servers` is the pool its liveness mask indexes.
     pub discovery: Option<DiscoveryConfig>,
 }
 
@@ -708,99 +703,142 @@ impl McClientConfig {
     }
 }
 
-/// The closed-loop memcached client.
+/// A UDP request sent and not yet answered: its server index, when it
+/// was first sent (its latency counts from there), when its wait ends,
+/// and the re-sends it has left.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    id: u64,
+    server: usize,
+    op: KvOp,
+    sent_at: SimTime,
+    expires: SimTime,
+    retries: u32,
+}
+
+/// The memcached client. Its [`Admission`] makes it closed-loop (one
+/// request in flight, the next after the last one's completion plus
+/// `think`) or open-loop (UDP only: up to `window` requests in flight,
+/// started on an arrival schedule, the rest shed).
+///
+/// Over UDP it is a [`UdpGuest`] whose requests live in one in-flight
+/// table, and one expiry rule handles them: a request unanswered by its
+/// expiry is re-sent while it has retries left, else given up. A closed
+/// loop gives each request two retries and each send or stale reply a
+/// full `UDP_TIMEOUT` wait, and records a given-up request as a failure
+/// with its latency; an open loop gives each one `request_deadline` and
+/// no retry, and counts it timed out and unanswered. Over TCP (closed
+/// loop only) it keeps one connection per server, dialed through
+/// [`conn::dial`].
 #[derive(Debug)]
 pub struct McClient {
     cfg: McClientConfig,
     rng: DetRng,
     workload: EtcWorkload,
+    /// When requests start, and the open-loop books.
+    pub admission: Admission,
+    /// Where the closed loop stands between requests.
+    pace: Pace,
+    /// TCP: where the client stands, with its descriptors once set up.
     state: CliState,
+    /// UDP: where its loop stands.
+    io: UdpLoop,
     /// TCP connections by server index, with per-connection use counts.
     conns: HashMap<usize, (Fd, u64)>,
-    current_server: usize,
+    /// UDP: requests sent and not yet answered, in id order.
+    inflight: Vec<Pending>,
+    /// UDP open loop: admitted requests waiting for their `sendto`.
+    sendq: VecDeque<(usize, KvOp)>,
+    /// The closed loop's last request picked, until the next reset (a
+    /// crash loses it), and over TCP its server and its last send.
     current_op: Option<KvOp>,
-    issued: u64,
+    current_server: usize,
     sent_at: SimTime,
-    retries_left: u32,
+    issued: u64,
     /// Request latency histogram (nanoseconds).
     pub latency: Histogram,
     /// Latency by hop class: local / one-hop / two-hop.
     pub latency_by_class: [Histogram; 3],
-    /// Requests completed.
+    /// Requests completed, a closed loop's given-up ones included.
     pub completed: u64,
     /// UDP retransmissions performed.
     pub udp_retries: u64,
-    /// Requests abandoned after exhausting retries.
+    /// Closed loop: requests abandoned after exhausting retries.
     pub failures: u64,
-    /// TCP failure/recovery accounting.
+    /// Open loop: requests that expired unanswered.
+    pub timed_out: u64,
+    /// TCP failure/recovery and crash-loss accounting.
     pub failure: FailureStats,
-    /// TCP reconnect backoff. Its jitter stream derives from the client's
-    /// address-seeded rng, so a mass crash de-correlates into per-client
-    /// retry instants instead of a synchronized storm.
+    /// TCP reconnect backoff, its jitter drawn from the client's
+    /// address-seeded stream so a mass crash does not retry in lockstep.
     redial: Redial,
+    /// Registry discovery, under `cfg.discovery`.
+    pub registry: RegistryClient,
     /// Finished cleanly.
     pub done: bool,
-    /// When the last request completed.
+    /// When the client finished.
     pub finished_at: SimTime,
 }
 
-/// The descriptors a client holds besides its TCP connections.
+/// What a closed loop does next between requests: its start delay, its
+/// think time (or its exit once every request is issued), or its pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Io {
-    /// TCP with plain blocking receives: none.
-    Tcp,
-    /// TCP with a request deadline: the epoll instance it waits in.
-    TcpEpoll(Fd),
-    /// UDP: the socket and its epoll instance.
-    Udp(Fd, Fd),
+enum Pace {
+    Delay,
+    Think,
+    Pick,
 }
 
-/// Where the client stands, with its descriptors once set up.
+/// The descriptors a TCP client holds besides its connections: none, or
+/// under a request deadline the epoll instance it waits in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Io {
+    Tcp,
+    TcpEpoll(Fd),
+}
+
+/// Where a TCP client stands, with its descriptors once set up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CliState {
     Start,
-    /// UDP `socket` in flight.
-    UdpSocket,
-    /// UDP: `epoll_create` in flight.
-    UdpEpoll(Fd),
-    /// TCP with a request deadline: `epoll_create` in flight.
+    /// With a request deadline: `epoll_create` in flight.
     TcpEpoll,
-    /// Set up: the start delay goes next.
-    Delay(Io),
-    Think(Io),
-    Pick(Io),
-    /// TCP: dialing `current_server`.
+    /// Between requests: the closed loop's pace decides.
+    Idle(Io),
+    /// Dialing `current_server`.
     Dial(Io, Dial),
-    /// TCP: the send, the deadline wait or the receive of the request on
-    /// the connection in flight.
+    /// The send, the deadline wait or the receive of the request on the
+    /// connection in flight.
     AwaitTcp(Io, Fd),
-    UdpAwait(Fd, Fd),
-    UdpRecv(Fd, Fd),
-    Done,
 }
 
 impl McClient {
-    /// Creates a client with a deterministic RNG stream.
+    /// Creates a client with a deterministic RNG stream; open-loop when
+    /// `cfg.arrival` is set.
     pub fn new(cfg: McClientConfig, rng: DetRng) -> Self {
-        let workload = EtcWorkload::new(rng.derive(1), KEYSPACE);
-        let redial = Redial::new(rng.derive(0xBACC0FF));
         McClient {
-            workload,
+            workload: EtcWorkload::new(rng.derive(1), KEYSPACE),
+            redial: Redial::new(rng.derive(0xBACC0FF)),
+            admission: Admission::new(cfg.arrival.as_ref(), rng.derive(2), cfg.slo),
             rng,
-            redial,
+            pace: Pace::Delay,
             state: CliState::Start,
+            io: UdpLoop::Start,
             conns: HashMap::new(),
+            inflight: Vec::new(),
+            sendq: VecDeque::new(),
             current_server: 0,
             current_op: None,
-            issued: 0,
             sent_at: SimTime::ZERO,
-            retries_left: 0,
+            issued: 0,
             latency: Histogram::new(),
             latency_by_class: [Histogram::new(), Histogram::new(), Histogram::new()],
             completed: 0,
             udp_retries: 0,
             failures: 0,
+            timed_out: 0,
             failure: FailureStats::default(),
+            registry: RegistryClient::new(cfg.discovery.as_ref()),
             done: false,
             finished_at: SimTime::ZERO,
             cfg,
@@ -808,41 +846,145 @@ impl McClient {
     }
 
     /// Refuses a restored server index the rebuilt server list cannot
-    /// hold: it would decode, then panic at the client's next request or
-    /// dial (a dial aims at `current_server`).
+    /// hold: it would decode, then panic at the client's next send or dial
+    /// (a dial aims at `current_server`).
     fn check_server_indices(&mut self) -> Result<(), SnapError> {
         let n = self.cfg.servers.len();
-        match self.conns.keys().chain([&self.current_server]).find(|&&i| i >= n) {
+        let sent = self.inflight.iter().map(|p| p.server);
+        let queued = self.sendq.iter().map(|&(i, _)| i);
+        let tcp = self.conns.keys().copied().chain([self.current_server]);
+        match tcp.chain(sent).chain(queued).find(|&i| i >= n) {
             Some(i) => Err(SnapError::Malformed(format!("server index {i} of a client with {n}"))),
             None => Ok(()),
         }
     }
 
-    fn record(&mut self, now: SimTime) {
-        let ns = now.saturating_duration_since(self.sent_at).as_nanos();
-        self.latency.record(ns);
+    /// Requests holding window slots.
+    fn in_flight(&self) -> usize {
+        self.inflight.len() + self.sendq.len()
+    }
+
+    /// UDP: the window, each request's retries and each attempt's wait.
+    fn udp_rule(&self) -> (usize, u32, SimDuration) {
+        match self.cfg.arrival {
+            None => (1, UDP_MAX_RETRIES, UDP_TIMEOUT),
+            Some(_) => (self.cfg.window, 0, self.cfg.request_deadline.unwrap_or(UDP_TIMEOUT)),
+        }
+    }
+
+    /// The closed loop between requests: the start delay, then before
+    /// each request its think time and its pick, which becomes the current
+    /// op. `Err` is the sleep, the think, or the exit once every request
+    /// is issued.
+    fn pace(&mut self, now: SimTime) -> Result<(usize, KvOp), Next> {
+        loop {
+            match self.pace {
+                Pace::Delay => {
+                    self.pace = Pace::Think;
+                    if !self.cfg.start_delay.is_zero() {
+                        return Err(Next::Sleep(self.cfg.start_delay));
+                    }
+                }
+                Pace::Think if self.issued >= self.cfg.requests => {
+                    self.done = true;
+                    self.finished_at = now;
+                    return Err(Next::Exit);
+                }
+                Pace::Think => {
+                    self.pace = Pace::Pick;
+                    return Err(Next::Compute(self.cfg.think));
+                }
+                Pace::Pick => {
+                    self.pace = Pace::Think;
+                    let (server, op) = self.pick();
+                    self.current_op = Some(op);
+                    return Ok((server, op));
+                }
+            }
+        }
+    }
+
+    /// The next request's server and operation. With discovery the server
+    /// is a live replica from the registry mask; with every replica down it
+    /// is a blind pool pick (it will time out — exactly the outage the SLO
+    /// accounting should see). Either path draws exactly one value, keeping
+    /// the stream replayable.
+    fn pick(&mut self) -> (usize, KvOp) {
+        let n = self.cfg.servers.len();
+        let live = self
+            .cfg
+            .discovery
+            .as_ref()
+            .and_then(|_| pick_live(self.registry.live_mask(), n, &mut self.rng));
+        let server = live.unwrap_or_else(|| self.rng.next_below(n as u64) as usize);
+        (server, self.workload.next_op())
+    }
+
+    /// Records a request sent to `server` at `sent_at` as completed `now`.
+    fn record(&mut self, server: usize, sent_at: SimTime, now: SimTime) {
+        let latency = now.saturating_duration_since(sent_at);
+        self.latency.record(latency.as_nanos());
         if let Some(classify) = &self.cfg.classify {
-            let class = classify(self.cfg.servers[self.current_server].node).min(2);
-            self.latency_by_class[class].record(ns);
+            let class = classify(self.cfg.servers[server].node).min(2);
+            self.latency_by_class[class].record(latency.as_nanos());
         }
         self.completed += 1;
+        self.admission.on_complete(latency);
     }
 
-    /// The request in flight, stamped `now`.
-    fn request(&self, now: SimTime) -> AppMessage {
-        let Some(op) = self.current_op else { unreachable!("a request is sent once picked") };
-        request_msg(op, self.issued - 1, now)
+    /// UDP: sends a new request to `server`, entering it in the table.
+    fn send_udp(&mut self, server: usize, op: KvOp, now: SimTime) -> Next {
+        let (_, retries, wait) = self.udp_rule();
+        self.issued += 1;
+        let id = self.issued - 1;
+        self.inflight.push(Pending { id, server, op, sent_at: now, expires: now + wait, retries });
+        Next::Send(self.cfg.servers[server], request_msg(op, id, now))
     }
 
-    /// Sends the request on connection `fd`, its `uses`-th before.
+    /// UDP: the one expiry rule. A request unanswered by its expiry is
+    /// re-sent (returned) while it has retries left, and given up
+    /// otherwise: a closed loop records it as a failure with its latency,
+    /// an open loop as timed out and unanswered.
+    fn expire(&mut self, now: SimTime) -> Option<Next> {
+        let (_, _, wait) = self.udp_rule();
+        while let Some(i) = self.inflight.iter().position(|p| p.expires <= now) {
+            let p = &mut self.inflight[i];
+            if p.retries > 0 {
+                p.retries -= 1;
+                p.expires = now + wait;
+                self.udp_retries += 1;
+                return Some(Next::Send(self.cfg.servers[p.server], request_msg(p.op, p.id, now)));
+            }
+            let p = self.inflight.remove(i);
+            if self.cfg.arrival.is_some() {
+                self.timed_out += 1;
+                self.admission.on_unanswered();
+            } else {
+                self.failures += 1;
+                self.record(p.server, p.sent_at, now);
+            }
+        }
+        None
+    }
+
+    /// A closed loop's every wait is a full `UDP_TIMEOUT`: one follows each
+    /// send and each stale reply.
+    fn rearm(&mut self, now: SimTime) {
+        if self.cfg.arrival.is_none() {
+            self.inflight.iter_mut().for_each(|p| p.expires = now + UDP_TIMEOUT);
+        }
+    }
+
+    /// TCP: sends the request on connection `fd`, its `uses`-th before.
     fn send_tcp(&mut self, io: Io, fd: Fd, uses: u64, now: SimTime) -> Step {
+        let Some(op) = self.current_op else { unreachable!("a request is sent once picked") };
         self.sent_at = now;
         self.conns.insert(self.current_server, (fd, uses + 1));
         self.state = CliState::AwaitTcp(io, fd);
-        Step::Syscall(Syscall::Send { fd, msg: self.request(now) })
+        Step::Syscall(Syscall::Send { fd, msg: request_msg(op, self.issued - 1, now) })
     }
 
-    /// Enters the TCP failure path: the current server's connection `fd`
+    /// TCP: enters the failure path: the current server's connection `fd`
     /// is retired and closed, and the dial decides between retry and
     /// give-up.
     fn tcp_fail(&mut self, io: Io, fd: Fd, now: SimTime) -> Step {
@@ -851,97 +993,40 @@ impl McClient {
         self.state = CliState::Dial(io, d);
         Step::Syscall(call)
     }
-}
 
-impl Dialer for McClient {
-    fn retry(&mut self) -> Option<(&mut FailureStats, &mut Redial)> {
-        Some((&mut self.failure, &mut self.redial))
-    }
-
-    fn on_connect(&mut self, _: SimTime) {
-        if self.redial.attempts > 0 {
-            self.failure.reconnects += 1;
-            self.failure.retried += 1;
-        }
-    }
-}
-
-impl Process for McClient {
-    fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
+    /// TCP: steps the closed loop over its connections.
+    fn step_tcp(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
                 CliState::Start => {
-                    if self.cfg.proto == Proto::Udp {
-                        self.state = CliState::UdpSocket;
-                        return Step::Syscall(Syscall::Socket(Proto::Udp));
-                    }
                     if self.cfg.request_deadline.is_some() {
                         self.state = CliState::TcpEpoll;
                         return Step::Syscall(Syscall::EpollCreate);
                     }
-                    self.state = CliState::Delay(Io::Tcp);
-                    continue;
+                    self.state = CliState::Idle(Io::Tcp);
                 }
-                CliState::UdpSocket | CliState::UdpEpoll(_) | CliState::TcpEpoll => {
-                    // Set-up: a `socket` or an `epoll_create` returned.
-                    let SysResult::NewFd(new) = ctx.result else {
-                        panic!("{:?} in client set-up {:?}", ctx.result, self.state)
+                CliState::TcpEpoll => {
+                    let SysResult::NewFd(ep) = ctx.result else {
+                        panic!("{:?} in client set-up", ctx.result)
                     };
-                    match self.state {
-                        CliState::UdpSocket => {
-                            self.state = CliState::UdpEpoll(new);
-                            return Step::Syscall(Syscall::EpollCreate);
-                        }
-                        CliState::UdpEpoll(fd) => {
-                            self.state = CliState::Delay(Io::Udp(fd, new));
-                            return Step::Syscall(Syscall::EpollCtl {
-                                epfd: new,
-                                fd,
-                                interest: EventMask::READ,
-                            });
-                        }
-                        _ => self.state = CliState::Delay(Io::TcpEpoll(new)),
-                    }
-                    continue;
+                    self.state = CliState::Idle(Io::TcpEpoll(ep));
                 }
-                CliState::Delay(io) => {
-                    self.state = CliState::Think(io);
-                    if !self.cfg.start_delay.is_zero() {
-                        return Step::Syscall(Syscall::Nanosleep(self.cfg.start_delay));
-                    }
-                    continue;
-                }
-                CliState::Think(io) => {
-                    if self.issued >= self.cfg.requests {
-                        self.state = CliState::Done;
-                        continue;
-                    }
-                    self.state = CliState::Pick(io);
-                    return Step::Compute(self.cfg.think);
-                }
-                CliState::Pick(io) => {
-                    self.current_server =
-                        self.rng.next_below(self.cfg.servers.len() as u64) as usize;
-                    self.current_op = Some(self.workload.next_op());
+                CliState::Idle(io) => {
+                    let server = match self.pace(ctx.now) {
+                        Ok((server, _)) => server,
+                        Err(Next::Sleep(d)) => return Step::Syscall(Syscall::Nanosleep(d)),
+                        Err(Next::Compute(think)) => return Step::Compute(think),
+                        Err(_) => return Step::Exit,
+                    };
+                    self.current_server = server;
                     self.issued += 1;
-                    self.retries_left = UDP_MAX_RETRIES;
-                    if let Io::Udp(fd, ep) = io {
-                        self.sent_at = ctx.now;
-                        self.state = CliState::UdpAwait(fd, ep);
-                        let to = self.cfg.servers[self.current_server];
-                        return Step::Syscall(Syscall::SendTo {
-                            fd,
-                            to,
-                            msg: self.request(ctx.now),
-                        });
-                    }
-                    let Some(&(fd, uses)) = self.conns.get(&self.current_server) else {
+                    let Some(&(fd, uses)) = self.conns.get(&server) else {
                         self.state = CliState::Dial(io, Dial::Start);
                         continue;
                     };
                     if self.cfg.reconnect_every.is_some_and(|limit| uses >= limit) {
                         // Churn: re-open the connection before this request.
-                        self.conns.remove(&self.current_server);
+                        self.conns.remove(&server);
                         self.state = CliState::Dial(io, Dial::Start);
                         return Step::Syscall(Syscall::Close { fd });
                     }
@@ -954,15 +1039,12 @@ impl Process for McClient {
                         self.failures += 1;
                         self.failure.on_give_up();
                         self.redial.attempts = 0;
-                        self.record(ctx.now);
-                        self.state = CliState::Think(io);
+                        self.record(self.current_server, self.sent_at, ctx.now);
+                        self.state = CliState::Idle(io);
                         continue;
                     }
                     // Blocking, registered when it waits out a deadline.
-                    let epfd = match io {
-                        Io::TcpEpoll(ep) => Some(ep),
-                        _ => None,
-                    };
+                    let epfd = if let Io::TcpEpoll(ep) = io { Some(ep) } else { None };
                     let to = self.cfg.servers[self.current_server];
                     match conn::dial(self, d, Sock { to, nonblocking: false, epfd }, ctx) {
                         Setup::Call(d, call) => {
@@ -1006,9 +1088,8 @@ impl Process for McClient {
                             assert_eq!(msgs[0].id, self.issued - 1, "reply id mismatch");
                             self.failure.on_success(ctx.now);
                             self.redial.attempts = 0;
-                            self.record(ctx.now);
-                            self.state = CliState::Think(io);
-                            continue;
+                            self.record(self.current_server, self.sent_at, ctx.now);
+                            self.state = CliState::Idle(io);
                         }
                         // Send or receive hit a transport error (connection
                         // reset, retransmission timeout): reconnect.
@@ -1016,326 +1097,128 @@ impl Process for McClient {
                         other => panic!("tcp request failed: {other:?}"),
                     }
                 }
-                CliState::UdpAwait(fd, ep) => {
-                    // SendTo completed; wait for readability with timeout.
-                    self.state = CliState::UdpRecv(fd, ep);
-                    return Step::Syscall(Syscall::EpollWait {
-                        epfd: ep,
-                        max_events: 4,
-                        timeout: Some(UDP_TIMEOUT),
-                    });
-                }
-                CliState::UdpRecv(fd, ep) => {
-                    match std::mem::replace(&mut ctx.result, SysResult::Computed) {
-                        SysResult::Events(evs) => {
-                            if evs.is_empty() {
-                                // Timeout: retry or give up.
-                                if self.retries_left > 0 {
-                                    self.retries_left -= 1;
-                                    self.udp_retries += 1;
-                                    self.state = CliState::UdpAwait(fd, ep);
-                                    return Step::Syscall(Syscall::SendTo {
-                                        fd,
-                                        to: self.cfg.servers[self.current_server],
-                                        msg: self.request(ctx.now),
-                                    });
-                                }
-                                self.failures += 1;
-                                self.record(ctx.now);
-                                self.state = CliState::Think(Io::Udp(fd, ep));
-                                continue;
-                            }
-                            return Step::Syscall(Syscall::RecvFrom { fd });
-                        }
-                        SysResult::Datagram { msg, .. } => {
-                            if msg.id != self.issued - 1 {
-                                // Stale reply from an earlier retry; wait on.
-                                self.state = CliState::UdpAwait(fd, ep);
-                                continue;
-                            }
-                            self.record(ctx.now);
-                            self.state = CliState::Think(Io::Udp(fd, ep));
-                            continue;
-                        }
-                        SysResult::Err(Errno::WouldBlock) => {
-                            self.state = CliState::UdpAwait(fd, ep);
-                            continue;
-                        }
-                        other => panic!("udp request failed: {other:?}"),
-                    }
-                }
-                CliState::Done => {
-                    self.done = true;
-                    self.finished_at = ctx.now;
-                    return Step::Exit;
-                }
             }
         }
     }
-
-    fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
-        v.counter("requests_issued", self.issued);
-        v.counter("requests_completed", self.completed);
-        v.counter("failures", self.failures);
-        v.counter("udp_retries", self.udp_retries);
-        v.gauge("done", if self.done { 1.0 } else { 0.0 });
-        v.histogram("latency_ns", &self.latency);
-        for (class, h) in self.latency_by_class.iter().enumerate() {
-            v.histogram(&format!("latency_ns_class{class}"), h);
-        }
-        self.failure.visit(v);
-    }
-
-    fn reset(&mut self) -> bool {
-        // A node crash wipes the kernel's sockets; the in-flight request
-        // (if any) is lost — it may never have been sent, so it is
-        // crash-lost, not timed-out. Results gathered so far survive.
-        if self.current_op.is_some() {
-            self.failure.on_crash_lost();
-        }
-        self.state = CliState::Start;
-        self.conns.clear();
-        self.current_op = None;
-        self.redial.attempts = 0;
-        self.done = false;
-        true
-    }
 }
 
-// ====================================================================
-// Open-loop client
-// ====================================================================
-
-/// A request the open-loop client has sent and not yet seen answered.
-#[derive(Debug, Clone, Copy)]
-struct OlInflight {
-    sent_at: SimTime,
-    expires: SimTime,
-}
-
-/// The open-loop memcached client (UDP).
-///
-/// Where [`McClient`] is closed-loop — one request in flight, the next
-/// issued only after the previous completes — this client admits requests
-/// on an [`ArrivalProcess`] schedule *independent of completion*, the
-/// load-generation discipline required to reach the overload and
-/// queue-growth regimes the paper studies. Up to `cfg.window` requests
-/// ride in flight simultaneously over one UDP socket (replies are matched
-/// by request id); an admission that finds the window full is recorded as
-/// load shed in [`McOpenLoopClient::slo`] rather than silently delayed,
-/// so offered load is never quietly re-coupled to completion.
-///
-/// A [`UdpGuest`]: arrival instants are realized as ordinary
-/// deterministic kernel timers — the client sleeps in `epoll_wait` with a
-/// timeout of exactly `min(next admission, earliest expiry) - now`, so
-/// serial and partition-parallel runs replay the same schedule
-/// bit-identically.
-/// A request unanswered for `cfg.request_deadline` (default:
-/// `UDP_TIMEOUT`) expires — freeing its window slot and counting an
-/// SLO violation — which is what lets the client keep offering load while
-/// a saturated server digs out of its backlog.
-#[derive(Debug)]
-pub struct McOpenLoopClient {
-    cfg: McClientConfig,
-    rng: DetRng,
-    workload: EtcWorkload,
-    arrivals: ArrivalProcess,
-    io: UdpLoop,
-    /// In-flight requests by id (`BTreeMap` for deterministic iteration).
-    inflight: BTreeMap<u64, OlInflight>,
-    /// Admitted requests waiting for their `SendTo` turn (they already
-    /// occupy a window slot).
-    sendq: VecDeque<(usize, KvOp)>,
-    /// Admissions the schedule produced (sent + shed).
-    pub offered: u64,
-    /// Requests actually sent.
-    pub issued: u64,
-    /// Requests completed with a matching reply.
-    pub completed: u64,
-    /// Requests that expired unanswered.
-    pub timed_out: u64,
-    /// Latency of completed requests (nanoseconds).
-    pub latency: Histogram,
-    /// SLO accounting: violations, shed, completions.
-    pub slo: SloStats,
-    /// Crash-loss accounting (requests wiped by a node reset).
-    pub failure: FailureStats,
-    /// Registry discovery (discovery mode; all requests route to the
-    /// live replicas of its mask).
-    pub registry: RegistryClient,
-    /// Finished: schedule exhausted and no request left in flight.
-    pub done: bool,
-    /// When the client finished.
-    pub finished_at: SimTime,
-}
-
-impl McOpenLoopClient {
-    /// Creates an open-loop client; `cfg.arrival` must be set and
-    /// `cfg.proto` must be [`Proto::Udp`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.arrival` is `None`, `cfg.proto` is not UDP, or
-    /// `cfg.window` is zero.
-    pub fn new(cfg: McClientConfig, rng: DetRng) -> Self {
-        let spec = cfg.arrival.clone().expect("open-loop client requires an arrival spec");
-        assert_eq!(cfg.proto, Proto::Udp, "open-loop memcached requires UDP");
-        assert!(cfg.window > 0, "open-loop window must be positive");
-        McOpenLoopClient {
-            workload: EtcWorkload::new(rng.derive(1), KEYSPACE),
-            arrivals: ArrivalProcess::new(spec, rng.derive(2)),
-            rng,
-            io: UdpLoop::Start,
-            inflight: BTreeMap::new(),
-            sendq: VecDeque::new(),
-            offered: 0,
-            issued: 0,
-            completed: 0,
-            timed_out: 0,
-            latency: Histogram::new(),
-            slo: SloStats::with_target(cfg.slo),
-            failure: FailureStats::default(),
-            registry: RegistryClient::new(cfg.discovery.as_ref()),
-            done: false,
-            finished_at: SimTime::ZERO,
-            cfg,
-        }
+impl Dialer for McClient {
+    fn retry(&mut self) -> Option<(&mut FailureStats, &mut Redial)> {
+        Some((&mut self.failure, &mut self.redial))
     }
 
-    /// Requests currently occupying window slots.
-    fn in_flight(&self) -> usize {
-        self.inflight.len() + self.sendq.len()
-    }
-
-    /// Per-request expiry budget.
-    fn expiry(&self) -> SimDuration {
-        self.cfg.request_deadline.unwrap_or(UDP_TIMEOUT)
-    }
-
-    /// Expires overdue requests and admits every arrival due by `now`.
-    fn expire_and_admit(&mut self, now: SimTime) {
-        let due: Vec<u64> =
-            self.inflight.iter().filter(|(_, r)| r.expires <= now).map(|(id, _)| *id).collect();
-        for id in due {
-            self.inflight.remove(&id);
-            self.timed_out += 1;
-            self.slo.on_unanswered();
-        }
-        for _ in 0..self.arrivals.take_due(now) {
-            self.offered += 1;
-            if self.in_flight() < self.cfg.window {
-                // With discovery, route to a live replica from the
-                // registry mask; with every replica down, fall back to a
-                // blind pool pick (it will time out — exactly the
-                // outage the SLO accounting should see). Either path
-                // draws exactly one value, keeping the stream replayable.
-                let server = if self.cfg.discovery.is_some() {
-                    pick_live(self.registry.live_mask(), self.cfg.servers.len(), &mut self.rng)
-                        .unwrap_or_else(|| {
-                            self.rng.next_below(self.cfg.servers.len() as u64) as usize
-                        })
-                } else {
-                    self.rng.next_below(self.cfg.servers.len() as u64) as usize
-                };
-                let op = self.workload.next_op();
-                self.sendq.push_back((server, op));
-            } else {
-                self.slo.on_shed();
-            }
-        }
-    }
-
-    /// The next instant the client must wake at, if any.
-    fn next_deadline(&self) -> Option<SimTime> {
-        let expiry = self.inflight.values().map(|r| r.expires).min();
-        match (self.arrivals.peek(), expiry) {
-            (Some(a), Some(e)) => Some(a.min(e)),
-            (a, e) => a.or(e),
-        }
-    }
-
-    /// Refuses a restored request naming a server index the rebuilt list
-    /// cannot hold: it would decode, then panic when the request is sent.
-    fn check_server_indices(&mut self) -> Result<(), SnapError> {
-        let n = self.cfg.servers.len();
-        match self.sendq.iter().find(|(i, _)| *i >= n) {
-            Some((i, _)) => {
-                Err(SnapError::Malformed(format!("server index {i} of a client with {n}")))
-            }
-            None => Ok(()),
+    fn on_connect(&mut self, _: SimTime) {
+        if self.redial.attempts > 0 {
+            self.failure.reconnects += 1;
+            self.failure.retried += 1;
         }
     }
 }
 
-impl UdpGuest for McOpenLoopClient {
+impl UdpGuest for McClient {
     fn io(&mut self) -> &mut UdpLoop {
         &mut self.io
     }
 
+    /// An open loop drains every reply; a closed loop reads the one it
+    /// waits for, on a blocking socket.
+    fn drains(&self) -> bool {
+        self.cfg.arrival.is_some()
+    }
+
     fn pump(&mut self, ctx: &mut ProcessCtx<'_>) -> Next {
-        self.expire_and_admit(ctx.now);
+        let now = ctx.now;
+        if let Some(resend) = self.expire(now) {
+            return resend;
+        }
+        let (window, _, _) = self.udp_rule();
+        match self.admission.admit(now, window.saturating_sub(self.in_flight())) {
+            Some(start) => {
+                for _ in 0..start {
+                    let request = self.pick();
+                    self.sendq.push_back(request);
+                }
+            }
+            None if self.inflight.is_empty() => {
+                return match self.pace(now) {
+                    Ok((server, op)) => self.send_udp(server, op, now),
+                    Err(next) => next,
+                };
+            }
+            None => {}
+        }
         // Registry refresh rides the same pump: checked before request
         // sends so a deep send queue cannot starve endpoint discovery
         // during an outage.
         if let Some(d) = &self.cfg.discovery {
-            let slo = &self.slo;
-            if let Some(lookup) = self.registry.lookup_due(ctx.now, slo.completed, slo.violations) {
+            let slo = &self.admission.slo;
+            if let Some(lookup) = self.registry.lookup_due(now, slo.completed, slo.violations) {
                 return Next::Send(d.control, lookup);
             }
         }
         if let Some((server, op)) = self.sendq.pop_front() {
-            self.issued += 1;
-            let id = self.issued - 1;
-            self.inflight
-                .insert(id, OlInflight { sent_at: ctx.now, expires: ctx.now + self.expiry() });
-            return Next::Send(self.cfg.servers[server], request_msg(op, id, ctx.now));
+            return self.send_udp(server, op, now);
         }
-        let Some(mut deadline) = self.next_deadline() else {
+        self.rearm(now);
+        let expiry = self.inflight.iter().map(|p| p.expires).min();
+        let Some(deadline) = expiry.into_iter().chain(self.admission.next_arrival()).min() else {
             // Schedule exhausted, nothing in flight: finished. (The
             // registry refresh deliberately does not keep an
             // otherwise-finished client alive.)
             self.done = true;
-            self.finished_at = ctx.now;
+            self.finished_at = now;
             return Next::Exit;
         };
-        if let Some(refresh) = self.registry.next_refresh() {
-            deadline = deadline.min(refresh);
-        }
+        let deadline = self.registry.next_refresh().map_or(deadline, |r| deadline.min(r));
         // Everything due was processed above, so the deadline is strictly
         // in the future.
-        Next::Wait(Some(deadline.duration_since(ctx.now)))
+        Next::Wait(Some(deadline.duration_since(now)))
     }
 
     fn on_datagram(&mut self, _: SockAddr, msg: AppMessage, ctx: &mut ProcessCtx<'_>) -> Then {
         // Registry replies share the socket and their `id` is a service
-        // id, so they are taken before the in-flight match. A reply to an
-        // already-expired request finds its slot reclaimed and is dropped.
+        // id, so they are taken before the in-flight match. A reply to a
+        // request already given up finds its slot reclaimed: it is stale.
         if !self.registry.on_reply(&msg) {
-            if let Some(req) = self.inflight.remove(&msg.id) {
-                let ns = ctx.now.saturating_duration_since(req.sent_at);
-                self.latency.record(ns.as_nanos());
-                self.completed += 1;
-                self.slo.on_complete(ns);
+            match self.inflight.binary_search_by_key(&msg.id, |p| p.id) {
+                Ok(i) => {
+                    let p = self.inflight.remove(i);
+                    self.record(p.server, p.sent_at, ctx.now);
+                }
+                Err(_) => self.rearm(ctx.now),
             }
         }
-        Then::ReadOn
+        if self.drains() {
+            Then::ReadOn
+        } else {
+            Then::Pump
+        }
     }
 }
 
-impl Process for McOpenLoopClient {
+impl Process for McClient {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
-        udp_loop::step(self, ctx)
+        match self.cfg.proto {
+            Proto::Udp => udp_loop::step(self, ctx),
+            Proto::Tcp => self.step_tcp(ctx),
+        }
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
-        v.counter("open_loop.offered", self.offered);
         v.counter("requests_issued", self.issued);
         v.counter("requests_completed", self.completed);
-        v.counter("open_loop.timed_out", self.timed_out);
-        v.gauge("open_loop.in_flight", self.in_flight() as f64);
         v.gauge("done", if self.done { 1.0 } else { 0.0 });
         v.histogram("latency_ns", &self.latency);
-        self.slo.visit(v);
+        if self.cfg.arrival.is_some() {
+            v.counter("open_loop.timed_out", self.timed_out);
+        } else {
+            v.counter("failures", self.failures);
+            v.counter("udp_retries", self.udp_retries);
+            for (class, h) in self.latency_by_class.iter().enumerate() {
+                v.histogram(&format!("latency_ns_class{class}"), h);
+            }
+        }
+        self.admission.visit(self.in_flight(), v);
         self.failure.visit(v);
         if self.cfg.discovery.is_some() {
             self.registry.visit_metrics(v);
@@ -1343,16 +1226,25 @@ impl Process for McOpenLoopClient {
     }
 
     fn reset(&mut self) -> bool {
-        // A crash wipes the socket and every in-flight request with it —
-        // crash losses, not timeouts. The arrival schedule keeps its
-        // position: offered load resumes the moment the node reboots.
-        for _ in 0..self.in_flight() {
+        // A node crash wipes the kernel's sockets and the requests in
+        // flight with them — crash losses, not timeouts: a request may
+        // never have been sent. A closed loop loses its current op, an
+        // open loop its window. The schedule keeps its position: offered
+        // load resumes the moment the node reboots. Results gathered so
+        // far survive.
+        let lost = if self.current_op.is_some() { 1 } else { self.in_flight() };
+        for _ in 0..lost {
             self.failure.on_crash_lost();
-            self.slo.on_unanswered();
+            self.admission.on_unanswered();
         }
         self.inflight.clear();
         self.sendq.clear();
+        self.current_op = None;
+        self.state = CliState::Start;
         self.io = UdpLoop::Start;
+        self.pace = Pace::Delay;
+        self.conns.clear();
+        self.redial.attempts = 0;
         self.registry.reset();
         self.done = false;
         true
@@ -1398,25 +1290,19 @@ diablo_engine::impl_snap_struct!(ConnOut { outbox, write_registered });
 diablo_engine::impl_snap_enum!(Io {
     0 => Tcp,
     1 => TcpEpoll(ep),
-    2 => Udp(fd, ep),
 });
 
 diablo_engine::impl_snap_enum!(CliState {
     0 => Start,
-    1 => UdpSocket,
-    2 => UdpEpoll(fd),
-    3 => TcpEpoll,
-    4 => Delay(io),
-    5 => Think(io),
-    6 => Pick(io),
-    7 => Dial(io, d),
-    8 => AwaitTcp(io, fd),
-    9 => UdpAwait(fd, ep),
-    10 => UdpRecv(fd, ep),
-    11 => Done,
+    1 => TcpEpoll,
+    2 => Idle(io),
+    3 => Dial(io, d),
+    4 => AwaitTcp(io, fd),
 });
 
-diablo_engine::impl_snap_struct!(OlInflight { sent_at, expires });
+diablo_engine::impl_snap_enum!(Pace { 0 => Delay, 1 => Think, 2 => Pick });
+
+diablo_engine::impl_snap_struct!(Pending { id, server, op, sent_at, expires, retries });
 
 // One slot per configured worker thread; a snapshot of another shape is
 // rejected.
@@ -1449,37 +1335,23 @@ diablo_engine::impl_persist_fields!(McClient {
     rng,
     redial,
     workload: nested,
+    admission,
+    pace,
     state,
+    io,
     conns,
-    current_server,
+    inflight,
+    sendq,
     current_op,
-    issued,
+    current_server,
     sent_at,
-    retries_left,
+    issued,
     latency,
     latency_by_class,
     completed,
     udp_retries,
     failures,
-    failure,
-    done,
-    finished_at,
-    cfg: config,
-} after_load = check_server_indices);
-
-diablo_engine::impl_persist_fields!(McOpenLoopClient {
-    rng,
-    workload: nested,
-    arrivals,
-    io,
-    inflight,
-    sendq,
-    offered,
-    issued,
-    completed,
     timed_out,
-    latency,
-    slo,
     failure,
     registry,
     done,
@@ -1563,7 +1435,7 @@ mod tests {
                 (0..n).map(|i| SockAddr::new(NodeAddr(i), MEMCACHED_PORT)).collect();
             let mut cfg = McClientConfig::udp(servers, 0);
             cfg.arrival = Some(ArrivalSpec::poisson(1_000.0, SimDuration::from_millis(5)).unwrap());
-            McOpenLoopClient::new(cfg, DetRng::new(1))
+            McClient::new(cfg, DetRng::new(1))
         };
         let mut four = client(4);
         let op = four.workload.next_op();

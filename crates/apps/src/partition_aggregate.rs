@@ -14,7 +14,7 @@
 //! UDP socket ([`UdpGuest`]s), like the modern WSC software the paper's
 //! §4.2 models.
 
-use crate::arrival::{ArrivalProcess, ArrivalSpec, SloStats};
+use crate::arrival::{Admission, ArrivalSpec};
 use crate::control::{DiscoveryConfig, RegistryClient};
 use crate::udp_loop::{self, Next, Then, UdpGuest, UdpLoop};
 use diablo_engine::metrics::MetricsVisitor;
@@ -170,13 +170,10 @@ pub struct PaFrontendConfig {
     pub think: u64,
     /// Delay before the first query (stagger startup).
     pub start_delay: SimDuration,
-    /// Open-loop mode: when set, queries are admitted on this schedule
-    /// (window of one — an arrival landing while a query is still in
-    /// flight is shed) and `queries`/`think` are ignored. Build the
-    /// front-end with [`PaFrontend::open_loop`].
+    /// Open loop: admit queries on this schedule, ignoring `queries` and
+    /// `think`.
     pub arrival: Option<ArrivalSpec>,
-    /// Open-loop mode: latency SLO target; a deadline miss always counts
-    /// as a violation.
+    /// Open loop: latency SLO target.
     pub slo: Option<SimDuration>,
     /// Discover live leaves through the control plane's registry: the
     /// fan-out skips pool entries whose liveness bit is clear, so a dead
@@ -239,14 +236,12 @@ pub struct PaFrontend {
     pub deadline_misses: u64,
     /// Total leaf answers dropped from aggregates across the run.
     pub missing_answers: u64,
-    /// Open-loop mode: the admission schedule (closed-loop when `None`).
-    arrivals: Option<ArrivalProcess>,
-    /// Open-loop mode: arrivals produced by the schedule (admitted + shed).
-    pub offered: u64,
-    /// Open-loop mode: SLO accounting (deadline misses always violate).
-    pub slo: SloStats,
-    /// Registry discovery (discovery mode; queries fan out to the live
-    /// leaves of its mask).
+    /// When queries start: after the last one plus think time (closed
+    /// loop), or on the arrival schedule with a window of one (open loop:
+    /// an arrival landing mid-query is shed, and a deadline miss violates
+    /// the SLO).
+    pub admission: Admission,
+    /// Registry discovery, under `cfg.discovery`.
     pub registry: RegistryClient,
     /// Finished cleanly.
     pub done: bool,
@@ -268,33 +263,15 @@ enum FeState {
 }
 
 impl PaFrontend {
-    /// Creates a closed-loop front-end.
+    /// Creates a front-end: open-loop when `cfg.arrival` is set, its
+    /// arrival gaps drawn from `rng`, else closed-loop.
     ///
     /// # Panics
     ///
-    /// Panics without leaves, or when `cfg.arrival` is set — arrival
-    /// schedules need the RNG passed to [`PaFrontend::open_loop`].
-    pub fn new(cfg: PaFrontendConfig) -> Self {
-        assert!(cfg.arrival.is_none(), "use PaFrontend::open_loop for arrival-driven front-ends");
-        Self::build(cfg, None)
-    }
-
-    /// Creates an open-loop front-end: one query admitted per
-    /// [`ArrivalProcess`] instant, an arrival landing while the previous
-    /// query is still aggregating is shed (window of one).
-    ///
-    /// # Panics
-    ///
-    /// Panics without leaves or when `cfg.arrival` is `None`.
-    pub fn open_loop(cfg: PaFrontendConfig, rng: DetRng) -> Self {
-        let spec = cfg.arrival.clone().expect("open-loop front-end requires an arrival spec");
-        Self::build(cfg, Some(ArrivalProcess::new(spec, rng)))
-    }
-
-    fn build(cfg: PaFrontendConfig, arrivals: Option<ArrivalProcess>) -> Self {
+    /// Panics without leaves.
+    pub fn new(cfg: PaFrontendConfig, rng: DetRng) -> Self {
         let n = cfg.leaves.len();
         assert!(n > 0, "a front-end needs at least one leaf");
-        let slo = SloStats::with_target(cfg.slo);
         PaFrontend {
             io: UdpLoop::Start,
             state: FeState::StartDelay,
@@ -308,19 +285,12 @@ impl PaFrontend {
             full_aggregates: 0,
             deadline_misses: 0,
             missing_answers: 0,
-            arrivals,
-            offered: 0,
-            slo,
+            admission: Admission::new(cfg.arrival.as_ref(), rng, cfg.slo),
             registry: RegistryClient::new(cfg.discovery.as_ref()),
             done: false,
             finished_at: SimTime::ZERO,
             cfg,
         }
-    }
-
-    /// `true` when admissions come from an arrival schedule.
-    pub fn is_open_loop(&self) -> bool {
-        self.arrivals.is_some()
     }
 
     /// Whether pool index `i` should receive queries: every index without
@@ -343,10 +313,8 @@ impl PaFrontend {
         self.missing_answers += self.pending as u64;
         self.pending = 0;
         self.completed += 1;
-        if self.is_open_loop() {
-            // A partial aggregate never met the latency target.
-            self.slo.on_unanswered();
-        }
+        // A partial aggregate never met the latency target.
+        self.admission.on_unanswered();
         self.state = FeState::Think;
     }
 
@@ -379,50 +347,43 @@ impl UdpGuest for PaFrontend {
                 }
                 FeState::Think => {
                     // Registry refresh rides the think path: between
-                    // queries the front-end reports its SLO deltas and
-                    // re-reads the liveness mask.
+                    // queries the front-end reports its completions and
+                    // violations (the SLO's under a schedule, else its
+                    // deadline misses) and re-reads the liveness mask.
                     if let Some(d) = &self.cfg.discovery {
-                        let (completed, violations) = if self.arrivals.is_some() {
-                            (self.slo.completed, self.slo.violations)
-                        } else {
-                            (self.completed, self.deadline_misses)
+                        let violations = match self.cfg.arrival {
+                            Some(_) => self.admission.slo.violations,
+                            None => self.deadline_misses,
                         };
                         if let Some(lookup) =
-                            self.registry.lookup_due(ctx.now, completed, violations)
+                            self.registry.lookup_due(ctx.now, self.completed, violations)
                         {
                             return Next::Send(d.control, lookup);
                         }
                     }
-                    if let Some(arrivals) = self.arrivals.as_mut() {
-                        // Open loop: the schedule, not completion, decides
-                        // when the next query starts. Arrivals that fired
-                        // while the previous query was aggregating found
-                        // the window (of one) full: the oldest is admitted
-                        // now (late), the rest are shed.
-                        let due = arrivals.take_due(ctx.now);
-                        self.offered += due;
-                        if due == 0 {
-                            let Some(at) = arrivals.peek() else {
+                    match self.admission.admit(ctx.now, 1) {
+                        // Closed loop: the next query follows the last one
+                        // after the think time, until all are issued.
+                        None if self.issued >= self.cfg.queries => self.state = FeState::Done,
+                        None => {
+                            self.begin_query();
+                            return Next::Compute(self.cfg.think);
+                        }
+                        // Open loop: nothing due yet. Wake early for a due
+                        // registry refresh so a sparse schedule cannot
+                        // stall discovery.
+                        Some(0) => {
+                            let Some(at) = self.admission.next_arrival() else {
                                 self.state = FeState::Done;
                                 continue;
                             };
-                            // Wake early for a due registry refresh so a
-                            // sparse schedule cannot stall discovery.
                             let wake = self.registry.next_refresh().map_or(at, |r| at.min(r));
                             return Next::Sleep(wake.duration_since(ctx.now));
                         }
-                        for _ in 1..due {
-                            self.slo.on_shed();
-                        }
-                        self.begin_query();
-                        continue;
+                        // The oldest arrival starts now (late if the last
+                        // query was still aggregating); the rest were shed.
+                        Some(_) => self.begin_query(),
                     }
-                    if self.issued >= self.cfg.queries {
-                        self.state = FeState::Done;
-                        continue;
-                    }
-                    self.begin_query();
-                    return Next::Compute(self.cfg.think);
                 }
                 FeState::Fanout => {
                     if self.fanout_idx == 0 {
@@ -493,9 +454,7 @@ impl UdpGuest for PaFrontend {
         self.latency.record(d.as_nanos());
         self.full_aggregates += 1;
         self.completed += 1;
-        if self.is_open_loop() {
-            self.slo.on_complete(d);
-        }
+        self.admission.on_complete(d);
         self.state = FeState::Think;
         Then::Pump
     }
@@ -519,11 +478,7 @@ impl Process for PaFrontend {
         v.counter("missing_answers", self.missing_answers);
         v.gauge("done", if self.done { 1.0 } else { 0.0 });
         v.histogram("latency_ns", &self.latency);
-        if self.is_open_loop() {
-            v.counter("open_loop.offered", self.offered);
-            v.gauge("open_loop.in_flight", if self.pending > 0 { 1.0 } else { 0.0 });
-            self.slo.visit(v);
-        }
+        self.admission.visit(usize::from(self.pending > 0), v);
         if self.cfg.discovery.is_some() {
             self.registry.visit_metrics(v);
         }
@@ -584,9 +539,7 @@ diablo_engine::impl_persist_fields!(PaFrontend {
     full_aggregates,
     deadline_misses,
     missing_answers,
-    arrivals,
-    offered,
-    slo,
+    admission,
     registry,
     done,
     finished_at,
@@ -610,7 +563,7 @@ mod tests {
     #[test]
     fn crash_mid_query_counts_as_miss() {
         let leaves: Vec<SockAddr> = (1..3).map(|i| SockAddr::new(NodeAddr(i), PA_PORT)).collect();
-        let mut fe = PaFrontend::new(PaFrontendConfig::new(leaves, 5));
+        let mut fe = PaFrontend::new(PaFrontendConfig::new(leaves, 5), DetRng::new(1));
         fe.issued = 1;
         fe.pending = 2;
         assert!(fe.reset());
@@ -627,7 +580,7 @@ mod tests {
         let frontend = |n: u32| {
             let leaves: Vec<SockAddr> =
                 (1..=n).map(|i| SockAddr::new(NodeAddr(i), PA_PORT)).collect();
-            PaFrontend::new(PaFrontendConfig::new(leaves, 5))
+            PaFrontend::new(PaFrontendConfig::new(leaves, 5), DetRng::new(1))
         };
         let mut w = SnapWriter::new();
         frontend(3).save_state(&mut w);

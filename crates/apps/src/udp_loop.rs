@@ -1,19 +1,17 @@
-//! The nonblocking UDP event loop that the control-plane scheduler and
-//! agent, the partition-aggregate leaf and front-end, and the open-loop
-//! memcached client share.
+//! The UDP event loop that the control-plane scheduler and agent, the
+//! partition-aggregate leaf and front-end, and the memcached client share.
 //!
-//! Each of them sets up one socket the same way — `socket(UDP)`,
-//! `fcntl(O_NONBLOCK)`, `bind` when it serves on a port, `epoll_create`,
-//! `epoll_ctl(READ)` — and then loops: its [`UdpGuest::pump`] names the
-//! next action; a wait that returns events is followed by `recvfrom`
-//! until `EWOULDBLOCK`, each datagram going to [`UdpGuest::on_datagram`],
-//! and a wait that returns none goes to [`UdpGuest::on_timeout`]. The
-//! socket is nonblocking so that the drain's last `recvfrom` returns
-//! `EWOULDBLOCK` instead of parking the thread past a deadline. Where
-//! the loop stands, with its two descriptors once they exist, is one
-//! [`UdpLoop`] value the guest keeps and persists; the guest holds no
-//! descriptor of its own, and [`step`] is the one place that meets a
-//! result the sequence does not expect.
+//! Each sets up one socket the same way — `socket(UDP)`, `fcntl(O_NONBLOCK)`
+//! if it [drains](UdpGuest::drains), `bind` if it serves on a port,
+//! `epoll_create`, `epoll_ctl(READ)` — and then loops: its
+//! [`UdpGuest::pump`] names the next action; a wait that returns events is
+//! followed by `recvfrom`, each datagram going to [`UdpGuest::on_datagram`],
+//! and a wait that returns none to [`UdpGuest::on_timeout`]. A draining
+//! guest reads until `EWOULDBLOCK`, so its last `recvfrom` must not park
+//! the thread past a deadline; a guest that reads one datagram per wait
+//! keeps a blocking socket. Where the loop stands, with its descriptors, is
+//! one [`UdpLoop`] value the guest persists, and [`step`] is the one place
+//! that meets a result the sequence does not expect.
 
 use diablo_engine::time::SimDuration;
 use diablo_net::payload::AppMessage;
@@ -83,6 +81,12 @@ pub trait UdpGuest: Process {
         None
     }
 
+    /// Whether the guest reads on after a datagram ([`Then::ReadOn`]) until
+    /// the socket is empty; only then is the socket made nonblocking.
+    fn drains(&self) -> bool {
+        true
+    }
+
     /// The guest's loop position.
     fn io(&mut self) -> &mut UdpLoop;
 
@@ -109,13 +113,15 @@ pub fn step<G: UdpGuest>(g: &mut G, ctx: &mut ProcessCtx<'_>) -> Step {
         let phase = *g.io();
         let (next, call) = match (phase, std::mem::replace(&mut ctx.result, SysResult::Computed)) {
             (UdpLoop::Start, _) => (UdpLoop::Socket, Syscall::Socket(Proto::Udp)),
-            (UdpLoop::Socket, SysResult::NewFd(fd)) => {
+            (UdpLoop::Socket, SysResult::NewFd(fd)) if g.drains() => {
                 (UdpLoop::Nonblock(fd), Syscall::SetNonblocking { fd, on: true })
             }
-            (UdpLoop::Nonblock(fd), SysResult::Done) => match g.port() {
-                Some(port) => (UdpLoop::Bind(fd), Syscall::Bind { fd, port }),
-                None => (UdpLoop::EpollCreate(fd), Syscall::EpollCreate),
-            },
+            (UdpLoop::Socket, SysResult::NewFd(fd)) | (UdpLoop::Nonblock(fd), SysResult::Done) => {
+                match g.port() {
+                    Some(port) => (UdpLoop::Bind(fd), Syscall::Bind { fd, port }),
+                    None => (UdpLoop::EpollCreate(fd), Syscall::EpollCreate),
+                }
+            }
             (UdpLoop::Bind(fd), SysResult::Done) => {
                 (UdpLoop::EpollCreate(fd), Syscall::EpollCreate)
             }

@@ -13,7 +13,7 @@ use crate::experiment::{
 };
 use crate::fault::FaultPlan;
 use crate::observe::DropAccounting;
-use diablo_apps::arrival::{ArrivalSpec, SloStats};
+use diablo_apps::arrival::{Admission, ArrivalSpec, SloStats};
 use diablo_apps::control::{
     ControlAgent, ControlConfig, ControlPlane, ControlReport, DiscoveryConfig, GateState,
     ServiceSpec, CONTROL_PORT,
@@ -23,8 +23,8 @@ use diablo_apps::incast::{
     IncastEpollClient, IncastMaster, IncastServer, IncastShared, IncastWorker, INCAST_PORT,
 };
 use diablo_apps::memcached::{
-    McClient, McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig, McShared, McVersion,
-    McWorker, MEMCACHED_PORT,
+    McClient, McClientConfig, McDispatcher, McServerConfig, McShared, McVersion, McWorker,
+    MEMCACHED_PORT,
 };
 use diablo_apps::partition_aggregate::{
     PaFrontend, PaFrontendConfig, PaLeaf, PaLeafConfig, PA_PORT,
@@ -348,15 +348,9 @@ impl Experiment for IncastConfig {
             }
             IncastClientKind::Epoll => {
                 let mut client = IncastEpollClient::new(servers, fragment, self.iterations);
-                if let Some(d) = self.request_deadline {
-                    client = client.with_deadline(d);
-                }
-                if let Some(spec) = &self.arrival {
-                    client = client.with_arrival(spec.clone(), DetRng::new(self.seed ^ 0xa11));
-                }
-                if let Some(target) = self.slo {
-                    client = client.with_slo(target);
-                }
+                client.request_deadline = self.request_deadline;
+                let rng = DetRng::new(self.seed ^ 0xa11);
+                client.admission = Admission::new(self.arrival.as_ref(), rng, self.slo);
                 cluster.spawn(host, INCAST_CLIENT, Box::new(client));
             }
         }
@@ -386,8 +380,8 @@ impl Experiment for IncastConfig {
                 let c =
                     cluster.processes::<IncastEpollClient>(host).next().expect("client missing");
                 failure.merge(&c.failure);
-                slo.merge(&c.slo);
-                (c.goodput_bps(), c.iteration_times.clone(), c.offered)
+                slo.merge(&c.admission.slo);
+                (c.goodput_bps(), c.iteration_times.clone(), c.admission.offered)
             }
         };
         let result = IncastResult {
@@ -739,7 +733,6 @@ impl Experiment for McExperimentConfig {
                     ccfg.arrival = Some(spec.clone());
                     ccfg.window = self.window;
                     ccfg.slo = self.slo;
-                    cluster.spawn(host, addr, Box::new(McOpenLoopClient::new(ccfg, rng)));
                 } else {
                     // Stagger client start over ~2 ms to avoid a
                     // synchronized thundering herd at t=0.
@@ -752,15 +745,14 @@ impl Experiment for McExperimentConfig {
                             HopClass::TwoHop => 2,
                         }
                     }));
-                    cluster.spawn(host, addr, Box::new(McClient::new(ccfg, rng)));
                 }
+                cluster.spawn(host, addr, Box::new(McClient::new(ccfg, rng)));
             }
         }
     }
 
     fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool {
         cluster.processes::<McClient>(host).all(|c| c.done)
-            && cluster.processes::<McOpenLoopClient>(host).all(|c| c.done)
     }
 
     fn summarize(
@@ -770,14 +762,6 @@ impl Experiment for McExperimentConfig {
     ) -> (McExperimentResult, FailureStats, SloStats) {
         let (mut failure, mut slo) = (FailureStats::default(), SloStats::default());
         let mut r = McExperimentResult::default();
-        for c in cluster.processes::<McOpenLoopClient>(host) {
-            r.latency.merge(&c.latency);
-            r.offered += c.offered;
-            r.timed_out += c.timed_out;
-            r.completed_at = r.completed_at.max(c.finished_at);
-            failure.merge(&c.failure);
-            slo.merge(&c.slo);
-        }
         for c in cluster.processes::<McClient>(host) {
             r.latency.merge(&c.latency);
             for (dst, src) in r.by_class.iter_mut().zip(&c.latency_by_class) {
@@ -785,8 +769,11 @@ impl Experiment for McExperimentConfig {
             }
             r.failures += c.failures;
             r.udp_retries += c.udp_retries;
+            r.offered += c.admission.offered;
+            r.timed_out += c.timed_out;
             r.completed_at = r.completed_at.max(c.finished_at);
             failure.merge(&c.failure);
+            slo.merge(&c.admission.slo);
         }
         r.served = cluster.processes::<McWorker>(host).map(|w| w.served).sum();
         r.control = control_report(host, cluster);
@@ -1120,19 +1107,18 @@ impl Experiment for PaExperimentConfig {
             fcfg.deadline = self.deadline;
             fcfg.query_bytes = self.query_bytes;
             fcfg.discovery = discovery.clone();
-            let fe: Box<PaFrontend> = if let Some(spec) = &self.arrival {
+            if let Some(spec) = &self.arrival {
                 // Open loop: admissions come from the schedule (each
                 // front-end draws its own stream), so no start stagger.
                 fcfg.arrival = Some(spec.clone());
                 fcfg.slo = self.slo;
-                Box::new(PaFrontend::open_loop(fcfg, root_rng.derive(addr.0 as u64)))
             } else {
                 // Stagger front-end start so racks do not fan out in
                 // lockstep.
                 fcfg.start_delay = SimDuration::from_micros((addr.0 as u64 * 7) % 2_000);
-                Box::new(PaFrontend::new(fcfg))
-            };
-            cluster.spawn(host, addr, fe);
+            }
+            let rng = root_rng.derive(addr.0 as u64);
+            cluster.spawn(host, addr, Box::new(PaFrontend::new(fcfg, rng)));
         }
     }
 
@@ -1154,8 +1140,8 @@ impl Experiment for PaExperimentConfig {
             r.deadline_misses += f.deadline_misses;
             r.missing_answers += f.missing_answers;
             r.completed_at = r.completed_at.max(f.finished_at);
-            r.offered += f.offered;
-            slo.merge(&f.slo);
+            r.offered += f.admission.offered;
+            slo.merge(&f.admission.slo);
         }
         r.served = cluster.processes::<PaLeaf>(host).map(|l| l.served).sum();
         r.control = control_report(host, cluster);

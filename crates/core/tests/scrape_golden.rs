@@ -234,6 +234,11 @@ fn pthread_incast_reconnects_through_a_server_crash() {
 /// The epoll incast client with a request deadline under a 500 ms flap of
 /// server 1's link: the deadline fires, the client redials, re-registers
 /// the new socket with its epoll instance and re-sends the fragment.
+///
+/// Re-recorded when a timed-out wait began leaving its epoll instance's
+/// waiters and a close its socket's interest sets: the client node wakes
+/// 30 times, not 31. A readiness after the deadline used to wake the
+/// client out of its redial backoff sleep, which it then slept again.
 #[test]
 fn epoll_incast_deadline_reconnects_through_a_flap() {
     let mut cfg = epoll_incast(4);
@@ -243,7 +248,7 @@ fn epoll_incast_deadline_reconnects_through_a_flap() {
     cfg.request_deadline = Some(SimDuration::from_millis(250));
     assert_pinned(
         "epoll incast, deadline flap",
-        "7aceb59bdf530bb5",
+        "7d12415ec6abf113",
         4404,
         "rack0.server0.proc0.failure.reconnects",
         |m| incast(&cfg, m),
@@ -252,6 +257,12 @@ fn epoll_incast_deadline_reconnects_through_a_flap() {
 
 /// The memcached TCP clients with a request deadline (an epoll instance
 /// per client) through a 50 ms outage of server 0's link.
+///
+/// Re-recorded for the same two kernel fixes: each client node wakes once
+/// less (a readiness no longer wakes a client out of its backoff sleep
+/// after a timed-out wait), and the server's workers make 718 syscalls,
+/// not 781, once a connection they closed stops waking their epoll.
+/// 7,574 events became 7,504.
 #[test]
 fn memcached_tcp_deadline_reconnects_through_an_outage() {
     let mut cfg = McExperimentConfig::mini(2, 40);
@@ -261,8 +272,8 @@ fn memcached_tcp_deadline_reconnects_through_an_outage() {
         Some(FaultPlan::parse("2ms  link-down node0\n52ms link-up   node0\n").expect("valid plan"));
     assert_pinned(
         "memcached TCP, deadline outage",
-        "e3aa60618e49bba3",
-        7574,
+        "3641193739cdf742",
+        7504,
         "rack0.server1.proc0.failure.reconnects",
         |m| memcached(&cfg, m),
     );
@@ -270,6 +281,13 @@ fn memcached_tcp_deadline_reconnects_through_an_outage() {
 
 /// The blocking memcached TCP clients, re-opening each connection after
 /// five uses, through a crash and reboot of server 0.
+///
+/// Re-recorded when a close began dropping its socket from every epoll
+/// interest set: the workers close each churned connection on its EOF,
+/// and a segment arriving on it afterwards no longer wakes them to read
+/// a descriptor they closed. The server node's syscalls fall from 1,081 to 824, which
+/// moves its replies and with them the fabric's frames; 9,800 events
+/// became 9,275.
 #[test]
 fn memcached_tcp_churn_reconnects_through_a_server_crash() {
     let mut cfg = McExperimentConfig::mini(2, 40);
@@ -278,8 +296,8 @@ fn memcached_tcp_churn_reconnects_through_a_server_crash() {
     cfg.faults = Some(FaultPlan::parse("2ms node-crash node0 reboot=3ms").expect("valid plan"));
     assert_pinned(
         "memcached TCP, churn and crash",
-        "bec18ccc2afa7008",
-        9800,
+        "014ad3f9ecd14095",
+        9275,
         "rack0.server1.proc0.failure.reconnects",
         |m| memcached(&cfg, m),
     );

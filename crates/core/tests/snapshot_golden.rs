@@ -4,7 +4,21 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 12 (the TCP guests keep their descriptors in their
+//! `SNAP_VERSION` 13 (one memcached client serves both loops: it persists
+//! its admission rule — a 1-byte absent or present schedule, the 8-byte
+//! offered count and the 25-byte SLO block the open-loop client held —
+//! its 8-byte closed-loop pace, UDP loop phase, in-flight table length,
+//! send queue length and timed-out count, and the registry client's 49
+//! bytes, and loses its 4-byte retry budget, which a request in the table
+//! holds: a closed-loop client is 119 bytes larger, an open-loop one 250
+//! (it gains the TCP fields and the per-class histograms), and each
+//! request in flight 32 or 36 (its server, operation and retries); an
+//! epoll instance's waiters no longer keep a thread whose wait timed out,
+//! 4 bytes each. The closed-loop memcached snapshot is 1,190 bytes larger
+//! (10 clients), the controlled one 622 (7 clients +1,846, 306 stale
+//! waiters −1,224), and the partition-aggregate and incast ones differ in
+//! the version word only, their admission rule's bytes unchanged;
+//! version 12: the TCP guests keep their descriptors in their
 //! states: a listening socket, a connection or an epoll instance is 4
 //! bytes of variant data where it was a 1-byte flag and 4 bytes in an
 //! optional field, and a field that held one while unset goes. An incast
@@ -123,7 +137,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     cfg.sample_every = Some(SimDuration::from_micros(500));
     let got =
         snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
-    assert_eq!(got, (451_186, "f684bf60b9c5c073".to_string()));
+    assert_eq!(got, (452_376, "d8b9b5b9d3d77e59".to_string()));
 }
 
 #[test]
@@ -136,7 +150,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (96_610, "5d75a90276864841".to_string()));
+    assert_eq!(got, (97_232, "67b96308fe9b72d8".to_string()));
 }
 
 #[test]
@@ -146,7 +160,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     cfg.cross_rack = true;
     let got =
         snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
-    assert_eq!(got, (133_068, "ef8bf3030c28394f".to_string()));
+    assert_eq!(got, (133_068, "05c1d63b817f388e".to_string()));
 }
 
 #[test]
@@ -165,5 +179,5 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (44_232, "e8498f2f92ce6134".to_string()));
+    assert_eq!(got, (44_232, "160dead9c29a8f31".to_string()));
 }

@@ -9,8 +9,7 @@ use diablo_apps::control::{
     CONTROL_PORT,
 };
 use diablo_apps::memcached::{
-    McClientConfig, McDispatcher, McOpenLoopClient, McServerConfig, McShared, McWorker,
-    MEMCACHED_PORT,
+    McClient, McClientConfig, McDispatcher, McServerConfig, McShared, McWorker, MEMCACHED_PORT,
 };
 use diablo_engine::prelude::*;
 use diablo_net::link::{LinkParams, PortPeer};
@@ -121,7 +120,7 @@ fn build_controlled_rack(ctl: &ControlConfig) -> Rack {
     rack.sim
         .component_mut::<ServerNode>(rack.nodes[3])
         .unwrap()
-        .spawn(Box::new(McOpenLoopClient::new(ccfg, DetRng::new(0xc11e47))));
+        .spawn(Box::new(McClient::new(ccfg, DetRng::new(0xc11e47))));
     rack
 }
 
@@ -153,7 +152,7 @@ fn crash_activates_the_parked_standby_and_traffic_follows() {
     assert!(after > 0, "the woken standby must serve after failover");
 
     let client_kernel = rack.sim.component::<ServerNode>(rack.nodes[3]).unwrap().kernel();
-    let client = client_kernel.process::<McOpenLoopClient>(Tid(0)).unwrap();
+    let client = client_kernel.process::<McClient>(Tid(0)).unwrap();
     assert!(client.registry.endpoint_updates >= 1, "the client never learned the new fleet");
     assert!(client.registry.lookups_sent >= 1);
 }

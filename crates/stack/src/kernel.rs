@@ -1014,15 +1014,28 @@ impl Kernel {
                 self.apply_tcp_output(a, out, env);
             }
             K_SLEEP => {
-                if let Some(slot) = self.procs.get_mut(a as usize) {
-                    slot.sleep = None;
+                // Only the sleep due now ends: a thread woken out of an
+                // earlier sleep may be in another wait by now.
+                match self.procs.get_mut(a as usize) {
+                    Some(slot) if slot.sleep == Some(now) => slot.sleep = None,
+                    _ => {
+                        self.stats.stale_timers.incr();
+                        return;
+                    }
                 }
                 self.wake_with(Tid(a), Resume::Step, SysResult::Done);
             }
             K_EPOLL_TO => {
                 let slot = self.procs.get_mut(a as usize);
                 if slot.and_then(|s| s.epoll.fire(now, b, key, env)) == Some(true) {
-                    self.procs[a as usize].timed_out = true;
+                    // The wait is over: the thread leaves its instance's
+                    // waiters, or a later readiness would wake it out of
+                    // whatever it waits in next.
+                    let slot = &mut self.procs[a as usize];
+                    if let Resume::Retry(Syscall::EpollWait { epfd, .. }) = slot.resume {
+                        self.sockets[epfd.0 as usize].wait_readers.retain(|t| t.0 != a);
+                    }
+                    slot.timed_out = true;
                     self.wake(Tid(a));
                 }
             }
@@ -1482,17 +1495,21 @@ impl Kernel {
         }
     }
 
-    fn free_socket(&mut self, sid: SockId) {
-        // Drop epoll registrations pointing at this descriptor, like the
-        // kernel does when the last reference to a file goes away.
-        let watchers = std::mem::take(&mut self.sockets[sid as usize].watchers);
-        for ep in watchers {
-            if let Some(sock) = self.sockets.get_mut(ep as usize) {
-                if let SocketKind::Epoll { watched } = &mut sock.kind {
-                    watched.retain(|(s, _)| *s != sid);
-                }
+    /// Drops `sid` from every epoll interest set, like the kernel does
+    /// when the last reference to a file goes away: here a socket has one
+    /// descriptor, so at its close.
+    fn unwatch(&mut self, sid: SockId) {
+        for ep in std::mem::take(&mut self.sockets[sid as usize].watchers) {
+            if let Some(SocketKind::Epoll { watched }) =
+                self.sockets.get_mut(ep as usize).map(|sock| &mut sock.kind)
+            {
+                watched.retain(|(s, _)| *s != sid);
             }
         }
+    }
+
+    fn free_socket(&mut self, sid: SockId) {
+        self.unwatch(sid);
         self.sockets[sid as usize] = Socket::new(SocketKind::Free);
         self.free_socks.push(sid);
     }
@@ -2230,8 +2247,13 @@ impl Kernel {
     fn sys_close(&mut self, fd: Fd, env: &mut dyn KernelEnv) -> ExecOutcome {
         let sid = fd.0;
         let bad = ExecOutcome::Ready(SysResult::Err(Errno::BadFd));
-        let Some(sock) = self.sockets.get_mut(sid as usize) else { return bad };
-        match &mut sock.kind {
+        if sid as usize >= self.sockets.len() {
+            return bad;
+        }
+        // No epoll reports a closed descriptor, though a TCP connection
+        // may outlive it (its FIN still to be acknowledged).
+        self.unwatch(sid);
+        match &mut self.sockets[sid as usize].kind {
             SocketKind::Tcp { conn, app_closed, .. } => {
                 let mut out = TcpOutput::default();
                 conn.app_close(env.now(), &mut out);

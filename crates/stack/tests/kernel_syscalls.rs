@@ -167,18 +167,20 @@ impl World {
     }
 }
 
-/// Runs a scripted sequence of syscalls, recording each result.
+/// Runs a scripted sequence of syscalls, recording each result and when
+/// it returned.
 struct Script {
     calls: Vec<Syscall>,
     next: usize,
     /// `(call index, result)` log.
     pub results: Vec<SysResult>,
+    returned: Vec<SimTime>,
 }
-diablo_engine::impl_persist_fields!(Script { next, results, calls: config });
+diablo_engine::impl_persist_fields!(Script { next, results, returned, calls: config });
 
 impl Script {
     fn new(calls: Vec<Syscall>) -> Self {
-        Script { calls, next: 0, results: Vec::new() }
+        Script { calls, next: 0, results: Vec::new(), returned: Vec::new() }
     }
 }
 
@@ -186,6 +188,7 @@ impl Process for Script {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         if self.next > 0 {
             self.results.push(std::mem::replace(&mut ctx.result, SysResult::Computed));
+            self.returned.push(ctx.now);
         }
         match self.calls.get(self.next) {
             Some(call) => {
@@ -666,6 +669,94 @@ fn a_crash_drops_the_live_epoll_timer() {
 /// The node the connection tests dial. Nothing answers but the segments a
 /// test sends in its name.
 const PEER: NodeAddr = NodeAddr(5);
+
+/// The script's results so far, each with when it returned.
+fn log(w: &World) -> Vec<(SimTime, SysResult)> {
+    let script = w.kernel.process::<Script>(Tid(0)).expect("script");
+    script.returned.iter().copied().zip(script.results.iter().cloned()).collect()
+}
+
+/// UDP port 9 on `Fd(0)`, watched for reading by the epoll `Fd(1)`.
+fn watched_udp() -> Vec<Syscall> {
+    vec![
+        Syscall::Socket(Proto::Udp),
+        Syscall::Bind { fd: Fd(0), port: 9 },
+        Syscall::EpollCreate,
+        Syscall::EpollCtl { epfd: Fd(1), fd: Fd(0), interest: EventMask::READ },
+    ]
+}
+
+/// A wait that times out leaves its epoll instance's waiters. A datagram
+/// landing while the thread then sleeps must not wake it: the sleep ends
+/// on time, and no second sleep is left behind to end the next wait.
+#[test]
+fn a_timed_out_wait_is_not_woken_by_later_readiness() {
+    let mut w = World::new();
+    let mut calls = watched_udp();
+    calls.extend([
+        Syscall::EpollWait { epfd: Fd(1), max_events: 4, timeout: Some(MS) },
+        Syscall::Nanosleep(MS * 10),
+        Syscall::RecvFrom { fd: Fd(0) },
+        Syscall::EpollWait { epfd: Fd(1), max_events: 4, timeout: None },
+    ]);
+    w.kernel.spawn(Box::new(Script::new(calls)));
+    w.datagram_at(SimTime::ZERO + MS * 5);
+    w.run(SimTime::from_millis(100));
+    let log = log(&w);
+    assert_eq!(log[4].1, SysResult::Events(vec![]), "the first wait times out");
+    let slept = log[5].0.duration_since(log[4].0);
+    assert!(slept >= MS * 10 && slept < MS * 10 + MS / 10, "slept {slept}, not 10 ms");
+    assert!(matches!(log[6].1, SysResult::Datagram { .. }));
+    assert_eq!(log.len(), 7, "the last wait has nothing to return: {:?}", &log[7..]);
+}
+
+/// A `K_SLEEP` timer ends only the sleep due at its instant: fired again
+/// while the thread waits on an empty socket, it is stale.
+#[test]
+fn a_sleep_timer_ends_only_the_sleep_due_then() {
+    let mut w = World::new();
+    let mut calls = watched_udp();
+    calls.extend([
+        Syscall::Nanosleep(MS),
+        Syscall::EpollWait { epfd: Fd(1), max_events: 4, timeout: None },
+    ]);
+    w.kernel.spawn(Box::new(Script::new(calls)));
+    w.run(SimTime::from_millis(3));
+    let sleep_timer = |&(_, key): &(SimTime, u64)| (key & 0xF == 5).then_some(key);
+    let key = w.timers.pushed.iter().find_map(sleep_timer).expect("the sleep's timer");
+    let stale = w.kernel.stats().stale_timers.get();
+    w.now = SimTime::from_millis(3);
+    let (kernel, mut env) = w.env();
+    kernel.on_timer(key, &mut env);
+    w.run(SimTime::from_millis(10));
+    assert_eq!(log(&w).len(), 5, "the wait was ended: {:?}", &log(&w)[5..]);
+    assert_eq!(w.kernel.stats().stale_timers.get(), stale + 1);
+}
+
+/// A guest's close drops its TCP socket from every epoll interest set at
+/// once, though the connection lives on until its FIN is acknowledged:
+/// the peer's FIN arriving after the close wakes no wait for it.
+#[test]
+fn a_closed_connection_leaves_the_interest_sets() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Script::new(vec![
+        Syscall::Socket(Proto::Tcp),
+        Syscall::SetNonblocking { fd: Fd(0), on: true },
+        Syscall::Connect { fd: Fd(0), to: SockAddr::new(PEER, 80) },
+        Syscall::Nanosleep(MS),
+        Syscall::EpollCreate,
+        Syscall::EpollCtl { epfd: Fd(1), fd: Fd(0), interest: EventMask::READ },
+        Syscall::Close { fd: Fd(0) },
+        Syscall::EpollWait { epfd: Fd(1), max_events: 4, timeout: Some(MS * 5) },
+    ])));
+    w.peer_segment_at(SimTime::ZERO + MS / 10, 32768, 0, TcpFlags::SYN_ACK, 0);
+    w.peer_segment_at(SimTime::ZERO + MS * 2, 32768, 1, TcpFlags::FIN_ACK, 0);
+    w.run(SimTime::from_millis(100));
+    let log = log(&w);
+    assert_eq!(log[6].1, SysResult::Done, "closed");
+    assert_eq!(log[7].1, SysResult::Events(vec![]), "the wait times out");
+    assert!(log[7].0 >= log[6].0 + MS * 5);
+}
 
 /// Connects on `Fd(0)` without blocking and closes it a millisecond later,
 /// after the test has reset it; then opens and closes 512 UDP sockets, so
