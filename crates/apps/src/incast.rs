@@ -18,6 +18,15 @@
 //! * [`IncastEpollClient`] — a single thread multiplexing nonblocking
 //!   sockets with `epoll`, like modern WSC applications.
 //!
+//! Only the waiting differs. The master (for its workers) and the epoll
+//! client each keep one [`Block`], which times iterations and gives the
+//! goodput, and every fragment is fetched by one rule (`Fetch`: request,
+//! count to completion, re-request on a fresh connection), run by a worker
+//! on its connection and by the epoll client on each entry of its
+//! per-server connection table. Each keeps how it waits: the barrier and
+//! blocking `recv`s, or a ready queue of connection indices, a deadline
+//! and an admission rule.
+//!
 //! Both clients connect, and reconnect after a transport failure, through
 //! the one dial of [`crate::conn`]: a worker's socket is blocking, the
 //! epoll client's nonblocking and, when it redials, registered with its
@@ -57,13 +66,112 @@ const FUTEX_DONE: u64 = 0xB;
 /// Per-request instruction cost of server-side application logic.
 const SERVER_WORK: u64 = 3_000;
 
-/// The request for iteration `iter`'s `fragment` bytes, sent at `now`.
-fn request(iter: u64, fragment: u32, now: SimTime) -> AppMessage {
-    AppMessage::new(KIND_REQ, iter, 32, now).with_arg0(fragment as u64)
+/// The block a client fetches, iteration by iteration: how many
+/// iterations to run, what each took, and when the one in flight began.
+#[derive(Debug, Default)]
+pub struct Block {
+    /// Iterations to run (a closed loop's).
+    pub iterations: u64,
+    /// Wall-clock duration of each completed iteration.
+    pub iteration_times: Vec<SimDuration>,
+    /// All iterations completed.
+    pub done: bool,
+    /// Bytes one iteration fetches, which the goodput counts.
+    bytes: u64,
+    /// Iterations begun since the last reset (the one in flight: `iter − 1`).
+    iter: u64,
+    /// When the iteration in flight began.
+    started: SimTime,
+}
+
+impl Block {
+    /// A block of `bytes` fetched `iterations` times.
+    pub fn new(iterations: u64, bytes: u64) -> Self {
+        Block { iterations, bytes, ..Block::default() }
+    }
+
+    /// Whether a closed loop has iterations left to begin.
+    fn more(&self) -> bool {
+        self.iter < self.iterations
+    }
+
+    /// Begins the next iteration at `now`.
+    fn begin(&mut self, now: SimTime) {
+        self.iter += 1;
+        self.started = now;
+    }
+
+    /// Ends the iteration in flight at `now`; returns how long it took.
+    fn end(&mut self, now: SimTime) -> SimDuration {
+        let took = now.saturating_duration_since(self.started);
+        self.iteration_times.push(took);
+        took
+    }
+
+    /// Mean goodput in bits per second over the completed iterations.
+    pub fn goodput_bps(&self) -> f64 {
+        let total: f64 = self.iteration_times.iter().map(|d| d.as_secs_f64()).sum();
+        if total == 0.0 {
+            0.0
+        } else {
+            (self.bytes * self.iteration_times.len() as u64) as f64 * 8.0 / total
+        }
+    }
+
+    fn visit(&self, v: &mut dyn MetricsVisitor) {
+        v.counter("iterations_completed", self.iteration_times.len() as u64);
+        v.gauge("done", if self.done { 1.0 } else { 0.0 });
+    }
+
+    /// The client crashed: the iteration in flight died with it, and the
+    /// count starts over. Completed iterations stay recorded.
+    fn reset(&mut self) {
+        self.done = false;
+        self.iter = 0;
+        self.started = SimTime::ZERO;
+    }
+}
+
+/// The fetch of one server's fragment: the bytes of the current request
+/// landed so far. A worker holds one, the epoll client one per connection.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Fetch {
+    got: u32,
+}
+
+impl Fetch {
+    /// Requests on `fd` the fragment's `bytes` of the iteration in flight
+    /// (`iter` counts the iterations begun), counting them from zero.
+    fn send(&mut self, fd: Fd, iter: u64, bytes: u32, now: SimTime) -> Step {
+        self.got = 0;
+        let msg = AppMessage::new(KIND_REQ, iter - 1, 32, now).with_arg0(u64::from(bytes));
+        Step::Syscall(Syscall::Send { fd, msg })
+    }
+
+    /// Re-requests it on the fresh connection `fd` after a transport
+    /// failure cut it short, counting the retry.
+    fn resend(&mut self, retried: &mut u64, fd: Fd, iter: u64, bytes: u32, now: SimTime) -> Step {
+        *retried += 1;
+        self.send(fd, iter, bytes, now)
+    }
+
+    /// Counts the chunks a `recv` returned; `true` when they complete the
+    /// fragment.
+    fn land(&mut self, msgs: &[AppMessage], fragment: u32) -> bool {
+        let before = self.got;
+        self.got += msgs.iter().map(|m| m.len).sum::<u32>();
+        before < fragment && self.got >= fragment
+    }
+
+    /// Whether bytes of the fragment are still owed.
+    fn outstanding(&self, fragment: u32) -> bool {
+        self.got < fragment
+    }
 }
 
 /// The memory the incast client threads on one node share: a barrier
-/// over the workers that, like a `pthread_barrier_t`, holds its count.
+/// over the workers that, like a `pthread_barrier_t`, holds its count,
+/// and the iteration the master last began.
 #[derive(Debug)]
 pub struct IncastShared {
     /// Workers in the barrier.
@@ -73,12 +181,14 @@ pub struct IncastShared {
     pub remaining: usize,
     /// Set by the master when all iterations are done.
     pub finished: bool,
+    /// Iterations the master has begun: the one in flight is `iter − 1`.
+    pub iter: u64,
 }
 
 impl IncastShared {
     /// A barrier over `workers` workers, none connected yet.
     pub fn new(workers: usize) -> Self {
-        IncastShared { workers, remaining: workers, finished: false }
+        IncastShared { workers, remaining: workers, finished: false, iter: 0 }
     }
 }
 
@@ -237,8 +347,7 @@ pub struct IncastWorker {
     shared: ShmKey<IncastShared>,
     state: WrkState,
     start_seen: u64,
-    iter: u64,
-    got_bytes: u32,
+    fetch: Fetch,
     /// Reconnect backoff, its jitter seeded from the target server's
     /// address so the per-server workers of a mass failure back off
     /// de-correlated.
@@ -266,8 +375,7 @@ impl IncastWorker {
             shared,
             state: WrkState::Dial(Dial::Start),
             start_seen: 0,
-            iter: 0,
-            got_bytes: 0,
+            fetch: Fetch::default(),
             redial: Redial::new(DetRng::new(u64::from(server.node.0)).derive(0xBACC0FF)),
             resend: false,
             server,
@@ -328,13 +436,10 @@ impl Process for IncastWorker {
                         Setup::Up(fd) => fd,
                     };
                     if self.resend {
-                        // Re-issue the interrupted request on the fresh
-                        // connection.
-                        self.failure.retried += 1;
-                        self.got_bytes = 0;
+                        let (iter, bytes) = (ctx.shm.get(self.shared).iter, self.fragment);
                         self.state = WrkState::RecvResp(fd);
-                        let msg = request(self.iter - 1, self.fragment, ctx.now);
-                        return Step::Syscall(Syscall::Send { fd, msg });
+                        let retried = &mut self.failure.retried;
+                        return self.fetch.resend(retried, fd, iter, bytes, ctx.now);
                     }
                     if self.arrive(fd, ctx) {
                         return Step::Syscall(Syscall::FutexWake { key: FUTEX_DONE });
@@ -356,15 +461,13 @@ impl Process for IncastWorker {
                     if let SysResult::FutexVal(v) = ctx.result {
                         self.start_seen = v;
                     }
-                    if ctx.shm.get(self.shared).finished {
+                    let barrier = ctx.shm.get(self.shared);
+                    if barrier.finished {
                         self.state = WrkState::Done;
                         return Step::Syscall(Syscall::Close { fd });
                     }
-                    let msg = request(self.iter, self.fragment, ctx.now);
-                    self.iter += 1;
-                    self.got_bytes = 0;
                     self.state = WrkState::RecvResp(fd);
-                    return Step::Syscall(Syscall::Send { fd, msg });
+                    return self.fetch.send(fd, barrier.iter, self.fragment, ctx.now);
                 }
                 WrkState::RecvResp(fd) => {
                     let (msgs, eof) = match std::mem::replace(&mut ctx.result, SysResult::Done) {
@@ -375,21 +478,13 @@ impl Process for IncastWorker {
                         SysResult::Err(_) => return self.fail(fd, ctx.now),
                         other => panic!("worker recv failed: {other:?}"),
                     };
-                    for m in &msgs {
-                        assert_eq!(m.kind, KIND_RESP);
-                        self.got_bytes += m.len;
-                    }
-                    if self.got_bytes >= self.fragment {
+                    if self.fetch.land(&msgs, self.fragment) {
                         if self.arrive(fd, ctx) {
                             return Step::Syscall(Syscall::FutexWake { key: FUTEX_DONE });
                         }
                         continue;
                     }
                     if eof {
-                        if ctx.shm.get(self.shared).finished {
-                            self.state = WrkState::Done;
-                            return Step::Syscall(Syscall::Close { fd });
-                        }
                         // The server vanished mid-response: reconnect and
                         // re-request the fragment.
                         return self.fail(fd, ctx.now);
@@ -413,8 +508,7 @@ impl Process for IncastWorker {
         }
         self.state = WrkState::Dial(Dial::Start);
         self.start_seen = 0;
-        self.iter = 0;
-        self.got_bytes = 0;
+        self.fetch = Fetch::default();
         self.redial.attempts = 0;
         self.resend = false;
         true
@@ -422,55 +516,35 @@ impl Process for IncastWorker {
 }
 
 /// The pthread-style client coordinator: releases the worker barrier each
-/// iteration and records per-iteration block completion times.
+/// iteration, publishing the iteration's number to the workers, and
+/// records the block.
 #[derive(Debug)]
 pub struct IncastMaster {
-    /// Iterations to run.
-    pub iterations: u64,
-    /// Wall-clock duration of each completed iteration.
-    pub iteration_times: Vec<SimDuration>,
-    /// All iterations completed.
-    pub done: bool,
+    /// The block the workers fetch.
+    pub block: Block,
     shared: ShmKey<IncastShared>,
     state: MstState,
     done_seen: u64,
-    iter_started: SimTime,
-    iter: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MstState {
-    AwaitConnects,
-    StartIter,
+    /// Waiting for the workers: connected, then each fragment in.
     AwaitDone,
+    StartIter,
     Finish,
     Exit,
 }
 
 impl IncastMaster {
     /// Creates a coordinator running `iterations` over the workers of the
-    /// `shared` barrier.
-    pub fn new(iterations: u64, shared: ShmKey<IncastShared>) -> Self {
+    /// `shared` barrier, each fetching a block of `block_bytes`.
+    pub fn new(iterations: u64, block_bytes: u64, shared: ShmKey<IncastShared>) -> Self {
         IncastMaster {
-            iterations,
-            iteration_times: Vec::new(),
-            done: false,
+            block: Block::new(iterations, block_bytes),
             shared,
-            state: MstState::AwaitConnects,
+            state: MstState::AwaitDone,
             done_seen: 0,
-            iter_started: SimTime::ZERO,
-            iter: 0,
-        }
-    }
-
-    /// Mean goodput in bits per second for a striped block of
-    /// `block_bytes` per iteration.
-    pub fn goodput_bps(&self, block_bytes: u64) -> f64 {
-        let total: f64 = self.iteration_times.iter().map(|d| d.as_secs_f64()).sum();
-        if total == 0.0 {
-            0.0
-        } else {
-            (block_bytes * self.iteration_times.len() as u64) as f64 * 8.0 / total
         }
     }
 }
@@ -479,7 +553,7 @@ impl Process for IncastMaster {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
         loop {
             match self.state {
-                MstState::AwaitConnects => {
+                MstState::AwaitDone => {
                     self.state = MstState::StartIter;
                     return Step::Syscall(Syscall::FutexWait {
                         key: FUTEX_DONE,
@@ -490,31 +564,23 @@ impl Process for IncastMaster {
                     if let SysResult::FutexVal(v) = ctx.result {
                         self.done_seen = v;
                     }
-                    if self.iter > 0 {
-                        self.iteration_times
-                            .push(ctx.now.saturating_duration_since(self.iter_started));
+                    if self.block.iter > 0 {
+                        self.block.end(ctx.now);
                     }
-                    if self.iter >= self.iterations {
+                    if !self.block.more() {
                         self.state = MstState::Finish;
                         continue;
                     }
-                    self.iter += 1;
+                    self.block.begin(ctx.now);
                     let barrier = ctx.shm.get_mut(self.shared);
                     barrier.remaining = barrier.workers;
-                    self.iter_started = ctx.now;
+                    barrier.iter = self.block.iter;
                     self.state = MstState::AwaitDone;
                     return Step::Syscall(Syscall::FutexWake { key: FUTEX_START });
                 }
-                MstState::AwaitDone => {
-                    self.state = MstState::StartIter;
-                    return Step::Syscall(Syscall::FutexWait {
-                        key: FUTEX_DONE,
-                        seen: self.done_seen,
-                    });
-                }
                 MstState::Finish => {
                     ctx.shm.get_mut(self.shared).finished = true;
-                    self.done = true;
+                    self.block.done = true;
                     self.state = MstState::Exit;
                     return Step::Syscall(Syscall::FutexWake { key: FUTEX_START });
                 }
@@ -524,16 +590,13 @@ impl Process for IncastMaster {
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
-        v.counter("iterations_completed", self.iteration_times.len() as u64);
-        v.gauge("done", if self.done { 1.0 } else { 0.0 });
+        self.block.visit(v);
     }
 
     fn reset(&mut self) -> bool {
-        self.state = MstState::AwaitConnects;
+        self.state = MstState::AwaitDone;
         self.done_seen = 0;
-        self.iter = 0;
-        self.iter_started = SimTime::ZERO;
-        self.done = false;
+        self.block.reset();
         true
     }
 }
@@ -557,24 +620,19 @@ pub struct IncastEpollClient {
     pub servers: Vec<SockAddr>,
     /// Fragment bytes per server per iteration.
     pub fragment: u32,
-    /// Iterations to run.
-    pub iterations: u64,
-    /// Wall-clock duration of each completed iteration.
-    pub iteration_times: Vec<SimDuration>,
-    /// All iterations completed.
-    pub done: bool,
+    /// The block it fetches.
+    pub block: Block,
     /// Failure/recovery accounting.
     pub failure: FailureStats,
     /// Per-request deadline for `epoll_wait`; `None` waits forever.
     pub request_deadline: Option<SimDuration>,
     state: EpState,
-    fds: Vec<Fd>,
-    got: Vec<u32>,
+    /// One connection per server, in server order, as set-up dials them.
+    conns: Vec<Conn>,
     send_idx: usize,
-    ready_queue: VecDeque<Fd>,
+    /// Connections `epoll_wait` reported readable and not yet read.
+    ready: VecDeque<usize>,
     completed: usize,
-    iter: u64,
-    iter_started: SimTime,
     /// Reconnect backoff, its jitter seeded from the server list so
     /// repeated reconnect rounds against a flapping fabric don't stay
     /// phase-locked.
@@ -589,21 +647,29 @@ pub struct IncastEpollClient {
     pub admission: Admission,
 }
 
+/// The epoll client's connection to one server and its fragment's fetch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Conn {
+    fd: Fd,
+    fetch: Fetch,
+}
+
 /// Where the client stands, with its epoll instance once it has one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EpState {
     /// Set-up: dial the next server, or create the epoll instance once
     /// every server is connected.
     Start,
-    /// Set-up: dialing `servers[fds.len()]`.
+    /// Set-up: dialing `servers[conns.len()]`.
     Dial(Dial),
     /// `epoll_create` in flight.
     EpollCreate,
-    /// Registering `fds[i..]` with the epoll instance.
+    /// Registering `conns[i..]` with the epoll instance.
     Register(Fd, usize),
     SendNext(Fd),
     Wait(Fd),
-    Drain(Fd),
+    /// The `recv` on ready connection `i` in flight.
+    Drain(Fd, usize),
     /// Re-establishing connection `reconn_idx`: the socket goes into the
     /// epoll instance.
     Redial(Fd, Dial),
@@ -622,21 +688,16 @@ impl IncastEpollClient {
         let seed = servers.first().map_or(0, |s| u64::from(s.node.0));
         IncastEpollClient {
             redial: Redial::new(DetRng::new(seed).derive(0xBACC0FF)),
+            block: Block::new(iterations, u64::from(fragment) * servers.len() as u64),
             servers,
             fragment,
-            iterations,
-            iteration_times: Vec::new(),
-            done: false,
             failure: FailureStats::default(),
             request_deadline: None,
             state: EpState::Start,
-            fds: Vec::new(),
-            got: Vec::new(),
+            conns: Vec::new(),
             send_idx: 0,
-            ready_queue: VecDeque::new(),
+            ready: VecDeque::new(),
             completed: 0,
-            iter: 0,
-            iter_started: SimTime::ZERO,
             reconn_idx: 0,
             admission: Admission::default(),
         }
@@ -648,68 +709,59 @@ impl IncastEpollClient {
             self.state,
             EpState::SendNext(_)
                 | EpState::Wait(_)
-                | EpState::Drain(_)
+                | EpState::Drain(..)
                 | EpState::Redial(..)
                 | EpState::Resent(_)
         )
     }
 
     /// Enters the reconnect path for connection `idx`, discarding any
-    /// queued readiness for its (now doomed) fd.
+    /// queued readiness for it.
     fn fail_conn(&mut self, epfd: Fd, now: SimTime, idx: usize) -> Step {
-        let fd = self.fds[idx];
-        self.ready_queue.retain(|f| *f != fd);
+        self.ready.retain(|&i| i != idx);
         self.reconn_idx = idx;
-        let (d, call) = self.redial.fail(&mut self.failure, fd, now);
+        let (d, call) = self.redial.fail(&mut self.failure, self.conns[idx].fd, now);
         self.state = EpState::Redial(epfd, d);
         Step::Syscall(call)
     }
 
-    /// Starts the next iteration's sends.
-    fn begin_iteration(&mut self, epfd: Fd, now: SimTime) {
-        self.iter += 1;
-        self.iter_started = now;
-        self.send_idx = 0;
-        self.state = EpState::SendNext(epfd);
+    /// Waits in `epfd` for readable connections, up to the deadline.
+    fn wait(&mut self, epfd: Fd) -> Step {
+        self.state = EpState::Wait(epfd);
+        Step::Syscall(Syscall::EpollWait { epfd, max_events: 64, timeout: self.request_deadline })
     }
 
-    /// Mean goodput in bits per second for the whole striped block.
-    pub fn goodput_bps(&self) -> f64 {
-        let block = self.fragment as u64 * self.servers.len() as u64;
-        let total: f64 = self.iteration_times.iter().map(|d| d.as_secs_f64()).sum();
-        if total == 0.0 {
-            0.0
-        } else {
-            (block * self.iteration_times.len() as u64) as f64 * 8.0 / total
-        }
-    }
-
-    fn fd_index(&self, fd: Fd) -> usize {
-        self.fds.iter().position(|f| *f == fd).expect("unknown fd")
+    /// Reads the next ready connection, or waits once none is left.
+    fn drain(&mut self, epfd: Fd) -> Step {
+        let Some(idx) = self.ready.pop_front() else { return self.wait(epfd) };
+        self.state = EpState::Drain(epfd, idx);
+        Step::Syscall(Syscall::Recv { fd: self.conns[idx].fd, max_msgs: 16 })
     }
 
     /// Refuses a restored connection table, index or dial the rebuilt
     /// server list cannot hold: it would decode, then panic at the next
     /// step.
     fn check_indices(&mut self) -> Result<(), SnapError> {
-        let (servers, fds) = (self.servers.len(), self.fds.len());
-        let (registered, closing) = match self.state {
-            EpState::Register(_, i) => (i, 0),
-            EpState::Closing(i) => (0, i),
-            _ => (0, 0),
+        let (servers, conns) = (self.servers.len(), self.conns.len());
+        let (registered, closing, receiving) = match self.state {
+            EpState::Register(_, i) => (i, 0, None),
+            EpState::Closing(i) => (0, i, None),
+            EpState::Drain(_, i) => (0, 0, Some(i)),
+            _ => (0, 0, None),
         };
         let checks = [
-            (self.got.len() == fds && fds <= servers, "connection table"),
-            (!matches!(self.state, EpState::Dial(_)) || fds < servers, "set-up dial"),
-            (registered <= fds, "register index"),
-            (self.send_idx <= fds, "send index"),
-            (self.reconn_idx < fds.max(1), "reconnect index"),
-            (!matches!(self.state, EpState::Redial(..)) || self.reconn_idx < fds, "redial"),
-            (closing <= fds, "close index"),
+            (conns <= servers, "connection table"),
+            (!matches!(self.state, EpState::Dial(_)) || conns < servers, "set-up dial"),
+            (registered <= conns, "register index"),
+            (self.send_idx <= conns, "send index"),
+            (self.ready.iter().chain(&receiving).all(|&i| i < conns), "ready queue"),
+            (self.reconn_idx < conns.max(1), "reconnect index"),
+            (!matches!(self.state, EpState::Redial(..)) || self.reconn_idx < conns, "redial"),
+            (closing <= conns, "close index"),
         ];
         match checks.into_iter().find(|&(ok, _)| !ok) {
             Some((_, what)) => Err(SnapError::Malformed(format!(
-                "{what} of an incast client with {servers} servers and {fds} connections"
+                "{what} of an incast client with {servers} servers and {conns} connections"
             ))),
             None => Ok(()),
         }
@@ -740,7 +792,7 @@ impl Process for IncastEpollClient {
         loop {
             match self.state {
                 EpState::Start => {
-                    if self.fds.len() == self.servers.len() {
+                    if self.conns.len() == self.servers.len() {
                         self.state = EpState::EpollCreate;
                         return Step::Syscall(Syscall::EpollCreate);
                     }
@@ -749,15 +801,14 @@ impl Process for IncastEpollClient {
                 }
                 EpState::Dial(d) => {
                     // Nonblocking, registered once the epoll instance exists.
-                    let to = self.servers[self.fds.len()];
+                    let to = self.servers[self.conns.len()];
                     match conn::dial(self, d, Sock { to, nonblocking: true, epfd: None }, ctx) {
                         Setup::Call(d, call) => {
                             self.state = EpState::Dial(d);
                             return Step::Syscall(call);
                         }
                         Setup::Up(fd) => {
-                            self.fds.push(fd);
-                            self.got.push(0);
+                            self.conns.push(Conn { fd, fetch: Fetch::default() });
                             self.state = EpState::Start;
                             continue;
                         }
@@ -769,11 +820,11 @@ impl Process for IncastEpollClient {
                     continue;
                 }
                 EpState::Register(ep, i) => {
-                    if let Some(&fd) = self.fds.get(i) {
+                    if let Some(c) = self.conns.get(i) {
                         self.state = EpState::Register(ep, i + 1);
                         return Step::Syscall(Syscall::EpollCtl {
                             epfd: ep,
-                            fd,
+                            fd: c.fd,
                             interest: EventMask::READ,
                         });
                     }
@@ -782,11 +833,15 @@ impl Process for IncastEpollClient {
                 }
                 EpState::Pace(ep) => match self.admission.admit(ctx.now, 1) {
                     // Closed loop: iterations run back to back, then stop.
-                    None if self.iter >= self.iterations => self.state = EpState::Closing(0),
+                    None if !self.block.more() => self.state = EpState::Closing(0),
                     // Or open loop: the oldest due arrival starts now (late
                     // if the last iteration was still in flight); the rest
                     // were shed.
-                    None | Some(1..) => self.begin_iteration(ep, ctx.now),
+                    None | Some(1..) => {
+                        self.block.begin(ctx.now);
+                        self.send_idx = 0;
+                        self.state = EpState::SendNext(ep);
+                    }
                     Some(0) => match self.admission.next_arrival() {
                         Some(at) => {
                             return Step::Syscall(Syscall::Nanosleep(at.duration_since(ctx.now)))
@@ -804,18 +859,11 @@ impl Process for IncastEpollClient {
                             return self.fail_conn(ep, ctx.now, self.send_idx - 1);
                         }
                     }
-                    if self.send_idx < self.fds.len() {
-                        let fd = self.fds[self.send_idx];
-                        self.send_idx += 1;
-                        let msg = request(self.iter - 1, self.fragment, ctx.now);
-                        return Step::Syscall(Syscall::Send { fd, msg });
-                    }
-                    self.state = EpState::Wait(ep);
-                    return Step::Syscall(Syscall::EpollWait {
-                        epfd: ep,
-                        max_events: 64,
-                        timeout: self.request_deadline,
-                    });
+                    let Some(c) = self.conns.get_mut(self.send_idx) else {
+                        return self.wait(ep);
+                    };
+                    self.send_idx += 1;
+                    return c.fetch.send(c.fd, self.block.iter, self.fragment, ctx.now);
                 }
                 EpState::Wait(ep) => {
                     match std::mem::replace(&mut ctx.result, SysResult::Computed) {
@@ -823,42 +871,33 @@ impl Process for IncastEpollClient {
                             if evs.is_empty() {
                                 // Deadline expired with a fragment outstanding:
                                 // declare the slowest connection failed.
-                                let idx = (0..self.fds.len())
-                                    .find(|&i| self.got[i] < self.fragment)
+                                let idx = self
+                                    .conns
+                                    .iter()
+                                    .position(|c| c.fetch.outstanding(self.fragment))
                                     .expect("epoll deadline with nothing outstanding");
                                 return self.fail_conn(ep, ctx.now, idx);
                             }
                             for (fd, mask) in evs {
-                                if mask.readable {
-                                    self.ready_queue.push_back(fd);
-                                }
+                                let idx = self.conns.iter().position(|c| c.fd == fd);
+                                self.ready.extend(idx.filter(|_| mask.readable));
                             }
-                            self.state = EpState::Drain(ep);
-                            continue;
+                            return self.drain(ep);
                         }
                         other => panic!("epoll_wait failed: {other:?}"),
                     }
                 }
-                EpState::Drain(ep) => {
-                    // Consume one Recv result if we just issued one.
+                EpState::Drain(ep, idx) => {
                     match std::mem::replace(&mut ctx.result, SysResult::Computed) {
                         SysResult::Messages { msgs, eof } => {
-                            let fd = self
-                                .ready_queue
-                                .pop_front()
-                                .expect("recv result without pending fd");
-                            let idx = self.fd_index(fd);
-                            let before = self.got[idx];
-                            for m in &msgs {
-                                self.got[idx] += m.len;
-                            }
-                            if before < self.fragment && self.got[idx] >= self.fragment {
+                            let fetch = &mut self.conns[idx].fetch;
+                            if fetch.land(&msgs, self.fragment) {
                                 self.completed += 1;
                                 if self.failure.failing() && idx == self.reconn_idx {
                                     self.failure.on_success(ctx.now);
                                     self.redial.attempts = 0;
                                 }
-                            } else if eof && self.got[idx] < self.fragment {
+                            } else if eof && fetch.outstanding(self.fragment) {
                                 // The server half-closed mid-fragment:
                                 // reconnect and re-request. (An EOF after a
                                 // complete fragment is left for the next
@@ -866,45 +905,21 @@ impl Process for IncastEpollClient {
                                 return self.fail_conn(ep, ctx.now, idx);
                             }
                         }
-                        SysResult::Err(Errno::WouldBlock) => {
-                            self.ready_queue.pop_front();
-                        }
-                        SysResult::Err(_) => {
-                            // The connection under the ready fd has broken
-                            // (reset or retransmission timeout).
-                            let fd = self
-                                .ready_queue
-                                .pop_front()
-                                .expect("recv result without pending fd");
-                            let idx = self.fd_index(fd);
+                        // The connection has broken (reset or
+                        // retransmission timeout).
+                        SysResult::Err(e) if e != Errno::WouldBlock => {
                             return self.fail_conn(ep, ctx.now, idx);
                         }
                         _ => {}
                     }
-                    if self.completed == self.fds.len() {
-                        // Iteration complete.
-                        let d = ctx.now.saturating_duration_since(self.iter_started);
-                        self.iteration_times.push(d);
-                        self.completed = 0;
-                        self.got.iter_mut().for_each(|g| *g = 0);
-                        self.ready_queue.clear();
-                        self.admission.on_complete(d);
-                        self.state = EpState::Pace(ep);
-                        continue;
+                    if self.completed < self.conns.len() {
+                        return self.drain(ep);
                     }
-                    match self.ready_queue.front() {
-                        Some(&fd) => {
-                            return Step::Syscall(Syscall::Recv { fd, max_msgs: 16 });
-                        }
-                        None => {
-                            self.state = EpState::Wait(ep);
-                            return Step::Syscall(Syscall::EpollWait {
-                                epfd: ep,
-                                max_events: 64,
-                                timeout: self.request_deadline,
-                            });
-                        }
-                    }
+                    self.completed = 0;
+                    self.ready.clear();
+                    let took = self.block.end(ctx.now);
+                    self.admission.on_complete(took);
+                    self.state = EpState::Pace(ep);
                 }
                 EpState::Redial(ep, d) => {
                     let to = self.servers[self.reconn_idx];
@@ -914,12 +929,11 @@ impl Process for IncastEpollClient {
                             return Step::Syscall(call);
                         }
                         Setup::Up(fd) => {
-                            self.fds[self.reconn_idx] = fd;
-                            self.got[self.reconn_idx] = 0;
-                            self.failure.retried += 1;
                             self.state = EpState::Resent(ep);
-                            let msg = request(self.iter - 1, self.fragment, ctx.now);
-                            return Step::Syscall(Syscall::Send { fd, msg });
+                            let c = &mut self.conns[self.reconn_idx];
+                            c.fd = fd;
+                            let (retried, iter) = (&mut self.failure.retried, self.block.iter);
+                            return c.fetch.resend(retried, fd, iter, self.fragment, ctx.now);
                         }
                     }
                 }
@@ -934,7 +948,7 @@ impl Process for IncastEpollClient {
                     SysResult::Err(_) => {
                         // The re-sent request failed: close the new socket
                         // and redial, leaving the ready queue as it is.
-                        let fd = self.fds[self.reconn_idx];
+                        let fd = self.conns[self.reconn_idx].fd;
                         let (d, call) = self.redial.fail(&mut self.failure, fd, ctx.now);
                         self.state = EpState::Redial(ep, d);
                         return Step::Syscall(call);
@@ -942,11 +956,11 @@ impl Process for IncastEpollClient {
                     ref other => panic!("resend failed: {other:?}"),
                 },
                 EpState::Closing(i) => {
-                    if i < self.fds.len() {
+                    if let Some(c) = self.conns.get(i) {
                         self.state = EpState::Closing(i + 1);
-                        return Step::Syscall(Syscall::Close { fd: self.fds[i] });
+                        return Step::Syscall(Syscall::Close { fd: c.fd });
                     }
-                    self.done = true;
+                    self.block.done = true;
                     self.state = EpState::Done;
                     continue;
                 }
@@ -956,8 +970,7 @@ impl Process for IncastEpollClient {
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
-        v.counter("iterations_completed", self.iteration_times.len() as u64);
-        v.gauge("done", if self.done { 1.0 } else { 0.0 });
+        self.block.visit(v);
         self.failure.visit(v);
         self.admission.visit(usize::from(self.busy()), v);
     }
@@ -972,16 +985,13 @@ impl Process for IncastEpollClient {
             self.admission.on_unanswered();
         }
         self.state = EpState::Start;
-        self.fds.clear();
-        self.got.clear();
+        self.conns.clear();
         self.send_idx = 0;
-        self.ready_queue.clear();
+        self.ready.clear();
         self.completed = 0;
-        self.iter = 0;
-        self.iter_started = SimTime::ZERO;
+        self.block.reset();
         self.redial.attempts = 0;
         self.reconn_idx = 0;
-        self.done = false;
         true
     }
 }
@@ -1006,13 +1016,7 @@ diablo_engine::impl_snap_enum!(WrkState {
     4 => Done,
 });
 
-diablo_engine::impl_snap_enum!(MstState {
-    0 => AwaitConnects,
-    1 => StartIter,
-    2 => AwaitDone,
-    3 => Finish,
-    4 => Exit,
-});
+diablo_engine::impl_snap_enum!(MstState { 0 => AwaitDone, 1 => StartIter, 2 => Finish, 3 => Exit });
 
 diablo_engine::impl_snap_enum!(EpState {
     0 => Start,
@@ -1021,7 +1025,7 @@ diablo_engine::impl_snap_enum!(EpState {
     3 => Register(ep, i),
     4 => SendNext(ep),
     5 => Wait(ep),
-    6 => Drain(ep),
+    6 => Drain(ep, i),
     7 => Redial(ep, d),
     8 => Resent(ep),
     9 => Pace(ep),
@@ -1029,52 +1033,39 @@ diablo_engine::impl_snap_enum!(EpState {
     11 => Done,
 });
 
+diablo_engine::impl_snap_struct!(Fetch { got });
+diablo_engine::impl_snap_struct!(Conn { fd, fetch });
+
+diablo_engine::impl_persist_fields!(Block {
+    iteration_times,
+    done,
+    iter,
+    started,
+    iterations: config,
+    bytes: config
+});
 diablo_engine::impl_persist_fields!(IncastServer { served, state, to_send, port: config });
 diablo_engine::impl_persist_fields!(IncastWorker {
     failure,
     state,
     start_seen,
-    iter,
-    got_bytes,
+    fetch,
     redial,
     resend,
     server: config,
     fragment: config,
     shared: config,
 });
-
-diablo_engine::impl_persist_fields!(IncastShared { remaining, finished, workers: config });
-
+diablo_engine::impl_persist_fields!(IncastShared { remaining, finished, iter, workers: config });
 diablo_engine::impl_persist_fields!(IncastMaster {
-    iteration_times,
-    done,
+    block: nested,
     state,
     done_seen,
-    iter_started,
-    iter,
-    shared: config,
-    iterations: config,
+    shared: config
 });
-
 diablo_engine::impl_persist_fields!(IncastEpollClient {
-    iteration_times,
-    done,
-    failure,
-    state,
-    fds,
-    got,
-    send_idx,
-    ready_queue,
-    completed,
-    iter,
-    iter_started,
-    redial,
-    reconn_idx,
-    admission,
-    servers: config,
-    fragment: config,
-    iterations: config,
-    request_deadline: config,
+    block: nested, failure, state, conns, send_idx, ready, completed, redial, reconn_idx, admission,
+    servers: config, fragment: config, request_deadline: config,
 } after_load = check_indices);
 
 #[cfg(test)]
@@ -1091,9 +1082,36 @@ mod tests {
         assert!(!w.finish_one(&mut shm));
         assert!(w.finish_one(&mut shm));
         shm.get_mut(s).finished = true;
+        shm.get_mut(s).iter = 2;
         shm.get_mut(s).reboot();
         let b = shm.get(s);
-        assert_eq!((b.remaining, b.finished), (3, false), "a reboot rewinds the barrier");
+        assert_eq!(
+            (b.remaining, b.finished, b.iter),
+            (3, false, 0),
+            "a reboot rewinds the barrier"
+        );
+    }
+
+    /// A fragment completes once, on the `recv` that brings its last byte;
+    /// a re-request on a fresh connection counts a retry and starts over
+    /// for the iteration in flight.
+    #[test]
+    fn a_fetch_completes_once_and_a_resend_starts_over() {
+        let chunk = |len| AppMessage::new(KIND_RESP, 0, len, SimTime::ZERO);
+        let mut fetch = Fetch::default();
+        fetch.send(Fd(3), 1, 100, SimTime::ZERO);
+        assert!(!fetch.land(&[chunk(60)], 100));
+        assert!(fetch.outstanding(100));
+        assert!(fetch.land(&[chunk(30), chunk(10)], 100));
+        assert!(!fetch.land(&[chunk(10)], 100), "a fragment completes once");
+        let mut failure = FailureStats::default();
+        let Step::Syscall(Syscall::Send { msg, .. }) =
+            fetch.resend(&mut failure.retried, Fd(4), 3, 100, SimTime::ZERO)
+        else {
+            panic!("a resend sends")
+        };
+        assert_eq!((msg.kind, msg.id, msg.arg0), (KIND_REQ, 2, 100));
+        assert_eq!((failure.retried, fetch.got), (1, 0));
     }
 
     /// A snapshot whose connection table or indices the rebuilt server
@@ -1106,9 +1124,12 @@ mod tests {
             let servers = (0..n).map(|i| SockAddr::new(NodeAddr(i), INCAST_PORT)).collect();
             IncastEpollClient::new(servers, 1024, 1)
         };
+        fn conns(n: u32) -> Vec<Conn> {
+            (3..3 + n).map(|fd| Conn { fd: Fd(fd), fetch: Fetch::default() }).collect()
+        }
         let restore = |mutate: fn(&mut IncastEpollClient)| {
             let mut saved = client(2);
-            (saved.fds, saved.got) = (vec![Fd(3), Fd(4)], vec![0, 0]);
+            saved.conns = conns(2);
             mutate(&mut saved);
             let mut w = SnapWriter::new();
             saved.save_state(&mut w);
@@ -1116,6 +1137,7 @@ mod tests {
         };
         restore(|_| {}).expect("a table that fits restores");
         restore(|c| c.state = EpState::Closing(2)).expect("closing the last fd is a state");
+        restore(|c| c.state = EpState::Drain(Fd(9), 1)).expect("a recv on the last connection");
         for (what, mutate) in [
             (
                 "register index",
@@ -1123,8 +1145,9 @@ mod tests {
             ),
             ("reconnect index", |c| c.reconn_idx = 2),
             ("close index", |c| c.state = EpState::Closing(3)),
-            ("connection table", |c| c.got.push(0)),
-            ("connection table", |c| (c.fds, c.got) = (vec![Fd(3); 3], vec![0; 3])),
+            ("ready queue", |c| c.ready.extend([1, 2])),
+            ("ready queue", |c| c.state = EpState::Drain(Fd(9), 2)),
+            ("connection table", |c| c.conns = conns(3)),
         ] {
             match restore(mutate) {
                 Err(SnapError::Malformed(msg)) => assert!(msg.starts_with(what), "{msg}"),
@@ -1149,12 +1172,12 @@ mod tests {
             saved.save_state(&mut w);
             client().load_state(&mut SnapReader::new(&w.into_bytes()))
         };
+        let conn = |fd| Conn { fd: Fd(fd), fetch: Fetch::default() };
         let mut half = client();
-        (half.fds, half.got, half.state) = (vec![Fd(3)], vec![0], EpState::Dial(Dial::Socket));
+        (half.conns, half.state) = (vec![conn(3)], EpState::Dial(Dial::Socket));
         restore(half).expect("a set-up dial to the second server restores");
         let mut full = client();
-        (full.fds, full.got) = (vec![Fd(3), Fd(4)], vec![0, 0]);
-        full.state = EpState::Dial(Dial::Connect(Fd(5)));
+        (full.conns, full.state) = (vec![conn(3), conn(4)], EpState::Dial(Dial::Connect(Fd(5))));
         let mut empty = client();
         empty.state = EpState::Redial(Fd(2), Dial::Close);
         for (what, saved) in [("set-up dial", full), ("redial", empty)] {
@@ -1167,9 +1190,9 @@ mod tests {
 
     #[test]
     fn goodput_math() {
-        let mut m = IncastMaster::new(2, Shm::default().share(IncastShared::new(1)));
-        m.iteration_times = vec![SimDuration::from_millis(2), SimDuration::from_millis(2)];
+        let mut block = Block::new(2, 256 * 1024);
+        block.iteration_times = vec![SimDuration::from_millis(2), SimDuration::from_millis(2)];
         let expected = 2.0 * 256.0 * 1024.0 * 8.0 / 0.004;
-        assert!((m.goodput_bps(256 * 1024) - expected).abs() < 1.0);
+        assert!((block.goodput_bps() - expected).abs() < 1.0);
     }
 }

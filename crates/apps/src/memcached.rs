@@ -749,8 +749,8 @@ pub struct McClient {
     inflight: Vec<Pending>,
     /// UDP open loop: admitted requests waiting for their `sendto`.
     sendq: VecDeque<(usize, KvOp)>,
-    /// The closed loop's last request picked, until the next reset (a
-    /// crash loses it), and over TCP its server and its last send.
+    /// The closed loop's last request picked, until the next reset, and
+    /// over TCP its server and its last send.
     current_op: Option<KvOp>,
     current_server: usize,
     sent_at: SimTime,
@@ -1228,11 +1228,15 @@ impl Process for McClient {
     fn reset(&mut self) -> bool {
         // A node crash wipes the kernel's sockets and the requests in
         // flight with them — crash losses, not timeouts: a request may
-        // never have been sent. A closed loop loses its current op, an
-        // open loop its window. The schedule keeps its position: offered
-        // load resumes the moment the node reboots. Results gathered so
-        // far survive.
-        let lost = if self.current_op.is_some() { 1 } else { self.in_flight() };
+        // never have been sent. A closed TCP loop loses the request it is
+        // dialing, sending or awaiting; a UDP client, either loop, its
+        // requests in the table or queued; none is lost between requests.
+        // The schedule keeps its position: offered load resumes the moment
+        // the node reboots. Results gathered so far survive.
+        let lost = match self.state {
+            CliState::Dial(..) | CliState::AwaitTcp(..) => 1,
+            _ => self.in_flight(),
+        };
         for _ in 0..lost {
             self.failure.on_crash_lost();
             self.admission.on_unanswered();
@@ -1378,6 +1382,31 @@ mod tests {
     fn versions_have_names() {
         assert_eq!(McVersion::V1_4_15.as_str(), "1.4.15");
         assert_eq!(McVersion::V1_4_17.as_str(), "1.4.17");
+    }
+
+    /// A crash loses a closed-loop request only while it is unanswered:
+    /// not once its reply is in (or it was given up) and the client
+    /// thinks before the next.
+    #[test]
+    fn a_crash_between_requests_loses_no_request() {
+        let servers: Vec<SockAddr> = vec![SockAddr::new(NodeAddr(0), MEMCACHED_PORT)];
+        let crash = |c: &mut McClient| {
+            c.current_op = Some(c.pick().1);
+            c.reset();
+            std::mem::take(&mut c.failure.crash_lost)
+        };
+        let mut tcp = McClient::new(McClientConfig::tcp(servers.clone(), 10), DetRng::new(1));
+        tcp.state = CliState::Idle(Io::Tcp);
+        assert_eq!(crash(&mut tcp), 0, "thinking after a reply");
+        tcp.state = CliState::AwaitTcp(Io::Tcp, Fd(3));
+        assert_eq!(crash(&mut tcp), 1, "awaiting the reply");
+        tcp.state = CliState::Dial(Io::Tcp, Dial::Socket);
+        assert_eq!(crash(&mut tcp), 1, "redialing for the request");
+        let mut udp = McClient::new(McClientConfig::udp(servers, 10), DetRng::new(1));
+        assert_eq!(crash(&mut udp), 0, "thinking after a reply");
+        let op = udp.pick().1;
+        let _ = udp.send_udp(0, op, SimTime::ZERO);
+        assert_eq!(crash(&mut udp), 1, "awaiting the reply");
     }
 
     /// A snapshot naming a server index the rebuilt list cannot hold is

@@ -20,7 +20,7 @@ use diablo_apps::control::{
 };
 use diablo_apps::failure::FailureStats;
 use diablo_apps::incast::{
-    IncastEpollClient, IncastMaster, IncastServer, IncastShared, IncastWorker, INCAST_PORT,
+    Block, IncastEpollClient, IncastMaster, IncastServer, IncastShared, IncastWorker, INCAST_PORT,
 };
 use diablo_apps::memcached::{
     McClient, McClientConfig, McDispatcher, McServerConfig, McShared, McVersion, McWorker,
@@ -58,6 +58,13 @@ fn check_fat_tree_shape(fabric: FabricKind, racks: usize, spr: usize) -> Result<
             view.racks, view.servers_per_rack
         ),
     )
+}
+
+/// A closed loop (no arrival schedule: `open` false) runs `ops`
+/// operations, counted by `field`, and checks no SLO target.
+fn check_loop(open: bool, slo: bool, ops: u64, field: &str) -> Result<(), String> {
+    ensure(open || ops > 0, format!("{field} must be at least 1 (or set arrival)"))?;
+    ensure(open || !slo, "slo requires arrival (a closed loop checks none)")
 }
 
 /// Checks a control-plane overlay: thresholds [`ControlConfig::validate`]
@@ -242,6 +249,12 @@ impl IncastConfig {
 /// the storage servers sit on nodes 1..=n.
 const INCAST_CLIENT: NodeAddr = NodeAddr(0);
 
+/// The block record of the run's client: its master's, or the epoll client's.
+fn incast_blocks<'h>(host: &'h SimHost, cluster: &'h Cluster) -> impl Iterator<Item = &'h Block> {
+    let masters = cluster.processes::<IncastMaster>(host).map(|m| &m.block);
+    masters.chain(cluster.processes::<IncastEpollClient>(host).map(|c| &c.block))
+}
+
 impl Experiment for IncastConfig {
     type Result = IncastResult;
 
@@ -267,13 +280,11 @@ impl Experiment for IncastConfig {
             hosts >= self.servers + others,
             format!("servers: {} + {others} do not fit the fabric's {hosts} hosts", self.servers),
         )?;
-        match &self.arrival {
-            None => ensure(self.iterations > 0, "iterations must be at least 1 (or set arrival)")?,
-            Some(_) => ensure(
-                self.client == IncastClientKind::Epoll,
-                "arrival requires client epoll (the pthread client is closed-loop)",
-            )?,
-        }
+        check_loop(self.arrival.is_some(), self.slo.is_some(), self.iterations, "iterations")?;
+        ensure(
+            self.arrival.is_none() || self.client == IncastClientKind::Epoll,
+            "arrival requires client epoll (the pthread client is closed-loop)",
+        )?;
         match &self.control {
             Some(ctl) => check_control(ctl, self.servers, "servers"),
             None => Ok(()),
@@ -339,7 +350,7 @@ impl Experiment for IncastConfig {
         match self.client {
             IncastClientKind::Pthread => {
                 let sh = cluster.share(host, INCAST_CLIENT, IncastShared::new(n));
-                let master = IncastMaster::new(self.iterations, sh);
+                let master = IncastMaster::new(self.iterations, self.block_bytes.into(), sh);
                 cluster.spawn(host, INCAST_CLIENT, Box::new(master));
                 for s in &servers {
                     let worker = IncastWorker::new(*s, fragment, sh);
@@ -358,8 +369,7 @@ impl Experiment for IncastConfig {
 
     fn is_done(&self, host: &SimHost, cluster: &Cluster) -> bool {
         // Done-flag poll only: results are extracted once, in summarize.
-        cluster.processes::<IncastMaster>(host).all(|m| m.done)
-            && cluster.processes::<IncastEpollClient>(host).all(|c| c.done)
+        incast_blocks(host, cluster).all(|b| b.done)
     }
 
     fn summarize(
@@ -367,26 +377,19 @@ impl Experiment for IncastConfig {
         host: &SimHost,
         cluster: &Cluster,
     ) -> (IncastResult, FailureStats, SloStats) {
-        let (mut failure, mut slo) = (FailureStats::default(), SloStats::default());
-        let (goodput_bps, iteration_times, offered) = match self.client {
-            IncastClientKind::Pthread => {
-                let m = cluster.processes::<IncastMaster>(host).next().expect("master missing");
-                for w in cluster.processes::<IncastWorker>(host) {
-                    failure.merge(&w.failure);
-                }
-                (m.goodput_bps(self.block_bytes as u64), m.iteration_times.clone(), 0)
-            }
-            IncastClientKind::Epoll => {
-                let c =
-                    cluster.processes::<IncastEpollClient>(host).next().expect("client missing");
-                failure.merge(&c.failure);
-                slo.merge(&c.admission.slo);
-                (c.goodput_bps(), c.iteration_times.clone(), c.admission.offered)
-            }
-        };
+        let (mut failure, mut slo, mut offered) = (FailureStats::default(), SloStats::default(), 0);
+        // The failures are the workers' or the epoll client's; only the
+        // epoll client admits iterations.
+        cluster.processes::<IncastWorker>(host).for_each(|w| failure.merge(&w.failure));
+        for c in cluster.processes::<IncastEpollClient>(host) {
+            failure.merge(&c.failure);
+            slo.merge(&c.admission.slo);
+            offered += c.admission.offered;
+        }
+        let block = incast_blocks(host, cluster).next().expect("client missing");
         let result = IncastResult {
-            goodput_mbps: goodput_bps / 1e6,
-            iteration_times,
+            goodput_mbps: block.goodput_bps() / 1e6,
+            iteration_times: block.iteration_times.clone(),
             switch_drops: cluster.total_switch_drops(host),
             offered,
             control: control_report(host, cluster),
@@ -603,16 +606,12 @@ impl Experiment for McExperimentConfig {
                 self.mc_per_rack, self.servers_per_rack
             ),
         )?;
-        match &self.arrival {
-            None => ensure(
-                self.requests_per_client > 0,
-                "requests_per_client must be at least 1 (or set arrival)",
-            )?,
-            Some(_) => {
-                let udp_only = "arrival requires proto udp (open-loop memcached is UDP-only)";
-                ensure(self.proto == Proto::Udp, udp_only)?;
-                ensure(self.window > 0, "window must be at least 1 (at 0 every arrival is shed)")?;
-            }
+        let (open, ops) = (self.arrival.is_some(), self.requests_per_client);
+        check_loop(open, self.slo.is_some(), ops, "requests_per_client")?;
+        if open {
+            let udp_only = "arrival requires proto udp (open-loop memcached is UDP-only)";
+            ensure(self.proto == Proto::Udp, udp_only)?;
+            ensure(self.window > 0, "window must be at least 1 (at 0 every arrival is shed)")?;
         }
         let Some(ctl) = &self.control else { return Ok(()) };
         ensure(
@@ -1005,10 +1004,7 @@ impl Experiment for PaExperimentConfig {
             self.servers_per_rack >= 2,
             "servers_per_rack must be at least 2: a front-end and one leaf",
         )?;
-        ensure(
-            self.arrival.is_some() || self.queries > 0,
-            "queries must be at least 1 (or set arrival)",
-        )?;
+        check_loop(self.arrival.is_some(), self.slo.is_some(), self.queries, "queries")?;
         let Some(ctl) = &self.control else { return Ok(()) };
         ensure(
             self.cross_rack,
@@ -1265,6 +1261,10 @@ mod tests {
         mc.proto = Proto::Udp;
         mc.control.as_mut().unwrap().dead_after = SimDuration::ZERO;
         assert!(invalid(mc.validate()).contains("control: dead threshold"));
+        // A target with no schedule to check it against, in each workload.
+        let mut mc = McExperimentConfig::mini(2, 10);
+        mc.slo = Some(SimDuration::from_millis(1));
+        assert!(invalid(mc.validate()).contains("slo requires arrival"));
         // A shape set apart from the fat-tree's own.
         let mut mc = McExperimentConfig::mini(2, 10).on_fat_tree(FatTreeConfig::new(4));
         mc.racks = 3;
@@ -1279,6 +1279,10 @@ mod tests {
         let mut incast = IncastConfig::fig6a(4);
         incast.arrival = Some(arrival.clone());
         assert!(invalid(incast.validate()).contains("arrival requires client epoll"));
+        let mut incast = IncastConfig::fig6a(4);
+        incast.client = IncastClientKind::Epoll;
+        incast.slo = Some(SimDuration::from_millis(5));
+        assert!(invalid(incast.validate()).contains("slo requires arrival"));
         let mut incast = IncastConfig::fig6a(200);
         incast.control = Some(ControlConfig::default());
         assert!(invalid(incast.validate()).contains("128"));
@@ -1300,6 +1304,9 @@ mod tests {
         let mut pa = PaExperimentConfig::new(2, 10);
         pa.control = Some(ControlConfig::default());
         assert!(invalid(pa.validate()).contains("control requires cross_rack"));
+        let mut pa = PaExperimentConfig::new(2, 10);
+        pa.slo = Some(pa.deadline);
+        assert!(invalid(pa.validate()).contains("slo requires arrival"));
         // The scheduler takes the only leaf.
         let mut pa = PaExperimentConfig::new(1, 10);
         pa.servers_per_rack = 2;

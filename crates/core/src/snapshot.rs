@@ -40,13 +40,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 
 /// Format version this build writes and reads. Bump on any layout
 /// change; restore rejects other versions with [`SnapError::Version`].
-/// Version 13: one memcached client serves both loops, with its admission
-/// rule, its closed-loop pace and one table of UDP requests in flight, and
-/// an epoll instance's waiters no longer keep a thread whose wait timed
-/// out.
+/// Version 14: the incast master and epoll client persist one block
+/// record, a worker reads the iteration from its barrier, and the epoll
+/// client keeps one connection table and names connections by index.
 /// Each version's change, and what it did to the bytes of four pinned
 /// snapshots, is stated in `tests/snapshot_golden.rs`.
-pub const SNAP_VERSION: u32 = 13;
+pub const SNAP_VERSION: u32 = 14;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

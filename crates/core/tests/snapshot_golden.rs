@@ -4,7 +4,22 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 13 (one memcached client serves both loops: it persists
+//! `SNAP_VERSION` 14 (the two incast clients share one block record and
+//! one fragment fetch: the master persists its block — iteration times,
+//! done flag, iterations begun, start instant — where it held the same
+//! fields in another order, and its state tags shift down one with its
+//! connect wait gone, 0 bytes; a worker loses its 8-byte iteration count,
+//! which it reads from the barrier, and the barrier gains it, 8 bytes; the
+//! epoll client keeps one table of descriptor and byte-count pairs where
+//! it kept two vectors, 8 bytes smaller, its ready queue names connection
+//! indices, 8 bytes each where a descriptor was 4, and its drain state
+//! carries the index of the connection whose `recv` is in flight, 8 bytes
+//! more. The pthread incast snapshot, first recorded at
+//! version 13 as 20,044 bytes (`d9191fa46cf95405`), is 56 bytes smaller
+//! (8 workers −64, the barrier +8), the epoll incast one 8 (no readiness
+//! queued and no `recv` in flight at its instant), and the three others
+//! differ in the version word only; version 13: one memcached client
+//! serves both loops: it persists
 //! its admission rule — a 1-byte absent or present schedule, the 8-byte
 //! offered count and the 25-byte SLO block the open-loop client held —
 //! its 8-byte closed-loop pace, UDP loop phase, in-flight table length,
@@ -137,7 +152,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     cfg.sample_every = Some(SimDuration::from_micros(500));
     let got =
         snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
-    assert_eq!(got, (452_376, "d8b9b5b9d3d77e59".to_string()));
+    assert_eq!(got, (452_376, "3533300422ad478a".to_string()));
 }
 
 #[test]
@@ -150,7 +165,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (97_232, "67b96308fe9b72d8".to_string()));
+    assert_eq!(got, (97_232, "330c55db62e7239f".to_string()));
 }
 
 #[test]
@@ -160,7 +175,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     cfg.cross_rack = true;
     let got =
         snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
-    assert_eq!(got, (133_068, "05c1d63b817f388e".to_string()));
+    assert_eq!(got, (133_068, "8db212feef555969".to_string()));
 }
 
 #[test]
@@ -179,5 +194,17 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (44_232, "160dead9c29a8f31".to_string()));
+    assert_eq!(got, (44_224, "f5420473523fad10".to_string()));
+}
+
+#[test]
+fn pthread_incast_snapshot_bytes_are_pinned() {
+    // The coordinator, eight blocking workers and their shared barrier,
+    // mid-way through the second iteration of an 8-to-1 burst.
+    let mut cfg = IncastConfig::fig6a(8);
+    cfg.iterations = 4;
+    let got = snapshot_digest("incast_pthread", |p| {
+        warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
+    });
+    assert_eq!(got, (19_988, "fbd480d27a354069".to_string()));
 }

@@ -59,7 +59,7 @@ fn run_pthread_incast(n_servers: usize, iters: u64, buffer: BufferConfig) -> f64
     {
         let node = rack.sim.component_mut::<ServerNode>(client).unwrap();
         let sh = node.kernel_mut().share(IncastShared::new(n_servers));
-        node.spawn(Box::new(IncastMaster::new(iters, sh)));
+        node.spawn(Box::new(IncastMaster::new(iters, block.into(), sh)));
         for s in 1..=n_servers {
             let server = SockAddr::new(NodeAddr(s as u32), INCAST_PORT);
             node.spawn(Box::new(IncastWorker::new(server, block / n_servers as u32, sh)));
@@ -68,9 +68,9 @@ fn run_pthread_incast(n_servers: usize, iters: u64, buffer: BufferConfig) -> f64
     rack.sim.run_until(SimTime::from_secs(60)).unwrap();
     let k = rack.sim.component::<ServerNode>(client).unwrap().kernel();
     let m = k.process::<IncastMaster>(diablo_stack::process::Tid(0)).unwrap();
-    assert!(m.done, "incast master did not finish ({n_servers} servers)");
-    assert_eq!(m.iteration_times.len() as u64, iters);
-    m.goodput_bps(block as u64) / 1e6
+    assert!(m.block.done, "incast master did not finish ({n_servers} servers)");
+    assert_eq!(m.block.iteration_times.len() as u64, iters);
+    m.block.goodput_bps() / 1e6
 }
 
 #[test]
@@ -100,9 +100,9 @@ fn epoll_incast_completes() {
     rack.sim.run_until(SimTime::from_secs(60)).unwrap();
     let k = rack.sim.component::<ServerNode>(client).unwrap().kernel();
     let c = k.process::<IncastEpollClient>(diablo_stack::process::Tid(0)).unwrap();
-    assert!(c.done, "epoll incast client did not finish");
-    assert_eq!(c.iteration_times.len(), 5);
-    assert!(c.goodput_bps() / 1e6 > 400.0);
+    assert!(c.block.done, "epoll incast client did not finish");
+    assert_eq!(c.block.iteration_times.len(), 5);
+    assert!(c.block.goodput_bps() / 1e6 > 400.0);
 }
 
 #[test]

@@ -69,7 +69,9 @@ fn counter_resets_across_node_crash_yield_no_negative_deltas() {
     use diablo::core::FaultPlan;
     let mut cfg = McExperimentConfig::mini(1, 40);
     cfg.sample_every = Some(SimDuration::from_millis(1));
-    cfg.faults = Some(FaultPlan::parse("5ms node-crash node1 reboot=1ms").expect("valid plan"));
+    // At 2 ms node1's client has a request in flight; by 5 ms it has
+    // answered all 40, and a crash then loses none.
+    cfg.faults = Some(FaultPlan::parse("2ms node-crash node1 reboot=1ms").expect("valid plan"));
     let r = run(&cfg, &CheckpointPolicy::default()).unwrap();
     assert!(r.failure.crash_lost > 0, "the crash must catch work in flight: {:?}", r.failure);
     let series = r.series.expect("sampled series");
