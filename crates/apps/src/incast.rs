@@ -538,7 +538,7 @@ enum MstState {
 
 impl IncastMaster {
     /// Creates a coordinator running `iterations` over the workers of the
-    /// `shared` barrier, each fetching a block of `block_bytes`.
+    /// `shared` barrier, which fetch `block_bytes` in all per iteration.
     pub fn new(iterations: u64, block_bytes: u64, shared: ShmKey<IncastShared>) -> Self {
         IncastMaster {
             block: Block::new(iterations, block_bytes),

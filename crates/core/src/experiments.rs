@@ -350,7 +350,7 @@ impl Experiment for IncastConfig {
         match self.client {
             IncastClientKind::Pthread => {
                 let sh = cluster.share(host, INCAST_CLIENT, IncastShared::new(n));
-                let master = IncastMaster::new(self.iterations, self.block_bytes.into(), sh);
+                let master = IncastMaster::new(self.iterations, u64::from(fragment) * n as u64, sh);
                 cluster.spawn(host, INCAST_CLIENT, Box::new(master));
                 for s in &servers {
                     let worker = IncastWorker::new(*s, fragment, sh);
@@ -1530,7 +1530,7 @@ mod tests {
         assert!(err.to_string().contains(&format!("thread {n} of a kernel with {n}")), "{err}");
     }
 
-    /// A thread's live epoll timer is its instant in the kernel plus the
+    /// A thread's live wait timer is its instant in the kernel plus the
     /// timer in the queue. Here damage takes both: the queued timeout gets
     /// a class the kernel does not have, and every copy of its instant in
     /// the snapshot reads 1 ps. An instant already past cannot be a live
@@ -1539,8 +1539,8 @@ mod tests {
     #[test]
     fn a_damaged_live_epoll_timer_instant_is_ignored() {
         let (mut bytes, mut host, cluster, fingerprint) = warmed_memcached("mc_udp_epoll.snap");
-        // Class 6 is `K_EPOLL_TO`.
-        let is_timeout = |bytes: &[u8], i: usize| bytes[i + 24] & 0xF == 6;
+        // Class 5 is `K_WAIT`, a thread's wait deadline.
+        let is_timeout = |bytes: &[u8], i: usize| bytes[i + 24] & 0xF == 5;
         let target = *queued_node_timers(&bytes, &cluster)
             .iter()
             .rfind(|&&i| is_timeout(&bytes, i))

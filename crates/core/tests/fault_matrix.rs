@@ -7,17 +7,20 @@
 //! must end with its frame books balanced or with a typed
 //! [`ExperimentError`]; a panic is a bug. The one error expected is the
 //! incast give-up under the rolling crash, which crashes the incast
-//! client's own node (node0) at 30 ms and reboots it at 70 ms. Traced in
-//! the epoll run: the 8 set-up connects complete by 0.27 ms and each
-//! server serves exactly 1 request; after the reboot no connect completes
-//! again, and five servers close their old connection at about 200 ms,
-//! when its RTO retransmit draws a RST. Two model facts meet there:
-//! `Kernel::crash` restarts ephemeral ports at 32768, so the first redial
-//! reuses server 0's old 4-tuple, and the Established arm of
-//! `TcpConn::on_segment` ignores a bare SYN, so that SYN vanishes.
-//! Aborting the connection on such a SYN still ends in `BudgetExhausted`,
-//! so these two are not the whole cause; until it is found the run
-//! exhausts its budget.
+//! client's own node (node0) at 30 ms and reboots it at 70 ms, again at
+//! 230 ms and 270 ms. Traced in the epoll run, with dead connections
+//! leaving the demultiplexer: the 8 set-up connects complete by 0.27 ms
+//! and each server serves exactly 1 request. After each reboot the client
+//! dials server 0 alone (set-up dials one server at a time) from port
+//! 32768 again, as `Kernel::crash` restarts ephemeral ports there: the
+//! 4-tuple of server 0's old connection, whose Established arm of
+//! `TcpConn::on_segment` ignores a bare SYN. At 200 ms the RTO
+//! retransmits of five other servers find no connection on node0 and
+//! draw a RST, which ends them; server 0's retransmit finds the client's
+//! `SynSent` connection on its 4-tuple, which ignores a segment that does
+//! not acknowledge its SYN instead of resetting the sender. The two
+//! ignore each other's retransmissions until the run exhausts its
+//! budget.
 
 use diablo_core::{
     run, ArrivalSpec, CheckpointPolicy, DropAccounting, ExperimentError, FaultPlan,

@@ -75,6 +75,6 @@ pub mod prelude {
     pub use crate::sched::CalendarQueue;
     pub use crate::sim::{RunStats, Simulation};
     pub use crate::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
-    pub use crate::stats::{Counter, ExecReport, Histogram, PartitionExec, Series, WorkerExec};
+    pub use crate::stats::{Counter, ExecReport, Histogram, PartitionExec, WorkerExec};
     pub use crate::time::{Bandwidth, Frequency, SimDuration, SimTime};
 }

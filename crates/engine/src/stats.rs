@@ -350,99 +350,6 @@ fn log_edges(lo: u64, hi: u64, bins_per_decade: usize) -> Vec<u64> {
     edges
 }
 
-/// A small collection of `f64` observations with summary statistics;
-/// suitable for repeated-trial metrics such as goodput per iteration.
-///
-/// # Examples
-///
-/// ```
-/// use diablo_engine::stats::Series;
-/// let s: Series = [1.0, 2.0, 3.0].into_iter().collect();
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.len(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Series {
-    values: Vec<f64>,
-}
-
-impl Series {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Series { values: Vec::new() }
-    }
-
-    /// Appends an observation.
-    pub fn push(&mut self, v: f64) {
-        self.values.push(v);
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Raw observations in insertion order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
-    /// Sample standard deviation (0 with fewer than two observations).
-    pub fn std_dev(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>()
-            / (self.values.len() - 1) as f64;
-        var.sqrt()
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().copied().fold(f64::INFINITY, f64::min)
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        }
-    }
-}
-
-impl FromIterator<f64> for Series {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Series { values: iter.into_iter().collect() }
-    }
-}
-
-impl Extend<f64> for Series {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        self.values.extend(iter);
-    }
-}
-
 /// Per-partition execution counters from a parallel run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionExec {
@@ -582,8 +489,6 @@ impl Snap for Histogram {
         Ok(h)
     }
 }
-
-crate::impl_snap_struct!(Series { values });
 
 #[cfg(test)]
 mod tests {
@@ -796,16 +701,5 @@ mod tests {
         assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.cdf().is_empty());
-    }
-
-    #[test]
-    fn series_summary() {
-        let s: Series = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
-        assert_eq!(s.mean(), 5.0);
-        assert!((s.std_dev() - 2.138).abs() < 0.01);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(Series::new().mean(), 0.0);
-        assert_eq!(Series::new().std_dev(), 0.0);
     }
 }

@@ -444,11 +444,6 @@ impl Frequency {
     pub fn cycles_time(self, cycles: u64) -> SimDuration {
         SimDuration(mul_div(cycles, PS_PER_SEC, self.hz, true) as u64)
     }
-
-    /// Whole cycles elapsing in `d` (truncating).
-    pub fn cycles_in(self, d: SimDuration) -> u64 {
-        mul_div(d.0, self.hz, PS_PER_SEC, false) as u64
-    }
 }
 
 /// `a * b / c`, rounded up if `ceil`, exactly: in u64 when the product
@@ -615,8 +610,6 @@ mod tests {
     fn frequency_cycle_math() {
         // 4 cycles at 4 GHz = 1 ns.
         assert_eq!(Frequency::ghz(4).cycles_time(4).as_picos(), 1_000);
-        // 2 GHz: 1 us = 2000 cycles.
-        assert_eq!(Frequency::ghz(2).cycles_in(SimDuration::from_micros(1)), 2_000);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! DIABLO's approach of carrying target-time-stamped tokens over host
 //! serial links.
 
-use crate::payload::wire_bytes;
 use diablo_engine::event::{ComponentId, PortNo};
 use diablo_engine::time::{Bandwidth, SimDuration, SimTime};
 use std::fmt;
@@ -169,11 +168,6 @@ impl LinkParams {
             propagation: self.propagation,
             loss_rate: fp20_decode(loss_rate_fp20),
         }
-    }
-
-    /// Serialization time of an IP packet of `ip_bytes` on this link.
-    pub fn transmit_time_ip(&self, ip_bytes: u32) -> SimDuration {
-        self.bandwidth.transmit_time(wire_bytes(ip_bytes) as u64)
     }
 
     /// Minimum sender-side delay between deciding to transmit and the frame
@@ -416,12 +410,5 @@ mod tests {
         assert!(!LinkState::Down.has_carrier());
         assert!(LinkState::Degraded { bandwidth_factor_fp20: FP20_ONE, loss_rate_fp20: 0 }
             .has_carrier());
-    }
-
-    #[test]
-    fn transmit_time_ip_includes_overhead() {
-        let p = LinkParams::gbe(0);
-        // 1500B IP -> 1538B wire -> 12.304 us at 1 Gbps.
-        assert_eq!(p.transmit_time_ip(1500).as_nanos(), 12_304);
     }
 }

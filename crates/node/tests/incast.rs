@@ -59,10 +59,12 @@ fn run_pthread_incast(n_servers: usize, iters: u64, buffer: BufferConfig) -> f64
     {
         let node = rack.sim.component_mut::<ServerNode>(client).unwrap();
         let sh = node.kernel_mut().share(IncastShared::new(n_servers));
-        node.spawn(Box::new(IncastMaster::new(iters, block.into(), sh)));
+        let fragment = block / n_servers as u32;
+        let fetched = u64::from(fragment) * n_servers as u64;
+        node.spawn(Box::new(IncastMaster::new(iters, fetched, sh)));
         for s in 1..=n_servers {
             let server = SockAddr::new(NodeAddr(s as u32), INCAST_PORT);
-            node.spawn(Box::new(IncastWorker::new(server, block / n_servers as u32, sh)));
+            node.spawn(Box::new(IncastWorker::new(server, fragment, sh)));
         }
     }
     rack.sim.run_until(SimTime::from_secs(60)).unwrap();

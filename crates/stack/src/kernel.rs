@@ -34,7 +34,7 @@
 //! a busy DMA engine starts when posted (DESIGN.md §9.1).
 //!
 //! A kernel timer that can be superseded — the CPU completion, a thread's
-//! `epoll_wait` timeout, a connection's RTO and delayed ACK — is a
+//! wait deadline, a connection's RTO and delayed ACK — is a
 //! `LiveTimer`: a deadline and at most one queued timer. Arming a
 //! deadline pushes a timer only if none is due by then; a timer that fires
 //! before the deadline is pushed again there, with the sequence number the
@@ -66,7 +66,9 @@ use diablo_net::topology::Topology;
 use diablo_nic::{Nic, NicAction, NicConfig};
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Callback surface the hosting component provides to the kernel.
@@ -163,9 +165,9 @@ pub struct KernelStats {
     /// Node reboots applied.
     pub reboots: Counter,
     /// Timers ignored because nothing in the kernel could have armed them
-    /// (an unknown class, or a CPU completion that is not the CPU's live
-    /// timer, or finds it idle): only a damaged or mismatched snapshot
-    /// delivers these.
+    /// (an unknown class, a CPU completion that is not the CPU's live
+    /// timer or finds it idle, a wait timer of no thread, or a sleep's that
+    /// ends no wait): only a damaged or mismatched snapshot delivers these.
     pub stale_timers: Counter,
     /// Total time the CPU was busy.
     pub cpu_busy: SimDuration,
@@ -174,7 +176,7 @@ pub struct KernelStats {
 // Timer key classes (low 4 bits). Packing: class | epoch<<4 | a<<8 | b<<32,
 // where a live timer's `b` is its sequence number's low 32 bits. The epoch
 // nibble guards against timers armed before a node crash firing into the
-// rebooted kernel (its live timers, sleeps, NIC and loopback timers); fault
+// rebooted kernel (its live timers, NIC and loopback timers); fault
 // directives (`K_FAULT`, no payload: the kernel holds its own schedule) are
 // stamped with epoch 0 and bypass the check so a scheduled reboot still
 // reaches a crashed node.
@@ -183,10 +185,13 @@ const K_NIC_TX: u64 = 1;
 const K_NIC_RX_INTR: u64 = 2;
 const K_TCP_RTO: u64 = 3;
 const K_TCP_DELACK: u64 = 4;
-const K_SLEEP: u64 = 5;
-const K_EPOLL_TO: u64 = 6;
-const K_LOOPBACK: u64 = 7;
-const K_FAULT: u64 = 8;
+const K_WAIT: u64 = 5;
+const K_LOOPBACK: u64 = 6;
+const K_FAULT: u64 = 7;
+
+/// Marks the `K_WAIT` timer a sleep pushes (in `a`, beside the thread): it
+/// is never superseded, so one that ends no wait is stale.
+const SLEEP_TIMER: u32 = 1 << 23;
 
 fn key_epoch(class: u64, epoch: u32, a: u32, b: u32) -> u64 {
     class | ((epoch as u64 & 0xF) << 4) | ((a as u64 & 0xFF_FFFF) << 8) | ((b as u64) << 32)
@@ -252,6 +257,13 @@ fn fold_tcp_stats(agg: &mut TcpStats, s: TcpStats) {
     agg.rtos += s.rtos;
 }
 
+/// Removes `key` from `map` if socket `sid` holds it there.
+fn release<K: Hash + Eq>(map: &mut HashMap<K, SockId>, key: &K, sid: SockId) {
+    if map.get(key) == Some(&sid) {
+        map.remove(key);
+    }
+}
+
 /// The first UDP port from 32768 up that no socket holds: where `bind(0)`
 /// and an unbound socket's first `sendto` land.
 fn free_udp_port(ports: &HashMap<u16, SockId>) -> u16 {
@@ -309,11 +321,14 @@ impl LiveTimer {
     }
 
     /// A timer of this holder fired at `now` with `b`. `None` if it is not
-    /// the live one. `Some(false)` if it came before the deadline, where it
-    /// is pushed again, or nothing is armed. `Some(true)` if it is at (or,
-    /// after damage, past) the deadline, which it clears.
+    /// the live one or the deadline's own. `Some(false)` if it came before
+    /// the deadline, where it is pushed again, or nothing is armed.
+    /// `Some(true)` if it is at (or, after damage, past) the deadline.
     fn fire(&mut self, now: SimTime, b: u32, key: u64, env: &mut dyn KernelEnv) -> Option<bool> {
-        let fired = self.live.take_if(|&mut (due, seq)| due == now && seq as u32 == b)?;
+        let this = |&(due, seq): &(SimTime, u64)| due == now && seq as u32 == b;
+        let Some(fired) = self.live.take_if(|t| this(t)) else {
+            return self.deadline.take_if(|t| this(t)).map(|_| true);
+        };
         match self.deadline {
             Some(deadline) if deadline > fired => self.push(deadline, key, env),
             _ => return Some(self.deadline.take().is_some()),
@@ -331,13 +346,29 @@ struct ProcSlot {
     /// context switches).
     extra_cost: u64,
     slice_used: SimDuration,
-    /// The timeout of a blocked `epoll_wait` (`K_EPOLL_TO`). A wake-up
-    /// clears the deadline and leaves the timer queued for the next wait.
-    epoll: LiveTimer,
-    /// When the thread's `nanosleep` ends (`K_SLEEP`), while it sleeps.
-    sleep: Option<SimTime>,
+    /// When the thread's blocked `nanosleep` or timed `epoll_wait` ends
+    /// (`K_WAIT`). A wake-up clears the deadline and leaves the timer
+    /// queued for the next wait.
+    wait: LiveTimer,
     /// The last epoll wait timed out.
     timed_out: bool,
+}
+
+impl ProcSlot {
+    /// A thread of `process` that has not run yet, in `state`: how a
+    /// spawn, a crash and a reboot leave it.
+    fn new(process: Box<dyn Process>, state: ProcState) -> Self {
+        ProcSlot {
+            process,
+            state,
+            resume: Resume::Step,
+            result: SysResult::Started,
+            extra_cost: 0,
+            slice_used: SimDuration::ZERO,
+            wait: LiveTimer::default(),
+            timed_out: false,
+        }
+    }
 }
 
 /// What the CPU is currently executing (with the burst's duration, for
@@ -401,9 +432,10 @@ pub struct Kernel {
     sockets: Vec<Socket>,
     free_socks: Vec<SockId>,
     conns: HashMap<(u16, SockAddr), SockId>,
-    listeners: HashMap<u16, SockId>,
+    /// The socket that owns each bound TCP port: a bound socket, a
+    /// listener, or a connection's ephemeral port.
+    tcp_ports: HashMap<u16, SockId>,
     udp_ports: HashMap<u16, SockId>,
-    used_tcp_ports: HashSet<u16>,
     next_ephemeral: u16,
 
     loopback: VecDeque<(SimTime, Frame)>,
@@ -538,8 +570,7 @@ diablo_engine::impl_persist_fields!(ProcSlot {
     result,
     extra_cost,
     slice_used,
-    epoll,
-    sleep,
+    wait,
     timed_out,
     process: nested,
 });
@@ -559,9 +590,8 @@ diablo_engine::impl_persist_fields!(Kernel {
     sockets,
     free_socks,
     conns,
-    listeners,
+    tcp_ports,
     udp_ports,
-    used_tcp_ports,
     next_ephemeral,
     loopback,
     futexes,
@@ -606,9 +636,8 @@ impl Kernel {
             sockets: Vec::new(),
             free_socks: Vec::new(),
             conns: HashMap::new(),
-            listeners: HashMap::new(),
+            tcp_ports: HashMap::new(),
             udp_ports: HashMap::new(),
-            used_tcp_ports: HashSet::new(),
             next_ephemeral: 32768,
             loopback: VecDeque::new(),
             futexes: HashMap::new(),
@@ -712,17 +741,7 @@ impl Kernel {
     /// Registers a guest thread before boot. Returns its tid.
     pub fn spawn(&mut self, process: Box<dyn Process>) -> Tid {
         let tid = Tid(self.procs.len() as u32);
-        self.procs.push(ProcSlot {
-            process,
-            state: ProcState::Runnable,
-            resume: Resume::Step,
-            result: SysResult::Started,
-            extra_cost: 0,
-            slice_used: SimDuration::ZERO,
-            epoll: LiveTimer::default(),
-            sleep: None,
-            timed_out: false,
-        });
+        self.procs.push(ProcSlot::new(process, ProcState::Runnable));
         self.run_queue.push_back(tid);
         tid
     }
@@ -786,7 +805,7 @@ impl Kernel {
         tids.extend(self.futexes.values().flat_map(|(_, waiters)| waiters));
         let mut sids: Vec<SockId> = self.free_socks.clone();
         sids.extend(
-            self.conns.values().chain(self.listeners.values()).chain(self.udp_ports.values()),
+            self.conns.values().chain(self.tcp_ports.values()).chain(self.udp_ports.values()),
         );
         for sock in &self.sockets {
             tids.extend(sock.wait_readers.iter().chain(&sock.wait_writers));
@@ -878,12 +897,12 @@ impl Kernel {
     }
 
     /// The earliest instant something of the node's own is due that could
-    /// make its CPU busy: a loopback frame, a fault directive, a sleep, an
-    /// epoll timeout, a TCP retransmission or delayed ACK. (A NIC TX
+    /// make its CPU busy: a loopback frame, a fault directive, a thread's
+    /// wait deadline, a TCP retransmission or delayed ACK. (A NIC TX
     /// completion commutes with CPU work.)
     fn next_own_deadline(&self) -> SimTime {
         let due = |t: &LiveTimer| t.deadline.map_or(SimTime::MAX, |(at, _)| at);
-        let threads = self.procs.iter().map(|p| due(&p.epoll).min(p.sleep.unwrap_or(SimTime::MAX)));
+        let threads = self.procs.iter().map(|p| due(&p.wait));
         let tcp = self.sockets.iter().map(|s| match &s.kind {
             SocketKind::Tcp { rto, delack, .. } => due(rto).min(due(delack)),
             _ => SimTime::MAX,
@@ -1013,30 +1032,24 @@ impl Kernel {
                 }
                 self.apply_tcp_output(a, out, env);
             }
-            K_SLEEP => {
-                // Only the sleep due now ends: a thread woken out of an
-                // earlier sleep may be in another wait by now.
-                match self.procs.get_mut(a as usize) {
-                    Some(slot) if slot.sleep == Some(now) => slot.sleep = None,
-                    _ => {
-                        self.stats.stale_timers.incr();
-                        return;
-                    }
-                }
-                self.wake_with(Tid(a), Resume::Step, SysResult::Done);
-            }
-            K_EPOLL_TO => {
-                let slot = self.procs.get_mut(a as usize);
-                if slot.and_then(|s| s.epoll.fire(now, b, key, env)) == Some(true) {
-                    // The wait is over: the thread leaves its instance's
-                    // waiters, or a later readiness would wake it out of
-                    // whatever it waits in next.
-                    let slot = &mut self.procs[a as usize];
+            K_WAIT => {
+                let tid = a & !SLEEP_TIMER;
+                let fired = self.procs.get_mut(tid as usize).map(|s| s.wait.fire(now, b, key, env));
+                if fired == Some(Some(true)) {
+                    // The wait is over: the thread leaves the waiters of its
+                    // call, or a later readiness would wake it out of its next.
+                    // A sleep returns; an epoll wait is retried to report it.
+                    let slot = &mut self.procs[tid as usize];
                     if let Resume::Retry(Syscall::EpollWait { epfd, .. }) = slot.resume {
-                        self.sockets[epfd.0 as usize].wait_readers.retain(|t| t.0 != a);
+                        self.sockets[epfd.0 as usize].wait_readers.retain(|t| t.0 != tid);
+                        slot.timed_out = true;
+                    } else if slot.state == ProcState::Blocked {
+                        (slot.resume, slot.result) = (Resume::Step, SysResult::Done);
                     }
-                    slot.timed_out = true;
-                    self.wake(Tid(a));
+                    self.wake(Tid(tid));
+                } else if fired.is_none_or(|f| f.is_none() && a & SLEEP_TIMER != 0) {
+                    self.stats.stale_timers.incr();
+                    return;
                 }
             }
             K_LOOPBACK => {
@@ -1101,18 +1114,13 @@ impl Kernel {
         // Stamp future timers with a new epoch so everything armed by the
         // dying kernel is discarded on arrival.
         self.epoch = self.epoch.wrapping_add(1);
-        for s in &self.sockets {
-            if let SocketKind::Tcp { conn, .. } = &s.kind {
-                fold_tcp_stats(&mut self.tcp_agg, conn.stats());
-            }
-        }
+        self.tcp_agg = self.tcp_stats();
         self.nic.reset_after_crash();
         self.sockets.clear();
         self.free_socks.clear();
         self.conns.clear();
-        self.listeners.clear();
+        self.tcp_ports.clear();
         self.udp_ports.clear();
-        self.used_tcp_ports.clear();
         self.next_ephemeral = 32768;
         self.loopback.clear();
         self.futexes.clear();
@@ -1123,21 +1131,14 @@ impl Kernel {
         self.cpu_work = None;
         self.cpu_done = LiveTimer::default();
         self.softirq_pending = false;
-        for slot in &mut self.procs {
-            slot.state = ProcState::Exited;
-            slot.resume = Resume::Step;
-            slot.result = SysResult::Started;
-            slot.extra_cost = 0;
-            slot.slice_used = SimDuration::ZERO;
-            slot.epoll = LiveTimer::default();
-            slot.sleep = None;
-            slot.timed_out = false;
-        }
+        let procs = std::mem::take(&mut self.procs).into_iter();
+        self.procs = procs.map(|slot| ProcSlot::new(slot.process, ProcState::Exited)).collect();
     }
 
     /// Restarts a crashed node: carrier returns, every shared block takes
     /// its [`Shared::reboot`], and every process that supports
-    /// [`Process::reset`] is scheduled from scratch.
+    /// [`Process::reset`] is scheduled from the fresh state the crash left
+    /// its thread in.
     fn reboot(&mut self) {
         if !self.crashed {
             return;
@@ -1149,11 +1150,6 @@ impl Kernel {
         for (i, slot) in self.procs.iter_mut().enumerate() {
             if slot.process.reset() {
                 slot.state = ProcState::Runnable;
-                slot.resume = Resume::Step;
-                slot.result = SysResult::Started;
-                slot.extra_cost = 0;
-                slot.slice_used = SimDuration::ZERO;
-                slot.timed_out = false;
                 self.run_queue.push_back(Tid(i as u32));
             }
         }
@@ -1271,20 +1267,10 @@ impl Kernel {
             // when the syscall first executed).
             let slot = &mut self.procs[tid.0 as usize];
             if let Resume::Retry(call) = std::mem::replace(&mut slot.resume, Resume::Step) {
-                match self.execute_syscall(tid, call, env) {
-                    ExecOutcome::Ready(res) => {
-                        self.procs[tid.0 as usize].result = res;
-                        // fall through to step on the next loop iteration
-                        continue;
-                    }
-                    ExecOutcome::Block(call) => {
-                        let slot = &mut self.procs[tid.0 as usize];
-                        slot.state = ProcState::Blocked;
-                        slot.resume = Resume::Retry(call);
-                        self.current = None;
-                        continue;
-                    }
-                }
+                // Ready: the thread steps on the next loop iteration.
+                let outcome = self.execute_syscall(tid, call, env);
+                self.settle(tid, outcome);
+                continue;
             }
 
             if self.run_thread(tid, env) {
@@ -1440,17 +1426,8 @@ impl Kernel {
                 self.finish_burst(tid, dur);
             }
             CpuWork::ProcSyscall { tid, call, dur } => {
-                match self.execute_syscall(tid, call, env) {
-                    ExecOutcome::Ready(res) => {
-                        self.procs[tid.0 as usize].result = res;
-                    }
-                    ExecOutcome::Block(call) => {
-                        let slot = &mut self.procs[tid.0 as usize];
-                        slot.state = ProcState::Blocked;
-                        slot.resume = Resume::Retry(call);
-                        self.current = None;
-                    }
-                }
+                let outcome = self.execute_syscall(tid, call, env);
+                self.settle(tid, outcome);
                 if self.current == Some(tid) {
                     self.finish_burst(tid, dur);
                 }
@@ -1462,6 +1439,20 @@ impl Kernel {
             // Asserted by every event after its instant, so only a damaged
             // snapshot completes a run still planned.
             CpuWork::Planned { .. } => self.stats.stale_timers.incr(),
+        }
+    }
+
+    /// Hands thread `tid` its syscall's result, or blocks it on the call,
+    /// which it retries once woken.
+    fn settle(&mut self, tid: Tid, outcome: ExecOutcome) {
+        let slot = &mut self.procs[tid.0 as usize];
+        match outcome {
+            ExecOutcome::Ready(res) => slot.result = res,
+            ExecOutcome::Block(call) => {
+                slot.state = ProcState::Blocked;
+                slot.resume = Resume::Retry(call);
+                self.current = None;
+            }
         }
     }
 
@@ -1533,11 +1524,13 @@ impl Kernel {
         }
     }
 
-    fn ephemeral_port(&mut self) -> u16 {
+    /// Gives socket `sid` the next TCP port no socket owns.
+    fn ephemeral_port(&mut self, sid: SockId) -> u16 {
         for _ in 0..u16::MAX {
             let p = self.next_ephemeral;
             self.next_ephemeral = if p == u16::MAX { 32768 } else { p + 1 };
-            if !self.used_tcp_ports.contains(&p) && !self.listeners.contains_key(&p) {
+            if let Entry::Vacant(free) = self.tcp_ports.entry(p) {
+                free.insert(sid);
                 return p;
             }
         }
@@ -1564,22 +1557,11 @@ impl Kernel {
         let slot = &mut self.procs[tid.0 as usize];
         if slot.state == ProcState::Blocked {
             slot.state = ProcState::Runnable;
-            slot.epoll.deadline = None;
+            slot.wait.deadline = None;
             slot.extra_cost += self.cfg.profile.wakeup_cost;
             self.stats.wakeups.incr();
             self.run_queue.push_back(tid);
             self.trace_push(FlightRecord::new(self.now_cache, "wakeup", tid.0 as u64, 0));
-        }
-    }
-
-    /// [`Kernel::wake`] with the step the thread resumes at and the result
-    /// it sees (a thread that is not blocked, or not there, is left alone).
-    fn wake_with(&mut self, tid: Tid, resume: Resume, result: SysResult) {
-        let slot = self.procs.get_mut(tid.0 as usize);
-        if let Some(slot) = slot.filter(|slot| slot.state == ProcState::Blocked) {
-            slot.resume = resume;
-            slot.result = result;
-            self.wake(tid);
         }
     }
 
@@ -1716,14 +1698,15 @@ impl Kernel {
             return;
         }
         if seg.flags.syn && !seg.flags.ack {
-            if let Some(&lid) = self.listeners.get(&seg.dst_port) {
-                let (can_accept, local) = match &self.sockets[lid as usize].kind {
-                    SocketKind::TcpListen { backlog, queue, embryos, port } => (
-                        queue.len() as u32 + embryos < *backlog,
-                        SockAddr::new(self.cfg.addr, *port),
-                    ),
-                    _ => (false, SockAddr::default()),
-                };
+            let lid = self.tcp_ports.get(&seg.dst_port).copied();
+            let listen = lid.and_then(|lid| match &self.sockets[lid as usize].kind {
+                SocketKind::TcpListen { backlog, queue, embryos, .. } => {
+                    Some((lid, queue.len() as u32 + embryos < *backlog))
+                }
+                _ => None,
+            });
+            if let Some((lid, can_accept)) = listen {
+                let local = SockAddr::new(self.cfg.addr, seg.dst_port);
                 if !can_accept {
                     return; // backlog full: silently drop; client retries
                 }
@@ -1780,12 +1763,14 @@ impl Kernel {
     /// Applies the effects of a TCP engine call: transmit segments, arm
     /// timers, wake waiters, tear down.
     fn apply_tcp_output(&mut self, sid: SockId, out: TcpOutput, env: &mut dyn KernelEnv) {
-        let (remote, state, embryo, listener, app_closed) = match &self.sockets[sid as usize].kind {
+        let (conn, embryo, listener, app_closed) = match &self.sockets[sid as usize].kind {
             SocketKind::Tcp { conn, embryo, listener, app_closed, .. } => {
-                (conn.remote, conn.state(), *embryo, *listener, *app_closed)
+                (conn, *embryo, *listener, *app_closed)
             }
             _ => return,
         };
+        let (remote, flow) = (conn.remote, (conn.local.port, conn.remote));
+        let (state, died) = (conn.state(), out.reset || conn.timed_out());
         for seg in out.segs {
             let pkt = IpPacket::tcp(self.cfg.addr, remote.node, seg);
             self.tx_packet(pkt, env);
@@ -1804,12 +1789,7 @@ impl Kernel {
                     if let SocketKind::Tcp { embryo, .. } = &mut self.sockets[sid as usize].kind {
                         *embryo = false;
                     }
-                    if let SocketKind::TcpListen { queue, embryos, .. } =
-                        &mut self.sockets[lid as usize].kind
-                    {
-                        queue.push_back(sid);
-                        *embryos = embryos.saturating_sub(1);
-                    }
+                    self.end_handshake(lid, Some(sid));
                     self.notify(lid, EventMask::READ);
                 }
             } else {
@@ -1824,25 +1804,41 @@ impl Kernel {
         if !mask.is_empty() {
             self.notify(sid, mask);
         }
-        if (out.closed || state == TcpState::Closed) && app_closed {
+        // A half-open connection has no descriptor to wait for. One that
+        // was reset or timed out leaves the demultiplexer at once, so a new
+        // SYN of its flow reaches the listener; a FIN close keeps its flow
+        // until the descriptor closes.
+        if state == TcpState::Closed && (app_closed || embryo) {
             self.teardown_tcp(sid);
+        } else if out.closed && died {
+            release(&mut self.conns, &flow, sid);
         }
     }
 
-    /// Removes a fully dead connection from the tables and frees the slot
-    /// (only when the application has already closed the descriptor).
+    /// Listener `lid`'s handshake of a connection ended: established, the
+    /// connection joins the accept queue.
+    fn end_handshake(&mut self, lid: SockId, established: Option<SockId>) {
+        if let SocketKind::TcpListen { queue, embryos, .. } = &mut self.sockets[lid as usize].kind {
+            queue.extend(established);
+            *embryos = embryos.saturating_sub(1);
+        }
+    }
+
+    /// Removes a dead connection from the tables and frees its slot: once
+    /// its descriptor is closed, or, half-open, with no descriptor, at once.
     fn teardown_tcp(&mut self, sid: SockId) {
-        let (local_port, remote) = match &self.sockets[sid as usize].kind {
-            SocketKind::Tcp { conn, .. } => {
+        let (flow, half_open) = match &self.sockets[sid as usize].kind {
+            SocketKind::Tcp { conn, embryo, listener, .. } => {
                 fold_tcp_stats(&mut self.tcp_agg, conn.stats());
-                (conn.local.port, conn.remote)
+                ((conn.local.port, conn.remote), listener.filter(|_| *embryo))
             }
             _ => return,
         };
-        self.conns.remove(&(local_port, remote));
-        // Keep listener-owned ports; release ephemeral client ports.
-        if !self.listeners.contains_key(&local_port) {
-            self.used_tcp_ports.remove(&local_port);
+        release(&mut self.conns, &flow, sid);
+        // A client connection owns its port; an accepted one its listener's.
+        release(&mut self.tcp_ports, &flow.0, sid);
+        if let Some(lid) = half_open {
+            self.end_handshake(lid, None);
         }
         self.free_socket(sid);
     }
@@ -1903,8 +1899,7 @@ impl Kernel {
                 ExecOutcome::Ready(SysResult::FutexVal(val))
             }
             Syscall::Nanosleep(d) => {
-                self.procs[tid.0 as usize].sleep = Some(env.now() + d);
-                self.set_timer(env.now() + d, self.key(K_SLEEP, tid.0, 0), env);
+                self.arm_wait(tid, env.now() + d, true, env);
                 ExecOutcome::Block(Syscall::Nanosleep(d))
             }
             Syscall::Yield => {
@@ -1919,11 +1914,11 @@ impl Kernel {
         let sid = fd.0;
         match self.sockets.get_mut(sid as usize).map(|s| &mut s.kind) {
             Some(SocketKind::RawTcp { port: p }) => {
-                if self.used_tcp_ports.contains(&port) || self.listeners.contains_key(&port) {
+                if self.tcp_ports.contains_key(&port) {
                     return ExecOutcome::Ready(SysResult::Err(Errno::AddrInUse));
                 }
                 *p = Some(port);
-                self.used_tcp_ports.insert(port);
+                self.tcp_ports.insert(port, sid);
                 ExecOutcome::Ready(SysResult::Done)
             }
             Some(SocketKind::Udp { port: p, .. }) => {
@@ -1954,7 +1949,6 @@ impl Kernel {
             queue: VecDeque::new(),
             embryos: 0,
         };
-        self.listeners.insert(port, sid);
         ExecOutcome::Ready(SysResult::Done)
     }
 
@@ -1989,14 +1983,7 @@ impl Kernel {
         let sid = fd.0;
         match self.sockets.get(sid as usize).map(|s| &s.kind) {
             Some(SocketKind::RawTcp { port }) => {
-                let lport = match port {
-                    Some(p) => *p,
-                    None => {
-                        let p = self.ephemeral_port();
-                        self.used_tcp_ports.insert(p);
-                        p
-                    }
-                };
+                let lport = port.unwrap_or_else(|| self.ephemeral_port(sid));
                 let local = SockAddr::new(self.cfg.addr, lport);
                 let mut out = TcpOutput::default();
                 let conn =
@@ -2223,25 +2210,31 @@ impl Kernel {
                 }
             }
         }
-        let slot = &mut self.procs[tid.0 as usize];
-        if !events.is_empty() {
-            slot.timed_out = false;
+        // A wait that timed out is retried once, to report it.
+        let timed_out = std::mem::take(&mut self.procs[tid.0 as usize].timed_out);
+        if !events.is_empty() || timed_out || timeout == Some(SimDuration::ZERO) {
             return ExecOutcome::Ready(SysResult::Events(events));
         }
-        if slot.timed_out {
-            slot.timed_out = false;
-            return ExecOutcome::Ready(SysResult::Events(Vec::new()));
-        }
-        if timeout == Some(SimDuration::ZERO) {
-            return ExecOutcome::Ready(SysResult::Events(Vec::new()));
-        }
         if let Some(t) = timeout {
-            let at = env.now() + t;
-            slot.epoll.arm(at, env.now(), key_epoch(K_EPOLL_TO, self.epoch, tid.0, 0), env);
-            self.tie(at);
+            self.arm_wait(tid, env.now() + t, false, env);
         }
         self.sockets[ep as usize].wait_readers.push(tid);
         ExecOutcome::Block(Syscall::EpollWait { epfd, max_events, timeout })
+    }
+
+    /// Sets the deadline at which thread `tid`'s blocked call ends. A sleep
+    /// that ends first leaves a live timer to the thread's next timed wait,
+    /// as an epoll wait's earlier deadline does not (DESIGN.md §9.1).
+    fn arm_wait(&mut self, tid: Tid, at: SimTime, sleep: bool, env: &mut dyn KernelEnv) {
+        let (now, key) =
+            (env.now(), self.key(K_WAIT, tid.0 | if sleep { SLEEP_TIMER } else { 0 }, 0));
+        let wait = &mut self.procs[tid.0 as usize].wait;
+        let live = wait.live;
+        wait.arm(at, now, key, env);
+        if sleep && live.is_some_and(|(due, _)| due > at) {
+            wait.live = live;
+        }
+        self.tie(at);
     }
 
     fn sys_close(&mut self, fd: Fd, env: &mut dyn KernelEnv) -> ExecOutcome {
@@ -2257,17 +2250,19 @@ impl Kernel {
             SocketKind::Tcp { conn, app_closed, .. } => {
                 let mut out = TcpOutput::default();
                 conn.app_close(env.now(), &mut out);
-                let closed = conn.state() == TcpState::Closed;
                 *app_closed = true;
+                // A connection already closed is torn down here.
                 self.apply_tcp_output(sid, out, env);
-                if closed {
-                    self.teardown_tcp(sid);
-                }
                 return ExecOutcome::Ready(SysResult::Done);
             }
-            SocketKind::TcpListen { port, .. } => {
-                self.listeners.remove(port);
-                self.used_tcp_ports.remove(port);
+            SocketKind::TcpListen { port, .. } | SocketKind::RawTcp { port: Some(port) } => {
+                release(&mut self.tcp_ports, port, sid);
+                // Its connections forget it: the slot may go to another.
+                for sock in &mut self.sockets {
+                    if let SocketKind::Tcp { listener, .. } = &mut sock.kind {
+                        listener.take_if(|&mut lid| lid == sid);
+                    }
+                }
             }
             SocketKind::Udp { port: 0, .. } => {}
             SocketKind::Udp { port, .. } => {
@@ -2281,11 +2276,7 @@ impl Kernel {
                     }
                 }
             }
-            SocketKind::RawTcp { port } => {
-                if let Some(p) = port {
-                    self.used_tcp_ports.remove(p);
-                }
-            }
+            SocketKind::RawTcp { port: None } => {}
             SocketKind::Free => return bad,
         }
         self.free_socket(sid);

@@ -148,28 +148,6 @@ impl KernelProfile {
         }
     }
 
-    /// An idealized zero-cost OS: every operation is free. This is what a
-    /// network-only simulator like ns-2 implicitly assumes; the baseline
-    /// crate uses it for ablation.
-    pub fn zero_cost() -> Self {
-        KernelProfile {
-            name: "zero-cost",
-            syscall_cost: 0,
-            fcntl_cost: 0,
-            context_switch_cost: 0,
-            rx_packet_cost: 0,
-            tx_packet_cost: 0,
-            copy_cost_per_byte_num: 0,
-            copy_cost_per_byte_den: 1,
-            softirq_entry_cost: 0,
-            wakeup_cost: 0,
-            epoll_wait_cost: 0,
-            timeslice: SimDuration::from_millis(4),
-            napi_budget: usize::MAX,
-            tcp: TcpParams::default(),
-        }
-    }
-
     /// Per-byte copy instructions for `bytes` bytes.
     pub fn copy_cost(&self, bytes: u64) -> u64 {
         (bytes * self.copy_cost_per_byte_num).checked_div(self.copy_cost_per_byte_den).unwrap_or(0)
@@ -211,8 +189,6 @@ mod tests {
         let p = KernelProfile::linux_2_6_39();
         assert_eq!(p.copy_cost(0), 0);
         assert_eq!(p.copy_cost(1000), 500);
-        let z = KernelProfile::zero_cost();
-        assert_eq!(z.copy_cost(1_000_000), 0);
     }
 
     #[test]

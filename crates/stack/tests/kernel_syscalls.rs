@@ -132,8 +132,21 @@ impl World {
     /// Runs to `at`, then the peer at `PEER` sends `seg` from port 80 to
     /// local port `port`.
     fn peer_segment_at(&mut self, at: SimTime, port: u16, seq: u64, flags: TcpFlags, len: u32) {
+        self.peer_segment_from(at, 80, port, seq, flags, len);
+    }
+
+    /// [`World::peer_segment_at`] from the peer's port `from`.
+    fn peer_segment_from(
+        &mut self,
+        at: SimTime,
+        from: u16,
+        port: u16,
+        seq: u64,
+        flags: TcpFlags,
+        len: u32,
+    ) {
         let seg = TcpSegment {
-            src_port: 80,
+            src_port: from,
             dst_port: port,
             seq,
             ack: 1,
@@ -160,10 +173,17 @@ impl World {
         self.timers.heap.push(Reverse((at, u64::MAX, key)));
     }
 
-    /// The `K_EPOLL_TO` timers pushed so far (the class is the key's low
-    /// nibble), by instant.
+    /// The wait timers (`K_WAIT`, class 5 in the key's low nibble) pushed
+    /// so far, by instant: a timed `epoll_wait`'s or a `nanosleep`'s.
+    fn wait_timers(&self) -> Vec<SimTime> {
+        self.timers.pushed.iter().filter(|(_, key)| key & 0xF == 5).map(|&(at, _)| at).collect()
+    }
+
+    /// The wait timers of timed `epoll_wait`s: a sleep's marks bit 23 of
+    /// the key's thread field (bit 31 of the key).
     fn epoll_timers(&self) -> Vec<SimTime> {
-        self.timers.pushed.iter().filter(|(_, key)| key & 0xF == 6).map(|&(at, _)| at).collect()
+        let epoll = |key: u64| key & 0xF == 5 && key & (1 << 31) == 0;
+        self.timers.pushed.iter().filter(|(_, key)| epoll(*key)).map(|&(at, _)| at).collect()
     }
 }
 
@@ -429,7 +449,7 @@ fn a_sleep_ends_in_a_traced_wakeup() {
         Syscall::Socket(Proto::Udp),
     ])));
     w.run(SimTime::from_secs(1));
-    // Class 5 is `K_SLEEP`.
+    // Class 5 is `K_WAIT`.
     let sleeps: Vec<SimTime> =
         w.timers.pushed.iter().filter(|(_, key)| key & 0xF == 5).map(|&(at, _)| at).collect();
     assert_eq!(sleeps.len(), 1, "one sleep timer");
@@ -710,7 +730,7 @@ fn a_timed_out_wait_is_not_woken_by_later_readiness() {
     assert_eq!(log.len(), 7, "the last wait has nothing to return: {:?}", &log[7..]);
 }
 
-/// A `K_SLEEP` timer ends only the sleep due at its instant: fired again
+/// A sleep's timer ends only the sleep due at its instant: fired again
 /// while the thread waits on an empty socket, it is stale.
 #[test]
 fn a_sleep_timer_ends_only_the_sleep_due_then() {
@@ -928,4 +948,162 @@ fn threads_share_a_block_their_kernel_saves_once_and_reboots() {
         Err(SnapError::Malformed(msg)) => assert!(msg.contains("1 shared blocks"), "{msg}"),
         other => panic!("expected Malformed, got {other:?}"),
     }
+}
+
+/// A sleep that follows a timed wait answered before its timeout ends at
+/// exactly its own deadline, on the live timer the wait left: that timer
+/// fires first and is pushed again at the deadline, so the sleep pushes
+/// nothing of its own, and the node takes as many timers as it did while
+/// a sleep armed a timer apart from the wait's.
+#[test]
+fn a_sleep_after_an_answered_wait_ends_on_the_waits_live_timer() {
+    let mut w = World::new();
+    let mut calls = watched_udp();
+    calls.extend([
+        Syscall::EpollWait { epfd: Fd(1), max_events: 4, timeout: Some(MS * 5) },
+        Syscall::RecvFrom { fd: Fd(0) },
+        Syscall::Nanosleep(MS * 10),
+        Syscall::Socket(Proto::Udp),
+    ]);
+    w.kernel.spawn(Box::new(Script::new(calls)));
+    w.datagram_at(SimTime::ZERO + MS);
+    w.run(SimTime::from_millis(4));
+    assert_eq!(w.wait_timers().len(), 1, "the sleep reuses the wait's timer");
+    w.run(SimTime::from_millis(100));
+    let (log, timers) = (log(&w), w.wait_timers());
+    assert!(matches!(log[5].1, SysResult::Datagram { .. }), "{log:?}");
+    assert_eq!(log[6].1, SysResult::Done, "the sleep returned");
+    assert_eq!(timers.len(), 2, "the wait's timer, then the same timer at the sleep's end");
+    assert!(timers[0] < timers[1]);
+    assert_eq!(log[6].0, timers[1], "woken at the sleep's deadline");
+    let slept = log[6].0.duration_since(log[5].0);
+    assert!(slept >= MS * 10 && slept < MS * 10 + SimDuration::from_micros(5), "slept {slept}");
+    assert_eq!(w.timers.pushed.len(), TIMERS_WITH_A_SLEEP_TIMER_APART);
+}
+
+/// The timers the node above took, counted on the kernel in which a sleep
+/// armed a timer of its own beside the wait's live one.
+const TIMERS_WITH_A_SLEEP_TIMER_APART: usize = 12;
+
+/// A port has one owner. The port of an accepted connection is its
+/// listener's: torn down after the listener closed and another socket
+/// bound the port, the connection leaves the port to that socket.
+#[test]
+fn an_accepted_connection_leaves_its_port_to_the_socket_that_owns_it() {
+    use SysResult::{Done, Err, NewFd};
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Script::new(vec![
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(0), port: 80 },
+        Syscall::Listen { fd: Fd(0), backlog: 4 },
+        Syscall::Accept { fd: Fd(0), accept4: false },
+        Syscall::Close { fd: Fd(0) },
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(2), port: 80 },
+        Syscall::Nanosleep(MS),
+        Syscall::Close { fd: Fd(1) },
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(3), port: 80 },
+    ])));
+    let at = |us: u64| SimTime::from_micros(us);
+    w.peer_segment_at(at(100), 80, 0, TcpFlags::SYN, 0);
+    w.peer_segment_at(at(200), 80, 1, TcpFlags::ACK, 0);
+    w.peer_segment_at(at(500), 80, 1, TcpFlags::RST, 0);
+    w.run(SimTime::from_millis(10));
+    let r: Vec<SysResult> = log(&w).into_iter().map(|(_, r)| r).collect();
+    assert_eq!(r[3], SysResult::Accepted { fd: Fd(1), peer: SockAddr::new(PEER, 80) });
+    assert_eq!(r[4..], [Done, NewFd(Fd(2)), Done, Done, Done, NewFd(Fd(3)), Err(Errno::AddrInUse)]);
+}
+
+/// The SYN-ACKs the node sent to the peer's port `to`, with their instants.
+fn syn_acks_to(w: &World, to: u16) -> Vec<SimTime> {
+    let out = w.segments_out().into_iter();
+    out.filter(|(_, s)| s.flags == TcpFlags::SYN_ACK && s.dst_port == to)
+        .map(|(at, _)| at)
+        .collect()
+}
+
+/// A half-open connection whose SYN-ACKs go unanswered dies when its
+/// retries run out. It never had a descriptor, so its death frees it and
+/// gives its place in the listener's backlog back: a SYN from another
+/// port is answered.
+#[test]
+fn a_dead_half_open_connection_is_released_and_the_backlog_is_whole_again() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Script::new(vec![
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(0), port: 80 },
+        Syscall::Listen { fd: Fd(0), backlog: 1 },
+        Syscall::Accept { fd: Fd(0), accept4: false },
+    ])));
+    w.peer_segment_at(SimTime::from_micros(100), 80, 0, TcpFlags::SYN, 0);
+    // Fifteen retransmissions, backing off from 1 s to 60 s: 663 s.
+    let given_up = SimTime::from_secs(700);
+    w.run(given_up);
+    let retries = KernelProfile::linux_2_6_39().tcp.max_rto_retries as usize;
+    assert_eq!(syn_acks_to(&w, 80).len(), 1 + retries);
+    w.peer_segment_from(given_up, 81, 80, 0, TcpFlags::SYN, 0);
+    w.run(given_up + MS);
+    assert_eq!(syn_acks_to(&w, 81).len(), 1, "the backlog took the new SYN");
+}
+
+/// A connection the peer resets leaves the demultiplexer at once, though
+/// the application has not closed its descriptor: the peer's next SYN on
+/// the same flow reaches the listener and is answered.
+#[test]
+fn a_syn_on_the_flow_of_a_reset_connection_reaches_the_listener() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Script::new(vec![
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(0), port: 80 },
+        Syscall::Listen { fd: Fd(0), backlog: 4 },
+        Syscall::Accept { fd: Fd(0), accept4: false },
+        Syscall::Nanosleep(MS * 10),
+    ])));
+    let at = |us: u64| SimTime::from_micros(us);
+    w.peer_segment_at(at(100), 80, 0, TcpFlags::SYN, 0);
+    w.peer_segment_at(at(200), 80, 1, TcpFlags::ACK, 0);
+    w.peer_segment_at(at(1_000), 80, 1, TcpFlags::RST, 0);
+    w.peer_segment_at(at(2_000), 80, 0, TcpFlags::SYN, 0);
+    w.run(SimTime::from_millis(5));
+    assert_eq!(log(&w).len(), 4, "the reset connection is still open");
+    let answers = syn_acks_to(&w, 80);
+    assert_eq!(answers.len(), 2, "{answers:?}");
+    assert!(answers[1] > at(2_000));
+}
+
+/// A closed listener's half-open connections forget it. Its slot, reused
+/// by the next listener on the port, is not that listener: an old embryo
+/// reset there leaves the new backlog as full as it was.
+#[test]
+fn a_dead_embryo_of_a_closed_listener_leaves_the_next_backlog_alone() {
+    let mut w = World::new();
+    let mut calls = vec![
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(0), port: 80 },
+        Syscall::Listen { fd: Fd(0), backlog: 1 },
+        Syscall::Nanosleep(MS),
+        Syscall::Close { fd: Fd(0) },
+    ];
+    // Slots are reused only once more than 512 are free.
+    for fd in 2..514 {
+        calls.extend([Syscall::Socket(Proto::Udp), Syscall::Close { fd: Fd(fd) }]);
+    }
+    calls.extend([
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(0), port: 80 },
+        Syscall::Listen { fd: Fd(0), backlog: 1 },
+        Syscall::Nanosleep(MS * 100),
+    ]);
+    w.kernel.spawn(Box::new(Script::new(calls)));
+    let at = |ms: u64| SimTime::from_millis(ms);
+    w.peer_segment_at(SimTime::from_micros(100), 80, 0, TcpFlags::SYN, 0);
+    w.peer_segment_from(at(50), 81, 80, 0, TcpFlags::SYN, 0);
+    w.peer_segment_at(at(60), 80, 1, TcpFlags::RST, 0);
+    w.peer_segment_from(at(70), 82, 80, 0, TcpFlags::SYN, 0);
+    w.run(at(80));
+    let log = log(&w);
+    assert_eq!(log[log.len() - 3].1, SysResult::NewFd(Fd(0)), "the old listener's slot");
+    assert_eq!(syn_acks_to(&w, 81).len(), 1, "the new listener's one embryo");
+    assert_eq!(syn_acks_to(&w, 82), [], "its backlog is still full");
 }
