@@ -1,6 +1,7 @@
-//! The TCP connection set-up that the echo, incast and memcached guests
-//! share: one rule to dial a server and redial it after a failure, and
-//! one to open a listening socket.
+//! The TCP connection rules that the echo, incast and memcached guests
+//! share: one to dial a server and redial it after a failure, one to open
+//! a listening socket, and one to serve its clients one connection at a
+//! time.
 //!
 //! A dial issues `socket(TCP)` and `connect`, then `fcntl(O_NONBLOCK)`
 //! if the socket is nonblocking and `epoll_ctl(READ)` if it goes into an
@@ -9,16 +10,21 @@
 //! up connection fails ([`Redial::fail`]), the dial closes the socket,
 //! sleeps the jittered backoff of the guest's [`Redial`] state, and dials
 //! again from `socket`. A server issues `socket(TCP)`, `bind` and
-//! `listen`. Where a dial or a listen stands, with the descriptor of its
-//! step, is one [`Dial`] or [`Listen`] value the guest keeps in its own
-//! state; [`dial`] and [`listen`] are the one place that meets a result
-//! the sequence does not expect.
+//! `listen`. A [`Server`] then serves: `accept`, and on the connection
+//! `recv`, compute the replies to what it read, `send` them one by one
+//! and `recv` again, until an EOF with nothing read or a reset, when it
+//! closes the connection and accepts the next. Where a dial, a listen or
+//! a serve stands, with the descriptors of its step, is one [`Dial`],
+//! [`Listen`] or [`Serve`] value the guest keeps in its own state;
+//! [`dial`], [`listen`] and [`serve`] are the one place that meets a
+//! result the sequence does not expect.
 
 use crate::failure::{backoff_delay_jittered, FailureStats};
 use diablo_engine::rng::DetRng;
 use diablo_engine::time::{SimDuration, SimTime};
+use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
-use diablo_stack::process::{Fd, Process, ProcessCtx, Proto, SysResult, Syscall};
+use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall};
 use diablo_stack::socket::EventMask;
 
 /// What a set-up step asks of its guest.
@@ -192,6 +198,83 @@ pub fn listen(phase: Listen, port: u16, backlog: u32, ctx: &mut ProcessCtx<'_>) 
     Setup::Call(next, call)
 }
 
+/// Where a [`Server`] stands, with its listening socket, then connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Serve {
+    /// Setting up the listening socket.
+    Listen(Listen),
+    /// `accept` goes next, once the close of the last connection returns.
+    Accept(Fd),
+    /// `accept` in flight.
+    Accepting(Fd),
+    /// `recv` in flight on the connection.
+    Recv(Fd, Fd),
+    /// Computing the replies to what `recv` read, then sending them.
+    Reply(Fd, Fd),
+}
+
+/// A server that takes one connection at a time: what it does with the
+/// requests it reads and which replies it sends; [`serve`] issues every
+/// syscall.
+pub trait Server: Process {
+    /// The `listen` backlog.
+    const BACKLOG: u32;
+    /// Messages one `recv` returns at most.
+    const MAX_MSGS: usize;
+
+    /// The port it listens on.
+    fn port(&self) -> u16;
+
+    /// The server's position.
+    fn io(&mut self) -> &mut Serve;
+
+    /// What one `recv` returned at `now` (not an EOF alone): queues the
+    /// replies, and returns the instructions computing them takes.
+    fn on_requests(&mut self, msgs: Vec<AppMessage>, now: SimTime) -> u64;
+
+    /// The next reply to send at `now`; `None` once all are sent.
+    fn reply(&mut self, now: SimTime) -> Option<AppMessage>;
+
+    /// The client closed or reset the connection, which is closed now.
+    fn on_close(&mut self) {}
+}
+
+/// Steps server `s` once: consumes the last result, returns the next action.
+///
+/// # Panics
+///
+/// On a result the sequence does not expect there (a failed `accept`, a
+/// `recv` error other than `ECONNRESET`, or what [`listen`] refuses): a
+/// modeled kernel never returns one to this sequence.
+pub fn serve<S: Server>(s: &mut S, ctx: &mut ProcessCtx<'_>) -> Step {
+    let accept = |lfd| (Serve::Accepting(lfd), Syscall::Accept { fd: lfd, accept4: false });
+    let recv = |lfd, fd| (Serve::Recv(lfd, fd), Syscall::Recv { fd, max_msgs: S::MAX_MSGS });
+    let phase = *s.io();
+    let (next, call) = match (phase, &mut ctx.result) {
+        (Serve::Listen(l), _) => match listen(l, s.port(), S::BACKLOG, ctx) {
+            Setup::Call(l, call) => (Serve::Listen(l), call),
+            Setup::Up(lfd) => accept(lfd),
+        },
+        (Serve::Accept(lfd), _) => accept(lfd),
+        (Serve::Accepting(lfd), SysResult::Accepted { fd, .. }) => recv(lfd, *fd),
+        (Serve::Recv(lfd, fd), SysResult::Messages { msgs, eof }) if !msgs.is_empty() || !*eof => {
+            *s.io() = Serve::Reply(lfd, fd);
+            return Step::Compute(s.on_requests(std::mem::take(msgs), ctx.now));
+        }
+        (Serve::Recv(lfd, fd), SysResult::Messages { .. } | SysResult::Err(Errno::ConnReset)) => {
+            s.on_close();
+            (Serve::Accept(lfd), Syscall::Close { fd })
+        }
+        (Serve::Reply(lfd, fd), _) => match s.reply(ctx.now) {
+            Some(msg) => (phase, Syscall::Send { fd, msg }),
+            None => recv(lfd, fd),
+        },
+        (phase, other) => panic!("{}: {other:?} in serve phase {phase:?}", s.label()),
+    };
+    *s.io() = next;
+    Step::Syscall(call)
+}
+
 diablo_engine::impl_snap_enum!(Dial {
     0 => Start,
     1 => Socket,
@@ -206,6 +289,14 @@ diablo_engine::impl_snap_enum!(Listen {
     1 => Socket,
     2 => Bind(fd),
     3 => Listen(fd),
+});
+
+diablo_engine::impl_snap_enum!(Serve {
+    0 => Listen(l),
+    1 => Accept(lfd),
+    2 => Accepting(lfd),
+    3 => Recv(lfd, fd),
+    4 => Reply(lfd, fd),
 });
 
 diablo_engine::impl_snap_struct!(Redial { attempts, rng });

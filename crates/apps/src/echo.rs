@@ -2,11 +2,11 @@
 //! CPU-burning spinner. These exercise every syscall path and serve as the
 //! building blocks and smoke tests for the paper workloads.
 
-use crate::conn::{self, Dial, Dialer, Listen, Setup, Sock};
+use crate::conn::{self, Dial, Dialer, Listen, Serve, Server, Setup, Sock};
 use diablo_engine::time::{SimDuration, SimTime};
 use diablo_net::payload::AppMessage;
 use diablo_net::SockAddr;
-use diablo_stack::process::{Errno, Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall};
+use diablo_stack::process::{Fd, Process, ProcessCtx, Proto, Step, SysResult, Syscall};
 use std::collections::VecDeque;
 
 /// Message kind used by the echo applications.
@@ -24,21 +24,8 @@ pub struct TcpEchoServer {
     pub echoed: u64,
     /// Clients fully served (EOF observed).
     pub clients_served: u64,
-    state: SrvState,
+    state: Serve,
     pending: VecDeque<AppMessage>,
-}
-
-/// Where the server stands, with its listening socket once it has one,
-/// then the connection it serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SrvState {
-    Listen(Listen),
-    /// `accept` goes next.
-    Accept(Fd),
-    /// `accept` in flight.
-    Accepting(Fd),
-    Recv(Fd, Fd),
-    Send(Fd, Fd),
 }
 
 impl TcpEchoServer {
@@ -49,67 +36,47 @@ impl TcpEchoServer {
             work_per_msg: 2_000,
             echoed: 0,
             clients_served: 0,
-            state: SrvState::Listen(Listen::Start),
+            state: Serve::Listen(Listen::Start),
             pending: VecDeque::new(),
         }
     }
 }
 
+/// Echoes each message, stamped when it is sent; it has no `reset`, so a
+/// crash leaves it dead.
+impl Server for TcpEchoServer {
+    const BACKLOG: u32 = 64;
+    const MAX_MSGS: usize = 16;
+
+    fn port(&self) -> u16 {
+        self.port
+    }
+
+    fn io(&mut self) -> &mut Serve {
+        &mut self.state
+    }
+
+    fn on_requests(&mut self, msgs: Vec<AppMessage>, _now: SimTime) -> u64 {
+        let n = msgs.len().max(1) as u64;
+        self.pending.extend(msgs);
+        self.work_per_msg * n
+    }
+
+    fn reply(&mut self, now: SimTime) -> Option<AppMessage> {
+        let mut msg = self.pending.pop_front()?;
+        msg.created_at = now;
+        self.echoed += 1;
+        Some(msg)
+    }
+
+    fn on_close(&mut self) {
+        self.clients_served += 1;
+    }
+}
+
 impl Process for TcpEchoServer {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
-        loop {
-            match self.state {
-                SrvState::Listen(l) => match conn::listen(l, self.port, 64, ctx) {
-                    Setup::Call(l, call) => {
-                        self.state = SrvState::Listen(l);
-                        return Step::Syscall(call);
-                    }
-                    Setup::Up(lfd) => {
-                        self.state = SrvState::Accept(lfd);
-                        continue;
-                    }
-                },
-                SrvState::Accept(lfd) => {
-                    self.state = SrvState::Accepting(lfd);
-                    return Step::Syscall(Syscall::Accept { fd: lfd, accept4: false });
-                }
-                SrvState::Accepting(lfd) => {
-                    let SysResult::Accepted { fd, .. } = ctx.result else {
-                        panic!("accept failed: {:?}", ctx.result)
-                    };
-                    self.state = SrvState::Recv(lfd, fd);
-                    return Step::Syscall(Syscall::Recv { fd, max_msgs: 16 });
-                }
-                SrvState::Recv(lfd, fd) => {
-                    let closed = match std::mem::replace(&mut ctx.result, SysResult::Done) {
-                        SysResult::Messages { msgs, eof } => {
-                            self.pending.extend(msgs);
-                            self.pending.is_empty() && eof
-                        }
-                        SysResult::Err(Errno::ConnReset) => true,
-                        other => panic!("recv failed: {other:?}"),
-                    };
-                    if closed {
-                        self.clients_served += 1;
-                        self.state = SrvState::Accept(lfd);
-                        return Step::Syscall(Syscall::Close { fd });
-                    }
-                    self.state = SrvState::Send(lfd, fd);
-                    return Step::Compute(self.work_per_msg * self.pending.len().max(1) as u64);
-                }
-                SrvState::Send(lfd, fd) => match self.pending.pop_front() {
-                    Some(mut msg) => {
-                        msg.created_at = ctx.now;
-                        self.echoed += 1;
-                        return Step::Syscall(Syscall::Send { fd, msg });
-                    }
-                    None => {
-                        self.state = SrvState::Recv(lfd, fd);
-                        return Step::Syscall(Syscall::Recv { fd, max_msgs: 16 });
-                    }
-                },
-            }
-        }
+        conn::serve(self, ctx)
     }
 }
 
@@ -384,14 +351,6 @@ impl Process for Spinner {
         Step::Compute(self.burst)
     }
 }
-
-diablo_engine::impl_snap_enum!(SrvState {
-    0 => Listen(l),
-    1 => Accept(lfd),
-    2 => Accepting(lfd),
-    3 => Recv(lfd, fd),
-    4 => Send(lfd, fd),
-});
 
 diablo_engine::impl_snap_enum!(CliState {
     0 => Dial(d),

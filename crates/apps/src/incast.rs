@@ -30,13 +30,13 @@
 //! Both clients connect, and reconnect after a transport failure, through
 //! the one dial of [`crate::conn`]: a worker's socket is blocking, the
 //! epoll client's nonblocking and, when it redials, registered with its
-//! epoll instance. The server listens through [`conn::listen`].
+//! epoll instance. The server listens and serves through [`conn::serve`].
 //!
 //! Responses are streamed in 32 KB application chunks so socket-buffer
 //! backpressure behaves like a real `write()` loop.
 
 use crate::arrival::Admission;
-use crate::conn::{self, Dial, Dialer, Listen, Redial, Setup, Sock};
+use crate::conn::{self, Dial, Dialer, Listen, Redial, Serve, Server, Setup, Sock};
 use crate::failure::FailureStats;
 use diablo_engine::metrics::MetricsVisitor;
 use diablo_engine::rng::DetRng;
@@ -212,21 +212,8 @@ pub struct IncastServer {
     pub port: u16,
     /// Requests served.
     pub served: u64,
-    state: SrvState,
+    state: Serve,
     to_send: VecDeque<AppMessage>,
-}
-
-/// Where the server stands, with its listening socket once it has one,
-/// then the connection it serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SrvState {
-    Listen(Listen),
-    /// `accept` goes next.
-    Accept(Fd),
-    /// `accept` in flight.
-    Accepting(Fd),
-    Recv(Fd, Fd),
-    Respond(Fd, Fd),
 }
 
 impl IncastServer {
@@ -235,7 +222,7 @@ impl IncastServer {
         IncastServer {
             port: INCAST_PORT,
             served: 0,
-            state: SrvState::Listen(Listen::Start),
+            state: Serve::Listen(Listen::Start),
             to_send: VecDeque::new(),
         }
     }
@@ -247,71 +234,39 @@ impl Default for IncastServer {
     }
 }
 
+/// Queues each request's chunks, stamped when the request is read.
+impl Server for IncastServer {
+    const BACKLOG: u32 = 8;
+    const MAX_MSGS: usize = 4;
+
+    fn port(&self) -> u16 {
+        self.port
+    }
+
+    fn io(&mut self) -> &mut Serve {
+        &mut self.state
+    }
+
+    fn on_requests(&mut self, msgs: Vec<AppMessage>, now: SimTime) -> u64 {
+        for req in &msgs {
+            assert_eq!(req.kind, KIND_REQ);
+            let bytes = req.arg0 as u32;
+            self.to_send.extend((0..bytes).step_by(CHUNK as usize).zip(0..).map(|(at, i)| {
+                AppMessage::new(KIND_RESP, req.id, (bytes - at).min(CHUNK), now).with_arg0(i)
+            }));
+            self.served += 1;
+        }
+        SERVER_WORK
+    }
+
+    fn reply(&mut self, _now: SimTime) -> Option<AppMessage> {
+        self.to_send.pop_front()
+    }
+}
+
 impl Process for IncastServer {
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> Step {
-        loop {
-            match self.state {
-                SrvState::Listen(l) => match conn::listen(l, self.port, 8, ctx) {
-                    Setup::Call(l, call) => {
-                        self.state = SrvState::Listen(l);
-                        return Step::Syscall(call);
-                    }
-                    Setup::Up(lfd) => {
-                        self.state = SrvState::Accept(lfd);
-                        continue;
-                    }
-                },
-                SrvState::Accept(lfd) => {
-                    self.state = SrvState::Accepting(lfd);
-                    return Step::Syscall(Syscall::Accept { fd: lfd, accept4: false });
-                }
-                SrvState::Accepting(lfd) => {
-                    let SysResult::Accepted { fd, .. } = ctx.result else {
-                        panic!("accept failed: {:?}", ctx.result)
-                    };
-                    self.state = SrvState::Recv(lfd, fd);
-                    return Step::Syscall(Syscall::Recv { fd, max_msgs: 4 });
-                }
-                SrvState::Recv(lfd, fd) => {
-                    let closed = match std::mem::replace(&mut ctx.result, SysResult::Done) {
-                        SysResult::Messages { msgs, eof } => {
-                            for req in &msgs {
-                                assert_eq!(req.kind, KIND_REQ);
-                                let mut left = req.arg0 as u32;
-                                let mut chunk_idx = 0u64;
-                                while left > 0 {
-                                    let this = left.min(CHUNK);
-                                    let m = AppMessage::new(KIND_RESP, req.id, this, ctx.now)
-                                        .with_arg0(chunk_idx);
-                                    self.to_send.push_back(m);
-                                    left -= this;
-                                    chunk_idx += 1;
-                                }
-                                self.served += 1;
-                            }
-                            msgs.is_empty() && eof && self.to_send.is_empty()
-                        }
-                        SysResult::Err(Errno::ConnReset) => true,
-                        other => panic!("server recv failed: {other:?}"),
-                    };
-                    if closed {
-                        self.state = SrvState::Accept(lfd);
-                        return Step::Syscall(Syscall::Close { fd });
-                    }
-                    self.state = SrvState::Respond(lfd, fd);
-                    return Step::Compute(SERVER_WORK);
-                }
-                SrvState::Respond(lfd, fd) => match self.to_send.pop_front() {
-                    Some(msg) => {
-                        return Step::Syscall(Syscall::Send { fd, msg });
-                    }
-                    None => {
-                        self.state = SrvState::Recv(lfd, fd);
-                        return Step::Syscall(Syscall::Recv { fd, max_msgs: 4 });
-                    }
-                },
-            }
-        }
+        conn::serve(self, ctx)
     }
 
     fn visit_metrics(&self, _: &Shm, v: &mut dyn MetricsVisitor) {
@@ -319,7 +274,7 @@ impl Process for IncastServer {
     }
 
     fn reset(&mut self) -> bool {
-        self.state = SrvState::Listen(Listen::Start);
+        self.state = Serve::Listen(Listen::Start);
         self.to_send.clear();
         true
     }
@@ -999,14 +954,6 @@ impl Process for IncastEpollClient {
 // ====================================================================
 // Snapshot layer
 // ====================================================================
-
-diablo_engine::impl_snap_enum!(SrvState as "incast SrvState" {
-    0 => Listen(l),
-    1 => Accept(lfd),
-    2 => Accepting(lfd),
-    3 => Recv(lfd, fd),
-    4 => Respond(lfd, fd),
-});
 
 diablo_engine::impl_snap_enum!(WrkState {
     0 => Dial(d),

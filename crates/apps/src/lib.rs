@@ -12,9 +12,10 @@
 //!   agent that executes its commands ([`control::ControlAgent`]), and
 //!   the registry-lookup protocol clients use to discover live
 //!   endpoints.
-//! * [`conn`] — the TCP set-up the echo, incast and memcached guests
-//!   share: one connect-and-redial rule ([`conn::dial`]) and one
-//!   listening-socket rule ([`conn::listen`]).
+//! * [`conn`] — the TCP rules the echo, incast and memcached guests
+//!   share: one connect-and-redial rule ([`conn::dial`]), one
+//!   listening-socket rule ([`conn::listen`]) and one serve loop for a
+//!   server that takes one connection at a time ([`conn::serve`]).
 //! * [`echo`] — TCP/UDP echo servers and clients plus a CPU spinner;
 //!   building blocks and smoke tests.
 //! * [`failure`] — client-side failure accounting ([`failure::FailureStats`])

@@ -847,18 +847,11 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         self.nparts
     }
 
-    /// Number of worker threads partitions are multiplexed onto (the
-    /// *effective* count, after the clamp to the partition count).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The worker count that was *requested* through
     /// [`ParallelSimulation::with_workers`] before the clamp to the
-    /// partition count. When this exceeds
-    /// [`ParallelSimulation::worker_count`], the executor silently reduced
-    /// concurrency — the [`ExecReport`] carries both so the reduction shows
-    /// up in metrics artifacts.
+    /// partition count. When this exceeds the partition count, the executor
+    /// silently reduced concurrency — the [`ExecReport`] carries both so the
+    /// reduction shows up in metrics artifacts.
     pub fn workers_requested(&self) -> usize {
         self.workers_requested
     }

@@ -82,10 +82,6 @@ impl SimTime {
     pub const fn as_micros(self) -> u64 {
         self.0 / PS_PER_US
     }
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / PS_PER_MS
-    }
     /// Seconds as a float (lossy; for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_SEC as f64
@@ -164,10 +160,6 @@ impl SimDuration {
     /// Whole microseconds (truncating).
     pub const fn as_micros(self) -> u64 {
         self.0 / PS_PER_US
-    }
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / PS_PER_MS
     }
     /// Seconds as a float (lossy; for reporting only).
     pub fn as_secs_f64(self) -> f64 {
@@ -425,10 +417,6 @@ impl Frequency {
         assert!(hz > 0, "frequency must be positive");
         Frequency { hz }
     }
-    /// Creates a frequency from megahertz.
-    pub fn mhz(m: u64) -> Self {
-        Self::from_hz(m * 1_000_000)
-    }
     /// Creates a frequency from gigahertz.
     pub fn ghz(g: u64) -> Self {
         Self::from_hz(g * 1_000_000_000)
@@ -510,7 +498,7 @@ mod tests {
 
     #[test]
     fn time_roundtrips() {
-        assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
+        assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimTime::from_nanos(7).as_picos(), 7_000);
@@ -618,7 +606,7 @@ mod tests {
         assert_eq!(SimDuration::ZERO.to_string(), "0s");
         assert_eq!(Bandwidth::gbps(10).to_string(), "10Gbps");
         assert_eq!(Frequency::ghz(4).to_string(), "4GHz");
-        assert_eq!(Frequency::mhz(90).to_string(), "90MHz");
+        assert_eq!(Frequency::from_hz(90_000_000).to_string(), "90MHz");
     }
 
     #[test]

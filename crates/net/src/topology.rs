@@ -71,11 +71,6 @@ impl FatTreeConfig {
         FatTreeConfig { k, hosts_per_edge: k / 2 }
     }
 
-    /// Edge-tier oversubscription: `hosts_per_edge : k/2` uplinks.
-    pub fn oversubscription(&self) -> f64 {
-        self.hosts_per_edge as f64 / (self.k / 2).max(1) as f64
-    }
-
     /// The hierarchical "view" of this fabric: edge switches play the role
     /// of racks, a pod is an array, and the core tier replaces the
     /// datacenter switch. Partition planning and metrics naming reuse the

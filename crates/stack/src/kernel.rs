@@ -2255,13 +2255,21 @@ impl Kernel {
                 self.apply_tcp_output(sid, out, env);
                 return ExecOutcome::Ready(SysResult::Done);
             }
-            SocketKind::TcpListen { port, .. } | SocketKind::RawTcp { port: Some(port) } => {
+            SocketKind::RawTcp { port: Some(port) } => release(&mut self.tcp_ports, port, sid),
+            SocketKind::TcpListen { port, queue, .. } => {
                 release(&mut self.tcp_ports, port, sid);
-                // Its connections forget it: the slot may go to another.
-                for sock in &mut self.sockets {
-                    if let SocketKind::Tcp { listener, .. } = &mut sock.kind {
-                        listener.take_if(|&mut lid| lid == sid);
-                    }
+                // The connections it holds, queued or half-open, are reset
+                // and leave the tables; accepted ones live on.
+                let mut held = Vec::from(std::mem::take(queue));
+                held.extend((0..self.sockets.len() as SockId).filter(|&c| {
+                    matches!(self.sockets[c as usize].kind,
+                        SocketKind::Tcp { embryo: true, listener: Some(l), .. } if l == sid)
+                }));
+                for c in held {
+                    let mut out = TcpOutput::default();
+                    self.with_conn(c, |conn| conn.abort(&mut out));
+                    self.apply_tcp_output(c, out, env);
+                    self.teardown_tcp(c);
                 }
             }
             SocketKind::Udp { port: 0, .. } => {}

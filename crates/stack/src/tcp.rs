@@ -310,13 +310,7 @@ impl TcpConn {
         now: SimTime,
         out: &mut TcpOutput,
     ) -> Self {
-        let mut c = Self::new(params, local, remote, TcpState::SynSent);
-        let syn = c.make_segment(0, 0, TcpFlags::SYN, Vec::new());
-        c.snd_nxt = 1;
-        c.handshake_sent = Some(now);
-        c.push_seg(syn, out);
-        c.arm_rto(now, out);
-        c
+        Self::new(params, local, remote, TcpState::SynSent).open(now, out)
     }
 
     /// Creates the server-side endpoint from a received SYN: emits the
@@ -332,12 +326,23 @@ impl TcpConn {
         debug_assert!(syn.flags.syn && !syn.flags.ack);
         let mut c = Self::new(params, local, remote, TcpState::SynRcvd);
         c.rcv_nxt = syn.seq_end();
-        let synack = c.make_segment(0, 0, TcpFlags::SYN_ACK, Vec::new());
-        c.snd_nxt = 1;
-        c.handshake_sent = Some(now);
-        c.push_seg(synack, out);
-        c.arm_rto(now, out);
-        c
+        c.open(now, out)
+    }
+
+    /// Sends the handshake segment of a new connection and arms the RTO.
+    fn open(mut self, now: SimTime, out: &mut TcpOutput) -> Self {
+        self.send_handshake(out);
+        self.snd_nxt = 1;
+        self.handshake_sent = Some(now);
+        self.arm_rto(now, out);
+        self
+    }
+
+    /// Sends the handshake segment of the state: the SYN, or the SYN-ACK.
+    fn send_handshake(&mut self, out: &mut TcpOutput) {
+        let flags = if self.state == TcpState::SynSent { TcpFlags::SYN } else { TcpFlags::SYN_ACK };
+        let seg = self.make_segment(0, 0, flags, Vec::new());
+        self.push_seg(seg, out);
     }
 
     // ---------------------------------------------------------- accessors
@@ -430,12 +435,11 @@ impl TcpConn {
     pub fn app_recv(
         &mut self,
         max: usize,
-        now: SimTime,
+        _now: SimTime,
         out: &mut TcpOutput,
     ) -> (Vec<AppMessage>, bool) {
         let n = max.min(self.ready_msgs.len());
         let msgs: Vec<AppMessage> = self.ready_msgs.drain(..n).collect();
-        let _ = now;
         // Advance the window base past the consumed messages: pop the
         // lowest-offset markers, one per delivered message.
         for _ in 0..msgs.len() {
@@ -494,16 +498,9 @@ impl TcpConn {
             return;
         }
         match self.state {
-            TcpState::SynSent => {
-                let syn = self.make_segment(0, 0, TcpFlags::SYN, Vec::new());
+            TcpState::SynSent | TcpState::SynRcvd => {
                 self.handshake_sent = None; // Karn: no sample across rexmit
-                self.push_seg(syn, out);
-                self.stats.retransmits += 1;
-            }
-            TcpState::SynRcvd => {
-                let synack = self.make_segment(0, 0, TcpFlags::SYN_ACK, Vec::new());
-                self.handshake_sent = None;
-                self.push_seg(synack, out);
+                self.send_handshake(out);
                 self.stats.retransmits += 1;
             }
             TcpState::Established => {
@@ -585,31 +582,21 @@ impl TcpConn {
         match self.state {
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == 1 {
-                    self.snd_una = 1;
                     self.rcv_nxt = seg.seq_end();
-                    self.rwnd = seg.wnd as u64;
-                    self.state = TcpState::Established;
-                    self.consecutive_rtos = 0;
-                    self.disarm_rto();
-                    if let Some(at) = self.handshake_sent.take() {
-                        self.update_rtt(now.saturating_duration_since(at));
-                    }
-                    out.established = true;
+                    self.establish(now, &seg, out);
                     self.emit_ack(out);
                     self.try_send(now, out);
+                } else if seg.flags.ack {
+                    // RFC 793: an ACK of nothing this side sent is answered
+                    // <SEQ=SEG.ACK><CTL=RST>, and the SYN stands.
+                    let rst = self.make_segment(seg.ack, 0, TcpFlags::RST, Vec::new());
+                    self.stats.segs_out += 1;
+                    out.segs.push(rst);
                 }
             }
             TcpState::SynRcvd => {
                 if seg.flags.ack && seg.ack >= 1 {
-                    self.snd_una = 1;
-                    self.rwnd = seg.wnd as u64;
-                    self.state = TcpState::Established;
-                    self.consecutive_rtos = 0;
-                    self.disarm_rto();
-                    if let Some(at) = self.handshake_sent.take() {
-                        self.update_rtt(now.saturating_duration_since(at));
-                    }
-                    out.established = true;
+                    self.establish(now, &seg, out);
                     // The handshake ACK may already carry data.
                     if seg.payload_len > 0 || seg.flags.fin {
                         self.rx_data(now, &seg, out);
@@ -631,6 +618,19 @@ impl TcpConn {
             }
             TcpState::Closed => {}
         }
+    }
+
+    /// The peer acknowledged the handshake segment: the connection is up.
+    fn establish(&mut self, now: SimTime, seg: &TcpSegment, out: &mut TcpOutput) {
+        self.snd_una = 1;
+        self.rwnd = seg.wnd as u64;
+        self.state = TcpState::Established;
+        self.consecutive_rtos = 0;
+        self.disarm_rto();
+        if let Some(at) = self.handshake_sent.take() {
+            self.update_rtt(now.saturating_duration_since(at));
+        }
+        out.established = true;
     }
 
     fn rx_ack(&mut self, now: SimTime, seg: &TcpSegment, out: &mut TcpOutput) {
@@ -750,8 +750,7 @@ impl TcpConn {
             self.rx_markers.entry(m.end_offset).or_insert(m.msg);
         }
         if seg.flags.fin {
-            let fin_pos = start + len; // FIN occupies the offset after data
-            self.remote_fin.get_or_insert(fin_pos);
+            self.remote_fin.get_or_insert(end); // FIN occupies the offset after data
         }
         let mut advanced = false;
         if len > 0 {
@@ -796,10 +795,8 @@ impl TcpConn {
         }
     }
 
-    fn insert_ooo(&mut self, start: u64, end: u64) {
+    fn insert_ooo(&mut self, mut s: u64, mut e: u64) {
         // Merge overlapping ranges conservatively.
-        let mut s = start;
-        let mut e = end;
         let overlapping: Vec<u64> = self
             .ooo
             .range(..=e)
@@ -959,19 +956,13 @@ impl TcpConn {
     }
 
     fn drop_acked_tx_markers(&mut self) {
-        while let Some(front) = self.tx_markers.front() {
-            if front.end_offset <= self.snd_una {
-                self.tx_markers.pop_front();
-            } else {
-                break;
-            }
+        while self.tx_markers.front().is_some_and(|m| m.end_offset <= self.snd_una) {
+            self.tx_markers.pop_front();
         }
     }
 
     fn maybe_close(&mut self, out: &mut TcpOutput) {
-        let local_done = self.fin_acked;
-        let remote_done = self.eof_visible();
-        if local_done && remote_done && self.state != TcpState::Closed {
+        if self.fin_acked && self.eof_visible() && self.state != TcpState::Closed {
             self.state = TcpState::Closed;
             self.disarm_rto();
             out.closed = true;
@@ -1550,6 +1541,45 @@ mod tests {
         h.run(SimTime::from_millis(50));
         assert_eq!(h.conns[A].state(), TcpState::Closed);
         assert!(h.closed[A]);
+    }
+
+    #[test]
+    fn a_syn_sent_connection_resets_an_ack_of_data_it_never_sent() {
+        let (la, lb) = (SockAddr::new(NodeAddr(0), 32768), SockAddr::new(NodeAddr(1), 80));
+        let mut out = TcpOutput::default();
+        let now = SimTime::from_millis(70);
+        let mut c = TcpConn::client(TcpParams::default(), la, lb, now, &mut out);
+        // A retransmit of the peer's half of an older connection on the
+        // same 4-tuple: data that acknowledges 33 bytes this side never sent.
+        let stale = TcpSegment {
+            src_port: 80,
+            dst_port: 32768,
+            seq: 2921,
+            ack: 33,
+            flags: TcpFlags::ACK,
+            wnd: 65_535,
+            payload_len: 1_000,
+            markers: Vec::new(),
+        };
+        let mut out = TcpOutput::default();
+        c.on_segment(SimTime::from_millis(200), stale.clone(), false, &mut out);
+        assert_eq!(out.segs.len(), 1);
+        let rst = &out.segs[0];
+        assert!(rst.flags.rst && !rst.flags.ack && !rst.flags.syn, "{:?}", rst.flags);
+        assert_eq!((rst.seq, rst.src_port, rst.dst_port), (33, 32768, 80));
+        assert_eq!(c.state(), TcpState::SynSent, "the SYN stands");
+        assert!(!out.closed && !out.reset && c.rto_deadline().is_some());
+        assert_eq!(c.stats().segs_out, 2);
+        // The RST answers a stray ACK only: a bare SYN, or a RST, is not one.
+        let mut out = TcpOutput::default();
+        let syn = TcpSegment { flags: TcpFlags::SYN, ack: 0, payload_len: 0, ..stale.clone() };
+        c.on_segment(SimTime::from_millis(201), syn, false, &mut out);
+        assert!(out.segs.is_empty());
+        let mut out = TcpOutput::default();
+        let reset = TcpSegment { flags: TcpFlags::RST, payload_len: 0, ..stale };
+        c.on_segment(SimTime::from_millis(202), reset, false, &mut out);
+        assert!(out.segs.is_empty() && out.reset);
+        assert_eq!(c.state(), TcpState::Closed);
     }
 
     fn dctcp_params() -> TcpParams {

@@ -1072,9 +1072,47 @@ fn a_syn_on_the_flow_of_a_reset_connection_reaches_the_listener() {
     assert!(answers[1] > at(2_000));
 }
 
-/// A closed listener's half-open connections forget it. Its slot, reused
-/// by the next listener on the port, is not that listener: an old embryo
-/// reset there leaves the new backlog as full as it was.
+/// Closing a listener resets the connections it still holds, the one in
+/// its accept queue and the half-open one, and they leave the tables: once
+/// a new listener is on the port, the peer's new SYN from the queued
+/// connection's port is answered.
+#[test]
+fn closing_a_listener_resets_the_connections_it_holds() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Script::new(vec![
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(0), port: 80 },
+        Syscall::Listen { fd: Fd(0), backlog: 4 },
+        Syscall::Nanosleep(MS),
+        Syscall::Close { fd: Fd(0) },
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(3), port: 80 },
+        Syscall::Listen { fd: Fd(3), backlog: 4 },
+        Syscall::Nanosleep(MS * 100),
+    ])));
+    let at = |us: u64| SimTime::from_micros(us);
+    w.peer_segment_at(at(100), 80, 0, TcpFlags::SYN, 0);
+    w.peer_segment_at(at(200), 80, 1, TcpFlags::ACK, 0);
+    w.peer_segment_from(at(300), 81, 80, 0, TcpFlags::SYN, 0);
+    w.peer_segment_at(at(20_000), 80, 0, TcpFlags::SYN, 0);
+    w.run(SimTime::from_millis(30));
+    assert_eq!(log(&w)[5].1, SysResult::NewFd(Fd(3)), "a fresh slot");
+    let resets: Vec<u16> = w
+        .segments_out()
+        .into_iter()
+        .filter(|(t, s)| s.flags == TcpFlags::RST && *t < at(2_000))
+        .map(|(_, s)| s.dst_port)
+        .collect();
+    assert_eq!(resets, [80, 81], "the queued and the half-open connection");
+    let answers = syn_acks_to(&w, 80);
+    assert_eq!(answers.len(), 2, "{answers:?}");
+    assert!(answers[1] > at(20_000));
+}
+
+/// A closed listener's half-open connection is reset and freed with it.
+/// Its slot, reused by the next listener on the port, is not that
+/// connection: a late RST on the old flow leaves the new backlog as full as
+/// it was.
 #[test]
 fn a_dead_embryo_of_a_closed_listener_leaves_the_next_backlog_alone() {
     let mut w = World::new();
@@ -1085,14 +1123,15 @@ fn a_dead_embryo_of_a_closed_listener_leaves_the_next_backlog_alone() {
         Syscall::Nanosleep(MS),
         Syscall::Close { fd: Fd(0) },
     ];
-    // Slots are reused only once more than 512 are free.
-    for fd in 2..514 {
+    // Slots are reused only once more than 512 are free; the embryo's,
+    // freed first, goes first.
+    for fd in 2..513 {
         calls.extend([Syscall::Socket(Proto::Udp), Syscall::Close { fd: Fd(fd) }]);
     }
     calls.extend([
         Syscall::Socket(Proto::Tcp),
-        Syscall::Bind { fd: Fd(0), port: 80 },
-        Syscall::Listen { fd: Fd(0), backlog: 1 },
+        Syscall::Bind { fd: Fd(1), port: 80 },
+        Syscall::Listen { fd: Fd(1), backlog: 1 },
         Syscall::Nanosleep(MS * 100),
     ]);
     w.kernel.spawn(Box::new(Script::new(calls)));
@@ -1103,7 +1142,7 @@ fn a_dead_embryo_of_a_closed_listener_leaves_the_next_backlog_alone() {
     w.peer_segment_from(at(70), 82, 80, 0, TcpFlags::SYN, 0);
     w.run(at(80));
     let log = log(&w);
-    assert_eq!(log[log.len() - 3].1, SysResult::NewFd(Fd(0)), "the old listener's slot");
+    assert_eq!(log[log.len() - 3].1, SysResult::NewFd(Fd(1)), "the old embryo's slot");
     assert_eq!(syn_acks_to(&w, 81).len(), 1, "the new listener's one embryo");
     assert_eq!(syn_acks_to(&w, 82), [], "its backlog is still full");
 }
