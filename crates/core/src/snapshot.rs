@@ -40,12 +40,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 
 /// Format version this build writes and reads. Bump on any layout
 /// change; restore rejects other versions with [`SnapError::Version`].
-/// Version 15: a node kernel keeps one TCP port table, each port with the
-/// socket that owns it, in place of its listeners and used ports, and a
-/// thread one wait deadline in place of its epoll and sleep deadlines.
+/// Version 16: a node kernel persists its CPU, then its socket layer, so
+/// its entry-point time follows the CPU's fields and its wake-one cursor
+/// and dead connections' TCP counters follow the loopback queue.
 /// Each version's change, and what it did to the bytes of four pinned
 /// snapshots, is stated in `tests/snapshot_golden.rs`.
-pub const SNAP_VERSION: u32 = 15;
+pub const SNAP_VERSION: u32 = 16;
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards

@@ -2,8 +2,8 @@
 //! `FaultPlan::parse`, `ArrivalSpec::parse` and `SweepSpec::parse` return
 //! `Ok` or an error that names a line of the input — they never panic.
 //! Inputs are arbitrary bytes (read the way the CLI reads a file that is
-//! not UTF-8, lossily) and the checked-in `scenarios/` files with one
-//! token swapped for a hostile one.
+//! not UTF-8, lossily) and every spec file the repo ships (`scenarios/`
+//! and the benchmark's sweep) with one token swapped for a hostile one.
 
 use diablo_apps::arrival::{ArrivalError, ArrivalSpec};
 use diablo_core::fault::{FaultPlan, FaultPlanError};
@@ -12,11 +12,13 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::panic::catch_unwind;
 
-const SCENARIOS: [&str; 4] = [
+const SCENARIOS: [&str; 6] = [
     include_str!("../../../scenarios/link_flap.fplan"),
     include_str!("../../../scenarios/rolling_crash.fplan"),
+    include_str!("../../../scenarios/switch_outage.fplan"),
     include_str!("../../../scenarios/diurnal.arrv"),
     include_str!("../../../scenarios/paper_grid.sweep"),
+    include_str!("../../../benchmark/sweep_ckpt_grid.sweep"),
 ];
 
 /// Tokens that are each wrong somewhere: durations at and past the end of

@@ -4,7 +4,12 @@
 //! restores to the same future; they cannot see a format change that the
 //! writer and the reader make together. These digests can: each is the
 //! FNV-1a of a mid-run snapshot of a fixed mini scenario, recorded at
-//! `SNAP_VERSION` 15 (a node kernel keeps one TCP port table, each bound
+//! `SNAP_VERSION` 16 (a node kernel persists its CPU's fields, then its
+//! socket layer's: the entry-point time moves from after the wake-one
+//! cursor to after the CPU's pending-softirq flag, and the cursor and the
+//! dead connections' TCP counters to after the loopback queue, so every
+//! snapshot keeps its length and all five digests move; version 15: a
+//! node kernel keeps one TCP port table, each bound
 //! port with the socket that owns it, 2-byte port and 4-byte socket, in
 //! place of a listener table of the same entries and a set of used
 //! ports, 2 bytes each: one 8-byte length less per node, 2 bytes less per
@@ -165,7 +170,7 @@ fn memcached_closed_loop_tcp_snapshot_bytes_are_pinned() {
     cfg.sample_every = Some(SimDuration::from_micros(500));
     let got =
         snapshot_digest("mc_closed", |p| warm(&cfg, p, SimTime::from_micros(2_500)).expect("warm"));
-    assert_eq!(got, (452_336, "74bc7b8d6ceeb061".to_string()));
+    assert_eq!(got, (452_336, "52a9374b88d09ec6".to_string()));
 }
 
 #[test]
@@ -178,7 +183,7 @@ fn memcached_open_loop_with_control_plane_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("mc_open_control", |p| {
         warm(&cfg, p, SimTime::from_millis(20)).expect("warm")
     });
-    assert_eq!(got, (97_100, "cf13a16df50adb0e".to_string()));
+    assert_eq!(got, (97_100, "9cfe2cb2eb523701".to_string()));
 }
 
 #[test]
@@ -188,7 +193,7 @@ fn partition_aggregate_on_fat_tree_snapshot_bytes_are_pinned() {
     cfg.cross_rack = true;
     let got =
         snapshot_digest("pa_fat_tree", |p| warm(&cfg, p, SimTime::from_millis(2)).expect("warm"));
-    assert_eq!(got, (132_924, "ddf2a91601675bae".to_string()));
+    assert_eq!(got, (132_924, "4ca3e0abbd70ce0d".to_string()));
 }
 
 #[test]
@@ -207,7 +212,7 @@ fn epoll_incast_with_dctcp_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_epoll_dctcp", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (44_107, "fff6eabac85fd23e".to_string()));
+    assert_eq!(got, (44_107, "aff7cfdd897d57cf".to_string()));
 }
 
 #[test]
@@ -219,5 +224,5 @@ fn pthread_incast_snapshot_bytes_are_pinned() {
     let got = snapshot_digest("incast_pthread", |p| {
         warm(&cfg, p, SimTime::from_millis(3)).expect("warm")
     });
-    assert_eq!(got, (19_915, "510e171dfaf8ca27".to_string()));
+    assert_eq!(got, (19_915, "ab68943e00eab93c".to_string()));
 }

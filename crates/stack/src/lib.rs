@@ -11,7 +11,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cpu;
 pub mod kernel;
+mod net;
 pub mod process;
 pub mod profile;
 pub mod socket;

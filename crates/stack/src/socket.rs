@@ -4,7 +4,7 @@
 //! guests are threads of one application process, matching how memcached
 //! and the incast benchmark actually run).
 
-use crate::kernel::LiveTimer;
+use crate::cpu::LiveTimer;
 use crate::process::Tid;
 use crate::tcp::TcpConn;
 use diablo_net::addr::SockAddr;
@@ -46,7 +46,7 @@ impl EventMask {
 pub(crate) type SockId = u32;
 
 /// What kind of endpoint a socket slot holds.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) enum SocketKind {
     /// Created but neither bound, listening, nor connected.
     RawTcp {
@@ -95,11 +95,21 @@ pub(crate) enum SocketKind {
         watched: Vec<(SockId, EventMask)>,
     },
     /// Slot free for reuse.
+    #[default]
     Free,
 }
 
+impl SocketKind {
+    /// A connection socket for `conn`: `listener`'s embryo, or a client's.
+    pub(crate) fn tcp(conn: TcpConn, listener: Option<SockId>) -> Self {
+        let (rto, delack, embryo) =
+            (LiveTimer::default(), LiveTimer::default(), listener.is_some());
+        SocketKind::Tcp { conn: Box::new(conn), rto, delack, embryo, listener, app_closed: false }
+    }
+}
+
 /// One descriptor-table slot.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Socket {
     pub kind: SocketKind,
     pub nonblocking: bool,
@@ -109,18 +119,6 @@ pub(crate) struct Socket {
     pub wait_writers: Vec<Tid>,
     /// Epoll instances watching this socket.
     pub watchers: Vec<SockId>,
-}
-
-impl Socket {
-    pub fn new(kind: SocketKind) -> Self {
-        Socket {
-            kind,
-            nonblocking: false,
-            wait_readers: Vec::new(),
-            wait_writers: Vec::new(),
-            watchers: Vec::new(),
-        }
-    }
 }
 
 diablo_engine::impl_snap_struct!(EventMask { readable, writable });

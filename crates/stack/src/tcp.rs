@@ -17,8 +17,8 @@
 //!
 //! The engine is a pure state machine: callers feed it segments and timer
 //! expirations, and it accumulates emitted segments and notifications in a
-//! [`TcpOutput`]. The kernel (`crate::kernel`) wires it to sockets, CPU
-//! cost accounting and the NIC, and starts each connection from a clone
+//! [`TcpOutput`]. The kernel's socket layer (`net.rs`) wires it to sockets,
+//! timers, the NIC and CPU costs, and starts each connection from a clone
 //! of its profile's [`TcpParams`], whose defaults live in
 //! [`TcpParams::default`] here.
 
@@ -604,6 +604,8 @@ impl TcpConn {
                     self.try_send(now, out);
                 }
             }
+            // RFC 5961 §4: a SYN is answered with a challenge ACK and dropped.
+            TcpState::Established if seg.flags.syn => self.emit_ack(out),
             TcpState::Established => {
                 if seg.flags.ack {
                     self.rx_ack(now, &seg, out);
@@ -1580,6 +1582,42 @@ mod tests {
         c.on_segment(SimTime::from_millis(202), reset, false, &mut out);
         assert!(out.segs.is_empty() && out.reset);
         assert_eq!(c.state(), TcpState::Closed);
+    }
+
+    #[test]
+    fn a_syn_on_an_established_connection_draws_one_challenge_ack() {
+        // The client sent a request and the server answered it: every byte
+        // either side sent is acknowledged.
+        let mut h = run_default();
+        h.send(A, msg(1, 100));
+        h.run(SimTime::from_millis(20));
+        h.send(B, msg(2, 200));
+        h.run(SimTime::from_millis(100));
+        let server = &mut h.conns[B];
+        assert_eq!((server.snd_una, server.flight()), (server.snd_nxt, 0));
+        let (segs_out, snd_nxt, rcv_nxt) =
+            (server.stats().segs_out, server.snd_nxt, server.rcv_nxt);
+        // The client restarted and reuses the 4-tuple: a bare SYN.
+        let syn = TcpSegment {
+            src_port: 1000,
+            dst_port: 80,
+            seq: 0,
+            ack: 0,
+            flags: TcpFlags::SYN,
+            wnd: 65_535,
+            payload_len: 0,
+            markers: Vec::new(),
+        };
+        let mut out = TcpOutput::default();
+        server.on_segment(SimTime::from_millis(200), syn, false, &mut out);
+        // RFC 5961 §4: exactly <SEQ=SND.NXT><ACK=RCV.NXT><CTL=ACK>.
+        assert_eq!(out.segs.len(), 1, "{:?}", out.segs);
+        let ack = &out.segs[0];
+        assert!(ack.flags.ack && !ack.flags.syn && !ack.flags.rst && !ack.flags.fin);
+        assert_eq!((ack.seq, ack.ack, ack.payload_len), (snd_nxt, rcv_nxt, 0));
+        assert_eq!(server.stats().segs_out, segs_out + 1);
+        assert_eq!(server.state(), TcpState::Established);
+        assert!(!out.reset && !out.closed && !out.readable && out.arm_rto.is_none());
     }
 
     fn dctcp_params() -> TcpParams {

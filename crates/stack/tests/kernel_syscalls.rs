@@ -1072,6 +1072,42 @@ fn a_syn_on_the_flow_of_a_reset_connection_reaches_the_listener() {
     assert!(answers[1] > at(2_000));
 }
 
+/// A client that restarts and dials its old 4-tuple meets the server's
+/// connection of that flow still Established, every byte it sent
+/// acknowledged, so nothing of it would ever be retransmitted: the SYN
+/// draws one challenge ACK (RFC 5961 §4), the client's `SynSent`
+/// connection answers that ACK with a RST, and the flow leaves the
+/// demultiplexer, so the next SYN reaches the listener (the epoll incast
+/// client's redial under the rolling crash of `fault_matrix.rs`).
+#[test]
+fn a_syn_on_an_established_flow_draws_a_challenge_ack_whose_reset_frees_the_flow() {
+    let mut w = World::new();
+    w.kernel.spawn(Box::new(Script::new(vec![
+        Syscall::Socket(Proto::Tcp),
+        Syscall::Bind { fd: Fd(0), port: 80 },
+        Syscall::Listen { fd: Fd(0), backlog: 4 },
+        Syscall::Accept { fd: Fd(0), accept4: false },
+        Syscall::Nanosleep(MS * 10),
+    ])));
+    let at = |us: u64| SimTime::from_micros(us);
+    w.peer_segment_at(at(100), 80, 0, TcpFlags::SYN, 0);
+    w.peer_segment_at(at(200), 80, 1, TcpFlags::ACK, 0);
+    w.peer_segment_at(at(2_000), 80, 0, TcpFlags::SYN, 0);
+    w.run(at(2_500));
+    let after_syn = |w: &World| w.segments_out().into_iter().filter(|&(t, _)| t >= at(2_000));
+    let answer: Vec<TcpSegment> = after_syn(&w).map(|(_, s)| s).collect();
+    assert_eq!(answer.len(), 1, "{answer:?}");
+    let ack = &answer[0];
+    assert_eq!((ack.flags, ack.dst_port, ack.seq, ack.ack), (TcpFlags::ACK, 80, 1, 1));
+    // The client's SynSent connection: <SEQ=SEG.ACK><CTL=RST>.
+    w.peer_segment_at(at(2_600), 80, ack.ack, TcpFlags::RST, 0);
+    w.peer_segment_at(at(3_000), 80, 0, TcpFlags::SYN, 0);
+    w.run(SimTime::from_millis(5));
+    let answers = syn_acks_to(&w, 80);
+    assert_eq!(answers.len(), 2, "{answers:?}");
+    assert!(answers[1] > at(3_000));
+}
+
 /// Closing a listener resets the connections it still holds, the one in
 /// its accept queue and the half-open one, and they leave the tables: once
 /// a new listener is on the port, the peer's new SYN from the queued
