@@ -11,11 +11,11 @@
 //!   events to the flight recorder.
 //! * [`MetricsRegistry`] — a scrape target. Recording a component under a
 //!   prefix produces hierarchical names (`rack0.server3.nic.tx_frames`);
-//!   the registry is one vector of `(name, value)` entries kept sorted by
-//!   name, so two scrapes of identical model state serialize
-//!   byte-identically — the property the determinism suite asserts across
-//!   serial and partition-parallel runs. A scrape that records components
-//!   in name order only appends: each component's run of entries is
+//!   the registry is a list of entries kept sorted by name, each pointing
+//!   into one arena of names, so two scrapes of identical model state
+//!   serialize byte-identically — the property the determinism suite
+//!   asserts across serial and partition-parallel runs. A scrape that
+//!   records components in name order only appends: each component's run of entries is
 //!   sorted on its own and lands after everything already stored (see
 //!   [`MetricsRegistry`] for why name order is metric order, and for the
 //!   merge that handles any other order).
@@ -159,13 +159,61 @@ pub enum MetricValue {
     Counter(u64),
     /// Instantaneous float.
     Gauge(f64),
-    /// Distribution summary. Boxed, so that a registry entry stays 40
+    /// Distribution summary. Boxed, so that a registry entry stays 24
     /// bytes: a large scrape holds about twelve counters per histogram.
     Histogram(Box<HistogramSummary>),
 }
 
-/// One registry entry: a full metric name and its value.
-type Entry = (String, MetricValue);
+/// Entries per entry block (6 KiB) and bytes per name block: small, so a
+/// block fits the holes a long-lived heap leaves (see DESIGN.md §9).
+const ENTRY_BLOCK: usize = 1 << 8;
+const NAME_BLOCK: usize = 1 << 12;
+
+/// One registry entry: where its full name sits in the name arena, and its
+/// value.
+#[derive(Debug, Clone)]
+struct Entry {
+    name: u32,
+    len: u32,
+    value: MetricValue,
+}
+
+/// Every full name a registry stored (a rewritten one stays, unused), back
+/// to back in blocks that never move: a name starts at `block * NAME_BLOCK
+/// + start` and never spans blocks; a longer one gets a block of its own.
+#[derive(Debug, Clone, Default)]
+struct Names(Vec<String>);
+
+impl Names {
+    /// Stores the name `parts` spell out and returns its entry.
+    fn push(&mut self, parts: [&str; 3], value: MetricValue) -> Entry {
+        let len = parts.iter().map(|p| p.len()).sum::<usize>();
+        if self.0.last().is_none_or(|b| b.len() + len > NAME_BLOCK) {
+            // The first block grows as a string does, so a small registry
+            // stays small; every later one is allocated at its full size.
+            let cap = if self.0.is_empty() { 256 } else { NAME_BLOCK };
+            self.0.push(String::with_capacity(cap.max(len)));
+        }
+        let k = self.0.len() - 1;
+        let name = u32::try_from(k * NAME_BLOCK + self.0[k].len()).expect("4 GiB of names");
+        parts.iter().for_each(|p| self.0[k].push_str(p));
+        Entry { name, len: len as u32, value }
+    }
+
+    fn get(&self, e: &Entry) -> &str {
+        let (k, start) = (e.name as usize / NAME_BLOCK, e.name as usize % NAME_BLOCK);
+        &self.0[k][start..start + e.len as usize]
+    }
+}
+
+/// Appends `e` to entry blocks of [`ENTRY_BLOCK`] entries each, none empty.
+/// As with the names, only the first block grows.
+fn push_entry(blocks: &mut Vec<Vec<Entry>>, e: Entry) {
+    if blocks.last().is_none_or(|b| b.len() == ENTRY_BLOCK) {
+        blocks.push(Vec::with_capacity(if blocks.is_empty() { 16 } else { ENTRY_BLOCK }));
+    }
+    blocks.last_mut().expect("a block with room").push(e);
+}
 
 /// An ordered collection of hierarchically named metrics, built by
 /// scraping [`Instrumented`] components under per-component prefixes.
@@ -174,21 +222,22 @@ type Entry = (String, MetricValue);
 /// order, so registries built from identical model state are equal and
 /// serialize byte-identically regardless of scrape order or executor.
 ///
-/// The registry is one vector of `(full name, value)` entries, sorted by
-/// name, with no name twice; lookups binary-search it. [`record`] appends
-/// the component's metrics (each full name allocated once), sorts just
-/// that run, and is done if the run sorts after every entry already
-/// stored. That is the case whenever components are recorded in the
-/// order of their prefixes, no prefix is another one followed by `.`,
-/// and prefixes use only characters above `.` (letters, digits, `_`):
-/// then `"rack1"` < `"rack10"` implies `"rack1.x"` < `"rack10.y"`,
-/// because `.` sorts below every character that can follow `rack1` in
-/// another prefix. `Cluster::scrape` records that way, so a whole-cluster
-/// scrape only appends. Otherwise (a prefix with `-` or another character
-/// below `.`, a prefix that is another one plus a dot, components in any
-/// other order, or one name written twice) the run is merged into the
-/// entries, and where a name is written more than once the last write
-/// wins.
+/// The registry is a list of `(name offset, name length, value)` entries
+/// sorted by name, with no name twice, over one arena of names; both grow
+/// in fixed-size blocks, so a scrape copies nothing it stored and allocates
+/// nothing per name. Lookups binary-search it. [`record`] sorts the
+/// component's run and appends it if it sorts after every entry already
+/// stored. That is the case whenever components are recorded in the order
+/// of their prefixes, no prefix is another one followed by `.`, and prefixes
+/// use only characters above `.` (letters, digits, `_`): then `"rack1"` <
+/// `"rack10"` implies `"rack1.x"` < `"rack10.y"`, because `.` sorts below
+/// every character that can follow `rack1` in another prefix.
+/// `Cluster::scrape` records that way, so a whole-cluster scrape only
+/// appends. Otherwise (a prefix with `-` or another character below `.`, a
+/// prefix that is another one plus a dot, components in any other order,
+/// or one name written twice) the run is merged into the entries, and
+/// where a name is written more than once the last write wins. Equality
+/// compares names and values, not arenas.
 ///
 /// [`record`]: MetricsRegistry::record
 ///
@@ -209,26 +258,27 @@ type Entry = (String, MetricValue);
 /// assert_eq!(reg.counter("rack0.server3.nic.tx_frames"), Some(7));
 /// assert_eq!(reg.sum_counters("rack*.server*.nic.tx_frames"), 7);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    metrics: Vec<Entry>,
+    /// Entries sorted by name, in blocks (see [`push_entry`]).
+    entries: Vec<Vec<Entry>>,
+    names: Names,
+    /// The entries being recorded; empty between calls.
+    run: Vec<Entry>,
 }
 
-/// Appends each visited metric under `prefix.` to the registry's vector.
+/// Writes each visited metric's name under `prefix.` to the arena and its
+/// entry to the run.
 struct RegistryVisitor<'a> {
     prefix: &'a str,
-    metrics: &'a mut Vec<Entry>,
+    names: &'a mut Names,
+    run: &'a mut Vec<Entry>,
 }
 
 impl RegistryVisitor<'_> {
     fn push(&mut self, name: &str, value: MetricValue) {
-        let mut full = String::with_capacity(self.prefix.len() + 1 + name.len());
-        if !self.prefix.is_empty() {
-            full.push_str(self.prefix);
-            full.push('.');
-        }
-        full.push_str(name);
-        self.metrics.push((full, value));
+        let dot = if self.prefix.is_empty() { "" } else { "." };
+        self.run.push(self.names.push([self.prefix, dot, name], value));
     }
 }
 
@@ -253,14 +303,27 @@ impl MetricsRegistry {
     /// Scrapes `source`, storing every metric under `prefix.`
     /// (an empty prefix stores local names unqualified).
     pub fn record(&mut self, prefix: &str, source: &dyn Instrumented) {
-        let start = self.metrics.len();
-        source.visit_metrics(&mut RegistryVisitor { prefix, metrics: &mut self.metrics });
+        let run = &mut self.run;
+        source.visit_metrics(&mut RegistryVisitor { prefix, names: &mut self.names, run });
+        self.store_run();
+    }
+
+    /// Moves the run into the entries: appended if it sorts after them,
+    /// else merged.
+    fn store_run(&mut self) {
+        let names = &self.names;
         // Stable, so two writes of one name stay in write order for the merge.
-        self.metrics[start..].sort_by(|a, b| a.0.cmp(&b.0));
-        let sorted = self.metrics[start.saturating_sub(1)..].windows(2).all(|w| w[0].0 < w[1].0);
-        if !sorted {
-            let run = self.metrics.split_off(start);
-            self.metrics = merge_last_wins(std::mem::take(&mut self.metrics), run);
+        self.run.sort_by(|a, b| names.get(a).cmp(names.get(b)));
+        let last = self.entries.last().and_then(|b| b.last());
+        let sorted =
+            last.into_iter().chain(&self.run).map(|e| names.get(e)).is_sorted_by(|a, b| a < b);
+        if sorted {
+            for e in self.run.drain(..) {
+                push_entry(&mut self.entries, e);
+            }
+        } else {
+            let old = std::mem::take(&mut self.entries);
+            self.entries = merge_last_wins(old, self.run.drain(..), names);
         }
     }
 
@@ -277,28 +340,34 @@ impl MetricsRegistry {
 
     fn set(&mut self, name: &str, value: MetricValue) {
         match self.find(name) {
-            Ok(i) => self.metrics[i].1 = value,
-            Err(i) => self.metrics.insert(i, (name.to_string(), value)),
+            Some((k, i)) => self.entries[k][i].value = value,
+            None => {
+                self.run.push(self.names.push(["", "", name], value));
+                self.store_run();
+            }
         }
     }
 
-    fn find(&self, name: &str) -> Result<usize, usize> {
-        self.metrics.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    /// The block and the position in it of the entry named `name`.
+    fn find(&self, name: &str) -> Option<(usize, usize)> {
+        let names = &self.names;
+        let k = self.entries.partition_point(|b| b.last().is_some_and(|e| names.get(e) < name));
+        self.entries.get(k)?.binary_search_by(|e| names.get(e).cmp(name)).ok().map(|i| (k, i))
     }
 
     /// Number of metrics.
     pub fn len(&self) -> usize {
-        self.metrics.len()
+        self.entries.iter().map(Vec::len).sum()
     }
 
     /// `true` when nothing has been scraped.
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
+        self.entries.is_empty()
     }
 
     /// Looks up one metric by full name.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.find(name).ok().map(|i| &self.metrics[i].1)
+        self.find(name).map(|(k, i)| &self.entries[k][i].value)
     }
 
     /// The value of a counter metric, if present and a counter.
@@ -311,7 +380,7 @@ impl MetricsRegistry {
 
     /// Iterates metrics in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().flatten().map(|e| (self.names.get(e), &e.value))
     }
 
     /// Sums every counter whose name matches `pattern` (`*` matches any
@@ -330,9 +399,10 @@ impl MetricsRegistry {
     /// gauges as numbers, histograms as summary objects. Deterministic:
     /// keys in lexicographic order, shortest-roundtrip float formatting.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 * self.metrics.len() + 4);
+        let len = self.len();
+        let mut out = String::with_capacity(64 * len + 4);
         out.push_str("{\n");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
+        for (i, (name, value)) in self.iter().enumerate() {
             out.push_str("  \"");
             push_json_escaped(&mut out, name);
             out.push_str("\": ");
@@ -355,7 +425,7 @@ impl MetricsRegistry {
                     );
                 }
             }
-            if i + 1 < self.metrics.len() {
+            if i + 1 < len {
                 out.push(',');
             }
             out.push('\n');
@@ -367,9 +437,9 @@ impl MetricsRegistry {
     /// Serializes the registry as CSV with a `name,kind,value` header.
     /// Histograms expand into one row per summary field.
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(64 * self.metrics.len() + 16);
+        let mut out = String::with_capacity(64 * self.len() + 16);
         out.push_str("name,kind,value\n");
-        for (name, value) in &self.metrics {
+        for (name, value) in self.iter() {
             match value {
                 MetricValue::Counter(c) => {
                     let _ = writeln!(out, "{name},counter,{c}");
@@ -393,21 +463,32 @@ impl MetricsRegistry {
     }
 }
 
+/// Equal when the names and values are, whatever the arenas hold.
+impl PartialEq for MetricsRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
 /// Merges `new` (sorted, stably) into `old` (sorted, no name twice).
 /// Where a name is written more than once, the entry written last wins.
-fn merge_last_wins(old: Vec<Entry>, new: Vec<Entry>) -> Vec<Entry> {
-    let mut out: Vec<Entry> = Vec::with_capacity(old.len() + new.len());
-    let (mut old, mut new) = (old.into_iter().peekable(), new.into_iter().peekable());
+fn merge_last_wins(
+    old: Vec<Vec<Entry>>,
+    new: impl Iterator<Item = Entry>,
+    names: &Names,
+) -> Vec<Vec<Entry>> {
+    let mut out = Vec::new();
+    let (mut old, mut new) = (old.into_iter().flatten().peekable(), new.peekable());
     loop {
         // On a tie the older entry goes first, so the newer replaces it.
         let take_old = match (old.peek(), new.peek()) {
-            (Some(o), Some(n)) => o.0 <= n.0,
+            (Some(o), Some(n)) => names.get(o) <= names.get(n),
             (o, _) => o.is_some(),
         };
         let Some(e) = (if take_old { old.next() } else { new.next() }) else { break };
-        match out.last_mut() {
-            Some(last) if last.0 == e.0 => last.1 = e.1,
-            _ => out.push(e),
+        match out.last_mut().and_then(|b: &mut Vec<Entry>| b.last_mut()) {
+            Some(last) if names.get(last) == names.get(&e) => last.value = e.value,
+            _ => push_entry(&mut out, e),
         }
     }
     out
@@ -802,6 +883,64 @@ mod tests {
         // Name order in the serialization.
         assert!(json.find("\"a.latency\"").unwrap() < json.find("\"b.latency\"").unwrap());
         assert!(x.to_csv().starts_with("name,kind,value\n"));
+    }
+
+    /// Equality reads names and values, not the arena: a registry whose
+    /// components came out of order, one name written twice, holds dead
+    /// names in its arena and still equals the one built by appending.
+    #[test]
+    fn registries_with_the_same_entries_are_equal_however_built() {
+        struct Twice;
+        impl Instrumented for Twice {
+            fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+                v.counter("tx_frames", 1);
+                v.gauge("queue_depth", 2.5);
+                v.histogram("latency", &dev(0).lat);
+                v.counter("tx_frames", 42);
+            }
+        }
+        let mut appended = MetricsRegistry::new();
+        appended.record("a", &dev(1));
+        appended.record("b", &dev(42));
+        let mut merged = MetricsRegistry::new();
+        merged.record("b", &Twice);
+        merged.record("a", &dev(1));
+        assert_ne!(merged.names.0, appended.names.0);
+        assert_eq!(merged, appended);
+        assert_eq!(merged.to_json(), appended.to_json());
+        appended.set_counter("b.tx_frames", 7);
+        assert_ne!(merged, appended);
+    }
+
+    /// A registry larger than one block of entries and of names, with a
+    /// name longer than a name block and components recorded in and out
+    /// of order, finds every entry and lists them in name order.
+    #[test]
+    fn registry_spans_blocks() {
+        struct Many(usize);
+        impl Instrumented for Many {
+            fn visit_metrics(&self, v: &mut dyn MetricsVisitor) {
+                for i in 0..self.0 {
+                    v.counter(&format!("m{i:05}"), i as u64);
+                }
+            }
+        }
+        let long = "x".repeat(NAME_BLOCK + 5);
+        let mut reg = MetricsRegistry::new();
+        let prefixes = ["c", "d", "a", &long, "b"];
+        for p in prefixes {
+            reg.record(p, &Many(ENTRY_BLOCK / 2 + 3));
+        }
+        assert_eq!(reg.len(), prefixes.len() * (ENTRY_BLOCK / 2 + 3));
+        assert!(reg.entries.len() > 1 && reg.names.0.len() > 1);
+        let listed: Vec<&str> = reg.iter().map(|(k, _)| k).collect();
+        assert!(listed.windows(2).all(|w| w[0] < w[1]));
+        let last = ENTRY_BLOCK / 2 + 2;
+        for p in prefixes {
+            assert_eq!(reg.counter(&format!("{p}.m00000")), Some(0));
+            assert_eq!(reg.counter(&format!("{p}.m{last:05}")), Some(last as u64));
+        }
+        assert_eq!(reg.counter(&format!("c.m{:05}", last + 1)), None);
     }
 
     #[test]

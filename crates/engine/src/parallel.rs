@@ -1150,12 +1150,8 @@ impl<M: Send + 'static> ComponentHost<M> for ParallelSimulation<M> {
         assert!(at >= self.now, "external event scheduled in the past");
         assert!(target.index() < self.directory.len(), "unknown component {target}");
         let (p, _) = self.directory[target.index()];
-        let key = EventKey {
-            time: at,
-            target,
-            source: ComponentId::EXTERNAL,
-            source_seq: self.external_seq,
-        };
+        let (source, source_seq) = (ComponentId::EXTERNAL, self.external_seq);
+        let key = EventKey { time: at, target, source, source_seq };
         self.external_seq += 1;
         let w = self.part_worker[p as usize] as usize;
         self.workers[w].queue.push(Event { key, kind });

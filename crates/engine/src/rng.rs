@@ -42,15 +42,9 @@ impl DetRng {
         DetRng { s }
     }
 
-    /// The raw xoshiro256** state, for snapshotting. Restoring through
-    /// [`DetRng::from_state`] resumes the sequence exactly.
+    /// The raw xoshiro256** state, which a snapshot holds.
     pub fn state(&self) -> [u64; 4] {
         self.s
-    }
-
-    /// Rebuilds a generator from a [`DetRng::state`] snapshot.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        DetRng { s }
     }
 
     /// Derives an independent stream for a sub-component.
@@ -159,6 +153,8 @@ impl DetRng {
         -mean * self.next_f64_open().ln()
     }
 }
+
+crate::impl_snap_struct!(DetRng { s });
 
 #[cfg(test)]
 mod tests {

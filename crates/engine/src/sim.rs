@@ -120,12 +120,8 @@ impl<M: 'static> Simulation<M> {
     /// Panics if `at` is earlier than the current time.
     pub fn schedule_external(&mut self, at: SimTime, target: ComponentId, kind: EventKind<M>) {
         assert!(at >= self.now, "external event scheduled in the past");
-        let key = EventKey {
-            time: at,
-            target,
-            source: ComponentId::EXTERNAL,
-            source_seq: self.external_seq,
-        };
+        let (source, source_seq) = (ComponentId::EXTERNAL, self.external_seq);
+        let key = EventKey { time: at, target, source, source_seq };
         self.external_seq += 1;
         self.queue.push(Event { key, kind });
     }

@@ -121,16 +121,6 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends raw bytes verbatim.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -322,12 +312,9 @@ impl Snap for String {
 
 impl<T: Snap> Snap for Option<T> {
     fn save(&self, w: &mut SnapWriter) {
-        match self {
-            None => false.save(w),
-            Some(v) => {
-                true.save(w);
-                v.save(w);
-            }
+        self.is_some().save(w);
+        if let Some(v) = self {
+            v.save(w);
         }
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -348,9 +335,14 @@ impl<T: Snap> Snap for Box<T> {
 /// collection.
 fn save_seq<'a, T: Snap + 'a>(w: &mut SnapWriter, items: impl ExactSizeIterator<Item = &'a T>) {
     w.put_len(items.len());
-    for v in items {
-        v.save(w);
-    }
+    items.for_each(|v| v.save(w));
+}
+
+/// Reads a [`save_seq`] sequence into any collection; a map reads its
+/// entries as `(key, value)` pairs.
+fn load_seq<T: Snap, C: FromIterator<T>>(r: &mut SnapReader<'_>) -> Result<C, SnapError> {
+    let n = r.take_len()?;
+    (0..n).map(|_| T::load(r)).collect()
 }
 
 impl<T: Snap> Snap for Vec<T> {
@@ -358,12 +350,7 @@ impl<T: Snap> Snap for Vec<T> {
         save_seq(w, self.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.take_len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(T::load(r)?);
-        }
-        Ok(out)
+        load_seq(r)
     }
 }
 
@@ -372,43 +359,33 @@ impl<T: Snap> Snap for VecDeque<T> {
         save_seq(w, self.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Vec::<T>::load(r)?.into())
+        load_seq(r)
     }
 }
 
-impl<A: Snap, B: Snap> Snap for (A, B) {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-        self.1.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::load(r)?, B::load(r)?))
-    }
+macro_rules! snap_tuple {
+    ($($t:ident $i:tt),*) => {
+        impl<$($t: Snap),*> Snap for ($($t,)*) {
+            fn save(&self, w: &mut SnapWriter) {
+                $(self.$i.save(w);)*
+            }
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(($($t::load(r)?,)*))
+            }
+        }
+    };
 }
 
-impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-        self.1.save(w);
-        self.2.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::load(r)?, B::load(r)?, C::load(r)?))
-    }
-}
+snap_tuple!(A 0, B 1);
+snap_tuple!(A 0, B 1, C 2);
 
 impl<T: Snap, const N: usize> Snap for [T; N] {
     fn save(&self, w: &mut SnapWriter) {
-        for v in self {
-            v.save(w);
-        }
+        self.iter().for_each(|v| v.save(w));
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::load(r)?);
-        }
-        out.try_into().map_err(|_| SnapError::Eof)
+        let v: Vec<T> = (0..N).map(|_| T::load(r)).collect::<Result<_, _>>()?;
+        v.try_into().map_err(|_| SnapError::Eof)
     }
 }
 
@@ -421,14 +398,7 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         }
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.take_len()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::load(r)?;
-            let v = V::load(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        load_seq::<(K, V), _>(r)
     }
 }
 
@@ -437,12 +407,7 @@ impl<K: Snap + Ord> Snap for BTreeSet<K> {
         save_seq(w, self.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.take_len()?;
-        let mut out = BTreeSet::new();
-        for _ in 0..n {
-            out.insert(K::load(r)?);
-        }
-        Ok(out)
+        load_seq(r)
     }
 }
 
@@ -459,14 +424,7 @@ impl<K: Snap + Ord + Hash + Eq, V: Snap> Snap for HashMap<K, V> {
         }
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.take_len()?;
-        let mut out = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let k = K::load(r)?;
-            let v = V::load(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        load_seq::<(K, V), _>(r)
     }
 }
 
@@ -477,30 +435,7 @@ impl<K: Snap + Ord + Hash + Eq> Snap for HashSet<K> {
         save_seq(w, keys.into_iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.take_len()?;
-        let mut out = HashSet::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.insert(K::load(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl Snap for crate::time::SimTime {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.as_picos());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::time::SimTime::from_picos(r.take_u64()?))
-    }
-}
-
-impl Snap for crate::time::SimDuration {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.as_picos());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::time::SimDuration::from_picos(r.take_u64()?))
+        load_seq(r)
     }
 }
 
@@ -522,26 +457,6 @@ impl Snap for crate::time::Bandwidth {
             0 => Err(SnapError::Malformed("Bandwidth: zero bits/s".into())),
             bps => Ok(crate::time::Bandwidth::from_bps(bps)),
         }
-    }
-}
-
-impl Snap for crate::rng::DetRng {
-    fn save(&self, w: &mut SnapWriter) {
-        self.state().save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::rng::DetRng::from_state(<[u64; 4]>::load(r)?))
-    }
-}
-
-impl Snap for crate::stats::Counter {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.get());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut c = crate::stats::Counter::new();
-        c.add(r.take_u64()?);
-        Ok(c)
     }
 }
 

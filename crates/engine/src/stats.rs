@@ -6,14 +6,13 @@
 //! HDR-style log-linear buckets: values are grouped into power-of-two
 //! ranges, each split into `2^p` linear sub-buckets, giving a bounded
 //! relative error of `2^-p` at any magnitude. Only the buckets that hold a
-//! sample are stored, 16 bytes each, so a histogram's size follows the
+//! sample are stored, 8 bytes each, so a histogram's size follows the
 //! number of distinct buckets it has hit, not its largest sample: a client
 //! with a hundred samples, one of them a 250 ms retry, keeps about a
 //! hundred buckets rather than an array of 3,000. The snapshot wire form
 //! is the dense array (see [`Histogram`]).
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use core::cmp::Ordering;
 use core::fmt;
 
 /// A monotonically increasing event counter.
@@ -56,8 +55,61 @@ impl fmt::Display for Counter {
     }
 }
 
+crate::impl_snap_struct!(Counter { 0 });
+
 /// Default precision: 128 linear sub-buckets per octave (≤0.79% error).
 const DEFAULT_PRECISION_BITS: u32 = 7;
+
+/// A packed bucket is `index << COUNT_BITS | count`, with a count of at
+/// most `PACKED_MAX`; the largest index, `(65 - 14) · 2^14 - 1`, needs 20 bits.
+const COUNT_BITS: u32 = 44;
+const PACKED_MAX: u64 = (1 << COUNT_BITS) - 1;
+
+/// A histogram's non-empty buckets, sorted by index: packed until a count
+/// passes `PACKED_MAX`, then `(index, count)` pairs for good. Counts never
+/// fall, so equal buckets have equal forms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Buckets {
+    Packed(Vec<u64>),
+    Wide(Vec<(u32, u64)>),
+}
+
+fn unpack(e: u64) -> (u32, u64) {
+    ((e >> COUNT_BITS) as u32, e & PACKED_MAX)
+}
+
+impl Buckets {
+    /// The buckets as `(index, count)`, read in place.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (u32, u64)> + '_ {
+        let (packed, wide): (&[u64], &[(u32, u64)]) = match self {
+            Buckets::Packed(v) => (v, &[]),
+            Buckets::Wide(v) => (&[], v),
+        };
+        packed.iter().map(|&e| unpack(e)).chain(wide.iter().copied())
+    }
+
+    /// Adds `n` samples to bucket `idx`, saturating its count.
+    fn add(&mut self, idx: u32, n: u64) {
+        match self {
+            Buckets::Packed(v) => {
+                let pos = v.partition_point(|&e| unpack(e).0 < idx);
+                let old = v.get(pos).map(|&e| unpack(e)).filter(|&(i, _)| i == idx);
+                match old {
+                    Some((_, c)) if n <= PACKED_MAX - c => v[pos] += n,
+                    None if n <= PACKED_MAX => v.insert(pos, u64::from(idx) << COUNT_BITS | n),
+                    _ => {
+                        *self = Buckets::Wide(self.iter().collect());
+                        self.add(idx, n);
+                    }
+                }
+            }
+            Buckets::Wide(v) => match v.binary_search_by_key(&idx, |&(i, _)| i) {
+                Ok(pos) => v[pos].1 = v[pos].1.saturating_add(n),
+                Err(pos) => v.insert(pos, (idx, n)),
+            },
+        }
+    }
+}
 
 /// HDR-style log-linear histogram of `u64` samples.
 ///
@@ -65,13 +117,12 @@ const DEFAULT_PRECISION_BITS: u32 = 7;
 /// `p` is the precision (default 7, ≤0.79%). Suitable for latencies in
 /// nanoseconds across the full `u64` range.
 ///
-/// The histogram stores its non-empty buckets only, as `(index, count)`
-/// pairs sorted by index: at most `(65 - p) · 2^p` of them (7,424 at the
-/// default precision), and in practice a few hundred. Recording into a
-/// bucket that already holds samples is a binary search; a new bucket is
-/// inserted in place, moving the entries above it. Merging is one linear
-/// pass over both lists, and quantiles and distributions walk the stored
-/// buckets only.
+/// The histogram stores its non-empty buckets only, sorted by index, 8
+/// bytes each (16 once a count passes `2^44 - 1`; counts saturate at
+/// `u64::MAX`): at most `(65 - p) · 2^p` of them (7,424 at the default
+/// precision), in practice a few hundred. Recording or merging into a
+/// bucket is a binary search; a new bucket is inserted in place, moving the
+/// entries above it. Quantiles and distributions walk the buckets in place.
 ///
 /// A snapshot keeps the dense form, one `u64` count per bucket up to the
 /// largest non-empty one: `save` expands to it and `load` compacts from
@@ -94,9 +145,7 @@ const DEFAULT_PRECISION_BITS: u32 = 7;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     precision_bits: u32,
-    /// Non-empty buckets as `(index, count)`, sorted by index; every count
-    /// is at least one.
-    buckets: Vec<(u32, u64)>,
+    buckets: Buckets,
     count: u64,
     sum: u128,
     min: u64,
@@ -122,7 +171,8 @@ impl Histogram {
     /// Panics unless `1 <= precision_bits <= 14`.
     pub fn with_precision(precision_bits: u32) -> Self {
         assert!((1..=14).contains(&precision_bits), "precision_bits out of range");
-        Histogram { precision_bits, buckets: Vec::new(), count: 0, sum: 0, min: u64::MAX, max: 0 }
+        let buckets = Buckets::Packed(Vec::new());
+        Histogram { precision_bits, buckets, count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
     fn index_of(&self, value: u64) -> usize {
@@ -165,11 +215,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = self.index_of(value) as u32;
-        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
-            Ok(pos) => self.buckets[pos].1 = self.buckets[pos].1.saturating_add(n),
-            Err(pos) => self.buckets.insert(pos, (idx, n)),
-        }
+        self.buckets.add(self.index_of(value) as u32, n);
         self.count = self.count.saturating_add(n);
         self.sum = self.sum.saturating_add(value as u128 * n as u128);
         self.min = self.min.min(value);
@@ -223,7 +269,7 @@ impl Histogram {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for &(idx, c) in &self.buckets {
+        for (idx, c) in self.buckets.iter() {
             seen = seen.saturating_add(c);
             if seen >= rank {
                 return self.bucket_upper(idx as usize).min(self.max).max(self.min);
@@ -239,29 +285,7 @@ impl Histogram {
     /// Panics if precisions differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.precision_bits, other.precision_bits, "precision mismatch");
-        let (a, b) = (&self.buckets, &other.buckets);
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                Ordering::Less => {
-                    merged.push(a[i]);
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    merged.push(b[j]);
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    merged.push((a[i].0, a[i].1.saturating_add(b[j].1)));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-        self.buckets = merged;
+        other.buckets.iter().for_each(|(idx, c)| self.buckets.add(idx, c));
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
@@ -276,7 +300,7 @@ impl Histogram {
             return out;
         }
         let mut seen = 0u64;
-        for &(idx, c) in &self.buckets {
+        for (idx, c) in self.buckets.iter() {
             seen = seen.saturating_add(c);
             out.push((self.bucket_upper(idx as usize), seen as f64 / self.count as f64));
         }
@@ -298,7 +322,7 @@ impl Histogram {
         if self.count == 0 {
             return out;
         }
-        for &(idx, c) in &self.buckets {
+        for (idx, c) in self.buckets.iter() {
             let v = self.bucket_upper(idx as usize);
             // Find the first edge >= v (values below lo clamp to bin 0;
             // above hi clamp to the last bin).
@@ -420,12 +444,7 @@ impl ExecReport {
     /// Mean events dispatched per barrier round — the adaptive batching
     /// payoff (high means barriers are amortized over many events).
     pub fn events_per_round(&self) -> f64 {
-        let rounds = self.rounds();
-        if rounds == 0 {
-            self.events() as f64
-        } else {
-            self.events() as f64 / rounds as f64
-        }
+        self.events() as f64 / self.rounds().max(1) as f64
     }
     /// Total wall-clock nanoseconds all workers spent waiting at barriers.
     pub fn barrier_wait_ns(&self) -> u64 {
@@ -446,9 +465,9 @@ impl Snap for Histogram {
     /// largest non-empty one, zeros included.
     fn save(&self, w: &mut SnapWriter) {
         self.precision_bits.save(w);
-        w.put_len(self.buckets.last().map_or(0, |&(idx, _)| idx as usize + 1));
+        w.put_len(self.buckets.iter().next_back().map_or(0, |(idx, _)| idx as usize + 1));
         let mut next = 0;
-        for &(idx, c) in &self.buckets {
+        for (idx, c) in self.buckets.iter() {
             for _ in next..idx {
                 0u64.save(w);
             }
@@ -479,7 +498,7 @@ impl Snap for Histogram {
         for idx in 0..len {
             let c = u64::load(r)?;
             if c != 0 {
-                h.buckets.push((idx as u32, c));
+                h.buckets.add(idx as u32, c);
             }
         }
         h.count = u64::load(r)?;
@@ -528,6 +547,38 @@ mod tests {
         a.merge(&b); // count + count would overflow
         assert_eq!(a.count(), u64::MAX);
         assert_eq!(a.max(), 7);
+    }
+
+    /// A bucket stays 8 bytes up to the packed limit; one sample more, by
+    /// a record or by a merge, turns every bucket into a 16-byte pair, and
+    /// the queries and the snapshot carry on as if nothing changed.
+    #[test]
+    fn histogram_widens_past_the_packed_count() {
+        let packed = |h: &Histogram| matches!(h.buckets, Buckets::Packed(_));
+        let mut a = Histogram::new();
+        a.record(3);
+        a.record_n(1_000, PACKED_MAX - 1);
+        a.record(1_000);
+        assert!(packed(&a));
+        let mut b = a.clone();
+        b.record(1_000);
+        assert!(!packed(&b));
+        assert_eq!(
+            b.buckets.iter().collect::<Vec<_>>(),
+            [(3, 1), (a.index_of(1_000) as u32, PACKED_MAX + 1)]
+        );
+        assert_eq!(b.count(), PACKED_MAX + 2);
+
+        let mut one = Histogram::new();
+        one.record(1_000);
+        let mut merged = a.clone();
+        merged.merge(&one);
+        assert_eq!(merged, b, "a merge that carries a bucket past the limit widens");
+        let mut w = SnapWriter::new();
+        b.save(&mut w);
+        assert_eq!(Histogram::load(&mut SnapReader::new(&w.into_bytes())), Ok(b.clone()));
+        assert_eq!(b.quantile(0.0), 3);
+        assert_eq!(b.quantile(0.5), 1_000);
     }
 
     #[test]
@@ -669,9 +720,9 @@ mod tests {
     #[test]
     fn snapshot_load_keeps_non_empty_buckets_only() {
         let h = load_bytes(&dense_bytes(7, &[0, 1, 0, 0])).unwrap();
-        assert_eq!(h.buckets, vec![(1, 1)]);
+        assert_eq!(h.buckets.iter().collect::<Vec<_>>(), vec![(1, 1)]);
         assert_eq!(h.quantile(1.0), 1);
-        assert!(load_bytes(&dense_bytes(7, &[])).unwrap().buckets.is_empty());
+        assert_eq!(load_bytes(&dense_bytes(7, &[])).unwrap().buckets.iter().count(), 0);
     }
 
     /// A precision the constructor refuses would, once loaded, size the

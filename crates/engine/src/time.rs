@@ -180,16 +180,6 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
-
-    /// The larger of two spans.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The smaller of two spans.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -459,6 +449,9 @@ impl fmt::Display for Frequency {
         }
     }
 }
+
+crate::impl_snap_struct!(SimTime { 0 });
+crate::impl_snap_struct!(SimDuration { 0 });
 
 #[cfg(test)]
 mod tests {

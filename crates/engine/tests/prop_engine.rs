@@ -234,14 +234,23 @@ fn sample_value(kind: u64, raw: u64) -> u64 {
     }
 }
 
-/// A sample count: one, a few, none (a no-op), or `u64::MAX`, which
-/// saturates the bucket and the total.
+/// The largest count a histogram bucket holds in its 8-byte form; past it
+/// the histogram stores 16-byte buckets.
+const PACKED_LIMIT: u64 = (1 << 44) - 1;
+
+/// A sample count: one, a few, none (a no-op), `u64::MAX`, which
+/// saturates the bucket and the total, or one next to the largest count
+/// a compact bucket holds, so that a record or a merge carries a bucket
+/// across it.
 fn sample_count(kind: u64, raw: u64) -> u64 {
     match kind {
         0 | 1 => 1,
         2 => 1 + raw % 1_000,
         3 => 0,
-        _ => u64::MAX,
+        4 => u64::MAX,
+        5 => PACKED_LIMIT - 1,
+        6 => PACKED_LIMIT,
+        _ => PACKED_LIMIT + 1,
     }
 }
 
@@ -277,7 +286,7 @@ fn check_against_dense(
 /// The metrics registry as it was before it became a name-sorted vector:
 /// a `BTreeMap` keyed by full name, every metric an insert, every name a
 /// `format!`, and the exporters that went with it. It is the reference the
-/// vector-backed [`MetricsRegistry`] must agree with, byte for byte.
+/// arena-backed [`MetricsRegistry`] must agree with, byte for byte.
 #[derive(Default)]
 struct MapRegistry {
     metrics: BTreeMap<String, MetricValue>,
@@ -637,12 +646,13 @@ proptest! {
 
     /// The sparse histogram answers every query, and writes the same
     /// snapshot bytes, as the dense one it replaced: after any sequence of
-    /// records (zero and saturating counts included) into two histograms,
-    /// and after merging them in either order.
+    /// records (zero and saturating counts, and counts on either side of
+    /// the compact bucket's limit, included) into two histograms, and after
+    /// merging them in either order.
     #[test]
     fn histogram_matches_dense_reference(
         precision_pick in 0u32..28,
-        ops in proptest::collection::vec((any::<bool>(), 0u64..5, 0u64..5, any::<u64>()), 0..120),
+        ops in proptest::collection::vec((any::<bool>(), 0u64..5, 0u64..8, any::<u64>()), 0..120),
         q in 0.0f64..1.0,
         bins in (1u64..1_000, 1u32..20, 1usize..12)
     ) {
@@ -703,7 +713,7 @@ proptest! {
         prop_assert!(back >= bytes && back <= bytes + 1, "bytes={} back={}", bytes, back);
     }
 
-    /// The vector-backed registry agrees with the `BTreeMap` one it
+    /// The arena-backed registry agrees with the `BTreeMap` one it
     /// replaced, on every query and on both exports byte for byte: after
     /// components recorded in any order under any prefixes (empty ones,
     /// ones that sort below `.`, names written twice in one component)

@@ -484,8 +484,7 @@ impl Kernel {
 
     /// Inspects a guest thread's concrete state after a run.
     pub fn process<T: 'static>(&self, tid: Tid) -> Option<&T> {
-        let process: &dyn Any = &*self.cpu.procs.get(tid.0 as usize)?.process;
-        process.downcast_ref()
+        (&*self.cpu.procs.get(tid.0 as usize)?.process as &dyn Any).downcast_ref()
     }
 
     /// Every guest thread of type `T`, in tid order.
@@ -551,6 +550,7 @@ impl Kernel {
 
     /// Starts the kernel: schedules the first dispatch.
     pub fn boot(&mut self, env: &mut dyn KernelEnv) {
+        self.cpu.procs.shrink_to_fit(); // no thread is spawned after boot
         self.cpu.now = env.now();
         self.maybe_dispatch(env);
     }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Records the repo benchmark at this tree as BENCH_<pr>.json at the repo
-# root: for each workload BENCHMARK.json declares, the detail line of
+# root: for each workload BENCHMARK.json declares, and for the undeclared
+# mc_udp_cold1984 (1,984 servers, where per-server bytes show in
+# peak_rss_mb; its detail line says "declared": false), the detail line of
 #   bash benchmark/run.sh --workload W --seed 1 --seconds 8 --trace 0
 # (medians, quartiles, n, scrape digest, event count) with its contract
 # line's `correct` and `failed`, plus the host's core count and CPU model,
@@ -37,7 +39,7 @@ done
 
 runs="$(mktemp)"
 trap 'rm -f "$runs"' EXIT
-for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+for w in $(jq -r '.workloads[].name' BENCHMARK.json) mc_udp_cold1984; do
   echo "bench_emit: $w" >&2
   # Two lines: the detail line, then the contract line. A failed
   # correctness gate exits non-zero, and so does this script.
